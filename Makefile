@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke bench bench-smoke bench-json bench-check staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
+.PHONY: all build test race fuzz fuzz-smoke bench bench-smoke bench-json bench-check bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
 
 all: build test
 
@@ -122,3 +122,19 @@ bench-check:
 	$(GO) test ./internal/ingest -run '^$$' -bench '$(BENCH_INGEST_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
 	$(GO) run ./cmd/benchjson -baseline $(BENCH_JSON) bench-out.txt
 	@rm -f bench-out.txt
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): each of the
+# four workloads once, end-to-end metrics only, appended to E2E_OUT. With
+# PARENT=<file of runs of the parent commit made the same way> the two sets
+# are then judged against the benchmark's bounds. One run a side is a smoke
+# check; a claim needs ten alternating pairs (docs/PERF.md).
+E2E_WORKLOADS = batch-seq batch-dag-bounded plan-space serve-ingest
+E2E_OUT      ?= bench/out/e2e.jsonl
+E2E_SEED     ?= 1
+
+bench-e2e:
+	@mkdir -p $(dir $(abspath $(E2E_OUT)))
+	for w in $(E2E_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed $(E2E_SEED) --seconds 20 --trace 0 -out $(abspath $(E2E_OUT)) || exit 1; \
+	done
+	@if [ -n "$(PARENT)" ]; then bash bench/run.sh -compare $(abspath $(PARENT)) $(abspath $(E2E_OUT)); fi

@@ -188,3 +188,52 @@ func BenchmarkBoundedWindow(b *testing.B) {
 		})
 	}
 }
+
+// buildBenchRows is the build side of the two layer benchmarks below: n
+// two-column integer rows, four to a key.
+func buildBenchRows(n int) []prow {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i / 4)
+	}
+	return intRows(keys...)
+}
+
+// BenchmarkBuildTable hashes one materialized operand scan on its first
+// column — the build half of a join step. Run with -benchmem: allocs/op
+// must not grow with the row count.
+func BenchmarkBuildTable(b *testing.B) {
+	for _, n := range []int{1_000, 24_000} {
+		rows := buildBenchRows(n)
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newBuildTable(rows, []int{0})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
+}
+
+// BenchmarkProbe pushes one driver row per build row through a one-step
+// pipeline — encode the key, walk the chain, verify, emit four matches —
+// into a sink that only counts.
+func BenchmarkProbe(b *testing.B) {
+	const n = 24_000
+	step := joinStep{roff: 1, build: newBuildTable(buildBenchRows(n), []int{0}), keys: []equiKey{{boundCol: 0, newCol: 1}}}
+	p := pipeline{width: 3, steps: []joinStep{step}}
+	driver := make([]prow, n)
+	for i := range driver {
+		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
+	}
+	var matched int64
+	sink := func(_ relation.Tuple, count int64) { matched += count }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.runMorsel(driver, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}

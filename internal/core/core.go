@@ -134,13 +134,26 @@ func (v *View) Cardinality() int64 {
 	return v.table.Cardinality()
 }
 
-// Scan iterates the view's current rows with multiplicities.
+// Scan iterates the view's current rows with multiplicities. The tuples of
+// a base or SPJ view are the stored ones (see storage.Table): shared with
+// every epoch that holds the row, and not to be modified.
 func (v *View) Scan(fn func(relation.Tuple, int64) bool) {
 	if v.agg != nil {
 		v.agg.Scan(fn)
 		return
 	}
 	v.table.Scan(fn)
+}
+
+// ScanEncoded iterates the view's current rows as Tuple.Encode keys with
+// multiplicities. For a base or SPJ view these are the stored keys, handed
+// out without decoding or re-encoding anything.
+func (v *View) ScanEncoded(fn func(key string, count int64) bool) {
+	if v.agg != nil {
+		v.agg.ScanEncoded(fn)
+		return
+	}
+	v.table.ScanEncoded(fn)
 }
 
 // SortedRows returns the current rows sorted, for deterministic inspection.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -803,16 +804,14 @@ func (p *pipeline) probe(depth int, count int64, st *morselState) (int64, error)
 	enc := keyT.AppendEncoded(st.encs[depth][:0])
 	st.encs[depth] = enc
 	var probed int64
-	bucket := s.build.buckets[hashBytes(enc)]
-	for ei := range bucket {
-		e := &bucket[ei]
-		// Hash-then-verify: the bucket may mix keys that collide on the
-		// 64-bit hash; confirm byte equality before emitting. The
-		// comparison below is allocation-free (no string conversion
-		// escapes).
-		if string(enc) != e.keyEnc {
+	bt := s.build
+	for i := bt.first(enc); i != 0; i = bt.entries[i-1].next {
+		// Hash-then-verify: a chain may mix keys; confirm byte equality
+		// before emitting.
+		if !bytes.Equal(enc, bt.keyOf(i-1)) {
 			continue
 		}
+		e := &bt.entries[i-1]
 		n, err := p.emit(depth, e.tup, count*e.count, st)
 		probed += n
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,35 +102,25 @@ func pairSig(cq *algebra.CQ, a, b int, pks []pairKey) string {
 // concatenated tuples with multiplied counts, hash-then-verify on the key
 // columns (operand-local indexes).
 func joinRows(rowsA, rowsB []prow, colsA, colsB []int, widthA, widthB int) []prow {
-	buckets := make(map[uint64][]int, len(rowsB))
-	encB := make([]string, len(rowsB))
-	key := make(relation.Tuple, len(colsB))
-	enc := make([]byte, 0, 64)
-	for i := range rowsB {
-		for ki, c := range colsB {
-			key[ki] = rowsB[i].row[c]
-		}
-		enc = key.AppendEncoded(enc[:0])
-		encB[i] = string(enc)
-		h := hashBytes(enc)
-		buckets[h] = append(buckets[h], i)
-	}
+	bt := newBuildTable(rowsB, colsB)
 	var out []prow
 	keyA := make(relation.Tuple, len(colsA))
+	enc := make([]byte, 0, 64)
 	for i := range rowsA {
 		ra := &rowsA[i]
 		for ki, c := range colsA {
 			keyA[ki] = ra.row[c]
 		}
 		enc = keyA.AppendEncoded(enc[:0])
-		for _, j := range buckets[hashBytes(enc)] {
-			if string(enc) != encB[j] {
+		for j := bt.first(enc); j != 0; j = bt.entries[j-1].next {
+			if !bytes.Equal(enc, bt.keyOf(j-1)) {
 				continue
 			}
+			e := &bt.entries[j-1]
 			row := make(relation.Tuple, widthA+widthB)
 			copy(row, ra.row)
-			copy(row[widthA:], rowsB[j].row)
-			out = append(out, prow{row: row, count: ra.count * rowsB[j].count})
+			copy(row[widthA:], e.tup)
+			out = append(out, prow{row: row, count: ra.count * e.count})
 		}
 	}
 	return out

@@ -109,39 +109,72 @@ func hashBytes(b []byte) uint64 {
 	return h
 }
 
-// buildEntry is one build-side tuple under its encoded join key.
+// buildEntry is one build-side tuple. Its encoded join key is the arena
+// bytes from the previous entry's kend up to its own; next chains the
+// entries that share a head (entry index + 1; 0 ends the chain).
 type buildEntry struct {
-	keyEnc string
-	tup    relation.Tuple
-	count  int64
+	tup   relation.Tuple
+	count int64
+	kend  int
+	next  int32
 }
 
-// buildTable is an immutable build-side hash table: buckets keyed by the
-// 64-bit hash of the encoded key projection, entries verified by byte
-// equality at probe time. Probing therefore allocates nothing — the
-// sequential engine's per-probe key.Encode() string is gone. With no key
-// columns (cross product) every entry lands in the hash of the empty
-// encoding and every probe matches, preserving the old semantics.
+// buildTable is an immutable build-side hash table laid out flat: one entry
+// per row in a single array, chained from a power-of-two array of heads
+// selected by the 64-bit hash of the encoded key projection, with every
+// key's encoding in one arena — a handful of allocations per build however
+// many rows it holds, and none per probe. A chain may mix keys (they share
+// a head, or collide on the whole hash), so a probe verifies byte equality
+// before it emits; the order of a chain never shows in the output bag. With
+// no key columns (cross product) every entry has the empty key, lands in
+// one chain, and matches every probe. The tuples are the operand's own
+// (see materializeScan) and are only read.
 type buildTable struct {
-	buckets map[uint64][]buildEntry
+	entries []buildEntry
+	heads   []int32 // entry index + 1 of each chain's first entry; 0 = empty
+	arena   []byte
 }
 
 // newBuildTable hashes an operand's materialized rows on the key columns
 // (operand-local indexes, canonical newCol order).
 func newBuildTable(rows []prow, cols []int) *buildTable {
-	bt := &buildTable{buckets: make(map[uint64][]buildEntry)}
+	nh := 1
+	for nh < len(rows) {
+		nh <<= 1
+	}
+	bt := &buildTable{entries: make([]buildEntry, len(rows)), heads: make([]int32, nh)}
 	key := make(relation.Tuple, len(cols))
-	enc := make([]byte, 0, 64)
 	for i := range rows {
 		r := &rows[i]
 		for ki, col := range cols {
 			key[ki] = r.row[col]
 		}
-		enc = key.AppendEncoded(enc[:0])
-		h := hashBytes(enc)
-		bt.buckets[h] = append(bt.buckets[h], buildEntry{keyEnc: string(enc), tup: r.row, count: r.count})
+		start := len(bt.arena)
+		bt.arena = key.AppendEncoded(bt.arena)
+		if i == 0 {
+			// Size the arena from the first key: exact when keys are of
+			// fixed width (integers, dates), a first guess otherwise.
+			bt.arena = append(make([]byte, 0, len(bt.arena)*len(rows)), bt.arena...)
+		}
+		head := &bt.heads[hashBytes(bt.arena[start:])&uint64(nh-1)]
+		bt.entries[i] = buildEntry{tup: r.row, count: r.count, kend: len(bt.arena), next: *head}
+		*head = int32(i + 1)
 	}
 	return bt
+}
+
+// first returns the head of the chain an encoded probe key selects.
+func (bt *buildTable) first(enc []byte) int32 {
+	return bt.heads[hashBytes(enc)&uint64(len(bt.heads)-1)]
+}
+
+// keyOf returns the encoded join key of entry i.
+func (bt *buildTable) keyOf(i int32) []byte {
+	start := 0
+	if i > 0 {
+		start = bt.entries[i-1].kend
+	}
+	return bt.arena[start:bt.entries[i].kend]
 }
 
 // buildRes is a resolved build side: a resident table or a spilled one,
@@ -229,8 +262,8 @@ func buildFromRows(env *evalEnv, rows []prow, cols []int) (buildRes, error) {
 }
 
 // scanCache memoizes materialized operand scans for one Compute: the 2^r−1
-// terms repeatedly read the same deltas and state tables, and decoding a
-// source's rows costs an allocation per tuple. The memoized rows are shared
+// terms repeatedly read the same deltas and state tables, and a delta
+// decodes its rows on every scan. The memoized rows are shared
 // read-only — the pipeline copies into a scratch row before evaluating
 // anything.
 type scanCache struct {
@@ -257,8 +290,10 @@ func (c *scanCache) get(src source) []prow {
 	return slot.rows
 }
 
-// materializeScan snapshots a source as (tuple, count) rows. Every source
-// hands out freshly allocated tuples, so the rows are safe to share.
+// materializeScan snapshots a source as (tuple, count) rows. A state table
+// hands out its stored tuples, which every epoch holding the row shares, so
+// the rows are read-only here and in everything built from them: the
+// pipeline copies a row into its scratch row and never writes through it.
 func materializeScan(src source) []prow {
 	rows := make([]prow, 0, src.Cardinality())
 	src.Scan(func(t relation.Tuple, c int64) bool {

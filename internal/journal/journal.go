@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/relation"
 	"repro/internal/strategy"
 )
 
@@ -670,8 +669,9 @@ func StateDigest(w *core.Warehouse) uint64 {
 	var buf [binary.MaxVarintLen64]byte
 	for _, name := range w.ViewNames() {
 		var vh uint64
-		w.MustView(name).Scan(func(tup relation.Tuple, count int64) bool {
-			crc := crc64.Update(0, crcTable, []byte(tup.Encode()))
+		w.MustView(name).ScanEncoded(func(key string, count int64) bool {
+			// The conversion does not copy: Update only reads the bytes.
+			crc := crc64.Update(0, crcTable, []byte(key))
 			n := binary.PutVarint(buf[:], count)
 			crc = crc64.Update(crc, crcTable, buf[:n])
 			vh ^= crc

@@ -106,6 +106,27 @@ func TestTupleEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTupleOneAllocation: a decode reads the encoding in place — no
+// byte copy, no string copies — and allocates the tuple once, at full size.
+func TestDecodeTupleOneAllocation(t *testing.T) {
+	enc := Tuple{NewInt(7), NewString("a string long enough to need its own allocation"), NewFloat(2.5),
+		NewString("and another"), Null, NewDate(9000), NewBool(true)}.Encode()
+	var dec Tuple
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if dec, err = DecodeTuple(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || cap(dec) != 7 {
+		t.Fatalf("DecodeTuple allocated %v times for a tuple of capacity %d, want once and 7", allocs, cap(dec))
+	}
+	// A huge claimed string length must be refused, not wrapped around.
+	if _, err := DecodeTuple("\x03\xff\xff\xff\xff\xff\xff\xff\xffab"); err == nil {
+		t.Fatal("string length 2^64-1 accepted")
+	}
+}
+
 func TestEncodeInjective(t *testing.T) {
 	// Strings that could collide with ints under naive encodings.
 	a := Tuple{NewString("ab"), NewString("c")}

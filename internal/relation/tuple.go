@@ -26,17 +26,22 @@ func (t Tuple) AppendEncoded(dst []byte) []byte {
 	return dst
 }
 
-// DecodeTuple reverses Tuple.Encode.
+// DecodeTuple reverses Tuple.Encode. It reads enc in place — string values
+// of the result are substrings of enc, not copies — and sizes the tuple in
+// one allocation: a first pass validates and counts the values, the second
+// decodes them.
 func DecodeTuple(enc string) (Tuple, error) {
-	src := []byte(enc)
-	var t Tuple
-	for len(src) > 0 {
-		v, rest, err := decodeValue(src)
+	n := 0
+	for rest := enc; len(rest) > 0; n++ {
+		size, err := encodedSize(rest)
 		if err != nil {
 			return nil, err
 		}
-		t = append(t, v)
-		src = rest
+		rest = rest[size:]
+	}
+	t := make(Tuple, n)
+	for i := range t {
+		t[i], enc = decodeValue(enc)
 	}
 	return t, nil
 }

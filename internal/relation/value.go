@@ -265,44 +265,48 @@ func appendUint64(dst []byte, u uint64) []byte {
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
 
-func decodeUint64(src []byte) (uint64, []byte) {
-	u := uint64(src[0])<<56 | uint64(src[1])<<48 | uint64(src[2])<<40 | uint64(src[3])<<32 |
+func decodeUint64(src string) uint64 {
+	return uint64(src[0])<<56 | uint64(src[1])<<48 | uint64(src[2])<<40 | uint64(src[3])<<32 |
 		uint64(src[4])<<24 | uint64(src[5])<<16 | uint64(src[6])<<8 | uint64(src[7])
-	return u, src[8:]
 }
 
-// decodeValue decodes one value from src, returning the remainder.
-func decodeValue(src []byte) (Value, []byte, error) {
-	if len(src) == 0 {
-		return Null, nil, fmt.Errorf("relation: truncated value encoding")
-	}
-	k := Kind(src[0])
-	src = src[1:]
-	switch k {
+// encodedSize validates the value encoding at the head of src and returns
+// its length in bytes.
+func encodedSize(src string) (int, error) {
+	switch k := Kind(src[0]); k {
 	case KindNull:
-		return Null, src, nil
-	case KindInt, KindDate, KindBool:
-		if len(src) < 8 {
-			return Null, nil, fmt.Errorf("relation: truncated %s encoding", k)
+		return 1, nil
+	case KindInt, KindDate, KindBool, KindFloat:
+		if len(src) < 9 {
+			return 0, fmt.Errorf("relation: truncated %s encoding", k)
 		}
-		u, rest := decodeUint64(src)
-		return Value{kind: k, i: int64(u)}, rest, nil
-	case KindFloat:
-		if len(src) < 8 {
-			return Null, nil, fmt.Errorf("relation: truncated FLOAT encoding")
-		}
-		u, rest := decodeUint64(src)
-		return Value{kind: k, f: math.Float64frombits(u)}, rest, nil
+		return 9, nil
 	case KindString:
-		if len(src) < 8 {
-			return Null, nil, fmt.Errorf("relation: truncated VARCHAR length")
+		if len(src) < 9 {
+			return 0, fmt.Errorf("relation: truncated VARCHAR length")
 		}
-		n, rest := decodeUint64(src)
-		if uint64(len(rest)) < n {
-			return Null, nil, fmt.Errorf("relation: truncated VARCHAR payload")
+		n := decodeUint64(src[1:])
+		if uint64(len(src)-9) < n {
+			return 0, fmt.Errorf("relation: truncated VARCHAR payload")
 		}
-		return Value{kind: k, s: string(rest[:n])}, rest[n:], nil
+		return 9 + int(n), nil
 	default:
-		return Null, nil, fmt.Errorf("relation: unknown kind byte %d", k)
+		return 0, fmt.Errorf("relation: unknown kind byte %d", k)
+	}
+}
+
+// decodeValue decodes the value at the head of src, which encodedSize has
+// validated, and returns the remainder. A string value aliases src.
+func decodeValue(src string) (Value, string) {
+	switch k := Kind(src[0]); k {
+	case KindInt, KindDate, KindBool:
+		return Value{kind: k, i: int64(decodeUint64(src[1:]))}, src[9:]
+	case KindFloat:
+		return Value{kind: k, f: math.Float64frombits(decodeUint64(src[1:]))}, src[9:]
+	case KindString:
+		end := 9 + int(decodeUint64(src[1:]))
+		return Value{kind: k, s: src[9:end]}, src[end:]
+	default:
+		return Null, src[1:]
 	}
 }

@@ -118,14 +118,14 @@ func WriteContext(ctx context.Context, w *core.Warehouse, out io.Writer) error {
 		}
 		var werr error
 		var row int
-		tbl.Scan(func(tup relation.Tuple, count int64) bool {
+		tbl.ScanEncoded(func(key string, count int64) bool {
 			if row++; row%cancelCheckRows == 0 {
 				if werr = ctx.Err(); werr != nil {
 					werr = fmt.Errorf("snapshot: write cancelled in %s: %w", name, werr)
 					return false
 				}
 			}
-			if werr = writeString(dst, tup.Encode()); werr != nil {
+			if werr = writeString(dst, key); werr != nil {
 				return false
 			}
 			werr = writeVarint(dst, count)

@@ -25,7 +25,10 @@ type AggTable struct {
 	cow bool
 }
 
+// groupEntry is one group's state. group is the decoded group key, written
+// once when the entry is made and shared, read-only, by its detached copies.
 type groupEntry struct {
+	group   relation.Tuple
 	support int64
 	accums  []*delta.Accum
 }
@@ -61,13 +64,9 @@ func (t *AggTable) Specs() []delta.AggSpec { return t.specs }
 func (t *AggTable) Cardinality() int64 { return int64(len(t.groups)) }
 
 // row materializes the output row for a group.
-func (t *AggTable) row(groupKey string, e *groupEntry) relation.Tuple {
-	group, err := relation.DecodeTuple(groupKey)
-	if err != nil {
-		panic(fmt.Sprintf("storage: corrupt group key: %v", err))
-	}
-	out := make(relation.Tuple, 0, len(group)+len(e.accums))
-	out = append(out, group...)
+func (e *groupEntry) row() relation.Tuple {
+	out := make(relation.Tuple, 0, len(e.group)+len(e.accums))
+	out = append(out, e.group...)
 	for _, a := range e.accums {
 		out = append(out, a.Output(e.support))
 	}
@@ -76,8 +75,24 @@ func (t *AggTable) row(groupKey string, e *groupEntry) relation.Tuple {
 
 // Scan calls fn for each output row; every row has multiplicity 1.
 func (t *AggTable) Scan(fn func(tup relation.Tuple, count int64) bool) {
+	for _, e := range t.groups {
+		if !fn(e.row(), 1) {
+			return
+		}
+	}
+}
+
+// ScanEncoded is Scan over the output rows' Tuple.Encode keys: the stored
+// group key followed by the encoded aggregate outputs.
+func (t *AggTable) ScanEncoded(fn func(key string, count int64) bool) {
+	var enc []byte
+	outs := make(relation.Tuple, len(t.specs))
 	for key, e := range t.groups {
-		if !fn(t.row(key, e), 1) {
+		for i, a := range e.accums {
+			outs[i] = a.Output(e.support)
+		}
+		enc = outs.AppendEncoded(append(enc[:0], key...))
+		if !fn(string(enc), 1) {
 			return
 		}
 	}
@@ -106,11 +121,12 @@ func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 	var err error
 	p.Scan(func(groupKey string, gp *delta.GroupPartial) bool {
 		old := t.groups[groupKey]
-		var oldRow relation.Tuple
+		var oldRow, group relation.Tuple
 		newSupport := gp.Support
 		var newEntry *groupEntry
 		if old != nil {
-			oldRow = t.row(groupKey, old)
+			oldRow = old.row()
+			group = old.group
 			newSupport += old.support
 		}
 		if newSupport < 0 {
@@ -118,7 +134,10 @@ func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 			return false
 		}
 		if newSupport > 0 {
-			newEntry = &groupEntry{support: newSupport, accums: make([]*delta.Accum, len(gp.Accums))}
+			if group == nil {
+				group = mustDecode(groupKey)
+			}
+			newEntry = &groupEntry{group: group, support: newSupport, accums: make([]*delta.Accum, len(gp.Accums))}
 			for i, a := range gp.Accums {
 				na := a.Clone()
 				if old != nil {
@@ -133,7 +152,7 @@ func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 		}
 		var newRow relation.Tuple
 		if newEntry != nil {
-			newRow = t.row(groupKey, newEntry)
+			newRow = newEntry.row()
 		}
 		switch {
 		case oldRow == nil && newRow == nil:
@@ -165,7 +184,7 @@ func (t *AggTable) detach() {
 	}
 	groups := make(map[string]*groupEntry, len(t.groups))
 	for k, e := range t.groups {
-		ne := &groupEntry{support: e.support, accums: make([]*delta.Accum, len(e.accums))}
+		ne := &groupEntry{group: e.group, support: e.support, accums: make([]*delta.Accum, len(e.accums))}
 		for i, a := range e.accums {
 			ne.accums[i] = a.Clone()
 		}
@@ -202,7 +221,7 @@ func (t *AggTable) Apply(p *delta.GroupPartials) error {
 			if gp.Support == 0 {
 				return true
 			}
-			e := &groupEntry{support: gp.Support, accums: make([]*delta.Accum, len(gp.Accums))}
+			e := &groupEntry{group: mustDecode(groupKey), support: gp.Support, accums: make([]*delta.Accum, len(gp.Accums))}
 			for i, a := range gp.Accums {
 				e.accums[i] = a.Clone()
 			}
@@ -244,7 +263,8 @@ func (t *AggTable) RestoreGroup(groupKey string, support int64, accums []*delta.
 	if len(accums) != len(t.specs) {
 		return fmt.Errorf("storage: restoring group with %d accumulators, want %d", len(accums), len(t.specs))
 	}
-	if _, err := relation.DecodeTuple(groupKey); err != nil {
+	group, err := relation.DecodeTuple(groupKey)
+	if err != nil {
 		return fmt.Errorf("storage: restoring group with corrupt key: %w", err)
 	}
 	for i, a := range accums {
@@ -256,7 +276,7 @@ func (t *AggTable) RestoreGroup(groupKey string, support int64, accums []*delta.
 		}
 	}
 	t.detach()
-	e := &groupEntry{support: support, accums: make([]*delta.Accum, len(accums))}
+	e := &groupEntry{group: group, support: support, accums: make([]*delta.Accum, len(accums))}
 	for i, a := range accums {
 		e.accums[i] = a.Clone()
 	}

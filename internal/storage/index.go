@@ -89,10 +89,9 @@ func (t *Table) EnsureIndex(cols []int) error {
 		return nil
 	}
 	ix := &hashIndex{cols: sorted, buckets: make(map[string]map[string]struct{})}
-	t.Scan(func(tup relation.Tuple, _ int64) bool {
-		ix.add(tup.Encode(), tup)
-		return true
-	})
+	for key, r := range t.rows {
+		ix.add(key, r.tup)
+	}
 	t.indexes[name] = ix
 	return nil
 }
@@ -117,7 +116,8 @@ func (t *Table) IndexCount() int {
 // Lookup streams the rows whose projection on cols equals key, with their
 // multiplicities. The columns must carry a maintained index (HasIndex);
 // otherwise an error is returned. key must follow the *sorted* column
-// order (the canonical order EnsureIndex uses).
+// order (the canonical order EnsureIndex uses). The tuples are the stored
+// ones (see Table) and must not be modified.
 func (t *Table) Lookup(cols []int, key relation.Tuple, fn func(relation.Tuple, int64) bool) error {
 	sorted := append([]int(nil), cols...)
 	sort.Ints(sorted)
@@ -128,34 +128,23 @@ func (t *Table) Lookup(cols []int, key relation.Tuple, fn func(relation.Tuple, i
 		return fmt.Errorf("storage: no index on columns %v", cols)
 	}
 	for rowEnc := range ix.buckets[key.Encode()] {
-		tup, err := relation.DecodeTuple(rowEnc)
-		if err != nil {
-			return fmt.Errorf("storage: corrupt indexed row: %w", err)
-		}
-		if !fn(tup, t.rows[rowEnc]) {
+		if r := t.rows[rowEnc]; !fn(r.tup, r.count) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// indexInsert/indexDelete keep all indexes current; called by Insert/Delete.
-func (t *Table) indexInsert(tup relation.Tuple, existedBefore bool) {
-	if len(t.indexes) == 0 || existedBefore {
-		return // multiplicity bump: row already indexed
-	}
-	enc := tup.Encode()
+// indexInsert/indexDelete keep all indexes current; Insert calls the one
+// when a row first appears, Delete the other when its last copy goes.
+func (t *Table) indexInsert(rowEnc string, tup relation.Tuple) {
 	for _, ix := range t.indexes {
-		ix.add(enc, tup)
+		ix.add(rowEnc, tup)
 	}
 }
 
-func (t *Table) indexDelete(tup relation.Tuple, stillPresent bool) {
-	if len(t.indexes) == 0 || stillPresent {
-		return
-	}
-	enc := tup.Encode()
+func (t *Table) indexDelete(rowEnc string, tup relation.Tuple) {
 	for _, ix := range t.indexes {
-		ix.remove(enc, tup)
+		ix.remove(rowEnc, tup)
 	}
 }

@@ -178,21 +178,24 @@ func ReadSpill(ctx context.Context, path string, inj *faults.Injector, fn func(r
 	return int64(off), nil
 }
 
-// decodeSpillFrame delivers one verified frame's rows to fn.
+// decodeSpillFrame delivers one verified frame's rows to fn. The frame is
+// copied to a string once; every row's tuple is decoded in place from it.
 func decodeSpillFrame(payload []byte, fn func(relation.Tuple, int64) error) error {
-	for len(payload) > 0 {
-		elen, n := binary.Uvarint(payload)
-		if n <= 0 || elen > uint64(len(payload)-n) {
+	frame := string(payload)
+	for off := 0; off < len(payload); {
+		elen, n := binary.Uvarint(payload[off:])
+		if n <= 0 || elen > uint64(len(payload)-off-n) {
 			return fmt.Errorf("%w: truncated row encoding", ErrCorruptSpill)
 		}
-		enc := payload[n : n+int(elen)]
-		payload = payload[n+int(elen):]
-		count, n := binary.Varint(payload)
+		off += n
+		enc := frame[off : off+int(elen)]
+		off += int(elen)
+		count, n := binary.Varint(payload[off:])
 		if n <= 0 {
 			return fmt.Errorf("%w: truncated row count", ErrCorruptSpill)
 		}
-		payload = payload[n:]
-		tup, err := relation.DecodeTuple(string(enc))
+		off += n
+		tup, err := relation.DecodeTuple(enc)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorruptSpill, err)
 		}

@@ -17,12 +17,19 @@ import (
 )
 
 // Table is a bag of tuples with a fixed schema, stored as a map from the
-// tuple encoding to its multiplicity. Multiplicities are always positive;
-// installing a change batch that would drive a count negative is an error
-// (it indicates an incorrect maintenance strategy upstream).
+// tuple encoding to the decoded tuple and its multiplicity. Multiplicities
+// are always positive; installing a change batch that would drive a count
+// negative is an error (it indicates an incorrect maintenance strategy
+// upstream).
+//
+// A stored tuple is written once, when its row first appears, and never
+// again: Scan, Lookup and SortedRows hand out that tuple itself, shared by
+// every copy-on-write clone of the table and so by every epoch that still
+// holds the row. Callers must treat it as immutable. Its capacity equals
+// its length, so appending to it copies.
 type Table struct {
 	schema relation.Schema
-	rows   map[string]int64
+	rows   map[string]storedRow
 	card   int64 // total multiplicity (sum of counts)
 	// cow marks rows as shared with other Table handles (Clone is
 	// copy-on-write at relation granularity): the map must not be mutated
@@ -40,9 +47,15 @@ type Table struct {
 	indexes map[string]*hashIndex
 }
 
+// storedRow is one distinct tuple of a table: its decoded form and multiplicity.
+type storedRow struct {
+	tup   relation.Tuple
+	count int64
+}
+
 // NewTable creates an empty table with the given schema.
 func NewTable(schema relation.Schema) *Table {
-	return &Table{schema: schema.Clone(), rows: make(map[string]int64)}
+	return &Table{schema: schema.Clone(), rows: make(map[string]storedRow)}
 }
 
 // Schema returns the table's schema.
@@ -62,7 +75,7 @@ func (t *Table) detach() {
 	if !t.cow {
 		return
 	}
-	rows := make(map[string]int64, len(t.rows))
+	rows := make(map[string]storedRow, len(t.rows))
 	for k, v := range t.rows {
 		rows[k] = v
 	}
@@ -70,17 +83,36 @@ func (t *Table) detach() {
 	t.cow = false
 }
 
-// Insert adds count copies of the tuple. Count must be positive.
+// Insert adds count copies of the tuple. Count must be positive. The table
+// keeps nothing of tup itself; the caller may reuse or modify it.
 func (t *Table) Insert(tup relation.Tuple, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
+	t.insertKey(tup.Encode(), count)
+}
+
+// insertKey adds count copies of the row encoded as key. A row new to the
+// table stores the tuple decoded from key, whose strings are substrings of
+// the key the map holds anyway.
+func (t *Table) insertKey(key string, count int64) {
 	t.detach()
-	key := tup.Encode()
-	existed := t.rows[key] > 0
-	t.rows[key] += count
+	r, existed := t.rows[key]
+	if !existed {
+		r.tup = mustDecode(key)
+		t.indexInsert(key, r.tup)
+	}
+	r.count += count
+	t.rows[key] = r
 	t.card += count
-	t.indexInsert(tup, existed)
+}
+
+func mustDecode(key string) relation.Tuple {
+	tup, err := relation.DecodeTuple(key)
+	if err != nil {
+		panic(fmt.Sprintf("storage: corrupt row encoding: %v", err))
+	}
+	return tup
 }
 
 // Delete removes count copies of the tuple. It returns an error if fewer
@@ -90,40 +122,55 @@ func (t *Table) Delete(tup relation.Tuple, count int64) error {
 		return fmt.Errorf("storage: Delete with non-positive count %d", count)
 	}
 	key := tup.Encode()
-	have := t.rows[key]
-	if have < count {
+	if have := t.rows[key].count; have < count {
 		return fmt.Errorf("storage: delete of %d copies of %v but only %d present", count, tup, have)
 	}
-	t.detach()
-	if have == count {
-		delete(t.rows, key)
-	} else {
-		t.rows[key] = have - count
-	}
-	t.card -= count
-	t.indexDelete(tup, have > count)
+	t.deleteKey(key, count)
 	return nil
 }
 
+// deleteKey removes count copies of the row encoded as key; the caller has
+// checked that at least count are present.
+func (t *Table) deleteKey(key string, count int64) {
+	t.detach()
+	r := t.rows[key]
+	if r.count == count {
+		delete(t.rows, key)
+		t.indexDelete(key, r.tup)
+	} else {
+		r.count -= count
+		t.rows[key] = r
+	}
+	t.card -= count
+}
+
 // Count returns the multiplicity of the tuple (0 if absent).
-func (t *Table) Count(tup relation.Tuple) int64 { return t.rows[tup.Encode()] }
+func (t *Table) Count(tup relation.Tuple) int64 { return t.rows[tup.Encode()].count }
 
 // Scan calls fn for each distinct row with its multiplicity. Iteration stops
-// early if fn returns false. Iteration order is unspecified.
+// early if fn returns false. Iteration order is unspecified. The tuple is
+// the stored one (see Table): fn may keep it but must not modify it.
 func (t *Table) Scan(fn func(tup relation.Tuple, count int64) bool) {
-	for key, count := range t.rows {
-		tup, err := relation.DecodeTuple(key)
-		if err != nil {
-			panic(fmt.Sprintf("storage: corrupt row encoding: %v", err))
+	for _, r := range t.rows {
+		if !fn(r.tup, r.count) {
+			return
 		}
-		if !fn(tup, count) {
+	}
+}
+
+// ScanEncoded is Scan over the rows' Tuple.Encode keys, for callers that
+// fingerprint or persist rows and never look inside them.
+func (t *Table) ScanEncoded(fn func(key string, count int64) bool) {
+	for key, r := range t.rows {
+		if !fn(key, r.count) {
 			return
 		}
 	}
 }
 
 // SortedRows returns all distinct rows with counts, sorted lexicographically.
-// Intended for tests and deterministic output.
+// Intended for tests and deterministic output. The tuples are the stored
+// ones and must not be modified.
 func (t *Table) SortedRows() []CountedTuple {
 	out := make([]CountedTuple, 0, len(t.rows))
 	t.Scan(func(tup relation.Tuple, count int64) bool {
@@ -158,7 +205,7 @@ func (t *Table) Equal(o *Table) bool {
 		return false
 	}
 	for k, v := range t.rows {
-		if o.rows[k] != v {
+		if o.rows[k].count != v.count {
 			return false
 		}
 	}
@@ -220,9 +267,9 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 		return fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
 	}
 	var err error
-	d.Scan(func(tup relation.Tuple, count int64) bool {
-		if count < 0 && t.Count(tup) < -count {
-			err = fmt.Errorf("storage: delta deletes %d copies of %v but only %d present", -count, tup, t.Count(tup))
+	d.ScanEncoded(func(key string, count int64) bool {
+		if have := t.rows[key].count; count < 0 && have < -count {
+			err = fmt.Errorf("storage: delta deletes %d copies of %v but only %d present", -count, mustDecode(key), have)
 			return false
 		}
 		return true
@@ -230,24 +277,23 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 	if err != nil {
 		return err
 	}
-	d.Scan(func(tup relation.Tuple, count int64) bool {
+	// The table adopts the delta's key strings as its own, and decodes a
+	// tuple only for a row it does not hold yet.
+	d.ScanEncoded(func(key string, count int64) bool {
 		if count > 0 {
-			t.Insert(tup, count)
+			t.insertKey(key, count)
 		} else {
-			if derr := t.Delete(tup, -count); derr != nil {
-				err = derr
-				return false
-			}
+			t.deleteKey(key, -count)
 		}
 		return true
 	})
-	return err
+	return nil
 }
 
 // Clear removes every row. Maintained indexes are emptied but kept. A
 // shared (cloned) row map is simply abandoned to its other handles.
 func (t *Table) Clear() {
-	t.rows = make(map[string]int64)
+	t.rows = make(map[string]storedRow)
 	t.cow = false
 	t.card = 0
 	for _, ix := range t.indexes {

@@ -268,12 +268,16 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	if o.Journal != nil {
 		o.Journal.noteCommitted(res.Report.TotalWork, ropts.AcceptUnixNano)
 	}
+	// The history keeps its own copy of the report: a pointer into res would
+	// keep res.Core — this epoch's private tables — reachable long after the
+	// epoch has retired.
+	par := res.Report
 	window := WindowReport{
 		Seq:                len(w.history) + 1,
 		Planner:            planner,
 		Plan:               plan,
 		Mode:               res.Mode,
-		Parallel:           &res.Report,
+		Parallel:           &par,
 		Report:             sequentialView(plan.Strategy, res.Report),
 		Started:            started,
 		StaleAfter:         w.StaleViews(),
@@ -317,12 +321,13 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	// the parsed log so NeedsRecovery flips without re-reading the file.
 	inflight.Commit = &journal.CommitRecord{TotalWork: res.Report.TotalWork, UnixNano: time.Now().UnixNano()}
 	j.seq = j.log.CommittedCount() + 1
+	par := res.Report // a copy, so the history does not pin res.Core
 	window := WindowReport{
 		Seq:            len(w.history) + 1,
 		Planner:        PlannerName(begin.Planner),
 		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
 		Mode:           res.Mode,
-		Parallel:       &res.Report,
+		Parallel:       &par,
 		Report:         sequentialView(begin.Strategy, res.Report),
 		Started:        started,
 		StaleAfter:     w.StaleViews(),

@@ -42,12 +42,13 @@ func (w *Warehouse) ApplyWindow(wl *WindowLog) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	w.adopt(res.Core)
+	par := res.Report // a copy, so the history does not pin res.Core
 	window := WindowReport{
 		Seq:        len(w.history) + 1,
 		Planner:    PlannerName(wl.Begin.Planner),
 		Plan:       Plan{Strategy: wl.Begin.Strategy, EstimatedWork: -1},
 		Mode:       res.Mode,
-		Parallel:   &res.Report,
+		Parallel:   &par,
 		Report:     sequentialView(wl.Begin.Strategy, res.Report),
 		Started:    started,
 		StaleAfter: w.StaleViews(),

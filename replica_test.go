@@ -2,8 +2,11 @@ package warehouse
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 )
 
@@ -125,5 +128,68 @@ func TestResumeJournal(t *testing.T) {
 	hist := follower.History()
 	if n := len(hist); n != 3 || !hist[0].Replicated || hist[n-1].Replicated {
 		t.Fatalf("history shape wrong: %+v", hist)
+	}
+}
+
+// collected arranges for the returned channel to close once the garbage
+// collector has reclaimed the core of w's current serving epoch.
+func collected(w *Warehouse) <-chan struct{} {
+	done := make(chan struct{})
+	p := w.PinEpoch()
+	runtime.SetFinalizer(p.pin.Warehouse(), func(*core.Warehouse) { close(done) })
+	p.Close()
+	return done
+}
+
+// TestWindowHistoryReleasesRetiredEpochs: the window history keeps reports,
+// not warehouses. After thirty journaled windows on a leader and their
+// replay on a follower, an epoch retired early on is garbage on both — its
+// private table copies with it — and one epoch is live.
+func TestWindowHistoryReleasesRetiredEpochs(t *testing.T) {
+	leader := newRetail(t)
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	var leaderEarly <-chan struct{}
+	for i := 0; i < 30; i++ {
+		stageEastSale(t, leader, int64(700+i))
+		if _, err := leader.RunWindowOpts(WindowOptions{Journal: j}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			leaderEarly = collected(leader)
+		}
+	}
+	lg, err := journal.ReadLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := newRetail(t)
+	var followerEarly <-chan struct{}
+	for i := range lg.Windows {
+		if _, err := follower.ApplyWindow(&lg.Windows[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			followerEarly = collected(follower)
+		}
+	}
+	if len(leader.History()) != 30 || len(follower.History()) != 30 {
+		t.Fatalf("history: leader %d windows, follower %d", len(leader.History()), len(follower.History()))
+	}
+	for name, early := range map[string]<-chan struct{}{"leader": leaderEarly, "follower": followerEarly} {
+		deadline := time.After(5 * time.Second)
+		for freed := false; !freed; {
+			runtime.GC()
+			select {
+			case <-early:
+				freed = true
+			case <-deadline:
+				t.Fatalf("%s: the epoch retired after window 3 is still reachable after window 30", name)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+	if leader.LiveEpochs() != 1 || follower.LiveEpochs() != 1 {
+		t.Fatalf("live epochs: leader %d, follower %d, want 1 and 1", leader.LiveEpochs(), follower.LiveEpochs())
 	}
 }
