@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke bench bench-smoke bench-json bench-check bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
+.PHONY: all build test race fuzz fuzz-smoke bench bench-smoke bench-json bench-check bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
 
 all: build test
 
@@ -122,6 +122,16 @@ bench-check:
 	$(GO) test ./internal/ingest -run '^$$' -bench '$(BENCH_INGEST_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
 	$(GO) run ./cmd/benchjson -baseline $(BENCH_JSON) bench-out.txt
 	@rm -f bench-out.txt
+
+# The layer microbenchmarks of the packages that own a window's phases
+# (docs/PERF.md quotes them): plan search against VDAG size, table scan /
+# clone / apply, join build and probe, state digest. Five samples each, with
+# allocations; the planner's also report ns per ordering, the others ns/row.
+bench-layers:
+	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
+	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem
+	$(GO) test ./internal/journal -run '^$$' -bench StateDigest -count 5 -benchmem
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): each of the
 # four workloads once, end-to-end metrics only, appended to E2E_OUT. With

@@ -170,29 +170,39 @@ func (s *Simulator) CompWork(comp strategy.Comp) (float64, error) {
 	if r > 62 {
 		return 0, fmt.Errorf("cost: too many delta references (%d)", r)
 	}
-	terms := float64(int64(1)<<uint(r)) - 1
-	deltaTerms := float64(int64(1) << uint(r-1))
-	stateTerms := deltaTerms - 1
-
 	var work, spill float64
 	for child, n := range refs {
 		size, err := s.currentSize(child)
 		if err != nil {
 			return 0, err
 		}
-		if overSet[child] {
-			d := s.stats[child].DeltaSize()
-			work += float64(n) * (deltaTerms*float64(d) + stateTerms*float64(size))
-		} else {
-			work += float64(n) * terms * float64(size)
-		}
-		// Bounded-memory penalty: a state operand too large for the window
-		// budget is built as a spilled hash table — written out once and
-		// re-read during partition-wise probing. Builds are cached across a
-		// Comp's terms, so the penalty is charged once per reference.
-		spill += float64(n) * s.model.SpillPenalty(size)
+		w, sp := s.model.RefWork(n, r, overSet[child], size, s.stats[child].DeltaSize())
+		work += w
+		spill += sp
 	}
 	return s.model.CompCoeff*work + spill, nil
+}
+
+// RefWork returns what a Comp's n references to one child contribute to it:
+// the operand tuples its terms scan (scaled by CompCoeff in the Comp's work)
+// and the spill penalty. r is the Comp's number of delta-bound references
+// (1..62), over reports that this child is among them, size is the child's
+// current size and delta its |δ|. CompWork sums it over the children; the
+// planner's compiled search tabulates it per child and install state.
+func (m Model) RefWork(n, r int, over bool, size, delta int64) (scan, spill float64) {
+	terms := float64(int64(1)<<uint(r)) - 1
+	deltaTerms := float64(int64(1) << uint(r-1))
+	stateTerms := deltaTerms - 1
+	if over {
+		scan = float64(n) * (deltaTerms*float64(delta) + stateTerms*float64(size))
+	} else {
+		scan = float64(n) * terms * float64(size)
+	}
+	// Bounded-memory penalty: a state operand too large for the window
+	// budget is built as a spilled hash table — written out once and
+	// re-read during partition-wise probing. Builds are cached across a
+	// Comp's terms, so the penalty is charged once per reference.
+	return scan, float64(n) * m.SpillPenalty(size)
 }
 
 // InstWork returns the work of Inst(view): i·|δV|.

@@ -57,11 +57,11 @@ func BenchmarkMinWorkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkPruneScaling measures Prune's m!·n³ growth with the number of
-// views that have parents.
+// BenchmarkPruneScaling measures Prune's m! growth with the number of views
+// that have parents, and what one ordering costs.
 func BenchmarkPruneScaling(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	for _, m := range []int{3, 4, 5, 6} {
+	for _, m := range []int{3, 4, 5, 6, 7, 8} {
 		// m base views all referenced by two summaries → m views with parents.
 		builder := vdag.NewBuilder()
 		var bases []string
@@ -81,11 +81,36 @@ func BenchmarkPruneScaling(b *testing.B) {
 		stats := randStats(g, rng)
 		refs := uniformRefs(g)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			var res PruneResult
 			for i := 0; i < b.N; i++ {
-				if _, err := Prune(g, cost.DefaultModel, stats, refs); err != nil {
+				var err error
+				if res, err = Prune(g, cost.DefaultModel, stats, refs); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Examined), "ns/ordering")
+		})
+	}
+}
+
+// BenchmarkPruneShared measures the sharing-aware search on the TPC-D VDAGs
+// of the benchmark's plan-space sweep, pair hints and a byte budget included.
+func BenchmarkPruneShared(b *testing.B) {
+	for _, m := range []int{6, 7, 8} {
+		g := tpcdSearchGraph(m)
+		stats, opts := tpcdSearchInputs(g)
+		refs := uniformRefs(g)
+		b.Run(fmt.Sprintf("tpcd/m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			var res SharedResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = PruneShared(g, cost.DefaultModel, stats, refs, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Examined), "ns/ordering")
 		})
 	}
 }

@@ -34,14 +34,69 @@ const (
 )
 
 // ExprGraph is the expression graph EG(G, V⃗) of Section 5.2: nodes are the
-// 1-way expressions of the VDAG; an edge X→Y (stored as deps[X] containing
-// Y) means X must come after Y in any strategy the graph admits.
+// 1-way expressions of the VDAG; an edge X→Y (label[{X, Y}], and in deps)
+// means X must come after Y in any strategy the graph admits.
 type ExprGraph struct {
 	nodes []strategy.Expr
 	index map[string]int // expression key -> node id
-	deps  [][]int        // deps[i]: nodes that must precede node i
 	label map[[2]int]EdgeLabel
-	prio  []int64 // deterministic topological-sort priority per node
+	deps  depGraph
+}
+
+// depGraph is a dependency graph in flat arrays: the form the topological
+// sort runs on, and the one the compiled search (search.go) extends with one
+// ordering's edges at a time. Edge e hangs off the node that must come first
+// and names in to[e] a node that must come after it; a node's edges are
+// chained from head[node] through next, −1 ending the chain.
+type depGraph struct {
+	prio     []int32 // topological-sort priority per node
+	indeg    []int32 // how many nodes each node must come after
+	head     []int32
+	next, to []int32
+}
+
+// addDep records that node after must come after node before.
+func (d *depGraph) addDep(after, before int32) {
+	d.to = append(d.to, after)
+	d.next = append(d.next, d.head[before])
+	d.head[before] = int32(len(d.to) - 1)
+	d.indeg[after]++
+}
+
+// sort writes a dependency-respecting order of the nodes to out and returns
+// how many it placed — fewer than all of them when the graph is cyclic. It
+// counts indeg down (nodes left positive sit on or behind a cycle) and uses
+// ready as scratch. The order is deterministic: among ready nodes, the one
+// with the smallest (priority, node id) runs first, which yields the natural
+// strategy shape ⟨…; Comp(·,{Vi}); Inst(Vi); …⟩ in ordering order.
+func (d *depGraph) sort(indeg, ready, out []int32) int {
+	ready = ready[:0]
+	for i, n := range indeg {
+		if n == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	placed := 0
+	for len(ready) > 0 {
+		best := 0
+		for i := 1; i < len(ready); i++ {
+			a, b := ready[i], ready[best]
+			if d.prio[a] < d.prio[b] || (d.prio[a] == d.prio[b] && a < b) {
+				best = i
+			}
+		}
+		node := ready[best]
+		ready[best] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		out[placed] = node
+		placed++
+		for e := d.head[node]; e >= 0; e = d.next[e] {
+			if indeg[d.to[e]]--; indeg[d.to[e]] == 0 {
+				ready = append(ready, d.to[e])
+			}
+		}
+	}
+	return placed
 }
 
 // nodeID returns the id for an expression key.
@@ -55,7 +110,7 @@ func (eg *ExprGraph) addDep(a, b strategy.Expr, l EdgeLabel) {
 		return
 	}
 	eg.label[key] = l
-	eg.deps[ai] = append(eg.deps[ai], bi)
+	eg.deps.addDep(int32(ai), int32(bi))
 }
 
 // Nodes returns the 1-way expressions of the graph.
@@ -70,38 +125,34 @@ func (eg *ExprGraph) HasDep(a, b strategy.Expr) bool {
 	return ok
 }
 
-// constructOpts selects between ConstructEG and ConstructSEG.
-type constructOpts struct {
-	// strong adds the Inst→Inst edges of ConstructSEG, which force the
-	// produced strategy to be *strongly* consistent with the ordering.
-	strong bool
-}
-
 // construct builds the expression graph of g with respect to ordering,
 // following ConstructEG (Appendix B). ordering must contain every view that
 // some Comp propagates (i.e., every view with a parent); views missing from
-// the ordering are unconstrained by ordering edges.
-func construct(g *vdag.Graph, ordering []string, opts constructOpts) *ExprGraph {
+// the ordering are unconstrained by ordering edges. strong adds the Inst→Inst
+// edges of ConstructSEG, which force the produced strategy to be *strongly*
+// consistent with the ordering.
+func construct(g *vdag.Graph, ordering []string, strong bool) *ExprGraph {
 	eg := &ExprGraph{index: make(map[string]int), label: make(map[[2]int]EdgeLabel)}
 	pos := make(map[string]int, len(ordering))
 	for i, v := range ordering {
 		pos[v] = i
 	}
-	orderPos := func(v string) int64 {
+	orderPos := func(v string) int32 {
 		if p, ok := pos[v]; ok {
-			return int64(p)
+			return int32(p)
 		}
-		return int64(len(ordering)) // unordered views last
+		return int32(len(ordering)) // unordered views last
 	}
-	add := func(e strategy.Expr, prio int64) {
+	add := func(e strategy.Expr, prio int32) {
 		k := e.Key()
 		if _, ok := eg.index[k]; ok {
 			return
 		}
 		eg.index[k] = len(eg.nodes)
 		eg.nodes = append(eg.nodes, e)
-		eg.deps = append(eg.deps, nil)
-		eg.prio = append(eg.prio, prio)
+		eg.deps.prio = append(eg.deps.prio, prio)
+		eg.deps.indeg = append(eg.deps.indeg, 0)
+		eg.deps.head = append(eg.deps.head, -1)
 	}
 	// Nodes: Inst(V) for every view; Comp(Vj,{Vi}) for every VDAG edge. The
 	// priority drives the deterministic topological sort: expressions that
@@ -146,7 +197,7 @@ func construct(g *vdag.Graph, ordering []string, opts constructOpts) *ExprGraph 
 			}
 		}
 	}
-	if opts.strong {
+	if strong {
 		// ConstructSEG: Inst(Vj) after Inst(Vi) whenever Vi precedes Vj in
 		// the ordering, even without a shared parent.
 		for i := 0; i < len(ordering); i++ {
@@ -160,13 +211,13 @@ func construct(g *vdag.Graph, ordering []string, opts constructOpts) *ExprGraph 
 
 // ConstructEG builds the expression graph EG(G, ordering) of Appendix B.
 func ConstructEG(g *vdag.Graph, ordering []string) *ExprGraph {
-	return construct(g, ordering, constructOpts{})
+	return construct(g, ordering, false)
 }
 
 // ConstructSEG builds the strong expression graph used by Prune: the EG
 // plus Inst→Inst edges enforcing the install order of the ordering.
 func ConstructSEG(g *vdag.Graph, ordering []string) *ExprGraph {
-	return construct(g, ordering, constructOpts{strong: true})
+	return construct(g, ordering, true)
 }
 
 // IsAcyclic reports whether the graph admits a topological order.
@@ -175,57 +226,23 @@ func (eg *ExprGraph) IsAcyclic() bool {
 	return err == nil
 }
 
-// TopoSort returns a dependency-respecting order of the expressions, or an
-// error naming a cycle participant if none exists. The sort is
-// deterministic: among ready nodes, the one with the smallest (priority,
-// node id) runs first, which yields the natural strategy shape
-// ⟨…; Comp(·,{Vi}); Inst(Vi); …⟩ in ordering order.
+// TopoSort returns a dependency-respecting order of the expressions (see
+// depGraph.sort for the deterministic rule), or an error naming a cycle
+// participant if none exists.
 func (eg *ExprGraph) TopoSort() (strategy.Strategy, error) {
 	n := len(eg.nodes)
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for i, ds := range eg.deps {
-		indeg[i] = len(ds)
-		for _, d := range ds {
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	less := func(a, b int) bool {
-		if eg.prio[a] != eg.prio[b] {
-			return eg.prio[a] < eg.prio[b]
-		}
-		return a < b
-	}
-	out := make(strategy.Strategy, 0, n)
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if less(ready[i], ready[best]) {
-				best = i
-			}
-		}
-		node := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		out = append(out, eg.nodes[node])
-		for _, dep := range dependents[node] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-	}
-	if len(out) != n {
-		for i := 0; i < n; i++ {
-			if indeg[i] > 0 {
+	indeg := append([]int32(nil), eg.deps.indeg...)
+	order := make([]int32, n)
+	if eg.deps.sort(indeg, make([]int32, 0, n), order) != n {
+		for i, d := range indeg {
+			if d > 0 {
 				return nil, fmt.Errorf("planner: expression graph is cyclic (e.g. around %s)", eg.nodes[i])
 			}
 		}
+	}
+	out := make(strategy.Strategy, n)
+	for i, node := range order {
+		out[i] = eg.nodes[node]
 	}
 	return out, nil
 }

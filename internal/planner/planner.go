@@ -118,33 +118,18 @@ type PruneResult struct {
 // Prune (Algorithm 6.1) searches over view orderings, evaluating one
 // representative 1-way VDAG strategy per ordering (Theorem 6.1: all
 // strategies strongly consistent with the same ordering incur equal work),
-// and returns the cheapest. Orderings whose strong expression graph is
-// cyclic admit no strongly consistent strategy and are skipped. Only the m
-// views with parents are permuted (Section 6's optimization), so the search
-// examines m! orderings.
+// and returns the cheapest, the first found winning ties. Orderings whose
+// strong expression graph is cyclic admit no strongly consistent strategy
+// and are skipped. Only the m views with parents are permuted (Section 6's
+// optimization), so the search examines m! orderings, each against the VDAG
+// compiled once (search.go). A model without coefficients is cost.DefaultModel.
 func Prune(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts) (PruneResult, error) {
-	res := PruneResult{Work: -1}
-	views := orderableViews(g)
-	perms := strategy.Permutations(views)
-	for _, ord := range perms {
-		res.Examined++
-		seg := ConstructSEG(g, ord)
-		s, err := seg.TopoSort()
-		if err != nil {
-			continue // cyclic SEG: no strongly consistent strategy exists
-		}
-		res.Feasible++
-		w, err := cost.Work(model, stats, refs, s)
-		if err != nil {
-			return res, err
-		}
-		if res.Work < 0 || w < res.Work {
-			res.Work = w
-			res.Strategy = s
-			res.Ordering = append([]string(nil), ord...)
-		}
+	s, err := compileSearch(g, model, stats, refs)
+	if err != nil {
+		return PruneResult{Work: -1}, err
 	}
-	if res.Strategy == nil {
+	res, _ := s.run(func() float64 { return 0 })
+	if res.Feasible == 0 {
 		return res, fmt.Errorf("planner: no feasible ordering found (impossible for a well-formed VDAG)")
 	}
 	return res, nil

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cost"
@@ -77,66 +76,43 @@ func refsFromCounts(refs cost.RefCounts) func(view string) []string {
 // feasible view ordering — plus the dual-stage strategy (all computes, then
 // all installs; maximally sharing-friendly but not always work-minimal),
 // and returns the candidate with the least sharing-adjusted work together
-// with its sharing plan.
+// with its sharing plan, the first found winning ties. The VDAG and the
+// sharing analysis of its expressions are compiled once, so an ordering costs
+// no allocation and only the winner's plan is rendered. A model without
+// coefficients is cost.DefaultModel, for work and saved scans alike.
 func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts, opts SharedSearchOptions) (SharedResult, error) {
 	res := SharedResult{Work: -1, AdjustedWork: -1}
+	s, err := compileSearch(g, model, stats, refs)
+	if err != nil {
+		return res, err
+	}
 	refsFn := opts.Refs
 	if refsFn == nil {
 		refsFn = refsFromCounts(refs)
 	}
 	shOpts := opts.Sharing
 	shOpts.Stats = stats
-
-	compCoeff := model.CompCoeff
-	if model == (cost.Model{}) {
-		compCoeff = cost.DefaultModel.CompCoeff
-	}
-
-	consider := func(s strategy.Strategy, ord []string, dual bool) error {
-		w, err := cost.Work(model, stats, refs, s)
-		if err != nil {
-			return err
-		}
-		plan := AnalyzeSharingOpts(s, refsFn, shOpts)
-		adj := w - compCoeff*float64(plan.EstimatedSavedTuples)
-		if res.AdjustedWork < 0 || adj < res.AdjustedWork {
-			res.Work = w
-			res.AdjustedWork = adj
-			res.Strategy = s
-			res.Plan = plan
-			res.DualStage = dual
-			if ord != nil {
-				res.Ordering = append([]string(nil), ord...)
-			} else {
-				res.Ordering = nil
-			}
-		}
-		return nil
-	}
-
-	views := orderableViews(g)
-	for _, ord := range strategy.Permutations(views) {
-		res.Examined++
-		seg := ConstructSEG(g, ord)
-		s, err := seg.TopoSort()
-		if err != nil {
-			continue // cyclic SEG: no strongly consistent strategy exists
-		}
-		res.Feasible++
-		if err := consider(s, ord, false); err != nil {
-			return res, err
-		}
-	}
+	sh := compileSharing(s.nodes, refsFn, shOpts)
+	pr, adjusted := s.run(func() float64 { return s.model.CompCoeff * float64(sh.analyze(s.out)) })
+	res.Work, res.AdjustedWork, res.Examined, res.Feasible = pr.Work, adjusted, pr.Examined, pr.Feasible
 	// The dual-stage strategy computes every derived view against fully
 	// quiescent children before any install: no operand is version-split,
 	// so it is the sharing upper bound. It is weakly (not strongly)
 	// consistent and therefore outside Prune's candidate space; evaluate it
 	// last so an ordering candidate wins work-ties.
-	if err := consider(strategy.DualStageVDAG(g), nil, true); err != nil {
+	dual := strategy.DualStageVDAG(g)
+	w, err := cost.Work(s.model, stats, refs, dual)
+	if err != nil {
 		return res, err
 	}
-	if res.Strategy == nil {
-		return res, fmt.Errorf("planner: no feasible ordering found (impossible for a well-formed VDAG)")
+	plan := AnalyzeSharingOpts(dual, refsFn, shOpts)
+	if adj := w - s.model.CompCoeff*float64(plan.EstimatedSavedTuples); res.AdjustedWork < 0 || adj < res.AdjustedWork {
+		res.Work, res.AdjustedWork = w, adj
+		res.Strategy, res.Plan, res.DualStage = dual, plan, true
+		return res, nil
 	}
+	res.Strategy, res.Ordering = pr.Strategy, pr.Ordering
+	sh.analyze(s.out)
+	res.Plan = sh.plan()
 	return res, nil
 }

@@ -72,21 +72,30 @@ func OrderedPartitions(items []string) [][][]string {
 // Permutations enumerates all permutations of items.
 func Permutations(items []string) [][]string {
 	var out [][]string
-	cur := append([]string(nil), items...)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(cur) {
-			out = append(out, append([]string(nil), cur...))
-			return
-		}
-		for i := k; i < len(cur); i++ {
-			cur[k], cur[i] = cur[i], cur[k]
-			rec(k + 1)
-			cur[k], cur[i] = cur[i], cur[k]
-		}
-	}
-	rec(0)
+	VisitPermutations(append([]string(nil), items...), func(p []string) {
+		out = append(out, append([]string(nil), p...))
+	})
 	return out
+}
+
+// VisitPermutations calls visit with every permutation of items, in the
+// order Permutations lists them, without materializing them: items is
+// permuted in place (and restored on return), so visit must copy what it
+// keeps.
+func VisitPermutations[T any](items []T, visit func([]T)) {
+	visitPermutations(items, 0, visit)
+}
+
+func visitPermutations[T any](items []T, k int, visit func([]T)) {
+	if k == len(items) {
+		visit(items)
+		return
+	}
+	for i := k; i < len(items); i++ {
+		items[k], items[i] = items[i], items[k]
+		visitPermutations(items, k+1, visit)
+		items[k], items[i] = items[i], items[k]
+	}
 }
 
 // EnumerateViewStrategies enumerates one representative of every correct
