@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke bench bench-smoke bench-json bench-check bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
+.PHONY: all build test race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
 
 all: build test
 
@@ -55,20 +55,22 @@ soak-smoke:
 	$(GO) test -race ./internal/ingest/ -run 'TestSoakIngest' -count=1 -soak 25s
 
 # The concurrency tier: the full suite under the race detector. The
-# parallel, exec and core packages are the ones exercising goroutines
-# (barrier-staged and DAG-scheduled executors against shared warehouse
-# state); running everything keeps the tier honest as coverage grows.
+# goroutines that run update windows live in two packages — internal/exec
+# (the scheduler's workers, staged and DAG) and internal/core (the term
+# engine's pool and sharded sinks, the shared registry) — and
+# internal/recovery and the facade drive both against shared warehouse
+# state; running everything keeps the tier honest as coverage grows.
 race:
 	$(GO) test -race ./...
 
-# Quick race pass over just the concurrent packages.
+# Quick race pass over just those packages.
 race-fast:
-	$(GO) test -race ./internal/parallel/... ./internal/exec/... ./internal/core/...
+	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... .
 
 # Extended fuzzing of the conflict-order invariants (the seed corpus runs
 # under plain `make test` already).
 fuzz:
-	$(GO) test ./internal/parallel/ -run '^$$' -fuzz FuzzParallelizeRespectsConflicts -fuzztime 30s
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzParallelizeRespectsConflicts -fuzztime 30s
 
 # Short fuzz pass over the durability surfaces — the journal reader and the
 # snapshot reader both consume arbitrary on-disk bytes and must reject
@@ -86,42 +88,6 @@ bench:
 # cheap enough for CI, and catches probe-path allocation regressions.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
-
-# The key performance benchmarks as a machine-readable baseline: the
-# window-level schedulers and the two sharing layers (intra-Compute build
-# cache, window-wide cross-view registry) at one iteration, plus the SQL
-# front end and prepared-plan cache microbenchmarks (BenchmarkTokenize,
-# BenchmarkParseQuery, BenchmarkQueryCold/Cached/EndToEnd) at 1000
-# iterations with allocation stats, plus the spill-path benchmarks
-# (BenchmarkSpillBuild, BenchmarkBoundedWindow) in internal/core, plus the
-# continuous-ingestion steady-state bench (BenchmarkIngestSteadyState:
-# Submit + micro-batch drain, reported per change) at 1000 iterations.
-# bench-json refreshes the committed BENCH_10.json; bench-check reruns the
-# same benchmarks and fails on a >2x ns/op slowdown (sub-millisecond
-# baselines are ignored as noise — except allocs/op, which is deterministic
-# and gates unconditionally, so the 0-alloc tokenizer baseline fails on any
-# allocation at all).
-BENCH_JSON           ?= BENCH_10.json
-BENCH_PATTERN        ?= BenchmarkSharedPlan|BenchmarkSharedComp|BenchmarkComputeTermParallel|BenchmarkParallelStaged|BenchmarkParallelDAG
-BENCH_CORE_PATTERN   ?= BenchmarkSpillBuild|BenchmarkBoundedWindow
-BENCH_PARSE_PATTERN  ?= BenchmarkTokenize|BenchmarkParseQuery|BenchmarkQueryCold|BenchmarkQueryCached|BenchmarkQueryEndToEnd
-BENCH_INGEST_PATTERN ?= BenchmarkIngestSteadyState
-
-bench-json:
-	$(GO) test . -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x > bench-out.txt
-	$(GO) test ./internal/core -run '^$$' -bench '$(BENCH_CORE_PATTERN)' -benchtime 1x >> bench-out.txt
-	$(GO) test . ./internal/sqlparse -run '^$$' -bench '$(BENCH_PARSE_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
-	$(GO) test ./internal/ingest -run '^$$' -bench '$(BENCH_INGEST_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) bench-out.txt
-	@rm -f bench-out.txt
-
-bench-check:
-	$(GO) test . -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x > bench-out.txt
-	$(GO) test ./internal/core -run '^$$' -bench '$(BENCH_CORE_PATTERN)' -benchtime 1x >> bench-out.txt
-	$(GO) test . ./internal/sqlparse -run '^$$' -bench '$(BENCH_PARSE_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
-	$(GO) test ./internal/ingest -run '^$$' -bench '$(BENCH_INGEST_PATTERN)' -benchtime 1000x -benchmem >> bench-out.txt
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_JSON) bench-out.txt
-	@rm -f bench-out.txt
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /

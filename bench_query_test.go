@@ -5,7 +5,9 @@ package warehouse
 // parse path every request pays without the cache: lex + parse + bind +
 // validate through the same facade entry the serving path uses.
 // BenchmarkQueryCached is the steady-state hit path: normalized map probe
-// to the same bound plan, no front-end work at all. BenchmarkQueryEndToEnd
+// to the same bound plan, no front-end work at all — and no allocation, which
+// TestPlanCacheHitAllocatesNothing holds as an ordinary test.
+// BenchmarkQueryEndToEnd
 // puts the pair in context: the full Query (prepare + evaluate + present),
 // cold and cached, over the same shape.
 
@@ -24,7 +26,7 @@ const benchQuerySQL = `
 	  AND sale_id BETWEEN 1 AND 2000000 AND NOT store_id = 77
 	ORDER BY 3 DESC, id LIMIT 2 OFFSET 1`
 
-func benchQueryWarehouse(b *testing.B) *Warehouse {
+func benchQueryWarehouse(b testing.TB) *Warehouse {
 	b.Helper()
 	w := New()
 	w.MustDefineBase("SALES", Schema{
@@ -85,6 +87,26 @@ func BenchmarkQueryCached(b *testing.B) {
 	}
 	if st := w.PlanCacheStats(); st.Hits < uint64(b.N) {
 		b.Fatalf("cache went cold mid-benchmark: %+v", st)
+	}
+}
+
+func TestPlanCacheHitAllocatesNothing(t *testing.T) {
+	w := benchQueryWarehouse(t)
+	p := w.PinEpoch()
+	defer p.Close()
+	c := p.pin.Warehouse()
+	if _, err := w.prepareQuery(c, benchQuerySQL); err != nil { // warm
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := w.prepareQuery(c, benchQuerySQL); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a plan-cache hit allocates %v times per run, want 0", n)
+	}
+	if st := w.PlanCacheStats(); st.Misses != 1 {
+		t.Fatalf("cache went cold mid-test: %+v", st)
 	}
 }
 

@@ -193,60 +193,6 @@ func BenchmarkFig15(b *testing.B) {
 	})
 }
 
-// runParallelBench executes s on clones under the given mode and reports the
-// mode's window bound (span work for staged runs, critical-path work for DAG
-// runs) as a custom metric.
-func runParallelBench(b *testing.B, s strategy.Strategy, mode exec.Mode, workers int) {
-	b.Helper()
-	var bound int64
-	for i := 0; i < b.N; i++ {
-		w := benchState.tw.W.Clone()
-		rep, err := benchParallelRun(w, s, mode, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mode == exec.ModeDAG {
-			bound = rep.CriticalPathWork
-		} else {
-			bound = rep.SpanWork
-		}
-	}
-	b.ReportMetric(float64(bound), "window_bound")
-}
-
-// BenchmarkParallelStaged measures the Section 9 barrier-staged execution of
-// the MinWork and dual-stage strategies (one goroutine per stage expression).
-func BenchmarkParallelStaged(b *testing.B) {
-	benchSetup(b)
-	mw, err := planner.MinWork(benchState.tw.Graph, benchState.stats)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("MinWork", func(b *testing.B) { runParallelBench(b, mw.Strategy, exec.ModeStaged, 0) })
-	b.Run("DualStage", func(b *testing.B) {
-		runParallelBench(b, strategy.DualStageVDAG(benchState.tw.Graph), exec.ModeStaged, 0)
-	})
-}
-
-// BenchmarkParallelDAG measures barrier-free precedence-DAG scheduling of
-// the same strategies with a bounded worker pool, for direct comparison with
-// BenchmarkParallelStaged: same strategies, same warehouse, no barriers.
-func BenchmarkParallelDAG(b *testing.B) {
-	benchSetup(b)
-	mw, err := planner.MinWork(benchState.tw.Graph, benchState.stats)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("MinWork/workers=%d", workers), func(b *testing.B) {
-			runParallelBench(b, mw.Strategy, exec.ModeDAG, workers)
-		})
-		b.Run(fmt.Sprintf("DualStage/workers=%d", workers), func(b *testing.B) {
-			runParallelBench(b, strategy.DualStageVDAG(benchState.tw.Graph), exec.ModeDAG, workers)
-		})
-	}
-}
-
 // BenchmarkPlanners isolates planning cost (no execution).
 func BenchmarkPlanners(b *testing.B) {
 	benchSetup(b)
@@ -343,13 +289,13 @@ func benchTermSetup(b *testing.B) *tpcd.Warehouse {
 	return benchTermState.tw
 }
 
-// BenchmarkComputeTermParallel measures the intra-Compute parallel engine on
-// the 63-term Comp(Q5, all six base views) — the multi-term expression the
+// BenchmarkComputeTermParallel measures the term engine's width on the
+// 63-term Comp(Q5, all six base views) — the multi-term expression the
 // dual-stage strategy pays for — at SF 0.01 under the mixed change workload.
-// "seq" is the classic single-threaded engine; "w=N" rows run ParallelTerms
-// with that worker budget (w=1 is strictly serial through the same code
-// path, so w=4 vs w=1 isolates the parallel speedup from the build-cache
-// win). Compute only accumulates pending changes, so iterations repeat
+// "default" is the engine as configured out of the box (width 1, no pool);
+// "w=N" rows run ParallelTerms with that worker budget (w=1 is the same
+// serial schedule with a pool attached, so w=4 vs w=1 isolates the parallel
+// speedup). Compute only accumulates pending changes, so iterations repeat
 // identical work on the same warehouse.
 func BenchmarkComputeTermParallel(b *testing.B) {
 	tw := benchTermSetup(b)
@@ -367,7 +313,7 @@ func BenchmarkComputeTermParallel(b *testing.B) {
 		}
 		b.ReportMetric(float64(saved), "tuples_saved")
 	}
-	b.Run("seq", func(b *testing.B) {
+	b.Run("default", func(b *testing.B) {
 		w := tw.W.Clone()
 		b.ResetTimer()
 		run(b, &tpcd.Warehouse{W: w})
@@ -381,46 +327,6 @@ func BenchmarkComputeTermParallel(b *testing.B) {
 			b.ResetTimer()
 			run(b, &tpcd.Warehouse{W: w})
 		})
-	}
-}
-
-// BenchmarkSharedComp measures window-wide cross-view shared computation on
-// the dual-stage VDAG strategy at SF 0.01 under the mixed change workload:
-// Q3, Q5 and Q10 all Comp over the same base views in one stage, so with
-// sharing on the first Comp to need an operand's build-side hash table
-// materializes it for every sibling. "off" rows run the plain window;
-// tuples_saved reports the operand tuples whose physical re-scan the shared
-// tables elided (0 when sharing is off — the work metric never moves either
-// way).
-func BenchmarkSharedComp(b *testing.B) {
-	tw := benchTermSetup(b)
-	dual := strategy.DualStageVDAG(tw.Graph)
-	run := func(b *testing.B, share bool, mode exec.Mode) {
-		b.Helper()
-		var saved int64
-		for i := 0; i < b.N; i++ {
-			w := tw.W.Clone()
-			if share {
-				opts := w.Options()
-				opts.ShareComputation = true
-				w.SetOptions(opts)
-			}
-			rep, err := benchParallelRun(w, dual, mode, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			saved = 0
-			for _, stage := range rep.Steps {
-				for _, step := range stage {
-					saved += step.SharedTuplesSaved
-				}
-			}
-		}
-		b.ReportMetric(float64(saved), "tuples_saved")
-	}
-	for _, mode := range []exec.Mode{exec.ModeStaged, exec.ModeDAG} {
-		b.Run(fmt.Sprintf("off/%s", mode), func(b *testing.B) { run(b, false, mode) })
-		b.Run(fmt.Sprintf("on/%s", mode), func(b *testing.B) { run(b, true, mode) })
 	}
 }
 

@@ -259,17 +259,12 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 			}
 			workers = n
 		}
-		var win warehouse.WindowReport
-		if sh.j != nil || sh.ctx != nil {
-			// Robust runner: journaled when a journal is attached, and
-			// cancellable either way (SIGINT/SIGTERM aborts the window).
-			win, err = sh.w.RunWindowOpts(warehouse.WindowOptions{
-				Planner: planner, Mode: mode, Workers: workers,
-				Journal: sh.j, Context: sh.ctx,
-			})
-		} else {
-			win, err = sh.w.RunWindowMode(planner, mode, workers)
-		}
+		// Journaled when a journal is attached, and cancellable when the
+		// shell has a context (SIGINT/SIGTERM aborts the window).
+		win, err := sh.w.RunWindowOpts(warehouse.WindowOptions{
+			Planner: planner, Mode: mode, Workers: workers,
+			Journal: sh.j, Context: sh.ctx,
+		})
 		if err != nil {
 			return false, err
 		}
@@ -302,10 +297,10 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		fmt.Fprintln(sh.out, "ok")
 		return false, nil
 	case "PARALLEL":
-		// PARALLEL ON|OFF [workers]: toggle the intra-Compute parallel
-		// engine (concurrent maintenance terms, morsel-parallel probes,
-		// shared build tables). The worker budget is shared with DAG
-		// windows (WINDOW ... DAG [workers]), so both levels compose.
+		// PARALLEL ON|OFF [workers]: widen the term engine's worker pool
+		// (concurrent maintenance terms, morsel-parallel probes) or bring
+		// it back to width 1. The worker budget is shared with DAG windows
+		// (WINDOW ... DAG [workers]), so both levels compose.
 		if len(words) < 2 || (words[1] != "ON" && words[1] != "OFF") {
 			return false, fmt.Errorf("usage: PARALLEL ON|OFF [workers]")
 		}

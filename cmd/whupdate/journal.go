@@ -174,12 +174,10 @@ func resumeWindow(ctx context.Context, tw *tpcd.Warehouse, lg *journal.Log, o op
 func printWindow(res *recovery.Result, o options) {
 	rep := res.Report
 	if o.verbose {
-		for _, stage := range rep.Steps {
-			for _, step := range stage {
-				fmt.Printf("  %-28s work=%8d worker=%d %s%s\n",
-					step.Expr, step.Work, step.Worker, step.Elapsed.Round(time.Microsecond),
-					cacheSuffix(step))
-			}
+		for _, step := range rep.Steps {
+			fmt.Printf("  %-28s work=%8d worker=%d %s%s\n",
+				step.Expr, step.Work, step.Worker, step.Elapsed.Round(time.Microsecond),
+				cacheSuffix(step))
 		}
 	}
 	var note string
@@ -194,10 +192,6 @@ func printWindow(res *recovery.Result, o options) {
 	}
 	fmt.Printf("update window (%s%s): %s, total work %d, span work %d, critical path %d, speedup %.2f\n",
 		res.Mode, note, rep.Elapsed.Round(time.Microsecond),
-		rep.TotalWork, rep.SpanWork, rep.CriticalPathWork, rep.Speedup())
-	var flat []exec.StepReport
-	for _, stage := range rep.Steps {
-		flat = append(flat, stage...)
-	}
-	printSpillSummary(flat, rep.PeakReservedBytes)
+		rep.Sched.TotalWork, rep.Sched.SpanWork, rep.Sched.CriticalPathWork, rep.Sched.Speedup())
+	printSpillSummary(rep.Steps, rep.PeakReservedBytes)
 }

@@ -376,57 +376,52 @@ func run(o options) error {
 		return journaledRun(ctx, tw, s, mode, plannerName, &jlog, o)
 	}
 
-	if mode != exec.ModeSequential {
-		rep, err := parallelRun(ctx, tw, s, mode, o.workers)
-		if err != nil {
-			return windowErr(err)
-		}
-		fmt.Printf("%s plan (%d stages, %d workers): %s\n", mode, rep.Plan.Stages(), rep.Workers, rep.Plan)
-		if verbose {
-			for _, stage := range rep.Steps {
-				for _, step := range stage {
-					fmt.Printf("  %-28s work=%8d worker=%d %s%s\n",
-						step.Expr, step.Work, step.Worker, step.Elapsed.Round(time.Microsecond),
-						cacheSuffix(step))
-				}
-			}
-		}
-		fmt.Printf("update window: %s, total work %d, span work %d, critical path %d, speedup %.2f\n",
-			rep.Elapsed.Round(time.Microsecond), rep.TotalWork, rep.SpanWork, rep.CriticalPathWork, rep.Speedup())
-		var flat []exec.StepReport
-		for _, stage := range rep.Steps {
-			flat = append(flat, stage...)
-		}
-		printSharedSummary(flat, rep.SharedBytesPeak)
-		if o.explainSharing {
-			printSharedObserved(rep.SharedDetail)
-		}
-		printSpillSummary(flat, rep.PeakReservedBytes)
-	} else {
-		rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true, Context: ctx})
-		if err != nil {
-			return windowErr(err)
-		}
-		if verbose {
-			for _, step := range rep.Steps {
-				fmt.Printf("  %-28s work=%8d terms=%2d %s%s\n",
-					step.Expr, step.Work, step.Terms, step.Elapsed.Round(time.Microsecond),
-					cacheSuffix(step))
-			}
-		}
-		fmt.Printf("update window: %s\n", rep)
-		printSharedSummary(rep.Steps, rep.SharedBytesPeak)
-		if o.explainSharing {
-			printSharedObserved(rep.SharedDetail)
-		}
-		printSpillSummary(rep.Steps, rep.PeakReservedBytes)
+	rep, err := exec.Execute(tw.W, s, exec.Options{Mode: mode, Workers: o.workers, Validate: true, Context: ctx})
+	if err != nil {
+		return windowErr(err)
 	}
+	sched := rep.Sched
+	if mode != exec.ModeSequential {
+		fmt.Printf("%s plan (%d stages, %d workers): %s\n", mode, sched.Levels, sched.Workers, exec.Parallelize(s, tw.W.Children))
+	}
+	if verbose {
+		for _, step := range rep.Steps {
+			detail := fmt.Sprintf("terms=%2d", step.Terms)
+			if mode != exec.ModeSequential {
+				detail = fmt.Sprintf("worker=%d", step.Worker)
+			}
+			fmt.Printf("  %-28s work=%8d %s %s%s\n",
+				step.Expr, step.Work, detail, step.Elapsed.Round(time.Microsecond), cacheSuffix(step))
+		}
+	}
+	if mode != exec.ModeSequential {
+		fmt.Printf("update window: %s, total work %d, span work %d, critical path %d, speedup %.2f\n",
+			rep.Elapsed.Round(time.Microsecond), sched.TotalWork, sched.SpanWork, sched.CriticalPathWork, sched.Speedup())
+	} else {
+		fmt.Printf("update window: %s\n", rep)
+	}
+	printSharedSummary(rep.Steps, rep.SharedBytesPeak)
+	if o.explainSharing {
+		printSharedObserved(rep.SharedDetail)
+	}
+	printSpillSummary(rep.Steps, rep.PeakReservedBytes)
 
 	return verify(tw.W)
 }
 
+// verify checks the final state against full recomputation; a mismatch is a
+// window failure (exit 3).
+func verify(w *core.Warehouse) error {
+	t0 := time.Now()
+	if err := w.VerifyAll(); err != nil {
+		return windowErr(fmt.Errorf("final state verification failed: %w", err))
+	}
+	fmt.Printf("verified against recomputation in %s\n", time.Since(t0).Round(time.Millisecond))
+	return nil
+}
+
 // cacheSuffix renders a step's build-cache and shared-computation accounting
-// (empty when neither engine touched the step).
+// (empty when neither layer touched the step).
 func cacheSuffix(step exec.StepReport) string {
 	var s string
 	if step.CacheHits+step.CacheMisses > 0 {

@@ -41,7 +41,7 @@ func TestCSVFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Verify(); err != nil {

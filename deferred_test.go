@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -60,7 +61,7 @@ func TestDeferredViewSkippedAndStale(t *testing.T) {
 	if strings.Contains(plan.Strategy.String(), "DAILY") || strings.Contains(plan.Strategy.String(), "MONTHLY") {
 		t.Fatalf("deferred views in strategy: %s", plan.Strategy)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	// DETAILS is current; DAILY and MONTHLY stale.
@@ -105,6 +106,52 @@ func TestDeferredViewSkippedAndStale(t *testing.T) {
 	}
 }
 
+// TestDeferredSkipAcrossModes: whatever the scheduling mode and width — in
+// place through Execute or as a window — a strategy that skips a deferred
+// view leaves it (and its dependents) marked stale, so StaleViews and Verify
+// agree. At the commit before the executors were unified this failed for the
+// staged-plan entry point (ExecuteParallel): it never ran the
+// deferred-maintenance bookkeeping, so DAILY was left unmarked and Verify
+// reported it diverged.
+func TestDeferredSkipAcrossModes(t *testing.T) {
+	for _, mode := range []Mode{ModeSequential, ModeStaged, ModeDAG} {
+		for _, workers := range []int{1, 4} {
+			for _, window := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/workers=%d/window=%v", mode, workers, window), func(t *testing.T) {
+					w := newChain(t)
+					if err := w.SetDeferred("DAILY", true); err != nil {
+						t.Fatal(err)
+					}
+					stageChainChange(t, w)
+					if window {
+						win, err := w.RunWindowOpts(WindowOptions{Mode: mode, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := fmt.Sprint(win.StaleAfter); got != "[DAILY MONTHLY]" {
+							t.Errorf("window reports stale %s", got)
+						}
+					} else {
+						plan, err := w.PlanMinWork()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := w.Execute(plan.Strategy, mode, workers); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := fmt.Sprint(w.StaleViews()); got != "[DAILY MONTHLY]" {
+						t.Errorf("stale = %s, want [DAILY MONTHLY]", got)
+					}
+					if err := w.Verify(); err != nil {
+						t.Errorf("Verify disagrees with the stale marks: %v", err)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestDeferredBackToImmediate(t *testing.T) {
 	w := newChain(t)
 	if err := w.SetDeferred("MONTHLY", true); err != nil {
@@ -121,7 +168,7 @@ func TestDeferredBackToImmediate(t *testing.T) {
 	if !strings.Contains(plan.Strategy.String(), "MONTHLY") {
 		t.Fatalf("restored view missing from strategy: %s", plan.Strategy)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Verify(); err != nil {
@@ -143,7 +190,7 @@ func TestDeferredLeafOnly(t *testing.T) {
 	if !strings.Contains(plan.Strategy.String(), "DAILY") {
 		t.Fatalf("DAILY should stay immediate: %s", plan.Strategy)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.StaleViews(); len(got) != 1 || got[0] != "MONTHLY" {
@@ -174,7 +221,7 @@ func TestUndeferWhileStaleStaysExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.SetDeferred("DAILY", false); err != nil {
@@ -189,7 +236,7 @@ func TestUndeferWhileStaleStaysExcluded(t *testing.T) {
 	if strings.Contains(plan.Strategy.String(), "DAILY") {
 		t.Fatalf("stale view re-entered strategy: %s", plan.Strategy)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.RefreshStale(); err != nil {
@@ -207,7 +254,7 @@ func TestUndeferWhileStaleStaysExcluded(t *testing.T) {
 	if !strings.Contains(plan.Strategy.String(), "DAILY") {
 		t.Fatalf("refreshed view missing from strategy: %s", plan.Strategy)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Verify(); err != nil {
@@ -259,7 +306,7 @@ func TestRefreshViewGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Refreshing MONTHLY before DAILY must fail (stale child).

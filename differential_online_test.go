@@ -390,7 +390,7 @@ func TestOnlineSnapshotIsolationDifferential(t *testing.T) {
 				if variant >= 3 {
 					// Sharing-on commit: the window is planned by the
 					// sharing-aware search at a tiny 1 MiB transient budget
-					// (variant 4 adds term parallelism) while the readers
+					// (variant 4 widens the term engine to 2) while the readers
 					// race it — shared builds must never blend epochs.
 					w.SetSharing(true, 1<<20)
 					opts.Planner = SharedPlanner

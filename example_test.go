@@ -40,7 +40,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Println(plan.Strategy)
-	if _, err := w.Execute(plan.Strategy); err != nil {
+	if _, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0); err != nil {
 		log.Fatal(err)
 	}
 

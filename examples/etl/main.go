@@ -109,7 +109,7 @@ func main() {
 		check(w.StageDelta("ORDERS", d))
 		plan, err := w.PlanMinWork()
 		check(err)
-		rep, err := w.Execute(plan.Strategy)
+		rep, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
 		check(err)
 		fmt.Printf("  update window: %s\n", rep)
 		check(w.Verify())

@@ -56,11 +56,11 @@ func main() {
 		staged := run.Parallelize(plan.Strategy)
 		fmt.Printf("%s: %d expressions in %d stages\n", variant, staged.Exprs(), staged.Stages())
 		fmt.Printf("  plan: %s\n", staged)
-		rep, err := run.ExecuteParallel(staged)
+		rep, err := run.Execute(plan.Strategy, warehouse.ModeStaged, 0)
 		check(err)
 		check(run.Verify())
 		fmt.Printf("  total work %d, span work %d, work-parallelism %.2fx\n\n",
-			rep.TotalWork, rep.SpanWork, rep.Speedup())
+			rep.Sched.TotalWork, rep.Sched.SpanWork, rep.Sched.Speedup())
 	}
 	fmt.Println("Section 9's tradeoff: the dual-stage plan is shallower (more parallel)")
 	fmt.Println("but its multi-term Comp expressions make the total work larger.")

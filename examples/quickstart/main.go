@@ -60,7 +60,7 @@ func main() {
 	plan, err := w.PlanMinWork()
 	check(err)
 	fmt.Printf("\nplanned strategy: %s\n", plan.Strategy)
-	report, err := w.Execute(plan.Strategy)
+	report, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
 	check(err)
 	fmt.Printf("update window: %s\n\n", report)
 

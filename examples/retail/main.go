@@ -70,10 +70,10 @@ func main() {
 	dual, err := w.PlanDualStage()
 	check(err)
 	clone := w.Clone()
-	dualRep, err := clone.Execute(dual.Strategy)
+	dualRep, err := clone.Execute(dual.Strategy, warehouse.ModeSequential, 0)
 	check(err)
 
-	rep, err := w.Execute(plan.Strategy)
+	rep, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
 	check(err)
 	check(w.Verify())
 

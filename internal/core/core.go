@@ -40,17 +40,16 @@ type Options struct {
 	// scan-everything model; off by default so measurements match the
 	// metric the paper validates.
 	UseIndexes bool
-	// ParallelTerms enables the intra-Compute parallel engine: the 2^r − 1
-	// maintenance terms of one Comp evaluate concurrently, each join step's
-	// probe rows are dispatched in fixed-size morsels to a bounded worker
-	// pool, build-side hash tables are shared across terms through a
-	// per-Compute cache, and term output merges into the view's pending
-	// state through sharded, mutex-protected sinks. The produced bag of
-	// change rows — and the reported OperandTuples work — is identical to
-	// sequential evaluation; only wall-clock and physical scans differ.
-	// Off by default: the sequential engine is the paper's measured system.
+	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
+	// the 2^r − 1 maintenance terms of one Comp then evaluate concurrently,
+	// each join step's probe rows are dispatched in fixed-size morsels, and
+	// term output merges into the view's pending state through sharded
+	// sinks. The produced bag of change rows — and the reported
+	// OperandTuples work — is identical at any width; only wall-clock
+	// differs. Off by default: width 1 evaluates terms one after another in
+	// term order, the paper's measured system.
 	ParallelTerms bool
-	// Workers bounds the warehouse-wide worker budget for ParallelTerms
+	// Workers bounds the warehouse-wide worker budget under ParallelTerms
 	// (0 = GOMAXPROCS). The pool is shared by every concurrent Compute, so
 	// term- and morsel-level parallelism composes with DAG-level strategy
 	// scheduling without multiplying goroutines: the submitting goroutine
@@ -93,8 +92,8 @@ type View struct {
 	agg   *storage.AggTable // aggregate derived views
 
 	// mu guards lazy initialization/finalization of the pending state, so
-	// that parallel strategies (package parallel) may read one view's delta
-	// from several concurrent compute expressions.
+	// that expressions the scheduler (package exec) runs concurrently may
+	// read one view's delta from several compute expressions at once.
 	mu              sync.Mutex
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
@@ -189,7 +188,7 @@ type Warehouse struct {
 	views map[string]*View
 	order []string // definition order; children always precede parents
 	opts  Options
-	pool  *workerPool // shared budget for ParallelTerms (nil when off)
+	pool  *workerPool // shared budget of the term engine (nil = width 1)
 	// shared is the window-wide shared-computation registry, attached for
 	// the duration of one update window (AttachSharing/DetachSharing) and
 	// nil otherwise. Clones never inherit it: each window attaches its own.
@@ -225,14 +224,14 @@ func New(opts Options) *Warehouse {
 // Options returns the warehouse's execution options.
 func (w *Warehouse) Options() Options { return w.opts }
 
-// SetOptions replaces the execution options and resizes the intra-Compute
-// worker pool accordingly. Not safe to call while strategies execute.
+// SetOptions replaces the execution options and resizes the term engine's
+// worker pool accordingly — the one place ParallelTerms is read. Not safe to
+// call while strategies execute.
 func (w *Warehouse) SetOptions(o Options) {
 	w.opts = o
+	w.pool = nil
 	if o.ParallelTerms {
 		w.pool = newWorkerPool(o.Workers)
-	} else {
-		w.pool = nil
 	}
 }
 
@@ -395,12 +394,10 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	pending := v.pendingLocked()
 	if v.agg != nil {
 		if v.finalized == nil {
-			if v.pendingPartials == nil {
-				v.pendingPartials = delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-			}
-			d, err := v.agg.FinalizeDelta(v.pendingPartials)
+			d, err := v.agg.FinalizeDelta(pending.p)
 			if err != nil {
 				return nil, fmt.Errorf("core: finalizing δ%s: %w", name, err)
 			}
@@ -408,10 +405,23 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 		}
 		return v.finalized, nil
 	}
+	return pending.d, nil
+}
+
+// pendingLocked returns the view's pending change state, creating it empty
+// on first use: group partials for an aggregate view, a delta otherwise.
+// Callers hold v.mu.
+func (v *View) pendingLocked() acc {
+	if v.agg != nil {
+		if v.pendingPartials == nil {
+			v.pendingPartials = delta.NewGroupPartials(v.agg.GroupSchema(), v.agg.Specs())
+		}
+		return acc{p: v.pendingPartials}
+	}
 	if v.pendingDelta == nil {
 		v.pendingDelta = delta.New(v.Schema())
 	}
-	return v.pendingDelta, nil
+	return acc{d: v.pendingDelta}
 }
 
 // DeltaSize returns |δV| for the view (0 if nothing is pending).

@@ -10,7 +10,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/maintain"
-	"repro/internal/memory"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -34,10 +33,11 @@ type CompReport struct {
 	Skipped bool
 	// BuildCacheHits counts join-step build tables served from the
 	// per-Compute build cache instead of re-scanning and re-hashing the
-	// operand (ParallelTerms engine only; 0 otherwise).
+	// operand: every term after the first that joins one operand on the same
+	// key columns. 0 for single-term Comps and under UseIndexes.
 	BuildCacheHits int
-	// BuildCacheMisses counts build tables physically constructed
-	// (ParallelTerms engine only; 0 otherwise).
+	// BuildCacheMisses counts build tables physically constructed — one per
+	// distinct (operand, key columns) pair of the Compute.
 	BuildCacheMisses int
 	// BuildTuplesSaved totals the operand tuples whose physical re-scan the
 	// shared builds elided. OperandTuples still includes them: shared
@@ -45,10 +45,9 @@ type CompReport struct {
 	BuildTuplesSaved int64
 	// SharedHits counts build tables this Compute probed from the
 	// window-wide shared registry instead of materializing its own copy
-	// (only with an attached SharedRegistry; 0 otherwise). In the parallel
-	// engine the per-Compute cache fronts the registry, so each distinct
-	// operand counts once per Compute; the sequential engine consults the
-	// registry per term.
+	// (only with an attached SharedRegistry; 0 otherwise). The per-Compute
+	// cache fronts the registry, so each distinct (operand, key columns)
+	// pair counts once per Compute however many terms probe it.
 	SharedHits int
 	// SharedMisses counts shared tables this Compute was first to
 	// materialize into the registry.
@@ -88,11 +87,6 @@ func (s deltaSource) Scan(fn func(relation.Tuple, int64) bool) {
 // array across calls.
 type sinkFn = func(row relation.Tuple, count int64)
 
-// sinkFactory hands out sink closures. Each concurrent task (term, morsel)
-// requests its own so per-call scratch buffers stay goroutine-local; the
-// sequential engine's factory returns one shared closure.
-type sinkFactory = func() sinkFn
-
 // Compute evaluates Comp(name, over): it propagates the pending deltas of
 // the views in over into the pending delta of the named view, reading the
 // current materialized states of all other referenced views. The result is
@@ -104,9 +98,8 @@ func (w *Warehouse) Compute(name string, over []string) (CompReport, error) {
 }
 
 // ComputeCtx is Compute with cooperative cancellation: a nil ctx never
-// cancels; otherwise evaluation stops between terms (sequential engine) and
-// between morsels / term launches (parallel engine) once ctx is done,
-// returning an error that wraps ctx.Err().
+// cancels; otherwise evaluation stops between term launches and between
+// morsels once ctx is done, returning an error that wraps ctx.Err().
 func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) (CompReport, error) {
 	rep := CompReport{View: name, Over: append([]string(nil), over...)}
 	v := w.views[name]
@@ -154,81 +147,16 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 			return rep, nil
 		}
 	}
-
-	if w.opts.ParallelTerms {
-		return w.computeParallel(ctx, rep, v, terms, deltas, su)
+	v.mu.Lock()
+	out := v.pendingLocked()
+	v.mu.Unlock()
+	env := &evalEnv{pool: w.pool, morsel: w.opts.MorselSize, ctx: ctx, shared: su, mem: newMemUse(w.mem)}
+	if err := w.runTerms(env, v.def, terms, deltas, out, &rep); err != nil {
+		return rep, err
 	}
-
-	// The sequential engine consults the registry (and the memory budget)
-	// per term through a minimal env (no pool, no caches): execution order
-	// and semantics are untouched, only build tables of shared operands
-	// come from (and go to) the registry, and oversized builds spill.
-	var env *evalEnv
-	if su != nil || w.mem != nil {
-		env = &evalEnv{shared: su, mem: newMemUse(w.mem), ctx: ctx}
-	}
-	sink, flush := w.makeSink(v)
-	sinks := seqSinks(sink)
-	for _, term := range terms {
-		if ctx != nil && ctx.Err() != nil {
-			return rep, fmt.Errorf("core: compute %s: %w", name, ctx.Err())
-		}
-		scanned, terr := w.evalTerm(v.def, term, deltas, sinks, env)
-		if terr != nil {
-			return rep, terr
-		}
-		rep.Terms++
-		rep.OperandTuples += scanned
-	}
-	rep.OutputTuples = flush()
 	su.fill(&rep)
-	env.memUse().fill(&rep)
+	env.mem.fill(&rep)
 	return rep, nil
-}
-
-// makeSink returns the row sink that folds term output rows into the view's
-// pending change state, plus a flush function returning how many change rows
-// were produced by this Compute call. Single-threaded; the parallel engine
-// uses makeShardedSink instead.
-func (w *Warehouse) makeSink(v *View) (sinkFn, func() int64) {
-	if v.agg != nil {
-		if v.pendingPartials == nil {
-			v.pendingPartials = delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-		}
-		before := int64(v.pendingPartials.GroupCount())
-		groupExprs := v.def.GroupBy
-		aggs := v.def.Aggs
-		sink := func(row relation.Tuple, count int64) {
-			group := make(relation.Tuple, len(groupExprs))
-			for i, g := range groupExprs {
-				group[i] = g.E.Eval(row)
-			}
-			inputs := make([]relation.Value, len(aggs))
-			for i, a := range aggs {
-				if a.Input != nil {
-					inputs[i] = a.Input.Eval(row)
-				} else {
-					inputs[i] = relation.Null
-				}
-			}
-			v.pendingPartials.Accumulate(group, inputs, count)
-		}
-		return sink, func() int64 { return int64(v.pendingPartials.GroupCount()) - before }
-	}
-	if v.pendingDelta == nil {
-		v.pendingDelta = delta.New(v.Schema())
-	}
-	var produced int64
-	selects := v.def.Select
-	sink := func(row relation.Tuple, count int64) {
-		out := make(relation.Tuple, len(selects))
-		for i, s := range selects {
-			out[i] = s.E.Eval(row)
-		}
-		v.pendingDelta.Add(out, count)
-		produced++
-	}
-	return sink, func() int64 { return produced }
 }
 
 // operand describes one term input during planning.
@@ -238,9 +166,10 @@ type operand struct {
 	src     source
 }
 
-// evalEnv carries the intra-term parallel machinery: the per-Compute build
-// cache, the warehouse worker pool and the morsel size. A nil env runs the
-// classic single-threaded pipeline with per-term builds.
+// evalEnv is what one run of the term engine (runTerms) shares across its
+// terms and morsels: the build cache and scan memo it creates, the worker
+// pool (nil runs everything inline on the caller — width 1) and the morsel
+// size, and the caller's handles on the window's registry and memory budget.
 type evalEnv struct {
 	cache  *buildCache
 	scans  *scanCache
@@ -255,9 +184,9 @@ type evalEnv struct {
 	mem *memUse
 }
 
-// ctxErr reports the env's cancellation state; nil env or ctx never cancels.
+// ctxErr reports the env's cancellation state; a nil ctx never cancels.
 func (e *evalEnv) ctxErr() error {
-	if e == nil || e.ctx == nil {
+	if e.ctx == nil {
 		return nil
 	}
 	if err := e.ctx.Err(); err != nil {
@@ -267,70 +196,10 @@ func (e *evalEnv) ctxErr() error {
 }
 
 func (e *evalEnv) morselSize() int {
-	if e == nil || e.morsel <= 0 {
+	if e.morsel <= 0 {
 		return DefaultMorselSize
 	}
 	return e.morsel
-}
-
-func (e *evalEnv) workerPool() *workerPool {
-	if e == nil {
-		return nil
-	}
-	return e.pool
-}
-
-func (e *evalEnv) buildCache() *buildCache {
-	if e == nil {
-		return nil
-	}
-	return e.cache
-}
-
-func (e *evalEnv) memUse() *memUse {
-	if e == nil {
-		return nil
-	}
-	return e.mem
-}
-
-// sharedUse returns the env's registry handle (nil without a registry).
-func (e *evalEnv) sharedUse() *sharedUse {
-	if e == nil {
-		return nil
-	}
-	return e.shared
-}
-
-// evalCtx returns the env's context for spill I/O (nil cancels nothing).
-func (e *evalEnv) evalCtx() context.Context {
-	if e == nil {
-		return nil
-	}
-	return e.ctx
-}
-
-// evalTerm evaluates one maintenance term of cq: references listed in
-// term.DeltaRefs read their view's pending delta, all others read current
-// state. Joined rows that satisfy every filter are passed to a sink with
-// their signed multiplicity. It returns the number of operand tuples
-// scanned — the term's linear-metric work, which deliberately counts every
-// build-side operand even when env's cache served the physical table.
-//
-// The plan is a hash-join pipeline: the smallest delta operand drives;
-// remaining operands are joined one at a time, preferring operands connected
-// to the bound prefix by equi-join predicates (composite keys supported),
-// falling back to a cross product when the join graph is disconnected. Every
-// operand is (modeled as) scanned exactly once per term to build its hash
-// table, which is precisely the execution model behind the paper's linear
-// work metric. With a non-nil env, the driver rows run as parallel morsels
-// and matches stream straight into per-morsel sinks.
-func (w *Warehouse) evalTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta, sinks sinkFactory, env *evalEnv) (int64, error) {
-	plan, err := w.planTerm(cq, term, deltas, env.sharedUse())
-	if err != nil {
-		return 0, err
-	}
-	return runTerm(plan, sinks, env)
 }
 
 // termPlan is one maintenance term's fully planned execution: the driver
@@ -377,30 +246,21 @@ type interReq struct {
 }
 
 // runTerm executes a planned term: materialize the driver, resolve the
-// build sides (through env's caches when present), and run the pipeline.
-// Term-local builds (no per-Compute cache) release their budget grants when
-// the term finishes; cached and registry-served builds are released by their
-// owner at Compute (resp. window) end.
-func runTerm(plan *termPlan, sinks sinkFactory, env *evalEnv) (int64, error) {
-	rows := scanSource(env, plan.driverSrc)
-	var owned []*memory.Grant
-	defer func() {
-		for _, g := range owned {
-			g.Release()
-		}
-	}()
+// build sides through the env's cache (which owns them, and their budget
+// grants, until the engine run ends), and run the pipeline. It returns the
+// term's linear-metric work, which deliberately counts every build-side
+// operand even when the cache served the physical table.
+func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
+	rows := env.scans.get(plan.driverSrc)
 	for _, br := range plan.builds {
-		res, err := buildFor(env, br)
+		res, err := env.cache.get(env, br)
 		if err != nil {
 			return 0, err
-		}
-		if res.owned != nil {
-			owned = append(owned, res.owned)
 		}
 		plan.pl.steps[br.step].build = res.bt
 		plan.pl.steps[br.step].spilled = res.sp
 	}
-	probed, err := plan.pl.run(rows, sinks, env)
+	probed, err := plan.pl.run(rows, sink, env)
 	if err != nil {
 		return 0, err
 	}
@@ -451,8 +311,18 @@ func (w *Warehouse) planPairs(cq *algebra.CQ, isDelta []bool, ops []operand, su 
 	return out
 }
 
-// planTerm resolves a term's operands and plans its join pipeline. su (may
-// be nil) supplies the window registry's join-intermediate hints.
+// planTerm resolves a term's operands and plans its join pipeline:
+// references listed in term.DeltaRefs read their view's pending delta, all
+// others read current state. su (may be nil) supplies the window registry's
+// join-intermediate hints.
+//
+// The plan is a hash-join pipeline: the smallest delta operand drives;
+// remaining operands are joined one at a time, preferring operands connected
+// to the bound prefix by equi-join predicates (composite keys supported),
+// falling back to a cross product when the join graph is disconnected. Every
+// operand is (modeled as) scanned exactly once per term to build its hash
+// table, which is precisely the execution model behind the paper's linear
+// work metric.
 func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta, su *sharedUse) (*termPlan, error) {
 	n := len(cq.Refs)
 	ops := make([]operand, n)
@@ -617,9 +487,9 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 		} else {
 			// Default path: a build-side hash table over one operand scan,
 			// matching the linear work metric's execution model. The build
-			// itself is deferred to runTerm so the parallel engine can
-			// pre-warm distinct builds concurrently; the metric counts the
-			// scan per term regardless of how the table is served.
+			// itself is deferred to runTerm so the engine can pre-warm
+			// distinct builds concurrently; the metric counts the scan per
+			// term regardless of how the table is served.
 			cols := make([]int, len(keys))
 			for ki, k := range keys {
 				cols[ki] = k.newCol - roff
@@ -664,11 +534,12 @@ type pipeline struct {
 }
 
 // run pushes the driver rows through the pipeline, splitting them into
-// parallel morsels when env carries a worker pool. It returns the number of
-// index probes performed (0 on the default path — build-side scans are
-// accounted at planning time). Steps whose build spilled to disk execute
-// pass-wise (see runSpilled); the resident path is runResident.
-func (p *pipeline) run(rows []prow, sinks sinkFactory, env *evalEnv) (int64, error) {
+// parallel morsels when env carries a worker pool; sink hands each morsel its
+// goroutine-local sink. It returns the number of index probes performed (0
+// on the default path — build-side scans are accounted at planning time).
+// Steps whose build spilled to disk execute pass-wise (see runSpilled); the
+// resident path is runResident.
+func (p *pipeline) run(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
 	var spilled []int
 	for i := range p.steps {
 		if p.steps[i].spilled != nil {
@@ -676,17 +547,17 @@ func (p *pipeline) run(rows []prow, sinks sinkFactory, env *evalEnv) (int64, err
 		}
 	}
 	if len(spilled) > 0 {
-		return p.runSpilled(rows, sinks, env, spilled)
+		return p.runSpilled(rows, sink, env, spilled)
 	}
-	return p.runResident(rows, sinks, env)
+	return p.runResident(rows, sink, env)
 }
 
 // runResident runs the pipeline with every build side resident in memory.
-func (p *pipeline) runResident(rows []prow, sinks sinkFactory, env *evalEnv) (int64, error) {
-	pool := env.workerPool()
+func (p *pipeline) runResident(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
+	pool := env.pool
 	ms := env.morselSize()
 	if pool == nil || len(rows) <= ms {
-		return p.runMorsel(rows, sinks())
+		return p.runMorsel(rows, sink())
 	}
 	nm := (len(rows) + ms - 1) / ms
 	probes := make([]int64, nm)
@@ -709,7 +580,7 @@ func (p *pipeline) runResident(rows []prow, sinks sinkFactory, env *evalEnv) (in
 				errs[m] = err
 				return
 			}
-			probes[m], errs[m] = p.runMorsel(rows[lo:hi], sinks())
+			probes[m], errs[m] = p.runMorsel(rows[lo:hi], sink())
 		})
 	}
 	wg.Wait()

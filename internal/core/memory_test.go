@@ -102,12 +102,12 @@ func requireSameBag(t *testing.T, name string, got, want []string) {
 // TestSpilledBuildMatchesUnbounded: a tiny budget forces every state build to
 // spill; the window's results, work metric, and verification must be
 // indistinguishable from the unbounded run — only the spill counters move.
-// Runs the sequential and term-parallel engines.
+// Runs the term engine at width 1 and 2.
 func TestSpilledBuildMatchesUnbounded(t *testing.T) {
 	for _, par := range []bool{false, true} {
-		name := "sequential"
+		name := "width=1"
 		if par {
-			name = "parallel"
+			name = "width=2"
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := Options{ParallelTerms: par, Workers: 2}

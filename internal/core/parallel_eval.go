@@ -1,47 +1,46 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/maintain"
 	"repro/internal/memory"
 	"repro/internal/relation"
 )
 
-// This file is the intra-Compute parallel engine (Options.ParallelTerms):
+// This file is the term engine — the one evaluator behind Compute,
+// Recompute, Evaluate and refresh:
 //
-//   - computeParallel evaluates the 2^r − 1 maintenance terms of one Comp
-//     concurrently on a bounded, warehouse-wide worker pool, with each join
-//     step's probe rows further split into fixed-size morsels.
+//   - runTerms plans the maintenance terms of one definition, pre-warms their
+//     distinct scans and builds when the pool has background workers, runs
+//     the terms on the pool with each join step's probe rows split into
+//     fixed-size morsels, and flushes the sinks. Options.ParallelTerms only
+//     sizes the pool; the default engine is this code at width 1, where every
+//     task runs inline on the caller in term order.
 //   - buildCache shares immutable build-side hash tables across the terms of
-//     one Compute: every term joining the same operand on the same equi-key
+//     one run: every term joining the same operand on the same equi-key
 //     columns probes one physical table instead of re-scanning and
 //     re-hashing the operand. The linear work metric still charges each
 //     term its operand scan — the cache changes the machine's work, not the
 //     metric's — and CompReport reports the hits and tuples saved.
-//   - Sharded, mutex-protected sinks accumulate term output concurrently
-//     and merge into the view's pending state at flush. Bag accumulation is
-//     commutative (integer counts; integer sums), so the final pending bag
-//     is independent of scheduling; float sums commute up to rounding,
-//     exactly as they already do under the map-iteration order of the
-//     sequential engine.
+//   - sinks accumulate term output in mutex-protected shards that merge into
+//     the target at flush. Bag accumulation is commutative (integer counts;
+//     integer sums), so the result is independent of scheduling; float sums
+//     commute up to rounding. At width 1 the single shard is the target
+//     itself, so rows accumulate straight into the view's pending state in
+//     term and row order.
 
 // DefaultMorselSize is the number of probe rows dispatched per parallel
 // morsel. Large enough that per-task overhead (closure, pool handoff) is
 // amortized over thousands of probes, small enough that a skewed join step
 // still splits across workers.
 const DefaultMorselSize = 1024
-
-// seqSinks adapts a single-threaded sink to the engine's factory interface.
-func seqSinks(sink sinkFn) sinkFactory {
-	return func() sinkFn { return sink }
-}
 
 // effectiveWorkers resolves the Workers option (0 = GOMAXPROCS).
 func effectiveWorkers(n int) int {
@@ -56,9 +55,19 @@ func effectiveWorkers(n int) int {
 // goroutine being the workers-th. do never blocks waiting for a slot — when
 // the pool is saturated the task runs inline on the submitter — which both
 // bounds total goroutines under composed DAG- and term-level parallelism
-// and makes nested waits (a term waiting on its morsels) deadlock-free.
+// and makes nested waits (a term waiting on its morsels) deadlock-free. A
+// nil pool is a pool of width 1: everything runs inline.
 type workerPool struct {
 	sem chan struct{}
+}
+
+// width is the number of goroutines the pool lets one submitter occupy,
+// itself included.
+func (p *workerPool) width() int {
+	if p == nil {
+		return 1
+	}
+	return cap(p.sem) + 1
 }
 
 func newWorkerPool(workers int) *workerPool {
@@ -178,37 +187,32 @@ func (bt *buildTable) keyOf(i int32) []byte {
 }
 
 // buildRes is a resolved build side: a resident table or a spilled one,
-// plus the budget grant the receiver must release (nil when the build is
-// unbudgeted or owned by a cache/registry with its own release schedule).
+// plus the budget grant the build cache releases when the run ends (nil when
+// the build is unbudgeted or owned by the registry, which has its own
+// release schedule).
 type buildRes struct {
 	bt    *buildTable
 	sp    *spilledBuild
-	owned *memory.Grant
-}
-
-// buildFor returns a build side for one request, through the per-Compute
-// cache when the parallel engine supplies one. Cached results stay owned by
-// the cache (released at Compute end); only term-local results carry an
-// owned grant back to the caller.
-func buildFor(env *evalEnv, br buildReq) (buildRes, error) {
-	cache := env.buildCache()
-	if cache == nil {
-		return resolveBuild(env, br)
-	}
-	res, err := cache.get(env, br)
-	res.owned = nil // the cache releases its slots' grants
-	return res, err
+	grant *memory.Grant
 }
 
 // resolveBuild materializes one build request, serving it from the
 // window-wide shared registry when one is attached and the operand is worth
-// sharing. With the per-Compute cache in front (parallel engine), the
-// registry sees each distinct (operand, columns) pair once per Compute.
+// sharing. The build cache in front means the registry sees each distinct
+// (operand, columns) pair once per Compute.
 func resolveBuild(env *evalEnv, br buildReq) (buildRes, error) {
 	if br.inter != nil {
-		return resolveInterBuild(env, br)
+		// A composite build: the registry serves (or computes) the pair's
+		// shared raw equi-join, and the hash table over the probe columns is
+		// built per consumer. planTerm only emits inter requests when it
+		// matched a registry hint, so env.shared is always present here.
+		rows, err := env.shared.reg.acquireInter(env, env.shared, br.inter)
+		if err != nil {
+			return buildRes{}, err
+		}
+		return buildFromRows(env, rows, br.cols)
 	}
-	if env != nil && env.shared != nil {
+	if env.shared != nil {
 		res, ok, err := env.shared.reg.acquire(env, env.shared, br)
 		if err != nil {
 			return buildRes{}, err
@@ -217,28 +221,7 @@ func resolveBuild(env *evalEnv, br buildReq) (buildRes, error) {
 			return res, nil // registry-owned; no grant to release here
 		}
 	}
-	return buildLocal(env, br)
-}
-
-// resolveInterBuild materializes one composite build: the registry serves
-// (or computes) the pair's shared raw equi-join, and the hash table over
-// the probe columns is built per consumer — deduplicated within a Compute
-// by the build cache in front, whose key is the interEntry's stable
-// identity. planTerm only emits inter requests when it matched a registry
-// hint, so env.shared is always present here.
-func resolveInterBuild(env *evalEnv, br buildReq) (buildRes, error) {
-	su := env.sharedUse()
-	rows, err := su.reg.acquireInter(env, su, br.inter)
-	if err != nil {
-		return buildRes{}, err
-	}
-	return buildFromRows(env, rows, br.cols)
-}
-
-// buildLocal materializes one build side from an operand scan; see
-// buildFromRows for the budget handling.
-func buildLocal(env *evalEnv, br buildReq) (buildRes, error) {
-	return buildFromRows(env, scanSource(env, br.src), br.cols)
+	return buildFromRows(env, env.buildRows(br.src), br.cols)
 }
 
 // buildFromRows hashes already-materialized rows under the window memory
@@ -246,15 +229,15 @@ func buildLocal(env *evalEnv, br buildReq) (buildRes, error) {
 // result), spilled to disk otherwise. Without an attached budget it is the
 // classic unbudgeted build.
 func buildFromRows(env *evalEnv, rows []prow, cols []int) (buildRes, error) {
-	mu := env.memUse()
+	mu := env.mem
 	if mu == nil {
 		return buildRes{bt: newBuildTable(rows, cols)}, nil
 	}
 	est := estimateRowsBytes(rows)
 	if g, ok := mu.mm.budget.TryReserveUnder(est, mu.mm.resLimit); ok {
-		return buildRes{bt: newBuildTable(rows, cols), owned: g}, nil
+		return buildRes{bt: newBuildTable(rows, cols), grant: g}, nil
 	}
-	sp, err := mu.mm.spill(env.evalCtx(), mu, rows, cols, est)
+	sp, err := mu.mm.spill(env.ctx, mu, rows, cols, est)
 	if err != nil {
 		return buildRes{}, err
 	}
@@ -303,13 +286,16 @@ func materializeScan(src source) []prow {
 	return rows
 }
 
-// scanSource reads an operand's rows, memoized per Compute when the
-// parallel engine supplies a scan cache.
-func scanSource(env *evalEnv, src source) []prow {
-	if env == nil || env.scans == nil {
+// buildRows reads a build side's rows. With background workers they come
+// from the scan memo, which the warm phase filled in parallel and which
+// other builds and drivers of the same operand share. At width 1 nothing
+// overlaps, so the operand is scanned on demand and the rows are dropped
+// once the table is built: no copy of a state operand outlives its build.
+func (e *evalEnv) buildRows(src source) []prow {
+	if e.pool.width() == 1 {
 		return materializeScan(src)
 	}
-	return env.scans.get(src)
+	return e.scans.get(src)
 }
 
 // buildKey identifies a shareable build table: the physical operand (state
@@ -331,10 +317,10 @@ func colsKey(cols []int) string {
 	return string(b)
 }
 
-// buildCache shares build tables across the concurrently evaluating terms
-// of one Compute. The first requester of a (operand, key columns) pair
-// builds; every later requester blocks on that build and reuses it. hits
-// and saved feed CompReport's cache accounting.
+// buildCache shares build tables across the terms of one engine run. The
+// first requester of a (operand, key columns) pair builds; every later
+// requester blocks on that build and reuses it. hits and saved feed
+// CompReport's cache accounting.
 type buildCache struct {
 	mu     sync.Mutex
 	tables map[buildKey]*buildSlot
@@ -392,43 +378,87 @@ func (c *buildCache) slot(key buildKey) *buildSlot {
 }
 
 // releaseAll returns every cache-owned budget grant. Called once when the
-// owning Compute finishes (any exit path); slots still mid-build cannot
-// exist then — computeParallel joins all workers first.
+// owning run finishes (any exit path); slots still mid-build cannot exist
+// then — runTerms joins all workers first.
 func (c *buildCache) releaseAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, slot := range c.tables {
-		slot.res.owned.Release()
+		slot.res.grant.Release()
 	}
 }
 
-// computeParallel is Compute's ParallelTerms path. It runs in four phases:
-// plan every term (cheap, data-independent), pre-warm the distinct operand
-// scans concurrently, pre-warm the distinct build tables concurrently, then
-// fan the terms out on the shared pool, each probing through morsels and
-// emitting into sharded sinks; flush merges the shards into the view's
-// pending state once every term is done. The pre-warm phases matter because
-// the terms of one Comp all want the same few scans and builds first: left
-// to the terms, those constructions serialize behind sync.Once while every
-// other worker parks. Errors surface deterministically in term order.
-func (w *Warehouse) computeParallel(ctx context.Context, rep CompReport, v *View, terms []maintain.Term, deltas map[string]*delta.Delta, su *sharedUse) (CompReport, error) {
+// runTerms is the term engine: it evaluates terms of cq into out and fills
+// the work and cache accounting of rep. It runs in phases: plan every term
+// (cheap, data-independent); when the pool has background workers, pre-warm
+// the distinct operand scans and then the distinct build tables concurrently;
+// fan the terms out on the pool, each probing through morsels and emitting
+// into the sinks; flush the sinks into out once every term is done. The
+// pre-warm phases matter because the terms of one Comp all want the same few
+// scans and builds first: left to the terms, those constructions serialize
+// behind sync.Once while every other worker parks. With no background workers
+// there is nobody to park, so width 1 goes straight to the terms, which then
+// run inline one after another. Errors surface deterministically in term
+// order.
+func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
 	cache := newBuildCache()
 	defer cache.releaseAll()
-	env := &evalEnv{cache: cache, scans: newScanCache(), pool: w.pool, morsel: w.opts.MorselSize, ctx: ctx, shared: su, mem: newMemUse(w.mem)}
+	env.cache, env.scans = cache, newScanCache()
 
 	plans := make([]*termPlan, len(terms))
 	for ti, term := range terms {
-		plan, err := w.planTerm(v.def, term, deltas, su)
+		plan, err := w.planTerm(cq, term, deltas, env.shared)
 		if err != nil {
-			return rep, err
+			return err
 		}
 		plans[ti] = plan
 	}
+	var wg sync.WaitGroup
+	if env.pool.width() > 1 {
+		if err := warm(env, &wg, plans); err != nil {
+			return err
+		}
+	}
 
-	// Pre-warm distinct scans, then distinct builds (builds read the
-	// memoized scans). Each phase's items are independent, so they use the
-	// whole pool; warm() bypasses the hit/miss accounting, so the first
-	// term to request each build still records its one miss.
+	sinks := newSinks(cq, out, shardCount(env.pool.width()))
+	scanned := make([]int64, len(terms))
+	errs := make([]error, len(terms))
+	for ti := range terms {
+		ti := ti
+		env.pool.do(&wg, func() {
+			defer func() {
+				if r := recover(); r != nil {
+					errs[ti] = recoveredErr(fmt.Sprintf("term %d", ti), r)
+				}
+			}()
+			if err := env.ctxErr(); err != nil {
+				errs[ti] = err
+				return
+			}
+			scanned[ti], errs[ti] = runTerm(plans[ti], sinks.local, env)
+		})
+	}
+	wg.Wait()
+	for ti := range terms {
+		if errs[ti] != nil {
+			return errs[ti]
+		}
+		rep.Terms++
+		rep.OperandTuples += scanned[ti]
+	}
+	rep.OutputTuples = sinks.flush()
+	rep.BuildCacheHits = int(cache.hits.Load())
+	rep.BuildCacheMisses = int(cache.misses.Load())
+	rep.BuildTuplesSaved = cache.saved.Load()
+	return nil
+}
+
+// warm pre-scans the plans' distinct sources, then pre-builds their distinct
+// build tables (builds read the memoized scans). Each phase's items are
+// independent, so they use the whole pool; cache.warm bypasses the hit/miss
+// accounting, so the first term to request each build still records its one
+// miss.
+func warm(env *evalEnv, wg *sync.WaitGroup, plans []*termPlan) error {
 	srcSet := make(map[source]bool)
 	buildSet := make(map[buildKey]buildReq)
 	for _, plan := range plans {
@@ -443,225 +473,191 @@ func (w *Warehouse) computeParallel(ctx context.Context, rep CompReport, v *View
 			buildSet[buildKey{src: br.src, cols: colsKey(br.cols)}] = br
 		}
 	}
-	// Pre-warm closures run operand Scan callbacks, which can panic (a
+	// Warm closures run operand Scan callbacks, which can panic (a
 	// misbehaving operator, an injected fault). A panic in a pooled
 	// goroutine would kill the process, so every closure is guarded; the
 	// first panic (any order — warm work has no term identity) wins.
-	var warmMu sync.Mutex
+	var mu sync.Mutex
 	var warmErr error
 	guard := func(what string, fn func()) func() {
 		return func() {
 			defer func() {
 				if r := recover(); r != nil {
-					warmMu.Lock()
+					mu.Lock()
 					if warmErr == nil {
 						warmErr = recoveredErr(what, r)
 					}
-					warmMu.Unlock()
+					mu.Unlock()
 				}
 			}()
 			fn()
 		}
 	}
-	var wg sync.WaitGroup
 	for src := range srcSet {
 		src := src
-		w.pool.do(&wg, guard("operand scan of "+v.name, func() { env.scans.get(src) }))
+		env.pool.do(wg, guard("operand scan", func() { env.scans.get(src) }))
 	}
 	wg.Wait()
 	if warmErr != nil {
-		return rep, warmErr
+		return warmErr
 	}
 	for _, wb := range buildSet {
 		wb := wb
-		w.pool.do(&wg, guard("build warm of "+v.name, func() { cache.warm(env, wb) }))
+		env.pool.do(wg, guard("build warm", func() { env.cache.warm(env, wb) }))
 	}
 	wg.Wait()
-	if warmErr != nil {
-		return rep, warmErr
-	}
-
-	sinks, flush := w.makeShardedSink(v)
-	scanned := make([]int64, len(terms))
-	errs := make([]error, len(terms))
-	for ti := range terms {
-		ti := ti
-		w.pool.do(&wg, func() {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[ti] = recoveredErr(fmt.Sprintf("term %d of %s", ti, v.name), r)
-				}
-			}()
-			if err := env.ctxErr(); err != nil {
-				errs[ti] = err
-				return
-			}
-			scanned[ti], errs[ti] = runTerm(plans[ti], sinks, env)
-		})
-	}
-	wg.Wait()
-	for ti := range terms {
-		if errs[ti] != nil {
-			return rep, errs[ti]
-		}
-		rep.Terms++
-		rep.OperandTuples += scanned[ti]
-	}
-	rep.OutputTuples = flush()
-	rep.BuildCacheHits = int(cache.hits.Load())
-	rep.BuildCacheMisses = int(cache.misses.Load())
-	rep.BuildTuplesSaved = cache.saved.Load()
-	su.fill(&rep)
-	env.memUse().fill(&rep)
-	return rep, nil
+	return warmErr
 }
 
-// shardCount sizes the sink shard array: a few shards per worker (rounded
-// to a power of two for mask selection) keeps lock contention low without
-// bloating the final merge.
-func shardCount(workers int) int {
-	n := 2 * effectiveWorkers(workers)
+// acc accumulates term output: the signed change rows of an SPJ definition
+// (d) or the group partials of an aggregate one (p). Exactly one is set.
+type acc struct {
+	d *delta.Delta
+	p *delta.GroupPartials
+}
+
+func newAcc(cq *algebra.CQ) acc {
+	if cq.IsAggregate() {
+		return acc{p: delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())}
+	}
+	return acc{d: delta.New(cq.OutputSchema())}
+}
+
+// add folds in count copies of one projected row: key is the encoded select
+// tuple, or the encoded group key with the aggregate inputs beside it.
+func (a acc) add(key string, inputs []relation.Value, count int64) {
+	if a.p != nil {
+		a.p.AccumulateEncoded(key, inputs, count)
+		return
+	}
+	a.d.AddEncoded(key, count)
+}
+
+func (a acc) merge(b acc) {
+	if a.p != nil {
+		a.p.Merge(b.p)
+		return
+	}
+	a.d.Merge(b.d)
+}
+
+// projector maps a joined row to a definition's output: the select list of
+// an SPJ view, or the group key and aggregate inputs of a summary view. It
+// owns its scratch, so each goroutine takes its own, and what project
+// returns is valid until the next call.
+type projector struct {
+	cq     *algebra.CQ
+	key    relation.Tuple
+	inputs []relation.Value
+}
+
+func newProjector(cq *algebra.CQ) *projector {
+	if cq.IsAggregate() {
+		return &projector{cq: cq, key: make(relation.Tuple, len(cq.GroupBy)), inputs: make([]relation.Value, len(cq.Aggs))}
+	}
+	return &projector{cq: cq, key: make(relation.Tuple, len(cq.Select))}
+}
+
+func (p *projector) project(row relation.Tuple) (relation.Tuple, []relation.Value) {
+	if !p.cq.IsAggregate() {
+		for i, s := range p.cq.Select {
+			p.key[i] = s.E.Eval(row)
+		}
+		return p.key, nil
+	}
+	for i, g := range p.cq.GroupBy {
+		p.key[i] = g.E.Eval(row)
+	}
+	for i, a := range p.cq.Aggs {
+		if a.Input != nil {
+			p.inputs[i] = a.Input.Eval(row)
+		} else {
+			p.inputs[i] = relation.Null
+		}
+	}
+	return p.key, p.inputs
+}
+
+// shardCount sizes the sink shard array: one shard at width 1, else a few
+// shards per worker (rounded to a power of two for mask selection), which
+// keeps lock contention low without bloating the final merge.
+func shardCount(width int) int {
+	if width == 1 {
+		return 1
+	}
 	p := 1
-	for p < n && p < 64 {
+	for p < 2*width && p < 64 {
 		p <<= 1
 	}
 	return p
 }
 
-// makeShardedSink returns the concurrency-safe counterpart of makeSink:
-// a factory of goroutine-local sink closures writing to mutex-protected
-// shards, plus a flush merging the shards into the view's pending state and
-// returning the produced-row count (change rows for SPJ views, newly
-// affected groups for aggregate views — the same quantities makeSink
-// reports).
-func (w *Warehouse) makeShardedSink(v *View) (sinkFactory, func() int64) {
-	if v.agg != nil {
-		s := newAggShards(v, shardCount(w.opts.Workers))
-		return s.local, s.flush
-	}
-	s := newDeltaShards(v, shardCount(w.opts.Workers))
-	return s.local, s.flush
-}
-
-// deltaShards accumulates SPJ change rows. Each shard owns a private Delta;
-// rows route by the hash of their encoded output tuple, so one output tuple
+// sinks fans the output of one engine run into shards. Rows route by the
+// hash of their encoded output key (select tuple or group key), so one key
 // always lands in one shard and the merged bag is exact regardless of
-// scheduling.
-type deltaShards struct {
-	view   *View
+// scheduling. With a single shard, that shard is the target.
+type sinks struct {
+	cq     *algebra.CQ
+	target acc
+	before int // groups in an aggregate target before the run
 	mask   uint64
-	shards []deltaShard
+	shards []sinkShard
 }
 
-type deltaShard struct {
+type sinkShard struct {
 	mu       sync.Mutex
-	d        *delta.Delta
+	acc      acc
 	produced int64
 	_        [4]uint64 // soften false sharing between neighboring shards
 }
 
-func newDeltaShards(v *View, n int) *deltaShards {
-	s := &deltaShards{view: v, mask: uint64(n - 1), shards: make([]deltaShard, n)}
+func newSinks(cq *algebra.CQ, target acc, n int) *sinks {
+	s := &sinks{cq: cq, target: target, mask: uint64(n - 1), shards: make([]sinkShard, n)}
+	if target.p != nil {
+		s.before = target.p.GroupCount()
+	}
 	for i := range s.shards {
-		s.shards[i].d = delta.New(v.Schema())
+		s.shards[i].acc = target
+		if n > 1 {
+			s.shards[i].acc = newAcc(cq)
+		}
 	}
 	return s
 }
 
 // local returns a sink closure with private projection and encoding
 // scratch; only the shard append is locked.
-func (s *deltaShards) local() sinkFn {
-	selects := s.view.def.Select
-	out := make(relation.Tuple, len(selects))
+func (s *sinks) local() sinkFn {
+	proj := newProjector(s.cq)
 	enc := make([]byte, 0, 64)
 	return func(row relation.Tuple, count int64) {
-		for i, sel := range selects {
-			out[i] = sel.E.Eval(row)
+		key, inputs := proj.project(row)
+		enc = key.AppendEncoded(enc[:0])
+		sh := &s.shards[0]
+		if s.mask != 0 {
+			sh = &s.shards[hashBytes(enc)&s.mask]
 		}
-		enc = out.AppendEncoded(enc[:0])
-		sh := &s.shards[hashBytes(enc)&s.mask]
 		sh.mu.Lock()
-		sh.d.AddEncoded(string(enc), count)
+		sh.acc.add(string(enc), inputs, count)
 		sh.produced++
 		sh.mu.Unlock()
 	}
 }
 
-func (s *deltaShards) flush() int64 {
-	v := s.view
-	v.mu.Lock()
-	if v.pendingDelta == nil {
-		v.pendingDelta = delta.New(v.Schema())
-	}
-	pd := v.pendingDelta
-	v.mu.Unlock()
+// flush merges the shards into the target and returns the produced-row
+// count: change rows emitted for an SPJ definition, newly affected groups
+// for an aggregate one.
+func (s *sinks) flush() int64 {
 	var produced int64
 	for i := range s.shards {
 		sh := &s.shards[i]
-		pd.Merge(sh.d)
+		if sh.acc != s.target {
+			s.target.merge(sh.acc)
+		}
 		produced += sh.produced
 	}
+	if s.target.p != nil {
+		return int64(s.target.p.GroupCount() - s.before)
+	}
 	return produced
-}
-
-// aggShards accumulates aggregate group partials, sharded by group key so
-// each group's accumulator lives in exactly one shard.
-type aggShards struct {
-	view   *View
-	mask   uint64
-	shards []aggShard
-}
-
-type aggShard struct {
-	mu sync.Mutex
-	p  *delta.GroupPartials
-	_  [4]uint64
-}
-
-func newAggShards(v *View, n int) *aggShards {
-	s := &aggShards{view: v, mask: uint64(n - 1), shards: make([]aggShard, n)}
-	for i := range s.shards {
-		s.shards[i].p = delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-	}
-	return s
-}
-
-func (s *aggShards) local() sinkFn {
-	groupExprs := s.view.def.GroupBy
-	aggs := s.view.def.Aggs
-	group := make(relation.Tuple, len(groupExprs))
-	inputs := make([]relation.Value, len(aggs))
-	enc := make([]byte, 0, 64)
-	return func(row relation.Tuple, count int64) {
-		for i, g := range groupExprs {
-			group[i] = g.E.Eval(row)
-		}
-		for i, a := range aggs {
-			if a.Input != nil {
-				inputs[i] = a.Input.Eval(row)
-			} else {
-				inputs[i] = relation.Null
-			}
-		}
-		enc = group.AppendEncoded(enc[:0])
-		sh := &s.shards[hashBytes(enc)&s.mask]
-		sh.mu.Lock()
-		sh.p.AccumulateEncoded(string(enc), inputs, count)
-		sh.mu.Unlock()
-	}
-}
-
-func (s *aggShards) flush() int64 {
-	v := s.view
-	v.mu.Lock()
-	if v.pendingPartials == nil {
-		v.pendingPartials = delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-	}
-	pp := v.pendingPartials
-	v.mu.Unlock()
-	before := pp.GroupCount()
-	for i := range s.shards {
-		pp.Merge(s.shards[i].p)
-	}
-	return int64(pp.GroupCount() - before)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
-	"repro/internal/storage"
 )
 
 var schemaT = relation.Schema{{Name: "c", Kind: relation.KindInt}, {Name: "d", Kind: relation.KindInt}}
@@ -105,105 +104,131 @@ func sameDelta(t *testing.T, label string, a, b *delta.Delta) {
 	}
 }
 
-// TestParallelTermsMatchesSequential drives the parallel engine across
-// worker counts and morsel sizes (including degenerate one-row morsels)
-// against the sequential engine on the same staged changes: the produced
-// delta bags, the work accounting (OperandTuples — identical with and
-// without the build cache), and the post-install states must all agree,
-// and installs must survive the recomputation oracle.
-func TestParallelTermsMatchesSequential(t *testing.T) {
-	for _, cfg := range []struct {
-		workers, morsel int
-	}{
-		{1, 1024}, {2, 1}, {4, 4}, {4, 1024}, {8, 16},
-	} {
-		for _, useIndexes := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d/morsel=%d/indexes=%v", cfg.workers, cfg.morsel, useIndexes)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(cfg.workers*1000 + cfg.morsel)))
-				base := newThreeWayWarehouse(t, Options{UseIndexes: useIndexes})
-				stageRandomChanges(t, base, rng)
+// refWork is the linear work metric of Comp(view, over) computed from
+// operand cardinalities alone, independently of the engine: each of the
+// 2^r − 1 terms scans every reference once — its pending delta where the
+// term's subset selects it, its state otherwise. Valid without indexes, for
+// definitions that reference each view once.
+func refWork(t *testing.T, w *Warehouse, view string, over []string) int64 {
+	t.Helper()
+	refs := w.MustView(view).Def().Refs
+	var work int64
+	for subset := 1; subset < 1<<len(over); subset++ {
+		for _, ref := range refs {
+			card := w.MustView(ref.View).Cardinality()
+			for i, o := range over {
+				if o == ref.View && subset&(1<<i) != 0 {
+					n, err := w.DeltaSize(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					card = n
+				}
+			}
+			work += card
+		}
+	}
+	return work
+}
 
-				seq := base.Clone()
-				par := base.Clone()
-				par.SetOptions(Options{
+// TestTermEngineWidthInvariant runs the one term engine at width 1 (the
+// default) and across worker counts and morsel sizes (including degenerate
+// one-row morsels) on the same staged changes, with and without indexes:
+// the produced delta bags, Terms, OperandTuples and the build-cache
+// accounting must not depend on the width, the work must equal the
+// cardinality-derived refWork, and the installed states must survive the
+// recomputation oracle. (This replaces the sequential-vs-parallel
+// differential: there is no second evaluator left to compare against.)
+func TestTermEngineWidthInvariant(t *testing.T) {
+	over := []string{"R", "S", "T"}
+	views := []string{"V3", "A3"}
+	for _, useIndexes := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		base := newThreeWayWarehouse(t, Options{UseIndexes: useIndexes})
+		stageRandomChanges(t, base, rng)
+
+		one := base.Clone()
+		want := make(map[string]CompReport)
+		for _, view := range views {
+			ref := refWork(t, one, view, over)
+			rep, err := one.Compute(view, over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Terms != 7 {
+				t.Fatalf("%s: %d terms, want 2^3−1", view, rep.Terms)
+			}
+			if !useIndexes {
+				if rep.OperandTuples != ref {
+					t.Fatalf("%s: OperandTuples %d, cardinalities give %d — the build cache must not change the linear work metric",
+						view, rep.OperandTuples, ref)
+				}
+				// 7 terms over 3 shared states: the cache must fire.
+				if rep.BuildCacheHits == 0 || rep.BuildCacheMisses == 0 || rep.BuildTuplesSaved <= 0 {
+					t.Fatalf("%s: expected build-cache traffic, got hits=%d misses=%d saved=%d",
+						view, rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved)
+				}
+			}
+			want[view] = rep
+		}
+
+		for _, cfg := range []struct{ workers, morsel int }{
+			{1, 1}, {1, 1024}, {2, 1}, {4, 4}, {4, 1024}, {8, 16},
+		} {
+			name := fmt.Sprintf("indexes=%v/workers=%d/morsel=%d", useIndexes, cfg.workers, cfg.morsel)
+			t.Run(name, func(t *testing.T) {
+				wide := base.Clone()
+				wide.SetOptions(Options{
 					UseIndexes:    useIndexes,
 					ParallelTerms: true,
 					Workers:       cfg.workers,
 					MorselSize:    cfg.morsel,
 				})
-
-				over := []string{"R", "S", "T"}
-				for _, view := range []string{"V3", "A3"} {
-					seqRep, err := seq.Compute(view, over)
+				for _, view := range views {
+					rep, err := wide.Compute(view, over)
 					if err != nil {
 						t.Fatal(err)
 					}
-					parRep, err := par.Compute(view, over)
+					w1 := want[view]
+					if rep.Terms != w1.Terms || rep.OperandTuples != w1.OperandTuples || rep.OutputTuples != w1.OutputTuples {
+						t.Fatalf("%s: terms/work/output %d/%d/%d, width 1 gives %d/%d/%d", view,
+							rep.Terms, rep.OperandTuples, rep.OutputTuples, w1.Terms, w1.OperandTuples, w1.OutputTuples)
+					}
+					if rep.BuildCacheHits != w1.BuildCacheHits || rep.BuildCacheMisses != w1.BuildCacheMisses || rep.BuildTuplesSaved != w1.BuildTuplesSaved {
+						t.Fatalf("%s: cache hits/misses/saved %d/%d/%d, width 1 gives %d/%d/%d", view,
+							rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved,
+							w1.BuildCacheHits, w1.BuildCacheMisses, w1.BuildTuplesSaved)
+					}
+					d1, err := one.DeltaOf(view)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if parRep.Terms != seqRep.Terms {
-						t.Fatalf("%s: terms %d vs %d", view, parRep.Terms, seqRep.Terms)
-					}
-					if parRep.OperandTuples != seqRep.OperandTuples {
-						t.Fatalf("%s: OperandTuples %d (parallel) vs %d (sequential) — the build cache must not change the linear work metric",
-							view, parRep.OperandTuples, seqRep.OperandTuples)
-					}
-					if parRep.OutputTuples != seqRep.OutputTuples {
-						t.Fatalf("%s: OutputTuples %d vs %d", view, parRep.OutputTuples, seqRep.OutputTuples)
-					}
-					if !useIndexes {
-						// 7 terms over 3 shared states: the cache must fire.
-						if parRep.BuildCacheHits == 0 || parRep.BuildCacheMisses == 0 {
-							t.Fatalf("%s: expected build-cache traffic, got hits=%d misses=%d",
-								view, parRep.BuildCacheHits, parRep.BuildCacheMisses)
-						}
-						if parRep.BuildTuplesSaved <= 0 {
-							t.Fatalf("%s: expected saved build tuples, got %d", view, parRep.BuildTuplesSaved)
-						}
-					}
-					if seqRep.BuildCacheHits != 0 || seqRep.BuildTuplesSaved != 0 {
-						t.Fatalf("%s: sequential engine reported cache traffic", view)
-					}
-					ds, err := seq.DeltaOf(view)
+					dw, err := wide.DeltaOf(view)
 					if err != nil {
 						t.Fatal(err)
 					}
-					dp, err := par.DeltaOf(view)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameDelta(t, view, dp, ds)
+					sameDelta(t, view, dw, d1)
 				}
-
-				for _, w := range []*Warehouse{seq, par} {
-					for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-						if _, err := w.Install(view); err != nil {
-							t.Fatalf("install %s: %v", view, err)
-						}
+				for _, view := range []string{"V3", "A3", "R", "S", "T"} {
+					if _, err := wide.Install(view); err != nil {
+						t.Fatalf("install %s: %v", view, err)
 					}
 				}
-				if err := par.VerifyAll(); err != nil {
-					t.Fatalf("parallel warehouse diverged from recomputation: %v", err)
-				}
-				for _, view := range []string{"V3", "A3"} {
-					if !parTable(seq, view).Equal(parTable(par, view)) {
-						t.Fatalf("%s: installed states differ", view)
-					}
+				if err := wide.VerifyAll(); err != nil {
+					t.Fatalf("width %d diverged from recomputation: %v", cfg.workers, err)
 				}
 			})
 		}
-	}
-}
 
-// parTable renders a view's current state as a plain table for comparison.
-func parTable(w *Warehouse, name string) *storage.Table {
-	v := w.MustView(name)
-	if v.agg != nil {
-		return v.agg.AsTable()
+		for _, view := range []string{"V3", "A3", "R", "S", "T"} {
+			if _, err := one.Install(view); err != nil {
+				t.Fatalf("install %s: %v", view, err)
+			}
+		}
+		if err := one.VerifyAll(); err != nil {
+			t.Fatalf("width 1 diverged from recomputation: %v", err)
+		}
 	}
-	return v.table
 }
 
 // TestParallelTermsSingleRef checks the degenerate cases: a one-ref view

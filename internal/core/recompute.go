@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/delta"
 	"repro/internal/maintain"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -27,53 +25,45 @@ func (w *Warehouse) Recompute(name string) (*storage.Table, error) {
 	if v.IsBase() {
 		return v.table.Clone(), nil
 	}
-	fullTerm := maintain.Term{} // no delta refs: every operand reads state
-	if v.agg != nil {
-		partials := delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-		groupExprs := v.def.GroupBy
-		aggs := v.def.Aggs
-		sink := func(row relation.Tuple, count int64) {
-			group := make(relation.Tuple, len(groupExprs))
-			for i, g := range groupExprs {
-				group[i] = g.E.Eval(row)
-			}
-			inputs := make([]relation.Value, len(aggs))
-			for i, a := range aggs {
-				if a.Input != nil {
-					inputs[i] = a.Input.Eval(row)
-				} else {
-					inputs[i] = relation.Null
-				}
-			}
-			partials.Accumulate(group, inputs, count)
-		}
-		if _, err := w.evalTerm(v.def, fullTerm, nil, seqSinks(sink), nil); err != nil {
+	out, err := w.evalTable(v.def)
+	if err != nil {
+		return nil, fmt.Errorf("core: recomputing %q: %w", name, err)
+	}
+	return out, nil
+}
+
+// evalFull evaluates a definition from scratch over the current states of
+// its referenced views: the full term (no delta refs — every operand reads
+// state) run through the term engine at width 1, outside any window's
+// registry or budget, into a fresh accumulator.
+func (w *Warehouse) evalFull(cq *algebra.CQ) (acc, error) {
+	out := newAcc(cq)
+	var rep CompReport
+	err := w.runTerms(&evalEnv{}, cq, []maintain.Term{{}}, nil, out, &rep)
+	return out, err
+}
+
+// evalTable is evalFull rendered as a plain counted table (aggregates to
+// their output rows).
+func (w *Warehouse) evalTable(cq *algebra.CQ) (*storage.Table, error) {
+	out, err := w.evalFull(cq)
+	if err != nil {
+		return nil, err
+	}
+	if out.p != nil {
+		fresh := storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
+		if err := fresh.Apply(out.p); err != nil {
 			return nil, err
-		}
-		fresh := storage.NewAggTable(v.def.GroupSchema(), v.def.AggSpecs(), v.def.AggNames())
-		if err := fresh.Apply(partials); err != nil {
-			return nil, fmt.Errorf("core: recomputing %q: %w", name, err)
 		}
 		return fresh.AsTable(), nil
 	}
-	out := storage.NewTable(v.def.OutputSchema())
-	selects := v.def.Select
-	var err error
-	sink := func(row relation.Tuple, count int64) {
-		tup := make(relation.Tuple, len(selects))
-		for i, s := range selects {
-			tup[i] = s.E.Eval(row)
-		}
-		if count <= 0 {
-			err = fmt.Errorf("core: recompute of %q produced non-positive count %d", name, count)
-			return
-		}
-		out.Insert(tup, count)
+	// ApplyDelta refuses a non-positive net count, which a full term over
+	// well-formed states never produces.
+	t := storage.NewTable(cq.OutputSchema())
+	if err := t.ApplyDelta(out.d); err != nil {
+		return nil, err
 	}
-	if _, eerr := w.evalTerm(v.def, fullTerm, nil, seqSinks(sink), nil); eerr != nil {
-		return nil, eerr
-	}
-	return out, err
+	return t, nil
 }
 
 // Evaluate runs an ad-hoc query (a validated CQ whose references name
@@ -100,45 +90,7 @@ func (w *Warehouse) Evaluate(cq *algebra.CQ) (*storage.Table, error) {
 			return nil, fmt.Errorf("core: query ref %q schema does not match view %q", r.Alias, r.View)
 		}
 	}
-	fullTerm := maintain.Term{}
-	if cq.IsAggregate() {
-		partials := delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())
-		sink := func(row relation.Tuple, count int64) {
-			group := make(relation.Tuple, len(cq.GroupBy))
-			for i, g := range cq.GroupBy {
-				group[i] = g.E.Eval(row)
-			}
-			inputs := make([]relation.Value, len(cq.Aggs))
-			for i, a := range cq.Aggs {
-				if a.Input != nil {
-					inputs[i] = a.Input.Eval(row)
-				} else {
-					inputs[i] = relation.Null
-				}
-			}
-			partials.Accumulate(group, inputs, count)
-		}
-		if _, err := w.evalTerm(cq, fullTerm, nil, seqSinks(sink), nil); err != nil {
-			return nil, err
-		}
-		fresh := storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
-		if err := fresh.Apply(partials); err != nil {
-			return nil, err
-		}
-		return fresh.AsTable(), nil
-	}
-	out := storage.NewTable(cq.OutputSchema())
-	sink := func(row relation.Tuple, count int64) {
-		tup := make(relation.Tuple, len(cq.Select))
-		for i, s := range cq.Select {
-			tup[i] = s.E.Eval(row)
-		}
-		out.Insert(tup, count)
-	}
-	if _, err := w.evalTerm(cq, fullTerm, nil, seqSinks(sink), nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return w.evalTable(cq)
 }
 
 // VerifyView checks that the named view's materialized state equals its
@@ -211,43 +163,20 @@ func (w *Warehouse) RefreshAll() error {
 // refreshOne recomputes one derived view from its children's current state
 // and replaces its materialized contents.
 func (w *Warehouse) refreshOne(v *View) error {
-	if v.agg != nil {
-		partials := delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
-		groupExprs := v.def.GroupBy
-		aggs := v.def.Aggs
-		sink := func(row relation.Tuple, count int64) {
-			group := make(relation.Tuple, len(groupExprs))
-			for i, g := range groupExprs {
-				group[i] = g.E.Eval(row)
-			}
-			inputs := make([]relation.Value, len(aggs))
-			for i, a := range aggs {
-				if a.Input != nil {
-					inputs[i] = a.Input.Eval(row)
-				} else {
-					inputs[i] = relation.Null
-				}
-			}
-			partials.Accumulate(group, inputs, count)
-		}
-		if _, err := w.evalTerm(v.def, maintain.Term{}, nil, seqSinks(sink), nil); err != nil {
-			return err
-		}
-		v.agg.Clear()
-		if err := v.agg.Apply(partials); err != nil {
-			return fmt.Errorf("core: refreshing %q: %w", v.name, err)
-		}
-		return nil
-	}
-	fresh, err := w.Recompute(v.name)
+	out, err := w.evalFull(v.def)
 	if err != nil {
 		return err
 	}
-	v.table.Clear()
-	fresh.Scan(func(t relation.Tuple, c int64) bool {
-		v.table.Insert(t, c)
-		return true
-	})
+	if v.agg != nil {
+		v.agg.Clear()
+		err = v.agg.Apply(out.p)
+	} else {
+		v.table.Clear()
+		err = v.table.ApplyDelta(out.d)
+	}
+	if err != nil {
+		return fmt.Errorf("core: refreshing %q: %w", v.name, err)
+	}
 	return nil
 }
 

@@ -155,7 +155,7 @@ func (e *interEntry) Cardinality() int64 { return e.srcTuples }
 
 // Scan must never run: intermediates are materialized through the registry
 // (resolveBuild's pair branch), never scanned as plain operands, and the
-// parallel engine's scan pre-warm skips them.
+// term engine's scan pre-warm skips them.
 func (e *interEntry) Scan(func(relation.Tuple, int64) bool) {
 	panic("core: interEntry scanned as a plain operand")
 }
@@ -463,14 +463,14 @@ func (r *SharedRegistry) acquire(env *evalEnv, su *sharedUse, br buildReq) (buil
 	built := false
 	e.once.Do(func() {
 		built = true
-		rows := scanSource(env, br.src)
+		rows := env.buildRows(br.src)
 		e.rows = br.src.Cardinality()
 		width := 1
 		if len(rows) > 0 {
 			width = len(rows[0].row)
 		}
 		e.bytes = cost.EstimateMaterializedBytes(e.rows, width)
-		mu := env.memUse()
+		mu := env.mem
 		if mu == nil {
 			e.bt = newBuildTable(rows, br.cols)
 			return
@@ -484,7 +484,7 @@ func (r *SharedRegistry) acquire(env *evalEnv, su *sharedUse, br buildReq) (buil
 				return
 			}
 		}
-		e.sp, e.err = mu.mm.spill(env.evalCtx(), mu, rows, br.cols, e.bytes)
+		e.sp, e.err = mu.mm.spill(env.ctx, mu, rows, br.cols, e.bytes)
 	})
 	if built {
 		su.misses.Add(1)
@@ -611,8 +611,8 @@ func (r *SharedRegistry) acquireInter(env *evalEnv, su *sharedUse, req *interReq
 		r.mu.Unlock()
 		return e.rows, nil
 	}
-	rowsA := scanSource(env, req.srcA)
-	rowsB := scanSource(env, req.srcB)
+	rowsA := env.buildRows(req.srcA)
+	rowsB := env.buildRows(req.srcB)
 	rows := joinRows(rowsA, rowsB, req.colsA, req.colsB, req.widthA, req.widthB)
 	su.misses.Add(1)
 	e.rowCount = int64(len(rows))
@@ -621,7 +621,7 @@ func (r *SharedRegistry) acquireInter(env *evalEnv, su *sharedUse, req *interReq
 	retain := r.shouldShare(consumers, e.bytes, r.sharedUsed())
 	var grant *memory.Grant
 	if retain {
-		if mu := env.memUse(); mu != nil {
+		if mu := env.mem; mu != nil {
 			g, ok := mu.mm.budget.TryReserveUnder(e.bytes, mu.mm.resLimit)
 			if !ok {
 				retain = false

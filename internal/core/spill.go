@@ -143,8 +143,8 @@ func (sb *spilledBuild) loadPart(ctx context.Context, mu *memUse, k int) (*build
 // walks the cross product of their partitions, loading one partition per
 // spilled step resident per pass and running every driver row through the
 // normal (possibly morsel-parallel) pipeline.
-func (p *pipeline) runSpilled(rows []prow, sinks sinkFactory, env *evalEnv, spilled []int) (int64, error) {
-	mu := env.memUse()
+func (p *pipeline) runSpilled(rows []prow, sink func() sinkFn, env *evalEnv, spilled []int) (int64, error) {
+	mu := env.mem
 	counters := make([]int, len(spilled))
 	var probed int64
 	for {
@@ -154,7 +154,7 @@ func (p *pipeline) runSpilled(rows []prow, sinks sinkFactory, env *evalEnv, spil
 		grants := make([]*memory.Grant, 0, len(spilled))
 		var passErr error
 		for j, si := range spilled {
-			bt, g, err := p.steps[si].spilled.loadPart(env.evalCtx(), mu, counters[j])
+			bt, g, err := p.steps[si].spilled.loadPart(env.ctx, mu, counters[j])
 			if err != nil {
 				passErr = err
 				break
@@ -164,7 +164,7 @@ func (p *pipeline) runSpilled(rows []prow, sinks sinkFactory, env *evalEnv, spil
 		}
 		var n int64
 		if passErr == nil {
-			n, passErr = p.runResident(rows, sinks, env)
+			n, passErr = p.runResident(rows, sink, env)
 		}
 		for _, si := range spilled {
 			p.steps[si].build = nil

@@ -1,4 +1,4 @@
-package parallel
+package exec
 
 import (
 	"fmt"
@@ -10,29 +10,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/delta"
-	"repro/internal/exec"
 	"repro/internal/planner"
 	"repro/internal/relation"
 	"repro/internal/strategy"
 	"repro/internal/vdag"
 )
 
-var (
-	schemaR = relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "b", Kind: relation.KindInt}}
-	schemaS = relation.Schema{{Name: "b", Kind: relation.KindInt}, {Name: "c", Kind: relation.KindInt}}
-)
+// The tests of the Section 9 conflict analysis — staging, the precedence
+// DAG, and the fuzz harness over both.
 
-func intRow(vals ...int64) relation.Tuple {
-	t := make(relation.Tuple, len(vals))
-	for i, v := range vals {
-		t[i] = relation.NewInt(v)
-	}
-	return t
-}
-
-// newWarehouse builds two independent derived views over shared bases:
+// newForkWarehouse builds two independent derived views over shared bases:
 // J1 = R⋈S (on b), J2 = σ(R). Their comps can run in parallel.
-func newWarehouse(t *testing.T) *core.Warehouse {
+func newForkWarehouse(t *testing.T) *core.Warehouse {
 	t.Helper()
 	w := core.New(core.Options{})
 	must := func(err error) {
@@ -56,7 +45,7 @@ func newWarehouse(t *testing.T) *core.Warehouse {
 	return w
 }
 
-func stageChanges(t *testing.T, w *core.Warehouse) {
+func stageForkChanges(t *testing.T, w *core.Warehouse) {
 	t.Helper()
 	dR := delta.New(schemaR)
 	dR.Add(intRow(2, 10), -1)
@@ -71,7 +60,7 @@ func stageChanges(t *testing.T, w *core.Warehouse) {
 	}
 }
 
-func dualStage(w *core.Warehouse) strategy.Strategy {
+func forkDualStage(w *core.Warehouse) strategy.Strategy {
 	return strategy.Strategy{
 		strategy.Comp{View: "J1", Over: []string{"R", "S"}},
 		strategy.Comp{View: "J2", Over: []string{"R"}},
@@ -81,8 +70,8 @@ func dualStage(w *core.Warehouse) strategy.Strategy {
 }
 
 func TestParallelizeDualStage(t *testing.T) {
-	w := newWarehouse(t)
-	plan := Parallelize(dualStage(w), w.Children)
+	w := newForkWarehouse(t)
+	plan := Parallelize(forkDualStage(w), w.Children)
 	// Both comps are independent → stage 1; all installs conflict with the
 	// comps → stage 2.
 	if plan.Stages() != 2 {
@@ -100,7 +89,7 @@ func TestParallelizeDualStage(t *testing.T) {
 }
 
 func TestParallelizeOneWayKeepsOrder(t *testing.T) {
-	w := newWarehouse(t)
+	w := newForkWarehouse(t)
 	s := strategy.Strategy{
 		strategy.Comp{View: "J1", Over: []string{"R"}},
 		strategy.Comp{View: "J2", Over: []string{"R"}},
@@ -122,61 +111,22 @@ func TestParallelizeOneWayKeepsOrder(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelMatchesSequential(t *testing.T) {
-	seqW := newWarehouse(t)
-	stageChanges(t, seqW)
-	parW := seqW.Clone()
-
-	s := dualStage(seqW)
-	seqRep, err := exec.Execute(seqW, s, exec.Options{Validate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Parallelize(s, parW.Children)
-	parRep, err := Execute(parW, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parRep.TotalWork != seqRep.TotalWork() {
-		t.Errorf("parallel total work %d != sequential %d", parRep.TotalWork, seqRep.TotalWork())
-	}
-	if parRep.SpanWork > parRep.TotalWork || parRep.SpanWork <= 0 {
-		t.Errorf("span work %d out of range", parRep.SpanWork)
-	}
-	if parRep.Speedup() < 1 {
-		t.Errorf("speedup = %v", parRep.Speedup())
-	}
-	if err := parW.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Final states identical.
-	for _, v := range []string{"R", "S", "J1", "J2"} {
-		a, b := seqW.MustView(v).SortedRows(), parW.MustView(v).SortedRows()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d rows", v, len(a), len(b))
-		}
-		for i := range a {
-			if relation.CompareTuples(a[i].Tuple, b[i].Tuple) != 0 || a[i].Count != b[i].Count {
-				t.Fatalf("%s row %d differs", v, i)
-			}
-		}
-	}
-}
-
 func TestExecuteErrorPropagates(t *testing.T) {
-	w := newWarehouse(t)
-	plan := Plan{{strategy.Comp{View: "nope", Over: []string{"R"}}}}
-	if _, err := Execute(w, plan); err == nil {
-		t.Errorf("unknown view accepted")
-	}
-	if _, err := Execute(w, Plan{{nil}}); err == nil {
-		t.Errorf("nil expression accepted")
+	for _, mode := range []Mode{ModeSequential, ModeStaged, ModeDAG} {
+		w := newForkWarehouse(t)
+		if _, err := Execute(w, strategy.Strategy{strategy.Comp{View: "nope", Over: []string{"R"}}}, Options{Mode: mode}); err == nil {
+			t.Errorf("%s: unknown view accepted", mode)
+		}
+		if _, err := Execute(w, strategy.Strategy{nil}, Options{Mode: mode}); err == nil {
+			t.Errorf("%s: nil expression accepted", mode)
+		}
 	}
 }
 
 // TestParallelizePropertyRandom checks, for random VDAGs and their MinWork
 // strategies, that staging (a) preserves the expression multiset and (b)
-// never reorders a conflicting pair across stages.
+// never reorders a conflicting pair across stages, and that the DAG it is
+// read off (c) has exactly the conflicts as edges and is acyclic.
 func TestParallelizePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -190,6 +140,11 @@ func TestParallelizePropertyRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := Parallelize(res.Strategy, g.Children)
+		d := BuildDAG(res.Strategy, g.Children)
+		if d.Len() != len(res.Strategy) || d.Levels() != plan.Stages() {
+			t.Fatalf("trial %d: DAG has %d nodes in %d levels, strategy %d in %d stages",
+				trial, d.Len(), d.Levels(), len(res.Strategy), plan.Stages())
+		}
 		// (a) same multiset of expressions.
 		if plan.Exprs() != len(res.Strategy) {
 			t.Fatalf("trial %d: %d exprs staged, strategy has %d", trial, plan.Exprs(), len(res.Strategy))
@@ -213,14 +168,22 @@ func TestParallelizePropertyRandom(t *testing.T) {
 		// (b) conflicting pairs keep their order across stages.
 		for i := 0; i < len(res.Strategy); i++ {
 			for j := i + 1; j < len(res.Strategy); j++ {
-				if conflicts(res.Strategy[i], res.Strategy[j], g.Children) {
+				conflict := conflicts(res.Strategy[i], res.Strategy[j], g.Children)
+				if conflict {
 					si, sj := stageOf[res.Strategy[i].Key()], stageOf[res.Strategy[j].Key()]
 					if si >= sj {
 						t.Fatalf("trial %d: conflict %s ≺ %s but stages %d ≥ %d",
 							trial, res.Strategy[i], res.Strategy[j], si, sj)
 					}
 				}
+				// (c) every conflict is an edge and nothing else is.
+				if d.HasEdge(i, j) != conflict {
+					t.Fatalf("trial %d: edge %d→%d = %v, conflict = %v", trial, i, j, d.HasEdge(i, j), conflict)
+				}
 			}
+		}
+		if !d.Acyclic() {
+			t.Fatalf("trial %d: DAG not acyclic", trial)
 		}
 	}
 }
@@ -256,7 +219,7 @@ func randomGraph(rng *rand.Rand) *vdag.Graph {
 }
 
 func TestSpeedupEmptyPlan(t *testing.T) {
-	var r Report
+	var r Schedule
 	if r.Speedup() != 1 {
 		t.Errorf("zero-span speedup = %v", r.Speedup())
 	}
@@ -324,15 +287,15 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 	if len(planF[0]) != 2 {
 		t.Fatalf("flattened first stage = %v (%s)", planF[0], planF)
 	}
-	rep, err := Execute(w2, planF)
+	rep, err := Execute(w2, sf, Options{Mode: ModeStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Plan.Stages() != planF.Stages() {
-		t.Errorf("report plan mismatch")
+	if rep.Sched.Levels != planF.Stages() {
+		t.Errorf("report has %d levels, plan %d stages", rep.Sched.Levels, planF.Stages())
 	}
 	// K must reflect the change: row 9 (>2) present, 3 gone.
 	rows := w2.MustView("K").SortedRows()
@@ -344,4 +307,115 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 	if got != want {
 		t.Errorf("K = %v", rows)
 	}
+}
+
+// fuzzVDAG is a small fixed VDAG for the fuzz harness:
+//
+//	R, S          bases
+//	J1 ← {R, S}   join
+//	J2 ← {R}      selection
+//	K  ← {J1}     level-2 view
+var fuzzVDAG = map[string][]string{
+	"R": nil, "S": nil,
+	"J1": {"R", "S"},
+	"J2": {"R"},
+	"K":  {"J1"},
+}
+
+func fuzzChildren(view string) []string { return fuzzVDAG[view] }
+
+// fuzzVocab is the expression alphabet fuzzed strategies are decoded from:
+// every Inst plus every 1-way and combined Comp over the fuzz VDAG.
+var fuzzVocab = []strategy.Expr{
+	strategy.Inst{View: "R"}, strategy.Inst{View: "S"},
+	strategy.Inst{View: "J1"}, strategy.Inst{View: "J2"}, strategy.Inst{View: "K"},
+	strategy.Comp{View: "J1", Over: []string{"R"}},
+	strategy.Comp{View: "J1", Over: []string{"S"}},
+	strategy.Comp{View: "J1", Over: []string{"R", "S"}},
+	strategy.Comp{View: "J2", Over: []string{"R"}},
+	strategy.Comp{View: "K", Over: []string{"J1"}},
+}
+
+// decodeStrategy maps fuzz bytes to a strategy: one expression per byte,
+// length capped so the quadratic conflict checks stay fast.
+func decodeStrategy(data []byte) strategy.Strategy {
+	if len(data) > 24 {
+		data = data[:24]
+	}
+	s := make(strategy.Strategy, 0, len(data))
+	for _, b := range data {
+		s = append(s, fuzzVocab[int(b)%len(fuzzVocab)])
+	}
+	return s
+}
+
+// FuzzParallelizeRespectsConflicts asserts, for arbitrary expression
+// sequences, the two structural invariants the executors rely on: staging
+// and DAG construction keep every conflicting pair in its original relative
+// order, and the precedence DAG is acyclic. (Parallelize and BuildDAG are
+// purely syntactic — they must uphold this for incorrect strategies too.)
+func FuzzParallelizeRespectsConflicts(f *testing.F) {
+	f.Add([]byte{5, 8, 0, 6, 1, 9, 2, 4, 3})     // a sensible 1-way strategy
+	f.Add([]byte{7, 8, 0, 1, 2, 3, 4})           // dual-stage-like
+	f.Add([]byte{0, 0, 0, 5, 5, 5})              // heavy duplication
+	f.Add([]byte{9, 4, 3, 2, 1, 0, 8, 7, 6, 5})  // reversed nonsense order
+	f.Add([]byte{})                              // empty strategy
+	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2}) // out-of-range bytes wrap
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := decodeStrategy(data)
+		plan := Parallelize(s, fuzzChildren)
+		d := BuildDAG(s, fuzzChildren)
+
+		if plan.Exprs() != len(s) || d.Len() != len(s) {
+			t.Fatalf("expression count changed: plan %d, dag %d, strategy %d",
+				plan.Exprs(), d.Len(), len(s))
+		}
+		if d.Levels() != plan.Stages() {
+			t.Fatalf("dag levels %d != plan stages %d", d.Levels(), plan.Stages())
+		}
+
+		// Positions are not unique keys (duplicates allowed), so recover each
+		// node's stage from the plan by walking it in order: expressions
+		// within a stage preserve strategy order, which pins duplicates.
+		stageOf := make([]int, len(s))
+		used := make([]bool, len(s))
+		for si, stage := range plan {
+			for _, e := range stage {
+				found := false
+				for i := range s {
+					if !used[i] && s[i].Key() == e.Key() {
+						stageOf[i], used[i] = si, true
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Fatalf("stage %d holds %s not in strategy", si, e)
+				}
+			}
+		}
+
+		for i := 0; i < len(s); i++ {
+			for j := i + 1; j < len(s); j++ {
+				if !conflicts(s[i], s[j], fuzzChildren) {
+					continue
+				}
+				// Staging must strictly order the pair…
+				if stageOf[i] >= stageOf[j] {
+					t.Fatalf("conflict %s ≺ %s but stages %d ≥ %d",
+						s[i], s[j], stageOf[i], stageOf[j])
+				}
+				// …and the DAG must carry the edge, in the original direction.
+				if !d.HasEdge(i, j) {
+					t.Fatalf("conflict %s ≺ %s has no DAG edge %d→%d", s[i], s[j], i, j)
+				}
+				if d.HasEdge(j, i) {
+					t.Fatalf("reversed DAG edge %d→%d", j, i)
+				}
+			}
+		}
+		if !d.Acyclic() {
+			t.Fatalf("DAG not acyclic for strategy %s", s)
+		}
+	})
 }

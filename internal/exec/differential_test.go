@@ -1,12 +1,13 @@
-package parallel
+package exec
 
-// Differential-testing harness for the concurrent executors: for ~100 seeded
-// random VDAGs (mixed join/aggregate views, 1–4 derivation levels, diamond
-// sharing) with random insert/delete/mixed change batches, DAG-scheduled
-// execution, staged Execute, sequential exec.Execute and a full recompute
-// must all leave bag-identical warehouse states. The comparison is the
-// exec.ExactStats discipline — every view's sorted (tuple, count) bag —
-// applied across executors instead of against the cost model.
+// Differential-testing harness for the scheduler: for ~100 seeded random
+// VDAGs (mixed join/aggregate views, 1–4 derivation levels, diamond sharing)
+// with random insert/delete/mixed change batches, every point of mode ×
+// workers × engine width × sharing must leave warehouse states bag-identical
+// to the sequential default run and to a full recompute, with identical
+// per-step Work and Terms. The comparison is the ExactStats discipline —
+// every view's sorted (tuple, count) bag — applied across configurations
+// instead of against the cost model.
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/exec"
 	"repro/internal/planner"
 	"repro/internal/relation"
 	"repro/internal/strategy"
@@ -187,7 +187,30 @@ func compareBags(t *testing.T, trial int, name string, ref, got map[string][]str
 	}
 }
 
-// TestDifferentialExecutors is the harness entry point.
+// sameSteps checks a leg's report against the reference run step by step:
+// caches, sharing and scheduling change what the machine does, never what
+// the linear work metric counts.
+func sameSteps(t *testing.T, trial int, name string, ref, got Report) {
+	t.Helper()
+	if len(got.Steps) != len(ref.Steps) {
+		t.Fatalf("trial %d %s: %d steps vs %d in the reference run", trial, name, len(got.Steps), len(ref.Steps))
+	}
+	for i, step := range got.Steps {
+		want := ref.Steps[i]
+		if step.Expr.Key() != want.Expr.Key() || step.Work != want.Work || step.Terms != want.Terms {
+			t.Fatalf("trial %d %s step %d %s: work=%d terms=%d, reference %s work=%d terms=%d",
+				trial, name, i, step.Expr, step.Work, step.Terms, want.Expr, want.Work, want.Terms)
+		}
+	}
+}
+
+// TestDifferentialExecutors is the harness entry point. Legs this harness
+// used to run and what covers them now: "exec.Execute vs parallel.Run
+// sequential" and "staged parallel.Execute(Plan)" compared separate loops
+// that no longer exist (every leg below is the one loop); "term-parallel
+// under sequential scheduling" is the dag+wide leg here plus core's
+// TestTermEngineWidthInvariant, which holds Work, Terms and the cache
+// counters equal across widths.
 func TestDifferentialExecutors(t *testing.T) {
 	trials := 100
 	if testing.Short() {
@@ -198,7 +221,7 @@ func TestDifferentialExecutors(t *testing.T) {
 		base := diffWarehouse(t, rng)
 		stageDiffChanges(t, base, rng)
 
-		g, err := exec.Graph(base)
+		g, err := Graph(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +229,7 @@ func TestDifferentialExecutors(t *testing.T) {
 		if trial%2 == 0 {
 			s = strategy.DualStageVDAG(g)
 		} else {
-			stats, err := exec.PlanningStats(base)
+			stats, err := PlanningStats(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,119 +240,46 @@ func TestDifferentialExecutors(t *testing.T) {
 			s = mw.Strategy
 		}
 
-		// Reference: sequential exec.Execute.
+		// Reference: sequential, default engine.
 		seq := base.Clone()
-		seqRep, err := exec.Execute(seq, s, exec.Options{Validate: true})
+		ref, err := Execute(seq, s, Options{Validate: true})
 		if err != nil {
 			t.Fatalf("trial %d sequential (%s): %v\nstrategy: %s", trial, g, err, s)
 		}
 		if err := seq.VerifyAll(); err != nil {
 			t.Fatalf("trial %d sequential: %v", trial, err)
 		}
-		ref := viewBags(seq)
+		refBags := viewBags(seq)
 
-		// Term-parallel engine under sequential scheduling: same strategy,
-		// but each Comp runs concurrent terms with morsel-parallel probes
-		// and the shared build cache. Bags must match, and — because the
-		// cache saves physical scans, not modeled ones — every step's Work
-		// and Terms must equal the sequential report exactly.
-		tp := base.Clone()
-		tp.SetOptions(core.Options{ParallelTerms: true, Workers: 1 + rng.Intn(8)})
-		tpRep, err := exec.Execute(tp, s, exec.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("trial %d term-parallel: %v", trial, err)
-		}
-		compareBags(t, trial, "term-parallel", ref, viewBags(tp))
-		if len(tpRep.Steps) != len(seqRep.Steps) {
-			t.Fatalf("trial %d term-parallel: %d steps vs %d sequential",
-				trial, len(tpRep.Steps), len(seqRep.Steps))
-		}
-		for i, step := range tpRep.Steps {
-			want := seqRep.Steps[i]
-			if step.Work != want.Work || step.Terms != want.Terms {
-				t.Fatalf("trial %d term-parallel step %s: work=%d terms=%d, sequential work=%d terms=%d (build cache must not change the linear work metric)",
-					trial, step.Expr, step.Work, step.Terms, want.Work, want.Terms)
-			}
-		}
-
-		// Staged parallel.Execute.
-		staged := base.Clone()
-		if _, err := Execute(staged, Parallelize(s, staged.Children)); err != nil {
-			t.Fatalf("trial %d staged: %v", trial, err)
-		}
-		compareBags(t, trial, "staged", ref, viewBags(staged))
-
-		// DAG-scheduled, random pool size.
-		dag := base.Clone()
-		if _, err := Run(dag, s, dag.Children, exec.ModeDAG, Options{
-			Workers:  1 + rng.Intn(8),
-			Validate: true,
-		}); err != nil {
-			t.Fatalf("trial %d dag: %v", trial, err)
-		}
-		compareBags(t, trial, "dag", ref, viewBags(dag))
-
-		// Both levels composed: DAG scheduling across expressions and the
-		// term-parallel engine inside each Comp, sharing one worker budget.
-		both := base.Clone()
-		workers := 1 + rng.Intn(8)
-		both.SetOptions(core.Options{ParallelTerms: true, Workers: workers})
-		if _, err := Run(both, s, both.Children, exec.ModeDAG, Options{
-			Workers:  workers,
-			Validate: true,
-		}); err != nil {
-			t.Fatalf("trial %d dag+term-parallel: %v", trial, err)
-		}
-		compareBags(t, trial, "dag+term-parallel", ref, viewBags(both))
-
-		// Window-wide shared computation under sequential scheduling: the
-		// cross-view registry serves build tables across Comps. Bags must
-		// match, and — sharing elides physical scans, never modeled ones —
-		// every step's Work and Terms must equal the sequential report.
-		shared := base.Clone()
-		shared.SetOptions(core.Options{ShareComputation: true})
-		shRep, err := exec.Execute(shared, s, exec.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("trial %d shared: %v", trial, err)
-		}
-		compareBags(t, trial, "shared", ref, viewBags(shared))
-		for i, step := range shRep.Steps {
-			want := seqRep.Steps[i]
-			if step.Work != want.Work || step.Terms != want.Terms {
-				t.Fatalf("trial %d shared step %s: work=%d terms=%d, sequential work=%d terms=%d (the shared registry must not change the linear work metric)",
-					trial, step.Expr, step.Work, step.Terms, want.Work, want.Terms)
-			}
-		}
-
-		// Sharing composed with the concurrent schedulers (and, on even
-		// trials, the term-parallel engine inside each Comp): per-step work
-		// must still match the sequential reference.
-		wantWork := make(map[string]int64, len(seqRep.Steps))
-		for _, step := range seqRep.Steps {
-			wantWork[fmt.Sprint(step.Expr)] = step.Work
-		}
-		shMode := exec.ModeDAG
+		// The legs: scheduling mode × scheduler workers × engine width ×
+		// window-wide sharing, pool sizes drawn per trial.
+		mixed := ModeDAG
 		if trial%2 == 0 {
-			shMode = exec.ModeStaged
+			mixed = ModeStaged
 		}
-		shPar := base.Clone()
 		wk := 1 + rng.Intn(8)
-		shPar.SetOptions(core.Options{ShareComputation: true, ParallelTerms: trial%2 == 0, Workers: wk})
-		shParRep, err := Run(shPar, s, shPar.Children, shMode, Options{
-			Workers:  wk,
-			Validate: true,
-		})
-		if err != nil {
-			t.Fatalf("trial %d shared+%s: %v", trial, shMode, err)
-		}
-		compareBags(t, trial, "shared+"+string(shMode), ref, viewBags(shPar))
-		for _, stage := range shParRep.Steps {
-			for _, step := range stage {
-				if want, ok := wantWork[fmt.Sprint(step.Expr)]; !ok || step.Work != want {
-					t.Fatalf("trial %d shared+%s step %s: work=%d, sequential work=%d",
-						trial, shMode, step.Expr, step.Work, want)
-				}
+		for _, leg := range []struct {
+			name string
+			mode Mode
+			wk   int
+			core core.Options
+		}{
+			{"staged", ModeStaged, 0, core.Options{}},
+			{"dag", ModeDAG, 1 + rng.Intn(8), core.Options{}},
+			// Both levels composed: DAG scheduling across expressions and a
+			// wide term engine inside each Comp, sharing one worker budget.
+			{"dag+wide", ModeDAG, wk, core.Options{ParallelTerms: true, Workers: wk}},
+			{"shared", ModeSequential, 0, core.Options{ShareComputation: true}},
+			{"shared+" + string(mixed), mixed, wk, core.Options{ShareComputation: true, ParallelTerms: trial%2 == 0, Workers: wk}},
+		} {
+			w := base.Clone()
+			w.SetOptions(leg.core)
+			rep, err := Execute(w, s, Options{Mode: leg.mode, Workers: leg.wk, Validate: true})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, leg.name, err)
 			}
+			compareBags(t, trial, leg.name, refBags, viewBags(w))
+			sameSteps(t, trial, leg.name, ref, rep)
 		}
 
 		// Full recompute: fold the base deltas in, rebuild every derived view
@@ -345,6 +295,6 @@ func TestDifferentialExecutors(t *testing.T) {
 		if err := rec.RefreshAll(); err != nil {
 			t.Fatalf("trial %d recompute: %v", trial, err)
 		}
-		compareBags(t, trial, "recompute", ref, viewBags(rec))
+		compareBags(t, trial, "recompute", refBags, viewBags(rec))
 	}
 }

@@ -5,11 +5,19 @@
 // executor reports can be compared directly against cost-simulator
 // predictions — the comparison the paper's experiments perform against a
 // commercial RDBMS.
+//
+// There is one executor, Execute: a worker loop over the ready set of the
+// strategy's precedence DAG (dag.go). Sequential execution is that loop with
+// one worker, staged execution (Section 9's barrier plan) holds each DAG
+// level back until the previous one drains, and DAG execution is the loop
+// unrestrained.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -65,14 +73,18 @@ type StepReport struct {
 	Terms int
 	// Elapsed is the expression's wall-clock duration.
 	Elapsed time.Duration
-	// Worker identifies the worker that ran the expression (DAG and staged
-	// execution; 0 for sequential runs).
+	// Worker identifies the worker that ran the expression (0 for
+	// sequential runs).
 	Worker int
+	// Level is the expression's barrier-stage index in the strategy's
+	// precedence DAG: the stage staged execution runs it in.
+	Level int
 	// Skipped marks a Comp elided by the empty-delta optimization.
 	Skipped bool
 	// CacheHits and CacheMisses count build-side hash tables served from /
-	// built into the per-Compute build cache (term-parallel engine; zero
-	// otherwise).
+	// built into the per-Compute build cache: one miss per distinct
+	// (operand, key columns) pair of the Comp, one hit per further term that
+	// probes it.
 	CacheHits, CacheMisses int
 	// CacheTuplesSaved totals operand tuples whose physical re-scan the
 	// shared builds elided. Work still counts them: the linear metric
@@ -80,7 +92,8 @@ type StepReport struct {
 	CacheTuplesSaved int64
 	// SharedHits and SharedMisses count build tables served from / built
 	// into the window-wide shared-computation registry (zero when sharing
-	// is off). A hit means another view's Comp already hashed the operand.
+	// is off), once per distinct operand per Comp — the build cache sits in
+	// front. A hit means another view's Comp already hashed the operand.
 	SharedHits, SharedMisses int
 	// SharedTuplesSaved totals operand tuples whose physical scan the
 	// cross-view shared tables elided. Like CacheTuplesSaved, Work still
@@ -104,7 +117,10 @@ type StepReport struct {
 // Report summarizes a strategy execution — the update window.
 type Report struct {
 	Strategy strategy.Strategy
-	Steps    []StepReport
+	// Steps holds the executed expressions' reports in strategy order (all
+	// of them on success; the ones that completed on failure), each carrying
+	// the worker that ran it and its DAG level.
+	Steps []StepReport
 	// CompWork and InstWork split the measured work by expression type.
 	CompWork, InstWork int64
 	// SharedBytesPeak is the high-water transient footprint of the
@@ -119,6 +135,8 @@ type Report struct {
 	PeakReservedBytes int64
 	// Elapsed is the total update window.
 	Elapsed time.Duration
+	// Sched carries the scheduling metrics of the run.
+	Sched Schedule
 }
 
 // TotalWork returns compute plus install work.
@@ -130,21 +148,74 @@ func (r Report) String() string {
 		r.TotalWork(), r.CompWork, r.InstWork, r.Elapsed, len(r.Steps))
 }
 
-// Options configure execution.
+// Schedule is the scheduling side of a Report. TotalWork, SpanWork and
+// CriticalPathWork are all computed from the same measured run, so
+// sequential, staged and DAG execution compare directly — and a sequential
+// run predicts what the same strategy would cost staged or DAG-scheduled.
+type Schedule struct {
+	// Mode records how the strategy was scheduled.
+	Mode Mode
+	// Workers is the scheduling width: the worker-pool size in DAG mode,
+	// the widest stage in staged mode, 1 for sequential runs.
+	Workers int
+	// Levels is the number of barrier stages of the precedence DAG.
+	Levels int
+	// TotalWork is the sum of all expressions' measured work — what the
+	// warehouse pays.
+	TotalWork int64
+	// SpanWork is the barrier-plan span: the sum over stages of the largest
+	// single-expression work in the stage — what the update window costs
+	// under staged execution with unlimited parallelism.
+	SpanWork int64
+	// CriticalPathWork is the longest work-weighted path through the
+	// precedence DAG — what the window costs under barrier-free scheduling
+	// with unlimited parallelism. Always ≤ SpanWork: dropping barriers can
+	// only shorten the schedule.
+	CriticalPathWork int64
+	// Elapsed is the measured wall-clock update window.
+	Elapsed time.Duration
+}
+
+// Speedup returns TotalWork/SpanWork, the work-based parallelism achieved.
+func (s Schedule) Speedup() float64 {
+	if s.SpanWork == 0 {
+		return 1
+	}
+	return float64(s.TotalWork) / float64(s.SpanWork)
+}
+
+// Options configure Execute. The zero value runs the strategy sequentially,
+// unvalidated.
 type Options struct {
+	// Mode schedules the strategy; empty means ModeSequential.
+	Mode Mode
+	// Workers bounds the worker pool in DAG mode; 0 means
+	// runtime.GOMAXPROCS(0). Sequential mode runs one worker and staged
+	// mode one per expression of its widest stage (the Section 9 model).
+	Workers int
 	// Validate runs the strategy through the correctness conditions
-	// (C1–C8) against the warehouse's VDAG before executing. Execution of
-	// an incorrect strategy would corrupt the warehouse.
+	// (C1–C8, relaxed by the quiescent set) against the warehouse's VDAG
+	// before executing. Execution of an incorrect strategy would corrupt
+	// the warehouse.
 	Validate bool
 	// Context cancels execution between steps and propagates into term
-	// evaluation and the morsel pool; nil means no cancellation.
+	// evaluation and the morsel pool; nil means no cancellation. In-flight
+	// expressions finish, unstarted ones are abandoned.
 	Context context.Context
+	// OnStep, when non-nil, is called after each expression completes
+	// successfully, with the expression's strategy index and its measured
+	// step. An error fails the step (the window journal uses this to make
+	// a failed journal append fail the window). Staged and DAG execution
+	// call it from concurrent workers: it must be safe for concurrent use.
+	OnStep func(idx int, step StepReport) error
+	// Faults, when non-nil, is consulted at every step boundary (point
+	// "step") before the expression runs, and at the spill I/O points when
+	// a memory budget is attached. Injected failures, panics and crashes
+	// surface exactly as real ones would.
+	Faults *faults.Injector
 	// SpillDir is where over-budget builds spill when the warehouse
 	// configures a memory budget; empty means a per-run temp directory.
 	SpillDir string
-	// Faults optionally injects spill I/O faults (see internal/storage's
-	// spill fault points); nil injects nothing.
-	Faults *faults.Injector
 }
 
 // Graph derives the VDAG of a warehouse.
@@ -172,17 +243,23 @@ func PanicError(p any) error {
 }
 
 // RunStep executes one strategy expression against the warehouse and
-// measures it. A panic inside the expression is recovered and returned as
-// an error (see PanicError); ctx cancels term evaluation and the morsel
-// pool mid-Comp. Inst steps fingerprint the delta they are about to install
-// (StepReport.Digest) so journaled windows can be verified on recovery.
-func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr) (step StepReport, err error) {
+// measures it, after passing the "step" fault point of inj (nil injects
+// nothing). A panic anywhere inside — the expression itself or an injected
+// fault — is recovered and returned as an error (see PanicError), so a
+// panicking operator in a worker goroutine fails its step instead of killing
+// the process; ctx cancels term evaluation and the morsel pool mid-Comp. Inst
+// steps fingerprint the delta they are about to install (StepReport.Digest)
+// so journaled windows can be verified on recovery.
+func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *faults.Injector) (step StepReport, err error) {
 	step.Expr = e
 	defer func() {
 		if p := recover(); p != nil {
 			err = PanicError(p)
 		}
 	}()
+	if err := inj.Hit("step"); err != nil {
+		return step, err
+	}
 	t0 := time.Now()
 	switch x := e.(type) {
 	case strategy.Comp:
@@ -235,52 +312,233 @@ func instDigest(w *core.Warehouse, view string) uint64 {
 }
 
 // Execute runs the strategy against the warehouse, mutating it, and returns
-// the measured report. If opts.Validate is set, the strategy is checked
-// against the warehouse's VDAG first and execution is refused on violation.
-func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (rep Report, err error) {
-	rep = Report{Strategy: s}
-	changed := ChangedViews(w)
+// the measured report. It is the only executor: whatever the mode, the run
+// validates the strategy (when asked), attaches the window's sharing
+// registry and memory budget, passes every expression through the "step"
+// fault point, RunStep and OnStep, and finishes with the deferred-maintenance
+// bookkeeping (MarkSkippedStale). The first expression error cancels
+// scheduling (in-flight expressions finish, unstarted ones are abandoned)
+// and is returned deterministically: among the failures of a run, the one
+// whose expression is earliest in the strategy wins. The report then holds
+// the steps that completed.
+func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, error) {
+	rep := Report{Strategy: s}
+	mode := opts.Mode
+	switch mode {
+	case "":
+		mode = ModeSequential
+	case ModeSequential, ModeStaged, ModeDAG:
+	default:
+		return rep, fmt.Errorf("exec: unknown execution mode %q", mode)
+	}
 	if opts.Validate {
 		if err := Validate(w, s); err != nil {
 			return rep, err
 		}
 	}
-	ctx := opts.Context
+	changed := ChangedViews(w)
+	d := BuildDAG(s, w.Children)
 	detach := AttachSharing(w, s)
-	defer func() {
-		st := detach()
-		rep.SharedBytesPeak = st.BytesPeak
-		rep.SharedDetail = st.Detail
-	}()
 	detachMem, err := AttachMemory(w, opts.SpillDir, opts.Faults)
+	if err != nil {
+		detach()
+		return rep, fmt.Errorf("exec: %w", err)
+	}
+	err = d.run(w, mode, opts, &rep)
+	st := detach()
+	rep.SharedBytesPeak, rep.SharedDetail = st.BytesPeak, st.Detail
+	rep.PeakReservedBytes = detachMem().PeakReservedBytes
 	if err != nil {
 		return rep, err
 	}
-	defer func() {
-		ms := detachMem()
-		rep.PeakReservedBytes = ms.PeakReservedBytes
-	}()
+	return rep, MarkSkippedStale(w, s, changed)
+}
+
+// readySet is the scheduler's state: which DAG nodes have every predecessor
+// done and are waiting for a worker. Workers take the lowest ready strategy
+// index — so a single worker reproduces strategy order exactly — and, when
+// staged, only from the level currently released.
+type readySet struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	d      *DAG
+	indeg  []int
+	ready  []bool
+	left   int  // nodes not yet done
+	staged bool // hold each level back until the previous one drains
+	level  int  // staged: the level currently released
+	open   int  // staged: nodes of that level not yet done
+	halted bool
+}
+
+func newReadySet(d *DAG, staged bool) *readySet {
+	r := &readySet{d: d, indeg: make([]int, d.Len()), ready: make([]bool, d.Len()), left: d.Len(), staged: staged}
+	r.cond = sync.NewCond(&r.mu)
+	for i := range r.indeg {
+		r.indeg[i] = len(d.preds[i])
+		r.ready[i] = r.indeg[i] == 0
+	}
+	r.open = d.width(0)
+	return r
+}
+
+// take blocks until a node is ready and returns it; false once every node
+// is done or the run was halted.
+func (r *readySet) take() (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !r.halted && r.left > 0 {
+		for i, ok := range r.ready {
+			if ok && (!r.staged || r.d.level[i] == r.level) {
+				r.ready[i] = false
+				return i, true
+			}
+		}
+		r.cond.Wait()
+	}
+	return 0, false
+}
+
+// done marks node i complete, readying the successors it was the last
+// predecessor of and, when staged, releasing the next level once this one
+// has drained.
+func (r *readySet) done(i int) {
+	r.mu.Lock()
+	r.left--
+	for _, succ := range r.d.succs[i] {
+		if r.indeg[succ]--; r.indeg[succ] == 0 {
+			r.ready[succ] = true
+		}
+	}
+	if r.staged {
+		if r.open--; r.open == 0 {
+			r.level++
+			r.open = r.d.width(r.level)
+		}
+	}
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// halt stops handing out nodes; workers finish what they hold and return.
+func (r *readySet) halt() {
+	r.mu.Lock()
+	r.halted = true
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// run is the executor loop: workers (one for sequential mode, the widest
+// level for staged, opts.Workers for DAG; the caller is worker 0) take ready
+// nodes until the DAG is done or a step fails, and the report is assembled
+// from whatever ran.
+func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error {
+	n := d.Len()
+	workers := 1
+	switch mode {
+	case ModeStaged:
+		for l := 0; l < d.Levels(); l++ {
+			if k := d.width(l); k > workers {
+				workers = k
+			}
+		}
+	case ModeDAG:
+		workers = opts.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if workers > n {
+			workers = n
+		}
+		if workers < 1 {
+			workers = 1
+		}
+	}
+	parent := opts.Context
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+
+	steps := make([]StepReport, n)
+	ran := make([]bool, n)
+	rs := newReadySet(d, mode == ModeStaged)
+	var (
+		errMu    sync.Mutex
+		firstErr error
+		firstIdx = n
+	)
+	work := func(worker int) {
+		for {
+			idx, ok := rs.take()
+			if !ok {
+				return
+			}
+			// Only the caller's context is consulted between steps: the
+			// derived one is cancelled by a sibling's failure, which must
+			// not be reported as this step's.
+			err := parent.Err()
+			if err == nil {
+				var step StepReport
+				if step, err = RunStep(ctx, w, d.Expr(idx), opts.Faults); err == nil {
+					step.Worker, step.Level = worker, d.level[idx]
+					steps[idx], ran[idx] = step, true
+					if opts.OnStep != nil {
+						err = opts.OnStep(idx, step)
+					}
+				}
+			}
+			if err != nil {
+				errMu.Lock()
+				if idx < firstIdx {
+					firstIdx, firstErr = idx, err
+				}
+				errMu.Unlock()
+				cancel()
+				rs.halt()
+				return
+			}
+			rs.done(idx)
+		}
+	}
 	start := time.Now()
-	for _, e := range s {
-		if ctx != nil && ctx.Err() != nil {
-			return rep, fmt.Errorf("exec: %s: %w", e, ctx.Err())
-		}
-		step, err := RunStep(ctx, w, e)
-		if err != nil {
-			return rep, fmt.Errorf("exec: %s: %w", e, err)
-		}
-		if _, ok := e.(strategy.Comp); ok {
-			rep.CompWork += step.Work
-		} else {
-			rep.InstWork += step.Work
-		}
-		rep.Steps = append(rep.Steps, step)
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			work(k)
+		}(k)
 	}
+	work(0)
+	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	if err := MarkSkippedStale(w, s, changed); err != nil {
-		return rep, err
+
+	nodeWork := make([]int64, n)
+	for i := range steps {
+		if !ran[i] {
+			continue
+		}
+		nodeWork[i] = steps[i].Work
+		if _, ok := d.Expr(i).(strategy.Comp); ok {
+			rep.CompWork += steps[i].Work
+		} else {
+			rep.InstWork += steps[i].Work
+		}
+		rep.Steps = append(rep.Steps, steps[i])
 	}
-	return rep, nil
+	rep.Sched = Schedule{
+		Mode: mode, Workers: workers, Levels: d.Levels(),
+		TotalWork:        rep.TotalWork(),
+		SpanWork:         d.spanWork(nodeWork),
+		CriticalPathWork: d.criticalPathWork(nodeWork),
+		Elapsed:          rep.Elapsed,
+	}
+	if firstErr != nil {
+		return fmt.Errorf("exec: %s: %w", d.Expr(firstIdx), firstErr)
+	}
+	return nil
 }
 
 // Validate checks a strategy against the correctness conditions (C1–C8)
@@ -303,10 +561,9 @@ func Validate(w *core.Warehouse, s strategy.Strategy) error {
 
 // MarkSkippedStale performs the deferred-maintenance bookkeeping after a
 // strategy has executed: a view whose underlying data changed but which the
-// strategy did not install is now stale. Every executor (sequential, staged,
-// DAG) must call this once its strategy completes, passing the ChangedViews
-// set captured *before* execution (installs clear the pending state the set
-// is derived from).
+// strategy did not install is now stale. Execute calls this once its
+// strategy completes, passing the ChangedViews set captured *before*
+// execution (installs clear the pending state the set is derived from).
 func MarkSkippedStale(w *core.Warehouse, s strategy.Strategy, changed map[string]bool) error {
 	deferred := w.EffectivelyDeferred()
 	installed := make(map[string]bool)
@@ -344,75 +601,4 @@ func ChangedViews(w *core.Warehouse) map[string]bool {
 		}
 	}
 	return changed
-}
-
-// Prepared is the stored-procedure analogue of Section 5.5: the compute and
-// install closures of a VDAG compiled once, so each update window only
-// decides sequencing. Procedures are keyed by expression key.
-type Prepared struct {
-	w     *core.Warehouse
-	procs map[string]func() (StepReport, error)
-}
-
-// Prepare compiles one procedure per 1-way expression of the warehouse's
-// VDAG: Comp(V, {c}) for every edge and Inst(V) for every view.
-func Prepare(w *core.Warehouse) (*Prepared, error) {
-	p := &Prepared{w: w, procs: make(map[string]func() (StepReport, error))}
-	for _, name := range w.ViewNames() {
-		name := name
-		inst := strategy.Inst{View: name}
-		p.procs[inst.Key()] = func() (StepReport, error) {
-			n, err := w.Install(name)
-			return StepReport{Expr: inst, Work: n}, err
-		}
-		for _, child := range w.Children(name) {
-			child := child
-			comp := strategy.Comp{View: name, Over: []string{child}}
-			p.procs[comp.Key()] = func() (StepReport, error) {
-				cr, err := w.Compute(name, []string{child})
-				return StepReport{
-					Expr: comp, Work: cr.OperandTuples, Terms: cr.Terms, Skipped: cr.Skipped,
-					CacheHits: cr.BuildCacheHits, CacheMisses: cr.BuildCacheMisses,
-					CacheTuplesSaved: cr.BuildTuplesSaved,
-					SharedHits:       cr.SharedHits, SharedMisses: cr.SharedMisses,
-					SharedTuplesSaved: cr.SharedTuplesSaved,
-					SpillCount:        cr.SpillCount,
-					SpilledBytes:      cr.SpilledBytes, SpillReReadBytes: cr.SpillReReadBytes,
-				}, err
-			}
-		}
-	}
-	return p, nil
-}
-
-// Call executes one prepared procedure by expression.
-func (p *Prepared) Call(e strategy.Expr) (StepReport, error) {
-	proc, ok := p.procs[e.Key()]
-	if !ok {
-		return StepReport{}, fmt.Errorf("exec: no prepared procedure for %s", e)
-	}
-	t0 := time.Now()
-	rep, err := proc()
-	rep.Elapsed = time.Since(t0)
-	return rep, err
-}
-
-// Run executes a 1-way strategy through the prepared procedures.
-func (p *Prepared) Run(s strategy.Strategy) (Report, error) {
-	rep := Report{Strategy: s}
-	start := time.Now()
-	for _, e := range s {
-		step, err := p.Call(e)
-		if err != nil {
-			return rep, fmt.Errorf("exec: %s: %w", e, err)
-		}
-		rep.Steps = append(rep.Steps, step)
-		if _, ok := e.(strategy.Comp); ok {
-			rep.CompWork += step.Work
-		} else {
-			rep.InstWork += step.Work
-		}
-	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
 }

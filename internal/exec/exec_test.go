@@ -137,36 +137,49 @@ func TestExecuteValidateRefusesIncorrect(t *testing.T) {
 	}
 }
 
-func TestPreparedMatchesExecute(t *testing.T) {
-	rngData, rngChanges := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))
-	w1 := newWarehouse(t, rngData)
-	stageRandomChanges(t, w1, rngChanges)
-	w2 := w1.Clone()
-
-	rep1, err := Execute(w1, oneWayStrategy(), Options{})
+// TestRunStepSkipsEmptyDeltas: with the footnote-5 option on, a Comp over a
+// quiet view is skipped with zero work while a Comp over a changed one runs.
+// (It took the place of the Prepared-procedure tests: Prepared was a second
+// executor loop; what it checked beyond this — work equal to Execute's — is
+// TestExecuteOneWay and TestMeasuredWorkMatchesLinearMetric.)
+func TestRunStepSkipsEmptyDeltas(t *testing.T) {
+	w := newWarehouse(t, rand.New(rand.NewSource(31)))
+	w.SetOptions(core.Options{SkipEmptyDeltas: true})
+	// Stage changes on R only; S stays quiet.
+	d := delta.New(schemaR)
+	d.Add(intRow(7, 10), 1)
+	if err := w.StageDelta("R", d); err != nil {
+		t.Fatal(err)
+	}
+	stepR, err := RunStep(nil, w, strategy.Comp{View: "J", Over: []string{"R"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(w2)
+	if stepR.Skipped || stepR.Work == 0 {
+		t.Errorf("comp over changed R should run: %+v", stepR)
+	}
+	if _, err := RunStep(nil, w, strategy.Inst{View: "R"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	stepS, err := RunStep(nil, w, strategy.Comp{View: "J", Over: []string{"S"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := p.Run(oneWayStrategy())
-	if err != nil {
+	if !stepS.Skipped || stepS.Work != 0 {
+		t.Errorf("comp over quiet S should be skipped: %+v", stepS)
+	}
+	// Finish the window and verify.
+	rest := strategy.Strategy{
+		strategy.Inst{View: "S"},
+		strategy.Comp{View: "A", Over: []string{"J"}},
+		strategy.Inst{View: "J"},
+		strategy.Inst{View: "A"},
+	}
+	if _, err := Execute(w, rest, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if rep1.CompWork != rep2.CompWork || rep1.InstWork != rep2.InstWork {
-		t.Errorf("prepared run work differs: %s vs %s", rep1, rep2)
-	}
-	if err := w2.VerifyAll(); err != nil {
+	if err := w.VerifyAll(); err != nil {
 		t.Fatal(err)
-	}
-	// Prepared procedures only exist for 1-way expressions.
-	if _, err := p.Call(strategy.Comp{View: "J", Over: []string{"R", "S"}}); err == nil {
-		t.Errorf("2-way comp should have no prepared procedure")
-	}
-	if _, err := p.Run(dualStageStrategy()); err == nil {
-		t.Errorf("dual-stage run through prepared procedures should fail")
 	}
 }
 

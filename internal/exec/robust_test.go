@@ -1,4 +1,4 @@
-package parallel
+package exec
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/relation"
 	"repro/internal/strategy"
@@ -75,19 +74,17 @@ func newBombSetup(t *testing.T, bomb algebra.Expr) (*core.Warehouse, strategy.St
 	return w, s
 }
 
-var robustModes = []exec.Mode{exec.ModeSequential, exec.ModeStaged, exec.ModeDAG}
-
 // TestWorkerPanicBecomesError: a panicking operator inside any execution
 // mode's worker surfaces as an error naming the expression, with the panic
 // value's identity intact — never as a process crash.
 func TestWorkerPanicBecomesError(t *testing.T) {
-	for _, mode := range robustModes {
+	for _, mode := range allModes {
 		t.Run(string(mode), func(t *testing.T) {
 			boom := errors.New("boom")
 			bomb := &bombExpr{err: boom}
 			w, s := newBombSetup(t, bomb)
 			bomb.armed.Store(true)
-			_, err := Run(w, s, w.Children, mode, Options{Workers: 4, Validate: true})
+			_, err := Execute(w, s, Options{Mode: mode, Workers: 4, Validate: true})
 			if err == nil {
 				t.Fatal("panicking operator did not fail the run")
 			}
@@ -105,12 +102,12 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 // boundaries in every mode, including panic-flavoured ones, and stay
 // recognizable through the scheduler's wrapping.
 func TestInjectedStepFaults(t *testing.T) {
-	for _, mode := range robustModes {
+	for _, mode := range allModes {
 		t.Run(string(mode)+"/fail", func(t *testing.T) {
 			w, s := newBombSetup(t, nil)
 			inj := faults.New(1)
 			inj.FailAt("step", 2)
-			_, err := Run(w, s, w.Children, mode, Options{Workers: 4, Validate: true, Faults: inj})
+			_, err := Execute(w, s, Options{Mode: mode, Workers: 4, Validate: true, Faults: inj})
 			var f *faults.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("injected fault not surfaced: %v", err)
@@ -123,7 +120,7 @@ func TestInjectedStepFaults(t *testing.T) {
 			w, s := newBombSetup(t, nil)
 			inj := faults.New(1)
 			inj.PanicAt("step", 1)
-			_, err := Run(w, s, w.Children, mode, Options{Workers: 4, Validate: true, Faults: inj})
+			_, err := Execute(w, s, Options{Mode: mode, Workers: 4, Validate: true, Faults: inj})
 			var f *faults.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("injected panic not surfaced as fault: %v", err)
@@ -138,14 +135,14 @@ func TestInjectedStepFaults(t *testing.T) {
 // TestOnStepNotification: OnStep sees every completed step exactly once
 // with its strategy index, in every mode; an OnStep error fails the window.
 func TestOnStepNotification(t *testing.T) {
-	for _, mode := range robustModes {
+	for _, mode := range allModes {
 		t.Run(string(mode), func(t *testing.T) {
 			w, s := newBombSetup(t, nil)
 			var mu sync.Mutex
 			seen := make(map[int]string)
-			_, err := Run(w, s, w.Children, mode, Options{
+			_, err := Execute(w, s, Options{Mode: mode,
 				Workers: 4, Validate: true,
-				OnStep: func(idx int, step exec.StepReport) error {
+				OnStep: func(idx int, step StepReport) error {
 					mu.Lock()
 					seen[idx] = step.Expr.Key()
 					mu.Unlock()
@@ -167,9 +164,9 @@ func TestOnStepNotification(t *testing.T) {
 		t.Run(string(mode)+"/error", func(t *testing.T) {
 			w, s := newBombSetup(t, nil)
 			boom := errors.New("journal full")
-			_, err := Run(w, s, w.Children, mode, Options{
+			_, err := Execute(w, s, Options{Mode: mode,
 				Workers: 4, Validate: true,
-				OnStep: func(idx int, step exec.StepReport) error { return boom },
+				OnStep: func(idx int, step StepReport) error { return boom },
 			})
 			if !errors.Is(err, boom) {
 				t.Fatalf("OnStep error did not fail the run: %v", err)
@@ -183,13 +180,13 @@ func TestOnStepNotification(t *testing.T) {
 func TestCancelledContextStopsModes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range robustModes {
+	for _, mode := range allModes {
 		t.Run(string(mode), func(t *testing.T) {
 			w, s := newBombSetup(t, nil)
 			var steps atomic.Int64
-			_, err := Run(w, s, w.Children, mode, Options{
+			_, err := Execute(w, s, Options{Mode: mode,
 				Workers: 4, Validate: true, Context: ctx,
-				OnStep: func(int, exec.StepReport) error { steps.Add(1); return nil },
+				OnStep: func(int, StepReport) error { steps.Add(1); return nil },
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)

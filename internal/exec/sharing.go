@@ -7,11 +7,9 @@ import (
 )
 
 // This file bridges the planner's static sharing analysis to the executor's
-// window-wide shared-result registry: every executor entry point (sequential
-// Execute here, the staged/DAG scheduler in internal/parallel) attaches a
-// registry seeded from planner.AnalyzeSharing before its first step and
-// detaches it — harvesting the transient-footprint stats — when the window
-// ends.
+// window-wide shared-result registry: Execute attaches a registry seeded
+// from planner.AnalyzeSharing before its first step and detaches it —
+// harvesting the transient-footprint stats — when the window ends.
 
 // RefsOf adapts a warehouse catalog to the reference function
 // planner.AnalyzeSharing expects: the FROM-clause view list of each derived

@@ -532,22 +532,19 @@ func Parallel(cfg Config) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		plan := parallelize(run, v.s)
-		t0 := time.Now()
-		rep, err := parallelExecute(run, plan)
+		rep, err := exec.Execute(run.W, v.s, exec.Options{Mode: exec.ModeStaged})
 		if err != nil {
 			return res, err
 		}
-		elapsed := time.Since(t0)
 		if err := run.W.VerifyAll(); err != nil {
 			return res, err
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:     fmt.Sprintf("%s stages=%d", v.label, plan.Stages()),
-			Work:      rep.TotalWork,
-			Elapsed:   elapsed,
-			Predicted: float64(rep.SpanWork),
-			Marker:    fmt.Sprintf("speedup=%.2f", rep.Speedup()),
+			Label:     fmt.Sprintf("%s stages=%d", v.label, rep.Sched.Levels),
+			Work:      rep.TotalWork(),
+			Elapsed:   rep.Elapsed,
+			Predicted: float64(rep.Sched.SpanWork),
+			Marker:    fmt.Sprintf("speedup=%.2f", rep.Sched.Speedup()),
 		})
 	}
 	res.Notes = append(res.Notes,

@@ -242,13 +242,13 @@ func TestSharedCompShape(t *testing.T) {
 				on.Label, on.Work, off.Work)
 		}
 		var hits, total int
-		var saved, peak int64
+		var saved, cacheSaved, peak int64
 		var frac, speedup float64
-		if _, err := fmt.Sscanf(on.Marker, "shared %d/%d saved=%d (%f%% of comp work) peakB=%d speedup=%f",
-			&hits, &total, &saved, &frac, &peak, &speedup); err != nil {
+		if _, err := fmt.Sscanf(on.Marker, "shared %d/%d saved=%d cache-saved=%d (%f%% of comp work elided) peakB=%d speedup=%f",
+			&hits, &total, &saved, &cacheSaved, &frac, &peak, &speedup); err != nil {
 			t.Fatalf("%s: bad marker %q: %v", on.Label, on.Marker, err)
 		}
-		if hits == 0 || saved == 0 || peak == 0 {
+		if hits == 0 || saved == 0 || cacheSaved == 0 || peak == 0 {
 			t.Errorf("%s: sharing never engaged: %s", on.Label, on.Marker)
 		}
 		if frac < 25 {

@@ -55,7 +55,7 @@ func FaultTolerance(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Rows = append(res.Rows, Row{
-		Label: "unjournaled", Work: base.Report.TotalWork,
+		Label: "unjournaled", Work: base.Report.TotalWork(),
 		Elapsed: base.Report.Elapsed, Predicted: -1,
 	})
 
@@ -68,7 +68,7 @@ func FaultTolerance(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Rows = append(res.Rows, Row{
-		Label: "journaled", Work: jr.Report.TotalWork, Elapsed: jr.Report.Elapsed,
+		Label: "journaled", Work: jr.Report.TotalWork(), Elapsed: jr.Report.Elapsed,
 		Predicted: -1, Marker: fmt.Sprintf("journal: %d bytes", jbuf.Len()),
 	})
 
@@ -95,11 +95,11 @@ func FaultTolerance(cfg Config) (Result, error) {
 		return res, err
 	}
 	marker := fmt.Sprintf("%d/%d steps survived the crash", crashAt-1, len(s))
-	if rec.Report.TotalWork != base.Report.TotalWork {
-		marker = fmt.Sprintf("WORK MISMATCH: %d vs %d", rec.Report.TotalWork, base.Report.TotalWork)
+	if rec.Report.TotalWork() != base.Report.TotalWork() {
+		marker = fmt.Sprintf("WORK MISMATCH: %d vs %d", rec.Report.TotalWork(), base.Report.TotalWork())
 	}
 	res.Rows = append(res.Rows, Row{
-		Label: fmt.Sprintf("crash@%d + recover", crashAt), Work: rec.Report.TotalWork,
+		Label: fmt.Sprintf("crash@%d + recover", crashAt), Work: rec.Report.TotalWork(),
 		Elapsed: rec.Report.Elapsed, Predicted: -1, Marker: marker,
 	})
 
@@ -114,7 +114,7 @@ func FaultTolerance(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Rows = append(res.Rows, Row{
-		Label: "2 transient faults + retry", Work: tr.Report.TotalWork,
+		Label: "2 transient faults + retry", Work: tr.Report.TotalWork(),
 		Elapsed: tr.Report.Elapsed, Predicted: -1,
 		Marker: fmt.Sprintf("%d attempts", tr.Attempts),
 	})
@@ -136,7 +136,7 @@ func FaultTolerance(cfg Config) (Result, error) {
 	// The step-level linear metric only sees the installs: RefreshAll's
 	// re-derivation is unmetered. Count the re-derived rows so the bar is
 	// comparable.
-	recompWork := rc.Report.TotalWork
+	recompWork := rc.Report.TotalWork()
 	for _, name := range rc.Core.ViewNames() {
 		if !rc.Core.View(name).IsBase() {
 			recompWork += int64(rc.Core.View(name).Cardinality())
@@ -150,9 +150,9 @@ func FaultTolerance(cfg Config) (Result, error) {
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("recovered window replays to the same total work as the uninterrupted one (%d)",
-			base.Report.TotalWork),
+			base.Report.TotalWork()),
 		fmt.Sprintf("recompute / incremental work ratio: %.2f at SF=%g — recomputation scales with state size, incremental maintenance with change size; the gap widens as the warehouse grows",
-			float64(recompWork)/float64(base.Report.TotalWork), cfg.SF),
+			float64(recompWork)/float64(base.Report.TotalWork()), cfg.SF),
 	)
 	return res, nil
 }

@@ -5,21 +5,10 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/parallel"
 	"repro/internal/planner"
 	"repro/internal/strategy"
 	"repro/internal/tpcd"
 )
-
-// parallelize stages a strategy for the TPC-D warehouse.
-func parallelize(tw *tpcd.Warehouse, s strategy.Strategy) parallel.Plan {
-	return parallel.Parallelize(s, tw.W.Children)
-}
-
-// parallelExecute runs a staged plan on the TPC-D warehouse.
-func parallelExecute(tw *tpcd.Warehouse, p parallel.Plan) (parallel.Report, error) {
-	return parallel.Execute(tw.W, p)
-}
 
 // stagedVsDAGWorkers is the bounded pool the DAG rows run with (the
 // acceptance configuration of the barrier-free scheduler).
@@ -73,15 +62,13 @@ func StagedVsDAG(cfg Config) (Result, error) {
 			{"dual-stage", strategy.DualStageVDAG(tw.Graph)},
 		} {
 			for _, mode := range []exec.Mode{exec.ModeStaged, exec.ModeDAG} {
-				var best parallel.Report
+				var best exec.Schedule
 				for trial := 0; trial < 3; trial++ {
 					run, err := mkWarehouse()
 					if err != nil {
 						return res, err
 					}
-					rep, err := parallel.Run(run.W, v.s, run.W.Children, mode, parallel.Options{
-						Workers: stagedVsDAGWorkers,
-					})
+					rep, err := exec.Execute(run.W, v.s, exec.Options{Mode: mode, Workers: stagedVsDAGWorkers})
 					if err != nil {
 						return res, err
 					}
@@ -91,7 +78,7 @@ func StagedVsDAG(cfg Config) (Result, error) {
 						}
 					}
 					if trial == 0 || rep.Elapsed < best.Elapsed {
-						best = rep
+						best = rep.Sched
 					}
 				}
 				// The window bound the mode targets: the chain of stage

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
-	"repro/internal/parallel"
 	"repro/internal/planner"
 	"repro/internal/strategy"
 	"repro/internal/tpcd"
@@ -109,37 +108,20 @@ func SharedPlan(cfg Config) (Result, error) {
 // runSharedPlanLeg executes s on w under mode and returns the modeled total
 // work, the physical compute scans, and the row's measured fields.
 func runSharedPlanLeg(w *core.Warehouse, s strategy.Strategy, mode exec.Mode) (work, physical int64, row Row, err error) {
-	var steps []exec.StepReport
-	if mode == exec.ModeSequential {
-		rep, rerr := exec.Execute(w, s, exec.Options{})
-		if rerr != nil {
-			return 0, 0, row, rerr
-		}
-		steps = rep.Steps
-		work = rep.TotalWork()
-		row.Elapsed = rep.Elapsed
-	} else {
-		rep, rerr := parallel.Run(w, s, w.Children, mode, parallel.Options{Workers: sharedCompWorkers})
-		if rerr != nil {
-			return 0, 0, row, rerr
-		}
-		for _, stage := range rep.Steps {
-			steps = append(steps, stage...)
-		}
-		work = rep.TotalWork
-		row.Elapsed = rep.Elapsed
+	rep, err := exec.Execute(w, s, exec.Options{Mode: mode, Workers: sharedCompWorkers})
+	if err != nil {
+		return 0, 0, row, err
 	}
-	var compWork, saved int64
+	work = rep.TotalWork()
+	row.Elapsed = rep.Elapsed
+	var saved int64
 	var hits, misses int
-	for _, step := range steps {
-		if _, ok := step.Expr.(strategy.Comp); ok {
-			compWork += step.Work
-		}
+	for _, step := range rep.Steps {
 		saved += step.SharedTuplesSaved + step.CacheTuplesSaved
 		hits += step.SharedHits
 		misses += step.SharedMisses
 	}
-	physical = compWork - saved
+	physical = rep.CompWork - saved
 	if err := w.VerifyAll(); err != nil {
 		return 0, 0, row, fmt.Errorf("%s: %w", mode, err)
 	}

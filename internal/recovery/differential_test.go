@@ -213,21 +213,24 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	if testing.Short() {
 		trials = 12
 	}
+	// Legs are mode × sharing; scheduler workers and the term engine's width
+	// are drawn per leg. (The "term-parallel" leg — sequential scheduling
+	// with ParallelTerms — went with the second evaluator it selected: width
+	// is now a number every leg draws, and the "sequential" leg covers that
+	// combination whenever it draws a width above 1.)
 	modes := []struct {
-		name     string
-		mode     exec.Mode
-		parTerms bool
-		share    bool
+		name  string
+		mode  exec.Mode
+		share bool
 	}{
-		{"sequential", exec.ModeSequential, false, false},
-		{"staged", exec.ModeStaged, false, false},
-		{"dag", exec.ModeDAG, false, false},
-		{"term-parallel", exec.ModeSequential, true, false},
+		{"sequential", exec.ModeSequential, false},
+		{"staged", exec.ModeStaged, false},
+		{"dag", exec.ModeDAG, false},
 		// Window-wide shared computation: crashes must not leak the transient
 		// registry, and a sharing-off recovery of a sharing-on window must
 		// replay to identical digests (sharing elides scans, not results).
-		{"shared", exec.ModeSequential, false, true},
-		{"shared-dag", exec.ModeDAG, false, true},
+		{"shared", exec.ModeSequential, true},
+		{"shared-dag", exec.ModeDAG, true},
 	}
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(20260806 + trial)
@@ -261,10 +264,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		useIndexes := rng.Intn(3) == 0
 
 		for mi, m := range modes {
-			co := core.Options{SkipEmptyDeltas: skipEmpty, UseIndexes: useIndexes, ShareComputation: m.share}
-			if m.parTerms {
-				co.ParallelTerms = true
-				co.Workers = 1 + rng.Intn(4)
+			width := 1 + rng.Intn(4)
+			co := core.Options{
+				SkipEmptyDeltas: skipEmpty, UseIndexes: useIndexes, ShareComputation: m.share,
+				ParallelTerms: width > 1, Workers: width,
 			}
 			workers := 1 + rng.Intn(4)
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/parallel"
 	"repro/internal/retry"
 	"repro/internal/strategy"
 )
@@ -92,7 +91,7 @@ type Options struct {
 // attempt's clone — the caller adopts it), Report the execution measurements.
 type Result struct {
 	Core   *core.Warehouse
-	Report parallel.Report
+	Report exec.Report
 	// Mode is how the committed attempt actually ran — it differs from
 	// Options.Mode after degradation.
 	Mode exec.Mode
@@ -183,7 +182,7 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		}
 		if opts.FallbackRecompute {
 			res.Attempts++
-			rep, clone, rerr := runRecompute(w, s, opts)
+			rep, clone, rerr := runAttempt(w, s, exec.ModeRecompute, opts)
 			if rerr == nil {
 				res.Recomputed = true
 				res.Core, res.Report, res.Mode = clone, rep, exec.ModeRecompute
@@ -233,35 +232,33 @@ func stepRecord(idx int, step exec.StepReport) journal.StepRecord {
 	}
 }
 
-// runAttempt executes one journaled attempt on a fresh clone. Failures
-// append an abort record — unless they are crash-class, in which case the
-// journal is left exactly as a killed process would leave it.
-func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (parallel.Report, *core.Warehouse, error) {
+// runAttempt executes one journaled attempt on a fresh clone: the strategy
+// under mode, or — for ModeRecompute, the graceful-degradation attempt — an
+// install of the staged base deltas and a rebuild of every derived view,
+// whose journal window has no step records (recovery of an in-flight
+// recompute window simply redoes the whole recompute). Failures append an
+// abort record — unless they are crash-class, in which case the journal is
+// left exactly as a killed process would leave it.
+func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (exec.Report, *core.Warehouse, error) {
 	clone := w.Clone()
 	jw := opts.Journal
 	if jw != nil {
 		b, err := beginRecord(w, s, mode, opts)
 		if err != nil {
-			return parallel.Report{}, nil, err
+			return exec.Report{}, nil, err
 		}
 		if err := jw.Begin(b); err != nil {
-			return parallel.Report{}, nil, err
+			return exec.Report{}, nil, err
 		}
 	}
-	popts := parallel.Options{
-		Workers:  opts.Workers,
-		Context:  opts.Context,
-		Validate: opts.Validate,
-		Faults:   opts.Faults,
-		SpillDir: opts.SpillDir,
-	}
+	var onStep func(int, exec.StepReport) error
 	if jw != nil {
-		popts.OnStep = func(idx int, step exec.StepReport) error {
+		onStep = func(idx int, step exec.StepReport) error {
 			return jw.Step(stepRecord(idx, step))
 		}
 	}
 	t0 := time.Now()
-	rep, err := parallel.Run(clone, s, clone.Children, mode, popts)
+	rep, err := execute(clone, s, mode, opts, onStep)
 	if err != nil {
 		if jw != nil && !isCrash(err, opts.Faults) {
 			_ = jw.Abort(journal.AbortRecord{Reason: err.Error()})
@@ -269,44 +266,36 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 		return rep, nil, err
 	}
 	if jw != nil {
-		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork, time.Since(t0).Nanoseconds())); cerr != nil {
+		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork(), time.Since(t0).Nanoseconds())); cerr != nil {
 			return rep, nil, cerr
 		}
 	}
 	return rep, clone, nil
 }
 
-// runRecompute is the graceful-degradation attempt: install the staged base
-// deltas and rebuild every derived view from scratch on a fresh clone. Its
-// journal window has no step records — recovery of an in-flight recompute
-// window simply redoes the whole recompute.
-func runRecompute(w *core.Warehouse, s strategy.Strategy, opts Options) (parallel.Report, *core.Warehouse, error) {
-	clone := w.Clone()
-	jw := opts.Journal
-	if jw != nil {
-		b, err := beginRecord(w, s, exec.ModeRecompute, opts)
-		if err != nil {
-			return parallel.Report{}, nil, err
-		}
-		if err := jw.Begin(b); err != nil {
-			return parallel.Report{}, nil, err
-		}
+// execute runs a window's strategy on w — through the executor, or through
+// recomputeAll for ModeRecompute, whose report carries the installed base
+// rows as its only work.
+func execute(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options, onStep func(int, exec.StepReport) error) (exec.Report, error) {
+	if mode != exec.ModeRecompute {
+		return exec.Execute(w, s, exec.Options{
+			Mode:     mode,
+			Workers:  opts.Workers,
+			Context:  opts.Context,
+			Validate: opts.Validate,
+			OnStep:   onStep,
+			Faults:   opts.Faults,
+			SpillDir: opts.SpillDir,
+		})
 	}
 	t0 := time.Now()
-	work, err := recomputeAll(clone, opts.Faults)
+	work, err := recomputeAll(w, opts.Faults)
 	if err != nil {
-		if jw != nil && !isCrash(err, opts.Faults) {
-			_ = jw.Abort(journal.AbortRecord{Reason: err.Error()})
-		}
-		return parallel.Report{}, nil, err
+		return exec.Report{}, err
 	}
-	rep := parallel.Report{Mode: exec.ModeRecompute, Workers: 1, TotalWork: work, Elapsed: time.Since(t0)}
-	if jw != nil {
-		if cerr := jw.Commit(commitRecord(opts, work, rep.Elapsed.Nanoseconds())); cerr != nil {
-			return rep, nil, cerr
-		}
-	}
-	return rep, clone, nil
+	rep := exec.Report{Strategy: s, InstWork: work, Elapsed: time.Since(t0)}
+	rep.Sched = exec.Schedule{Mode: exec.ModeRecompute, Workers: 1, TotalWork: work, Elapsed: rep.Elapsed}
+	return rep, nil
 }
 
 // recomputeAll installs every pending base delta and refreshes every derived
@@ -333,134 +322,31 @@ func recomputeAll(w *core.Warehouse, inj *faults.Injector) (int64, error) {
 	return work, nil
 }
 
-// Replay re-executes one committed journaled window against w — the
-// follower's half of journal shipping. Where Recover finishes a window whose
-// log is torn, Replay applies a window whose log is complete: the leader
-// already committed it, so every step record is present and the replica's
-// re-execution is pure verification. The pre-window state digest proves the
-// replica is at the same epoch the leader was, the batch digest proves the
-// shipped change batch survived transit, and every replayed step must match
-// its journaled key, work, skip flag, and installed-delta digest. Nothing is
-// journaled here — the shipped bytes are the replica's journal. The completed
-// clone comes back in Result.Core for the caller to adopt.
-func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
-	if wl == nil || !wl.Committed() {
-		return nil, errors.New("recovery: replay requires a committed window")
-	}
+// replay re-executes one journaled window against w and is everything
+// Recover and Replay do: w must be at the window's pre-state (the begin
+// record's state digest verifies this, the batch digest that the change
+// batch is intact), the journaled change batch is re-staged on a clone, and
+// the journaled strategy re-executed under the journaled work-affecting
+// options. Every step the log holds a record for is verified against it —
+// key, work, skip flag, installed-delta digest — turning silent divergence
+// into a hard error. What happens to the rest depends on the log:
+//
+//   - A committed window (a shipped window on a replica) must hold a record
+//     for every step, its total work must match the commit record, and
+//     nothing is journaled — the shipped bytes are the replica's journal.
+//   - An in-flight window (a crash) gets its missing steps and its commit
+//     appended through opts.Journal, or an abort if the replay fails.
+//
+// The completed clone comes back in Result.Core for the caller to adopt.
+func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
 	b := wl.Begin
+	committed := wl.Committed()
+	jw := opts.Journal
+	if committed {
+		jw = nil
+	}
 	if got := journal.StateDigest(w); b.StateDigest != 0 && got != b.StateDigest {
-		return nil, fmt.Errorf("recovery: replica state digest %016x does not match window %d's pre-state %016x — replica diverged or skipped a window",
-			got, b.Seq, b.StateDigest)
-	}
-	if got := journal.BatchDigest(b.Batch); got != b.BatchDigest {
-		return nil, fmt.Errorf("recovery: window %d's shipped change batch digests to %016x, journaled %016x — corrupt in transit",
-			b.Seq, got, b.BatchDigest)
-	}
-	clone := w.Clone()
-	co := clone.Options()
-	co.SkipEmptyDeltas = b.SkipEmptyDeltas
-	co.UseIndexes = b.UseIndexes
-	clone.SetOptions(co)
-	if err := journal.RestoreBatch(clone, b.Batch); err != nil {
-		return nil, fmt.Errorf("recovery: re-staging window %d's shipped batch: %w", b.Seq, err)
-	}
-
-	res := &Result{Replayed: true, Attempts: 1}
-	t0 := time.Now()
-
-	if exec.Mode(b.Mode) == exec.ModeRecompute {
-		work, err := recomputeAll(clone, opts.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: replaying recompute window %d: %w", b.Seq, err)
-		}
-		if work != wl.Commit.TotalWork {
-			return nil, fmt.Errorf("recovery: recompute window %d replayed %d work, leader committed %d",
-				b.Seq, work, wl.Commit.TotalWork)
-		}
-		res.Core = clone
-		res.Mode = exec.ModeRecompute
-		res.Recomputed = true
-		res.Report = parallel.Report{Mode: exec.ModeRecompute, Workers: 1, TotalWork: work, Elapsed: time.Since(t0)}
-		return res, nil
-	}
-
-	mode, err := exec.ParseMode(b.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: window %d: %w", b.Seq, err)
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = b.Workers
-	}
-	done := make(map[int]journal.StepRecord, len(wl.Steps))
-	for _, sr := range wl.Steps {
-		done[sr.Index] = sr
-	}
-	if len(done) != len(b.Strategy) {
-		return nil, fmt.Errorf("recovery: committed window %d ships %d distinct step records for a %d-step strategy",
-			b.Seq, len(done), len(b.Strategy))
-	}
-	popts := parallel.Options{
-		Workers:  workers,
-		Context:  opts.Context,
-		Faults:   opts.Faults,
-		SpillDir: opts.SpillDir,
-		OnStep: func(idx int, step exec.StepReport) error {
-			sr, ok := done[idx]
-			if !ok {
-				return fmt.Errorf("recovery: window %d shipped no record for step %d (%s)", b.Seq, idx, step.Expr.Key())
-			}
-			if sr.Key != step.Expr.Key() {
-				return fmt.Errorf("recovery: window %d step %d is %s on the leader, %s on the replica",
-					b.Seq, idx, sr.Key, step.Expr.Key())
-			}
-			if sr.Skipped != step.Skipped || sr.Work != step.Work {
-				return fmt.Errorf("recovery: replica diverged at window %d step %d (%s): leader work=%d skipped=%v, replica work=%d skipped=%v",
-					b.Seq, idx, sr.Key, sr.Work, sr.Skipped, step.Work, step.Skipped)
-			}
-			if sr.Digest != 0 && step.Digest != 0 && sr.Digest != step.Digest {
-				return fmt.Errorf("recovery: replica diverged at window %d step %d (%s): leader delta digest %016x, replica %016x",
-					b.Seq, idx, sr.Key, sr.Digest, step.Digest)
-			}
-			return nil
-		},
-	}
-	rep, err := parallel.Run(clone, b.Strategy, clone.Children, mode, popts)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: replaying window %d: %w", b.Seq, err)
-	}
-	if rep.TotalWork != wl.Commit.TotalWork {
-		return nil, fmt.Errorf("recovery: window %d replayed %d total work, leader committed %d",
-			b.Seq, rep.TotalWork, wl.Commit.TotalWork)
-	}
-	res.Core = clone
-	res.Report = rep
-	res.Mode = mode
-	return res, nil
-}
-
-// NeedsRecovery reports whether the journal ends in an in-flight window —
-// a begin without commit or abort, the on-disk signature of a crash.
-func NeedsRecovery(lg *journal.Log) bool {
-	return lg != nil && lg.InFlight() != nil
-}
-
-// Recover completes the journal's in-flight window. w must be the warehouse
-// restored from the pre-window snapshot (the begin record's state digest
-// verifies this). The journaled change batch is re-staged on a clone, the
-// journaled strategy re-executed under the journaled work-affecting options;
-// steps the crashed run completed are verified (key, work, installed-delta
-// digest) rather than re-journaled, missing steps and the commit are
-// appended through opts.Journal. The completed clone comes back in
-// Result.Core for the caller to adopt.
-func Recover(w *core.Warehouse, lg *journal.Log, opts Options) (*Result, error) {
-	if lg == nil || lg.InFlight() == nil {
-		return nil, errors.New("recovery: journal has no in-flight window")
-	}
-	wl := lg.InFlight()
-	b := wl.Begin
-	if got := journal.StateDigest(w); b.StateDigest != 0 && got != b.StateDigest {
-		return nil, fmt.Errorf("recovery: restored state digest %016x does not match window %d's journaled pre-state %016x — wrong snapshot",
+		return nil, fmt.Errorf("recovery: state digest %016x does not match window %d's journaled pre-state %016x — wrong snapshot, or a replica that diverged or skipped a window",
 			got, b.Seq, b.StateDigest)
 	}
 	if got := journal.BatchDigest(b.Batch); got != b.BatchDigest {
@@ -476,82 +362,103 @@ func Recover(w *core.Warehouse, lg *journal.Log, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("recovery: re-staging window %d's batch: %w", b.Seq, err)
 	}
 
-	jw := opts.Journal
-	res := &Result{Recovered: true, Attempts: 1}
-	t0 := time.Now()
-
-	if exec.Mode(b.Mode) == exec.ModeRecompute {
-		work, err := recomputeAll(clone, opts.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: redoing recompute window %d: %w", b.Seq, err)
+	mode := exec.Mode(b.Mode)
+	if mode != exec.ModeRecompute {
+		var err error
+		if mode, err = exec.ParseMode(b.Mode); err != nil {
+			return nil, fmt.Errorf("recovery: window %d: %w", b.Seq, err)
 		}
-		if jw != nil {
-			if cerr := jw.Commit(commitRecord(opts, work, time.Since(t0).Nanoseconds())); cerr != nil {
-				return nil, cerr
-			}
-		}
-		res.Core = clone
-		res.Mode = exec.ModeRecompute
-		res.Recomputed = true
-		res.Report = parallel.Report{Mode: exec.ModeRecompute, Workers: 1, TotalWork: work, Elapsed: time.Since(t0)}
-		return res, nil
 	}
-
-	mode, err := exec.ParseMode(b.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: window %d: %w", b.Seq, err)
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = b.Workers
+	if opts.Workers == 0 {
+		opts.Workers = b.Workers
 	}
 	done := make(map[int]journal.StepRecord, len(wl.Steps))
 	for _, sr := range wl.Steps {
 		done[sr.Index] = sr
 	}
-	popts := parallel.Options{
-		Workers:  workers,
-		Context:  opts.Context,
-		Faults:   opts.Faults,
-		SpillDir: opts.SpillDir,
-		OnStep: func(idx int, step exec.StepReport) error {
-			if sr, ok := done[idx]; ok {
-				// The crashed run completed this step — verify the replay
-				// reproduced it instead of re-journaling it.
-				if sr.Key != step.Expr.Key() {
-					return fmt.Errorf("recovery: journaled step %d is %s, strategy step %d is %s",
-						idx, sr.Key, idx, step.Expr.Key())
-				}
-				if sr.Skipped != step.Skipped || sr.Work != step.Work {
-					return fmt.Errorf("recovery: replay diverged at step %d (%s): journaled work=%d skipped=%v, replayed work=%d skipped=%v",
-						idx, sr.Key, sr.Work, sr.Skipped, step.Work, step.Skipped)
-				}
-				if sr.Digest != 0 && step.Digest != 0 && sr.Digest != step.Digest {
-					return fmt.Errorf("recovery: replay diverged at step %d (%s): journaled delta digest %016x, replayed %016x",
-						idx, sr.Key, sr.Digest, step.Digest)
-				}
-				return nil
-			}
-			if jw == nil {
-				return nil
-			}
-			return jw.Step(stepRecord(idx, step))
-		},
+	if committed && mode != exec.ModeRecompute && len(done) != len(b.Strategy) {
+		return nil, fmt.Errorf("recovery: committed window %d ships %d distinct step records for a %d-step strategy",
+			b.Seq, len(done), len(b.Strategy))
 	}
-	rep, err := parallel.Run(clone, b.Strategy, clone.Children, mode, popts)
+	onStep := func(idx int, step exec.StepReport) error {
+		sr, ok := done[idx]
+		switch {
+		case ok:
+			// The journaled run completed this step — verify the replay
+			// reproduced it instead of re-journaling it.
+			if sr.Key != step.Expr.Key() {
+				return fmt.Errorf("recovery: window %d step %d is journaled as %s, replayed as %s",
+					b.Seq, idx, sr.Key, step.Expr.Key())
+			}
+			if sr.Skipped != step.Skipped || sr.Work != step.Work {
+				return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled work=%d skipped=%v, replayed work=%d skipped=%v",
+					b.Seq, idx, sr.Key, sr.Work, sr.Skipped, step.Work, step.Skipped)
+			}
+			if sr.Digest != 0 && step.Digest != 0 && sr.Digest != step.Digest {
+				return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled delta digest %016x, replayed %016x",
+					b.Seq, idx, sr.Key, sr.Digest, step.Digest)
+			}
+			return nil
+		case jw != nil:
+			return jw.Step(stepRecord(idx, step))
+		}
+		return nil
+	}
+	t0 := time.Now()
+	rep, err := execute(clone, b.Strategy, mode, opts, onStep)
 	if err != nil {
 		if jw != nil && !isCrash(err, opts.Faults) {
 			_ = jw.Abort(journal.AbortRecord{Reason: "recovery failed: " + err.Error()})
 		}
 		return nil, fmt.Errorf("recovery: replaying window %d: %w", b.Seq, err)
 	}
+	if committed && rep.TotalWork() != wl.Commit.TotalWork {
+		return nil, fmt.Errorf("recovery: window %d replayed %d total work, leader committed %d",
+			b.Seq, rep.TotalWork(), wl.Commit.TotalWork)
+	}
 	if jw != nil {
-		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork, time.Since(t0).Nanoseconds())); cerr != nil {
+		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork(), time.Since(t0).Nanoseconds())); cerr != nil {
 			return nil, cerr
 		}
 	}
-	res.Core = clone
-	res.Report = rep
-	res.Mode = mode
+	return &Result{Core: clone, Report: rep, Mode: mode, Attempts: 1, Recomputed: mode == exec.ModeRecompute}, nil
+}
+
+// Replay re-executes one committed journaled window against w — the
+// follower's half of journal shipping: the leader already committed it, so
+// every step record is present and the replica's re-execution is pure
+// verification (see replay).
+func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
+	if wl == nil || !wl.Committed() {
+		return nil, errors.New("recovery: replay requires a committed window")
+	}
+	res, err := replay(w, wl, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Replayed = true
+	return res, nil
+}
+
+// NeedsRecovery reports whether the journal ends in an in-flight window —
+// a begin without commit or abort, the on-disk signature of a crash.
+func NeedsRecovery(lg *journal.Log) bool {
+	return lg != nil && lg.InFlight() != nil
+}
+
+// Recover completes the journal's in-flight window — one that begins but
+// never commits or aborts, the signature of a crash. w must be the warehouse
+// restored from the pre-window snapshot. Steps the crashed run completed are
+// verified rather than re-journaled; missing steps and the commit are
+// appended through opts.Journal (see replay).
+func Recover(w *core.Warehouse, lg *journal.Log, opts Options) (*Result, error) {
+	if lg == nil || lg.InFlight() == nil {
+		return nil, errors.New("recovery: journal has no in-flight window")
+	}
+	res, err := replay(w, lg.InFlight(), opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Recovered = true
 	return res, nil
 }

@@ -141,8 +141,8 @@ func TestRunCommitsAndAdopts(t *testing.T) {
 	if len(wl.Steps) != len(s) {
 		t.Fatalf("%d journaled steps, strategy has %d", len(wl.Steps), len(s))
 	}
-	if wl.Commit.TotalWork != res.Report.TotalWork {
-		t.Fatalf("journaled work %d, report %d", wl.Commit.TotalWork, res.Report.TotalWork)
+	if wl.Commit.TotalWork != res.Report.TotalWork() {
+		t.Fatalf("journaled work %d, report %d", wl.Commit.TotalWork, res.Report.TotalWork())
 	}
 }
 

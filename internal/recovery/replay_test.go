@@ -44,8 +44,8 @@ func TestReplayReproducesLeaderState(t *testing.T) {
 			t.Fatalf("mode %s: result not marked replayed: %+v", mode, res)
 		}
 		sameBags(t, "replayed "+string(mode), leaderBags, bags(t, res.Core))
-		if res.Report.TotalWork != wl.Commit.TotalWork {
-			t.Fatalf("mode %s: work %d vs committed %d", mode, res.Report.TotalWork, wl.Commit.TotalWork)
+		if res.Report.TotalWork() != wl.Commit.TotalWork {
+			t.Fatalf("mode %s: work %d vs committed %d", mode, res.Report.TotalWork(), wl.Commit.TotalWork)
 		}
 	}
 }

@@ -74,10 +74,8 @@ func TestSpillFaultTransientRetry(t *testing.T) {
 		t.Fatalf("spill fault should cost one retry, nothing more: %+v", res)
 	}
 	var spills int
-	for _, stage := range res.Report.Steps {
-		for _, step := range stage {
-			spills += step.SpillCount
-		}
+	for _, step := range res.Report.Steps {
+		spills += step.SpillCount
 	}
 	if spills == 0 {
 		t.Fatal("bounded fixture never spilled — the fault cannot have been on the spill path")

@@ -2,7 +2,7 @@ package replicate
 
 // Leader/follower differential harness. ~100 seeded trials (each a fresh
 // random leveled warehouse) run windows across sequential, DAG, and
-// term-parallel execution, shipping to 1–3 followers through real HTTP,
+// wide-engine DAG execution, shipping to 1–3 followers through real HTTP,
 // with injected disconnects, a slow follower that fetches only every other
 // window, deadline-aborted windows mid-stream, and follower crashes
 // mid-replay (rebuilt from the sources and caught up from offset zero).
@@ -146,8 +146,8 @@ func runReplicaTrial(t *testing.T, seed int64) {
 		stageRep(t, leader.Warehouse(), rng)
 		leader.Warehouse().SetMemoryBudget(leaderBudgets[win%len(leaderBudgets)])
 
-		// Execution shape: sequential, DAG, or term-parallel (the morsel
-		// engine under sequential or DAG scheduling). Occasionally a window
+		// Execution shape: sequential, DAG, or DAG with the term engine as
+		// wide as the scheduler's pool. Occasionally a window
 		// aborts on a nanosecond deadline before the real one commits —
 		// follower replication must ship the abort record harmlessly.
 		if rng.Intn(6) == 0 {
@@ -162,7 +162,7 @@ func runReplicaTrial(t *testing.T, seed int64) {
 			opts.Mode = warehouse.ModeSequential
 		case 1:
 			opts.Mode = warehouse.ModeDAG
-		default: // term-parallel
+		default: // both levels wide
 			opts.Mode = warehouse.ModeDAG
 			leader.Warehouse().SetParallelism(opts.Workers, true)
 		}

@@ -221,14 +221,9 @@ func queryRows(t *testing.T, w *warehouse.Warehouse, sql string) []string {
 // differential harness compares leader vs follower.
 func stepDigests(rep warehouse.WindowReport) map[string]uint64 {
 	out := make(map[string]uint64)
-	if rep.Parallel == nil {
-		return out
-	}
-	for _, stage := range rep.Parallel.Steps {
-		for _, s := range stage {
-			if !s.Skipped {
-				out[s.Expr.Key()] = s.Digest
-			}
+	for _, s := range rep.Report.Steps {
+		if !s.Skipped {
+			out[s.Expr.Key()] = s.Digest
 		}
 	}
 	return out

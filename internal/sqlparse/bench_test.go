@@ -1,10 +1,11 @@
 package sqlparse
 
-// Front-end microbenchmarks. BenchmarkTokenize is the zero-allocation
-// contract: after warmup (the token slice reaches steady-state capacity),
-// lexing must report 0 allocs/op — the CI baseline gate fails on any
-// regression. BenchmarkParseQuery is the cold path a plan-cache miss pays:
-// lex + parse + bind + validate, arena slabs handed off to the result.
+// Front-end microbenchmarks. BenchmarkTokenize times the lexer, whose
+// zero-allocation contract — after warmup (the token slice reaches
+// steady-state capacity), lexing allocates nothing —
+// TestTokenizeAllocatesNothing holds as an ordinary test.
+// BenchmarkParseQuery is the cold path a plan-cache miss pays: lex + parse +
+// bind + validate, arena slabs handed off to the result.
 
 import (
 	"fmt"
@@ -51,6 +52,20 @@ func BenchmarkTokenize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tokens), "tokens")
+}
+
+func TestTokenizeAllocatesNothing(t *testing.T) {
+	var lx lexer
+	if err := lx.lex(benchSQL); err != nil { // warmup: token slice reaches capacity
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := lx.lex(benchSQL); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("lexing %d tokens allocates %v times per run, want 0", len(lx.toks), n)
+	}
 }
 
 func BenchmarkParseQuery(b *testing.B) {

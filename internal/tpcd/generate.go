@@ -21,8 +21,8 @@ type Config struct {
 	// UseIndexes is passed through to the warehouse options.
 	UseIndexes bool
 	// ParallelTerms and Workers are passed through to the warehouse
-	// options: they enable the intra-Compute parallel engine and bound its
-	// shared worker pool.
+	// options: they widen the term engine's shared worker pool from 1 to
+	// Workers.
 	ParallelTerms bool
 	Workers       int
 	// ShareComputation and SharedBudgetBytes are passed through to the

@@ -142,9 +142,9 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// WindowOptions configure a robust update window (RunWindowOpts). The zero
-// value plans with MinWork and executes sequentially, unjournaled — the
-// same window RunWindow runs.
+// WindowOptions configure an update window (RunWindowOpts). The zero value
+// plans with MinWork and executes sequentially, unjournaled — the window
+// RunWindow runs.
 type WindowOptions struct {
 	// Planner selects the planning algorithm (MinWorkPlanner when empty).
 	Planner PlannerName
@@ -183,9 +183,9 @@ type WindowOptions struct {
 	BatchAccepted time.Time
 }
 
-// plan runs the named planner (shared by RunWindowMode and RunWindowOpts).
-// Non-shared planners clear any jointly-optimized hints a prior PlanShared
-// recorded, so the window's registry analyzes the strategy it actually runs.
+// plan runs the named planner. Non-shared planners clear any
+// jointly-optimized hints a prior PlanShared recorded, so the window's
+// registry analyzes the strategy it actually runs.
 func (w *Warehouse) plan(name PlannerName) (PlannerName, Plan, error) {
 	switch name {
 	case MinWorkPlanner, "":
@@ -208,12 +208,15 @@ func (w *Warehouse) plan(name PlannerName) (PlannerName, Plan, error) {
 	}
 }
 
-// RunWindowOpts executes one update window with the full robustness
-// machinery: journaled execution, retry with backoff, sequential and
-// recompute fallbacks, timeout. The window runs on a clone and the
-// warehouse adopts the result only on success, so a failed window —
-// including a crash-class fault — leaves the in-memory state untouched. On
-// a crash-class failure the journal is left in-flight for Recover.
+// RunWindowOpts executes one update window — the only window path: plan the
+// staged changes (StageDelta / StageDeltaCSV), validate, and execute under
+// the chosen mode with the full robustness machinery on request (journaled
+// execution, retry with backoff, sequential and recompute fallbacks,
+// timeout). The window runs on a copy-on-write clone and commits by an
+// atomic epoch flip, so concurrent readers see exactly the pre- or
+// post-window state, and a failed window — including a crash-class fault —
+// leaves the serving epoch untouched. On a crash-class failure the journal
+// is left in-flight for Recover.
 func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -264,29 +267,36 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		}
 		return WindowReport{}, err
 	}
-	w.adopt(res.Core)
 	if o.Journal != nil {
-		o.Journal.noteCommitted(res.Report.TotalWork, ropts.AcceptUnixNano)
+		o.Journal.noteCommitted(res.Report.TotalWork(), ropts.AcceptUnixNano)
 	}
-	// The history keeps its own copy of the report: a pointer into res would
-	// keep res.Core — this epoch's private tables — reachable long after the
-	// epoch has retired.
-	par := res.Report
-	window := WindowReport{
-		Seq:                len(w.history) + 1,
-		Planner:            planner,
-		Plan:               plan,
-		Mode:               res.Mode,
-		Parallel:           &par,
-		Report:             sequentialView(plan.Strategy, res.Report),
-		Started:            started,
-		StaleAfter:         w.StaleViews(),
-		Attempts:           res.Attempts,
-		FellBackSequential: res.FellBackSequential,
-		Recomputed:         res.Recomputed,
-	}
+	return w.commit(res, WindowReport{Planner: planner, Plan: plan, Started: started}), nil
+}
+
+// commit is the adopt-and-record step every window path ends in — a local
+// window (RunWindowOpts), a recovered one (Recover) and a replicated one
+// (ApplyWindow): the completed clone becomes the serving epoch, and window —
+// which arrives carrying what only its caller knows (planner, plan, start
+// time) — is completed from the result and appended to the history. Callers
+// hold w.mu.
+func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowReport {
+	w.adopt(res.Core)
+	// The history keeps its own copy of the scheduling metrics: a pointer
+	// into res would keep res.Core — this epoch's private tables — reachable
+	// long after the epoch has retired.
+	sched := res.Report.Sched
+	window.Seq = len(w.history) + 1
+	window.Mode = res.Mode
+	window.Parallel = &sched
+	window.Report = res.Report
+	window.StaleAfter = w.StaleViews()
+	window.Attempts = res.Attempts
+	window.FellBackSequential = res.FellBackSequential
+	window.Recomputed = res.Recomputed
+	window.Recovered = res.Recovered
+	window.Replicated = res.Replayed
 	w.history = append(w.history, window)
-	return window, nil
+	return window
 }
 
 // Recover completes the journal's in-flight window. The warehouse must be
@@ -307,7 +317,7 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	}
 	started := time.Now()
 	inflight := j.log.InFlight()
-	ropts := recovery.Options{Journal: j.w, Validate: true}
+	ropts := recovery.Options{Journal: j.w}
 	if inflight != nil {
 		ropts.SpillDir = j.spillDir(inflight.Begin.Seq)
 	}
@@ -315,29 +325,17 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	if err != nil {
 		return WindowReport{}, err
 	}
-	w.adopt(res.Core)
 	begin := inflight.Begin
 	// The in-flight window is now committed: mirror the appended commit in
 	// the parsed log so NeedsRecovery flips without re-reading the file.
-	inflight.Commit = &journal.CommitRecord{TotalWork: res.Report.TotalWork, UnixNano: time.Now().UnixNano()}
+	inflight.Commit = &journal.CommitRecord{TotalWork: res.Report.TotalWork(), UnixNano: time.Now().UnixNano()}
 	j.seq = j.log.CommittedCount() + 1
-	par := res.Report // a copy, so the history does not pin res.Core
-	window := WindowReport{
-		Seq:            len(w.history) + 1,
+	return w.commit(res, WindowReport{
 		Planner:        PlannerName(begin.Planner),
 		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
-		Mode:           res.Mode,
-		Parallel:       &par,
-		Report:         sequentialView(begin.Strategy, res.Report),
 		Started:        started,
-		StaleAfter:     w.StaleViews(),
-		Attempts:       res.Attempts,
-		Recovered:      true,
-		Recomputed:     res.Recomputed,
 		SpillDirsSwept: j.spillSwept,
-	}
-	w.history = append(w.history, window)
-	return window, nil
+	}), nil
 }
 
 // noteCommitted records a window committed through this journal handle, so

@@ -41,23 +41,11 @@ func (w *Warehouse) ApplyWindow(wl *WindowLog) (WindowReport, error) {
 	if err != nil {
 		return WindowReport{}, err
 	}
-	w.adopt(res.Core)
-	par := res.Report // a copy, so the history does not pin res.Core
-	window := WindowReport{
-		Seq:        len(w.history) + 1,
-		Planner:    PlannerName(wl.Begin.Planner),
-		Plan:       Plan{Strategy: wl.Begin.Strategy, EstimatedWork: -1},
-		Mode:       res.Mode,
-		Parallel:   &par,
-		Report:     sequentialView(wl.Begin.Strategy, res.Report),
-		Started:    started,
-		StaleAfter: w.StaleViews(),
-		Attempts:   res.Attempts,
-		Recomputed: res.Recomputed,
-		Replicated: true,
-	}
-	w.history = append(w.history, window)
-	return window, nil
+	return w.commit(res, WindowReport{
+		Planner: PlannerName(wl.Begin.Planner),
+		Plan:    Plan{Strategy: wl.Begin.Strategy, EstimatedWork: -1},
+		Started: started,
+	}), nil
 }
 
 // StateDigest fingerprints the current serving epoch's materialized state

@@ -102,7 +102,7 @@ func TestRunWindowSharedPlanner(t *testing.T) {
 		t.Run(string(mode), func(t *testing.T) {
 			w := newSharingWarehouse(t, Options{ShareComputation: true})
 			stageSharingDelta(t, w)
-			win, err := w.RunWindowMode(SharedPlanner, mode, 2)
+			win, err := w.RunWindowOpts(WindowOptions{Planner: SharedPlanner, Mode: mode, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestRunWindowSharedPlanner(t *testing.T) {
 			// A minwork window after a shared one: stale joint hints must
 			// not leak into the differently-planned strategy.
 			stageSharingDelta(t, w)
-			if _, err := w.RunWindowMode(MinWorkPlanner, mode, 2); err != nil {
+			if _, err := w.RunWindowOpts(WindowOptions{Planner: MinWorkPlanner, Mode: mode, Workers: 2}); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Verify(); err != nil {

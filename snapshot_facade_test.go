@@ -58,7 +58,7 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Execute(plan.Strategy); err != nil {
+	if _, err := fresh.Execute(plan.Strategy, ModeSequential, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.Verify(); err != nil {

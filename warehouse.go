@@ -26,7 +26,7 @@
 //	// … changes arrive …
 //	w.StageDelta("SALES", d)
 //	plan, _ := w.PlanMinWork()
-//	report, _ := w.Execute(plan.Strategy)
+//	report, _ := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
 package warehouse
 
 import (
@@ -41,7 +41,6 @@ import (
 	"repro/internal/csvio"
 	"repro/internal/delta"
 	"repro/internal/exec"
-	"repro/internal/parallel"
 	"repro/internal/plancache"
 	"repro/internal/planner"
 	"repro/internal/relation"
@@ -92,9 +91,10 @@ type (
 
 	// ParallelPlan is a staged strategy (Section 9): expression sets that
 	// execute concurrently.
-	ParallelPlan = parallel.Plan
-	// ParallelReport is the measured outcome of a parallel execution.
-	ParallelReport = parallel.Report
+	ParallelPlan = exec.Plan
+	// ParallelReport is the scheduling side of a Report: total, span and
+	// critical-path work measured on one run, whatever its mode.
+	ParallelReport = exec.Schedule
 	// Mode selects how a strategy's expressions are scheduled: one at a
 	// time (ModeSequential), as barrier-separated stages (ModeStaged), or
 	// barrier-free over the precedence DAG with a bounded worker pool
@@ -129,7 +129,7 @@ var (
 	Null = relation.Null
 )
 
-// Execution modes for ExecuteMode and RunWindowMode.
+// Execution modes for Execute and WindowOptions.
 const (
 	ModeSequential = exec.ModeSequential
 	ModeStaged     = exec.ModeStaged
@@ -152,22 +152,21 @@ type Options struct {
 	// state operands instead of scanning them (a storage-representation
 	// optimization; measured work then counts probes, not scans).
 	UseIndexes bool
-	// ParallelTerms enables the intra-Compute parallel engine: the 2^r − 1
-	// maintenance terms of each Comp evaluate concurrently, join-step
-	// probes run as morsels on a bounded pool, and build-side hash tables
-	// are shared across terms. Produced deltas and reported work are
-	// identical to sequential evaluation; only wall-clock changes.
+	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
+	// the 2^r − 1 maintenance terms of each Comp then evaluate concurrently
+	// and join-step probes run as morsels on the pool. Produced deltas and
+	// reported work are identical at any width; only wall-clock changes.
 	ParallelTerms bool
-	// Workers bounds the worker budget the intra-Compute engine shares
-	// across all concurrent Computes (0 = GOMAXPROCS). Pass the same value
-	// to ExecuteMode/RunWindowMode so DAG-level and term-level parallelism
-	// compose under one budget.
+	// Workers bounds the worker budget the term engine shares across all
+	// concurrent Computes under ParallelTerms (0 = GOMAXPROCS). Pass the
+	// same value to Execute/WindowOptions so DAG-level and term-level
+	// parallelism compose under one budget.
 	Workers int
 	// ShareComputation enables window-wide shared computation: operands
 	// (a view's state or pending delta) that several views' Comp
 	// expressions read are hashed once, transiently materialized, and
-	// reused by every consumer in the window — across sequential, staged,
-	// DAG and term-parallel execution. Reported work (the linear metric)
+	// reused by every consumer in the window, in every scheduling mode and
+	// at any engine width. Reported work (the linear metric)
 	// is unchanged; SharedHits/SharedTuplesSaved report the physical scans
 	// elided.
 	ShareComputation bool
@@ -201,8 +200,8 @@ type Options struct {
 //     from the pinned epoch — an immutable published version of the state —
 //     so a reader observes exactly the pre-window or post-window warehouse,
 //     never a mix (see PinEpoch for multi-view consistency).
-//   - StageDelta, StageDeltaCSV, RunWindow, RunWindowMode, RunWindowOpts,
-//     Recover, Clone, History, TotalWindowWork and Pending are safe to call
+//   - StageDelta, StageDeltaCSV, RunWindow, RunWindowOpts, Recover,
+//     ApplyWindow, Clone, History, TotalWindowWork and Pending are safe to call
 //     concurrently with each other and with readers; they serialize on an
 //     internal mutex (a StageDelta issued while a window runs blocks until
 //     the window commits or aborts, and lands in the next window).
@@ -210,9 +209,9 @@ type Options struct {
 //     Refresh, SetDeferred, RefreshStale, SetParallelism — mutate the
 //     current epoch in place and require exclusive access: complete the
 //     loading phase before serving queries concurrently.
-//   - Execute, ExecuteMode and ExecuteParallel also mutate in place (they
-//     are the measurement primitives); a served warehouse runs windows
-//     through RunWindow* only, whose commit is an atomic epoch flip.
+//   - Execute also mutates in place (it is the measurement primitive); a
+//     served warehouse runs windows through RunWindowOpts only, whose commit
+//     is an atomic epoch flip.
 type Warehouse struct {
 	// mu serializes every state transition: staging, update windows
 	// (including the commit swap), recovery and history. Readers do not
@@ -309,9 +308,9 @@ func (w *Warehouse) Epoch() uint64 { return w.epochs.Current() }
 // readers are holding history alive.
 func (w *Warehouse) LiveEpochs() int { return w.epochs.Live() }
 
-// SetParallelism reconfigures the intra-Compute parallel engine at runtime:
-// on toggles term/morsel parallelism, workers bounds the shared pool
-// (0 = GOMAXPROCS). Not safe to call while a window executes.
+// SetParallelism resizes the term engine's worker pool at runtime: on widens
+// it from 1 to workers (0 = GOMAXPROCS), turning on term/morsel parallelism.
+// Not safe to call while a window executes.
 func (w *Warehouse) SetParallelism(workers int, on bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -742,34 +741,21 @@ func (w *Warehouse) Validate(s Strategy) error {
 	return strategy.ValidateVDAGStrategy(g, s)
 }
 
-// Execute runs a strategy, mutating the warehouse, and returns the measured
-// update-window report. The strategy is validated first.
-func (w *Warehouse) Execute(s Strategy) (Report, error) {
-	return exec.Execute(w.core, s, exec.Options{Validate: true})
+// Execute runs a strategy under the given scheduling mode after validating
+// it, mutating the warehouse in place, and returns the measured update-window
+// report. workers bounds the ModeDAG worker pool (0 means
+// runtime.GOMAXPROCS(0)); the other modes ignore it. The report's
+// Sched.TotalWork, SpanWork and CriticalPathWork are all measured on the
+// same run, so modes compare directly.
+func (w *Warehouse) Execute(s Strategy, mode Mode, workers int) (Report, error) {
+	return exec.Execute(w.core, s, exec.Options{Mode: mode, Workers: workers, Validate: true})
 }
 
 // Parallelize stages a correct sequential strategy into sets of
-// expressions that can run concurrently (Section 9).
+// expressions that can run concurrently (Section 9) — the plan ModeStaged
+// executes.
 func (w *Warehouse) Parallelize(s Strategy) ParallelPlan {
-	return parallel.Parallelize(s, w.core.Children)
-}
-
-// ExecuteParallel runs a staged plan with one goroutine per expression per
-// stage.
-func (w *Warehouse) ExecuteParallel(p ParallelPlan) (ParallelReport, error) {
-	return parallel.Execute(w.core, p)
-}
-
-// ExecuteMode runs a strategy under the given scheduling mode after
-// validating it. workers bounds the ModeDAG worker pool (0 means
-// runtime.GOMAXPROCS(0)); the other modes ignore it. The report's
-// TotalWork, SpanWork and CriticalPathWork are all measured on the same
-// run, so modes compare directly.
-func (w *Warehouse) ExecuteMode(s Strategy, mode Mode, workers int) (ParallelReport, error) {
-	return parallel.Run(w.core, s, w.core.Children, mode, parallel.Options{
-		Workers:  workers,
-		Validate: true,
-	})
+	return exec.Parallelize(s, w.core.Children)
 }
 
 // Verify checks every derived view against a from-scratch recomputation.
@@ -835,6 +821,6 @@ func (w *Warehouse) LoadSnapshot(in io.Reader) error {
 }
 
 // Script renders a strategy as the Section 5.5 "update script": one stored
-// procedure call per expression, against procedures compiled once from the
-// VDAG (see exec.Prepare).
+// procedure call per expression, against procedures defined once from the
+// VDAG.
 func (w *Warehouse) Script(s Strategy) string { return exec.Script(s) }

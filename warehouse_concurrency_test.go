@@ -31,7 +31,7 @@ func stageEastSale(t *testing.T, w *Warehouse, id int64) {
 }
 
 // TestConcurrentQueriesDuringWindows: readers race window commits across
-// every window path (RunWindow, RunWindowMode, RunWindowOpts). Every query
+// sequential, staged and DAG windows. Every query
 // sees exactly a published state — the east total is always one of the
 // per-epoch values, never a blend — and epochs are monotonic per reader.
 func TestConcurrentQueriesDuringWindows(t *testing.T) {
@@ -82,7 +82,7 @@ func TestConcurrentQueriesDuringWindows(t *testing.T) {
 		case 0:
 			_, err = w.RunWindow(MinWorkPlanner)
 		case 1:
-			_, err = w.RunWindowMode(MinWorkPlanner, ModeDAG, 0)
+			_, err = w.RunWindowOpts(WindowOptions{Mode: ModeStaged})
 		default:
 			_, err = w.RunWindowOpts(WindowOptions{Mode: ModeDAG})
 		}

@@ -84,7 +84,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if plan.Modified {
 		t.Errorf("tree warehouse should not need ModifyOrdering")
 	}
-	rep, err := w.Execute(plan.Strategy)
+	rep, err := w.Execute(plan.Strategy, ModeSequential, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPlannersAgreeOnFinalState(t *testing.T) {
 		if err := w.Validate(p.Strategy); err != nil {
 			t.Fatalf("%s: invalid plan: %v", name, err)
 		}
-		if _, err := w.Execute(p.Strategy); err != nil {
+		if _, err := w.Execute(p.Strategy, ModeSequential, 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := w.Verify(); err != nil {
@@ -201,12 +201,12 @@ func TestParallelFacade(t *testing.T) {
 	if plan.Stages() < 2 {
 		t.Fatalf("plan = %s", plan)
 	}
-	rep, err := w.ExecuteParallel(plan)
+	rep, err := w.Execute(ds.Strategy, ModeStaged, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalWork == 0 || rep.SpanWork == 0 {
-		t.Errorf("parallel report empty: %+v", rep)
+	if rep.Sched.TotalWork == 0 || rep.Sched.SpanWork == 0 || rep.Sched.Levels != plan.Stages() {
+		t.Errorf("staged report of a %d-stage plan: %+v", plan.Stages(), rep.Sched)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)

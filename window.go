@@ -3,9 +3,6 @@ package warehouse
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/exec"
-	"repro/internal/parallel"
 )
 
 // PlannerName selects the planning algorithm for RunWindow.
@@ -42,16 +39,16 @@ type WindowReport struct {
 	Report Report
 	// Mode records how the strategy was scheduled (sequential when zero).
 	Mode Mode
-	// Parallel carries the scheduling metrics (TotalWork, SpanWork,
-	// CriticalPathWork, per-worker steps) for windows run through
-	// RunWindowMode with a concurrent mode; nil for sequential windows.
+	// Parallel carries the scheduling metrics of the run (TotalWork,
+	// SpanWork, CriticalPathWork, workers) — a copy of Report.Sched. A
+	// sequential window's are what the same run would cost staged or
+	// DAG-scheduled.
 	Parallel *ParallelReport
 	// Started is when the window began.
 	Started time.Time
 	// StaleAfter lists views left stale (deferred maintenance).
 	StaleAfter []string
-	// Attempts counts execution attempts for windows run through
-	// RunWindowOpts (retries and fallbacks included); 0 for legacy paths.
+	// Attempts counts execution attempts (retries and fallbacks included).
 	Attempts int
 	// FellBackSequential reports a parallel window that succeeded only
 	// after degrading to sequential execution.
@@ -102,7 +99,7 @@ type IngestInfo struct {
 // String summarizes the window.
 func (r WindowReport) String() string {
 	var s string
-	if r.Parallel != nil {
+	if r.Parallel != nil && r.Mode != ModeSequential {
 		s = fmt.Sprintf("window %d [%s, %s ×%d]: %s (span %d, critical path %d)",
 			r.Seq, r.Planner, r.Mode, r.Parallel.Workers, r.Report,
 			r.Parallel.SpanWork, r.Parallel.CriticalPathWork)
@@ -132,12 +129,14 @@ func (r WindowReport) String() string {
 // regardless.
 type WindowCounters struct {
 	// CacheHits and CacheMisses count build tables served from / built
-	// into the per-Compute build cache.
+	// into the per-Compute build cache — on every engine: any Comp with
+	// more than one term has hits to report.
 	CacheHits, CacheMisses int
 	// CacheTuplesSaved totals operand tuples the per-Compute cache spared.
 	CacheTuplesSaved int64
 	// SharedHits and SharedMisses count build tables served from / built
-	// into the cross-view shared registry.
+	// into the cross-view shared registry, once per distinct operand per
+	// Comp (the build cache sits in front of it).
 	SharedHits, SharedMisses int
 	// SharedTuplesSaved totals operand tuples cross-view sharing spared.
 	SharedTuplesSaved int64
@@ -195,106 +194,12 @@ func (r WindowReport) Counters() WindowCounters {
 	return c
 }
 
-// RunWindow executes one complete update window: plan the staged changes
-// with the named planner, validate, execute, and record the outcome in the
-// warehouse's history. Changes must already be staged (StageDelta /
-// StageDeltaCSV).
+// RunWindow executes one complete update window — plan the staged changes
+// with the named planner, validate, execute sequentially, commit, and record
+// the outcome in the warehouse's history. It is shorthand for
+// RunWindowOpts(WindowOptions{Planner: planner}).
 func (w *Warehouse) RunWindow(planner PlannerName) (WindowReport, error) {
-	return w.RunWindowMode(planner, ModeSequential, 0)
-}
-
-// RunWindowMode is RunWindow with an explicit scheduling mode: the planned
-// strategy executes sequentially, as barrier-separated stages, or
-// barrier-free over its precedence DAG with a pool of up to workers
-// goroutines (0 means runtime.GOMAXPROCS(0)). Concurrent windows carry
-// their scheduling metrics in WindowReport.Parallel.
-//
-// The window executes on a copy-on-write clone and commits by an atomic
-// epoch flip, so concurrent readers see exactly the pre- or post-window
-// state; a failed window leaves the serving epoch unchanged.
-func (w *Warehouse) RunWindowMode(planner PlannerName, mode Mode, workers int) (WindowReport, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var (
-		plan Plan
-		err  error
-	)
-	// Planners other than SharedPlanner clear any jointly-optimized hints a
-	// prior PlanShared recorded, so the window's registry falls back to the
-	// after-the-fact analysis of the strategy it actually runs.
-	switch planner {
-	case MinWorkPlanner, "":
-		planner = MinWorkPlanner
-		w.core.SetPlannedSharing(nil)
-		plan, err = w.PlanMinWork()
-	case PrunePlanner:
-		w.core.SetPlannedSharing(nil)
-		plan, err = w.PlanPrune()
-	case DualStagePlanner:
-		w.core.SetPlannedSharing(nil)
-		plan, err = w.PlanDualStage()
-	case SharedPlanner:
-		plan, err = w.PlanShared()
-	default:
-		return WindowReport{}, fmt.Errorf("warehouse: unknown planner %q", planner)
-	}
-	if err != nil {
-		return WindowReport{}, err
-	}
-	started := time.Now()
-	window := WindowReport{
-		Seq:     len(w.history) + 1,
-		Planner: planner,
-		Plan:    plan,
-		Started: started,
-	}
-	clone := w.core.Clone()
-	switch mode {
-	case ModeSequential, "":
-		window.Mode = ModeSequential
-		window.Report, err = exec.Execute(clone, plan.Strategy, exec.Options{Validate: true})
-		if err != nil {
-			return WindowReport{}, err
-		}
-	default:
-		pr, err := parallel.Run(clone, plan.Strategy, clone.Children, mode, parallel.Options{
-			Workers:  workers,
-			Validate: true,
-		})
-		if err != nil {
-			return WindowReport{}, err
-		}
-		window.Mode = pr.Mode
-		window.Parallel = &pr
-		window.Report = sequentialView(plan.Strategy, pr)
-	}
-	w.adopt(clone)
-	window.StaleAfter = w.StaleViews()
-	w.history = append(w.history, window)
-	return window, nil
-}
-
-// sequentialView flattens a parallel report into the exec.Report shape the
-// window history stores, so TotalWindowWork and friends see concurrent
-// windows too.
-func sequentialView(s Strategy, pr ParallelReport) Report {
-	rep := Report{
-		Strategy: s, Elapsed: pr.Elapsed,
-		SharedBytesPeak:   pr.SharedBytesPeak,
-		SharedDetail:      pr.SharedDetail,
-		PeakReservedBytes: pr.PeakReservedBytes,
-	}
-	for _, stage := range pr.Steps {
-		for _, step := range stage {
-			rep.Steps = append(rep.Steps, step)
-			if _, ok := step.Expr.(Comp); ok {
-				rep.CompWork += step.Work
-			} else {
-				rep.InstWork += step.Work
-			}
-		}
-	}
-	return rep
+	return w.RunWindowOpts(WindowOptions{Planner: planner})
 }
 
 // History returns the executed windows in order.

@@ -81,12 +81,12 @@ func TestRunWindowAndHistory(t *testing.T) {
 	}
 }
 
-func TestRunWindowModes(t *testing.T) {
+func TestWindowModes(t *testing.T) {
 	w := newRetail(t)
 
 	// Window 1: staged parallel execution through the facade.
 	stageSale(t, w)
-	win1, err := w.RunWindowMode(MinWorkPlanner, ModeStaged, 2)
+	win1, err := w.RunWindowOpts(WindowOptions{Planner: MinWorkPlanner, Mode: ModeStaged, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunWindowModes(t *testing.T) {
 	if err := w.StageDelta("SALES", d); err != nil {
 		t.Fatal(err)
 	}
-	win2, err := w.RunWindowMode(DualStagePlanner, ModeDAG, 4)
+	win2, err := w.RunWindowOpts(WindowOptions{Planner: DualStagePlanner, Mode: ModeDAG, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestRunWindowModes(t *testing.T) {
 	}
 }
 
-func TestRunWindowModeRejectsUnknown(t *testing.T) {
+func TestWindowRejectsUnknownMode(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	if _, err := w.RunWindowMode(MinWorkPlanner, Mode("bogus"), 0); err == nil {
+	if _, err := w.RunWindowOpts(WindowOptions{Planner: MinWorkPlanner, Mode: Mode("bogus"), Workers: 0}); err == nil {
 		t.Errorf("unknown mode accepted")
 	}
 }
