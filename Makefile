@@ -63,9 +63,13 @@ soak-smoke:
 race:
 	$(GO) test -race ./...
 
-# Quick race pass over just those packages.
+# Quick race pass over just those packages, and over the ones whose handles
+# epochs share bucket by bucket while a window writes its clone (the
+# copy-on-write container, the stores and accumulators on it, the journal
+# writer DAG workers append through).
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... .
+	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
 
 # Extended fuzzing of the conflict-order invariants (the seed corpus runs
 # under plain `make test` already).
@@ -85,14 +89,19 @@ bench:
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 # One-iteration pass over the Compute benchmarks with allocation stats:
-# cheap enough for CI, and catches probe-path allocation regressions.
+# cheap enough for CI, and catches probe-path allocation regressions. The
+# storage and journal layer benchmarks run once too, so that they keep
+# compiling and executing between the runs of bench-layers that read them.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
+	$(GO) test ./internal/storage ./internal/journal -run '^$$' -bench . -benchtime 1x -benchmem
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
-# clone / apply, join build and probe, state digest. Five samples each, with
-# allocations; the planner's also report ns per ordering, the others ns/row.
+# clone / load / apply (rows and groups), join build and probe, state digest
+# (the fold a window pays beside the scan it replaced). Five samples each,
+# with allocations; the planner's also report ns per ordering, the others
+# ns/row.
 bench-layers:
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem

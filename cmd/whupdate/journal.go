@@ -35,9 +35,11 @@ func readJournalFile(path string) (journal.Log, error) {
 	return lg, nil
 }
 
-// appendWriter opens the journal file for appending new records.
-func appendWriter(path string) (*journal.Writer, *os.File, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+// appendWriter opens the journal file, as lg read it, for appending new
+// records after its last intact one: a torn tail is cut off first, or it
+// would hide what follows it from the next reader.
+func appendWriter(path string, lg journal.Log) (*journal.Writer, *os.File, error) {
+	f, err := journal.OpenAppend(path, lg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,7 +106,7 @@ func journaledRun(ctx context.Context, tw *tpcd.Warehouse, s strategy.Strategy, 
 	}
 	if o.journal != "" {
 		sweepSpill(o.journal)
-		jw, f, err := appendWriter(o.journal)
+		jw, f, err := appendWriter(o.journal, *lg)
 		if err != nil {
 			return err
 		}
@@ -148,7 +150,7 @@ func resumeWindow(ctx context.Context, tw *tpcd.Warehouse, lg *journal.Log, o op
 	}
 	fmt.Printf("restored pre-window checkpoint %s\n", checkpointPath(o.journal))
 	sweepSpill(o.journal)
-	jw, f, err := appendWriter(o.journal)
+	jw, f, err := appendWriter(o.journal, *lg)
 	if err != nil {
 		return err
 	}

@@ -144,15 +144,23 @@ func (v *View) Scan(fn func(relation.Tuple, int64) bool) {
 	v.table.Scan(fn)
 }
 
-// ScanEncoded iterates the view's current rows as Tuple.Encode keys with
-// multiplicities. For a base or SPJ view these are the stored keys, handed
-// out without decoding or re-encoding anything.
-func (v *View) ScanEncoded(fn func(key string, count int64) bool) {
+// Digest returns the order-independent fingerprint of the view's current
+// rows — the XOR over rows of the CRC of each row's encoding and count — in
+// O(1): the stores maintain it as rows change.
+func (v *View) Digest() uint64 {
 	if v.agg != nil {
-		v.agg.ScanEncoded(fn)
-		return
+		return v.agg.Digest()
 	}
-	v.table.ScanEncoded(fn)
+	return v.table.Digest()
+}
+
+// CheckDigest recomputes the view's digest by a scan of its rows and reports
+// a maintained digest that has drifted from it.
+func (v *View) CheckDigest() error {
+	if v.agg != nil {
+		return v.agg.CheckDigest()
+	}
+	return v.table.CheckDigest()
 }
 
 // SortedRows returns the current rows sorted, for deterministic inspection.
@@ -353,6 +361,7 @@ func (w *Warehouse) LoadBase(name string, rows []relation.Tuple) error {
 	if !v.IsBase() {
 		return fmt.Errorf("core: LoadBase on derived view %q", name)
 	}
+	v.table.Grow(len(rows))
 	for _, r := range rows {
 		if len(r) != len(v.table.Schema()) {
 			return fmt.Errorf("core: row arity %d does not match %q schema width %d", len(r), name, len(v.table.Schema()))

@@ -127,12 +127,17 @@ func (w *Warehouse) VerifyView(name string) error {
 const verifyTolerance = 1e-9
 
 // VerifyAll verifies every derived view bottom-up (definition order is
-// topological, so each view is checked against already-verified children).
-// Views known to be stale under deferred maintenance are skipped — their
-// divergence is expected until RefreshStale runs.
+// topological, so each view is checked against already-verified children),
+// and every view's running digest against a scan of its rows. Views known
+// to be stale under deferred maintenance are skipped for the first check —
+// their divergence is expected until RefreshStale runs.
 func (w *Warehouse) VerifyAll() error {
 	for _, name := range w.order {
-		if w.views[name].stale {
+		v := w.views[name]
+		if err := v.CheckDigest(); err != nil {
+			return fmt.Errorf("core: view %q: %w", name, err)
+		}
+		if v.stale {
 			continue
 		}
 		if err := w.VerifyView(name); err != nil {

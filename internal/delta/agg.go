@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 
+	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
@@ -76,14 +77,27 @@ type Accum struct {
 	spec AggSpec
 	sumI int64
 	sumF float64
-	vals map[string]int64 // MIN/MAX only: encoded value -> signed count
+	mm   *minMax // MIN/MAX only
+}
+
+// minMax is the state of a MIN or MAX accumulator: the bag of input values
+// (deletions must stay computable) and the current extreme among the values
+// with a positive count. The extreme is kept as values come and go, so that
+// reading it costs nothing; only deleting its last copy loses it (known
+// goes false), and the next Fold or Clone finds it again by one scan of the
+// bag. Add alone never scans: a partial under accumulation may see its
+// extreme come and go many times before anyone asks for it.
+type minMax struct {
+	vals  cowmap.Map[int64] // encoded value -> signed count
+	best  relation.Value    // Null when no value has a positive count
+	known bool
 }
 
 // NewAccum creates an empty accumulator for the spec.
 func NewAccum(spec AggSpec) *Accum {
 	a := &Accum{spec: spec}
 	if spec.Kind == AggMin || spec.Kind == AggMax {
-		a.vals = make(map[string]int64)
+		a.mm = &minMax{known: true}
 	}
 	return a
 }
@@ -110,40 +124,137 @@ func (a *Accum) Add(v relation.Value, count int64) {
 		}
 	case AggMin, AggMax:
 		key := relation.Tuple{v}.Encode()
-		nw := a.vals[key] + count
-		if nw == 0 {
-			delete(a.vals, key)
-		} else {
-			a.vals[key] = nw
-		}
+		a.note(v, a.mm.add(cowmap.Hash(key), key, count))
 	}
 }
 
-// Fold merges other into a. Specs must match.
-func (a *Accum) Fold(other *Accum) {
+// add changes the count of one encoded value and returns the new count.
+func (m *minMax) add(hash uint64, key string, count int64) int64 {
+	n, _ := m.vals.Ref(hash, key)
+	*n += count
+	nw := *n
+	if nw == 0 {
+		m.vals.Delete(hash, key)
+	}
+	return nw
+}
+
+// note keeps the extreme current after v's count became nw.
+func (a *Accum) note(v relation.Value, nw int64) {
+	m := a.mm
+	switch {
+	case !m.known:
+	case nw > 0:
+		if m.best.IsNull() || a.better(v, m.best) {
+			m.best = v
+		}
+	case !m.best.IsNull() && relation.Equal(v, m.best):
+		m.known = false
+	}
+}
+
+// better reports whether v beats w as the aggregate's extreme.
+func (a *Accum) better(v, w relation.Value) bool {
+	c := relation.Compare(v, w)
+	return (a.spec.Kind == AggMin && c < 0) || (a.spec.Kind == AggMax && c > 0)
+}
+
+// settle finds the extreme again, by a scan of the bag, if a deletion lost it.
+func (a *Accum) settle() {
+	m := a.mm
+	if m == nil || m.known {
+		return
+	}
+	m.best = relation.Null
+	m.vals.Scan(func(_ uint64, key string, cnt int64) bool {
+		if cnt > 0 {
+			if v := decodeValue(key); m.best.IsNull() || a.better(v, m.best) {
+				m.best = v
+			}
+		}
+		return true
+	})
+	m.known = true
+}
+
+func decodeValue(key string) relation.Value {
+	tup, err := relation.DecodeTuple(key)
+	if err != nil || len(tup) != 1 {
+		panic(fmt.Sprintf("delta: corrupt min/max value %q: %v", key, err))
+	}
+	return tup[0]
+}
+
+// Fold merges other into a and reports whether every MIN/MAX value count it
+// touched is still non-negative — whether a, if it was a legal materialized
+// state before, still is one. Specs must match.
+func (a *Accum) Fold(other *Accum) bool {
 	if a.spec != other.spec {
 		panic("delta: folding accumulators with different specs")
 	}
 	a.sumI += other.sumI
 	a.sumF += other.sumF
-	for k, v := range other.vals {
-		nw := a.vals[k] + v
-		if nw == 0 {
-			delete(a.vals, k)
-		} else {
-			a.vals[k] = nw
-		}
+	if a.mm == nil {
+		return true
 	}
+	valid := true
+	other.mm.vals.Scan(func(hash uint64, key string, cnt int64) bool {
+		nw := a.mm.add(hash, key, cnt)
+		if nw < 0 {
+			valid = false
+		}
+		if a.mm.known {
+			a.note(decodeValue(key), nw)
+		}
+		return true
+	})
+	a.settle()
+	return valid
 }
 
-// Clone returns an independent copy.
+// Folded returns what a.Output(support) would be after a.Fold(other), and
+// what that Fold would report, without folding: a is read and not changed.
+// A MIN/MAX accumulator looks up only the values other holds; unless other
+// deletes the last copy of the current extreme, the new one is the better
+// of it and other's arrivals. Only then is a clone folded and scanned.
+func (a *Accum) Folded(other *Accum, support int64) (relation.Value, bool) {
+	if a.spec != other.spec {
+		panic("delta: folding accumulators with different specs")
+	}
+	if a.mm == nil {
+		sum := Accum{spec: a.spec, sumI: a.sumI + other.sumI, sumF: a.sumF + other.sumF}
+		return sum.Output(support), true
+	}
+	best, valid, lost := a.Output(support), true, false
+	other.mm.vals.Scan(func(hash uint64, key string, cnt int64) bool {
+		have, _ := a.mm.vals.Get(hash, key)
+		switch nw := have + cnt; {
+		case nw < 0:
+			valid = false
+		case nw > 0 && have <= 0:
+			if v := decodeValue(key); best.IsNull() || a.better(v, best) {
+				best = v
+			}
+		case nw == 0 && have > 0:
+			lost = lost || relation.Equal(decodeValue(key), a.mm.best)
+		}
+		return valid && !lost
+	})
+	if valid && lost {
+		c := a.Clone()
+		valid = c.Fold(other)
+		best = c.Output(support)
+	}
+	return best, valid
+}
+
+// Clone returns an independent copy in O(1): the value bag of a MIN/MAX
+// accumulator is shared copy-on-write.
 func (a *Accum) Clone() *Accum {
 	out := &Accum{spec: a.spec, sumI: a.sumI, sumF: a.sumF}
-	if a.vals != nil {
-		out.vals = make(map[string]int64, len(a.vals))
-		for k, v := range a.vals {
-			out.vals[k] = v
-		}
+	if a.mm != nil {
+		out.mm = &minMax{vals: a.mm.vals.Clone(), best: a.mm.best, known: a.mm.known}
+		out.settle()
 	}
 	return out
 }
@@ -151,12 +262,14 @@ func (a *Accum) Clone() *Accum {
 // Valid reports whether the accumulator is a legal materialized state: all
 // MIN/MAX value counts must be positive.
 func (a *Accum) Valid() bool {
-	for _, v := range a.vals {
-		if v < 0 {
-			return false
-		}
+	valid := true
+	if a.mm != nil {
+		a.mm.vals.Scan(func(_ uint64, _ string, cnt int64) bool {
+			valid = cnt >= 0
+			return valid
+		})
 	}
-	return true
+	return valid
 }
 
 // Output computes the aggregate's output value for a group with the given
@@ -182,30 +295,12 @@ func (a *Accum) Output(support int64) relation.Value {
 		}
 		return relation.NewFloat(sum / float64(support))
 	case AggMin, AggMax:
-		var best relation.Value
-		found := false
-		for key, cnt := range a.vals {
-			if cnt <= 0 {
-				continue
-			}
-			tup, err := relation.DecodeTuple(key)
-			if err != nil {
-				panic(fmt.Sprintf("delta: corrupt min/max value: %v", err))
-			}
-			v := tup[0]
-			if !found {
-				best, found = v, true
-				continue
-			}
-			c := relation.Compare(v, best)
-			if (a.spec.Kind == AggMin && c < 0) || (a.spec.Kind == AggMax && c > 0) {
-				best = v
-			}
+		if !a.mm.known {
+			// Only a partial that Add alone built gets here; a shared
+			// accumulator is always settled, so this never races a reader.
+			a.settle()
 		}
-		if !found {
-			return relation.Null
-		}
-		return best
+		return a.mm.best
 	default:
 		panic(fmt.Sprintf("delta: unknown aggregate %v", a.spec.Kind))
 	}

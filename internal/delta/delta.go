@@ -113,6 +113,9 @@ func (d *Delta) MinusCount() int64 { return d.minus }
 // NetGrowth returns |V'| - |V| for the view this delta applies to.
 func (d *Delta) NetGrowth() int64 { return d.plus - d.minus }
 
+// Distinct returns the number of distinct changed tuples.
+func (d *Delta) Distinct() int { return len(d.rows) }
+
 // IsEmpty reports whether the delta changes nothing.
 func (d *Delta) IsEmpty() bool { return len(d.rows) == 0 }
 

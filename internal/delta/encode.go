@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
@@ -15,12 +16,16 @@ import (
 func (a *Accum) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, a.sumI)
 	dst = binary.AppendUvarint(dst, math.Float64bits(a.sumF))
-	dst = binary.AppendUvarint(dst, uint64(len(a.vals)))
-	for k, v := range a.vals {
+	if a.mm == nil {
+		return binary.AppendUvarint(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(a.mm.vals.Len()))
+	a.mm.vals.Scan(func(_ uint64, k string, v int64) bool {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))
 		dst = append(dst, k...)
 		dst = binary.AppendVarint(dst, v)
-	}
+		return true
+	})
 	return dst
 }
 
@@ -42,8 +47,13 @@ func DecodeAccum(r io.ByteReader, spec AggSpec) (*Accum, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: decoding accumulator: %w", err)
 	}
-	if n > 0 && a.vals == nil {
-		a.vals = make(map[string]int64, n)
+	if n > 0 && a.mm == nil {
+		return nil, fmt.Errorf("delta: %d min/max values in the state of a %s accumulator", n, spec.Kind)
+	}
+	if a.mm != nil {
+		// The prefix is unverified input: room beyond this is earned by
+		// decoding values, not claimed up front.
+		a.mm.vals.Grow(int(min(n, 1<<16)))
 	}
 	for i := uint64(0); i < n; i++ {
 		klen, err := binary.ReadUvarint(r)
@@ -66,7 +76,13 @@ func DecodeAccum(r io.ByteReader, spec AggSpec) (*Accum, error) {
 		if err != nil {
 			return nil, fmt.Errorf("delta: decoding accumulator count: %w", err)
 		}
-		a.vals[string(key)] = count
+		k := string(key)
+		slot, _ := a.mm.vals.Ref(cowmap.Hash(k), k)
+		*slot = count
+	}
+	if a.mm != nil {
+		a.mm.known = false
+		a.settle()
 	}
 	return a, nil
 }

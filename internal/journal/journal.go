@@ -18,7 +18,18 @@
 //
 // where the CRC covers the type byte, the length bytes and the payload, so
 // a torn tail — the normal artifact of a crash mid-append — is detected and
-// tolerated: ReadLog returns every intact record and sets Truncated.
+// tolerated: ReadLog returns every intact record, sets Truncated and reports
+// where the intact records end.
+//
+// Durability. The writer hands every record to the file in one Write as it
+// is appended, and syncs after a Begin, a Commit and an Abort — not after a
+// Step, which rides the next sync. A window is durable when its commit
+// record is. A process that dies leaves exactly the records it appended; a
+// machine that loses power leaves, of an in-flight window, its begin record
+// (strategy and full change batch) and some prefix of its step records,
+// possibly ending inside a frame. Recovery needs no more: it re-executes
+// every step the journal does not hold, so lost step records cost redone
+// work and never a different result.
 package journal
 
 import (
@@ -29,6 +40,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"os"
 	"sort"
 	"sync"
 
@@ -151,8 +163,11 @@ type Writer struct {
 }
 
 // NewWriter creates a journal writer appending to out. If out has a
-// Sync() error method (an *os.File), every record is synced after the
-// write.
+// Sync() error method (an *os.File), it is called after each begin, commit
+// and abort record is written, so a window's begin record is durable before
+// its first step runs and its commit before the caller adopts the result;
+// step records are written as they complete and become durable with the
+// next of those syncs (see the package comment).
 func NewWriter(out io.Writer) *Writer { return &Writer{out: out} }
 
 // Err returns the sticky error, if any append has failed.
@@ -174,13 +189,11 @@ func (w *Writer) SetContext(ctx context.Context) {
 	w.ctx = ctx
 }
 
+// append writes one record through a single Write, and syncs after every
+// record but a step: begin, commit and abort are the records durability is
+// stated in, and a step rides the next sync.
 func (w *Writer) append(typ byte, payload []byte) error {
-	frame := make([]byte, 0, len(payload)+binary.MaxVarintLen64+9)
-	frame = append(frame, typ)
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-	sum := crc64.Checksum(frame, crcTable)
-	frame = binary.BigEndian.AppendUint64(frame, sum)
+	frame := EncodeFrame(typ, payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -196,7 +209,7 @@ func (w *Writer) append(typ byte, payload []byte) error {
 		w.err = fmt.Errorf("journal: append: %w", err)
 		return w.err
 	}
-	if s, ok := w.out.(interface{ Sync() error }); ok {
+	if s, ok := w.out.(interface{ Sync() error }); ok && typ != typeStep {
 		if err := s.Sync(); err != nil {
 			w.err = fmt.Errorf("journal: sync: %w", err)
 			return w.err
@@ -304,6 +317,27 @@ type Log struct {
 	// Truncated reports that the journal ended in a torn or corrupt frame
 	// (dropped); the expected artifact of a crash mid-append.
 	Truncated bool
+	// Size is the length in bytes of the intact records: where a torn tail
+	// begins. A file is cut back to it before anything is appended, or the
+	// torn frame would hide every later record from the next reader.
+	Size int64
+}
+
+// OpenAppend opens the journal file at path, which lg was read from (or
+// which does not exist yet), for appending after its last intact record: a
+// torn tail is cut off first.
+func OpenAppend(path string, lg Log) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if lg.Truncated {
+		if err := f.Truncate(lg.Size); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: cutting the torn tail of %s: %w", path, err)
+		}
+	}
+	return f, nil
 }
 
 // InFlight returns the journal's in-flight window: the last window, when
@@ -338,7 +372,7 @@ func ReadLog(in io.Reader) (Log, error) {
 	var lg Log
 	br := bufio.NewReader(in)
 	for {
-		typ, payload, status := readFrame(br)
+		typ, payload, size, status := readFrame(br)
 		if status == frameEOF {
 			return lg, nil
 		}
@@ -346,6 +380,7 @@ func ReadLog(in io.Reader) (Log, error) {
 			lg.Truncated = true
 			return lg, nil
 		}
+		lg.Size += size
 		switch typ {
 		case typeBegin:
 			b, err := decodeBegin(payload)
@@ -390,37 +425,38 @@ const (
 	frameTruncated
 )
 
-// readFrame reads one frame. A clean end of input is frameEOF; any torn,
-// short or CRC-failing frame — including an unknown record type — is
-// frameTruncated, the normal artifact of a crash mid-append.
-func readFrame(br *bufio.Reader) (typ byte, payload []byte, status frameStatus) {
+// readFrame reads one frame and reports its length in bytes. A clean end of
+// input is frameEOF; any torn, short or CRC-failing frame — including an
+// unknown record type — is frameTruncated, the normal artifact of a crash
+// mid-append.
+func readFrame(br *bufio.Reader) (typ byte, payload []byte, size int64, status frameStatus) {
 	typ, rerr := br.ReadByte()
 	if rerr != nil {
-		return 0, nil, frameEOF
+		return 0, nil, 0, frameEOF
 	}
 	head := []byte{typ}
 	n, lenBytes, rerr := readUvarintBytes(br)
 	if rerr != nil || n > maxFrame {
-		return 0, nil, frameTruncated
+		return 0, nil, 0, frameTruncated
 	}
 	head = append(head, lenBytes...)
 	payload = make([]byte, n)
 	if _, rerr := io.ReadFull(br, payload); rerr != nil {
-		return 0, nil, frameTruncated
+		return 0, nil, 0, frameTruncated
 	}
 	var tail [8]byte
 	if _, rerr := io.ReadFull(br, tail[:]); rerr != nil {
-		return 0, nil, frameTruncated
+		return 0, nil, 0, frameTruncated
 	}
 	sum := crc64.Checksum(head, crcTable)
 	sum = crc64.Update(sum, crcTable, payload)
 	if binary.BigEndian.Uint64(tail[:]) != sum {
-		return 0, nil, frameTruncated
+		return 0, nil, 0, frameTruncated
 	}
 	if typ < typeBegin || typ > typeAbort {
-		return 0, nil, frameTruncated
+		return 0, nil, 0, frameTruncated
 	}
-	return typ, payload, frameOK
+	return typ, payload, int64(len(head) + len(payload) + len(tail)), frameOK
 }
 
 func decodeBegin(p []byte) (BeginRecord, error) {
@@ -664,20 +700,14 @@ func BatchDigest(batch []ViewBatch) uint64 {
 // order-independent row digest. Pending (uninstalled) changes do not
 // contribute — the digest identifies the state a snapshot of the warehouse
 // would capture.
+//
+// Each view's row digest — the XOR over its rows of CRC64(encoded tuple ‖
+// varint count) — is kept current by the view's store as rows change, so
+// the fold costs O(views) whatever the warehouse holds.
 func StateDigest(w *core.Warehouse) uint64 {
 	var h uint64
-	var buf [binary.MaxVarintLen64]byte
 	for _, name := range w.ViewNames() {
-		var vh uint64
-		w.MustView(name).ScanEncoded(func(key string, count int64) bool {
-			// The conversion does not copy: Update only reads the bytes.
-			crc := crc64.Update(0, crcTable, []byte(key))
-			n := binary.PutVarint(buf[:], count)
-			crc = crc64.Update(crc, crcTable, buf[:n])
-			vh ^= crc
-			return true
-		})
-		h ^= nameFold(name, vh)
+		h ^= nameFold(name, w.MustView(name).Digest())
 	}
 	return h
 }

@@ -331,3 +331,102 @@ func TestWriterSetContext(t *testing.T) {
 			len(lg.Windows), lg.CommittedCount(), lg.InFlight() != nil)
 	}
 }
+
+// syncCounter is a journal file that counts its Sync calls and remembers
+// how many bytes each one made durable.
+type syncCounter struct {
+	bytes.Buffer
+	syncs   int
+	durable int
+}
+
+func (f *syncCounter) Sync() error {
+	f.syncs++
+	f.durable = f.Len()
+	return nil
+}
+
+// TestWriterSyncsWindowBoundaries: the writer syncs the begin record, the
+// commit and the abort, and lets step records ride the next of those — each
+// record still handed to the file whole, in one Write, as it is appended.
+func TestWriterSyncsWindowBoundaries(t *testing.T) {
+	f := &syncCounter{}
+	w := NewWriter(f)
+	expect := func(what string, syncs int) {
+		t.Helper()
+		if f.syncs != syncs {
+			t.Fatalf("after %s: %d syncs, want %d", what, f.syncs, syncs)
+		}
+	}
+	if err := w.Begin(testBegin()); err != nil {
+		t.Fatal(err)
+	}
+	expect("begin", 1)
+	begun := f.Len()
+	if f.durable != begun {
+		t.Fatalf("begin record: %d of %d bytes synced", f.durable, begun)
+	}
+	for i := 0; i < 5; i++ {
+		before := f.Len()
+		if err := w.Step(StepRecord{Index: i, Key: "C:V:A", Work: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, n, err := DecodeRecord(f.Bytes()[before:]); err != nil || n != f.Len()-before {
+			t.Fatalf("step %d did not reach the file as one whole frame: n=%d of %d, err=%v", i, n, f.Len()-before, err)
+		}
+	}
+	expect("five steps", 1)
+	if f.durable != begun {
+		t.Fatalf("step records moved the synced length from %d to %d", begun, f.durable)
+	}
+	if err := w.Commit(CommitRecord{TotalWork: 10}); err != nil {
+		t.Fatal(err)
+	}
+	expect("commit", 2)
+	if f.durable != f.Len() {
+		t.Fatalf("commit: %d of %d bytes synced", f.durable, f.Len())
+	}
+
+	if err := w.Begin(testBegin()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A"}); err != nil {
+		t.Fatal(err)
+	}
+	expect("second begin and a step", 3)
+	if err := w.Abort(AbortRecord{Reason: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	expect("abort", 4)
+	if f.durable != f.Len() {
+		t.Fatalf("abort: %d of %d bytes synced", f.durable, f.Len())
+	}
+}
+
+// TestReadLogReportsIntactSize: Size is where the intact records end,
+// whether or not a torn frame follows them.
+func TestReadLogReportsIntactSize(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Begin(testBegin()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B"}); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Len()
+	for _, cut := range []int{whole, whole - 1, whole - 9} {
+		lg, err := ReadLog(bytes.NewReader(buf.Bytes()[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSize := int64(whole)
+		if cut < whole {
+			_, _, n, _ := DecodeRecord(buf.Bytes())
+			wantSize = int64(n) // only the begin record is whole
+		}
+		if lg.Size != wantSize || lg.Truncated != (cut < whole) {
+			t.Fatalf("cut at %d of %d: Size=%d Truncated=%v, want Size=%d", cut, whole, lg.Size, lg.Truncated, wantSize)
+		}
+	}
+}

@@ -8,6 +8,12 @@
 // batch, and re-executing the journaled strategy, verifying each replayed
 // step against the journaled step records.
 //
+// What Recover may find is set by what the journal syncs (package journal):
+// a committed window is durable; an in-flight one always has its begin
+// record — strategy, full change batch, pre-state digest — and any prefix of
+// its step records, whole or torn. Every step without a record is
+// re-executed, so power loss costs redone steps and never a different state.
+//
 // Replay is by re-execution: the engine is deterministic given the same
 // pre-window state, change batch and work-affecting options (which the
 // begin record captures), so a recovered window is bag-identical to the

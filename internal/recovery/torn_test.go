@@ -1,0 +1,90 @@
+package recovery
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/journal"
+)
+
+// TestRecoverFromTornJournal is the power-loss case of the durability
+// contract: only begin, commit and abort records are synced, so a window
+// found in flight has its begin record and whatever prefix of its step
+// records reached the disk — possibly ending inside a frame. Recovery from
+// every such prefix lands on the views, and journals the installed-delta
+// digests, of the run that was never interrupted.
+func TestRecoverFromTornJournal(t *testing.T) {
+	w, s := newFixture(t)
+	var whole bytes.Buffer
+	res, err := Run(w, s, Options{Journal: journal.NewWriter(&whole), Seq: 7, Mode: exec.ModeSequential, Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bags(t, res.Core)
+	wantDigests := instDigestsOf(t, &whole)
+
+	// Frame boundaries of the one window: begin, one per step, commit.
+	var ends []int
+	for rest := whole.Bytes(); len(rest) > 0; {
+		_, _, n, err := journal.DecodeRecord(rest)
+		if err != nil || n == 0 {
+			t.Fatalf("uninterrupted journal does not parse at offset %d: n=%d err=%v", whole.Len()-len(rest), n, err)
+		}
+		rest = rest[n:]
+		ends = append(ends, whole.Len()-len(rest))
+	}
+	if len(ends) != len(s)+2 {
+		t.Fatalf("journal holds %d frames, want begin + %d steps + commit", len(ends), len(s))
+	}
+
+	// Every boundary from the begin record up to the last step (the commit
+	// frame dropped), and a cut inside the frame after each of them.
+	var cuts []int
+	for i := 0; i < len(ends)-1; i++ {
+		cuts = append(cuts, ends[i], ends[i]+(ends[i+1]-ends[i])/2)
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			torn := bytes.NewBuffer(append([]byte(nil), whole.Bytes()[:cut]...))
+			lg := readLog(t, torn)
+			if !NeedsRecovery(&lg) {
+				t.Fatal("a journal cut before its commit record does not need recovery")
+			}
+			// A torn frame is cut off before the journal is appended to, as
+			// OpenJournal does with the size ReadLog reports.
+			intact := 0
+			for _, end := range ends {
+				if end <= cut {
+					intact = end
+				}
+			}
+			if lg.Truncated != (intact != cut) || lg.Size != int64(intact) {
+				t.Fatalf("ReadLog reports Truncated=%v Size=%d for a cut at %d with the last whole frame ending at %d", lg.Truncated, lg.Size, cut, intact)
+			}
+			torn.Truncate(intact)
+			rec, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(torn)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBags(t, "recovered from a torn journal", want, bags(t, rec.Core))
+			if err := rec.Core.VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+			final := readLog(t, torn)
+			if NeedsRecovery(&final) || final.CommittedCount() != 1 {
+				t.Fatalf("journal not completed: inflight=%v committed=%d", final.InFlight() != nil, final.CommittedCount())
+			}
+			got := instDigestsOf(t, torn)
+			if len(got) != len(wantDigests) {
+				t.Fatalf("completed window journals %d steps, the uninterrupted run %d", len(got), len(wantDigests))
+			}
+			for idx, d := range wantDigests {
+				if got[idx] != d {
+					t.Fatalf("step %d: installed-delta digest %016x, the uninterrupted run journaled %016x", idx, got[idx], d)
+				}
+			}
+		})
+	}
+}

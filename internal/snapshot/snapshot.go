@@ -319,6 +319,7 @@ func Read(w *core.Warehouse, in io.Reader) error {
 		if sv.isAgg {
 			agg := v.AggStore()
 			agg.Clear()
+			agg.Grow(len(sv.groups))
 			for _, g := range sv.groups {
 				if err := agg.RestoreGroup(g.key, g.support, g.accums); err != nil {
 					// Unreachable: every RestoreGroup precondition was
@@ -329,6 +330,7 @@ func Read(w *core.Warehouse, in io.Reader) error {
 		} else {
 			tbl := v.Table()
 			tbl.Clear()
+			tbl.Grow(len(sv.rows))
 			for _, r := range sv.rows {
 				tbl.Insert(r.tup, r.count)
 			}

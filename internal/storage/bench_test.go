@@ -72,31 +72,124 @@ func BenchmarkTableScan(b *testing.B) {
 	runtime.KeepAlive(t)
 }
 
-// BenchmarkTableCloneDetach is what a window pays to get a private
-// LINEITEM: an O(1) clone, then the copy its first write forces.
+// benchBatch is the repo benchmark's batch shape over LINEITEM — 0.5 % of
+// the rows deleted, 0.5 % inserted — and the batch that undoes it.
+func benchBatch() (d, undo *delta.Delta) {
+	const half = benchRows / 200
+	d = delta.New(lineItemSchema)
+	for i := int64(0); i < half; i++ {
+		d.Add(lineItemRow(i*7), -1)
+		d.Add(lineItemRow(benchRows+i), 1)
+	}
+	return d, d.Negate()
+}
+
+// BenchmarkTableCloneDetach is what a window pays to get a LINEITEM it may
+// write: an O(1) clone, then whatever its writes have to copy — for one
+// inserted row, and for the benchmark's 1 % batch (ns/row and B/op there
+// are per changed row and per window; the copy must be a fraction of the
+// table, not the table).
 func BenchmarkTableCloneDetach(b *testing.B) {
 	t := lineItemTable(benchRows)
-	extra := lineItemRow(benchRows)
+	b.Run("row=1", func(b *testing.B) {
+		extra := lineItemRow(benchRows)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := t.Clone()
+			c.Insert(extra, 1)
+		}
+		reportPerRow(b, 1)
+	})
+	b.Run("batch=1pct", func(b *testing.B) {
+		d, _ := benchBatch()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := t.Clone()
+			if err := c.ApplyDelta(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportPerRow(b, d.Size())
+	})
+}
+
+// BenchmarkTableLoad is what set-up pays per table: 24 000 inserts into an
+// empty table of unknown final size.
+func BenchmarkTableLoad(b *testing.B) {
+	rows := make([]relation.Tuple, benchRows)
+	for i := range rows {
+		rows[i] = lineItemRow(int64(i))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := t.Clone()
-		c.Insert(extra, 1)
+		t := NewTable(lineItemSchema)
+		for _, r := range rows {
+			t.Insert(r, 1)
+		}
 	}
 	reportPerRow(b, benchRows)
+}
+
+// BenchmarkAggApply is a window's install into a summary view: clone, then
+// a batch that changes 1 % of the groups — of a SUM/COUNT view with one
+// group per LINEITEM order, and of a view whose single group is the MAX of
+// 24 000 values, to which the batch adds 1 % and takes as many away.
+func BenchmarkAggApply(b *testing.B) {
+	const touched = benchRows / 100
+	groupBy := relation.Schema{{Name: "g", Kind: relation.KindInt}}
+	run := func(b *testing.B, specs []delta.AggSpec, names []string, groupOf func(i int64) int64, installed, batch func(i int64) (relation.Value, int64)) {
+		t := NewAggTable(groupBy, specs, names)
+		load := delta.NewGroupPartials(groupBy, specs)
+		inputs := make([]relation.Value, len(specs))
+		fill := func(p *delta.GroupPartials, n int64, row func(i int64) (relation.Value, int64)) {
+			for i := int64(0); i < n; i++ {
+				v, count := row(i)
+				for j := range inputs {
+					inputs[j] = v
+				}
+				p.Accumulate(relation.Tuple{relation.NewInt(groupOf(i))}, inputs, count)
+			}
+		}
+		fill(load, benchRows, installed)
+		if err := t.Apply(load); err != nil {
+			b.Fatal(err)
+		}
+		p := delta.NewGroupPartials(groupBy, specs)
+		fill(p, touched, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := t.Clone()
+			if err := c.Apply(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportPerRow(b, touched)
+	}
+	b.Run("sum-count", func(b *testing.B) {
+		specs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindFloat}, {Kind: delta.AggCount}}
+		row := func(i int64) (relation.Value, int64) { return relation.NewFloat(float64(i % 97)), 1 }
+		run(b, specs, []string{"total", "n"}, func(i int64) int64 { return i }, row, row)
+	})
+	b.Run("max", func(b *testing.B) {
+		specs := []delta.AggSpec{{Kind: delta.AggMax, ValueKind: relation.KindInt}}
+		installed := func(i int64) (relation.Value, int64) { return relation.NewInt(i), 1 }
+		batch := func(i int64) (relation.Value, int64) {
+			if i%2 == 0 {
+				return relation.NewInt(i * 7), -1 // an installed value, not the maximum
+			}
+			return relation.NewInt(benchRows + i), 1
+		}
+		run(b, specs, []string{"top"}, func(int64) int64 { return 0 }, installed, batch)
+	})
 }
 
 // BenchmarkApplyDelta installs the repo benchmark's batch shape — 0.5 % of
 // the rows deleted, 0.5 % inserted — into a private LINEITEM.
 func BenchmarkApplyDelta(b *testing.B) {
 	t := lineItemTable(benchRows)
-	const half = benchRows / 200
-	d := delta.New(lineItemSchema)
-	for i := int64(0); i < half; i++ {
-		d.Add(lineItemRow(i*7), -1)
-		d.Add(lineItemRow(benchRows+i), 1)
-	}
-	undo := d.Negate()
+	d, undo := benchBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,5 +200,5 @@ func BenchmarkApplyDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportPerRow(b, 4*half) // two installs of 2·half rows each
+	reportPerRow(b, 2*d.Size()) // two installs
 }

@@ -277,3 +277,170 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 		t.Fatalf("RestoreGroup on clone changed the original's support to %d", support)
 	}
 }
+
+// pinnedView is everything a reader of a pinned epoch can have seen of one
+// store, taken before the successor windows run and compared after them.
+type pinnedView struct {
+	scan   map[string]int64 // Scan's rows, encoded
+	sorted []string         // SortedRows, in order
+	held   []relation.Tuple // the scanned tuples themselves, still referenced
+	digest uint64
+}
+
+func pinView(scan func(func(relation.Tuple, int64) bool), sorted func() []CountedTuple, digest uint64) pinnedView {
+	p := pinnedView{scan: make(map[string]int64), digest: digest}
+	scan(func(tup relation.Tuple, count int64) bool {
+		p.scan[tup.Encode()] += count
+		p.held = append(p.held, tup)
+		return true
+	})
+	for _, r := range sorted() {
+		p.sorted = append(p.sorted, fmt.Sprint(r.Tuple.Encode(), "x", r.Count))
+	}
+	return p
+}
+
+// same reports the first difference between what was pinned and what the
+// handle shows now, or "".
+func (p pinnedView) same(scan func(func(relation.Tuple, int64) bool), sorted func() []CountedTuple, digest uint64, heldEnc []string) string {
+	now := pinView(scan, sorted, digest)
+	switch {
+	case !sameBag(now.scan, p.scan):
+		return "Scan changed"
+	case fmt.Sprint(now.sorted) != fmt.Sprint(p.sorted):
+		return "SortedRows changed"
+	case now.digest != p.digest:
+		return "digest changed"
+	}
+	for i, tup := range p.held {
+		if tup.Encode() != heldEnc[i] {
+			return fmt.Sprintf("a tuple scanned earlier changed to %v", tup)
+		}
+	}
+	return ""
+}
+
+// TestPinnedEpochSurvivesWindows: a reader pins an epoch's Table, AggTable
+// and one-group MAX view, and fifty windows then run on successive clones,
+// each writing into the buckets the pinned handles share — inserts (enough
+// of them to double the directory), count changes, deletes, groups and
+// values coming and going — while the reader rescans the pinned handles.
+// Their Scan, SortedRows, digest and every tuple scanned earlier stay
+// bit-identical throughout. Run under -race.
+func TestPinnedEpochSurvivesWindows(t *testing.T) {
+	const rows = 600
+	gs := relation.Schema{{Name: "g", Kind: relation.KindInt}}
+	sumSpecs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindInt}, {Kind: delta.AggCount}}
+	maxSpecs := []delta.AggSpec{{Kind: delta.AggMax, ValueKind: relation.KindInt}, {Kind: delta.AggMin, ValueKind: relation.KindInt}}
+	tbl := NewTable(testSchema())
+	sums := NewAggTable(gs, sumSpecs, []string{"total", "n"})
+	ext := NewAggTable(nil, maxSpecs, []string{"hi", "lo"})
+
+	// apply installs one batch: ids[i] gets count copies in the table, and
+	// contributes to its group's sum and to the one MAX/MIN group.
+	apply := func(tbl *Table, sums, ext *AggTable, ids []int64, count int64) {
+		d := delta.New(testSchema())
+		ps := delta.NewGroupPartials(gs, sumSpecs)
+		pe := delta.NewGroupPartials(nil, maxSpecs)
+		for _, id := range ids {
+			d.Add(cowRow(id, fmt.Sprint("v", id)), count)
+			ps.Accumulate(relation.Tuple{relation.NewInt(id % 40)}, []relation.Value{relation.NewInt(id), relation.Null}, count)
+			pe.Accumulate(relation.Tuple{}, []relation.Value{relation.NewInt(id), relation.NewInt(id)}, count)
+		}
+		if err := tbl.ApplyDelta(d); err != nil {
+			t.Error(err)
+		}
+		for _, step := range []struct {
+			agg *AggTable
+			p   *delta.GroupPartials
+		}{{sums, ps}, {ext, pe}} {
+			if _, err := step.agg.FinalizeDelta(step.p); err != nil {
+				t.Error(err)
+			}
+			if err := step.agg.Apply(step.p); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	var all []int64
+	for id := int64(0); id < rows; id++ {
+		all = append(all, id)
+	}
+	apply(tbl, sums, ext, all, 2)
+
+	pinTbl := pinView(tbl.Scan, tbl.SortedRows, tbl.Digest())
+	pinSums := pinView(sums.Scan, sums.SortedRows, sums.Digest())
+	pinExt := pinView(ext.Scan, ext.SortedRows, ext.Digest())
+	encOf := func(p pinnedView) []string {
+		out := make([]string, len(p.held))
+		for i, tup := range p.held {
+			out[i] = tup.Encode()
+		}
+		return out
+	}
+	encTbl, encSums, encExt := encOf(pinTbl), encOf(pinSums), encOf(pinExt)
+	unchanged := func() string {
+		if d := pinTbl.same(tbl.Scan, tbl.SortedRows, tbl.Digest(), encTbl); d != "" {
+			return "table: " + d
+		}
+		if d := pinSums.same(sums.Scan, sums.SortedRows, sums.Digest(), encSums); d != "" {
+			return "sum view: " + d
+		}
+		if d := pinExt.same(ext.Scan, ext.SortedRows, ext.Digest(), encExt); d != "" {
+			return "max view: " + d
+		}
+		return ""
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the reader of the pinned epoch
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d := unchanged(); d != "" {
+				t.Errorf("while the windows ran, the pinned %s", d)
+				return
+			}
+		}
+	}()
+
+	// The first window clones the pinned handles; each later one clones its
+	// predecessor, as epochs do.
+	curT, curS, curE := tbl, sums, ext
+	next := int64(rows)
+	for win := 0; win < 50; win++ {
+		curT, curS, curE = curT.Clone(), curS.Clone(), curE.Clone()
+		var fresh []int64
+		for i := 0; i < 40; i++ { // 2 000 new rows over the run: the directory doubles
+			fresh = append(fresh, next)
+			next++
+		}
+		apply(curT, curS, curE, fresh, 1)
+		old := all[win*10 : win*10+10]         // rows the pinned epoch holds
+		apply(curT, curS, curE, old[:5], 1)    // a count change
+		apply(curT, curS, curE, old[5:], -2)   // a delete
+		apply(curT, curS, curE, fresh[:3], -1) // and of rows this window inserted
+		for _, err := range []error{curT.CheckDigest(), curS.CheckDigest(), curE.CheckDigest()} {
+			if err != nil {
+				t.Fatalf("window %d: %v", win, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if d := unchanged(); d != "" {
+		t.Fatalf("after the windows, the pinned %s", d)
+	}
+	if want := int64(rows + 50*(40-3) - 50*5); curT.DistinctCount() != want {
+		t.Fatalf("the last epoch holds %d rows, want %d", curT.DistinctCount(), want)
+	}
+	if hi := curE.SortedRows()[0].Tuple[0].Int(); hi != next-1 {
+		t.Fatalf("the last epoch's MAX is %d, want %d", hi, next-1)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
@@ -23,7 +24,7 @@ import (
 type hashIndex struct {
 	cols []int
 	// buckets maps key encoding → row encoding → struct{} (set semantics:
-	// multiplicity lives in Table.rows).
+	// multiplicity lives in the table's rows).
 	buckets map[string]map[string]struct{}
 }
 
@@ -89,9 +90,10 @@ func (t *Table) EnsureIndex(cols []int) error {
 		return nil
 	}
 	ix := &hashIndex{cols: sorted, buckets: make(map[string]map[string]struct{})}
-	for key, r := range t.rows {
+	t.rows.Scan(func(_ uint64, key string, r storedRow) bool {
 		ix.add(key, r.tup)
-	}
+		return true
+	})
 	t.indexes[name] = ix
 	return nil
 }
@@ -128,7 +130,7 @@ func (t *Table) Lookup(cols []int, key relation.Tuple, fn func(relation.Tuple, i
 		return fmt.Errorf("storage: no index on columns %v", cols)
 	}
 	for rowEnc := range ix.buckets[key.Encode()] {
-		if r := t.rows[rowEnc]; !fn(r.tup, r.count) {
+		if r, _ := t.rows.Get(cowmap.Hash(rowEnc), rowEnc); !fn(r.tup, r.count) {
 			return nil
 		}
 	}

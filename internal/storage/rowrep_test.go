@@ -170,3 +170,27 @@ func TestTableScanAllocatesNothing(t *testing.T) {
 		t.Fatalf("Scan of 2000 rows allocated %v times, want 0", allocs)
 	}
 }
+
+// cloneWriteAllocs is the allocation count of a clone followed by one
+// inserted row, on a table of n rows.
+func cloneWriteAllocs(n int64) float64 {
+	tbl := NewTable(testSchema())
+	for i := int64(0); i < n; i++ {
+		tbl.Insert(cowRow(i, "payload"), 1)
+	}
+	extra := cowRow(n, "payload")
+	return testing.AllocsPerRun(20, func() {
+		c := tbl.Clone()
+		c.Insert(extra, 1)
+	})
+}
+
+// TestCloneAndWriteAllocationsIgnoreRowCount: a clone and one write copy the
+// directory and one bucket, each one allocation: the count is the same for
+// a table of two thousand rows and one of thirty-two thousand.
+func TestCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
+	small, large := cloneWriteAllocs(2_000), cloneWriteAllocs(32_000)
+	if small != large || large > 12 {
+		t.Fatalf("clone + one insert allocated %v times at 2 000 rows and %v at 32 000, want the same small number", small, large)
+	}
+}

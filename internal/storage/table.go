@@ -8,35 +8,38 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/cowmap"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
 
-// Table is a bag of tuples with a fixed schema, stored as a map from the
-// tuple encoding to the decoded tuple and its multiplicity. Multiplicities
-// are always positive; installing a change batch that would drive a count
-// negative is an error (it indicates an incorrect maintenance strategy
-// upstream).
+// Table is a bag of tuples with a fixed schema, stored as a copy-on-write
+// hash table (package cowmap) from the tuple encoding to the decoded tuple
+// and its multiplicity. Multiplicities are always positive; installing a
+// change batch that would drive a count negative is an error (it indicates
+// an incorrect maintenance strategy upstream).
 //
 // A stored tuple is written once, when its row first appears, and never
 // again: Scan, Lookup and SortedRows hand out that tuple itself, shared by
 // every copy-on-write clone of the table and so by every epoch that still
 // holds the row. Callers must treat it as immutable. Its capacity equals
 // its length, so appending to it copies.
+//
+// Handles are single-writer. A write through one handle copies the bucket
+// it lands in and leaves every other handle's view of the rows untouched,
+// so handles that are only read need no lock while a clone is written.
 type Table struct {
 	schema relation.Schema
-	rows   map[string]storedRow
+	rows   cowmap.Map[storedRow]
 	card   int64 // total multiplicity (sum of counts)
-	// cow marks rows as shared with other Table handles (Clone is
-	// copy-on-write at relation granularity): the map must not be mutated
-	// through this handle until detach gives it a private copy. Handles are
-	// single-writer; the flag needs no lock because sharing handles only
-	// ever read the shared map.
-	cow bool
+	// digest is the XOR over rows of rowDigest: the table's term of the
+	// warehouse state digest, kept current by every count change.
+	digest uint64
 	// indexes holds maintained hash indexes keyed by canonical column list
 	// (see index.go). Clones start without indexes; they are rebuilt on
 	// demand by EnsureIndex. idxMu serializes that lazy build against
@@ -55,7 +58,40 @@ type storedRow struct {
 
 // NewTable creates an empty table with the given schema.
 func NewTable(schema relation.Schema) *Table {
-	return &Table{schema: schema.Clone(), rows: make(map[string]storedRow)}
+	return &Table{schema: schema.Clone()}
+}
+
+// rowDigest fingerprints one row: the CRC-64/ECMA of its encoding followed
+// by its count as a varint, continued from the encoding's stored hash. It
+// is the per-row term of journal.StateDigest, whose values journals and
+// followers have recorded; it must not change.
+func rowDigest(keyHash uint64, count int64) uint64 {
+	var buf [binary.MaxVarintLen64]byte
+	return cowmap.Extend(keyHash, buf[:binary.PutVarint(buf[:], count)])
+}
+
+// scanDigest is the digest of rows as a full scan computes it: what a
+// running digest must equal.
+func scanDigest(scanEncoded func(func(key string, count int64) bool)) uint64 {
+	var h uint64
+	scanEncoded(func(key string, count int64) bool {
+		h ^= rowDigest(cowmap.Hash(key), count)
+		return true
+	})
+	return h
+}
+
+// Digest returns the order-independent fingerprint of the table's rows,
+// the XOR of each row's CRC, in O(1): it is maintained as rows change.
+func (t *Table) Digest() uint64 { return t.digest }
+
+// CheckDigest recomputes the digest by a scan of every row and reports a
+// running digest that has drifted from it.
+func (t *Table) CheckDigest() error {
+	if want := scanDigest(t.ScanEncoded); t.digest != want {
+		return fmt.Errorf("storage: running digest %016x, a scan of the rows gives %016x", t.digest, want)
+	}
+	return nil
 }
 
 // Schema returns the table's schema.
@@ -65,23 +101,11 @@ func (t *Table) Schema() relation.Schema { return t.schema }
 func (t *Table) Cardinality() int64 { return t.card }
 
 // DistinctCount returns the number of distinct rows.
-func (t *Table) DistinctCount() int64 { return int64(len(t.rows)) }
+func (t *Table) DistinctCount() int64 { return int64(t.rows.Len()) }
 
-// detach gives the table a private copy of a shared row map before the
-// first mutation through this handle. Sibling handles (and the readers
-// scanning them) keep the original map untouched — this is what makes a
-// cloned epoch immutable while its successor is updated in place.
-func (t *Table) detach() {
-	if !t.cow {
-		return
-	}
-	rows := make(map[string]storedRow, len(t.rows))
-	for k, v := range t.rows {
-		rows[k] = v
-	}
-	t.rows = rows
-	t.cow = false
-}
+// Grow sizes the table for n more distinct rows at once; a load whose size
+// is known calls it first.
+func (t *Table) Grow(n int) { t.rows.Grow(n) }
 
 // Insert adds count copies of the tuple. Count must be positive. The table
 // keeps nothing of tup itself; the caller may reuse or modify it.
@@ -89,21 +113,30 @@ func (t *Table) Insert(tup relation.Tuple, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
-	t.insertKey(tup.Encode(), count)
+	key := encodeKey(tup)
+	t.insertKey(cowmap.Hash(key), key, count)
+}
+
+// encodeKey is tup.Encode() through a stack buffer: one allocation, the
+// key itself, for rows that encode to 128 bytes or fewer.
+func encodeKey(tup relation.Tuple) string {
+	var buf [128]byte
+	return string(tup.AppendEncoded(buf[:0]))
 }
 
 // insertKey adds count copies of the row encoded as key. A row new to the
 // table stores the tuple decoded from key, whose strings are substrings of
-// the key the map holds anyway.
-func (t *Table) insertKey(key string, count int64) {
-	t.detach()
-	r, existed := t.rows[key]
-	if !existed {
+// the key the table holds anyway.
+func (t *Table) insertKey(hash uint64, key string, count int64) {
+	r, existed := t.rows.Ref(hash, key)
+	if existed {
+		t.digest ^= rowDigest(hash, r.count)
+	} else {
 		r.tup = mustDecode(key)
 		t.indexInsert(key, r.tup)
 	}
 	r.count += count
-	t.rows[key] = r
+	t.digest ^= rowDigest(hash, r.count)
 	t.card += count
 }
 
@@ -121,58 +154,60 @@ func (t *Table) Delete(tup relation.Tuple, count int64) error {
 	if count <= 0 {
 		return fmt.Errorf("storage: Delete with non-positive count %d", count)
 	}
-	key := tup.Encode()
-	if have := t.rows[key].count; have < count {
+	key := encodeKey(tup)
+	hash := cowmap.Hash(key)
+	have := t.countKey(hash, key)
+	if have < count {
 		return fmt.Errorf("storage: delete of %d copies of %v but only %d present", count, tup, have)
 	}
-	t.deleteKey(key, count)
+	t.deleteKey(hash, key, count, have)
 	return nil
 }
 
-// deleteKey removes count copies of the row encoded as key; the caller has
-// checked that at least count are present.
-func (t *Table) deleteKey(key string, count int64) {
-	t.detach()
-	r := t.rows[key]
-	if r.count == count {
-		delete(t.rows, key)
+// deleteKey removes count of the have copies of the row encoded as key; the
+// caller has looked have up and checked that it is at least count.
+func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
+	t.digest ^= rowDigest(hash, have)
+	if have == count {
+		r, _ := t.rows.Delete(hash, key)
 		t.indexDelete(key, r.tup)
 	} else {
+		r, _ := t.rows.Ref(hash, key)
 		r.count -= count
-		t.rows[key] = r
+		t.digest ^= rowDigest(hash, r.count)
 	}
 	t.card -= count
 }
 
+func (t *Table) countKey(hash uint64, key string) int64 {
+	r, _ := t.rows.Get(hash, key)
+	return r.count
+}
+
 // Count returns the multiplicity of the tuple (0 if absent).
-func (t *Table) Count(tup relation.Tuple) int64 { return t.rows[tup.Encode()].count }
+func (t *Table) Count(tup relation.Tuple) int64 {
+	key := encodeKey(tup)
+	return t.countKey(cowmap.Hash(key), key)
+}
 
 // Scan calls fn for each distinct row with its multiplicity. Iteration stops
 // early if fn returns false. Iteration order is unspecified. The tuple is
 // the stored one (see Table): fn may keep it but must not modify it.
 func (t *Table) Scan(fn func(tup relation.Tuple, count int64) bool) {
-	for _, r := range t.rows {
-		if !fn(r.tup, r.count) {
-			return
-		}
-	}
+	t.rows.Scan(func(_ uint64, _ string, r storedRow) bool { return fn(r.tup, r.count) })
 }
 
 // ScanEncoded is Scan over the rows' Tuple.Encode keys, for callers that
 // fingerprint or persist rows and never look inside them.
 func (t *Table) ScanEncoded(fn func(key string, count int64) bool) {
-	for key, r := range t.rows {
-		if !fn(key, r.count) {
-			return
-		}
-	}
+	t.rows.Scan(func(_ uint64, key string, r storedRow) bool { return fn(key, r.count) })
 }
 
 // SortedRows returns all distinct rows with counts, sorted lexicographically.
 // Intended for tests and deterministic output. The tuples are the stored
 // ones and must not be modified.
 func (t *Table) SortedRows() []CountedTuple {
-	out := make([]CountedTuple, 0, len(t.rows))
+	out := make([]CountedTuple, 0, t.rows.Len())
 	t.Scan(func(tup relation.Tuple, count int64) bool {
 		out = append(out, CountedTuple{Tuple: tup, Count: count})
 		return true
@@ -189,27 +224,27 @@ type CountedTuple struct {
 	Count int64
 }
 
-// Clone returns an independent copy of the table in O(1): the row map is
-// shared copy-on-write, and whichever handle mutates first detaches onto a
-// private copy. An epoch that clones a hundred-relation warehouse therefore
-// pays only for the relations its update window actually touches.
-// Maintained indexes are not shared; the clone starts without any.
+// Clone returns an independent copy of the table in O(1): the rows are
+// shared copy-on-write, and from here on a write through either handle
+// copies the buckets it touches (see cowmap). An epoch that clones a
+// hundred-relation warehouse therefore pays only for the rows its update
+// window actually changes. Maintained indexes are not shared; the clone
+// starts without any.
 func (t *Table) Clone() *Table {
-	t.cow = true
-	return &Table{schema: t.schema.Clone(), rows: t.rows, card: t.card, cow: true}
+	return &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest}
 }
 
 // Equal reports whether two tables hold the same bag of rows.
 func (t *Table) Equal(o *Table) bool {
-	if len(t.rows) != len(o.rows) || t.card != o.card {
+	if t.rows.Len() != o.rows.Len() || t.card != o.card {
 		return false
 	}
-	for k, v := range t.rows {
-		if o.rows[k].count != v.count {
-			return false
-		}
-	}
-	return true
+	equal := true
+	t.rows.Scan(func(hash uint64, key string, r storedRow) bool {
+		equal = o.countKey(hash, key) == r.count
+		return equal
+	})
+	return equal
 }
 
 // ApproxEqual reports whether two tables hold the same bag of rows, with
@@ -218,7 +253,7 @@ func (t *Table) Equal(o *Table) bool {
 // from-scratch recomputation, so verification of views with float aggregates
 // needs tolerant comparison; all other kinds compare exactly.
 func (t *Table) ApproxEqual(o *Table, tol float64) bool {
-	if t.card != o.card || len(t.rows) != len(o.rows) {
+	if t.card != o.card || t.rows.Len() != o.rows.Len() {
 		return false
 	}
 	a, b := t.SortedRows(), o.SortedRows()
@@ -266,36 +301,48 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 	if !t.schema.Equal(d.Schema()) {
 		return fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
 	}
+	// One pass over the delta hashes each key once and checks the deletes;
+	// the second installs from what the first collected.
+	type change struct {
+		hash        uint64
+		key         string
+		count, have int64 // have is looked up for deletes only
+	}
 	var err error
+	changes := make([]change, 0, d.Distinct())
+	plus := 0
 	d.ScanEncoded(func(key string, count int64) bool {
-		if have := t.rows[key].count; count < 0 && have < -count {
-			err = fmt.Errorf("storage: delta deletes %d copies of %v but only %d present", -count, mustDecode(key), have)
+		c := change{hash: cowmap.Hash(key), key: key, count: count}
+		if count > 0 {
+			plus++
+		} else if c.have = t.countKey(c.hash, key); c.have < -count {
+			err = fmt.Errorf("storage: delta deletes %d copies of %v but only %d present", -count, mustDecode(key), c.have)
 			return false
 		}
+		changes = append(changes, c)
 		return true
 	})
 	if err != nil {
 		return err
 	}
+	t.rows.Grow(plus)
 	// The table adopts the delta's key strings as its own, and decodes a
 	// tuple only for a row it does not hold yet.
-	d.ScanEncoded(func(key string, count int64) bool {
-		if count > 0 {
-			t.insertKey(key, count)
+	for _, c := range changes {
+		if c.count > 0 {
+			t.insertKey(c.hash, c.key, c.count)
 		} else {
-			t.deleteKey(key, -count)
+			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}
-		return true
-	})
+	}
 	return nil
 }
 
-// Clear removes every row. Maintained indexes are emptied but kept. A
-// shared (cloned) row map is simply abandoned to its other handles.
+// Clear removes every row. Maintained indexes are emptied but kept. Rows
+// shared with clones are simply abandoned to the other handles.
 func (t *Table) Clear() {
-	t.rows = make(map[string]storedRow)
-	t.cow = false
-	t.card = 0
+	t.rows.Clear()
+	t.card, t.digest = 0, 0
 	for _, ix := range t.indexes {
 		ix.buckets = make(map[string]map[string]struct{})
 	}

@@ -65,8 +65,10 @@ type Journal struct {
 // OpenJournal opens (creating if absent) a file-backed journal in append
 // mode. Existing content is parsed first: Committed reports how many
 // windows it already holds, NeedsRecovery whether it ends mid-window. A
-// torn final record — a crash during a journal write — is tolerated and
-// treated as not written.
+// torn final record — a crash during a journal write, or power lost before
+// the unsynced step records of an in-flight window reached the disk whole —
+// is treated as not written and cut off, so that what is appended next
+// follows the last intact record.
 func OpenJournal(path string) (*Journal, error) {
 	var lg journal.Log
 	if in, err := os.Open(path); err == nil {
@@ -78,7 +80,7 @@ func OpenJournal(path string) (*Journal, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := journal.OpenAppend(path, lg)
 	if err != nil {
 		return nil, err
 	}

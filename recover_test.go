@@ -3,6 +3,7 @@ package warehouse
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -199,6 +200,66 @@ func TestCrashAndRecoverThroughFacade(t *testing.T) {
 	}
 	if j2.Committed() != 2 {
 		t.Fatalf("journal committed = %d after post-recovery window", j2.Committed())
+	}
+}
+
+// TestRecoverAfterTornJournalTail: step records are not synced one by one,
+// so power loss can leave an in-flight window whose last step record is cut
+// short. Reopening cuts the torn frame off; recovery re-executes that step,
+// and the commit it appends is there for the next process to read.
+func TestRecoverAfterTornJournalTail(t *testing.T) {
+	ref := newRetail(t)
+	stageSale(t, ref)
+	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "wh.journal")
+	w := newRetail(t)
+	stageSale(t, w)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewFaultInjector(1)
+	inj.CrashAt("step", 3)
+	if _, err := w.RunWindowOpts(WindowOptions{Journal: j, Faults: inj}); err == nil {
+		t.Fatal("crashed window reported success")
+	}
+	j.Close()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil { // inside the last step record
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j2.NeedsRecovery() {
+		t.Fatal("reopened journal does not show the in-flight window")
+	}
+	w2 := newRetail(t)
+	if _, err := w2.Recover(j2); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	for _, v := range ref.Views() {
+		if !sameRows(rowsOf(t, ref, v), rowsOf(t, w2, v)) {
+			t.Fatalf("%s differs from the uninterrupted window's result", v)
+		}
+	}
+
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if j3.Committed() != 1 || j3.NeedsRecovery() {
+		t.Fatalf("journal read back after recovery: committed=%d needsRecovery=%v", j3.Committed(), j3.NeedsRecovery())
 	}
 }
 
