@@ -90,16 +90,18 @@ bench:
 
 # One-iteration pass over the Compute benchmarks with allocation stats:
 # cheap enough for CI, and catches probe-path allocation regressions. The
-# storage and journal layer benchmarks run once too, so that they keep
-# compiling and executing between the runs of bench-layers that read them.
+# storage, journal and join-probe layer benchmarks run once too, so that they
+# keep compiling and executing between the runs of bench-layers that read them.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
 	$(GO) test ./internal/storage ./internal/journal -run '^$$' -bench . -benchtime 1x -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
-# clone / load / apply (rows and groups), join build and probe, state digest
-# (the fold a window pays beside the scan it replaced). Five samples each,
+# clone / load / apply (rows and groups), join index build / apply, join
+# build and probe (flat table and resident index), state digest (the fold a
+# window pays beside the scan it replaced). Five samples each,
 # with allocations; the planner's also report ns per ordering, the others
 # ns/row.
 bench-layers:

@@ -36,8 +36,6 @@ func main() {
 		"parallel":       experiments.Parallel,
 		"stagedvsdag":    experiments.StagedVsDAG,
 		"termparallel":   experiments.TermParallel,
-		"sharedcomp":     experiments.SharedComp,
-		"sharedplan":     experiments.SharedPlan,
 		"metric":         experiments.MetricAblation,
 		"estimation":     experiments.Estimation,
 		"deep":           experiments.Deep,
@@ -45,9 +43,8 @@ func main() {
 		"onlinewindow":   experiments.OnlineWindow,
 		"replication":    experiments.Replication,
 		"streaming":      experiments.Streaming,
-		"spill":          experiments.Spill,
 	}
-	order := []string{"table1", "fig12", "fig13", "fig14", "fig15", "parallel", "stagedvsdag", "termparallel", "sharedcomp", "sharedplan", "metric", "estimation", "deep", "faulttolerance", "onlinewindow", "replication", "streaming", "spill"}
+	order := []string{"table1", "fig12", "fig13", "fig14", "fig15", "parallel", "stagedvsdag", "termparallel", "metric", "estimation", "deep", "faulttolerance", "onlinewindow", "replication", "streaming"}
 
 	var ids []string
 	if *only != "" {

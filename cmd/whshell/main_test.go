@@ -208,6 +208,9 @@ EXIT;
 	}
 }
 
+// TestShellExplainSharing: the sibling views join R with SG, a summary view
+// over S, because that is the state a window still hashes and can share — a
+// plain table's state is read through its resident join index.
 func TestShellExplainSharing(t *testing.T) {
 	r := writeFile(t, "r.csv", "id,a\n1,10\n2,20\n3,30\n")
 	s := writeFile(t, "s.csv", "id,b\n1,1\n2,2\n3,3\n")
@@ -215,8 +218,9 @@ func TestShellExplainSharing(t *testing.T) {
 	script := `
 CREATE BASE R (id INTEGER, a INTEGER);
 CREATE BASE S (id INTEGER, b INTEGER);
-CREATE VIEW V1 AS SELECT r.a AS a, s.b AS b FROM R r, S s WHERE r.id = s.id;
-CREATE VIEW V2 AS SELECT r.a AS g, SUM(s.b) AS t FROM R r, S s WHERE r.id = s.id GROUP BY r.a;
+CREATE VIEW SG AS SELECT id, SUM(b) AS b FROM S GROUP BY id;
+CREATE VIEW V1 AS SELECT r.a AS a, s.b AS b FROM R r, SG s WHERE r.id = s.id;
+CREATE VIEW V2 AS SELECT r.a AS g, SUM(s.b) AS t FROM R r, SG s WHERE r.id = s.id GROUP BY r.a;
 LOAD R FROM '` + r + `';
 LOAD S FROM '` + s + `';
 REFRESH;

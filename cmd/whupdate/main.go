@@ -420,8 +420,8 @@ func verify(w *core.Warehouse) error {
 	return nil
 }
 
-// cacheSuffix renders a step's build-cache and shared-computation accounting
-// (empty when neither layer touched the step).
+// cacheSuffix renders a step's build-cache, shared-computation, spill and
+// join-index accounting (empty when none of them touched the step).
 func cacheSuffix(step exec.StepReport) string {
 	var s string
 	if step.CacheHits+step.CacheMisses > 0 {
@@ -434,6 +434,9 @@ func cacheSuffix(step exec.StepReport) string {
 	}
 	if step.SpillCount > 0 {
 		s += fmt.Sprintf(" spills=%d", step.SpillCount)
+	}
+	if step.IndexProbes > 0 || step.IndexTuplesSaved > 0 {
+		s += fmt.Sprintf(" index=%d probes saved=%d", step.IndexProbes, step.IndexTuplesSaved)
 	}
 	return s
 }

@@ -5,7 +5,12 @@ package warehouse
 // at a 1-byte budget (everything spills). All three must produce identical
 // bags in every view and identical installed-delta digests step for step —
 // spilling changes bytes moved, never results. The starved leg must actually
-// spill somewhere across the run, or the harness proved nothing.
+// spill somewhere across the run, and somewhere in a Comp that also probes a
+// resident join index — a spilled step's passes repeat the index steps of
+// its pipeline — or the harness proved nothing. The random catalogs' joins
+// have two operands, so a last trial runs the fixture of
+// sharing_facade_test.go, whose terms join a delta, an aggregate store (the
+// build that spills) and a plain table (the index step).
 
 import (
 	"fmt"
@@ -37,6 +42,22 @@ func digestsMatch(a, b map[string]uint64) bool {
 	return true
 }
 
+// trialCatalog returns the warehouse of one trial of the harnesses below,
+// the function that stages its next change batch, and the trial's random
+// source: the seeded random catalog for trial < trials, and after them the
+// sibling-view fixture of sharing_facade_test.go, whose terms join a delta,
+// an aggregate store and a plain table.
+func trialCatalog(t *testing.T, trial, trials int, seedMul int64) (*Warehouse, func(), *rand.Rand) {
+	catalogSeed := int64(99105 + trial)
+	rng := rand.New(rand.NewSource(catalogSeed * seedMul))
+	if trial == trials {
+		ref := newSharingWarehouse(t, Options{})
+		return ref, func() { stageSharingDelta(t, ref) }, rng
+	}
+	ref := buildOnline(t, catalogSeed)
+	return ref, func() { stageOnline(t, ref, rng) }, rng
+}
+
 func TestBoundedMemoryDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -56,14 +77,12 @@ func TestBoundedMemoryDifferential(t *testing.T) {
 	// trials (including both -short trials): join-free catalogs build no
 	// hash state and cannot spill, and a harness that never spills proves
 	// nothing. The two join-free seeds in range stay as controls.
-	var starvedSpills int
-	for trial := 0; trial < trials; trial++ {
-		catalogSeed := int64(99105 + trial)
-		rng := rand.New(rand.NewSource(catalogSeed * 13))
-		ref := buildOnline(t, catalogSeed)
+	var starvedSpills, spillsBesideProbes int
+	for trial := 0; trial <= trials; trial++ {
+		ref, stage, rng := trialCatalog(t, trial, trials, 13)
 
 		for win := 0; win < windowsPer; win++ {
-			stageOnline(t, ref, rng)
+			stage()
 			mode := modes[win%len(modes)]
 			opts := WindowOptions{Mode: mode, Workers: 1 + rng.Intn(4)}
 
@@ -99,12 +118,17 @@ func TestBoundedMemoryDifferential(t *testing.T) {
 				}
 				if leg.budget == 1 {
 					starvedSpills += rep.Counters().SpillCount
+					for _, step := range rep.Report.Steps {
+						if step.SpillCount > 0 && step.IndexProbes > 0 {
+							spillsBesideProbes++
+						}
+					}
 				}
 			}
 		}
 	}
-	if starvedSpills == 0 {
-		t.Fatal("the starved leg never spilled: the harness exercised nothing")
+	if starvedSpills == 0 || spillsBesideProbes == 0 {
+		t.Fatalf("the starved leg spilled %d builds, in %d steps that also probed an index: the harness exercised nothing", starvedSpills, spillsBesideProbes)
 	}
 }
 
@@ -117,7 +141,10 @@ func TestBoundedMemoryDifferential(t *testing.T) {
 // the reference warehouse's committed state: sharing elides physical scans,
 // never results or the metric. Every scheduling mode is exercised, at term
 // engine width 1 and 2 on alternating windows, and the sharing leg must
-// actually register hits somewhere across the run. (The fourth,
+// actually register hits somewhere across the run: the last trial runs the
+// sibling-view fixture of sharing_facade_test.go, whose every Comp hashes
+// the same aggregate store, because the random catalogs join mostly plain
+// tables, which are read through resident indexes and build nothing. (The fourth,
 // "termparallel" configuration — sequential scheduling with ParallelTerms —
 // selected the second evaluator; the alternating width covers it on the
 // sequential leg of every other trial.)
@@ -139,13 +166,11 @@ func TestJointSharingDifferential(t *testing.T) {
 
 	var sharedHits int
 	var tuplesSaved int64
-	for trial := 0; trial < trials; trial++ {
-		catalogSeed := int64(99105 + trial)
-		rng := rand.New(rand.NewSource(catalogSeed * 29))
-		ref := buildOnline(t, catalogSeed)
+	for trial := 0; trial <= trials; trial++ {
+		ref, stage, _ := trialCatalog(t, trial, trials, 29)
 
 		for win, cfg := range cfgs {
-			stageOnline(t, ref, rng)
+			stage()
 			opts := WindowOptions{Planner: SharedPlanner, Mode: cfg.mode, Workers: cfg.workers}
 
 			legOff, legOn := ref.Clone(), ref.Clone()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/maintain"
@@ -12,8 +13,10 @@ import (
 // Explain renders a strategy with its predicted per-expression cost under
 // the linear work metric and the current planning statistics: for each
 // Comp, the number of maintenance terms and the operand state it will read
-// (pre- or post-install sizes); for each Inst, the delta size installed.
-// The footer totals the prediction. Useful for understanding *why* one
+// (pre- or post-install sizes) with the resident join indexes that serve it
+// ("ix[cols]…", see storage.Index); for each Inst, the delta size installed.
+// The footer totals the prediction and lists each resident index with its
+// keys, rows, probes and upkeep operations. Useful for understanding *why* one
 // strategy beats another before running either.
 func (w *Warehouse) Explain(s Strategy) (string, error) {
 	if err := w.Validate(s); err != nil {
@@ -48,7 +51,7 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 					size = st.SizeAfter()
 					mark = "′" // post-install state
 				}
-				operands = append(operands, fmt.Sprintf("|%s%s|=%d", child, mark, size))
+				operands = append(operands, fmt.Sprintf("|%s%s|=%d%s", child, mark, size, indexMarks(w.core.MustView(child))))
 				if containsStr(x.Over, child) {
 					operands = append(operands, fmt.Sprintf("|δ%s|=%d", child, st.DeltaSize()))
 				}
@@ -61,7 +64,25 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 		sb.WriteString("\n")
 	}
 	fmt.Fprintf(&sb, "total predicted work: %.0f (comp %.0f + inst %.0f)\n", b.Total, b.Comp, b.Inst)
+	for _, name := range w.core.ViewNames() {
+		for _, st := range w.core.MustView(name).IndexStats() {
+			fmt.Fprintf(&sb, "join index %s%s\n", name, st)
+		}
+	}
 	return sb.String(), nil
+}
+
+// indexMarks renders a state operand's resident join indexes as " ix[0][0 2]"
+// (column positions), or nothing when it has none.
+func indexMarks(v *core.View) string {
+	var s string
+	for _, st := range v.IndexStats() {
+		s += fmt.Sprint(st.Cols)
+	}
+	if s != "" {
+		s = " ix" + s
+	}
+	return s
 }
 
 func containsStr(list []string, s string) bool {

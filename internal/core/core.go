@@ -32,14 +32,6 @@ type Options struct {
 	// compute terms whose delta operands are all empty, the footnote-5
 	// extension of the paper. Off by default to match the measured system.
 	SkipEmptyDeltas bool
-	// UseIndexes, when set, makes term evaluation probe maintained hash
-	// indexes on state operands instead of scanning them to build
-	// per-term hash tables (the storage-representation lever of the
-	// paper's related work, [JNSS97]/[KR98]). Reported work then counts
-	// index probes, deliberately deviating from the linear work metric's
-	// scan-everything model; off by default so measurements match the
-	// metric the paper validates.
-	UseIndexes bool
 	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
 	// the 2^r − 1 maintenance terms of one Comp then evaluate concurrently,
 	// each join step's probe rows are dispatched in fixed-size morsels, and
@@ -72,14 +64,15 @@ type Options struct {
 	// memory budget attached, degraded per-entry to spill files and only
 	// then to recompute.
 	SharedBudgetBytes int64
-	// MemoryBudgetBytes bounds the window's bulk build state (0 = off,
+	// MemoryBudgetBytes bounds the window's transient build state (0 = off,
 	// i.e. unbounded). With a budget attached for a window (AttachMemory),
 	// every build-side hash table — term-local, per-Compute cached, and
 	// shared-registry retained — reserves against it, and builds that do
 	// not fit spill to CRC-framed temp files probed partition-wise
 	// (Grace-style). Results, digests and the linear work metric are
 	// identical at any budget; only wall-clock, bytes moved and the spill
-	// counters differ. Ignored under UseIndexes (see AttachMemory).
+	// counters differ. Resident join indexes are storage, like the rows
+	// they point at, and are not charged.
 	MemoryBudgetBytes int64
 }
 
@@ -175,6 +168,16 @@ func (v *View) SortedRows() []storage.CountedTuple {
 // aggregate views). Intended for snapshot/restore machinery; mutating the
 // table directly bypasses the strategy framework.
 func (v *View) Table() *storage.Table { return v.table }
+
+// IndexStats describes the resident join indexes through which delta-driven
+// terms read the view's state, in creation order; nil for an aggregate view,
+// whose group store carries none.
+func (v *View) IndexStats() []storage.IndexStats {
+	if v.table == nil {
+		return nil
+	}
+	return v.table.IndexStats()
+}
 
 // AggStore exposes the backing aggregate table of a summary view (nil
 // otherwise). Intended for snapshot/restore machinery.

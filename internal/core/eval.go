@@ -34,7 +34,7 @@ type CompReport struct {
 	// BuildCacheHits counts join-step build tables served from the
 	// per-Compute build cache instead of re-scanning and re-hashing the
 	// operand: every term after the first that joins one operand on the same
-	// key columns. 0 for single-term Comps and under UseIndexes.
+	// key columns. 0 for single-term Comps.
 	BuildCacheHits int
 	// BuildCacheMisses counts build tables physically constructed — one per
 	// distinct (operand, key columns) pair of the Compute.
@@ -66,6 +66,17 @@ type CompReport struct {
 	// SpillReReadBytes is the bytes this Compute re-read from spill files
 	// during partition-wise probing.
 	SpillReReadBytes int64
+	// IndexProbes counts the lookups this Compute made in resident join
+	// indexes (storage.Index): one per partial row arriving at a join step
+	// whose operand an index serves. It is the machine's side of those
+	// steps; OperandTuples charges each of them its operand's cardinality
+	// as it does every other step.
+	IndexProbes int64
+	// IndexTuplesSaved totals the operand tuples OperandTuples charges for
+	// index-served steps and no scan read: their operands' cardinalities,
+	// less the rows this Compute scanned to build an index that was not
+	// resident yet.
+	IndexTuplesSaved int64
 }
 
 // source abstracts the two operand kinds a term reads: a view's current
@@ -211,8 +222,10 @@ func (e *evalEnv) morselSize() int {
 type termPlan struct {
 	driverSrc source
 	scanned   int64
-	pl        pipeline
-	builds    []buildReq
+	// indexed is the part of scanned charged for index-served steps.
+	indexed int64
+	pl      pipeline
+	builds  []buildReq
 }
 
 // buildReq defers one default-path build side: pl.steps[step] needs the
@@ -260,11 +273,7 @@ func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
 		plan.pl.steps[br.step].build = res.bt
 		plan.pl.steps[br.step].spilled = res.sp
 	}
-	probed, err := plan.pl.run(rows, sink, env)
-	if err != nil {
-		return 0, err
-	}
-	return plan.scanned + probed, nil
+	return plan.pl.run(rows, sink, env)
 }
 
 // pairPlan is one runtime-applicable join-intermediate pair of a term: the
@@ -320,9 +329,11 @@ func (w *Warehouse) planPairs(cq *algebra.CQ, isDelta []bool, ops []operand, su 
 // remaining operands are joined one at a time, preferring operands connected
 // to the bound prefix by equi-join predicates (composite keys supported),
 // falling back to a cross product when the join graph is disconnected. Every
-// operand is (modeled as) scanned exactly once per term to build its hash
+// operand is modeled as scanned exactly once per term to build its hash
 // table, which is precisely the execution model behind the paper's linear
-// work metric.
+// work metric. That is also what runs, except where a delta-driven term
+// joins a plain table's state on a key: that step probes the table's
+// resident index (see indexStep) and scans nothing.
 func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta, su *sharedUse) (*termPlan, error) {
 	n := len(cq.Refs)
 	ops := make([]operand, n)
@@ -472,24 +483,15 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 			roff:  roff,
 			preds: pendingFilters(cq, bound, applied),
 		}
-		if tbl := indexableTable(w, ops[i]); tbl != nil && len(keys) > 0 {
-			// Indexed path: probe a maintained hash index per partial row
-			// instead of scanning the operand. Work counts the probes.
-			idxCols := make([]int, len(keys))
-			for ki, k := range keys {
-				idxCols[ki] = k.newCol - roff
-			}
-			if err := tbl.EnsureIndex(idxCols); err != nil {
-				return nil, err
-			}
-			step.index = tbl
-			step.idxCols = idxCols
+		card := ops[i].src.Cardinality()
+		if tbl := indexedState(term, ops[i]); tbl != nil && len(keys) > 0 {
+			step.idx = &indexStep{tbl: tbl}
+			plan.indexed += card
 		} else {
-			// Default path: a build-side hash table over one operand scan,
-			// matching the linear work metric's execution model. The build
-			// itself is deferred to runTerm so the engine can pre-warm
-			// distinct builds concurrently; the metric counts the scan per
-			// term regardless of how the table is served.
+			// A build-side hash table over one operand scan, matching the
+			// linear work metric's execution model. The build itself is
+			// deferred to runTerm so the engine can pre-warm distinct
+			// builds concurrently.
 			cols := make([]int, len(keys))
 			for ki, k := range keys {
 				cols[ki] = k.newCol - roff
@@ -498,24 +500,80 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 				step: len(plan.pl.steps), src: ops[i].src, cols: cols,
 				view: cq.Refs[i].View, isDelta: ops[i].isDelta,
 			})
-			plan.scanned += ops[i].src.Cardinality()
 		}
+		// The metric counts the scan per term however the step is served.
+		plan.scanned += card
 		plan.pl.steps = append(plan.pl.steps, step)
 	}
 	return plan, nil
 }
 
 // joinStep is one planned hash-join step: probe the partial row against an
-// operand via a build table or a maintained index, then apply the filters
+// operand via a build table or a resident index, then apply the filters
 // that just became evaluable.
 type joinStep struct {
 	keys    []equiKey
 	roff    int
 	preds   []algebra.Expr
-	build   *buildTable    // default path (nil when indexed or spilled)
-	spilled *spilledBuild  // spilled default path: probed partition-wise
-	index   *storage.Table // indexed path
-	idxCols []int
+	build   *buildTable   // transient build (nil when indexed or spilled)
+	spilled *spilledBuild // spilled transient build: probed partition-wise
+	idx     *indexStep    // resident index
+}
+
+// indexStep is the operand side of a join step that reads a plain table's
+// state through its resident join index. The index is resolved — and, if
+// the table does not hold one yet, built — at the step's first probe, so a
+// term whose delta is empty builds nothing and probes nothing; the morsels
+// that reach that probe together resolve it once.
+type indexStep struct {
+	tbl  *storage.Table
+	once sync.Once
+	ix   *storage.Index
+	// probe is the equi-keys whose operand columns the index covers, in its
+	// column order: their bound sides make the probe key. resid is the
+	// others — a second equality on a column already used, or the columns
+	// beyond a unique index on a subset (see Table.JoinIndex) — checked on
+	// each row the index yields.
+	probe, resid []equiKey
+	// scanned is the number of rows read to build the index, 0 when the
+	// table already held it.
+	scanned int64
+}
+
+// resolve finds or builds the index for the step's keys (sorted by newCol).
+func (s *indexStep) resolve(keys []equiKey, roff int) {
+	s.once.Do(func() {
+		cols := make([]int, 0, len(keys))
+		for _, k := range keys {
+			if c := k.newCol - roff; len(cols) == 0 || cols[len(cols)-1] != c {
+				cols = append(cols, c)
+			}
+		}
+		ix, scanned := s.tbl.JoinIndex(cols)
+		s.scanned = scanned
+		covered := ix.Cols()
+		for _, k := range keys {
+			if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-roff {
+				s.probe = append(s.probe, k)
+			} else {
+				s.resid = append(s.resid, k)
+			}
+		}
+		s.ix = ix
+	})
+}
+
+// indexedState returns the table whose resident index serves a join step on
+// the operand: the term is driven by a delta, and the operand is the state
+// of a view kept as a plain table. Recompute terms read every operand whole
+// — there the linear model is exact and a flat build table the right
+// algorithm — and deltas and aggregate stores carry no index.
+func indexedState(term maintain.Term, op operand) *storage.Table {
+	if len(term.DeltaRefs) == 0 || op.isDelta {
+		return nil
+	}
+	tbl, _ := op.src.(*storage.Table)
+	return tbl
 }
 
 // pipeline is one term's fully planned execution: the driver-local filters
@@ -535,10 +593,11 @@ type pipeline struct {
 
 // run pushes the driver rows through the pipeline, splitting them into
 // parallel morsels when env carries a worker pool; sink hands each morsel its
-// goroutine-local sink. It returns the number of index probes performed (0
-// on the default path — build-side scans are accounted at planning time).
-// Steps whose build spilled to disk execute pass-wise (see runSpilled); the
-// resident path is runResident.
+// goroutine-local sink. It returns the number of index probes performed —
+// the machine's side of the index-served steps, whose scans the metric
+// accounted at planning time like every other step's. Steps whose build
+// spilled to disk execute pass-wise (see runSpilled); the resident path is
+// runResident.
 func (p *pipeline) run(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
 	var spilled []int
 	for i := range p.steps {
@@ -557,7 +616,7 @@ func (p *pipeline) runResident(rows []prow, sink func() sinkFn, env *evalEnv) (i
 	pool := env.pool
 	ms := env.morselSize()
 	if pool == nil || len(rows) <= ms {
-		return p.runMorsel(rows, sink())
+		return p.runMorsel(rows, sink()), nil
 	}
 	nm := (len(rows) + ms - 1) / ms
 	probes := make([]int64, nm)
@@ -580,7 +639,7 @@ func (p *pipeline) runResident(rows []prow, sink func() sinkFn, env *evalEnv) (i
 				errs[m] = err
 				return
 			}
-			probes[m], errs[m] = p.runMorsel(rows[lo:hi], sink())
+			probes[m] = p.runMorsel(rows[lo:hi], sink())
 		})
 	}
 	wg.Wait()
@@ -595,29 +654,32 @@ func (p *pipeline) runResident(rows []prow, sink func() sinkFn, env *evalEnv) (i
 }
 
 // morselState is the per-morsel scratch: the joined row under construction
-// plus per-depth key-projection and key-encoding buffers. All state is
-// local to one morsel, so morsels run concurrently; sink is the morsel's
-// goroutine-local sink closure.
+// plus per-depth key-projection and key-encoding buffers, and the count of
+// index probes made at each depth. All state is local to one morsel, so
+// morsels run concurrently; sink is the morsel's goroutine-local sink
+// closure.
 type morselState struct {
 	scratch relation.Tuple
 	keys    []relation.Tuple
 	encs    [][]byte
+	probes  []int64
 	sink    sinkFn
 }
 
-// runMorsel pushes one slice of driver rows through the whole pipeline.
-func (p *pipeline) runMorsel(rows []prow, sink sinkFn) (int64, error) {
+// runMorsel pushes one slice of driver rows through the whole pipeline and
+// returns the number of index probes it made.
+func (p *pipeline) runMorsel(rows []prow, sink sinkFn) int64 {
 	st := &morselState{
 		scratch: make(relation.Tuple, p.width),
 		keys:    make([]relation.Tuple, len(p.steps)),
 		encs:    make([][]byte, len(p.steps)),
+		probes:  make([]int64, len(p.steps)),
 		sink:    sink,
 	}
 	for i := range p.steps {
 		st.keys[i] = make(relation.Tuple, len(p.steps[i].keys))
 		st.encs[i] = make([]byte, 0, 64)
 	}
-	var probed int64
 	for ri := range rows {
 		pr := &rows[ri]
 		copy(st.scratch[p.off:], pr.row)
@@ -631,50 +693,47 @@ func (p *pipeline) runMorsel(rows []prow, sink sinkFn) (int64, error) {
 		if !ok {
 			continue
 		}
-		n, err := p.probe(0, pr.count, st)
-		probed += n
-		if err != nil {
-			return 0, err
+		p.probe(0, pr.count, st)
+	}
+	var probed int64
+	for i, n := range st.probes {
+		if n > 0 {
+			p.steps[i].idx.ix.CountProbes(n)
+			probed += n
 		}
 	}
-	return probed, nil
+	return probed
 }
 
 // probe advances one partial row past step depth. Rows that clear the last
 // step stream into the sink; sinks must not retain the tuple (the scratch
 // row is reused immediately).
-func (p *pipeline) probe(depth int, count int64, st *morselState) (int64, error) {
+func (p *pipeline) probe(depth int, count int64, st *morselState) {
 	if depth == len(p.steps) {
 		st.sink(st.scratch, count)
-		return 0, nil
+		return
 	}
 	s := &p.steps[depth]
-	keyT := st.keys[depth]
-	for ki, k := range s.keys {
-		keyT[ki] = st.scratch[k.boundCol]
+	keys := s.keys
+	if s.idx != nil {
+		s.idx.resolve(s.keys, s.roff)
+		keys = s.idx.probe
 	}
-	if s.index != nil {
-		// Indexed path: probe the maintained hash index once per arriving
-		// partial row. Work counts the probe.
-		probed := int64(1)
-		var cbErr error
-		err := s.index.Lookup(s.idxCols, keyT, func(t relation.Tuple, c int64) bool {
-			n, eerr := p.emit(depth, t, count*c, st)
-			probed += n
-			if eerr != nil {
-				cbErr = eerr
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = cbErr
-		}
-		return probed, err
+	keyT := st.keys[depth][:len(keys)]
+	for ki, k := range keys {
+		keyT[ki] = st.scratch[k.boundCol]
 	}
 	enc := keyT.AppendEncoded(st.encs[depth][:0])
 	st.encs[depth] = enc
-	var probed int64
+	if s.idx != nil {
+		// Resident index: one lookup per arriving partial row.
+		st.probes[depth]++
+		s.idx.ix.Probe(enc, func(t relation.Tuple, c int64) bool {
+			p.emit(depth, t, count*c, st)
+			return true
+		})
+		return
+	}
 	bt := s.build
 	for i := bt.first(enc); i != 0; i = bt.entries[i-1].next {
 		// Hash-then-verify: a chain may mix keys; confirm byte equality
@@ -683,45 +742,32 @@ func (p *pipeline) probe(depth int, count int64, st *morselState) (int64, error)
 			continue
 		}
 		e := &bt.entries[i-1]
-		n, err := p.emit(depth, e.tup, count*e.count, st)
-		probed += n
-		if err != nil {
-			return probed, err
-		}
+		p.emit(depth, e.tup, count*e.count, st)
 	}
-	return probed, nil
 }
 
 // emit joins one match into the scratch row, applies the step's filters,
 // and recurses into the next step.
-func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *morselState) (int64, error) {
+func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *morselState) {
 	s := &p.steps[depth]
 	copy(st.scratch[s.roff:], t)
-	for _, pred := range s.preds {
-		if !algebra.EvalBool(pred, st.scratch) {
-			return 0, nil
+	if s.idx != nil {
+		for _, k := range s.idx.resid {
+			if !relation.Identical(st.scratch[k.boundCol], st.scratch[k.newCol]) {
+				return
+			}
 		}
 	}
-	return p.probe(depth+1, count, st)
-}
-
-// indexableTable returns the operand's backing counted table when the
-// indexed join path applies: indexes enabled, the operand reads a view's
-// state (not a delta), and that state is a plain table (aggregate views'
-// group stores are not indexed).
-func indexableTable(w *Warehouse, op operand) *storage.Table {
-	if !w.opts.UseIndexes || op.isDelta {
-		return nil
+	for _, pred := range s.preds {
+		if !algebra.EvalBool(pred, st.scratch) {
+			return
+		}
 	}
-	tbl, ok := op.src.(*storage.Table)
-	if !ok {
-		return nil
-	}
-	return tbl
+	p.probe(depth+1, count, st)
 }
 
 // sortKeysByNewCol orders equi-key pairs by their candidate-side column, the
-// canonical order storage indexes and the build cache use.
+// canonical order join indexes and the build cache use.
 func sortKeysByNewCol(keys []equiKey) {
 	sort.Slice(keys, func(a, b int) bool { return keys[a].newCol < keys[b].newCol })
 }

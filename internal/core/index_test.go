@@ -8,89 +8,20 @@ import (
 	"repro/internal/relation"
 )
 
-// TestUseIndexesMatchesDefault runs identical random update windows with
-// and without the indexed join path and checks the final states agree (and
-// both match recomputation).
-func TestUseIndexesMatchesDefault(t *testing.T) {
+// TestIndexedTermsMatchRecompute runs random update windows one after
+// another on one warehouse, so that the join indexes the first window builds
+// are the ones every later install maintains and every later term probes,
+// and checks each window against recomputation.
+func TestIndexedTermsMatchRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
-		build := func(useIdx bool) *Warehouse {
-			w := newJoinWarehouse(t)
-			w.SetOptions(Options{UseIndexes: useIdx})
-			return w
-		}
-		seedData := func(w *Warehouse, seed int64) {
-			r := rand.New(rand.NewSource(seed))
-			var rRows, sRows []relation.Tuple
-			for i := 0; i < 25; i++ {
-				rRows = append(rRows, intRow(r.Int63n(6), r.Int63n(4)*10))
-				sRows = append(sRows, intRow(r.Int63n(4)*10, r.Int63n(5)*100))
-			}
-			if err := w.LoadBase("R", rRows); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.LoadBase("S", sRows); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.RefreshAll(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seed := rng.Int63()
-		plain, indexed := build(false), build(true)
-		seedData(plain, seed)
-		seedData(indexed, seed)
-
-		changeSeed := rng.Int63()
-		for _, w := range []*Warehouse{plain, indexed} {
-			r := rand.New(rand.NewSource(changeSeed))
-			for _, base := range []string{"R", "S"} {
-				d := delta.New(w.MustView(base).Schema())
-				for _, row := range w.MustView(base).SortedRows() {
-					if r.Intn(3) == 0 {
-						d.Add(row.Tuple, -1)
-					}
-				}
-				for i := 0; i < r.Intn(5); i++ {
-					d.Add(intRow(r.Int63n(6), r.Int63n(4)*10), 1)
-				}
-				if err := w.StageDelta(base, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, step := range []string{"cJ.R", "iR", "cJ.S", "iS", "cA.J", "iJ", "iA"} {
-				applyStep(t, w, step)
-			}
-			if err := w.VerifyAll(); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-		for _, v := range []string{"J", "A"} {
-			a, b := plain.MustView(v).SortedRows(), indexed.MustView(v).SortedRows()
-			if len(a) != len(b) {
-				t.Fatalf("trial %d: %s: %d vs %d rows", trial, v, len(a), len(b))
-			}
-			for i := range a {
-				if relation.CompareTuples(a[i].Tuple, b[i].Tuple) != 0 || a[i].Count != b[i].Count {
-					t.Fatalf("trial %d: %s row %d differs", trial, v, i)
-				}
-			}
-		}
-	}
-}
-
-// TestUseIndexesWorkAccounting checks that the indexed path counts probes
-// rather than full operand scans, so a small delta against a large state
-// operand reports far less work.
-func TestUseIndexesWorkAccounting(t *testing.T) {
-	build := func(useIdx bool) *Warehouse {
 		w := newJoinWarehouse(t)
-		w.SetOptions(Options{UseIndexes: useIdx})
-		var sRows []relation.Tuple
-		for i := int64(0); i < 500; i++ {
-			sRows = append(sRows, intRow(i%7*10, i))
+		var rRows, sRows []relation.Tuple
+		for i := 0; i < 25; i++ {
+			rRows = append(rRows, intRow(rng.Int63n(6), rng.Int63n(4)*10))
+			sRows = append(sRows, intRow(rng.Int63n(4)*10, rng.Int63n(5)*100))
 		}
-		if err := w.LoadBase("R", []relation.Tuple{intRow(1, 10)}); err != nil {
+		if err := w.LoadBase("R", rRows); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.LoadBase("S", sRows); err != nil {
@@ -99,28 +30,199 @@ func TestUseIndexesWorkAccounting(t *testing.T) {
 		if err := w.RefreshAll(); err != nil {
 			t.Fatal(err)
 		}
+		var probes int64
+		for window := 0; window < 4; window++ {
+			for _, base := range []string{"R", "S"} {
+				d := delta.New(w.MustView(base).Schema())
+				for _, row := range w.MustView(base).SortedRows() {
+					if rng.Intn(3) == 0 {
+						d.Add(row.Tuple, -1)
+					}
+				}
+				for i := 0; i < rng.Intn(5); i++ {
+					d.Add(intRow(rng.Int63n(6), rng.Int63n(4)*10), 1)
+				}
+				if err := w.StageDelta(base, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, step := range [][2]string{{"J", "R"}, {"J", "S"}} {
+				rep, err := w.Compute(step[0], []string{step[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				probes += rep.IndexProbes
+				applyStep(t, w, "i"+step[1])
+			}
+			for _, step := range []string{"cA.J", "iJ", "iA"} {
+				applyStep(t, w, step)
+			}
+			if err := w.VerifyAll(); err != nil {
+				t.Fatalf("trial %d window %d: %v", trial, window, err)
+			}
+		}
+		if probes == 0 {
+			t.Fatalf("trial %d: four windows made no index probe", trial)
+		}
+		for _, base := range []string{"R", "S"} {
+			if st := w.MustView(base).Table().IndexStats(); len(st) != 1 || st[0].Probes == 0 || st[0].Upkeep == 0 {
+				t.Fatalf("trial %d: indexes of %s after four windows: %v", trial, base, st)
+			}
+		}
+	}
+}
+
+// TestIndexWorkAccounting: a small delta against a large state operand is
+// charged the operand's cardinality, as the linear metric has it, while the
+// machine makes one probe; the counters beside OperandTuples say so.
+func TestIndexWorkAccounting(t *testing.T) {
+	w := newJoinWarehouse(t)
+	var sRows []relation.Tuple
+	for i := int64(0); i < 500; i++ {
+		sRows = append(sRows, intRow(i%7*10, i))
+	}
+	if err := w.LoadBase("R", []relation.Tuple{intRow(1, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadBase("S", sRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.MustView("S").Table().IndexStats(); len(st) != 0 {
+		t.Fatalf("refresh — a recompute term — built indexes: %v", st)
+	}
+	stageOne := func(k int64) {
 		d := delta.New(schemaR)
-		d.Add(intRow(2, 20), 1)
+		d.Add(intRow(k, 20), 1)
 		if err := w.StageDelta("R", d); err != nil {
 			t.Fatal(err)
 		}
-		return w
 	}
-	plain := build(false)
-	repPlain, err := plain.Compute("J", []string{"R"})
+	// First window: |δR| + |S| = 1 + 500 modelled; one probe made, and the
+	// 500 rows read were read to build the index, so nothing was saved yet.
+	stageOne(2)
+	rep, err := w.Compute("J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed := build(true)
-	repIdx, err := indexed.Compute("J", []string{"R"})
+	if rep.OperandTuples != 501 || rep.IndexProbes != 1 || rep.IndexTuplesSaved != 0 {
+		t.Errorf("first window: work %d, probes %d, saved %d; want 501, 1, 0", rep.OperandTuples, rep.IndexProbes, rep.IndexTuplesSaved)
+	}
+	applyStep(t, w, "iR")
+	// Second window: the index is resident; the whole operand is saved.
+	stageOne(3)
+	rep, err = w.Compute("J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plain: |δR| + |S| = 1 + 500. Indexed: |δR| + 1 probe.
-	if repPlain.OperandTuples != 501 {
-		t.Errorf("plain work = %d, want 501", repPlain.OperandTuples)
+	if rep.OperandTuples != 501 || rep.IndexProbes != 1 || rep.IndexTuplesSaved != 500 {
+		t.Errorf("second window: work %d, probes %d, saved %d; want 501, 1, 500", rep.OperandTuples, rep.IndexProbes, rep.IndexTuplesSaved)
 	}
-	if repIdx.OperandTuples != 2 {
-		t.Errorf("indexed work = %d, want 2", repIdx.OperandTuples)
+	if st := w.MustView("S").Table().IndexStats(); len(st) != 1 || st[0].Probes != 2 || st[0].Rows != 500 || st[0].Keys != 7 {
+		t.Errorf("S's indexes: %v", st)
+	}
+}
+
+// TestEmptyDeltaBuildsNoIndex: a Comp over a view whose delta is empty is
+// charged its state operand by the metric, and the machine does nothing for
+// it: no index is built, none is probed.
+func TestEmptyDeltaBuildsNoIndex(t *testing.T) {
+	w := newJoinWarehouse(t)
+	loadJoinData(t, w)
+	rep, err := w.Compute("J", []string{"S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OperandTuples != 3 || rep.IndexProbes != 0 || rep.IndexTuplesSaved != 3 {
+		t.Errorf("work %d, probes %d, saved %d; want |R| = 3 charged, no probe, 3 saved", rep.OperandTuples, rep.IndexProbes, rep.IndexTuplesSaved)
+	}
+	for _, base := range []string{"R", "S"} {
+		if st := w.MustView(base).IndexStats(); len(st) != 0 {
+			t.Errorf("%s has indexes after an empty-δ Comp: %v", base, st)
+		}
+	}
+}
+
+// TestIndexCreatedOnceAtFirstProbe: the seven terms of a three-way Comp, and
+// at width 2 their one-row morsels, all arrive at steps that read the same
+// tables; each (table, key) index is built once — the saving of a second,
+// warm Comp exceeds the cold one's by one scan of each indexed table per
+// index — and nothing is built before a probe needs it.
+func TestIndexCreatedOnceAtFirstProbe(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		w := newThreeWayWarehouse(t, Options{ParallelTerms: width > 1, Workers: width, MorselSize: 1})
+		stageRandomChanges(t, w, rand.New(rand.NewSource(11)))
+		for _, base := range []string{"R", "S", "T"} {
+			if st := w.MustView(base).IndexStats(); len(st) != 0 {
+				t.Fatalf("width %d: %s has indexes before any Comp: %v", width, base, st)
+			}
+		}
+		over := []string{"R", "S", "T"}
+		cold, err := w.Compute("V3", over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var built int64
+		for base, want := range map[string]int{"R": 1, "S": 2, "T": 1} { // S is joined on b and on c
+			st := w.MustView(base).IndexStats()
+			if len(st) != want {
+				t.Fatalf("width %d: %s has %d indexes after the Comp, want %d: %v", width, base, len(st), want, st)
+			}
+			for _, ix := range st {
+				built += ix.Rows
+			}
+		}
+		warm, err := w.Compute("A3", over) // the same join, the indexes now resident
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.IndexProbes != cold.IndexProbes || warm.IndexTuplesSaved-cold.IndexTuplesSaved != built {
+			t.Errorf("width %d: cold probes/saved %d/%d, warm %d/%d: want the same probes and %d more tuples saved",
+				width, cold.IndexProbes, cold.IndexTuplesSaved, warm.IndexProbes, warm.IndexTuplesSaved, built)
+		}
+	}
+}
+
+// TestTwoDeltasOneState: in the two-delta term of a Comp over {R, S} on the
+// three-way join, one delta drives, the other is a transient build and T's
+// state is an index step, all in one pipeline.
+func TestTwoDeltasOneState(t *testing.T) {
+	w := newThreeWayWarehouse(t, Options{})
+	stageRandomChanges(t, w, rand.New(rand.NewSource(5)))
+	over := []string{"R", "S"}
+	want := refWork(t, w, "V3", over)
+	rep, err := w.Compute("V3", over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Terms != 3 || rep.OperandTuples != want {
+		t.Fatalf("%d terms, work %d; want 3 terms and the cardinalities' %d", rep.Terms, rep.OperandTuples, want)
+	}
+	if rep.BuildCacheMisses != 1 || rep.IndexProbes == 0 {
+		t.Fatalf("builds %d, index probes %d; want the one delta build and some probes", rep.BuildCacheMisses, rep.IndexProbes)
+	}
+	if _, err := w.Compute("A3", over); err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []string{"R", "S", "V3", "A3"} {
+		if _, err := w.Install(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// T's delta is still pending: bring it in the one-way, then verify.
+	for _, view := range []string{"V3", "A3"} {
+		if _, err := w.Compute(view, []string{"T"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, view := range []string{"T", "V3", "A3"} {
+		if _, err := w.Install(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.VerifyAll(); err != nil {
+		t.Fatal(err)
 	}
 }

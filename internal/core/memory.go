@@ -20,11 +20,11 @@ import (
 // The budget governs hash-table state — term-local builds, per-Compute
 // cached builds, and the shared registry's retained entries. Driver-row
 // materializations are not charged: they are consumed streaming, morsel by
-// morsel, and never held beyond the term that scans them.
-//
-// The memory layer is disabled under Options.UseIndexes: the indexed path
-// counts probes as Work, and pass-wise probing would multiply those probes,
-// perturbing the linear work metric that recovery and replication verify.
+// morsel, and never held beyond the term that scans them. Nor are resident
+// join indexes (storage.Index): they outlive the window with the tables they
+// belong to. A step that probes one sits in the same pipeline as a step
+// whose build spilled; pass-wise probing repeats its probes, which the
+// metric does not count.
 
 // residentFraction is the share of the budget available to resident builds;
 // the remainder is headroom for the forced reservations of spill-partition
@@ -62,10 +62,10 @@ type MemStats struct {
 // AttachMemory installs a memory budget on the warehouse for the coming
 // window, spilling oversized builds under dir (created if needed; a per-run
 // temp dir when dir is empty). It reports false — attaching nothing — when
-// no budget is configured, indexes are enabled (see the file comment), or a
-// manager is already attached. Not safe to call while expressions execute.
+// no budget is configured or a manager is already attached. Not safe to call
+// while expressions execute.
 func (w *Warehouse) AttachMemory(dir string, inj *faults.Injector) (bool, error) {
-	if w.opts.MemoryBudgetBytes <= 0 || w.opts.UseIndexes || w.mem != nil {
+	if w.opts.MemoryBudgetBytes <= 0 || w.mem != nil {
 		return false, nil
 	}
 	if dir == "" {

@@ -61,6 +61,24 @@ func newOneToOneWarehouse(t *testing.T, n int, opts Options) *Warehouse {
 	return w
 }
 
+// stageBulk stages n more rows — (k, k) for n keys no loaded row carries —
+// on each of the named two-column integer base views. State tables are read
+// through resident indexes and build nothing, so what the budget tests make
+// too large for the budget is a delta: a term over two of these views has
+// one of the deltas on its build side, and a delta carries no index.
+func stageBulk(t *testing.T, w *Warehouse, n int, bases ...string) {
+	t.Helper()
+	for _, base := range bases {
+		d := delta.New(w.MustView(base).Schema())
+		for i := int64(0); i < int64(n); i++ {
+			d.Add(intRow(2_000_000+i, 2_000_000+i), 1)
+		}
+		if err := w.StageDelta(base, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // runJoinWindow computes and installs V over {R, S}, returning the CompReport
 // — one full update window for the single-view warehouses in this file.
 func runJoinWindow(t *testing.T, w *Warehouse) CompReport {
@@ -99,10 +117,10 @@ func requireSameBag(t *testing.T, name string, got, want []string) {
 	}
 }
 
-// TestSpilledBuildMatchesUnbounded: a tiny budget forces every state build to
-// spill; the window's results, work metric, and verification must be
-// indistinguishable from the unbounded run — only the spill counters move.
-// Runs the term engine at width 1 and 2.
+// TestSpilledBuildMatchesUnbounded: a tiny budget forces the delta build of
+// the two-delta term to spill; the window's results, work metric, and
+// verification must be indistinguishable from the unbounded run — only the
+// spill counters move. Runs the term engine at width 1 and 2.
 func TestSpilledBuildMatchesUnbounded(t *testing.T) {
 	for _, par := range []bool{false, true} {
 		name := "width=1"
@@ -112,10 +130,12 @@ func TestSpilledBuildMatchesUnbounded(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := Options{ParallelTerms: par, Workers: 2}
 			plain := newOneToOneWarehouse(t, 120, opts)
+			stageBulk(t, plain, 120, "R", "S")
 			plainRep := runJoinWindow(t, plain)
 
 			opts.MemoryBudgetBytes = 4096
 			bounded := newOneToOneWarehouse(t, 120, opts)
+			stageBulk(t, bounded, 120, "R", "S")
 			ok, err := bounded.AttachMemory("", nil)
 			if err != nil || !ok {
 				t.Fatalf("AttachMemory = (%v, %v)", ok, err)
@@ -205,7 +225,9 @@ func TestSpilledCrossProduct(t *testing.T) {
 
 // TestSpilledMultiStepOdometer: a three-way join where several build sides
 // spill at once exercises the pass odometer over the cross product of each
-// spilled step's partitions.
+// spilled step's partitions — the two delta builds of the three-delta term —
+// and the two-delta terms put a spilled step and an index step in one
+// pipeline, whose every pass repeats the index probes.
 func TestSpilledMultiStepOdometer(t *testing.T) {
 	schemaT := relation.Schema{{Name: "c", Kind: relation.KindInt}, {Name: "d", Kind: relation.KindInt}}
 	build := func(opts Options) *Warehouse {
@@ -249,6 +271,7 @@ func TestSpilledMultiStepOdometer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		stageBulk(t, w, 150, "R", "S", "T")
 		return w
 	}
 	window := func(w *Warehouse) CompReport {
@@ -273,10 +296,13 @@ func TestSpilledMultiStepOdometer(t *testing.T) {
 	}
 	rep := window(bounded)
 	bounded.DetachMemory()
-	// The δR ⋈ S ⋈ T term alone must spill both state builds, so the window
-	// spills more tables than it has terms with a single state operand.
+	// The δR ⋈ δS ⋈ δT term alone must spill both of its delta builds.
 	if rep.SpillCount < 2 {
 		t.Fatalf("expected at least two spilled builds, got %d", rep.SpillCount)
+	}
+	if plainRep.IndexProbes == 0 || rep.IndexProbes <= plainRep.IndexProbes || rep.IndexTuplesSaved != plainRep.IndexTuplesSaved {
+		t.Errorf("index probes/saved %d/%d under spilling, %d/%d without: want more probes (one set a pass) and the same saving",
+			rep.IndexProbes, rep.IndexTuplesSaved, plainRep.IndexProbes, plainRep.IndexTuplesSaved)
 	}
 	if rep.OperandTuples != plainRep.OperandTuples {
 		t.Errorf("work moved under spilling: %d vs %d", rep.OperandTuples, plainRep.OperandTuples)
@@ -298,6 +324,7 @@ func TestBoundedPeakStaysUnderBudget(t *testing.T) {
 	// Accounting-only leg: a huge budget admits everything resident, so its
 	// peak is the window's unbounded footprint.
 	unbounded := newOneToOneWarehouse(t, n, Options{MemoryBudgetBytes: 1 << 40})
+	stageBulk(t, unbounded, n, "R", "S")
 	if ok, err := unbounded.AttachMemory("", nil); err != nil || !ok {
 		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
 	}
@@ -312,6 +339,7 @@ func TestBoundedPeakStaysUnderBudget(t *testing.T) {
 	}
 
 	bounded := newOneToOneWarehouse(t, n, Options{MemoryBudgetBytes: budget})
+	stageBulk(t, bounded, n, "R", "S")
 	if ok, err := bounded.AttachMemory("", nil); err != nil || !ok {
 		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
 	}
@@ -339,6 +367,7 @@ func TestSharedEntrySpillsBeforeRecompute(t *testing.T) {
 	// Healthy spill path: entries degrade to spill, consumers still hit.
 	w := newSiblingWarehouse(t, nViews, Options{ShareComputation: true, MemoryBudgetBytes: 4096})
 	loadSiblingData(t, w)
+	stageBulk(t, w, 120, "R", "S")
 	if ok, err := w.AttachMemory("", nil); err != nil || !ok {
 		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
 	}
@@ -372,6 +401,7 @@ func TestSharedEntrySpillsBeforeRecompute(t *testing.T) {
 	inj.FailAt("spill-write", 1)
 	w2 := newSiblingWarehouse(t, nViews, Options{ShareComputation: true, MemoryBudgetBytes: 4096})
 	loadSiblingData(t, w2)
+	stageBulk(t, w2, 120, "R", "S")
 	if ok, err := w2.AttachMemory("", inj); err != nil || !ok {
 		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
 	}
@@ -395,6 +425,7 @@ func TestSharedEntrySpillsBeforeRecompute(t *testing.T) {
 // installed state is untouched — the degradation ladder above can rerun.
 func TestSpillENOSPCSurfacesWithStateIntact(t *testing.T) {
 	w := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 4096})
+	stageBulk(t, w, 120, "R", "S")
 	inj := faults.New(7)
 	inj.FailAt("spill-enospc", 1)
 	if ok, err := w.AttachMemory("", inj); err != nil || !ok {
@@ -422,6 +453,7 @@ func TestSpillENOSPCSurfacesWithStateIntact(t *testing.T) {
 func TestCrashMidSpillLeavesDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "w1")
 	w := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 4096})
+	stageBulk(t, w, 120, "R", "S")
 	inj := faults.New(9)
 	inj.CrashAt("spill-write", 1)
 	if ok, err := w.AttachMemory(dir, inj); err != nil || !ok {
@@ -438,6 +470,7 @@ func TestCrashMidSpillLeavesDirectory(t *testing.T) {
 
 	dir2 := filepath.Join(t.TempDir(), "w2")
 	w2 := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 4096})
+	stageBulk(t, w2, 120, "R", "S")
 	if ok, err := w2.AttachMemory(dir2, nil); err != nil || !ok {
 		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
 	}
@@ -448,8 +481,7 @@ func TestCrashMidSpillLeavesDirectory(t *testing.T) {
 	}
 }
 
-// TestAttachMemoryRefusals: no budget, indexes enabled, or double attach all
-// refuse; DetachMemory with nothing attached is a safe no-op.
+// TestAttachMemoryRefusals: no budget or a double attach refuse; DetachMemory with nothing attached is a safe no-op.
 func TestAttachMemoryRefusals(t *testing.T) {
 	w := newOneToOneWarehouse(t, 10, Options{})
 	if ok, err := w.AttachMemory("", nil); ok || err != nil {
@@ -457,11 +489,6 @@ func TestAttachMemoryRefusals(t *testing.T) {
 	}
 	if ms := w.DetachMemory(); ms != (MemStats{}) {
 		t.Fatalf("detach with nothing attached: %+v", ms)
-	}
-
-	wi := newOneToOneWarehouse(t, 10, Options{MemoryBudgetBytes: 1 << 20, UseIndexes: true})
-	if ok, err := wi.AttachMemory("", nil); ok || err != nil {
-		t.Fatalf("attach under UseIndexes = (%v, %v)", ok, err)
 	}
 
 	wb := newOneToOneWarehouse(t, 10, Options{MemoryBudgetBytes: 1 << 20})

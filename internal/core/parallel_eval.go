@@ -28,7 +28,9 @@ import (
 //     columns probes one physical table instead of re-scanning and
 //     re-hashing the operand. The linear work metric still charges each
 //     term its operand scan — the cache changes the machine's work, not the
-//     metric's — and CompReport reports the hits and tuples saved.
+//     metric's — and CompReport reports the hits and tuples saved. The same
+//     rule covers the steps a resident join index serves (see indexStep):
+//     they ask for no build at all.
 //   - sinks accumulate term output in mutex-protected shards that merge into
 //     the target at flush. Bag accumulation is commutative (integer counts;
 //     integer sums), so the result is independent of scheduling; float sums
@@ -421,7 +423,7 @@ func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term
 	}
 
 	sinks := newSinks(cq, out, shardCount(env.pool.width()))
-	scanned := make([]int64, len(terms))
+	probes := make([]int64, len(terms))
 	errs := make([]error, len(terms))
 	for ti := range terms {
 		ti := ti
@@ -435,7 +437,7 @@ func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term
 				errs[ti] = err
 				return
 			}
-			scanned[ti], errs[ti] = runTerm(plans[ti], sinks.local, env)
+			probes[ti], errs[ti] = runTerm(plans[ti], sinks.local, env)
 		})
 	}
 	wg.Wait()
@@ -444,7 +446,14 @@ func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term
 			return errs[ti]
 		}
 		rep.Terms++
-		rep.OperandTuples += scanned[ti]
+		rep.OperandTuples += plans[ti].scanned
+		rep.IndexProbes += probes[ti]
+		rep.IndexTuplesSaved += plans[ti].indexed
+		for i := range plans[ti].pl.steps {
+			if idx := plans[ti].pl.steps[i].idx; idx != nil {
+				rep.IndexTuplesSaved -= idx.scanned
+			}
+		}
 	}
 	rep.OutputTuples = sinks.flush()
 	rep.BuildCacheHits = int(cache.hits.Load())

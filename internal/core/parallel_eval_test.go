@@ -107,8 +107,8 @@ func sameDelta(t *testing.T, label string, a, b *delta.Delta) {
 // refWork is the linear work metric of Comp(view, over) computed from
 // operand cardinalities alone, independently of the engine: each of the
 // 2^r − 1 terms scans every reference once — its pending delta where the
-// term's subset selects it, its state otherwise. Valid without indexes, for
-// definitions that reference each view once.
+// term's subset selects it, its state otherwise. Valid for definitions that
+// reference each view once.
 func refWork(t *testing.T, w *Warehouse, view string, over []string) int64 {
 	t.Helper()
 	refs := w.MustView(view).Def().Refs
@@ -133,101 +133,126 @@ func refWork(t *testing.T, w *Warehouse, view string, over []string) int64 {
 
 // TestTermEngineWidthInvariant runs the one term engine at width 1 (the
 // default) and across worker counts and morsel sizes (including degenerate
-// one-row morsels) on the same staged changes, with and without indexes:
-// the produced delta bags, Terms, OperandTuples and the build-cache
-// accounting must not depend on the width, the work must equal the
-// cardinality-derived refWork, and the installed states must survive the
-// recomputation oracle. (This replaces the sequential-vs-parallel
-// differential: there is no second evaluator left to compare against.)
+// one-row morsels) on the same staged changes: the produced delta bags,
+// Terms, OperandTuples, the build-cache accounting and the index counters
+// must not depend on the width, the work must equal the cardinality-derived
+// refWork, and the installed states must survive the recomputation oracle.
+// Both states of the join indexes are run: not there yet, so that the terms
+// and morsels of each width build them at their first probes, and resident
+// beforehand, as every window after a warehouse's first finds them. (This
+// replaces the sequential-vs-parallel differential: there is no second
+// evaluator left to compare against.)
 func TestTermEngineWidthInvariant(t *testing.T) {
+	for _, resident := range []bool{false, true} {
+		termEngineWidthInvariant(t, resident)
+	}
+}
+
+func termEngineWidthInvariant(t *testing.T, resident bool) {
 	over := []string{"R", "S", "T"}
 	views := []string{"V3", "A3"}
-	for _, useIndexes := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(7))
-		base := newThreeWayWarehouse(t, Options{UseIndexes: useIndexes})
-		stageRandomChanges(t, base, rng)
-
-		one := base.Clone()
-		want := make(map[string]CompReport)
-		for _, view := range views {
-			ref := refWork(t, one, view, over)
-			rep, err := one.Compute(view, over)
-			if err != nil {
-				t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	base := newThreeWayWarehouse(t, Options{})
+	stageRandomChanges(t, base, rng)
+	if resident {
+		for view, cols := range map[string][][]int{"R": {{1}}, "S": {{0}, {1}}, "T": {{0}}} {
+			for _, c := range cols {
+				base.MustView(view).Table().JoinIndex(c)
 			}
-			if rep.Terms != 7 {
-				t.Fatalf("%s: %d terms, want 2^3−1", view, rep.Terms)
-			}
-			if !useIndexes {
-				if rep.OperandTuples != ref {
-					t.Fatalf("%s: OperandTuples %d, cardinalities give %d — the build cache must not change the linear work metric",
-						view, rep.OperandTuples, ref)
-				}
-				// 7 terms over 3 shared states: the cache must fire.
-				if rep.BuildCacheHits == 0 || rep.BuildCacheMisses == 0 || rep.BuildTuplesSaved <= 0 {
-					t.Fatalf("%s: expected build-cache traffic, got hits=%d misses=%d saved=%d",
-						view, rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved)
-				}
-			}
-			want[view] = rep
 		}
+	}
 
-		for _, cfg := range []struct{ workers, morsel int }{
-			{1, 1}, {1, 1024}, {2, 1}, {4, 4}, {4, 1024}, {8, 16},
-		} {
-			name := fmt.Sprintf("indexes=%v/workers=%d/morsel=%d", useIndexes, cfg.workers, cfg.morsel)
-			t.Run(name, func(t *testing.T) {
-				wide := base.Clone()
-				wide.SetOptions(Options{
-					UseIndexes:    useIndexes,
-					ParallelTerms: true,
-					Workers:       cfg.workers,
-					MorselSize:    cfg.morsel,
-				})
-				for _, view := range views {
-					rep, err := wide.Compute(view, over)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w1 := want[view]
-					if rep.Terms != w1.Terms || rep.OperandTuples != w1.OperandTuples || rep.OutputTuples != w1.OutputTuples {
-						t.Fatalf("%s: terms/work/output %d/%d/%d, width 1 gives %d/%d/%d", view,
-							rep.Terms, rep.OperandTuples, rep.OutputTuples, w1.Terms, w1.OperandTuples, w1.OutputTuples)
-					}
-					if rep.BuildCacheHits != w1.BuildCacheHits || rep.BuildCacheMisses != w1.BuildCacheMisses || rep.BuildTuplesSaved != w1.BuildTuplesSaved {
-						t.Fatalf("%s: cache hits/misses/saved %d/%d/%d, width 1 gives %d/%d/%d", view,
-							rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved,
-							w1.BuildCacheHits, w1.BuildCacheMisses, w1.BuildTuplesSaved)
-					}
-					d1, err := one.DeltaOf(view)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dw, err := wide.DeltaOf(view)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameDelta(t, view, dw, d1)
-				}
-				for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-					if _, err := wide.Install(view); err != nil {
-						t.Fatalf("install %s: %v", view, err)
-					}
-				}
-				if err := wide.VerifyAll(); err != nil {
-					t.Fatalf("width %d diverged from recomputation: %v", cfg.workers, err)
-				}
+	one := base.Clone()
+	want := make(map[string]CompReport)
+	for _, view := range views {
+		ref := refWork(t, one, view, over)
+		rep, err := one.Compute(view, over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Terms != 7 {
+			t.Fatalf("%s: %d terms, want 2^3−1", view, rep.Terms)
+		}
+		if rep.OperandTuples != ref {
+			t.Fatalf("%s: OperandTuples %d, cardinalities give %d — neither the build cache nor an index may change the linear work metric",
+				view, rep.OperandTuples, ref)
+		}
+		// 7 terms over 3 deltas: the terms with two or three of them
+		// build the same delta sides, so the cache must fire; every
+		// state side is an index step.
+		if rep.BuildCacheHits == 0 || rep.BuildCacheMisses == 0 || rep.BuildTuplesSaved <= 0 {
+			t.Fatalf("%s: expected build-cache traffic, got hits=%d misses=%d saved=%d",
+				view, rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved)
+		}
+		if rep.IndexProbes == 0 {
+			t.Fatalf("%s: no index probes", view)
+		}
+		want[view] = rep
+	}
+	for view, n := range map[string]int{"R": 1, "S": 2, "T": 1} {
+		if st := one.MustView(view).IndexStats(); len(st) != n {
+			t.Fatalf("resident=%v: %s ends with %d indexes, want %d: %v", resident, view, len(st), n, st)
+		}
+	}
+
+	for _, cfg := range []struct{ workers, morsel int }{
+		{1, 1}, {1, 1024}, {2, 1}, {4, 4}, {4, 1024}, {8, 16},
+	} {
+		name := fmt.Sprintf("indexes=%v/workers=%d/morsel=%d", resident, cfg.workers, cfg.morsel)
+		t.Run(name, func(t *testing.T) {
+			wide := base.Clone()
+			wide.SetOptions(Options{
+				ParallelTerms: true,
+				Workers:       cfg.workers,
+				MorselSize:    cfg.morsel,
 			})
-		}
-
-		for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-			if _, err := one.Install(view); err != nil {
-				t.Fatalf("install %s: %v", view, err)
+			for _, view := range views {
+				rep, err := wide.Compute(view, over)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w1 := want[view]
+				if rep.Terms != w1.Terms || rep.OperandTuples != w1.OperandTuples || rep.OutputTuples != w1.OutputTuples {
+					t.Fatalf("%s: terms/work/output %d/%d/%d, width 1 gives %d/%d/%d", view,
+						rep.Terms, rep.OperandTuples, rep.OutputTuples, w1.Terms, w1.OperandTuples, w1.OutputTuples)
+				}
+				if rep.BuildCacheHits != w1.BuildCacheHits || rep.BuildCacheMisses != w1.BuildCacheMisses || rep.BuildTuplesSaved != w1.BuildTuplesSaved {
+					t.Fatalf("%s: cache hits/misses/saved %d/%d/%d, width 1 gives %d/%d/%d", view,
+						rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved,
+						w1.BuildCacheHits, w1.BuildCacheMisses, w1.BuildTuplesSaved)
+				}
+				if rep.IndexProbes != w1.IndexProbes || rep.IndexTuplesSaved != w1.IndexTuplesSaved {
+					t.Fatalf("%s: index probes/saved %d/%d, width 1 gives %d/%d", view,
+						rep.IndexProbes, rep.IndexTuplesSaved, w1.IndexProbes, w1.IndexTuplesSaved)
+				}
+				d1, err := one.DeltaOf(view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dw, err := wide.DeltaOf(view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDelta(t, view, dw, d1)
 			}
+			for _, view := range []string{"V3", "A3", "R", "S", "T"} {
+				if _, err := wide.Install(view); err != nil {
+					t.Fatalf("install %s: %v", view, err)
+				}
+			}
+			if err := wide.VerifyAll(); err != nil {
+				t.Fatalf("width %d diverged from recomputation: %v", cfg.workers, err)
+			}
+		})
+	}
+
+	for _, view := range []string{"V3", "A3", "R", "S", "T"} {
+		if _, err := one.Install(view); err != nil {
+			t.Fatalf("install %s: %v", view, err)
 		}
-		if err := one.VerifyAll(); err != nil {
-			t.Fatalf("width 1 diverged from recomputation: %v", err)
-		}
+	}
+	if err := one.VerifyAll(); err != nil {
+		t.Fatalf("width 1 diverged from recomputation: %v", err)
 	}
 }
 

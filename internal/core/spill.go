@@ -27,11 +27,11 @@ import (
 // otherwise (a cross product hashes every row to one bucket, which would
 // defeat the partitioning).
 //
-// The linear work metric is untouched by construction: on the default
-// (build) path a term's Work is fixed at plan time from cardinalities and
-// pipeline.run contributes only index probes (zero without UseIndexes, under
-// which the memory layer never attaches) — so spilling changes bytes moved,
-// never Work, digests, or replication/recovery verification.
+// The linear work metric is untouched by construction: a term's Work is
+// fixed at plan time from cardinalities, and what pipeline.run counts — the
+// probes of index-served steps, which every pass repeats — is reported
+// beside it, never in it. Spilling changes bytes moved, never Work, digests,
+// or replication/recovery verification.
 
 // spilledBuild is one build side partitioned to disk.
 type spilledBuild struct {

@@ -31,6 +31,9 @@ const maxLoad = 16
 // instead of reading the key again.
 func Hash(key string) uint64 { return ^update(^uint64(0), key) }
 
+// HashBytes is Hash of a key held as bytes.
+func HashBytes(key []byte) uint64 { return ^updateBytes(^uint64(0), key) }
+
 // Extend continues a CRC begun by Hash over further bytes:
 // Extend(Hash(k), p) is the CRC-64/ECMA of k followed by p.
 func Extend(h uint64, p []byte) uint64 {
@@ -59,6 +62,25 @@ var slicing = func() (t [8]crc64.Table) {
 
 // update is the CRC's inner loop over a string, eight bytes at a step.
 func update(crc uint64, p string) uint64 {
+	for len(p) >= 8 {
+		crc ^= uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
+			uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56
+		crc = slicing[7][crc&0xff] ^ slicing[6][(crc>>8)&0xff] ^
+			slicing[5][(crc>>16)&0xff] ^ slicing[4][(crc>>24)&0xff] ^
+			slicing[3][(crc>>32)&0xff] ^ slicing[2][(crc>>40)&0xff] ^
+			slicing[1][(crc>>48)&0xff] ^ slicing[0][crc>>56]
+		p = p[8:]
+	}
+	for i := 0; i < len(p); i++ {
+		crc = slicing[0][byte(crc)^p[i]] ^ (crc >> 8)
+	}
+	return crc
+}
+
+// updateBytes is update over bytes. It is written out, not shared through a
+// type parameter: a call into a generic function that is not inlined makes
+// its arguments escape, and a caller's key buffer would move to the heap.
+func updateBytes(crc uint64, p []byte) uint64 {
 	for len(p) >= 8 {
 		crc ^= uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
 			uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56
@@ -126,11 +148,18 @@ func (m *Map[V]) Clear() {
 }
 
 // Get returns the value stored under key.
-func (m *Map[V]) Get(hash uint64, key string) (V, bool) {
+func (m *Map[V]) Get(hash uint64, key string) (V, bool) { return get(m, hash, key) }
+
+// GetBytes is Get for a key held as bytes, HashBytes its hash: a reader
+// that encodes keys into a buffer it reuses looks them up without
+// allocating.
+func (m *Map[V]) GetBytes(hash uint64, key []byte) (V, bool) { return get(m, hash, key) }
+
+func get[V any, K string | []byte](m *Map[V], hash uint64, key K) (V, bool) {
 	if len(m.dir) != 0 {
 		if b := m.dir[hash&uint64(len(m.dir)-1)]; b != nil {
 			for i := range b.entries {
-				if e := &b.entries[i]; e.hash == hash && e.key == key {
+				if e := &b.entries[i]; e.hash == hash && e.key == string(key) {
 					return e.val, true
 				}
 			}
@@ -144,14 +173,20 @@ func (m *Map[V]) Get(hash uint64, key string) (V, bool) {
 // value first if the key is absent (existed reports which). The bucket
 // becomes the handle's own, so the caller may write through the pointer —
 // until the handle's next Ref, Delete, Grow, Clear or Clone.
-func (m *Map[V]) Ref(hash uint64, key string) (v *V, existed bool) {
+func (m *Map[V]) Ref(hash uint64, key string) (v *V, existed bool) { return ref(m, hash, key) }
+
+// RefBytes is Ref for a key held as bytes; the key is copied into a string
+// only when it is inserted.
+func (m *Map[V]) RefBytes(hash uint64, key []byte) (v *V, existed bool) { return ref(m, hash, key) }
+
+func ref[V any, K string | []byte](m *Map[V], hash uint64, key K) (v *V, existed bool) {
 	if len(m.dir) == 0 {
 		m.dir, m.dirOwner = make([]*bucket[V], 1), m.owner
 	}
 	i := hash & uint64(len(m.dir)-1)
 	if b := m.dir[i]; b != nil {
 		for j := range b.entries {
-			if e := &b.entries[j]; e.hash == hash && e.key == key {
+			if e := &b.entries[j]; e.hash == hash && e.key == string(key) {
 				return &m.own(i, 0).entries[j].val, true
 			}
 		}
@@ -164,13 +199,18 @@ func (m *Map[V]) Ref(hash uint64, key string) (v *V, existed bool) {
 	if n := len(b.entries); n == cap(b.entries) {
 		b.entries = withRoom(b.entries, max(2, n/2))
 	}
-	b.entries = append(b.entries, entry[V]{hash: hash, key: key})
+	b.entries = append(b.entries, entry[V]{hash: hash, key: string(key)})
 	m.n++
 	return &b.entries[len(b.entries)-1].val, false
 }
 
 // Delete removes key and returns the value it held, if it was present.
-func (m *Map[V]) Delete(hash uint64, key string) (v V, existed bool) {
+func (m *Map[V]) Delete(hash uint64, key string) (v V, existed bool) { return del(m, hash, key) }
+
+// DeleteBytes is Delete for a key held as bytes.
+func (m *Map[V]) DeleteBytes(hash uint64, key []byte) (v V, existed bool) { return del(m, hash, key) }
+
+func del[V any, K string | []byte](m *Map[V], hash uint64, key K) (v V, existed bool) {
 	if len(m.dir) == 0 {
 		return v, false
 	}
@@ -180,7 +220,7 @@ func (m *Map[V]) Delete(hash uint64, key string) (v V, existed bool) {
 		return v, false
 	}
 	for j := range b.entries {
-		if e := &b.entries[j]; e.hash == hash && e.key == key {
+		if e := &b.entries[j]; e.hash == hash && e.key == string(key) {
 			b = m.own(i, 0)
 			v = b.entries[j].val
 			last := len(b.entries) - 1

@@ -51,13 +51,17 @@ func sameContents(t *testing.T, what string, m *Map[int], want map[string]int) {
 		if g, ok := m.Get(Hash(k), k); !ok || g != v {
 			t.Fatalf("%s: Get(%q) = %d, %v, want %d", what, k, g, ok, v)
 		}
+		if g, ok := m.GetBytes(HashBytes([]byte(k)), []byte(k)); !ok || g != v {
+			t.Fatalf("%s: GetBytes(%q) = %d, %v, want %d", what, k, g, ok, v)
+		}
 	}
 }
 
 // TestCloneDivergence drives random writes through a family of handles
 // cloned from one another, each against its own model map: no write through
 // one handle ever shows through another, across directory doublings,
-// deletes, Grow and Clear.
+// deletes, Grow and Clear — through the string-keyed methods and the
+// byte-keyed ones alike.
 func TestCloneDivergence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -82,12 +86,20 @@ func TestCloneDivergence(t *testing.T) {
 				m.Grow(rng.Intn(300))
 			case r < 40:
 				want, had := model[key]
-				if got, existed := m.Delete(Hash(key), key); existed != had || got != want {
+				del := m.Delete
+				if op%2 == 0 {
+					del = func(hash uint64, key string) (int, bool) { return m.DeleteBytes(hash, []byte(key)) }
+				}
+				if got, existed := del(Hash(key), key); existed != had || got != want {
 					t.Fatalf("seed %d: Delete(%q) = %d, %v, the model holds %d, %v", seed, key, got, existed, want, had)
 				}
 				delete(model, key)
 			default:
-				v, existed := m.Ref(Hash(key), key)
+				ref := m.Ref
+				if op%2 == 0 {
+					ref = func(hash uint64, key string) (*int, bool) { return m.RefBytes(hash, []byte(key)) }
+				}
+				v, existed := ref(Hash(key), key)
 				if _, had := model[key]; had != existed {
 					t.Fatalf("seed %d: Ref(%q) existed=%v, model says %v", seed, key, existed, had)
 				}

@@ -68,9 +68,11 @@ func DecodeAccum(r io.ByteReader, spec AggSpec) (*Accum, error) {
 			}
 			key[j] = b
 		}
-		// Validate the key decodes as a value encoding.
-		if _, derr := relation.DecodeTuple(string(key)); derr != nil {
+		// Validate the key decodes as the encoding of one value.
+		if tup, derr := relation.DecodeTuple(string(key)); derr != nil {
 			return nil, fmt.Errorf("delta: corrupt accumulator value key: %w", derr)
+		} else if len(tup) != 1 {
+			return nil, fmt.Errorf("delta: corrupt accumulator value key: %d values, want 1", len(tup))
 		}
 		count, err := binary.ReadVarint(r)
 		if err != nil {

@@ -106,6 +106,10 @@ type StepReport struct {
 	// spill files and re-read from them during partition-wise probing. Work
 	// is untouched: spilling changes bytes moved, never the linear metric.
 	SpilledBytes, SpillReReadBytes int64
+	// IndexProbes counts the step's lookups in resident join indexes, and
+	// IndexTuplesSaved the operand tuples Work charges for the join steps
+	// those indexes served and no scan read (see core.CompReport).
+	IndexProbes, IndexTuplesSaved int64
 	// Digest fingerprints the delta an Inst step installed (see
 	// delta.Digest); 0 for Comp steps and for views whose float-valued
 	// columns make bit-exact digests unsound across evaluation orders. The
@@ -276,6 +280,7 @@ func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *fault
 		step.SharedTuplesSaved = cr.SharedTuplesSaved
 		step.SpillCount = cr.SpillCount
 		step.SpilledBytes, step.SpillReReadBytes = cr.SpilledBytes, cr.SpillReReadBytes
+		step.IndexProbes, step.IndexTuplesSaved = cr.IndexProbes, cr.IndexTuplesSaved
 	case strategy.Inst:
 		step.Digest = instDigest(w, x.View)
 		n, ierr := w.Install(x.View)

@@ -609,7 +609,7 @@ func MetricAblation(cfg Config) (Result, error) {
 // All runs every experiment.
 func All(cfg Config) ([]Result, error) {
 	out := []Result{Table1()}
-	for _, f := range []func(Config) (Result, error){Fig12, Fig13, Fig14, Fig15, Parallel, StagedVsDAG, TermParallel, SharedComp, SharedPlan, MetricAblation, Estimation, Deep, FaultTolerance, Spill} {
+	for _, f := range []func(Config) (Result, error){Fig12, Fig13, Fig14, Fig15, Parallel, StagedVsDAG, TermParallel, MetricAblation, Estimation, Deep, FaultTolerance} {
 		r, err := f(cfg)
 		if err != nil {
 			return out, err

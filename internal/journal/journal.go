@@ -92,10 +92,15 @@ type BeginRecord struct {
 	// Workers is the worker bound of the original run (informational;
 	// results are mode- and worker-invariant).
 	Workers int
-	// SkipEmptyDeltas and UseIndexes record the work-affecting warehouse
-	// options, so a replay reproduces the journaled Work figures exactly.
+	// SkipEmptyDeltas records the work-affecting warehouse option, so a
+	// replay reproduces the journaled Work figures exactly.
 	SkipEmptyDeltas bool
-	UseIndexes      bool
+	// ProbeWork is flag bit 2, which engines that still had the UseIndexes
+	// option set under it: the window's Work figures count index probes,
+	// not operand tuples. Nothing sets it any more; it stays decodable so
+	// that replaying such a journal is refused with a reason (package
+	// recovery) instead of diverging step by step.
+	ProbeWork bool
 	// StateDigest fingerprints the materialized (installed) state the
 	// window started from; recovery verifies the restored snapshot against
 	// it before re-executing.
@@ -229,7 +234,7 @@ func (w *Writer) Begin(b BeginRecord) error {
 	if b.SkipEmptyDeltas {
 		flags |= 1
 	}
-	if b.UseIndexes {
+	if b.ProbeWork {
 		flags |= 2
 	}
 	buf.WriteByte(flags)
@@ -483,7 +488,7 @@ func decodeBegin(p []byte) (BeginRecord, error) {
 		return b, fmt.Errorf("journal: begin flags: %w", err)
 	}
 	b.SkipEmptyDeltas = flags&1 != 0
-	b.UseIndexes = flags&2 != 0
+	b.ProbeWork = flags&2 != 0
 	if b.StateDigest, err = readUint64(r); err != nil {
 		return b, fmt.Errorf("journal: begin state digest: %w", err)
 	}

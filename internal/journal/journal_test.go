@@ -71,7 +71,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	got := wl.Begin
 	if got.Seq != b.Seq || got.Planner != b.Planner || got.Mode != b.Mode ||
-		got.Workers != b.Workers || !got.SkipEmptyDeltas || got.UseIndexes ||
+		got.Workers != b.Workers || !got.SkipEmptyDeltas || got.ProbeWork ||
 		got.StateDigest != b.StateDigest || got.BatchDigest != b.BatchDigest {
 		t.Fatalf("begin mismatch: %+v vs %+v", got, b)
 	}

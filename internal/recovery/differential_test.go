@@ -261,12 +261,12 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			s = mw.Strategy
 		}
 		skipEmpty := rng.Intn(2) == 0
-		useIndexes := rng.Intn(3) == 0
+		rng.Intn(3) // the draw of an option since retired; kept so that every trial stays the trial it was
 
 		for mi, m := range modes {
 			width := 1 + rng.Intn(4)
 			co := core.Options{
-				SkipEmptyDeltas: skipEmpty, UseIndexes: useIndexes, ShareComputation: m.share,
+				SkipEmptyDeltas: skipEmpty, ShareComputation: m.share,
 				ParallelTerms: width > 1, Workers: width,
 			}
 			workers := 1 + rng.Intn(4)

@@ -218,7 +218,6 @@ func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Op
 		Mode:            string(mode),
 		Workers:         opts.Workers,
 		SkipEmptyDeltas: o.SkipEmptyDeltas,
-		UseIndexes:      o.UseIndexes,
 		StateDigest:     journal.StateDigest(w),
 		BatchDigest:     journal.BatchDigest(batch),
 		Strategy:        s.Clone(),
@@ -359,10 +358,13 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 		return nil, fmt.Errorf("recovery: window %d's change batch digests to %016x, journaled %016x — corrupt begin record",
 			b.Seq, got, b.BatchDigest)
 	}
+	if b.ProbeWork {
+		return nil, fmt.Errorf("recovery: window %d was journaled by an engine whose Work figures count index probes, not operand tuples; this engine reports the linear metric only and cannot verify its steps",
+			b.Seq)
+	}
 	clone := w.Clone()
 	co := clone.Options()
 	co.SkipEmptyDeltas = b.SkipEmptyDeltas
-	co.UseIndexes = b.UseIndexes
 	clone.SetOptions(co)
 	if err := journal.RestoreBatch(clone, b.Batch); err != nil {
 		return nil, fmt.Errorf("recovery: re-staging window %d's batch: %w", b.Seq, err)

@@ -7,6 +7,7 @@ package recovery
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -111,5 +112,35 @@ func TestReplayRejectsAbortedWindow(t *testing.T) {
 	wl.Abort = &journal.AbortRecord{Reason: "deadline"}
 	if _, err := Replay(buildPristine(t), wl, Options{}); err == nil {
 		t.Fatal("aborted window replayed")
+	}
+}
+
+// TestReplayRefusesProbeWorkJournal: a window journaled by an engine whose
+// Work figures counted index probes (begin-record flag bit 2, which still
+// decodes) is refused as a whole, with that reason, before any step runs —
+// not as a work mismatch at its first Comp.
+func TestReplayRefusesProbeWorkJournal(t *testing.T) {
+	wl, _ := shipWindow(t, exec.ModeSequential)
+	wl.Begin.ProbeWork = true
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf)
+	if err := jw.Begin(wl.Begin); err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range wl.Steps {
+		if err := jw.Step(sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Commit(*wl.Commit); err != nil {
+		t.Fatal(err)
+	}
+	lg := readLog(t, &buf)
+	if len(lg.Windows) != 1 || !lg.Windows[0].Begin.ProbeWork {
+		t.Fatalf("the flag did not survive the journal: %+v", lg.Windows)
+	}
+	_, err := Replay(buildPristine(t), &lg.Windows[0], Options{})
+	if err == nil || !strings.Contains(err.Error(), "count index probes") || strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("replay of a probe-work journal: %v", err)
 	}
 }

@@ -12,8 +12,11 @@ import (
 	"repro/internal/strategy"
 )
 
-// newBoundedFixture is the recovery fixture scaled up until its hash builds
-// exceed a 4 KiB window budget, so every incremental attempt must spill.
+// newBoundedFixture is the recovery fixture with change batches scaled up
+// until the one transient build of its window — the second delta of
+// Comp(J,{R,S})'s two-delta term; the states are read through resident
+// indexes and build nothing — exceeds a 4 KiB window budget, so every
+// incremental attempt must spill.
 func newBoundedFixture(t *testing.T) (*core.Warehouse, strategy.Strategy) {
 	t.Helper()
 	w := core.New(core.Options{MemoryBudgetBytes: 4096})
@@ -44,9 +47,13 @@ func newBoundedFixture(t *testing.T) (*core.Warehouse, strategy.Strategy) {
 	dr := delta.New(schemaR)
 	dr.Add(intRow(1000, 3), 1)
 	dr.Add(intRow(1, 1), -1)
-	must(w.StageDelta("R", dr))
 	ds := delta.New(schemaS)
 	ds.Add(intRow(3, 555), 1)
+	for i := int64(0); i < 120; i++ {
+		dr.Add(intRow(2000+i, 2000+i), 1)
+		ds.Add(intRow(2000+i, i), 1)
+	}
+	must(w.StageDelta("R", dr))
 	must(w.StageDelta("S", ds))
 
 	g, err := exec.Graph(w)

@@ -218,6 +218,14 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether two values are equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether two values encode alike — the same kind and the
+// same bits — which is the equality of stored keys and of hash-join keys.
+// Equal is coarser: it also holds between an integer and the float of the
+// same value, and between the two zeros.
+func Identical(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.kind {

@@ -202,3 +202,49 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 	reportPerRow(b, 2*d.Size()) // two installs
 }
+
+// BenchmarkIndexBuild is what the first probe of a join step pays when the
+// table holds no index for it yet: one scan of LINEITEM into an index on
+// L_ORDERKEY, four rows a key. B/row is the index's resident size per row.
+func BenchmarkIndexBuild(b *testing.B) {
+	t := lineItemTable(benchRows)
+	before := heapAlloc()
+	keep, _ := t.Clone().JoinIndex([]int{0})
+	resident := heapAlloc() - before
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Clone().JoinIndex([]int{0})
+	}
+	reportPerRow(b, benchRows)
+	b.ReportMetric(float64(resident)/benchRows, "B/row")
+	runtime.KeepAlive(keep)
+}
+
+// BenchmarkIndexApply is BenchmarkTableCloneDetach/batch=1pct — clone, then
+// the repo benchmark's 1 % batch — on a LINEITEM that carries one join
+// index: a unique one (L_ORDERKEY, L_LINENUMBER), one of four rows a key
+// (L_ORDERKEY), one of six hundred (L_SUPPKEY, whose every changed row
+// replaces a posting of 14 kB). ns/row and B/op are per changed row and per
+// window; the difference from the unindexed benchmark is the index's upkeep.
+func BenchmarkIndexApply(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cols []int
+	}{{"unique", []int{0, 1}}, {"fanout=4", []int{0}}, {"fanout=600", []int{2}}} {
+		b.Run(c.name, func(b *testing.B) {
+			t := lineItemTable(benchRows)
+			t.JoinIndex(c.cols)
+			d, _ := benchBatch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := t.Clone()
+				if err := c.ApplyDelta(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerRow(b, d.Size())
+		})
+	}
+}

@@ -326,7 +326,9 @@ func (p pinnedView) same(scan func(func(relation.Tuple, int64) bool), sorted fun
 // of them to double the directory), count changes, deletes, groups and
 // values coming and going — while the reader rescans the pinned handles.
 // Their Scan, SortedRows, digest and every tuple scanned earlier stay
-// bit-identical throughout. Run under -race.
+// bit-identical throughout, and so does every probe of the table's two join
+// indexes, one unique and one of fifteen rows a key, whose buckets and
+// postings the windows replace as they write. Run under -race.
 func TestPinnedEpochSurvivesWindows(t *testing.T) {
 	const rows = 600
 	gs := relation.Schema{{Name: "g", Kind: relation.KindInt}}
@@ -343,7 +345,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 		ps := delta.NewGroupPartials(gs, sumSpecs)
 		pe := delta.NewGroupPartials(nil, maxSpecs)
 		for _, id := range ids {
-			d.Add(cowRow(id, fmt.Sprint("v", id)), count)
+			d.Add(cowRow(id, fmt.Sprint("v", id%40)), count)
 			ps.Accumulate(relation.Tuple{relation.NewInt(id % 40)}, []relation.Value{relation.NewInt(id), relation.Null}, count)
 			pe.Accumulate(relation.Tuple{}, []relation.Value{relation.NewInt(id), relation.NewInt(id)}, count)
 		}
@@ -367,6 +369,21 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 		all = append(all, id)
 	}
 	apply(tbl, sums, ext, all, 2)
+	byID, _ := tbl.JoinIndex([]int{0})
+	byV, _ := tbl.JoinIndex([]int{1})
+	// probes renders what both indexes of the pinned handle yield, key by key.
+	probes := func() string {
+		var out []string
+		for id := int64(0); id < rows; id++ {
+			like := cowRow(id, fmt.Sprint("v", id))
+			out = append(out, fmt.Sprint(probeBag(byID, like)))
+			if id < 40 {
+				out = append(out, fmt.Sprint(probeBag(byV, like)))
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	pinProbes := probes()
 
 	pinTbl := pinView(tbl.Scan, tbl.SortedRows, tbl.Digest())
 	pinSums := pinView(sums.Scan, sums.SortedRows, sums.Digest())
@@ -388,6 +405,9 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 		}
 		if d := pinExt.same(ext.Scan, ext.SortedRows, ext.Digest(), encExt); d != "" {
 			return "max view: " + d
+		}
+		if probes() != pinProbes {
+			return "table: an index probe changed"
 		}
 		return ""
 	}
@@ -431,6 +451,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 				t.Fatalf("window %d: %v", win, err)
 			}
 		}
+		checkIndexes(t, fmt.Sprint("window ", win), curT)
 	}
 	close(stop)
 	wg.Wait()

@@ -2,151 +2,267 @@ package storage
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
-// Hash indexes on counted tables. The engine's default execution model
-// scans every term operand once per term (the paper's linear work metric).
-// A maintained hash index trades that scan for probes: it is kept current
-// by Insert/Delete (install pays the maintenance), and equi-join terms can
-// look up matching rows directly. This is the storage-representation lever
-// the paper's related work points at ([JNSS97], [KR98]): it does not change
-// which strategy is best so much as it changes what each expression costs —
-// the engine exposes it behind an option precisely so the deviation from
-// the linear metric can be measured (see BenchmarkIndexedExecution).
+// Resident join indexes. The paper's engine scans every operand of every
+// maintenance term, and its linear work metric prices exactly that; a term
+// driven by a 1 % delta then reads the whole warehouse to find the few rows
+// the delta joins. An Index is the auxiliary structure that finds them
+// directly: a copy-on-write map (package cowmap) from the encoded
+// projection of a row on the index columns to the table's rows that carry
+// it. It belongs to the table the way the rows do —
+//
+//   - Insert, Delete, ApplyDelta and Clear keep it current: a row that
+//     appears or vanishes updates every index, a count that changes updates
+//     none (the count lives in the row map alone).
+//   - Clone hands every index to the new handle in O(indexes), shared bucket
+//     by bucket like the rows. A window that commits passes its indexes on
+//     to the next; one that aborts loses only what it built.
+//   - A write copies the bucket it lands in and replaces the posting it
+//     changes. A posting is never modified once a map holds it: the handles
+//     that share the bucket — a pinned epoch among them — may be reading it.
+//
+// Nothing here decides which indexes exist; the term engine asks for one at
+// the first probe of a join step (Table.JoinIndex) and every index counts
+// its probes and its upkeep so that a later election can.
 
-// hashIndex maps an encoded key (projection of the row on the index
-// columns) to the encodings of rows carrying that key.
-type hashIndex struct {
-	cols []int
-	// buckets maps key encoding → row encoding → struct{} (set semantics:
-	// multiplicity lives in the table's rows).
-	buckets map[string]map[string]struct{}
+// rowRef names one row of the table by the key its row map holds it under.
+type rowRef struct {
+	hash uint64
+	key  string
 }
 
-// indexName canonicalizes a column list.
-func indexName(cols []int) string {
-	parts := make([]string, len(cols))
+// posting is the rows that share one join key: the row itself when there is
+// one (so a unique key costs no allocation), all of them in more otherwise.
+type posting struct {
+	one  rowRef
+	more []rowRef
+}
+
+// Index is one resident join index of a Table handle.
+type Index struct {
+	t    *Table
+	cols []int // ascending, distinct
+	keys cowmap.Map[posting]
+	// probes and upkeep count the lookups served and the row arrivals and
+	// departures applied; a clone starts from its source's counts.
+	probes, upkeep atomic.Int64
+}
+
+// IndexStats describes one resident index.
+type IndexStats struct {
+	// Cols is the indexed column positions, ascending.
+	Cols []int
+	// Keys is the number of distinct join keys, Rows the number of distinct
+	// rows indexed; the index is unique when they are equal.
+	Keys, Rows int64
+	// Probes counts lookups served, Upkeep the row arrivals and departures
+	// applied, over the life of the index across the handles it passed
+	// through.
+	Probes, Upkeep int64
+}
+
+// String renders the stats as "[cols] keys=… rows=… probes=… upkeep=…".
+func (s IndexStats) String() string {
+	return fmt.Sprintf("%v keys=%d rows=%d probes=%d upkeep=%d", s.Cols, s.Keys, s.Rows, s.Probes, s.Upkeep)
+}
+
+// Cols returns the indexed column positions, ascending. The slice is the
+// index's own and must not be modified.
+func (ix *Index) Cols() []int { return ix.cols }
+
+// Probe calls fn with every row whose projection on Cols encodes to key,
+// and its count, until fn returns false. The tuples are the stored ones
+// (see Table) and must not be modified. Probe allocates nothing and is safe
+// from any number of goroutines while the handle is not written.
+func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
+	p, ok := ix.keys.GetBytes(cowmap.HashBytes(key), key)
+	if !ok {
+		return
+	}
+	if p.more == nil {
+		r, _ := ix.t.rows.Get(p.one.hash, p.one.key)
+		fn(r.tup, r.count)
+		return
+	}
+	for _, ref := range p.more {
+		if r, _ := ix.t.rows.Get(ref.hash, ref.key); !fn(r.tup, r.count) {
+			return
+		}
+	}
+}
+
+// CountProbes adds n to the index's probe counter; the prober counts its
+// lookups itself and reports them in one step, off the probe path.
+func (ix *Index) CountProbes(n int64) { ix.probes.Add(n) }
+
+func (ix *Index) stats() IndexStats {
+	return IndexStats{
+		Cols: slices.Clone(ix.cols), Keys: int64(ix.keys.Len()), Rows: int64(ix.t.rows.Len()),
+		Probes: ix.probes.Load(), Upkeep: ix.upkeep.Load(),
+	}
+}
+
+// unique reports whether every key has one row.
+func (ix *Index) unique() bool { return ix.keys.Len() == ix.t.rows.Len() }
+
+// appendKey appends the encoded projection of tup on the index columns.
+func (ix *Index) appendKey(dst []byte, tup relation.Tuple) []byte {
+	for _, c := range ix.cols {
+		dst = tup[c : c+1].AppendEncoded(dst)
+	}
+	return dst
+}
+
+// add indexes a row that has just appeared. While an index is being built
+// nothing else can see it and its postings grow in place; afterwards a
+// posting that gains a row is replaced by a longer copy.
+func (ix *Index) add(ref rowRef, tup relation.Tuple, building bool) {
+	var buf [64]byte
+	key := ix.appendKey(buf[:0], tup)
+	p, existed := ix.keys.RefBytes(cowmap.HashBytes(key), key)
+	switch {
+	case !existed:
+		p.one = ref
+	case p.more == nil:
+		p.more = []rowRef{p.one, ref}
+		p.one = rowRef{}
+	case building:
+		p.more = append(p.more, ref)
+	default:
+		p.more = append(p.more[:len(p.more):len(p.more)], ref)
+	}
+}
+
+// remove drops a row that has just vanished.
+func (ix *Index) remove(ref rowRef, tup relation.Tuple) {
+	var buf [64]byte
+	key := ix.appendKey(buf[:0], tup)
+	hash := cowmap.HashBytes(key)
+	p, existed := ix.keys.RefBytes(hash, key)
+	if !existed {
+		panic(fmt.Sprintf("storage: index %v does not hold a row of its table", ix.cols))
+	}
+	if p.more == nil {
+		ix.keys.DeleteBytes(hash, key)
+		return
+	}
+	rest := make([]rowRef, 0, len(p.more)-1)
+	for _, r := range p.more {
+		if r != ref {
+			rest = append(rest, r)
+		}
+	}
+	if len(rest) == 1 {
+		*p = posting{one: rest[0]}
+	} else {
+		p.more = rest
+	}
+}
+
+// clone returns the index as the handle c holds it: the same entries,
+// shared copy-on-write.
+func (ix *Index) clone(c *Table) *Index {
+	out := &Index{t: c, cols: ix.cols, keys: ix.keys.Clone()}
+	out.probes.Store(ix.probes.Load())
+	out.upkeep.Store(ix.upkeep.Load())
+	return out
+}
+
+// JoinIndex returns the resident index that serves an equi-join on the
+// given column positions (ascending, distinct, not empty), building one by
+// a scan of the rows if none does; scanned is the number of rows that scan
+// read, 0 when an index was there. The index returned is on cols, or on a
+// subset of them that holds one row per key: such an index finds the one
+// candidate row, the caller checks the remaining columns on it, and an
+// index on the superset would be upkeep without a use.
+//
+// Safe to call from concurrent readers of the handle: morsels of one join
+// step, and terms of several compute expressions, may all arrive at a
+// first probe together; one builds and the others wait.
+func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
-}
-
-// keyOf projects an encoded row onto the index columns.
-func (ix *hashIndex) keyOf(tup relation.Tuple) string {
-	return tup.Project(ix.cols).Encode()
-}
-
-func (ix *hashIndex) add(rowEnc string, tup relation.Tuple) {
-	key := ix.keyOf(tup)
-	b := ix.buckets[key]
-	if b == nil {
-		b = make(map[string]struct{})
-		ix.buckets[key] = b
-	}
-	b[rowEnc] = struct{}{}
-}
-
-func (ix *hashIndex) remove(rowEnc string, tup relation.Tuple) {
-	key := ix.keyOf(tup)
-	if b := ix.buckets[key]; b != nil {
-		delete(b, rowEnc)
-		if len(b) == 0 {
-			delete(ix.buckets, key)
+		if c < 0 || c >= len(t.schema) || (i > 0 && cols[i-1] >= c) {
+			panic(fmt.Sprintf("storage: index columns %v on a table of width %d", cols, len(t.schema)))
 		}
 	}
-}
-
-// EnsureIndex builds (or returns) a maintained hash index on the given
-// column positions. Columns must be valid and non-empty; the column list is
-// canonicalized by sorting. Safe to call from concurrent readers: the lazy
-// build is serialized under the table's index lock.
-func (t *Table) EnsureIndex(cols []int) error {
 	if len(cols) == 0 {
-		return fmt.Errorf("storage: empty index column list")
+		panic("storage: index on no columns")
 	}
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
-	for i, c := range sorted {
-		if c < 0 || c >= len(t.schema) {
-			return fmt.Errorf("storage: index column %d out of range (width %d)", c, len(t.schema))
-		}
-		if i > 0 && sorted[i-1] == c {
-			return fmt.Errorf("storage: duplicate index column %d", c)
-		}
+	t.idxMu.RLock()
+	ix = t.serving(cols)
+	t.idxMu.RUnlock()
+	if ix != nil {
+		return ix, 0
 	}
-	name := indexName(sorted)
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	if t.indexes == nil {
-		t.indexes = make(map[string]*hashIndex)
+	if ix = t.serving(cols); ix != nil {
+		return ix, 0
 	}
-	if _, ok := t.indexes[name]; ok {
-		return nil
-	}
-	ix := &hashIndex{cols: sorted, buckets: make(map[string]map[string]struct{})}
-	t.rows.Scan(func(_ uint64, key string, r storedRow) bool {
-		ix.add(key, r.tup)
+	ix = &Index{t: t, cols: slices.Clone(cols)}
+	t.rows.Scan(func(hash uint64, key string, r storedRow) bool {
+		ix.add(rowRef{hash, key}, r.tup, true)
 		return true
 	})
-	t.indexes[name] = ix
-	return nil
+	// The writer's hooks range over the slice they loaded; publish a new one.
+	t.indexes = append(slices.Clip(t.indexes), ix)
+	return ix, int64(t.rows.Len())
 }
 
-// HasIndex reports whether a maintained index exists on the columns.
-func (t *Table) HasIndex(cols []int) bool {
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	_, ok := t.indexes[indexName(sorted)]
-	return ok
-}
-
-// IndexCount returns the number of maintained indexes.
-func (t *Table) IndexCount() int {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	return len(t.indexes)
-}
-
-// Lookup streams the rows whose projection on cols equals key, with their
-// multiplicities. The columns must carry a maintained index (HasIndex);
-// otherwise an error is returned. key must follow the *sorted* column
-// order (the canonical order EnsureIndex uses). The tuples are the stored
-// ones (see Table) and must not be modified.
-func (t *Table) Lookup(cols []int, key relation.Tuple, fn func(relation.Tuple, int64) bool) error {
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
-	t.idxMu.RLock()
-	ix, ok := t.indexes[indexName(sorted)]
-	t.idxMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: no index on columns %v", cols)
-	}
-	for rowEnc := range ix.buckets[key.Encode()] {
-		if r, _ := t.rows.Get(cowmap.Hash(rowEnc), rowEnc); !fn(r.tup, r.count) {
-			return nil
+// serving returns the index JoinIndex hands out for cols among those
+// resident, or nil. Callers hold idxMu.
+func (t *Table) serving(cols []int) *Index {
+	var sub *Index
+	for _, ix := range t.indexes {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
+		if sub == nil && ix.unique() && subset(ix.cols, cols) {
+			sub = ix
 		}
 	}
-	return nil
+	return sub
 }
 
-// indexInsert/indexDelete keep all indexes current; Insert calls the one
-// when a row first appears, Delete the other when its last copy goes.
-func (t *Table) indexInsert(rowEnc string, tup relation.Tuple) {
+// subset reports whether every element of a is in b; both ascend.
+func subset(a, b []int) bool {
+	for _, c := range a {
+		if _, ok := slices.BinarySearch(b, c); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// IndexStats describes the table's resident indexes in creation order.
+func (t *Table) IndexStats() []IndexStats {
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	out := make([]IndexStats, len(t.indexes))
+	for i, ix := range t.indexes {
+		out[i] = ix.stats()
+	}
+	return out
+}
+
+// indexInsert and indexDelete keep every index current; insertKey calls the
+// one when a row first appears, deleteKey the other when its last copy goes.
+func (t *Table) indexInsert(hash uint64, key string, tup relation.Tuple) {
 	for _, ix := range t.indexes {
-		ix.add(rowEnc, tup)
+		ix.add(rowRef{hash, key}, tup, false)
+		ix.upkeep.Add(1)
 	}
 }
 
-func (t *Table) indexDelete(rowEnc string, tup relation.Tuple) {
+func (t *Table) indexDelete(hash uint64, key string, tup relation.Tuple) {
 	for _, ix := range t.indexes {
-		ix.remove(rowEnc, tup)
+		ix.remove(rowRef{hash, key}, tup)
+		ix.upkeep.Add(1)
 	}
 }

@@ -1,160 +1,401 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/delta"
 	"repro/internal/relation"
 )
 
+// probeBag collects what an index yields for the projection of like on its
+// columns, as row encoding → count.
+func probeBag(ix *Index, like relation.Tuple) map[string]int64 {
+	bag := make(map[string]int64)
+	ix.Probe(ix.appendKey(nil, like), func(tup relation.Tuple, count int64) bool {
+		bag[tup.Encode()] += count
+		return true
+	})
+	return bag
+}
+
+// checkIndexes compares every resident index of the handle with one built
+// by a scan of its rows: the same keys, and under each the same rows with
+// the same counts.
+func checkIndexes(t *testing.T, what string, tbl *Table) {
+	t.Helper()
+	for _, ix := range tbl.indexes {
+		want := make(map[string]map[string]int64) // key → row → count
+		like := make(map[string]relation.Tuple)
+		tbl.Scan(func(tup relation.Tuple, count int64) bool {
+			key := string(ix.appendKey(nil, tup))
+			if want[key] == nil {
+				want[key], like[key] = make(map[string]int64), tup
+			}
+			want[key][tup.Encode()] = count
+			return true
+		})
+		if ix.keys.Len() != len(want) {
+			t.Fatalf("%s: index %v holds %d keys, a scan finds %d", what, ix.cols, ix.keys.Len(), len(want))
+		}
+		for key, rows := range want {
+			if got := probeBag(ix, like[key]); !sameBag(got, rows) {
+				t.Fatalf("%s: index %v under key %q yields %v, a scan finds %v", what, ix.cols, key, got, rows)
+			}
+		}
+		if st := ix.stats(); st.Keys != int64(len(want)) || st.Rows != tbl.DistinctCount() {
+			t.Fatalf("%s: index %v reports %d keys of %d rows, want %d of %d", what, ix.cols, st.Keys, st.Rows, len(want), tbl.DistinctCount())
+		}
+	}
+}
+
+// TestEnsureIndexAndLookup: JoinIndex builds an index once and hands the same
+// one out after, and a probe finds the rows of a key with their counts.
 func TestEnsureIndexAndLookup(t *testing.T) {
 	tbl := NewTable(schema) // (k INTEGER, v VARCHAR)
 	tbl.Insert(row(1, "a"), 2)
 	tbl.Insert(row(1, "b"), 1)
 	tbl.Insert(row(2, "a"), 1)
-	if err := tbl.EnsureIndex([]int{0}); err != nil {
-		t.Fatal(err)
+	ix, scanned := tbl.JoinIndex([]int{0})
+	if scanned != 3 || !slices.Equal(ix.Cols(), []int{0}) {
+		t.Fatalf("first JoinIndex scanned %d rows for columns %v, want 3 and [0]", scanned, ix.Cols())
 	}
-	if !tbl.HasIndex([]int{0}) || tbl.HasIndex([]int{1}) || tbl.IndexCount() != 1 {
-		t.Errorf("index bookkeeping wrong")
+	if again, scanned := tbl.JoinIndex([]int{0}); again != ix || scanned != 0 {
+		t.Fatalf("second JoinIndex built again (scanned %d)", scanned)
 	}
-	// Idempotent.
-	if err := tbl.EnsureIndex([]int{0}); err != nil {
-		t.Fatal(err)
+	want := map[string]int64{row(1, "a").Encode(): 2, row(1, "b").Encode(): 1}
+	if got := probeBag(ix, row(1, "")); !sameBag(got, want) {
+		t.Errorf("probe of key 1 yields %v, want %v", got, want)
 	}
-	if tbl.IndexCount() != 1 {
-		t.Errorf("duplicate index created")
+	if got := probeBag(ix, row(9, "")); len(got) != 0 {
+		t.Errorf("probe of an absent key yields %v", got)
 	}
-	var got int64
-	err := tbl.Lookup([]int{0}, relation.Tuple{relation.NewInt(1)}, func(tup relation.Tuple, c int64) bool {
-		got += c
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A probe may stop early.
+	calls := 0
+	ix.Probe(ix.appendKey(nil, row(1, "")), func(relation.Tuple, int64) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("a probe whose callback returned false called it %d times", calls)
 	}
-	if got != 3 { // (1,a)x2 + (1,b)x1
-		t.Errorf("lookup multiplicity = %d, want 3", got)
-	}
-	// Missing key → no rows, no error.
-	got = 0
-	if err := tbl.Lookup([]int{0}, relation.Tuple{relation.NewInt(9)}, func(relation.Tuple, int64) bool {
-		got++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("missing key returned rows")
+	ix.CountProbes(4)
+	st := tbl.IndexStats()
+	if len(st) != 1 || st[0].Keys != 2 || st[0].Rows != 3 || st[0].Probes != 4 || st[0].Upkeep != 0 {
+		t.Errorf("IndexStats = %v", st)
 	}
 }
 
+// TestIndexMaintenance: rows that appear and vanish move through the postings —
+// one row inline, several in a list, back to one, gone, and back again —
+// while a count that changes touches no index.
 func TestIndexMaintenance(t *testing.T) {
 	tbl := NewTable(schema)
-	if err := tbl.EnsureIndex([]int{1}); err != nil { // index on v
-		t.Fatal(err)
-	}
-	tbl.Insert(row(1, "x"), 1)
-	tbl.Insert(row(2, "x"), 2)
-	count := func(v string) int64 {
+	ix, _ := tbl.JoinIndex([]int{1}) // on v
+	count := func() int64 {
 		var n int64
-		if err := tbl.Lookup([]int{1}, relation.Tuple{relation.NewString(v)}, func(_ relation.Tuple, c int64) bool {
+		for _, c := range probeBag(ix, row(0, "x")) {
 			n += c
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 		return n
 	}
-	if count("x") != 3 {
-		t.Fatalf("after inserts: %d", count("x"))
+	tbl.Insert(row(1, "x"), 1)
+	tbl.Insert(row(2, "x"), 2)
+	tbl.Insert(row(3, "x"), 1)
+	if count() != 4 {
+		t.Fatalf("after three inserts: %d", count())
 	}
-	// Partial delete keeps the row indexed.
+	upkeep := tbl.IndexStats()[0].Upkeep
+	// A partial delete and a repeated insert change counts only.
 	if err := tbl.Delete(row(2, "x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if count("x") != 2 {
-		t.Errorf("after partial delete: %d", count("x"))
+	tbl.Insert(row(3, "x"), 5)
+	if count() != 8 || tbl.IndexStats()[0].Upkeep != upkeep {
+		t.Errorf("after count changes: %d copies, upkeep %d → %d", count(), upkeep, tbl.IndexStats()[0].Upkeep)
 	}
-	// Full delete removes it.
-	if err := tbl.Delete(row(2, "x"), 1); err != nil {
-		t.Fatal(err)
+	for _, r := range []relation.Tuple{row(2, "x"), row(3, "x"), row(1, "x")} {
+		if err := tbl.Delete(r, tbl.Count(r)); err != nil {
+			t.Fatal(err)
+		}
+		checkIndexes(t, "after deleting "+r.String(), tbl)
 	}
-	if count("x") != 1 {
-		t.Errorf("after full delete: %d", count("x"))
-	}
-	// Clear empties the index but keeps it maintained.
-	tbl.Clear()
-	if count("x") != 0 {
-		t.Errorf("after clear: %d", count("x"))
+	if count() != 0 || tbl.IndexStats()[0].Keys != 0 {
+		t.Errorf("an emptied posting still yields %d copies", count())
 	}
 	tbl.Insert(row(5, "x"), 1)
-	if count("x") != 1 {
-		t.Errorf("after reinsert: %d", count("x"))
+	if count() != 1 {
+		t.Errorf("a refilled posting yields %d copies", count())
+	}
+	tbl.Clear()
+	if count() != 0 {
+		t.Errorf("after Clear: %d", count())
+	}
+	tbl.Insert(row(6, "x"), 3)
+	if count() != 3 {
+		t.Errorf("an index is not kept current after Clear: %d", count())
 	}
 }
 
+// TestIndexErrors: column lists that are empty, out of range or not strictly
+// ascending are a caller's bug.
 func TestIndexErrors(t *testing.T) {
-	tbl := NewTable(schema)
-	if err := tbl.EnsureIndex(nil); err == nil {
-		t.Errorf("empty column list accepted")
-	}
-	if err := tbl.EnsureIndex([]int{5}); err == nil {
-		t.Errorf("out-of-range column accepted")
-	}
-	if err := tbl.EnsureIndex([]int{0, 0}); err == nil {
-		t.Errorf("duplicate column accepted")
-	}
-	if err := tbl.Lookup([]int{0}, relation.Tuple{relation.NewInt(1)}, nil); err == nil {
-		t.Errorf("lookup without index accepted")
+	for _, cols := range [][]int{nil, {5}, {-1}, {0, 0}, {1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("columns %v accepted", cols)
+				}
+			}()
+			NewTable(schema).JoinIndex(cols)
+		}()
 	}
 }
 
+// TestUniqueSubsetServesSuperset: while an index holds one row per key, a
+// join on more columns is served by it and builds nothing; once a key has
+// two rows the wider index is built.
+func TestUniqueSubsetServesSuperset(t *testing.T) {
+	tbl := NewTable(schema)
+	tbl.Insert(row(1, "a"), 1)
+	tbl.Insert(row(2, "a"), 1)
+	narrow, _ := tbl.JoinIndex([]int{0})
+	if ix, scanned := tbl.JoinIndex([]int{0, 1}); ix != narrow || scanned != 0 {
+		t.Fatalf("a unique index on [0] did not serve [0 1]: got %v, scanned %d", ix.Cols(), scanned)
+	}
+	if ix, _ := tbl.JoinIndex([]int{1}); ix == narrow {
+		t.Fatal("an index on [0] served a join on [1]")
+	}
+	tbl.Insert(row(1, "b"), 1)
+	wide, scanned := tbl.JoinIndex([]int{0, 1})
+	if wide == narrow || scanned != 3 || len(tbl.IndexStats()) != 3 {
+		t.Fatalf("with two rows under key 1 the index on [0] still serves [0 1] (scanned %d, %d indexes)", scanned, len(tbl.IndexStats()))
+	}
+	checkIndexes(t, "three indexes", tbl)
+}
+
+// TestCompositeIndexCanonicalOrder: a composite key is the columns'
+// encodings in ascending column order, which is the order a prober that
+// sorts its equi-keys by column encodes them in.
 func TestCompositeIndexCanonicalOrder(t *testing.T) {
 	tbl := NewTable(schema)
 	tbl.Insert(row(1, "a"), 1)
-	// Declare the index with columns out of order; lookup keys follow the
-	// sorted order (k then v).
-	if err := tbl.EnsureIndex([]int{1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.HasIndex([]int{0, 1}) {
-		t.Errorf("canonical order not recognized")
-	}
-	var hits int
-	key := relation.Tuple{relation.NewInt(1), relation.NewString("a")}
-	if err := tbl.Lookup([]int{1, 0}, key, func(relation.Tuple, int64) bool {
+	tbl.Insert(row(1, "b"), 2)
+	ix, _ := tbl.JoinIndex([]int{0, 1})
+	key := relation.Tuple{relation.NewInt(1), relation.NewString("b")}.AppendEncoded(nil)
+	var hits, copies int64
+	ix.Probe(key, func(_ relation.Tuple, c int64) bool {
 		hits++
+		copies += c
 		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 1 {
-		t.Errorf("composite lookup hits = %d", hits)
+	})
+	if hits != 1 || copies != 2 {
+		t.Errorf("composite probe found %d rows, %d copies; want 1 row, 2 copies", hits, copies)
 	}
 }
 
-func TestCloneDropsIndexes(t *testing.T) {
+// TestCloneSharesIndexes: a clone has its source's indexes without building
+// them, the two diverge with their rows, and an index made on one handle
+// does not appear on the other.
+func TestCloneSharesIndexes(t *testing.T) {
 	tbl := NewTable(schema)
-	tbl.Insert(row(1, "a"), 1)
-	if err := tbl.EnsureIndex([]int{0}); err != nil {
-		t.Fatal(err)
+	for i := int64(0); i < 100; i++ {
+		tbl.Insert(row(i%10, fmt.Sprint("v", i)), 1)
 	}
+	ix, _ := tbl.JoinIndex([]int{0})
+	ix.CountProbes(7)
 	cl := tbl.Clone()
-	if cl.IndexCount() != 0 {
-		t.Errorf("clone inherited indexes")
+	cix, scanned := cl.JoinIndex([]int{0})
+	if scanned != 0 || cix == ix {
+		t.Fatalf("the clone built its index again (scanned %d) or shares the handle's Index value", scanned)
 	}
-	// The clone can rebuild them on demand.
-	if err := cl.EnsureIndex([]int{0}); err != nil {
+	if st := cl.IndexStats(); len(st) != 1 || st[0].Probes != 7 {
+		t.Fatalf("the clone's index does not carry its source's counts: %v", st)
+	}
+	cl.Insert(row(3, "new"), 1)
+	if err := cl.Delete(row(4, "v4"), 1); err != nil {
 		t.Fatal(err)
 	}
-	var hits int
-	if err := cl.Lookup([]int{0}, relation.Tuple{relation.NewInt(1)}, func(relation.Tuple, int64) bool {
-		hits++
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	tbl.Insert(row(5, "old-side"), 1)
+	cl.JoinIndex([]int{1})
+	checkIndexes(t, "source", tbl)
+	checkIndexes(t, "clone", cl)
+	if len(probeBag(ix, row(3, ""))) != 10 || len(probeBag(cix, row(3, ""))) != 11 {
+		t.Error("a write through the clone shows in the source's index, or not in the clone's")
 	}
-	if hits != 1 {
-		t.Errorf("rebuilt index lookup hits = %d", hits)
+	if len(tbl.IndexStats()) != 1 || len(cl.IndexStats()) != 2 {
+		t.Errorf("index sets: source %d, clone %d, want 1 and 2", len(tbl.IndexStats()), len(cl.IndexStats()))
+	}
+	if st := cl.IndexStats()[0]; st.Upkeep != 2 || tbl.IndexStats()[0].Upkeep != 1 {
+		t.Errorf("upkeep counts: clone %d, source %d, want 2 and 1", st.Upkeep, tbl.IndexStats()[0].Upkeep)
+	}
+}
+
+// TestIndexesEqualScanUnderRandomOps drives random writes through a family
+// of handles cloned from one another, with indexes on single, composite and
+// NULL-bearing columns made at random moments, and after every operation
+// compares every index of every live handle with a scan. Row and key ranges
+// are small, so rows repeat (counts change without a row appearing or
+// vanishing), postings empty and refill, and the index directories double.
+func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
+	sch := relation.Schema{
+		{Name: "a", Kind: relation.KindInt},
+		{Name: "b", Kind: relation.KindString},
+		{Name: "c", Kind: relation.KindInt},
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randRow := func() relation.Tuple {
+			r := relation.Tuple{relation.NewInt(rng.Int63n(12)), relation.NewString(string(rune('a' + rng.Intn(3)))), relation.NewInt(rng.Int63n(200))}
+			if rng.Intn(8) == 0 {
+				r[0] = relation.Null
+			}
+			if rng.Intn(8) == 0 {
+				r[1] = relation.Null
+			}
+			return r
+		}
+		handles := []*Table{NewTable(sch)}
+		colSets := [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {0, 1, 2}}
+		for op := 0; op < 600; op++ {
+			tbl := handles[rng.Intn(len(handles))]
+			switch r := rng.Intn(100); {
+			case r < 4 && len(handles) < 5:
+				handles = append(handles, tbl.Clone())
+			case r < 6:
+				handles[rng.Intn(len(handles))] = tbl.Clone() // a handle is dropped
+			case r < 7:
+				tbl.Clear()
+			case r < 10:
+				tbl.Grow(rng.Intn(100))
+			case r < 18:
+				tbl.JoinIndex(colSets[rng.Intn(len(colSets))])
+			case r < 40:
+				d := delta.New(sch)
+				for i := 0; i < 1+rng.Intn(40); i++ {
+					d.Add(randRow(), 1+rng.Int63n(2))
+				}
+				tbl.Scan(func(tup relation.Tuple, count int64) bool {
+					if rng.Intn(4) == 0 {
+						d.Add(tup, -1-rng.Int63n(count))
+					}
+					return true
+				})
+				if err := tbl.ApplyDelta(d); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+			case r < 60:
+				if r := randRow(); tbl.Count(r) > 0 {
+					if err := tbl.Delete(r, 1+rng.Int63n(tbl.Count(r))); err != nil {
+						t.Fatalf("seed %d op %d: %v", seed, op, err)
+					}
+				}
+			default:
+				tbl.Insert(randRow(), 1+rng.Int63n(3))
+			}
+			for i, h := range handles {
+				checkIndexes(t, fmt.Sprintf("seed %d op %d handle %d", seed, op, i), h)
+			}
+		}
+	}
+}
+
+// TestIndexOnLiveHandleWhileCloned: readers create and probe indexes on a
+// handle while another goroutine clones it and writes the clones, the shape
+// of a reader of the serving epoch beside update windows. Run under -race.
+func TestIndexOnLiveHandleWhileCloned(t *testing.T) {
+	live := NewTable(schema)
+	for i := int64(0); i < 500; i++ {
+		live.Insert(row(i%50, fmt.Sprint("v", i%7)), 1)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ix, _ := live.JoinIndex([][]int{{0}, {1}, {0, 1}}[(i+r)%3])
+				var n int64
+				ix.Probe(ix.appendKey(nil, row(int64(i%50), fmt.Sprint("v", i%7))), func(_ relation.Tuple, c int64) bool {
+					n += c
+					return true
+				})
+				if n == 0 {
+					t.Errorf("a probe of the live handle found nothing")
+					return
+				}
+			}
+		}(r)
+	}
+	for w := 0; w < 50; w++ {
+		c := live.Clone()
+		c.Insert(row(int64(w), "window"), 1)
+		if err := c.Delete(row(int64(w), fmt.Sprint("v", w%7)), 1); err != nil {
+			t.Error(err)
+		}
+		checkIndexes(t, fmt.Sprintf("clone %d", w), c)
+	}
+	close(stop)
+	readers.Wait()
+	checkIndexes(t, "live", live)
+	if live.Cardinality() != 500 {
+		t.Errorf("the live handle changed under its clones' writes: %d rows", live.Cardinality())
+	}
+}
+
+// indexedCloneWriteAllocs is the allocation count of a clone followed by
+// one inserted row, on a table of n rows with a unique index and one of
+// four rows a key.
+func indexedCloneWriteAllocs(n int64) float64 {
+	tbl := NewTable(testSchema())
+	for i := int64(0); i < n; i++ {
+		tbl.Insert(cowRow(i, fmt.Sprint("p", i/4)), 1)
+	}
+	tbl.JoinIndex([]int{0})
+	tbl.JoinIndex([]int{1})
+	extra := cowRow(n, fmt.Sprint("p", (n-1)/4))
+	return testing.AllocsPerRun(20, func() {
+		c := tbl.Clone()
+		c.Insert(extra, 1)
+	})
+}
+
+// TestIndexedCloneAndWriteAllocationsIgnoreRowCount: with indexes a clone
+// and one write copy a directory and a bucket per map and one posting, the
+// same count at two thousand rows and at thirty-two thousand.
+func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
+	small, large := indexedCloneWriteAllocs(2_000), indexedCloneWriteAllocs(32_000)
+	if small != large || large > 30 {
+		t.Fatalf("indexed clone + one insert allocated %v times at 2 000 rows and %v at 32 000, want the same small number", small, large)
+	}
+}
+
+// TestIndexProbeAllocatesNothing: a probe reads the key map, the posting
+// and the row map and hands out stored tuples.
+func TestIndexProbeAllocatesNothing(t *testing.T) {
+	tbl := NewTable(testSchema())
+	for i := int64(0); i < 2000; i++ {
+		tbl.Insert(cowRow(i/4, fmt.Sprint("p", i)), 1)
+	}
+	ix, _ := tbl.JoinIndex([]int{0})
+	key := make([]byte, 0, 16)
+	var rows int64
+	probe := relation.Tuple{relation.NewInt(0)}
+	allocs := testing.AllocsPerRun(100, func() {
+		probe[0] = relation.NewInt(rows % 500)
+		key = probe.AppendEncoded(key[:0])
+		ix.Probe(key, func(_ relation.Tuple, count int64) bool {
+			rows += count
+			return true
+		})
+	})
+	if allocs != 0 || rows == 0 {
+		t.Fatalf("a probe allocated %v times (and found %d rows), want 0", allocs, rows)
 	}
 }

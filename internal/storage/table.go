@@ -25,7 +25,7 @@ import (
 // an incorrect maintenance strategy upstream).
 //
 // A stored tuple is written once, when its row first appears, and never
-// again: Scan, Lookup and SortedRows hand out that tuple itself, shared by
+// again: Scan, Index.Probe and SortedRows hand out that tuple itself, shared by
 // every copy-on-write clone of the table and so by every epoch that still
 // holds the row. Callers must treat it as immutable. Its capacity equals
 // its length, so appending to it copies.
@@ -40,14 +40,15 @@ type Table struct {
 	// digest is the XOR over rows of rowDigest: the table's term of the
 	// warehouse state digest, kept current by every count change.
 	digest uint64
-	// indexes holds maintained hash indexes keyed by canonical column list
-	// (see index.go). Clones start without indexes; they are rebuilt on
-	// demand by EnsureIndex. idxMu serializes that lazy build against
-	// concurrent probes: parallel executors may evaluate several compute
-	// expressions reading the same state table at once, and the first to
-	// need an index must not race the others.
+	// indexes holds the resident join indexes (see index.go), which the
+	// writes below keep current and Clone hands on. idxMu guards the slice,
+	// not the indexes: readers of a handle may create an index on it — the
+	// morsels and terms that reach a join step's first probe together, a
+	// reader of the live handle while a window clones it — and only one of
+	// them may build. The handle's writer needs no lock: nothing reads a
+	// handle while it is written.
 	idxMu   sync.RWMutex
-	indexes map[string]*hashIndex
+	indexes []*Index
 }
 
 // storedRow is one distinct tuple of a table: its decoded form and multiplicity.
@@ -133,7 +134,7 @@ func (t *Table) insertKey(hash uint64, key string, count int64) {
 		t.digest ^= rowDigest(hash, r.count)
 	} else {
 		r.tup = mustDecode(key)
-		t.indexInsert(key, r.tup)
+		t.indexInsert(hash, key, r.tup)
 	}
 	r.count += count
 	t.digest ^= rowDigest(hash, r.count)
@@ -170,7 +171,7 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	t.digest ^= rowDigest(hash, have)
 	if have == count {
 		r, _ := t.rows.Delete(hash, key)
-		t.indexDelete(key, r.tup)
+		t.indexDelete(hash, key, r.tup)
 	} else {
 		r, _ := t.rows.Ref(hash, key)
 		r.count -= count
@@ -228,10 +229,19 @@ type CountedTuple struct {
 // shared copy-on-write, and from here on a write through either handle
 // copies the buckets it touches (see cowmap). An epoch that clones a
 // hundred-relation warehouse therefore pays only for the rows its update
-// window actually changes. Maintained indexes are not shared; the clone
-// starts without any.
+// window actually changes. The resident indexes go with the rows, shared
+// the same way, in O(indexes).
 func (t *Table) Clone() *Table {
-	return &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest}
+	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest}
+	t.idxMu.Lock() // cloning an index's map writes its token
+	defer t.idxMu.Unlock()
+	if len(t.indexes) > 0 {
+		c.indexes = make([]*Index, len(t.indexes))
+		for i, ix := range t.indexes {
+			c.indexes[i] = ix.clone(c)
+		}
+	}
+	return c
 }
 
 // Equal reports whether two tables hold the same bag of rows.
@@ -338,12 +348,12 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 	return nil
 }
 
-// Clear removes every row. Maintained indexes are emptied but kept. Rows
+// Clear removes every row. Resident indexes are emptied but kept. Rows
 // shared with clones are simply abandoned to the other handles.
 func (t *Table) Clear() {
 	t.rows.Clear()
 	t.card, t.digest = 0, 0
 	for _, ix := range t.indexes {
-		ix.buckets = make(map[string]map[string]struct{})
+		ix.keys.Clear()
 	}
 }

@@ -18,8 +18,6 @@ type Config struct {
 	Seed int64
 	// SkipEmptyDeltas is passed through to the warehouse options.
 	SkipEmptyDeltas bool
-	// UseIndexes is passed through to the warehouse options.
-	UseIndexes bool
 	// ParallelTerms and Workers are passed through to the warehouse
 	// options: they widen the term engine's shared worker pool from 1 to
 	// Workers.

@@ -188,7 +188,6 @@ func NewWarehouse(cfg Config) (*Warehouse, error) {
 	}
 	w := core.New(core.Options{
 		SkipEmptyDeltas:   cfg.SkipEmptyDeltas,
-		UseIndexes:        cfg.UseIndexes,
 		ParallelTerms:     cfg.ParallelTerms,
 		Workers:           cfg.Workers,
 		ShareComputation:  cfg.ShareComputation,

@@ -5,17 +5,22 @@ import (
 	"testing"
 )
 
-// newSharingWarehouse builds the joint-sharing fixture: bases D(k,x), A(k,y),
-// B(y,z) and three sibling views Vi = D ⋈ A ⋈ B with distinct selections.
-// Staging δD makes every Comp(Vi, {D}) read the same delta, and leaves the
-// adjacent pair A ⋈ B quiescent in every maintenance term — the shape where
-// both operand sharing and a shared join intermediate pay off.
+// newSharingWarehouse builds the joint-sharing fixture: bases D(k,x), A0(k,y),
+// B(y,z), the summary view A(k,y) = A0 grouped by k, and three sibling views
+// Vi = D ⋈ A ⋈ B with distinct selections. Staging δD makes every
+// Comp(Vi, {D}) read the same delta, and leaves the adjacent pair A ⋈ B
+// quiescent in every maintenance term — the shape where both operand sharing
+// and a shared join intermediate pay off. A is a summary view because that
+// is the state operand a window still scans and hashes: a plain table's
+// state is read through its resident join index and builds nothing to
+// share, while an aggregate store carries no index.
 func newSharingWarehouse(t *testing.T, opts Options) *Warehouse {
 	t.Helper()
 	w := New(opts)
 	w.MustDefineBase("D", Schema{{Name: "k", Kind: KindInt}, {Name: "x", Kind: KindInt}})
-	w.MustDefineBase("A", Schema{{Name: "k", Kind: KindInt}, {Name: "y", Kind: KindInt}})
+	w.MustDefineBase("A0", Schema{{Name: "k", Kind: KindInt}, {Name: "y", Kind: KindInt}})
 	w.MustDefineBase("B", Schema{{Name: "y", Kind: KindInt}, {Name: "z", Kind: KindInt}})
+	w.MustDefineViewSQL("A", `SELECT k, MAX(y) AS y FROM A0 GROUP BY k`)
 	for i := 1; i <= 3; i++ {
 		w.MustDefineViewSQL(fmt.Sprintf("V%d", i), fmt.Sprintf(`
 			SELECT d.x, b.z
@@ -30,7 +35,7 @@ func newSharingWarehouse(t *testing.T, opts Options) *Warehouse {
 	for j := int64(0); j < 7; j++ {
 		bRows = append(bRows, Tuple{Int(j), Int(j * 2)})
 	}
-	for name, rows := range map[string][]Tuple{"D": dRows, "A": aRows, "B": bRows} {
+	for name, rows := range map[string][]Tuple{"D": dRows, "A0": aRows, "B": bRows} {
 		if err := w.Load(name, rows); err != nil {
 			t.Fatal(err)
 		}

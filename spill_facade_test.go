@@ -7,8 +7,12 @@ import (
 	"testing"
 )
 
-// newBigRetail is the retail fixture scaled until the SALES-state hash build
-// outgrows a 4 KiB window budget, entirely through the public API.
+// newBigRetail is the retail fixture scaled until the hash build of the
+// sales outgrows a 4 KiB window budget, entirely through the public API.
+// The join reads them through SALES_LINES, a summary view with one group
+// per sale: a plain table's state is read through its resident join index
+// and builds nothing, while an aggregate store has no index and is scanned
+// and hashed by every term that joins it.
 func newBigRetail(t *testing.T) *Warehouse {
 	t.Helper()
 	w := New()
@@ -21,9 +25,12 @@ func newBigRetail(t *testing.T) *Warehouse {
 		{Name: "store_id", Kind: KindInt},
 		{Name: "amount", Kind: KindFloat},
 	})
+	w.MustDefineViewSQL("SALES_LINES", `
+		SELECT sale_id, store_id, SUM(amount) AS amount
+		FROM SALES GROUP BY sale_id, store_id`)
 	w.MustDefineViewSQL("SALES_BY_STORE", `
 		SELECT s.sale_id, s.amount, st.region
-		FROM SALES s, STORES st
+		FROM SALES_LINES s, STORES st
 		WHERE s.store_id = st.store_id`)
 	w.MustDefineViewSQL("REGION_TOTALS", `
 		SELECT region, SUM(amount) AS total, COUNT(*) AS n
@@ -49,7 +56,8 @@ func newBigRetail(t *testing.T) *Warehouse {
 }
 
 // stageBigRetail stages changes to BOTH bases, so some maintenance term must
-// probe the full 300-row SALES state — the build that spills under budget.
+// probe the full 300-group SALES_LINES state — the build that spills under
+// budget.
 func stageBigRetail(t *testing.T, w *Warehouse) {
 	t.Helper()
 	ds, err := w.NewDelta("SALES")

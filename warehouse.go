@@ -148,10 +148,6 @@ type Options struct {
 	// SkipEmptyDeltas elides compute expressions whose delta operands are
 	// all empty (the paper's footnote-5 extension).
 	SkipEmptyDeltas bool
-	// UseIndexes makes term evaluation probe maintained hash indexes on
-	// state operands instead of scanning them (a storage-representation
-	// optimization; measured work then counts probes, not scans).
-	UseIndexes bool
 	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
 	// the 2^r − 1 maintenance terms of each Comp then evaluate concurrently
 	// and join-step probes run as morsels on the pool. Produced deltas and
@@ -180,7 +176,9 @@ type Options struct {
 	// cached, or shared across views — draws on one budget, and builds that
 	// do not fit are spilled to disk Grace-style and probed partition-wise.
 	// Results, digests and reported work are identical at any budget; only
-	// bytes moved change. 0 disables budgeting; ignored under UseIndexes.
+	// bytes moved change. 0 disables budgeting. The resident join indexes
+	// through which delta-driven terms read table state are storage, not
+	// build state, and are not charged.
 	MemoryBudgetBytes int64
 	// Model overrides the cost model used by the planners; zero value means
 	// DefaultCostModel.
@@ -242,7 +240,6 @@ func New(opts ...Options) *Warehouse {
 	model.MemoryBudgetBytes = o.MemoryBudgetBytes
 	c := core.New(core.Options{
 		SkipEmptyDeltas:   o.SkipEmptyDeltas,
-		UseIndexes:        o.UseIndexes,
 		ParallelTerms:     o.ParallelTerms,
 		Workers:           o.Workers,
 		ShareComputation:  o.ShareComputation,

@@ -152,6 +152,10 @@ type WindowCounters struct {
 	// PeakReservedBytes is the high-water mark of the window memory
 	// budget's reserved build-state bytes.
 	PeakReservedBytes int64
+	// IndexProbes counts the window's lookups in resident join indexes;
+	// IndexTuplesSaved totals the operand tuples the work metric charges
+	// for the join steps they served and no scan read.
+	IndexProbes, IndexTuplesSaved int64
 	// IngestChanges, IngestQueueDepth, IngestBatchTarget, IngestShed and
 	// IngestStalenessNS mirror IngestInfo for ingester-triggered windows
 	// (all zero otherwise), so counter consumers see the freshness picture
@@ -178,6 +182,8 @@ func (r WindowReport) Counters() WindowCounters {
 		c.SpillCount += step.SpillCount
 		c.SpilledBytes += step.SpilledBytes
 		c.SpillReReadBytes += step.SpillReReadBytes
+		c.IndexProbes += step.IndexProbes
+		c.IndexTuplesSaved += step.IndexTuplesSaved
 	}
 	c.SharedBytesPeak = r.Report.SharedBytesPeak
 	c.PeakReservedBytes = r.Report.PeakReservedBytes

@@ -150,8 +150,12 @@ func TestRunWindowUnknownPlanner(t *testing.T) {
 	}
 }
 
-func TestUseIndexesThroughFacade(t *testing.T) {
-	w := New(Options{UseIndexes: true})
+// TestIndexCountersThroughFacade: on the default engine a window's work is
+// the linear metric — the state operand's scan is charged — while the
+// counters beside it say that an index probe read it; the second window
+// finds the index the first one built on the committed state.
+func TestIndexCountersThroughFacade(t *testing.T) {
+	w := New()
 	w.MustDefineBase("B", Schema{{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindInt}})
 	w.MustDefineBase("C", Schema{{Name: "k", Kind: KindInt}, {Name: "w", Kind: KindInt}})
 	w.MustDefineViewSQL("J", `SELECT b.v, c.w FROM B b, C c WHERE b.k = c.k`)
@@ -168,6 +172,63 @@ func TestUseIndexesThroughFacade(t *testing.T) {
 	if err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	for window, wantSaved := range []int64{50, 101} {
+		d, err := w.NewDelta("B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Add(Tuple{Int(1), Int(999 + int64(window))}, 1)
+		if err := w.StageDelta("B", d); err != nil {
+			t.Fatal(err)
+		}
+		win, err := w.RunWindow(MinWorkPlanner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Comp(J,{B}) = |δB| + |C| = 1 + 50 and Comp(J,{C}) = |δC| + |B| =
+		// 0 + 50 + window, whatever serves the state operands. The empty δC
+		// probes nothing and builds nothing, so all of |B| is saved; of |C|
+		// nothing is in the window that scans it to build the index.
+		if want := int64(101 + window); win.Report.CompWork != want {
+			t.Errorf("window %d: comp work = %d, the linear metric gives %d", window, win.Report.CompWork, want)
+		}
+		if c := win.Counters(); c.IndexProbes != 1 || c.IndexTuplesSaved != wantSaved {
+			t.Errorf("window %d: %d index probes saved %d tuples, want 1 and %d", window, c.IndexProbes, c.IndexTuplesSaved, wantSaved)
+		}
+		if err := w.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := w.Explain(Strategy{Comp{View: "J", Over: []string{"B", "C"}}, Inst{View: "B"}, Inst{View: "C"}, Inst{View: "J"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex, "|C|=50 ix[0]") || !strings.Contains(ex, "join index C[0] keys=5 rows=50 probes=2 upkeep=0") {
+		t.Errorf("EXPLAIN does not show C's join index:\n%s", ex)
+	}
+}
+
+// TestAbortedWindowLosesOnlyItsIndexes: a window that fails after its first
+// Comp built a join index on its clone leaves the serving state without
+// that index — the clone is dropped whole — and the rerun builds it again,
+// commits, and hands it to the state it publishes.
+func TestAbortedWindowLosesOnlyItsIndexes(t *testing.T) {
+	w := New()
+	w.MustDefineBase("B", Schema{{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindInt}})
+	w.MustDefineBase("C", Schema{{Name: "k", Kind: KindInt}, {Name: "w", Kind: KindInt}})
+	w.MustDefineViewSQL("J", `SELECT b.v, c.w FROM B b, C c WHERE b.k = c.k`)
+	var rows []Tuple
+	for i := int64(0); i < 50; i++ {
+		rows = append(rows, Tuple{Int(i % 5), Int(i)})
+	}
+	for _, base := range []string{"B", "C"} {
+		if err := w.Load(base, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
 	d, err := w.NewDelta("B")
 	if err != nil {
 		t.Fatal(err)
@@ -176,13 +237,23 @@ func TestUseIndexesThroughFacade(t *testing.T) {
 	if err := w.StageDelta("B", d); err != nil {
 		t.Fatal(err)
 	}
-	win, err := w.RunWindow(MinWorkPlanner)
+	inj := NewFaultInjector(1)
+	inj.FailAt("step", 3) // the Comps are steps 1 and 2
+	if _, err := w.RunWindowOpts(WindowOptions{Faults: inj}); err == nil {
+		t.Fatal("the injected step failure did not fail the window")
+	}
+	if st := w.core.MustView("C").IndexStats(); len(st) != 0 {
+		t.Fatalf("an aborted window left its index on the serving state: %v", st)
+	}
+	win, err := w.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With |δB| = 1 and indexes, work must be far below the |C| = 50 scan.
-	if win.Report.CompWork >= 50 {
-		t.Errorf("indexed comp work = %d, expected probes ≪ 50", win.Report.CompWork)
+	if c := win.Counters(); c.IndexProbes != 1 {
+		t.Errorf("the rerun made %d index probes, want 1", c.IndexProbes)
+	}
+	if st := w.core.MustView("C").IndexStats(); len(st) != 1 || st[0].Probes != 1 {
+		t.Errorf("the committed window did not hand on its index: %v", st)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
