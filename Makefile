@@ -4,6 +4,18 @@ GO ?= go
 
 all: build test
 
+# run-tests runs `go test -run` over one package with an alternation of test
+# name patterns, after checking with `go test -list` that every alternative
+# still matches a test: a renamed test otherwise leaves its smoke target
+# without anyone noticing.
+# $(call run-tests,<package>,<pat1|pat2|…>[,<go test flags>[,<test binary flags>]])
+define run-tests
+	@for p in $(subst |, ,$(2)); do \
+		$(GO) test -list "$$p" $(1) | grep -q '^Test' || { echo "$(1): -run alternative '$$p' matches no test" >&2; exit 1; }; \
+	done
+	$(GO) test $(3) $(1) -run '$(2)' -count=1 $(4)
+endef
+
 build:
 	$(GO) build ./...
 
@@ -31,19 +43,20 @@ serve-smoke:
 # epoch, and the replicate package's ship/replay, torn-stream, and failover
 # tests. (The full differential harness runs in the race tier.)
 replica-smoke:
-	$(GO) test ./cmd/whserverd/ -run 'TestReplicaSmoke' -count=1
+	$(call run-tests,./cmd/whserverd/,TestReplicaSmoke)
 	$(GO) test ./internal/replicate/ -count=1
 
 # End-to-end smoke of bounded-memory execution: the budget's accounting, the
 # CRC-framed spill file format (corruption, truncation, injected I/O and
-# ENOSPC faults), the core spill + partition-odometer path, the recovery
-# ladder under persistent spill faults, and the facade's window counters,
-# stale-spill-dir sweep, and bounded-vs-unbounded differential legs.
+# ENOSPC faults), the core spill + partition-odometer path (a spilled build
+# the window's cache keeps included), the recovery ladder under persistent
+# spill faults, and the facade's window counters, stale-spill-dir sweep, and
+# bounded-vs-unbounded differential legs.
 spill-smoke:
 	$(GO) test ./internal/memory/ ./internal/storage/ -count=1
-	$(GO) test ./internal/core/ -run 'TestSpilled|TestBounded|TestSharedEntrySpills|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory' -count=1
-	$(GO) test ./internal/recovery/ -run 'TestSpillFault' -count=1
-	$(GO) test . -run 'TestWindowCountersReportSpilling|TestCrashMidSpillSweptOnReopen|TestBoundedMemoryDifferential' -count=1
+	$(call run-tests,./internal/core/,TestSpilled|TestBounded|TestSharedEntrySpills|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory)
+	$(call run-tests,./internal/recovery/,TestSpillFault)
+	$(call run-tests,.,TestWindowCountersReportSpilling|TestCrashMidSpillSweptOnReopen|TestBoundedMemoryDifferential)
 
 # Fault-injected soak of the continuous-ingestion path, under the race
 # detector: a paced producer drives micro-batch windows while probabilistic
@@ -52,12 +65,12 @@ spill-smoke:
 # with no goroutine leaks and no staleness runaway. The -soak flag sets the
 # wall-clock duration (the package default is 1.5s for plain `make test`).
 soak-smoke:
-	$(GO) test -race ./internal/ingest/ -run 'TestSoakIngest' -count=1 -soak 25s
+	$(call run-tests,./internal/ingest/,TestSoakIngest,-race,-soak 25s)
 
 # The concurrency tier: the full suite under the race detector. The
 # goroutines that run update windows live in two packages — internal/exec
 # (the scheduler's workers, staged and DAG) and internal/core (the term
-# engine's pool and sharded sinks, the shared registry) — and
+# engine's pool and sharded sinks, the window's build cache) — and
 # internal/recovery and the facade drive both against shared warehouse
 # state; running everything keeps the tier honest as coverage grows.
 race:

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/planner"
@@ -309,7 +308,7 @@ func BenchmarkComputeTermParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			saved = rep.BuildTuplesSaved
+			saved = rep.CacheTuplesSaved
 		}
 		b.ReportMetric(float64(saved), "tuples_saved")
 	}
@@ -328,68 +327,6 @@ func BenchmarkComputeTermParallel(b *testing.B) {
 			run(b, &tpcd.Warehouse{W: w})
 		})
 	}
-}
-
-// BenchmarkSharedPlan compares hint-based sharing on the fixed dual-stage
-// VDAG strategy (after-the-fact hints over whatever that plan exposes — the
-// prior behavior) against the sharing-aware search: PruneShared costs
-// candidate orderings by sharing-adjusted work and elects shared operands
-// and join intermediates under the default byte budget, seeding the registry
-// with the winning plan's hints. physical_scans is the compute-side operand
-// tuples actually scanned after registry and build-cache savings; the joint
-// rows drive it below the hint rows while states stay bit-identical.
-func BenchmarkSharedPlan(b *testing.B) {
-	tw := benchTermSetup(b)
-	stats, err := exec.PlanningStats(tw.W)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pres, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W),
-		planner.SharedSearchOptions{
-			Refs: exec.RefsOf(tw.W),
-			Sharing: planner.SharingOptions{
-				BudgetBytes: core.DefaultSharedBudgetBytes,
-				Width:       exec.WidthOf(tw.W),
-				Pairs:       exec.PairsOf(tw.W),
-				Tuner:       tw.W.ShareTuner(),
-			},
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hints := exec.HintsFromPlan(pres.Plan)
-	dual := strategy.DualStageVDAG(tw.Graph)
-	run := func(b *testing.B, joint bool) {
-		b.Helper()
-		var saved, physical int64
-		for i := 0; i < b.N; i++ {
-			w := tw.W.Clone()
-			opts := w.Options()
-			opts.ShareComputation = true
-			w.SetOptions(opts)
-			s := dual
-			if joint {
-				w.SetPlannedSharing(hints)
-				s = pres.Strategy
-			}
-			rep, err := exec.Execute(w, s, exec.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			saved, physical = 0, 0
-			for _, step := range rep.Steps {
-				if _, ok := step.Expr.(strategy.Comp); ok {
-					physical += step.Work
-				}
-				saved += step.SharedTuplesSaved + step.CacheTuplesSaved
-			}
-			physical -= saved
-		}
-		b.ReportMetric(float64(saved), "tuples_saved")
-		b.ReportMetric(float64(physical), "physical_scans")
-	}
-	b.Run("hint", func(b *testing.B) { run(b, false) })
-	b.Run("joint", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkComputeProbeAllocs isolates the probe-path allocation diet on the

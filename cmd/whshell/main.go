@@ -453,15 +453,15 @@ func (sh *shell) explainSharing(words []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(sh.out, "sharing election [%s]: %d shared operands, %d intermediates, est saved %d tuples\n",
-		planner, a.SharedOperands, a.SharedIntermediates, a.EstimatedSavedTuples)
+	fmt.Fprintf(sh.out, "sharing election [%s]: %d shared operands, est saved %d tuples\n",
+		planner, a.SharedOperands, a.EstimatedSavedTuples)
 	for _, e := range a.Elected {
 		mark := "-"
 		if e.Admitted {
 			mark = "+"
 		}
-		fmt.Fprintf(sh.out, "  %s %-24s %-12s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-			mark, e.Name, e.Kind, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
+		fmt.Fprintf(sh.out, "  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
+			mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
 	}
 	// Observed side: the latest executed window that ran with sharing on.
 	hist := sh.w.History()
@@ -472,8 +472,8 @@ func (sh *shell) explainSharing(words []string) error {
 		}
 		fmt.Fprintf(sh.out, "observed (window %d):\n", hist[i].Seq)
 		for _, d := range detail {
-			fmt.Fprintf(sh.out, "  %-26s %-12s requests=%d hits=%d est_rows=%-8d rows=%-8d bytes=%-10d fate=%s\n",
-				d.Name, d.Kind, d.Requests, d.Hits, d.EstRows, d.Rows, d.Bytes, d.Fate)
+			fmt.Fprintf(sh.out, "  %-26s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
+				d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
 		}
 		break
 	}

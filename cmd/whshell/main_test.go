@@ -163,8 +163,8 @@ EXIT;
 }
 
 // TestShellSharing drives SHARE ON/OFF around a window whose two sibling
-// join views read the same operands, so the cross-view registry engages and
-// the WINDOW line reports it.
+// join views read the same operands, so the build cache kept for the window
+// serves the second one and the WINDOW line reports it.
 func TestShellSharing(t *testing.T) {
 	r := writeFile(t, "r.csv", "id,a\n1,10\n2,20\n3,30\n")
 	s := writeFile(t, "s.csv", "id,b\n1,1\n2,2\n3,3\n")
@@ -240,6 +240,9 @@ EXIT;
 		"sharing election [shared]:",
 		"window 1 [shared]",
 		"observed (window 1):",
+		// V1 and V2 both join δR with SG's state, an aggregate store no index
+		// serves: the window's cache held one build of it, asked for twice.
+		"SG[0]", "requests=2 hits=1", "fate=resident",
 		"every view matches recomputation",
 	} {
 		if !strings.Contains(out, want) {

@@ -46,20 +46,12 @@ func appendWriter(path string, lg journal.Log) (*journal.Writer, *os.File, error
 	return journal.NewWriter(f), f, nil
 }
 
-// spillDirFor names the per-window spill directory next to the journal, so
-// a crashed window's spill leftovers are attributable and sweepable.
-func spillDirFor(journalPath string, seq int) string {
-	if journalPath == "" {
-		return ""
-	}
-	return filepath.Join(journalPath+".spill", fmt.Sprintf("w%d", seq))
-}
-
 // sweepSpill removes the spill leftovers of crashed runs before a new or
-// resumed window executes; committed and aborted windows clean up after
-// themselves, so anything under the root is stale.
+// resumed window executes, and says so when there were any.
 func sweepSpill(journalPath string) {
-	os.RemoveAll(journalPath + ".spill")
+	if n := recovery.SweepSpillDirs(journalPath); n > 0 {
+		fmt.Printf("swept %d stale spill directories left by crashed windows\n", n)
+	}
 }
 
 // checkpointPath names the pre-window checkpoint written next to the
@@ -113,7 +105,7 @@ func journaledRun(ctx context.Context, tw *tpcd.Warehouse, s strategy.Strategy, 
 		defer f.Close()
 		ropts.Journal = jw
 		ropts.Seq = lg.CommittedCount() + 1
-		ropts.SpillDir = spillDirFor(o.journal, ropts.Seq)
+		ropts.SpillDir = recovery.SpillDir(o.journal, ropts.Seq)
 	}
 	res, err := recovery.Run(tw.W, s, ropts)
 	if err != nil {
@@ -159,7 +151,7 @@ func resumeWindow(ctx context.Context, tw *tpcd.Warehouse, lg *journal.Log, o op
 		Journal:  jw,
 		Context:  ctx,
 		Validate: true,
-		SpillDir: spillDirFor(o.journal, lg.InFlight().Begin.Seq),
+		SpillDir: recovery.SpillDir(o.journal, lg.InFlight().Begin.Seq),
 	})
 	if err != nil {
 		return recoveryErr(fmt.Errorf("resuming journal %s: %w", o.journal, err))

@@ -18,16 +18,15 @@
 // alias for -par staged. -par-terms additionally parallelizes *inside* each
 // compute expression (concurrent maintenance terms, morsel-parallel probes,
 // shared build tables); it composes with -par dag under the same -workers
-// budget. -share enables window-wide shared computation: operands several
-// views' compute expressions read are hashed once and reused across them,
-// bounded by -share-budget-mb of transient materialization (0 = 64 MiB
+// budget. -share keeps the build cache for the whole window: a build side
+// several views' compute expressions hash is built once and reused across
+// them, bounded by -share-budget-mb of resident builds (0 = 64 MiB
 // default). -planner shared runs the sharing-aware Prune search: candidates
-// are costed by sharing-adjusted work (multi-consumer operands and
-// jointly-elected join intermediates charged once, under the byte budget)
-// and the winner's sharing plan seeds the window's registry.
-// -explain-sharing prints the planned election (each candidate's estimated
-// size, savings and admission) before the window and each shared entry's
-// observed requests/hits/bytes after it.
+// are costed by sharing-adjusted work (multi-consumer operands charged once,
+// under the byte budget). -explain-sharing prints the planned election (each
+// candidate's estimated size, savings and admission) before the window and
+// each build the window's cache held — requests, hits, bytes, fate — after
+// it.
 // -mem-budget-mb bounds the window's total transient build-state
 // memory: every build-side hash table draws on one budget and builds that do
 // not fit spill to disk Grace-style, probed partition-wise — results and
@@ -333,7 +332,6 @@ func run(o options) error {
 		}
 		fmt.Printf("PruneShared examined %d orderings (%d feasible); best adjusted work %.0f (raw %.0f, dualstage=%v)\n",
 			res.Examined, res.Feasible, res.AdjustedWork, res.Work, res.DualStage)
-		tw.W.SetPlannedSharing(exec.HintsFromPlan(res.Plan))
 		s = res.Strategy
 	case "reverse":
 		res, err := planner.MinWork(tw.Graph, stats)
@@ -484,8 +482,8 @@ func budgetLabel(mb int64) string {
 }
 
 // sharingOpts builds the sharing-analysis parameters whupdate uses for both
-// the joint planner and -explain-sharing: the configured byte budget, the
-// warehouse's widths and pair candidates, and the share tuner.
+// the joint planner and -explain-sharing: the configured byte budget and the
+// warehouse's widths.
 func sharingOpts(w *core.Warehouse, o options, stats cost.Stats) planner.SharingOptions {
 	budget := o.shareBudgetMB << 20
 	if budget <= 0 {
@@ -495,8 +493,6 @@ func sharingOpts(w *core.Warehouse, o options, stats cost.Stats) planner.Sharing
 		Stats:       stats,
 		BudgetBytes: budget,
 		Width:       exec.WidthOf(w),
-		Pairs:       exec.PairsOf(w),
-		Tuner:       w.ShareTuner(),
 	}
 }
 
@@ -504,28 +500,27 @@ func sharingOpts(w *core.Warehouse, o options, stats cost.Stats) planner.Sharing
 // election considered, its estimated size and savings, and whether the byte
 // budget admitted it.
 func printSharingElection(p planner.SharingPlan) {
-	fmt.Printf("sharing election: %d shared operands, %d intermediates, est saved %d tuples\n",
-		p.SharedOperands, p.SharedIntermediates, p.EstimatedSavedTuples)
+	fmt.Printf("sharing election: %d shared operands, est saved %d tuples\n",
+		p.SharedOperands, p.EstimatedSavedTuples)
 	for _, e := range p.Elected {
 		mark := "-"
 		if e.Admitted {
 			mark = "+"
 		}
-		fmt.Printf("  %s %-24s %-12s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-			mark, e.Name, e.Kind, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
+		fmt.Printf("  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
+			mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
 	}
 }
 
-// printSharedObserved renders each shared entry's observed life after the
-// window — requests, hits, built rows/bytes against the planner's estimate,
-// and its fate under the byte budget.
+// printSharedObserved renders each build the window's cache held — requests,
+// hits, built rows/bytes, and where it was when the window ended.
 func printSharedObserved(detail []core.SharedEntryStats) {
 	if len(detail) == 0 {
 		return
 	}
 	fmt.Println("shared entries observed:")
 	for _, d := range detail {
-		fmt.Printf("  %-24s %-12s consumers=%d requests=%d hits=%d est_rows=%-8d rows=%-8d bytes=%-10d fate=%s\n",
-			d.Name, d.Kind, d.Consumers, d.Requests, d.Hits, d.EstRows, d.Rows, d.Bytes, d.Fate)
+		fmt.Printf("  %-24s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
+			d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
 	}
 }

@@ -132,23 +132,23 @@ func TestBoundedMemoryDifferential(t *testing.T) {
 	}
 }
 
-// TestJointSharingDifferential is the sharing-on leg of the differential
+// TestSharingOnOffDifferential is the sharing-on leg of the differential
 // harness: for seeded random warehouses, every window is planned by the
-// sharing-aware search (SharedPlanner) at a tiny 1 MiB transient budget and
-// run twice from identical clones — sharing off and sharing on. Both legs
-// execute the same jointly-optimized strategy, so their installed-delta
-// digests and OperandTuples work must be identical and their bags must match
-// the reference warehouse's committed state: sharing elides physical scans,
-// never results or the metric. Every scheduling mode is exercised, at term
-// engine width 1 and 2 on alternating windows, and the sharing leg must
-// actually register hits somewhere across the run: the last trial runs the
-// sibling-view fixture of sharing_facade_test.go, whose every Comp hashes
-// the same aggregate store, because the random catalogs join mostly plain
-// tables, which are read through resident indexes and build nothing. (The fourth,
-// "termparallel" configuration — sequential scheduling with ParallelTerms —
-// selected the second evaluator; the alternating width covers it on the
-// sequential leg of every other trial.)
-func TestJointSharingDifferential(t *testing.T) {
+// sharing-aware search (SharedPlanner) at a tiny 1 MiB shared budget and run
+// twice from identical clones — the build cache kept per Comp (sharing off)
+// and for the window (sharing on). Both legs execute the same strategy, so
+// their installed-delta digests and OperandTuples work must be identical and
+// their bags must match the reference warehouse's committed state: sharing
+// elides physical scans, never results or the metric. Every scheduling mode
+// is exercised, at term engine width 1 and 2 on alternating windows, and the
+// sharing leg must actually register hits somewhere across the run: the last
+// trial runs the sibling-view fixture of sharing_facade_test.go, whose every
+// Comp hashes the same aggregate store, because the random catalogs join
+// mostly plain tables, which are read through resident indexes and build
+// nothing. (The fourth, "termparallel" configuration — sequential scheduling
+// with ParallelTerms — selected the second evaluator; the alternating width
+// covers it on the sequential leg of every other trial.)
+func TestSharingOnOffDifferential(t *testing.T) {
 	trials := 4
 	if testing.Short() {
 		trials = 2

@@ -130,16 +130,16 @@ func BenchmarkSpillBuild(b *testing.B) {
 				b.Fatalf("AttachMemory = (%v, %v)", ok, err)
 			}
 			defer w.DetachMemory()
-			mu := newMemUse(w.mem)
+			env := &evalEnv{ctx: context.Background(), mem: w.mem}
 			est := estimateRowsBytes(rows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sb, err := w.mem.spill(context.Background(), mu, rows, []int{1}, est)
+				sb, err := w.mem.spill(env, rows, []int{1}, est)
 				if err != nil {
 					b.Fatal(err)
 				}
 				for k := range sb.parts {
-					bt, g, err := sb.loadPart(context.Background(), mu, k)
+					bt, g, err := sb.loadPart(env, k)
 					if err != nil {
 						b.Fatal(err)
 					}

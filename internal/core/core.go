@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/algebra"
-	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -51,28 +50,26 @@ type Options struct {
 	// MorselSize overrides the number of probe rows per parallel morsel
 	// (0 = DefaultMorselSize). Mainly a test/tuning knob.
 	MorselSize int
-	// ShareComputation enables the window-wide shared-computation layer:
-	// with a registry attached (AttachSharing), operands read by several
-	// Comp expressions of one window are hashed once and transiently
-	// materialized for every consumer. Like the build cache, sharing
-	// changes physical work only — OperandTuples is planned from
-	// cardinalities and never sees it. Off by default.
+	// ShareComputation lets the build cache live for the update window
+	// instead of one Compute (AttachSharing): an operand several Comp
+	// expressions of the window build on is then scanned and hashed once
+	// and probed by every later consumer. Sharing changes physical work
+	// only — OperandTuples is planned from cardinalities and never sees it.
+	// Off by default.
 	ShareComputation bool
-	// SharedBudgetBytes bounds the transiently materialized shared results
-	// (0 = a 64 MiB default). Entries that would exceed the budget are
-	// computed for their requester but not retained — or, with a window
-	// memory budget attached, degraded per-entry to spill files and only
-	// then to recompute.
+	// SharedBudgetBytes bounds the resident builds a window's cache keeps
+	// past the Compute that made them (0 = a 64 MiB default). A build that
+	// would exceed it serves its Compute and is dropped; one that spilled
+	// under the memory budget holds no memory and is always kept.
 	SharedBudgetBytes int64
 	// MemoryBudgetBytes bounds the window's transient build state (0 = off,
 	// i.e. unbounded). With a budget attached for a window (AttachMemory),
-	// every build-side hash table — term-local, per-Compute cached, and
-	// shared-registry retained — reserves against it, and builds that do
-	// not fit spill to CRC-framed temp files probed partition-wise
-	// (Grace-style). Results, digests and the linear work metric are
-	// identical at any budget; only wall-clock, bytes moved and the spill
-	// counters differ. Resident join indexes are storage, like the rows
-	// they point at, and are not charged.
+	// every build-side hash table reserves against it for as long as the
+	// build cache holds it, and builds that do not fit spill to CRC-framed
+	// temp files probed partition-wise (Grace-style). Results, digests and
+	// the linear work metric are identical at any budget; only wall-clock,
+	// bytes moved and the spill counters differ. Resident join indexes are
+	// storage, like the rows they point at, and are not charged.
 	MemoryBudgetBytes int64
 }
 
@@ -200,23 +197,13 @@ type Warehouse struct {
 	order []string // definition order; children always precede parents
 	opts  Options
 	pool  *workerPool // shared budget of the term engine (nil = width 1)
-	// shared is the window-wide shared-computation registry, attached for
-	// the duration of one update window (AttachSharing/DetachSharing) and
-	// nil otherwise. Clones never inherit it: each window attaches its own.
-	shared *SharedRegistry
+	// cache is the build cache of the update window in progress
+	// (AttachSharing/DetachSharing), nil otherwise: every Compute then makes
+	// its own. Clones never inherit it: each window attaches its own.
+	cache *buildCache
 	// mem is the window-wide memory manager (AttachMemory/DetachMemory),
-	// nil outside a budgeted window. Like shared, clones never inherit it.
+	// nil outside a budgeted window. Like cache, clones never inherit it.
 	mem *memManager
-	// tuner is the observation-tuned share-vs-recompute gate
-	// (SetShareTuner), nil for the static gate. Clones share the pointer:
-	// windows executed on clones feed observations into one tuner, which is
-	// how repeated windows converge on the right sharing set.
-	tuner *cost.ShareTuner
-	// plannedSharing carries jointly-optimized sharing hints
-	// (SetPlannedSharing) that AttachSharing prefers over analyze-derived
-	// ones. Clones share the pointer; the facade clears it after the
-	// window it was planned for.
-	plannedSharing *SharingHints
 	// version counts catalog changes (view definitions). The prepared-plan
 	// cache records the version a plan was bound against and discards the
 	// plan when it no longer matches, so a plan can never outlive the
@@ -457,26 +444,29 @@ func (w *Warehouse) Install(name string) (int64, error) {
 		return 0, err
 	}
 	n := d.Size()
+	// The window's cache may hold builds of V's state and of δV; both are
+	// about to change.
+	if w.cache != nil {
+		w.cache.invalidate(name)
+	}
 	if v.agg != nil {
 		if err := v.agg.Apply(v.pendingPartials); err != nil {
 			return 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 		}
 		v.pendingPartials = nil
 		v.finalized = nil
-		if w.shared != nil {
-			w.shared.bumpVersion(name)
-		}
 		return n, nil
 	}
 	if err := v.table.ApplyDelta(d); err != nil {
 		return 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 	}
 	v.pendingDelta = nil
-	if w.shared != nil {
-		w.shared.bumpVersion(name)
-	}
 	return n, nil
 }
+
+// ShareTuner is inert — the share tuner is gone, and nothing reads what this
+// returns; it stays because the frozen benchmark (bench/layers.go) calls it.
+func (w *Warehouse) ShareTuner() any { return nil }
 
 // Clone returns a deep copy of the warehouse: independent stores and pending
 // state, shared (immutable) definitions. Executing a strategy on a clone
@@ -486,8 +476,6 @@ func (w *Warehouse) Clone() *Warehouse {
 	out := New(w.opts)
 	out.order = append([]string(nil), w.order...)
 	out.version = w.version
-	out.tuner = w.tuner
-	out.plannedSharing = w.plannedSharing
 	for name, v := range w.views {
 		nv := &View{name: v.name, def: v.def, deferred: v.deferred, stale: v.stale}
 		if v.table != nil {

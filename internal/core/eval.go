@@ -24,59 +24,68 @@ type CompReport struct {
 	// operands — the quantity the linear work metric models as the work of
 	// a compute expression. It is independent of the build cache: the
 	// metric models every term's operand scan, whether or not the physical
-	// build-side hash table was shared (see BuildTuplesSaved).
+	// build-side hash table was shared (see EngineCounters).
 	OperandTuples int64
 	// OutputTuples is the number of (signed) change rows produced.
 	OutputTuples int64
 	// Skipped reports that the whole expression was elided because every
 	// delta operand was empty (only with Options.SkipEmptyDeltas).
 	Skipped bool
-	// BuildCacheHits counts join-step build tables served from the
-	// per-Compute build cache instead of re-scanning and re-hashing the
-	// operand: every term after the first that joins one operand on the same
-	// key columns. 0 for single-term Comps.
-	BuildCacheHits int
-	// BuildCacheMisses counts build tables physically constructed — one per
-	// distinct (operand, key columns) pair of the Compute.
-	BuildCacheMisses int
-	// BuildTuplesSaved totals the operand tuples whose physical re-scan the
-	// shared builds elided. OperandTuples still includes them: shared
-	// builds change the machine's work, not the metric's.
-	BuildTuplesSaved int64
-	// SharedHits counts build tables this Compute probed from the
-	// window-wide shared registry instead of materializing its own copy
-	// (only with an attached SharedRegistry; 0 otherwise). The per-Compute
-	// cache fronts the registry, so each distinct (operand, key columns)
-	// pair counts once per Compute however many terms probe it.
-	SharedHits int
-	// SharedMisses counts shared tables this Compute was first to
-	// materialize into the registry.
-	SharedMisses int
+	// EngineCounters is the machine's side of the Compute.
+	EngineCounters
+}
+
+// EngineCounters is what the machine did for the work the metric charges: the
+// build cache's, the memory budget's and the resident indexes' side of one
+// Comp (CompReport, exec.StepReport) or of a window's Comps (the facade's
+// WindowCounters). The engine run fills it once; none of it ever changes
+// OperandTuples, which is planned from cardinalities.
+type EngineCounters struct {
+	// CacheMisses counts the distinct (operand, key columns) build tables a
+	// Compute asked the build cache for — one per pair, whoever built it —
+	// and CacheHits every further term of the same Compute that probed one.
+	// 0/0 for a Comp whose every join step a resident index serves.
+	CacheHits, CacheMisses int
+	// CacheTuplesSaved totals the operand tuples whose re-scan those hits
+	// elided.
+	CacheTuplesSaved int64
+	// SharedHits counts the build tables a Compute probed that another
+	// Compute of the window had built (only while the cache is attached for
+	// the window, see AttachSharing; 0 otherwise), SharedMisses the ones it
+	// was first to build into the window's cache. Each pair counts once per
+	// Compute however many terms probe it.
+	SharedHits, SharedMisses int
 	// SharedTuplesSaved totals the operand tuples whose scan-and-hash the
-	// shared registry elided for this Compute. Like BuildTuplesSaved, it
-	// never changes OperandTuples.
+	// shared hits elided.
 	SharedTuplesSaved int64
-	// SpillCount is the number of build tables this Compute spilled to disk
-	// because they did not fit the window memory budget (0 without an
-	// attached budget). Like the caches, spilling changes physical work
-	// only — OperandTuples never sees it.
-	SpillCount int
-	// SpilledBytes is the bytes this Compute wrote to spill files.
-	SpilledBytes int64
-	// SpillReReadBytes is the bytes this Compute re-read from spill files
-	// during partition-wise probing.
-	SpillReReadBytes int64
-	// IndexProbes counts the lookups this Compute made in resident join
-	// indexes (storage.Index): one per partial row arriving at a join step
-	// whose operand an index serves. It is the machine's side of those
-	// steps; OperandTuples charges each of them its operand's cardinality
-	// as it does every other step.
-	IndexProbes int64
-	// IndexTuplesSaved totals the operand tuples OperandTuples charges for
-	// index-served steps and no scan read: their operands' cardinalities,
-	// less the rows this Compute scanned to build an index that was not
-	// resident yet.
-	IndexTuplesSaved int64
+	// SpillCount is the number of build tables spilled to disk because they
+	// did not fit the window memory budget (0 without an attached budget),
+	// SpilledBytes the bytes written to spill files and SpillReReadBytes
+	// the bytes re-read from them during partition-wise probing.
+	SpillCount                     int
+	SpilledBytes, SpillReReadBytes int64
+	// IndexProbes counts the lookups made in resident join indexes
+	// (storage.Index): one per partial row arriving at a join step whose
+	// operand an index serves. IndexTuplesSaved totals the operand tuples
+	// OperandTuples charges for those steps and no scan read: their
+	// operands' cardinalities, less the rows scanned to build an index that
+	// was not resident yet.
+	IndexProbes, IndexTuplesSaved int64
+}
+
+// Add folds o into c.
+func (c *EngineCounters) Add(o EngineCounters) {
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.CacheTuplesSaved += o.CacheTuplesSaved
+	c.SharedHits += o.SharedHits
+	c.SharedMisses += o.SharedMisses
+	c.SharedTuplesSaved += o.SharedTuplesSaved
+	c.SpillCount += o.SpillCount
+	c.SpilledBytes += o.SpilledBytes
+	c.SpillReReadBytes += o.SpillReReadBytes
+	c.IndexProbes += o.IndexProbes
+	c.IndexTuplesSaved += o.IndexTuplesSaved
 }
 
 // source abstracts the two operand kinds a term reads: a view's current
@@ -127,15 +136,6 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	if err != nil {
 		return rep, err
 	}
-	// With a shared registry attached, this Compute participates in
-	// window-wide sharing: su carries its counters, and the deferred
-	// release retires its interest in its hinted operands on every exit
-	// path — success, skip-empty, or error.
-	var su *sharedUse
-	if w.shared != nil {
-		su = &sharedUse{reg: w.shared, comp: CompKey(name, over)}
-		defer w.shared.releaseComp(su.comp)
-	}
 	// Resolve each over-view's delta once.
 	deltas := make(map[string]*delta.Delta, len(over))
 	for _, child := range over {
@@ -161,13 +161,8 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{pool: w.pool, morsel: w.opts.MorselSize, ctx: ctx, shared: su, mem: newMemUse(w.mem)}
-	if err := w.runTerms(env, v.def, terms, deltas, out, &rep); err != nil {
-		return rep, err
-	}
-	su.fill(&rep)
-	env.mem.fill(&rep)
-	return rep, nil
+	env := &evalEnv{pool: w.pool, morsel: w.opts.MorselSize, ctx: ctx, cache: w.cache, mem: w.mem}
+	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
 }
 
 // operand describes one term input during planning.
@@ -177,22 +172,27 @@ type operand struct {
 	src     source
 }
 
-// evalEnv is what one run of the term engine (runTerms) shares across its
-// terms and morsels: the build cache and scan memo it creates, the worker
-// pool (nil runs everything inline on the caller — width 1) and the morsel
-// size, and the caller's handles on the window's registry and memory budget.
+// evalEnv is one run of the term engine (runTerms): what its terms and
+// morsels share — the scan memo, the worker pool (nil runs everything inline
+// on the caller — width 1), the morsel size and the counters — and the
+// caller's handles on the build cache and the window memory budget.
 type evalEnv struct {
+	// cache holds the run's build tables: the window's cache when one is
+	// attached (AttachSharing), else one runTerms makes for this run alone.
 	cache  *buildCache
 	scans  *scanCache
 	pool   *workerPool
 	morsel int
 	ctx    context.Context
-	// shared is this Compute's handle on the window-wide registry (nil
-	// when no registry is attached).
-	shared *sharedUse
-	// mem is this Compute's handle on the window memory budget (nil when
-	// no budget is attached).
-	mem *memUse
+	// mem is the window memory budget (nil when none is attached).
+	mem *memManager
+
+	// mu guards what the run's concurrent terms write: the counters, and the
+	// cache slots a term of this run has asked for (made at the first ask:
+	// most runs ask for none).
+	mu    sync.Mutex
+	ctr   EngineCounters
+	asked map[*buildSlot]bool
 }
 
 // ctxErr reports the env's cancellation state; a nil ctx never cancels.
@@ -228,41 +228,22 @@ type termPlan struct {
 	builds  []buildReq
 }
 
-// buildReq defers one default-path build side: pl.steps[step] needs the
-// hash table of src over the key columns cols. view/isDelta carry the
-// operand's logical identity for the window-wide shared registry. A non-nil
-// inter marks a composite build: src is the registry's interEntry (a stable
-// identity for the per-Compute build cache) and the hash table is built over
-// the intermediate's composite rows instead of an operand scan.
+// buildReq defers one build side: pl.steps[step] needs the hash table of src
+// over the key columns cols. view/isDelta name the operand — whose state or
+// pending delta src is — so that Install can drop the builds it makes stale.
 type buildReq struct {
 	step    int
 	src     source
 	cols    []int
 	view    string
 	isDelta bool
-	inter   *interReq
-}
-
-// interReq describes one composite build served by the shared registry's
-// join-intermediate store (see pair.go): the pair's operand sources, the
-// pair-internal equi-key columns (operand-local coordinates), and the
-// operand widths.
-type interReq struct {
-	spec   InterSpec
-	srcA   source
-	srcB   source
-	colsA  []int
-	colsB  []int
-	widthA int
-	widthB int
-	entry  *interEntry
 }
 
 // runTerm executes a planned term: materialize the driver, resolve the
-// build sides through the env's cache (which owns them, and their budget
-// grants, until the engine run ends), and run the pipeline. It returns the
-// term's linear-metric work, which deliberately counts every build-side
-// operand even when the cache served the physical table.
+// build sides through the env's cache (which owns them and their budget
+// grants), and run the pipeline. It returns the term's linear-metric work,
+// which deliberately counts every build-side operand even when the cache
+// served the physical table.
 func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
 	rows := env.scans.get(plan.driverSrc)
 	for _, br := range plan.builds {
@@ -276,54 +257,9 @@ func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
 	return plan.pl.run(rows, sink, env)
 }
 
-// pairPlan is one runtime-applicable join-intermediate pair of a term: the
-// member ref's partner, the composite build request, and the pair-internal
-// equi keys (applied inside the intermediate, not at the probe).
-type pairPlan struct {
-	partner int
-	req     *interReq
-	pks     []pairKey
-}
-
-// planPairs matches the registry's hinted join intermediates against one
-// term: an elected adjacent pair whose references both read quiescent state
-// can be served as a single composite build (see pair.go). The returned map
-// indexes each member reference.
-func (w *Warehouse) planPairs(cq *algebra.CQ, isDelta []bool, ops []operand, su *sharedUse) map[int]*pairPlan {
-	var out map[int]*pairPlan
-	for _, pc := range PairCandidates(cq) {
-		if isDelta[pc.RefA] || isDelta[pc.RefB] {
-			continue
-		}
-		srcA, srcB := ops[pc.RefA].src, ops[pc.RefB].src
-		e, ok := su.reg.interFor(su.comp, pc.ViewA, pc.ViewB, pc.Sig, srcA, srcB)
-		if !ok {
-			continue
-		}
-		pks := pairEquiKeys(cq, pc.RefA, pc.RefB)
-		offA, offB := cq.RefOffset(pc.RefA), cq.RefOffset(pc.RefB)
-		req := &interReq{
-			spec: e.spec, srcA: srcA, srcB: srcB,
-			widthA: len(cq.Refs[pc.RefA].Schema), widthB: len(cq.Refs[pc.RefB].Schema),
-			entry: e,
-		}
-		for _, pk := range pks {
-			req.colsA = append(req.colsA, pk.colA-offA)
-			req.colsB = append(req.colsB, pk.colB-offB)
-		}
-		if out == nil {
-			out = make(map[int]*pairPlan)
-		}
-		out[pc.RefA] = &pairPlan{partner: pc.RefB, req: req, pks: pks}
-		out[pc.RefB] = &pairPlan{partner: pc.RefA, req: req, pks: pks}
-	}
-	return out
-}
-
 // planTerm resolves a term's operands and plans its join pipeline:
 // references listed in term.DeltaRefs read their view's pending delta, all
-// others read current state. su (may be nil) supplies the window registry's
-// join-intermediate hints.
+// others read current state.
 //
 // The plan is a hash-join pipeline: the smallest delta operand drives;
 // remaining operands are joined one at a time, preferring operands connected
@@ -334,7 +270,7 @@ func (w *Warehouse) planPairs(cq *algebra.CQ, isDelta []bool, ops []operand, su 
 // work metric. That is also what runs, except where a delta-driven term
 // joins a plain table's state on a key: that step probes the table's
 // resident index (see indexStep) and scans nothing.
-func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta, su *sharedUse) (*termPlan, error) {
+func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta) (*termPlan, error) {
 	n := len(cq.Refs)
 	ops := make([]operand, n)
 	isDelta := make([]bool, n)
@@ -361,11 +297,6 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 			}
 		}
 		ops[i] = operand{refIdx: i, isDelta: isDelta[i], src: src}
-	}
-
-	var pairAt map[int]*pairPlan
-	if su != nil {
-		pairAt = w.planPairs(cq, isDelta, ops, su)
 	}
 
 	// Pick the driver: the smallest delta operand (deterministic tie-break
@@ -424,48 +355,6 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 		}
 		i := next
 		remaining = append(remaining[:nextPos], remaining[nextPos+1:]...)
-
-		// Composite path: when the chosen operand belongs to an elected pair
-		// whose partner is also still unbound, serve both with one build over
-		// the shared intermediate's composite rows. The pair-internal equi
-		// keys are already applied inside the intermediate; probe keys link
-		// the bound prefix to either member's columns. The modeled scan work
-		// is the pair's operand cardinalities — exactly what two separate
-		// steps would have counted, keeping OperandTuples invariant.
-		if pp := pairAt[i]; pp != nil {
-			if pos := indexOf(remaining, pp.partner); pos >= 0 {
-				remaining = append(remaining[:pos], remaining[pos+1:]...)
-				a, b := i, pp.partner
-				if b < a {
-					a, b = b, a
-				}
-				for _, pk := range pp.pks {
-					applied[pk.filterIdx] = true
-				}
-				keys := append(equiKeys(cq, bound, a, applied), equiKeys(cq, bound, b, applied)...)
-				for _, k := range keys {
-					applied[k.filterIdx] = true
-				}
-				sortKeysByNewCol(keys)
-				roff := cq.RefOffset(a)
-				bound |= 1<<uint(a) | 1<<uint(b)
-				step := joinStep{
-					keys:  keys,
-					roff:  roff,
-					preds: pendingFilters(cq, bound, applied),
-				}
-				cols := make([]int, len(keys))
-				for ki, k := range keys {
-					cols[ki] = k.newCol - roff
-				}
-				plan.builds = append(plan.builds, buildReq{
-					step: len(plan.pl.steps), src: pp.req.entry, cols: cols, inter: pp.req,
-				})
-				plan.scanned += ops[a].src.Cardinality() + ops[b].src.Cardinality()
-				plan.pl.steps = append(plan.pl.steps, step)
-				continue
-			}
-		}
 
 		keys := equiKeys(cq, bound, i, applied)
 		for _, k := range keys {
@@ -770,16 +659,6 @@ func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *morselStat
 // canonical order join indexes and the build cache use.
 func sortKeysByNewCol(keys []equiKey) {
 	sort.Slice(keys, func(a, b int) bool { return keys[a].newCol < keys[b].newCol })
-}
-
-// indexOf returns the position of v in s, or -1.
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // prow is a partially-joined row with its accumulated multiplicity.

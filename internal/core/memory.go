@@ -11,14 +11,13 @@ import (
 )
 
 // This file attaches the window-wide memory budget (internal/memory) to the
-// warehouse. Like the shared registry, a memManager lives for one update
+// warehouse. Like the window's build cache, a memManager lives for one update
 // window: AttachMemory installs it before the first step, every build-side
-// materialization draws on its budget (see buildLocal and the registry's
-// admission in shared.go), and DetachMemory reports the window's spill
-// accounting and removes the spill directory.
+// materialization draws on its budget (see buildFromRows), and DetachMemory
+// reports the window's spill accounting and removes the spill directory.
 //
-// The budget governs hash-table state — term-local builds, per-Compute
-// cached builds, and the shared registry's retained entries. Driver-row
+// The budget governs hash-table state: the builds of the cache, for as long
+// as the cache holds them, and the loaded partitions of spilled ones. Driver-row
 // materializations are not charged: they are consumed streaming, morsel by
 // morsel, and never held beyond the term that scans them. Nor are resident
 // join indexes (storage.Index): they outlive the window with the tables they
@@ -125,37 +124,9 @@ func (mm *memManager) partTarget() int64 {
 	return t
 }
 
-// memUse is one Compute's handle on the window memory manager: per-Compute
-// spill counters feeding CompReport, mirroring sharedUse. A nil memUse (no
-// budget attached) is inert.
-type memUse struct {
-	mm           *memManager
-	spills       atomic.Int64
-	spilledBytes atomic.Int64
-	reRead       atomic.Int64
-}
-
-func newMemUse(mm *memManager) *memUse {
-	if mm == nil {
-		return nil
-	}
-	return &memUse{mm: mm}
-}
-
-// fill copies the counters into a CompReport; a nil receiver leaves the
-// report untouched.
-func (mu *memUse) fill(rep *CompReport) {
-	if mu == nil {
-		return
-	}
-	rep.SpillCount = int(mu.spills.Load())
-	rep.SpilledBytes = mu.spilledBytes.Load()
-	rep.SpillReReadBytes = mu.reRead.Load()
-}
-
 // estimateRowsBytes estimates the resident hash-table footprint of a
-// materialized row set, using the same constant the shared registry charges
-// with so one budget sees consistent units.
+// materialized row set, in the units the planner's sharing election prices
+// with.
 func estimateRowsBytes(rows []prow) int64 {
 	width := 1
 	if len(rows) > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -23,14 +24,16 @@ import (
 //     fixed-size morsels, and flushes the sinks. Options.ParallelTerms only
 //     sizes the pool; the default engine is this code at width 1, where every
 //     task runs inline on the caller in term order.
-//   - buildCache shares immutable build-side hash tables across the terms of
-//     one run: every term joining the same operand on the same equi-key
-//     columns probes one physical table instead of re-scanning and
+//   - buildCache is the one cache of transient build state: it shares
+//     immutable build-side hash tables across the terms of one run — and,
+//     attached to the warehouse for an update window (AttachSharing), across
+//     the window's Comps: every term joining the same operand on the same
+//     equi-key columns probes one physical table instead of re-scanning and
 //     re-hashing the operand. The linear work metric still charges each
 //     term its operand scan — the cache changes the machine's work, not the
-//     metric's — and CompReport reports the hits and tuples saved. The same
-//     rule covers the steps a resident join index serves (see indexStep):
-//     they ask for no build at all.
+//     metric's — and EngineCounters reports the hits and tuples saved. The
+//     same rule covers the steps a resident join index serves (see
+//     indexStep): they ask for no build at all.
 //   - sinks accumulate term output in mutex-protected shards that merge into
 //     the target at flush. Bag accumulation is commutative (integer counts;
 //     integer sums), so the result is independent of scheduling; float sums
@@ -188,62 +191,31 @@ func (bt *buildTable) keyOf(i int32) []byte {
 	return bt.arena[start:bt.entries[i].kend]
 }
 
-// buildRes is a resolved build side: a resident table or a spilled one,
-// plus the budget grant the build cache releases when the run ends (nil when
-// the build is unbudgeted or owned by the registry, which has its own
-// release schedule).
+// buildRes is a resolved build side: a resident table or a spilled one, the
+// budget grant a resident one holds until the cache drops it (nil without an
+// attached budget), and the estimate of its resident footprint.
 type buildRes struct {
 	bt    *buildTable
 	sp    *spilledBuild
 	grant *memory.Grant
+	bytes int64
 }
 
-// resolveBuild materializes one build request, serving it from the
-// window-wide shared registry when one is attached and the operand is worth
-// sharing. The build cache in front means the registry sees each distinct
-// (operand, columns) pair once per Compute.
-func resolveBuild(env *evalEnv, br buildReq) (buildRes, error) {
-	if br.inter != nil {
-		// A composite build: the registry serves (or computes) the pair's
-		// shared raw equi-join, and the hash table over the probe columns is
-		// built per consumer. planTerm only emits inter requests when it
-		// matched a registry hint, so env.shared is always present here.
-		rows, err := env.shared.reg.acquireInter(env, env.shared, br.inter)
-		if err != nil {
-			return buildRes{}, err
-		}
-		return buildFromRows(env, rows, br.cols)
-	}
-	if env.shared != nil {
-		res, ok, err := env.shared.reg.acquire(env, env.shared, br)
-		if err != nil {
-			return buildRes{}, err
-		}
-		if ok {
-			return res, nil // registry-owned; no grant to release here
-		}
-	}
-	return buildFromRows(env, env.buildRows(br.src), br.cols)
-}
-
-// buildFromRows hashes already-materialized rows under the window memory
-// budget: resident when the reservation fits (the grant travels with the
-// result), spilled to disk otherwise. Without an attached budget it is the
-// classic unbudgeted build.
+// buildFromRows hashes materialized rows under the window memory budget:
+// resident when the reservation fits (the grant travels with the result),
+// spilled to disk otherwise. Without an attached budget it is the classic
+// unbudgeted build. Every build of the engine is made here.
 func buildFromRows(env *evalEnv, rows []prow, cols []int) (buildRes, error) {
-	mu := env.mem
-	if mu == nil {
-		return buildRes{bt: newBuildTable(rows, cols)}, nil
-	}
 	est := estimateRowsBytes(rows)
-	if g, ok := mu.mm.budget.TryReserveUnder(est, mu.mm.resLimit); ok {
-		return buildRes{bt: newBuildTable(rows, cols), grant: g}, nil
+	mm := env.mem
+	if mm == nil {
+		return buildRes{bt: newBuildTable(rows, cols), bytes: est}, nil
 	}
-	sp, err := mu.mm.spill(env.ctx, mu, rows, cols, est)
-	if err != nil {
-		return buildRes{}, err
+	if g, ok := mm.budget.TryReserveUnder(est, mm.resLimit); ok {
+		return buildRes{bt: newBuildTable(rows, cols), grant: g, bytes: est}, nil
 	}
-	return buildRes{sp: sp}, nil
+	sp, err := mm.spill(env, rows, cols, est)
+	return buildRes{sp: sp, bytes: est}, err
 }
 
 // scanCache memoizes materialized operand scans for one Compute: the 2^r−1
@@ -300,9 +272,9 @@ func (e *evalEnv) buildRows(src source) []prow {
 	return e.scans.get(src)
 }
 
-// buildKey identifies a shareable build table: the physical operand (state
-// table, aggregate store or resolved delta — all stable pointers for the
-// duration of one Compute) plus the canonical key-column list.
+// buildKey identifies a build table: the physical operand (state table,
+// aggregate store or resolved delta — stable pointers until the operand's
+// view installs) plus the canonical key-column list.
 type buildKey struct {
 	src  source
 	cols string
@@ -319,75 +291,257 @@ func colsKey(cols []int) string {
 	return string(b)
 }
 
-// buildCache shares build tables across the terms of one engine run. The
-// first requester of a (operand, key columns) pair builds; every later
-// requester blocks on that build and reuses it. hits and saved feed
-// CompReport's cache accounting.
+// DefaultSharedBudgetBytes bounds the builds a window's cache keeps when the
+// caller does not configure Options.SharedBudgetBytes. Exported so the
+// facade's sharing-aware planner prices candidates against the same budget.
+const DefaultSharedBudgetBytes = 64 << 20
+
+// buildCache is the one cache of transient build tables. The first requester
+// of an (operand, key columns) pair builds; every later requester blocks on
+// that build and reuses it.
+//
+// A run of the term engine outside a window makes its own cache, which dies
+// with the run. A window's cache (AttachSharing) outlives the runs: a build
+// stays for the window's later Comps while the resident bytes kept fit the
+// budget — a spilled build holds none and always stays — and otherwise is
+// dropped when the run that built it ends, like a run's own. No versions or
+// reference counts are needed for that to be right: an operand's content
+// changes only when its view installs (C5/C8 put every Comp of V before any
+// reader of δV, and V's state changes only at Inst(V)), Install(V) drops
+// the builds on V's state and on δV, and every scheduler orders a Comp
+// against the installs of the views it reads — so a build found in the
+// cache was made from the operand as it is now. Dropping a build returns its
+// grant; a run still probing it keeps the table alive until it finishes.
 type buildCache struct {
 	mu     sync.Mutex
 	tables map[buildKey]*buildSlot
-	hits   atomic.Int64
-	misses atomic.Int64
-	saved  atomic.Int64
+	// The rest is a window's cache only. budget is the resident bytes it
+	// may keep (0: a run's own cache, which keeps nothing), used what it
+	// keeps now, peak the high-water mark of used plus the build being
+	// settled; gone collects the report lines of dropped builds.
+	budget, used, peak int64
+	gone               []SharedEntryStats
 }
 
+// buildSlot is one build of the cache. The once publishes res and err; kept
+// is written under the cache's lock.
 type buildSlot struct {
+	key     buildKey
+	view    string
+	isDelta bool
+	owner   *evalEnv // the run whose request made the slot
 	once    sync.Once
 	res     buildRes
 	err     error
-	counted atomic.Bool // set by the first term-level requester, which pays the miss
+	rows    int64
+	kept    bool // stays after its run, charged to used unless spilled
+	// asks counts the runs that asked for the build, hits those of them
+	// that did not make it.
+	asks, hits atomic.Int64
 }
 
-func newBuildCache() *buildCache {
-	return &buildCache{tables: make(map[buildKey]*buildSlot)}
+func newBuildCache(budget int64) *buildCache {
+	return &buildCache{tables: make(map[buildKey]*buildSlot), budget: budget}
 }
 
-// warm constructs the build table without touching the per-Compute hit/miss
+// warm constructs the build table without touching the run's hit/miss
 // accounting. Pre-warming is an engine scheduling detail: the first term
-// that asks for the build still records the construction as its miss, so
-// the reported hits/misses/saved are identical with and without
-// pre-warming. Resolution goes through resolveBuild, so the warm phase is
-// also where a shared registry serves (or admits) the table — exactly one
-// registry interaction per distinct build of the Compute. A warm-phase
-// resolution error is remembered by the slot and surfaces, deterministically
-// in term order, from the first get.
+// that asks for the build still records it as its miss, so the reported
+// counters are identical with and without pre-warming. A warm-phase error
+// is remembered by the slot and surfaces, deterministically in term order,
+// from the first get.
 func (c *buildCache) warm(env *evalEnv, br buildReq) {
-	slot := c.slot(buildKey{src: br.src, cols: colsKey(br.cols)})
-	slot.once.Do(func() { slot.res, slot.err = resolveBuild(env, br) })
+	c.resolveBuild(env, c.slot(env, br), br)
 }
 
+// get returns the build a term asks for, accounting the request to the
+// term's run: its first request of a pair is the run's miss — shared when
+// another run of the window made the build — and every further one a hit.
 func (c *buildCache) get(env *evalEnv, br buildReq) (buildRes, error) {
-	slot := c.slot(buildKey{src: br.src, cols: colsKey(br.cols)})
-	if slot.counted.CompareAndSwap(false, true) {
-		c.misses.Add(1)
+	slot := c.slot(env, br)
+	card := br.src.Cardinality()
+	env.mu.Lock()
+	if env.asked[slot] {
+		env.ctr.CacheHits++
+		env.ctr.CacheTuplesSaved += card
 	} else {
-		c.hits.Add(1)
-		c.saved.Add(br.src.Cardinality())
+		if env.asked == nil {
+			env.asked = make(map[*buildSlot]bool)
+		}
+		env.asked[slot] = true
+		slot.asks.Add(1)
+		env.ctr.CacheMisses++
+		if slot.owner != env {
+			slot.hits.Add(1)
+			env.ctr.SharedHits++
+			env.ctr.SharedTuplesSaved += card
+		} else if c.budget > 0 {
+			env.ctr.SharedMisses++
+		}
 	}
-	slot.once.Do(func() { slot.res, slot.err = resolveBuild(env, br) })
+	env.mu.Unlock()
+	c.resolveBuild(env, slot, br)
 	return slot.res, slot.err
 }
 
-func (c *buildCache) slot(key buildKey) *buildSlot {
+func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
+	key := buildKey{src: br.src, cols: colsKey(br.cols)}
 	c.mu.Lock()
 	slot, ok := c.tables[key]
 	if !ok {
-		slot = &buildSlot{}
+		slot = &buildSlot{key: key, view: br.view, isDelta: br.isDelta, owner: env}
 		c.tables[key] = slot
 	}
 	c.mu.Unlock()
 	return slot
 }
 
-// releaseAll returns every cache-owned budget grant. Called once when the
-// owning run finishes (any exit path); slots still mid-build cannot exist
-// then — runTerms joins all workers first.
-func (c *buildCache) releaseAll() {
+// resolveBuild materializes a slot's build, once: scan the operand, hash it
+// under the memory budget (buildFromRows) and, in a window's cache, decide
+// whether the build outlives its run.
+func (c *buildCache) resolveBuild(env *evalEnv, slot *buildSlot, br buildReq) {
+	slot.once.Do(func() {
+		rows := env.buildRows(br.src)
+		slot.rows = int64(len(rows))
+		slot.res, slot.err = buildFromRows(env, rows, br.cols)
+		if slot.err != nil || c.budget == 0 {
+			return
+		}
+		c.mu.Lock()
+		held := slot.held()
+		c.peak = max(c.peak, c.used+held)
+		if c.used+held <= c.budget {
+			slot.kept = true
+			c.used += held
+		}
+		c.mu.Unlock()
+	})
+}
+
+// held is the resident bytes a built slot occupies: none once spilled.
+func (s *buildSlot) held() int64 {
+	if s.res.sp != nil {
+		return 0
+	}
+	return s.res.bytes
+}
+
+// drop removes a slot from the cache and returns its grant; a later request
+// for the pair builds afresh. Callers hold c.mu, and the slot's build has
+// finished: a run waits for the builds it asked for, and no Comp reading a
+// view runs beside that view's Install.
+func (c *buildCache) drop(slot *buildSlot) {
+	delete(c.tables, slot.key)
+	slot.res.grant.Release()
+	if slot.kept {
+		c.used -= slot.held()
+	}
+	if c.budget > 0 {
+		c.gone = append(c.gone, slot.stats("dropped"))
+	}
+}
+
+// endRun drops what a finished run built and the cache does not keep — every
+// build of a run's own cache, the failed and the over-budget ones of a
+// window's. The run has joined its workers, so none of its builds is still
+// in the making.
+func (c *buildCache) endRun(env *evalEnv) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, slot := range c.tables {
+		if slot.owner == env && !slot.kept {
+			c.drop(slot)
+		}
+	}
+}
+
+// invalidate drops the builds made from a view's state or pending delta,
+// which its Install is about to change.
+func (c *buildCache) invalidate(view string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, slot := range c.tables {
+		if slot.view == view {
+			c.drop(slot)
+		}
+	}
+}
+
+// SharedEntryStats reports the life of one build of a window's cache, for
+// EXPLAIN SHARING.
+type SharedEntryStats struct {
+	// Name renders the operand and the key columns it was hashed on:
+	// "δV[0]", "V[1,2]".
+	Name string
+	// Requests counts the Comps that asked for the build; Hits those served
+	// a build another Comp had made.
+	Requests, Hits int64
+	// Rows and Bytes describe the built table (resident estimate).
+	Rows, Bytes int64
+	// Fate is where the build was when the window ended: "resident" or
+	// "spilled" (kept to the end), or "dropped" (its view installed, the
+	// budget did not admit it, or it failed).
+	Fate string
+}
+
+func (s *buildSlot) stats(fate string) SharedEntryStats {
+	name := s.view
+	if s.isDelta {
+		name = "δ" + name
+	}
+	return SharedEntryStats{
+		Name: name + "[" + s.key.cols + "]", Requests: s.asks.Load(), Hits: s.hits.Load(),
+		Rows: s.rows, Bytes: s.res.bytes, Fate: fate,
+	}
+}
+
+// SharedStats summarizes a detached window cache.
+type SharedStats struct {
+	// BytesPeak is the high-water resident footprint, counting builds that
+	// were made but not kept.
+	BytesPeak int64
+	// Detail lists every build the cache held, sorted by name.
+	Detail []SharedEntryStats
+}
+
+// AttachSharing gives the warehouse a build cache for the coming window, so
+// that a build one Comp makes serves the window's later Comps. It reports
+// false — attaching nothing — when Options.ShareComputation is off or a
+// cache is already attached. Not safe to call while expressions execute;
+// callers attach before the window's first step.
+func (w *Warehouse) AttachSharing() bool {
+	if !w.opts.ShareComputation || w.cache != nil {
+		return false
+	}
+	budget := w.opts.SharedBudgetBytes
+	if budget <= 0 {
+		budget = DefaultSharedBudgetBytes
+	}
+	w.cache = newBuildCache(budget)
+	return true
+}
+
+// DetachSharing removes the window's cache, dropping every build it still
+// holds, and returns its stats. Safe to call when nothing is attached.
+func (w *Warehouse) DetachSharing() SharedStats {
+	c := w.cache
+	w.cache = nil
+	if c == nil {
+		return SharedStats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := SharedStats{BytesPeak: c.peak, Detail: c.gone}
+	for _, slot := range c.tables {
+		fate := "resident"
+		if slot.res.sp != nil {
+			fate = "spilled"
+		}
+		st.Detail = append(st.Detail, slot.stats(fate))
 		slot.res.grant.Release()
 	}
+	sort.SliceStable(st.Detail, func(i, j int) bool { return st.Detail[i].Name < st.Detail[j].Name })
+	return st
 }
 
 // runTerms is the term engine: it evaluates terms of cq into out and fills
@@ -403,13 +557,15 @@ func (c *buildCache) releaseAll() {
 // run inline one after another. Errors surface deterministically in term
 // order.
 func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
-	cache := newBuildCache()
-	defer cache.releaseAll()
-	env.cache, env.scans = cache, newScanCache()
+	if env.cache == nil {
+		env.cache = newBuildCache(0)
+	}
+	defer env.cache.endRun(env)
+	env.scans = newScanCache()
 
 	plans := make([]*termPlan, len(terms))
 	for ti, term := range terms {
-		plan, err := w.planTerm(cq, term, deltas, env.shared)
+		plan, err := w.planTerm(cq, term, deltas)
 		if err != nil {
 			return err
 		}
@@ -447,18 +603,16 @@ func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term
 		}
 		rep.Terms++
 		rep.OperandTuples += plans[ti].scanned
-		rep.IndexProbes += probes[ti]
-		rep.IndexTuplesSaved += plans[ti].indexed
+		env.ctr.IndexProbes += probes[ti]
+		env.ctr.IndexTuplesSaved += plans[ti].indexed
 		for i := range plans[ti].pl.steps {
 			if idx := plans[ti].pl.steps[i].idx; idx != nil {
-				rep.IndexTuplesSaved -= idx.scanned
+				env.ctr.IndexTuplesSaved -= idx.scanned
 			}
 		}
 	}
 	rep.OutputTuples = sinks.flush()
-	rep.BuildCacheHits = int(cache.hits.Load())
-	rep.BuildCacheMisses = int(cache.misses.Load())
-	rep.BuildTuplesSaved = cache.saved.Load()
+	rep.EngineCounters = env.ctr
 	return nil
 }
 
@@ -473,12 +627,7 @@ func warm(env *evalEnv, wg *sync.WaitGroup, plans []*termPlan) error {
 	for _, plan := range plans {
 		srcSet[plan.driverSrc] = true
 		for _, br := range plan.builds {
-			// Composite builds are warmed as builds only: pre-scanning their
-			// operands would waste two scans whenever the registry serves
-			// the intermediate from another Comp's build.
-			if br.inter == nil {
-				srcSet[br.src] = true
-			}
+			srcSet[br.src] = true
 			buildSet[buildKey{src: br.src, cols: colsKey(br.cols)}] = br
 		}
 	}

@@ -180,9 +180,9 @@ func termEngineWidthInvariant(t *testing.T, resident bool) {
 		// 7 terms over 3 deltas: the terms with two or three of them
 		// build the same delta sides, so the cache must fire; every
 		// state side is an index step.
-		if rep.BuildCacheHits == 0 || rep.BuildCacheMisses == 0 || rep.BuildTuplesSaved <= 0 {
+		if rep.CacheHits == 0 || rep.CacheMisses == 0 || rep.CacheTuplesSaved <= 0 {
 			t.Fatalf("%s: expected build-cache traffic, got hits=%d misses=%d saved=%d",
-				view, rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved)
+				view, rep.CacheHits, rep.CacheMisses, rep.CacheTuplesSaved)
 		}
 		if rep.IndexProbes == 0 {
 			t.Fatalf("%s: no index probes", view)
@@ -216,10 +216,10 @@ func termEngineWidthInvariant(t *testing.T, resident bool) {
 					t.Fatalf("%s: terms/work/output %d/%d/%d, width 1 gives %d/%d/%d", view,
 						rep.Terms, rep.OperandTuples, rep.OutputTuples, w1.Terms, w1.OperandTuples, w1.OutputTuples)
 				}
-				if rep.BuildCacheHits != w1.BuildCacheHits || rep.BuildCacheMisses != w1.BuildCacheMisses || rep.BuildTuplesSaved != w1.BuildTuplesSaved {
+				if rep.CacheHits != w1.CacheHits || rep.CacheMisses != w1.CacheMisses || rep.CacheTuplesSaved != w1.CacheTuplesSaved {
 					t.Fatalf("%s: cache hits/misses/saved %d/%d/%d, width 1 gives %d/%d/%d", view,
-						rep.BuildCacheHits, rep.BuildCacheMisses, rep.BuildTuplesSaved,
-						w1.BuildCacheHits, w1.BuildCacheMisses, w1.BuildTuplesSaved)
+						rep.CacheHits, rep.CacheMisses, rep.CacheTuplesSaved,
+						w1.CacheHits, w1.CacheMisses, w1.CacheTuplesSaved)
 				}
 				if rep.IndexProbes != w1.IndexProbes || rep.IndexTuplesSaved != w1.IndexTuplesSaved {
 					t.Fatalf("%s: index probes/saved %d/%d, width 1 gives %d/%d", view,
@@ -273,8 +273,8 @@ func TestParallelTermsSingleRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Terms != 1 || rep.BuildCacheHits != 0 {
-		t.Fatalf("single-ref compute: terms=%d hits=%d", rep.Terms, rep.BuildCacheHits)
+	if rep.Terms != 1 || rep.CacheHits != 0 {
+		t.Fatalf("single-ref compute: terms=%d hits=%d", rep.Terms, rep.CacheHits)
 	}
 	if _, err := w.Compute("A", []string{"J"}); err != nil {
 		t.Fatal(err)

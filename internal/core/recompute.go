@@ -35,7 +35,7 @@ func (w *Warehouse) Recompute(name string) (*storage.Table, error) {
 // evalFull evaluates a definition from scratch over the current states of
 // its referenced views: the full term (no delta refs — every operand reads
 // state) run through the term engine at width 1, outside any window's
-// registry or budget, into a fresh accumulator.
+// build cache or budget, into a fresh accumulator.
 func (w *Warehouse) evalFull(cq *algebra.CQ) (acc, error) {
 	out := newAcc(cq)
 	var rep CompReport

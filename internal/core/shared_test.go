@@ -12,7 +12,8 @@ import (
 // newSiblingWarehouse builds base R(a,b), S(b,c) and n sibling join views
 // V1..Vn = R ⋈ S on b with distinct selection thresholds — the cross-view
 // sharing case: every view's Comp over {R, S} reads the same four operands
-// (δR, δS, and the states of R and S).
+// (δR, δS, and the states of R and S), and builds one of the deltas (the
+// term over both joins them; the states are read through their indexes).
 func newSiblingWarehouse(t *testing.T, n int, opts Options) *Warehouse {
 	t.Helper()
 	w := New(opts)
@@ -64,26 +65,6 @@ func loadSiblingData(t *testing.T, w *Warehouse) {
 	}
 }
 
-// siblingHints hand-builds the dual-stage hints for n sibling views: every
-// Comp(Vi, {R, S}) reads δR, δS and the version-0 states of R and S.
-func siblingHints(n int) *SharingHints {
-	ops := []SharedOperand{
-		{View: "R", Delta: true}, {View: "S", Delta: true},
-		{View: "R"}, {View: "S"},
-	}
-	h := &SharingHints{
-		Consumers: make(map[SharedOperand]int),
-		ByComp:    make(map[string][]SharedOperand),
-	}
-	for _, op := range ops {
-		h.Consumers[op] = n
-	}
-	for i := 1; i <= n; i++ {
-		h.ByComp[CompKey(fmt.Sprintf("V%d", i), []string{"R", "S"})] = ops
-	}
-	return h
-}
-
 // runSiblingWindow computes and installs every view dual-stage, returning
 // the per-view CompReports.
 func runSiblingWindow(t *testing.T, w *Warehouse, n int) []CompReport {
@@ -104,11 +85,11 @@ func runSiblingWindow(t *testing.T, w *Warehouse, n int) []CompReport {
 	return reps
 }
 
-// TestSharedRegistryHitMissSaved: with three sibling views, the first
-// Compute builds the shared tables (misses), later ones reuse them (hits)
-// and report the operand tuples whose physical scan was elided — while the
-// reported work stays identical to an unshared run and the final state
-// verifies against recomputation.
+// TestSharedRegistryHitMissSaved: with three sibling views and the build
+// cache attached for the window, the first Compute makes the builds (shared
+// misses), later ones reuse them (shared hits) and report the operand tuples
+// whose physical scan was elided — while the reported work stays identical
+// to an unshared run and the final state verifies against recomputation.
 func TestSharedRegistryHitMissSaved(t *testing.T) {
 	const n = 3
 	shared := newSiblingWarehouse(t, n, Options{ShareComputation: true})
@@ -116,7 +97,7 @@ func TestSharedRegistryHitMissSaved(t *testing.T) {
 	plain := newSiblingWarehouse(t, n, Options{})
 	loadSiblingData(t, plain)
 
-	if !shared.AttachSharing(siblingHints(n)) {
+	if !shared.AttachSharing() {
 		t.Fatal("AttachSharing refused")
 	}
 	sharedReps := runSiblingWindow(t, shared, n)
@@ -130,6 +111,10 @@ func TestSharedRegistryHitMissSaved(t *testing.T) {
 			t.Errorf("V%d: work %d with sharing, %d without — the metric must not move",
 				i+1, sharedReps[i].OperandTuples, plainReps[i].OperandTuples)
 		}
+		if sharedReps[i].CacheMisses != plainReps[i].CacheMisses || sharedReps[i].CacheHits != plainReps[i].CacheHits {
+			t.Errorf("V%d: cache %d/%d with sharing, %d/%d without — a Compute asks for the same builds either way",
+				i+1, sharedReps[i].CacheHits, sharedReps[i].CacheMisses, plainReps[i].CacheHits, plainReps[i].CacheMisses)
+		}
 		hits += sharedReps[i].SharedHits
 		misses += sharedReps[i].SharedMisses
 		saved += sharedReps[i].SharedTuplesSaved
@@ -140,100 +125,138 @@ func TestSharedRegistryHitMissSaved(t *testing.T) {
 	if misses == 0 || hits == 0 || saved == 0 {
 		t.Fatalf("sharing never engaged: hits=%d misses=%d saved=%d", hits, misses, saved)
 	}
-	// Later views reuse the first view's builds: every view after the first
-	// must hit at least once.
+	// Later views reuse the first view's builds: the first view makes them
+	// all, every view after it only hits.
+	if sharedReps[0].SharedHits != 0 {
+		t.Errorf("V1: %d shared hits before anything was built", sharedReps[0].SharedHits)
+	}
 	for i := 1; i < n; i++ {
-		if sharedReps[i].SharedHits == 0 {
-			t.Errorf("V%d: no shared hits", i+1)
+		if sharedReps[i].SharedHits == 0 || sharedReps[i].SharedMisses != 0 {
+			t.Errorf("V%d: shared %d hits / %d misses, want only hits", i+1, sharedReps[i].SharedHits, sharedReps[i].SharedMisses)
 		}
 	}
-	if stats.Entries == 0 || stats.BytesPeak == 0 {
-		t.Errorf("registry stats empty: %+v", stats)
+	if stats.BytesPeak == 0 || len(stats.Detail) != misses {
+		t.Errorf("cache stats: peak %d, %d detail lines for %d builds", stats.BytesPeak, len(stats.Detail), misses)
+	}
+	for _, d := range stats.Detail {
+		// Every build was dropped by its view's Install before the detach.
+		if d.Requests != n || d.Hits != n-1 || d.Rows == 0 || d.Fate != "dropped" {
+			t.Errorf("detail %+v, want %d requests / %d hits, dropped at Install", d, n, n-1)
+		}
 	}
 	if err := shared.VerifyAll(); err != nil {
 		t.Fatalf("shared run corrupted state: %v", err)
 	}
 }
 
-// TestSharedRegistryBudgetEviction: a 1-byte budget makes retention
-// impossible — every build is evicted, later consumers rebuild privately
-// (no hits), and correctness is unaffected.
+// TestSharedRegistryBudgetEviction: under a 1-byte shared budget no build
+// outlives the Compute that made it — later consumers rebuild privately (no
+// hits), and correctness is unaffected.
 func TestSharedRegistryBudgetEviction(t *testing.T) {
 	const n = 2
 	w := newSiblingWarehouse(t, n, Options{ShareComputation: true, SharedBudgetBytes: 1})
 	loadSiblingData(t, w)
-	if !w.AttachSharing(siblingHints(n)) {
+	if !w.AttachSharing() {
 		t.Fatal("AttachSharing refused")
 	}
-	reps := runSiblingWindow(t, w, n)
-	stats := w.DetachSharing()
-	var hits int
-	for _, rep := range reps {
+	var hits, misses int
+	for i := 1; i <= n; i++ {
+		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		hits += rep.SharedHits
+		misses += rep.SharedMisses
+		if held := len(w.cache.tables); held != 0 {
+			t.Errorf("after Comp(V%d): the cache still holds %d builds under a 1-byte budget", i, held)
+		}
 	}
-	if hits != 0 {
-		t.Errorf("1-byte budget still served %d hits", hits)
+	if hits != 0 || misses == 0 {
+		t.Errorf("1-byte budget: %d hits / %d misses, want every Compute building its own", hits, misses)
 	}
-	if stats.Evicted == 0 {
-		t.Errorf("no evictions under a 1-byte budget: %+v", stats)
+	for _, name := range []string{"R", "S", "V1", "V2"} {
+		if _, err := w.Install(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := w.DetachSharing()
+	if stats.BytesPeak == 0 {
+		t.Errorf("peak %d: a build made and not kept still counts", stats.BytesPeak)
+	}
+	for _, d := range stats.Detail {
+		if d.Fate != "dropped" || d.Hits != 0 {
+			t.Errorf("detail %+v, want dropped without a hit", d)
+		}
 	}
 	if err := w.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSharedRegistryLifecycle: entries drop when their last hinted consumer
-// releases, and an Install of a view drops the entries built on its
-// superseded delta and state.
+// TestSharedRegistryLifecycle: a build the window's cache keeps holds its
+// memory reservation until Install of its view or the detach drops it, and
+// then gives it back — asserted on the memory budget, which is what a leak
+// would starve.
 func TestSharedRegistryLifecycle(t *testing.T) {
 	const n = 2
-	w := newSiblingWarehouse(t, n, Options{ShareComputation: true})
-	loadSiblingData(t, w)
-	if !w.AttachSharing(siblingHints(n)) {
-		t.Fatal("AttachSharing refused")
-	}
-	if _, err := w.Compute("V1", []string{"R", "S"}); err != nil {
-		t.Fatal(err)
-	}
-	reg := w.shared
-	reg.mu.Lock()
-	live := len(reg.entries)
-	reg.mu.Unlock()
-	if live == 0 {
-		t.Fatal("no entries retained after the first of two consumers")
-	}
-	if _, err := w.Compute("V2", []string{"R", "S"}); err != nil {
-		t.Fatal(err)
-	}
-	reg.mu.Lock()
-	live, used := len(reg.entries), reg.used
-	reg.mu.Unlock()
-	if live != 0 || used != 0 {
-		t.Errorf("last consumer released but %d entries / %d bytes remain", live, used)
+	attach := func(t *testing.T) *Warehouse {
+		w := newSiblingWarehouse(t, n, Options{ShareComputation: true, MemoryBudgetBytes: 1 << 30})
+		loadSiblingData(t, w)
+		if ok, err := w.AttachMemory("", nil); err != nil || !ok {
+			t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+		}
+		if !w.AttachSharing() {
+			t.Fatal("AttachSharing refused")
+		}
+		if _, err := w.Compute("V1", []string{"R", "S"}); err != nil {
+			t.Fatal(err)
+		}
+		if w.mem.budget.Used() == 0 {
+			t.Fatal("nothing reserved after the first of two consumers: its builds were not kept")
+		}
+		return w
 	}
 
-	// Re-attach and verify Install-driven invalidation: after Compute(V1),
-	// Install(R) must drop every entry built on R's version-0 operands.
-	w2 := newSiblingWarehouse(t, n, Options{ShareComputation: true})
-	loadSiblingData(t, w2)
-	if !w2.AttachSharing(siblingHints(n)) {
-		t.Fatal("AttachSharing refused")
-	}
-	if _, err := w2.Compute("V1", []string{"R", "S"}); err != nil {
+	// Comp(V1, {R, S}) built δS (δR drives the two-delta term). Install of
+	// a view drops the builds on its delta and state, and only those.
+	w := attach(t)
+	budget := w.mem.budget
+	before := budget.Used()
+	if _, err := w.Install("R"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Install("R"); err != nil {
+	if after := budget.Used(); after != before {
+		t.Errorf("Install(R): reserved %d → %d, but the build kept is on δS", before, after)
+	}
+	rep, err := w.Compute("V2", []string{"R", "S"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	reg2 := w2.shared
-	reg2.mu.Lock()
-	for key := range reg2.entries {
-		if key.op.View == "R" {
-			t.Errorf("entry %+v survived Install(R)", key)
+	if rep.SharedHits != 1 || rep.SharedMisses != 0 {
+		t.Errorf("Comp(V2) after Install(R): %+v, want the build of δS found", rep.EngineCounters)
+	}
+	if _, err := w.Install("S"); err != nil {
+		t.Fatal(err)
+	}
+	if used := budget.Used(); used != 0 {
+		t.Errorf("Install(S) left %d bytes reserved", used)
+	}
+	w.DetachSharing()
+	w.DetachMemory()
+
+	// Detach drops whatever is left.
+	w2 := attach(t)
+	budget2 := w2.mem.budget
+	stats := w2.DetachSharing()
+	if used := budget2.Used(); used != 0 {
+		t.Errorf("detached but %d bytes stay reserved", used)
+	}
+	for _, d := range stats.Detail {
+		if d.Fate != "resident" {
+			t.Errorf("detail %+v, want resident at detach", d)
 		}
 	}
-	reg2.mu.Unlock()
-	w2.DetachSharing()
+	w2.DetachMemory()
 }
 
 // TestSharedRegistryDisabled: without ShareComputation the attach refuses
@@ -241,13 +264,15 @@ func TestSharedRegistryLifecycle(t *testing.T) {
 func TestSharedRegistryDisabled(t *testing.T) {
 	w := newSiblingWarehouse(t, 2, Options{})
 	loadSiblingData(t, w)
-	if w.AttachSharing(siblingHints(2)) {
-		t.Fatal("AttachSharing accepted hints with sharing disabled")
+	if w.AttachSharing() {
+		t.Fatal("AttachSharing attached a cache with sharing disabled")
 	}
-	if w.AttachSharing(nil) {
-		t.Fatal("AttachSharing accepted nil hints")
-	}
-	if stats := w.DetachSharing(); stats.Entries != 0 || stats.BytesPeak != 0 || len(stats.Detail) != 0 {
+	if stats := w.DetachSharing(); stats.BytesPeak != 0 || len(stats.Detail) != 0 {
 		t.Errorf("detach with nothing attached: %+v", stats)
+	}
+	for _, rep := range runSiblingWindow(t, w, 2) {
+		if rep.SharedHits != 0 || rep.SharedMisses != 0 || rep.CacheMisses == 0 {
+			t.Errorf("sharing-off Compute: %+v", rep.EngineCounters)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 
@@ -47,9 +46,10 @@ type spillPart struct {
 	estBytes int64 // resident hash-table estimate when loaded
 }
 
-// spill partitions rows to temp files under the manager's window directory.
-// est is the rows' estimated resident footprint (sizes the partition count).
-func (mm *memManager) spill(ctx context.Context, mu *memUse, rows []prow, cols []int, est int64) (*spilledBuild, error) {
+// spill partitions rows to temp files under the manager's window directory,
+// for the run env. est is the rows' estimated resident footprint (sizes the
+// partition count).
+func (mm *memManager) spill(env *evalEnv, rows []prow, cols []int, est int64) (*spilledBuild, error) {
 	target := mm.partTarget()
 	np := int(est/target) + 1
 	if np < 2 {
@@ -88,7 +88,7 @@ func (mm *memManager) spill(ctx context.Context, mu *memUse, rows []prow, cols [
 			enc = key.AppendEncoded(enc[:0])
 			k = int(hashBytes(enc) % uint64(np))
 		}
-		if werr = writers[k].Append(ctx, r.row, r.count); werr != nil {
+		if werr = writers[k].Append(env.ctx, r.row, r.count); werr != nil {
 			break
 		}
 	}
@@ -111,8 +111,10 @@ func (mm *memManager) spill(ctx context.Context, mu *memUse, rows []prow, cols [
 		// removed at detach (or swept on the next open after a crash).
 		return nil, werr
 	}
-	mu.spills.Add(1)
-	mu.spilledBytes.Add(total)
+	env.mu.Lock()
+	env.ctr.SpillCount++
+	env.ctr.SpilledBytes += total
+	env.mu.Unlock()
 	mm.spills.Add(1)
 	mm.spilledBytes.Add(total)
 	return sb, nil
@@ -122,19 +124,21 @@ func (mm *memManager) spill(ctx context.Context, mu *memUse, rows []prow, cols [
 // reservation is forced — a probing pass must hold one partition per spilled
 // step to make progress — and still tracked, so PeakReservedBytes reports
 // genuine residency; the partition-size target leaves headroom for it.
-func (sb *spilledBuild) loadPart(ctx context.Context, mu *memUse, k int) (*buildTable, *memory.Grant, error) {
+func (sb *spilledBuild) loadPart(env *evalEnv, k int) (*buildTable, *memory.Grant, error) {
 	part := &sb.parts[k]
 	rows := make([]prow, 0, part.rows)
-	n, err := storage.ReadSpill(ctx, part.path, mu.mm.inj, func(t relation.Tuple, c int64) error {
+	n, err := storage.ReadSpill(env.ctx, part.path, env.mem.inj, func(t relation.Tuple, c int64) error {
 		rows = append(rows, prow{row: t, count: c})
 		return nil
 	})
-	mu.reRead.Add(n)
-	mu.mm.reReadBytes.Add(n)
+	env.mu.Lock()
+	env.ctr.SpillReReadBytes += n
+	env.mu.Unlock()
+	env.mem.reReadBytes.Add(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := mu.mm.budget.Reserve(part.estBytes)
+	g := env.mem.budget.Reserve(part.estBytes)
 	return newBuildTable(rows, sb.cols), g, nil
 }
 
@@ -144,7 +148,6 @@ func (sb *spilledBuild) loadPart(ctx context.Context, mu *memUse, k int) (*build
 // spilled step resident per pass and running every driver row through the
 // normal (possibly morsel-parallel) pipeline.
 func (p *pipeline) runSpilled(rows []prow, sink func() sinkFn, env *evalEnv, spilled []int) (int64, error) {
-	mu := env.mem
 	counters := make([]int, len(spilled))
 	var probed int64
 	for {
@@ -154,7 +157,7 @@ func (p *pipeline) runSpilled(rows []prow, sink func() sinkFn, env *evalEnv, spi
 		grants := make([]*memory.Grant, 0, len(spilled))
 		var passErr error
 		for j, si := range spilled {
-			bt, g, err := p.steps[si].spilled.loadPart(env.ctx, mu, counters[j])
+			bt, g, err := p.steps[si].spilled.loadPart(env, counters[j])
 			if err != nil {
 				passErr = err
 				break

@@ -23,8 +23,8 @@ const bytesPerColumn = 48
 
 // EstimateMaterializedBytes estimates the transient memory footprint of
 // materializing rows tuples of the given width (columns) into a hash table.
-// Used by the shared-computation registry to charge entries against its
-// byte budget.
+// The build cache charges its builds, and the planner's sharing election its
+// candidates, in these bytes.
 func EstimateMaterializedBytes(rows int64, width int) int64 {
 	if rows <= 0 {
 		return 0

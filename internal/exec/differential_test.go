@@ -298,3 +298,165 @@ func TestDifferentialExecutors(t *testing.T) {
 		compareBags(t, trial, "recompute", refBags, viewBags(rec))
 	}
 }
+
+// invalidationWarehouse builds the fixture of the window-cache property test:
+// integer bases B0(k,x), B1(k,y), B2(k,z), the summary view G = SUM(y),
+// COUNT(*) of B1 by k, and two sibling views over B0 ⋈ G ⋈ B2 on k — P1 a
+// join view, P2 a summary of the same join. G is an aggregate store, so every
+// term that reads its state hashes it (no index serves it), and the siblings
+// hash it on the same column: a window that keeps its build cache builds it
+// once per version of G. B1 is small, so that a change batch makes groups of
+// G appear and disappear: a build of G's state made before its install then
+// differs from one made after in the rows it holds, not only in their values.
+func invalidationWarehouse(t *testing.T, rng *rand.Rand) *core.Warehouse {
+	t.Helper()
+	w := core.New(core.Options{})
+	base := func(name, col string, n int) relation.Schema {
+		schema := relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: col, Kind: relation.KindInt}}
+		if err := w.DefineBase(name, schema); err != nil {
+			t.Fatal(err)
+		}
+		var rows []relation.Tuple
+		for i := 0; i < n; i++ {
+			rows = append(rows, relation.Tuple{relation.NewInt(rng.Int63n(6)), relation.NewInt(rng.Int63n(4))})
+		}
+		if err := w.LoadBase(name, rows); err != nil {
+			t.Fatal(err)
+		}
+		return schema
+	}
+	s0, s1, s2 := base("B0", "x", 10+rng.Intn(15)), base("B1", "y", 3+rng.Intn(4)), base("B2", "z", 10+rng.Intn(15))
+	define := func(name string, b *algebra.Builder) relation.Schema {
+		def, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.DefineDerived(name, def); err != nil {
+			t.Fatal(err)
+		}
+		return def.OutputSchema()
+	}
+	gb := algebra.NewBuilder().From("b", "B1", s1)
+	gb.GroupByCol("b.k", "k")
+	gb.Agg("s", delta.AggSum, gb.Col("b.y"))
+	gb.Agg("n", delta.AggCount, nil)
+	sg := define("G", gb)
+	join := func() *algebra.Builder {
+		b := algebra.NewBuilder().From("a", "B0", s0).From("g", "G", sg).From("c", "B2", s2)
+		return b.Join("a.k", "g.k").Join("a.k", "c.k")
+	}
+	p1 := join()
+	p1.SelectCol("a.x", "x")
+	p1.SelectCol("g.s", "s")
+	p1.SelectCol("c.z", "z")
+	define("P1", p1)
+	p2 := join()
+	p2.GroupByCol("c.z", "z")
+	p2.Agg("t", delta.AggSum, p2.Col("g.s"))
+	p2.Agg("n", delta.AggCount, nil)
+	define("P2", p2)
+	if err := w.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestWindowCacheInvalidationDifferential is the property test of the one
+// line the window-lived build cache's correctness rests on: Install(V) drops
+// the builds made from V's state and from δV. In the 1-way strategy below the
+// sibling Comps over {B2} hash G's state, G then installs, and the Comps over
+// {B0} must hash G's new state, not find the old build; the dual-stage
+// strategy has the siblings' multi-delta terms build the deltas themselves,
+// which their views' installs then drop. Every point of mode × engine width ×
+// memory budget × shared budget must install the digests and leave the bags
+// of the sharing-off sequential run, and verify against recomputation.
+func TestWindowCacheInvalidationDifferential(t *testing.T) {
+	oneWay := strategy.Strategy{
+		strategy.Comp{View: "P1", Over: []string{"B2"}}, strategy.Comp{View: "P2", Over: []string{"B2"}}, strategy.Inst{View: "B2"},
+		strategy.Comp{View: "G", Over: []string{"B1"}}, strategy.Inst{View: "B1"},
+		strategy.Comp{View: "P1", Over: []string{"G"}}, strategy.Comp{View: "P2", Over: []string{"G"}}, strategy.Inst{View: "G"},
+		strategy.Comp{View: "P1", Over: []string{"B0"}}, strategy.Comp{View: "P2", Over: []string{"B0"}}, strategy.Inst{View: "B0"},
+		strategy.Inst{View: "P1"}, strategy.Inst{View: "P2"},
+	}
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	rng := rand.New(rand.NewSource(20261002))
+	var hits, spills, rebuilt int
+	for trial := 0; trial < trials; trial++ {
+		base := invalidationWarehouse(t, rng)
+		stageDiffChanges(t, base, rng)
+		// On top of the random batch, one key that is certain to show a stale
+		// build: δB1 changes (or creates) G's group 2, and δB0 and δB2 each
+		// bring a row that joins it.
+		for _, name := range []string{"B0", "B1", "B2"} {
+			d := delta.New(base.MustView(name).Schema())
+			d.Add(relation.Tuple{relation.NewInt(2), relation.NewInt(3)}, 1)
+			if err := base.StageDelta(name, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := Graph(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := oneWay
+		if trial%3 == 2 {
+			s = strategy.DualStageVDAG(g)
+		}
+
+		seq := base.Clone()
+		ref, err := Execute(seq, s, Options{Validate: true})
+		if err != nil {
+			t.Fatalf("trial %d reference: %v", trial, err)
+		}
+		if err := seq.VerifyAll(); err != nil {
+			t.Fatalf("trial %d reference: %v", trial, err)
+		}
+		refBags := viewBags(seq)
+
+		for _, mode := range []Mode{ModeSequential, ModeStaged, ModeDAG} {
+			for _, wide := range []bool{false, true} {
+				for _, mem := range []int64{0, 1 << 20, 1} {
+					for _, shared := range []int64{64 << 20, 1} {
+						name := fmt.Sprintf("%s wide=%v mem=%d shared=%d", mode, wide, mem, shared)
+						w := base.Clone()
+						w.SetOptions(core.Options{
+							ShareComputation: true, SharedBudgetBytes: shared, MemoryBudgetBytes: mem,
+							ParallelTerms: wide, Workers: 2,
+						})
+						rep, err := Execute(w, s, Options{Mode: mode, Workers: 3, Validate: true, SpillDir: t.TempDir()})
+						if err != nil {
+							t.Fatalf("trial %d %s: %v", trial, name, err)
+						}
+						compareBags(t, trial, name, refBags, viewBags(w))
+						sameSteps(t, trial, name, ref, rep)
+						for i, step := range rep.Steps {
+							if step.Digest != ref.Steps[i].Digest {
+								t.Fatalf("trial %d %s: %s installed digest %x, reference %x", trial, name, step.Expr, step.Digest, ref.Steps[i].Digest)
+							}
+							hits += step.SharedHits
+							spills += step.SpillCount
+						}
+						if err := w.VerifyAll(); err != nil {
+							t.Fatalf("trial %d %s: %v", trial, name, err)
+						}
+						var builds int
+						for _, d := range rep.SharedDetail {
+							if d.Name == "G[0]" {
+								builds++
+							}
+						}
+						if builds > 1 {
+							rebuilt++
+						}
+					}
+				}
+			}
+		}
+	}
+	if hits == 0 || spills == 0 || rebuilt == 0 {
+		t.Fatalf("%d shared hits, %d spills, %d windows that built G's state again after its install: the harness exercised nothing", hits, spills, rebuilt)
+	}
+}

@@ -81,35 +81,10 @@ type StepReport struct {
 	Level int
 	// Skipped marks a Comp elided by the empty-delta optimization.
 	Skipped bool
-	// CacheHits and CacheMisses count build-side hash tables served from /
-	// built into the per-Compute build cache: one miss per distinct
-	// (operand, key columns) pair of the Comp, one hit per further term that
-	// probes it.
-	CacheHits, CacheMisses int
-	// CacheTuplesSaved totals operand tuples whose physical re-scan the
-	// shared builds elided. Work still counts them: the linear metric
-	// models every term's operand scan whether or not the build was shared.
-	CacheTuplesSaved int64
-	// SharedHits and SharedMisses count build tables served from / built
-	// into the window-wide shared-computation registry (zero when sharing
-	// is off), once per distinct operand per Comp — the build cache sits in
-	// front. A hit means another view's Comp already hashed the operand.
-	SharedHits, SharedMisses int
-	// SharedTuplesSaved totals operand tuples whose physical scan the
-	// cross-view shared tables elided. Like CacheTuplesSaved, Work still
-	// counts them.
-	SharedTuplesSaved int64
-	// SpillCount counts build sides this step partitioned to disk because
-	// they did not fit the window memory budget (0 with no budget attached).
-	SpillCount int
-	// SpilledBytes and SpillReReadBytes total the bytes the step wrote to
-	// spill files and re-read from them during partition-wise probing. Work
-	// is untouched: spilling changes bytes moved, never the linear metric.
-	SpilledBytes, SpillReReadBytes int64
-	// IndexProbes counts the step's lookups in resident join indexes, and
-	// IndexTuplesSaved the operand tuples Work charges for the join steps
-	// those indexes served and no scan read (see core.CompReport).
-	IndexProbes, IndexTuplesSaved int64
+	// EngineCounters is the machine's side of a Comp step: what the build
+	// cache, the memory budget and the resident indexes did for it. Work is
+	// untouched by all of it.
+	core.EngineCounters
 	// Digest fingerprints the delta an Inst step installed (see
 	// delta.Digest); 0 for Comp steps and for views whose float-valued
 	// columns make bit-exact digests unsound across evaluation orders. The
@@ -127,12 +102,11 @@ type Report struct {
 	Steps []StepReport
 	// CompWork and InstWork split the measured work by expression type.
 	CompWork, InstWork int64
-	// SharedBytesPeak is the high-water transient footprint of the
-	// window's shared-computation registry (0 when sharing is off).
+	// SharedBytesPeak is the high-water resident footprint of the window's
+	// build cache (0 when sharing is off).
 	SharedBytesPeak int64
-	// SharedDetail lists every shared entry's planned-vs-observed life
-	// (operands and join intermediates), sorted by name; nil when sharing
-	// is off.
+	// SharedDetail lists every build the window's cache held, sorted by
+	// name; nil when sharing is off.
 	SharedDetail []core.SharedEntryStats
 	// PeakReservedBytes is the high-water mark of the window memory
 	// budget's reserved bytes (0 when no budget is attached).
@@ -274,13 +248,7 @@ func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *fault
 		step.Work = cr.OperandTuples
 		step.Terms = cr.Terms
 		step.Skipped = cr.Skipped
-		step.CacheHits, step.CacheMisses = cr.BuildCacheHits, cr.BuildCacheMisses
-		step.CacheTuplesSaved = cr.BuildTuplesSaved
-		step.SharedHits, step.SharedMisses = cr.SharedHits, cr.SharedMisses
-		step.SharedTuplesSaved = cr.SharedTuplesSaved
-		step.SpillCount = cr.SpillCount
-		step.SpilledBytes, step.SpillReReadBytes = cr.SpilledBytes, cr.SpillReReadBytes
-		step.IndexProbes, step.IndexTuplesSaved = cr.IndexProbes, cr.IndexTuplesSaved
+		step.EngineCounters = cr.EngineCounters
 	case strategy.Inst:
 		step.Digest = instDigest(w, x.View)
 		n, ierr := w.Install(x.View)
@@ -318,8 +286,8 @@ func instDigest(w *core.Warehouse, view string) uint64 {
 
 // Execute runs the strategy against the warehouse, mutating it, and returns
 // the measured report. It is the only executor: whatever the mode, the run
-// validates the strategy (when asked), attaches the window's sharing
-// registry and memory budget, passes every expression through the "step"
+// validates the strategy (when asked), attaches the window's build cache
+// and memory budget, passes every expression through the "step"
 // fault point, RunStep and OnStep, and finishes with the deferred-maintenance
 // bookkeeping (MarkSkippedStale). The first expression error cancels
 // scheduling (in-flight expressions finish, unstarted ones are abandoned)
@@ -343,7 +311,7 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 	}
 	changed := ChangedViews(w)
 	d := BuildDAG(s, w.Children)
-	detach := AttachSharing(w, s)
+	detach := AttachSharing(w)
 	detachMem, err := AttachMemory(w, opts.SpillDir, opts.Faults)
 	if err != nil {
 		detach()

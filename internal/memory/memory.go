@@ -1,7 +1,7 @@
 // Package memory implements the window-wide memory budget for bounded
 // execution: one Budget per update window, drawn on by every allocator of
-// bulk state — term-local build tables, the per-Compute build cache and the
-// window-wide shared registry. Consumers reserve before materializing and
+// bulk state — the builds of the term engine's cache and the loaded
+// partitions of spilled ones. Consumers reserve before materializing and
 // release when the state dies; a denied reservation is the signal to spill
 // (Grace-style partitioned builds, see internal/core/spill.go) rather than
 // an error.
@@ -131,7 +131,7 @@ func (b *Budget) grantLocked(n int64) *Grant {
 
 // OnPressure registers a callback fired (outside the budget lock) whenever a
 // reservation is denied, with the byte shortfall. Consumers that can shed
-// state — e.g. a registry evicting retained entries — register here.
+// state — e.g. a cache dropping builds it keeps — register here.
 func (b *Budget) OnPressure(fn func(need int64)) {
 	if b == nil || fn == nil {
 		return

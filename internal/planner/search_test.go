@@ -22,7 +22,7 @@ type searchCase struct {
 
 // randomSearchCase draws a VDAG of the given shape whose search stays within
 // maxOrderable views with parents, with statistics, self-join reference
-// counts, and a seed-chosen model, byte budget, pair hints and tuner.
+// counts, and a seed-chosen model, byte budget, widths and reference order.
 func randomSearchCase(rng *rand.Rand, shape string, maxOrderable int) searchCase {
 	var g *vdag.Graph
 	for {
@@ -49,23 +49,6 @@ func randomSearchCase(rng *rand.Rand, shape string, maxOrderable int) searchCase
 	c.opts.Sharing.BudgetBytes = []int64{0, 48 * 4 * 400, 1 << 40}[rng.Intn(3)]
 	if rng.Intn(2) == 0 {
 		c.opts.Sharing.Width = func(view string) int { return 2 + len(view)%3 }
-	}
-	if rng.Intn(3) > 0 {
-		// Adjacent references joined on a signature the pair determines, as
-		// core.PairCandidates derives them from a definition.
-		refs := refsFromCounts(c.refs)
-		c.opts.Sharing.Pairs = func(view string) []PairHint {
-			var out []PairHint
-			list := refs(view)
-			for i := 0; i+1 < len(list); i++ {
-				out = append(out, PairHint{A: list[i], B: list[i+1], Sig: list[i] + "=" + list[i+1]})
-			}
-			return out
-		}
-	}
-	if rng.Intn(2) == 0 {
-		c.opts.Sharing.Tuner = &cost.ShareTuner{}
-		c.opts.Sharing.Tuner.Observe(3, int64(rng.Intn(3)), 100, int64(50+rng.Intn(100)))
 	}
 	if rng.Intn(3) == 0 {
 		// A reference list in another order than the sorted expansion.
@@ -239,22 +222,14 @@ func tpcdSearchGraph(orderable int) *vdag.Graph {
 	return vdag.MustBuild(pairs...)
 }
 
-// tpcdSearchInputs are fixed statistics and the definitions' adjacent join
-// pairs for tpcdSearchGraph.
+// tpcdSearchInputs are fixed statistics and a byte budget for
+// tpcdSearchGraph.
 func tpcdSearchInputs(g *vdag.Graph) (cost.Stats, SharedSearchOptions) {
 	stats := make(cost.Stats)
 	for i, v := range g.Views() {
 		stats[v] = cost.ViewStat{Size: int64(1500 - 170*i + 37*i*i), DeltaPlus: int64(11 + 7*i), DeltaMinus: int64(40 - 3*i)}
 	}
-	pairs := func(view string) []PairHint {
-		var out []PairHint
-		list := g.Children(view)
-		for i := 0; i+1 < len(list); i++ {
-			out = append(out, PairHint{A: list[i], B: list[i+1], Sig: "0=0"})
-		}
-		return out
-	}
-	return stats, SharedSearchOptions{Sharing: SharingOptions{Pairs: pairs, BudgetBytes: 48 * 4 * 2000}}
+	return stats, SharedSearchOptions{Sharing: SharingOptions{BudgetBytes: 48 * 4 * 2000}}
 }
 
 // TestSearchGolden pins Prune and PruneShared on the TPC-D graphs to what the
@@ -340,14 +315,13 @@ func TestSearchAllocations(t *testing.T) {
 	}
 	allocs := func(g *vdag.Graph) float64 {
 		stats, opts := tpcdSearchInputs(g)
-		// Reference lists and pair hints handed out ready-made, as a catalog
-		// would, so the count is the planner's own.
-		lists, hints := make(map[string][]string), make(map[string][]PairHint)
+		// Reference lists handed out ready-made, as a catalog would, so the
+		// count is the planner's own.
+		lists := make(map[string][]string)
 		for _, v := range g.Views() {
-			lists[v], hints[v] = g.Children(v), opts.Sharing.Pairs(v)
+			lists[v] = g.Children(v)
 		}
 		opts.Refs = func(view string) []string { return lists[view] }
-		opts.Sharing.Pairs = func(view string) []PairHint { return hints[view] }
 		refs := uniformRefs(g)
 		return testing.AllocsPerRun(3, func() {
 			if _, err := PruneShared(g, cost.DefaultModel, stats, refs, opts); err != nil {
@@ -355,9 +329,9 @@ func TestSearchAllocations(t *testing.T) {
 			}
 		})
 	}
-	// 3 views with parents under 5 summaries (15 edges, 6 orderings) against
+	// 3 views with parents under 4 summaries (12 edges, 6 orderings) against
 	// 6 under 2 (12 edges, 720 orderings).
-	few, many := allocs(summaries(3, 5)), allocs(summaries(6, 2))
+	few, many := allocs(summaries(3, 4)), allocs(summaries(6, 2))
 	if diff := many - few; diff <= -64 || diff >= 64 {
 		t.Errorf("PruneShared allocates %.0f times over 6 orderings and %.0f over 720", few, many)
 	}

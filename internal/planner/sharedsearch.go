@@ -10,16 +10,14 @@ import (
 
 // This file is the sharing-aware strategy search (ROADMAP: "Plan sharing
 // globally"). Prune picks the strategy with the least *linear* work and
-// only afterwards annotates it with sharing hints — so it never prefers a
-// plan because it shares well. PruneShared instead costs every candidate
-// with sharing-adjusted work: the linear work minus the operand scans a
-// budget-admitted sharing plan (operands and join intermediates alike)
-// would elide, priced by the model's per-tuple compute coefficient. On
-// graphs where the work-optimal ordering interleaves installs between
-// computes — version-splitting every operand so nothing is reusable — the
-// joint search can elect a slightly costlier ordering (typically the
-// dual-stage compute-then-install shape) whose sharing more than pays for
-// the difference.
+// never prefers a plan because it shares well. PruneShared instead costs
+// every candidate with sharing-adjusted work: the linear work minus the
+// operand scans a budget-admitted sharing plan would elide, priced by the
+// model's per-tuple compute coefficient. On graphs where the work-optimal
+// ordering interleaves installs between computes — version-splitting every
+// operand so nothing is reusable — the joint search can elect a slightly
+// costlier ordering (typically the dual-stage compute-then-install shape)
+// whose sharing more than pays for the difference.
 
 // SharedSearchOptions parameterize PruneShared.
 type SharedSearchOptions struct {
@@ -27,8 +25,7 @@ type SharedSearchOptions struct {
 	// (exec.RefsOf). When nil it is expanded from the RefCounts.
 	Refs func(view string) []string
 	// Sharing parameterizes each candidate's sharing analysis (budget,
-	// widths, pair hints, tuner). Sharing.Stats is overwritten with the
-	// search's stats.
+	// widths). Sharing.Stats is overwritten with the search's stats.
 	Sharing SharingOptions
 }
 
@@ -42,8 +39,7 @@ type SharedResult struct {
 	// the estimated scans its sharing plan saves. Candidates are compared
 	// by AdjustedWork.
 	Work, AdjustedWork float64
-	// Plan is the winner's sharing plan, ready to convert into executor
-	// hints.
+	// Plan is the winner's sharing plan.
 	Plan SharingPlan
 	// Examined and Feasible count the ordering candidates as in Prune;
 	// DualStage reports that the extra dual-stage candidate won.

@@ -67,78 +67,6 @@ func TestAnalyzeSharingBudgetClamp(t *testing.T) {
 	}
 }
 
-// threeRefs is the reference function of a VDAG where V1 and V2 each join
-// A, B and C.
-func threeRefs(view string) []string {
-	switch view {
-	case "V1", "V2":
-		return []string{"A", "B", "C"}
-	}
-	return nil
-}
-
-// TestAnalyzeSharingIntermediates: a B⋈C pair hint over quiescent views is
-// elected as a shared intermediate; its admission displaces the per-comp
-// reads of B's and C's individual states.
-func TestAnalyzeSharingIntermediates(t *testing.T) {
-	s := strategy.Strategy{
-		strategy.Comp{View: "V1", Over: []string{"A"}},
-		strategy.Comp{View: "V2", Over: []string{"A"}},
-		strategy.Inst{View: "A"},
-		strategy.Inst{View: "V1"}, strategy.Inst{View: "V2"},
-	}
-	stats := cost.Stats{
-		"A": {Size: 50, DeltaPlus: 10, DeltaMinus: 0},
-		"B": {Size: 100},
-		"C": {Size: 100},
-	}
-	pairs := func(view string) []PairHint {
-		switch view {
-		case "V1", "V2":
-			return []PairHint{{A: "B", B: "C", Sig: "1=0"}}
-		}
-		return nil
-	}
-	plan := AnalyzeSharingOpts(s, threeRefs, SharingOptions{Stats: stats, Pairs: pairs})
-	if plan.SharedIntermediates != 1 {
-		t.Fatalf("SharedIntermediates = %d, want 1: %+v", plan.SharedIntermediates, plan.Elected)
-	}
-	ik := InterKey{ViewA: "B", ViewB: "C", Sig: "1=0"}
-	if n := plan.InterConsumers[ik]; n != 2 {
-		t.Errorf("InterConsumers[%+v] = %d, want 2", ik, n)
-	}
-	// Both comps read the intermediate; their individual B/C state reads
-	// are displaced.
-	for _, v := range []string{"V1", "V2"} {
-		key := strategy.Comp{View: v, Over: []string{"A"}}.Key()
-		if got := plan.InterByComp[key]; len(got) != 1 || got[0] != ik {
-			t.Errorf("InterByComp[%s] = %+v, want [%+v]", key, got, ik)
-		}
-		if ops := plan.ByComp[key]; len(ops) != 1 || !ops[0].Delta {
-			t.Errorf("ByComp[%s] = %+v, want only δA", key, ops)
-		}
-	}
-	if _, ok := plan.Consumers[OperandKey{View: "B"}]; ok {
-		t.Error("state B still counted as consumed after intermediate admission")
-	}
-	// Savings: the intermediate saves |B|+|C| = 200 once, δA saves 10.
-	if plan.EstimatedSavedTuples != 210 {
-		t.Errorf("EstimatedSavedTuples = %d, want 210", plan.EstimatedSavedTuples)
-	}
-
-	// A pair with a view in Over is version-bound and must not be elected.
-	overlapping := strategy.Strategy{
-		strategy.Comp{View: "V1", Over: []string{"A", "B"}},
-		strategy.Comp{View: "V2", Over: []string{"A", "B"}},
-		strategy.Inst{View: "A"}, strategy.Inst{View: "B"},
-		strategy.Inst{View: "V1"}, strategy.Inst{View: "V2"},
-	}
-	plan = AnalyzeSharingOpts(overlapping, threeRefs, SharingOptions{Stats: stats, Pairs: pairs})
-	if plan.SharedIntermediates != 0 {
-		t.Errorf("pair with an over view elected: %+v", plan.Elected)
-	}
-}
-
 // TestPruneSharedNoWorseThanHintBased: Prune's winner is inside
 // PruneShared's candidate space, so the joint search can never end up with
 // higher sharing-adjusted work than annotating Prune's plan after the fact.

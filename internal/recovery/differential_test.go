@@ -226,8 +226,8 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		{"sequential", exec.ModeSequential, false},
 		{"staged", exec.ModeStaged, false},
 		{"dag", exec.ModeDAG, false},
-		// Window-wide shared computation: crashes must not leak the transient
-		// registry, and a sharing-off recovery of a sharing-on window must
+		// Window-wide shared computation: crashes must not leak the window's
+		// build cache, and a sharing-off recovery of a sharing-on window must
 		// replay to identical digests (sharing elides scans, not results).
 		{"shared", exec.ModeSequential, true},
 		{"shared-dag", exec.ModeDAG, true},

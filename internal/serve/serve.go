@@ -92,8 +92,8 @@ type Stats struct {
 	// CacheHits and CacheTuplesSaved accumulate the per-Compute build
 	// cache counters over every committed window; SharedHits and
 	// SharedTuplesSaved accumulate the cross-view shared-computation
-	// counters. SharedBytesPeak is the largest transient footprint any
-	// window's shared registry reached.
+	// counters. SharedBytesPeak is the largest resident footprint any
+	// window's build cache reached.
 	CacheHits, SharedHits               uint64
 	CacheTuplesSaved, SharedTuplesSaved uint64
 	SharedBytesPeak                     int64

@@ -3,8 +3,11 @@ package tpcd
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/planner"
+	"repro/internal/strategy"
 )
 
 // TestMultiWindow drives several consecutive update windows over the same
@@ -89,4 +92,75 @@ func TestScaleSF01(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("SF 0.01 window: %s", rep)
+}
+
+// TestOneWayWindowsBuildNothing pins what made the window-wide registry, the
+// join intermediates and the share tuner unnecessary: under a 1-way strategy
+// every Comp has one term, its delta drives, and every state it joins is a
+// plain table read through a resident index — so a TPC-D window asks the
+// build cache for nothing, shares nothing and spills nothing, whichever
+// planner chose the strategy and whether or not the cache is kept for the
+// window. A change that brings state builds back fails here, not only in the
+// benchmark.
+func TestOneWayWindowsBuildNothing(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		for _, share := range []bool{false, true} {
+			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, ShareComputation: share, MemoryBudgetBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for win := 0; win < 3; win++ {
+				spec := Mixed(0.03, 0.04)
+				spec.Seed = int64(200 + win)
+				if _, err := tw.StageChanges(spec); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := exec.PlanningStats(tw.W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var s strategy.Strategy
+				if shared {
+					res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W), planner.SharedSearchOptions{
+						Refs:    exec.RefsOf(tw.W),
+						Sharing: planner.SharingOptions{BudgetBytes: core.DefaultSharedBudgetBytes, Width: exec.WidthOf(tw.W)},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.DualStage {
+						t.Fatalf("PruneShared chose the dual-stage strategy: the fixture no longer pins a 1-way window")
+					}
+					s = res.Strategy
+				} else {
+					res, err := planner.MinWork(tw.Graph, stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s = res.Strategy
+				}
+				rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true, SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var c core.EngineCounters
+				for _, step := range rep.Steps {
+					c.Add(step.EngineCounters)
+				}
+				if c.CacheMisses != 0 || c.CacheHits != 0 || c.SharedHits != 0 || c.SharedMisses != 0 || c.SpillCount != 0 ||
+					rep.SharedBytesPeak != 0 || rep.PeakReservedBytes != 0 || len(rep.SharedDetail) != 0 {
+					t.Errorf("shared planner %v, sharing %v, window %d: %+v (cache peak %d, reserved peak %d), want no build asked for",
+						shared, share, win, c, rep.SharedBytesPeak, rep.PeakReservedBytes)
+				}
+				// From the second window on the indexes are resident: what the
+				// metric charges for the states, no scan reads.
+				if c.IndexProbes == 0 || (win > 0 && c.IndexTuplesSaved == 0) {
+					t.Errorf("shared planner %v, sharing %v, window %d: %d index probes, %d tuples saved", shared, share, win, c.IndexProbes, c.IndexTuplesSaved)
+				}
+			}
+			if err := tw.W.VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/exec"
@@ -85,38 +84,8 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{w: journal.NewWriter(f), f: f, path: path, log: lg, seq: lg.CommittedCount() + 1}
-	j.spillSwept = sweepSpillDirs(path)
+	j.spillSwept = recovery.SweepSpillDirs(path)
 	return j, nil
-}
-
-// sweepSpillDirs removes every per-window spill directory under the
-// journal's spill root and reports how many it removed. Committed and
-// aborted windows clean up after themselves; anything found here was left
-// by a crashed process. Recovery never reuses a crashed run's spill files —
-// it re-executes from the journal — so sweeping on open is always safe.
-func sweepSpillDirs(path string) int {
-	root := path + ".spill"
-	ents, err := os.ReadDir(root)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if os.RemoveAll(filepath.Join(root, e.Name())) == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// spillDir returns the per-window spill directory for the window with the
-// given journal sequence number, named so a post-crash sweep can attribute
-// leftovers; empty for journals not backed by a file path.
-func (j *Journal) spillDir(seq int) string {
-	if j.path == "" {
-		return ""
-	}
-	return filepath.Join(j.path+".spill", fmt.Sprintf("w%d", seq))
 }
 
 // SpillDirsSwept reports how many stale spill directories OpenJournal
@@ -185,21 +154,16 @@ type WindowOptions struct {
 	BatchAccepted time.Time
 }
 
-// plan runs the named planner. Non-shared planners clear any
-// jointly-optimized hints a prior PlanShared recorded, so the window's
-// registry analyzes the strategy it actually runs.
+// plan runs the named planner.
 func (w *Warehouse) plan(name PlannerName) (PlannerName, Plan, error) {
 	switch name {
 	case MinWorkPlanner, "":
-		w.core.SetPlannedSharing(nil)
 		p, err := w.PlanMinWork()
 		return MinWorkPlanner, p, err
 	case PrunePlanner:
-		w.core.SetPlannedSharing(nil)
 		p, err := w.PlanPrune()
 		return name, p, err
 	case DualStagePlanner:
-		w.core.SetPlannedSharing(nil)
 		p, err := w.PlanDualStage()
 		return name, p, err
 	case SharedPlanner:
@@ -256,7 +220,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w
 		ropts.Seq = o.Journal.seq
-		ropts.SpillDir = o.Journal.spillDir(o.Journal.seq)
+		ropts.SpillDir = recovery.SpillDir(o.Journal.path, o.Journal.seq)
 	}
 	started := time.Now()
 	res, err := recovery.Run(w.core, plan.Strategy, ropts)
@@ -321,7 +285,7 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	inflight := j.log.InFlight()
 	ropts := recovery.Options{Journal: j.w}
 	if inflight != nil {
-		ropts.SpillDir = j.spillDir(inflight.Begin.Seq)
+		ropts.SpillDir = recovery.SpillDir(j.path, inflight.Begin.Seq)
 	}
 	res, err := recovery.Recover(w.core, &j.log, ropts)
 	if err != nil {

@@ -158,23 +158,23 @@ type Options struct {
 	// same value to Execute/WindowOptions so DAG-level and term-level
 	// parallelism compose under one budget.
 	Workers int
-	// ShareComputation enables window-wide shared computation: operands
-	// (a view's state or pending delta) that several views' Comp
-	// expressions read are hashed once, transiently materialized, and
-	// reused by every consumer in the window, in every scheduling mode and
-	// at any engine width. Reported work (the linear metric)
-	// is unchanged; SharedHits/SharedTuplesSaved report the physical scans
-	// elided.
+	// ShareComputation makes the build cache live for the update window
+	// instead of one Comp: a build side (a pending delta, an aggregate
+	// view's state — plain tables are read through their resident indexes
+	// and build nothing) that several views' Comp expressions hash is built
+	// once and probed by every later consumer, in every scheduling mode and
+	// at any engine width, until its view installs. Reported work (the
+	// linear metric) is unchanged; SharedHits/SharedTuplesSaved report the
+	// physical scans elided.
 	ShareComputation bool
-	// SharedBudgetBytes bounds the transient footprint of shared
-	// materialization; results whose retention would exceed it are served
-	// to their first consumer and recomputed by later ones. 0 means the
-	// 64 MiB default.
+	// SharedBudgetBytes bounds the resident builds the window's cache keeps
+	// past the Comp that made them; a build that would exceed it serves
+	// that Comp and is rebuilt by later ones. 0 means the 64 MiB default.
 	SharedBudgetBytes int64
 	// MemoryBudgetBytes bounds the window-wide transient memory of update
-	// execution: every build-side hash table — term-local, per-Compute
-	// cached, or shared across views — draws on one budget, and builds that
-	// do not fit are spilled to disk Grace-style and probed partition-wise.
+	// execution: every build-side hash table draws on one budget for as
+	// long as the build cache holds it, and builds that do not fit are
+	// spilled to disk Grace-style and probed partition-wise.
 	// Results, digests and reported work are identical at any budget; only
 	// bytes moved change. 0 disables budgeting. The resident join indexes
 	// through which delta-driven terms read table state are storage, not
@@ -246,12 +246,6 @@ func New(opts ...Options) *Warehouse {
 		SharedBudgetBytes: o.SharedBudgetBytes,
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
 	})
-	// The share tuner folds each window's observed sharing outcomes (hit
-	// ratios, size drift) back into the share-vs-recompute gate and the
-	// sharing-aware planner's election. The zero value is valid and
-	// uncalibrated — decisions fall back to the static gate until windows
-	// with sharing enabled have run.
-	c.SetShareTuner(&cost.ShareTuner{})
 	w := &Warehouse{core: c, epochs: core.NewEpochs(c), model: model}
 	w.plans.Store(plancache.New[*sqlparse.Query](DefaultPlanCacheSize))
 	return w
@@ -357,9 +351,6 @@ type SharingAnalysis struct {
 	// SharedOperands counts operands (a view's state or delta, at one
 	// point of the install sequence) read by at least two Comps.
 	SharedOperands int
-	// SharedIntermediates counts the join intermediates the election
-	// admitted under the byte budget.
-	SharedIntermediates int
 	// EstimatedSavedTuples is the planning-statistics estimate of operand
 	// tuples sharing avoids rescanning, clamped to what the configured
 	// shared byte budget admits.
@@ -372,12 +363,10 @@ type SharingAnalysis struct {
 // ElectedShare is one sharing candidate the election considered.
 type ElectedShare = planner.ElectedShare
 
-// AnalyzeSharing runs the planner's joint sharing analysis on a strategy
-// with the current planning statistics — the preview of what
-// ShareComputation would reuse. The savings estimate is clamped to the
-// configured shared byte budget (Options.SharedBudgetBytes, defaulting to
-// the registry's 64 MiB), and join intermediates are elected alongside
-// operands, so the preview matches what the registry can actually retain.
+// AnalyzeSharing runs the planner's sharing analysis on a strategy with the
+// current planning statistics — the preview of what ShareComputation could
+// reuse. The savings estimate is clamped to the configured shared byte
+// budget (Options.SharedBudgetBytes, defaulting to 64 MiB).
 func (w *Warehouse) AnalyzeSharing(s Strategy) (SharingAnalysis, error) {
 	stats, err := w.PlanningStats()
 	if err != nil {
@@ -387,31 +376,21 @@ func (w *Warehouse) AnalyzeSharing(s Strategy) (SharingAnalysis, error) {
 		Stats:       stats,
 		BudgetBytes: w.sharedBudget(),
 		Width:       exec.WidthOf(w.core),
-		Pairs:       exec.PairsOf(w.core),
-		Tuner:       w.core.ShareTuner(),
 	})
 	return SharingAnalysis{
 		SharedOperands:       p.SharedOperands,
-		SharedIntermediates:  p.SharedIntermediates,
 		EstimatedSavedTuples: p.EstimatedSavedTuples,
 		Elected:              p.Elected,
 	}, nil
 }
 
 // sharedBudget is the byte budget sharing elections price against: the
-// configured Options.SharedBudgetBytes, or the registry's default.
+// configured Options.SharedBudgetBytes, or the build cache's default.
 func (w *Warehouse) sharedBudget() int64 {
 	if b := w.core.Options().SharedBudgetBytes; b > 0 {
 		return b
 	}
 	return core.DefaultSharedBudgetBytes
-}
-
-// SharingCalibration snapshots the share tuner's state: how many windows'
-// observations it has folded in and the EWMA hit/size ratios gating the
-// share-vs-recompute decision.
-func (w *Warehouse) SharingCalibration() cost.ShareTuningStats {
-	return w.core.ShareTuner().Stats()
 }
 
 // DefineBase registers a base view (data loaded from sources).
@@ -615,12 +594,8 @@ func (w *Warehouse) PlanPrune() (Plan, error) {
 
 // PlanShared plans an update with the sharing-aware Prune search: the same
 // candidate space as PlanPrune (plus the dual-stage strategy), costed by
-// sharing-adjusted work — multi-consumer operands and jointly-elected join
-// intermediates are charged once, subject to the shared byte budget. The
-// winner's sharing plan is recorded on the warehouse core
-// (SetPlannedSharing), so the next executed window's registry runs with the
-// jointly-optimized hints instead of re-analyzing the strategy after the
-// fact.
+// sharing-adjusted work — multi-consumer operands are charged once, subject
+// to the shared byte budget.
 func (w *Warehouse) PlanShared() (Plan, error) {
 	g, stats, err := w.planningInputs()
 	if err != nil {
@@ -631,14 +606,11 @@ func (w *Warehouse) PlanShared() (Plan, error) {
 		Sharing: planner.SharingOptions{
 			BudgetBytes: w.sharedBudget(),
 			Width:       exec.WidthOf(w.core),
-			Pairs:       exec.PairsOf(w.core),
-			Tuner:       w.core.ShareTuner(),
 		},
 	})
 	if err != nil {
 		return Plan{}, err
 	}
-	w.core.SetPlannedSharing(exec.HintsFromPlan(res.Plan))
 	return Plan{Strategy: res.Strategy, Ordering: res.Ordering, EstimatedWork: res.AdjustedWork}, nil
 }
 

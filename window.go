@@ -3,6 +3,8 @@ package warehouse
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
 // PlannerName selects the planning algorithm for RunWindow.
@@ -21,9 +23,8 @@ const (
 	// ([CGL+96]), provided as the baseline.
 	DualStagePlanner PlannerName = "dualstage"
 	// SharedPlanner is the sharing-aware Prune search: candidates are costed
-	// by sharing-adjusted work (multi-consumer operands and jointly-elected
-	// join intermediates charged once, under the shared byte budget), and
-	// the winner's sharing plan seeds the executed window's registry.
+	// by sharing-adjusted work (multi-consumer operands charged once, under
+	// the shared byte budget).
 	SharedPlanner PlannerName = "shared"
 )
 
@@ -122,40 +123,20 @@ func (r WindowReport) String() string {
 	return s
 }
 
-// WindowCounters aggregates one window's engine counters: the per-Compute
-// build cache (intra-Compute sharing across a Comp's maintenance terms) and
-// the window-wide shared-computation registry (cross-view sharing). Both
-// report physical scans elided; the work metric counts those scans
+// WindowCounters aggregates one window's engine counters: what the build
+// cache (across a Comp's terms and, with ShareComputation, across the
+// window's Comps), the memory budget and the resident join indexes did. All
+// of it is physical work elided or moved; the work metric counts the scans
 // regardless.
 type WindowCounters struct {
-	// CacheHits and CacheMisses count build tables served from / built
-	// into the per-Compute build cache — on every engine: any Comp with
-	// more than one term has hits to report.
-	CacheHits, CacheMisses int
-	// CacheTuplesSaved totals operand tuples the per-Compute cache spared.
-	CacheTuplesSaved int64
-	// SharedHits and SharedMisses count build tables served from / built
-	// into the cross-view shared registry, once per distinct operand per
-	// Comp (the build cache sits in front of it).
-	SharedHits, SharedMisses int
-	// SharedTuplesSaved totals operand tuples cross-view sharing spared.
-	SharedTuplesSaved int64
-	// SharedBytesPeak is the registry's high-water transient footprint.
+	// EngineCounters sums the window's Comp steps.
+	core.EngineCounters
+	// SharedBytesPeak is the high-water resident footprint of the window's
+	// build cache (0 without ShareComputation).
 	SharedBytesPeak int64
-	// SpillCount counts build tables the window spilled to disk under its
-	// memory budget (0 when no budget is configured).
-	SpillCount int
-	// SpilledBytes and SpillReReadBytes total the bytes written to and
-	// re-read from spill files. Work is unaffected: spilling changes bytes
-	// moved, never the linear metric.
-	SpilledBytes, SpillReReadBytes int64
 	// PeakReservedBytes is the high-water mark of the window memory
 	// budget's reserved build-state bytes.
 	PeakReservedBytes int64
-	// IndexProbes counts the window's lookups in resident join indexes;
-	// IndexTuplesSaved totals the operand tuples the work metric charges
-	// for the join steps they served and no scan read.
-	IndexProbes, IndexTuplesSaved int64
 	// IngestChanges, IngestQueueDepth, IngestBatchTarget, IngestShed and
 	// IngestStalenessNS mirror IngestInfo for ingester-triggered windows
 	// (all zero otherwise), so counter consumers see the freshness picture
@@ -173,17 +154,7 @@ type WindowCounters struct {
 func (r WindowReport) Counters() WindowCounters {
 	var c WindowCounters
 	for _, step := range r.Report.Steps {
-		c.CacheHits += step.CacheHits
-		c.CacheMisses += step.CacheMisses
-		c.CacheTuplesSaved += step.CacheTuplesSaved
-		c.SharedHits += step.SharedHits
-		c.SharedMisses += step.SharedMisses
-		c.SharedTuplesSaved += step.SharedTuplesSaved
-		c.SpillCount += step.SpillCount
-		c.SpilledBytes += step.SpilledBytes
-		c.SpillReReadBytes += step.SpillReReadBytes
-		c.IndexProbes += step.IndexProbes
-		c.IndexTuplesSaved += step.IndexTuplesSaved
+		c.Add(step.EngineCounters)
 	}
 	c.SharedBytesPeak = r.Report.SharedBytesPeak
 	c.PeakReservedBytes = r.Report.PeakReservedBytes
