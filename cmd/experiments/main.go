@@ -18,50 +18,29 @@ import (
 )
 
 func main() {
+	var ids []string
+	for _, e := range experiments.Experiments {
+		ids = append(ids, e.ID)
+	}
 	sf := flag.Float64("sf", 0.002, "TPC-D scale factor")
 	seed := flag.Int64("seed", 7, "data generation seed")
 	p := flag.Float64("p", 0.10, "change fraction (paper default: 10% decrease)")
-	only := flag.String("only", "", "run a single experiment: table1, fig12, fig13, fig14, fig15, parallel")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(ids, ", "))
 	markdown := flag.Bool("markdown", false, "emit Markdown tables instead of plain text")
 	chart := flag.Bool("chart", false, "render ASCII bar charts (the paper's figures)")
 	flag.Parse()
 
 	cfg := experiments.Config{SF: *sf, Seed: *seed, ChangeFrac: *p}
-	runners := map[string]func(experiments.Config) (experiments.Result, error){
-		"table1":         func(experiments.Config) (experiments.Result, error) { return experiments.Table1(), nil },
-		"fig12":          experiments.Fig12,
-		"fig13":          experiments.Fig13,
-		"fig14":          experiments.Fig14,
-		"fig15":          experiments.Fig15,
-		"parallel":       experiments.Parallel,
-		"stagedvsdag":    experiments.StagedVsDAG,
-		"termparallel":   experiments.TermParallel,
-		"metric":         experiments.MetricAblation,
-		"estimation":     experiments.Estimation,
-		"deep":           experiments.Deep,
-		"faulttolerance": experiments.FaultTolerance,
-		"onlinewindow":   experiments.OnlineWindow,
-		"replication":    experiments.Replication,
-		"streaming":      experiments.Streaming,
-	}
-	order := []string{"table1", "fig12", "fig13", "fig14", "fig15", "parallel", "stagedvsdag", "termparallel", "metric", "estimation", "deep", "faulttolerance", "onlinewindow", "replication", "streaming"}
-
-	var ids []string
-	if *only != "" {
-		if _, ok := runners[*only]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(order, ", "))
-			os.Exit(2)
+	ran := false
+	for _, e := range experiments.Experiments {
+		if *only != "" && *only != e.ID {
+			continue
 		}
-		ids = []string{*only}
-	} else {
-		ids = order
-	}
-
-	for _, id := range ids {
+		ran = true
 		start := time.Now()
-		res, err := runners[id](cfg)
+		res, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		switch {
@@ -72,7 +51,11 @@ func main() {
 		default:
 			fmt.Print(res.Format())
 		}
-		fmt.Printf("(%s ran in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s ran in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(ids, ", "))
+		os.Exit(2)
 	}
 }
 

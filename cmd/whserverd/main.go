@@ -7,7 +7,8 @@
 // blend, and epochs never go backwards.
 //
 //	whserverd [-addr :8080] [-queue 64] [-workers N] [-query-timeout 5s]
-//	          [-window-budget 0] [-window-every 0] [-mode dag] [-planner minwork]
+//	          [-window-budget 0] [-window-every 0] [-mode sequential|staged|dag]
+//	          [-planner minwork|prune|dualstage|shared]
 //	          [-share] [-mem-budget-mb 0] [-pprof addr] [-stores 8] [-sales 2000]
 //	          [-seed 7] [-follow leader-addr] [-fetch-interval 100ms]
 //	          [-ingest] [-ingest-rate 500] [-ingest-slo 200ms]
@@ -86,7 +87,7 @@ func main() {
 	windowBudget := flag.Duration("window-budget", 0, "wall-clock budget per update window (0 = unbounded)")
 	windowEvery := flag.Duration("window-every", 0, "stage a synthetic batch and run a window on this period (0 = off)")
 	mode := flag.String("mode", "dag", "window scheduling: sequential | staged | dag")
-	plannerName := flag.String("planner", "minwork", "window planner: minwork | prune | dualstage")
+	plannerName := flag.String("planner", "minwork", "window planner: minwork | prune | dualstage | shared")
 	share := flag.Bool("share", false, "enable window-wide shared computation for update windows")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "window memory budget in MiB; oversized builds spill to disk (0 = unbounded)")
 	planCacheSize := flag.Int("plan-cache-size", 256, "prepared-plan cache capacity for the query path (0 disables)")
@@ -118,9 +119,17 @@ func main() {
 		ingestQueue: *ingestQueue, ingestJournal: *ingestJournal,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "whserverd:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError marks a flag value or combination run refuses before it builds
+// anything (exit code 2).
+type usageError struct{ error }
 
 type config struct {
 	addr                       string
@@ -161,18 +170,28 @@ type drainReport struct {
 // the leader's journal is continuously fetched and replayed.
 func run(ctx context.Context, cfg config) error {
 	if cfg.follow != "" && cfg.windowEvery > 0 {
-		return fmt.Errorf("-window-every cannot be combined with -follow: a follower replays the leader's windows")
+		return usageError{fmt.Errorf("-window-every cannot be combined with -follow: a follower replays the leader's windows")}
 	}
 	if cfg.ingest {
 		if cfg.follow != "" {
-			return fmt.Errorf("-ingest cannot be combined with -follow: a follower replays the leader's windows")
+			return usageError{fmt.Errorf("-ingest cannot be combined with -follow: a follower replays the leader's windows")}
 		}
 		if cfg.windowEvery > 0 {
-			return fmt.Errorf("-ingest replaces -window-every: the ingester owns the window schedule")
+			return usageError{fmt.Errorf("-ingest replaces -window-every: the ingester owns the window schedule")}
 		}
 		if cfg.ingestRate <= 0 {
-			return fmt.Errorf("-ingest-rate must be positive (got %d)", cfg.ingestRate)
+			return usageError{fmt.Errorf("-ingest-rate must be positive (got %d)", cfg.ingestRate)}
 		}
+	}
+	// A mistyped name would otherwise be accepted here and fail every window
+	// (and stop the ingester at its first batch).
+	planner, err := warehouse.ParsePlanner(cfg.planner)
+	if err != nil {
+		return usageError{fmt.Errorf("-planner: %w", err)}
+	}
+	mode, err := warehouse.ParseMode(cfg.mode)
+	if err != nil {
+		return usageError{fmt.Errorf("-mode: %w", err)}
 	}
 	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed)
 	if err != nil {
@@ -212,8 +231,8 @@ func run(ctx context.Context, cfg config) error {
 			JournalPath: cfg.ingestJournal,
 			SLO:         cfg.ingestSLO,
 			QueueLimit:  cfg.ingestQueue,
-			Planner:     warehouse.PlannerName(cfg.planner),
-			Mode:        warehouse.Mode(cfg.mode),
+			Planner:     planner,
+			Mode:        mode,
 			Workers:     cfg.workers,
 		})
 		if err != nil {
@@ -282,7 +301,7 @@ func run(ctx context.Context, cfg config) error {
 
 	windows := make(chan error, 1)
 	if cfg.windowEvery > 0 {
-		go windowDriver(ctx, s, gen, cfg, windows)
+		go windowDriver(ctx, s, gen, cfg, warehouse.WindowOptions{Planner: planner, Mode: mode}, windows)
 	}
 	if ing != nil {
 		// The window loop outlives ctx on purpose: a signal stops the
@@ -416,7 +435,7 @@ func pprofMux() *http.ServeMux {
 // windowDriver periodically stages a synthetic sales batch and runs an
 // update window through the server. Aborted (over-budget) windows are
 // logged and the staged batch carries over into the next period.
-func windowDriver(ctx context.Context, s *serve.Server, gen *demoGen, cfg config, out chan<- error) {
+func windowDriver(ctx context.Context, s *serve.Server, gen *demoGen, cfg config, opts warehouse.WindowOptions, out chan<- error) {
 	tick := time.NewTicker(cfg.windowEvery)
 	defer tick.Stop()
 	for {
@@ -429,10 +448,7 @@ func windowDriver(ctx context.Context, s *serve.Server, gen *demoGen, cfg config
 			out <- fmt.Errorf("staging batch: %w", err)
 			return
 		}
-		rep, err := s.RunWindow(ctx, warehouse.WindowOptions{
-			Planner: warehouse.PlannerName(cfg.planner),
-			Mode:    warehouse.Mode(cfg.mode),
-		})
+		rep, err := s.RunWindow(ctx, opts)
 		switch {
 		case errors.Is(err, warehouse.ErrWindowAborted):
 			if ctx.Err() != nil {

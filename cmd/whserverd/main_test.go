@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -274,10 +275,10 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 		done <- run(ctx, config{
 			addr: "127.0.0.1:0", queue: 64, workers: 2,
 			queryTimeout: 2 * time.Second,
-			mode: "dag", planner: "minwork",
+			mode:         "dag", planner: "minwork",
 			stores: 4, sales: 200, seed: 7,
 			drainTimeout: 30 * time.Second,
-			ingest: true, ingestRate: 4000,
+			ingest:       true, ingestRate: 4000,
 			ingestSLO: 100 * time.Millisecond, ingestQueue: 1024,
 			ingestJournal: ijPath,
 			ready:         ready, drained: drained,
@@ -383,5 +384,32 @@ func TestPprofMux(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("/debug/pprof/ = %d", resp.StatusCode)
+	}
+}
+
+// TestUsageErrors: a mistyped -planner or -mode, or an excluded flag
+// combination, is refused as a usage error before anything is built or
+// listened on — not accepted and then failed by every window.
+func TestUsageErrors(t *testing.T) {
+	for name, cfg := range map[string]config{
+		"planner":              {planner: "minwrok", mode: "dag"},
+		"mode":                 {planner: "shared", mode: "dagg"},
+		"ingest+follow":        {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, follow: "127.0.0.1:1"},
+		"window-every+follow":  {planner: "minwork", mode: "dag", windowEvery: time.Second, follow: "127.0.0.1:1"},
+		"ingest, planner typo": {planner: "prun", mode: "dag", ingest: true, ingestRate: 10},
+	} {
+		cfg.addr, cfg.stores, cfg.sales = "127.0.0.1:0", 1, 1
+		ready := make(chan string, 1)
+		cfg.ready = ready
+		err := run(context.Background(), cfg)
+		var ue usageError
+		if !errors.As(err, &ue) {
+			t.Errorf("%s: run returned %v, want a usage error", name, err)
+		}
+		select {
+		case addr := <-ready:
+			t.Errorf("%s: the daemon listened on %s before refusing its flags", name, addr)
+		default:
+		}
 	}
 }

@@ -422,22 +422,6 @@ func (sh *shell) help() {
 `)
 }
 
-// planWith runs the named facade planner.
-func (sh *shell) planWith(planner warehouse.PlannerName) (warehouse.Plan, error) {
-	switch planner {
-	case warehouse.MinWorkPlanner:
-		return sh.w.PlanMinWork()
-	case warehouse.PrunePlanner:
-		return sh.w.PlanPrune()
-	case warehouse.DualStagePlanner:
-		return sh.w.PlanDualStage()
-	case warehouse.SharedPlanner:
-		return sh.w.PlanShared()
-	default:
-		return warehouse.Plan{}, fmt.Errorf("unknown planner %q", planner)
-	}
-}
-
 // explainSharing plans with the named planner (default: shared) and prints
 // the sharing election, then the latest window's observed per-entry stats.
 func (sh *shell) explainSharing(words []string) error {
@@ -445,38 +429,15 @@ func (sh *shell) explainSharing(words []string) error {
 	if len(words) > 0 {
 		planner = warehouse.PlannerName(strings.ToLower(words[0]))
 	}
-	plan, err := sh.planWith(planner)
+	plan, err := sh.w.Plan(planner)
 	if err != nil {
 		return err
 	}
-	a, err := sh.w.AnalyzeSharing(plan.Strategy)
+	text, err := sh.w.ExplainSharing(plan.Strategy)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(sh.out, "sharing election [%s]: %d shared operands, est saved %d tuples\n",
-		planner, a.SharedOperands, a.EstimatedSavedTuples)
-	for _, e := range a.Elected {
-		mark := "-"
-		if e.Admitted {
-			mark = "+"
-		}
-		fmt.Fprintf(sh.out, "  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-			mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
-	}
-	// Observed side: the latest executed window that ran with sharing on.
-	hist := sh.w.History()
-	for i := len(hist) - 1; i >= 0; i-- {
-		detail := hist[i].Report.SharedDetail
-		if len(detail) == 0 {
-			continue
-		}
-		fmt.Fprintf(sh.out, "observed (window %d):\n", hist[i].Seq)
-		for _, d := range detail {
-			fmt.Fprintf(sh.out, "  %-26s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
-				d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
-		}
-		break
-	}
+	fmt.Fprint(sh.out, text)
 	return nil
 }
 
@@ -587,7 +548,7 @@ func (sh *shell) show(words []string) error {
 		if len(words) > 1 {
 			planner = warehouse.PlannerName(strings.ToLower(words[1]))
 		}
-		plan, err := sh.planWith(planner)
+		plan, err := sh.w.Plan(planner)
 		if err != nil {
 			return err
 		}

@@ -237,7 +237,7 @@ EXIT;
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
 	for _, want := range []string{
-		"sharing election [shared]:",
+		"sharing election:",
 		"window 1 [shared]",
 		"observed (window 1):",
 		// V1 and V2 both join δR with SG's state, an aggregate store no index

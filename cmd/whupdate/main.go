@@ -14,11 +14,10 @@
 //
 // -par staged executes the Section 9 barrier plan (one goroutine per stage
 // expression); -par dag schedules the precedence DAG barrier-free with a
-// pool of -workers goroutines (0 = GOMAXPROCS). -parallel is a deprecated
-// alias for -par staged. -par-terms additionally parallelizes *inside* each
-// compute expression (concurrent maintenance terms, morsel-parallel probes,
-// shared build tables); it composes with -par dag under the same -workers
-// budget. -share keeps the build cache for the whole window: a build side
+// pool of -workers goroutines (0 = GOMAXPROCS). -par-terms additionally
+// parallelizes *inside* each compute expression (concurrent maintenance
+// terms, morsel-parallel probes, shared build tables); it composes with
+// -par dag under the same -workers budget. -share keeps the build cache for the whole window: a build side
 // several views' compute expressions hash is built once and reused across
 // them, bounded by -share-budget-mb of resident builds (0 = 64 MiB
 // default). -planner shared runs the sharing-aware Prune search: candidates
@@ -34,15 +33,22 @@
 // unbounded). -cpuprofile/-memprofile write pprof profiles of the run so
 // term-evaluation hot spots are measurable in the field.
 //
-// -timeout bounds the window's wall-clock time; cancellation propagates
+// Every window runs the way the library's other callers run theirs —
+// warehouse.RunWindowOpts: planned by the named planner, executed on a
+// copy-on-write clone and adopted only on success, so a failed window leaves
+// the warehouse as it was. -planner reverse, the paper's worst case, is no
+// planner: its strategy is built here and executed in place
+// (warehouse.Execute), without -journal, -retries or -timeout.
+//
+// -timeout bounds the run's wall-clock time; cancellation propagates
 // through the DAG scheduler and the morsel pool. -journal makes the window
 // crash-safe: a pre-window checkpoint is written next to the journal
 // (<journal>.snap) and begin/step/commit records frame the execution in an
 // append-only checksummed file. If the journal ends mid-window (the
 // previous run died), whupdate exits with code 4 until rerun with -resume,
-// which restores the checkpoint and completes the journaled window,
-// skipping steps the dead run finished. -retries retries transient
-// failures with exponential backoff.
+// which restores the checkpoint and completes the journaled window
+// (warehouse.Recover), skipping steps the dead run finished. -retries
+// retries transient failures with exponential backoff.
 //
 // Exit codes: 0 success, 1 data/build error, 2 usage error, 3 window
 // execution or verification failure, 4 recovery needed.
@@ -61,18 +67,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/cost"
+	warehouse "repro"
 	"repro/internal/exec"
-	"repro/internal/journal"
 	"repro/internal/planner"
-	"repro/internal/recovery"
-	"repro/internal/strategy"
+	"repro/internal/snapshot"
 	"repro/internal/tpcd"
 )
 
@@ -98,13 +102,17 @@ func usageErr(err error) error    { return exitErr{exitUsage, err} }
 func windowErr(err error) error   { return exitErr{exitWindow, err} }
 func recoveryErr(err error) error { return exitErr{exitRecovery, err} }
 
+// reversePlanner names the -planner value that is not a planner of the
+// library: MinWork's ordering reversed, the strategy the paper measures as
+// the worst 1-way one.
+const reversePlanner warehouse.PlannerName = "reverse"
+
 func main() {
 	sf := flag.Float64("sf", 0.002, "TPC-D scale factor")
 	seed := flag.Int64("seed", 7, "generation seed")
 	p := flag.Float64("p", 0.10, "delete fraction for C, O, L, S, N")
 	insert := flag.Float64("insert", 0, "insert fraction for C, O, L, S")
 	plannerName := flag.String("planner", "minwork", "minwork | prune | dualstage | reverse | shared")
-	parallelFlag := flag.Bool("parallel", false, "deprecated alias for -par staged")
 	par := flag.String("par", "", "execution mode: sequential | staged | dag")
 	workers := flag.Int("workers", 0, "worker budget for -par dag and -par-terms (0 = GOMAXPROCS)")
 	parTerms := flag.Bool("par-terms", false, "parallelize inside each compute expression (terms + morsels, shared builds)")
@@ -113,7 +121,7 @@ func main() {
 	shareBudgetMB := flag.Int64("share-budget-mb", 0, "transient materialization budget for -share, in MiB (0 = 64 MiB default)")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "window memory budget for build-side state, in MiB; oversized builds spill to disk (0 = unbounded)")
 	skipEmpty := flag.Bool("skip-empty", false, "elide compute expressions whose deltas are empty (footnote 5)")
-	timeout := flag.Duration("timeout", 0, "bound the window's wall-clock time (0 = no limit)")
+	timeout := flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = no limit)")
 	journalPath := flag.String("journal", "", "journal the window to this file (crash-safe execution)")
 	resume := flag.Bool("resume", false, "complete the journal's in-flight window instead of running a new one")
 	retries := flag.Int("retries", 0, "retry transient window failures this many times (exponential backoff)")
@@ -124,10 +132,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	flag.Parse()
 
-	parName := *par
-	if parName == "" && *parallelFlag {
-		parName = "staged"
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -146,7 +150,7 @@ func main() {
 	if err := run(options{
 		ctx: ctx,
 		sf:  *sf, seed: *seed, p: *p, insert: *insert, planner: *plannerName,
-		par: parName, workers: *workers, parTerms: *parTerms,
+		par: *par, workers: *workers, parTerms: *parTerms,
 		share: *share, shareBudgetMB: *shareBudgetMB, memBudgetMB: *memBudgetMB,
 		explainSharing: *explainSharing,
 		skipEmpty:      *skipEmpty, verbose: *verbose,
@@ -195,38 +199,43 @@ type options struct {
 	journal              string
 	resume               bool
 	retries              int
+	// faults injects failures into the window (tests; no flag sets it).
+	faults *warehouse.FaultInjector
 }
 
 func run(o options) error {
-	sf, seed, p, insert := o.sf, o.seed, o.p, o.insert
-	plannerName := o.planner
-	skipEmpty, verbose := o.skipEmpty, o.verbose
-	mode, err := exec.ParseMode(o.par)
+	mode, err := warehouse.ParseMode(o.par)
 	if err != nil {
 		return usageErr(err)
 	}
 	if o.resume && o.journal == "" {
 		return usageErr(errors.New("-resume requires -journal"))
 	}
-	switch plannerName {
-	case "minwork", "prune", "dualstage", "reverse", "shared":
-	default:
-		return usageErr(fmt.Errorf("unknown planner %q", plannerName))
+	plannerName := reversePlanner
+	if o.planner != string(reversePlanner) {
+		if plannerName, err = warehouse.ParsePlanner(o.planner); err != nil {
+			return usageErr(err)
+		}
+	} else if o.journal != "" || o.retries > 0 || o.timeout > 0 {
+		return usageErr(errors.New("-planner reverse executes in place: it takes no -journal, -retries or -timeout"))
 	}
 
-	// Read the journal first: an in-flight window blocks new work.
-	var jlog journal.Log
+	// Open the journal first: an in-flight window blocks new work.
+	var j *warehouse.Journal
 	if o.journal != "" {
-		jlog, err = readJournalFile(o.journal)
-		if err != nil {
+		if j, err = warehouse.OpenJournal(o.journal); err != nil {
 			return err
 		}
-		if recovery.NeedsRecovery(&jlog) && !o.resume {
+		defer j.Close()
+		if j.NeedsRecovery() && !o.resume {
 			return recoveryErr(fmt.Errorf("journal %s ends in an in-flight window; rerun with -resume (same -sf/-seed) to complete it", o.journal))
 		}
-		if !recovery.NeedsRecovery(&jlog) && o.resume {
+		if !j.NeedsRecovery() && o.resume {
 			fmt.Printf("journal %s has no in-flight window; nothing to resume\n", o.journal)
 			return nil
+		}
+		if n := j.SpillDirsSwept(); n > 0 {
+			fmt.Printf("swept %d stale spill directories left by crashed windows\n", n)
 		}
 	}
 
@@ -242,7 +251,7 @@ func run(o options) error {
 
 	start := time.Now()
 	tw, err := tpcd.NewWarehouse(tpcd.Config{
-		SF: sf, Seed: seed, SkipEmptyDeltas: skipEmpty,
+		SF: o.sf, Seed: o.seed, SkipEmptyDeltas: o.skipEmpty,
 		ParallelTerms: o.parTerms, Workers: o.workers,
 		ShareComputation:  o.share,
 		SharedBudgetBytes: o.shareBudgetMB << 20,
@@ -251,6 +260,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	w := warehouse.FromCore(tw.W, warehouse.CostModel{})
 	if o.parTerms {
 		fmt.Printf("term-parallel engine on (workers=%d)\n", o.workers)
 	}
@@ -260,23 +270,27 @@ func run(o options) error {
 	if o.memBudgetMB > 0 {
 		fmt.Printf("window memory budget %dMiB (oversized builds spill to disk)\n", o.memBudgetMB)
 	}
-	fmt.Printf("built TPC-D warehouse (SF=%g) in %s\n", sf, time.Since(start).Round(time.Millisecond))
-	for _, v := range tw.W.ViewNames() {
-		fmt.Printf("  %-9s %8d rows\n", v, tw.W.MustView(v).Cardinality())
+	fmt.Printf("built TPC-D warehouse (SF=%g) in %s\n", o.sf, time.Since(start).Round(time.Millisecond))
+	for _, v := range w.Views() {
+		n, err := w.Size(v)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %-9s %8d rows\n", v, n)
 	}
 
 	if o.resume {
-		return resumeWindow(ctx, tw, &jlog, o)
+		return recoverWindow(ctx, w, j, o)
 	}
 	// The checkpoint must capture the pre-window state before any staging:
 	// the snapshot format holds installed views only, and -resume re-stages
 	// the batch from the journal's begin record.
-	if o.journal != "" {
-		if err := writeCheckpoint(ctx, tw.W, o.journal); err != nil {
+	if j != nil {
+		if err := writeCheckpoint(ctx, w, o.journal); err != nil {
 			if ctx.Err() != nil {
 				// Interrupted mid-checkpoint: the temp file was abandoned
 				// before the rename, so no half-written .snap was adopted
-				// and the journal was never touched.
+				// and nothing was appended to the journal.
 				return windowErr(err)
 			}
 			return err
@@ -284,11 +298,12 @@ func run(o options) error {
 	}
 
 	var spec tpcd.ChangeSpec
-	if insert > 0 {
-		spec = tpcd.Mixed(p, insert)
+	if o.insert > 0 {
+		spec = tpcd.Mixed(o.p, o.insert)
 	} else {
-		spec = tpcd.UniformDecrease(p)
+		spec = tpcd.UniformDecrease(o.p)
 	}
+	// tw.W is the core the facade serves until its first window commits.
 	sizes, err := tw.StageChanges(spec)
 	if err != nil {
 		return err
@@ -300,118 +315,214 @@ func run(o options) error {
 		}
 	}
 	fmt.Println()
+	return runWindow(ctx, w, j, plannerName, mode, o)
+}
 
-	stats, err := exec.PlanningStats(tw.W)
+// runWindow plans the staged batch, prints the plan, and — unless -dot or
+// -script only wanted to see it — runs, reports and verifies the window.
+func runWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Journal, plannerName warehouse.PlannerName, mode warehouse.Mode, o options) error {
+	// The plan is printed from the planner's own answer; the window below
+	// plans the same staged batch again and runs what it planned.
+	reverse := plannerName == reversePlanner
+	var plan warehouse.Plan
+	var err error
+	if reverse {
+		plan, err = reversePlan(w)
+	} else {
+		plan, err = w.Plan(plannerName)
+	}
 	if err != nil {
 		return err
 	}
-	var s strategy.Strategy
-	switch plannerName {
-	case "minwork":
-		res, err := planner.MinWork(tw.Graph, stats)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("MinWork ordering: %v (modified=%v)\n", res.UsedOrdering, res.Modified)
-		s = res.Strategy
-	case "prune":
-		res, err := planner.Prune(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Prune examined %d orderings (%d feasible); best work estimate %.0f\n",
-			res.Examined, res.Feasible, res.Work)
-		s = res.Strategy
-	case "dualstage":
-		s = strategy.DualStageVDAG(tw.Graph)
-	case "shared":
-		res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W),
-			planner.SharedSearchOptions{Refs: exec.RefsOf(tw.W), Sharing: sharingOpts(tw.W, o, stats)})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("PruneShared examined %d orderings (%d feasible); best adjusted work %.0f (raw %.0f, dualstage=%v)\n",
-			res.Examined, res.Feasible, res.AdjustedWork, res.Work, res.DualStage)
-		s = res.Strategy
-	case "reverse":
-		res, err := planner.MinWork(tw.Graph, stats)
-		if err != nil {
-			return err
-		}
-		rev := res.UsedOrdering
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		s, err = planner.ConstructEG(tw.Graph, rev).TopoSort()
-		if err != nil {
-			return err
-		}
-	default:
-		return usageErr(fmt.Errorf("unknown planner %q", plannerName))
-	}
-	fmt.Printf("strategy: %s\n", s)
+	printPlan(plan)
 	if o.explainSharing {
-		printSharingElection(planner.AnalyzeSharingOpts(s, exec.RefsOf(tw.W), sharingOpts(tw.W, o, stats)))
+		election, err := w.ExplainSharing(plan.Strategy)
+		if err != nil {
+			return err
+		}
+		fmt.Print(election)
 	}
 
 	if o.dot {
-		ord, err := planner.DesiredOrdering(tw.Graph.ViewsWithParents(), stats)
+		g, err := w.Graph()
 		if err != nil {
 			return err
 		}
-		fmt.Print(planner.ConstructEG(tw.Graph, ord).DotString())
+		stats, err := w.PlanningStats()
+		if err != nil {
+			return err
+		}
+		ord, err := planner.DesiredOrdering(g.ViewsWithParents(), stats)
+		if err != nil {
+			return err
+		}
+		fmt.Print(planner.ConstructEG(g, ord).DotString())
 		return nil
 	}
 	if o.script {
 		fmt.Println("-- stored procedures (defined once per VDAG):")
-		fmt.Print(exec.ProcedureCatalog(tw.W))
+		fmt.Print(exec.ProcedureCatalog(w.Internal()))
 		fmt.Println()
-		fmt.Print(exec.Script(s))
+		fmt.Print(w.Script(plan.Strategy))
 		return nil
 	}
 
-	if o.journal != "" || o.retries > 0 {
-		return journaledRun(ctx, tw, s, mode, plannerName, &jlog, o)
-	}
-
-	rep, err := exec.Execute(tw.W, s, exec.Options{Mode: mode, Workers: o.workers, Validate: true, Context: ctx})
-	if err != nil {
-		return windowErr(err)
-	}
-	sched := rep.Sched
-	if mode != exec.ModeSequential {
-		fmt.Printf("%s plan (%d stages, %d workers): %s\n", mode, sched.Levels, sched.Workers, exec.Parallelize(s, tw.W.Children))
-	}
-	if verbose {
-		for _, step := range rep.Steps {
-			detail := fmt.Sprintf("terms=%2d", step.Terms)
-			if mode != exec.ModeSequential {
-				detail = fmt.Sprintf("worker=%d", step.Worker)
+	var rep warehouse.WindowReport
+	if reverse {
+		r, err := w.Execute(plan.Strategy, mode, o.workers)
+		if err != nil {
+			return windowErr(err)
+		}
+		rep = warehouse.WindowReport{Seq: 1, Planner: reversePlanner, Mode: mode, Plan: plan, Report: r, Parallel: &r.Sched}
+	} else {
+		rep, err = w.RunWindowOpts(warehouse.WindowOptions{
+			Planner: plannerName, Mode: mode, Workers: o.workers,
+			Journal: j, Context: ctx, Retries: o.retries, Faults: o.faults,
+		})
+		if err != nil {
+			if j != nil && errors.Is(err, warehouse.ErrWindowAborted) {
+				// Interrupt or deadline: the attempt appended an abort
+				// record, so the journal is consistent — no resume needed.
+				fmt.Fprintf(os.Stderr, "whupdate: window aborted (%v); journal %s is consistent, staged batch not applied\n", ctx.Err(), o.journal)
+			} else if j != nil && j.NeedsRecovery() {
+				fmt.Fprintf(os.Stderr, "whupdate: journal %s holds an in-flight window; a rerun with -resume will complete it\n", o.journal)
 			}
-			fmt.Printf("  %-28s work=%8d %s %s%s\n",
-				step.Expr, step.Work, detail, step.Elapsed.Round(time.Microsecond), cacheSuffix(step))
+			return windowErr(err)
 		}
 	}
-	if mode != exec.ModeSequential {
-		fmt.Printf("update window: %s, total work %d, span work %d, critical path %d, speedup %.2f\n",
-			rep.Elapsed.Round(time.Microsecond), sched.TotalWork, sched.SpanWork, sched.CriticalPathWork, sched.Speedup())
-	} else {
-		fmt.Printf("update window: %s\n", rep)
-	}
-	printSharedSummary(rep.Steps, rep.SharedBytesPeak)
-	if o.explainSharing {
-		printSharedObserved(rep.SharedDetail)
-	}
-	printSpillSummary(rep.Steps, rep.PeakReservedBytes)
+	printWindow(w, rep, o)
+	return verify(w)
+}
 
-	return verify(tw.W)
+// reversePlan builds the -planner reverse strategy: MinWork's view ordering
+// backwards, through the same expression-graph construction.
+func reversePlan(w *warehouse.Warehouse) (warehouse.Plan, error) {
+	plan, err := w.PlanMinWork()
+	if err != nil {
+		return warehouse.Plan{}, err
+	}
+	g, err := w.Graph()
+	if err != nil {
+		return warehouse.Plan{}, err
+	}
+	rev := plan.Ordering
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	plan.Planner = reversePlanner
+	if plan.Strategy, err = planner.ConstructEG(g, rev).TopoSort(); err != nil {
+		return warehouse.Plan{}, err
+	}
+	if plan.EstimatedWork, err = w.EstimateWork(plan.Strategy); err != nil {
+		return warehouse.Plan{}, err
+	}
+	return plan, nil
+}
+
+// printPlan renders a plan's provenance — whatever of ordering, search size
+// and estimate its planner produced — and its strategy.
+func printPlan(plan warehouse.Plan) {
+	fmt.Printf("planned with %s:", plan.Planner)
+	if plan.Ordering != nil {
+		fmt.Printf(" ordering %v", plan.Ordering)
+	}
+	if plan.Modified {
+		fmt.Printf(" (modified)")
+	}
+	if plan.Examined > 0 {
+		fmt.Printf(" examined %d orderings (%d feasible);", plan.Examined, plan.Feasible)
+	}
+	fmt.Printf(" work estimate %.0f\n", plan.EstimatedWork)
+	fmt.Printf("strategy: %s\n", plan.Strategy)
+}
+
+// recoverWindow completes the journal's in-flight window: the pre-window
+// checkpoint (written next to the journal) is restored over the rebuilt
+// warehouse, the journaled state digest verifies the restore, the journaled
+// batch is re-staged, and the journaled strategy re-executed — skipping
+// steps the crashed run already completed. Once begun the recovery runs to
+// its commit; an interrupt that arrived before it leaves the journal as it
+// was.
+func recoverWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Journal, o options) error {
+	if err := ctx.Err(); err != nil {
+		return windowErr(fmt.Errorf("interrupted before the resume began (%w); journal %s is unchanged", err, o.journal))
+	}
+	snap, err := os.Open(checkpointPath(o.journal))
+	if err != nil {
+		return recoveryErr(fmt.Errorf("resume needs the pre-window checkpoint: %w", err))
+	}
+	err = w.LoadSnapshot(snap)
+	snap.Close()
+	if err != nil {
+		return recoveryErr(fmt.Errorf("restoring checkpoint %s: %w", checkpointPath(o.journal), err))
+	}
+	fmt.Printf("restored pre-window checkpoint %s\n", checkpointPath(o.journal))
+	rep, err := w.Recover(j)
+	if err != nil {
+		return recoveryErr(fmt.Errorf("resuming journal %s: %w", o.journal, err))
+	}
+	fmt.Printf("resumed in-flight window %d (%s, %s): strategy %s\n", j.Committed(), rep.Planner, rep.Mode, rep.Plan.Strategy)
+	printWindow(w, rep, o)
+	return verify(w)
+}
+
+// checkpointPath names the pre-window checkpoint written next to the
+// journal. Resume restores it instead of trusting a rebuild to be
+// bit-identical: regeneration from -sf/-seed reproduces every row, but
+// float aggregates accumulate in hash order, so their digests drift
+// between runs.
+func checkpointPath(journalPath string) string { return journalPath + ".snap" }
+
+// writeCheckpoint snapshots the installed (pre-window) state atomically
+// (temp file + rename). It must run before staging — the snapshot format
+// holds installed views only; the journal's begin record carries the batch.
+// The write observes ctx: an interrupt mid-checkpoint abandons the temp
+// file, and because the rename is the commit point, a cancelled (half-
+// written) checkpoint can never be adopted as <journal>.snap.
+func writeCheckpoint(ctx context.Context, w *warehouse.Warehouse, journalPath string) error {
+	path := checkpointPath(journalPath)
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := snapshot.WriteContext(ctx, w.Internal(), tmp); err != nil {
+		tmp.Close()
+		return fmt.Errorf("writing checkpoint %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// printWindow reports a completed window: with -v every step, then the
+// window's one-line summary (work, schedule bounds, sharing, spills,
+// degradation), and with -explain-sharing the builds its cache held.
+func printWindow(w *warehouse.Warehouse, rep warehouse.WindowReport, o options) {
+	if rep.Mode == warehouse.ModeStaged || rep.Mode == warehouse.ModeDAG {
+		fmt.Printf("%s plan (%d stages): %s\n", rep.Mode, rep.Parallel.Levels, w.Parallelize(rep.Plan.Strategy))
+	}
+	if o.verbose {
+		for _, step := range rep.Report.Steps {
+			fmt.Printf("  %-28s work=%8d terms=%2d worker=%d %s%s\n",
+				step.Expr, step.Work, step.Terms, step.Worker, step.Elapsed.Round(time.Microsecond), cacheSuffix(step))
+		}
+	}
+	fmt.Println("update", rep)
+	if o.explainSharing {
+		// The election was printed before the window; a nil strategy asks
+		// for the observed half alone, which cannot fail.
+		observed, _ := w.ExplainSharing(nil)
+		fmt.Print(observed)
+	}
 }
 
 // verify checks the final state against full recomputation; a mismatch is a
 // window failure (exit 3).
-func verify(w *core.Warehouse) error {
+func verify(w *warehouse.Warehouse) error {
 	t0 := time.Now()
-	if err := w.VerifyAll(); err != nil {
+	if err := w.Verify(); err != nil {
 		return windowErr(fmt.Errorf("final state verification failed: %w", err))
 	}
 	fmt.Printf("verified against recomputation in %s\n", time.Since(t0).Round(time.Millisecond))
@@ -420,7 +531,7 @@ func verify(w *core.Warehouse) error {
 
 // cacheSuffix renders a step's build-cache, shared-computation, spill and
 // join-index accounting (empty when none of them touched the step).
-func cacheSuffix(step exec.StepReport) string {
+func cacheSuffix(step warehouse.StepReport) string {
 	var s string
 	if step.CacheHits+step.CacheMisses > 0 {
 		s += fmt.Sprintf(" cache=%d/%d saved=%d",
@@ -439,88 +550,10 @@ func cacheSuffix(step exec.StepReport) string {
 	return s
 }
 
-// printSharedSummary totals the window's cross-view sharing counters; silent
-// when sharing never engaged.
-func printSharedSummary(steps []exec.StepReport, peak int64) {
-	var hits, misses int
-	var saved int64
-	for _, st := range steps {
-		hits += st.SharedHits
-		misses += st.SharedMisses
-		saved += st.SharedTuplesSaved
-	}
-	if hits+misses == 0 {
-		return
-	}
-	fmt.Printf("shared computation: %d/%d builds reused, %d operand tuples saved, peak %d bytes\n",
-		hits, hits+misses, saved, peak)
-}
-
-// printSpillSummary totals the window's memory-budget spill counters; silent
-// when nothing spilled.
-func printSpillSummary(steps []exec.StepReport, peak int64) {
-	var spills int
-	var out, reread int64
-	for _, st := range steps {
-		spills += st.SpillCount
-		out += st.SpilledBytes
-		reread += st.SpillReReadBytes
-	}
-	if spills == 0 {
-		return
-	}
-	fmt.Printf("memory budget: %d builds spilled, %d bytes out, %d bytes re-read, peak %d bytes resident\n",
-		spills, out, reread, peak)
-}
-
 // budgetLabel renders the -share-budget-mb value for logging.
 func budgetLabel(mb int64) string {
 	if mb <= 0 {
 		return "64MiB default"
 	}
 	return fmt.Sprintf("%dMiB", mb)
-}
-
-// sharingOpts builds the sharing-analysis parameters whupdate uses for both
-// the joint planner and -explain-sharing: the configured byte budget and the
-// warehouse's widths.
-func sharingOpts(w *core.Warehouse, o options, stats cost.Stats) planner.SharingOptions {
-	budget := o.shareBudgetMB << 20
-	if budget <= 0 {
-		budget = core.DefaultSharedBudgetBytes
-	}
-	return planner.SharingOptions{
-		Stats:       stats,
-		BudgetBytes: budget,
-		Width:       exec.WidthOf(w),
-	}
-}
-
-// printSharingElection renders the planned shared set: every candidate the
-// election considered, its estimated size and savings, and whether the byte
-// budget admitted it.
-func printSharingElection(p planner.SharingPlan) {
-	fmt.Printf("sharing election: %d shared operands, est saved %d tuples\n",
-		p.SharedOperands, p.EstimatedSavedTuples)
-	for _, e := range p.Elected {
-		mark := "-"
-		if e.Admitted {
-			mark = "+"
-		}
-		fmt.Printf("  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-			mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
-	}
-}
-
-// printSharedObserved renders each build the window's cache held — requests,
-// hits, built rows/bytes, and where it was when the window ended.
-func printSharedObserved(detail []core.SharedEntryStats) {
-	if len(detail) == 0 {
-		return
-	}
-	fmt.Println("shared entries observed:")
-	for _, d := range detail {
-		fmt.Printf("  %-24s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
-			d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
-	}
 }

@@ -7,13 +7,32 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/exec"
-	"repro/internal/faults"
+	warehouse "repro"
 	"repro/internal/journal"
-	"repro/internal/planner"
-	"repro/internal/recovery"
 	"repro/internal/tpcd"
 )
+
+// buildFacade assembles the TPC-D warehouse the way run does.
+func buildFacade(t *testing.T, cfg tpcd.Config) (*tpcd.Warehouse, *warehouse.Warehouse) {
+	t.Helper()
+	tw, err := tpcd.NewWarehouse(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tw, warehouse.FromCore(tw.W, warehouse.CostModel{})
+}
+
+// journalState opens the journal the way the next whupdate run would and
+// reports what it holds.
+func journalState(t *testing.T, path string) (committed int, needsRecovery bool) {
+	t.Helper()
+	j, err := warehouse.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	return j.Committed(), j.NeedsRecovery()
+}
 
 // exitCode extracts the exit code run's error maps to.
 func exitCode(err error) int {
@@ -55,36 +74,25 @@ func TestCrashResumeFlow(t *testing.T) {
 	const sf, seed, p = 0.001, int64(7), 0.10
 	path := filepath.Join(t.TempDir(), "wh.journal")
 
-	// Simulate the dying process: build, stage, journal, crash at step 3.
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: sf, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpoint(context.Background(), tw.W, path); err != nil {
+	// Simulate the dying process: build, checkpoint, stage, and run the
+	// journaled window into a crash at step 3.
+	tw, w := buildFacade(t, tpcd.Config{SF: sf, Seed: seed})
+	if err := writeCheckpoint(context.Background(), w, path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := exec.PlanningStats(tw.W)
+	j, err := warehouse.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := planner.MinWork(tw.Graph, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.New(1)
+	inj := warehouse.NewFaultInjector(1)
 	inj.CrashAt("step", 3)
-	_, err = recovery.Run(tw.W, res.Strategy, recovery.Options{
-		Journal: journal.NewWriter(f), Seq: 1, Planner: "minwork",
-		Mode: exec.ModeDAG, Workers: 4, Validate: true, Faults: inj,
+	_, err = w.RunWindowOpts(warehouse.WindowOptions{
+		Journal: j, Mode: warehouse.ModeDAG, Workers: 4, Faults: inj,
 	})
-	f.Close()
+	j.Close()
 	if err == nil {
 		t.Fatal("crashed window reported success")
 	}
@@ -102,25 +110,16 @@ func TestCrashResumeFlow(t *testing.T) {
 	if err := run(withResume); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
-	lg, err := readJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovery.NeedsRecovery(&lg) || lg.CommittedCount() != 1 {
-		t.Fatalf("journal after resume: committed=%d needsRecovery=%v",
-			lg.CommittedCount(), recovery.NeedsRecovery(&lg))
+	if committed, needs := journalState(t, path); needs || committed != 1 {
+		t.Fatalf("journal after resume: committed=%d needsRecovery=%v", committed, needs)
 	}
 
 	// With the journal clean, the next journaled window runs normally.
 	if err := run(base); err != nil {
 		t.Fatalf("post-recovery window failed: %v", err)
 	}
-	lg, err = readJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lg.CommittedCount() != 2 {
-		t.Fatalf("journal holds %d committed windows, want 2", lg.CommittedCount())
+	if committed, _ := journalState(t, path); committed != 2 {
+		t.Fatalf("journal holds %d committed windows, want 2", committed)
 	}
 }
 
@@ -136,15 +135,12 @@ func TestInterruptExitCode(t *testing.T) {
 	if got := exitCode(run(o)); got != exitWindow {
 		t.Fatalf("interrupted window: exit %d, want %d", got, exitWindow)
 	}
-	lg, err := readJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovery.NeedsRecovery(&lg) {
+	committed, needs := journalState(t, path)
+	if needs {
 		t.Fatal("interrupted window left the journal in-flight; want an abort record")
 	}
-	if lg.CommittedCount() != 0 {
-		t.Fatalf("interrupted window committed %d windows", lg.CommittedCount())
+	if committed != 0 {
+		t.Fatalf("interrupted window committed %d windows", committed)
 	}
 
 	// The same invocation with a live context completes and commits.
@@ -152,8 +148,8 @@ func TestInterruptExitCode(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatalf("post-interrupt window failed: %v", err)
 	}
-	if lg, err = readJournalFile(path); err != nil || lg.CommittedCount() != 1 {
-		t.Fatalf("journal after rerun: committed=%d err=%v", lg.CommittedCount(), err)
+	if committed, _ := journalState(t, path); committed != 1 {
+		t.Fatalf("journal after rerun: committed=%d", committed)
 	}
 }
 
@@ -161,14 +157,11 @@ func TestInterruptExitCode(t *testing.T) {
 // checkpoint abandons the temp file before the rename, so no half-written
 // .snap appears — and an existing good checkpoint is left untouched.
 func TestCheckpointNotAdoptedOnCancel(t *testing.T) {
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, w := buildFacade(t, tpcd.Config{SF: 0.001, Seed: 7})
 	jpath := filepath.Join(t.TempDir(), "wh.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := writeCheckpoint(ctx, tw.W, jpath); err == nil {
+	if err := writeCheckpoint(ctx, w, jpath); err == nil {
 		t.Fatal("cancelled checkpoint reported success")
 	}
 	if _, err := os.Stat(checkpointPath(jpath)); !os.IsNotExist(err) {
@@ -180,14 +173,14 @@ func TestCheckpointNotAdoptedOnCancel(t *testing.T) {
 	}
 
 	// A good checkpoint, then a cancelled rewrite: the good one survives.
-	if err := writeCheckpoint(context.Background(), tw.W, jpath); err != nil {
+	if err := writeCheckpoint(context.Background(), w, jpath); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(checkpointPath(jpath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(ctx, tw.W, jpath); err == nil {
+	if err := writeCheckpoint(ctx, w, jpath); err == nil {
 		t.Fatal("cancelled rewrite reported success")
 	}
 	after, err := os.ReadFile(checkpointPath(jpath))
@@ -196,5 +189,72 @@ func TestCheckpointNotAdoptedOnCancel(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("cancelled rewrite clobbered the good checkpoint")
+	}
+}
+
+// TestBudgetedPrunePlansWithTheFacadeModel: -mem-budget-mb prices spill I/O
+// into the planners' cost model, and at this scale that changes which
+// strategy Prune picks. The window whupdate journals must run the strategy
+// the facade plans under the budget, not the unbudgeted model's.
+func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
+	const sf, seed, p, budgetMB = 0.004, int64(7), 0.10, int64(1)
+	planned := func(budget int64) string {
+		tw, w := buildFacade(t, tpcd.Config{SF: sf, Seed: seed, MemoryBudgetBytes: budget})
+		if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := w.Plan(warehouse.PrunePlanner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Strategy.String()
+	}
+	want := planned(budgetMB << 20)
+	if want == planned(0) {
+		t.Fatal("the budget does not change Prune's choice at this scale: the test checks nothing")
+	}
+
+	path := filepath.Join(t.TempDir(), "wh.journal")
+	if err := run(options{sf: sf, seed: seed, p: p, planner: "prune", memBudgetMB: budgetMB, journal: path}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := journal.ReadLog(f)
+	if err != nil || len(lg.Windows) != 1 {
+		t.Fatalf("journal: %d windows, err %v", len(lg.Windows), err)
+	}
+	if got := lg.Windows[0].Begin.Strategy.String(); got != want {
+		t.Fatalf("whupdate ran\n%s\nthe facade plans, under the same budget,\n%s", got, want)
+	}
+}
+
+// TestFailedWindowLeavesWarehouseUntouched: every whupdate window — also an
+// unjournaled one without retries — runs on a clone, so a step that fails
+// mid-window leaves the served state at its pre-window digest with the batch
+// still staged, and the warehouse still verifies.
+func TestFailedWindowLeavesWarehouseUntouched(t *testing.T) {
+	tw, w := buildFacade(t, tpcd.Config{SF: 0.001, Seed: 7})
+	before := w.StateDigest()
+	if _, err := tw.StageChanges(tpcd.UniformDecrease(0.10)); err != nil {
+		t.Fatal(err)
+	}
+	inj := warehouse.NewFaultInjector(1)
+	inj.FailAt("step", 6) // past the first installs
+	err := runWindow(context.Background(), w, nil, warehouse.MinWorkPlanner, warehouse.ModeSequential, options{faults: inj})
+	if got := exitCode(err); got != exitWindow {
+		t.Fatalf("failed window: exit %d (%v), want %d", got, err, exitWindow)
+	}
+	if got := w.StateDigest(); got != before {
+		t.Fatalf("state digest %016x after the failed window, %016x before it", got, before)
+	}
+	if len(w.Pending()) == 0 {
+		t.Fatal("the failed window consumed the staged batch")
+	}
+	if err := w.Verify(); err != nil {
+		t.Fatalf("warehouse after the failed window: %v", err)
 	}
 }

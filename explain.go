@@ -120,3 +120,46 @@ func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
 	return fmt.Sprintf("--- strategy A ---\n%s\n--- strategy B ---\n%s\nB/A predicted work ratio: %s\n",
 		ea, eb, ratio), nil
 }
+
+// ExplainSharing renders what window-wide sharing would do for s and what it
+// last did. The first block is the planned election under the current
+// planning statistics: every operand at least two Comps of s read, with its
+// estimated size and savings and whether the shared byte budget admits it
+// ("+") or not ("-"). The second, present once a window of this warehouse's
+// history held builds in its cache, lists each of them: requests, hits, built
+// rows and bytes, and its fate (resident, spilled or dropped). A nil strategy
+// renders the second block alone — what a caller that printed the election
+// before its window asks for after it.
+func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
+	var sb strings.Builder
+	if s != nil {
+		a, err := w.AnalyzeSharing(s)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&sb, "sharing election: %d shared operands, est saved %d tuples\n",
+			a.SharedOperands, a.EstimatedSavedTuples)
+		for _, e := range a.Elected {
+			mark := "-"
+			if e.Admitted {
+				mark = "+"
+			}
+			fmt.Fprintf(&sb, "  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
+				mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
+		}
+	}
+	hist := w.History()
+	for i := len(hist) - 1; i >= 0; i-- {
+		detail := hist[i].Report.SharedDetail
+		if len(detail) == 0 {
+			continue
+		}
+		fmt.Fprintf(&sb, "shared entries observed (window %d):\n", hist[i].Seq)
+		for _, d := range detail {
+			fmt.Fprintf(&sb, "  %-24s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
+				d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
+		}
+		break
+	}
+	return sb.String(), nil
+}

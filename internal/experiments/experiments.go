@@ -606,11 +606,25 @@ func MetricAblation(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// Experiment is one runnable experiment and the id it is selected by.
+type Experiment struct {
+	ID  string
+	Run func(Config) (Result, error)
+}
+
+// Experiments lists every experiment in the order a full run prints them.
+var Experiments = []Experiment{
+	{"table1", func(Config) (Result, error) { return Table1(), nil }},
+	{"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
+	{"parallel", Parallel}, {"stagedvsdag", StagedVsDAG}, {"metric", MetricAblation},
+	{"estimation", Estimation}, {"deep", Deep}, {"faulttolerance", FaultTolerance},
+}
+
 // All runs every experiment.
 func All(cfg Config) ([]Result, error) {
-	out := []Result{Table1()}
-	for _, f := range []func(Config) (Result, error){Fig12, Fig13, Fig14, Fig15, Parallel, StagedVsDAG, TermParallel, MetricAblation, Estimation, Deep, FaultTolerance} {
-		r, err := f(cfg)
+	var out []Result
+	for _, e := range Experiments {
+		r, err := e.Run(cfg)
 		if err != nil {
 			return out, err
 		}

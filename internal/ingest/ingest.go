@@ -161,7 +161,6 @@ type batch struct {
 	windowSeq int
 	target    int // batch target when cut, for the report
 	staged    bool
-	predicted int64
 }
 
 const stalenessRingSize = 2048
@@ -608,7 +607,7 @@ func (in *Ingester) runBatch(ctx context.Context, b *batch) error {
 }
 
 // tryBatch is one attempt: stage (once — the staged batch survives aborted
-// windows), predict, run.
+// windows), run.
 func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duration) error {
 	w := in.cfg.Warehouse
 	if !b.staged {
@@ -628,7 +627,6 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 			}
 		}
 		b.staged = true
-		b.predicted = in.predictWork()
 	}
 	rep, err := w.RunWindowOpts(warehouse.WindowOptions{
 		Planner:            in.cfg.Planner,
@@ -654,35 +652,6 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 	return nil
 }
 
-// predictWork plans the staged batch and estimates its work under the
-// linear metric — the calibrator's input. -1 when unavailable.
-func (in *Ingester) predictWork() int64 {
-	w := in.cfg.Warehouse
-	var p warehouse.Plan
-	var err error
-	switch in.cfg.Planner {
-	case warehouse.PrunePlanner:
-		p, err = w.PlanPrune()
-	case warehouse.DualStagePlanner:
-		p, err = w.PlanDualStage()
-	default:
-		p, err = w.PlanMinWork()
-	}
-	if err != nil {
-		return -1
-	}
-	est := p.EstimatedWork
-	if est < 0 {
-		if est, err = w.EstimateWork(p.Strategy); err != nil {
-			return -1
-		}
-	}
-	if est < 1 {
-		est = 1
-	}
-	return int64(est)
-}
-
 // windowBudget is the wall-clock slice of the SLO a window may spend.
 func (in *Ingester) windowBudget() time.Duration {
 	if in.cfg.SLO <= 0 {
@@ -697,7 +666,9 @@ func (in *Ingester) observe(b *batch, rep *warehouse.WindowReport) {
 	now := in.now()
 	staleness := now.Sub(b.accepted)
 	work := rep.Report.TotalWork()
-	in.calib.Observe(b.predicted, work, rep.Report.Elapsed, b.n)
+	// The prediction is the estimate of the plan that ran.
+	predicted := int64(rep.Plan.EstimatedWork)
+	in.calib.Observe(predicted, work, rep.Report.Elapsed, b.n)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.windows++
@@ -736,7 +707,7 @@ func (in *Ingester) observe(b *batch, rep *warehouse.WindowReport) {
 		BatchTarget:   b.target,
 		QueueDepth:    in.depth,
 		Shed:          in.shed,
-		PredictedWork: b.predicted,
+		PredictedWork: predicted,
 		StalenessNS:   int64(staleness),
 	}
 }

@@ -378,3 +378,48 @@ func TestInspectJournalMissing(t *testing.T) {
 		t.Fatalf("missing journal not empty: %+v", sum)
 	}
 }
+
+// TestIngestPredictionIsThePlansEstimate: the work an ingester-triggered
+// window reports as predicted — and feeds the calibrator — is the estimate of
+// the plan that window ran, under every planner the warehouse has.
+func TestIngestPredictionIsThePlansEstimate(t *testing.T) {
+	for _, planner := range append([]warehouse.PlannerName{""}, warehouse.Planners...) {
+		w := buildFixture(t, fixSeed, fixStores, fixSales)
+		var reps []warehouse.WindowReport
+		ing, err := New(Config{
+			Warehouse: w,
+			Planner:   planner,
+			Tick:      time.Millisecond,
+			MinBatch:  8,
+			OnWindow:  func(rep warehouse.WindowReport) { reps = append(reps, rep) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait := startRun(ing)
+		for _, s := range genSets(fixSeed, fixStores, fixSales, 10, 12) {
+			if err := ing.Submit("SALES", s.delta(t, w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ing.Close(context.Background()); err != nil {
+			t.Fatalf("%q: Close: %v", planner, err)
+		}
+		if err := wait(); err != nil {
+			t.Fatalf("%q: Run: %v", planner, err)
+		}
+		if len(reps) == 0 {
+			t.Fatalf("%q: no windows ran", planner)
+		}
+		for _, rep := range reps {
+			want, _ := warehouse.ParsePlanner(string(planner))
+			if rep.Plan.Planner != want {
+				t.Errorf("%q: window %d was planned by %q", planner, rep.Seq, rep.Plan.Planner)
+			}
+			if rep.Ingest.PredictedWork <= 0 || rep.Ingest.PredictedWork != int64(rep.Plan.EstimatedWork) {
+				t.Errorf("%q: window %d predicted %d, its plan estimated %v",
+					planner, rep.Seq, rep.Ingest.PredictedWork, rep.Plan.EstimatedWork)
+			}
+		}
+	}
+}

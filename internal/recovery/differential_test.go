@@ -305,7 +305,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				t.Fatalf("trial %d %s: crash at step %d did not fire", trial, m.name, crashStep)
 			}
 			lg := readLog(t, &jbuf)
-			if !NeedsRecovery(&lg) {
+			if lg.InFlight() == nil {
 				t.Fatalf("trial %d %s: crashed journal not in-flight", trial, m.name)
 			}
 
@@ -329,7 +329,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			// every step present once and Inst digests identical to the
 			// uninterrupted run's.
 			final := readLog(t, &jbuf)
-			if NeedsRecovery(&final) || final.CommittedCount() != 1 {
+			if final.InFlight() != nil || final.CommittedCount() != 1 {
 				t.Fatalf("trial %d %s: journal not completed: inflight=%v committed=%d",
 					trial, m.name, final.InFlight() != nil, final.CommittedCount())
 			}

@@ -448,12 +448,6 @@ func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	return res, nil
 }
 
-// NeedsRecovery reports whether the journal ends in an in-flight window —
-// a begin without commit or abort, the on-disk signature of a crash.
-func NeedsRecovery(lg *journal.Log) bool {
-	return lg != nil && lg.InFlight() != nil
-}
-
 // Recover completes the journal's in-flight window — one that begins but
 // never commits or aborts, the signature of a crash. w must be the warehouse
 // restored from the pre-window snapshot. Steps the crashed run completed are

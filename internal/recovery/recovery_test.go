@@ -131,7 +131,7 @@ func TestRunCommitsAndAdopts(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := readLog(t, &buf)
-	if lg.CommittedCount() != 1 || NeedsRecovery(&lg) {
+	if lg.CommittedCount() != 1 || lg.InFlight() != nil {
 		t.Fatalf("journal shape: committed=%d inflight=%v", lg.CommittedCount(), lg.InFlight() != nil)
 	}
 	wl := lg.Windows[0]
@@ -253,7 +253,7 @@ func TestCrashLeavesJournalInFlight(t *testing.T) {
 		t.Fatalf("crash fault not surfaced: %v", err)
 	}
 	lg := readLog(t, &buf)
-	if !NeedsRecovery(&lg) {
+	if lg.InFlight() == nil {
 		t.Fatal("crashed journal does not need recovery")
 	}
 	wl := lg.InFlight()
@@ -291,7 +291,7 @@ func TestRecoverCompletesCrashedWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := readLog(t, &buf)
-	if NeedsRecovery(&final) || final.CommittedCount() != 1 {
+	if final.InFlight() != nil || final.CommittedCount() != 1 {
 		t.Fatalf("journal not completed: inflight=%v committed=%d", final.InFlight() != nil, final.CommittedCount())
 	}
 	wl := final.Windows[len(final.Windows)-1]
@@ -348,7 +348,7 @@ func TestRecoverInFlightRecomputeWindow(t *testing.T) {
 		t.Fatal("crash during recompute did not fail the run")
 	}
 	lg := readLog(t, &buf)
-	if !NeedsRecovery(&lg) || lg.InFlight().Begin.Mode != string(exec.ModeRecompute) {
+	if lg.InFlight() == nil || lg.InFlight().Begin.Mode != string(exec.ModeRecompute) {
 		t.Fatalf("in-flight recompute window not found: %+v", lg.InFlight())
 	}
 	res, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(&buf)})
@@ -360,7 +360,7 @@ func TestRecoverInFlightRecomputeWindow(t *testing.T) {
 	}
 	sameBags(t, "recovered recompute", want, bags(t, res.Core))
 	final := readLog(t, &buf)
-	if NeedsRecovery(&final) {
+	if final.InFlight() != nil {
 		t.Fatal("journal still in-flight after recovery")
 	}
 }

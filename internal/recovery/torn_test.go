@@ -49,7 +49,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			torn := bytes.NewBuffer(append([]byte(nil), whole.Bytes()[:cut]...))
 			lg := readLog(t, torn)
-			if !NeedsRecovery(&lg) {
+			if lg.InFlight() == nil {
 				t.Fatal("a journal cut before its commit record does not need recovery")
 			}
 			// A torn frame is cut off before the journal is appended to, as
@@ -73,7 +73,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 			final := readLog(t, torn)
-			if NeedsRecovery(&final) || final.CommittedCount() != 1 {
+			if final.InFlight() != nil || final.CommittedCount() != 1 {
 				t.Fatalf("journal not completed: inflight=%v committed=%d", final.InFlight() != nil, final.CommittedCount())
 			}
 			got := instDigestsOf(t, torn)

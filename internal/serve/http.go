@@ -135,9 +135,19 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	planner, err := warehouse.ParsePlanner(wr.Planner)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	mode, err := warehouse.ParseMode(wr.Mode)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	opts := warehouse.WindowOptions{
-		Planner: warehouse.PlannerName(wr.Planner),
-		Mode:    warehouse.Mode(wr.Mode),
+		Planner: planner,
+		Mode:    mode,
 		Workers: wr.Workers,
 		Timeout: time.Duration(wr.BudgetMS * float64(time.Millisecond)),
 	}

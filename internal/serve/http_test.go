@@ -83,8 +83,26 @@ func TestHTTPQueryWindowLifecycle(t *testing.T) {
 		}
 	}
 
-	if code, body := get("/stats"); code != 200 || !strings.Contains(body, `"WindowsCommitted":1`) {
+	code, body = get("/stats")
+	if code != 200 || !strings.Contains(body, `"WindowsCommitted":1`) {
 		t.Fatalf("stats = %d %s", code, body)
+	}
+	// The window's δSALES read STORES' state through its resident join
+	// index; /stats carries every engine counter the window reported.
+	var st Stats
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.IndexProbes == 0 || st.EngineCounters != w.History()[0].Counters().EngineCounters {
+		t.Fatalf("stats engine counters = %+v, the window reported %+v", st.EngineCounters, w.History()[0].Counters().EngineCounters)
+	}
+	resp, err = http.Post(srv.URL+"/window", "application/json", strings.NewReader(`{"planner":"minwrok"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("window with an unknown planner = %d, want 400", resp.StatusCode)
 	}
 	if code, body := get("/query"); code != http.StatusBadRequest {
 		t.Fatalf("missing query = %d %s", code, body)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/core"
 	"repro/internal/ingest"
 )
 
@@ -89,21 +90,14 @@ type Stats struct {
 	// WindowsCommitted and WindowsAborted count update windows run through
 	// the server, by outcome.
 	WindowsCommitted, WindowsAborted uint64
-	// CacheHits and CacheTuplesSaved accumulate the per-Compute build
-	// cache counters over every committed window; SharedHits and
-	// SharedTuplesSaved accumulate the cross-view shared-computation
-	// counters. SharedBytesPeak is the largest resident footprint any
-	// window's build cache reached.
-	CacheHits, SharedHits               uint64
-	CacheTuplesSaved, SharedTuplesSaved uint64
-	SharedBytesPeak                     int64
-	// Spills, SpilledBytes and SpillReReadBytes accumulate the memory-budget
-	// spill counters over every committed window; MemPeakBytes is the
-	// largest reserved-build-state peak any window reached (all zero with no
-	// memory budget configured).
-	Spills                         uint64
-	SpilledBytes, SpillReReadBytes uint64
-	MemPeakBytes                   int64
+	// EngineCounters accumulates every committed window's engine counters —
+	// what WindowReport.Counters reports for one window: the build cache's,
+	// the memory budget's and the resident join indexes' side of the work.
+	core.EngineCounters
+	// SharedBytesPeak is the largest resident footprint any window's build
+	// cache reached, MemPeakBytes the largest reserved-build-state peak (0
+	// with no memory budget configured).
+	SharedBytesPeak, MemPeakBytes int64
 	// PlanCache* mirror the warehouse's prepared-plan cache counters: a
 	// hit served a query's plan straight from SQL bytes with zero parser
 	// work. All zero when caching is disabled (PlanCacheCap == 0).
@@ -148,13 +142,13 @@ type Server struct {
 	draining bool
 	ing      *ingest.Ingester
 
+	// engine, sharedBytesPeak and memPeakBytes fold the committed windows'
+	// counters (guarded by mu).
+	engine                        core.EngineCounters
+	sharedBytesPeak, memPeakBytes int64
+
 	admitted, shed, expired, completed, failed atomic.Uint64
 	windowsCommitted, windowsAborted           atomic.Uint64
-	cacheHits, sharedHits                      atomic.Uint64
-	cacheTuplesSaved, sharedTuplesSaved        atomic.Uint64
-	sharedBytesPeak                            atomic.Int64
-	spills, spilledBytes, spillReReadBytes     atomic.Uint64
-	memPeakBytes                               atomic.Int64
 
 	// gate, when set (tests), runs in the worker before each query executes
 	// — a hook to hold workers busy and fill the queue deterministically.
@@ -297,25 +291,15 @@ func (s *Server) RunWindow(ctx context.Context, opts warehouse.WindowOptions) (w
 	}
 	s.windowsCommitted.Add(1)
 	c := rep.Counters()
-	s.cacheHits.Add(uint64(c.CacheHits))
-	s.cacheTuplesSaved.Add(uint64(c.CacheTuplesSaved))
-	s.sharedHits.Add(uint64(c.SharedHits))
-	s.sharedTuplesSaved.Add(uint64(c.SharedTuplesSaved))
-	for {
-		peak := s.sharedBytesPeak.Load()
-		if c.SharedBytesPeak <= peak || s.sharedBytesPeak.CompareAndSwap(peak, c.SharedBytesPeak) {
-			break
-		}
+	s.mu.Lock()
+	s.engine.Add(c.EngineCounters)
+	if c.SharedBytesPeak > s.sharedBytesPeak {
+		s.sharedBytesPeak = c.SharedBytesPeak
 	}
-	s.spills.Add(uint64(c.SpillCount))
-	s.spilledBytes.Add(uint64(c.SpilledBytes))
-	s.spillReReadBytes.Add(uint64(c.SpillReReadBytes))
-	for {
-		peak := s.memPeakBytes.Load()
-		if c.PeakReservedBytes <= peak || s.memPeakBytes.CompareAndSwap(peak, c.PeakReservedBytes) {
-			break
-		}
+	if c.PeakReservedBytes > s.memPeakBytes {
+		s.memPeakBytes = c.PeakReservedBytes
 	}
+	s.mu.Unlock()
 	return rep, nil
 }
 
@@ -342,6 +326,7 @@ func (s *Server) Stats() Stats {
 	draining := s.draining
 	qlen := len(s.queue)
 	ing := s.ing
+	engine, sharedPeak, memPeak := s.engine, s.sharedBytesPeak, s.memPeakBytes
 	s.mu.Unlock()
 	var ingStats *ingest.Stats
 	if ing != nil {
@@ -364,15 +349,9 @@ func (s *Server) Stats() Stats {
 		Failed:               s.failed.Load(),
 		WindowsCommitted:     s.windowsCommitted.Load(),
 		WindowsAborted:       s.windowsAborted.Load(),
-		CacheHits:            s.cacheHits.Load(),
-		CacheTuplesSaved:     s.cacheTuplesSaved.Load(),
-		SharedHits:           s.sharedHits.Load(),
-		SharedTuplesSaved:    s.sharedTuplesSaved.Load(),
-		SharedBytesPeak:      s.sharedBytesPeak.Load(),
-		Spills:               s.spills.Load(),
-		SpilledBytes:         s.spilledBytes.Load(),
-		SpillReReadBytes:     s.spillReReadBytes.Load(),
-		MemPeakBytes:         s.memPeakBytes.Load(),
+		EngineCounters:       engine,
+		SharedBytesPeak:      sharedPeak,
+		MemPeakBytes:         memPeak,
 		Epoch:                s.w.Epoch(),
 		LiveEpochs:           s.w.LiveEpochs(),
 		QueueLen:             qlen,

@@ -48,17 +48,43 @@ type Journal struct {
 	w    *journal.Writer
 	f    *os.File
 	path string
-	log  journal.Log
-	seq  int
+	// committed counts the journal's committed windows: those it held when
+	// opened plus those committed through this handle. The next window is
+	// numbered committed+1.
+	committed int
+	// inflight is the window OpenJournal found begun and never closed — what
+	// Recover completes; nil otherwise.
+	inflight *journal.WindowLog
+	// commitNS and acceptNS are the last committed window's commit and
+	// batch-accept times (LastCommitMeta).
+	commitNS, acceptNS int64
 	// crashed marks that a window run through this handle died with a
-	// crash-class fault, leaving the file in-flight. The parsed log in this
-	// handle predates that window, so recovery must go through a fresh
-	// OpenJournal, which reads the in-flight record back.
+	// crash-class fault, leaving the file in-flight. This handle never read
+	// that window, so recovery must go through a fresh OpenJournal, which
+	// reads the in-flight record back.
 	crashed bool
 	// spillSwept counts the stale per-window spill directories OpenJournal
 	// removed — the leftovers of crashed windows, whose processes never
 	// reached the commit-time cleanup.
 	spillSwept int
+}
+
+// readLog parses the journal file at path; a missing file is an empty
+// journal.
+func readLog(path string) (journal.Log, error) {
+	in, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return journal.Log{}, nil
+	}
+	if err != nil {
+		return journal.Log{}, err
+	}
+	defer in.Close()
+	lg, err := journal.ReadLog(in)
+	if err != nil {
+		return journal.Log{}, fmt.Errorf("warehouse: reading journal %s: %w", path, err)
+	}
+	return lg, nil
 }
 
 // OpenJournal opens (creating if absent) a file-backed journal in append
@@ -69,21 +95,26 @@ type Journal struct {
 // is treated as not written and cut off, so that what is appended next
 // follows the last intact record.
 func OpenJournal(path string) (*Journal, error) {
-	var lg journal.Log
-	if in, err := os.Open(path); err == nil {
-		lg, err = journal.ReadLog(in)
-		in.Close()
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: reading journal %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
+	lg, err := readLog(path)
+	if err != nil {
 		return nil, err
 	}
 	f, err := journal.OpenAppend(path, lg)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{w: journal.NewWriter(f), f: f, path: path, log: lg, seq: lg.CommittedCount() + 1}
+	j := &Journal{w: journal.NewWriter(f), f: f, path: path, committed: lg.CommittedCount()}
+	if wl := lg.InFlight(); wl != nil {
+		// A copy: a pointer into lg would keep every window's batch alive.
+		inflight := *wl
+		j.inflight = &inflight
+	}
+	for i := len(lg.Windows) - 1; i >= 0; i-- {
+		if c := lg.Windows[i].Commit; c != nil {
+			j.commitNS, j.acceptNS = c.UnixNano, c.AcceptUnixNano
+			break
+		}
+	}
 	j.spillSwept = recovery.SweepSpillDirs(path)
 	return j, nil
 }
@@ -94,16 +125,14 @@ func (j *Journal) SpillDirsSwept() int { return j.spillSwept }
 
 // NewJournal wraps any writer as a window journal (no recovery state is
 // read; the journal starts empty). Useful for buffers in tests.
-func NewJournal(out io.Writer) *Journal {
-	return &Journal{w: journal.NewWriter(out), seq: 1}
-}
+func NewJournal(out io.Writer) *Journal { return ResumeJournal(out, 0) }
 
 // NeedsRecovery reports whether the journal ends in an in-flight window.
-func (j *Journal) NeedsRecovery() bool { return j.crashed || recovery.NeedsRecovery(&j.log) }
+func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
 
 // Committed returns the number of committed windows the journal held when
 // opened, plus those committed through it since.
-func (j *Journal) Committed() int { return j.log.CommittedCount() }
+func (j *Journal) Committed() int { return j.committed }
 
 // Close closes the underlying file, if any.
 func (j *Journal) Close() error {
@@ -154,26 +183,6 @@ type WindowOptions struct {
 	BatchAccepted time.Time
 }
 
-// plan runs the named planner.
-func (w *Warehouse) plan(name PlannerName) (PlannerName, Plan, error) {
-	switch name {
-	case MinWorkPlanner, "":
-		p, err := w.PlanMinWork()
-		return MinWorkPlanner, p, err
-	case PrunePlanner:
-		p, err := w.PlanPrune()
-		return name, p, err
-	case DualStagePlanner:
-		p, err := w.PlanDualStage()
-		return name, p, err
-	case SharedPlanner:
-		p, err := w.PlanShared()
-		return name, p, err
-	default:
-		return name, Plan{}, fmt.Errorf("warehouse: unknown planner %q", name)
-	}
-}
-
 // RunWindowOpts executes one update window — the only window path: plan the
 // staged changes (StageDelta / StageDeltaCSV), validate, and execute under
 // the chosen mode with the full robustness machinery on request (journaled
@@ -189,7 +198,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	if o.Journal != nil && o.Journal.NeedsRecovery() {
 		return WindowReport{}, ErrRecoveryNeeded
 	}
-	planner, plan, err := w.plan(o.Planner)
+	plan, err := w.Plan(o.Planner)
 	if err != nil {
 		return WindowReport{}, err
 	}
@@ -203,7 +212,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		defer cancel()
 	}
 	ropts := recovery.Options{
-		Planner:            string(planner),
+		Planner:            string(plan.Planner),
 		Mode:               o.Mode,
 		Workers:            o.Workers,
 		Context:            ctx,
@@ -219,8 +228,8 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	}
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w
-		ropts.Seq = o.Journal.seq
-		ropts.SpillDir = recovery.SpillDir(o.Journal.path, o.Journal.seq)
+		ropts.Seq = o.Journal.NextSeq()
+		ropts.SpillDir = recovery.SpillDir(o.Journal.path, ropts.Seq)
 	}
 	started := time.Now()
 	res, err := recovery.Run(w.core, plan.Strategy, ropts)
@@ -234,9 +243,9 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	if o.Journal != nil {
-		o.Journal.noteCommitted(res.Report.TotalWork(), ropts.AcceptUnixNano)
+		o.Journal.noteCommitted(ropts.AcceptUnixNano)
 	}
-	return w.commit(res, WindowReport{Planner: planner, Plan: plan, Started: started}), nil
+	return w.commit(res, WindowReport{Planner: plan.Planner, Plan: plan, Started: started}), nil
 }
 
 // commit is the adopt-and-record step every window path ends in — a local
@@ -281,21 +290,20 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	if j.crashed {
 		return WindowReport{}, fmt.Errorf("warehouse: this journal handle saw a crash mid-window; reopen it with OpenJournal(%q) to load the in-flight window", j.path)
 	}
-	started := time.Now()
-	inflight := j.log.InFlight()
-	ropts := recovery.Options{Journal: j.w}
-	if inflight != nil {
-		ropts.SpillDir = recovery.SpillDir(j.path, inflight.Begin.Seq)
+	if j.inflight == nil {
+		return WindowReport{}, errors.New("warehouse: journal has no in-flight window")
 	}
-	res, err := recovery.Recover(w.core, &j.log, ropts)
+	started := time.Now()
+	begin := j.inflight.Begin
+	res, err := recovery.Recover(w.core, &journal.Log{Windows: []journal.WindowLog{*j.inflight}}, recovery.Options{
+		Journal:  j.w,
+		SpillDir: recovery.SpillDir(j.path, begin.Seq),
+	})
 	if err != nil {
 		return WindowReport{}, err
 	}
-	begin := inflight.Begin
-	// The in-flight window is now committed: mirror the appended commit in
-	// the parsed log so NeedsRecovery flips without re-reading the file.
-	inflight.Commit = &journal.CommitRecord{TotalWork: res.Report.TotalWork(), UnixNano: time.Now().UnixNano()}
-	j.seq = j.log.CommittedCount() + 1
+	j.inflight = nil
+	j.noteCommitted(0)
 	return w.commit(res, WindowReport{
 		Planner:        PlannerName(begin.Planner),
 		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
@@ -307,16 +315,9 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 // noteCommitted records a window committed through this journal handle, so
 // Committed, LastCommitMeta and the next window's sequence number stay
 // accurate without re-reading the file.
-func (j *Journal) noteCommitted(totalWork int64, acceptNS int64) {
-	j.log.Windows = append(j.log.Windows, journal.WindowLog{
-		Begin: journal.BeginRecord{Seq: j.seq},
-		Commit: &journal.CommitRecord{
-			TotalWork:      totalWork,
-			UnixNano:       time.Now().UnixNano(),
-			AcceptUnixNano: acceptNS,
-		},
-	})
-	j.seq++
+func (j *Journal) noteCommitted(acceptNS int64) {
+	j.committed++
+	j.commitNS, j.acceptNS = time.Now().UnixNano(), acceptNS
 }
 
 // NextSeq returns the sequence number the next window run through this
@@ -324,35 +325,35 @@ func (j *Journal) noteCommitted(totalWork int64, acceptNS int64) {
 // on it: an ingest batch cut for window s is durably installed iff the
 // window journal's committed count ever reaches s (aborted windows re-use
 // their sequence number, so a staged batch rides into the next commit).
-func (j *Journal) NextSeq() int { return j.seq }
+func (j *Journal) NextSeq() int { return j.committed + 1 }
 
 // LastCommitMeta returns the wall-clock commit time and batch-accept time
 // (both UnixNano, 0 when unrecorded) of the journal's most recent committed
 // window — what a replication leader advertises so followers can report
 // wall-clock staleness, not just epoch lag.
-func (j *Journal) LastCommitMeta() (commitNS, acceptNS int64) {
-	for i := len(j.log.Windows) - 1; i >= 0; i-- {
-		if c := j.log.Windows[i].Commit; c != nil {
-			return c.UnixNano, c.AcceptUnixNano
-		}
-	}
-	return 0, 0
-}
+func (j *Journal) LastCommitMeta() (commitNS, acceptNS int64) { return j.commitNS, j.acceptNS }
 
-// Restore rebuilds warehouse state from this journal after a restart: every
-// committed window is replayed in order (aborted windows are skipped, as
-// their effects never reached the serving epoch), and a trailing in-flight
-// window — the signature of a crash mid-window — is completed via Recover.
-// The warehouse must be at the journal's initial state: the deterministic
-// fixture whose digest the first window's begin record pins. One report per
-// replayed window is returned.
+// Restore rebuilds warehouse state from this journal's file after a
+// restart: every committed window is replayed in order (aborted windows are
+// skipped, as their effects never reached the serving epoch), and a trailing
+// in-flight window — the signature of a crash mid-window — is completed via
+// Recover. The warehouse must be at the journal's initial state: the
+// deterministic fixture whose digest the first window's begin record pins.
+// One report per replayed window is returned.
 func (w *Warehouse) Restore(j *Journal) ([]WindowReport, error) {
 	if j == nil {
 		return nil, errors.New("warehouse: Restore requires a journal")
 	}
+	var lg journal.Log
+	if j.path != "" {
+		var err error
+		if lg, err = readLog(j.path); err != nil {
+			return nil, err
+		}
+	}
 	var out []WindowReport
-	for i := range j.log.Windows {
-		wl := &j.log.Windows[i]
+	for i := range lg.Windows {
+		wl := &lg.Windows[i]
 		if !wl.Committed() {
 			continue // aborted, or the in-flight tail Recover handles below
 		}

@@ -64,14 +64,5 @@ func (w *Warehouse) StateDigest() uint64 {
 // journal it replicated, rather than starting a new one (NewJournal) or
 // re-reading a file (OpenJournal).
 func ResumeJournal(out io.Writer, committed int) *Journal {
-	j := &Journal{w: journal.NewWriter(out), seq: committed + 1}
-	for i := 0; i < committed; i++ {
-		// Synthetic entries stand in for the replicated windows so
-		// Committed() reports them; only the count matters.
-		j.log.Windows = append(j.log.Windows, journal.WindowLog{
-			Begin:  journal.BeginRecord{Seq: i + 1},
-			Commit: &journal.CommitRecord{},
-		})
-	}
-	return j
+	return &Journal{w: journal.NewWriter(out), committed: committed}
 }

@@ -233,19 +233,26 @@ func New(opts ...Options) *Warehouse {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	model := o.Model
-	if model.CompCoeff == 0 && model.InstCoeff == 0 {
-		model = DefaultCostModel
-	}
-	model.MemoryBudgetBytes = o.MemoryBudgetBytes
-	c := core.New(core.Options{
+	return FromCore(core.New(core.Options{
 		SkipEmptyDeltas:   o.SkipEmptyDeltas,
 		ParallelTerms:     o.ParallelTerms,
 		Workers:           o.Workers,
 		ShareComputation:  o.ShareComputation,
 		SharedBudgetBytes: o.SharedBudgetBytes,
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
-	})
+	}), o.Model)
+}
+
+// FromCore serves an assembled core warehouse through the facade, so that
+// in-module builders of fixed catalogs (internal/tpcd) run their windows the
+// way every other caller does. The zero model means DefaultCostModel; either
+// way the planners price the core's memory budget. The facade owns c from
+// here on: a committed window replaces it with the window's clone.
+func FromCore(c *core.Warehouse, model CostModel) *Warehouse {
+	if model.CompCoeff == 0 && model.InstCoeff == 0 {
+		model = DefaultCostModel
+	}
+	model.MemoryBudgetBytes = c.Options().MemoryBudgetBytes
 	w := &Warehouse{core: c, epochs: core.NewEpochs(c), model: model}
 	w.plans.Store(plancache.New[*sqlparse.Query](DefaultPlanCacheSize))
 	return w
@@ -553,76 +560,100 @@ func (w *Warehouse) PlanningStats() (Stats, error) { return exec.PlanningStats(w
 
 // Plan is a planned strategy with its provenance.
 type Plan struct {
+	// Planner is the algorithm that produced the strategy; empty for the
+	// journaled strategy of a recovered or replicated window.
+	Planner  PlannerName
 	Strategy Strategy
 	// Ordering is the view ordering behind the strategy (MinWork/Prune).
 	Ordering []string
 	// Modified reports MinWork fell back to the level-respecting ordering.
 	Modified bool
-	// EstimatedWork is the linear-metric prediction (Prune only; -1 when
-	// not computed).
+	// EstimatedWork is the strategy's predicted cost under the linear work
+	// metric and the statistics it was planned from — sharing-adjusted for
+	// SharedPlanner. -1 for a recovered or replicated window, whose strategy
+	// was not planned here.
 	EstimatedWork float64
+	// Examined and Feasible count the view orderings a Prune search costed
+	// and found to admit a strategy; 0 for the planners that do not search.
+	Examined, Feasible int
+}
+
+// Plan plans the staged changes with the named planner (MinWorkPlanner when
+// empty) — the one dispatch over planner names; RunWindowOpts and every
+// Plan* shorthand go through it. One gathering of planning statistics serves
+// the planner and the estimate.
+func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
+	g, err := w.planningGraph()
+	if err != nil {
+		return Plan{}, err
+	}
+	stats, err := w.PlanningStats()
+	if err != nil {
+		return Plan{}, err
+	}
+	refs := exec.RefCounts(w.core)
+	if name == "" {
+		name = MinWorkPlanner
+	}
+	p := Plan{Planner: name, EstimatedWork: -1}
+	switch name {
+	case MinWorkPlanner:
+		res, err := planner.MinWork(g, stats)
+		if err != nil {
+			return Plan{}, err
+		}
+		p.Strategy, p.Ordering, p.Modified = res.Strategy, res.UsedOrdering, res.Modified
+	case PrunePlanner:
+		res, err := planner.Prune(g, w.model, stats, refs)
+		if err != nil {
+			return Plan{}, err
+		}
+		p.Strategy, p.Ordering, p.EstimatedWork = res.Strategy, res.Ordering, res.Work
+		p.Examined, p.Feasible = res.Examined, res.Feasible
+	case DualStagePlanner:
+		p.Strategy = strategy.DualStageVDAG(g)
+	case SharedPlanner:
+		res, err := planner.PruneShared(g, w.model, stats, refs, planner.SharedSearchOptions{
+			Refs: exec.RefsOf(w.core),
+			Sharing: planner.SharingOptions{
+				BudgetBytes: w.sharedBudget(),
+				Width:       exec.WidthOf(w.core),
+			},
+		})
+		if err != nil {
+			return Plan{}, err
+		}
+		p.Strategy, p.Ordering, p.EstimatedWork = res.Strategy, res.Ordering, res.AdjustedWork
+		p.Examined, p.Feasible = res.Examined, res.Feasible
+	default:
+		return Plan{}, fmt.Errorf("warehouse: unknown planner %q", name)
+	}
+	if p.EstimatedWork < 0 {
+		if p.EstimatedWork, err = cost.Work(w.model, stats, refs, p.Strategy); err != nil {
+			return Plan{}, err
+		}
+	}
+	return p, nil
 }
 
 // PlanMinWork plans an update for the whole warehouse with the MinWork
 // algorithm (optimal for tree and uniform VDAGs).
-func (w *Warehouse) PlanMinWork() (Plan, error) {
-	g, stats, err := w.planningInputs()
-	if err != nil {
-		return Plan{}, err
-	}
-	res, err := planner.MinWork(g, stats)
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Strategy: res.Strategy, Ordering: res.UsedOrdering, Modified: res.Modified, EstimatedWork: -1}, nil
-}
+func (w *Warehouse) PlanMinWork() (Plan, error) { return w.Plan(MinWorkPlanner) }
 
 // PlanPrune plans an update with the Prune search (cheapest 1-way VDAG
 // strategy; factorial in the number of views that other views are defined
 // over).
-func (w *Warehouse) PlanPrune() (Plan, error) {
-	g, stats, err := w.planningInputs()
-	if err != nil {
-		return Plan{}, err
-	}
-	res, err := planner.Prune(g, w.model, stats, exec.RefCounts(w.core))
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Strategy: res.Strategy, Ordering: res.Ordering, EstimatedWork: res.Work}, nil
-}
+func (w *Warehouse) PlanPrune() (Plan, error) { return w.Plan(PrunePlanner) }
 
 // PlanShared plans an update with the sharing-aware Prune search: the same
 // candidate space as PlanPrune (plus the dual-stage strategy), costed by
 // sharing-adjusted work — multi-consumer operands are charged once, subject
 // to the shared byte budget.
-func (w *Warehouse) PlanShared() (Plan, error) {
-	g, stats, err := w.planningInputs()
-	if err != nil {
-		return Plan{}, err
-	}
-	res, err := planner.PruneShared(g, w.model, stats, exec.RefCounts(w.core), planner.SharedSearchOptions{
-		Refs: exec.RefsOf(w.core),
-		Sharing: planner.SharingOptions{
-			BudgetBytes: w.sharedBudget(),
-			Width:       exec.WidthOf(w.core),
-		},
-	})
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Strategy: res.Strategy, Ordering: res.Ordering, EstimatedWork: res.AdjustedWork}, nil
-}
+func (w *Warehouse) PlanShared() (Plan, error) { return w.Plan(SharedPlanner) }
 
 // PlanDualStage plans the conventional propagate-then-install strategy the
 // paper compares against ([CGL+96]).
-func (w *Warehouse) PlanDualStage() (Plan, error) {
-	g, err := w.planningGraph()
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Strategy: strategy.DualStageVDAG(g), EstimatedWork: -1}, nil
-}
+func (w *Warehouse) PlanDualStage() (Plan, error) { return w.Plan(DualStagePlanner) }
 
 // PlanMinWorkSingle plans an optimal update strategy for one derived view
 // (Algorithm 4.1). The warehouse must consist of that view and its base
@@ -644,19 +675,11 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return Plan{Strategy: s, Ordering: ord, EstimatedWork: -1}, nil
-}
-
-func (w *Warehouse) planningInputs() (*vdag.Graph, cost.Stats, error) {
-	g, err := w.planningGraph()
+	est, err := cost.Work(w.model, stats, exec.RefCounts(w.core), s)
 	if err != nil {
-		return nil, nil, err
+		return Plan{}, err
 	}
-	stats, err := w.PlanningStats()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, stats, nil
+	return Plan{Strategy: s, Ordering: ord, EstimatedWork: est}, nil
 }
 
 // planningGraph is the VDAG with deferred-maintenance views (and their

@@ -28,6 +28,24 @@ const (
 	SharedPlanner PlannerName = "shared"
 )
 
+// Planners lists the planner names Plan accepts, the default first.
+var Planners = []PlannerName{MinWorkPlanner, PrunePlanner, DualStagePlanner, SharedPlanner}
+
+// ParsePlanner maps a user-supplied planner name ("" is the default) to a
+// PlannerName and rejects the ones Plan would — where flags and statements
+// are parsed, not at the first window.
+func ParsePlanner(name string) (PlannerName, error) {
+	if name == "" {
+		return MinWorkPlanner, nil
+	}
+	for _, p := range Planners {
+		if name == string(p) {
+			return p, nil
+		}
+	}
+	return "", fmt.Errorf("unknown planner %q (have %v)", name, Planners)
+}
+
 // WindowReport records one executed update window.
 type WindowReport struct {
 	// Seq numbers windows from 1 in execution order.
@@ -89,8 +107,8 @@ type IngestInfo struct {
 	QueueDepth int
 	// Shed is the cumulative count of changes shed with ErrIngestOverloaded.
 	Shed int64
-	// PredictedWork is the calibrated cost model's work prediction for the
-	// batch; -1 when no prediction was available.
+	// PredictedWork is the work the window's plan predicted for the batch
+	// (WindowReport.Plan.EstimatedWork) — the calibrator's input.
 	PredictedWork int64
 	// StalenessNS is the batch's measured staleness at commit: commit time
 	// minus Accepted.
@@ -120,6 +138,12 @@ func (r WindowReport) String() string {
 		s += fmt.Sprintf(" ingest batch=%d n=%d target=%d queue=%d staleness=%s",
 			in.Batch, in.Changes, in.BatchTarget, in.QueueDepth, time.Duration(in.StalenessNS))
 	}
+	if r.Attempts > 1 {
+		s += fmt.Sprintf(" attempts=%d", r.Attempts)
+	}
+	if r.Recomputed || r.FellBackSequential {
+		s += fmt.Sprintf(" degraded=%s", r.Mode)
+	}
 	return s
 }
 
@@ -137,17 +161,6 @@ type WindowCounters struct {
 	// PeakReservedBytes is the high-water mark of the window memory
 	// budget's reserved build-state bytes.
 	PeakReservedBytes int64
-	// IngestChanges, IngestQueueDepth, IngestBatchTarget, IngestShed and
-	// IngestStalenessNS mirror IngestInfo for ingester-triggered windows
-	// (all zero otherwise), so counter consumers see the freshness picture
-	// without a separate path.
-	IngestChanges, IngestQueueDepth, IngestBatchTarget int
-	IngestShed                                         int64
-	IngestStalenessNS                                  int64
-	// WorkPerChange is the window's total work divided by the ingest batch's
-	// row-changes — the amortized per-tuple maintenance cost; 0 for
-	// non-ingest windows.
-	WorkPerChange float64
 }
 
 // Counters sums the per-step engine counters of the window.
@@ -158,16 +171,6 @@ func (r WindowReport) Counters() WindowCounters {
 	}
 	c.SharedBytesPeak = r.Report.SharedBytesPeak
 	c.PeakReservedBytes = r.Report.PeakReservedBytes
-	if in := r.Ingest; in != nil {
-		c.IngestChanges = in.Changes
-		c.IngestQueueDepth = in.QueueDepth
-		c.IngestBatchTarget = in.BatchTarget
-		c.IngestShed = in.Shed
-		c.IngestStalenessNS = in.StalenessNS
-		if in.Changes > 0 {
-			c.WorkPerChange = float64(r.Report.TotalWork()) / float64(in.Changes)
-		}
-	}
 	return c
 }
 
