@@ -105,8 +105,12 @@ bench:
 # cheap enough for CI, and catches probe-path allocation regressions. The
 # storage, journal and join-probe layer benchmarks run once too, so that they
 # keep compiling and executing between the runs of bench-layers that read them.
+# Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
+# factorial growth (3.6 and 479 million orderings) hangs here, not in a slow
+# plan-space.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
+	$(GO) test ./internal/planner -run '^$$' -bench 'BenchmarkPruneScaling/m=1[02]$$' -benchtime 1x -benchmem -timeout 30s
 	$(GO) test ./internal/storage ./internal/journal -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
 
@@ -115,8 +119,8 @@ bench-smoke:
 # clone / load / apply (rows and groups), join index build / apply, join
 # build and probe (flat table and resident index), state digest (the fold a
 # window pays beside the scan it replaced). Five samples each,
-# with allocations; the planner's also report ns per ordering, the others
-# ns/row.
+# with allocations; the planner's also report prefixes priced per search, the
+# others ns/row.
 bench-layers:
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem

@@ -430,7 +430,7 @@ func printPlan(plan warehouse.Plan) {
 		fmt.Printf(" (modified)")
 	}
 	if plan.Examined > 0 {
-		fmt.Printf(" examined %d orderings (%d feasible);", plan.Examined, plan.Feasible)
+		fmt.Printf(" examined %d ordering prefixes (%d orderings completed);", plan.Examined, plan.Feasible)
 	}
 	fmt.Printf(" work estimate %.0f\n", plan.EstimatedWork)
 	fmt.Printf("strategy: %s\n", plan.Strategy)

@@ -59,7 +59,7 @@ func Deep(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	rowPr.Marker = fmt.Sprintf("searched %d orderings (%d feasible)", pr.Examined, pr.Feasible)
+	rowPr.Marker = searchEffort(pr)
 	res.Rows = append(res.Rows, rowPr)
 
 	rowDual, err := measure(tw, "dual-stage", strategy.DualStageVDAG(tw.Graph), stats, true)

@@ -277,9 +277,6 @@ func TestEstimation(t *testing.T) {
 // TestDeep exercises the deep non-uniform VDAG: Prune (the 1-way optimum)
 // must never lose to MinWork, and both must beat dual-stage.
 func TestDeep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Prune over 8! orderings in -short mode")
-	}
 	res, err := Deep(tiny)
 	if err != nil {
 		t.Fatal(err)

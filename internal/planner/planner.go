@@ -98,7 +98,7 @@ func ModifyOrdering(g *vdag.Graph, ordering []string) []string {
 }
 
 // orderableViews returns the views whose position in an ordering matters:
-// those with at least one parent (Section 6's m! optimization). Views with
+// those with at least one parent (Section 6's optimization). Views with
 // no parents never appear in another view's Comp, so their installs are
 // placed freely by the topological sort.
 func orderableViews(g *vdag.Graph) []string { return g.ViewsWithParents() }
@@ -110,19 +110,27 @@ type PruneResult struct {
 	// Ordering is the view ordering (over views with parents) whose
 	// partition the winning strategy belongs to.
 	Ordering []string
-	// Examined counts the orderings considered; Feasible counts those with
-	// an acyclic strong expression graph.
+	// Examined is the search's effort: the prefixes of orderings it priced,
+	// cut or extended. Feasible counts the complete orderings that reached
+	// the full check — sort, cycle test, simulation — and had an acyclic
+	// strong expression graph. Neither counts the m! orderings of the space:
+	// most are never completed.
 	Examined, Feasible int
 }
 
 // Prune (Algorithm 6.1) searches over view orderings, evaluating one
 // representative 1-way VDAG strategy per ordering (Theorem 6.1: all
 // strategies strongly consistent with the same ordering incur equal work),
-// and returns the cheapest, the first found winning ties. Orderings whose
-// strong expression graph is cyclic admit no strongly consistent strategy
-// and are skipped. Only the m views with parents are permuted (Section 6's
-// optimization), so the search examines m! orderings, each against the VDAG
-// compiled once (search.go). A model without coefficients is cost.DefaultModel.
+// and returns the cheapest, the first in strategy.Permutations order winning
+// ties. Orderings whose strong expression graph is cyclic admit no strongly
+// consistent strategy and are skipped. Only the m views with parents are
+// ordered (Section 6's optimization), and the search is the paper's
+// "exhaustive but pruned": by the same theorem an ordering's work is a sum
+// over its views of a term that depends only on the set of views placed
+// before each, so the least cost of completing every set is tabulated once
+// (2^m·m terms) and a prefix that cannot beat the best ordering so far is
+// not extended (search.go). More than maxSearchViews views with parents is an
+// error. A model without coefficients is cost.DefaultModel.
 func Prune(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts) (PruneResult, error) {
 	s, err := compileSearch(g, model, stats, refs)
 	if err != nil {

@@ -413,10 +413,12 @@ func TestPruneBestOneWay(t *testing.T) {
 		if res.Work > best+1e-6 {
 			t.Fatalf("trial %d: Prune %v > best 1-way %v", trial, res.Work, best)
 		}
-		if res.Examined != 24 { // 4 views with parents → 4! orderings
-			t.Errorf("examined %d orderings, want 24", res.Examined)
+		// 4 views with parents: a path to one ordering prices at least 4
+		// prefixes, and there are 4 + 12 + 24 + 24 of them over 4! orderings.
+		if res.Examined < 4 || res.Examined > 64 {
+			t.Errorf("examined %d prefixes, want 4 to 64", res.Examined)
 		}
-		if res.Feasible == 0 || res.Feasible > res.Examined {
+		if res.Feasible == 0 || res.Feasible > 24 {
 			t.Errorf("feasible = %d", res.Feasible)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -20,14 +22,14 @@ type searchCase struct {
 	opts  SharedSearchOptions
 }
 
-// randomSearchCase draws a VDAG of the given shape whose search stays within
+// randomSearchCase draws a VDAG of the given shape with minOrderable to
 // maxOrderable views with parents, with statistics, self-join reference
 // counts, and a seed-chosen model, byte budget, widths and reference order.
-func randomSearchCase(rng *rand.Rand, shape string, maxOrderable int) searchCase {
+func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable int) searchCase {
 	var g *vdag.Graph
 	for {
 		g = randomShape(rng, shape)
-		if m := len(g.ViewsWithParents()); m >= 3 && m <= maxOrderable {
+		if m := len(g.ViewsWithParents()); m >= minOrderable && m <= maxOrderable {
 			break
 		}
 	}
@@ -115,10 +117,11 @@ func randomShape(rng *rand.Rand, shape string) *vdag.Graph {
 }
 
 // TestCompiledSearchMatchesReference is the differential test of the
-// compiled search: over seeded random VDAGs, Prune and PruneShared return
+// compiled, bounded search: over seeded random VDAGs — byte budgets that bind
+// and orderings with cyclic SEGs among them — Prune and PruneShared choose
 // what the per-ordering ConstructSEG → TopoSort → cost.Work → sharing
-// analysis loop returns, the analysis being the pre-compilation
-// implementation, and every winner is a correct VDAG strategy.
+// analysis loop over all m! orderings chooses, the analysis being the
+// pre-compilation implementation, and every winner is a correct VDAG strategy.
 func TestCompiledSearchMatchesReference(t *testing.T) {
 	cases := 180
 	if testing.Short() {
@@ -127,12 +130,15 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 	shapes := []string{"tree", "uniform", "deep"}
 	for seed := 0; seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		maxOrderable := 5
-		if seed%15 == 0 {
+		minOrderable, maxOrderable := 3, 5
+		switch {
+		case seed == 11 || seed == 21 || seed == 128: // deep, tree, deep: 40 320 orderings each
+			minOrderable, maxOrderable = 8, 8
+		case seed%15 == 0:
 			maxOrderable = 7
 		}
 		shape := shapes[seed%len(shapes)]
-		c := randomSearchCase(rng, shape, maxOrderable)
+		c := randomSearchCase(rng, shape, minOrderable, maxOrderable)
 		name := fmt.Sprintf("seed %d (%s, %v)", seed, shape, c.g)
 
 		want, err := refPrune(c.g, c.model, c.stats, c.refs)
@@ -143,6 +149,9 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Prune: %v", name, err)
 		}
+		// Not the counters: the search prices prefixes and completes few
+		// orderings, the loop completes all m!.
+		got.Examined, got.Feasible = want.Examined, want.Feasible
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Prune = %+v\nwant %+v", name, got, want)
 		}
@@ -158,6 +167,7 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: PruneShared: %v", name, err)
 		}
+		gotS.Examined, gotS.Feasible = wantS.Examined, wantS.Feasible
 		if !reflect.DeepEqual(gotS, wantS) {
 			t.Errorf("%s: PruneShared = %+v\nwant %+v", name, gotS, wantS)
 		}
@@ -172,13 +182,101 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBoundedSearchNonDyadic holds the bound admissible in floating point.
+// Under coefficients no binary fraction represents, the bound and evaluate sum
+// the same terms in different orders and may differ in the last bits; the
+// search must still return exactly what a plain loop of evaluate() and
+// saved() over every permutation returns — on statistics full of ties too,
+// where rounding alone decides between orderings.
+func TestBoundedSearchNonDyadic(t *testing.T) {
+	shapes := []string{"tree", "uniform", "deep"}
+	for seed := 0; seed < 90; seed++ {
+		rng := rand.New(rand.NewSource(int64(5000 + seed)))
+		c := randomSearchCase(rng, shapes[seed%len(shapes)], 3, 6)
+		c.model = cost.Model{CompCoeff: 0.1 + rng.Float64(), InstCoeff: 0.3 + 3*rng.Float64()}
+		if seed%2 == 0 {
+			c.model.MemoryBudgetBytes, c.model.SpillCoeff = 48*4*300, 0.7
+		}
+		if seed%3 > 0 { // few distinct statistics: many orderings tie but for rounding
+			for _, v := range c.g.Views() {
+				c.stats[v] = cost.ViewStat{Size: int64(300 + 100*rng.Intn(2)), DeltaPlus: int64(7 * rng.Intn(2)), DeltaMinus: int64(3 * rng.Intn(2))}
+			}
+		}
+		for _, shared := range []bool{false, true} {
+			compile := func() (*search, func() float64) {
+				s, err := compileSearch(c.g, c.model, c.stats, c.refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !shared {
+					return s, func() float64 { return 0 }
+				}
+				opts := c.opts.Sharing
+				opts.Stats = c.stats
+				sh := compileSharing(s.nodes, refsFromCounts(c.refs), opts)
+				s.boundSharing(sh)
+				return s, func() float64 { return s.model.CompCoeff * float64(sh.analyze(s.out)) }
+			}
+			s, saved := compile()
+			sweep, sweepSaved := compile() // the same input, for the plain loop
+			if s.roundingSlack() == 0 {
+				t.Fatalf("seed %d: the model %+v is priced as if its sums were exact", seed, c.model)
+			}
+			got, gotAdjusted := s.run(saved)
+
+			var want []int32
+			wantWork, wantAdjusted := -1.0, -1.0
+			strategy.VisitPermutations(sweep.ord, func([]int32) {
+				if w, ok := sweep.evaluate(); ok {
+					if adj := w - sweepSaved(); wantAdjusted < 0 || adj < wantAdjusted {
+						want, wantWork, wantAdjusted = slices.Clone(sweep.ord), w, adj
+					}
+				}
+			})
+			var wantOrdering []string
+			for _, v := range want {
+				wantOrdering = append(wantOrdering, sweep.nodes[v].(strategy.Inst).View)
+			}
+			if !reflect.DeepEqual(got.Ordering, wantOrdering) || got.Work != wantWork || gotAdjusted != wantAdjusted {
+				t.Errorf("seed %d (%v, shared %v): searched %v work %v adjusted %v, swept %v work %v adjusted %v",
+					seed, c.g, shared, got.Ordering, got.Work, gotAdjusted, wantOrdering, wantWork, wantAdjusted)
+			}
+		}
+	}
+}
+
+// TestSearchRefusesTooManyViews: the search keeps a cost per subset of the
+// views with parents, so past maxSearchViews of them Prune and PruneShared
+// fail at once — naming the count and MinWork, which plans such a VDAG —
+// rather than allocate 2^m floats.
+func TestSearchRefusesTooManyViews(t *testing.T) {
+	pairs := [][2]interface{}{}
+	var bases []string
+	for i := 0; i <= maxSearchViews; i++ {
+		bases = append(bases, fmt.Sprintf("B%02d", i))
+		pairs = append(pairs, [2]interface{}{bases[i], nil})
+	}
+	g := vdag.MustBuild(append(pairs, [2]interface{}{"D", bases})...)
+	stats, opts := tpcdSearchInputs(g)
+	_, err := Prune(g, cost.DefaultModel, stats, uniformRefs(g))
+	_, errShared := PruneShared(g, cost.DefaultModel, stats, uniformRefs(g), opts)
+	for _, err := range []error{err, errShared} {
+		if err == nil || !strings.Contains(err.Error(), "21 views") || !strings.Contains(err.Error(), "MinWork") {
+			t.Errorf("21 views with parents: error %v, want one naming the count and MinWork", err)
+		}
+	}
+	if _, err := MinWork(g, stats); err != nil {
+		t.Errorf("MinWork on the same VDAG: %v", err)
+	}
+}
+
 // TestAnalyzeSharingMatchesReference compares the compiled sharing analysis
 // with the pre-compilation one on strategies no search emits: dual-stage,
 // partitioned multi-way Comps, and analysis without statistics.
 func TestAnalyzeSharingMatchesReference(t *testing.T) {
 	for seed := 0; seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		c := randomSearchCase(rng, []string{"tree", "uniform", "deep"}[seed%3], 6)
+		c := randomSearchCase(rng, []string{"tree", "uniform", "deep"}[seed%3], 3, 6)
 		refsFn := c.opts.Refs
 		if refsFn == nil {
 			refsFn = refsFromCounts(c.refs)
@@ -204,8 +302,8 @@ func TestAnalyzeSharingMatchesReference(t *testing.T) {
 }
 
 // tpcdSearchGraph is the TPC-D VDAG of the benchmark's plan-space sweep: the
-// six base views under Q3, Q5 and Q10, with Q3's and Q5's summaries added for
-// seven and eight views with parents.
+// six base views under Q3, Q5 and Q10, with summaries over them added one at a
+// time for seven to ten views with parents.
 func tpcdSearchGraph(orderable int) *vdag.Graph {
 	pairs := [][2]interface{}{
 		{"C", nil}, {"O", nil}, {"L", nil}, {"S", nil}, {"N", nil}, {"R", nil},
@@ -218,6 +316,12 @@ func tpcdSearchGraph(orderable int) *vdag.Graph {
 	}
 	if orderable >= 8 {
 		pairs = append(pairs, [2]interface{}{"NR", []string{"Q5", "N"}})
+	}
+	if orderable >= 9 {
+		pairs = append(pairs, [2]interface{}{"Q10P", []string{"Q10"}})
+	}
+	if orderable >= 10 {
+		pairs = append(pairs, [2]interface{}{"TOP", []string{"Q3P"}})
 	}
 	return vdag.MustBuild(pairs...)
 }
@@ -233,22 +337,26 @@ func tpcdSearchInputs(g *vdag.Graph) (cost.Stats, SharedSearchOptions) {
 }
 
 // TestSearchGolden pins Prune and PruneShared on the TPC-D graphs to what the
-// commit before the compiled search returned.
+// commit before the compiled search returned, and their counters to what the
+// bound leaves of the search: Prune prices m(m+1)/2 prefixes on the way to one
+// ordering; PruneShared, whose 384 kB budget binds so that the unclamped
+// saving bounds little, still completes every ordering with an acyclic SEG.
 func TestSearchGolden(t *testing.T) {
 	for _, want := range []struct {
-		orderable          int
-		prune              string
-		pruneWork          float64
-		shared             string
-		work, adjusted     float64
-		examined, feasible int
+		orderable                    int
+		prune                        string
+		pruneWork                    float64
+		pruneExamined, pruneFeasible int
+		shared                       string
+		work, adjusted               float64
+		examined, feasible           int
 	}{
-		{orderable: 6, examined: 720, feasible: 720,
+		{orderable: 6, pruneExamined: 21, pruneFeasible: 1, examined: 1956, feasible: 720,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Inst(Q3); Inst(Q5); Inst(Q10)⟩",
 			pruneWork: 68456,
 			shared:    "⟨Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Inst(Q3); Inst(Q5); Inst(Q10)⟩",
 			work:      68706, adjusted: 54809},
-		{orderable: 7, examined: 5040, feasible: 2520,
+		{orderable: 7, pruneExamined: 28, pruneFeasible: 1, examined: 7069, feasible: 2520,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3P, {Q3}); Inst(Q3); Inst(Q5); Inst(Q10); Inst(Q3P)⟩",
 			pruneWork: 68618,
 			shared:    "⟨Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3P, {Q3}); Inst(Q3); Inst(Q5); Inst(Q10); Inst(Q3P)⟩",
@@ -264,7 +372,7 @@ func TestSearchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pr.Strategy.String() != want.prune || pr.Work != want.pruneWork || pr.Examined != want.examined || pr.Feasible != want.feasible {
+		if pr.Strategy.String() != want.prune || pr.Work != want.pruneWork || pr.Examined != want.pruneExamined || pr.Feasible != want.pruneFeasible {
 			t.Errorf("%d views: Prune = %v, work %v, examined %d, feasible %d", want.orderable, pr.Strategy, pr.Work, pr.Examined, pr.Feasible)
 		}
 		if sh.Strategy.String() != want.shared || sh.Work != want.work || sh.AdjustedWork != want.adjusted ||

@@ -1,11 +1,14 @@
 package planner
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/strategy"
+	"repro/internal/vdag"
 )
 
 // TestSection6InfeasibleOrdering reproduces the paper's Section 6 example:
@@ -73,28 +76,59 @@ func TestSEGFeasibilityMatchesEnumeration(t *testing.T) {
 	t.Logf("fig10: %d of 24 orderings feasible", len(feasible))
 }
 
-// TestPruneFeasibleCountMatchesSEG ties Prune's reported feasibility to the
-// direct SEG computation.
+// TestPruneFeasibleCountMatchesSEG is the property behind the search's prefix
+// rule (place is +Inf for a view placed with two or more children unplaced):
+// on the Figure 10 VDAG and on random deep VDAGs it never rejects an ordering
+// whose ConstructSEG is acyclic, so the orderings Prune can count feasible are
+// exactly the SEG sweep's. The rule is not complete — evaluate's cycle check
+// catches the rest — and the test says how much it does catch.
 func TestPruneFeasibleCountMatchesSEG(t *testing.T) {
-	g := fig10()
-	stats := cost.Stats{}
-	for _, v := range g.Views() {
-		stats[v] = cost.ViewStat{Size: 100, DeltaPlus: 5, DeltaMinus: 3}
-	}
-	res, err := Prune(g, cost.DefaultModel, stats, uniformRefs(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for _, ord := range strategy.Permutations(g.ViewsWithParents()) {
-		if ConstructSEG(g, ord).IsAcyclic() {
-			count++
+	graphs := []*vdag.Graph{fig10()}
+	for seed := int64(0); len(graphs) < 25; seed++ {
+		if g := randomShape(rand.New(rand.NewSource(seed)), "deep"); len(g.ViewsWithParents()) <= 6 {
+			graphs = append(graphs, g)
 		}
 	}
-	if res.Feasible != count {
-		t.Errorf("Prune feasible = %d, SEG sweep = %d", res.Feasible, count)
+	cyclic, caught := 0, 0
+	for _, g := range graphs {
+		stats := cost.Stats{}
+		for _, v := range g.Views() {
+			stats[v] = cost.ViewStat{Size: 100, DeltaPlus: 5, DeltaMinus: 3}
+		}
+		s, err := compileSearch(g, cost.DefaultModel, stats, uniformRefs(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := make(map[string]int32) // s.ord is in ViewsWithParents order
+		for i, v := range g.ViewsWithParents() {
+			node[v] = s.ord[i]
+		}
+		feasible := 0
+		for _, ord := range strategy.Permutations(g.ViewsWithParents()) {
+			rejected, placed := false, uint32(0)
+			for _, v := range ord {
+				rejected = rejected || math.IsInf(s.place(node[v], placed), 1)
+				placed |= s.bit[node[v]]
+			}
+			switch acyclic := ConstructSEG(g, ord).IsAcyclic(); {
+			case acyclic && rejected:
+				t.Errorf("%v: the prefix rule rejects %v, whose SEG is acyclic", g, ord)
+			case acyclic:
+				feasible++
+			default:
+				cyclic++
+				if rejected {
+					caught++
+				}
+			}
+		}
+		// Every ordering ties on these statistics, so the search completes few.
+		if res, _ := s.run(func() float64 { return 0 }); res.Feasible < 1 || res.Feasible > feasible {
+			t.Errorf("%v: Prune counts %d feasible orderings, the SEG sweep %d", g, res.Feasible, feasible)
+		}
 	}
-	if res.Examined != 24 {
-		t.Errorf("examined = %d", res.Examined)
+	if caught == 0 {
+		t.Error("the prefix rule caught no cyclic ordering")
 	}
+	t.Logf("%d graphs: the prefix rule catches %d of %d orderings with a cyclic SEG", len(graphs), caught, cyclic)
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/cost"
@@ -41,8 +42,9 @@ type SharedResult struct {
 	Work, AdjustedWork float64
 	// Plan is the winner's sharing plan.
 	Plan SharingPlan
-	// Examined and Feasible count the ordering candidates as in Prune;
-	// DualStage reports that the extra dual-stage candidate won.
+	// Examined and Feasible are the search's effort as in PruneResult:
+	// prefixes priced, and complete orderings found feasible. DualStage
+	// reports that the extra dual-stage candidate won.
 	Examined, Feasible int
 	DualStage          bool
 }
@@ -67,6 +69,40 @@ func refsFromCounts(refs cost.RefCounts) func(view string) []string {
 	}
 }
 
+// boundSharing gives place what sh's election would save were its budget
+// unbounded: (consumers − 1) scans of every operand. Which version of view X's
+// state a Comp reads depends only on whether the child that Comp propagates
+// is placed before X, so those reads are counted per view and propagated
+// child for place to add up; every other operand — a delta, always read
+// before its install — has the same consumers under every ordering and goes
+// in the base. sh was compiled from s.nodes, whose first nViews expressions
+// are the Insts: its view ids are the search's.
+func (s *search) boundSharing(sh *sharer) {
+	price := func(op int32) float64 {
+		return s.model.CompCoeff * float64(max(sh.op[op].rows, 0)) // noStats is negative
+	}
+	m := len(s.ord)
+	s.stateReads = make([]int32, s.nViews*m)
+	s.stateSaving = make([][2]float64, s.nViews)
+	for x := range s.stateSaving {
+		s.stateSaving[x] = [2]float64{price(sh.opID(int32(x), 0, false)), price(sh.opID(int32(x), 1, false))}
+	}
+	fixed := make([]int, len(sh.consumers)) // per operand no ordering changes: the Comps reading it
+	for k, n := range sh.nodes[s.nViews:] {
+		over := bits.TrailingZeros32(s.bit[s.compOver[k]])
+		for _, r := range n.reads {
+			if !r.delta && int(r.view) < s.nViews && s.bit[r.view] != 0 {
+				s.stateReads[int(r.view)*m+over]++
+			} else {
+				fixed[sh.opID(r.view, 0, r.delta)]++
+			}
+		}
+	}
+	for op, n := range fixed {
+		s.shareBase += price(int32(op)) * float64(max(n-1, 0))
+	}
+}
+
 // PruneShared (sharing-aware Algorithm 6.1) searches the same candidate
 // space as Prune — one representative strongly consistent strategy per
 // feasible view ordering — plus the dual-stage strategy (all computes, then
@@ -74,8 +110,12 @@ func refsFromCounts(refs cost.RefCounts) func(view string) []string {
 // and returns the candidate with the least sharing-adjusted work together
 // with its sharing plan, the first found winning ties. The VDAG and the
 // sharing analysis of its expressions are compiled once, so an ordering costs
-// no allocation and only the winner's plan is rendered. A model without
-// coefficients is cost.DefaultModel, for work and saved scans alike.
+// no allocation and only the winner's plan is rendered. Prune's bound carries
+// over with the election's saving taken unclamped (boundSharing): exact, and
+// as sharp as Prune's, when the byte budget admits every candidate; when the
+// budget binds it cuts little and every feasible ordering is still completed.
+// A model without coefficients is cost.DefaultModel, for work and saved scans
+// alike.
 func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts, opts SharedSearchOptions) (SharedResult, error) {
 	res := SharedResult{Work: -1, AdjustedWork: -1}
 	s, err := compileSearch(g, model, stats, refs)
@@ -89,6 +129,7 @@ func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.Re
 	shOpts := opts.Sharing
 	shOpts.Stats = stats
 	sh := compileSharing(s.nodes, refsFn, shOpts)
+	s.boundSharing(sh)
 	pr, adjusted := s.run(func() float64 { return s.model.CompCoeff * float64(sh.analyze(s.out)) })
 	res.Work, res.AdjustedWork, res.Examined, res.Feasible = pr.Work, adjusted, pr.Examined, pr.Feasible
 	// The dual-stage strategy computes every derived view against fully

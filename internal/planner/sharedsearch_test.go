@@ -96,9 +96,6 @@ func TestPruneSharedNoWorseThanHintBased(t *testing.T) {
 		if shared.AdjustedWork > hintAdjusted+1e-9 {
 			t.Errorf("%s: joint adjusted work %.1f worse than hint-based %.1f", name, shared.AdjustedWork, hintAdjusted)
 		}
-		if shared.Examined != pr.Examined {
-			t.Errorf("%s: examined %d orderings, Prune examined %d", name, shared.Examined, pr.Examined)
-		}
 		if shared.Strategy == nil {
 			t.Fatalf("%s: no strategy", name)
 		}

@@ -55,9 +55,6 @@ type Journal struct {
 	// inflight is the window OpenJournal found begun and never closed — what
 	// Recover completes; nil otherwise.
 	inflight *journal.WindowLog
-	// commitNS and acceptNS are the last committed window's commit and
-	// batch-accept times (LastCommitMeta).
-	commitNS, acceptNS int64
 	// crashed marks that a window run through this handle died with a
 	// crash-class fault, leaving the file in-flight. This handle never read
 	// that window, so recovery must go through a fresh OpenJournal, which
@@ -108,12 +105,6 @@ func OpenJournal(path string) (*Journal, error) {
 		// A copy: a pointer into lg would keep every window's batch alive.
 		inflight := *wl
 		j.inflight = &inflight
-	}
-	for i := len(lg.Windows) - 1; i >= 0; i-- {
-		if c := lg.Windows[i].Commit; c != nil {
-			j.commitNS, j.acceptNS = c.UnixNano, c.AcceptUnixNano
-			break
-		}
 	}
 	j.spillSwept = recovery.SweepSpillDirs(path)
 	return j, nil
@@ -243,7 +234,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	if o.Journal != nil {
-		o.Journal.noteCommitted(ropts.AcceptUnixNano)
+		o.Journal.committed++
 	}
 	return w.commit(res, WindowReport{Planner: plan.Planner, Plan: plan, Started: started}), nil
 }
@@ -303,7 +294,7 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	j.inflight = nil
-	j.noteCommitted(0)
+	j.committed++
 	return w.commit(res, WindowReport{
 		Planner:        PlannerName(begin.Planner),
 		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
@@ -312,26 +303,12 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	}), nil
 }
 
-// noteCommitted records a window committed through this journal handle, so
-// Committed, LastCommitMeta and the next window's sequence number stay
-// accurate without re-reading the file.
-func (j *Journal) noteCommitted(acceptNS int64) {
-	j.committed++
-	j.commitNS, j.acceptNS = time.Now().UnixNano(), acceptNS
-}
-
 // NextSeq returns the sequence number the next window run through this
 // journal will carry. The exactly-once handoff from the ingest journal keys
 // on it: an ingest batch cut for window s is durably installed iff the
 // window journal's committed count ever reaches s (aborted windows re-use
 // their sequence number, so a staged batch rides into the next commit).
 func (j *Journal) NextSeq() int { return j.committed + 1 }
-
-// LastCommitMeta returns the wall-clock commit time and batch-accept time
-// (both UnixNano, 0 when unrecorded) of the journal's most recent committed
-// window — what a replication leader advertises so followers can report
-// wall-clock staleness, not just epoch lag.
-func (j *Journal) LastCommitMeta() (commitNS, acceptNS int64) { return j.commitNS, j.acceptNS }
 
 // Restore rebuilds warehouse state from this journal's file after a
 // restart: every committed window is replayed in order (aborted windows are

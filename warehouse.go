@@ -573,8 +573,11 @@ type Plan struct {
 	// SharedPlanner. -1 for a recovered or replicated window, whose strategy
 	// was not planned here.
 	EstimatedWork float64
-	// Examined and Feasible count the view orderings a Prune search costed
-	// and found to admit a strategy; 0 for the planners that do not search.
+	// Examined and Feasible are a Prune or PruneShared search's effort (see
+	// planner.PruneResult): the prefixes of view orderings it priced, and the
+	// complete orderings it evaluated and found to admit a strategy. Neither is
+	// the m! orderings of the search space; 0 for the planners that do not
+	// search.
 	Examined, Feasible int
 }
 
