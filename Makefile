@@ -107,25 +107,30 @@ bench:
 # keep compiling and executing between the runs of bench-layers that read them.
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
 # factorial growth (3.6 and 479 million orderings) hangs here, not in a slow
-# plan-space.
+# plan-space. One journaled window against a disk whose flushes take 300 µs
+# runs once too.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
 	$(GO) test ./internal/planner -run '^$$' -bench 'BenchmarkPruneScaling/m=1[02]$$' -benchtime 1x -benchmem -timeout 30s
 	$(GO) test ./internal/storage ./internal/journal -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
+	$(GO) test ./internal/recovery -run '^$$' -bench 'JournaledWindow' -benchtime 1x -benchmem
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
 # clone / load / apply (rows and groups), join index build / apply, join
 # build and probe (flat table and resident index), state digest (the fold a
-# window pays beside the scan it replaced). Five samples each,
+# window pays beside the scan it replaced), a window journaled to a disk whose
+# flushes take 300 µs beside the same window unjournaled (the difference is
+# about one flush of the two it makes: syncs/op). Five samples each,
 # with allocations; the planner's also report prefixes priced per search, the
-# others ns/row.
+# storage, core and journal ones ns/row.
 bench-layers:
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem
 	$(GO) test ./internal/journal -run '^$$' -bench StateDigest -count 5 -benchmem
+	$(GO) test ./internal/recovery -run '^$$' -bench JournaledWindow -count 5 -benchmem
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): each of the
 # four workloads once, end-to-end metrics only, appended to E2E_OUT. With

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"sort"
+	"sync"
 
 	"repro/internal/relation"
 )
@@ -20,11 +21,29 @@ import (
 // (plus tuples), negative counts are deletions (minus tuples). Entries with
 // count zero are removed eagerly, so Size is always the number of tuples
 // that actually change.
+//
+// A delta is written by one goroutine at a time and not while another reads
+// it; reads may run together.
 type Delta struct {
 	schema relation.Schema
 	rows   map[string]int64
 	plus   int64 // total multiplicity of plus tuples
 	minus  int64 // total multiplicity of minus tuples (as a positive number)
+
+	// decoded is rows with every tuple decoded, made by the first Scan
+	// since the last change and read by every Scan after it — a staged delta
+	// is scanned once by each Comp over its view and once more by its
+	// install. decodeMu orders the readers that would make it together.
+	decodeMu sync.Mutex
+	decoded  []decodedRow
+}
+
+// decodedRow is one entry of rows with its tuple beside it. The tuple is
+// shared by everyone who scans the delta and by the table that installs it.
+type decodedRow struct {
+	key   string
+	tup   relation.Tuple
+	count int64
 }
 
 // New creates an empty delta over the given schema.
@@ -56,6 +75,7 @@ func (d *Delta) AddEncoded(key string, count int64) {
 }
 
 func (d *Delta) addKey(key string, count int64) {
+	d.decoded = nil
 	old := d.rows[key]
 	nw := old + count
 	if nw == 0 {
@@ -86,14 +106,45 @@ func (d *Delta) Merge(other *Delta) {
 }
 
 // Scan calls fn for each changed tuple with its signed multiplicity.
-// Iteration stops early if fn returns false. Order is unspecified.
+// Iteration stops early if fn returns false. Order is unspecified. The
+// tuples are decoded by the first Scan after a change and shared by the
+// later ones, so fn must not write to them.
 func (d *Delta) Scan(fn func(tup relation.Tuple, count int64) bool) {
-	for key, count := range d.rows {
-		tup, err := relation.DecodeTuple(key)
-		if err != nil {
-			panic(fmt.Sprintf("delta: corrupt encoding: %v", err))
+	d.decodeMu.Lock()
+	if d.decoded == nil && len(d.rows) > 0 {
+		d.decoded = make([]decodedRow, 0, len(d.rows))
+		for key, count := range d.rows {
+			tup, err := relation.DecodeTuple(key)
+			if err != nil {
+				d.decodeMu.Unlock()
+				panic(fmt.Sprintf("delta: corrupt encoding: %v", err))
+			}
+			d.decoded = append(d.decoded, decodedRow{key, tup, count})
 		}
-		if !fn(tup, count) {
+	}
+	decoded := d.decoded
+	d.decodeMu.Unlock()
+	for _, r := range decoded {
+		if !fn(r.tup, r.count) {
+			return
+		}
+	}
+}
+
+// ScanKeyed is ScanEncoded for a caller that will want some of the tuples:
+// fn also gets each key's tuple when a Scan has decoded the delta since its
+// last change, and nil when none has — ScanKeyed decodes nothing itself. The
+// tuple is the one Scan hands out, read-only.
+func (d *Delta) ScanKeyed(fn func(key string, tup relation.Tuple, count int64) bool) {
+	d.decodeMu.Lock()
+	decoded := d.decoded
+	d.decodeMu.Unlock()
+	if decoded == nil {
+		d.ScanEncoded(func(key string, count int64) bool { return fn(key, nil, count) })
+		return
+	}
+	for _, r := range decoded {
+		if !fn(r.key, r.tup, r.count) {
 			return
 		}
 	}
@@ -119,7 +170,8 @@ func (d *Delta) Distinct() int { return len(d.rows) }
 // IsEmpty reports whether the delta changes nothing.
 func (d *Delta) IsEmpty() bool { return len(d.rows) == 0 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy, which decodes its rows for itself when
+// it is first scanned.
 func (d *Delta) Clone() *Delta {
 	out := New(d.schema)
 	out.plus, out.minus = d.plus, d.minus

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,140 @@ func TestOutputKinds(t *testing.T) {
 	for _, c := range cases {
 		if got := c.spec.OutputKind(); got != c.want {
 			t.Errorf("OutputKind(%v) = %v, want %v", c.spec, got, c.want)
+		}
+	}
+}
+
+// scanned collects what one Scan hands out, keyed by the tuple's value.
+func scanned(d *Delta) map[int64]relation.Tuple {
+	out := make(map[int64]relation.Tuple)
+	d.Scan(func(tp relation.Tuple, _ int64) bool {
+		out[tp[0].Int()] = tp
+		return true
+	})
+	return out
+}
+
+// sameTuple reports whether a and b are one tuple in memory, not two equal
+// ones.
+func sameTuple(a, b relation.Tuple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestScanDecodesOncePerChange: the tuples of a second Scan are the first
+// Scan's, a change drops them (and the next Scan sees it), and a clone
+// decodes for itself.
+func TestScanDecodesOncePerChange(t *testing.T) {
+	d := New(schema)
+	for i := int64(1); i <= 4; i++ {
+		d.Add(tup(i), i)
+	}
+	first, second := scanned(d), scanned(d)
+	for k, tp := range first {
+		if !sameTuple(tp, second[k]) {
+			t.Fatalf("tuple %d was decoded again by the second Scan", k)
+		}
+	}
+	if c := scanned(d.Clone()); len(c) != 4 || sameTuple(c[1], first[1]) {
+		t.Fatalf("a clone scans %d tuples, sharing=%v; want 4 of its own", len(c), sameTuple(c[1], first[1]))
+	}
+
+	d.Add(tup(1), -1) // cancels tuple 1
+	d.AddEncoded(tup(9).Encode(), 2)
+	after := scanned(d)
+	if _, ok := after[1]; ok || len(after) != 4 || after[9] == nil {
+		t.Fatalf("Scan after a change walks %v", after)
+	}
+	other := New(schema)
+	other.Add(tup(2), -2)
+	d.Merge(other)
+	if after = scanned(d); len(after) != 3 || after[2] != nil {
+		t.Fatalf("Scan after a merge walks %v", after)
+	}
+
+	calls := 0
+	d.Scan(func(relation.Tuple, int64) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("Scan made %d calls after fn returned false", calls)
+	}
+	New(schema).Scan(func(relation.Tuple, int64) bool {
+		t.Fatal("Scan of an empty delta called fn")
+		return false
+	})
+}
+
+// TestScanKeyedHandsOutDecodedTuples: nil tuples until a Scan has decoded
+// the delta, that Scan's tuples afterwards, nil again after a change — and
+// the keys and counts of ScanEncoded throughout.
+func TestScanKeyedHandsOutDecodedTuples(t *testing.T) {
+	d := New(schema)
+	d.Add(tup(1), 1)
+	d.Add(tup(2), -2)
+	keyed := func() (tuples int, counts map[string]int64) {
+		counts = make(map[string]int64)
+		d.ScanKeyed(func(key string, tp relation.Tuple, count int64) bool {
+			counts[key] = count
+			if tp != nil {
+				if tp.Encode() != key {
+					t.Fatalf("key %q came with tuple %v", key, tp)
+				}
+				tuples++
+			}
+			return true
+		})
+		return tuples, counts
+	}
+	want := map[string]int64{tup(1).Encode(): 1, tup(2).Encode(): -2}
+	check := func(when string, wantTuples int) {
+		t.Helper()
+		tuples, counts := keyed()
+		if tuples != wantTuples || len(counts) != len(want) {
+			t.Fatalf("%s: %d tuples, changes %v; want %d tuples, %v", when, tuples, counts, wantTuples, want)
+		}
+		for k, c := range want {
+			if counts[k] != c {
+				t.Fatalf("%s: changes %v, want %v", when, counts, want)
+			}
+		}
+	}
+	check("before any Scan", 0)
+	first := scanned(d)
+	check("after a Scan", 2)
+	d.ScanKeyed(func(_ string, tp relation.Tuple, _ int64) bool {
+		if !sameTuple(tp, first[tp[0].Int()]) {
+			t.Fatalf("ScanKeyed decoded tuple %v again", tp)
+		}
+		return true
+	})
+	d.Add(tup(3), 3)
+	want[tup(3).Encode()] = 3
+	check("after a change", 0)
+}
+
+// TestConcurrentScansDecodeOnce: two DAG workers may run Comps over one view
+// together; both read the tuples one of them decoded (run with -race).
+func TestConcurrentScansDecodeOnce(t *testing.T) {
+	d := New(schema)
+	for i := int64(0); i < 256; i++ {
+		d.Add(tup(i), 1)
+	}
+	const scanners = 4
+	got := make([]map[int64]relation.Tuple, scanners)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = scanned(d)
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < scanners; g++ {
+		if len(got[g]) != 256 {
+			t.Fatalf("scanner %d saw %d tuples", g, len(got[g]))
+		}
+		for k, tp := range got[0] {
+			if !sameTuple(tp, got[g][k]) {
+				t.Fatalf("scanners 0 and %d hold different decodings of tuple %d", g, k)
+			}
 		}
 	}
 }

@@ -23,13 +23,29 @@
 //
 // Durability. The writer hands every record to the file in one Write as it
 // is appended, and syncs after a Begin, a Commit and an Abort — not after a
-// Step, which rides the next sync. A window is durable when its commit
-// record is. A process that dies leaves exactly the records it appended; a
-// machine that loses power leaves, of an in-flight window, its begin record
-// (strategy and full change batch) and some prefix of its step records,
-// possibly ending inside a frame. Recovery needs no more: it re-executes
-// every step the journal does not hold, so lost step records cost redone
-// work and never a different result.
+// Step, which rides the next sync. The begin record's sync runs beside the
+// window: Begin starts it and returns, steps are appended while the disk
+// works, and Commit, Abort and Wait wait for it to return before anything
+// else happens to the file, so a window still waits for the disk twice but
+// idles through one of the waits only. A window is durable when its commit
+// record is, and its begin record is durable before its closing record is
+// written. A process that dies leaves exactly the records it appended. A
+// machine that loses power leaves one of four things of the window it
+// interrupted:
+//
+//   - nothing, or a begin frame cut short or holed — whatever step frames
+//     follow it. The reader stops at the first frame that fails its CRC and
+//     OpenAppend cuts the file there: the window never happened, its batch is
+//     still with whoever staged it, and its steps touched only a clone;
+//   - the begin record (strategy and full change batch) and some prefix of
+//     its step records, possibly ending inside a frame — an in-flight window.
+//     Recovery re-executes every step the journal does not hold, so lost step
+//     records cost redone work and never a different result;
+//   - the same and a torn closing record: cut off, an in-flight window;
+//   - the whole window, closed.
+//
+// A closing record without its begin record is not among them, because the
+// closing record is not written until the begin record's sync has returned.
 package journal
 
 import (
@@ -158,24 +174,31 @@ type AbortRecord struct {
 
 // Writer appends records to a journal sink. Methods are safe for
 // concurrent use (DAG workers journal steps as they complete). Errors are
-// sticky: once an append fails the journal tail is suspect, so every later
-// append reports the first error.
+// sticky: once an append or a sync fails the journal tail is suspect, so
+// every later append reports the first error.
 type Writer struct {
 	mu  sync.Mutex
 	out io.Writer
 	err error
 	ctx context.Context // when non-nil, gates begin/step appends
+	// flushed is closed when the sync the last begin record started has
+	// returned and its failure, if any, is in err; nil before the first.
+	flushed chan struct{}
 }
 
 // NewWriter creates a journal writer appending to out. If out has a
 // Sync() error method (an *os.File), it is called after each begin, commit
-// and abort record is written, so a window's begin record is durable before
-// its first step runs and its commit before the caller adopts the result;
-// step records are written as they complete and become durable with the
-// next of those syncs (see the package comment).
+// and abort record is written. The begin record's call runs on a goroutine
+// while the window's steps execute, and out must take Write calls beside it
+// as a file does; Commit and Abort wait for it, so a window's begin record is
+// durable before its closing record is written and its commit before the
+// caller adopts the result. Step records are written as they complete and
+// become durable with the next of those syncs (see the package comment). A
+// caller that stops using the writer with a window open — or closes out —
+// calls Wait first.
 func NewWriter(out io.Writer) *Writer { return &Writer{out: out} }
 
-// Err returns the sticky error, if any append has failed.
+// Err returns the sticky error, if any append or sync has failed.
 func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -194,11 +217,38 @@ func (w *Writer) SetContext(ctx context.Context) {
 	w.ctx = ctx
 }
 
+// Wait returns once the sync started by the last Begin has returned, with
+// the writer's sticky error: that sync's failure, if it failed. Commit and
+// Abort wait by themselves; Wait is for a window that gets neither — a
+// crash-class exit leaves the journal in flight — and for whoever closes the
+// file.
+func (w *Writer) Wait() error {
+	w.awaitFlush()
+	return w.Err()
+}
+
+// awaitFlush returns once no begin record's sync is running.
+func (w *Writer) awaitFlush() {
+	w.mu.Lock()
+	flushed := w.flushed
+	w.mu.Unlock()
+	if flushed != nil {
+		<-flushed
+	}
+}
+
 // append writes one record through a single Write, and syncs after every
 // record but a step: begin, commit and abort are the records durability is
-// stated in, and a step rides the next sync.
+// stated in, and a step rides the next sync. Each of the three first waits
+// for the begin sync in flight, so that a closing record follows a durable
+// begin record and one sync runs at a time; a begin record's own sync is
+// then started and left running, outside w.mu, for steps to be appended
+// beside it.
 func (w *Writer) append(typ byte, payload []byte) error {
 	frame := EncodeFrame(typ, payload)
+	if typ != typeStep {
+		w.awaitFlush()
+	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -214,16 +264,40 @@ func (w *Writer) append(typ byte, payload []byte) error {
 		w.err = fmt.Errorf("journal: append: %w", err)
 		return w.err
 	}
-	if s, ok := w.out.(interface{ Sync() error }); ok && typ != typeStep {
-		if err := s.Sync(); err != nil {
-			w.err = fmt.Errorf("journal: sync: %w", err)
-			return w.err
-		}
+	s, ok := w.out.(interface{ Sync() error })
+	if !ok || typ == typeStep {
+		return nil
+	}
+	if typ == typeBegin {
+		flushed := make(chan struct{})
+		w.flushed = flushed
+		go func() {
+			defer close(flushed)
+			if err := s.Sync(); err != nil {
+				w.syncFailed(err)
+			}
+		}()
+		return nil
+	}
+	if err := s.Sync(); err != nil {
+		w.err = fmt.Errorf("journal: sync: %w", err)
+		return w.err
 	}
 	return nil
 }
 
-// Begin appends a window-begin record.
+// syncFailed makes a begin record's failed sync the sticky error, unless an
+// append beside it failed first.
+func (w *Writer) syncFailed(err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = fmt.Errorf("journal: sync: %w", err)
+	}
+}
+
+// Begin appends a window-begin record and starts its sync, which Commit,
+// Abort or Wait waits for.
 func (w *Writer) Begin(b BeginRecord) error {
 	var buf bytes.Buffer
 	writeUvarint(&buf, uint64(b.Seq))
@@ -285,7 +359,8 @@ func (w *Writer) Step(s StepRecord) error {
 	return w.append(typeStep, buf.Bytes())
 }
 
-// Commit appends a window-commit record.
+// Commit appends a window-commit record, once the window's begin record is
+// durable, and syncs it.
 func (w *Writer) Commit(c CommitRecord) error {
 	var buf bytes.Buffer
 	writeVarint(&buf, c.TotalWork)
@@ -295,7 +370,8 @@ func (w *Writer) Commit(c CommitRecord) error {
 	return w.append(typeCommit, buf.Bytes())
 }
 
-// Abort appends a window-abort record.
+// Abort appends a window-abort record, once the window's begin record is
+// durable, and syncs it.
 func (w *Writer) Abort(a AbortRecord) error {
 	var buf bytes.Buffer
 	writeString(&buf, a.Reason)

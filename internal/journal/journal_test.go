@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/delta"
+	"repro/internal/journal/journaltest"
 	"repro/internal/relation"
 	"repro/internal/strategy"
 )
@@ -332,75 +333,67 @@ func TestWriterSetContext(t *testing.T) {
 	}
 }
 
-// syncCounter is a journal file that counts its Sync calls and remembers
-// how many bytes each one made durable.
-type syncCounter struct {
-	bytes.Buffer
-	syncs   int
-	durable int
-}
-
-func (f *syncCounter) Sync() error {
-	f.syncs++
-	f.durable = f.Len()
-	return nil
-}
-
 // TestWriterSyncsWindowBoundaries: the writer syncs the begin record, the
-// commit and the abort, and lets step records ride the next of those — each
-// record still handed to the file whole, in one Write, as it is appended.
+// commit and the abort — four syncs for two windows — and lets step records
+// ride the next of those, each record still handed to the file whole, in one
+// Write, as it is appended. The begin record's sync is started by Begin and
+// waited for by whatever closes the window, so what it made durable is read
+// after Wait.
 func TestWriterSyncsWindowBoundaries(t *testing.T) {
-	f := &syncCounter{}
+	f := &journaltest.Disk{}
 	w := NewWriter(f)
-	expect := func(what string, syncs int) {
+	expect := func(what string, syncs, durable int) {
 		t.Helper()
-		if f.syncs != syncs {
-			t.Fatalf("after %s: %d syncs, want %d", what, f.syncs, syncs)
+		if got := f.Syncs(); got != syncs {
+			t.Fatalf("after %s: %d syncs, want %d", what, got, syncs)
+		}
+		if got := f.Now().Durable; got != durable {
+			t.Fatalf("after %s: %d bytes synced, want %d", what, got, durable)
 		}
 	}
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
-	expect("begin", 1)
-	begun := f.Len()
-	if f.durable != begun {
-		t.Fatalf("begin record: %d of %d bytes synced", f.durable, begun)
+	begun := f.Now().Written
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
 	}
+	expect("begin", 1, begun)
 	for i := 0; i < 5; i++ {
-		before := f.Len()
+		before := f.Now().Written
 		if err := w.Step(StepRecord{Index: i, Key: "C:V:A", Work: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, n, err := DecodeRecord(f.Bytes()[before:]); err != nil || n != f.Len()-before {
-			t.Fatalf("step %d did not reach the file as one whole frame: n=%d of %d, err=%v", i, n, f.Len()-before, err)
+		added := f.Bytes()[before:]
+		if _, _, n, err := DecodeRecord(added); err != nil || n != len(added) {
+			t.Fatalf("step %d did not reach the file as one whole frame: n=%d of %d, err=%v", i, n, len(added), err)
 		}
 	}
-	expect("five steps", 1)
-	if f.durable != begun {
-		t.Fatalf("step records moved the synced length from %d to %d", begun, f.durable)
-	}
+	expect("five steps", 1, begun)
 	if err := w.Commit(CommitRecord{TotalWork: 10}); err != nil {
 		t.Fatal(err)
 	}
-	expect("commit", 2)
-	if f.durable != f.Len() {
-		t.Fatalf("commit: %d of %d bytes synced", f.durable, f.Len())
-	}
+	expect("commit", 2, f.Now().Written)
 
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
+	begun = f.Now().Written
 	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A"}); err != nil {
 		t.Fatal(err)
 	}
-	expect("second begin and a step", 3)
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// The step may have been written before the begin record's sync started,
+	// and is then flushed with it.
+	if d := f.Now().Durable; f.Syncs() != 3 || d < begun {
+		t.Fatalf("after second begin and a step: %d syncs, %d bytes synced; want 3 and at least %d", f.Syncs(), d, begun)
+	}
 	if err := w.Abort(AbortRecord{Reason: "test"}); err != nil {
 		t.Fatal(err)
 	}
-	expect("abort", 4)
-	if f.durable != f.Len() {
-		t.Fatalf("abort: %d of %d bytes synced", f.durable, f.Len())
-	}
+	expect("abort", 4, f.Now().Written)
 }
 
 // TestReadLogReportsIntactSize: Size is where the intact records end,

@@ -9,10 +9,17 @@
 // step against the journaled step records.
 //
 // What Recover may find is set by what the journal syncs (package journal):
-// a committed window is durable; an in-flight one always has its begin
-// record — strategy, full change batch, pre-state digest — and any prefix of
-// its step records, whole or torn. Every step without a record is
-// re-executed, so power loss costs redone steps and never a different state.
+// a committed window is durable; an in-flight one has its begin record —
+// strategy, full change batch, pre-state digest — once its flush has
+// returned, which the closing record waits for, and any prefix of its step
+// records, whole or torn. Power lost before that leaves no begin record or a
+// torn one, which the next open cuts off with whatever follows it: no window,
+// and nothing to undo, because an attempt writes only its clone, journal
+// frames and a spill directory the next open sweeps. Every step without a
+// record is re-executed, so power loss costs redone steps and never a
+// different state. Every way out of an attempt — commit, abort, crash-class
+// return — waits for the begin record's flush, so the caller of Run or
+// Recover gets back a journal nothing is still writing to.
 //
 // Replay is by re-execution: the engine is deterministic given the same
 // pre-window state, change batch and work-affecting options (which the
@@ -252,6 +259,8 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 		if err != nil {
 			return exec.Report{}, nil, err
 		}
+		// Begin starts the record's flush and does not wait for it: the steps
+		// below write nothing but the clone and journal frames.
 		if err := jw.Begin(b); err != nil {
 			return exec.Report{}, nil, err
 		}
@@ -265,9 +274,7 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 	t0 := time.Now()
 	rep, err := execute(clone, s, mode, opts, onStep)
 	if err != nil {
-		if jw != nil && !isCrash(err, opts.Faults) {
-			_ = jw.Abort(journal.AbortRecord{Reason: err.Error()})
-		}
+		closeFailed(jw, err.Error(), isCrash(err, opts.Faults))
 		return rep, nil, err
 	}
 	if jw != nil {
@@ -276,6 +283,20 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 		}
 	}
 	return rep, clone, nil
+}
+
+// closeFailed ends the journal window of a failed attempt: an abort record
+// or — after a crash-class failure, which leaves the window in flight as a
+// killed process would — only the wait for the begin record's flush that the
+// abort would have made.
+func closeFailed(jw *journal.Writer, reason string, crash bool) {
+	switch {
+	case jw == nil:
+	case crash:
+		_ = jw.Wait() // the failure being returned is the crash
+	default:
+		_ = jw.Abort(journal.AbortRecord{Reason: reason})
+	}
 }
 
 // execute runs a window's strategy on w — through the executor, or through
@@ -415,9 +436,7 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	t0 := time.Now()
 	rep, err := execute(clone, b.Strategy, mode, opts, onStep)
 	if err != nil {
-		if jw != nil && !isCrash(err, opts.Faults) {
-			_ = jw.Abort(journal.AbortRecord{Reason: "recovery failed: " + err.Error()})
-		}
+		closeFailed(jw, "recovery failed: "+err.Error(), isCrash(err, opts.Faults))
 		return nil, fmt.Errorf("recovery: replaying window %d: %w", b.Seq, err)
 	}
 	if committed && rep.TotalWork() != wl.Commit.TotalWork {

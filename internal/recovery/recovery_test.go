@@ -32,44 +32,35 @@ func intRow(vals ...int64) relation.Tuple {
 
 // newFixture builds R, S, J = R ⋈ S, A = Γ(J), loads data, and stages a
 // change batch; returns the warehouse and a dual-stage strategy.
-func newFixture(t *testing.T) (*core.Warehouse, strategy.Strategy) {
+func newFixture(t testing.TB) (*core.Warehouse, strategy.Strategy) {
 	t.Helper()
-	w := core.New(core.Options{})
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(w.DefineBase("R", schemaR))
-	must(w.DefineBase("S", schemaS))
-	jb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	jb.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	must(w.DefineDerived("J", jb.MustBuild()))
-	js := w.MustView("J").Schema()
-	ab := algebra.NewBuilder().From("j", "J", js)
-	ab.GroupByCol("j.a").Agg("total", delta.AggSum, ab.Col("j.c"))
-	must(w.DefineDerived("A", ab.MustBuild()))
-	must(w.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(2, 10), intRow(3, 20)}))
-	must(w.LoadBase("S", []relation.Tuple{intRow(10, 100), intRow(20, 200)}))
-	must(w.RefreshAll())
-
+	w := buildPristine(t)
 	dr := delta.New(schemaR)
 	dr.Add(intRow(4, 20), 1)
 	dr.Add(intRow(1, 10), -1)
-	must(w.StageDelta("R", dr))
 	ds := delta.New(schemaS)
 	ds.Add(intRow(10, 300), 1)
-	must(w.StageDelta("S", ds))
+	return w, stageBatch(t, w, dr, ds)
+}
 
+// stageBatch stages one delta each on R and S and returns the dual-stage
+// strategy that installs them.
+func stageBatch(t testing.TB, w *core.Warehouse, dr, ds *delta.Delta) strategy.Strategy {
+	t.Helper()
+	if err := w.StageDelta("R", dr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StageDelta("S", ds); err != nil {
+		t.Fatal(err)
+	}
 	g, err := exec.Graph(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, strategy.DualStageVDAG(g)
+	return strategy.DualStageVDAG(g)
 }
 
-func bags(t *testing.T, w *core.Warehouse) map[string]string {
+func bags(t testing.TB, w *core.Warehouse) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for _, name := range w.ViewNames() {
@@ -82,7 +73,7 @@ func bags(t *testing.T, w *core.Warehouse) map[string]string {
 	return out
 }
 
-func sameBags(t *testing.T, what string, ref, got map[string]string) {
+func sameBags(t testing.TB, what string, ref, got map[string]string) {
 	t.Helper()
 	for v := range ref {
 		if ref[v] != got[v] {
@@ -91,7 +82,7 @@ func sameBags(t *testing.T, what string, ref, got map[string]string) {
 	}
 }
 
-func readLog(t *testing.T, buf *bytes.Buffer) journal.Log {
+func readLog(t testing.TB, buf *bytes.Buffer) journal.Log {
 	t.Helper()
 	lg, err := journal.ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -309,7 +300,15 @@ func TestRecoverCompletesCrashedWindow(t *testing.T) {
 
 // buildPristine is the fixture catalog and data without the staged batch —
 // the state a pre-window snapshot restores.
-func buildPristine(t *testing.T) *core.Warehouse {
+func buildPristine(t testing.TB) *core.Warehouse {
+	t.Helper()
+	return loadCatalog(t,
+		[]relation.Tuple{intRow(1, 10), intRow(2, 10), intRow(3, 20)},
+		[]relation.Tuple{intRow(10, 100), intRow(20, 200)})
+}
+
+// loadCatalog defines R, S, J = R ⋈ S and A = Γ(J) over the given base rows.
+func loadCatalog(t testing.TB, r, s []relation.Tuple) *core.Warehouse {
 	t.Helper()
 	w := core.New(core.Options{})
 	must := func(err error) {
@@ -327,8 +326,8 @@ func buildPristine(t *testing.T) *core.Warehouse {
 	ab := algebra.NewBuilder().From("j", "J", js)
 	ab.GroupByCol("j.a").Agg("total", delta.AggSum, ab.Col("j.c"))
 	must(w.DefineDerived("A", ab.MustBuild()))
-	must(w.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(2, 10), intRow(3, 20)}))
-	must(w.LoadBase("S", []relation.Tuple{intRow(10, 100), intRow(20, 200)}))
+	must(w.LoadBase("R", r))
+	must(w.LoadBase("S", s))
 	must(w.RefreshAll())
 	return w
 }

@@ -105,6 +105,52 @@ func TestApplyDelta(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaAdoptsDecodedTuples: a delta that a Comp has scanned installs
+// the tuples that scan decoded, for the rows new to the table, and the table
+// is the one an unscanned copy of the delta gives.
+func TestApplyDeltaAdoptsDecodedTuples(t *testing.T) {
+	build := func() (*Table, *delta.Delta) {
+		tbl := NewTable(schema)
+		tbl.Insert(row(1, "a"), 2)
+		tbl.Insert(row(3, "c"), 1)
+		d := delta.New(schema)
+		d.Add(row(1, "a"), 1)  // a row the table holds
+		d.Add(row(2, "b"), 3)  // a new row
+		d.Add(row(3, "c"), -1) // a delete
+		return tbl, d
+	}
+	plain, d0 := build()
+	if err := plain.ApplyDelta(d0); err != nil {
+		t.Fatal(err)
+	}
+
+	tbl, d := build()
+	decoded := make(map[string]relation.Tuple)
+	d.Scan(func(tp relation.Tuple, _ int64) bool {
+		decoded[tp.Encode()] = tp
+		return true
+	})
+	if err := tbl.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Equal(plain) || tbl.Digest() != plain.Digest() || tbl.Cardinality() != plain.Cardinality() {
+		t.Fatalf("installing a scanned delta gives %v, an unscanned one %v", tbl.SortedRows(), plain.SortedRows())
+	}
+	if err := tbl.CheckDigest(); err != nil {
+		t.Fatal(err)
+	}
+	adopted := 0
+	tbl.Scan(func(tp relation.Tuple, _ int64) bool {
+		if m := decoded[tp.Encode()]; m != nil && &m[0] == &tp[0] {
+			adopted++
+		}
+		return true
+	})
+	if adopted != 1 {
+		t.Fatalf("the table holds %d of the delta's decoded tuples, want the one new row's", adopted)
+	}
+}
+
 func TestApplyDeltaValidatesBeforeMutating(t *testing.T) {
 	tbl := NewTable(schema)
 	tbl.Insert(row(1, "a"), 1)

@@ -115,7 +115,7 @@ func (t *Table) Insert(tup relation.Tuple, count int64) {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
 	key := encodeKey(tup)
-	t.insertKey(cowmap.Hash(key), key, count)
+	t.insertKey(cowmap.Hash(key), key, nil, count)
 }
 
 // encodeKey is tup.Encode() through a stack buffer: one allocation, the
@@ -126,14 +126,18 @@ func encodeKey(tup relation.Tuple) string {
 }
 
 // insertKey adds count copies of the row encoded as key. A row new to the
-// table stores the tuple decoded from key, whose strings are substrings of
-// the key the table holds anyway.
-func (t *Table) insertKey(hash uint64, key string, count int64) {
+// table stores tup, which is key decoded and becomes read-only, or — when tup
+// is nil — decodes key itself; either way the tuple's strings are substrings
+// of the key the table holds anyway.
+func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
 	r, existed := t.rows.Ref(hash, key)
 	if existed {
 		t.digest ^= rowDigest(hash, r.count)
 	} else {
-		r.tup = mustDecode(key)
+		if tup == nil {
+			tup = mustDecode(key)
+		}
+		r.tup = tup
 		t.indexInsert(hash, key, r.tup)
 	}
 	r.count += count
@@ -316,13 +320,14 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 	type change struct {
 		hash        uint64
 		key         string
-		count, have int64 // have is looked up for deletes only
+		tup         relation.Tuple // nil unless the delta has decoded it already
+		count, have int64          // have is looked up for deletes only
 	}
 	var err error
 	changes := make([]change, 0, d.Distinct())
 	plus := 0
-	d.ScanEncoded(func(key string, count int64) bool {
-		c := change{hash: cowmap.Hash(key), key: key, count: count}
+	d.ScanKeyed(func(key string, tup relation.Tuple, count int64) bool {
+		c := change{hash: cowmap.Hash(key), key: key, tup: tup, count: count}
 		if count > 0 {
 			plus++
 		} else if c.have = t.countKey(c.hash, key); c.have < -count {
@@ -336,11 +341,12 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 		return err
 	}
 	t.rows.Grow(plus)
-	// The table adopts the delta's key strings as its own, and decodes a
-	// tuple only for a row it does not hold yet.
+	// The table adopts the delta's key strings as its own and, for a row it
+	// does not hold yet, the tuple the window's Comps decoded from the key —
+	// decoding it only when none of them scanned the delta.
 	for _, c := range changes {
 		if c.count > 0 {
-			t.insertKey(c.hash, c.key, c.count)
+			t.insertKey(c.hash, c.key, c.tup, c.count)
 		} else {
 			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}

@@ -125,12 +125,16 @@ func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
 // opened, plus those committed through it since.
 func (j *Journal) Committed() int { return j.committed }
 
-// Close closes the underlying file, if any.
+// Close waits for a journal flush still in flight and closes the underlying
+// file, if any. It reports the first append or flush that failed through this
+// handle — after which the tail of the journal is suspect, whatever the
+// windows run since have returned — joined with the file's close error.
 func (j *Journal) Close() error {
+	err := j.w.Wait()
 	if j.f != nil {
-		return j.f.Close()
+		err = errors.Join(err, j.f.Close())
 	}
-	return nil
+	return err
 }
 
 // WindowOptions configure an update window (RunWindowOpts). The zero value

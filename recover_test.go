@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/journal/journaltest"
 )
 
 // rowsOf snapshots a view's rows for comparison.
@@ -281,5 +283,42 @@ func TestRunWindowOptsTimeout(t *testing.T) {
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalCloseReportsSuspectTail: a window whose begin record's flush
+// fails — after Begin has returned, while its steps run — is refused its
+// commit and leaves the serving state alone; a caller that only closes the
+// journal afterwards learns from Close that its tail is suspect. A healthy
+// journal closes clean.
+func TestJournalCloseReportsSuspectTail(t *testing.T) {
+	boom := errors.New("disk on fire")
+	disk := &journaltest.Disk{BeforeSync: func(int) error { return boom }}
+	w := newRetail(t)
+	stageSale(t, w)
+	before := w.StateDigest()
+	j := NewJournal(disk)
+	if _, err := w.RunWindowOpts(WindowOptions{Journal: j}); !errors.Is(err, boom) {
+		t.Fatalf("window over a journal whose begin flush fails: %v", err)
+	}
+	if w.StateDigest() != before || len(w.Pending()) == 0 || j.Committed() != 0 {
+		t.Fatal("the refused window reached the serving state")
+	}
+	if err := j.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close hid the failed flush: %v", err)
+	}
+
+	healthy, err := OpenJournal(filepath.Join(t.TempDir(), "wh.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunWindowOpts(WindowOptions{Journal: healthy}); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Close(); err != nil {
+		t.Fatalf("Close of a healthy journal: %v", err)
+	}
+	if err := healthy.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("second Close reports %v, want the file's own error", err)
 	}
 }

@@ -63,7 +63,11 @@ type WindowReport struct {
 	// sequential window's are what the same run would cost staged or
 	// DAG-scheduled.
 	Parallel *ParallelReport
-	// Started is when the window began.
+	// Started is when the window's execution began: it is stamped after
+	// planning, as the strategy is handed to the executor (for a recovered or
+	// replicated window, as its replay starts), so the time from Started to
+	// the window's return covers clone, steps, journal and adopt, not the
+	// plan search.
 	Started time.Time
 	// StaleAfter lists views left stale (deferred maintenance).
 	StaleAfter []string
