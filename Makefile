@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
+.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
 
 all: build test
 
@@ -18,6 +18,17 @@ endef
 
 build:
 	$(GO) build ./...
+
+# gofmt is enforced: CI runs this before go vet.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:" >&2; gofmt -l . >&2; exit 1; }
+
+# Replay one trial of the differential harness (DESIGN.md, "One oracle"):
+# every failing assertion of internal/check/trial prints the command this
+# runs, with the point that failed.
+#   make check POINT='seed=7 catalog=siblings mode=dag budget=1 windows=5'
+check:
+	$(GO) test ./internal/check -run TestTrials -count=1 -v -check.point='$(POINT)'
 
 # -shuffle=on randomizes test order within each package: tests that lean on
 # sibling-test side effects fail here before they flake anywhere else.
@@ -41,7 +52,8 @@ serve-smoke:
 # End-to-end smoke of replication: a whserverd leader with a fast window
 # driver plus two -follow daemons whose lag drains to zero at an advanced
 # epoch, and the replicate package's ship/replay, torn-stream, and failover
-# tests. (The full differential harness runs in the race tier.)
+# tests beside its table of replication points of the differential harness
+# (internal/check; the race tier runs it under the detector).
 replica-smoke:
 	$(call run-tests,./cmd/whserverd/,TestReplicaSmoke)
 	$(GO) test ./internal/replicate/ -count=1
@@ -50,13 +62,16 @@ replica-smoke:
 # CRC-framed spill file format (corruption, truncation, injected I/O and
 # ENOSPC faults), the core spill + partition-odometer path (a spilled build
 # the window's cache keeps included), the recovery ladder under persistent
-# spill faults, and the facade's window counters, stale-spill-dir sweep, and
-# bounded-vs-unbounded differential legs.
+# spill faults, the facade's window counters and stale-spill-dir sweep, and
+# the memory-budget points of the differential harness (internal/check): the
+# root's table of them, and one starved stream on the sharing fixture replayed
+# from its one-line point.
 spill-smoke:
 	$(GO) test ./internal/memory/ ./internal/storage/ -count=1
 	$(call run-tests,./internal/core/,TestSpilled|TestBounded|TestSharedEntrySpills|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory)
 	$(call run-tests,./internal/recovery/,TestSpillFault)
 	$(call run-tests,.,TestWindowCountersReportSpilling|TestCrashMidSpillSweptOnReopen|TestBoundedMemoryDifferential)
+	$(call run-tests,./internal/check/,TestTrials,,-check.point='catalog=siblings mode=dag workers=3 budget=1 windows=5')
 
 # Fault-injected soak of the continuous-ingestion path, under the race
 # detector: a paced producer drives micro-batch windows while probabilistic
@@ -76,12 +91,14 @@ soak-smoke:
 race:
 	$(GO) test -race ./...
 
-# Quick race pass over just those packages, and over the ones whose handles
+# Quick race pass over just those packages and the differential harness that
+# drives them (internal/check: its sweep of drawn points, readers racing
+# windows included), and over the ones whose handles
 # epochs share bucket by bucket while a window writes its clone (the
 # copy-on-write container, the stores and accumulators on it, the journal
 # writer DAG workers append through).
 race-fast:
-	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... .
+	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
 
 # Extended fuzzing of the conflict-order invariants (the seed corpus runs

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	whupdate [-sf 0.002] [-seed 7] [-p 0.10] [-insert 0]
-//	         [-planner minwork|prune|dualstage|reverse|shared]
+//	         [-planner minwork|prune|dualstage|shared]
 //	         [-par sequential|staged|dag] [-workers N] [-par-terms]
 //	         [-share] [-share-budget-mb N] [-explain-sharing] [-mem-budget-mb N]
 //	         [-skip-empty] [-timeout d] [-journal f [-resume]] [-retries N]
@@ -36,9 +36,8 @@
 // Every window runs the way the library's other callers run theirs —
 // warehouse.RunWindowOpts: planned by the named planner, executed on a
 // copy-on-write clone and adopted only on success, so a failed window leaves
-// the warehouse as it was. -planner reverse, the paper's worst case, is no
-// planner: its strategy is built here and executed in place
-// (warehouse.Execute), without -journal, -retries or -timeout.
+// the warehouse as it was. (The paper's worst case, MinWork's ordering
+// reversed, is built and measured by the fig15 experiment.)
 //
 // -timeout bounds the run's wall-clock time; cancellation propagates
 // through the DAG scheduler and the morsel pool. -journal makes the window
@@ -102,17 +101,12 @@ func usageErr(err error) error    { return exitErr{exitUsage, err} }
 func windowErr(err error) error   { return exitErr{exitWindow, err} }
 func recoveryErr(err error) error { return exitErr{exitRecovery, err} }
 
-// reversePlanner names the -planner value that is not a planner of the
-// library: MinWork's ordering reversed, the strategy the paper measures as
-// the worst 1-way one.
-const reversePlanner warehouse.PlannerName = "reverse"
-
 func main() {
 	sf := flag.Float64("sf", 0.002, "TPC-D scale factor")
 	seed := flag.Int64("seed", 7, "generation seed")
 	p := flag.Float64("p", 0.10, "delete fraction for C, O, L, S, N")
 	insert := flag.Float64("insert", 0, "insert fraction for C, O, L, S")
-	plannerName := flag.String("planner", "minwork", "minwork | prune | dualstage | reverse | shared")
+	plannerName := flag.String("planner", "minwork", "minwork | prune | dualstage | shared")
 	par := flag.String("par", "", "execution mode: sequential | staged | dag")
 	workers := flag.Int("workers", 0, "worker budget for -par dag and -par-terms (0 = GOMAXPROCS)")
 	parTerms := flag.Bool("par-terms", false, "parallelize inside each compute expression (terms + morsels, shared builds)")
@@ -211,13 +205,9 @@ func run(o options) error {
 	if o.resume && o.journal == "" {
 		return usageErr(errors.New("-resume requires -journal"))
 	}
-	plannerName := reversePlanner
-	if o.planner != string(reversePlanner) {
-		if plannerName, err = warehouse.ParsePlanner(o.planner); err != nil {
-			return usageErr(err)
-		}
-	} else if o.journal != "" || o.retries > 0 || o.timeout > 0 {
-		return usageErr(errors.New("-planner reverse executes in place: it takes no -journal, -retries or -timeout"))
+	plannerName, err := warehouse.ParsePlanner(o.planner)
+	if err != nil {
+		return usageErr(err)
 	}
 
 	// Open the journal first: an in-flight window blocks new work.
@@ -323,14 +313,7 @@ func run(o options) error {
 func runWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Journal, plannerName warehouse.PlannerName, mode warehouse.Mode, o options) error {
 	// The plan is printed from the planner's own answer; the window below
 	// plans the same staged batch again and runs what it planned.
-	reverse := plannerName == reversePlanner
-	var plan warehouse.Plan
-	var err error
-	if reverse {
-		plan, err = reversePlan(w)
-	} else {
-		plan, err = w.Plan(plannerName)
-	}
+	plan, err := w.Plan(plannerName)
 	if err != nil {
 		return err
 	}
@@ -367,56 +350,22 @@ func runWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Journal
 		return nil
 	}
 
-	var rep warehouse.WindowReport
-	if reverse {
-		r, err := w.Execute(plan.Strategy, mode, o.workers)
-		if err != nil {
-			return windowErr(err)
+	rep, err := w.RunWindowOpts(warehouse.WindowOptions{
+		Planner: plannerName, Mode: mode, Workers: o.workers,
+		Journal: j, Context: ctx, Retries: o.retries, Faults: o.faults,
+	})
+	if err != nil {
+		if j != nil && errors.Is(err, warehouse.ErrWindowAborted) {
+			// Interrupt or deadline: the attempt appended an abort
+			// record, so the journal is consistent — no resume needed.
+			fmt.Fprintf(os.Stderr, "whupdate: window aborted (%v); journal %s is consistent, staged batch not applied\n", ctx.Err(), o.journal)
+		} else if j != nil && j.NeedsRecovery() {
+			fmt.Fprintf(os.Stderr, "whupdate: journal %s holds an in-flight window; a rerun with -resume will complete it\n", o.journal)
 		}
-		rep = warehouse.WindowReport{Seq: 1, Planner: reversePlanner, Mode: mode, Plan: plan, Report: r, Parallel: &r.Sched}
-	} else {
-		rep, err = w.RunWindowOpts(warehouse.WindowOptions{
-			Planner: plannerName, Mode: mode, Workers: o.workers,
-			Journal: j, Context: ctx, Retries: o.retries, Faults: o.faults,
-		})
-		if err != nil {
-			if j != nil && errors.Is(err, warehouse.ErrWindowAborted) {
-				// Interrupt or deadline: the attempt appended an abort
-				// record, so the journal is consistent — no resume needed.
-				fmt.Fprintf(os.Stderr, "whupdate: window aborted (%v); journal %s is consistent, staged batch not applied\n", ctx.Err(), o.journal)
-			} else if j != nil && j.NeedsRecovery() {
-				fmt.Fprintf(os.Stderr, "whupdate: journal %s holds an in-flight window; a rerun with -resume will complete it\n", o.journal)
-			}
-			return windowErr(err)
-		}
+		return windowErr(err)
 	}
 	printWindow(w, rep, o)
 	return verify(w)
-}
-
-// reversePlan builds the -planner reverse strategy: MinWork's view ordering
-// backwards, through the same expression-graph construction.
-func reversePlan(w *warehouse.Warehouse) (warehouse.Plan, error) {
-	plan, err := w.PlanMinWork()
-	if err != nil {
-		return warehouse.Plan{}, err
-	}
-	g, err := w.Graph()
-	if err != nil {
-		return warehouse.Plan{}, err
-	}
-	rev := plan.Ordering
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	plan.Planner = reversePlanner
-	if plan.Strategy, err = planner.ConstructEG(g, rev).TopoSort(); err != nil {
-		return warehouse.Plan{}, err
-	}
-	if plan.EstimatedWork, err = w.EstimateWork(plan.Strategy); err != nil {
-		return warehouse.Plan{}, err
-	}
-	return plan, nil
 }
 
 // printPlan renders a plan's provenance — whatever of ordering, search size

@@ -10,35 +10,84 @@ import (
 	"testing"
 )
 
+// nonTestImports calls fn with every import of every non-test Go file under
+// the roots and returns how many files it parsed.
+func nonTestImports(t *testing.T, roots []string, fn func(path, imported string)) int {
+	t.Helper()
+	files := 0
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				if d != nil && d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "bench") {
+					return filepath.SkipDir // bench/ is a module of its own
+				}
+				return err
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			files++
+			for _, imp := range f.Imports {
+				imported, _ := strconv.Unquote(imp.Path.Value)
+				fn(filepath.ToSlash(path), imported)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
 // TestCommandsEnterWindowsThroughTheFacade: RunWindowOpts, Recover and
-// OpenJournal are how a command runs, resumes and journals a window. A
-// command that imports internal/recovery or internal/journal is growing a
-// window path of its own beside them — the drift PR 20 removed from
-// cmd/whupdate (its own planner switch, journal open, torn-tail cut, spill
-// sweep and in-place branch, planning with a model the facade does not use).
+// OpenJournal are how a command or an experiment runs, resumes and journals
+// a window. One that imports internal/recovery or internal/journal is growing
+// a window path of its own beside them — the drift PR 20 removed from
+// cmd/whupdate and PR 23 from the fault-tolerance experiment.
 func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 	banned := map[string]bool{"repro/internal/recovery": true, "repro/internal/journal": true}
-	checked := 0
-	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
+	checked := nonTestImports(t, []string{"cmd", "internal/experiments"}, func(path, imported string) {
+		if banned[imported] {
+			t.Errorf("%s imports %s: run windows through the warehouse facade", path, imported)
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		checked++
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); banned[p] {
-				t.Errorf("%s imports %s: run windows through the warehouse facade", path, p)
-			}
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if checked < 8 {
+		t.Fatalf("parsed %d files under cmd/ and internal/experiments: the guard is looking in the wrong place", checked)
 	}
-	if checked < 3 {
-		t.Fatalf("parsed %d command files under cmd/: the guard is looking in the wrong place", checked)
+}
+
+// TestOracleImportRules: only tests import internal/check and its runner —
+// product code that did would link the generator and the testing package into
+// a binary — and the non-test files of internal/check itself import only the
+// facade and what the facade's own files import, so that in-package tests of
+// the packages above the facade (internal/replicate, internal/ingest,
+// internal/recovery) can import it without a cycle. The runner,
+// internal/check/trial, drives those packages: external test packages only.
+func TestOracleImportRules(t *testing.T) {
+	facade := map[string]bool{"repro": true}
+	var oracle [][2]string // file, import
+	checked := nonTestImports(t, []string{"."}, func(path, imported string) {
+		switch {
+		case !strings.Contains(path, "/"):
+			facade[imported] = true
+		case strings.HasPrefix(path, "internal/check/trial/"):
+		case strings.HasPrefix(path, "internal/check/"):
+			oracle = append(oracle, [2]string{path, imported})
+		case strings.HasPrefix(imported, "repro/internal/check"):
+			t.Errorf("%s imports %s outside a test", path, imported)
+		}
+	})
+	for _, imp := range oracle {
+		if strings.HasPrefix(imp[1], "repro") && !facade[imp[1]] {
+			t.Errorf("%s imports %s, which the facade does not: a test of that package could no longer import internal/check", imp[0], imp[1])
+		}
+	}
+	if checked < 80 || len(oracle) == 0 {
+		t.Fatalf("parsed %d files of the module, %d imports of internal/check: the guard is looking in the wrong place", checked, len(oracle))
 	}
 }

@@ -1,14 +1,12 @@
 package exec
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/strategy"
@@ -82,15 +80,6 @@ func oneWayStrategy() strategy.Strategy {
 		strategy.Comp{View: "J", Over: []string{"S"}}, strategy.Inst{View: "S"},
 		strategy.Comp{View: "A", Over: []string{"J"}}, strategy.Inst{View: "J"},
 		strategy.Inst{View: "A"},
-	}
-}
-
-func dualStageStrategy() strategy.Strategy {
-	return strategy.Strategy{
-		strategy.Comp{View: "J", Over: []string{"R", "S"}},
-		strategy.Comp{View: "A", Over: []string{"J"}},
-		strategy.Inst{View: "R"}, strategy.Inst{View: "S"},
-		strategy.Inst{View: "J"}, strategy.Inst{View: "A"},
 	}
 }
 
@@ -180,41 +169,6 @@ func TestRunStepSkipsEmptyDeltas(t *testing.T) {
 	}
 	if err := w.VerifyAll(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMeasuredWorkMatchesLinearMetric is the metric-fidelity check: with
-// exact statistics, the cost simulator's prediction equals the executor's
-// measured work, for both strategy shapes.
-func TestMeasuredWorkMatchesLinearMetric(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		seed := int64(100 + trial)
-		pre := newWarehouse(t, rand.New(rand.NewSource(seed)))
-		stageRandomChanges(t, pre, rand.New(rand.NewSource(seed+1000)))
-		for name, s := range map[string]strategy.Strategy{
-			"one-way":    oneWayStrategy(),
-			"dual-stage": dualStageStrategy(),
-		} {
-			run := pre.Clone()
-			rep, err := Execute(run, s, Options{Validate: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := ExactStats(pre, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := cost.Simulate(cost.DefaultModel, stats, RefCounts(pre), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(b.Comp-float64(rep.CompWork)) > 1e-9 {
-				t.Errorf("trial %d %s: simulated comp work %v != measured %d", trial, name, b.Comp, rep.CompWork)
-			}
-			if math.Abs(b.Inst-float64(rep.InstWork)) > 1e-9 {
-				t.Errorf("trial %d %s: simulated inst work %v != measured %d", trial, name, b.Inst, rep.InstWork)
-			}
-		}
 	}
 }
 

@@ -3,13 +3,11 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/faults"
-	"repro/internal/journal"
-	"repro/internal/planner"
-	"repro/internal/recovery"
+	warehouse "repro"
 	"repro/internal/tpcd"
 )
 
@@ -31,101 +29,88 @@ func FaultTolerance(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	// Recovery replays on the pre-window (unstaged) state — it re-stages the
-	// journaled batch itself — so keep a pristine clone before staging.
-	pristine := tw.W.Clone()
+	// Every window below runs on a clone and is not adopted, so that each
+	// measures the same staged batch. Recovery runs on the pre-window
+	// (unstaged) state — it re-stages the journaled batch itself — so a
+	// pristine clone is kept from before staging.
+	w := warehouse.FromCore(tw.W, warehouse.CostModel{})
+	pristine := w.Clone()
 	if _, err := tw.StageChanges(tpcd.UniformDecrease(cfg.ChangeFrac)); err != nil {
 		return res, err
 	}
-	stats, err := exec.PlanningStats(tw.W)
-	if err != nil {
-		return res, err
+	row := func(label string, rep warehouse.WindowReport, marker string) Row {
+		return Row{Label: label, Work: rep.Report.TotalWork(), Elapsed: rep.Report.Elapsed, Predicted: -1, Marker: marker}
 	}
-	mw, err := planner.MinWork(tw.Graph, stats)
-	if err != nil {
-		return res, err
-	}
-	s := mw.Strategy
-	noSleep := func(time.Duration) {}
 
-	// Baseline: the robust runner without a journal (clone-execute-swap
-	// only).
-	base, err := recovery.Run(tw.W, s, recovery.Options{Validate: true})
+	// Baseline: the window without a journal (clone-execute-swap only).
+	base, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = append(res.Rows, Row{
-		Label: "unjournaled", Work: base.Report.TotalWork(),
-		Elapsed: base.Report.Elapsed, Predicted: -1,
-	})
+	res.Rows = append(res.Rows, row("unjournaled", base, ""))
 
 	// Journaled: identical window, plus begin/step/commit records.
 	var jbuf bytes.Buffer
-	jr, err := recovery.Run(tw.W, s, recovery.Options{
-		Journal: journal.NewWriter(&jbuf), Seq: 1, Planner: "minwork", Validate: true,
-	})
+	jr, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Journal: warehouse.NewJournal(&jbuf)})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = append(res.Rows, Row{
-		Label: "journaled", Work: jr.Report.TotalWork(), Elapsed: jr.Report.Elapsed,
-		Predicted: -1, Marker: fmt.Sprintf("journal: %d bytes", jbuf.Len()),
-	})
+	res.Rows = append(res.Rows, row("journaled", jr, fmt.Sprintf("journal: %d bytes", jbuf.Len())))
 
 	// Crash mid-window, then recover on the pristine state: the journaled
 	// batch is re-staged, completed steps are verified against their
 	// journaled digests, and the recovered window's work must equal the
 	// uninterrupted one's.
-	crashAt := len(s)/2 + 1
-	var cbuf bytes.Buffer
-	inj := faults.New(cfg.Seed)
+	dir, err := os.MkdirTemp("", "faulttolerance")
+	if err != nil {
+		return res, err
+	}
+	defer os.RemoveAll(dir)
+	jpath := filepath.Join(dir, "window.journal")
+	j, err := warehouse.OpenJournal(jpath)
+	if err != nil {
+		return res, err
+	}
+	steps := len(base.Plan.Strategy)
+	crashAt := steps/2 + 1
+	inj := warehouse.NewFaultInjector(cfg.Seed)
 	inj.CrashAt("step", crashAt)
-	if _, err := recovery.Run(tw.W, s, recovery.Options{
-		Journal: journal.NewWriter(&cbuf), Seq: 1, Planner: "minwork",
-		Validate: true, Faults: inj,
-	}); err == nil {
+	_, err = w.Clone().RunWindowOpts(warehouse.WindowOptions{Journal: j, Faults: inj})
+	j.Close()
+	if err == nil {
 		return res, fmt.Errorf("faulttolerance: injected crash did not surface")
 	}
-	lg, err := journal.ReadLog(bytes.NewReader(cbuf.Bytes()))
+	if j, err = warehouse.OpenJournal(jpath); err != nil {
+		return res, err
+	}
+	rec, err := pristine.Recover(j)
+	j.Close()
 	if err != nil {
 		return res, err
 	}
-	rec, err := recovery.Recover(pristine, &lg, recovery.Options{Validate: true})
-	if err != nil {
-		return res, err
-	}
-	marker := fmt.Sprintf("%d/%d steps survived the crash", crashAt-1, len(s))
+	marker := fmt.Sprintf("%d/%d steps survived the crash", crashAt-1, steps)
 	if rec.Report.TotalWork() != base.Report.TotalWork() {
 		marker = fmt.Sprintf("WORK MISMATCH: %d vs %d", rec.Report.TotalWork(), base.Report.TotalWork())
 	}
-	res.Rows = append(res.Rows, Row{
-		Label: fmt.Sprintf("crash@%d + recover", crashAt), Work: rec.Report.TotalWork(),
-		Elapsed: rec.Report.Elapsed, Predicted: -1, Marker: marker,
-	})
+	res.Rows = append(res.Rows, row(fmt.Sprintf("crash@%d + recover", crashAt), rec, marker))
 
 	// Transient faults with retry: two injected failures, absorbed by the
 	// backoff loop.
-	tinj := faults.New(cfg.Seed)
+	tinj := warehouse.NewFaultInjector(cfg.Seed)
 	tinj.FailTimes("step", 2)
-	tr, err := recovery.Run(tw.W, s, recovery.Options{
-		Validate: true, Faults: tinj, Retries: 3, Sleep: noSleep,
-	})
+	tr, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Faults: tinj, Retries: 3, Backoff: time.Microsecond})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = append(res.Rows, Row{
-		Label: "2 transient faults + retry", Work: tr.Report.TotalWork(),
-		Elapsed: tr.Report.Elapsed, Predicted: -1,
-		Marker: fmt.Sprintf("%d attempts", tr.Attempts),
-	})
+	res.Rows = append(res.Rows, row("2 transient faults + retry", tr, fmt.Sprintf("%d attempts", tr.Attempts)))
 
 	// Persistent failure: every incremental attempt dies, and the window
 	// degrades to install-and-recompute.
-	pinj := faults.New(cfg.Seed)
+	pinj := warehouse.NewFaultInjector(cfg.Seed)
 	pinj.SetProbability("step", 1)
-	rc, err := recovery.Run(tw.W, s, recovery.Options{
-		Validate: true, Faults: pinj, Retries: 1, Sleep: noSleep,
-		FallbackSequential: true, FallbackRecompute: true,
+	degraded := w.Clone()
+	rc, err := degraded.RunWindowOpts(warehouse.WindowOptions{
+		Faults: pinj, Retries: 1, Backoff: time.Microsecond, FallbackSequential: true, FallbackRecompute: true,
 	})
 	if err != nil {
 		return res, err
@@ -136,17 +121,14 @@ func FaultTolerance(cfg Config) (Result, error) {
 	// The step-level linear metric only sees the installs: RefreshAll's
 	// re-derivation is unmetered. Count the re-derived rows so the bar is
 	// comparable.
-	recompWork := rc.Report.TotalWork()
-	for _, name := range rc.Core.ViewNames() {
-		if !rc.Core.View(name).IsBase() {
-			recompWork += int64(rc.Core.View(name).Cardinality())
+	recomp := row("recompute fallback", rc, fmt.Sprintf("%d attempts, degraded; installs + re-derived rows", rc.Attempts))
+	for _, name := range degraded.Views() {
+		if v := degraded.Internal().View(name); !v.IsBase() {
+			recomp.Work += v.Cardinality()
 		}
 	}
-	res.Rows = append(res.Rows, Row{
-		Label: "recompute fallback", Work: recompWork,
-		Elapsed: rc.Report.Elapsed, Predicted: -1,
-		Marker: fmt.Sprintf("%d attempts, degraded; installs + re-derived rows", rc.Attempts),
-	})
+	recompWork := recomp.Work
+	res.Rows = append(res.Rows, recomp)
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("recovered window replays to the same total work as the uninterrupted one (%d)",

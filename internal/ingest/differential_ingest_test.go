@@ -1,146 +1,48 @@
-package ingest
+package ingest_test
 
 import (
-	"context"
-	"errors"
-	"math/rand"
-	"path/filepath"
+	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	warehouse "repro"
-	"repro/internal/faults"
+	"repro/internal/check"
+	"repro/internal/check/trial"
 )
 
-// TestDifferentialIngest is the exactly-once acceptance harness: ~50 seeded
-// trials run a journaled ingester over a deterministic change stream with a
-// crash or transient fault injected at a random ingest point
-// (accept/journal/cut/stage) or window point (step/recompute). A crash kills
-// the incarnation — journals left exactly as a dead process would leave
-// them — and the trial "restarts the process": rebuild the fixture, restore
-// from the window journal, resume the ingest journal, submit whatever the
-// producer never got accepted. Every trial must converge to bags identical
-// to the sequential oracle over the same accepted stream, with the ingest
-// journal reconciling to nothing left over. Run with -race in CI.
+// TestDifferentialIngest: the exactly-once points of the one differential
+// harness (internal/check, DESIGN.md "One oracle"). 50 seeded catalogs each
+// take a journaled stream through the ingester with a crash or a transient
+// fault at an ingest point (accept, journal, cut, stage) or a window point
+// (step; recompute, which only a degrading window reaches) of the first
+// incarnation; one trial in seven is fault-free outright, every third is read
+// while it runs. trial.Run restarts a dead incarnation from its journals until
+// the stream is in, and holds the result to the recomputation of the whole
+// stream — nothing dropped, nothing applied twice — and the ingest journal to
+// nothing left over. Run with -race in CI.
 func TestDifferentialIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness skipped in -short")
 	}
-	const (
-		trials = 50
-		stores = 8
-		sales  = 120
-	)
-	points := []string{pointAccept, pointJournal, pointCut, pointStage, "step", "recompute"}
-	modes := []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeDAG}
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
+	var restarts atomic.Int64
+	t.Cleanup(func() { // after the parallel trials
+		if n := restarts.Load(); !t.Failed() && n < 20 {
+			t.Errorf("%d restarts over the table's crash points at accept, journal, cut, stage and step: they are not firing", n)
+		}
+	})
+	points := []string{"ingest.accept", "ingest.journal", "ingest.cut", "ingest.stage", "step", "recompute"}
+	for seed := range trial.Seeds(50, 0) {
+		p := check.Point{
+			Seed: 1000 + seed, Ingest: true, Windows: 4 + int(seed%4), Workers: 2,
+			Mode:    []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeDAG}[seed/2%2],
+			Readers: []int{0, 0, 2}[seed%3],
+		}
+		if seed%7 != 0 {
+			p.Fault = fmt.Sprintf("%s:%s@%d", []string{"crash", "transient", "crash"}[seed/3%3], points[seed%6], 1+seed/6%3)
+		}
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			seed := int64(1000 + trial)
-			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			wjPath := filepath.Join(dir, "window.journal")
-			ijPath := filepath.Join(dir, "ingest.journal")
-			mode := modes[rng.Intn(len(modes))]
-			sets := genSets(seed, stores, sales, 8+rng.Intn(5), 4+rng.Intn(8))
-
-			// Most trials inject one fault into the first incarnation; a few
-			// run fault-free as a pure concurrency leg.
-			inj := faults.New(seed)
-			if trial%7 != 0 {
-				point := points[rng.Intn(len(points))]
-				nth := 1 + rng.Intn(6)
-				if rng.Float64() < 0.6 {
-					inj.CrashAt(point, nth)
-				} else {
-					inj.FailAt(point, nth)
-				}
-			}
-
-			next := 0 // first set the producer has not had accepted
-			for incarnation := 0; ; incarnation++ {
-				if incarnation >= 6 {
-					t.Fatalf("trial %d did not converge within 6 incarnations", trial)
-				}
-				w := buildFixture(t, seed, stores, sales)
-				wj, err := warehouse.OpenJournal(wjPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := w.Restore(wj); err != nil {
-					t.Fatalf("incarnation %d: Restore: %v", incarnation, err)
-				}
-				cfg := Config{
-					Warehouse:   w,
-					Journal:     wj,
-					JournalPath: ijPath,
-					Mode:        mode,
-					Workers:     2,
-					Tick:        500 * time.Microsecond,
-					MinBatch:    4,
-					Retries:     2,
-					Backoff:     100 * time.Microsecond,
-				}
-				if incarnation == 0 {
-					cfg.Faults = inj
-				}
-				ing, err := New(cfg)
-				if err != nil {
-					t.Fatalf("incarnation %d: New: %v", incarnation, err)
-				}
-				wait := startRun(ing)
-				for next < len(sets) {
-					err := ing.Submit("SALES", sets[next].delta(t, w))
-					switch {
-					case err == nil:
-						next++
-					case errors.Is(err, ErrIngestOverloaded):
-						time.Sleep(time.Millisecond)
-					case faults.IsTransient(err) && !errors.Is(err, ErrIngestClosed):
-						// Not accepted; retry the same set.
-					default:
-						// Crash-class or closed: this incarnation is dead.
-						goto dead
-					}
-				}
-			dead:
-				closeErr := ing.Close(context.Background())
-				runErr := wait()
-				wj.Close()
-				if closeErr == nil && runErr == nil && next == len(sets) {
-					// Converged: every set accepted and drained cleanly.
-					want := oracleDigest(t, seed, stores, sales, sets)
-					if got := w.StateDigest(); got != want {
-						t.Fatalf("trial %d: digest mismatch after %d incarnation(s): got %x want %x",
-							trial, incarnation+1, got, want)
-					}
-					wj2, err := warehouse.OpenJournal(wjPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					committed := wj2.Committed()
-					if wj2.NeedsRecovery() {
-						t.Fatalf("trial %d: window journal left in-flight after clean close", trial)
-					}
-					wj2.Close()
-					sum, err := InspectJournal(ijPath, committed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sum.Accepts != len(sets) {
-						t.Fatalf("trial %d: journal holds %d accepts, want %d (drop or double-accept)",
-							trial, sum.Accepts, len(sets))
-					}
-					if sum.Requeued != 0 {
-						t.Fatalf("trial %d: %d accepted entr(ies) never installed: %+v", trial, sum.Requeued, sum)
-					}
-					return
-				}
-				if closeErr != nil && !faults.IsCrash(closeErr) && !inj.Crashed() {
-					t.Fatalf("trial %d incarnation %d: non-crash close failure: %v", trial, incarnation, closeErr)
-				}
-			}
+			restarts.Add(int64(trial.Run(t, p).Restarts))
 		})
 	}
 }

@@ -6,8 +6,8 @@
 // (Grace-style partitioned builds, see internal/core/spill.go) rather than
 // an error.
 //
-// A nil *Budget is inert: every method is safe to call, TryReserve always
-// grants, and nothing is accounted — production paths carry the hook at zero
+// A nil *Budget is inert: every method is safe to call, TryReserveUnder
+// always grants, and nothing is accounted — production paths carry the hook at zero
 // configuration cost, exactly like a nil faults.Injector.
 package memory
 
@@ -17,12 +17,10 @@ import "sync"
 // concurrent use: windows evaluate many Comp expressions at once and each
 // fans out over terms and morsels.
 type Budget struct {
-	mu       sync.Mutex
-	limit    int64 // <= 0: unlimited (accounting only)
-	used     int64
-	peak     int64
-	denied   int64
-	pressure []func(need int64)
+	mu    sync.Mutex
+	limit int64 // <= 0: unlimited (accounting only)
+	used  int64
+	peak  int64
 }
 
 // NewBudget creates a budget of limit bytes. A non-positive limit means
@@ -71,18 +69,13 @@ func (g *Grant) Release() {
 	g.b.mu.Unlock()
 }
 
-// TryReserve reserves n bytes iff the reservation fits the limit, returning
-// the grant and whether it was admitted. On a nil budget the reservation is
-// always admitted (and never accounted). A denied reservation counts toward
-// Denied and fires the pressure callbacks with the shortfall.
-func (b *Budget) TryReserve(n int64) (*Grant, bool) {
-	return b.TryReserveUnder(n, 0)
-}
-
-// TryReserveUnder is TryReserve against a caller-supplied cap: the
-// reservation is admitted iff used+n <= cap (a non-positive cap falls back
-// to the budget's limit). Callers reserve under a cap below the limit to
-// keep headroom for the forced reservations of spill-partition loads.
+// TryReserveUnder reserves n bytes iff the reservation fits a
+// caller-supplied cap, returning the grant and whether it was admitted: it
+// is admitted iff used+n <= cap (a non-positive cap falls back to the
+// budget's limit). Callers reserve under a cap below the limit to keep
+// headroom for the forced reservations of spill-partition loads. On a nil
+// budget the reservation is always admitted (and never accounted). A denied
+// reservation is the caller's signal to spill.
 func (b *Budget) TryReserveUnder(n, cap int64) (*Grant, bool) {
 	if b == nil {
 		return nil, true
@@ -92,13 +85,7 @@ func (b *Budget) TryReserveUnder(n, cap int64) (*Grant, bool) {
 	}
 	b.mu.Lock()
 	if b.limit > 0 && b.used+n > cap {
-		b.denied++
-		need := b.used + n - cap
-		fns := b.pressure
 		b.mu.Unlock()
-		for _, fn := range fns {
-			fn(need)
-		}
 		return nil, false
 	}
 	g := b.grantLocked(n)
@@ -129,18 +116,6 @@ func (b *Budget) grantLocked(n int64) *Grant {
 	return &Grant{b: b, n: n}
 }
 
-// OnPressure registers a callback fired (outside the budget lock) whenever a
-// reservation is denied, with the byte shortfall. Consumers that can shed
-// state — e.g. a cache dropping builds it keeps — register here.
-func (b *Budget) OnPressure(fn func(need int64)) {
-	if b == nil || fn == nil {
-		return
-	}
-	b.mu.Lock()
-	b.pressure = append(b.pressure, fn)
-	b.mu.Unlock()
-}
-
 // Used returns the bytes currently reserved.
 func (b *Budget) Used() int64 {
 	if b == nil {
@@ -159,14 +134,4 @@ func (b *Budget) Peak() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.peak
-}
-
-// Denied returns how many reservations the limit refused.
-func (b *Budget) Denied() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.denied
 }

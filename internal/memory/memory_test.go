@@ -12,17 +12,14 @@ func TestBudgetReserveRelease(t *testing.T) {
 	if b.Limit() != 100 {
 		t.Fatalf("Limit() = %d, want 100", b.Limit())
 	}
-	g1, ok := b.TryReserve(60)
+	g1, ok := b.TryReserveUnder(60, 0)
 	if !ok || g1.Bytes() != 60 {
 		t.Fatalf("first reservation denied (ok=%v bytes=%d)", ok, g1.Bytes())
 	}
-	if _, ok := b.TryReserve(50); ok {
+	if _, ok := b.TryReserveUnder(50, 0); ok {
 		t.Fatal("60+50 admitted against a 100-byte limit")
 	}
-	if b.Denied() != 1 {
-		t.Fatalf("Denied() = %d, want 1", b.Denied())
-	}
-	g2, ok := b.TryReserve(40)
+	g2, ok := b.TryReserveUnder(40, 0)
 	if !ok {
 		t.Fatal("60+40 denied against a 100-byte limit")
 	}
@@ -72,12 +69,12 @@ func TestBudgetTryReserveUnder(t *testing.T) {
 // unbounded leg relies on.
 func TestBudgetUnlimited(t *testing.T) {
 	b := NewBudget(0)
-	g, ok := b.TryReserve(1 << 40)
+	g, ok := b.TryReserveUnder(1<<40, 0)
 	if !ok {
 		t.Fatal("unlimited budget denied a reservation")
 	}
-	if b.Peak() != 1<<40 || b.Denied() != 0 {
-		t.Fatalf("peak=%d denied=%d", b.Peak(), b.Denied())
+	if b.Peak() != 1<<40 {
+		t.Fatalf("peak=%d", b.Peak())
 	}
 	g.Release()
 }
@@ -86,34 +83,17 @@ func TestBudgetUnlimited(t *testing.T) {
 // inert — the zero-configuration hook production paths rely on.
 func TestBudgetNilSafe(t *testing.T) {
 	var b *Budget
-	g, ok := b.TryReserve(10)
+	g, ok := b.TryReserveUnder(10, 0)
 	if !ok || g != nil {
-		t.Fatalf("nil budget: TryReserve = (%v, %v)", g, ok)
+		t.Fatalf("nil budget: TryReserveUnder = (%v, %v)", g, ok)
 	}
 	if b.Reserve(10) != nil {
 		t.Fatal("nil budget: Reserve returned a grant")
 	}
-	if b.Used() != 0 || b.Peak() != 0 || b.Denied() != 0 || b.Limit() != 0 {
+	if b.Used() != 0 || b.Peak() != 0 || b.Limit() != 0 {
 		t.Fatal("nil budget accounted something")
 	}
-	b.OnPressure(func(int64) {})
 	g.Release() // nil grant
-}
-
-// TestBudgetPressureCallback: a denied reservation fires the pressure
-// callbacks with the byte shortfall.
-func TestBudgetPressureCallback(t *testing.T) {
-	b := NewBudget(100)
-	var needs []int64
-	b.OnPressure(func(n int64) { needs = append(needs, n) })
-	g, _ := b.TryReserve(90)
-	defer g.Release()
-	if _, ok := b.TryReserve(30); ok {
-		t.Fatal("over-limit reservation admitted")
-	}
-	if len(needs) != 1 || needs[0] != 20 {
-		t.Fatalf("pressure callbacks fired with %v, want [20]", needs)
-	}
 }
 
 // TestBudgetConcurrentBalance hammers the budget from many goroutines mixing
@@ -137,7 +117,7 @@ func TestBudgetConcurrentBalance(t *testing.T) {
 				n := int64(1 + (w*rounds+i)%4096)
 				switch i % 3 {
 				case 0:
-					if g, ok := b.TryReserve(n); ok {
+					if g, ok := b.TryReserveUnder(n, 0); ok {
 						held = append(held, g)
 					}
 				case 1:

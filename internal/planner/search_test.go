@@ -129,56 +129,60 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 	}
 	shapes := []string{"tree", "uniform", "deep"}
 	for seed := 0; seed < cases; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		minOrderable, maxOrderable := 3, 5
-		switch {
-		case seed == 11 || seed == 21 || seed == 128: // deep, tree, deep: 40 320 orderings each
-			minOrderable, maxOrderable = 8, 8
-		case seed%15 == 0:
-			maxOrderable = 7
-		}
-		shape := shapes[seed%len(shapes)]
-		c := randomSearchCase(rng, shape, minOrderable, maxOrderable)
-		name := fmt.Sprintf("seed %d (%s, %v)", seed, shape, c.g)
+		// Each case owns its random source, so the cases run side by side.
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(seed)))
+			minOrderable, maxOrderable := 3, 5
+			switch {
+			case seed == 11 || seed == 21 || seed == 128: // deep, tree, deep: 40 320 orderings each
+				minOrderable, maxOrderable = 8, 8
+			case seed%15 == 0:
+				maxOrderable = 7
+			}
+			shape := shapes[seed%len(shapes)]
+			c := randomSearchCase(rng, shape, minOrderable, maxOrderable)
+			name := fmt.Sprintf("seed %d (%s, %v)", seed, shape, c.g)
 
-		want, err := refPrune(c.g, c.model, c.stats, c.refs)
-		if err != nil {
-			t.Fatalf("%s: reference Prune: %v", name, err)
-		}
-		got, err := Prune(c.g, c.model, c.stats, c.refs)
-		if err != nil {
-			t.Fatalf("%s: Prune: %v", name, err)
-		}
-		// Not the counters: the search prices prefixes and completes few
-		// orderings, the loop completes all m!.
-		got.Examined, got.Feasible = want.Examined, want.Feasible
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Prune = %+v\nwant %+v", name, got, want)
-		}
-		if err := strategy.ValidateVDAGStrategy(c.g, got.Strategy); err != nil {
-			t.Errorf("%s: Prune's strategy is not correct: %v", name, err)
-		}
+			want, err := refPrune(c.g, c.model, c.stats, c.refs)
+			if err != nil {
+				t.Fatalf("%s: reference Prune: %v", name, err)
+			}
+			got, err := Prune(c.g, c.model, c.stats, c.refs)
+			if err != nil {
+				t.Fatalf("%s: Prune: %v", name, err)
+			}
+			// Not the counters: the search prices prefixes and completes few
+			// orderings, the loop completes all m!.
+			got.Examined, got.Feasible = want.Examined, want.Feasible
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Prune = %+v\nwant %+v", name, got, want)
+			}
+			if err := strategy.ValidateVDAGStrategy(c.g, got.Strategy); err != nil {
+				t.Errorf("%s: Prune's strategy is not correct: %v", name, err)
+			}
 
-		wantS, err := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, refAnalyzeSharingOpts)
-		if err != nil {
-			t.Fatalf("%s: reference PruneShared: %v", name, err)
-		}
-		gotS, err := PruneShared(c.g, c.model, c.stats, c.refs, c.opts)
-		if err != nil {
-			t.Fatalf("%s: PruneShared: %v", name, err)
-		}
-		gotS.Examined, gotS.Feasible = wantS.Examined, wantS.Feasible
-		if !reflect.DeepEqual(gotS, wantS) {
-			t.Errorf("%s: PruneShared = %+v\nwant %+v", name, gotS, wantS)
-		}
-		if err := strategy.ValidateVDAGStrategy(c.g, gotS.Strategy); err != nil {
-			t.Errorf("%s: PruneShared's strategy is not correct: %v", name, err)
-		}
-		// The same loop over today's analysis: the search's election and the
-		// one-shot election are the same code on the same reads.
-		if again, _ := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, AnalyzeSharingOpts); !reflect.DeepEqual(gotS, again) {
-			t.Errorf("%s: PruneShared differs from the loop over AnalyzeSharingOpts: %+v\nwant %+v", name, gotS, again)
-		}
+			wantS, err := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, refAnalyzeSharingOpts)
+			if err != nil {
+				t.Fatalf("%s: reference PruneShared: %v", name, err)
+			}
+			gotS, err := PruneShared(c.g, c.model, c.stats, c.refs, c.opts)
+			if err != nil {
+				t.Fatalf("%s: PruneShared: %v", name, err)
+			}
+			gotS.Examined, gotS.Feasible = wantS.Examined, wantS.Feasible
+			if !reflect.DeepEqual(gotS, wantS) {
+				t.Errorf("%s: PruneShared = %+v\nwant %+v", name, gotS, wantS)
+			}
+			if err := strategy.ValidateVDAGStrategy(c.g, gotS.Strategy); err != nil {
+				t.Errorf("%s: PruneShared's strategy is not correct: %v", name, err)
+			}
+			// The same loop over today's analysis: the search's election and the
+			// one-shot election are the same code on the same reads.
+			if again, _ := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, AnalyzeSharingOpts); !reflect.DeepEqual(gotS, again) {
+				t.Errorf("%s: PruneShared differs from the loop over AnalyzeSharingOpts: %+v\nwant %+v", name, gotS, again)
+			}
+		})
 	}
 }
 

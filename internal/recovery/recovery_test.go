@@ -91,6 +91,21 @@ func readLog(t testing.TB, buf *bytes.Buffer) journal.Log {
 	return lg
 }
 
+// instDigestsOf extracts the last journal window's Inst-step digests by
+// strategy index.
+func instDigestsOf(t *testing.T, buf *bytes.Buffer) map[int]uint64 {
+	t.Helper()
+	lg := readLog(t, buf)
+	if len(lg.Windows) == 0 {
+		t.Fatal("journal has no windows")
+	}
+	out := make(map[int]uint64)
+	for _, sr := range lg.Windows[len(lg.Windows)-1].Steps {
+		out[sr.Index] = sr.Digest
+	}
+	return out
+}
+
 // refRun executes the strategy uninterrupted on a clone and returns the
 // resulting bags.
 func refRun(t *testing.T, w *core.Warehouse, s strategy.Strategy) map[string]string {

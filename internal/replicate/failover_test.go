@@ -15,17 +15,18 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/check"
 )
 
 func TestFailover(t *testing.T) {
 	const seed = 7600
-	leader := NewLeader(buildRep(t, seed))
+	leader := NewLeader(check.Build(t, seed))
 	srv := httptest.NewServer(leader.Handler())
 	rng := rand.New(rand.NewSource(seed * 3))
 	ctx := context.Background()
 
 	newF := func() *Follower {
-		return NewFollower(buildRep(t, seed), FollowerConfig{
+		return NewFollower(check.Build(t, seed), FollowerConfig{
 			Leader: srv.URL,
 			Client: srv.Client(),
 			Sleep:  func(time.Duration) {},
@@ -36,7 +37,7 @@ func TestFailover(t *testing.T) {
 	// Five windows; `ahead` replicates all of them, `stale` only the first
 	// two — a mid-stream death leaves followers at different HWMs.
 	for i := 0; i < 5; i++ {
-		stageRep(t, leader.Warehouse(), rng)
+		check.Stage(t, leader.Warehouse(), rng)
 		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestFailover(t *testing.T) {
 			}
 		}
 	}
-	leaderBags := captureBags(t, leader.Warehouse())
+	leaderState := check.Capture(leader.Warehouse())
 	leaderEpoch := leader.Warehouse().Epoch()
 
 	// The leader dies mid-stream.
@@ -72,7 +73,7 @@ func TestFailover(t *testing.T) {
 	if got := promoted.Warehouse().Epoch(); got != leaderEpoch {
 		t.Fatalf("promoted leader at epoch %d, dead leader committed through %d", got, leaderEpoch)
 	}
-	if !bagsEqual(captureBags(t, promoted.Warehouse()), leaderBags) {
+	if check.Diff(leaderState, check.Capture(promoted.Warehouse())) != nil {
 		t.Fatal("promoted leader lost committed state")
 	}
 	if promoted.Log().CommittedWindows() != 5 {
@@ -87,7 +88,7 @@ func TestFailover(t *testing.T) {
 	if err := stale.CatchUp(ctx); err != nil {
 		t.Fatalf("stale follower catching up to promoted leader: %v", err)
 	}
-	if !bagsEqual(captureBags(t, stale.Warehouse()), leaderBags) {
+	if check.Diff(leaderState, check.Capture(stale.Warehouse())) != nil {
 		t.Fatal("stale follower did not converge on the promoted leader")
 	}
 	if got, want := stale.Warehouse().StateDigest(), promoted.Warehouse().StateDigest(); got != want {
@@ -97,7 +98,7 @@ func TestFailover(t *testing.T) {
 	// The promoted leader keeps the replica set moving: new windows ship,
 	// sequence numbering continues, the stale follower stays converged.
 	for i := 0; i < 2; i++ {
-		stageRep(t, promoted.Warehouse(), rng)
+		check.Stage(t, promoted.Warehouse(), rng)
 		if _, err := promoted.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 			t.Fatalf("post-failover window %d: %v", i, err)
 		}
@@ -108,7 +109,7 @@ func TestFailover(t *testing.T) {
 	if promoted.Journal().Committed() != 7 {
 		t.Fatalf("promoted journal committed %d windows, want 7 (5 inherited + 2 new)", promoted.Journal().Committed())
 	}
-	if !bagsEqual(captureBags(t, stale.Warehouse()), captureBags(t, promoted.Warehouse())) {
+	if check.Diff(check.Capture(promoted.Warehouse()), check.Capture(stale.Warehouse())) != nil {
 		t.Fatal("replica set diverged after failover")
 	}
 	if got, want := stale.Warehouse().Epoch(), promoted.Warehouse().Epoch(); got != want {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/check"
 	"repro/internal/ingest"
 )
 
@@ -19,7 +20,7 @@ import (
 // end-to-end freshness of the replicated state.
 func TestIngestingLeaderReplicates(t *testing.T) {
 	const seed = 314
-	lw := buildRep(t, seed)
+	lw := check.Build(t, seed)
 	leader := NewLeader(lw)
 	srv := httptest.NewServer(leader.Handler())
 	defer srv.Close()
@@ -68,7 +69,7 @@ func TestIngestingLeaderReplicates(t *testing.T) {
 		t.Fatalf("ingester committed no windows: %+v", st)
 	}
 
-	fw := buildRep(t, seed)
+	fw := check.Build(t, seed)
 	f := NewFollower(fw, FollowerConfig{Leader: srv.URL})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -78,7 +79,7 @@ func TestIngestingLeaderReplicates(t *testing.T) {
 	if got, want := fw.StateDigest(), lw.StateDigest(); got != want {
 		t.Fatalf("follower digest %x, leader %x", got, want)
 	}
-	if !bagsEqual(captureBags(t, lw), captureBags(t, fw)) {
+	if check.Diff(check.Capture(fw), check.Capture(lw)) != nil {
 		t.Fatal("follower bags diverge from the ingesting leader")
 	}
 
@@ -107,24 +108,24 @@ func TestIngestingLeaderReplicates(t *testing.T) {
 // long enough to observe the gap deterministically.
 func TestLagWallClock(t *testing.T) {
 	const seed = 271
-	lw := buildRep(t, seed)
+	lw := check.Build(t, seed)
 	leader := NewLeader(lw)
 	rng := rand.New(rand.NewSource(seed + 1))
 
-	stageRep(t, lw, rng)
+	check.Stage(t, lw, rng)
 	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	const gap = 10 * time.Millisecond
 	time.Sleep(gap)
-	stageRep(t, lw, rng)
+	check.Stage(t, lw, rng)
 	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	srv := httptest.NewServer(leader.Handler())
 	defer srv.Close()
-	fw := buildRep(t, seed)
+	fw := check.Build(t, seed)
 	f := NewFollower(fw, FollowerConfig{Leader: srv.URL, ChunkBytes: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -30,10 +30,10 @@ import (
 type Log struct {
 	mu        sync.Mutex
 	buf       []byte
-	scan      int // bytes scanned into complete frames
-	stable    int // bytes through the last closed (committed or aborted) window
-	closed    int // windows closed
-	committed int // windows committed
+	scan      int   // bytes scanned into complete frames
+	stable    int   // bytes through the last closed (committed or aborted) window
+	closed    int   // windows closed
+	committed int   // windows committed
 	commitNS  int64 // wall-clock commit time of the last committed window (UnixNano)
 	acceptNS  int64 // its batch-accept time (0 unless it came from the ingest path)
 	err       error

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/check"
 	"repro/internal/journal"
 )
 
@@ -19,10 +20,10 @@ import (
 // with the leader served by httptest.
 func newPair(t *testing.T, seed int64) (*Leader, *Follower, *httptest.Server) {
 	t.Helper()
-	leader := NewLeader(buildRep(t, seed))
+	leader := NewLeader(check.Build(t, seed))
 	srv := httptest.NewServer(leader.Handler())
 	t.Cleanup(srv.Close)
-	f := NewFollower(buildRep(t, seed), FollowerConfig{
+	f := NewFollower(check.Build(t, seed), FollowerConfig{
 		Leader: srv.URL,
 		Client: srv.Client(),
 		Sleep:  func(time.Duration) {},
@@ -39,42 +40,31 @@ func TestShipAndReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed * 3))
 	ctx := context.Background()
 
-	var followerReps []warehouse.WindowReport
-	f.cfg.OnApply = func(rep warehouse.WindowReport) { followerReps = append(followerReps, rep) }
+	// What each side held after each window, with what the window installed.
+	var replayed []check.State
+	f.cfg.OnApply = func(rep warehouse.WindowReport) {
+		if !rep.Replicated {
+			t.Errorf("window %d: follower report not marked Replicated", len(replayed))
+		}
+		replayed = append(replayed, check.Capture(f.Warehouse(), rep.Report))
+	}
 
 	modes := []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG}
-	var leaderReps []warehouse.WindowReport
 	for i := 0; i < 6; i++ {
-		stageRep(t, leader.Warehouse(), rng)
+		check.Stage(t, leader.Warehouse(), rng)
 		rep, err := leader.RunWindow(warehouse.WindowOptions{Mode: modes[i%len(modes)]})
 		if err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
-		leaderReps = append(leaderReps, rep)
-
+		committed := check.Capture(leader.Warehouse(), rep.Report)
 		if err := f.CatchUp(ctx); err != nil {
 			t.Fatalf("window %d catch-up: %v", i, err)
 		}
-		if got, want := f.Warehouse().Epoch(), leader.Warehouse().Epoch(); got != want {
-			t.Fatalf("window %d: follower epoch %d, leader %d", i, got, want)
+		if len(replayed) != i+1 || replayed[i].Epoch != committed.Epoch {
+			t.Fatalf("window %d: follower replayed %d windows, to epoch %d; the leader is at %d", i, len(replayed), f.Warehouse().Epoch(), committed.Epoch)
 		}
-		if !bagsEqual(captureBags(t, f.Warehouse()), captureBags(t, leader.Warehouse())) {
-			t.Fatalf("window %d: follower state diverged from leader", i)
-		}
-		if got, want := f.Warehouse().StateDigest(), leader.Warehouse().StateDigest(); got != want {
-			t.Fatalf("window %d: state digests %016x vs %016x", i, got, want)
-		}
-	}
-
-	if len(followerReps) != len(leaderReps) {
-		t.Fatalf("follower replayed %d windows, leader ran %d", len(followerReps), len(leaderReps))
-	}
-	for i := range leaderReps {
-		if !followerReps[i].Replicated {
-			t.Errorf("window %d: follower report not marked Replicated", i)
-		}
-		if !digestsEqual(stepDigests(leaderReps[i]), stepDigests(followerReps[i])) {
-			t.Errorf("window %d: step digest sets differ leader vs follower", i)
+		if err := check.Diff(committed, replayed[i]); err != nil {
+			t.Fatalf("window %d: follower diverged from leader: %v", i, err)
 		}
 	}
 
@@ -102,7 +92,7 @@ func TestAbortedWindowShipsHarmlessly(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed * 3))
 	ctx := context.Background()
 
-	stageRep(t, leader.Warehouse(), rng)
+	check.Stage(t, leader.Warehouse(), rng)
 	if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Timeout: time.Nanosecond}); !errors.Is(err, warehouse.ErrWindowAborted) {
 		t.Fatalf("want abort, got %v", err)
 	}
@@ -118,7 +108,7 @@ func TestAbortedWindowShipsHarmlessly(t *testing.T) {
 	if st := f.Stats(); st.ReplayedWindows != 1 {
 		t.Fatalf("replayed %d windows across one abort + one commit", st.ReplayedWindows)
 	}
-	if !bagsEqual(captureBags(t, f.Warehouse()), captureBags(t, leader.Warehouse())) {
+	if check.Diff(check.Capture(leader.Warehouse()), check.Capture(f.Warehouse())) != nil {
 		t.Fatal("follower diverged")
 	}
 }
@@ -132,7 +122,7 @@ func TestChunkedFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed * 3))
 
 	for i := 0; i < 3; i++ {
-		stageRep(t, leader.Warehouse(), rng)
+		check.Stage(t, leader.Warehouse(), rng)
 		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +130,7 @@ func TestChunkedFetch(t *testing.T) {
 	if err := f.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bagsEqual(captureBags(t, f.Warehouse()), captureBags(t, leader.Warehouse())) {
+	if check.Diff(check.Capture(leader.Warehouse()), check.Capture(f.Warehouse())) != nil {
 		t.Fatal("follower diverged under tiny chunks")
 	}
 	if st := f.Stats(); st.ReplayedWindows != 3 {
@@ -186,7 +176,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	const seed = 7400
 	leader, f, srv := newPair(t, seed)
 	rng := rand.New(rand.NewSource(seed * 3))
-	stageRep(t, leader.Warehouse(), rng)
+	check.Stage(t, leader.Warehouse(), rng)
 	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/check"
 	"repro/internal/journal"
 )
 
@@ -62,11 +63,11 @@ func (p *tamperProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func runTornTrial(t *testing.T, name string, tm tamper) {
 	t.Run(name, func(t *testing.T) {
 		const seed = 7500
-		leader := NewLeader(buildRep(t, seed))
+		leader := NewLeader(check.Build(t, seed))
 		proxy := &tamperProxy{inner: leader.Handler(), t: tm}
 		srv := httptest.NewServer(proxy)
 		defer srv.Close()
-		f := NewFollower(buildRep(t, seed), FollowerConfig{
+		f := NewFollower(check.Build(t, seed), FollowerConfig{
 			Leader: srv.URL,
 			Client: srv.Client(),
 			Sleep:  func(time.Duration) {},
@@ -75,7 +76,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		ctx := context.Background()
 
 		for i := 0; i < 2; i++ {
-			stageRep(t, leader.Warehouse(), rng)
+			check.Stage(t, leader.Warehouse(), rng)
 			if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 				t.Fatal(err)
 			}
@@ -83,11 +84,11 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		if err := f.CatchUp(ctx); err != nil {
 			t.Fatal(err)
 		}
-		preBags := captureBags(t, f.Warehouse())
+		pre := check.Capture(f.Warehouse())
 		preEpoch := f.Warehouse().Epoch()
 		preHWM := f.HWM()
 
-		stageRep(t, leader.Warehouse(), rng)
+		check.Stage(t, leader.Warehouse(), rng)
 		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		if f.HWM() != preHWM {
 			t.Fatalf("tampered chunk advanced the HWM: %d -> %d", preHWM, f.HWM())
 		}
-		if !bagsEqual(captureBags(t, f.Warehouse()), preBags) {
+		if check.Diff(pre, check.Capture(f.Warehouse())) != nil {
 			t.Fatal("tampered chunk mutated follower state")
 		}
 		if st := f.Stats(); st.ReconnectCount == 0 {
@@ -117,7 +118,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		if err := f.CatchUp(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if !bagsEqual(captureBags(t, f.Warehouse()), captureBags(t, leader.Warehouse())) {
+		if check.Diff(check.Capture(leader.Warehouse()), check.Capture(f.Warehouse())) != nil {
 			t.Fatal("follower did not converge after re-fetch")
 		}
 		if st := f.Stats(); st.ReplayedWindows != 3 || st.Dead != "" {

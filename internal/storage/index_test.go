@@ -22,33 +22,12 @@ func probeBag(ix *Index, like relation.Tuple) map[string]int64 {
 	return bag
 }
 
-// checkIndexes compares every resident index of the handle with one built
-// by a scan of its rows: the same keys, and under each the same rows with
-// the same counts.
+// checkIndexes fails the test when a resident index of the handle differs
+// from a rebuild from its rows (Table.CheckIndexes).
 func checkIndexes(t *testing.T, what string, tbl *Table) {
 	t.Helper()
-	for _, ix := range tbl.indexes {
-		want := make(map[string]map[string]int64) // key → row → count
-		like := make(map[string]relation.Tuple)
-		tbl.Scan(func(tup relation.Tuple, count int64) bool {
-			key := string(ix.appendKey(nil, tup))
-			if want[key] == nil {
-				want[key], like[key] = make(map[string]int64), tup
-			}
-			want[key][tup.Encode()] = count
-			return true
-		})
-		if ix.keys.Len() != len(want) {
-			t.Fatalf("%s: index %v holds %d keys, a scan finds %d", what, ix.cols, ix.keys.Len(), len(want))
-		}
-		for key, rows := range want {
-			if got := probeBag(ix, like[key]); !sameBag(got, rows) {
-				t.Fatalf("%s: index %v under key %q yields %v, a scan finds %v", what, ix.cols, key, got, rows)
-			}
-		}
-		if st := ix.stats(); st.Keys != int64(len(want)) || st.Rows != tbl.DistinctCount() {
-			t.Fatalf("%s: index %v reports %d keys of %d rows, want %d of %d", what, ix.cols, st.Keys, st.Rows, len(want), tbl.DistinctCount())
-		}
+	if err := tbl.CheckIndexes(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 

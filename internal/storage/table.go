@@ -10,6 +10,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -91,6 +92,42 @@ func (t *Table) Digest() uint64 { return t.digest }
 func (t *Table) CheckDigest() error {
 	if want := scanDigest(t.ScanEncoded); t.digest != want {
 		return fmt.Errorf("storage: running digest %016x, a scan of the rows gives %016x", t.digest, want)
+	}
+	return nil
+}
+
+// CheckIndexes compares every resident index of the handle with one built by
+// a scan of its rows: the same keys, and under each the same rows with the
+// same counts.
+func (t *Table) CheckIndexes() error {
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	for _, ix := range t.indexes {
+		want := make(map[string]map[string]int64) // key → row → count
+		t.Scan(func(tup relation.Tuple, count int64) bool {
+			key := string(ix.appendKey(nil, tup))
+			if want[key] == nil {
+				want[key] = make(map[string]int64)
+			}
+			want[key][tup.Encode()] = count
+			return true
+		})
+		if ix.keys.Len() != len(want) {
+			return fmt.Errorf("storage: index %v holds %d keys, a scan of the rows finds %d", ix.cols, ix.keys.Len(), len(want))
+		}
+		for key, rows := range want {
+			got := make(map[string]int64)
+			ix.Probe([]byte(key), func(tup relation.Tuple, count int64) bool {
+				got[tup.Encode()] += count
+				return true
+			})
+			if !maps.Equal(got, rows) {
+				return fmt.Errorf("storage: index %v under key %q yields %v, a scan of the rows finds %v", ix.cols, key, got, rows)
+			}
+		}
+		if st := ix.stats(); st.Keys != int64(len(want)) || st.Rows != t.DistinctCount() {
+			return fmt.Errorf("storage: index %v reports %d keys of %d rows, want %d of %d", ix.cols, st.Keys, st.Rows, len(want), t.DistinctCount())
+		}
 	}
 	return nil
 }

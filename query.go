@@ -111,6 +111,10 @@ func (p *PinnedEpoch) Size(name string) (int64, error) {
 // Views returns all view names in definition order.
 func (p *PinnedEpoch) Views() []string { return p.pin.Warehouse().ViewNames() }
 
+// Internal returns the pinned epoch's core warehouse, frozen, for in-module
+// use (see Warehouse.Internal).
+func (p *PinnedEpoch) Internal() *core.Warehouse { return p.pin.Warehouse() }
+
 // coreResolver resolves view schemas against one core snapshot.
 func coreResolver(c *core.Warehouse) func(view string) (Schema, error) {
 	return func(view string) (Schema, error) {
