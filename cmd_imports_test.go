@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,34 @@ func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 	})
 	if checked < 8 {
 		t.Fatalf("parsed %d files under cmd/ and internal/experiments: the guard is looking in the wrong place", checked)
+	}
+}
+
+// TestOnlyTheJournalFramesRecords: the record log — its frames, their CRC64,
+// the scan over them, the cut of a torn tail — is internal/journal's, and the
+// ingest journal and the replication log are vocabularies that read and write
+// through it. A file of theirs, or of anything above them, that imports
+// hash/crc64 is checking or framing records on its own again: the second copy
+// a durability fix does not reach. The packages listed keep formats of their
+// own (row digests, snapshots, spill files).
+func TestOnlyTheJournalFramesRecords(t *testing.T) {
+	own := []string{"internal/journal/", "internal/cowmap/", "internal/delta/", "internal/snapshot/", "internal/storage/"}
+	through := map[string]bool{"internal/ingest": false, "internal/replicate": false}
+	nonTestImports(t, []string{"."}, func(path, imported string) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		switch {
+		case imported == "repro/internal/journal":
+			if _, ok := through[dir]; ok {
+				through[dir] = true
+			}
+		case imported == "hash/crc64" && !slices.ContainsFunc(own, func(p string) bool { return strings.HasPrefix(path, p) }):
+			t.Errorf("%s imports hash/crc64: records are framed and checked by internal/journal", path)
+		}
+	})
+	for dir, ok := range through {
+		if !ok {
+			t.Errorf("no file of %s imports internal/journal: the guard is looking in the wrong place", dir)
+		}
 	}
 }
 

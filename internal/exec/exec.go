@@ -15,6 +15,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -292,8 +293,9 @@ func instDigest(w *core.Warehouse, view string) uint64 {
 // bookkeeping (MarkSkippedStale). The first expression error cancels
 // scheduling (in-flight expressions finish, unstarted ones are abandoned)
 // and is returned deterministically: among the failures of a run, the one
-// whose expression is earliest in the strategy wins. The report then holds
-// the steps that completed.
+// whose expression is earliest in the strategy wins — a step that the
+// cancellation stopped is not among them. The report then holds the steps
+// that completed.
 func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, error) {
 	rep := Report{Strategy: s}
 	mode := opts.Mode
@@ -463,8 +465,13 @@ func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error
 				}
 			}
 			if err != nil {
+				// A step stopped by the derived context alone was cancelled by
+				// a sibling's failure, recorded before it cancelled: the echo
+				// is not a failure of the run and must not outrank its cause,
+				// or a transient fault would be reported as a cancellation.
+				echo := errors.Is(err, context.Canceled) && parent.Err() == nil
 				errMu.Lock()
-				if idx < firstIdx {
+				if idx < firstIdx && !echo {
 					firstIdx, firstErr = idx, err
 				}
 				errMu.Unlock()

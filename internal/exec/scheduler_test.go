@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/delta"
+	"repro/internal/faults"
 	"repro/internal/strategy"
 )
 
@@ -199,6 +201,33 @@ func TestFirstErrorSmallestIndex(t *testing.T) {
 		_, err := Execute(w, s, Options{Mode: ModeDAG, Workers: 1})
 		if err == nil || !strings.Contains(err.Error(), "Comp(R, {R})") {
 			t.Fatalf("trial %d: err = %v, want Comp(R, {R}) failure", trial, err)
+		}
+	}
+}
+
+// TestSiblingCancellationDoesNotOutrankItsCause: a step that fails cancels the
+// steps running beside it, and one of those may come earlier in the strategy.
+// The run reports the failure — here a transient fault, which the recovery
+// ladder retries in place — and never the cancellation it caused. The delta
+// on R is large enough that Comp(J1, {R}), first in the strategy, is usually
+// still probing when the second step to start fails.
+func TestSiblingCancellationDoesNotOutrankItsCause(t *testing.T) {
+	for _, mode := range []Mode{ModeStaged, ModeDAG} {
+		for trial := 0; trial < 4; trial++ {
+			w := newForkWarehouse(t)
+			dR := delta.New(schemaR)
+			for i := int64(0); i < 30000; i++ {
+				dR.Add(intRow(100+i, 10+10*(i%2)), 1)
+			}
+			if err := w.StageDelta("R", dR); err != nil {
+				t.Fatal(err)
+			}
+			inj := faults.New(1)
+			inj.FailAt("step", 2)
+			_, err := Execute(w, forkDualStage(w), Options{Mode: mode, Workers: 2, Faults: inj})
+			if !faults.IsTransient(err) {
+				t.Fatalf("%s trial %d: the run reports %v, not the transient fault that stopped it", mode, trial, err)
+			}
 		}
 	}
 }

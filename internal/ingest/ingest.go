@@ -185,7 +185,8 @@ type Ingester struct {
 	running   bool
 	err       error // terminal (crash-class) error; sticky
 
-	jf *os.File
+	jf  *os.File // the ingest journal, nil when unjournaled
+	log *journal.Appender
 
 	accepted        int64
 	acceptedBatches int64
@@ -219,29 +220,23 @@ func New(cfg Config) (*Ingester, error) {
 	in := &Ingester{cfg: cfg, target: cfg.InitialBatch, wake: make(chan struct{}, 1)}
 	in.notFull = sync.NewCond(&in.mu)
 	if cfg.JournalPath != "" {
-		v, err := readJournal(cfg.JournalPath)
+		// The open cuts off a torn tail: what this incarnation appends must
+		// follow the last whole record, or no later reader would reach it.
+		var v journalView
+		f, err := journal.OpenAppend(cfg.JournalPath, v.feed)
 		if err != nil {
 			return nil, err
 		}
-		f, err := os.OpenFile(cfg.JournalPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		in.jf = f
+		in.jf, in.log = f, journal.NewAppender(f)
 		if len(v.entries) > 0 || len(v.cuts) > 0 || v.resets > 0 {
 			committed := 0
 			if cfg.Journal != nil {
 				committed = cfg.Journal.Committed()
 			}
 			requeue, floor := v.reconcile(committed)
-			frame := journal.EncodeFrame(typeReset, encodeReset(resetRecord{installedHi: floor, committed: committed}))
-			if _, err := f.Write(frame); err != nil {
+			if err := in.appendSynced(typeReset, encodeReset(resetRecord{installedHi: floor, committed: committed})); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("ingest: writing reset record: %w", err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("ingest: syncing reset record: %w", err)
 			}
 			for _, e := range requeue {
 				in.queue = append(in.queue, e)
@@ -291,8 +286,11 @@ func (in *Ingester) fail(err error) {
 	in.kick()
 }
 
-// writeRecordLocked appends one framed record to the ingest journal
-// (mu held). The pointJournal fault point fires before the write.
+// writeRecordLocked appends one record to the ingest journal and syncs it
+// (mu held). The pointJournal fault point fires before the write. A write or
+// sync that fails may have left part of a frame, behind which the appender
+// appends nothing more: the ingester stops as a killed process does, and the
+// restart that reopens the journal cuts the frame off.
 func (in *Ingester) writeRecordLocked(typ byte, payload []byte) error {
 	if err := in.cfg.Faults.Hit(pointJournal); err != nil {
 		return err
@@ -300,13 +298,21 @@ func (in *Ingester) writeRecordLocked(typ byte, payload []byte) error {
 	if in.jf == nil {
 		return nil
 	}
-	if _, err := in.jf.Write(journal.EncodeFrame(typ, payload)); err != nil {
-		return fmt.Errorf("ingest: journal append: %w", err)
+	err := in.appendSynced(typ, payload)
+	if err != nil {
+		err = fmt.Errorf("ingest: %w", err)
+		in.failLocked(err)
 	}
-	if err := in.jf.Sync(); err != nil {
-		return fmt.Errorf("ingest: journal sync: %w", err)
+	return err
+}
+
+// appendSynced is the journal's sync policy: every record is durable before
+// the call that wrote it returns.
+func (in *Ingester) appendSynced(typ byte, payload []byte) error {
+	if err := in.log.Append(typ, payload); err != nil {
+		return err
 	}
-	return nil
+	return in.log.Sync()
 }
 
 func (in *Ingester) highWaterMark() int {
@@ -326,7 +332,8 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	if d == nil || d.IsEmpty() {
 		return nil
 	}
-	rows, n := encodeRows(d)
+	rows := journal.RowsOf(d)
+	n := changes(rows)
 	in.mu.Lock()
 	if in.err != nil {
 		err := in.err
@@ -620,7 +627,7 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 				return err
 			}
 			for _, rc := range e.rows {
-				d.AddEncoded(rc.key, rc.count)
+				d.AddEncoded(rc.Key, rc.Count)
 			}
 			if err := w.StageDelta(e.view, d); err != nil {
 				return err

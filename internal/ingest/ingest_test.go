@@ -9,6 +9,7 @@ import (
 
 	warehouse "repro"
 	"repro/internal/faults"
+	"repro/internal/journal/journaltest"
 )
 
 const (
@@ -219,64 +220,86 @@ func TestIngestCloseFlushes(t *testing.T) {
 // before any batch is installed, then simulates a process restart — rebuild
 // the fixture, restore from the window journal, resume the ingest journal —
 // and checks the new incarnation requeues and installs every accepted
-// change exactly once.
+// change exactly once. The torn case dies twice, each time leaving half a
+// frame at the end of both journals as a power loss does: what the second
+// incarnation accepted lies behind the first one's torn frame unless the
+// reopen cut it off.
 func TestIngestResumeAfterCrash(t *testing.T) {
-	wjPath, ijPath := journalPaths(t)
-	w := buildFixture(t, fixSeed, fixStores, fixSales)
-	wj, err := warehouse.OpenJournal(wjPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.New(7)
-	inj.CrashAt(pointStage, 1)
-	ing, err := New(Config{Warehouse: w, Journal: wj, JournalPath: ijPath, Faults: inj, Tick: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets := genSets(fixSeed, fixStores, fixSales, 6, 15)
-	for _, s := range sets {
-		if err := ing.Submit("SALES", s.delta(t, w)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runErr := ing.Run(context.Background())
-	if runErr == nil || !faults.IsCrash(runErr) {
-		t.Fatalf("Run survived an injected crash: %v", runErr)
-	}
-	ing.Close(context.Background()) // release the journal file, like process death would
-	wj.Close()
+	for _, tc := range []struct {
+		name    string
+		accepts []int // change sets accepted by each incarnation that dies
+		torn    bool
+	}{
+		{"crash before any install", []int{6}, false},
+		{"torn tail, more accepts, second crash", []int{3, 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wjPath, ijPath := journalPaths(t)
+			restart := func(inj *faults.Injector) (*warehouse.Warehouse, *warehouse.Journal, *Ingester) {
+				t.Helper()
+				w := buildFixture(t, fixSeed, fixStores, fixSales)
+				wj, err := warehouse.OpenJournal(wjPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Restore(wj); err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				ing, err := New(Config{Warehouse: w, Journal: wj, JournalPath: ijPath, Faults: inj, Tick: time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w, wj, ing
+			}
+			sets := genSets(fixSeed, fixStores, fixSales, 6, 15)
+			accepted := 0
+			for _, n := range tc.accepts {
+				inj := faults.New(7)
+				inj.CrashAt(pointStage, 1)
+				w, wj, ing := restart(inj)
+				if got := ing.Stats().Requeued; got != accepted {
+					t.Fatalf("resume requeued %d entries, want all %d accepted", got, accepted)
+				}
+				for _, s := range sets[accepted : accepted+n] {
+					if err := ing.Submit("SALES", s.delta(t, w)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				accepted += n
+				if err := ing.Run(context.Background()); err == nil || !faults.IsCrash(err) {
+					t.Fatalf("Run survived an injected crash: %v", err)
+				}
+				ing.Close(context.Background()) // release the journal file, like process death would
+				wj.Close()
+				if tc.torn {
+					for _, path := range []string{wjPath, ijPath} {
+						if err := journaltest.TearTail(path); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
 
-	// "Restart": deterministic fixture, window-journal restore, ingest resume.
-	w2 := buildFixture(t, fixSeed, fixStores, fixSales)
-	wj2, err := warehouse.OpenJournal(wjPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wj2.Close()
-	if _, err := w2.Restore(wj2); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	ing2, err := New(Config{Warehouse: w2, Journal: wj2, JournalPath: ijPath, Tick: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := ing2.Stats()
-	if st.Requeued != len(sets) {
-		t.Fatalf("resume requeued %d entries, want all %d accepted", st.Requeued, len(sets))
-	}
-	if err := ing2.Close(context.Background()); err != nil {
-		t.Fatalf("drain after resume: %v", err)
-	}
-	want := oracleDigest(t, fixSeed, fixStores, fixSales, sets)
-	if got := w2.StateDigest(); got != want {
-		t.Fatalf("digest mismatch after crash+resume: got %x want %x", got, want)
-	}
-	sum, err := InspectJournal(ijPath, wj2.Committed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Resets != 1 || sum.Requeued != 0 {
-		t.Fatalf("resumed journal did not reconcile clean: %+v", sum)
+			w, wj, ing := restart(nil)
+			defer wj.Close()
+			if got := ing.Stats().Requeued; got != accepted {
+				t.Fatalf("resume requeued %d entries, want all %d accepted", got, accepted)
+			}
+			if err := ing.Close(context.Background()); err != nil {
+				t.Fatalf("drain after resume: %v", err)
+			}
+			want := oracleDigest(t, fixSeed, fixStores, fixSales, sets[:accepted])
+			if got := w.StateDigest(); got != want {
+				t.Fatalf("digest mismatch after crash+resume: got %x want %x", got, want)
+			}
+			sum, err := InspectJournal(ijPath, wj.Committed())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Accepts != accepted || sum.Resets != len(tc.accepts) || sum.Requeued != 0 || sum.Torn {
+				t.Fatalf("resumed journal did not reconcile clean: %+v", sum)
+			}
+		})
 	}
 }
 

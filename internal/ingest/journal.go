@@ -1,9 +1,11 @@
 package ingest
 
 // The ingest journal is the crash-safe half of the exactly-once handoff
-// between the continuous change stream and the window journal. It reuses
-// internal/journal's frame format ([type][uvarint len][payload][CRC64],
-// torn-tail tolerant) with its own record vocabulary:
+// between the continuous change stream and the window journal. It is a record
+// log of internal/journal — that package's frames, scan loop, appender and
+// payload codec, and its open-for-append, which cuts off the tail a crash
+// tore before the restarted ingester appends behind it — with a record
+// vocabulary of its own:
 //
 //   - accept (0x10): one Submit's changes — sequence number, accept time,
 //     view, and the encoded row changes. Written before the change enters
@@ -30,13 +32,10 @@ package ingest
 // double-applies a change.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
 
-	warehouse "repro"
 	"repro/internal/journal"
 )
 
@@ -47,19 +46,12 @@ const (
 	typeReset  byte = 0x12
 )
 
-// rowChange is one encoded row delta, mirroring the window journal's
-// per-row shape.
-type rowChange struct {
-	key   string
-	count int64
-}
-
 // entry is one accepted Submit: the unit of queueing and journaling.
 type entry struct {
 	seq  uint64
 	at   int64 // accept time, UnixNano
 	view string
-	rows []rowChange
+	rows []journal.RowChange
 	n    int // row-changes (delta size: insertions plus deletions)
 }
 
@@ -77,156 +69,55 @@ type resetRecord struct {
 	committed   int
 }
 
-func encodeRows(d *warehouse.Delta) ([]rowChange, int) {
-	var rows []rowChange
+// changes is a row list's delta size: insertions plus deletions.
+func changes(rows []journal.RowChange) int {
 	var n int64
-	d.ScanEncoded(func(key string, count int64) bool {
-		rows = append(rows, rowChange{key: key, count: count})
-		if count < 0 {
-			n -= count
-		} else {
-			n += count
-		}
-		return true
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	return rows, int(n)
+	for _, rc := range rows {
+		n += max(rc.Count, -rc.Count)
+	}
+	return int(n)
 }
 
 func encodeAccept(e entry) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, e.seq)
-	putVarint(&buf, e.at)
-	putString(&buf, e.view)
-	putUvarint(&buf, uint64(len(e.rows)))
-	for _, rc := range e.rows {
-		putString(&buf, rc.key)
-		putVarint(&buf, rc.count)
-	}
-	return buf.Bytes()
+	p := binary.AppendUvarint(nil, e.seq)
+	p = binary.AppendVarint(p, e.at)
+	p = journal.AppendString(p, e.view)
+	return journal.AppendRows(p, e.rows)
 }
 
 func decodeAccept(p []byte) (entry, error) {
-	r := bytes.NewReader(p)
-	var e entry
-	var err error
-	if e.seq, err = binary.ReadUvarint(r); err != nil {
-		return e, fmt.Errorf("ingest: accept seq: %w", err)
-	}
-	if e.at, err = binary.ReadVarint(r); err != nil {
-		return e, fmt.Errorf("ingest: accept time: %w", err)
-	}
-	if e.view, err = getString(r); err != nil {
-		return e, fmt.Errorf("ingest: accept view: %w", err)
-	}
-	nrows, err := binary.ReadUvarint(r)
-	if err != nil {
-		return e, fmt.Errorf("ingest: accept row count: %w", err)
-	}
-	for i := uint64(0); i < nrows; i++ {
-		var rc rowChange
-		if rc.key, err = getString(r); err != nil {
-			return e, fmt.Errorf("ingest: accept row: %w", err)
-		}
-		if rc.count, err = binary.ReadVarint(r); err != nil {
-			return e, fmt.Errorf("ingest: accept row count: %w", err)
-		}
-		if rc.count < 0 {
-			e.n -= int(rc.count)
-		} else {
-			e.n += int(rc.count)
-		}
-		e.rows = append(e.rows, rc)
-	}
-	if r.Len() != 0 {
-		return e, fmt.Errorf("ingest: accept record has %d trailing bytes", r.Len())
-	}
-	return e, nil
+	c := journal.NewCursor("ingest: accept", p)
+	e := entry{seq: c.Uvarint("seq"), at: c.Varint("time"), view: c.String("view"), rows: c.Rows("row")}
+	e.n = changes(e.rows)
+	return e, c.Done()
 }
 
 func encodeCut(c cutRecord) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(c.batch))
-	putUvarint(&buf, c.lo)
-	putUvarint(&buf, c.hi)
-	putUvarint(&buf, uint64(c.windowSeq))
-	putUvarint(&buf, uint64(c.changes))
-	return buf.Bytes()
+	p := binary.AppendUvarint(nil, uint64(c.batch))
+	p = binary.AppendUvarint(p, c.lo)
+	p = binary.AppendUvarint(p, c.hi)
+	p = binary.AppendUvarint(p, uint64(c.windowSeq))
+	return binary.AppendUvarint(p, uint64(c.changes))
 }
 
 func decodeCut(p []byte) (cutRecord, error) {
-	r := bytes.NewReader(p)
-	var c cutRecord
-	fields := []*uint64{}
-	var batch, ws, changes uint64
-	fields = append(fields, &batch, &c.lo, &c.hi, &ws, &changes)
-	for i, f := range fields {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return c, fmt.Errorf("ingest: cut field %d: %w", i, err)
-		}
-		*f = v
-	}
-	c.batch, c.windowSeq, c.changes = int(batch), int(ws), int(changes)
-	if r.Len() != 0 {
-		return c, fmt.Errorf("ingest: cut record has %d trailing bytes", r.Len())
-	}
-	return c, nil
+	c := journal.NewCursor("ingest: cut", p)
+	return cutRecord{
+		batch:     int(c.Uvarint("batch")),
+		lo:        c.Uvarint("lo"),
+		hi:        c.Uvarint("hi"),
+		windowSeq: int(c.Uvarint("window seq")),
+		changes:   int(c.Uvarint("changes")),
+	}, c.Done()
 }
 
 func encodeReset(rr resetRecord) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, rr.installedHi)
-	putUvarint(&buf, uint64(rr.committed))
-	return buf.Bytes()
+	return binary.AppendUvarint(binary.AppendUvarint(nil, rr.installedHi), uint64(rr.committed))
 }
 
 func decodeReset(p []byte) (resetRecord, error) {
-	r := bytes.NewReader(p)
-	var rr resetRecord
-	var err error
-	if rr.installedHi, err = binary.ReadUvarint(r); err != nil {
-		return rr, fmt.Errorf("ingest: reset floor: %w", err)
-	}
-	committed, err := binary.ReadUvarint(r)
-	if err != nil {
-		return rr, fmt.Errorf("ingest: reset committed: %w", err)
-	}
-	rr.committed = int(committed)
-	if r.Len() != 0 {
-		return rr, fmt.Errorf("ingest: reset record has %d trailing bytes", r.Len())
-	}
-	return rr, nil
-}
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func putVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func getString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d bytes", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := r.Read(b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	c := journal.NewCursor("ingest: reset", p)
+	return resetRecord{installedHi: c.Uvarint("floor"), committed: int(c.Uvarint("committed"))}, c.Done()
 }
 
 // journalView is an ingest journal parsed back from disk.
@@ -238,54 +129,49 @@ type journalView struct {
 	torn    bool // the file ended in a torn or corrupt frame (crash artifact)
 }
 
-// readJournal parses an ingest journal file. A missing file is an empty
-// journal. Like the window journal's file reader, a torn or corrupt tail is
-// tolerated and treated as not written — the expected artifact of a crash
-// mid-append.
+// feed folds one record of the journal file into v: the callback of
+// journal.ScanFile and journal.OpenAppend. A type outside the vocabulary is a
+// format error, not a torn tail: nothing but an ingester writes this file.
+func (v *journalView) feed(typ byte, payload []byte, _ int) error {
+	switch typ {
+	case typeAccept:
+		e, err := decodeAccept(payload)
+		if err != nil {
+			return err
+		}
+		v.entries = append(v.entries, e)
+	case typeCut:
+		c, err := decodeCut(payload)
+		if err != nil {
+			return err
+		}
+		v.cuts = append(v.cuts, c)
+	case typeReset:
+		rr, err := decodeReset(payload)
+		if err != nil {
+			return err
+		}
+		v.floor = max(v.floor, rr.installedHi)
+		v.cuts = nil // a reset voids every earlier cut
+		v.resets++
+	default:
+		return fmt.Errorf("ingest: unknown journal record type %#x", typ)
+	}
+	return nil
+}
+
+// readJournal parses an ingest journal file without touching it. A missing
+// file is an empty journal, and a torn or corrupt tail — the expected artifact
+// of a crash mid-append — is reported and otherwise treated as not written,
+// as by the window journal's file reader.
 func readJournal(path string) (journalView, error) {
 	var v journalView
 	buf, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return v, nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return v, err
 	}
-	for len(buf) > 0 {
-		typ, payload, n, derr := journal.DecodeFrame(buf)
-		if derr != nil || n == 0 {
-			v.torn = true
-			break
-		}
-		switch typ {
-		case typeAccept:
-			e, err := decodeAccept(payload)
-			if err != nil {
-				return v, err
-			}
-			v.entries = append(v.entries, e)
-		case typeCut:
-			c, err := decodeCut(payload)
-			if err != nil {
-				return v, err
-			}
-			v.cuts = append(v.cuts, c)
-		case typeReset:
-			rr, err := decodeReset(payload)
-			if err != nil {
-				return v, err
-			}
-			if rr.installedHi > v.floor {
-				v.floor = rr.installedHi
-			}
-			v.cuts = nil // a reset voids every earlier cut
-			v.resets++
-		default:
-			return v, fmt.Errorf("ingest: unknown journal record type %#x", typ)
-		}
-		buf = buf[n:]
-	}
-	return v, nil
+	_, v.torn, err = journal.ScanFile(buf, v.feed)
+	return v, err
 }
 
 // reconcile computes the exactly-once resume state against the window

@@ -11,6 +11,7 @@ import (
 
 	warehouse "repro"
 	"repro/internal/faults"
+	"repro/internal/journal/journaltest"
 )
 
 // -soak stretches TestSoakIngest's wall-clock budget; `make soak-smoke` runs
@@ -20,9 +21,10 @@ var soakDur = flag.Duration("soak", 1500*time.Millisecond, "ingest soak duration
 // TestSoakIngest runs continuous ingestion under probabilistic faults for a
 // wall-clock budget: transient faults fire randomly at window steps and
 // journal appends, and incarnations are killed with injected crashes and
-// restarted mid-stream. At the end the warehouse must equal the sequential
-// oracle over the accepted stream (digest-clean recovery), no goroutines may
-// leak, and staleness must not have run away.
+// restarted mid-stream, each over journals that end in a torn frame. At the
+// end the warehouse must equal the sequential oracle over the accepted stream
+// (digest-clean recovery), no goroutines may leak, and staleness must not
+// have run away.
 func TestSoakIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short")
@@ -106,7 +108,14 @@ func TestSoakIngest(t *testing.T) {
 			}
 			continue
 		}
+		// The incarnation died: leave both journals as a power loss would,
+		// with half a frame at the end for the next opens to cut off.
 		crashes++
+		for _, path := range []string{wjPath, ijPath} {
+			if err := journaltest.TearTail(path); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	t.Logf("soak: %d incarnations, %d crashes, %d/%d sets accepted, %d windows, p99 staleness %.1fms",
 		incarnations, crashes, next, len(sets), lastStats.Windows, lastStats.StalenessP99MS)
@@ -189,8 +198,8 @@ func TestSoakIngest(t *testing.T) {
 	if sum.Accepts != next {
 		t.Fatalf("journal holds %d accepts, producer had %d accepted", sum.Accepts, next)
 	}
-	if sum.Requeued != 0 {
-		t.Fatalf("soak left %d accepted entr(ies) uninstalled: %+v", sum.Requeued, sum)
+	if sum.Requeued != 0 || sum.Torn {
+		t.Fatalf("soak left %d accepted entr(ies) uninstalled, or a torn frame in front of later records: %+v", sum.Requeued, sum)
 	}
 
 	// No goroutine leaks once the timers settle.

@@ -2,12 +2,16 @@ package journal
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"testing"
 )
 
-// FuzzJournal feeds arbitrary bytes to ReadLog: it must never panic, and
-// whatever it does parse must re-encode to a journal that parses back to
-// the same shape (windows, steps, closure).
+// FuzzJournal feeds arbitrary bytes to ReadLog: it must never panic; Size
+// must be where a walk of the frames, made here with DecodeFrame alone,
+// stops; and whatever it does parse must re-encode to a journal that parses
+// back to the same windows — and, every frame that passes its CRC having been
+// written by a Writer, to the intact prefix byte for byte.
 func FuzzJournal(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
@@ -20,51 +24,41 @@ func FuzzJournal(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-3])
 	f.Add([]byte{})
-	f.Add([]byte{typeBegin, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{TypeBegin, 0xff, 0xff, 0xff, 0xff})
+	f.Add(append(seed.Bytes(), EncodeFrame(9, []byte("no such record"))...))
+	if golden, err := os.ReadFile("testdata/parent.journal"); err == nil {
+		f.Add(golden)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lg, err := ReadLog(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		w := NewWriter(&out)
-		for _, wl := range lg.Windows {
-			if err := w.Begin(wl.Begin); err != nil {
-				t.Fatalf("re-encoding begin: %v", err)
+		whole := 0
+		for {
+			typ, _, n, err := DecodeFrame(data[whole:])
+			if err != nil || n == 0 || typ < TypeBegin || typ > TypeAbort {
+				break
 			}
-			for _, s := range wl.Steps {
-				if err := w.Step(s); err != nil {
-					t.Fatalf("re-encoding step: %v", err)
-				}
-			}
-			if wl.Commit != nil {
-				if err := w.Commit(*wl.Commit); err != nil {
-					t.Fatalf("re-encoding commit: %v", err)
-				}
-			}
-			if wl.Abort != nil {
-				if err := w.Abort(*wl.Abort); err != nil {
-					t.Fatalf("re-encoding abort: %v", err)
-				}
-			}
+			whole += n
 		}
-		lg2, err := ReadLog(bytes.NewReader(out.Bytes()))
+		if lg.Size != int64(whole) || lg.Truncated != (whole < len(data)) {
+			t.Fatalf("Size=%d Truncated=%v, and the whole frames of the %d bytes end at %d", lg.Size, lg.Truncated, len(data), whole)
+		}
+		out := encodeWindows(t, lg.Windows)
+		if !bytes.Equal(out, data[:whole]) {
+			t.Fatalf("the windows re-encode to %d bytes that differ from the %d they were read from", len(out), whole)
+		}
+		lg2, err := ReadLog(bytes.NewReader(out))
 		if err != nil {
 			t.Fatalf("re-encoded journal unreadable: %v", err)
 		}
-		if lg2.Truncated {
-			t.Fatal("re-encoded journal truncated")
+		if lg2.Truncated || lg2.Size != int64(len(out)) {
+			t.Fatalf("re-encoded journal torn at %d of %d", lg2.Size, len(out))
 		}
-		if len(lg2.Windows) != len(lg.Windows) {
-			t.Fatalf("round trip lost windows: %d vs %d", len(lg2.Windows), len(lg.Windows))
-		}
-		for i := range lg.Windows {
-			a, b := &lg.Windows[i], &lg2.Windows[i]
-			if len(a.Steps) != len(b.Steps) || a.Committed() != b.Committed() ||
-				(a.Abort == nil) != (b.Abort == nil) {
-				t.Fatalf("window %d shape changed", i)
-			}
+		if !reflect.DeepEqual(lg2.Windows, lg.Windows) {
+			t.Fatalf("round trip changed the windows:\n%+v\n%+v", lg.Windows, lg2.Windows)
 		}
 	})
 }

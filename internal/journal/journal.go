@@ -10,13 +10,8 @@
 // journaled batch and re-executes the strategy, verifying each replayed
 // step against the journaled digests.
 //
-// The on-disk format reuses the snapshot package's framing idioms: varint
-// lengths, length-prefixed strings, and CRC64 (ECMA) integrity. Each record
-// is one self-delimiting frame
-//
-//	[type byte][payload length uvarint][payload][CRC64 big-endian]
-//
-// where the CRC covers the type byte, the length bytes and the payload, so
+// Each record is one CRC64-checked frame of the record log (frame.go, which
+// the ingest journal and the replication log read and write through too), so
 // a torn tail — the normal artifact of a crash mid-append — is detected and
 // tolerated: ReadLog returns every intact record, sets Truncated and reports
 // where the intact records end.
@@ -49,14 +44,11 @@
 package journal
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -65,22 +57,13 @@ import (
 	"repro/internal/strategy"
 )
 
-// Record type tags.
+// The window journal's record types: the type byte of their frames.
 const (
-	typeBegin  byte = 1
-	typeStep   byte = 2
-	typeCommit byte = 3
-	typeAbort  byte = 4
+	TypeBegin  byte = 1
+	TypeStep   byte = 2
+	TypeCommit byte = 3
+	TypeAbort  byte = 4
 )
-
-// Frame and payload guards: a corrupt or adversarial length never causes a
-// large allocation.
-const (
-	maxFrame = 1 << 30
-	maxItems = 1 << 24
-)
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // RowChange is one signed tuple change of a journaled batch, keyed by the
 // tuple's encoded form (relation.Tuple.Encode).
@@ -177,12 +160,12 @@ type AbortRecord struct {
 // sticky: once an append or a sync fails the journal tail is suspect, so
 // every later append reports the first error.
 type Writer struct {
-	mu  sync.Mutex
-	out io.Writer
-	err error
+	mu  sync.Mutex // serializes appends
+	log *Appender
 	ctx context.Context // when non-nil, gates begin/step appends
 	// flushed is closed when the sync the last begin record started has
-	// returned and its failure, if any, is in err; nil before the first.
+	// returned and its failure, if any, is the sticky error; nil before the
+	// first.
 	flushed chan struct{}
 }
 
@@ -196,14 +179,10 @@ type Writer struct {
 // become durable with the next of those syncs (see the package comment). A
 // caller that stops using the writer with a window open — or closes out —
 // calls Wait first.
-func NewWriter(out io.Writer) *Writer { return &Writer{out: out} }
+func NewWriter(out io.Writer) *Writer { return &Writer{log: NewAppender(out)} }
 
 // Err returns the sticky error, if any append or sync has failed.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *Writer) Err() error { return w.log.Err() }
 
 // SetContext attaches ctx to the writer: once ctx is cancelled, Begin and
 // Step appends are refused with ctx's error, so a dead window cannot keep
@@ -243,67 +222,42 @@ func (w *Writer) awaitFlush() {
 // for the begin sync in flight, so that a closing record follows a durable
 // begin record and one sync runs at a time; a begin record's own sync is
 // then started and left running, outside w.mu, for steps to be appended
-// beside it.
+// beside it. Its failure is the appender's sticky error, which the window's
+// closing record, or Wait, reports.
 func (w *Writer) append(typ byte, payload []byte) error {
-	frame := EncodeFrame(typ, payload)
-	if typ != typeStep {
+	if typ != TypeStep {
 		w.awaitFlush()
 	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.ctx != nil && (typ == typeBegin || typ == typeStep) {
+	if w.ctx != nil && (typ == TypeBegin || typ == TypeStep) {
 		if err := w.ctx.Err(); err != nil {
 			return fmt.Errorf("journal: append cancelled: %w", err)
 		}
 	}
-	if _, err := w.out.Write(frame); err != nil {
-		w.err = fmt.Errorf("journal: append: %w", err)
-		return w.err
+	if err := w.log.Append(typ, payload); err != nil || typ == TypeStep {
+		return err
 	}
-	s, ok := w.out.(interface{ Sync() error })
-	if !ok || typ == typeStep {
-		return nil
+	if typ != TypeBegin {
+		return w.log.Sync()
 	}
-	if typ == typeBegin {
-		flushed := make(chan struct{})
-		w.flushed = flushed
-		go func() {
-			defer close(flushed)
-			if err := s.Sync(); err != nil {
-				w.syncFailed(err)
-			}
-		}()
-		return nil
-	}
-	if err := s.Sync(); err != nil {
-		w.err = fmt.Errorf("journal: sync: %w", err)
-		return w.err
-	}
+	flushed := make(chan struct{})
+	w.flushed = flushed
+	go func() {
+		defer close(flushed)
+		_ = w.log.Sync()
+	}()
 	return nil
-}
-
-// syncFailed makes a begin record's failed sync the sticky error, unless an
-// append beside it failed first.
-func (w *Writer) syncFailed(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err == nil {
-		w.err = fmt.Errorf("journal: sync: %w", err)
-	}
 }
 
 // Begin appends a window-begin record and starts its sync, which Commit,
 // Abort or Wait waits for.
 func (w *Writer) Begin(b BeginRecord) error {
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(b.Seq))
-	writeString(&buf, b.Planner)
-	writeString(&buf, b.Mode)
-	writeUvarint(&buf, uint64(b.Workers))
+	p := binary.AppendUvarint(nil, uint64(b.Seq))
+	p = AppendString(p, b.Planner)
+	p = AppendString(p, b.Mode)
+	p = binary.AppendUvarint(p, uint64(b.Workers))
 	var flags byte
 	if b.SkipEmptyDeltas {
 		flags |= 1
@@ -311,71 +265,59 @@ func (w *Writer) Begin(b BeginRecord) error {
 	if b.ProbeWork {
 		flags |= 2
 	}
-	buf.WriteByte(flags)
-	writeUint64(&buf, b.StateDigest)
-	writeUint64(&buf, b.BatchDigest)
-	writeUvarint(&buf, uint64(len(b.Strategy)))
+	p = append(p, flags)
+	p = binary.BigEndian.AppendUint64(p, b.StateDigest)
+	p = binary.BigEndian.AppendUint64(p, b.BatchDigest)
+	p = binary.AppendUvarint(p, uint64(len(b.Strategy)))
 	for _, e := range b.Strategy {
 		switch x := e.(type) {
 		case strategy.Comp:
-			buf.WriteByte(0)
-			writeString(&buf, x.View)
-			writeUvarint(&buf, uint64(len(x.Over)))
+			p = AppendString(append(p, 0), x.View)
+			p = binary.AppendUvarint(p, uint64(len(x.Over)))
 			for _, o := range x.Over {
-				writeString(&buf, o)
+				p = AppendString(p, o)
 			}
 		case strategy.Inst:
-			buf.WriteByte(1)
-			writeString(&buf, x.View)
+			p = AppendString(append(p, 1), x.View)
 		default:
 			return fmt.Errorf("journal: unknown expression type %T", e)
 		}
 	}
-	writeUvarint(&buf, uint64(len(b.Batch)))
+	p = binary.AppendUvarint(p, uint64(len(b.Batch)))
 	for _, vb := range b.Batch {
-		writeString(&buf, vb.View)
-		writeUvarint(&buf, uint64(len(vb.Rows)))
-		for _, r := range vb.Rows {
-			writeString(&buf, r.Key)
-			writeVarint(&buf, r.Count)
-		}
+		p = AppendRows(AppendString(p, vb.View), vb.Rows)
 	}
-	return w.append(typeBegin, buf.Bytes())
+	return w.append(TypeBegin, p)
 }
 
 // Step appends a completed-step record.
 func (w *Writer) Step(s StepRecord) error {
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(s.Index))
-	writeString(&buf, s.Key)
-	writeVarint(&buf, s.Work)
-	writeUvarint(&buf, uint64(s.Terms))
+	p := binary.AppendUvarint(nil, uint64(s.Index))
+	p = AppendString(p, s.Key)
+	p = binary.AppendVarint(p, s.Work)
+	p = binary.AppendUvarint(p, uint64(s.Terms))
 	var flags byte
 	if s.Skipped {
 		flags = 1
 	}
-	buf.WriteByte(flags)
-	writeUint64(&buf, s.Digest)
-	return w.append(typeStep, buf.Bytes())
+	p = binary.BigEndian.AppendUint64(append(p, flags), s.Digest)
+	return w.append(TypeStep, p)
 }
 
 // Commit appends a window-commit record, once the window's begin record is
 // durable, and syncs it.
 func (w *Writer) Commit(c CommitRecord) error {
-	var buf bytes.Buffer
-	writeVarint(&buf, c.TotalWork)
-	writeVarint(&buf, c.ElapsedNS)
-	writeVarint(&buf, c.UnixNano)
-	writeVarint(&buf, c.AcceptUnixNano)
-	return w.append(typeCommit, buf.Bytes())
+	p := binary.AppendVarint(nil, c.TotalWork)
+	p = binary.AppendVarint(p, c.ElapsedNS)
+	p = binary.AppendVarint(p, c.UnixNano)
+	p = binary.AppendVarint(p, c.AcceptUnixNano)
+	return w.append(TypeCommit, p)
 }
 
 // Abort appends a window-abort record, once the window's begin record is
 // durable, and syncs it.
 func (w *Writer) Abort(a AbortRecord) error {
-	var buf bytes.Buffer
-	writeString(&buf, a.Reason)
-	return w.append(typeAbort, buf.Bytes())
+	return w.append(TypeAbort, AppendString(nil, a.Reason))
 }
 
 // WindowLog is one window's records as read back from a journal.
@@ -399,26 +341,12 @@ type Log struct {
 	// (dropped); the expected artifact of a crash mid-append.
 	Truncated bool
 	// Size is the length in bytes of the intact records: where a torn tail
-	// begins. A file is cut back to it before anything is appended, or the
-	// torn frame would hide every later record from the next reader.
+	// begins. A file is cut back to it before anything is appended
+	// (OpenAppend), or the torn frame would hide every later record from the
+	// next reader.
 	Size int64
-}
-
-// OpenAppend opens the journal file at path, which lg was read from (or
-// which does not exist yet), for appending after its last intact record: a
-// torn tail is cut off first.
-func OpenAppend(path string, lg Log) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if lg.Truncated {
-		if err := f.Truncate(lg.Size); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: cutting the torn tail of %s: %w", path, err)
-		}
-	}
-	return f, nil
+	// asm holds the window Feed has open; Windows ends with a copy of it.
+	asm Assembler
 }
 
 // InFlight returns the journal's in-flight window: the last window, when
@@ -446,272 +374,177 @@ func (lg *Log) CommittedCount() int {
 	return n
 }
 
-// ReadLog parses a journal. Torn or corrupt trailing frames are tolerated
-// (Truncated is set and reading stops); a CRC-valid record that fails to
-// decode, or a record outside any window, is a format error.
+// ReadLog parses a journal file's bytes, and is where the file reader's two
+// leniencies are: a torn or corrupt tail — an unknown record type included —
+// is dropped (ScanFile; Truncated is set and Size is where it begins), and an
+// unclosed window followed by a new begin is kept, as abandoned (Feed). A
+// CRC-valid record that fails to decode, or a record outside any window, is a
+// format error.
 func ReadLog(in io.Reader) (Log, error) {
-	var lg Log
-	br := bufio.NewReader(in)
-	for {
-		typ, payload, size, status := readFrame(br)
-		if status == frameEOF {
-			return lg, nil
-		}
-		if status == frameTruncated {
-			lg.Truncated = true
-			return lg, nil
-		}
-		lg.Size += size
-		switch typ {
-		case typeBegin:
-			b, err := decodeBegin(payload)
-			if err != nil {
-				return lg, err
-			}
-			lg.Windows = append(lg.Windows, WindowLog{Begin: b})
-		case typeStep, typeCommit, typeAbort:
-			if len(lg.Windows) == 0 {
-				return lg, fmt.Errorf("journal: record type %d before any window begin", typ)
-			}
-			wl := &lg.Windows[len(lg.Windows)-1]
-			switch typ {
-			case typeStep:
-				s, err := decodeStep(payload)
-				if err != nil {
-					return lg, err
-				}
-				wl.Steps = append(wl.Steps, s)
-			case typeCommit:
-				c, err := decodeCommit(payload)
-				if err != nil {
-					return lg, err
-				}
-				wl.Commit = &c
-			case typeAbort:
-				a, err := decodeAbort(payload)
-				if err != nil {
-					return lg, err
-				}
-				wl.Abort = &a
-			}
-		}
+	buf, err := io.ReadAll(in)
+	if err != nil {
+		return Log{}, fmt.Errorf("journal: reading the log: %w", err)
 	}
+	var lg Log
+	lg.Size, lg.Truncated, err = ScanFile(buf, lg.Feed)
+	return lg, err
 }
 
-type frameStatus uint8
+// Feed folds the next record of a journal file into lg — the callback ReadLog
+// hands ScanFile, and OpenAppend's for a journal about to be appended to. It
+// is the Assembler's grammar but for one rule: a begin record may follow a
+// window that never closed, which stays in Windows without a commit or an
+// abort. A process that died mid-window and was restarted without recovery
+// leaves that, and only the last window can be in flight.
+func (lg *Log) Feed(typ byte, payload []byte, _ int) error {
+	if typ == TypeBegin {
+		lg.asm.Reset()
+	}
+	wl, err := lg.asm.Feed(typ, payload)
+	if err != nil {
+		return err
+	}
+	if wl == nil {
+		wl = lg.asm.cur
+	}
+	if typ == TypeBegin {
+		lg.Windows = append(lg.Windows, *wl)
+	} else {
+		lg.Windows[len(lg.Windows)-1] = *wl
+	}
+	return nil
+}
 
-const (
-	frameOK frameStatus = iota
-	frameEOF
-	frameTruncated
-)
+// Assembler folds a sequence of records into windows — the one place that
+// does. Feed it each record in log order; it returns the completed WindowLog
+// when a commit or abort record closes the open window, nil otherwise.
+// Records that violate the window grammar (a step outside any window, a begin
+// inside an open one) are errors: on a verified stream they indicate a
+// protocol bug, not line noise.
+type Assembler struct {
+	cur *WindowLog
+}
 
-// readFrame reads one frame and reports its length in bytes. A clean end of
-// input is frameEOF; any torn, short or CRC-failing frame — including an
-// unknown record type — is frameTruncated, the normal artifact of a crash
-// mid-append.
-func readFrame(br *bufio.Reader) (typ byte, payload []byte, size int64, status frameStatus) {
-	typ, rerr := br.ReadByte()
-	if rerr != nil {
-		return 0, nil, 0, frameEOF
+// InFlight reports whether a window is open (a begin has been fed without
+// its commit or abort).
+func (a *Assembler) InFlight() bool { return a.cur != nil }
+
+// Reset discards any partially assembled window — used when the stream
+// position is rewound (e.g. a corrupt chunk is dropped and re-fetched).
+func (a *Assembler) Reset() { a.cur = nil }
+
+// Feed consumes one record. When the record closes a window, the assembled
+// WindowLog is returned and the assembler becomes idle. A type the window
+// journal does not have wraps ErrCorruptFrame.
+func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
+	switch {
+	case typ < TypeBegin || typ > TypeAbort:
+		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorruptFrame, typ)
+	case typ == TypeBegin && a.cur != nil:
+		return nil, fmt.Errorf("journal: begin record arrived inside open window %d", a.cur.Begin.Seq)
+	case typ != TypeBegin && a.cur == nil:
+		return nil, fmt.Errorf("journal: %s record outside any window", [...]string{TypeStep: "step", TypeCommit: "commit", TypeAbort: "abort"}[typ])
 	}
-	head := []byte{typ}
-	n, lenBytes, rerr := readUvarintBytes(br)
-	if rerr != nil || n > maxFrame {
-		return 0, nil, 0, frameTruncated
+	switch typ {
+	case TypeBegin:
+		b, err := decodeBegin(payload)
+		if err != nil {
+			return nil, err
+		}
+		a.cur = &WindowLog{Begin: b}
+		return nil, nil
+	case TypeStep:
+		s, err := decodeStep(payload)
+		if err != nil {
+			return nil, err
+		}
+		a.cur.Steps = append(a.cur.Steps, s)
+		return nil, nil
+	case TypeCommit:
+		c, err := DecodeCommitRecord(payload)
+		if err != nil {
+			return nil, err
+		}
+		a.cur.Commit = &c
+	default:
+		c := NewCursor("journal: abort", payload)
+		ab := AbortRecord{Reason: c.String("reason")}
+		if err := c.Done(); err != nil {
+			return nil, err
+		}
+		a.cur.Abort = &ab
 	}
-	head = append(head, lenBytes...)
-	payload = make([]byte, n)
-	if _, rerr := io.ReadFull(br, payload); rerr != nil {
-		return 0, nil, 0, frameTruncated
-	}
-	var tail [8]byte
-	if _, rerr := io.ReadFull(br, tail[:]); rerr != nil {
-		return 0, nil, 0, frameTruncated
-	}
-	sum := crc64.Checksum(head, crcTable)
-	sum = crc64.Update(sum, crcTable, payload)
-	if binary.BigEndian.Uint64(tail[:]) != sum {
-		return 0, nil, 0, frameTruncated
-	}
-	if typ < typeBegin || typ > typeAbort {
-		return 0, nil, 0, frameTruncated
-	}
-	return typ, payload, int64(len(head) + len(payload) + len(tail)), frameOK
+	wl := a.cur
+	a.cur = nil
+	return wl, nil
 }
 
 func decodeBegin(p []byte) (BeginRecord, error) {
-	r := bytes.NewReader(p)
+	c := NewCursor("journal: begin", p)
 	var b BeginRecord
-	seq, err := readUvarint(r)
-	if err != nil {
-		return b, fmt.Errorf("journal: begin seq: %w", err)
-	}
-	b.Seq = int(seq)
-	if b.Planner, err = readString(r); err != nil {
-		return b, fmt.Errorf("journal: begin planner: %w", err)
-	}
-	if b.Mode, err = readString(r); err != nil {
-		return b, fmt.Errorf("journal: begin mode: %w", err)
-	}
-	workers, err := readUvarint(r)
-	if err != nil {
-		return b, fmt.Errorf("journal: begin workers: %w", err)
-	}
-	b.Workers = int(workers)
-	flags, err := r.ReadByte()
-	if err != nil {
-		return b, fmt.Errorf("journal: begin flags: %w", err)
-	}
-	b.SkipEmptyDeltas = flags&1 != 0
-	b.ProbeWork = flags&2 != 0
-	if b.StateDigest, err = readUint64(r); err != nil {
-		return b, fmt.Errorf("journal: begin state digest: %w", err)
-	}
-	if b.BatchDigest, err = readUint64(r); err != nil {
-		return b, fmt.Errorf("journal: begin batch digest: %w", err)
-	}
-	nExpr, err := readCount(r)
-	if err != nil {
-		return b, fmt.Errorf("journal: begin strategy length: %w", err)
-	}
-	for i := 0; i < nExpr; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return b, fmt.Errorf("journal: begin expr kind: %w", err)
-		}
-		view, err := readString(r)
-		if err != nil {
-			return b, fmt.Errorf("journal: begin expr view: %w", err)
-		}
-		switch kind {
+	b.Seq = int(c.Uvarint("seq"))
+	b.Planner = c.String("planner")
+	b.Mode = c.String("mode")
+	b.Workers = int(c.Uvarint("workers"))
+	flags := c.Byte("flags")
+	b.SkipEmptyDeltas, b.ProbeWork = flags&1 != 0, flags&2 != 0
+	b.StateDigest = c.Uint64("state digest")
+	b.BatchDigest = c.Uint64("batch digest")
+	for i, n := 0, c.Count("strategy length"); i < n && c.err == nil; i++ {
+		switch kind, view := c.Byte("expr kind"), c.String("expr view"); kind {
 		case 0:
-			nOver, err := readCount(r)
-			if err != nil {
-				return b, fmt.Errorf("journal: begin comp over count: %w", err)
-			}
+			nOver := c.Count("comp over count")
 			over := make([]string, 0, min(nOver, 64))
-			for j := 0; j < nOver; j++ {
-				o, err := readString(r)
-				if err != nil {
-					return b, fmt.Errorf("journal: begin comp over: %w", err)
-				}
-				over = append(over, o)
+			for j := 0; j < nOver && c.err == nil; j++ {
+				over = append(over, c.String("comp over"))
 			}
 			b.Strategy = append(b.Strategy, strategy.Comp{View: view, Over: over})
 		case 1:
 			b.Strategy = append(b.Strategy, strategy.Inst{View: view})
 		default:
-			return b, fmt.Errorf("journal: unknown expression kind %d", kind)
+			c.Fail("expr kind", fmt.Errorf("unknown expression kind %d", kind))
 		}
 	}
-	nViews, err := readCount(r)
-	if err != nil {
-		return b, fmt.Errorf("journal: begin batch view count: %w", err)
+	for i, n := 0, c.Count("batch view count"); i < n && c.err == nil; i++ {
+		b.Batch = append(b.Batch, ViewBatch{View: c.String("batch view"), Rows: c.Rows("batch row")})
 	}
-	for i := 0; i < nViews; i++ {
-		var vb ViewBatch
-		if vb.View, err = readString(r); err != nil {
-			return b, fmt.Errorf("journal: begin batch view: %w", err)
-		}
-		nRows, err := readCount(r)
-		if err != nil {
-			return b, fmt.Errorf("journal: begin batch row count: %w", err)
-		}
-		vb.Rows = make([]RowChange, 0, min(nRows, 4096))
-		for j := 0; j < nRows; j++ {
-			var rc RowChange
-			if rc.Key, err = readString(r); err != nil {
-				return b, fmt.Errorf("journal: begin batch row: %w", err)
-			}
-			if rc.Count, err = binary.ReadVarint(r); err != nil {
-				return b, fmt.Errorf("journal: begin batch count: %w", err)
-			}
-			vb.Rows = append(vb.Rows, rc)
-		}
-		b.Batch = append(b.Batch, vb)
-	}
-	if r.Len() != 0 {
-		return b, fmt.Errorf("journal: begin record has %d trailing bytes", r.Len())
-	}
-	return b, nil
+	return b, c.Done()
 }
 
 func decodeStep(p []byte) (StepRecord, error) {
-	r := bytes.NewReader(p)
+	c := NewCursor("journal: step", p)
 	var s StepRecord
-	idx, err := readUvarint(r)
-	if err != nil {
-		return s, fmt.Errorf("journal: step index: %w", err)
-	}
-	s.Index = int(idx)
-	if s.Key, err = readString(r); err != nil {
-		return s, fmt.Errorf("journal: step key: %w", err)
-	}
-	if s.Work, err = binary.ReadVarint(r); err != nil {
-		return s, fmt.Errorf("journal: step work: %w", err)
-	}
-	terms, err := readUvarint(r)
-	if err != nil {
-		return s, fmt.Errorf("journal: step terms: %w", err)
-	}
-	s.Terms = int(terms)
-	flags, err := r.ReadByte()
-	if err != nil {
-		return s, fmt.Errorf("journal: step flags: %w", err)
-	}
-	s.Skipped = flags&1 != 0
-	if s.Digest, err = readUint64(r); err != nil {
-		return s, fmt.Errorf("journal: step digest: %w", err)
-	}
-	if r.Len() != 0 {
-		return s, fmt.Errorf("journal: step record has %d trailing bytes", r.Len())
-	}
-	return s, nil
+	s.Index = int(c.Uvarint("index"))
+	s.Key = c.String("key")
+	s.Work = c.Varint("work")
+	s.Terms = int(c.Uvarint("terms"))
+	s.Skipped = c.Byte("flags")&1 != 0
+	s.Digest = c.Uint64("digest")
+	return s, c.Done()
 }
 
 // DecodeCommitRecord decodes a commit-record payload. Replication reads the
 // stable tip's wall-clock timestamps straight off the byte log with it, so
 // the leader's HTTP handlers never touch the (unsynchronized) parsed journal.
-func DecodeCommitRecord(p []byte) (CommitRecord, error) { return decodeCommit(p) }
-
-func decodeCommit(p []byte) (CommitRecord, error) {
-	r := bytes.NewReader(p)
-	var c CommitRecord
-	var err error
-	if c.TotalWork, err = binary.ReadVarint(r); err != nil {
-		return c, fmt.Errorf("journal: commit work: %w", err)
+func DecodeCommitRecord(p []byte) (CommitRecord, error) {
+	c := NewCursor("journal: commit", p)
+	rec := CommitRecord{TotalWork: c.Varint("work"), ElapsedNS: c.Varint("elapsed")}
+	if len(c.buf) != 0 { // a commit record from before the timestamps has none
+		rec.UnixNano = c.Varint("time")
+		rec.AcceptUnixNano = c.Varint("accept time")
 	}
-	if c.ElapsedNS, err = binary.ReadVarint(r); err != nil {
-		return c, fmt.Errorf("journal: commit elapsed: %w", err)
-	}
-	if r.Len() == 0 {
-		// Pre-timestamp commit record: times stay zero.
-		return c, nil
-	}
-	if c.UnixNano, err = binary.ReadVarint(r); err != nil {
-		return c, fmt.Errorf("journal: commit time: %w", err)
-	}
-	if c.AcceptUnixNano, err = binary.ReadVarint(r); err != nil {
-		return c, fmt.Errorf("journal: commit accept time: %w", err)
-	}
-	if r.Len() != 0 {
-		return c, fmt.Errorf("journal: commit record has %d trailing bytes", r.Len())
-	}
-	return c, nil
+	return rec, c.Done()
 }
 
-func decodeAbort(p []byte) (AbortRecord, error) {
-	r := bytes.NewReader(p)
-	var a AbortRecord
-	var err error
-	if a.Reason, err = readString(r); err != nil {
-		return a, fmt.Errorf("journal: abort reason: %w", err)
-	}
-	if r.Len() != 0 {
-		return a, fmt.Errorf("journal: abort record has %d trailing bytes", r.Len())
-	}
-	return a, nil
+// RowsOf lists a delta's row changes, sorted by key for deterministic bytes.
+func RowsOf(d *delta.Delta) []RowChange {
+	var rows []RowChange
+	d.ScanEncoded(func(key string, count int64) bool {
+		rows = append(rows, RowChange{Key: key, Count: count})
+		return true
+	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
+	return rows
 }
 
 // BatchOf collects a warehouse's staged base-view deltas as a journaled
@@ -727,13 +560,7 @@ func BatchOf(w *core.Warehouse) ([]ViewBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		vb := ViewBatch{View: name}
-		d.ScanEncoded(func(key string, count int64) bool {
-			vb.Rows = append(vb.Rows, RowChange{Key: key, Count: count})
-			return true
-		})
-		sort.Slice(vb.Rows, func(i, j int) bool { return vb.Rows[i].Key < vb.Rows[j].Key })
-		out = append(out, vb)
+		out = append(out, ViewBatch{View: name, Rows: RowsOf(d)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].View < out[j].View })
 	return out, nil
@@ -800,86 +627,4 @@ func nameFold(name string, vh uint64) uint64 {
 	var vb [8]byte
 	binary.BigEndian.PutUint64(vb[:], vh)
 	return crc64.Update(crc, crcTable, vb[:])
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	buf.Write(b[:n])
-}
-
-func writeVarint(buf *bytes.Buffer, v int64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(b[:], v)
-	buf.Write(b[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func writeUint64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func readUvarint(r *bytes.Reader) (uint64, error) { return binary.ReadUvarint(r) }
-
-func readCount(r *bytes.Reader) (int, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	if n > maxItems {
-		return 0, fmt.Errorf("implausible count %d", n)
-	}
-	return int(n), nil
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d bytes", n, r.Len())
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func readUint64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
-// readUvarintBytes reads a uvarint while capturing its raw bytes (for CRC
-// reconstruction).
-func readUvarintBytes(br *bufio.Reader) (uint64, []byte, error) {
-	var raw []byte
-	var v uint64
-	var shift uint
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, nil, err
-		}
-		raw = append(raw, b)
-		if shift >= 64 {
-			return 0, nil, fmt.Errorf("uvarint overflow")
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, raw, nil
-		}
-		shift += 7
-	}
 }

@@ -365,7 +365,7 @@ func TestWriterSyncsWindowBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		added := f.Bytes()[before:]
-		if _, _, n, err := DecodeRecord(added); err != nil || n != len(added) {
+		if _, _, n, err := DecodeFrame(added); err != nil || n != len(added) {
 			t.Fatalf("step %d did not reach the file as one whole frame: n=%d of %d, err=%v", i, n, len(added), err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestReadLogReportsIntactSize(t *testing.T) {
 		}
 		wantSize := int64(whole)
 		if cut < whole {
-			_, _, n, _ := DecodeRecord(buf.Bytes())
+			_, _, n, _ := DecodeFrame(buf.Bytes())
 			wantSize = int64(n) // only the begin record is whole
 		}
 		if lg.Size != wantSize || lg.Truncated != (cut < whole) {

@@ -4,7 +4,11 @@
 // power loss at that moment would leave.
 package journaltest
 
-import "sync"
+import (
+	"errors"
+	"os"
+	"sync"
+)
 
 // Moment is what the disk held at one point in time: Written bytes handed to
 // it, the first Durable of them flushed.
@@ -115,4 +119,16 @@ func (d *Disk) PowerLoss(m Moment, tornBytes int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]byte(nil), d.buf[:min(m.Durable+tornBytes, m.Written)]...)
+}
+
+// TearTail appends the start of a frame to the record log at path — a header
+// that promises 64 payload bytes and three of them — which is what a process
+// killed, or a machine that lost power, inside an append leaves behind.
+func TearTail(path string) error {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write([]byte{1, 64, 't', 'o', 'r'})
+	return errors.Join(err, f.Close())
 }

@@ -27,9 +27,9 @@ func writeSampleLog(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeRecordIncremental: feeding the stream one byte at a time yields
-// exactly the frames ReadLog sees — n==0 until a frame completes, never an
-// error on a clean prefix.
+// TestDecodeRecordIncremental: feeding DecodeFrame the stream one byte at a
+// time yields exactly the frames ReadLog sees — n==0 until a frame completes,
+// never an error on a clean prefix.
 func TestDecodeRecordIncremental(t *testing.T) {
 	raw := writeSampleLog(t)
 	var types []byte
@@ -37,7 +37,7 @@ func TestDecodeRecordIncremental(t *testing.T) {
 	for i := 0; i < len(raw); i++ {
 		buf = append(buf, raw[i])
 		for {
-			typ, _, n, err := DecodeRecord(buf)
+			typ, _, n, err := DecodeFrame(buf)
 			if err != nil {
 				t.Fatalf("byte %d: %v", i, err)
 			}
@@ -62,8 +62,9 @@ func TestDecodeRecordIncremental(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordCorruption: a bit flip anywhere inside a complete frame is
-// ErrCorruptFrame, not "incomplete".
+// TestDecodeRecordCorruption: a bit flip anywhere inside a complete frame —
+// its type byte included, which the CRC covers — is ErrCorruptFrame, not
+// "incomplete".
 func TestDecodeRecordCorruption(t *testing.T) {
 	raw := writeSampleLog(t)
 	// Flip a payload bit in the first frame (offset 3 is inside the begin
@@ -71,12 +72,12 @@ func TestDecodeRecordCorruption(t *testing.T) {
 	for _, off := range []int{3, 10, len(raw) / 2 % 20} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x40
-		_, _, _, err := DecodeRecord(mut)
+		_, _, _, err := DecodeFrame(mut)
 		if err == nil {
 			// The flip may have landed in the length varint making the frame
 			// look longer — then it must decode as incomplete, never as a
 			// valid frame with different content.
-			typ, _, n, _ := DecodeRecord(mut)
+			typ, _, n, _ := DecodeFrame(mut)
 			if n != 0 && mut[0] == raw[0] && typ == raw[0] {
 				t.Fatalf("offset %d: corrupted frame decoded as valid", off)
 			}
@@ -86,11 +87,11 @@ func TestDecodeRecordCorruption(t *testing.T) {
 			t.Fatalf("offset %d: error %v does not wrap ErrCorruptFrame", off, err)
 		}
 	}
-	// Unknown record type.
+	// The type byte.
 	mut := append([]byte(nil), raw...)
 	mut[0] = 42
-	if _, _, _, err := DecodeRecord(mut); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("unknown type: %v", err)
+	if _, _, _, err := DecodeFrame(mut); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("flipped type byte: %v", err)
 	}
 }
 
@@ -107,7 +108,7 @@ func TestAssemblerReassemblesWindows(t *testing.T) {
 	var asm Assembler
 	buf := raw
 	for len(buf) > 0 {
-		typ, payload, n, err := DecodeRecord(buf)
+		typ, payload, n, err := DecodeFrame(buf)
 		if err != nil || n == 0 {
 			t.Fatalf("decode: n=%d err=%v", n, err)
 		}
@@ -152,7 +153,7 @@ func TestAssemblerGrammar(t *testing.T) {
 	var frames [][2]any // typ, payload
 	buf := raw
 	for len(buf) > 0 {
-		typ, payload, n, _ := DecodeRecord(buf)
+		typ, payload, n, _ := DecodeFrame(buf)
 		frames = append(frames, [2]any{typ, append([]byte(nil), payload...)})
 		buf = buf[n:]
 	}

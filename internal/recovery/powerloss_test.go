@@ -77,13 +77,12 @@ func TestBeginDoesNotWaitForItsFlush(t *testing.T) {
 func frameEnds(t testing.TB, buf []byte) []int {
 	t.Helper()
 	var ends []int
-	for off := 0; off < len(buf); {
-		_, _, n, err := journal.DecodeRecord(buf[off:])
-		if err != nil || n == 0 {
-			t.Fatalf("journal does not parse at offset %d: n=%d err=%v", off, n, err)
-		}
-		off += n
-		ends = append(ends, off)
+	n, err := journal.Scan(buf, func(_ byte, _ []byte, end int) error {
+		ends = append(ends, end)
+		return nil
+	})
+	if err != nil || n != len(buf) {
+		t.Fatalf("journal does not parse at offset %d of %d: %v", n, len(buf), err)
 	}
 	return ends
 }
@@ -229,7 +228,7 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 	// Where the closing record starts, if the window got one.
 	closeStart, closed := len(whole), false
 	lastStart := ends[len(ends)-2]
-	if typ, _, _, _ := journal.DecodeRecord(whole[lastStart:]); typ == journal.TypeCommit || typ == journal.TypeAbort {
+	if typ := whole[lastStart]; typ == journal.TypeCommit || typ == journal.TypeAbort {
 		closeStart, closed = lastStart, true
 	}
 	committed := closed && whole[lastStart] == journal.TypeCommit

@@ -26,15 +26,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 	wantDigests := instDigestsOf(t, &whole)
 
 	// Frame boundaries of the one window: begin, one per step, commit.
-	var ends []int
-	for rest := whole.Bytes(); len(rest) > 0; {
-		_, _, n, err := journal.DecodeRecord(rest)
-		if err != nil || n == 0 {
-			t.Fatalf("uninterrupted journal does not parse at offset %d: n=%d err=%v", whole.Len()-len(rest), n, err)
-		}
-		rest = rest[n:]
-		ends = append(ends, whole.Len()-len(rest))
-	}
+	ends := frameEnds(t, whole.Bytes())
 	if len(ends) != len(s)+2 {
 		t.Fatalf("journal holds %d frames, want begin + %d steps + commit", len(ends), len(s))
 	}

@@ -232,43 +232,32 @@ func (f *Follower) verifyChunk(h http.Header, from int64, body []byte) error {
 }
 
 // drain parses the pending tail frame-by-frame and applies every window it
-// closes. A corrupt frame or grammar violation rewinds the tail (state
-// intact, re-fetch next poll); a replay divergence kills the follower.
+// closes. A corrupt frame, a grammar violation or a transient fault rewinds
+// the tail (state intact, re-fetch next poll); a replay divergence or a
+// crash-class fault kills the follower.
 func (f *Follower) drain() (applied int, err error) {
-	for {
-		typ, payload, n, derr := journal.DecodeRecord(f.pend[f.parse:])
-		if derr != nil {
-			f.rewind()
-			return applied, f.disconnect(fmt.Errorf("replicate: shipped chunk: %w", derr))
+	done := 0 // bytes of pend, all closed windows, now in the follower's log
+	n, err := journal.Scan(f.pend[f.parse:], func(typ byte, payload []byte, end int) error {
+		wl, err := f.asm.Feed(typ, payload)
+		if err != nil {
+			return err
 		}
-		if n == 0 {
-			return applied, nil
-		}
-		wl, aerr := f.asm.Feed(typ, payload)
-		if aerr != nil {
-			f.rewind()
-			return applied, f.disconnect(aerr)
-		}
-		f.parse += n
 		f.mu.Lock()
 		f.shipped++
 		f.mu.Unlock()
 		if wl == nil {
-			continue
+			return nil
 		}
-		// A window closed at offset f.parse within pend.
 		if wl.Committed() {
-			if ferr := f.cfg.Faults.Hit("apply"); ferr != nil {
-				f.rewind()
-				if faults.IsCrash(ferr) {
-					return applied, f.kill(ferr)
+			if err := f.cfg.Faults.Hit("apply"); err != nil {
+				if faults.IsCrash(err) {
+					return f.kill(err)
 				}
-				return applied, f.disconnect(fmt.Errorf("replicate: apply: %w", ferr))
+				return fmt.Errorf("apply: %w", err)
 			}
-			rep, aerr := f.w.ApplyWindow(wl)
-			if aerr != nil {
-				f.rewind()
-				return applied, f.kill(aerr)
+			rep, err := f.w.ApplyWindow(wl)
+			if err != nil {
+				return f.kill(err)
 			}
 			applied++
 			f.mu.Lock()
@@ -280,12 +269,21 @@ func (f *Follower) drain() (applied int, err error) {
 			}
 		}
 		// Closed either way: the window's bytes are durable replica state.
-		if _, werr := f.log.Write(f.pend[:f.parse]); werr != nil {
-			return applied, f.kill(werr)
+		if _, err := f.log.Write(f.pend[done : f.parse+end]); err != nil {
+			return f.kill(err)
 		}
-		f.pend = f.pend[f.parse:]
-		f.parse = 0
+		done = f.parse + end
+		return nil
+	})
+	if err != nil {
+		f.rewind()
+		if !errors.Is(err, ErrFollowerDead) {
+			err = f.disconnect(fmt.Errorf("replicate: shipped chunk: %w", err))
+		}
+		return applied, err
 	}
+	f.pend, f.parse = f.pend[done:], f.parse+n-done
+	return applied, nil
 }
 
 // CatchUp polls until the follower has applied everything the leader has

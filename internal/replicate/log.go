@@ -54,18 +54,11 @@ func (l *Log) Write(p []byte) (int, error) {
 		return 0, l.err
 	}
 	l.buf = append(l.buf, p...)
-	for {
-		typ, payload, n, err := journal.DecodeRecord(l.buf[l.scan:])
-		if err != nil {
-			l.err = fmt.Errorf("replicate: scanning appended journal bytes: %w", err)
-			return 0, l.err
-		}
-		if n == 0 {
-			break
-		}
-		l.scan += n
-		if typ == journal.TypeCommit || typ == journal.TypeAbort {
-			l.stable = l.scan
+	n, err := journal.Scan(l.buf[l.scan:], func(typ byte, payload []byte, end int) error {
+		switch typ {
+		case journal.TypeBegin, journal.TypeStep:
+		case journal.TypeCommit, journal.TypeAbort:
+			l.stable = l.scan + end
 			l.closed++
 			if typ == journal.TypeCommit {
 				l.committed++
@@ -73,7 +66,15 @@ func (l *Log) Write(p []byte) (int, error) {
 					l.commitNS, l.acceptNS = c.UnixNano, c.AcceptUnixNano
 				}
 			}
+		default:
+			return fmt.Errorf("%w: unknown record type %d", journal.ErrCorruptFrame, typ)
 		}
+		return nil
+	})
+	l.scan += n
+	if err != nil {
+		l.err = fmt.Errorf("replicate: scanning appended journal bytes: %w", err)
+		return 0, l.err
 	}
 	return len(p), nil
 }

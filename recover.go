@@ -66,24 +66,6 @@ type Journal struct {
 	spillSwept int
 }
 
-// readLog parses the journal file at path; a missing file is an empty
-// journal.
-func readLog(path string) (journal.Log, error) {
-	in, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return journal.Log{}, nil
-	}
-	if err != nil {
-		return journal.Log{}, err
-	}
-	defer in.Close()
-	lg, err := journal.ReadLog(in)
-	if err != nil {
-		return journal.Log{}, fmt.Errorf("warehouse: reading journal %s: %w", path, err)
-	}
-	return lg, nil
-}
-
 // OpenJournal opens (creating if absent) a file-backed journal in append
 // mode. Existing content is parsed first: Committed reports how many
 // windows it already holds, NeedsRecovery whether it ends mid-window. A
@@ -92,13 +74,10 @@ func readLog(path string) (journal.Log, error) {
 // is treated as not written and cut off, so that what is appended next
 // follows the last intact record.
 func OpenJournal(path string) (*Journal, error) {
-	lg, err := readLog(path)
+	var lg journal.Log
+	f, err := journal.OpenAppend(path, lg.Feed)
 	if err != nil {
-		return nil, err
-	}
-	f, err := journal.OpenAppend(path, lg)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("warehouse: opening journal: %w", err)
 	}
 	j := &Journal{w: journal.NewWriter(f), f: f, path: path, committed: lg.CommittedCount()}
 	if wl := lg.InFlight(); wl != nil {
@@ -327,9 +306,14 @@ func (w *Warehouse) Restore(j *Journal) ([]WindowReport, error) {
 	}
 	var lg journal.Log
 	if j.path != "" {
-		var err error
-		if lg, err = readLog(j.path); err != nil {
+		in, err := os.Open(j.path)
+		if err != nil {
 			return nil, err
+		}
+		lg, err = journal.ReadLog(in)
+		in.Close()
+		if err != nil {
+			return nil, fmt.Errorf("warehouse: reading journal %s: %w", j.path, err)
 		}
 	}
 	var out []WindowReport
