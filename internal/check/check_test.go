@@ -23,7 +23,7 @@ func draw(seed int64) check.Point {
 	pick := func(of ...string) string { return of[rng.Intn(len(of))] }
 	p := check.Point{
 		Seed:    seed,
-		Catalog: check.Catalog(pick("", "", string(check.Invalidation), string(check.Siblings))),
+		Catalog: check.Catalog(pick("", "", string(check.Invalidation), string(check.Siblings), string(check.Narrow))),
 		Planner: pick("", "prune", "dualstage", "shared"),
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
 		Workers: rng.Intn(4), Width: rng.Intn(4), Skip: rng.Intn(2) == 0,

@@ -41,6 +41,13 @@ const (
 	// Comp(Vi, {D}) joins δD with A's state — the build a window shares, and
 	// the one a starved budget spills — and then probes B's resident index.
 	Siblings Catalog = "siblings"
+	// Narrow is the fixture of a join index that serves joins on more
+	// columns than its own: bases L(k,x), O(k,y), P(k,x), J1 joining L and O
+	// on k, J2 L and P on k and x. L holds five rows a key, so its index on k
+	// is narrow (storage.Table.JoinIndex): whichever of a δO and a δP term
+	// probes L first, L ends with that one index, and every δP row's probe
+	// yields the rows of all its key's x, which the step must filter on x.
+	Narrow Catalog = "narrow"
 )
 
 // OneWay is the Invalidation catalog's pinned 1-way strategy: the sibling
@@ -87,6 +94,12 @@ func BuildCatalog(t testing.TB, c Catalog, seed int64) *warehouse.Warehouse {
 			b.view(fmt.Sprintf("V%d", v), fmt.Sprintf(
 				"SELECT d.x, b.z FROM D d, A a, B b WHERE d.k = a.k AND a.y = b.y AND b.z > %d", v))
 		}
+	case Narrow:
+		b.base("L", "k", "x", 30, func(i int64) (int64, int64) { return i % 6, i % 5 })
+		b.base("O", "k", "y", 8, func(i int64) (int64, int64) { return i % 6, i })
+		b.base("P", "k", "x", 6+b.rng.Intn(10), func(int64) (int64, int64) { return b.rng.Int63n(6), b.rng.Int63n(5) })
+		b.view("J1", "SELECT l.x, o.y FROM L l, O o WHERE l.k = o.k")
+		b.view("J2", "SELECT l.k, l.x FROM L l, P p WHERE l.k = p.k AND l.x = p.x")
 	default:
 		t.Fatalf("check: unknown catalog %q", c)
 	}

@@ -126,8 +126,8 @@ func BenchmarkSpillBuild(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			w := New(Options{MemoryBudgetBytes: 64 << 10})
-			if ok, err := w.AttachMemory(b.TempDir(), nil); !ok || err != nil {
-				b.Fatalf("AttachMemory = (%v, %v)", ok, err)
+			if !w.AttachMemory(b.TempDir(), nil) {
+				b.Fatal("AttachMemory = false")
 			}
 			defer w.DetachMemory()
 			env := &evalEnv{ctx: context.Background(), mem: w.mem}
@@ -176,8 +176,8 @@ func BenchmarkBoundedWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := w.Clone()
 				if budget > 0 {
-					if ok, err := run.AttachMemory("", nil); !ok || err != nil {
-						b.Fatalf("AttachMemory = (%v, %v)", ok, err)
+					if !run.AttachMemory("", nil) {
+						b.Fatal("AttachMemory = false")
 					}
 				}
 				if _, err := run.Compute("J", []string{"R", "S"}); err != nil {

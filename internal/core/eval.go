@@ -421,7 +421,7 @@ type indexStep struct {
 	// probe is the equi-keys whose operand columns the index covers, in its
 	// column order: their bound sides make the probe key. resid is the
 	// others — a second equality on a column already used, or the columns
-	// beyond a unique index on a subset (see Table.JoinIndex) — checked on
+	// beyond a narrow index on a subset (see Table.JoinIndex) — checked on
 	// each row the index yields.
 	probe, resid []equiKey
 	// scanned is the number of rows read to build the index, 0 when the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cost"
@@ -13,8 +14,9 @@ import (
 // This file attaches the window-wide memory budget (internal/memory) to the
 // warehouse. Like the window's build cache, a memManager lives for one update
 // window: AttachMemory installs it before the first step, every build-side
-// materialization draws on its budget (see buildFromRows), and DetachMemory
-// reports the window's spill accounting and removes the spill directory.
+// materialization draws on its budget (see buildFromRows), the first spill
+// creates the spill directory, and DetachMemory reports the window's spill
+// accounting and removes the directory if a spill created it.
 //
 // The budget governs hash-table state: the builds of the cache, for as long
 // as the cache holds them, and the loaded partitions of spilled ones. Driver-row
@@ -35,9 +37,15 @@ const residentFraction = 0.75
 type memManager struct {
 	budget   *memory.Budget
 	resLimit int64 // admission cap for resident builds (headroom below limit)
-	dir      string
 	inj      *faults.Injector
 	nextID   atomic.Int64 // spill file naming
+
+	// dir is the spill directory; the first spill creates it (spillDir),
+	// and made records that it did.
+	dir    string
+	mkdir  sync.Once
+	made   bool
+	dirErr error
 
 	spills       atomic.Int64
 	spilledBytes atomic.Int64
@@ -59,22 +67,13 @@ type MemStats struct {
 }
 
 // AttachMemory installs a memory budget on the warehouse for the coming
-// window, spilling oversized builds under dir (created if needed; a per-run
-// temp dir when dir is empty). It reports false — attaching nothing — when
-// no budget is configured or a manager is already attached. Not safe to call
-// while expressions execute.
-func (w *Warehouse) AttachMemory(dir string, inj *faults.Injector) (bool, error) {
+// window, spilling oversized builds under dir (a per-run temp dir when dir is
+// empty), which the window's first spill creates. It reports false —
+// attaching nothing — when no budget is configured or a manager is already
+// attached. Not safe to call while expressions execute.
+func (w *Warehouse) AttachMemory(dir string, inj *faults.Injector) bool {
 	if w.opts.MemoryBudgetBytes <= 0 || w.mem != nil {
-		return false, nil
-	}
-	if dir == "" {
-		d, err := os.MkdirTemp("", "whspill-")
-		if err != nil {
-			return false, fmt.Errorf("core: creating spill dir: %w", err)
-		}
-		dir = d
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return false, fmt.Errorf("core: creating spill dir: %w", err)
+		return false
 	}
 	limit := w.opts.MemoryBudgetBytes
 	resLimit := int64(float64(limit) * residentFraction)
@@ -87,21 +86,39 @@ func (w *Warehouse) AttachMemory(dir string, inj *faults.Injector) (bool, error)
 		dir:      dir,
 		inj:      inj,
 	}
-	return true, nil
+	return true
 }
 
-// DetachMemory removes the manager, deletes the spill directory, and returns
-// the window's memory stats. After a crash-class fault the directory is left
-// in place — a killed process removes nothing — so the stale-dir sweep on
-// warehouse open (see OpenJournal) is exercised by the same machinery a real
-// crash would leave behind. Safe to call when nothing is attached.
+// spillDir returns the window's spill directory, creating it on the first
+// call: a window that spills nothing touches no file system.
+func (mm *memManager) spillDir() (string, error) {
+	mm.mkdir.Do(func() {
+		if mm.dir == "" {
+			mm.dir, mm.dirErr = os.MkdirTemp("", "whspill-")
+		} else {
+			mm.dirErr = os.MkdirAll(mm.dir, 0o755)
+		}
+		if mm.dirErr != nil {
+			mm.dirErr = fmt.Errorf("core: creating spill dir: %w", mm.dirErr)
+		}
+		mm.made = mm.dirErr == nil
+	})
+	return mm.dir, mm.dirErr
+}
+
+// DetachMemory removes the manager, deletes the spill directory if a spill
+// created it, and returns the window's memory stats. After a crash-class
+// fault the directory is left in place — a killed process removes nothing —
+// so the stale-dir sweep on warehouse open (see OpenJournal) is exercised by
+// the same machinery a real crash would leave behind. Safe to call when
+// nothing is attached.
 func (w *Warehouse) DetachMemory() MemStats {
 	mm := w.mem
 	w.mem = nil
 	if mm == nil {
 		return MemStats{}
 	}
-	if !mm.inj.Crashed() {
+	if mm.made && !mm.inj.Crashed() {
 		os.RemoveAll(mm.dir)
 	}
 	return MemStats{

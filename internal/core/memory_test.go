@@ -136,9 +136,8 @@ func TestSpilledBuildMatchesUnbounded(t *testing.T) {
 			opts.MemoryBudgetBytes = 4096
 			bounded := newOneToOneWarehouse(t, 120, opts)
 			stageBulk(t, bounded, 120, "R", "S")
-			ok, err := bounded.AttachMemory("", nil)
-			if err != nil || !ok {
-				t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+			if !bounded.AttachMemory("", nil) {
+				t.Fatal("AttachMemory = false")
 			}
 			rep := runJoinWindow(t, bounded)
 			ms := bounded.DetachMemory()
@@ -212,8 +211,8 @@ func TestSpilledCrossProduct(t *testing.T) {
 	runJoinWindow(t, plain)
 
 	bounded := build(Options{MemoryBudgetBytes: 4096})
-	if ok, err := bounded.AttachMemory("", nil); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !bounded.AttachMemory("", nil) {
+		t.Fatal("AttachMemory = false")
 	}
 	rep := runJoinWindow(t, bounded)
 	bounded.DetachMemory()
@@ -291,8 +290,8 @@ func TestSpilledMultiStepOdometer(t *testing.T) {
 	plainRep := window(plain)
 
 	bounded := build(Options{MemoryBudgetBytes: 4096})
-	if ok, err := bounded.AttachMemory("", nil); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !bounded.AttachMemory("", nil) {
+		t.Fatal("AttachMemory = false")
 	}
 	rep := window(bounded)
 	bounded.DetachMemory()
@@ -325,8 +324,8 @@ func TestBoundedPeakStaysUnderBudget(t *testing.T) {
 	// peak is the window's unbounded footprint.
 	unbounded := newOneToOneWarehouse(t, n, Options{MemoryBudgetBytes: 1 << 40})
 	stageBulk(t, unbounded, n, "R", "S")
-	if ok, err := unbounded.AttachMemory("", nil); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !unbounded.AttachMemory("", nil) {
+		t.Fatal("AttachMemory = false")
 	}
 	uRep := runJoinWindow(t, unbounded)
 	uStats := unbounded.DetachMemory()
@@ -340,8 +339,8 @@ func TestBoundedPeakStaysUnderBudget(t *testing.T) {
 
 	bounded := newOneToOneWarehouse(t, n, Options{MemoryBudgetBytes: budget})
 	stageBulk(t, bounded, n, "R", "S")
-	if ok, err := bounded.AttachMemory("", nil); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !bounded.AttachMemory("", nil) {
+		t.Fatal("AttachMemory = false")
 	}
 	bRep := runJoinWindow(t, bounded)
 	bStats := bounded.DetachMemory()
@@ -369,8 +368,8 @@ func TestSharedEntrySpillsBeforeRecompute(t *testing.T) {
 		w := newSiblingWarehouse(t, nViews, Options{ShareComputation: true, MemoryBudgetBytes: budget})
 		loadSiblingData(t, w)
 		stageBulk(t, w, 120, "R", "S")
-		if ok, err := w.AttachMemory("", inj); err != nil || !ok {
-			t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+		if !w.AttachMemory("", inj) {
+			t.Fatal("AttachMemory = false")
 		}
 		if !w.AttachSharing() {
 			t.Fatal("AttachSharing refused")
@@ -437,8 +436,8 @@ func TestSpillENOSPCSurfacesWithStateIntact(t *testing.T) {
 	stageBulk(t, w, 120, "R", "S")
 	inj := faults.New(7)
 	inj.FailAt("spill-enospc", 1)
-	if ok, err := w.AttachMemory("", inj); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !w.AttachMemory("", inj) {
+		t.Fatal("AttachMemory = false")
 	}
 	defer w.DetachMemory()
 	before := bagOf(t, w, "V")
@@ -458,15 +457,15 @@ func TestSpillENOSPCSurfacesWithStateIntact(t *testing.T) {
 // TestCrashMidSpillLeavesDirectory: a crash-class fault during spill I/O must
 // leave the spill directory behind (a killed process removes nothing) so the
 // stale-dir sweep on the next open is exercised by authentic debris; a clean
-// detach removes it.
+// detach removes it, and a window that does not spill never makes it.
 func TestCrashMidSpillLeavesDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "w1")
 	w := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 4096})
 	stageBulk(t, w, 120, "R", "S")
 	inj := faults.New(9)
 	inj.CrashAt("spill-write", 1)
-	if ok, err := w.AttachMemory(dir, inj); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !w.AttachMemory(dir, inj) {
+		t.Fatal("AttachMemory = false")
 	}
 	if _, err := w.Compute("V", []string{"R", "S"}); err == nil {
 		t.Fatal("crash fault did not fire")
@@ -480,32 +479,49 @@ func TestCrashMidSpillLeavesDirectory(t *testing.T) {
 	dir2 := filepath.Join(t.TempDir(), "w2")
 	w2 := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 4096})
 	stageBulk(t, w2, 120, "R", "S")
-	if ok, err := w2.AttachMemory(dir2, nil); err != nil || !ok {
-		t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+	if !w2.AttachMemory(dir2, nil) {
+		t.Fatal("AttachMemory = false")
 	}
-	runJoinWindow(t, w2)
+	if rep := runJoinWindow(t, w2); rep.SpillCount == 0 {
+		t.Fatal("the clean window spilled nothing")
+	}
 	w2.DetachMemory()
 	if _, err := os.Stat(dir2); !os.IsNotExist(err) {
 		t.Fatalf("clean detach left the spill dir: %v", err)
 	}
+
+	// A window that spills nothing never creates the directory.
+	dir3 := filepath.Join(t.TempDir(), "w3")
+	w3 := newOneToOneWarehouse(t, 120, Options{MemoryBudgetBytes: 1 << 30})
+	stageBulk(t, w3, 120, "R", "S")
+	if !w3.AttachMemory(dir3, nil) {
+		t.Fatal("AttachMemory = false")
+	}
+	if rep := runJoinWindow(t, w3); rep.SpillCount != 0 {
+		t.Fatalf("a 1 GiB budget spilled %d builds", rep.SpillCount)
+	}
+	if _, err := os.Stat(dir3); !os.IsNotExist(err) {
+		t.Fatalf("a window that spilled nothing created the spill dir: %v", err)
+	}
+	w3.DetachMemory()
 }
 
 // TestAttachMemoryRefusals: no budget or a double attach refuse; DetachMemory with nothing attached is a safe no-op.
 func TestAttachMemoryRefusals(t *testing.T) {
 	w := newOneToOneWarehouse(t, 10, Options{})
-	if ok, err := w.AttachMemory("", nil); ok || err != nil {
-		t.Fatalf("attach with no budget = (%v, %v)", ok, err)
+	if w.AttachMemory("", nil) {
+		t.Fatal("attach with no budget = true")
 	}
 	if ms := w.DetachMemory(); ms != (MemStats{}) {
 		t.Fatalf("detach with nothing attached: %+v", ms)
 	}
 
 	wb := newOneToOneWarehouse(t, 10, Options{MemoryBudgetBytes: 1 << 20})
-	if ok, err := wb.AttachMemory("", nil); !ok || err != nil {
-		t.Fatalf("first attach = (%v, %v)", ok, err)
+	if !wb.AttachMemory("", nil) {
+		t.Fatal("first attach = false")
 	}
-	if ok, err := wb.AttachMemory("", nil); ok || err != nil {
-		t.Fatalf("second attach = (%v, %v)", ok, err)
+	if wb.AttachMemory("", nil) {
+		t.Fatal("second attach = true")
 	}
 	wb.DetachMemory()
 }

@@ -202,8 +202,8 @@ func TestSharedRegistryLifecycle(t *testing.T) {
 	attach := func(t *testing.T) *Warehouse {
 		w := newSiblingWarehouse(t, n, Options{ShareComputation: true, MemoryBudgetBytes: 1 << 30})
 		loadSiblingData(t, w)
-		if ok, err := w.AttachMemory("", nil); err != nil || !ok {
-			t.Fatalf("AttachMemory = (%v, %v)", ok, err)
+		if !w.AttachMemory("", nil) {
+			t.Fatal("AttachMemory = false")
 		}
 		if !w.AttachSharing() {
 			t.Fatal("AttachSharing refused")

@@ -50,6 +50,10 @@ type spillPart struct {
 // for the run env. est is the rows' estimated resident footprint (sizes the
 // partition count).
 func (mm *memManager) spill(env *evalEnv, rows []prow, cols []int, est int64) (*spilledBuild, error) {
+	dir, err := mm.spillDir()
+	if err != nil {
+		return nil, err
+	}
 	target := mm.partTarget()
 	np := int(est/target) + 1
 	if np < 2 {
@@ -62,7 +66,7 @@ func (mm *memManager) spill(env *evalEnv, rows []prow, cols []int, est int64) (*
 	writers := make([]*storage.SpillWriter, np)
 	sb := &spilledBuild{cols: cols, parts: make([]spillPart, np)}
 	for k := range writers {
-		path := filepath.Join(mm.dir, fmt.Sprintf("b%d-p%d.spill", id, k))
+		path := filepath.Join(dir, fmt.Sprintf("b%d-p%d.spill", id, k))
 		sw, err := storage.CreateSpill(path, mm.inj)
 		if err != nil {
 			for _, w := range writers {

@@ -314,12 +314,8 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 	changed := ChangedViews(w)
 	d := BuildDAG(s, w.Children)
 	detach := AttachSharing(w)
-	detachMem, err := AttachMemory(w, opts.SpillDir, opts.Faults)
-	if err != nil {
-		detach()
-		return rep, fmt.Errorf("exec: %w", err)
-	}
-	err = d.run(w, mode, opts, &rep)
+	detachMem := AttachMemory(w, opts.SpillDir, opts.Faults)
+	err := d.run(w, mode, opts, &rep)
 	st := detach()
 	rep.SharedBytesPeak, rep.SharedDetail = st.BytesPeak, st.Detail
 	rep.PeakReservedBytes = detachMem().PeakReservedBytes

@@ -11,14 +11,10 @@ import (
 // invoke once the window completes; when no budget is configured (or a
 // manager is already attached) the returned function is a harmless no-op, so
 // callers can attach/detach unconditionally — mirroring AttachSharing. The
-// error is non-nil only when the spill directory cannot be created.
-func AttachMemory(w *core.Warehouse, dir string, inj *faults.Injector) (func() core.MemStats, error) {
-	ok, err := w.AttachMemory(dir, inj)
-	if err != nil {
-		return nil, err
+// window's first spill creates dir; a failure to do so fails that spill.
+func AttachMemory(w *core.Warehouse, dir string, inj *faults.Injector) func() core.MemStats {
+	if !w.AttachMemory(dir, inj) {
+		return func() core.MemStats { return core.MemStats{} }
 	}
-	if !ok {
-		return func() core.MemStats { return core.MemStats{} }, nil
-	}
-	return w.DetachMemory, nil
+	return w.DetachMemory
 }

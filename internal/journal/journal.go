@@ -49,7 +49,8 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -543,7 +544,7 @@ func RowsOf(d *delta.Delta) []RowChange {
 		rows = append(rows, RowChange{Key: key, Count: count})
 		return true
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
+	slices.SortFunc(rows, func(a, b RowChange) int { return strings.Compare(a.Key, b.Key) })
 	return rows
 }
 
@@ -562,7 +563,7 @@ func BatchOf(w *core.Warehouse) ([]ViewBatch, error) {
 		}
 		out = append(out, ViewBatch{View: name, Rows: RowsOf(d)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].View < out[j].View })
+	slices.SortFunc(out, func(a, b ViewBatch) int { return strings.Compare(a.View, b.View) })
 	return out, nil
 }
 

@@ -27,9 +27,11 @@ import (
 //     changes. A posting is never modified once a map holds it: the handles
 //     that share the bucket — a pinned epoch among them — may be reading it.
 //
-// Nothing here decides which indexes exist; the term engine asks for one at
-// the first probe of a join step (Table.JoinIndex) and every index counts
-// its probes and its upkeep so that a later election can.
+// The term engine asks for an index at the first probe of a join step
+// (Table.JoinIndex); the one rule here is that a narrow index — at most
+// maxServingFanOut rows a key — serves joins on more columns, and retires
+// the indexes on them. Every index counts its probes and its upkeep so that
+// a later election can decide the rest.
 
 // rowRef names one row of the table by the key its row map holds it under.
 type rowRef struct {
@@ -108,9 +110,6 @@ func (ix *Index) stats() IndexStats {
 	}
 }
 
-// unique reports whether every key has one row.
-func (ix *Index) unique() bool { return ix.keys.Len() == ix.t.rows.Len() }
-
 // appendKey appends the encoded projection of tup on the index columns.
 func (ix *Index) appendKey(dst []byte, tup relation.Tuple) []byte {
 	for _, c := range ix.cols {
@@ -174,17 +173,34 @@ func (ix *Index) clone(c *Table) *Index {
 	return out
 }
 
+// maxServingFanOut is the mean number of rows per key up to which an index
+// serves a join on a superset of its columns. Such a probe yields that many
+// candidates on average, each checked on the remaining columns, where an
+// index on the superset would cost every write that lands on the table one
+// more map write — the trade Mistry et al. price as benefit against upkeep.
+const maxServingFanOut = 8
+
+// narrow reports whether the index's mean fan-out, rows per key, is at most
+// maxServingFanOut. An empty index is narrow.
+func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.keys.Len() }
+
 // JoinIndex returns the resident index that serves an equi-join on the
 // given column positions (ascending, distinct, not empty), building one by
 // a scan of the rows if none does; scanned is the number of rows that scan
 // read, 0 when an index was there. The index returned is on cols, or on a
-// subset of them that holds one row per key: such an index finds the one
-// candidate row, the caller checks the remaining columns on it, and an
-// index on the superset would be upkeep without a use.
+// narrow subset of them: it finds the few candidate rows, and the caller
+// checks the remaining columns on each.
+//
+// A narrow index that JoinIndex builds retires the handle's indexes on
+// supersets of its columns, which it serves from then on: they leave this
+// handle's set and are never written again, while clones and pinned epochs
+// that hold them keep their own copies. So the indexes a table ends with do
+// not depend on which join probed first.
 //
 // Safe to call from concurrent readers of the handle: morsels of one join
 // step, and terms of several compute expressions, may all arrive at a
-// first probe together; one builds and the others wait.
+// first probe together; one builds and the others wait. A reader that got a
+// retired index may go on probing it: the handle is not written while read.
 func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 	for i, c := range cols {
 		if c < 0 || c >= len(t.schema) || (i > 0 && cols[i-1] >= c) {
@@ -211,19 +227,27 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 		return true
 	})
 	// The writer's hooks range over the slice they loaded; publish a new one.
-	t.indexes = append(slices.Clip(t.indexes), ix)
+	retire := ix.narrow()
+	kept := make([]*Index, 0, len(t.indexes)+1)
+	for _, old := range t.indexes {
+		if !retire || !subset(cols, old.cols) {
+			kept = append(kept, old)
+		}
+	}
+	t.indexes = append(kept, ix)
 	return ix, int64(t.rows.Len())
 }
 
 // serving returns the index JoinIndex hands out for cols among those
-// resident, or nil. Callers hold idxMu.
+// resident — the one on cols, else the first narrow one on a subset — or
+// nil. Callers hold idxMu.
 func (t *Table) serving(cols []int) *Index {
 	var sub *Index
 	for _, ix := range t.indexes {
 		if slices.Equal(ix.cols, cols) {
 			return ix
 		}
-		if sub == nil && ix.unique() && subset(ix.cols, cols) {
+		if sub == nil && subset(ix.cols, cols) && ix.narrow() {
 			sub = ix
 		}
 	}

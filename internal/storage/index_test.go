@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -131,26 +132,105 @@ func TestIndexErrors(t *testing.T) {
 	}
 }
 
-// TestUniqueSubsetServesSuperset: while an index holds one row per key, a
-// join on more columns is served by it and builds nothing; once a key has
-// two rows the wider index is built.
-func TestUniqueSubsetServesSuperset(t *testing.T) {
+// fannedTable holds keys × perKey rows (k, v): perKey distinct values of v
+// under every key k.
+func fannedTable(keys, perKey int) *Table {
 	tbl := NewTable(schema)
-	tbl.Insert(row(1, "a"), 1)
-	tbl.Insert(row(2, "a"), 1)
-	narrow, _ := tbl.JoinIndex([]int{0})
-	if ix, scanned := tbl.JoinIndex([]int{0, 1}); ix != narrow || scanned != 0 {
-		t.Fatalf("a unique index on [0] did not serve [0 1]: got %v, scanned %d", ix.Cols(), scanned)
+	for k := 0; k < keys; k++ {
+		for v := 0; v < perKey; v++ {
+			tbl.Insert(row(int64(k), fmt.Sprint("v", v)), 1)
+		}
 	}
-	if ix, _ := tbl.JoinIndex([]int{1}); ix == narrow {
-		t.Fatal("an index on [0] served a join on [1]")
+	return tbl
+}
+
+// indexCols lists the columns of the handle's resident indexes in order.
+func indexCols(tbl *Table) [][]int {
+	var out [][]int
+	for _, st := range tbl.IndexStats() {
+		out = append(out, st.Cols)
 	}
-	tbl.Insert(row(1, "b"), 1)
-	wide, scanned := tbl.JoinIndex([]int{0, 1})
-	if wide == narrow || scanned != 3 || len(tbl.IndexStats()) != 3 {
-		t.Fatalf("with two rows under key 1 the index on [0] still serves [0 1] (scanned %d, %d indexes)", scanned, len(tbl.IndexStats()))
-	}
-	checkIndexes(t, "three indexes", tbl)
+	return out
+}
+
+// TestNarrowSubsetServesSuperset: an index of at most maxServingFanOut rows a
+// key serves a join on more columns and builds nothing; above the bound the
+// wider index is built; a narrow index built after a wider one retires it,
+// while a clone taken before keeps probing its copy, kept current by its
+// own writes.
+func TestNarrowSubsetServesSuperset(t *testing.T) {
+	t.Run("narrow serves wide", func(t *testing.T) {
+		tbl := fannedTable(10, maxServingFanOut)
+		narrow, _ := tbl.JoinIndex([]int{0})
+		if ix, scanned := tbl.JoinIndex([]int{0, 1}); ix != narrow || scanned != 0 {
+			t.Fatalf("an index on [0] of %d rows a key did not serve [0 1]: got %v, scanned %d", maxServingFanOut, ix.Cols(), scanned)
+		}
+		if ix, _ := tbl.JoinIndex([]int{1}); ix == narrow {
+			t.Fatal("an index on [0] served a join on [1]")
+		}
+		checkIndexes(t, "narrow", tbl)
+	})
+	t.Run("above the bound the wide index is built", func(t *testing.T) {
+		tbl := fannedTable(10, maxServingFanOut)
+		tbl.Insert(row(0, "one more"), 1) // 81 rows over 10 keys
+		narrow, _ := tbl.JoinIndex([]int{0})
+		wide, scanned := tbl.JoinIndex([]int{0, 1})
+		if wide == narrow || scanned != 81 || !slices.Equal(wide.Cols(), []int{0, 1}) {
+			t.Fatalf("an index on [0] above the fan-out bound served [0 1] (scanned %d)", scanned)
+		}
+		if got := indexCols(tbl); len(got) != 2 {
+			t.Fatalf("indexes %v, want [0] and [0 1]", got)
+		}
+		checkIndexes(t, "wide", tbl)
+	})
+	t.Run("narrow built second retires wide", func(t *testing.T) {
+		tbl := fannedTable(10, 4)
+		wide, _ := tbl.JoinIndex([]int{0, 1})
+		other, _ := tbl.JoinIndex([]int{1}) // not a superset of [0]: stays
+		before := tbl.Clone()
+		narrow, scanned := tbl.JoinIndex([]int{0})
+		if scanned != 40 {
+			t.Fatalf("building [0] scanned %d rows, want 40", scanned)
+		}
+		if got := indexCols(tbl); !slices.EqualFunc(got, [][]int{{1}, {0}}, slices.Equal) {
+			t.Fatalf("after [0] the indexes are %v, want [1] [0]", got)
+		}
+		if ix, _ := tbl.JoinIndex([]int{0, 1}); ix != narrow {
+			t.Fatalf("[0 1] is served by %v, want the index on [0]", ix.Cols())
+		}
+		if ix, _ := tbl.JoinIndex([]int{1}); ix != other {
+			t.Fatal("retirement dropped an index on a column set that is no superset")
+		}
+		// The retired index is never written again: a write through the
+		// handle leaves its upkeep where it was.
+		upkeep := wide.upkeep.Load()
+		tbl.Insert(row(3, "new"), 1)
+		if wide.upkeep.Load() != upkeep {
+			t.Error("a write through the handle maintained a retired index")
+		}
+		checkIndexes(t, "after retirement", tbl)
+
+		// The clone taken before the retirement keeps all three, probes its
+		// wide index and keeps it current under its own writes.
+		if got := indexCols(before); len(got) != 2 {
+			t.Fatalf("the clone's indexes are %v, want [0 1] and [1]", got)
+		}
+		cw, _ := before.JoinIndex([]int{0, 1})
+		if !slices.Equal(cw.Cols(), []int{0, 1}) {
+			t.Fatalf("the clone's [0 1] probe is served by %v", cw.Cols())
+		}
+		before.Insert(row(2, "fresh"), 2)
+		if err := before.Delete(row(2, "v1"), 1); err != nil {
+			t.Fatal(err)
+		}
+		checkIndexes(t, "clone after writes", before)
+		if got := probeBag(cw, row(2, "fresh")); !sameBag(got, map[string]int64{row(2, "fresh").Encode(): 2}) {
+			t.Errorf("the clone's wide index yields %v for (2, fresh)", got)
+		}
+		if got := probeBag(cw, row(2, "v1")); len(got) != 0 {
+			t.Errorf("the clone's wide index still yields a deleted row: %v", got)
+		}
+	})
 }
 
 // TestCompositeIndexCanonicalOrder: a composite key is the columns'
@@ -212,16 +292,19 @@ func TestCloneSharesIndexes(t *testing.T) {
 
 // TestIndexesEqualScanUnderRandomOps drives random writes through a family
 // of handles cloned from one another, with indexes on single, composite and
-// NULL-bearing columns made at random moments, and after every operation
-// compares every index of every live handle with a scan. Row and key ranges
-// are small, so rows repeat (counts change without a row appearing or
-// vanishing), postings empty and refill, and the index directories double.
+// NULL-bearing columns made at random moments — a narrow one retiring the
+// handle's indexes on supersets of its columns while clones keep theirs —
+// and after every operation compares every index of every live handle with
+// a scan. Row and key ranges are small, so rows repeat (counts change
+// without a row appearing or vanishing), postings empty and refill, and the
+// index directories double.
 func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 	sch := relation.Schema{
 		{Name: "a", Kind: relation.KindInt},
 		{Name: "b", Kind: relation.KindString},
 		{Name: "c", Kind: relation.KindInt},
 	}
+	retired := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		randRow := func() relation.Tuple {
@@ -248,7 +331,17 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 			case r < 10:
 				tbl.Grow(rng.Intn(100))
 			case r < 18:
-				tbl.JoinIndex(colSets[rng.Intn(len(colSets))])
+				had := slices.Clone(tbl.indexes)
+				ix, _ := tbl.JoinIndex(colSets[rng.Intn(len(colSets))])
+				if slices.Contains(had, ix) {
+					break // served by a resident index
+				}
+				retired += len(had) + 1 - len(tbl.indexes)
+				for _, other := range tbl.indexes {
+					if ix.narrow() && other != ix && subset(ix.cols, other.cols) {
+						t.Fatalf("seed %d op %d: narrow index %v left %v resident", seed, op, ix.cols, other.cols)
+					}
+				}
 			case r < 40:
 				d := delta.New(sch)
 				for i := 0; i < 1+rng.Intn(40); i++ {
@@ -276,6 +369,9 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 				checkIndexes(t, fmt.Sprintf("seed %d op %d handle %d", seed, op, i), h)
 			}
 		}
+	}
+	if retired == 0 {
+		t.Error("no operation retired an index")
 	}
 }
 
@@ -352,6 +448,28 @@ func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 	small, large := indexedCloneWriteAllocs(2_000), indexedCloneWriteAllocs(32_000)
 	if small != large || large > 30 {
 		t.Fatalf("indexed clone + one insert allocated %v times at 2 000 rows and %v at 32 000, want the same small number", small, large)
+	}
+}
+
+// TestLineItemIndexUpkeepBytes: TPC-D's joins ask LINEITEM for an index on
+// L_ORDERKEY (four rows a key) and one on (L_ORDERKEY, L_SUPPKEY); the first
+// serves both, so a window's clone plus the 1 % batch (BenchmarkIndexApply's
+// lineitem case) copies the buckets of one index, not two. Two indexes cost
+// ≈ 2 800 B a changed row.
+func TestLineItemIndexUpkeepBytes(t *testing.T) {
+	const bound = 2_000 // bytes per changed row
+	tbl, d := indexApplyTable([][]int{{0}, {0, 2}})
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := tbl.Clone().ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*d.Size()); perRow > bound {
+		t.Fatalf("clone + the 1 %% batch allocated %.0f B a changed row with %d indexes, want at most %d", perRow, len(tbl.IndexStats()), bound)
 	}
 }
 

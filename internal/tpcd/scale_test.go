@@ -1,6 +1,9 @@
 package tpcd
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -101,7 +104,7 @@ func TestScaleSF01(t *testing.T) {
 // build cache for nothing, shares nothing and spills nothing, whichever
 // planner chose the strategy and whether or not the cache is kept for the
 // window. A change that brings state builds back fails here, not only in the
-// benchmark.
+// benchmark; so does one that changes which join indexes stay resident.
 func TestOneWayWindowsBuildNothing(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		for _, share := range []bool{false, true} {
@@ -160,6 +163,18 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 			}
 			if err := tw.W.VerifyAll(); err != nil {
 				t.Fatal(err)
+			}
+			// Whichever planner ran, LINEITEM's index on L_ORDERKEY also serves
+			// the joins on (L_ORDERKEY, L_SUPPKEY): nine indexes in all.
+			var got []string
+			for _, name := range tw.W.ViewNames() {
+				for _, st := range tw.W.MustView(name).IndexStats() {
+					got = append(got, fmt.Sprint(name, st.Cols))
+				}
+			}
+			slices.Sort(got)
+			if want := "CUSTOMER[0] CUSTOMER[2] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0] SUPPLIER[2]"; strings.Join(got, " ") != want {
+				t.Errorf("shared planner %v, sharing %v: resident indexes %v, want %s", shared, share, got, want)
 			}
 		}
 	}
