@@ -122,8 +122,10 @@ bench:
 
 # One-iteration pass over the Compute benchmarks with allocation stats:
 # cheap enough for CI, and catches probe-path allocation regressions. The
-# storage, journal and join-probe layer benchmarks run once too, so that they
-# keep compiling and executing between the runs of bench-layers that read them.
+# storage, journal and join-probe layer benchmarks (the Q3 probe chain
+# through ORDER's and CUSTOMER's indexes among them) run once too, so that
+# they keep compiling and executing between the runs of bench-layers that
+# read them.
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
 # factorial growth (3.6 and 479 million orderings) hangs here, not in a slow
 # plan-space. One journaled window against a disk whose flushes take 300 µs
@@ -138,7 +140,8 @@ bench-smoke:
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
 # clone / load / apply (rows and groups), join index build / apply, join
-# build and probe (flat table and resident index), state digest (the fold a
+# build and probe (flat table, resident index, and Q3's chain of two index
+# steps, ns per driver row), state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (the difference is
 # about one flush of the two it makes: syncs/op). Five samples each,

@@ -54,8 +54,10 @@ type CQ struct {
 	joined  relation.Schema
 	// filterRefs[i] is RefsOfExpr(Filters[i]), precomputed at Validate time
 	// so the per-evaluation join planner never re-walks filter expressions
-	// (or allocates column scratch) on the serving hot path.
+	// (or allocates column scratch) on the serving hot path; read, for the
+	// same reason, is ReadColumns.
 	filterRefs []uint64
+	read       []bool
 }
 
 // IsAggregate reports whether the view is a summary (grouped) view.
@@ -113,6 +115,12 @@ func (q *CQ) Validate() error {
 		return nil
 	}
 	q.filterRefs = make([]uint64, len(q.Filters))
+	q.read = make([]bool, width)
+	markRead := func(e Expr) {
+		for _, c := range e.Columns(nil) {
+			q.read[c] = true
+		}
+	}
 	for fi, f := range q.Filters {
 		if err := check(f, "filter "+f.String()); err != nil {
 			return err
@@ -121,6 +129,7 @@ func (q *CQ) Validate() error {
 			return fmt.Errorf("algebra: filter %s is not boolean", f)
 		}
 		q.filterRefs[fi] = q.RefsOfExpr(f)
+		markRead(f)
 	}
 	names := make(map[string]bool)
 	addName := func(n string) error {
@@ -140,6 +149,7 @@ func (q *CQ) Validate() error {
 		if err := addName(s.Name); err != nil {
 			return err
 		}
+		markRead(s.E)
 	}
 	for _, g := range q.GroupBy {
 		if err := check(g.E, "group-by "+g.Name); err != nil {
@@ -148,12 +158,14 @@ func (q *CQ) Validate() error {
 		if err := addName(g.Name); err != nil {
 			return err
 		}
+		markRead(g.E)
 	}
 	for _, a := range q.Aggs {
 		if a.Input != nil {
 			if err := check(a.Input, "aggregate "+a.Name); err != nil {
 				return err
 			}
+			markRead(a.Input)
 		} else if a.Spec.Kind != delta.AggCount {
 			return fmt.Errorf("algebra: aggregate %s has no input expression", a.Name)
 		}
@@ -183,6 +195,12 @@ func (q *CQ) RefOfColumn(c int) int {
 // FilterRefs returns RefsOfExpr(Filters[i]) from the mask precomputed at
 // Validate time — the allocation-free form the evaluation planner uses.
 func (q *CQ) FilterRefs(i int) uint64 { return q.filterRefs[i] }
+
+// ReadColumns marks the joined-row columns the definition reads: those of
+// its filters, and of its select list or its group-by keys and aggregate
+// inputs. An evaluator needs no other column of a joined row. The slice is
+// the CQ's own and must not be modified.
+func (q *CQ) ReadColumns() []bool { return q.read }
 
 // RefsOfExpr returns the set of ref indexes an expression touches, as a
 // bitmask (supports up to 64 refs, far beyond any realistic view).

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
+	"repro/internal/maintain"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -229,8 +230,9 @@ func BenchmarkBuildTable(b *testing.B) {
 // into a sink that only counts.
 func BenchmarkProbe(b *testing.B) {
 	const n = 24_000
-	step := joinStep{roff: 1, build: newBuildTable(buildBenchRows(n), []int{0}), keys: []equiKey{{boundCol: 0, newCol: 1}}}
-	p := pipeline{width: 3, steps: []joinStep{step}}
+	read := readAll(3)
+	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), build: newBuildTable(buildBenchRows(n), []int{0}), keys: []equiKey{{boundCol: 0, newCol: 1}}}
+	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
 	driver := make([]prow, n)
 	for i := range driver {
 		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
@@ -246,16 +248,17 @@ func BenchmarkProbe(b *testing.B) {
 }
 
 // BenchmarkIndexProbe is BenchmarkProbe with the same rows in a table read
-// through its resident join index: encode the key, find the posting, fetch
-// each of its four rows from the row map, emit. ns/row is per probe.
+// through its resident join index: encode the key, find the posting, emit
+// each of the four rows it carries. ns/row is per probe.
 func BenchmarkIndexProbe(b *testing.B) {
 	const n = 24_000
 	tbl := storage.NewTable(relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "i", Kind: relation.KindInt}})
 	for _, r := range buildBenchRows(n) {
 		tbl.Insert(r.row, r.count)
 	}
-	step := joinStep{roff: 1, idx: &indexStep{tbl: tbl}, keys: []equiKey{{boundCol: 0, newCol: 1}}}
-	p := pipeline{width: 3, steps: []joinStep{step}}
+	read := readAll(3)
+	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), idx: &indexStep{tbl: tbl}, keys: []equiKey{{boundCol: 0, newCol: 1}}}
+	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
 	driver := make([]prow, n)
 	for i := range driver {
 		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
@@ -269,4 +272,106 @@ func BenchmarkIndexProbe(b *testing.B) {
 		p.runMorsel(driver, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
+// The TPC-D columns of the three operands of Q3, for BenchmarkIndexProbeChain.
+var (
+	chainCustomer = relation.Schema{
+		{Name: "C_CUSTKEY", Kind: relation.KindInt}, {Name: "C_NAME", Kind: relation.KindString},
+		{Name: "C_NATIONKEY", Kind: relation.KindInt}, {Name: "C_MKTSEGMENT", Kind: relation.KindString},
+		{Name: "C_ACCTBAL", Kind: relation.KindFloat},
+	}
+	chainOrder = relation.Schema{
+		{Name: "O_ORDERKEY", Kind: relation.KindInt}, {Name: "O_CUSTKEY", Kind: relation.KindInt},
+		{Name: "O_ORDERDATE", Kind: relation.KindDate}, {Name: "O_SHIPPRIORITY", Kind: relation.KindInt},
+		{Name: "O_TOTALPRICE", Kind: relation.KindFloat},
+	}
+	chainLineItem = relation.Schema{
+		{Name: "L_ORDERKEY", Kind: relation.KindInt}, {Name: "L_LINENUMBER", Kind: relation.KindInt},
+		{Name: "L_SUPPKEY", Kind: relation.KindInt}, {Name: "L_EXTENDEDPRICE", Kind: relation.KindFloat},
+		{Name: "L_DISCOUNT", Kind: relation.KindFloat}, {Name: "L_RETURNFLAG", Kind: relation.KindString},
+		{Name: "L_SHIPDATE", Kind: relation.KindDate},
+	}
+)
+
+// BenchmarkIndexProbeChain drives 240 LINEITEM rows — a 1 % batch at the
+// benchmark's 24 000 line items — through the term of Q3 that δLINEITEM
+// drives: an index step on ORDER (6 000 rows, unique key), then one on
+// CUSTOMER (600), as planTerm plans it — each match copied into the scratch
+// row as far as the view reads it, the date and segment filters applied —
+// into a sink that only counts. Every change passes the ship-date filter and
+// so probes ORDER; about half the orders pass the order-date one and go on
+// to CUSTOMER. ns/row is per driver row; the indexes are built before the
+// clock starts.
+func BenchmarkIndexProbeChain(b *testing.B) {
+	const customers, orders, changes = 600, 6_000, 240
+	w := New(Options{})
+	for _, v := range []struct {
+		name   string
+		schema relation.Schema
+	}{{"CUSTOMER", chainCustomer}, {"ORDER", chainOrder}, {"LINEITEM", chainLineItem}} {
+		if err := w.DefineBase(v.name, v.schema); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qb := algebra.NewBuilder().From("c", "CUSTOMER", chainCustomer).From("o", "ORDER", chainOrder).From("l", "LINEITEM", chainLineItem)
+	qb.WhereEq("c.C_MKTSEGMENT", relation.NewString("BUILDING")).
+		Join("c.C_CUSTKEY", "o.O_CUSTKEY").
+		Join("l.L_ORDERKEY", "o.O_ORDERKEY").
+		Where(&algebra.Binary{Op: algebra.OpLt, L: qb.Col("o.O_ORDERDATE"), R: &algebra.Const{Value: relation.MustDate("1995-03-15")}}).
+		Where(&algebra.Binary{Op: algebra.OpGt, L: qb.Col("l.L_SHIPDATE"), R: &algebra.Const{Value: relation.MustDate("1995-03-15")}}).
+		GroupByCol("l.L_ORDERKEY").GroupByCol("o.O_ORDERDATE").GroupByCol("o.O_SHIPPRIORITY").
+		Agg("REVENUE", delta.AggSum, &algebra.Binary{Op: algebra.OpMul, L: qb.Col("l.L_EXTENDEDPRICE"),
+			R: &algebra.Binary{Op: algebra.OpSub, L: &algebra.Const{Value: relation.NewFloat(1)}, R: qb.Col("l.L_DISCOUNT")}})
+	q3 := qb.MustBuild()
+	if err := w.DefineDerived("Q3", q3); err != nil {
+		b.Fatal(err)
+	}
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+	cust := make([]relation.Tuple, customers)
+	for i := range cust {
+		k := int64(i)
+		cust[i] = relation.Tuple{relation.NewInt(k), relation.NewString(fmt.Sprintf("Customer#%09d", k)),
+			relation.NewInt(k % 25), relation.NewString(segments[k%5]), relation.NewFloat(float64(k%1000) + 0.25)}
+	}
+	ord := make([]relation.Tuple, orders)
+	for i := range ord {
+		k := int64(i)
+		ord[i] = relation.Tuple{relation.NewInt(k), relation.NewInt(k % customers),
+			relation.NewDate(8_035 + k%2_405), relation.NewInt(k % 5), relation.NewFloat(float64(k%5_000) + 0.5)}
+	}
+	if err := w.LoadBase("CUSTOMER", cust); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.LoadBase("ORDER", ord); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	d := delta.New(chainLineItem)
+	for i := int64(0); i < changes; i++ {
+		d.Add(relation.Tuple{relation.NewInt(rng.Int63n(orders)), relation.NewInt(i % 7), relation.NewInt(rng.Int63n(40)),
+			relation.NewFloat(float64(rng.Int63n(100_000)) / 4), relation.NewFloat(float64(rng.Int63n(8)) / 64),
+			relation.NewString("N"), relation.NewDate(9_300 + rng.Int63n(400))}, 1)
+	}
+	plan, err := w.planTerm(q3, maintain.Term{DeltaRefs: []int{2}}, map[string]*delta.Delta{"LINEITEM": d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(plan.pl.steps) != 2 || plan.pl.steps[0].idx == nil || plan.pl.steps[1].idx == nil ||
+		plan.pl.steps[0].idx.tbl != w.views["ORDER"].table || plan.pl.steps[1].idx.tbl != w.views["CUSTOMER"].table {
+		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
+	}
+	rows := materializeScan(plan.driverSrc)
+	var matched int64
+	sink := func(_ relation.Tuple, count int64) { matched += count }
+	plan.pl.runMorsel(rows, sink) // the first run builds both indexes
+	if matched == 0 {
+		b.Fatal("no driver row reached the sink")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.pl.runMorsel(rows, sink)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }

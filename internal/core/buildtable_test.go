@@ -16,16 +16,28 @@ func intRows(keys ...int64) []prow {
 	return rows
 }
 
+// readAll marks every column of a joined row of the given width read, as
+// CQ.ReadColumns does for a definition that selects them all: the pipelines
+// built by hand here sink whole rows, so every column is live.
+func readAll(width int) []bool {
+	read := make([]bool, width)
+	for c := range read {
+		read[c] = true
+	}
+	return read
+}
+
 // probeBag returns what the pipeline's probe emits for one driver row equal
 // to key against bt (whose rows are two columns wide, keyed on their first
 // len(key) columns): matched tuple encoding → total count.
 func probeBag(t *testing.T, bt *buildTable, key relation.Tuple) map[string]int64 {
 	t.Helper()
-	step := joinStep{roff: len(key), build: bt}
+	read := readAll(len(key) + 2)
+	step := joinStep{roff: len(key), live: liveColumns(read, len(key), 2), build: bt}
 	for i := range key {
 		step.keys = append(step.keys, equiKey{boundCol: i, newCol: len(key) + i})
 	}
-	p := pipeline{width: len(key) + 2, steps: []joinStep{step}}
+	p := pipeline{live: liveColumns(read, 0, len(key)), width: len(read), steps: []joinStep{step}}
 	bag := make(map[string]int64)
 	sink := func(row relation.Tuple, count int64) { bag[row[len(key):].Encode()] += count }
 	p.runMorsel([]prow{{row: key, count: 1}}, sink)

@@ -269,7 +269,8 @@ func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
 // table, which is precisely the execution model behind the paper's linear
 // work metric. That is also what runs, except where a delta-driven term
 // joins a plain table's state on a key: that step probes the table's
-// resident index (see indexStep) and scans nothing.
+// resident index (see indexStep) and scans nothing. The driver and every
+// step copy only their operand's live columns (liveColumns).
 func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta) (*termPlan, error) {
 	n := len(cq.Refs)
 	ops := make([]operand, n)
@@ -317,8 +318,10 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 
 	bound := uint64(1) << uint(driver)
 	applied := make([]bool, len(cq.Filters))
+	read := cq.ReadColumns()
 	plan.pl = pipeline{
 		off:   cq.RefOffset(driver),
+		live:  liveColumns(read, cq.RefOffset(driver), len(cq.Refs[driver].Schema)),
 		width: len(cq.JoinedSchema()),
 		// Filters local to the driver run before the first probe.
 		driverPreds: pendingFilters(cq, bound, applied),
@@ -370,6 +373,7 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 		step := joinStep{
 			keys:  keys,
 			roff:  roff,
+			live:  liveColumns(read, roff, len(cq.Refs[i].Schema)),
 			preds: pendingFilters(cq, bound, applied),
 		}
 		card := ops[i].src.Cardinality()
@@ -397,12 +401,29 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 	return plan, nil
 }
 
+// liveColumns returns the operand-local positions, ascending, of the n
+// columns at joined offset off that read marks (CQ.ReadColumns): what the
+// pipeline copies of one of that operand's rows into the scratch row. No
+// step, sink or projector reads any other column.
+func liveColumns(read []bool, off, n int) []int {
+	var live []int
+	for c := 0; c < n; c++ {
+		if read[off+c] {
+			live = append(live, c)
+		}
+	}
+	return live
+}
+
 // joinStep is one planned hash-join step: probe the partial row against an
 // operand via a build table or a resident index, then apply the filters
 // that just became evaluable.
 type joinStep struct {
-	keys    []equiKey
-	roff    int
+	keys []equiKey
+	roff int
+	// live is the operand's columns that a match copies into the scratch
+	// row (liveColumns).
+	live    []int
 	preds   []algebra.Expr
 	build   *buildTable   // transient build (nil when indexed or spilled)
 	spilled *spilledBuild // spilled transient build: probed partition-wise
@@ -472,10 +493,14 @@ func indexedState(term maintain.Term, op operand) *storage.Table {
 // never materialized. Each morsel works in a single scratch row of the
 // term's joined width: step i only overwrites its own operand's columns,
 // and the predicates evaluated at depth i only read columns bound at depths
-// ≤ i, so sibling matches can safely reuse the buffer.
+// ≤ i, so sibling matches can safely reuse the buffer. The scratch row holds
+// only live columns — those a filter, key, select expression, group-by key
+// or aggregate input reads (CQ.ReadColumns); the rest stay unset, and
+// nothing reads them.
 type pipeline struct {
-	off         int // driver's column offset in the joined row
-	width       int // joined-row width
+	off         int   // driver's column offset in the joined row
+	live        []int // the driver's columns copied into the scratch row
+	width       int   // joined-row width
 	driverPreds []algebra.Expr
 	steps       []joinStep
 }
@@ -571,7 +596,9 @@ func (p *pipeline) runMorsel(rows []prow, sink sinkFn) int64 {
 	}
 	for ri := range rows {
 		pr := &rows[ri]
-		copy(st.scratch[p.off:], pr.row)
+		for _, c := range p.live {
+			st.scratch[p.off+c] = pr.row[c]
+		}
 		ok := true
 		for _, f := range p.driverPreds {
 			if !algebra.EvalBool(f, st.scratch) {
@@ -635,11 +662,13 @@ func (p *pipeline) probe(depth int, count int64, st *morselState) {
 	}
 }
 
-// emit joins one match into the scratch row, applies the step's filters,
-// and recurses into the next step.
+// emit joins one match into the scratch row — its live columns — applies
+// the step's filters, and recurses into the next step.
 func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *morselState) {
 	s := &p.steps[depth]
-	copy(st.scratch[s.roff:], t)
+	for _, c := range s.live {
+		st.scratch[s.roff+c] = t[c]
+	}
 	if s.idx != nil {
 		for _, k := range s.idx.resid {
 			if !relation.Identical(st.scratch[k.boundCol], st.scratch[k.newCol]) {

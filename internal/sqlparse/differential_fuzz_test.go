@@ -24,6 +24,11 @@ func FuzzParseDifferential(f *testing.F) {
 		"SELECT COUNT(*) FROM R",
 		"SELECT a FROM R WHERE a BETWEEN 1 AND 2 OR NOT b = 3",
 		"SELECT a FROM R WHERE NOT NOT a = 1 AND NOT b BETWEEN 1 AND 5",
+		// NOT's operand is the whole comparison, so a comparison after it
+		// chains and both parsers reject it (a finding of this fuzzer).
+		"SELECT a FROM R WHERE NOT a = 1 BETWEEN 0 AND 2",
+		"SELECT 00FROM A WHERE NOT NOT 00=00BETWEEN 00AND 0",
+		"SELECT a FROM R WHERE NOT a = 1 = 2",
 		"SELECT a FROM R WHERE d < DATE '1995-03-15'",
 		"SELECT (a + 2) * 3.5 - -1 FROM R",
 		"SELECT a + b * 2 - a / 3 AS v FROM R WHERE a = 1 OR b = 2 AND a < 3",

@@ -596,6 +596,7 @@ func (p *parser) parseExpr() (algebra.Expr, error) { return p.parseExprPrec(prec
 func (p *parser) parseExprPrec(min int) (algebra.Expr, error) {
 	var left algebra.Expr
 	var err error
+	sawCmp := false
 	if t := p.peek(); t.kind == tokKeyword && t.kw == kwNot && min <= precNot {
 		p.pos++
 		operand, err := p.parseExprPrec(precNot)
@@ -603,13 +604,16 @@ func (p *parser) parseExprPrec(min int) (algebra.Expr, error) {
 			return nil, err
 		}
 		left = p.a.not(operand)
+		// NOT binds looser than a comparison, so NOT x is no comparison's
+		// operand: a comparison after it chains onto the one its operand
+		// took, and is trailing input as it would be without the NOT.
+		sawCmp = true
 	} else {
 		left, err = p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
 	}
-	sawCmp := false
 	for {
 		t := p.peek()
 		prec, op, between := binOpOf(t)

@@ -125,6 +125,29 @@ func TestParseBetweenAndNot(t *testing.T) {
 	}
 }
 
+// TestParseNotTakesTheComparison: NOT binds looser than a comparison, so its
+// operand is the whole comparison and a second one after it chains — an
+// error, with or without the NOT — while NOT over one BETWEEN still parses.
+func TestParseNotTakesTheComparison(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT a FROM R WHERE a = 1 BETWEEN 0 AND 2",
+		"SELECT a FROM R WHERE NOT a = 1 BETWEEN 0 AND 2",
+		"SELECT a FROM R WHERE NOT NOT a = 1 BETWEEN 0 AND 2",
+		"SELECT a FROM R WHERE NOT a = 1 = 2",
+	} {
+		if _, err := Parse(sql, resolve); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("%q: err = %v, want trailing input", sql, err)
+		}
+	}
+	cq, err := Parse("SELECT a FROM R WHERE NOT a BETWEEN 0 AND 2", resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cq.Filters) != 1 || !strings.HasPrefix(cq.Filters[0].String(), "NOT ") {
+		t.Errorf("NOT over BETWEEN: filters %v", cq.Filters)
+	}
+}
+
 func TestParseOrPrecedence(t *testing.T) {
 	cq, err := Parse("SELECT a FROM R WHERE a = 1 OR a = 2 AND b = 3", resolve)
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // it. It belongs to the table the way the rows do —
 //
 //   - Insert, Delete, ApplyDelta and Clear keep it current: a row that
-//     appears or vanishes updates every index, a count that changes updates
-//     none (the count lives in the row map alone).
+//     appears or vanishes updates every index, and so does a count that
+//     changes, since a posting carries each row's count beside its tuple.
 //   - Clone hands every index to the new handle in O(indexes), shared bucket
 //     by bucket like the rows. A window that commits passes its indexes on
 //     to the next; one that aborts loses only what it built.
@@ -33,17 +33,14 @@ import (
 // the indexes on them. Every index counts its probes and its upkeep so that
 // a later election can decide the rest.
 
-// rowRef names one row of the table by the key its row map holds it under.
-type rowRef struct {
-	hash uint64
-	key  string
-}
-
-// posting is the rows that share one join key: the row itself when there is
-// one (so a unique key costs no allocation), all of them in more otherwise.
+// posting is the rows that share one join key, each as the row map holds
+// it — the stored tuple and its count — so that a probe reads no row map:
+// the row itself when there is one (so a unique key costs no allocation),
+// all of them in more otherwise. A table stores each row's tuple once, so
+// the tuple names the row (see at).
 type posting struct {
-	one  rowRef
-	more []rowRef
+	one  storedRow
+	more []storedRow
 }
 
 // Index is one resident join index of a Table handle.
@@ -51,8 +48,10 @@ type Index struct {
 	t    *Table
 	cols []int // ascending, distinct
 	keys cowmap.Map[posting]
-	// probes and upkeep count the lookups served and the row arrivals and
-	// departures applied; a clone starts from its source's counts.
+	// probes and upkeep count the lookups served and the row arrivals,
+	// departures and count changes applied; a clone starts from its
+	// source's counts, and a narrow index from those of the indexes it
+	// retires.
 	probes, upkeep atomic.Int64
 }
 
@@ -63,9 +62,9 @@ type IndexStats struct {
 	// Keys is the number of distinct join keys, Rows the number of distinct
 	// rows indexed; the index is unique when they are equal.
 	Keys, Rows int64
-	// Probes counts lookups served, Upkeep the row arrivals and departures
-	// applied, over the life of the index across the handles it passed
-	// through.
+	// Probes counts lookups served, Upkeep the row arrivals, departures and
+	// count changes applied, over the life of the index across the handles
+	// it passed through and of the indexes it retired.
 	Probes, Upkeep int64
 }
 
@@ -79,21 +78,21 @@ func (s IndexStats) String() string {
 func (ix *Index) Cols() []int { return ix.cols }
 
 // Probe calls fn with every row whose projection on Cols encodes to key,
-// and its count, until fn returns false. The tuples are the stored ones
-// (see Table) and must not be modified. Probe allocates nothing and is safe
-// from any number of goroutines while the handle is not written.
+// and its count, until fn returns false: one lookup in the index, none in
+// the row map. The tuples are the stored ones (see Table) and must not be
+// modified. Probe allocates nothing and is safe from any number of
+// goroutines while the handle is not written.
 func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
 	p, ok := ix.keys.GetBytes(cowmap.HashBytes(key), key)
 	if !ok {
 		return
 	}
 	if p.more == nil {
-		r, _ := ix.t.rows.Get(p.one.hash, p.one.key)
-		fn(r.tup, r.count)
+		fn(p.one.tup, p.one.count)
 		return
 	}
-	for _, ref := range p.more {
-		if r, _ := ix.t.rows.Get(ref.hash, ref.key); !fn(r.tup, r.count) {
+	for _, r := range p.more {
+		if !fn(r.tup, r.count) {
 			return
 		}
 	}
@@ -118,50 +117,82 @@ func (ix *Index) appendKey(dst []byte, tup relation.Tuple) []byte {
 	return dst
 }
 
-// add indexes a row that has just appeared. While an index is being built
-// nothing else can see it and its postings grow in place; afterwards a
-// posting that gains a row is replaced by a longer copy.
-func (ix *Index) add(ref rowRef, tup relation.Tuple, building bool) {
-	var buf [64]byte
-	key := ix.appendKey(buf[:0], tup)
-	p, existed := ix.keys.RefBytes(cowmap.HashBytes(key), key)
-	switch {
-	case !existed:
-		p.one = ref
-	case p.more == nil:
-		p.more = []rowRef{p.one, ref}
-		p.one = rowRef{}
-	case building:
-		p.more = append(p.more, ref)
-	default:
-		p.more = append(p.more[:len(p.more):len(p.more)], ref)
-	}
-}
-
-// remove drops a row that has just vanished.
-func (ix *Index) remove(ref rowRef, tup relation.Tuple) {
-	var buf [64]byte
-	key := ix.appendKey(buf[:0], tup)
-	hash := cowmap.HashBytes(key)
+// postingOf returns the posting of an indexed row's key for writing, with
+// the key encoded into buf and its hash: the bucket is now this handle's
+// own, the posting's rows may still be shared (see add).
+func (ix *Index) postingOf(buf []byte, tup relation.Tuple) (p *posting, hash uint64, key []byte) {
+	key = ix.appendKey(buf, tup)
+	hash = cowmap.HashBytes(key)
 	p, existed := ix.keys.RefBytes(hash, key)
 	if !existed {
 		panic(fmt.Sprintf("storage: index %v does not hold a row of its table", ix.cols))
 	}
+	return p, hash, key
+}
+
+// add indexes a row that has just appeared. While an index is being built
+// nothing else can see it and its postings grow in place; afterwards a
+// posting that gains a row is replaced by a longer copy.
+func (ix *Index) add(r storedRow, building bool) {
+	var buf [64]byte
+	key := ix.appendKey(buf[:0], r.tup)
+	p, existed := ix.keys.RefBytes(cowmap.HashBytes(key), key)
+	switch {
+	case !existed:
+		p.one = r
+	case p.more == nil:
+		p.more = []storedRow{p.one, r}
+		p.one = storedRow{}
+	case building:
+		p.more = append(p.more, r)
+	default:
+		p.more = append(p.more[:len(p.more):len(p.more)], r)
+	}
+}
+
+// recount gives a row whose count changed, the row itself staying, its new
+// count: the entry is replaced in a copy of the posting, so the handles that
+// share the old one keep the count they saw.
+func (ix *Index) recount(r storedRow) {
+	var buf [64]byte
+	p, _, _ := ix.postingOf(buf[:0], r.tup)
+	if p.more == nil {
+		p.one = r
+		return
+	}
+	more := slices.Clone(p.more)
+	more[ix.at(more, r.tup)] = r
+	p.more = more
+}
+
+// remove drops a row that has just vanished.
+func (ix *Index) remove(tup relation.Tuple) {
+	var buf [64]byte
+	p, hash, key := ix.postingOf(buf[:0], tup)
 	if p.more == nil {
 		ix.keys.DeleteBytes(hash, key)
 		return
 	}
-	rest := make([]rowRef, 0, len(p.more)-1)
-	for _, r := range p.more {
-		if r != ref {
-			rest = append(rest, r)
+	i := ix.at(p.more, tup)
+	if len(p.more) == 2 {
+		*p = posting{one: p.more[1-i]}
+		return
+	}
+	rest := make([]storedRow, 0, len(p.more)-1)
+	p.more = append(append(rest, p.more[:i]...), p.more[i+1:]...)
+}
+
+// at returns the position in rows of the row whose stored tuple is tup. A
+// table stores each row's tuple once and hands out only that array (see
+// Table), so the array's identity names the row; an index is on at least one
+// column, so the tuple is not empty.
+func (ix *Index) at(rows []storedRow, tup relation.Tuple) int {
+	for i, r := range rows {
+		if &r.tup[0] == &tup[0] {
+			return i
 		}
 	}
-	if len(rest) == 1 {
-		*p = posting{one: rest[0]}
-	} else {
-		p.more = rest
-	}
+	panic(fmt.Sprintf("storage: index %v does not hold a row of its table", ix.cols))
 }
 
 // clone returns the index as the handle c holds it: the same entries,
@@ -222,17 +253,21 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 		return ix, 0
 	}
 	ix = &Index{t: t, cols: slices.Clone(cols)}
-	t.rows.Scan(func(hash uint64, key string, r storedRow) bool {
-		ix.add(rowRef{hash, key}, r.tup, true)
+	t.rows.Scan(func(_ uint64, _ string, r storedRow) bool {
+		ix.add(r, true)
 		return true
 	})
 	// The writer's hooks range over the slice they loaded; publish a new one.
+	// A retired index's counts go to the index that serves its joins now.
 	retire := ix.narrow()
 	kept := make([]*Index, 0, len(t.indexes)+1)
 	for _, old := range t.indexes {
-		if !retire || !subset(cols, old.cols) {
-			kept = append(kept, old)
+		if retire && subset(cols, old.cols) {
+			ix.probes.Add(old.probes.Load())
+			ix.upkeep.Add(old.upkeep.Load())
+			continue
 		}
+		kept = append(kept, old)
 	}
 	t.indexes = append(kept, ix)
 	return ix, int64(t.rows.Len())
@@ -275,18 +310,27 @@ func (t *Table) IndexStats() []IndexStats {
 	return out
 }
 
-// indexInsert and indexDelete keep every index current; insertKey calls the
-// one when a row first appears, deleteKey the other when its last copy goes.
-func (t *Table) indexInsert(hash uint64, key string, tup relation.Tuple) {
+// indexInsert, indexRecount and indexDelete keep every index current:
+// insertKey calls the first when a row appears and the second when a row it
+// holds gains copies, deleteKey the last when a row's last copy goes and the
+// second when some stay.
+func (t *Table) indexInsert(r storedRow) {
 	for _, ix := range t.indexes {
-		ix.add(rowRef{hash, key}, tup, false)
+		ix.add(r, false)
 		ix.upkeep.Add(1)
 	}
 }
 
-func (t *Table) indexDelete(hash uint64, key string, tup relation.Tuple) {
+func (t *Table) indexRecount(r storedRow) {
 	for _, ix := range t.indexes {
-		ix.remove(rowRef{hash, key}, tup)
+		ix.recount(r)
+		ix.upkeep.Add(1)
+	}
+}
+
+func (t *Table) indexDelete(tup relation.Tuple) {
+	for _, ix := range t.indexes {
+		ix.remove(tup)
 		ix.upkeep.Add(1)
 	}
 }

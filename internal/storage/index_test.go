@@ -67,11 +67,13 @@ func TestEnsureIndexAndLookup(t *testing.T) {
 }
 
 // TestIndexMaintenance: rows that appear and vanish move through the postings —
-// one row inline, several in a list, back to one, gone, and back again —
-// while a count that changes touches no index.
+// one row inline, several in a list, back to one, gone, and back again — and
+// a count that changes replaces that row's entry in every index's posting,
+// inline or in a list, once per index, which upkeep counts.
 func TestIndexMaintenance(t *testing.T) {
 	tbl := NewTable(schema)
-	ix, _ := tbl.JoinIndex([]int{1}) // on v
+	ix, _ := tbl.JoinIndex([]int{1})   // on v: the rows share one posting
+	uniq, _ := tbl.JoinIndex([]int{0}) // on k: every row inline
 	count := func() int64 {
 		var n int64
 		for _, c := range probeBag(ix, row(0, "x")) {
@@ -79,21 +81,33 @@ func TestIndexMaintenance(t *testing.T) {
 		}
 		return n
 	}
+	upkeep := func() (onV, onK int64) {
+		st := tbl.IndexStats()
+		return st[0].Upkeep, st[1].Upkeep
+	}
 	tbl.Insert(row(1, "x"), 1)
 	tbl.Insert(row(2, "x"), 2)
 	tbl.Insert(row(3, "x"), 1)
 	if count() != 4 {
 		t.Fatalf("after three inserts: %d", count())
 	}
-	upkeep := tbl.IndexStats()[0].Upkeep
+	v0, k0 := upkeep()
 	// A partial delete and a repeated insert change counts only.
 	if err := tbl.Delete(row(2, "x"), 1); err != nil {
 		t.Fatal(err)
 	}
 	tbl.Insert(row(3, "x"), 5)
-	if count() != 8 || tbl.IndexStats()[0].Upkeep != upkeep {
-		t.Errorf("after count changes: %d copies, upkeep %d → %d", count(), upkeep, tbl.IndexStats()[0].Upkeep)
+	want := map[string]int64{row(1, "x").Encode(): 1, row(2, "x").Encode(): 1, row(3, "x").Encode(): 6}
+	if got := probeBag(ix, row(0, "x")); !sameBag(got, want) {
+		t.Errorf("after count changes the shared posting yields %v, want %v", got, want)
 	}
+	if got := probeBag(uniq, row(3, "")); !sameBag(got, map[string]int64{row(3, "x").Encode(): 6}) {
+		t.Errorf("after a count change the inline posting yields %v", got)
+	}
+	if v1, k1 := upkeep(); v1-v0 != 2 || k1-k0 != 2 {
+		t.Errorf("two count changes cost upkeep %d on [1] and %d on [0], want 2 and 2", v1-v0, k1-k0)
+	}
+	checkIndexes(t, "after count changes", tbl)
 	for _, r := range []relation.Tuple{row(2, "x"), row(3, "x"), row(1, "x")} {
 		if err := tbl.Delete(r, tbl.Count(r)); err != nil {
 			t.Fatal(err)
@@ -114,6 +128,63 @@ func TestIndexMaintenance(t *testing.T) {
 	tbl.Insert(row(6, "x"), 3)
 	if count() != 3 {
 		t.Errorf("an index is not kept current after Clear: %d", count())
+	}
+}
+
+// TestCountChangeSparesClones: a count change replaces the posting entry on
+// the handle that makes it; a clone taken before keeps probing the count it
+// had, in a posting of several rows and in an inline one.
+func TestCountChangeSparesClones(t *testing.T) {
+	tbl := NewTable(schema)
+	tbl.Insert(row(1, "a"), 1)
+	tbl.Insert(row(1, "b"), 2)
+	tbl.Insert(row(2, "c"), 1)
+	ix, _ := tbl.JoinIndex([]int{0})
+	before := tbl.Clone()
+	old, _ := before.JoinIndex([]int{0})
+	tbl.Insert(row(1, "b"), 3)
+	tbl.Insert(row(2, "c"), 4)
+	for _, c := range []struct {
+		what string
+		ix   *Index
+		key  relation.Tuple
+		want map[string]int64
+	}{
+		{"live, listed", ix, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 5}},
+		{"live, inline", ix, row(2, ""), map[string]int64{row(2, "c").Encode(): 5}},
+		{"clone, listed", old, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 2}},
+		{"clone, inline", old, row(2, ""), map[string]int64{row(2, "c").Encode(): 1}},
+	} {
+		if got := probeBag(c.ix, c.key); !sameBag(got, c.want) {
+			t.Errorf("%s: probe yields %v, want %v", c.what, got, c.want)
+		}
+	}
+	checkIndexes(t, "live", tbl)
+	checkIndexes(t, "clone", before)
+}
+
+// TestRetiredIndexKeepsHistory: the probes and upkeep a superset index
+// counted pass to the narrow index that retires it, so IndexStats still
+// counts them.
+func TestRetiredIndexKeepsHistory(t *testing.T) {
+	tbl := NewTable(relation.Schema{
+		{Name: "k", Kind: relation.KindInt},
+		{Name: "v", Kind: relation.KindString},
+		{Name: "s", Kind: relation.KindInt},
+	})
+	for i := int64(0); i < 40; i++ {
+		tbl.Insert(relation.Tuple{relation.NewInt(i / 4), relation.NewString(fmt.Sprint("v", i)), relation.NewInt(i % 3)}, 1)
+	}
+	wide, _ := tbl.JoinIndex([]int{0, 2})
+	wide.CountProbes(5)
+	tbl.Insert(relation.Tuple{relation.NewInt(3), relation.NewString("new"), relation.NewInt(1)}, 1)
+	narrow, _ := tbl.JoinIndex([]int{0})
+	if got := indexCols(tbl); !slices.EqualFunc(got, [][]int{{0}}, slices.Equal) {
+		t.Fatalf("after [0] the indexes are %v, want [0] alone", got)
+	}
+	narrow.CountProbes(2)
+	if st := tbl.IndexStats()[0]; st.Probes != 7 || st.Upkeep != 1 {
+		t.Errorf("the narrow index reports probes=%d upkeep=%d, want the retired index's 5 and 1 in them (7 and 1)", st.Probes, st.Upkeep)
 	}
 }
 
@@ -473,8 +544,8 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 	}
 }
 
-// TestIndexProbeAllocatesNothing: a probe reads the key map, the posting
-// and the row map and hands out stored tuples.
+// TestIndexProbeAllocatesNothing: a probe reads the key map and the posting,
+// which carries the stored tuples and their counts, and hands them out.
 func TestIndexProbeAllocatesNothing(t *testing.T) {
 	tbl := NewTable(testSchema())
 	for i := int64(0); i < 2000; i++ {

@@ -175,11 +175,15 @@ func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int
 			tup = mustDecode(key)
 		}
 		r.tup = tup
-		t.indexInsert(hash, key, r.tup)
 	}
 	r.count += count
 	t.digest ^= rowDigest(hash, r.count)
 	t.card += count
+	if existed {
+		t.indexRecount(*r)
+	} else {
+		t.indexInsert(*r)
+	}
 }
 
 func mustDecode(key string) relation.Tuple {
@@ -212,11 +216,12 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	t.digest ^= rowDigest(hash, have)
 	if have == count {
 		r, _ := t.rows.Delete(hash, key)
-		t.indexDelete(hash, key, r.tup)
+		t.indexDelete(r.tup)
 	} else {
 		r, _ := t.rows.Ref(hash, key)
 		r.count -= count
 		t.digest ^= rowDigest(hash, r.count)
+		t.indexRecount(*r)
 	}
 	t.card -= count
 }
