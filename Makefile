@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke
+.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke examples-smoke
 
 all: build test
 
@@ -41,6 +41,13 @@ staticcheck:
 	@command -v staticcheck >/dev/null 2>&1 \
 		&& staticcheck ./... \
 		|| echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
+
+# Run the two example programs the README walks through: quickstart, and
+# tpcd, which checks every strategy it runs against recomputation. The other
+# lessons are Examples in example_test.go, which `go test` runs.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/tpcd
 
 # End-to-end smoke of the query daemon: boot whserverd with a fast window
 # driver, then hit readiness, run queries against flipping epochs, commit a

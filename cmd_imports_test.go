@@ -90,6 +90,74 @@ func TestOnlyTheJournalFramesRecords(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageHasAProductImporter: every package under internal/
+// is reached from the facade or a command through the imports of non-test
+// files. A package that only an example program or a test reaches is a
+// mechanism nothing ships, kept in step with the product for no user. The
+// exceptions are the packages that exist for tests, one reason each; an
+// exception that is gone, or that product code now reaches, fails too.
+func TestEveryInternalPackageHasAProductImporter(t *testing.T) {
+	testOnly := map[string]string{
+		"internal/check":               "the differential harness's generator and oracle",
+		"internal/check/trial":         "the harness's runner, which drives the packages above the facade",
+		"internal/journal/journaltest": "the power-loss disk the journal tests and the runner write through",
+		"internal/sqlparse/legacy":     "the reference parser FuzzParseDifferential compares the parser against",
+	}
+	packages := map[string]bool{} // directories under internal/ holding a non-test Go file
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			packages[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imports := map[string][]string{} // package directory → directories of the module packages it imports
+	nonTestImports(t, []string{"."}, func(path, imported string) {
+		dep, ok := strings.CutPrefix(imported, "repro/")
+		if imported == "repro" {
+			dep, ok = ".", true
+		}
+		if ok {
+			dir := filepath.ToSlash(filepath.Dir(path))
+			imports[dir] = append(imports[dir], dep)
+		}
+	})
+	reached := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		if !reached[dir] {
+			reached[dir] = true
+			for _, dep := range imports[dir] {
+				visit(dep)
+			}
+		}
+	}
+	visit(".")
+	for dir := range imports {
+		if strings.HasPrefix(dir, "cmd/") {
+			visit(dir)
+		}
+	}
+	for dir := range packages {
+		switch _, exempt := testOnly[dir]; {
+		case !reached[dir] && !exempt:
+			t.Errorf("%s is imported by no non-test file the facade or a command reaches (examples/ and bench/ do not count): delete it, or list why tests need it", dir)
+		case reached[dir] && exempt:
+			t.Errorf("%s is listed as test support but product code imports it: drop it from the list", dir)
+		}
+	}
+	for dir := range testOnly {
+		if !packages[dir] {
+			t.Errorf("%s is listed as test support but no longer exists: drop it from the list", dir)
+		}
+	}
+	if len(packages) < 25 || len(reached) < 25 {
+		t.Fatalf("found %d packages under internal/, reached %d: the guard is looking in the wrong place", len(packages), len(reached))
+	}
+}
+
 // TestOracleImportRules: only tests import internal/check and its runner —
 // product code that did would link the generator and the testing package into
 // a binary — and the non-test files of internal/check itself import only the

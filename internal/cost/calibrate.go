@@ -6,9 +6,9 @@ package cost
 // many row-changes fit in a micro-batch whose window finishes inside the
 // staleness budget? The Calibrator closes that loop: each committed window
 // contributes its (predicted work, measured work, wall-clock) triple, and
-// exponentially weighted averages of predicted-vs-actual work and
-// nanoseconds-per-work-unit turn the planner's estimate into a wall-clock
-// prediction that tracks the machine and the workload as they drift.
+// exponentially weighted averages of predicted-vs-actual work,
+// nanoseconds-per-work-unit and work-per-change turn a wall-clock budget into
+// a batch size that tracks the machine and the workload as they drift.
 
 import (
 	"math"
@@ -24,10 +24,6 @@ const DefaultCalibrationAlpha = 0.2
 // Methods are safe for concurrent use (the ingester observes from the window
 // loop while stats readers poll).
 type Calibrator struct {
-	// Alpha is the EWMA smoothing factor; out-of-range values (<=0 or >1)
-	// mean DefaultCalibrationAlpha.
-	Alpha float64
-
 	mu sync.Mutex
 	// workRatio is EWMA(actual work / predicted work): how far off the
 	// static metric runs on this workload.
@@ -42,18 +38,11 @@ type Calibrator struct {
 	n int
 }
 
-func (c *Calibrator) alpha() float64 {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return DefaultCalibrationAlpha
-	}
-	return c.Alpha
-}
-
-func ewma(cur, obs, alpha float64, first bool) float64 {
+func ewma(cur, obs float64, first bool) float64 {
 	if first {
 		return obs
 	}
-	return cur + alpha*(obs-cur)
+	return cur + DefaultCalibrationAlpha*(obs-cur)
 }
 
 // Observe folds one committed window into the calibration: the planner's
@@ -67,40 +56,11 @@ func (c *Calibrator) Observe(predictedWork, actualWork int64, elapsed time.Durat
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.alpha()
 	first := c.n == 0
-	c.workRatio = ewma(c.workRatio, float64(actualWork)/float64(predictedWork), a, first)
-	c.nsPerWork = ewma(c.nsPerWork, float64(elapsed)/float64(actualWork), a, first)
-	c.workPerChange = ewma(c.workPerChange, float64(predictedWork)/float64(changes), a, first)
+	c.workRatio = ewma(c.workRatio, float64(actualWork)/float64(predictedWork), first)
+	c.nsPerWork = ewma(c.nsPerWork, float64(elapsed)/float64(actualWork), first)
+	c.workPerChange = ewma(c.workPerChange, float64(predictedWork)/float64(changes), first)
 	c.n++
-}
-
-// Calibrated reports whether any window has been observed. Before that,
-// PredictWindow returns 0 and BatchFor falls back to the caller's default.
-func (c *Calibrator) Calibrated() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n > 0
-}
-
-// PredictWindow converts a planner work estimate into a wall-clock
-// prediction: predicted work, corrected by the observed actual/predicted
-// ratio, times the observed pace. 0 when uncalibrated or the estimate is
-// non-positive.
-func (c *Calibrator) PredictWindow(predictedWork int64) time.Duration {
-	if predictedWork <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.n == 0 {
-		return 0
-	}
-	ns := float64(predictedWork) * c.workRatio * c.nsPerWork
-	if ns < 0 || math.IsNaN(ns) || ns > math.MaxInt64 {
-		return 0
-	}
-	return time.Duration(ns)
 }
 
 // BatchFor inverts a wall-clock budget into a row-change batch target: the

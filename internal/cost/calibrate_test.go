@@ -7,15 +7,12 @@ import (
 	"time"
 )
 
-// TestCalibratorUncalibrated checks the pre-observation fallbacks: no
-// prediction, no batch target.
+// TestCalibratorUncalibrated checks the pre-observation fallback: no batch
+// target.
 func TestCalibratorUncalibrated(t *testing.T) {
 	var c Calibrator
-	if c.Calibrated() {
-		t.Fatal("fresh calibrator reports calibrated")
-	}
-	if got := c.PredictWindow(1000); got != 0 {
-		t.Fatalf("uncalibrated PredictWindow = %v, want 0", got)
+	if n := c.Stats().Windows; n != 0 {
+		t.Fatalf("fresh calibrator reports %d windows", n)
 	}
 	if got := c.BatchFor(time.Second); got != 0 {
 		t.Fatalf("uncalibrated BatchFor = %d, want 0", got)
@@ -40,10 +37,6 @@ func TestCalibratorConverges(t *testing.T) {
 	}
 	if math.Abs(st.WorkPerChange-10) > 1e-9 {
 		t.Fatalf("WorkPerChange = %v, want 10", st.WorkPerChange)
-	}
-	// Predicted 1000 work → 2000 actual → 200µs.
-	if got := c.PredictWindow(1000); got != 200*time.Microsecond {
-		t.Fatalf("PredictWindow(1000) = %v, want 200µs", got)
 	}
 	// Budget 200µs at 2µs per change → 100 changes.
 	if got := c.BatchFor(200 * time.Microsecond); got != 100 {
@@ -79,8 +72,8 @@ func TestCalibratorIgnoresDegenerate(t *testing.T) {
 	c.Observe(100, 0, time.Millisecond, 10)
 	c.Observe(100, 100, 0, 10)
 	c.Observe(100, 100, time.Millisecond, 0)
-	if c.Calibrated() {
-		t.Fatal("degenerate observations were folded in")
+	if n := c.Stats().Windows; n != 0 {
+		t.Fatalf("%d degenerate observations were folded in", n)
 	}
 	if got := c.BatchFor(time.Second); got != 0 {
 		t.Fatalf("BatchFor after degenerate observations = %d, want 0", got)
@@ -97,8 +90,8 @@ func TestCalibratorBatchFloor(t *testing.T) {
 	}
 }
 
-// TestCalibratorConcurrent exercises Observe/PredictWindow/Stats under the
-// race detector.
+// TestCalibratorConcurrent exercises Observe/BatchFor/Stats under the race
+// detector.
 func TestCalibratorConcurrent(t *testing.T) {
 	var c Calibrator
 	var wg sync.WaitGroup
@@ -108,14 +101,13 @@ func TestCalibratorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				c.Observe(1000, 1500, 150*time.Microsecond, 50)
-				_ = c.PredictWindow(500)
 				_ = c.BatchFor(time.Millisecond)
 				_ = c.Stats()
 			}
 		}()
 	}
 	wg.Wait()
-	if !c.Calibrated() {
-		t.Fatal("no observations landed")
+	if n := c.Stats().Windows; n != 800 {
+		t.Fatalf("%d observations landed, want 800", n)
 	}
 }

@@ -1,10 +1,10 @@
 // Package retry is the shared backoff helper behind every retry loop in the
-// warehouse: the source extractor's flaky-network drain, the replication
-// follower's reconnect loop, the recovery layer's transient-window retries,
-// and the continuous ingester's fault handling. Each of those started as a
-// hand-rolled sleep-and-double loop; this package gives them one tested
-// implementation with jitter (so synchronized retriers de-correlate) and
-// context cancellation (so a draining process never sits out a backoff).
+// warehouse: the replication follower's reconnect loop, the recovery layer's
+// transient-window retries, and the continuous ingester's fault handling.
+// Each of those started as a hand-rolled sleep-and-double loop; this package
+// gives them one tested implementation with jitter (so synchronized retriers
+// de-correlate) and context cancellation (so a draining process never sits
+// out a backoff).
 package retry
 
 import (
