@@ -113,14 +113,13 @@ race-fast:
 fuzz:
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzParallelizeRespectsConflicts -fuzztime 30s
 
-# Short fuzz pass over the durability surfaces — the window journal's reader,
-# the ingest journal's (both vocabularies of the one record log) and the
-# snapshot reader all consume arbitrary on-disk bytes and must reject
-# corruption without panicking or mutating state — plus the SQL front end's
-# old-vs-new differential oracle. Cheap enough for CI.
+# Short fuzz pass over the durability surfaces — the journal's reader, which
+# reads the one log of accepted changes and windows, and the snapshot reader
+# both consume arbitrary on-disk bytes and must reject corruption without
+# panicking or mutating state — plus the SQL front end's old-vs-new
+# differential oracle. Cheap enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournal -fuzztime 10s
-	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzIngestJournal -fuzztime 10s
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRead -fuzztime 10s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParseDifferential -fuzztime 10s
 

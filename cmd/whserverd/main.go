@@ -12,7 +12,7 @@
 //	          [-share] [-mem-budget-mb 0] [-pprof addr] [-stores 8] [-sales 2000]
 //	          [-seed 7] [-follow leader-addr] [-fetch-interval 100ms]
 //	          [-ingest] [-ingest-rate 500] [-ingest-slo 200ms]
-//	          [-ingest-queue 4096] [-ingest-journal path]
+//	          [-ingest-queue 4096]
 //
 // The served warehouse is the retail demo VDAG (SALES/STORES bases, a join
 // view, an aggregate summary), populated from -seed. With -window-every set,
@@ -25,11 +25,12 @@
 // the periodic driver: a synthetic producer streams sales changes at
 // -ingest-rate row-changes per second into a bounded staging queue
 // (-ingest-queue), and adaptive micro-batch windows keep the views fresh
-// against the -ingest-slo p99 staleness target. With -ingest-journal set,
-// accepted changes are journaled so a crash resumes without dropping or
-// double-applying any of them. The ingester owns the window schedule, so
-// -ingest excludes -window-every and -follow, and POST /window answers 409;
-// GET /ingest reports the freshness snapshot. On shutdown the ingester is
+// against the -ingest-slo p99 staleness target. Each accepted change set is a
+// record of the leader's journal, and each window's begin record names the
+// ones it installs, so accepted changes ship to followers beside the windows.
+// The ingester owns the window schedule, so -ingest excludes -window-every
+// and -follow, and POST /window answers 409; GET /ingest reports the
+// freshness snapshot. On shutdown the ingester is
 // quiesced first — its queue drains through final windows — before the HTTP
 // listener and query server close, so a drain never strands accepted
 // changes.
@@ -102,7 +103,6 @@ func main() {
 	ingestRate := flag.Int("ingest-rate", 500, "continuous ingestion: producer rate in row-changes per second")
 	ingestSLO := flag.Duration("ingest-slo", 200*time.Millisecond, "continuous ingestion: p99 staleness target steering the batch sizer")
 	ingestQueue := flag.Int("ingest-queue", 4096, "continuous ingestion: staging queue bound in row-changes (backpressure past this)")
-	ingestJournal := flag.String("ingest-journal", "", "continuous ingestion: crash-safe ingest journal path (empty = in-memory only)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -116,7 +116,7 @@ func main() {
 		stores: *stores, sales: *sales, seed: *seed, drainTimeout: *drainTimeout,
 		follow: *follow, fetchInterval: *fetchInterval,
 		ingest: *ingestOn, ingestRate: *ingestRate, ingestSLO: *ingestSLO,
-		ingestQueue: *ingestQueue, ingestJournal: *ingestJournal,
+		ingestQueue: *ingestQueue,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "whserverd:", err)
 		var ue usageError
@@ -149,18 +149,15 @@ type config struct {
 	ingestRate                 int  // producer row-changes per second
 	ingestSLO                  time.Duration
 	ingestQueue                int
-	ingestJournal              string
 	ready                      chan<- string      // receives the bound address (tests); may be nil
 	drained                    chan<- drainReport // receives the post-drain journal state (tests); may be nil
 }
 
 // drainReport is what a finished drain leaves behind, surfaced to tests: the
-// window journal's final committed count and recovery flag, plus the
-// ingester's last stats snapshot.
+// leader's shipped log and the ingester's last stats snapshot.
 type drainReport struct {
-	committed     int
-	needsRecovery bool
-	ingest        ingest.Stats
+	log    *replicate.Log
+	ingest ingest.Stats
 }
 
 // run builds the demo warehouse, serves it until ctx is cancelled, then
@@ -226,14 +223,13 @@ func run(ctx context.Context, cfg config) error {
 		// The ingester commits through the leader's shipped journal, so its
 		// micro-batch windows replicate to followers like any other window.
 		ing, err = ingest.New(ingest.Config{
-			Warehouse:   w,
-			Journal:     leader.Journal(),
-			JournalPath: cfg.ingestJournal,
-			SLO:         cfg.ingestSLO,
-			QueueLimit:  cfg.ingestQueue,
-			Planner:     planner,
-			Mode:        mode,
-			Workers:     cfg.workers,
+			Warehouse:  w,
+			Journal:    leader.Journal(),
+			SLO:        cfg.ingestSLO,
+			QueueLimit: cfg.ingestQueue,
+			Planner:    planner,
+			Mode:       mode,
+			Workers:    cfg.workers,
 		})
 		if err != nil {
 			return fmt.Errorf("ingester: %w", err)
@@ -361,11 +357,7 @@ func run(ctx context.Context, cfg config) error {
 		fmt.Printf("whserverd: ingest drained (accepted=%d, shed=%d, windows=%d, p99 staleness %.1fms)\n",
 			ist.Accepted, ist.Shed, ist.Windows, ist.StalenessP99MS)
 		if cfg.drained != nil {
-			cfg.drained <- drainReport{
-				committed:     leader.Journal().Committed(),
-				needsRecovery: leader.Journal().NeedsRecovery(),
-				ingest:        ist,
-			}
+			cfg.drained <- drainReport{log: leader.Log(), ingest: ist}
 		}
 	}
 	return runErr

@@ -1,16 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/journal"
 )
 
 // TestServerLifecycle boots the daemon on an ephemeral port with a fast
@@ -261,13 +262,12 @@ func TestReplicaSmoke(t *testing.T) {
 // TestIngestDrainUnderLoad boots the daemon in continuous-ingestion mode,
 // waits for micro-batch windows to commit while queries keep answering, then
 // drains it mid-stream — the producer is still pushing when the signal
-// lands. The drain must quiesce the ingester first: the window journal ends
-// with no recovery needed and the ingest journal reconciles with every
-// accepted change installed (nothing stranded, nothing torn).
+// lands. The drain must quiesce the ingester first: the leader's shipped log
+// ends with no window in flight, holds one accept per accepted change set,
+// and every accept is installed by a committed window (nothing stranded).
 func TestIngestDrainUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ijPath := filepath.Join(t.TempDir(), "ingest.journal")
 	ready := make(chan string, 1)
 	drained := make(chan drainReport, 1)
 	done := make(chan error, 1)
@@ -280,8 +280,7 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 			drainTimeout: 30 * time.Second,
 			ingest:       true, ingestRate: 4000,
 			ingestSLO: 100 * time.Millisecond, ingestQueue: 1024,
-			ingestJournal: ijPath,
-			ready:         ready, drained: drained,
+			ready: ready, drained: drained,
 		})
 	}()
 	var base string
@@ -347,8 +346,8 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 		t.Fatal("daemon did not drain")
 	}
 	rep := <-drained
-	if rep.needsRecovery {
-		t.Fatal("window journal needs recovery after a graceful drain")
+	if rep.log.Len() != rep.log.StableLen() {
+		t.Fatalf("the shipped log ends in a window in flight after a graceful drain: %d bytes, %d stable", rep.log.Len(), rep.log.StableLen())
 	}
 	if rep.ingest.Err != "" {
 		t.Fatalf("ingester died during the run: %s", rep.ingest.Err)
@@ -357,18 +356,16 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 		t.Fatalf("accepted count went backwards across the drain (%d < %d)",
 			rep.ingest.Accepted, st.Accepted)
 	}
-	sum, err := ingest.InspectJournal(ijPath, rep.committed)
-	if err != nil {
-		t.Fatalf("ingest journal did not parse: %v", err)
+	image, _, _ := rep.log.Chunk(0, 0)
+	lg, err := journal.ReadLog(bytes.NewReader(image))
+	if err != nil || lg.Truncated || lg.InFlight() != nil {
+		t.Fatalf("the shipped log reads as truncated=%v, in flight=%v: %v", lg.Truncated, lg.InFlight() != nil, err)
 	}
-	if sum.Torn {
-		t.Fatalf("ingest journal ends torn after a graceful drain: %+v", sum)
+	if n := len(lg.Pending()); n != 0 {
+		t.Fatalf("drain stranded %d accept(s) no committed window installs", n)
 	}
-	if sum.Requeued != 0 {
-		t.Fatalf("drain stranded %d accepted entr(ies): %+v", sum.Requeued, sum)
-	}
-	if sum.Accepts != int(rep.ingest.AcceptedBatches) {
-		t.Fatalf("journal holds %d accepts, ingester accepted %d batches", sum.Accepts, rep.ingest.AcceptedBatches)
+	if lg.LastAccept() != uint64(rep.ingest.AcceptedBatches) {
+		t.Fatalf("the log holds %d accepts, the ingester accepted %d batches", lg.LastAccept(), rep.ingest.AcceptedBatches)
 	}
 }
 

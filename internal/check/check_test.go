@@ -32,11 +32,14 @@ func draw(seed int64) check.Point {
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),
 	}
 	switch rng.Intn(3) {
-	case 0: // a journaled stream through the ingester
+	case 0: // a journaled stream through the ingester, maybe of a leader that fails over
 		p.Ingest = true
 		p.Fault = pick("", "crash:", "transient:")
 		if p.Fault != "" {
 			p.Fault += pick("ingest.accept", "ingest.journal", "ingest.cut", "ingest.stage", "step") + "@" + strconv.Itoa(1+rng.Intn(6))
+		}
+		if rng.Intn(2) == 0 {
+			p.Replicas, p.Drop, p.Slow, p.Kill = 1+rng.Intn(3), rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2)
 		}
 	case 1: // shipped to followers
 		p.Replicas, p.Drop, p.Slow, p.Kill = 1+rng.Intn(3), rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(1+p.Windows)

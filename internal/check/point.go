@@ -57,9 +57,11 @@ type Point struct {
 	Readers int `axis:"readers"`
 	// Replicas is the number of followers replaying the stream over HTTP,
 	// follower 0 under a 1-byte memory budget. Drop makes follower 0 suffer
-	// disconnects, Slow makes the last one fetch only every other window, and
-	// Kill crashes follower Kill mod Replicas in the middle of replaying
-	// window Kill (from 1), to be rebuilt and caught up from offset 0.
+	// disconnects, Slow makes the last one fetch only every other window (in
+	// an ingest trial, never while the stream runs), and Kill crashes follower
+	// Kill mod Replicas in the middle of replaying window Kill (from 1; in an
+	// ingest trial, the first window it replays once the stream is in), to be
+	// rebuilt and caught up from offset 0.
 	Replicas int  `axis:"replicas"`
 	Drop     bool `axis:"drop"`
 	Slow     bool `axis:"slow"`
@@ -69,7 +71,10 @@ type Point struct {
 	// batches submitted, the ingester cuts its own windows, and Fault names
 	// an ingest point ("ingest.accept", "ingest.journal", "ingest.cut",
 	// "ingest.stage") or a window point ("step", "recompute") of the first
-	// incarnation, restarted until the stream is in.
+	// incarnation, restarted until the stream is in. With Replicas the
+	// ingester's journal is the leader's shipped log, and a crash kills the
+	// leader: the follower holding the most of its log is promoted and
+	// ingests the rest.
 	Ingest bool `axis:"ingest"`
 }
 

@@ -88,9 +88,9 @@ func Run(t testing.TB, p check.Point) Tally {
 	r.ok(err)
 	r.crashes = r.kind == "crash" || r.kind == "panic"
 	switch pinned := p.Planner == "oneway"; {
-	case p.Ingest && (p.Replicas > 0 || pinned || (r.kind != "" && r.kind != "crash" && r.kind != "transient")):
-		r.Fatalf("an ingest trial takes a planner by name, a crash or transient fault, and no replicas (failover mid-ingest is an open axis)")
-	case p.Replicas > 0 && (r.crashes || pinned):
+	case p.Ingest && (pinned || (r.kind != "" && r.kind != "crash" && r.kind != "transient")):
+		r.Fatalf("an ingest trial takes a planner by name, and a crash or a transient fault")
+	case p.Replicas > 0 && !p.Ingest && (r.crashes || pinned):
 		r.Fatalf("a replicated trial takes a planner by name and no crash of the leader, whose journal is the shipping log")
 	case pinned && (p.Catalog != check.Invalidation || r.kind != "" || p.Readers > 0):
 		r.Fatalf("planner=oneway is the invalidation catalog's strategy, run in place: no faults, no readers")
@@ -381,8 +381,8 @@ func (r *run) windows() {
 		if lag := f.Lag(); lag.Epochs != 0 || lag.Bytes != 0 {
 			r.Errorf("follower %d: residual lag %+v", i, lag)
 		}
-		if p.Drop && i == 0 && !f.rebuilt && f.Stats().ReconnectCount == 0 {
-			r.Errorf("follower 0's injected disconnects never registered")
+		if f.dropping && f.Stats().ReconnectCount == 0 {
+			r.Errorf("follower %d's injected disconnects never registered", i)
 		}
 	}
 }
@@ -428,11 +428,9 @@ func (r *run) restart(jpath string, snap *bytes.Buffer) (*warehouse.Warehouse, w
 	return fresh, rep, err
 }
 
-// readJournal parses a window journal and checks (i) on every strategy an
+// readLog parses the image of a log and checks (i) on every strategy an
 // attempt began — the recovery ladder's degraded attempts included.
-func (r *run) readJournal(path string, w *warehouse.Warehouse) journal.Log {
-	image, err := os.ReadFile(path)
-	r.ok(err)
+func (r *run) readLog(image []byte, w *warehouse.Warehouse) journal.Log {
 	lg, err := journal.ReadLog(bytes.NewReader(image))
 	r.ok(err)
 	for _, wl := range lg.Windows {
@@ -447,7 +445,9 @@ func (r *run) readJournal(path string, w *warehouse.Warehouse) journal.Log {
 // was recovered: every window committed once, the last with one record per
 // step and the uninterrupted run's installed-delta digests.
 func (r *run) journaledOnce(jpath string, w *warehouse.Warehouse, ref warehouse.Report) {
-	lg := r.readJournal(jpath, w)
+	image, err := os.ReadFile(jpath)
+	r.ok(err)
+	lg := r.readLog(image, w)
 	if lg.InFlight() != nil || lg.CommittedCount() != r.streamLen() {
 		r.Fatalf("the recovered journal holds %d committed windows of %d, in flight: %v", lg.CommittedCount(), r.streamLen(), lg.InFlight() != nil)
 	}
@@ -467,38 +467,49 @@ func (r *run) journaledOnce(jpath string, w *warehouse.Warehouse, ref warehouse.
 // follower is a replica and the injector that can disconnect or kill it.
 type follower struct {
 	*replicate.Follower
-	hs      *httptest.Server // the leader's
-	inj     *faults.Injector
-	rebuilt bool
+	hs  *httptest.Server // the leader's
+	inj *faults.Injector
+	// dropping says inj disconnects the follower a few times.
+	dropping bool
+	// replayed is what the follower held after each window it replayed
+	// since replays last looked.
+	replayed []check.State
 }
 
-// follow builds follower i from the sources. Whatever it replays must land,
-// at each epoch, on the state — and the installed-delta digests — the leader
-// committed that epoch with: (iii) and (iv) on a replica.
+// follow builds follower i from the sources.
 func (r *run) follow(hs *httptest.Server, i int, rebuilt bool) *follower {
 	fw := r.build()
 	if i == 0 {
 		fw.SetMemoryBudget(1)
 	}
-	f := &follower{hs: hs, inj: faults.New(r.p.Seed + int64(i)), rebuilt: rebuilt}
-	if r.p.Drop && i == 0 && !rebuilt {
+	f := &follower{hs: hs, inj: faults.New(r.p.Seed + int64(i)), dropping: r.p.Drop && i == 0 && !rebuilt}
+	if f.dropping {
 		f.inj.FailTimes("fetch", 1+r.rng.Intn(3))
 	}
 	f.Follower = replicate.NewFollower(fw, replicate.FollowerConfig{
 		Leader: hs.URL, Client: hs.Client(), Faults: f.inj, Sleep: func(time.Duration) {},
 		OnApply: func(rep warehouse.WindowReport) {
-			got := check.Capture(fw, rep.Report)
-			if want, ok := r.known[got.Epoch]; !ok {
-				r.Errorf("follower %d replayed into epoch %d, which the leader never committed", i, got.Epoch)
-			} else if err := check.Diff(want, got); err != nil {
-				r.Errorf("follower %d at epoch %d differs from the leader: %v", i, got.Epoch, err)
-			}
+			f.replayed = append(f.replayed, check.Capture(fw, rep.Report))
 			if err := check.Invariants(fw); err != nil {
-				r.Errorf("follower %d at epoch %d: %v", i, got.Epoch, err)
+				r.Errorf("follower %d at epoch %d: %v", i, fw.Epoch(), err)
 			}
 		},
 	})
 	return f
+}
+
+// replays checks (iii) and (iv) on a replica: whatever follower i replayed
+// landed, at each epoch, on the state — and the installed-delta digests — the
+// leader committed that epoch with. It runs where the leader adopts nothing.
+func (r *run) replays(f *follower, i int) {
+	for _, got := range f.replayed {
+		if want, ok := r.known[got.Epoch]; !ok {
+			r.Errorf("follower %d replayed into epoch %d, which the leader never committed", i, got.Epoch)
+		} else if err := check.Diff(want, got); err != nil {
+			r.Errorf("follower %d at epoch %d differs from the leader: %v", i, got.Epoch, err)
+		}
+	}
+	f.replayed = nil
 }
 
 // kill crashes the follower in the middle of its next replay — it must die
@@ -527,6 +538,7 @@ func (r *run) caughtUp(f *follower, i int, leader *warehouse.Warehouse) {
 	if err := f.CatchUp(ctx); err != nil {
 		r.Fatalf("follower %d: catching up: %v", i, err)
 	}
+	r.replays(f, i)
 	got := check.Capture(f.Warehouse())
 	if err := check.Diff(r.known[leader.Epoch()], got); err != nil || got.Epoch != leader.Epoch() {
 		r.Fatalf("follower %d caught up to epoch %d, the leader serves %d: %v", i, got.Epoch, leader.Epoch(), err)
@@ -656,12 +668,19 @@ func (r *run) checkReads(w *warehouse.Warehouse) {
 	r.reads = nil
 }
 
-// stream is the trial of a stream delivered through the continuous
-// ingester: a crash kills the incarnation with its journals as a dead
-// process leaves them, and the next one rebuilds the catalog, restores from
-// the window journal, resumes the ingest journal and is offered whatever the
-// producer never got accepted. However the ingester cut its batches, the
-// stream must be in exactly once: the state is the recomputation of all of it.
+// stream is the trial of a stream delivered through the continuous ingester
+// over the one log. An incarnation runs until the stream is in or a crash
+// kills it, leaving the log as a dead process does. Without replicas the log
+// is a journal file: the next incarnation rebuilds the catalog and restores it
+// from the file, torn as a power loss leaves it. With replicas it is the
+// leader's shipped log, which followers poll as the producer's changes are
+// accepted, and a dead leader takes with it what it never shipped: the follower that holds the
+// most of the log is promoted, the others follow it, and the next incarnation
+// ingests on it. Either way the new ingester requeues what the log holds that
+// no committed window installs, and the producer offers again every change
+// the log does not hold. However the batches were cut, the stream must be in
+// exactly once: the state is the recomputation of all of it, and the log
+// holds one accept per change, each installed.
 func (r *run) stream() {
 	p, ctx := r.p, context.Background()
 	// The stream is drawn round by round from a warehouse that installs each
@@ -679,8 +698,7 @@ func (r *run) stream() {
 	want := check.Oracle(r, all)
 	want.InstDigests = nil // of one window: the ingester cuts its own
 
-	dir := r.TempDir()
-	wjPath, ijPath := filepath.Join(dir, "window.journal"), filepath.Join(dir, "ingest.journal")
+	wjPath := filepath.Join(r.TempDir(), "window.journal")
 	inj := faults.New(p.Seed)
 	switch r.kind {
 	case "crash":
@@ -688,20 +706,43 @@ func (r *run) stream() {
 	case "transient":
 		inj.FailAt(r.at, r.hit)
 	}
-	next := 0 // the first change the producer has not had accepted
+	r.known = make(map[uint64]check.State)
+	var rs *replicas
+	image := func() []byte {
+		if rs != nil {
+			image, _, _ := rs.leader.Log().Chunk(0, 0)
+			return image
+		}
+		image, err := os.ReadFile(wjPath)
+		r.ok(err)
+		return image
+	}
+	if p.Replicas > 0 {
+		rs = r.replicas()
+		defer rs.hs.Close()
+	}
 	for incarnation := 1; ; incarnation++ {
 		if incarnation > 6 {
 			r.Fatalf("the stream is not in after 6 incarnations")
 		}
-		w := r.configure(r.build())
-		wj, err := warehouse.OpenJournal(wjPath)
-		r.ok(err)
-		_, err = w.Restore(wj)
-		r.ok(err)
-		r.known = make(map[uint64]check.State)
+		var w *warehouse.Warehouse
+		var j *warehouse.Journal
+		if rs != nil {
+			w, j = rs.lead(incarnation)
+		} else {
+			w = r.configure(r.build())
+			var err error
+			j, err = warehouse.OpenJournal(wjPath)
+			r.ok(err)
+			_, err = w.Restore(j)
+			r.ok(err)
+			r.known = make(map[uint64]check.State) // a new process numbers its own epochs
+		}
 		r.adopted(w)
+		held := r.readLog(image(), w)
+		next := int(held.LastAccept()) // the first change the log does not hold
 		cfg := ingest.Config{
-			Warehouse: w, Journal: wj, JournalPath: ijPath,
+			Warehouse: w, Journal: j,
 			Planner: warehouse.PlannerName(p.Planner), Mode: p.Mode, Workers: p.Workers,
 			// A batch every few changes, so that cuts, stagings and windows
 			// are many and the faults at them fire.
@@ -722,6 +763,7 @@ func (r *run) stream() {
 			switch err := ing.Submit(changes[next].View, changes[next].Delta); {
 			case err == nil:
 				next++
+				rs.poll()
 			case errors.Is(err, ingest.ErrIngestOverloaded):
 				time.Sleep(time.Millisecond)
 			case faults.IsTransient(err) && !errors.Is(err, ingest.ErrIngestClosed):
@@ -734,28 +776,139 @@ func (r *run) stream() {
 		runErr := <-ran
 		stop()
 		srv.Close(ctx)
-		wj.Close()
+		if rs == nil {
+			j.Close()
+		}
 		r.checkReads(w)
 		if closeErr != nil && !faults.IsCrash(closeErr) && !inj.Crashed() {
 			r.Fatalf("incarnation %d closed with %v, and nothing crashed", incarnation, closeErr)
 		}
 		if closeErr != nil || runErr != nil || next < len(changes) {
-			// What power loss leaves: half a frame at the end of both
-			// journals, which the next incarnation's opens must cut off.
 			r.tally.Restarts++
-			r.ok(journaltest.TearTail(wjPath))
-			r.ok(journaltest.TearTail(ijPath))
+			if rs == nil {
+				// What power loss leaves: half a frame at the end of the
+				// journal, which the next incarnation's open must cut off.
+				r.ok(journaltest.TearTail(wjPath))
+			}
 			continue
 		}
 		if err := check.Diff(want, check.Capture(w)); err != nil {
 			r.Fatalf("after %d incarnation(s) the warehouse differs from the recomputation of the stream: %v", incarnation, err)
 		}
-		lg := r.readJournal(wjPath, w)
-		sum, err := ingest.InspectJournal(ijPath, lg.CommittedCount())
-		r.ok(err)
-		if lg.InFlight() != nil || lg.Truncated || sum.Accepts != len(changes) || sum.Requeued != 0 || sum.Torn {
-			r.Fatalf("after a clean close the window journal is in flight (%v) or torn (%v), or the ingest journal does not hold %d accepts, all installed, behind no torn frame: %+v", lg.InFlight() != nil, lg.Truncated, len(changes), sum)
+		lg := r.readLog(image(), w)
+		inFlight := lg.InFlight() != nil || rs != nil && rs.leader.Log().Len() != rs.leader.Log().StableLen()
+		if pending := len(lg.Pending()); inFlight || lg.Truncated || pending != 0 || lg.LastAccept() != uint64(len(changes)) {
+			r.Fatalf("after a clean close the log is in flight (%v) or torn (%v), or it holds %d accepts for %d changes, %d of them installed by no committed window", inFlight, lg.Truncated, lg.LastAccept(), len(changes), pending)
 		}
+		rs.finish(w)
 		return
+	}
+}
+
+// replicas is the replica set of an ingest trial: the leader that ingests,
+// and its followers.
+type replicas struct {
+	r         *run
+	leader    *replicate.Leader
+	hs        *httptest.Server // the leader's
+	followers []*follower
+	// victim is the follower Kill names, which fetches nothing until the
+	// stream is in and then dies in the middle of its first replay.
+	victim *follower
+	// polls counts poll's calls since the leader began.
+	polls int
+}
+
+func (r *run) replicas() *replicas {
+	rs := &replicas{r: r, leader: replicate.NewLeader(r.configure(r.build()))}
+	rs.hs = httptest.NewServer(rs.leader.Handler())
+	for i := 0; i < r.p.Replicas; i++ {
+		rs.followers = append(rs.followers, r.follow(rs.hs, i, false))
+	}
+	if r.p.Kill > 0 {
+		rs.victim = rs.followers[r.p.Kill%len(rs.followers)]
+	}
+	return rs
+}
+
+// lead returns the warehouse and the journal an incarnation ingests on: the
+// first leader's, and after a leader died, those of the follower promoted in
+// its place. That follower must hold exactly the state the dead leader
+// committed at its epoch; the dead leader's later epochs never happened.
+func (rs *replicas) lead(incarnation int) (*warehouse.Warehouse, *warehouse.Journal) {
+	r := rs.r
+	if incarnation > 1 {
+		for i, f := range rs.followers {
+			r.replays(f, i)
+		}
+		rs.hs.Close()
+		var live []*replicate.Follower
+		for _, f := range rs.followers {
+			live = append(live, f.Follower)
+		}
+		winner, err := replicate.Elect(live...)
+		r.ok(err)
+		if rs.leader, err = winner.Promote(); err != nil {
+			r.Fatalf("promoting the follower at offset %d: %v", winner.HWM(), err)
+		}
+		rs.hs = httptest.NewServer(rs.leader.Handler())
+		var rest []*follower
+		for _, f := range rs.followers {
+			if f.Follower == winner {
+				continue
+			}
+			f.Redirect(rs.hs.URL)
+			f.hs = rs.hs
+			rest = append(rest, f)
+		}
+		rs.followers = rest
+		w := rs.leader.Warehouse()
+		if err := check.Diff(r.known[w.Epoch()], check.Capture(w)); err != nil {
+			r.Fatalf("the follower promoted at epoch %d does not hold what the leader committed there: %v", w.Epoch(), err)
+		}
+		for epoch := range r.known {
+			if epoch > w.Epoch() {
+				delete(r.known, epoch)
+			}
+		}
+	}
+	rs.polls = 0
+	return rs.leader.Warehouse(), rs.leader.Journal()
+}
+
+// poll lets the followers fetch from the leader as the producer's changes are
+// accepted — the i-th at every (i+1)-th change, the slow one and the victim
+// never — so that a leader that dies leaves them holding logs of different
+// lengths, with accepts that no window they hold installs.
+func (rs *replicas) poll() {
+	if rs == nil {
+		return
+	}
+	rs.polls++
+	for i, f := range rs.followers {
+		slow := rs.r.p.Slow && len(rs.followers) > 1 && i == len(rs.followers)-1
+		if f != rs.victim && !slow && rs.polls%(i+1) == 0 {
+			_, _ = f.Poll(context.Background()) // a failed fetch is fetched again later
+		}
+	}
+}
+
+// finish kills the victim, if it is a follower still, and catches every
+// follower up with the leader, whose warehouse is w.
+func (rs *replicas) finish(w *warehouse.Warehouse) {
+	if rs == nil {
+		return
+	}
+	for i, f := range rs.followers {
+		if f == rs.victim {
+			rs.followers[i] = rs.r.kill(f, i)
+		}
+		rs.r.caughtUp(rs.followers[i], i, w)
+		if lag := rs.followers[i].Lag(); lag.Epochs != 0 || lag.Bytes != 0 {
+			rs.r.Errorf("follower %d: residual lag %+v", i, lag)
+		}
+		if f.dropping && f.Stats().ReconnectCount == 0 {
+			rs.r.Errorf("follower %d's injected disconnects never registered", i)
+		}
 	}
 }

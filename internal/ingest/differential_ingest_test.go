@@ -16,10 +16,12 @@ import (
 // fault at an ingest point (accept, journal, cut, stage) or a window point
 // (step; recompute, which only a degrading window reaches) of the first
 // incarnation; one trial in seven is fault-free outright, every third is read
-// while it runs. trial.Run restarts a dead incarnation from its journals until
-// the stream is in, and holds the result to the recomputation of the whole
-// stream — nothing dropped, nothing applied twice — and the ingest journal to
-// nothing left over. Run with -race in CI.
+// while it runs, and every fifth ingests on a leader that ships its log to
+// followers, one of them killed mid-replay, and fails over when the leader
+// dies. trial.Run restarts a dead incarnation from its log until the stream
+// is in, and holds the result to the recomputation of the whole stream —
+// nothing dropped, nothing applied twice — and the log to one accept per
+// change, each installed. Run with -race in CI.
 func TestDifferentialIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness skipped in -short")
@@ -36,6 +38,9 @@ func TestDifferentialIngest(t *testing.T) {
 			Seed: 1000 + seed, Ingest: true, Windows: 4 + int(seed%4), Workers: 2,
 			Mode:    []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeDAG}[seed/2%2],
 			Readers: []int{0, 0, 2}[seed%3],
+		}
+		if seed%5 == 4 {
+			p.Replicas, p.Kill = 1+int(seed%3), int(seed%2)
 		}
 		if seed%7 != 0 {
 			p.Fault = fmt.Sprintf("%s:%s@%d", []string{"crash", "transient", "crash"}[seed/3%3], points[seed%6], 1+seed/6%3)

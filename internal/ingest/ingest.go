@@ -10,12 +10,15 @@
 // maintenance under bounded staleness). The robustness contract:
 //
 //   - Backpressure, never unbounded memory: the change queue is bounded in
-//     row-changes. As it fills, the ingester first cuts batches early (the
-//     high watermark wakes the window loop), then blocks producers up to
+//     row-changes. As it fills, the ingester first cuts batches early (a
+//     queue half full wakes the window loop), then blocks producers up to
 //     BlockTimeout, then sheds with ErrIngestOverloaded.
-//   - Crash-safe exactly-once handoff: accepted changes and batch cuts are
-//     journaled (see journal.go) so a crash anywhere — mid-accept, mid-cut,
-//     mid-window — resumes without dropping or double-applying a change.
+//   - Crash-safe exactly-once handoff: each accepted change set is an accept
+//     record of the window journal, durable before Submit returns, and each
+//     window's begin record names the accepts it installs. A restarted
+//     ingester requeues exactly the accepts that no committed window names,
+//     so a crash anywhere — mid-accept, mid-cut, mid-window — resumes without
+//     dropping or double-applying a change.
 //   - Graceful degradation: a window that blows its deadline halves the
 //     batch target and retries with a doubled deadline; engine failures ride
 //     RunWindowOpts's DAG→sequential→recompute ladder; transient faults
@@ -52,7 +55,7 @@ var ErrIngestClosed = errors.New("ingest: ingester closed")
 
 // Fault-injection points consulted by the ingester (see internal/faults):
 // "ingest.accept" fires once per Submit before the change is journaled,
-// "ingest.journal" once per ingest-journal append, "ingest.cut" once per
+// "ingest.journal" once per accept record appended, "ingest.cut" once per
 // batch cut, and "ingest.stage" once per batch staging.
 const (
 	pointAccept  = "ingest.accept"
@@ -66,34 +69,34 @@ const (
 type Config struct {
 	// Warehouse receives the staged batches and runs the windows.
 	Warehouse *warehouse.Warehouse
-	// Journal is the window journal batches are committed through. It is
-	// what makes the handoff exactly-once: a batch cut for window sequence s
-	// is installed iff the journal's committed count reaches s. Nil runs
-	// unjournaled windows (no crash safety; benches only).
+	// Journal is the window journal, and what makes the handoff
+	// exactly-once: Submit appends each accepted change set to it as an
+	// accept record, and each window's begin record names the accepts it
+	// installs. Restore the warehouse from it (Warehouse.Restore) before New,
+	// which requeues the accepts no committed window installs. Nil runs
+	// unjournaled windows: accepted changes live only in memory.
 	Journal *warehouse.Journal
-	// JournalPath is the ingest journal file (accept/cut records). Empty
-	// disables the ingest journal: accepted changes live only in memory.
+	// Deprecated: JournalPath names an ingest journal, the file accepted
+	// changes went to before they were records of the window journal. New
+	// refuses to start over one that holds any record, whose accepts it would
+	// not read, and ignores an absent or empty file; it writes none.
 	JournalPath string
 	// SLO is the p99 staleness target the batch sizer aims for; 0 disables
 	// adaptive sizing (the target stays at InitialBatch).
 	SLO time.Duration
-	// SLOFraction is the fraction of SLO budgeted for a window's execution
-	// (the rest absorbs queueing delay); default 0.5.
-	SLOFraction float64
 	// Planner, Mode, Workers select planning and scheduling for the windows.
 	Planner warehouse.PlannerName
 	Mode    warehouse.Mode
 	Workers int
-	// QueueLimit bounds the queue in row-changes; default 4096.
+	// QueueLimit bounds the queue in row-changes, and so a batch; default
+	// 4096.
 	QueueLimit int
-	// HighWater is the queue fraction that triggers an early cut; default 0.5.
-	HighWater float64
 	// BlockTimeout is how long Submit blocks on a full queue before shedding;
 	// 0 sheds immediately.
 	BlockTimeout time.Duration
-	// MinBatch, MaxBatch, InitialBatch bound and seed the adaptive batch
-	// target (row-changes); defaults 16, QueueLimit, 256.
-	MinBatch, MaxBatch, InitialBatch int
+	// MinBatch and InitialBatch bound and seed the adaptive batch target
+	// (row-changes); defaults 16 and 256, at most QueueLimit.
+	MinBatch, InitialBatch int
 	// Tick is the maximum batch interval: queued changes never wait longer
 	// than this for a window, whatever the target; default 5ms.
 	Tick time.Duration
@@ -111,31 +114,25 @@ type Config struct {
 	Now func() time.Time
 }
 
+// The sizer's fixed shares: a window may spend sloFraction of the SLO (the
+// rest absorbs queueing delay), and a queue highWater full cuts a batch early.
+const (
+	sloFraction = 0.5
+	highWater   = 0.5
+)
+
 func (c Config) withDefaults() Config {
-	if c.SLOFraction <= 0 || c.SLOFraction > 1 {
-		c.SLOFraction = 0.5
-	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4096
-	}
-	if c.HighWater <= 0 || c.HighWater > 1 {
-		c.HighWater = 0.5
 	}
 	if c.MinBatch <= 0 {
 		c.MinBatch = 16
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.QueueLimit
-	}
 	if c.InitialBatch <= 0 {
 		c.InitialBatch = 256
 	}
-	if c.InitialBatch > c.MaxBatch {
-		c.InitialBatch = c.MaxBatch
-	}
-	if c.MinBatch > c.MaxBatch {
-		c.MinBatch = c.MaxBatch
-	}
+	c.InitialBatch = min(c.InitialBatch, c.QueueLimit)
+	c.MinBatch = min(c.MinBatch, c.QueueLimit)
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Millisecond
 	}
@@ -151,16 +148,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// entry is one accepted Submit: the unit of queueing.
+type entry struct {
+	journal.AcceptRecord
+	n int // row-changes (delta size: insertions plus deletions)
+}
+
+func newEntry(a journal.AcceptRecord) entry {
+	e := entry{AcceptRecord: a}
+	for _, vb := range a.Batch {
+		for _, rc := range vb.Rows {
+			e.n += int(max(rc.Count, -rc.Count))
+		}
+	}
+	return e
+}
+
 // batch is one cut micro-batch riding toward a window.
 type batch struct {
-	id        int
-	entries   []entry
-	n         int // row-changes
-	lo, hi    uint64
-	accepted  time.Time // oldest entry's accept time: the staleness clock
-	windowSeq int
-	target    int // batch target when cut, for the report
-	staged    bool
+	id       int
+	entries  []entry
+	n        int           // row-changes
+	accepts  journal.Range // the entries' accept records
+	accepted time.Time     // oldest entry's accept time: the staleness clock
+	target   int           // batch target when cut, for the report
+	staged   bool
 }
 
 const stalenessRingSize = 2048
@@ -173,20 +185,16 @@ type Ingester struct {
 	// runMu serializes batch cut+execute (the window loop and Close's drain).
 	runMu sync.Mutex
 
-	mu        sync.Mutex
-	notFull   *sync.Cond
-	queue     []entry
-	depth     int // queued row-changes
-	acceptSeq uint64
-	batchID   int
-	target    int
-	pending   *batch // cut but not yet committed (survives ctx-cancelled windows)
-	closed    bool
-	running   bool
-	err       error // terminal (crash-class) error; sticky
-
-	jf  *os.File // the ingest journal, nil when unjournaled
-	log *journal.Appender
+	mu      sync.Mutex
+	notFull *sync.Cond
+	queue   []entry
+	depth   int // queued row-changes
+	batchID int
+	target  int
+	pending *batch // cut but not yet committed (survives ctx-cancelled windows)
+	closed  bool
+	running bool
+	err     error // terminal (crash-class) error; sticky
 
 	accepted        int64
 	acceptedBatches int64
@@ -207,53 +215,38 @@ type Ingester struct {
 	wake  chan struct{}
 }
 
-// New creates an ingester. When JournalPath names an existing ingest
-// journal, the ingester resumes it: entries not yet installed (per the
-// window journal's committed count — restore the warehouse through
-// Warehouse.Restore first) are requeued, and a reset record voids the dead
-// incarnation's cuts.
+// New creates an ingester. Over a journal it resumes: the accepts no
+// committed window installs are requeued, in the order they were accepted.
 func New(cfg Config) (*Ingester, error) {
 	if cfg.Warehouse == nil {
 		return nil, errors.New("ingest: Config.Warehouse is required")
 	}
+	if cfg.JournalPath != "" {
+		// Its accepts are not read: starting over it would lose them.
+		buf, err := os.ReadFile(cfg.JournalPath)
+		if err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("ingest: %w", err)
+		}
+		if _, _, n, _ := journal.DecodeFrame(buf); n > 0 {
+			return nil, fmt.Errorf("ingest: %s is an ingest journal, written before accepted changes were records of the window journal: its accepts are not read — drain it with the build that wrote it, or remove it", cfg.JournalPath)
+		}
+	}
 	cfg = cfg.withDefaults()
 	in := &Ingester{cfg: cfg, target: cfg.InitialBatch, wake: make(chan struct{}, 1)}
 	in.notFull = sync.NewCond(&in.mu)
-	if cfg.JournalPath != "" {
-		// The open cuts off a torn tail: what this incarnation appends must
-		// follow the last whole record, or no later reader would reach it.
-		var v journalView
-		f, err := journal.OpenAppend(cfg.JournalPath, v.feed)
-		if err != nil {
-			return nil, err
+	if cfg.Journal != nil {
+		if cfg.Journal.NeedsRecovery() {
+			// Its recovery installs the accepts it names.
+			return nil, errors.New("ingest: the journal ends in an in-flight window: restore the warehouse from it (Warehouse.Restore) first")
 		}
-		in.jf, in.log = f, journal.NewAppender(f)
-		if len(v.entries) > 0 || len(v.cuts) > 0 || v.resets > 0 {
-			committed := 0
-			if cfg.Journal != nil {
-				committed = cfg.Journal.Committed()
-			}
-			requeue, floor := v.reconcile(committed)
-			if err := in.appendSynced(typeReset, encodeReset(resetRecord{installedHi: floor, committed: committed})); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("ingest: writing reset record: %w", err)
-			}
-			for _, e := range requeue {
-				in.queue = append(in.queue, e)
-				in.depth += e.n
-				in.accepted += int64(e.n)
-				in.acceptedBatches++
-			}
-			in.requeued = len(requeue)
-			if n := len(v.entries); n > 0 {
-				in.acceptSeq = v.entries[n-1].seq
-			}
-			for _, c := range v.cuts {
-				if c.batch > in.batchID {
-					in.batchID = c.batch
-				}
-			}
+		for _, a := range cfg.Journal.Pending() {
+			e := newEntry(a)
+			in.queue = append(in.queue, e)
+			in.depth += e.n
+			in.accepted += int64(e.n)
+			in.acceptedBatches++
 		}
+		in.requeued = len(in.queue)
 	}
 	return in, nil
 }
@@ -286,54 +279,21 @@ func (in *Ingester) fail(err error) {
 	in.kick()
 }
 
-// writeRecordLocked appends one record to the ingest journal and syncs it
-// (mu held). The pointJournal fault point fires before the write. A write or
-// sync that fails may have left part of a frame, behind which the appender
-// appends nothing more: the ingester stops as a killed process does, and the
-// restart that reopens the journal cuts the frame off.
-func (in *Ingester) writeRecordLocked(typ byte, payload []byte) error {
-	if err := in.cfg.Faults.Hit(pointJournal); err != nil {
-		return err
-	}
-	if in.jf == nil {
-		return nil
-	}
-	err := in.appendSynced(typ, payload)
-	if err != nil {
-		err = fmt.Errorf("ingest: %w", err)
-		in.failLocked(err)
-	}
-	return err
-}
-
-// appendSynced is the journal's sync policy: every record is durable before
-// the call that wrote it returns.
-func (in *Ingester) appendSynced(typ byte, payload []byte) error {
-	if err := in.log.Append(typ, payload); err != nil {
-		return err
-	}
-	return in.log.Sync()
-}
-
 func (in *Ingester) highWaterMark() int {
-	hw := int(in.cfg.HighWater * float64(in.cfg.QueueLimit))
-	if hw < 1 {
-		hw = 1
-	}
-	return hw
+	return max(1, int(highWater*float64(in.cfg.QueueLimit)))
 }
 
 // Submit accepts one change set for a base view. It blocks while the queue
 // is full (up to BlockTimeout), then sheds with ErrIngestOverloaded. On nil
-// error the changes are accepted: journaled (when configured) and queued for
-// the next micro-batch — they will reach a committed window exactly once,
-// crash or no crash. Safe for concurrent producers.
+// error the changes are accepted: queued for the next micro-batch and, when
+// journaled, durable — they will reach a committed window exactly once, crash
+// or no crash. Safe for concurrent producers, whose accepts share flushes.
 func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	if d == nil || d.IsEmpty() {
 		return nil
 	}
-	rows := journal.RowsOf(d)
-	n := changes(rows)
+	e := newEntry(journal.AcceptRecord{Batch: []journal.ViewBatch{{View: view, Rows: journal.RowsOf(d)}}})
+	n := e.n
 	in.mu.Lock()
 	if in.err != nil {
 		err := in.err
@@ -384,15 +344,26 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 		in.notFull.Wait()
 		t.Stop()
 	}
-	e := entry{seq: in.acceptSeq + 1, at: in.now().UnixNano(), view: view, rows: rows, n: n}
-	if err := in.writeRecordLocked(typeAccept, encodeAccept(e)); err != nil {
+	// The accept is numbered and appended to the journal. An append that
+	// fails may have left part of a frame, behind which the journal appends
+	// nothing more: the ingester stops as a killed process does, and the
+	// restart that reopens the journal cuts the frame off.
+	e.UnixNano = in.now().UnixNano()
+	var end int64
+	err := in.cfg.Faults.Hit(pointJournal)
+	if err == nil && in.cfg.Journal != nil {
+		if e.AcceptRecord, end, err = in.cfg.Journal.Accept(e.AcceptRecord); err != nil {
+			err = fmt.Errorf("ingest: %w", err)
+			in.failLocked(err)
+		}
+	}
+	if err != nil {
 		if faults.IsCrash(err) {
 			in.failLocked(err)
 		}
 		in.mu.Unlock()
 		return err
 	}
-	in.acceptSeq = e.seq
 	in.queue = append(in.queue, e)
 	in.depth += n
 	in.accepted += int64(n)
@@ -401,6 +372,16 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	in.mu.Unlock()
 	if urgent {
 		in.kick()
+	}
+	// The accept is queued before it is durable: a window that names it
+	// commits only behind its begin record's flush, which covers it. Submit
+	// returns once a flush has, one shared by every producer waiting beside it.
+	if in.cfg.Journal != nil {
+		if err := in.cfg.Journal.Sync(end); err != nil {
+			err = fmt.Errorf("ingest: %w", err)
+			in.fail(err)
+			return err
+		}
 	}
 	return nil
 }
@@ -493,9 +474,10 @@ func (in *Ingester) drain(ctx context.Context, flush bool) error {
 	}
 }
 
-// cut detaches up to one batch target of queued entries and journals the
-// batch boundary with the window sequence it will run as. A failed cut
-// record puts the entries back: un-journaled batches never run. Returns
+// cut detaches up to one batch target of queued entries: a run of
+// consecutive accepts, which the window's begin record names by its first
+// and last. A failed cut leaves the queue as it was: a crash-class fault
+// kills the ingester, a transient one is retried on the next tick. Returns
 // (nil, nil) when the queue is empty or the failure is retryable.
 func (in *Ingester) cut() (*batch, error) {
 	in.mu.Lock()
@@ -503,9 +485,20 @@ func (in *Ingester) cut() (*batch, error) {
 		in.mu.Unlock()
 		return nil, nil
 	}
+	if err := in.cfg.Faults.Hit(pointCut); err != nil {
+		if faults.IsCrash(err) {
+			in.failLocked(err)
+			in.mu.Unlock()
+			return nil, err
+		}
+		in.mu.Unlock()
+		return nil, nil
+	}
 	take, n := 0, 0
 	for _, e := range in.queue {
-		if take > 0 && n+e.n > in.target {
+		// Another writer's accept, or one installed before a restart, leaves
+		// a gap in the numbers, which ends the run (unjournaled, all are 0).
+		if take > 0 && (n+e.n > in.target || e.Seq > in.queue[take-1].Seq+1) {
 			break
 		}
 		take++
@@ -518,40 +511,13 @@ func (in *Ingester) cut() (*batch, error) {
 	in.queue = in.queue[take:]
 	in.depth -= n
 	in.batchID++
-	windowSeq := 0
-	if in.cfg.Journal != nil {
-		windowSeq = in.cfg.Journal.NextSeq()
-	}
 	b := &batch{
-		id:        in.batchID,
-		entries:   ents,
-		n:         n,
-		lo:        ents[0].seq,
-		hi:        ents[take-1].seq,
-		accepted:  time.Unix(0, ents[0].at),
-		windowSeq: windowSeq,
-		target:    in.target,
-	}
-	cutErr := in.cfg.Faults.Hit(pointCut)
-	if cutErr == nil {
-		cutErr = in.writeRecordLocked(typeCut, encodeCut(cutRecord{
-			batch: b.id, lo: b.lo, hi: b.hi, windowSeq: b.windowSeq, changes: b.n,
-		}))
-	}
-	if cutErr != nil {
-		// The boundary never became durable: restore the queue as if the cut
-		// had not happened. Crash-class kills the ingester; transient faults
-		// just retry on the next tick.
-		in.queue = append(append([]entry(nil), ents...), in.queue...)
-		in.depth += n
-		in.batchID--
-		if faults.IsCrash(cutErr) {
-			in.failLocked(cutErr)
-			in.mu.Unlock()
-			return nil, cutErr
-		}
-		in.mu.Unlock()
-		return nil, nil
+		id:       in.batchID,
+		entries:  ents,
+		n:        n,
+		accepts:  journal.Range{Lo: ents[0].Seq, Hi: ents[take-1].Seq},
+		accepted: time.Unix(0, ents[0].UnixNano),
+		target:   in.target,
 	}
 	in.batches++
 	in.notFull.Broadcast()
@@ -622,15 +588,17 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 			return err
 		}
 		for _, e := range b.entries {
-			d, err := w.NewDelta(e.view)
-			if err != nil {
-				return err
-			}
-			for _, rc := range e.rows {
-				d.AddEncoded(rc.Key, rc.Count)
-			}
-			if err := w.StageDelta(e.view, d); err != nil {
-				return err
+			for _, vb := range e.Batch {
+				d, err := w.NewDelta(vb.View)
+				if err != nil {
+					return err
+				}
+				for _, rc := range vb.Rows {
+					d.AddEncoded(rc.Key, rc.Count)
+				}
+				if err := w.StageDelta(vb.View, d); err != nil {
+					return err
+				}
 			}
 		}
 		b.staged = true
@@ -647,7 +615,7 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 		FallbackSequential: true,
 		FallbackRecompute:  true,
 		Faults:             in.cfg.Faults,
-		BatchAccepted:      b.accepted,
+		Accepts:            b.accepts,
 	})
 	if err != nil {
 		return err
@@ -664,7 +632,7 @@ func (in *Ingester) windowBudget() time.Duration {
 	if in.cfg.SLO <= 0 {
 		return 0
 	}
-	return time.Duration(float64(in.cfg.SLO) * in.cfg.SLOFraction)
+	return time.Duration(float64(in.cfg.SLO) * sloFraction)
 }
 
 // observe folds a committed window into the stats and the calibration, and
@@ -697,8 +665,8 @@ func (in *Ingester) observe(b *batch, rep *warehouse.WindowReport) {
 			if nt < in.cfg.MinBatch {
 				nt = in.cfg.MinBatch
 			}
-			if nt > in.cfg.MaxBatch {
-				nt = in.cfg.MaxBatch
+			if nt > in.cfg.QueueLimit {
+				nt = in.cfg.QueueLimit
 			}
 			in.target = nt
 		}
@@ -730,7 +698,8 @@ func (in *Ingester) sleep(ctx context.Context, d time.Duration) {
 
 // Close quiesces the ingester: stop accepting, then flush the staged
 // remainder through final windows while ctx allows. If ctx expires first
-// the rest stays journaled — a restart requeues it — and the error says so.
+// the rest stays in the journal — a restart requeues it — and the error says
+// so.
 // Producers blocked in Submit are released with ErrIngestClosed.
 func (in *Ingester) Close(ctx context.Context) error {
 	in.mu.Lock()
@@ -764,16 +733,6 @@ func (in *Ingester) Close(ctx context.Context) error {
 			break
 		}
 	}
-	in.runMu.Lock()
-	in.mu.Lock()
-	if in.jf != nil {
-		if cerr := in.jf.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		in.jf = nil
-	}
-	in.mu.Unlock()
-	in.runMu.Unlock()
 	return err
 }
 
@@ -798,7 +757,7 @@ type Stats struct {
 	// the target); Degraded windows that fell back (sequential/recompute).
 	DeadlineAborts int64 `json:"deadline_aborts"`
 	Degraded       int64 `json:"degraded_windows"`
-	// Requeued is how many journaled entries this incarnation resumed.
+	// Requeued is how many accepts this incarnation resumed from the journal.
 	Requeued int `json:"requeued"`
 	// StalenessP50MS/P99MS are percentiles over recent windows' staleness
 	// (commit time minus oldest accepted change); SLOMS the configured SLO.

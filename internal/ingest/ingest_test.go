@@ -3,12 +3,14 @@ package ingest
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	warehouse "repro"
 	"repro/internal/faults"
+	"repro/internal/journal"
 	"repro/internal/journal/journaltest"
 )
 
@@ -18,10 +20,35 @@ const (
 	fixSales  = 400
 )
 
-func journalPaths(t *testing.T) (wjPath, ijPath string) {
+func journalPath(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	return filepath.Join(dir, "window.journal"), filepath.Join(dir, "ingest.journal")
+	return filepath.Join(t.TempDir(), "window.journal")
+}
+
+// readJournal reads the journal file at path as a restart would.
+func readJournal(t testing.TB, path string) journal.Log {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := journal.ReadLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lg
+}
+
+// installedOnce fails t unless the journal at path holds accepts accepts, no
+// window in flight, no torn tail and nothing pending: every accept installed
+// by a committed window.
+func installedOnce(t testing.TB, path string, accepts int) {
+	t.Helper()
+	lg := readJournal(t, path)
+	if lg.LastAccept() != uint64(accepts) || lg.InFlight() != nil || lg.Truncated || len(lg.Pending()) != 0 {
+		t.Fatalf("the journal holds %d accepts of %d, in flight=%v, torn=%v, %d pending", lg.LastAccept(), accepts, lg.InFlight() != nil, lg.Truncated, len(lg.Pending()))
+	}
 }
 
 // startRun launches Run and returns a func that waits for its result.
@@ -34,9 +61,10 @@ func startRun(ing *Ingester) (wait func() error) {
 // TestIngestSteadyState drives a journaled ingester through a steady stream,
 // closes it, and checks every accepted change was installed exactly once:
 // the warehouse digest matches the sequential oracle over the same stream,
-// and the ingest journal reconciles with nothing left to requeue.
+// and the journal holds every accept, installed, with nothing left to
+// requeue.
 func TestIngestSteadyState(t *testing.T) {
-	wjPath, ijPath := journalPaths(t)
+	wjPath := journalPath(t)
 	w := buildFixture(t, fixSeed, fixStores, fixSales)
 	wj, err := warehouse.OpenJournal(wjPath)
 	if err != nil {
@@ -44,12 +72,11 @@ func TestIngestSteadyState(t *testing.T) {
 	}
 	defer wj.Close()
 	ing, err := New(Config{
-		Warehouse:   w,
-		Journal:     wj,
-		JournalPath: ijPath,
-		SLO:         100 * time.Millisecond,
-		Tick:        time.Millisecond,
-		MinBatch:    8,
+		Warehouse: w,
+		Journal:   wj,
+		SLO:       100 * time.Millisecond,
+		Tick:      time.Millisecond,
+		MinBatch:  8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,15 +113,9 @@ func TestIngestSteadyState(t *testing.T) {
 	if ing.calib.Stats().Windows == 0 {
 		t.Fatal("calibrator observed no windows")
 	}
-	sum, err := InspectJournal(ijPath, wj.Committed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Accepts != len(sets) || sum.Requeued != 0 || sum.Torn {
-		t.Fatalf("journal did not reconcile clean: %+v", sum)
-	}
-	if wj.NeedsRecovery() {
-		t.Fatal("window journal left in-flight after clean drain")
+	installedOnce(t, wjPath, len(sets))
+	if wj.NeedsRecovery() || len(wj.Pending()) != 0 {
+		t.Fatalf("window journal left in flight (%v) or with %d accepts pending after a clean drain", wj.NeedsRecovery(), len(wj.Pending()))
 	}
 }
 
@@ -180,14 +201,14 @@ func TestIngestBackpressureBlocksThenDrains(t *testing.T) {
 // TestIngestCloseFlushes submits without a running window loop and relies on
 // Close alone to drain the queue through final windows.
 func TestIngestCloseFlushes(t *testing.T) {
-	wjPath, ijPath := journalPaths(t)
+	wjPath := journalPath(t)
 	w := buildFixture(t, fixSeed, fixStores, fixSales)
 	wj, err := warehouse.OpenJournal(wjPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wj.Close()
-	ing, err := New(Config{Warehouse: w, Journal: wj, JournalPath: ijPath})
+	ing, err := New(Config{Warehouse: w, Journal: wj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,23 +228,16 @@ func TestIngestCloseFlushes(t *testing.T) {
 	if got := w.StateDigest(); got != want {
 		t.Fatalf("digest mismatch after Close flush: got %x want %x", got, want)
 	}
-	sum, err := InspectJournal(ijPath, wj.Committed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Requeued != 0 {
-		t.Fatalf("Close left uninstalled entries: %+v", sum)
-	}
+	installedOnce(t, wjPath, len(sets))
 }
 
 // TestIngestResumeAfterCrash kills the ingester with a crash-class fault
 // before any batch is installed, then simulates a process restart — rebuild
-// the fixture, restore from the window journal, resume the ingest journal —
-// and checks the new incarnation requeues and installs every accepted
-// change exactly once. The torn case dies twice, each time leaving half a
-// frame at the end of both journals as a power loss does: what the second
-// incarnation accepted lies behind the first one's torn frame unless the
-// reopen cut it off.
+// the fixture, restore from the journal — and checks the new incarnation
+// requeues and installs every accepted change exactly once. The torn case
+// dies twice, each time leaving half a frame at the end of the journal as a
+// power loss does: what the second incarnation accepted lies behind the first
+// one's torn frame unless the reopen cut it off.
 func TestIngestResumeAfterCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -234,7 +248,7 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 		{"torn tail, more accepts, second crash", []int{3, 3}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wjPath, ijPath := journalPaths(t)
+			wjPath := journalPath(t)
 			restart := func(inj *faults.Injector) (*warehouse.Warehouse, *warehouse.Journal, *Ingester) {
 				t.Helper()
 				w := buildFixture(t, fixSeed, fixStores, fixSales)
@@ -245,7 +259,7 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 				if _, err := w.Restore(wj); err != nil {
 					t.Fatalf("Restore: %v", err)
 				}
-				ing, err := New(Config{Warehouse: w, Journal: wj, JournalPath: ijPath, Faults: inj, Tick: time.Millisecond})
+				ing, err := New(Config{Warehouse: w, Journal: wj, Faults: inj, Tick: time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -269,13 +283,11 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 				if err := ing.Run(context.Background()); err == nil || !faults.IsCrash(err) {
 					t.Fatalf("Run survived an injected crash: %v", err)
 				}
-				ing.Close(context.Background()) // release the journal file, like process death would
+				ing.Close(context.Background()) // stop the ingester, like process death would
 				wj.Close()
 				if tc.torn {
-					for _, path := range []string{wjPath, ijPath} {
-						if err := journaltest.TearTail(path); err != nil {
-							t.Fatal(err)
-						}
+					if err := journaltest.TearTail(wjPath); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
@@ -292,13 +304,7 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 			if got := w.StateDigest(); got != want {
 				t.Fatalf("digest mismatch after crash+resume: got %x want %x", got, want)
 			}
-			sum, err := InspectJournal(ijPath, wj.Committed())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum.Accepts != accepted || sum.Resets != len(tc.accepts) || sum.Requeued != 0 || sum.Torn {
-				t.Fatalf("resumed journal did not reconcile clean: %+v", sum)
-			}
+			installedOnce(t, wjPath, accepted)
 		})
 	}
 }
@@ -390,15 +396,24 @@ func TestIngestTightSLODegradesTarget(t *testing.T) {
 	}
 }
 
-// TestInspectJournalMissing checks a nonexistent journal reads as empty —
-// the first boot of a fresh deployment.
-func TestInspectJournalMissing(t *testing.T) {
-	sum, err := InspectJournal(filepath.Join(t.TempDir(), "nope.journal"), 0)
-	if err != nil {
+// TestJournalPathAbsentOrEmptyIsIgnored: a JournalPath naming no file, or an
+// empty one, leaves nothing to refuse — the first boot of a deployment that
+// still names one — and New creates no file there.
+func TestJournalPathAbsentOrEmptyIsIgnored(t *testing.T) {
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.journal")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if sum != (JournalSummary{}) {
-		t.Fatalf("missing journal not empty: %+v", sum)
+	absent := filepath.Join(dir, "absent.journal")
+	for _, path := range []string{absent, empty} {
+		if _, err := New(Config{Warehouse: w, JournalPath: path}); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatalf("New made %s: %v", absent, err)
 	}
 }
 
@@ -444,5 +459,71 @@ func TestIngestPredictionIsThePlansEstimate(t *testing.T) {
 					planner, rep.Seq, rep.Ingest.PredictedWork, rep.Plan.EstimatedWork)
 			}
 		}
+	}
+}
+
+// TestOperatorAcceptIsNeverRequeued: the accept an operator's window writes
+// for itself belongs to that window — void when the window aborts (its retry
+// writes a new one), installed when it commits or is recovered — so an
+// ingester opened on the journal after a restore requeues none of them, and
+// the state is the recomputation of what the operator staged.
+func TestOperatorAcceptIsNeverRequeued(t *testing.T) {
+	wjPath := journalPath(t)
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	wj, err := warehouse.OpenJournal(wjPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := genSets(fixSeed, fixStores, fixSales, 3, 10)
+	stage := func(i int) {
+		t.Helper()
+		if err := w.StageDelta("SALES", sets[i].delta(t, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A window that aborts, its batch left staged; a restage and a commit.
+	stage(0)
+	fail := faults.New(1)
+	fail.FailAt("step", 1)
+	if _, err := w.RunWindowOpts(warehouse.WindowOptions{Journal: wj, Faults: fail}); err == nil {
+		t.Fatal("the window armed to fail committed")
+	}
+	stage(1)
+	if _, err := w.RunWindowOpts(warehouse.WindowOptions{Journal: wj}); err != nil {
+		t.Fatal(err)
+	}
+	// A window that crashes, for the restart to recover.
+	stage(2)
+	crash := faults.New(1)
+	crash.CrashAt("step", 2)
+	if _, err := w.RunWindowOpts(warehouse.WindowOptions{Journal: wj, Faults: crash}); !faults.IsCrash(err) {
+		t.Fatalf("the window armed to crash returned %v", err)
+	}
+	wj.Close()
+	if lg := readJournal(t, wjPath); lg.LastAccept() != 3 || len(lg.Pending()) != 0 || lg.InFlight() == nil {
+		t.Fatalf("the journal holds %d accepts, %d pending, in flight=%v; want the windows' 3, none pending, one in flight", lg.LastAccept(), len(lg.Pending()), lg.InFlight() != nil)
+	}
+
+	restarted := buildFixture(t, fixSeed, fixStores, fixSales)
+	wj, err = warehouse.OpenJournal(wjPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wj.Close()
+	if _, err := restarted.Restore(wj); err != nil {
+		t.Fatal(err)
+	}
+	ing, err := New(Config{Warehouse: restarted, Journal: wj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ing.Stats().Requeued; n != 0 {
+		t.Fatalf("an ingester requeued %d of the operator's accepts", n)
+	}
+	if err := ing.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restarted.StateDigest(), oracleDigest(t, fixSeed, fixStores, fixSales, sets); got != want {
+		t.Fatalf("after the restart the state digests %016x, the recomputation of the staged batches %016x", got, want)
 	}
 }

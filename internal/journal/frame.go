@@ -4,13 +4,12 @@ package journal
 //
 //	[type byte][payload length uvarint][payload][CRC64 big-endian]
 //
-// and this file is everything that knows it: the one frame decoder, the one
-// loop that walks consecutive frames, the one way a log file is opened for
-// append (torn tail cut first), the one appender (a failed write or sync is
-// sticky) and the codec of the payloads' fields. The window journal
-// (journal.go), the ingest journal (internal/ingest) and the replication log
-// (internal/replicate) bring a record vocabulary each and read, cut and write
-// through here, so a durability fix lands in all three.
+// and this file is everything that knows it but the one writer (journal.go):
+// the one frame decoder, the one loop that walks consecutive frames, the one
+// way a log file is opened for append (torn tail cut first) and the codec of
+// the payloads' fields. The journal (journal.go) brings the record vocabulary,
+// and it and the replication log (internal/replicate), which ships the same
+// records, read and cut through here, so a durability fix lands in both.
 
 import (
 	"encoding/binary"
@@ -19,7 +18,6 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
-	"sync"
 )
 
 // Frame and payload guards: a corrupt or adversarial length never causes a
@@ -143,58 +141,6 @@ func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (
 		}
 	}
 	return f, nil
-}
-
-// Appender appends frames to a log's sink. Its errors are sticky: once a
-// write or a sync has failed the tail of the log may hold part of a frame,
-// which would hide whatever was appended behind it, so every later call
-// reports the first failure and writes nothing. Append calls must not overlap
-// each other; Sync may run beside them, as a file allows.
-type Appender struct {
-	out io.Writer
-	mu  sync.Mutex // guards err
-	err error
-}
-
-// NewAppender returns an appender writing to out.
-func NewAppender(out io.Writer) *Appender { return &Appender{out: out} }
-
-// Err returns the sticky error, if a write or a sync has failed.
-func (a *Appender) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
-}
-
-func (a *Appender) fail(op string, err error) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err == nil {
-		a.err = fmt.Errorf("journal: %s: %w", op, err)
-	}
-	return a.err
-}
-
-// Append writes one record as one frame through a single Write.
-func (a *Appender) Append(typ byte, payload []byte) error {
-	if err := a.Err(); err != nil {
-		return err
-	}
-	if _, err := a.out.Write(EncodeFrame(typ, payload)); err != nil {
-		return a.fail("append", err)
-	}
-	return nil
-}
-
-// Sync makes what was appended durable, when the sink has a Sync() error
-// method (an *os.File); other sinks have nothing to flush.
-func (a *Appender) Sync() error {
-	if s, ok := a.out.(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			return a.fail("sync", err)
-		}
-	}
-	return nil
 }
 
 // AppendString appends s to a payload as a uvarint length and its bytes. The

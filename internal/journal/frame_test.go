@@ -116,8 +116,8 @@ func TestOpenAppendCutsTheTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a := NewAppender(f)
-		if err := errors.Join(a.Append(8, []byte("two")), a.Sync(), f.Close()); err != nil {
+		_, err = f.Write(two)
+		if err := errors.Join(err, f.Close()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, _ := os.ReadFile(path)
@@ -162,34 +162,36 @@ func (s *failAfter) Write(p []byte) (int, error) {
 
 func (s *failAfter) Sync() error { return errors.New("sync refused") }
 
-// TestAppenderErrorsAreSticky: after a failed write, or a failed sync,
-// nothing more reaches the sink and every call reports the first failure.
+// TestAppenderErrorsAreSticky: after a failed write, or a failed sync, the
+// journal's one appender — the Writer — lets nothing more reach the sink, and
+// every call reports the first failure.
 func TestAppenderErrorsAreSticky(t *testing.T) {
 	sink := &failAfter{n: 2}
-	a := NewAppender(sink)
-	if err := a.Append(1, nil); err != nil {
+	w := NewWriter(sink)
+	if _, _, err := w.Accept(AcceptRecord{}); err != nil {
 		t.Fatal(err)
 	}
-	first := a.Append(2, nil)
+	_, _, first := w.Accept(AcceptRecord{})
 	if first == nil || !strings.Contains(first.Error(), "disk full") {
 		t.Fatalf("the failed write returned %v", first)
 	}
 	sink.n = 100
-	if err := a.Append(3, nil); err != first || a.Err() != first || len(sink.writes) != 1 {
-		t.Fatalf("after a failed write: Append = %v, Err = %v, %d writes reached the sink", err, a.Err(), len(sink.writes))
+	if _, _, err := w.Accept(AcceptRecord{}); err != first || w.Err() != first || len(sink.writes) != 1 {
+		t.Fatalf("after a failed write: Accept = %v, Err = %v, %d writes reached the sink", err, w.Err(), len(sink.writes))
 	}
 
 	sink = &failAfter{n: 100}
-	a = NewAppender(sink)
-	if err := a.Append(1, nil); err != nil {
+	w = NewWriter(sink)
+	_, end, err := w.Accept(AcceptRecord{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	first = a.Sync()
+	first = w.Sync(end)
 	if first == nil || !strings.Contains(first.Error(), "sync refused") {
 		t.Fatalf("the failed sync returned %v", first)
 	}
-	if err := a.Append(2, nil); err != first || len(sink.writes) != 1 {
-		t.Fatalf("after a failed sync: Append = %v, %d writes reached the sink", err, len(sink.writes))
+	if _, _, err := w.Accept(AcceptRecord{}); err != first || len(sink.writes) != 1 {
+		t.Fatalf("after a failed sync: Accept = %v, %d writes reached the sink", err, len(sink.writes))
 	}
 }
 

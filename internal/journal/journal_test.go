@@ -13,6 +13,8 @@ import (
 	"repro/internal/strategy"
 )
 
+// testBegin is an operator's window: Begin journals its batch as its own
+// accept.
 func testBegin() BeginRecord {
 	return BeginRecord{
 		Seq:             3,
@@ -28,6 +30,7 @@ func testBegin() BeginRecord {
 			strategy.Inst{View: "V"},
 			strategy.Inst{View: "W"},
 		},
+		Own: true,
 		Batch: []ViewBatch{
 			{View: "A", Rows: []RowChange{{Key: "k1", Count: 2}, {Key: "k2", Count: -1}}},
 			{View: "B", Rows: []RowChange{{Key: "k3", Count: 1}}},
@@ -78,6 +81,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Strategy.String() != b.Strategy.String() {
 		t.Fatalf("strategy %s, want %s", got.Strategy, b.Strategy)
+	}
+	if !got.Own || got.Accepts != (Range{1, 1}) || len(lg.Pending()) != 0 || lg.LastAccept() != 1 {
+		t.Fatalf("own accept: own=%v accepts=%+v, %d pending of %d", got.Own, got.Accepts, len(lg.Pending()), lg.LastAccept())
 	}
 	if len(got.Batch) != 2 || got.Batch[0].View != "A" || len(got.Batch[0].Rows) != 2 ||
 		got.Batch[0].Rows[1].Count != -1 || got.Batch[1].Rows[0].Key != "k3" {
@@ -404,6 +410,7 @@ func TestReadLogReportsIntactSize(t *testing.T) {
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
+	begun := buf.Len()
 	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B"}); err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +422,7 @@ func TestReadLogReportsIntactSize(t *testing.T) {
 		}
 		wantSize := int64(whole)
 		if cut < whole {
-			_, _, n, _ := DecodeFrame(buf.Bytes())
-			wantSize = int64(n) // only the begin record is whole
+			wantSize = int64(begun) // only the accept and the begin record are whole
 		}
 		if lg.Size != wantSize || lg.Truncated != (cut < whole) {
 			t.Fatalf("cut at %d of %d: Size=%d Truncated=%v, want Size=%d", cut, whole, lg.Size, lg.Truncated, wantSize)

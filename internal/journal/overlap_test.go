@@ -175,3 +175,24 @@ func TestWaitLeavesNothingInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSyncPastTheEndReturns: Sync asked for more than was written makes
+// what was written durable and returns, with one sync.
+func TestSyncPastTheEndReturns(t *testing.T) {
+	d := &journaltest.Disk{}
+	w := NewWriter(d)
+	_, end, err := w.Accept(AcceptRecord{UnixNano: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Sync(end + 100) }()
+	select {
+	case err := <-done:
+		if err != nil || d.Syncs() != 1 || d.Now().Durable != int(end) {
+			t.Fatalf("Sync past the end: %v, %d syncs, %+v", err, d.Syncs(), d.Now())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sync past the end of what was written does not return")
+	}
+}

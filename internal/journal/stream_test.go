@@ -181,6 +181,54 @@ func TestAssemblerGrammar(t *testing.T) {
 	if a.InFlight() {
 		t.Fatal("Reset left the window open")
 	}
+
+	// Accepts: numbered in sequence, and a begin names only ones held.
+	accept := func(seq uint64) error {
+		_, err := a.Feed(TypeAccept, encodeAccept(AcceptRecord{Seq: seq}))
+		return err
+	}
+	begin := func(r Range) error {
+		p, _ := encodeBegin(BeginRecord{Seq: 9, Accepts: r})
+		_, err := a.Feed(TypeBegin, p)
+		return err
+	}
+	if err := accept(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := accept(6); err == nil {
+		t.Fatal("accept 6 taken behind accept 4")
+	}
+	if err := begin(Range{4, 5}); err == nil {
+		t.Fatal("a begin record naming an accept never fed was taken")
+	}
+	if err := begin(Range{4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := accept(5); err != nil { // inside the open window
+		t.Fatal(err)
+	}
+	a.Reset() // rewound to the begin record: accept 5 is fed again
+	if err := accept(5); err != nil {
+		t.Fatalf("after a rewind: %v", err)
+	}
+
+	// An operator's accept is named by the begin record behind it, also when
+	// the stream is rewound to that begin record, and by nothing else.
+	if _, err := a.Feed(TypeAccept, encodeAccept(AcceptRecord{Seq: 6, Own: true})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := begin(Range{6, 6}); err != nil || !a.cur.Begin.Own {
+			t.Fatalf("begin %d of the operator's window: %v", i, err)
+		}
+		a.Reset()
+	}
+	if err := accept(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := begin(Range{6, 6}); err == nil {
+		t.Fatal("an operator's accept was named by a begin record not directly behind it")
+	}
 }
 
 // TestChunkCRC: the chunk checksum detects any single-bit flip.

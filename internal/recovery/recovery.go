@@ -1,17 +1,17 @@
 // Package recovery makes update windows crash-safe. Run executes a strategy
 // as a journaled, atomic, retryable window: every attempt runs on a clone of
 // the warehouse, so the caller's state is untouched until the attempt
-// commits, and the journal records window begin (strategy, change batch,
-// digests), every completed step, and commit/abort. Recover completes a
-// window whose journal ends without commit or abort — the signature of a
-// crash — by restoring the pre-window state, re-staging the journaled change
-// batch, and re-executing the journaled strategy, verifying each replayed
-// step against the journaled step records.
+// commits, and the journal records window begin (strategy, the accepts that
+// hold its change batch, digests), every completed step, and commit/abort.
+// Recover completes a window whose journal ends without commit or abort — the
+// signature of a crash — by restoring the pre-window state, re-staging the
+// batch its accepts hold, and re-executing the journaled strategy, verifying
+// each replayed step against the journaled step records.
 //
 // What Recover may find is set by what the journal syncs (package journal):
 // a committed window is durable; an in-flight one has its begin record —
-// strategy, full change batch, pre-state digest — once its flush has
-// returned, which the closing record waits for, and any prefix of its step
+// strategy, pre-state digest, and the accepts that hold its batch, written
+// before it — once its flush has returned, which the closing record waits for, and any prefix of its step
 // records, whole or torn. Power lost before that leaves no begin record or a
 // torn one, which the next open cuts off with whatever follows it: no window,
 // and nothing to undo, because an attempt writes only its clone, journal
@@ -78,11 +78,10 @@ type Options struct {
 	// Journaled windows should derive it from the journal path and Seq so
 	// a crashed window's spill files are sweepable on the next open.
 	SpillDir string
-	// AcceptUnixNano, when nonzero, stamps the commit record with the time
-	// the window's change batch was accepted from the stream, so downstream
-	// readers (replicas, the ingest SLO tracker) can measure freshness
-	// against acceptance rather than commit.
-	AcceptUnixNano int64
+	// Accepts names the journal's accept records whose changes the caller
+	// staged; zero journals the staged batch as an accept of the window's own
+	// before each attempt's begin record (journal.BeginRecord.Own).
+	Accepts journal.Range
 	// Retries is how many times a transiently failed attempt is re-run
 	// (beyond the first attempt). Only errors marked transient
 	// (faults.IsTransient) retry; deterministic failures don't.
@@ -120,17 +119,6 @@ type Result struct {
 	Replayed bool
 }
 
-// commitRecord builds a window's commit record, stamping wall-clock commit
-// time and the batch's stream-accept time (when the caller supplied one).
-func commitRecord(opts Options, totalWork, elapsedNS int64) journal.CommitRecord {
-	return journal.CommitRecord{
-		TotalWork:      totalWork,
-		ElapsedNS:      elapsedNS,
-		UnixNano:       time.Now().UnixNano(),
-		AcceptUnixNano: opts.AcceptUnixNano,
-	}
-}
-
 // isCrash classifies an attempt failure as a simulated process crash: the
 // error chain carries a crash-flavoured fault, or the injector fired one
 // anywhere (under DAG concurrency the first-in-strategy-order error the
@@ -158,9 +146,9 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		time.Sleep(d)
 	}
 	if opts.Journal != nil && opts.Context != nil {
-		// Gate journal begin/step appends on the window's context: a
-		// cancelled window stops extending the journal (commit/abort still
-		// land, closing the window's record).
+		// Gate journal begin/step appends — and a begin's own accept — on the
+		// window's context: a cancelled window stops extending the journal
+		// (commit/abort still land, closing the window's record).
 		opts.Journal.SetContext(opts.Context)
 		defer opts.Journal.SetContext(nil)
 	}
@@ -177,7 +165,7 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		if isCrash(err, opts.Faults) {
 			return nil, err
 		}
-		if opts.Context != nil && opts.Context.Err() != nil {
+		if exec.ContextErr(opts.Context) != nil {
 			// Deadline or cancellation: the attempt already journaled its
 			// abort; retries and fallbacks would just re-run a dead window.
 			return nil, err
@@ -211,8 +199,9 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 }
 
 // beginRecord captures everything recovery needs to re-execute the window:
-// the strategy, the full change batch, digests of the pre-window state and
-// batch, and the work-affecting engine options.
+// the strategy, the accepts that hold its change batch — the batch itself,
+// journaled as the window's own accept, when the caller names none — digests
+// of the pre-window state and batch, and the work-affecting engine options.
 func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (journal.BeginRecord, error) {
 	batch, err := journal.BatchOf(w)
 	if err != nil {
@@ -228,6 +217,8 @@ func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Op
 		StateDigest:     journal.StateDigest(w),
 		BatchDigest:     journal.BatchDigest(batch),
 		Strategy:        s.Clone(),
+		Accepts:         opts.Accepts,
+		Own:             opts.Accepts == journal.Range{},
 		Batch:           batch,
 	}, nil
 }
@@ -278,7 +269,7 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 		return rep, nil, err
 	}
 	if jw != nil {
-		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork(), time.Since(t0).Nanoseconds())); cerr != nil {
+		if cerr := jw.Commit(journal.CommitRecord{TotalWork: rep.TotalWork(), ElapsedNS: time.Since(t0).Nanoseconds(), UnixNano: time.Now().UnixNano()}); cerr != nil {
 			return rep, nil, cerr
 		}
 	}
@@ -444,7 +435,7 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 			b.Seq, rep.TotalWork(), wl.Commit.TotalWork)
 	}
 	if jw != nil {
-		if cerr := jw.Commit(commitRecord(opts, rep.TotalWork(), time.Since(t0).Nanoseconds())); cerr != nil {
+		if cerr := jw.Commit(journal.CommitRecord{TotalWork: rep.TotalWork(), ElapsedNS: time.Since(t0).Nanoseconds(), UnixNano: time.Now().UnixNano()}); cerr != nil {
 			return nil, cerr
 		}
 	}

@@ -11,10 +11,13 @@ import (
 
 // TestRecoverFromTornJournal is the power-loss case of the durability
 // contract: only begin, commit and abort records are synced, so a window
-// found in flight has its begin record and whatever prefix of its step
-// records reached the disk — possibly ending inside a frame. Recovery from
-// every such prefix lands on the views, and journals the installed-delta
-// digests, of the run that was never interrupted.
+// found in flight has its accept and begin records and whatever prefix of its
+// step records reached the disk — possibly ending inside a frame. The journal
+// is cut at every byte short of its commit record's end. Before the begin
+// record is whole there is no window, and the window's own accept, whole or
+// torn, is never pending; from there on, recovery lands on the views, and
+// journals the installed-delta digests, of the run that was never
+// interrupted.
 func TestRecoverFromTornJournal(t *testing.T) {
 	w, s := newFixture(t)
 	var whole bytes.Buffer
@@ -25,25 +28,18 @@ func TestRecoverFromTornJournal(t *testing.T) {
 	want := bags(t, res.Core)
 	wantDigests := instDigestsOf(t, &whole)
 
-	// Frame boundaries of the one window: begin, one per step, commit.
+	// Frame boundaries of the one window: its own accept, begin, one per
+	// step, commit.
 	ends := frameEnds(t, whole.Bytes())
-	if len(ends) != len(s)+2 {
-		t.Fatalf("journal holds %d frames, want begin + %d steps + commit", len(ends), len(s))
+	if len(ends) != len(s)+3 {
+		t.Fatalf("journal holds %d frames, want accept + begin + %d steps + commit", len(ends), len(s))
 	}
 
-	// Every boundary from the begin record up to the last step (the commit
-	// frame dropped), and a cut inside the frame after each of them.
-	var cuts []int
-	for i := 0; i < len(ends)-1; i++ {
-		cuts = append(cuts, ends[i], ends[i]+(ends[i+1]-ends[i])/2)
-	}
-	for _, cut := range cuts {
+	beginEnd := ends[1]
+	for cut := 0; cut < whole.Len(); cut++ {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			torn := bytes.NewBuffer(append([]byte(nil), whole.Bytes()[:cut]...))
 			lg := readLog(t, torn)
-			if lg.InFlight() == nil {
-				t.Fatal("a journal cut before its commit record does not need recovery")
-			}
 			// A torn frame is cut off before the journal is appended to, as
 			// OpenJournal does with the size ReadLog reports.
 			intact := 0
@@ -54,6 +50,15 @@ func TestRecoverFromTornJournal(t *testing.T) {
 			}
 			if lg.Truncated != (intact != cut) || lg.Size != int64(intact) {
 				t.Fatalf("ReadLog reports Truncated=%v Size=%d for a cut at %d with the last whole frame ending at %d", lg.Truncated, lg.Size, cut, intact)
+			}
+			if cut < beginEnd {
+				if len(lg.Windows) != 0 || len(lg.Pending()) != 0 {
+					t.Fatalf("a cut at %d, before the begin record ends at %d, reads as %d windows and %d accepts pending", cut, beginEnd, len(lg.Windows), len(lg.Pending()))
+				}
+				return
+			}
+			if lg.InFlight() == nil {
+				t.Fatal("a journal cut before its commit record does not need recovery")
 			}
 			torn.Truncate(intact)
 			rec, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(torn)})

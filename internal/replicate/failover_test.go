@@ -69,7 +69,10 @@ func TestFailover(t *testing.T) {
 	}
 
 	// Promotion: no committed window the dead leader shipped is lost.
-	promoted := winner.Promote()
+	promoted, err := winner.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := promoted.Warehouse().Epoch(); got != leaderEpoch {
 		t.Fatalf("promoted leader at epoch %d, dead leader committed through %d", got, leaderEpoch)
 	}

@@ -52,9 +52,10 @@ type FollowerConfig struct {
 // end-to-end (offset echo, length, CRC64) and each frame individually, and
 // replays every committed window through warehouse.ApplyWindow — so its
 // epoch flips only after the window re-executes with the leader's exact
-// per-step digests. The applied bytes are retained verbatim in the
-// follower's own Log, which makes high-water marks byte-comparable across
-// followers and promotion a pointer swap.
+// per-step digests. The applied bytes — closed windows, and the accepts
+// between them — are retained verbatim in the follower's own Log, which makes
+// high-water marks byte-comparable across followers and promotion a pointer
+// swap.
 //
 // Poll, CatchUp, and Run must not be called concurrently with each other;
 // Stats, Lag, Handler, and queries on Warehouse() are safe at any time.
@@ -128,10 +129,10 @@ func (f *Follower) Redirect(leaderURL string) {
 }
 
 // Promote turns the follower into a leader over its applied log. Only fully
-// applied windows are in the log (unapplied tail bytes are discarded), so
-// the new leader's journal, state, and epoch agree by construction. The
-// follower must not be polled afterwards.
-func (f *Follower) Promote() *Leader {
+// applied windows and the accepts between them are in the log (unapplied
+// tail bytes are discarded), so the new leader's journal, state, and epoch
+// agree by construction. The follower must not be polled afterwards.
+func (f *Follower) Promote() (*Leader, error) {
 	f.rewind()
 	return NewLeaderFrom(f.w, f.log)
 }
@@ -231,12 +232,12 @@ func (f *Follower) verifyChunk(h http.Header, from int64, body []byte) error {
 	return nil
 }
 
-// drain parses the pending tail frame-by-frame and applies every window it
-// closes. A corrupt frame, a grammar violation or a transient fault rewinds
-// the tail (state intact, re-fetch next poll); a replay divergence or a
-// crash-class fault kills the follower.
+// drain parses the pending tail frame-by-frame, keeps every accept and
+// applies every window it closes. A corrupt frame, a grammar violation or a
+// transient fault rewinds the tail (state intact, re-fetch next poll); a
+// replay divergence or a crash-class fault kills the follower.
 func (f *Follower) drain() (applied int, err error) {
-	done := 0 // bytes of pend, all closed windows, now in the follower's log
+	done := 0 // bytes of pend, held by no open window, now in the follower's log
 	n, err := journal.Scan(f.pend[f.parse:], func(typ byte, payload []byte, end int) error {
 		wl, err := f.asm.Feed(typ, payload)
 		if err != nil {
@@ -245,10 +246,10 @@ func (f *Follower) drain() (applied int, err error) {
 		f.mu.Lock()
 		f.shipped++
 		f.mu.Unlock()
-		if wl == nil {
-			return nil
+		if wl == nil && (typ != journal.TypeAccept || f.asm.InFlight()) {
+			return nil // inside a window: it joins the log when the window closes
 		}
-		if wl.Committed() {
+		if wl != nil && wl.Committed() {
 			if err := f.cfg.Faults.Hit("apply"); err != nil {
 				if faults.IsCrash(err) {
 					return f.kill(err)
@@ -268,7 +269,7 @@ func (f *Follower) drain() (applied int, err error) {
 				cb(rep)
 			}
 		}
-		// Closed either way: the window's bytes are durable replica state.
+		// A closed window, or an accept between windows: durable replica state.
 		if _, err := f.log.Write(f.pend[done : f.parse+end]); err != nil {
 			return f.kill(err)
 		}

@@ -61,9 +61,15 @@ func NewLeader(w *warehouse.Warehouse) *Leader {
 // NewLeaderFrom makes w a leader over an already-populated log — promotion
 // of a follower that replicated `log` and replayed all of it. New windows
 // continue the log's window numbering (aborted windows share their retry's
-// sequence number, exactly as on the original leader).
-func NewLeaderFrom(w *warehouse.Warehouse, log *Log) *Leader {
-	return &Leader{w: w, log: log, j: warehouse.ResumeJournal(log, log.CommittedWindows())}
+// sequence number, exactly as on the original leader), new accepts its accept
+// numbering, and its pending accepts are the journal's (Journal().Pending).
+func NewLeaderFrom(w *warehouse.Warehouse, log *Log) (*Leader, error) {
+	image, _, _ := log.Chunk(0, 0)
+	j, err := warehouse.ResumeJournal(log, image)
+	if err != nil {
+		return nil, fmt.Errorf("replicate: resuming the replicated log: %w", err)
+	}
+	return &Leader{w: w, log: log, j: j}, nil
 }
 
 // Warehouse returns the underlying warehouse (for staging changes and

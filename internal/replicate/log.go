@@ -1,16 +1,20 @@
-// Package replicate ships a warehouse's update-window journal from a leader
-// to followers over HTTP, in the ordered-update-log style of Bayou: every
-// replica applies the same log in the same order and therefore converges to
-// the same state. The journal is already a deterministic, digest-verified
-// replay log (internal/journal, internal/recovery), so replication reduces
-// to moving its bytes: the leader appends each window's CRC64-framed records
-// to an in-memory Log, followers fetch chunks from a high-water mark,
-// re-verify every frame, and replay each committed window through
+// Package replicate ships a warehouse's journal — the accepted changes and
+// the update windows that install them — from a leader to followers over
+// HTTP, in the ordered-update-log style of Bayou: every replica applies the
+// same log in the same order and therefore converges to the same state. The
+// journal is already a deterministic, digest-verified replay log
+// (internal/journal, internal/recovery), so replication reduces to moving its
+// bytes: the leader appends its CRC64-framed records to an in-memory Log,
+// followers fetch chunks from a high-water mark, re-verify every frame, keep
+// every accept, and replay each committed window through
 // warehouse.ApplyWindow — which re-executes it step-by-step and flips the
 // follower's epoch only after the leader's per-step digests all match.
 // Followers serve reads at their own (possibly stale) epoch with reported
 // lag; on leader death the follower with the highest high-water mark is
-// promoted and resumes the same log.
+// promoted and resumes the same log, an ingester over it requeuing the
+// accepts it holds that no committed window installs. Accepts the leader
+// acknowledged and never shipped are lost with it, as any asynchronous
+// write is.
 package replicate
 
 import (
@@ -23,15 +27,18 @@ import (
 // Log is an append-only, in-memory journal byte log with a stability
 // watermark. It implements io.Writer so a journal.Writer can append straight
 // into it; every write is scanned for complete frames, and the watermark
-// advances each time a commit or abort record closes a window. Followers are
-// only ever served bytes below the watermark, so a window that is still
-// being written — or that dies in-flight with a crashed leader — never
-// ships. Safe for concurrent use.
+// advances past every record that no open window holds: a commit or abort
+// record closing a window, and an accept record between windows. Followers
+// are only ever served bytes below the watermark, so a window that is still
+// being written — or that dies in-flight with a crashed leader — never ships,
+// and an accept appended inside an open window ships when the window closes.
+// Safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
 	buf       []byte
 	scan      int   // bytes scanned into complete frames
-	stable    int   // bytes through the last closed (committed or aborted) window
+	stable    int   // bytes through the last record no open window holds
+	open      bool  // a window's begin record is scanned and its closing one not
 	closed    int   // windows closed
 	committed int   // windows committed
 	commitNS  int64 // wall-clock commit time of the last committed window (UnixNano)
@@ -56,8 +63,15 @@ func (l *Log) Write(p []byte) (int, error) {
 	l.buf = append(l.buf, p...)
 	n, err := journal.Scan(l.buf[l.scan:], func(typ byte, payload []byte, end int) error {
 		switch typ {
-		case journal.TypeBegin, journal.TypeStep:
+		case journal.TypeBegin:
+			l.open = true
+		case journal.TypeStep:
+		case journal.TypeAccept:
+			if !l.open {
+				l.stable = l.scan + end
+			}
 		case journal.TypeCommit, journal.TypeAbort:
+			l.open = false
 			l.stable = l.scan + end
 			l.closed++
 			if typ == journal.TypeCommit {
@@ -96,8 +110,8 @@ func (l *Log) Len() int64 {
 	return int64(len(l.buf))
 }
 
-// StableLen is the byte length through the last closed window — the furthest
-// offset a follower may fetch.
+// StableLen is the byte length through the last record no open window
+// holds — the furthest offset a follower may fetch.
 func (l *Log) StableLen() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -125,9 +139,9 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Chunk copies out up to max stable bytes starting at offset from. It
-// returns the chunk and the stable length at the time of the read; the
-// caller's next offset is from+len(data). An offset beyond the stable
+// Chunk copies out up to max stable bytes starting at offset from — all of
+// them when max <= 0. It returns the chunk and the stable length at the time
+// of the read; the caller's next offset is from+len(data). An offset beyond the stable
 // watermark is an error — a follower asking for bytes this log does not have
 // (e.g. after a failover onto a shorter log) must find out loudly.
 func (l *Log) Chunk(from, max int64) (data []byte, stable int64, err error) {

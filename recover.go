@@ -39,11 +39,12 @@ var ErrRecoveryNeeded = errors.New("warehouse: journal has an in-flight update w
 // window can simply be re-run. Test with errors.Is.
 var ErrWindowAborted = errors.New("warehouse: update window aborted by deadline or cancellation")
 
-// Journal is an append-only, checksummed log of update windows: what each
-// window was about to do (strategy, change batch, pre-state digest), each
-// completed step, and the final commit or abort. A window that begins but
-// never closes is the on-disk signature of a crash, and carries everything
-// needed to finish it (see Warehouse.Recover).
+// Journal is an append-only, checksummed log of the changes a warehouse
+// accepted and the update windows that installed them: each accepted change
+// batch, what each window was about to do (strategy, the accepts it installs,
+// pre-state digest), each completed step, and the final commit or abort. A
+// window that begins but never closes is the on-disk signature of a crash,
+// and carries everything needed to finish it (see Warehouse.Recover).
 type Journal struct {
 	w    *journal.Writer
 	f    *os.File
@@ -68,25 +69,34 @@ type Journal struct {
 
 // OpenJournal opens (creating if absent) a file-backed journal in append
 // mode. Existing content is parsed first: Committed reports how many
-// windows it already holds, NeedsRecovery whether it ends mid-window. A
-// torn final record — a crash during a journal write, or power lost before
-// the unsynced step records of an in-flight window reached the disk whole —
-// is treated as not written and cut off, so that what is appended next
-// follows the last intact record.
+// windows it already holds, NeedsRecovery whether it ends mid-window, and
+// Pending which of its accepts no committed window installs. A torn final
+// record — a crash during a journal write, or power lost before the unsynced
+// records reached the disk whole — is treated as not written and cut off, so
+// that what is appended next follows the last intact record. A journal whose
+// begin records carry their change batches, written before accepted changes
+// were records of their own, is refused with that reason.
 func OpenJournal(path string) (*Journal, error) {
 	var lg journal.Log
 	f, err := journal.OpenAppend(path, lg.Feed)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: opening journal: %w", err)
 	}
-	j := &Journal{w: journal.NewWriter(f), f: f, path: path, committed: lg.CommittedCount()}
+	j := resume(&lg, f)
+	j.f, j.path = f, path
+	j.spillSwept = recovery.SweepSpillDirs(path)
+	return j, nil
+}
+
+// resume makes a journal that appends to out behind the records of lg.
+func resume(lg *journal.Log, out io.Writer) *Journal {
+	j := &Journal{w: lg.Writer(out), committed: lg.CommittedCount()}
 	if wl := lg.InFlight(); wl != nil {
 		// A copy: a pointer into lg would keep every window's batch alive.
 		inflight := *wl
 		j.inflight = &inflight
 	}
-	j.spillSwept = recovery.SweepSpillDirs(path)
-	return j, nil
+	return j
 }
 
 // SpillDirsSwept reports how many stale spill directories OpenJournal
@@ -95,7 +105,7 @@ func (j *Journal) SpillDirsSwept() int { return j.spillSwept }
 
 // NewJournal wraps any writer as a window journal (no recovery state is
 // read; the journal starts empty). Useful for buffers in tests.
-func NewJournal(out io.Writer) *Journal { return ResumeJournal(out, 0) }
+func NewJournal(out io.Writer) *Journal { return resume(&journal.Log{}, out) }
 
 // NeedsRecovery reports whether the journal ends in an in-flight window.
 func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
@@ -103,6 +113,21 @@ func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
 // Committed returns the number of committed windows the journal held when
 // opened, plus those committed through it since.
 func (j *Journal) Committed() int { return j.committed }
+
+// Accept appends a change batch accepted from a stream as an accept record,
+// numbered after the journal's last, for a window to name
+// (WindowOptions.Accepts); it is durable once Sync(end) has returned.
+func (j *Journal) Accept(a journal.AcceptRecord) (journal.AcceptRecord, int64, error) {
+	return j.w.Accept(a)
+}
+
+// Sync returns once the journal is durable up to end, an offset Accept
+// returned. Accepts waiting together share one flush.
+func (j *Journal) Sync(end int64) error { return j.w.Sync(end) }
+
+// Pending returns the journal's accepts that no committed window installs and
+// that no window was written for: what a resuming ingester requeues.
+func (j *Journal) Pending() journal.Accepts { return j.w.Pending() }
 
 // Close waits for a journal flush still in flight and closes the underlying
 // file, if any. It reports the first append or flush that failed through this
@@ -149,12 +174,12 @@ type WindowOptions struct {
 	// Faults injects failures for testing (point "step" at step boundaries,
 	// "recompute" in the recompute fallback).
 	Faults *FaultInjector
-	// BatchAccepted, when set, is the time the window's change batch was
-	// accepted from a continuous stream. It is stamped into the journal's
-	// commit record so freshness (commit minus accept) is measurable from the
-	// journal alone — by the ingest SLO tracker locally and by followers
-	// replicating the journal.
-	BatchAccepted time.Time
+	// Accepts names the pending accept records (Journal.Accept) whose
+	// changes the caller staged, as the continuous ingester does; the commit
+	// record carries when the first was accepted, so freshness (commit minus
+	// accept) is measurable from the journal alone. Zero, for an operator's
+	// window, journals the staged batch as an accept of the window's own.
+	Accepts journal.Range
 }
 
 // RunWindowOpts executes one update window — the only window path: plan the
@@ -197,13 +222,11 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		FallbackSequential: o.FallbackSequential,
 		FallbackRecompute:  o.FallbackRecompute,
 	}
-	if !o.BatchAccepted.IsZero() {
-		ropts.AcceptUnixNano = o.BatchAccepted.UnixNano()
-	}
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w
-		ropts.Seq = o.Journal.NextSeq()
+		ropts.Seq = o.Journal.committed + 1
 		ropts.SpillDir = recovery.SpillDir(o.Journal.path, ropts.Seq)
+		ropts.Accepts = o.Accepts
 	}
 	started := time.Now()
 	res, err := recovery.Run(w.core, plan.Strategy, ropts)
@@ -211,7 +234,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		if o.Journal != nil && (faults.IsCrash(err) || o.Faults.Crashed()) {
 			o.Journal.crashed = true
 		}
-		if ctx != nil && ctx.Err() != nil {
+		if exec.ContextErr(ctx) != nil {
 			return WindowReport{}, fmt.Errorf("%w: %w", ErrWindowAborted, err)
 		}
 		return WindowReport{}, err
@@ -285,13 +308,6 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 		SpillDirsSwept: j.spillSwept,
 	}), nil
 }
-
-// NextSeq returns the sequence number the next window run through this
-// journal will carry. The exactly-once handoff from the ingest journal keys
-// on it: an ingest batch cut for window s is durably installed iff the
-// window journal's committed count ever reaches s (aborted windows re-use
-// their sequence number, so a staged batch rides into the next commit).
-func (j *Journal) NextSeq() int { return j.committed + 1 }
 
 // Restore rebuilds warehouse state from this journal's file after a
 // restart: every committed window is replayed in order (aborted windows are

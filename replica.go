@@ -10,6 +10,7 @@ package warehouse
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"time"
 
@@ -59,10 +60,16 @@ func (w *Warehouse) StateDigest() uint64 {
 	return journal.StateDigest(p.pin.Warehouse())
 }
 
-// ResumeJournal wraps out as a window journal whose next window is numbered
-// committed+1 — for a promoted follower that continues appending to the
-// journal it replicated, rather than starting a new one (NewJournal) or
-// re-reading a file (OpenJournal).
-func ResumeJournal(out io.Writer, committed int) *Journal {
-	return &Journal{w: journal.NewWriter(out), committed: committed}
+// ResumeJournal reads image, the bytes of a journal, and returns a journal
+// that appends to out behind them: its windows are numbered after image's
+// committed ones, its accepts after image's, and its pending accepts are
+// those of image — for a promoted follower that continues the log it
+// replicated, rather than starting a new one (NewJournal) or re-reading a
+// file (OpenJournal).
+func ResumeJournal(out io.Writer, image []byte) (*Journal, error) {
+	var lg journal.Log
+	if _, _, err := journal.ScanFile(image, lg.Feed); err != nil {
+		return nil, fmt.Errorf("warehouse: reading the journal to resume: %w", err)
+	}
+	return resume(&lg, out), nil
 }

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // shipRetailWindows journals n windows on a fresh retail warehouse and
-// returns the leader plus the parsed shipped log.
-func shipRetailWindows(t *testing.T, n int) (*Warehouse, journal.Log) {
+// returns the leader plus the shipped log, parsed and as bytes.
+func shipRetailWindows(t *testing.T, n int) (*Warehouse, journal.Log, []byte) {
 	t.Helper()
 	leader := newRetail(t)
 	var buf bytes.Buffer
@@ -27,14 +28,14 @@ func shipRetailWindows(t *testing.T, n int) (*Warehouse, journal.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return leader, lg
+	return leader, lg, buf.Bytes()
 }
 
 // TestApplyWindowOrdering: shipped windows must apply in order — skipping
 // one fails the pre-state digest check and leaves the follower untouched;
 // re-applying an already-applied window fails the same way.
 func TestApplyWindowOrdering(t *testing.T) {
-	leader, lg := shipRetailWindows(t, 3)
+	leader, lg, _ := shipRetailWindows(t, 3)
 	follower := newRetail(t)
 
 	// Out of order: window 2 against a follower still at epoch 1.
@@ -65,7 +66,7 @@ func TestApplyWindowOrdering(t *testing.T) {
 // TestApplyWindowPinnedReaders: a pin taken before a replicated flip keeps
 // serving the old epoch; the flip is atomic for new readers.
 func TestApplyWindowPinnedReaders(t *testing.T) {
-	_, lg := shipRetailWindows(t, 1)
+	_, lg, _ := shipRetailWindows(t, 1)
 	follower := newRetail(t)
 	p := follower.PinEpoch()
 	defer p.Close()
@@ -93,9 +94,9 @@ func TestApplyWindowPinnedReaders(t *testing.T) {
 }
 
 // TestResumeJournal: a promoted follower's journal continues the committed
-// count and sequence numbering of the log it replicated.
+// count and the window and accept numbering of the log it replicated.
 func TestResumeJournal(t *testing.T) {
-	leader, lg := shipRetailWindows(t, 2)
+	leader, lg, image := shipRetailWindows(t, 2)
 	follower := newRetail(t)
 	for i := range lg.Windows {
 		if _, err := follower.ApplyWindow(&lg.Windows[i]); err != nil {
@@ -103,9 +104,12 @@ func TestResumeJournal(t *testing.T) {
 		}
 	}
 
-	var out bytes.Buffer
-	j := ResumeJournal(&out, len(lg.Windows))
-	if j.Committed() != 2 || j.NeedsRecovery() {
+	out := bytes.NewBuffer(slices.Clip(image))
+	j, err := ResumeJournal(out, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Committed() != 2 || j.NeedsRecovery() || len(j.Pending()) != 0 {
 		t.Fatalf("resumed journal: committed=%d needsRecovery=%v", j.Committed(), j.NeedsRecovery())
 	}
 	stageEastSale(t, follower, 800)
@@ -119,8 +123,8 @@ func TestResumeJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newLog.Windows) != 1 || newLog.Windows[0].Begin.Seq != 3 {
-		t.Fatalf("resumed journal numbered the window %d, want 3", newLog.Windows[0].Begin.Seq)
+	if len(newLog.Windows) != 3 || newLog.Windows[2].Begin.Seq != 3 || newLog.Windows[2].Begin.Accepts.Lo != 3 {
+		t.Fatalf("resumed journal numbered the window %d and its accept %d, want 3 and 3", newLog.Windows[2].Begin.Seq, newLog.Windows[2].Begin.Accepts.Lo)
 	}
 	if follower.Epoch() != leader.Epoch()+1 {
 		t.Fatalf("promoted follower epoch %d", follower.Epoch())

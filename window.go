@@ -97,7 +97,9 @@ type WindowReport struct {
 // how the batch was cut and what the freshness picture looked like when the
 // window committed.
 type IngestInfo struct {
-	// Batch is the ingest-journal batch id this window installed.
+	// Batch numbers the ingester's batches in the order it cut them, from 1
+	// in each incarnation; the accepts the batch holds are the ones the
+	// window's begin record names.
 	Batch int
 	// Changes is the number of row-changes in the batch.
 	Changes int
