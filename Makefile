@@ -100,13 +100,15 @@ race:
 
 # Quick race pass over just those packages and the differential harness that
 # drives them (internal/check: its sweep of drawn points, readers racing
-# windows included), and over the ones whose handles
+# windows included), over the ones whose handles
 # epochs share bucket by bucket while a window writes its clone (the
 # copy-on-write container, the stores and accumulators on it, the journal
-# writer DAG workers append through).
+# writer DAG workers append through), and over the ingester's producers,
+# window loop and Close beside the replicas they ship to.
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
+	$(GO) test -race ./internal/ingest/... ./internal/replicate/...
 
 # Extended fuzzing of the conflict-order invariants (the seed corpus runs
 # under plain `make test` already).

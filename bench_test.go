@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/planner"
@@ -406,7 +407,7 @@ func BenchmarkAblationSkipEmptyDeltas(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			tw, err := tpcd.NewWarehouse(tpcd.Config{SF: benchSF, Seed: 7, SkipEmptyDeltas: skip})
+			tw, err := tpcd.NewWarehouse(tpcd.Config{SF: benchSF, Seed: 7, Options: core.Options{SkipEmptyDeltas: skip}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,16 +24,16 @@
 // With -ingest the daemon runs the continuous-ingestion regime instead of
 // the periodic driver: a synthetic producer streams sales changes at
 // -ingest-rate row-changes per second into a bounded staging queue
-// (-ingest-queue), and adaptive micro-batch windows keep the views fresh
-// against the -ingest-slo p99 staleness target. Each accepted change set is a
-// record of the leader's journal, and each window's begin record names the
-// ones it installs, so accepted changes ship to followers beside the windows.
-// The ingester owns the window schedule, so -ingest excludes -window-every
-// and -follow, and POST /window answers 409; GET /ingest reports the
-// freshness snapshot. On shutdown the ingester is
-// quiesced first — its queue drains through final windows — before the HTTP
-// listener and query server close, so a drain never strands accepted
-// changes.
+// (-ingest-queue), and micro-batch windows over what the queue holds keep the
+// views fresh against the -ingest-slo p99 staleness target, which sets each
+// window's deadline. Each accepted change set is a record of the leader's
+// journal, and each window's begin record names the ones it installs, so
+// accepted changes ship to followers beside the windows. The ingester owns
+// the window schedule, so -ingest excludes -window-every and -follow, and
+// POST /window answers 409; GET /ingest reports the freshness snapshot. On
+// shutdown the ingester is quiesced first — its queue drains through final
+// windows — before the HTTP listener and query server close, so a drain
+// never strands accepted changes.
 //
 // Without -follow the daemon is a replication leader: every update window is
 // journaled and the journal is published under /replicate/ for followers.
@@ -99,9 +99,9 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight work on shutdown")
 	follow := flag.String("follow", "", "run as a follower of this leader (host:port or URL); serve reads at a possibly-stale epoch")
 	fetchInterval := flag.Duration("fetch-interval", 100*time.Millisecond, "follower: idle poll period against the leader's journal")
-	ingestOn := flag.Bool("ingest", false, "continuous ingestion: synthetic producer + adaptive micro-batch windows (excludes -window-every and -follow)")
+	ingestOn := flag.Bool("ingest", false, "continuous ingestion: synthetic producer + micro-batch windows over what the queue holds (excludes -window-every and -follow)")
 	ingestRate := flag.Int("ingest-rate", 500, "continuous ingestion: producer rate in row-changes per second")
-	ingestSLO := flag.Duration("ingest-slo", 200*time.Millisecond, "continuous ingestion: p99 staleness target steering the batch sizer")
+	ingestSLO := flag.Duration("ingest-slo", 200*time.Millisecond, "continuous ingestion: p99 staleness target; a window's deadline is half of it, doubled after each abort")
 	ingestQueue := flag.Int("ingest-queue", 4096, "continuous ingestion: staging queue bound in row-changes (backpressure past this)")
 	flag.Parse()
 

@@ -73,6 +73,7 @@ import (
 	"time"
 
 	warehouse "repro"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/planner"
 	"repro/internal/snapshot"
@@ -240,13 +241,11 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	tw, err := tpcd.NewWarehouse(tpcd.Config{
-		SF: o.sf, Seed: o.seed, SkipEmptyDeltas: o.skipEmpty,
-		ParallelTerms: o.parTerms, Workers: o.workers,
-		ShareComputation:  o.share,
-		SharedBudgetBytes: o.shareBudgetMB << 20,
+	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: o.sf, Seed: o.seed, Options: core.Options{
+		SkipEmptyDeltas: o.skipEmpty, ParallelTerms: o.parTerms, Workers: o.workers,
+		ShareComputation: o.share, SharedBudgetBytes: o.shareBudgetMB << 20,
 		MemoryBudgetBytes: o.memBudgetMB << 20,
-	})
+	}})
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	warehouse "repro"
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/tpcd"
 )
@@ -199,7 +200,7 @@ func TestCheckpointNotAdoptedOnCancel(t *testing.T) {
 func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 	const sf, seed, p, budgetMB = 0.004, int64(7), 0.10, int64(1)
 	planned := func(budget int64) string {
-		tw, w := buildFacade(t, tpcd.Config{SF: sf, Seed: seed, MemoryBudgetBytes: budget})
+		tw, w := buildFacade(t, tpcd.Config{SF: sf, Seed: seed, Options: core.Options{MemoryBudgetBytes: budget}})
 		if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
 			t.Fatal(err)
 		}

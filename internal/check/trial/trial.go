@@ -376,15 +376,7 @@ func (r *run) windows() {
 			r.caughtUp(followers[i], i, w)
 		}
 	}
-	for i, f := range followers {
-		r.caughtUp(f, i, w)
-		if lag := f.Lag(); lag.Epochs != 0 || lag.Bytes != 0 {
-			r.Errorf("follower %d: residual lag %+v", i, lag)
-		}
-		if f.dropping && f.Stats().ReconnectCount == 0 {
-			r.Errorf("follower %d's injected disconnects never registered", i)
-		}
-	}
+	(&replicas{r: r, followers: followers}).finish(w)
 }
 
 // unchanged checks that a failed window left the serving epoch alone.
@@ -742,11 +734,8 @@ func (r *run) stream() {
 		held := r.readLog(image(), w)
 		next := int(held.LastAccept()) // the first change the log does not hold
 		cfg := ingest.Config{
-			Warehouse: w, Journal: j,
+			Warehouse: w, Journal: j, Tick: 500 * time.Microsecond,
 			Planner: warehouse.PlannerName(p.Planner), Mode: p.Mode, Workers: p.Workers,
-			// A batch every few changes, so that cuts, stagings and windows
-			// are many and the faults at them fire.
-			Tick: 500 * time.Microsecond, MinBatch: 4, InitialBatch: 4, Retries: 2, Backoff: 100 * time.Microsecond,
 			OnWindow: func(warehouse.WindowReport) { r.adopted(w) },
 		}
 		if incarnation == 1 {
@@ -764,6 +753,12 @@ func (r *run) stream() {
 			case err == nil:
 				next++
 				rs.poll()
+				// Every third change waits for the window loop to cut the
+				// queue, so that cuts, stagings and windows are many and the
+				// faults at them fire.
+				for next%3 == 0 && ing.Stats().QueueDepth > 0 && ing.Stats().Err == "" {
+					time.Sleep(100 * time.Microsecond)
+				}
 			case errors.Is(err, ingest.ErrIngestOverloaded):
 				time.Sleep(time.Millisecond)
 			case faults.IsTransient(err) && !errors.Is(err, ingest.ErrIngestClosed):

@@ -13,12 +13,7 @@ import (
 // Reported as ns/change and maintenance work/change.
 func BenchmarkIngestSteadyState(b *testing.B) {
 	w := buildFixture(b, fixSeed, fixStores, fixSales)
-	ing, err := New(Config{
-		Warehouse:    w,
-		MinBatch:     64,
-		InitialBatch: 256,
-		QueueLimit:   4096,
-	})
+	ing, err := New(Config{Warehouse: w, QueueLimit: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,9 +31,9 @@ func BenchmarkIngestSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 		changes += len(s.ids)
-		// Stand in for the window loop: drain once the batch target fills.
+		// Stand in for the window loop: drain once the queue is half full.
 		ing.mu.Lock()
-		ready := ing.depth >= ing.target
+		ready := ing.depth >= ing.highWaterMark()
 		ing.mu.Unlock()
 		if ready {
 			if err := ing.drain(ctx, false); err != nil {

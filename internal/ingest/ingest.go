@@ -1,47 +1,47 @@
 // Package ingest runs a warehouse under a continuous change stream: it
-// accumulates source changes in a bounded, crash-safe staging buffer and
-// triggers micro-batch update windows adaptively, sizing each batch so the
-// predicted window length — the planner's work estimate, calibrated online
-// against measured windows (internal/cost.Calibrator) — keeps staleness
-// under a configurable SLO while the query server keeps serving.
+// accumulates source changes in a bounded, crash-safe staging queue and runs
+// micro-batch update windows over what the queue holds, on a tick and early
+// under pressure, while the query server keeps serving.
 //
 // The paper optimizes one operator-invoked window; this package is the
 // production regime around it (cf. Olteanu's IVM survey: amortized per-tuple
-// maintenance under bounded staleness). The robustness contract:
+// maintenance under bounded staleness, which the tick and the queue bound
+// give). The robustness contract:
 //
 //   - Backpressure, never unbounded memory: the change queue is bounded in
-//     row-changes. As it fills, the ingester first cuts batches early (a
-//     queue half full wakes the window loop), then blocks producers up to
-//     BlockTimeout, then sheds with ErrIngestOverloaded.
+//     row-changes, and a batch is the run of consecutive accepts it holds. A
+//     queue half full runs a window before the tick, a full one runs them back
+//     to back; past that producers block up to BlockTimeout, then are shed
+//     with ErrIngestOverloaded.
 //   - Crash-safe exactly-once handoff: each accepted change set is an accept
 //     record of the window journal, durable before Submit returns, and each
 //     window's begin record names the accepts it installs. A restarted
 //     ingester requeues exactly the accepts that no committed window names,
 //     so a crash anywhere — mid-accept, mid-cut, mid-window — resumes without
 //     dropping or double-applying a change.
-//   - Graceful degradation: a window that blows its deadline halves the
-//     batch target and retries with a doubled deadline; engine failures ride
-//     RunWindowOpts's DAG→sequential→recompute ladder; transient faults
-//     retry on the shared jittered backoff (internal/retry).
+//   - One retry path: the SLO sets each window's deadline, half of it, doubled
+//     after every abort until the batch commits. Failures ride RunWindowOpts's
+//     in-place retries and DAG→sequential→recompute ladder; a transient
+//     failure that outlives it, or one at a cut or a staging, leaves the batch
+//     for the next tick.
 //   - Observability: Stats surfaces p50/p99 staleness, per-tuple work, queue
-//     depth, shed count, and the batch-size trajectory; each committed
-//     window's report carries warehouse.IngestInfo for Counters().
+//     depth and shed count; each committed window's report carries
+//     warehouse.IngestInfo for Counters().
 package ingest
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
 	warehouse "repro"
-	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/retry"
 )
 
 // ErrIngestOverloaded is returned by Submit when the change queue stayed
@@ -81,8 +81,8 @@ type Config struct {
 	// refuses to start over one that holds any record, whose accepts it would
 	// not read, and ignores an absent or empty file; it writes none.
 	JournalPath string
-	// SLO is the p99 staleness target the batch sizer aims for; 0 disables
-	// adaptive sizing (the target stays at InitialBatch).
+	// SLO is the p99 staleness target. A window's deadline is half of it,
+	// doubled after every abort until the batch commits; 0 sets none.
 	SLO time.Duration
 	// Planner, Mode, Workers select planning and scheduling for the windows.
 	Planner warehouse.PlannerName
@@ -94,56 +94,23 @@ type Config struct {
 	// BlockTimeout is how long Submit blocks on a full queue before shedding;
 	// 0 sheds immediately.
 	BlockTimeout time.Duration
-	// MinBatch and InitialBatch bound and seed the adaptive batch target
-	// (row-changes); defaults 16 and 256, at most QueueLimit.
-	MinBatch, InitialBatch int
 	// Tick is the maximum batch interval: queued changes never wait longer
-	// than this for a window, whatever the target; default 5ms.
+	// than this for a window; default 5ms.
 	Tick time.Duration
-	// Retries and Backoff shape transient-fault retries, both inside
-	// RunWindowOpts and around whole batches; defaults 2 and 1ms.
-	Retries int
-	Backoff time.Duration
 	// Faults injects failures at the ingest points and is passed through to
 	// the windows.
 	Faults *faults.Injector
 	// OnWindow, when set, observes each committed window's report (with
 	// Ingest populated). Called from the window loop; keep it fast.
 	OnWindow func(warehouse.WindowReport)
-	// Now replaces time.Now (tests).
-	Now func() time.Time
 }
-
-// The sizer's fixed shares: a window may spend sloFraction of the SLO (the
-// rest absorbs queueing delay), and a queue highWater full cuts a batch early.
-const (
-	sloFraction = 0.5
-	highWater   = 0.5
-)
 
 func (c Config) withDefaults() Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4096
 	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 16
-	}
-	if c.InitialBatch <= 0 {
-		c.InitialBatch = 256
-	}
-	c.InitialBatch = min(c.InitialBatch, c.QueueLimit)
-	c.MinBatch = min(c.MinBatch, c.QueueLimit)
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Millisecond
-	}
-	if c.Retries <= 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -171,7 +138,6 @@ type batch struct {
 	n        int           // row-changes
 	accepts  journal.Range // the entries' accept records
 	accepted time.Time     // oldest entry's accept time: the staleness clock
-	target   int           // batch target when cut, for the report
 	staged   bool
 }
 
@@ -190,8 +156,7 @@ type Ingester struct {
 	queue   []entry
 	depth   int // queued row-changes
 	batchID int
-	target  int
-	pending *batch // cut but not yet committed (survives ctx-cancelled windows)
+	pending *batch // cut but not yet committed (survives failed windows)
 	closed  bool
 	running bool
 	err     error // terminal (crash-class) error; sticky
@@ -209,10 +174,8 @@ type Ingester struct {
 	stale           [stalenessRingSize]int64
 	staleN          int
 	staleIdx        int
-	traj            []int
 
-	calib cost.Calibrator
-	wake  chan struct{}
+	wake chan struct{}
 }
 
 // New creates an ingester. Over a journal it resumes: the accepts no
@@ -232,7 +195,7 @@ func New(cfg Config) (*Ingester, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	in := &Ingester{cfg: cfg, target: cfg.InitialBatch, wake: make(chan struct{}, 1)}
+	in := &Ingester{cfg: cfg, wake: make(chan struct{}, 1)}
 	in.notFull = sync.NewCond(&in.mu)
 	if cfg.Journal != nil {
 		if cfg.Journal.NeedsRecovery() {
@@ -250,8 +213,6 @@ func New(cfg Config) (*Ingester, error) {
 	}
 	return in, nil
 }
-
-func (in *Ingester) now() time.Time { return in.cfg.Now() }
 
 // kick wakes the window loop without blocking.
 func (in *Ingester) kick() {
@@ -279,8 +240,10 @@ func (in *Ingester) fail(err error) {
 	in.kick()
 }
 
+// highWaterMark is the depth at which a Submit runs a window before the tick:
+// the queue half full.
 func (in *Ingester) highWaterMark() int {
-	return max(1, int(highWater*float64(in.cfg.QueueLimit)))
+	return max(1, in.cfg.QueueLimit/2)
 }
 
 // Submit accepts one change set for a base view. It blocks while the queue
@@ -325,7 +288,7 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 			}
 			return ErrIngestClosed
 		}
-		now := in.now()
+		now := time.Now()
 		if deadline.IsZero() {
 			deadline = now.Add(in.cfg.BlockTimeout)
 		}
@@ -348,7 +311,7 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	// fails may have left part of a frame, behind which the journal appends
 	// nothing more: the ingester stops as a killed process does, and the
 	// restart that reopens the journal cuts the frame off.
-	e.UnixNano = in.now().UnixNano()
+	e.UnixNano = time.Now().UnixNano()
 	var end int64
 	err := in.cfg.Faults.Hit(pointJournal)
 	if err == nil && in.cfg.Journal != nil {
@@ -368,7 +331,7 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	in.depth += n
 	in.accepted += int64(n)
 	in.acceptedBatches++
-	urgent := in.depth >= in.target || in.depth >= in.highWaterMark()
+	urgent := in.depth >= in.highWaterMark()
 	in.mu.Unlock()
 	if urgent {
 		in.kick()
@@ -435,9 +398,10 @@ func (in *Ingester) Run(ctx context.Context) error {
 	}
 }
 
-// drain cuts and runs batches. Without flush it stops once the queue drops
-// below the batch target (let changes accumulate); with flush it keeps
-// going until the queue is empty. Returns only terminal errors.
+// drain cuts and runs batches. Without flush it stops once the queue is not
+// full (let changes accumulate); with flush it keeps going until the queue is
+// empty. A batch a transient failure left pending stops it too: the next tick
+// retries. Returns only terminal errors.
 func (in *Ingester) drain(ctx context.Context, flush bool) error {
 	in.runMu.Lock()
 	defer in.runMu.Unlock()
@@ -466,7 +430,7 @@ func (in *Ingester) drain(ctx context.Context, flush bool) error {
 			return err
 		}
 		in.mu.Lock()
-		more := in.depth >= in.target || (flush && len(in.queue) > 0)
+		more := in.pending == nil && (in.depth >= in.cfg.QueueLimit || flush && len(in.queue) > 0)
 		in.mu.Unlock()
 		if !more {
 			return nil
@@ -474,11 +438,12 @@ func (in *Ingester) drain(ctx context.Context, flush bool) error {
 	}
 }
 
-// cut detaches up to one batch target of queued entries: a run of
-// consecutive accepts, which the window's begin record names by its first
-// and last. A failed cut leaves the queue as it was: a crash-class fault
-// kills the ingester, a transient one is retried on the next tick. Returns
-// (nil, nil) when the queue is empty or the failure is retryable.
+// cut detaches the queued entries a window takes: the run of consecutive
+// accepts at the head of the queue, up to QueueLimit row-changes, which the
+// window's begin record names by its first and last. A failed cut leaves the
+// queue as it was: a crash-class fault kills the ingester, a transient one is
+// retried on the next tick. Returns (nil, nil) when the queue is empty or the
+// failure is retryable.
 func (in *Ingester) cut() (*batch, error) {
 	in.mu.Lock()
 	if len(in.queue) == 0 {
@@ -496,16 +461,14 @@ func (in *Ingester) cut() (*batch, error) {
 	}
 	take, n := 0, 0
 	for _, e := range in.queue {
-		// Another writer's accept, or one installed before a restart, leaves
-		// a gap in the numbers, which ends the run (unjournaled, all are 0).
-		if take > 0 && (n+e.n > in.target || e.Seq > in.queue[take-1].Seq+1) {
+		// The run ends at a gap in the numbers — another writer's accept, or
+		// one installed before a restart (unjournaled, all are 0) — or at the
+		// limit, which only a queue a restart requeued can exceed.
+		if take > 0 && (n+e.n > in.cfg.QueueLimit || e.Seq > in.queue[take-1].Seq+1) {
 			break
 		}
 		take++
 		n += e.n
-		if n >= in.target {
-			break
-		}
 	}
 	ents := in.queue[:take:take]
 	in.queue = in.queue[take:]
@@ -517,7 +480,6 @@ func (in *Ingester) cut() (*batch, error) {
 		n:        n,
 		accepts:  journal.Range{Lo: ents[0].Seq, Hi: ents[take-1].Seq},
 		accepted: time.Unix(0, ents[0].UnixNano),
-		target:   in.target,
 	}
 	in.batches++
 	in.notFull.Broadcast()
@@ -525,61 +487,51 @@ func (in *Ingester) cut() (*batch, error) {
 	return b, nil
 }
 
-// runBatch stages the batch and runs windows until one commits. Deadline
-// aborts halve the batch target and double the deadline (progress is
-// guaranteed: the staged batch re-runs until it fits); transient failures
-// retry on the shared jittered backoff; crash-class faults return
-// immediately with the journals left in-flight.
+// runBatch stages the batch and runs windows until one commits. A window
+// that blows its deadline runs again with the deadline doubled (progress is
+// guaranteed: the staged batch re-runs until it fits). RunWindowOpts's
+// retries and ladder are the only retry of a failed window: a transient
+// failure that outlives them, or one at staging, leaves the batch pending for
+// the next tick, staged as far as it got. Crash-class faults return
+// immediately with the journal left in flight.
 func (in *Ingester) runBatch(ctx context.Context, b *batch) error {
 	in.mu.Lock()
 	in.pending = b
 	in.mu.Unlock()
-	bo := retry.Backoff{Policy: retry.Policy{Base: in.cfg.Backoff, Max: 250 * time.Millisecond, Jitter: 0.2}}
-	transientLeft := in.cfg.Retries
-	timeout := in.windowBudget()
+	timeout := in.cfg.SLO / 2 // the rest of the SLO absorbs queueing delay
 	for {
 		if ctx.Err() != nil {
 			return nil // b stays pending; Close or restart finishes it
 		}
 		err := in.tryBatch(ctx, b, timeout)
-		if err == nil {
+		switch {
+		case err == nil:
 			in.mu.Lock()
 			in.pending = nil
 			in.mu.Unlock()
 			return nil
-		}
-		if faults.IsCrash(err) || in.cfg.Faults.Crashed() {
+		case faults.IsCrash(err) || in.cfg.Faults.Crashed():
 			in.fail(err)
 			return err
-		}
-		if errors.Is(err, warehouse.ErrWindowAborted) {
+		case errors.Is(err, warehouse.ErrWindowAborted):
 			if ctx.Err() != nil {
 				return nil // cancellation, not a blown deadline
 			}
 			in.mu.Lock()
 			in.deadlineAborts++
-			if in.target > in.cfg.MinBatch {
-				in.target /= 2
-				if in.target < in.cfg.MinBatch {
-					in.target = in.cfg.MinBatch
-				}
-			}
 			in.mu.Unlock()
 			timeout *= 2
-			continue
+		case faults.IsTransient(err):
+			return nil // b stays pending for the next tick
+		default:
+			err = fmt.Errorf("ingest: batch %d failed: %w", b.id, err)
+			in.fail(err)
+			return err
 		}
-		if faults.IsTransient(err) && transientLeft > 0 {
-			transientLeft--
-			in.sleep(ctx, bo.Next())
-			continue
-		}
-		err = fmt.Errorf("ingest: batch %d failed: %w", b.id, err)
-		in.fail(err)
-		return err
 	}
 }
 
-// tryBatch is one attempt: stage (once — the staged batch survives aborted
+// tryBatch is one attempt: stage (once — the staged batch survives failed
 // windows), run.
 func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duration) error {
 	w := in.cfg.Warehouse
@@ -610,8 +562,7 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 		Journal:            in.cfg.Journal,
 		Timeout:            timeout,
 		Context:            ctx,
-		Retries:            in.cfg.Retries,
-		Backoff:            in.cfg.Backoff,
+		Retries:            2, // in place, before the ladder degrades
 		FallbackSequential: true,
 		FallbackRecompute:  true,
 		Faults:             in.cfg.Faults,
@@ -627,23 +578,10 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 	return nil
 }
 
-// windowBudget is the wall-clock slice of the SLO a window may spend.
-func (in *Ingester) windowBudget() time.Duration {
-	if in.cfg.SLO <= 0 {
-		return 0
-	}
-	return time.Duration(float64(in.cfg.SLO) * sloFraction)
-}
-
-// observe folds a committed window into the stats and the calibration, and
-// retargets the batch size from the calibrated time budget.
+// observe folds a committed window into the stats and its report.
 func (in *Ingester) observe(b *batch, rep *warehouse.WindowReport) {
-	now := in.now()
-	staleness := now.Sub(b.accepted)
+	staleness := time.Since(b.accepted)
 	work := rep.Report.TotalWork()
-	// The prediction is the estimate of the plan that ran.
-	predicted := int64(rep.Plan.EstimatedWork)
-	in.calib.Observe(predicted, work, rep.Report.Elapsed, b.n)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.windows++
@@ -657,49 +595,22 @@ func (in *Ingester) observe(b *batch, rep *warehouse.WindowReport) {
 	if in.staleN < stalenessRingSize {
 		in.staleN++
 	}
-	if budget := in.windowBudget(); budget > 0 {
-		if nt := in.calib.BatchFor(budget); nt > 0 {
-			if nt > 2*in.target {
-				nt = 2 * in.target // grow smoothly; shrink freely
-			}
-			if nt < in.cfg.MinBatch {
-				nt = in.cfg.MinBatch
-			}
-			if nt > in.cfg.QueueLimit {
-				nt = in.cfg.QueueLimit
-			}
-			in.target = nt
-		}
-	}
-	in.traj = append(in.traj, in.target)
-	if len(in.traj) > 64 {
-		in.traj = in.traj[len(in.traj)-64:]
-	}
 	rep.Ingest = &warehouse.IngestInfo{
-		Batch:         b.id,
-		Changes:       b.n,
-		Accepted:      b.accepted,
-		BatchTarget:   b.target,
+		Batch:    b.id,
+		Changes:  b.n,
+		Accepted: b.accepted,
+		// The prediction is the estimate of the plan that ran.
+		PredictedWork: int64(rep.Plan.EstimatedWork),
 		QueueDepth:    in.depth,
 		Shed:          in.shed,
-		PredictedWork: predicted,
 		StalenessNS:   int64(staleness),
 	}
 }
 
-func (in *Ingester) sleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 // Close quiesces the ingester: stop accepting, then flush the staged
-// remainder through final windows while ctx allows. If ctx expires first
-// the rest stays in the journal — a restart requeues it — and the error says
-// so.
+// remainder through final windows while ctx allows, a tick apart after a
+// transient failure. If ctx expires first the rest stays in the journal — a
+// restart requeues it — and the error says so.
 // Producers blocked in Submit are released with ErrIngestClosed.
 func (in *Ingester) Close(ctx context.Context) error {
 	in.mu.Lock()
@@ -710,30 +621,34 @@ func (in *Ingester) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var err error
-	for {
+	for retry := false; ; retry = true {
 		in.mu.Lock()
 		terr := in.err
 		remaining := in.depth
 		empty := in.pending == nil && len(in.queue) == 0
 		in.mu.Unlock()
 		if terr != nil {
-			err = terr
-			break
+			return terr
 		}
 		if empty {
-			break
+			return nil
+		}
+		if retry {
+			// The last drain left work behind: a transient failure.
+			t := time.NewTimer(in.cfg.Tick)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			err = fmt.Errorf("ingest: drain interrupted with %d change(s) still queued (journaled; a restart requeues them): %w", remaining, cerr)
-			break
+			return fmt.Errorf("ingest: drain interrupted with %d change(s) still queued (journaled; a restart requeues them): %w", remaining, cerr)
 		}
-		if derr := in.drain(ctx, true); derr != nil {
-			err = derr
-			break
+		if err := in.drain(ctx, true); err != nil {
+			return err
 		}
 	}
-	return err
 }
 
 // Stats is a snapshot of the ingester's counters and freshness picture,
@@ -748,13 +663,11 @@ type Stats struct {
 	// QueueDepth/QueueLimit describe the bounded queue (row-changes).
 	QueueDepth int `json:"queue_depth"`
 	QueueLimit int `json:"queue_limit"`
-	// BatchTarget is the current adaptive batch size target.
-	BatchTarget int `json:"batch_target"`
 	// Batches counts cut batches; Windows committed windows.
 	Batches int64 `json:"batches"`
 	Windows int64 `json:"windows"`
-	// DeadlineAborts counts windows that blew their deadline (each halves
-	// the target); Degraded windows that fell back (sequential/recompute).
+	// DeadlineAborts counts windows that blew their deadline (each doubles
+	// the next one's); Degraded windows that fell back (sequential/recompute).
 	DeadlineAborts int64 `json:"deadline_aborts"`
 	Degraded       int64 `json:"degraded_windows"`
 	// Requeued is how many accepts this incarnation resumed from the journal.
@@ -767,10 +680,6 @@ type Stats struct {
 	// WorkPerChange is cumulative window work per accepted row-change — the
 	// amortized per-tuple maintenance cost.
 	WorkPerChange float64 `json:"work_per_change"`
-	// Calibration is the cost model's online calibration state.
-	Calibration cost.CalibrationStats `json:"calibration"`
-	// BatchTrajectory is the batch target after each recent window (up to 64).
-	BatchTrajectory []int `json:"batch_trajectory"`
 	// Err carries the terminal error, if the ingester died.
 	Err string `json:"error,omitempty"`
 }
@@ -785,14 +694,12 @@ func (in *Ingester) Stats() Stats {
 		Shed:            in.shed,
 		QueueDepth:      in.depth,
 		QueueLimit:      in.cfg.QueueLimit,
-		BatchTarget:     in.target,
 		Batches:         in.batches,
 		Windows:         in.windows,
 		DeadlineAborts:  in.deadlineAborts,
 		Degraded:        in.degraded,
 		Requeued:        in.requeued,
 		SLOMS:           float64(in.cfg.SLO) / float64(time.Millisecond),
-		BatchTrajectory: append([]int(nil), in.traj...),
 	}
 	if in.totalChanges > 0 {
 		s.WorkPerChange = float64(in.totalWork) / float64(in.totalChanges)
@@ -808,15 +715,14 @@ func (in *Ingester) Stats() Stats {
 		s.StalenessP50MS = float64(percentile(samples, 0.50)) / float64(time.Millisecond)
 		s.StalenessP99MS = float64(percentile(samples, 0.99)) / float64(time.Millisecond)
 	}
-	s.Calibration = in.calib.Stats()
 	return s
 }
 
-// percentile reads the p-quantile from sorted samples (nearest-rank).
+// percentile reads the p-quantile from sorted samples by nearest rank: the
+// smallest sample at least a fraction p of the samples do not exceed.
 func percentile(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[max(0, int(math.Ceil(p*float64(len(sorted))))-1)]
 }

@@ -76,7 +76,6 @@ func TestIngestSteadyState(t *testing.T) {
 		Journal:   wj,
 		SLO:       100 * time.Millisecond,
 		Tick:      time.Millisecond,
-		MinBatch:  8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +108,6 @@ func TestIngestSteadyState(t *testing.T) {
 	}
 	if st.StalenessP99MS <= 0 {
 		t.Fatalf("staleness percentiles not tracked: %+v", st)
-	}
-	if ing.calib.Stats().Windows == 0 {
-		t.Fatal("calibrator observed no windows")
 	}
 	installedOnce(t, wjPath, len(sets))
 	if wj.NeedsRecovery() || len(wj.Pending()) != 0 {
@@ -170,8 +166,6 @@ func TestIngestBackpressureBlocksThenDrains(t *testing.T) {
 		QueueLimit:   32,
 		BlockTimeout: 5 * time.Second,
 		Tick:         time.Millisecond,
-		MinBatch:     8,
-		InitialBatch: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,19 +303,26 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 	}
 }
 
-// TestIngestTransientFaultsRetried checks the two transient-fault paths that
-// must not lose changes: a failed accept is reported to the producer (who
-// retries), and a failed cut restores the queue for the next tick.
+// TestIngestTransientFaultsRetried checks that a transient failure neither
+// loses a change nor installs one twice. A failed accept is reported to the
+// producer, who offers it again; a failed cut leaves the queue as it was. A
+// failed staging, and a window failure that outlives RunWindowOpts's ladder,
+// leave the batch pending, staged as far as it got, and the next tick
+// installs it exactly once.
 func TestIngestTransientFaultsRetried(t *testing.T) {
 	w := buildFixture(t, fixSeed, fixStores, fixSales)
 	inj := faults.New(3)
 	inj.FailAt(pointAccept, 1)
 	inj.FailAt(pointCut, 1)
-	ing, err := New(Config{Warehouse: w, Faults: inj, Tick: time.Millisecond})
+	inj.FailAt(pointStage, 1)
+	// Every step fails, and so does the first recompute: the first window
+	// fails its whole ladder, and the second commits by recomputing.
+	inj.FailTimes("step", 1<<30)
+	inj.FailAt("recompute", 1)
+	ing, err := New(Config{Warehouse: w, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := startRun(ing)
 	sets := genSets(fixSeed, fixStores, fixSales, 4, 10)
 	for _, s := range sets {
 		err := ing.Submit("SALES", s.delta(t, w))
@@ -334,10 +335,32 @@ func TestIngestTransientFaultsRetried(t *testing.T) {
 			}
 		}
 	}
-	if err := ing.Close(context.Background()); err != nil {
-		t.Fatal(err)
+	before := w.StateDigest()
+	// tick is one pass of the window loop, after which the batch is pending
+	// (and staged) or not, and queued entries remain.
+	tick := func(what string, pending, staged bool, queued int) {
+		t.Helper()
+		if err := ing.drain(context.Background(), false); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		ing.mu.Lock()
+		b, n := ing.pending, len(ing.queue)
+		ing.mu.Unlock()
+		if (b != nil) != pending || b != nil && b.staged != staged || n != queued {
+			t.Fatalf("%s: pending %v (staged %v) with %d queued; want pending %v (staged %v) with %d", what, b != nil, b != nil && b.staged, n, pending, staged, queued)
+		}
+		if st := ing.Stats(); pending && (st.Windows != 0 || w.StateDigest() != before) {
+			t.Fatalf("%s: a window installed the pending batch: %+v", what, st)
+		}
 	}
-	if err := wait(); err != nil {
+	tick("failed cut", false, false, len(sets))
+	tick("failed staging", true, false, 0)
+	tick("failed ladder", true, true, 0)
+	tick("retry", false, false, 0)
+	if st := ing.Stats(); st.Batches != 1 || st.Windows != 1 || st.Degraded != 1 {
+		t.Fatalf("want one batch installed by one recomputing window: %+v", st)
+	}
+	if err := ing.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := oracleDigest(t, fixSeed, fixStores, fixSales, sets)
@@ -346,23 +369,20 @@ func TestIngestTransientFaultsRetried(t *testing.T) {
 	}
 }
 
-// TestIngestTightSLODegradesTarget runs with an unachievably tight SLO: the
-// first window blows its deadline (halving the target), the deadline doubles
-// until a window commits, and the calibrated batch sizer then pins the
-// target at MinBatch. This is the graceful-degradation ladder's first rung.
-func TestIngestTightSLODegradesTarget(t *testing.T) {
+// TestIngestTightSLOLandsEveryChange runs with an unachievably tight SLO: the
+// first windows blow their deadline, the deadline doubles after every abort
+// until a window commits, and every change lands.
+func TestIngestTightSLOLandsEveryChange(t *testing.T) {
 	w := buildFixture(t, fixSeed, fixStores, fixSales)
 	// A 500ns window budget has always expired by the time the DAG scheduler
 	// reaches its first node check, so the first attempts abort
 	// deterministically; the doubled deadline eventually lets one commit.
 	ing, err := New(Config{
-		Warehouse:    w,
-		SLO:          time.Microsecond,
-		Mode:         warehouse.ModeDAG, // deadlines cancel between DAG node dispatches
-		Workers:      2,
-		MinBatch:     8,
-		InitialBatch: 256,
-		Tick:         time.Millisecond,
+		Warehouse: w,
+		SLO:       time.Microsecond,
+		Mode:      warehouse.ModeDAG, // deadlines cancel between DAG node dispatches
+		Workers:   2,
+		Tick:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,19 +400,29 @@ func TestIngestTightSLODegradesTarget(t *testing.T) {
 	if err := wait(); err != nil {
 		t.Fatal(err)
 	}
-	st := ing.Stats()
-	if st.DeadlineAborts == 0 {
-		t.Fatalf("a 10µs window deadline never aborted: %+v", st)
-	}
-	if st.BatchTarget != 8 {
-		t.Fatalf("tight SLO did not degrade the batch target to MinBatch: target=%d %+v", st.BatchTarget, st)
-	}
-	if len(st.BatchTrajectory) == 0 {
-		t.Fatalf("batch trajectory not recorded: %+v", st)
+	if st := ing.Stats(); st.DeadlineAborts == 0 {
+		t.Fatalf("a 500ns window deadline never aborted: %+v", st)
 	}
 	want := oracleDigest(t, fixSeed, fixStores, fixSales, sets)
 	if got := w.StateDigest(); got != want {
 		t.Fatalf("digest mismatch under deadline pressure: got %x want %x", got, want)
+	}
+}
+
+// TestPercentileIsNearestRank: the p-quantile of n sorted samples is the
+// ceil(p·n)-th smallest, so a p99 under 100 samples is the largest.
+func TestPercentileIsNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		p50, p99 int64
+	}{{1, 1, 1}, {10, 5, 10}, {stalenessRingSize, 1024, 2028}} {
+		sorted := make([]int64, tc.n)
+		for i := range sorted {
+			sorted[i] = int64(i + 1)
+		}
+		if p50, p99 := percentile(sorted, 0.50), percentile(sorted, 0.99); p50 != tc.p50 || p99 != tc.p99 {
+			t.Errorf("n=%d: p50 %d, p99 %d; want %d and %d", tc.n, p50, p99, tc.p50, tc.p99)
+		}
 	}
 }
 
@@ -418,8 +448,8 @@ func TestJournalPathAbsentOrEmptyIsIgnored(t *testing.T) {
 }
 
 // TestIngestPredictionIsThePlansEstimate: the work an ingester-triggered
-// window reports as predicted — and feeds the calibrator — is the estimate of
-// the plan that window ran, under every planner the warehouse has.
+// window reports as predicted is the estimate of the plan that window ran,
+// under every planner the warehouse has.
 func TestIngestPredictionIsThePlansEstimate(t *testing.T) {
 	for _, planner := range append([]warehouse.PlannerName{""}, warehouse.Planners...) {
 		w := buildFixture(t, fixSeed, fixStores, fixSales)
@@ -428,7 +458,6 @@ func TestIngestPredictionIsThePlansEstimate(t *testing.T) {
 			Warehouse: w,
 			Planner:   planner,
 			Tick:      time.Millisecond,
-			MinBatch:  8,
 			OnWindow:  func(rep warehouse.WindowReport) { reps = append(reps, rep) },
 		})
 		if err != nil {

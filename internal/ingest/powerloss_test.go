@@ -152,7 +152,7 @@ func TestPowerLossOverTheOneLog(t *testing.T) {
 		w := buildFixture(t, fixSeed, stores, sales)
 		inj := faults.New(1)
 		steps := 0
-		ing, err := New(Config{Warehouse: w, Journal: warehouse.NewJournal(disk), Faults: inj, InitialBatch: 1 << 10,
+		ing, err := New(Config{Warehouse: w, Journal: warehouse.NewJournal(disk), Faults: inj,
 			OnWindow: func(rep warehouse.WindowReport) { steps = len(rep.Report.Steps) }})
 		if err != nil {
 			t.Fatal(err)

@@ -74,10 +74,8 @@ func TestSoakIngest(t *testing.T) {
 			Journal:      wj,
 			SLO:          50 * time.Millisecond,
 			Tick:         time.Millisecond,
-			MinBatch:     8,
 			QueueLimit:   512,
 			BlockTimeout: 20 * time.Millisecond,
-			Retries:      3,
 			Faults:       inj,
 		})
 		if err != nil {
@@ -133,7 +131,6 @@ func TestSoakIngest(t *testing.T) {
 			Journal:   wj,
 			SLO:       50 * time.Millisecond,
 			Tick:      time.Millisecond,
-			MinBatch:  8,
 		})
 		if err != nil {
 			t.Fatal(err)

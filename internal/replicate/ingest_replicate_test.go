@@ -30,7 +30,6 @@ func TestIngestingLeaderReplicates(t *testing.T) {
 		Journal:   leader.Journal(),
 		SLO:       50 * time.Millisecond,
 		Tick:      time.Millisecond,
-		MinBatch:  4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,22 +16,8 @@ type Config struct {
 	SF float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// SkipEmptyDeltas is passed through to the warehouse options.
-	SkipEmptyDeltas bool
-	// ParallelTerms and Workers are passed through to the warehouse
-	// options: they widen the term engine's shared worker pool from 1 to
-	// Workers.
-	ParallelTerms bool
-	Workers       int
-	// ShareComputation and SharedBudgetBytes are passed through to the
-	// warehouse options: they enable window-wide cross-view sharing of
-	// transiently materialized operands and bound its footprint.
-	ShareComputation  bool
-	SharedBudgetBytes int64
-	// MemoryBudgetBytes is passed through to the warehouse options: it
-	// bounds the window's transient build-state memory, spilling oversized
-	// builds to disk. 0 disables budgeting.
-	MemoryBudgetBytes int64
+	// Options are the warehouse's engine options.
+	Options core.Options
 	// Queries selects which summary views to define; nil means all of
 	// Q3, Q5 and Q10. Experiment 1, for instance, uses a Q3-only warehouse.
 	Queries []string

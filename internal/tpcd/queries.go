@@ -186,14 +186,7 @@ func NewWarehouse(cfg Config) (*Warehouse, error) {
 	if cfg.SF <= 0 {
 		return nil, fmt.Errorf("tpcd: scale factor must be positive, got %v", cfg.SF)
 	}
-	w := core.New(core.Options{
-		SkipEmptyDeltas:   cfg.SkipEmptyDeltas,
-		ParallelTerms:     cfg.ParallelTerms,
-		Workers:           cfg.Workers,
-		ShareComputation:  cfg.ShareComputation,
-		SharedBudgetBytes: cfg.SharedBudgetBytes,
-		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
-	})
+	w := core.New(cfg.Options)
 	schemas := Schemas()
 	for _, name := range BaseViews {
 		if err := w.DefineBase(name, schemas[name]); err != nil {

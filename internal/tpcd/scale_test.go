@@ -108,7 +108,7 @@ func TestScaleSF01(t *testing.T) {
 func TestOneWayWindowsBuildNothing(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		for _, share := range []bool{false, true} {
-			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, ShareComputation: share, MemoryBudgetBytes: 4 << 20})
+			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, Options: core.Options{ShareComputation: share, MemoryBudgetBytes: 4 << 20}})
 			if err != nil {
 				t.Fatal(err)
 			}

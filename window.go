@@ -106,15 +106,12 @@ type IngestInfo struct {
 	// Accepted is when the batch's oldest change was accepted — the staleness
 	// clock the SLO is measured against.
 	Accepted time.Time
-	// BatchTarget is the ingester's adaptive batch-size target when the
-	// batch was cut.
-	BatchTarget int
-	// QueueDepth is the change-queue depth (row-changes) after the cut.
+	// QueueDepth is the change-queue depth (row-changes) at commit.
 	QueueDepth int
 	// Shed is the cumulative count of changes shed with ErrIngestOverloaded.
 	Shed int64
 	// PredictedWork is the work the window's plan predicted for the batch
-	// (WindowReport.Plan.EstimatedWork) — the calibrator's input.
+	// (WindowReport.Plan.EstimatedWork), reported beside the measured work.
 	PredictedWork int64
 	// StalenessNS is the batch's measured staleness at commit: commit time
 	// minus Accepted.
@@ -141,8 +138,8 @@ func (r WindowReport) String() string {
 			c.SpillCount, c.SpilledBytes, c.SpillReReadBytes, c.PeakReservedBytes)
 	}
 	if in := r.Ingest; in != nil {
-		s += fmt.Sprintf(" ingest batch=%d n=%d target=%d queue=%d staleness=%s",
-			in.Batch, in.Changes, in.BatchTarget, in.QueueDepth, time.Duration(in.StalenessNS))
+		s += fmt.Sprintf(" ingest batch=%d n=%d queue=%d staleness=%s",
+			in.Batch, in.Changes, in.QueueDepth, time.Duration(in.StalenessNS))
 	}
 	if r.Attempts > 1 {
 		s += fmt.Sprintf(" attempts=%d", r.Attempts)
