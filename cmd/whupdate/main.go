@@ -9,7 +9,7 @@
 //	         [-planner minwork|prune|dualstage|shared]
 //	         [-par sequential|staged|dag] [-workers N] [-par-terms]
 //	         [-share] [-share-budget-mb N] [-explain-sharing] [-mem-budget-mb N]
-//	         [-skip-empty] [-timeout d] [-journal f [-resume]] [-retries N]
+//	         [-skip-empty] [-timeout d] [-journal f [-resume]]
 //	         [-v] [-cpuprofile f] [-memprofile f]
 //
 // -par staged executes the Section 9 barrier plan (one goroutine per stage
@@ -46,8 +46,10 @@
 // append-only checksummed file. If the journal ends mid-window (the
 // previous run died), whupdate exits with code 4 until rerun with -resume,
 // which restores the checkpoint and completes the journaled window
-// (warehouse.Recover), skipping steps the dead run finished. -retries
-// retries transient failures with exponential backoff.
+// (warehouse.Recover), skipping steps the dead run finished. A failed
+// window climbs the library's one ladder (warehouse.RunWindowOpts): two
+// in-place retries of a transient failure, a sequential attempt of a staged
+// or DAG window, then install-and-recompute.
 //
 // Exit codes: 0 success, 1 data/build error, 2 usage error, 3 window
 // execution or verification failure, 4 recovery needed.
@@ -119,7 +121,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = no limit)")
 	journalPath := flag.String("journal", "", "journal the window to this file (crash-safe execution)")
 	resume := flag.Bool("resume", false, "complete the journal's in-flight window instead of running a new one")
-	retries := flag.Int("retries", 0, "retry transient window failures this many times (exponential backoff)")
 	verbose := flag.Bool("v", false, "print per-expression work")
 	dot := flag.Bool("dot", false, "print the expression graph (Graphviz) instead of executing")
 	script := flag.Bool("script", false, "print the §5.5 update script and stored-procedure catalog instead of executing")
@@ -150,7 +151,7 @@ func main() {
 		explainSharing: *explainSharing,
 		skipEmpty:      *skipEmpty, verbose: *verbose,
 		dot: *dot, script: *script,
-		timeout: *timeout, journal: *journalPath, resume: *resume, retries: *retries,
+		timeout: *timeout, journal: *journalPath, resume: *resume,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "whupdate:", err)
 		code := exitData
@@ -193,7 +194,6 @@ type options struct {
 	timeout              time.Duration
 	journal              string
 	resume               bool
-	retries              int
 	// faults injects failures into the window (tests; no flag sets it).
 	faults *warehouse.FaultInjector
 }
@@ -351,7 +351,7 @@ func runWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Journal
 
 	rep, err := w.RunWindowOpts(warehouse.WindowOptions{
 		Planner: plannerName, Mode: mode, Workers: o.workers,
-		Journal: j, Context: ctx, Retries: o.retries, Faults: o.faults,
+		Journal: j, Context: ctx, Faults: o.faults,
 	})
 	if err != nil {
 		if j != nil && errors.Is(err, warehouse.ErrWindowAborted) {

@@ -234,17 +234,22 @@ func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 }
 
 // TestFailedWindowLeavesWarehouseUntouched: every whupdate window — also an
-// unjournaled one without retries — runs on a clone, so a step that fails
-// mid-window leaves the served state at its pre-window digest with the batch
-// still staged, and the warehouse still verifies.
+// unjournaled one — runs on a clone, so a window whose every rung fails past
+// its first installs leaves the served state at its pre-window digest with the
+// batch still staged, and the warehouse still verifies.
 func TestFailedWindowLeavesWarehouseUntouched(t *testing.T) {
 	tw, w := buildFacade(t, tpcd.Config{SF: 0.001, Seed: 7})
 	before := w.StateDigest()
 	if _, err := tw.StageChanges(tpcd.UniformDecrease(0.10)); err != nil {
 		t.Fatal(err)
 	}
+	// The sixth step of the sequential attempt and of both its retries fails,
+	// and so does the recompute rung.
 	inj := warehouse.NewFaultInjector(1)
-	inj.FailAt("step", 6) // past the first installs
+	for hit := 6; hit <= 18; hit += 6 {
+		inj.FailAt("step", hit)
+	}
+	inj.FailAt("recompute", 1)
 	err := runWindow(context.Background(), w, nil, warehouse.MinWorkPlanner, warehouse.ModeSequential, options{faults: inj})
 	if got := exitCode(err); got != exitWindow {
 		t.Fatalf("failed window: exit %d (%v), want %d", got, err, exitWindow)

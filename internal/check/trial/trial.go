@@ -315,13 +315,13 @@ func (r *run) windows() {
 			// Retried in the mode it ran in: whatever steps the failure
 			// cancelled, the scheduler reports the fault, not their echo.
 			inj.FailAt(r.at, hit)
-			opts.Faults, opts.Retries, opts.Backoff = inj, 2, time.Microsecond
+			opts.Faults = inj
 			if rep, err = window(opts); err == nil && (rep.Attempts != 2 || rep.FellBackSequential) {
 				r.Fatalf("window %d: %d attempts (sequential fallback %v) around one transient fault at %s@%d", win, rep.Attempts, rep.FellBackSequential, r.at, hit)
 			}
 		case "persistent":
 			inj.FailTimes(r.at, 1<<30)
-			opts.Faults, opts.FallbackSequential, opts.FallbackRecompute = inj, true, true
+			opts.Faults = inj
 			if rep, err = window(opts); err == nil && !rep.Recomputed {
 				r.Fatalf("window %d committed incrementally although every hit of %s fails", win, r.at)
 			}

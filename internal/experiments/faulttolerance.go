@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	warehouse "repro"
 	"repro/internal/tpcd"
@@ -95,23 +94,21 @@ func FaultTolerance(cfg Config) (Result, error) {
 	res.Rows = append(res.Rows, row(fmt.Sprintf("crash@%d + recover", crashAt), rec, marker))
 
 	// Transient faults with retry: two injected failures, absorbed by the
-	// backoff loop.
+	// ladder's two in-place retries.
 	tinj := warehouse.NewFaultInjector(cfg.Seed)
 	tinj.FailTimes("step", 2)
-	tr, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Faults: tinj, Retries: 3, Backoff: time.Microsecond})
+	tr, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Faults: tinj})
 	if err != nil {
 		return res, err
 	}
 	res.Rows = append(res.Rows, row("2 transient faults + retry", tr, fmt.Sprintf("%d attempts", tr.Attempts)))
 
 	// Persistent failure: every incremental attempt dies, and the window
-	// degrades to install-and-recompute.
+	// climbs the ladder to install-and-recompute.
 	pinj := warehouse.NewFaultInjector(cfg.Seed)
 	pinj.SetProbability("step", 1)
 	degraded := w.Clone()
-	rc, err := degraded.RunWindowOpts(warehouse.WindowOptions{
-		Faults: pinj, Retries: 1, Backoff: time.Microsecond, FallbackSequential: true, FallbackRecompute: true,
-	})
+	rc, err := degraded.RunWindowOpts(warehouse.WindowOptions{Faults: pinj})
 	if err != nil {
 		return res, err
 	}

@@ -556,17 +556,14 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 		b.staged = true
 	}
 	rep, err := w.RunWindowOpts(warehouse.WindowOptions{
-		Planner:            in.cfg.Planner,
-		Mode:               in.cfg.Mode,
-		Workers:            in.cfg.Workers,
-		Journal:            in.cfg.Journal,
-		Timeout:            timeout,
-		Context:            ctx,
-		Retries:            2, // in place, before the ladder degrades
-		FallbackSequential: true,
-		FallbackRecompute:  true,
-		Faults:             in.cfg.Faults,
-		Accepts:            b.accepts,
+		Planner: in.cfg.Planner,
+		Mode:    in.cfg.Mode,
+		Workers: in.cfg.Workers,
+		Journal: in.cfg.Journal,
+		Timeout: timeout,
+		Context: ctx,
+		Faults:  in.cfg.Faults,
+		Accepts: b.accepts,
 	})
 	if err != nil {
 		return err

@@ -510,10 +510,13 @@ func TestOperatorAcceptIsNeverRequeued(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A window that aborts, its batch left staged; a restage and a commit.
+	// A window that fails every rung of its ladder — four aborted attempts,
+	// each with an accept of its own — its batch left staged; a restage and a
+	// commit.
 	stage(0)
 	fail := faults.New(1)
-	fail.FailAt("step", 1)
+	fail.FailTimes("step", 1<<30)
+	fail.FailAt("recompute", 1)
 	if _, err := w.RunWindowOpts(warehouse.WindowOptions{Journal: wj, Faults: fail}); err == nil {
 		t.Fatal("the window armed to fail committed")
 	}
@@ -529,8 +532,8 @@ func TestOperatorAcceptIsNeverRequeued(t *testing.T) {
 		t.Fatalf("the window armed to crash returned %v", err)
 	}
 	wj.Close()
-	if lg := readJournal(t, wjPath); lg.LastAccept() != 3 || len(lg.Pending()) != 0 || lg.InFlight() == nil {
-		t.Fatalf("the journal holds %d accepts, %d pending, in flight=%v; want the windows' 3, none pending, one in flight", lg.LastAccept(), len(lg.Pending()), lg.InFlight() != nil)
+	if lg := readJournal(t, wjPath); lg.LastAccept() != 6 || len(lg.Pending()) != 0 || lg.InFlight() == nil {
+		t.Fatalf("the journal holds %d accepts, %d pending, in flight=%v; want the windows' 6, none pending, one in flight", lg.LastAccept(), len(lg.Pending()), lg.InFlight() != nil)
 	}
 
 	restarted := buildFixture(t, fixSeed, fixStores, fixSales)

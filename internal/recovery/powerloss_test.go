@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -180,14 +181,20 @@ func TestPowerLossDifferential(t *testing.T) {
 
 	type outcome struct {
 		name string
-		arm  func(*faults.Injector)
+		arm  func(*Options)
 	}
 	outcomes := []outcome{{name: "commit"}}
 	for k := 1; k <= len(s); k++ {
 		k := k
 		outcomes = append(outcomes,
-			outcome{fmt.Sprintf("abort@%d", k), func(inj *faults.Injector) { inj.FailAt("step", k) }},
-			outcome{fmt.Sprintf("crash@%d", k), func(inj *faults.Injector) { inj.CrashAt("step", k) }})
+			outcome{fmt.Sprintf("abort@%d", k), func(o *Options) {
+				o.Faults = faults.New(1)
+				o.Context = interruptAt{Context: context.Background(), inj: o.Faults, k: k}
+			}},
+			outcome{fmt.Sprintf("crash@%d", k), func(o *Options) {
+				o.Faults = faults.New(1)
+				o.Faults.CrashAt("step", k)
+			}})
 	}
 	modes := []struct {
 		mode    exec.Mode
@@ -203,8 +210,7 @@ func TestPowerLossDifferential(t *testing.T) {
 				disk := newWindowDisk(t, first.Bytes(), held)
 				opts := Options{Journal: prior.Writer(disk), Seq: 2, Mode: m.mode, Workers: m.workers, Validate: true}
 				if oc.arm != nil {
-					opts.Faults = faults.New(1)
-					oc.arm(opts.Faults)
+					oc.arm(&opts)
 				}
 				if _, err := Run(pre, s, opts); (err == nil) != (oc.arm == nil) {
 					t.Fatalf("the window returned %v", err)
@@ -213,6 +219,23 @@ func TestPowerLossDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// interruptAt is a window's context cancelled at the window's k-th step
+// boundary: the k-th step's record is refused and the attempt aborts, as it
+// does at a transient fault there — but no rung of the ladder follows a
+// cancellation, so the abort closes the window.
+type interruptAt struct {
+	context.Context
+	inj *faults.Injector
+	k   int
+}
+
+func (c interruptAt) Err() error {
+	if c.inj.Hits("step") >= c.k {
+		return context.Canceled
+	}
+	return nil
 }
 
 // powerLossCases loses power at every recorded moment of a disk that held

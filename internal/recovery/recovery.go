@@ -29,11 +29,11 @@
 // are instead checked against the replay, turning silent divergence into a
 // hard error.
 //
-// Run also hardens windows against non-crash failures: transient errors
-// retry with exponential backoff (each attempt its own journal window, same
-// sequence number), parallel-mode failures can degrade to sequential
-// execution, and as a last resort the window can fall back to installing
-// the base deltas and recomputing every derived view from scratch.
+// Run also hardens every window against non-crash failures, by one ladder no
+// caller configures: a transient error is retried in place (each attempt its
+// own journal window, same sequence number), a staged or DAG window then gets
+// one sequential attempt, and the last rung installs the base deltas and
+// recomputes every derived view from scratch.
 package recovery
 
 import (
@@ -46,14 +46,13 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/retry"
 	"repro/internal/strategy"
 )
 
 // Options configure Run and Recover.
 type Options struct {
 	// Journal receives the window's records; nil runs unjournaled (the
-	// window is still atomic and retryable, just not recoverable).
+	// window still climbs the ladder atomically, it is just not recoverable).
 	Journal *journal.Writer
 	// Seq is the window's sequence number, recorded in the begin record.
 	Seq int
@@ -82,22 +81,15 @@ type Options struct {
 	// staged; zero journals the staged batch as an accept of the window's own
 	// before each attempt's begin record (journal.BeginRecord.Own).
 	Accepts journal.Range
-	// Retries is how many times a transiently failed attempt is re-run
-	// (beyond the first attempt). Only errors marked transient
-	// (faults.IsTransient) retry; deterministic failures don't.
-	Retries int
-	// Backoff is the first retry's delay, doubling per retry; 0 means 1ms.
-	Backoff time.Duration
-	// Sleep replaces time.Sleep between retries (tests); nil sleeps.
-	Sleep func(time.Duration)
-	// FallbackSequential degrades a failed staged/DAG window to one
-	// sequential attempt before giving up on incremental maintenance.
-	FallbackSequential bool
-	// FallbackRecompute degrades an unrecoverable incremental window to
-	// installing the base deltas and recomputing every derived view — the
-	// maximum-work, minimum-assumptions path.
-	FallbackRecompute bool
 }
+
+// The ladder's first rung: a transiently failed attempt (faults.IsTransient)
+// is re-run in place up to maxRetries times, after a pause of firstPause
+// that doubles for each retry and ends early if the window's context does.
+const (
+	maxRetries = 2
+	firstPause = time.Millisecond
+)
 
 // Result is a completed window: Core is the successor warehouse state (the
 // attempt's clone — the caller adopts it), Report the execution measurements.
@@ -129,21 +121,21 @@ func isCrash(err error, inj *faults.Injector) bool {
 
 // Run executes the strategy as a robust update window against w. w itself is
 // never mutated: each attempt executes on a clone, and the committed clone
-// is returned in Result.Core for the caller to adopt. On a crash-class
-// failure Run returns immediately with the journal left in-flight — exactly
-// the state a killed process leaves behind — for Recover to complete.
+// is returned in Result.Core for the caller to adopt. A failed attempt
+// decides the next by what it observes:
+//
+//   - a crash-class failure returns at once with the journal left in flight —
+//     exactly the state a killed process leaves behind — for Recover;
+//   - a blown deadline or a cancellation returns (the attempt journaled its
+//     abort);
+//   - a transient error is retried in place, up to maxRetries times;
+//   - a staged or DAG window then gets one sequential attempt;
+//   - and the last rung recomputes every derived view (ModeRecompute).
 func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) {
-	mode := opts.Mode
-	if mode == "" {
-		mode = exec.ModeSequential
-	}
-	backoff := retry.Backoff{Policy: retry.Policy{Base: opts.Backoff}}
-	sleep := func(d time.Duration) {
-		if opts.Sleep != nil {
-			opts.Sleep(d)
-			return
-		}
-		time.Sleep(d)
+	// An unknown mode is the caller's mistake: no rung would mend it.
+	mode, err := exec.ParseMode(string(opts.Mode))
+	if err != nil {
+		return nil, err
 	}
 	if opts.Journal != nil && opts.Context != nil {
 		// Gate journal begin/step appends — and a begin's own accept — on the
@@ -153,8 +145,7 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		defer opts.Journal.SetContext(nil)
 	}
 	res := &Result{}
-	retriesLeft := opts.Retries
-	triedSequential := false
+	retries, wait := 0, firstPause
 	for {
 		res.Attempts++
 		rep, clone, err := runAttempt(w, s, mode, opts)
@@ -167,34 +158,50 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		}
 		if exec.ContextErr(opts.Context) != nil {
 			// Deadline or cancellation: the attempt already journaled its
-			// abort; retries and fallbacks would just re-run a dead window.
+			// abort; another rung would just re-run a dead window.
 			return nil, err
 		}
-		if faults.IsTransient(err) && retriesLeft > 0 {
-			retriesLeft--
-			sleep(backoff.Next())
+		if faults.IsTransient(err) && retries < maxRetries {
+			retries++
+			if pause(opts.Context, wait) != nil {
+				return nil, err // the window died in the pause
+			}
+			wait *= 2
 			continue
 		}
-		if opts.FallbackSequential && mode != exec.ModeSequential && !triedSequential {
-			triedSequential = true
+		if mode != exec.ModeSequential && !res.FellBackSequential {
 			mode = exec.ModeSequential
 			res.FellBackSequential = true
 			continue
 		}
-		if opts.FallbackRecompute {
-			res.Attempts++
-			rep, clone, rerr := runAttempt(w, s, exec.ModeRecompute, opts)
-			if rerr == nil {
-				res.Recomputed = true
-				res.Core, res.Report, res.Mode = clone, rep, exec.ModeRecompute
-				return res, nil
-			}
-			if isCrash(rerr, opts.Faults) {
-				return nil, rerr
-			}
-			return nil, fmt.Errorf("recovery: recompute fallback failed: %w (incremental window failed: %v)", rerr, err)
+		res.Attempts++
+		rep, clone, rerr := runAttempt(w, s, exec.ModeRecompute, opts)
+		if rerr == nil {
+			res.Recomputed = true
+			res.Core, res.Report, res.Mode = clone, rep, exec.ModeRecompute
+			return res, nil
 		}
-		return nil, err
+		if isCrash(rerr, opts.Faults) {
+			return nil, rerr
+		}
+		return nil, fmt.Errorf("recovery: recompute fallback failed: %w (incremental window failed: %v)", rerr, err)
+	}
+}
+
+// pause waits d, or until ctx is done (nil never is), and returns ctx's error
+// then.
+func pause(ctx context.Context, d time.Duration) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-done:
+		return ctx.Err()
 	}
 }
 

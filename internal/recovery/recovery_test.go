@@ -152,60 +152,64 @@ func TestRunCommitsAndAdopts(t *testing.T) {
 	}
 }
 
+// TestTransientRetryJournalShape: a transient fault in each of the first two
+// attempts uses both in-place retries. Each failed attempt is a journal window
+// of its own, closed by an abort, and the third commits under the same
+// sequence number after the two pauses (1 ms, then 2 ms).
 func TestTransientRetryJournalShape(t *testing.T) {
 	w, s := newFixture(t)
 	want := refRun(t, w, s)
 	inj := faults.New(1)
-	inj.FailAt("step", 2) // second step of the first attempt fails transiently
+	inj.FailAt("step", 2) // the second step of the first attempt
+	inj.FailAt("step", 3) // the first step of the second
 	var buf bytes.Buffer
-	var slept []time.Duration
+	t0 := time.Now()
 	res, err := Run(w, s, Options{
-		Journal: journal.NewWriter(&buf), Seq: 3, Mode: exec.ModeSequential, Validate: true,
-		Faults: inj, Retries: 2, Backoff: 5 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
+		Journal: journal.NewWriter(&buf), Seq: 3, Mode: exec.ModeSequential, Validate: true, Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", res.Attempts)
+	if took := time.Since(t0); took < 3*firstPause {
+		t.Fatalf("two retries took %v, less than their pauses", took)
 	}
-	if len(slept) != 1 || slept[0] != 5*time.Millisecond {
-		t.Fatalf("backoff sleeps: %v", slept)
+	if res.Attempts != 3 || res.FellBackSequential || res.Recomputed {
+		t.Fatalf("attempts = %d (sequential %v, recomputed %v), want 3 in place", res.Attempts, res.FellBackSequential, res.Recomputed)
 	}
 	sameBags(t, "retried window", want, bags(t, res.Core))
 	lg := readLog(t, &buf)
-	if len(lg.Windows) != 2 {
-		t.Fatalf("%d journal windows, want 2 (abort + commit)", len(lg.Windows))
+	if len(lg.Windows) != 3 {
+		t.Fatalf("%d journal windows, want 3 (abort, abort, commit)", len(lg.Windows))
 	}
-	if lg.Windows[0].Abort == nil || lg.Windows[0].Committed() {
-		t.Fatalf("first attempt not aborted: %+v", lg.Windows[0])
+	for i, steps := range []int{1, 0} {
+		if wl := lg.Windows[i]; wl.Abort == nil || wl.Committed() || len(wl.Steps) != steps {
+			t.Fatalf("attempt %d: aborted=%v, %d steps journaled; want an abort after %d", i+1, wl.Abort != nil, len(wl.Steps), steps)
+		}
 	}
-	if len(lg.Windows[0].Steps) != 1 {
-		t.Fatalf("aborted attempt journaled %d steps, want 1", len(lg.Windows[0].Steps))
+	if !lg.Windows[2].Committed() {
+		t.Fatal("third attempt not committed")
 	}
-	if !lg.Windows[1].Committed() {
-		t.Fatal("second attempt not committed")
-	}
-	if lg.Windows[0].Begin.Seq != 3 || lg.Windows[1].Begin.Seq != 3 {
-		t.Fatal("retry attempts must share the window sequence number")
+	for _, wl := range lg.Windows {
+		if wl.Begin.Seq != 3 {
+			t.Fatal("retry attempts must share the window sequence number")
+		}
 	}
 }
 
+// TestSequentialFallback: a DAG window whose first three attempts fail — the
+// first and both retries — gets one sequential attempt, which commits. One
+// worker keeps each attempt to one hit of the fault point.
 func TestSequentialFallback(t *testing.T) {
 	w, s := newFixture(t)
 	want := refRun(t, w, s)
 	inj := faults.New(1)
-	inj.FailAt("step", 1) // first attempt dies; error is transient but Retries=0
-	res, err := Run(w, s, Options{
-		Mode: exec.ModeDAG, Workers: 4, Validate: true,
-		Faults: inj, FallbackSequential: true,
-	})
+	inj.FailTimes("step", 1+maxRetries)
+	res, err := Run(w, s, Options{Mode: exec.ModeDAG, Workers: 1, Validate: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FellBackSequential || res.Mode != exec.ModeSequential {
-		t.Fatalf("no sequential fallback: %+v", res)
+	if !res.FellBackSequential || res.Mode != exec.ModeSequential || res.Recomputed || res.Attempts != 2+maxRetries {
+		t.Fatalf("no sequential fallback after the retries: %+v", res)
 	}
 	sameBags(t, "fallback window", want, bags(t, res.Core))
 }
@@ -217,8 +221,7 @@ func TestRecomputeFallback(t *testing.T) {
 	inj.SetProbability("step", 1) // every incremental step fails
 	var buf bytes.Buffer
 	res, err := Run(w, s, Options{
-		Journal: journal.NewWriter(&buf), Seq: 9, Mode: exec.ModeDAG, Workers: 2, Validate: true,
-		Faults: inj, FallbackSequential: true, FallbackRecompute: true,
+		Journal: journal.NewWriter(&buf), Seq: 9, Mode: exec.ModeDAG, Workers: 2, Validate: true, Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +251,7 @@ func TestCrashLeavesJournalInFlight(t *testing.T) {
 	inj.CrashAt("step", 2)
 	var buf bytes.Buffer
 	_, err := Run(w, s, Options{
-		Journal: journal.NewWriter(&buf), Seq: 1, Mode: exec.ModeSequential, Validate: true,
-		Faults: inj, Retries: 5, FallbackSequential: true, FallbackRecompute: true,
+		Journal: journal.NewWriter(&buf), Seq: 1, Mode: exec.ModeSequential, Validate: true, Faults: inj,
 	})
 	if err == nil {
 		t.Fatal("crash did not fail the run")
@@ -355,8 +357,7 @@ func TestRecoverInFlightRecomputeWindow(t *testing.T) {
 	inj.CrashAt("recompute", 1)
 	var buf bytes.Buffer
 	_, err := Run(w, s, Options{
-		Journal: journal.NewWriter(&buf), Seq: 2, Mode: exec.ModeSequential, Validate: true,
-		Faults: inj, FallbackRecompute: true,
+		Journal: journal.NewWriter(&buf), Seq: 2, Mode: exec.ModeSequential, Validate: true, Faults: inj,
 	})
 	if err == nil {
 		t.Fatal("crash during recompute did not fail the run")

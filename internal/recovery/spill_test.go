@@ -64,16 +64,14 @@ func newBoundedFixture(t *testing.T) (*core.Warehouse, strategy.Strategy) {
 }
 
 // TestSpillFaultTransientRetry: a single failed spill write is transient —
-// the attempt aborts and the retry (whose spill succeeds) commits.
+// the attempt aborts and the ladder's first in-place retry (whose spill
+// succeeds) commits.
 func TestSpillFaultTransientRetry(t *testing.T) {
 	w, s := newBoundedFixture(t)
 	want := refRun(t, w, s)
 	inj := faults.New(1)
 	inj.FailAt("spill-write", 1)
-	res, err := Run(w, s, Options{
-		Mode: exec.ModeSequential, Validate: true,
-		Faults: inj, Retries: 2,
-	})
+	res, err := Run(w, s, Options{Mode: exec.ModeSequential, Validate: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +98,7 @@ func TestSpillFaultDegradationLadder(t *testing.T) {
 	want := refRun(t, w, s)
 	inj := faults.New(1)
 	inj.SetProbability("spill-write", 1) // every spill write fails, every attempt
-	res, err := Run(w, s, Options{
-		Mode: exec.ModeDAG, Workers: 4, Validate: true,
-		Faults: inj, FallbackSequential: true, FallbackRecompute: true,
-	})
+	res, err := Run(w, s, Options{Mode: exec.ModeDAG, Workers: 4, Validate: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	warehouse "repro"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/retry"
 )
 
 // ErrFollowerDead is wrapped by errors a dead follower returns: a replayed
@@ -33,9 +32,6 @@ type FollowerConfig struct {
 	ChunkBytes int64
 	// Interval is Run's idle poll period once caught up; 50ms when 0.
 	Interval time.Duration
-	// Backoff is the first reconnect delay, doubling up to MaxBackoff
-	// (defaults 10ms and 1s).
-	Backoff, MaxBackoff time.Duration
 	// Faults injects failures for testing: point "fetch" before each log
 	// fetch (transient = disconnect, crash = process death), point "apply"
 	// before each window replay.
@@ -43,9 +39,17 @@ type FollowerConfig struct {
 	// OnApply, when set, is called after each successfully replayed window —
 	// the differential harness's observation hook.
 	OnApply func(warehouse.WindowReport)
-	// Sleep replaces time.Sleep in CatchUp and Run (tests); nil sleeps.
+	// Sleep replaces the pauses of CatchUp and Run (tests); nil pauses until
+	// the delay passes or the context is done.
 	Sleep func(time.Duration)
 }
+
+// The reconnect pause after a failed poll: firstReconnect, doubling up to
+// maxReconnect, and back to firstReconnect after a poll that succeeds.
+const (
+	firstReconnect = 10 * time.Millisecond
+	maxReconnect   = time.Second
+)
 
 // Follower replicates a leader's journal onto its own warehouse. It fetches
 // stable journal bytes from its high-water mark, verifies each chunk
@@ -95,12 +99,6 @@ func NewFollower(w *warehouse.Warehouse, cfg FollowerConfig) *Follower {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 10 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
 	}
 	return &Follower{w: w, cfg: cfg, log: NewLog()}
 }
@@ -288,11 +286,12 @@ func (f *Follower) drain() (applied int, err error) {
 }
 
 // CatchUp polls until the follower has applied everything the leader has
-// committed, retrying transient failures with backoff. It returns once the
-// high-water mark reaches the leader's stable watermark (as of the last
-// successful poll) — or with the follower's fatal error, or ctx's.
+// committed, pausing between failed polls (firstReconnect, doubling up to
+// maxReconnect). It returns once the high-water mark reaches the leader's
+// stable watermark (as of the last successful poll) — or with the follower's
+// fatal error, or ctx's.
 func (f *Follower) CatchUp(ctx context.Context) error {
-	backoff := f.backoff()
+	wait := firstReconnect
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -302,10 +301,11 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 			if errors.Is(err, ErrFollowerDead) {
 				return err
 			}
-			f.sleep(backoff.Next())
+			f.pause(ctx, wait)
+			wait = min(2*wait, maxReconnect)
 			continue
 		}
-		backoff.Reset()
+		wait = firstReconnect
 		if f.Lag().Bytes == 0 {
 			return nil
 		}
@@ -313,10 +313,11 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 }
 
 // Run polls until ctx is done: continuously while behind, every Interval
-// once caught up, backing off across reconnects. It returns ctx.Err() on
-// shutdown or the fatal error if the follower dies.
+// once caught up, pausing longer across consecutive failed polls as CatchUp
+// does. It returns ctx.Err() on shutdown — a pause ends when ctx does — or
+// the fatal error if the follower dies.
 func (f *Follower) Run(ctx context.Context) error {
-	backoff := f.backoff()
+	wait := firstReconnect
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -326,29 +327,29 @@ func (f *Follower) Run(ctx context.Context) error {
 		case errors.Is(err, ErrFollowerDead):
 			return err
 		case err != nil:
-			f.sleep(backoff.Next())
+			f.pause(ctx, wait)
+			wait = min(2*wait, maxReconnect)
 		case applied == 0 && f.Lag().Bytes == 0:
-			backoff.Reset()
-			f.sleep(f.cfg.Interval)
+			wait = firstReconnect
+			f.pause(ctx, f.cfg.Interval)
 		default:
-			backoff.Reset()
+			wait = firstReconnect
 		}
 	}
 }
 
-// backoff builds the reconnect schedule from the follower's config: the
-// shared retry helper's exponential curve from cfg.Backoff capped at
-// cfg.MaxBackoff, reset to the base after every successful poll.
-func (f *Follower) backoff() retry.Backoff {
-	return retry.Backoff{Policy: retry.Policy{Base: f.cfg.Backoff, Max: f.cfg.MaxBackoff}}
-}
-
-func (f *Follower) sleep(d time.Duration) {
+// pause waits d, or until ctx is done; cfg.Sleep, when set, stands in for it.
+func (f *Follower) pause(ctx context.Context, d time.Duration) {
 	if f.cfg.Sleep != nil {
 		f.cfg.Sleep(d)
 		return
 	}
-	time.Sleep(d)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 // disconnect counts a reconnect-worthy failure and passes the error through.

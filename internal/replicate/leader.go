@@ -156,12 +156,7 @@ func (l *Leader) handleLog(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad max", http.StatusBadRequest)
 			return
 		}
-		if m < max {
-			max = m
-		}
-		if m > maxChunkBytes {
-			max = maxChunkBytes
-		}
+		max = min(m, maxChunkBytes)
 	}
 	data, stable, err := l.log.Chunk(from, max)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +137,74 @@ func TestChunkedFetch(t *testing.T) {
 	}
 	if st := f.Stats(); st.ReplayedWindows != 3 {
 		t.Fatalf("replayed %d windows", st.ReplayedWindows)
+	}
+}
+
+// TestLeaderServesTheAskedChunkUpToTheCap: a fetch gets the bytes it asks
+// for, up to maxChunkBytes, and DefaultChunkBytes when it names no max.
+func TestLeaderServesTheAskedChunkUpToTheCap(t *testing.T) {
+	leader := NewLeader(warehouse.New())
+	jw := journal.NewWriter(leader.Log())
+	if err := jw.Begin(journal.BeginRecord{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Step(journal.StepRecord{Key: strings.Repeat("x", maxChunkBytes+1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Commit(journal.CommitRecord{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(leader.Handler())
+	defer srv.Close()
+	for _, c := range []struct {
+		max  string
+		want int
+	}{{"", DefaultChunkBytes}, {"524288", 512 << 10}, {"2097152", 2 << 20}, {"5242880", maxChunkBytes}} {
+		url := srv.URL + "/replicate/log?from=0"
+		if c.max != "" {
+			url += "&max=" + c.max
+		}
+		resp, err := srv.Client().Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", url, resp.Status, err)
+		}
+		if len(body) != c.want {
+			t.Errorf("asked max=%q, served %d bytes; want %d", c.max, len(body), c.want)
+		}
+	}
+}
+
+// TestRunReturnsWhenCancelledMidPause: a caught-up follower pausing through a
+// long Interval returns from Run as soon as its context is cancelled.
+func TestRunReturnsWhenCancelledMidPause(t *testing.T) {
+	const seed = 7500
+	srv := httptest.NewServer(NewLeader(check.Build(t, seed)).Handler())
+	defer srv.Close()
+	f := NewFollower(check.Build(t, seed), FollowerConfig{Leader: srv.URL, Client: srv.Client(), Interval: 3 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.Run(ctx) }()
+	for f.Stats().LastContact.IsZero() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // into the pause after the caught-up poll
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want the context's error", err)
+		}
+		if took := time.Since(cancelled); took > 250*time.Millisecond {
+			t.Fatalf("Run returned %v after the cancel", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run sat out its pause after the cancel")
 	}
 }
 

@@ -161,16 +161,6 @@ type WindowOptions struct {
 	// Context, when set, carries external cancellation (composes with
 	// Timeout).
 	Context context.Context
-	// Retries is how many times a transient failure is retried (with
-	// exponential backoff starting at Backoff) before degrading.
-	Retries int
-	// Backoff is the first retry's sleep; <= 0 means 1ms.
-	Backoff time.Duration
-	// FallbackSequential retries a failed parallel window sequentially once.
-	FallbackSequential bool
-	// FallbackRecompute degrades a persistently failing incremental window
-	// to install-and-recompute — always correct, never fast.
-	FallbackRecompute bool
 	// Faults injects failures for testing (point "step" at step boundaries,
 	// "recompute" in the recompute fallback).
 	Faults *FaultInjector
@@ -184,13 +174,16 @@ type WindowOptions struct {
 
 // RunWindowOpts executes one update window — the only window path: plan the
 // staged changes (StageDelta / StageDeltaCSV), validate, and execute under
-// the chosen mode with the full robustness machinery on request (journaled
-// execution, retry with backoff, sequential and recompute fallbacks,
-// timeout). The window runs on a copy-on-write clone and commits by an
-// atomic epoch flip, so concurrent readers see exactly the pre- or
-// post-window state, and a failed window — including a crash-class fault —
-// leaves the serving epoch untouched. On a crash-class failure the journal
-// is left in-flight for Recover.
+// the chosen mode, journaled and bounded in time on request. Every window
+// climbs the same failure ladder: a transient failure is retried in place
+// twice (pausing 1 ms, then 2 ms), a staged or DAG window then runs once
+// sequentially, and the last rung installs the base deltas and recomputes
+// every derived view — always correct, never fast. A deadline or
+// cancellation ends the window at once. The window runs on a copy-on-write
+// clone and commits by an atomic epoch flip, so concurrent readers see
+// exactly the pre- or post-window state, and a failed window — including a
+// crash-class fault — leaves the serving epoch untouched. On a crash-class
+// failure the journal is left in-flight for Recover.
 func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -211,16 +204,12 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		defer cancel()
 	}
 	ropts := recovery.Options{
-		Planner:            string(plan.Planner),
-		Mode:               o.Mode,
-		Workers:            o.Workers,
-		Context:            ctx,
-		Validate:           true,
-		Faults:             o.Faults,
-		Retries:            o.Retries,
-		Backoff:            o.Backoff,
-		FallbackSequential: o.FallbackSequential,
-		FallbackRecompute:  o.FallbackRecompute,
+		Planner:  string(plan.Planner),
+		Mode:     o.Mode,
+		Workers:  o.Workers,
+		Context:  ctx,
+		Validate: true,
+		Faults:   o.Faults,
 	}
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/journal/journaltest"
 )
 
@@ -93,7 +94,8 @@ func stageSale2(t *testing.T, w *Warehouse) {
 	}
 }
 
-// TestRunWindowOptsDegradation: persistent step failures degrade to the
+// TestRunWindowOptsDegradation: persistent step failures climb the whole
+// ladder — the DAG attempt, its two retries, one sequential attempt — to the
 // recompute fallback, which still produces the correct state.
 func TestRunWindowOptsDegradation(t *testing.T) {
 	ref := newRetail(t)
@@ -106,15 +108,12 @@ func TestRunWindowOptsDegradation(t *testing.T) {
 	stageSale(t, w)
 	inj := NewFaultInjector(3)
 	inj.SetProbability("step", 1)
-	rep, err := w.RunWindowOpts(WindowOptions{
-		Mode: ModeDAG, Workers: 4, Faults: inj,
-		Retries: 1, FallbackSequential: true, FallbackRecompute: true,
-	})
+	rep, err := w.RunWindowOpts(WindowOptions{Mode: ModeDAG, Workers: 4, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Recomputed || rep.Mode != ModeRecompute {
-		t.Fatalf("expected recompute fallback, got %+v", rep)
+	if !rep.Recomputed || rep.Mode != ModeRecompute || !rep.FellBackSequential || rep.Attempts != 5 {
+		t.Fatalf("expected recompute fallback after five attempts, got %+v", rep)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -123,6 +122,58 @@ func TestRunWindowOptsDegradation(t *testing.T) {
 		if !sameRows(rowsOf(t, ref, v), rowsOf(t, w, v)) {
 			t.Fatalf("%s differs after recompute fallback", v)
 		}
+	}
+}
+
+// TestOperatorWindowRetriesInPlace: an operator's window that sets nothing
+// but its faults and its journal climbs the same ladder as the ingester's: one
+// transient step failure costs one in-place retry, and the journal holds the
+// failed attempt's abort and then the commit, under one sequence number.
+func TestOperatorWindowRetriesInPlace(t *testing.T) {
+	ref := newRetail(t)
+	stageSale(t, ref)
+	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "wh.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newRetail(t)
+	stageSale(t, w)
+	inj := NewFaultInjector(1)
+	inj.FailAt("step", 2)
+	rep, err := w.RunWindowOpts(WindowOptions{Faults: inj, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Attempts != 2 || rep.FellBackSequential || rep.Recomputed {
+		t.Fatalf("one transient fault: %d attempts (sequential %v, recomputed %v), want 2 in place", rep.Attempts, rep.FellBackSequential, rep.Recomputed)
+	}
+	for _, v := range ref.Views() {
+		if !sameRows(rowsOf(t, ref, v), rowsOf(t, w, v)) {
+			t.Fatalf("%s differs from the uninterrupted window's result", v)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := journal.ReadLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lg.Windows) != 2 || lg.Windows[0].Abort == nil || !lg.Windows[1].Committed() {
+		t.Fatalf("journal holds %d windows; want an abort, then a commit", len(lg.Windows))
+	}
+	if a, b := lg.Windows[0].Begin.Seq, lg.Windows[1].Begin.Seq; a != 1 || b != 1 {
+		t.Fatalf("the attempts are windows %d and %d; want one sequence number, 1", a, b)
 	}
 }
 

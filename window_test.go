@@ -237,8 +237,13 @@ func TestAbortedWindowLosesOnlyItsIndexes(t *testing.T) {
 	if err := w.StageDelta("B", d); err != nil {
 		t.Fatal(err)
 	}
+	// The Comps are steps 1 and 2: the third step of each attempt fails —
+	// the first and both retries — and so does the recompute rung.
 	inj := NewFaultInjector(1)
-	inj.FailAt("step", 3) // the Comps are steps 1 and 2
+	for hit := 3; hit <= 9; hit += 3 {
+		inj.FailAt("step", hit)
+	}
+	inj.FailAt("recompute", 1)
 	if _, err := w.RunWindowOpts(WindowOptions{Faults: inj}); err == nil {
 		t.Fatal("the injected step failure did not fail the window")
 	}
