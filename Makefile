@@ -66,7 +66,7 @@ replica-smoke:
 	$(GO) test ./internal/replicate/ -count=1
 
 # End-to-end smoke of bounded-memory execution: the budget's accounting, the
-# CRC-framed spill file format (corruption, truncation, injected I/O and
+# spill file format, frames of the journal's (corruption, truncation, injected I/O and
 # ENOSPC faults), the core spill + partition-odometer path (a spilled build
 # the window's cache keeps included), the recovery ladder under persistent
 # spill faults, the facade's window counters and stale-spill-dir sweep, and
@@ -130,7 +130,7 @@ bench:
 
 # One-iteration pass over the Compute benchmarks with allocation stats:
 # cheap enough for CI, and catches probe-path allocation regressions. The
-# storage, journal and join-probe layer benchmarks (the Q3 probe chain
+# storage, state-digest and join-probe layer benchmarks (the Q3 probe chain
 # through ORDER's and CUSTOMER's indexes among them) run once too, so that
 # they keep compiling and executing between the runs of bench-layers that
 # read them.
@@ -141,9 +141,9 @@ bench:
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
 	$(GO) test ./internal/planner -run '^$$' -bench 'BenchmarkPruneScaling/m=1[02]$$' -benchtime 1x -benchmem -timeout 30s
-	$(GO) test ./internal/storage ./internal/journal -run '^$$' -bench . -benchtime 1x -benchmem
+	$(GO) test ./internal/storage -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
-	$(GO) test ./internal/recovery -run '^$$' -bench 'JournaledWindow' -benchtime 1x -benchmem
+	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -benchtime 1x -benchmem
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
@@ -154,13 +154,12 @@ bench-smoke:
 # flushes take 300 µs beside the same window unjournaled (the difference is
 # about one flush of the two it makes: syncs/op). Five samples each,
 # with allocations; the planner's also report prefixes priced per search, the
-# storage, core and journal ones ns/row.
+# storage, core and state-digest ones ns/row.
 bench-layers:
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem
-	$(GO) test ./internal/journal -run '^$$' -bench StateDigest -count 5 -benchmem
-	$(GO) test ./internal/recovery -run '^$$' -bench JournaledWindow -count 5 -benchmem
+	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -count 5 -benchmem
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): each of the
 # four workloads once, end-to-end metrics only, appended to E2E_OUT. With

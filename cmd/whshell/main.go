@@ -633,12 +633,7 @@ func (sh *shell) snapshot(stmt string) error {
 	path := strings.Trim(fields[2], "'")
 	switch strings.ToUpper(fields[1]) {
 	case "SAVE":
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := sh.w.SaveSnapshot(f); err != nil {
+		if err := sh.w.SaveSnapshotFile(sh.ctx, path); err != nil {
 			return err
 		}
 	case "LOAD":

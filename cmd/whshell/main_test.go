@@ -316,6 +316,44 @@ func TestShellErrors(t *testing.T) {
 	}
 }
 
+// TestSnapshotSaveRefusedKeepsTheFile: a SAVE refused for staged changes
+// leaves the snapshot it would have replaced whole, and it still loads.
+func TestSnapshotSaveRefusedKeepsTheFile(t *testing.T) {
+	sales := writeFile(t, "sales.csv", "id,region,amount\n1,west,10\n2,east,5\n")
+	batch := writeFile(t, "batch.csv", "id,region,amount,__count\n3,west,7,1\n")
+	snap := filepath.Join(t.TempDir(), "snap.bin")
+	var out strings.Builder
+	sh := &shell{w: warehouse.New(), out: &out}
+	if err := sh.run(strings.NewReader(`
+CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
+CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
+LOAD SALES FROM '`+sales+`';
+REFRESH;
+SNAPSHOT SAVE '`+snap+`';
+DELTA SALES FROM '`+batch+`';
+`), false); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	saved, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.run(strings.NewReader("SNAPSHOT SAVE '"+snap+"';\n"), false); err == nil || !strings.Contains(err.Error(), "pending") {
+		t.Fatalf("SAVE over staged changes: %v", err)
+	}
+	if after, err := os.ReadFile(snap); err != nil || string(after) != string(saved) {
+		t.Fatalf("the refused SAVE left %d bytes of the %d saved (%v)", len(after), len(saved), err)
+	}
+	if got, err := runScript(t, `
+CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
+CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
+SNAPSHOT LOAD '`+snap+`';
+SELECT region, total FROM TOTALS ORDER BY total DESC LIMIT 1;
+`); err != nil || !strings.Contains(got, "west | 10") {
+		t.Fatalf("loading the kept snapshot: %v\n%s", err, got)
+	}
+}
+
 func TestCutStatement(t *testing.T) {
 	stmt, rest, found := cutStatement("a; b;")
 	if !found || stmt != "a" || rest != " b;" {

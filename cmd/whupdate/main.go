@@ -68,7 +68,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -78,7 +77,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/planner"
-	"repro/internal/snapshot"
 	"repro/internal/tpcd"
 )
 
@@ -422,26 +420,18 @@ func recoverWindow(ctx context.Context, w *warehouse.Warehouse, j *warehouse.Jou
 func checkpointPath(journalPath string) string { return journalPath + ".snap" }
 
 // writeCheckpoint snapshots the installed (pre-window) state atomically
-// (temp file + rename). It must run before staging — the snapshot format
-// holds installed views only; the journal's begin record carries the batch.
-// The write observes ctx: an interrupt mid-checkpoint abandons the temp
-// file, and because the rename is the commit point, a cancelled (half-
-// written) checkpoint can never be adopted as <journal>.snap.
+// (Warehouse.SaveSnapshotFile: temp file + rename). It must run before
+// staging — the snapshot format holds installed views only; the journal's
+// begin record carries the batch. The write observes ctx: an interrupt
+// mid-checkpoint abandons the temp file, and because the rename is the commit
+// point, a cancelled (half-written) checkpoint can never be adopted as
+// <journal>.snap.
 func writeCheckpoint(ctx context.Context, w *warehouse.Warehouse, journalPath string) error {
 	path := checkpointPath(journalPath)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := snapshot.WriteContext(ctx, w.Internal(), tmp); err != nil {
-		tmp.Close()
+	if err := w.SaveSnapshotFile(ctx, path); err != nil {
 		return fmt.Errorf("writing checkpoint %s: %w", path, err)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // printWindow reports a completed window: with -v every step, then the

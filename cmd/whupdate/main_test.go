@@ -168,7 +168,7 @@ func TestCheckpointNotAdoptedOnCancel(t *testing.T) {
 	if _, err := os.Stat(checkpointPath(jpath)); !os.IsNotExist(err) {
 		t.Fatalf("cancelled checkpoint left %s behind (stat err=%v)", checkpointPath(jpath), err)
 	}
-	leftovers, _ := filepath.Glob(filepath.Join(filepath.Dir(jpath), ".snap-*"))
+	leftovers, _ := filepath.Glob(filepath.Join(filepath.Dir(jpath), ".*"))
 	if len(leftovers) != 0 {
 		t.Fatalf("cancelled checkpoint leaked temp files: %v", leftovers)
 	}

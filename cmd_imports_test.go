@@ -62,16 +62,21 @@ func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 	}
 }
 
-// TestOnlyTheJournalFramesRecords: the record log — its frames, their CRC64,
-// the scan over them, the cut of a torn tail — is internal/journal's, and the
-// ingest journal and the replication log are vocabularies that read and write
-// through it. A file of theirs, or of anything above them, that imports
-// hash/crc64 is checking or framing records on its own again: the second copy
-// a durability fix does not reach. The packages listed keep formats of their
-// own (row digests, snapshots, spill files).
+// TestOnlyTheJournalFramesRecords: the record format — its frames, their
+// CRC64, the scan over them, the cut of a torn tail, the cursor that reads a
+// payload — is internal/journal's, and the replication log, snapshots, spill
+// files and accumulator states are written and read through it. A file
+// outside it that imports hash/crc64 is checking or framing records on its
+// own again: the second copy a durability fix does not reach. The packages
+// listed keep row digests of their own. And the format is a leaf: a journal
+// that imported the warehouse's runtime could not be imported by it.
 func TestOnlyTheJournalFramesRecords(t *testing.T) {
-	own := []string{"internal/journal/", "internal/cowmap/", "internal/delta/", "internal/snapshot/", "internal/storage/"}
-	through := map[string]bool{"internal/ingest": false, "internal/replicate": false}
+	own := []string{"internal/journal/", "internal/cowmap/", "internal/delta/"}
+	runtime := map[string]bool{}
+	for _, pkg := range []string{"core", "delta", "storage", "exec", "recovery"} {
+		runtime["repro/internal/"+pkg] = true
+	}
+	through := map[string]bool{"internal/ingest": false, "internal/replicate": false, "internal/snapshot": false, "internal/storage": false, "internal/delta": false}
 	nonTestImports(t, []string{"."}, func(path, imported string) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch {
@@ -81,6 +86,8 @@ func TestOnlyTheJournalFramesRecords(t *testing.T) {
 			}
 		case imported == "hash/crc64" && !slices.ContainsFunc(own, func(p string) bool { return strings.HasPrefix(path, p) }):
 			t.Errorf("%s imports hash/crc64: records are framed and checked by internal/journal", path)
+		case runtime[imported] && strings.HasPrefix(path, "internal/journal/"):
+			t.Errorf("%s imports %s: the record format imports none of the warehouse's runtime", path, imported)
 		}
 	})
 	for dir, ok := range through {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/journal"
+	"repro/internal/recovery"
 	"repro/internal/relation"
 )
 
@@ -133,7 +133,7 @@ func byLoops(c *core.Warehouse, cq *algebra.CQ) []string {
 func Capture(w *warehouse.Warehouse, window ...warehouse.Report) State {
 	p := w.PinEpoch()
 	defer p.Close()
-	s := State{Epoch: p.Epoch(), Bags: bagsOf(p.Internal()), StateDigest: journal.StateDigest(p.Internal())}
+	s := State{Epoch: p.Epoch(), Bags: bagsOf(p.Internal()), StateDigest: recovery.StateDigest(p.Internal())}
 	for _, rep := range window {
 		s.InstDigests = make(map[string]uint64)
 		for _, step := range rep.Steps {
@@ -179,7 +179,7 @@ func Oracle(t testing.TB, w *warehouse.Warehouse) State {
 		t.Fatalf("check: oracle: %v", err)
 	}
 	scan(+1)
-	s := State{Bags: bagsOf(c), InstDigests: make(map[string]uint64), StateDigest: journal.StateDigest(c)}
+	s := State{Bags: bagsOf(c), InstDigests: make(map[string]uint64), StateDigest: recovery.StateDigest(c)}
 	for _, name := range c.ViewNames() {
 		if v := c.MustView(name); !v.IsBase() {
 			got, want := slices.Clone(s.Bags[name]), byLoops(c, v.Def())

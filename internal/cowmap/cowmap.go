@@ -26,9 +26,9 @@ const maxLoad = 16
 
 // Hash is the hash every Map operation takes beside the key: the CRC-64/ECMA
 // of the key's bytes, the value hash/crc64 gives. It is a checksum on
-// purpose — a caller that fingerprints its entries (the state digest of
-// package journal) continues the CRC from the stored hash with Extend
-// instead of reading the key again.
+// purpose — a caller that fingerprints its entries (the state digest the
+// stores keep, which package recovery folds) continues the CRC from the
+// stored hash with Extend instead of reading the key again.
 func Hash(key string) uint64 { return ^update(^uint64(0), key) }
 
 // HashBytes is Hash of a key held as bytes.

@@ -1,10 +1,10 @@
 package delta
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/relation"
 )
 
@@ -124,10 +124,9 @@ func TestMinMaxMatchesScan(t *testing.T) {
 					}
 					live = append(live, pair{cur.a.Clone(), bag})
 				case r == 1:
-					var buf bytes.Buffer
-					buf.Write(cur.a.AppendBinary(nil))
-					back, err := DecodeAccum(&buf, spec)
-					if err != nil {
+					c := journal.NewCursor("test: accumulator", cur.a.AppendBinary(nil))
+					back := DecodeAccum(c, spec)
+					if err := c.Done(); err != nil {
 						t.Fatal(err)
 					}
 					live[i].a = back

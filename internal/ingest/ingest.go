@@ -42,6 +42,7 @@ import (
 	warehouse "repro"
 	"repro/internal/faults"
 	"repro/internal/journal"
+	"repro/internal/recovery"
 )
 
 // ErrIngestOverloaded is returned by Submit when the change queue stayed
@@ -255,7 +256,7 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	if d == nil || d.IsEmpty() {
 		return nil
 	}
-	e := newEntry(journal.AcceptRecord{Batch: []journal.ViewBatch{{View: view, Rows: journal.RowsOf(d)}}})
+	e := newEntry(journal.AcceptRecord{Batch: []journal.ViewBatch{{View: view, Rows: recovery.RowsOf(d)}}})
 	n := e.n
 	in.mu.Lock()
 	if in.err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/journal/journaltest"
+	"repro/internal/recovery"
 )
 
 // heldDisk is a journal disk whose first flush after hold does not start
@@ -116,7 +117,7 @@ func TestSubmitsShareAFlush(t *testing.T) {
 		seqOf[a.Batch[0].Rows[0].Key] = a.Seq
 	}
 	for g := range sets {
-		seq := seqOf[journal.RowsOf(sets[g].delta(t, w))[0].Key]
+		seq := seqOf[recovery.RowsOf(sets[g].delta(t, w))[0].Key]
 		if seq == 0 || durableAt[g] < ends[seq-1] {
 			t.Fatalf("Submit %d returned with %d bytes durable, its accept %d ends at %d", g, durableAt[g], seq, ends[seq-1])
 		}

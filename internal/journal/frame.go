@@ -5,11 +5,16 @@ package journal
 //	[type byte][payload length uvarint][payload][CRC64 big-endian]
 //
 // and this file is everything that knows it but the one writer (journal.go):
-// the one frame decoder, the one loop that walks consecutive frames, the one
-// way a log file is opened for append (torn tail cut first) and the codec of
-// the payloads' fields. The journal (journal.go) brings the record vocabulary,
-// and it and the replication log (internal/replicate), which ships the same
-// records, read and cut through here, so a durability fix lands in both.
+// the one frame encoder and decoder, the one loop that walks consecutive
+// frames, the one way a log file is opened for append (torn tail cut first)
+// and the codec of the payloads' fields. The journal (journal.go) brings the
+// record vocabulary, and it and the replication log (internal/replicate),
+// which ships the same records, read and cut through here, so a durability
+// fix lands in both. It is also the one binary format of the state the
+// warehouse writes and reads back: a snapshot (internal/snapshot) and a spill
+// file (internal/storage) are runs of these frames, and an accumulator state
+// (internal/delta) is fields a Cursor reads. So this package imports none of
+// the packages that hold that state.
 
 import (
 	"encoding/binary"
@@ -185,6 +190,10 @@ func (c *Cursor) Fail(field string, err error) {
 		c.buf = nil
 	}
 }
+
+// Err returns the cursor's error so far, for a loop over a list's items to
+// stop at.
+func (c *Cursor) Err() error { return c.err }
 
 // Done ends the read: the cursor's error, or an error when bytes remain.
 func (c *Cursor) Done() error {

@@ -6,10 +6,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/journal/journaltest"
-	"repro/internal/relation"
 	"repro/internal/strategy"
 )
 
@@ -221,80 +218,6 @@ func TestWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, bytes.ErrTooLarge }
-
-func TestBatchRoundTripThroughWarehouse(t *testing.T) {
-	schema := relation.Schema{
-		{Name: "a", Kind: relation.KindInt},
-		{Name: "b", Kind: relation.KindInt},
-	}
-	build := func() *core.Warehouse {
-		w := core.New(core.Options{})
-		if err := w.DefineBase("B0", schema); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	w := build()
-	d := delta.New(schema)
-	d.Add(relation.Tuple{relation.NewInt(1), relation.NewInt(2)}, 3)
-	d.Add(relation.Tuple{relation.NewInt(4), relation.NewInt(5)}, -1)
-	if err := w.StageDelta("B0", d); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := BatchOf(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 1 || batch[0].View != "B0" || len(batch[0].Rows) != 2 {
-		t.Fatalf("batch: %+v", batch)
-	}
-	w2 := build()
-	if err := RestoreBatch(w2, batch); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := w2.DeltaOf("B0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Digest() != d.Digest() || d2.Size() != d.Size() {
-		t.Fatalf("restored delta digest %x size %d, want %x size %d",
-			d2.Digest(), d2.Size(), d.Digest(), d.Size())
-	}
-	if BatchDigest(batch) == 0 {
-		t.Fatal("batch digest is zero for a non-empty batch")
-	}
-}
-
-func TestStateDigestDetectsChanges(t *testing.T) {
-	schema := relation.Schema{{Name: "a", Kind: relation.KindInt}}
-	w := core.New(core.Options{})
-	if err := w.DefineBase("B0", schema); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadBase("B0", []relation.Tuple{{relation.NewInt(1)}, {relation.NewInt(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	h1 := StateDigest(w)
-	clone := w.Clone()
-	if StateDigest(clone) != h1 {
-		t.Fatal("clone digests differently")
-	}
-	// Pending changes do not contribute until installed.
-	d := delta.New(schema)
-	d.Add(relation.Tuple{relation.NewInt(9)}, 1)
-	if err := clone.StageDelta("B0", d); err != nil {
-		t.Fatal(err)
-	}
-	if StateDigest(clone) != h1 {
-		t.Fatal("staged-but-uninstalled delta changed the state digest")
-	}
-	if _, err := clone.Install("B0"); err != nil {
-		t.Fatal(err)
-	}
-	if StateDigest(clone) == h1 {
-		t.Fatal("installed delta did not change the state digest")
-	}
-}
 
 // TestWriterSetContext: with a cancelled context attached, Begin and Step
 // are refused (a dead window must not open or extend journal windows) while

@@ -210,7 +210,7 @@ func pause(ctx context.Context, d time.Duration) error {
 // journaled as the window's own accept, when the caller names none — digests
 // of the pre-window state and batch, and the work-affecting engine options.
 func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (journal.BeginRecord, error) {
-	batch, err := journal.BatchOf(w)
+	batch, err := BatchOf(w)
 	if err != nil {
 		return journal.BeginRecord{}, err
 	}
@@ -221,7 +221,7 @@ func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Op
 		Mode:            string(mode),
 		Workers:         opts.Workers,
 		SkipEmptyDeltas: o.SkipEmptyDeltas,
-		StateDigest:     journal.StateDigest(w),
+		StateDigest:     StateDigest(w),
 		BatchDigest:     journal.BatchDigest(batch),
 		Strategy:        s.Clone(),
 		Accepts:         opts.Accepts,
@@ -369,7 +369,7 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	if committed {
 		jw = nil
 	}
-	if got := journal.StateDigest(w); b.StateDigest != 0 && got != b.StateDigest {
+	if got := StateDigest(w); b.StateDigest != 0 && got != b.StateDigest {
 		return nil, fmt.Errorf("recovery: state digest %016x does not match window %d's journaled pre-state %016x — wrong snapshot, or a replica that diverged or skipped a window",
 			got, b.Seq, b.StateDigest)
 	}
@@ -385,7 +385,7 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	co := clone.Options()
 	co.SkipEmptyDeltas = b.SkipEmptyDeltas
 	clone.SetOptions(co)
-	if err := journal.RestoreBatch(clone, b.Batch); err != nil {
+	if err := RestoreBatch(clone, b.Batch); err != nil {
 		return nil, fmt.Errorf("recovery: re-staging window %d's batch: %w", b.Seq, err)
 	}
 

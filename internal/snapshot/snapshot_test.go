@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
+	"repro/internal/journal"
 	"repro/internal/relation"
 )
 
@@ -148,9 +149,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 	data := snapshotOf(t, w)
 
 	cases := map[string][]byte{
-		"empty":     nil,
-		"bad magic": append([]byte("NOTMAGIC"), data[8:]...),
-		"truncated": data[:len(data)/2],
+		"empty":      nil,
+		"bad header": append([]byte("NOTMAGIC"), data[8:]...),
+		"truncated":  data[:len(data)/2],
 	}
 	// Flip a payload byte: checksum must catch it.
 	flipped := append([]byte(nil), data...)
@@ -294,16 +295,21 @@ func TestAccumEncodeRoundTrip(t *testing.T) {
 			a.Add(relation.NewInt(9), 1)
 		}
 		raw := a.AppendBinary(nil)
-		dec, err := delta.DecodeAccum(bytes.NewReader(raw), spec)
-		if err != nil {
+		c := journal.NewCursor("test: accumulator", raw)
+		dec := delta.DecodeAccum(c, spec)
+		if err := c.Done(); err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
 		if relation.Compare(a.Output(3), dec.Output(3)) != 0 {
 			t.Errorf("%v: %v vs %v", spec, a.Output(3), dec.Output(3))
 		}
-	}
-	// Corrupt accumulator data errors out.
-	if _, err := delta.DecodeAccum(bytes.NewReader(nil), specs[0]); err == nil {
-		t.Errorf("empty accumulator accepted")
+		// A cut state, the empty one included, is the cursor's error.
+		for cut := range raw {
+			c := journal.NewCursor("test: accumulator", raw[:cut])
+			delta.DecodeAccum(c, spec)
+			if c.Done() == nil {
+				t.Errorf("%v: the state cut at %d/%d was read", spec, cut, len(raw))
+			}
+		}
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"syscall"
 
 	"repro/internal/faults"
+	"repro/internal/journal"
 	"repro/internal/relation"
 )
 
@@ -21,15 +21,15 @@ import (
 // CRC-framed: a torn write or bit flip must surface as a detected error the
 // degradation ladder can act on, never as silently wrong results.
 //
-// File layout: a sequence of frames, each
-//
-//	uvarint payloadLen | payload | 8-byte big-endian CRC64 (ECMA) of payload
-//
-// where payload is a sequence of rows, each
+// A spill file is a run of frames of the record log (journal.EncodeFrame),
+// each of type spillRows, whose payload is a sequence of rows, each
 //
 //	uvarint len(encodedTuple) | encodedTuple | varint count
 //
 // using the relation package's injective tuple encoding.
+
+// spillRows is the type byte of a spill file's frames.
+const spillRows byte = 'S'
 
 // Fault-injection points hit by spill I/O (see internal/faults). spill-write
 // fires before each frame write, spill-read before each partition read, and
@@ -44,8 +44,6 @@ const (
 // mismatch, truncated frame, or an undecodable row).
 var ErrCorruptSpill = errors.New("storage: corrupt spill file")
 
-var spillCRC = crc64.MakeTable(crc64.ECMA)
-
 // spillFrameTarget is the payload size at which a frame is flushed. Small
 // enough that ctx cancellation and fault points are hit at a useful
 // granularity, large enough that framing overhead is negligible.
@@ -57,7 +55,6 @@ type SpillWriter struct {
 	inj     *faults.Injector
 	payload []byte
 	scratch []byte
-	head    [binary.MaxVarintLen64]byte
 	written int64
 	rows    int64
 }
@@ -80,11 +77,8 @@ func (w *SpillWriter) Append(ctx context.Context, t relation.Tuple, count int64)
 		return fmt.Errorf("storage: spill write: %w", ctx.Err())
 	}
 	w.scratch = t.AppendEncoded(w.scratch[:0])
-	n := binary.PutUvarint(w.head[:], uint64(len(w.scratch)))
-	w.payload = append(w.payload, w.head[:n]...)
-	w.payload = append(w.payload, w.scratch...)
-	n = binary.PutVarint(w.head[:], count)
-	w.payload = append(w.payload, w.head[:n]...)
+	w.payload = binary.AppendUvarint(w.payload, uint64(len(w.scratch)))
+	w.payload = binary.AppendVarint(append(w.payload, w.scratch...), count)
 	w.rows++
 	if len(w.payload) >= spillFrameTarget {
 		return w.flush()
@@ -105,12 +99,7 @@ func (w *SpillWriter) flush() error {
 		// transient classification) and the error reports ENOSPC.
 		return fmt.Errorf("storage: spill write: %w", errors.Join(syscall.ENOSPC, err))
 	}
-	n := binary.PutUvarint(w.head[:], uint64(len(w.payload)))
-	frame := make([]byte, 0, n+len(w.payload)+8)
-	frame = append(frame, w.head[:n]...)
-	frame = append(frame, w.payload...)
-	frame = binary.BigEndian.AppendUint64(frame, crc64.Checksum(w.payload, spillCRC))
-	wn, err := w.f.Write(frame)
+	wn, err := w.f.Write(journal.EncodeFrame(spillRows, w.payload))
 	w.written += int64(wn)
 	if err != nil {
 		return fmt.Errorf("storage: spill write: %w", err)
@@ -140,11 +129,11 @@ func (w *SpillWriter) Bytes() int64 { return w.written }
 func (w *SpillWriter) Rows() int64 { return w.rows }
 
 // ReadSpill replays one spill partition file through fn, verifying every
-// frame's CRC, and returns the bytes read. Reading is ctx-aware (checked per
-// frame; nil ctx never cancels) and hits the spill-read fault point once per
-// call. Any damage — truncation, CRC mismatch, undecodable row — returns an
-// error wrapping ErrCorruptSpill with no partial rows delivered beyond the
-// last intact frame.
+// frame's CRC before its rows are decoded (journal.Scan), and returns the
+// bytes read. Reading is ctx-aware (checked per frame; nil ctx never cancels)
+// and hits the spill-read fault point once per call. Any damage — truncation,
+// CRC mismatch, undecodable row — returns an error wrapping ErrCorruptSpill
+// with no partial rows delivered beyond the last intact frame.
 func ReadSpill(ctx context.Context, path string, inj *faults.Injector, fn func(relation.Tuple, int64) error) (int64, error) {
 	if err := inj.Hit(SpillReadPoint); err != nil {
 		return 0, fmt.Errorf("storage: spill read: %w", err)
@@ -153,29 +142,22 @@ func ReadSpill(ctx context.Context, path string, inj *faults.Injector, fn func(r
 	if err != nil {
 		return 0, fmt.Errorf("storage: spill read: %w", err)
 	}
-	off := 0
-	for off < len(buf) {
+	n, err := journal.Scan(buf, func(typ byte, payload []byte, _ int) error {
 		if ctx != nil && ctx.Err() != nil {
-			return int64(off), fmt.Errorf("storage: spill read: %w", ctx.Err())
+			return fmt.Errorf("storage: spill read: %w", ctx.Err())
 		}
-		plen, n := binary.Uvarint(buf[off:])
-		if n <= 0 || plen > uint64(len(buf)-off-n) {
-			return int64(off), fmt.Errorf("%w: truncated frame header at offset %d", ErrCorruptSpill, off)
+		if typ != spillRows {
+			return fmt.Errorf("%w: frame of type %d", ErrCorruptSpill, typ)
 		}
-		payload := buf[off+n : off+n+int(plen)]
-		crcOff := off + n + int(plen)
-		if len(buf)-crcOff < 8 {
-			return int64(off), fmt.Errorf("%w: truncated frame CRC at offset %d", ErrCorruptSpill, off)
-		}
-		if binary.BigEndian.Uint64(buf[crcOff:]) != crc64.Checksum(payload, spillCRC) {
-			return int64(off), fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorruptSpill, off)
-		}
-		if err := decodeSpillFrame(payload, fn); err != nil {
-			return int64(off), err
-		}
-		off = crcOff + 8
+		return decodeSpillFrame(payload, fn)
+	})
+	switch {
+	case errors.Is(err, journal.ErrCorruptFrame):
+		return int64(n), fmt.Errorf("%w at offset %d: %v", ErrCorruptSpill, n, err)
+	case err == nil && n < len(buf):
+		return int64(n), fmt.Errorf("%w: truncated frame at offset %d", ErrCorruptSpill, n)
 	}
-	return int64(off), nil
+	return int64(n), err
 }
 
 // decodeSpillFrame delivers one verified frame's rows to fn. The frame is

@@ -65,7 +65,7 @@ func NewTable(schema relation.Schema) *Table {
 
 // rowDigest fingerprints one row: the CRC-64/ECMA of its encoding followed
 // by its count as a varint, continued from the encoding's stored hash. It
-// is the per-row term of journal.StateDigest, whose values journals and
+// is the per-row term of recovery.StateDigest, whose values journals and
 // followers have recorded; it must not change.
 func rowDigest(keyHash uint64, count int64) uint64 {
 	var buf [binary.MaxVarintLen64]byte

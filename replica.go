@@ -57,7 +57,7 @@ func (w *Warehouse) ApplyWindow(wl *WindowLog) (WindowReport, error) {
 func (w *Warehouse) StateDigest() uint64 {
 	p := w.PinEpoch()
 	defer p.Close()
-	return journal.StateDigest(p.pin.Warehouse())
+	return recovery.StateDigest(p.pin.Warehouse())
 }
 
 // ResumeJournal reads image, the bytes of a journal, and returns a journal

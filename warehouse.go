@@ -30,6 +30,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -798,6 +799,19 @@ func (w *Warehouse) SaveSnapshot(out io.Writer) error {
 	p := w.PinEpoch()
 	defer p.Close()
 	return snapshot.Write(p.pin.Warehouse(), out)
+}
+
+// SaveSnapshotFile is SaveSnapshot to the file at path, observing ctx (nil
+// never cancels): the snapshot goes to a temporary file beside path, renamed
+// over it only once whole, so a save that is refused, fails or is cancelled
+// leaves whatever path held.
+func (w *Warehouse) SaveSnapshotFile(ctx context.Context, path string) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p := w.PinEpoch()
+	defer p.Close()
+	return snapshot.WriteFile(ctx, p.pin.Warehouse(), path)
 }
 
 // LoadSnapshot restores state saved by SaveSnapshot into this warehouse,
