@@ -49,18 +49,24 @@ examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/tpcd
 
-# End-to-end smoke of the query daemon: boot whserverd with a fast window
-# driver, then hit readiness, run queries against flipping epochs, commit a
-# window over HTTP, and drain — the TestServerLifecycle path plus the HTTP
-# handler tests.
+# End-to-end smoke of the query daemon: every test of cmd/whserverd — a
+# daemon with a fast window driver answering queries across flipping epochs
+# and draining (TestServerLifecycle), a leader and two followers
+# (TestReplicaSmoke), an ingesting leader drained mid-stream whose /stats and
+# drain line count the ingester's windows (TestIngestDrainUnderLoad), the
+# refused flag combinations (TestUsageErrors) and the pprof mux — and every
+# test of internal/serve: admission, shedding, windows and their budgets, the
+# HTTP surface and /stats.
 serve-smoke:
 	$(GO) test ./cmd/whserverd/ ./internal/serve/ -count=1
 
-# End-to-end smoke of replication: a whserverd leader with a fast window
-# driver plus two -follow daemons whose lag drains to zero at an advanced
-# epoch, and the replicate package's ship/replay, torn-stream, and failover
-# tests beside its table of replication points of the differential harness
-# (internal/check; the race tier runs it under the detector).
+# End-to-end smoke of replication: TestReplicaSmoke — a whserverd leader with
+# a fast window driver plus two -follow daemons whose lag drains to zero at an
+# advanced epoch and whose /stats count the windows they applied — and every
+# test of internal/replicate: ship and replay, chunked fetches, the writer's
+# shippable mark, torn streams, failover, the golden chunk, and its table of
+# replication points of the differential harness (internal/check; the race
+# tier runs the package under the detector).
 replica-smoke:
 	$(call run-tests,./cmd/whserverd/,TestReplicaSmoke)
 	$(GO) test ./internal/replicate/ -count=1
@@ -103,12 +109,14 @@ race:
 # windows included), over the ones whose handles
 # epochs share bucket by bucket while a window writes its clone (the
 # copy-on-write container, the stores and accumulators on it, the journal
-# writer DAG workers append through), and over the ingester's producers,
-# window loop and Close beside the replicas they ship to.
+# writer DAG workers append through), over the ingester's producers, window
+# loop and Close beside the replicas they ship to, and over the query server,
+# whose /stats reads the window tally that commits write under the facade's
+# lock.
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
-	$(GO) test -race ./internal/ingest/... ./internal/replicate/...
+	$(GO) test -race ./internal/ingest/... ./internal/replicate/... ./internal/serve/...
 
 # Extended fuzzing of the conflict-order invariants (the seed corpus runs
 # under plain `make test` already).

@@ -19,7 +19,8 @@
 // the daemon stages a synthetic change batch and runs an update window on
 // that period — windows whose wall-clock exceeds -window-budget abort
 // cleanly and leave the serving epoch unchanged. Windows can also be
-// triggered externally with POST /window.
+// triggered externally with POST /window. /stats and the drain line count
+// every window the warehouse committed or failed, whichever path ran it.
 //
 // With -ingest the daemon runs the continuous-ingestion regime instead of
 // the periodic driver: a synthetic producer streams sales changes at
@@ -29,8 +30,9 @@
 // window's deadline. Each accepted change set is a record of the leader's
 // journal, and each window's begin record names the ones it installs, so
 // accepted changes ship to followers beside the windows. The ingester owns
-// the window schedule, so -ingest excludes -window-every and -follow, and
-// POST /window answers 409; GET /ingest reports the freshness snapshot. On
+// the window schedule, so -ingest excludes -window-every, -window-budget and
+// -follow, and POST /window answers 409; GET /ingest reports the freshness
+// snapshot. On
 // shutdown the ingester is quiesced first — its queue drains through final
 // windows — before the HTTP listener and query server close, so a drain
 // never strands accepted changes.
@@ -41,7 +43,8 @@
 // warehouse (same -stores/-sales/-seed), continuously fetches the leader's
 // journal, replays each committed window with full digest verification, and
 // serves queries at its own — possibly stale — epoch. Followers are
-// read-only (POST /window answers 403) and report their staleness on /lag.
+// read-only (POST /window answers 403, and -window-budget is refused) and
+// report their staleness on /lag.
 //
 // Endpoints: /query, /window, /epoch, /stats, /healthz (liveness),
 // /readyz (readiness; flips to 503 the moment a drain begins). Leaders add
@@ -154,10 +157,11 @@ type config struct {
 }
 
 // drainReport is what a finished drain leaves behind, surfaced to tests: the
-// leader's shipped log and the ingester's last stats snapshot.
+// leader's shipped log and the ingester's and the server's last stats.
 type drainReport struct {
 	log    *replicate.Log
 	ingest ingest.Stats
+	stats  serve.Stats
 }
 
 // run builds the demo warehouse, serves it until ctx is cancelled, then
@@ -169,12 +173,18 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.follow != "" && cfg.windowEvery > 0 {
 		return usageError{fmt.Errorf("-window-every cannot be combined with -follow: a follower replays the leader's windows")}
 	}
+	if cfg.follow != "" && cfg.windowBudget != 0 {
+		return usageError{fmt.Errorf("-window-budget cannot be combined with -follow: a follower runs no window of its own")}
+	}
 	if cfg.ingest {
 		if cfg.follow != "" {
 			return usageError{fmt.Errorf("-ingest cannot be combined with -follow: a follower replays the leader's windows")}
 		}
 		if cfg.windowEvery > 0 {
 			return usageError{fmt.Errorf("-ingest replaces -window-every: the ingester owns the window schedule")}
+		}
+		if cfg.windowBudget != 0 {
+			return usageError{fmt.Errorf("-window-budget cannot be combined with -ingest: -ingest-slo sets each window's deadline")}
 		}
 		if cfg.ingestRate <= 0 {
 			return usageError{fmt.Errorf("-ingest-rate must be positive (got %d)", cfg.ingestRate)}
@@ -357,7 +367,7 @@ func run(ctx context.Context, cfg config) error {
 		fmt.Printf("whserverd: ingest drained (accepted=%d, shed=%d, windows=%d, p99 staleness %.1fms)\n",
 			ist.Accepted, ist.Shed, ist.Windows, ist.StalenessP99MS)
 		if cfg.drained != nil {
-			cfg.drained <- drainReport{log: leader.Log(), ingest: ist}
+			cfg.drained <- drainReport{log: leader.Log(), ingest: ist, stats: st}
 		}
 	}
 	return runErr

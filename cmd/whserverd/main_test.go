@@ -126,8 +126,9 @@ func TestServerLifecycle(t *testing.T) {
 
 // TestReplicaSmoke boots a leader with a fast window driver and two
 // followers pointed at it, waits for both followers to drain their lag to
-// zero at an advanced epoch, checks follower queries answer and followers
-// refuse writes, then drains all three daemons.
+// zero at an advanced epoch, checks follower queries answer, followers
+// refuse writes and count the windows they applied, then drains all three
+// daemons.
 func TestReplicaSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -236,6 +237,14 @@ func TestReplicaSmoke(t *testing.T) {
 	if fs.Replayed < 3 || fs.Shipped == 0 || fs.Dead != "" {
 		t.Fatalf("follower stats: %+v", fs)
 	}
+	// The follower's /stats counts the windows it applied.
+	var st struct{ WindowsCommitted, WindowsAborted int64 }
+	if code := getJSON(f2Base+"/stats", &st); code != 200 {
+		t.Fatalf("follower /stats = %d", code)
+	}
+	if st.WindowsCommitted < fs.Replayed || st.WindowsAborted != 0 {
+		t.Fatalf("follower /stats counts %+v, after %d windows applied", st, fs.Replayed)
+	}
 	var ls struct {
 		Chunks int64 `json:"chunks_served"`
 	}
@@ -265,6 +274,7 @@ func TestReplicaSmoke(t *testing.T) {
 // lands. The drain must quiesce the ingester first: the leader's shipped log
 // ends with no window in flight, holds one accept per accepted change set,
 // and every accept is installed by a committed window (nothing stranded).
+// /stats and the drain line count the ingester's windows.
 func TestIngestDrainUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -334,6 +344,18 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// /stats counts the ingester's windows: every one committed by the time
+	// /ingest reported it.
+	resp, err = http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served struct{ WindowsCommitted int64 }
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if err != nil || served.WindowsCommitted < st.Windows {
+		t.Fatalf("/stats counts %d committed windows, /ingest had reported %d: %v", served.WindowsCommitted, st.Windows, err)
+	}
 
 	// Drain mid-stream, as a signal would.
 	cancel()
@@ -351,6 +373,9 @@ func TestIngestDrainUnderLoad(t *testing.T) {
 	}
 	if rep.ingest.Err != "" {
 		t.Fatalf("ingester died during the run: %s", rep.ingest.Err)
+	}
+	if rep.stats.WindowsCommitted != rep.ingest.Windows {
+		t.Fatalf("the drain line counts %d committed windows, the ingester committed %d", rep.stats.WindowsCommitted, rep.ingest.Windows)
 	}
 	if rep.ingest.Accepted < st.Accepted {
 		t.Fatalf("accepted count went backwards across the drain (%d < %d)",
@@ -386,19 +411,24 @@ func TestPprofMux(t *testing.T) {
 
 // TestUsageErrors: a mistyped -planner or -mode, or an excluded flag
 // combination, is refused as a usage error before anything is built or
-// listened on — not accepted and then failed by every window.
+// listened on — not accepted and then failed by every window. The context is
+// cancelled already, so a daemon that accepts its flags drains at once.
 func TestUsageErrors(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for name, cfg := range map[string]config{
 		"planner":              {planner: "minwrok", mode: "dag"},
 		"mode":                 {planner: "shared", mode: "dagg"},
 		"ingest+follow":        {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, follow: "127.0.0.1:1"},
 		"window-every+follow":  {planner: "minwork", mode: "dag", windowEvery: time.Second, follow: "127.0.0.1:1"},
 		"ingest, planner typo": {planner: "prun", mode: "dag", ingest: true, ingestRate: 10},
+		"window-budget+ingest": {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, windowBudget: time.Second},
+		"window-budget+follow": {planner: "minwork", mode: "dag", windowBudget: time.Second, follow: "127.0.0.1:1"},
 	} {
 		cfg.addr, cfg.stores, cfg.sales = "127.0.0.1:0", 1, 1
 		ready := make(chan string, 1)
 		cfg.ready = ready
-		err := run(context.Background(), cfg)
+		err := run(cancelled, cfg)
 		var ue usageError
 		if !errors.As(err, &ue) {
 			t.Errorf("%s: run returned %v, want a usage error", name, err)

@@ -117,6 +117,8 @@ type shell struct {
 	// ctx carries process-level cancellation (SIGINT/SIGTERM) into update
 	// windows; nil means Background.
 	ctx context.Context
+	// history holds the lines WINDOW and RECOVER printed, for SHOW HISTORY.
+	history []string
 }
 
 // run reads semicolon-terminated statements and executes them.
@@ -268,6 +270,7 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		if err != nil {
 			return false, err
 		}
+		sh.history = append(sh.history, win.String())
 		fmt.Fprintln(sh.out, win)
 		return false, nil
 	case "SHOW":
@@ -393,6 +396,7 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		if err != nil {
 			return false, err
 		}
+		sh.history = append(sh.history, win.String())
 		fmt.Fprintln(sh.out, win)
 		fmt.Fprintln(sh.out, "ok: in-flight window recovered")
 		return false, nil
@@ -558,8 +562,8 @@ func (sh *shell) show(words []string) error {
 			fmt.Fprintln(sh.out, plan.Strategy)
 		}
 	case "HISTORY":
-		for _, win := range sh.w.History() {
-			fmt.Fprintln(sh.out, win)
+		for _, line := range sh.history {
+			fmt.Fprintln(sh.out, line)
 		}
 	case "STALE":
 		fmt.Fprintln(sh.out, sh.w.StaleViews())

@@ -125,11 +125,11 @@ func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
 // last did. The first block is the planned election under the current
 // planning statistics: every operand at least two Comps of s read, with its
 // estimated size and savings and whether the shared byte budget admits it
-// ("+") or not ("-"). The second, present once a window of this warehouse's
-// history held builds in its cache, lists each of them: requests, hits, built
-// rows and bytes, and its fate (resident, spilled or dropped). A nil strategy
-// renders the second block alone — what a caller that printed the election
-// before its window asks for after it.
+// ("+") or not ("-"). The second, present when the last window this warehouse
+// committed held builds in its cache, lists each of them: requests, hits,
+// built rows and bytes, and its fate (resident, spilled or dropped). A nil
+// strategy renders the second block alone — what a caller that printed the
+// election before its window asks for after it.
 func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
 	var sb strings.Builder
 	if s != nil {
@@ -148,18 +148,15 @@ func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
 				mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
 		}
 	}
-	hist := w.History()
-	for i := len(hist) - 1; i >= 0; i-- {
-		detail := hist[i].Report.SharedDetail
-		if len(detail) == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "shared entries observed (window %d):\n", hist[i].Seq)
+	w.tallyMu.Lock()
+	last := w.last
+	w.tallyMu.Unlock()
+	if detail := last.Report.SharedDetail; len(detail) > 0 {
+		fmt.Fprintf(&sb, "shared entries observed (window %d):\n", last.Seq)
 		for _, d := range detail {
 			fmt.Fprintf(&sb, "  %-24s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
 				d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
 		}
-		break
 	}
 	return sb.String(), nil
 }

@@ -726,7 +726,7 @@ func (r *run) stream() {
 			var err error
 			j, err = warehouse.OpenJournal(wjPath)
 			r.ok(err)
-			_, err = w.Restore(j)
+			err = w.Restore(j)
 			r.ok(err)
 			r.known = make(map[uint64]check.State) // a new process numbers its own epochs
 		}

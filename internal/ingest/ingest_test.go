@@ -1,10 +1,12 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -250,7 +252,7 @@ func TestIngestResumeAfterCrash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := w.Restore(wj); err != nil {
+				if err := w.Restore(wj); err != nil {
 					t.Fatalf("Restore: %v", err)
 				}
 				ing, err := New(Config{Warehouse: w, Journal: wj, Faults: inj, Tick: time.Millisecond})
@@ -542,7 +544,7 @@ func TestOperatorAcceptIsNeverRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wj.Close()
-	if _, err := restarted.Restore(wj); err != nil {
+	if err := restarted.Restore(wj); err != nil {
 		t.Fatal(err)
 	}
 	ing, err := New(Config{Warehouse: restarted, Journal: wj})
@@ -557,5 +559,61 @@ func TestOperatorAcceptIsNeverRequeued(t *testing.T) {
 	}
 	if got, want := restarted.StateDigest(), oracleDigest(t, fixSeed, fixStores, fixSales, sets); got != want {
 		t.Fatalf("after the restart the state digests %016x, the recomputation of the staged batches %016x", got, want)
+	}
+}
+
+// TestWindowsRetainNoReports: thirty windows after an ingester's third, the
+// third's report is garbage: the warehouse keeps a tally of its windows and
+// the last report, and the ingester keeps neither.
+func TestWindowsRetainNoReports(t *testing.T) {
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	third := make(chan (<-chan struct{}), 1)
+	ing, err := New(Config{
+		Warehouse: w,
+		Journal:   warehouse.NewJournal(new(bytes.Buffer)),
+		Tick:      time.Millisecond,
+		OnWindow: func(rep warehouse.WindowReport) {
+			if rep.Seq == 3 {
+				done := make(chan struct{})
+				runtime.SetFinalizer(&rep.Report.Steps[0], func(*warehouse.StepReport) { close(done) })
+				third <- done
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := startRun(ing)
+	for i, s := range genSets(fixSeed, fixStores, fixSales, 33, 4) {
+		if err := ing.Submit("SALES", s.delta(t, w)); err != nil {
+			t.Fatal(err)
+		}
+		for st := ing.Stats(); st.Windows <= int64(i); st = ing.Stats() {
+			if st.Err != "" {
+				t.Fatal(st.Err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := ing.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Tally().Committed; n != 33 {
+		t.Fatalf("%d windows committed, want 33", n)
+	}
+	freed := <-third
+	deadline := time.After(5 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("the report of the ingester's third window is still reachable after its 33rd")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

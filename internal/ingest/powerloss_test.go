@@ -273,7 +273,7 @@ func restart(t *testing.T, image []byte, stores, sales int) uint64 {
 	}
 	defer wj.Close()
 	w := buildFixture(t, fixSeed, stores, sales)
-	if _, err := w.Restore(wj); err != nil {
+	if err := w.Restore(wj); err != nil {
 		t.Fatal(err)
 	}
 	ing, err := New(Config{Warehouse: w, Journal: wj})

@@ -55,7 +55,7 @@ func TestSoakIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Restore(wj); err != nil {
+		if err := w.Restore(wj); err != nil {
 			t.Fatalf("incarnation %d: Restore: %v", incarnations, err)
 		}
 		inj := faults.New(rng.Int63())
@@ -123,7 +123,7 @@ func TestSoakIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Restore(wj); err != nil {
+		if err := w.Restore(wj); err != nil {
 			t.Fatalf("paced-phase restore: %v", err)
 		}
 		ing, err := New(Config{
@@ -175,7 +175,7 @@ func TestSoakIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Restore(wj); err != nil {
+	if err := w.Restore(wj); err != nil {
 		t.Fatalf("final restore: %v", err)
 	}
 	want := oracleDigest(t, seed, stores, sales, sets[:next])

@@ -12,7 +12,8 @@ import (
 // stops; every frame that passes its CRC having been written by a Writer,
 // the records must re-encode to the intact prefix byte for byte; and the
 // accepts left pending must be exactly those that are no operator's and that
-// no committed window names.
+// no committed window names. The same bytes, read as writer calls, drive a
+// Writer whose shippable mark is checked after each (checkShippable).
 func FuzzJournal(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
@@ -37,6 +38,7 @@ func FuzzJournal(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkShippable(t, data[:min(len(data), 200)])
 		lg, err := ReadLog(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -80,4 +82,78 @@ func FuzzJournal(f *testing.F) {
 			t.Fatalf("pending accepts %v; of the stream's %v, no committed window names %v", got, accepts, want)
 		}
 	})
+}
+
+// shipSink is a sink that records what its Writer marks shippable.
+type shipSink struct {
+	bytes.Buffer
+	mark   int
+	latest CommitRecord
+}
+
+func (s *shipSink) Shippable(latest CommitRecord) { s.mark, s.latest = s.Len(), latest }
+
+// checkShippable drives a Writer with the calls ops spell, one a byte — an
+// accept, an operator's window, a window naming the first pending accept, a
+// step, a commit, an abort — and after each checks its shippable mark against
+// an Assembler, fresh at the start, fed every record written: the mark sits
+// at the end of the last record that leaves the Assembler with no window
+// open, and comes with the last commit record it read. So an accept written
+// inside a window ships only with the window's closing record.
+func checkShippable(t *testing.T, ops []byte) {
+	t.Helper()
+	sink := &shipSink{}
+	w := NewWriter(sink)
+	open := false
+	var asm Assembler
+	var latest CommitRecord
+	read, closed := 0, 0
+	batch := []ViewBatch{{View: "A", Rows: []RowChange{{Key: "k", Count: 1}}}}
+	for i, op := range ops {
+		var err error
+		switch op % 6 {
+		case 0:
+			_, _, err = w.Accept(AcceptRecord{UnixNano: int64(i + 1), Batch: batch})
+		case 1:
+			if !open {
+				err, open = w.Begin(BeginRecord{Seq: i, Own: true, Batch: batch}), true
+			}
+		case 2:
+			if p := w.Pending(); !open && len(p) > 0 {
+				err, open = w.Begin(BeginRecord{Seq: i, Accepts: Range{p[0].Seq, p[0].Seq}}), true
+			}
+		case 3:
+			if open {
+				err = w.Step(StepRecord{Index: i})
+			}
+		case 4:
+			if open {
+				err, open = w.Commit(CommitRecord{TotalWork: int64(i), UnixNano: int64(i + 1)}), false
+			}
+		case 5:
+			if open {
+				err, open = w.Abort(AbortRecord{Reason: "abort"}), false
+			}
+		}
+		if err != nil {
+			t.Fatalf("writer call %d (op %d): %v", i, op%6, err)
+		}
+		n, err := Scan(sink.Bytes()[read:], func(typ byte, p []byte, end int) error {
+			wl, err := asm.Feed(typ, p)
+			if wl != nil && wl.Committed() {
+				latest = *wl.Commit
+			}
+			if !asm.InFlight() {
+				closed = read + end
+			}
+			return err
+		})
+		if read += n; err != nil || read != sink.Len() {
+			t.Fatalf("after writer call %d the Assembler reads %d of the %d bytes written: %v", i, read, sink.Len(), err)
+		}
+		if sink.mark != closed || sink.latest != latest {
+			t.Fatalf("after writer call %d (op %d) the mark is at %d with commit %+v; the records leave no window open at %d, the last commit is %+v",
+				i, op%6, sink.mark, sink.latest, closed, latest)
+		}
+	}
 }

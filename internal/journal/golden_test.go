@@ -107,7 +107,7 @@ func reencode(t testing.TB, buf []byte) []byte {
 			again = encodeStep(s)
 		case TypeCommit:
 			var c CommitRecord
-			c, err = DecodeCommitRecord(p)
+			c, err = decodeCommit(p)
 			again = encodeCommit(c)
 		case TypeAbort:
 			c := NewCursor("journal: abort", p)

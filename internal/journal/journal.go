@@ -211,10 +211,15 @@ type Writer struct {
 	ctx context.Context // when non-nil, gates begin and step appends
 	// lastAccept is the sequence number of the last accept appended, pending
 	// the accepts that no committed window installs and that no window was
-	// written for, and open names those of the window last begun.
+	// written for, and open names those of the window last begun; inWindow
+	// reports that window has no closing record yet.
 	lastAccept uint64
 	pending    Accepts
 	open       Range
+	inWindow   bool
+	// latest is the last commit record written, or the one of the log the
+	// writer continues.
+	latest CommitRecord
 	// written counts the bytes appended, durable those a returned sync made
 	// durable, and begun is where the last begin record ends.
 	written, durable, begun int64
@@ -226,10 +231,21 @@ type Writer struct {
 // from 1 (Log.Writer continues a log). If out has a Sync() error method (an
 // *os.File), it is called after each begin, commit and abort record is
 // written, and by Sync. A sync runs while records are written, so out must
-// take Write calls beside it as a file does (see the package comment). A
-// caller that stops using the writer with a window open — or closes out —
-// calls Wait first.
+// take Write calls beside it as a file does (see the package comment). If out
+// has a Shippable(latest CommitRecord) method (package replicate's Log), it is
+// called after each record that leaves no window open — an accept between
+// windows, a commit or abort record — to say all out holds may ship, with the
+// last commit record written or continued behind: an accept written inside a
+// window ships with its closing record. A caller that stops using the writer
+// with a window open — or closes out — calls Wait first.
 func NewWriter(out io.Writer) *Writer { return &Writer{out: out} }
+
+// shipLocked tells out that everything written may ship (w.mu held).
+func (w *Writer) shipLocked() {
+	if s, ok := w.out.(interface{ Shippable(CommitRecord) }); ok {
+		s.Shippable(w.latest)
+	}
+}
 
 // Err returns the sticky error, if any append or sync has failed.
 func (w *Writer) Err() error {
@@ -339,6 +355,9 @@ func (w *Writer) acceptLocked(a AcceptRecord) (AcceptRecord, error) {
 	if w.lastAccept = a.Seq; !a.Own {
 		w.pending = append(w.pending, a)
 	}
+	if !w.inWindow {
+		w.shipLocked()
+	}
 	return a, nil
 }
 
@@ -376,7 +395,7 @@ func (w *Writer) Begin(b BeginRecord) error {
 	if err := w.appendLocked(TypeBegin, p); err != nil {
 		return err
 	}
-	w.open, w.begun = b.Accepts, w.written
+	w.open, w.begun, w.inWindow = b.Accepts, w.written, true
 	go func(end int64) { _ = w.Sync(end) }(w.begun) // a failure is the sticky error
 	return nil
 }
@@ -401,6 +420,7 @@ func (w *Writer) Commit(c CommitRecord) error {
 			c.AcceptUnixNano = named[0].UnixNano
 		}
 		w.pending = w.pending.Without(w.open)
+		w.latest = c
 		return encodeCommit(c)
 	})
 }
@@ -419,6 +439,10 @@ func (w *Writer) close(typ byte, payload func() []byte) error {
 	}
 	w.mu.Lock()
 	err := w.appendLocked(typ, payload())
+	if err == nil {
+		w.inWindow = false
+		w.shipLocked()
+	}
 	end := w.written
 	w.mu.Unlock()
 	if err != nil {
@@ -559,13 +583,20 @@ func (lg *Log) Pending() Accepts { return slices.Clone(lg.asm.held) }
 func (lg *Log) LastAccept() uint64 { return lg.asm.last }
 
 // Writer returns a writer that appends to out behind the log's records: it
-// numbers accepts after the log's last, holds its pending ones, and closes its
-// in-flight window.
+// numbers accepts after the log's last, holds its pending ones, closes its
+// in-flight window, and tells out the log's last commit record until it
+// writes one.
 func (lg *Log) Writer(out io.Writer) *Writer {
 	w := NewWriter(out)
 	w.lastAccept, w.pending = lg.asm.last, lg.Pending()
 	if wl := lg.InFlight(); wl != nil {
-		w.open = wl.Begin.Accepts
+		w.open, w.inWindow = wl.Begin.Accepts, true
+	}
+	for i := len(lg.Windows) - 1; i >= 0; i-- {
+		if c := lg.Windows[i].Commit; c != nil {
+			w.latest = *c
+			break
+		}
 	}
 	return w
 }
@@ -731,7 +762,7 @@ func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
 		a.cur.Steps = append(a.cur.Steps, s)
 		return nil, nil
 	case TypeCommit:
-		c, err := DecodeCommitRecord(payload)
+		c, err := decodeCommit(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -807,10 +838,7 @@ func decodeStep(p []byte) (StepRecord, error) {
 	return s, c.Done()
 }
 
-// DecodeCommitRecord decodes a commit-record payload. Replication reads the
-// stable tip's wall-clock timestamps straight off the byte log with it, so
-// the leader's HTTP handlers never touch the (unsynchronized) parsed journal.
-func DecodeCommitRecord(p []byte) (CommitRecord, error) {
+func decodeCommit(p []byte) (CommitRecord, error) {
 	c := NewCursor("journal: commit", p)
 	rec := CommitRecord{TotalWork: c.Varint("work"), ElapsedNS: c.Varint("elapsed"), UnixNano: c.Varint("time"), AcceptUnixNano: c.Varint("accept time")}
 	return rec, c.Done()

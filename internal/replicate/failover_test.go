@@ -79,8 +79,8 @@ func TestFailover(t *testing.T) {
 	if check.Diff(leaderState, check.Capture(promoted.Warehouse())) != nil {
 		t.Fatal("promoted leader lost committed state")
 	}
-	if promoted.Log().CommittedWindows() != 5 {
-		t.Fatalf("promoted log holds %d committed windows", promoted.Log().CommittedWindows())
+	if n := promoted.Stats().CommittedWindows; n != 5 {
+		t.Fatalf("promoted log holds %d committed windows", n)
 	}
 
 	// The stale follower redirects and catches up to bag-equality.

@@ -70,10 +70,12 @@ type Follower struct {
 
 	// Owned by the polling goroutine: the fetched-but-unapplied tail. pend
 	// always starts on a window boundary; parse marks how much of it has
-	// been fed to asm.
+	// been fed to asm. tip is the commit record of the last window applied,
+	// which the log's watermark carries.
 	pend  []byte
 	parse int
 	asm   journal.Assembler
+	tip   journal.CommitRecord
 
 	mu             sync.Mutex // guards the fields below (Stats readers)
 	leaderEpoch    uint64
@@ -81,7 +83,6 @@ type Follower struct {
 	leaderCommitNS int64 // leader's stable-tip commit time (last contact)
 	leaderAcceptNS int64 // and its batch-accept time
 	lastContact    time.Time
-	replayed       int64
 	shipped        int64
 	reconnects     int64
 	fatal          error
@@ -259,8 +260,8 @@ func (f *Follower) drain() (applied int, err error) {
 				return f.kill(err)
 			}
 			applied++
+			f.tip = *wl.Commit
 			f.mu.Lock()
-			f.replayed++
 			cb := f.cfg.OnApply
 			f.mu.Unlock()
 			if cb != nil {
@@ -268,9 +269,8 @@ func (f *Follower) drain() (applied int, err error) {
 			}
 		}
 		// A closed window, or an accept between windows: durable replica state.
-		if _, err := f.log.Write(f.pend[done : f.parse+end]); err != nil {
-			return f.kill(err)
-		}
+		_, _ = f.log.Write(f.pend[done : f.parse+end]) // a Log takes every byte
+		f.log.Shippable(f.tip)
 		done = f.parse + end
 		return nil
 	})
@@ -456,7 +456,7 @@ func (f *Follower) Stats() FollowerStats {
 		LagBytes:        lag.Bytes,
 		HWM:             f.log.Len(),
 		LeaderStable:    f.leaderStable,
-		ReplayedWindows: f.replayed,
+		ReplayedWindows: f.w.Tally().Replicated,
 		ShippedRecords:  f.shipped,
 		ReconnectCount:  f.reconnects,
 		LastContact:     f.lastContact,

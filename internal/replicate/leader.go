@@ -45,9 +45,8 @@ type Leader struct {
 	log *Log
 	j   *warehouse.Journal
 
-	chunksServed   atomic.Int64
-	shippedRecords atomic.Int64
-	shippedBytes   atomic.Int64
+	chunksServed atomic.Int64
+	shippedBytes atomic.Int64
 }
 
 // NewLeader makes w a replication leader with an empty journal log. Windows
@@ -99,7 +98,6 @@ type LeaderStats struct {
 	StableBytes      int64  `json:"stable_bytes"`
 	CommittedWindows int    `json:"committed_windows"`
 	ChunksServed     int64  `json:"chunks_served"`
-	ShippedRecords   int64  `json:"shipped_records"`
 	ShippedBytes     int64  `json:"shipped_bytes"`
 	// LastCommitNS / LastAcceptNS are the stable tip's wall-clock commit and
 	// batch-accept times (UnixNano, 0 when unrecorded) — what the shipping
@@ -116,9 +114,8 @@ func (l *Leader) Stats() LeaderStats {
 		StateDigest:      l.w.StateDigest(),
 		LogBytes:         l.log.Len(),
 		StableBytes:      l.log.StableLen(),
-		CommittedWindows: l.log.CommittedWindows(),
+		CommittedWindows: l.j.Committed(),
 		ChunksServed:     l.chunksServed.Load(),
-		ShippedRecords:   l.shippedRecords.Load(),
 		ShippedBytes:     l.shippedBytes.Load(),
 		LastCommitNS:     commitNS,
 		LastAcceptNS:     acceptNS,
@@ -177,11 +174,4 @@ func (l *Leader) handleLog(w http.ResponseWriter, r *http.Request) {
 
 	l.chunksServed.Add(1)
 	l.shippedBytes.Add(int64(len(data)))
-	// A stable range ends on a frame boundary: every byte of it is a record.
-	var records int64
-	_, _ = journal.Scan(data, func(byte, []byte, int) error {
-		records++
-		return nil
-	})
-	l.shippedRecords.Add(records)
 }

@@ -25,72 +25,41 @@ import (
 )
 
 // Log is an append-only, in-memory journal byte log with a stability
-// watermark. It implements io.Writer so a journal.Writer can append straight
-// into it; every write is scanned for complete frames, and the watermark
-// advances past every record that no open window holds: a commit or abort
-// record closing a window, and an accept record between windows. Followers
-// are only ever served bytes below the watermark, so a window that is still
-// being written — or that dies in-flight with a crashed leader — never ships,
-// and an accept appended inside an open window ships when the window closes.
-// Safe for concurrent use.
+// watermark: its bytes and the mark of what may ship. A journal.Writer
+// appends straight into it and, through Shippable, moves the mark past
+// every record that leaves no window open — an accept between windows, a
+// commit or abort record — with the times of the latest commit; a follower
+// does the same for the verified bytes it applies. Followers are only ever
+// served bytes below the watermark, so a window that is still being written —
+// or that dies in-flight with a crashed leader — never ships, and an accept
+// appended inside an open window ships when the window closes. Safe for
+// concurrent use.
 type Log struct {
-	mu        sync.Mutex
-	buf       []byte
-	scan      int   // bytes scanned into complete frames
-	stable    int   // bytes through the last record no open window holds
-	open      bool  // a window's begin record is scanned and its closing one not
-	closed    int   // windows closed
-	committed int   // windows committed
-	commitNS  int64 // wall-clock commit time of the last committed window (UnixNano)
-	acceptNS  int64 // its batch-accept time (0 unless it came from the ingest path)
-	err       error
+	mu       sync.Mutex
+	buf      []byte
+	stable   int   // bytes through the last record no open window holds
+	commitNS int64 // wall-clock commit time of the last committed window (UnixNano)
+	acceptNS int64 // its batch-accept time (0 unless it came from the ingest path)
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
 
-// Write appends journal bytes. The journal.Writer upstream emits exactly one
-// complete frame per call, but Write does not rely on that: frames are
-// reassembled across writes. A corrupt complete frame is a local writer bug,
-// not line noise — it poisons the log (sticky error) rather than shipping
-// garbage.
+// Write appends journal bytes; they ship once Shippable marks them.
 func (l *Log) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
 	l.buf = append(l.buf, p...)
-	n, err := journal.Scan(l.buf[l.scan:], func(typ byte, payload []byte, end int) error {
-		switch typ {
-		case journal.TypeBegin:
-			l.open = true
-		case journal.TypeStep:
-		case journal.TypeAccept:
-			if !l.open {
-				l.stable = l.scan + end
-			}
-		case journal.TypeCommit, journal.TypeAbort:
-			l.open = false
-			l.stable = l.scan + end
-			l.closed++
-			if typ == journal.TypeCommit {
-				l.committed++
-				if c, err := journal.DecodeCommitRecord(payload); err == nil {
-					l.commitNS, l.acceptNS = c.UnixNano, c.AcceptUnixNano
-				}
-			}
-		default:
-			return fmt.Errorf("%w: unknown record type %d", journal.ErrCorruptFrame, typ)
-		}
-		return nil
-	})
-	l.scan += n
-	if err != nil {
-		l.err = fmt.Errorf("replicate: scanning appended journal bytes: %w", err)
-		return 0, l.err
-	}
 	return len(p), nil
+}
+
+// Shippable moves the watermark to the end of the bytes written, and records
+// latest, the last committed window's commit record, as the stable tip.
+func (l *Log) Shippable(latest journal.CommitRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stable = len(l.buf)
+	l.commitNS, l.acceptNS = latest.UnixNano, latest.AcceptUnixNano
 }
 
 // StableTip reports the wall-clock commit time of the last committed window
@@ -116,27 +85,6 @@ func (l *Log) StableLen() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int64(l.stable)
-}
-
-// CommittedWindows counts committed windows fully contained in the log.
-func (l *Log) CommittedWindows() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.committed
-}
-
-// ClosedWindows counts closed windows (committed plus aborted).
-func (l *Log) ClosedWindows() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
-}
-
-// Err returns the sticky scan error, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
 }
 
 // Chunk copies out up to max stable bytes starting at offset from — all of

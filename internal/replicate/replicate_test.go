@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,8 +82,12 @@ func TestShipAndReplay(t *testing.T) {
 	if ls.CommittedWindows != 6 || ls.ShippedBytes < st.HWM {
 		t.Errorf("leader stats: %+v", ls)
 	}
-	if f.Log().CommittedWindows() != 6 {
-		t.Errorf("follower log holds %d committed windows", f.Log().CommittedWindows())
+	image, _, _ := f.Log().Chunk(0, 0)
+	if lg, err := journal.ReadLog(bytes.NewReader(image)); err != nil || lg.CommittedCount() != 6 {
+		t.Errorf("follower log holds %d committed windows: %v", lg.CommittedCount(), err)
+	}
+	if tally := f.Warehouse().Tally(); tally.Committed != 6 || tally.Replicated != 6 {
+		t.Errorf("follower tally: %+v", tally)
 	}
 }
 
@@ -208,36 +213,105 @@ func TestRunReturnsWhenCancelledMidPause(t *testing.T) {
 	}
 }
 
-// TestUnstableTailNeverShips: mid-window journal bytes stay above the stable
-// watermark; only closed windows are fetchable.
+// TestUnstableTailNeverShips: the writer marks the log shippable after every
+// record that leaves no window open, and nowhere else, so mid-window bytes —
+// an accept appended among the window's steps included — stay above the
+// stable watermark until the window's closing record, and only closed windows
+// and the accepts between them are fetchable. After each record the mark sits
+// where a fresh Assembler, fed the log's records, last had no window open.
 func TestUnstableTailNeverShips(t *testing.T) {
 	l := NewLog()
 	jw := journal.NewWriter(l)
-	if err := jw.Begin(journal.BeginRecord{Seq: 1}); err != nil {
-		t.Fatal(err)
+	accept := func() error {
+		_, _, err := jw.Accept(journal.AcceptRecord{UnixNano: 5, Batch: []journal.ViewBatch{{View: "A", Rows: []journal.RowChange{{Key: "k", Count: 1}}}}})
+		return err
 	}
-	if err := jw.Step(journal.StepRecord{Index: 0, Key: "x"}); err != nil {
-		t.Fatal(err)
+	commit := journal.CommitRecord{UnixNano: 9, ElapsedNS: 1}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"accept between windows", accept},
+		{"begin", func() error { return jw.Begin(journal.BeginRecord{Seq: 1, Accepts: journal.Range{Lo: 1, Hi: 1}}) }},
+		{"step", func() error { return jw.Step(journal.StepRecord{Index: 0, Key: "x"}) }},
+		{"accept inside the window", accept},
+		{"commit", func() error { return jw.Commit(commit) }},
+		{"accept between windows", accept},
+		{"operator's begin", func() error { return jw.Begin(journal.BeginRecord{Seq: 2, Own: true}) }},
+		{"accept inside the window", accept},
+		{"abort", func() error { return jw.Abort(journal.AbortRecord{Reason: "deadline"}) }},
 	}
-	if l.StableLen() != 0 {
-		t.Fatalf("open window became stable: %d bytes", l.StableLen())
-	}
-	if l.Len() == 0 {
-		t.Fatal("journal bytes not appended")
-	}
-	data, stable, err := l.Chunk(0, 1<<20)
-	if err != nil || len(data) != 0 || stable != 0 {
-		t.Fatalf("chunk of unstable log: %d bytes, stable %d, err %v", len(data), stable, err)
-	}
-	if err := jw.Commit(journal.CommitRecord{}); err != nil {
-		t.Fatal(err)
+	for _, s := range steps {
+		before := l.StableLen()
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		image, _, _ := l.Chunk(0, 0)
+		if len(image) != int(l.StableLen()) {
+			t.Fatalf("%s: a chunk of everything holds %d bytes, the mark is at %d", s.name, len(image), l.StableLen())
+		}
+		if want := closedPrefix(t, l); l.StableLen() != want {
+			t.Fatalf("%s: the mark is at %d, the records leave no window open at %d", s.name, l.StableLen(), want)
+		}
+		if s.name == "accept inside the window" && l.StableLen() != before {
+			t.Fatalf("an accept inside an open window moved the mark from %d to %d", before, l.StableLen())
+		}
 	}
 	if l.StableLen() != l.Len() {
-		t.Fatalf("commit did not stabilize: stable %d, len %d", l.StableLen(), l.Len())
+		t.Fatalf("the closed log did not stabilize: stable %d, len %d", l.StableLen(), l.Len())
 	}
-	if l.CommittedWindows() != 1 || l.ClosedWindows() != 1 {
-		t.Fatalf("windows: committed %d closed %d", l.CommittedWindows(), l.ClosedWindows())
+	if commitNS, acceptNS := l.StableTip(); commitNS != commit.UnixNano || acceptNS != 5 {
+		t.Fatalf("stable tip %d/%d, the commit record holds %d/5", commitNS, acceptNS, commit.UnixNano)
 	}
+}
+
+// TestResumedLogKeepsItsTip: a leader resumed over a replicated log — a
+// promoted follower's — ships an accept it writes between windows with the
+// log's last commit as its stable tip, until it commits a window of its own.
+func TestResumedLogKeepsItsTip(t *testing.T) {
+	l := NewLog()
+	jw := journal.NewWriter(l)
+	batch := []journal.ViewBatch{{View: "A", Rows: []journal.RowChange{{Key: "k", Count: 1}}}}
+	if err := jw.Begin(journal.BeginRecord{Seq: 1, Own: true, Batch: batch}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Commit(journal.CommitRecord{UnixNano: 9}); err != nil {
+		t.Fatal(err)
+	}
+	leader, err := NewLeaderFrom(warehouse.New(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := leader.Journal().Accept(journal.AcceptRecord{UnixNano: 11, Batch: batch}); err != nil {
+		t.Fatal(err)
+	}
+	if commitNS, _ := l.StableTip(); l.StableLen() != l.Len() || commitNS != 9 {
+		t.Fatalf("after the resumed leader's accept: stable %d of %d bytes, tip %d; want all of them and 9", l.StableLen(), l.Len(), commitNS)
+	}
+}
+
+// closedPrefix reads every byte l holds, the unstable tail included, with a
+// fresh Assembler and returns where the last record that leaves it with no
+// window open ends.
+func closedPrefix(t *testing.T, l *Log) int64 {
+	t.Helper()
+	l.mu.Lock()
+	all := slices.Clone(l.buf)
+	l.mu.Unlock()
+	var asm journal.Assembler
+	closed := 0
+	if _, err := journal.Scan(all, func(typ byte, p []byte, end int) error {
+		if _, err := asm.Feed(typ, p); err != nil {
+			return err
+		}
+		if !asm.InFlight() {
+			closed = end
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return int64(closed)
 }
 
 // TestHTTPEndpoints: /lag and both /replicate/stats endpoints serve JSON

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -108,7 +109,8 @@ type windowRequest struct {
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
 	// BudgetMS is the window's wall-clock budget in (possibly fractional)
-	// milliseconds; 0 falls back to the server's configured budget.
+	// milliseconds; 0 falls back to the server's configured budget. A
+	// negative one, or one a time.Duration cannot hold, is refused.
 	BudgetMS float64 `json:"budget_ms"`
 }
 
@@ -145,11 +147,16 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	budget := wr.BudgetMS * float64(time.Millisecond)
+	if !(budget >= 0 && budget < math.MaxInt64) {
+		http.Error(w, fmt.Sprintf("budget_ms %g is not a budget: it must be at least 0 and under %d", wr.BudgetMS, math.MaxInt64/int64(time.Millisecond)), http.StatusBadRequest)
+		return
+	}
 	opts := warehouse.WindowOptions{
 		Planner: planner,
 		Mode:    mode,
 		Workers: wr.Workers,
-		Timeout: time.Duration(wr.BudgetMS * float64(time.Millisecond)),
+		Timeout: time.Duration(budget),
 	}
 	rep, err := s.RunWindow(r.Context(), opts)
 	if err != nil {

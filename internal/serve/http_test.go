@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	warehouse "repro"
 )
@@ -88,13 +89,13 @@ func TestHTTPQueryWindowLifecycle(t *testing.T) {
 		t.Fatalf("stats = %d %s", code, body)
 	}
 	// The window's δSALES read STORES' state through its resident join
-	// index; /stats carries every engine counter the window reported.
+	// index; /stats carries every engine counter the warehouse's tally holds.
 	var st Stats
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.IndexProbes == 0 || st.EngineCounters != w.History()[0].Counters().EngineCounters {
-		t.Fatalf("stats engine counters = %+v, the window reported %+v", st.EngineCounters, w.History()[0].Counters().EngineCounters)
+	if st.IndexProbes == 0 || st.EngineCounters != w.Tally().EngineCounters {
+		t.Fatalf("stats engine counters = %+v, the tally holds %+v", st.EngineCounters, w.Tally().EngineCounters)
 	}
 	resp, err = http.Post(srv.URL+"/window", "application/json", strings.NewReader(`{"planner":"minwrok"}`))
 	if err != nil {
@@ -156,4 +157,31 @@ func TestHTTPWindowBudgetAbort(t *testing.T) {
 		t.Fatalf("epoch after aborted window = %d", er.Epoch)
 	}
 	_ = warehouse.ErrWindowAborted // documented mapping under test above
+}
+
+// TestHTTPWindowRefusesABadBudget: a budget_ms that is negative, or too large
+// for a time.Duration (1e300 ms would wrap to a negative one), is a bad
+// request — not a window with no deadline that bypasses the server's budget.
+func TestHTTPWindowRefusesABadBudget(t *testing.T) {
+	w := newRetail(t)
+	s := New(w, Config{WindowBudget: time.Hour})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	stageSale(t, w, 103)
+	for _, budget := range []string{"-1", "-0.5", "1e300", "9.3e12"} {
+		resp, err := http.Post(srv.URL+"/window", "application/json", strings.NewReader(`{"budget_ms":`+budget+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("budget_ms %s: %d %s, want 400", budget, resp.StatusCode, body)
+		}
+	}
+	if e, tally := s.Epoch(), w.Tally(); e != 1 || tally.Committed+tally.Failed != 0 {
+		t.Fatalf("a refused window ran: epoch %d, tally %+v", e, tally)
+	}
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	warehouse "repro"
-	"repro/internal/core"
 	"repro/internal/ingest"
 )
 
@@ -87,17 +86,16 @@ type Stats struct {
 	// with ErrOverloaded; Expired those whose deadline fired while queued;
 	// Completed and Failed the executed ones by outcome.
 	Admitted, Shed, Expired, Completed, Failed uint64
-	// WindowsCommitted and WindowsAborted count update windows run through
-	// the server, by outcome.
-	WindowsCommitted, WindowsAborted uint64
-	// EngineCounters accumulates every committed window's engine counters —
-	// what WindowReport.Counters reports for one window: the build cache's,
-	// the memory budget's and the resident join indexes' side of the work.
-	core.EngineCounters
-	// SharedBytesPeak is the largest resident footprint any window's build
-	// cache reached, MemPeakBytes the largest reserved-build-state peak (0
-	// with no memory budget configured).
-	SharedBytesPeak, MemPeakBytes int64
+	// WindowsCommitted and WindowsAborted count the served warehouse's update
+	// windows by outcome, whoever ran them — this server, an ingester, a
+	// follower's replay (warehouse.WindowTally's Committed and Failed).
+	WindowsCommitted, WindowsAborted int64
+	// WindowCounters sums every committed window's engine counters — what
+	// WindowReport.Counters reports for one window: the build cache's, the
+	// memory budget's and the resident join indexes' side of the work — and
+	// holds the largest build-cache footprint and reserved build state any
+	// window reached (the latter 0 with no memory budget configured).
+	warehouse.WindowCounters
 	// PlanCache* mirror the warehouse's prepared-plan cache counters: a
 	// hit served a query's plan straight from SQL bytes with zero parser
 	// work. All zero when caching is disabled (PlanCacheCap == 0).
@@ -142,13 +140,7 @@ type Server struct {
 	draining bool
 	ing      *ingest.Ingester
 
-	// engine, sharedBytesPeak and memPeakBytes fold the committed windows'
-	// counters (guarded by mu).
-	engine                        core.EngineCounters
-	sharedBytesPeak, memPeakBytes int64
-
 	admitted, shed, expired, completed, failed atomic.Uint64
-	windowsCommitted, windowsAborted           atomic.Uint64
 
 	// gate, when set (tests), runs in the worker before each query executes
 	// — a hook to hold workers busy and fill the queue deterministically.
@@ -157,8 +149,9 @@ type Server struct {
 
 // New starts a server over w with cfg's pool and queue. The caller keeps
 // ownership of w: staging deltas and running windows directly remains
-// legal (the facade serializes mutators), but RunWindow on the server is
-// the instrumented path.
+// legal (the facade serializes mutators, and counts every window in its
+// tally, which Stats reports); RunWindow adds the server's budget and
+// journal.
 func New(w *warehouse.Warehouse, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{w: w, cfg: cfg, queue: make(chan *request, cfg.QueueDepth)}
@@ -262,8 +255,8 @@ func (s *Server) serveOne(req *request) {
 
 // RunWindow executes one update window through the server: the staged
 // changes are planned and installed as usual, but the window carries the
-// server's budget (opts.Timeout, or Config.WindowBudget when unset) and the
-// given context, and the outcome lands in the server's counters. Queries
+// server's budget (opts.Timeout, or Config.WindowBudget when unset; negative
+// sets none) and journal, and the given context. Queries
 // keep flowing during the window — a window commit is an atomic epoch flip,
 // so every concurrent query sees exactly the pre- or post-window state. A
 // window that exceeds its budget aborts cleanly (warehouse.ErrWindowAborted)
@@ -284,23 +277,7 @@ func (s *Server) RunWindow(ctx context.Context, opts warehouse.WindowOptions) (w
 			defer cancel()
 		}
 	}
-	rep, err := s.w.RunWindowOpts(opts)
-	if err != nil {
-		s.windowsAborted.Add(1)
-		return rep, err
-	}
-	s.windowsCommitted.Add(1)
-	c := rep.Counters()
-	s.mu.Lock()
-	s.engine.Add(c.EngineCounters)
-	if c.SharedBytesPeak > s.sharedBytesPeak {
-		s.sharedBytesPeak = c.SharedBytesPeak
-	}
-	if c.PeakReservedBytes > s.memPeakBytes {
-		s.memPeakBytes = c.PeakReservedBytes
-	}
-	s.mu.Unlock()
-	return rep, nil
+	return s.w.RunWindowOpts(opts)
 }
 
 // mergeCtx derives a context cancelled when either parent is.
@@ -326,7 +303,6 @@ func (s *Server) Stats() Stats {
 	draining := s.draining
 	qlen := len(s.queue)
 	ing := s.ing
-	engine, sharedPeak, memPeak := s.engine, s.sharedBytesPeak, s.memPeakBytes
 	s.mu.Unlock()
 	var ingStats *ingest.Stats
 	if ing != nil {
@@ -334,6 +310,7 @@ func (s *Server) Stats() Stats {
 		ingStats = &st
 	}
 	pc := s.w.PlanCacheStats()
+	t := s.w.Tally()
 	return Stats{
 		Ingest:               ingStats,
 		PlanCacheHits:        pc.Hits,
@@ -347,11 +324,9 @@ func (s *Server) Stats() Stats {
 		Expired:              s.expired.Load(),
 		Completed:            s.completed.Load(),
 		Failed:               s.failed.Load(),
-		WindowsCommitted:     s.windowsCommitted.Load(),
-		WindowsAborted:       s.windowsAborted.Load(),
-		EngineCounters:       engine,
-		SharedBytesPeak:      sharedPeak,
-		MemPeakBytes:         memPeak,
+		WindowsCommitted:     t.Committed,
+		WindowsAborted:       t.Failed,
+		WindowCounters:       t.WindowCounters,
 		Epoch:                s.w.Epoch(),
 		LiveEpochs:           s.w.LiveEpochs(),
 		QueueLen:             qlen,

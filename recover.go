@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -51,8 +52,8 @@ type Journal struct {
 	path string
 	// committed counts the journal's committed windows: those it held when
 	// opened plus those committed through this handle. The next window is
-	// numbered committed+1.
-	committed int
+	// numbered committed+1. Atomic: a leader's stats read it while windows run.
+	committed atomic.Int64
 	// inflight is the window OpenJournal found begun and never closed — what
 	// Recover completes; nil otherwise.
 	inflight *journal.WindowLog
@@ -90,7 +91,8 @@ func OpenJournal(path string) (*Journal, error) {
 
 // resume makes a journal that appends to out behind the records of lg.
 func resume(lg *journal.Log, out io.Writer) *Journal {
-	j := &Journal{w: lg.Writer(out), committed: lg.CommittedCount()}
+	j := &Journal{w: lg.Writer(out)}
+	j.committed.Store(int64(lg.CommittedCount()))
 	if wl := lg.InFlight(); wl != nil {
 		// A copy: a pointer into lg would keep every window's batch alive.
 		inflight := *wl
@@ -112,7 +114,7 @@ func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
 
 // Committed returns the number of committed windows the journal held when
 // opened, plus those committed through it since.
-func (j *Journal) Committed() int { return j.committed }
+func (j *Journal) Committed() int { return int(j.committed.Load()) }
 
 // Accept appends a change batch accepted from a stream as an accept record,
 // numbered after the journal's last, for a window to name
@@ -184,9 +186,16 @@ type WindowOptions struct {
 // exactly the pre- or post-window state, and a failed window — including a
 // crash-class fault — leaves the serving epoch untouched. On a crash-class
 // failure the journal is left in-flight for Recover.
-func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
+func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer func() {
+		if err != nil {
+			w.tallyMu.Lock()
+			w.tally.Failed++
+			w.tallyMu.Unlock()
+		}
+	}()
 	if o.Journal != nil && o.Journal.NeedsRecovery() {
 		return WindowReport{}, ErrRecoveryNeeded
 	}
@@ -213,7 +222,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 	}
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w
-		ropts.Seq = o.Journal.committed + 1
+		ropts.Seq = o.Journal.Committed() + 1
 		ropts.SpillDir = recovery.SpillDir(o.Journal.path, ropts.Seq)
 		ropts.Accepts = o.Accepts
 	}
@@ -229,24 +238,23 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	if o.Journal != nil {
-		o.Journal.committed++
+		o.Journal.committed.Add(1)
 	}
 	return w.commit(res, WindowReport{Planner: plan.Planner, Plan: plan, Started: started}), nil
 }
 
-// commit is the adopt-and-record step every window path ends in — a local
+// commit is the adopt-and-count step every window path ends in — a local
 // window (RunWindowOpts), a recovered one (Recover) and a replicated one
 // (ApplyWindow): the completed clone becomes the serving epoch, and window —
 // which arrives carrying what only its caller knows (planner, plan, start
-// time) — is completed from the result and appended to the history. Callers
-// hold w.mu.
+// time) — is completed from the result, folded into the tally and kept as the
+// last report, the only one kept. Callers hold w.mu.
 func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowReport {
 	w.adopt(res.Core)
-	// The history keeps its own copy of the scheduling metrics: a pointer
-	// into res would keep res.Core — this epoch's private tables — reachable
-	// long after the epoch has retired.
+	// The report keeps its own copy of the scheduling metrics: a pointer into
+	// res would keep res.Core — this epoch's private tables — reachable after
+	// the epoch has retired.
 	sched := res.Report.Sched
-	window.Seq = len(w.history) + 1
 	window.Mode = res.Mode
 	window.Parallel = &sched
 	window.Report = res.Report
@@ -256,7 +264,11 @@ func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowRepo
 	window.Recomputed = res.Recomputed
 	window.Recovered = res.Recovered
 	window.Replicated = res.Replayed
-	w.history = append(w.history, window)
+	w.tallyMu.Lock()
+	defer w.tallyMu.Unlock()
+	w.tally.add(window)
+	window.Seq = int(w.tally.Committed)
+	w.last = window
 	return window
 }
 
@@ -289,7 +301,7 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 		return WindowReport{}, err
 	}
 	j.inflight = nil
-	j.committed++
+	j.committed.Add(1)
 	return w.commit(res, WindowReport{
 		Planner:        PlannerName(begin.Planner),
 		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
@@ -304,41 +316,35 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 // in-flight window — the signature of a crash mid-window — is completed via
 // Recover. The warehouse must be at the journal's initial state: the
 // deterministic fixture whose digest the first window's begin record pins.
-// One report per replayed window is returned.
-func (w *Warehouse) Restore(j *Journal) ([]WindowReport, error) {
+// The tally counts every window it replays.
+func (w *Warehouse) Restore(j *Journal) error {
 	if j == nil {
-		return nil, errors.New("warehouse: Restore requires a journal")
+		return errors.New("warehouse: Restore requires a journal")
 	}
 	var lg journal.Log
 	if j.path != "" {
 		in, err := os.Open(j.path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lg, err = journal.ReadLog(in)
 		in.Close()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: reading journal %s: %w", j.path, err)
+			return fmt.Errorf("warehouse: reading journal %s: %w", j.path, err)
 		}
 	}
-	var out []WindowReport
 	for i := range lg.Windows {
 		wl := &lg.Windows[i]
 		if !wl.Committed() {
 			continue // aborted, or the in-flight tail Recover handles below
 		}
-		rep, err := w.ApplyWindow(wl)
-		if err != nil {
-			return out, fmt.Errorf("warehouse: restoring window %d: %w", wl.Begin.Seq, err)
+		if _, err := w.ApplyWindow(wl); err != nil {
+			return fmt.Errorf("warehouse: restoring window %d: %w", wl.Begin.Seq, err)
 		}
-		out = append(out, rep)
 	}
 	if j.NeedsRecovery() {
-		rep, err := w.Recover(j)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
+		_, err := w.Recover(j)
+		return err
 	}
-	return out, nil
+	return nil
 }

@@ -76,8 +76,8 @@ func TestRunWindowOptsJournaled(t *testing.T) {
 	if j.Committed() != 2 {
 		t.Fatalf("journal committed = %d after two windows", j.Committed())
 	}
-	if len(w.History()) != 2 {
-		t.Fatalf("history has %d windows", len(w.History()))
+	if n := w.Tally().Committed; n != 2 {
+		t.Fatalf("tally has %d windows", n)
 	}
 }
 

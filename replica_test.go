@@ -129,9 +129,8 @@ func TestResumeJournal(t *testing.T) {
 	if follower.Epoch() != leader.Epoch()+1 {
 		t.Fatalf("promoted follower epoch %d", follower.Epoch())
 	}
-	hist := follower.History()
-	if n := len(hist); n != 3 || !hist[0].Replicated || hist[n-1].Replicated {
-		t.Fatalf("history shape wrong: %+v", hist)
+	if tally := follower.Tally(); tally.Committed != 3 || tally.Replicated != 2 {
+		t.Fatalf("tally: %d committed, %d replicated; want 3 and 2", tally.Committed, tally.Replicated)
 	}
 }
 
@@ -145,22 +144,52 @@ func collected(w *Warehouse) <-chan struct{} {
 	return done
 }
 
-// TestWindowHistoryReleasesRetiredEpochs: the window history keeps reports,
-// not warehouses. After thirty journaled windows on a leader and their
-// replay on a follower, an epoch retired early on is garbage on both — its
-// private table copies with it — and one epoch is live.
-func TestWindowHistoryReleasesRetiredEpochs(t *testing.T) {
+// stepsCollected arranges for the returned channel to close once the garbage
+// collector has reclaimed the steps of rep — the bulk of a window's report.
+func stepsCollected(rep WindowReport) <-chan struct{} {
+	done := make(chan struct{})
+	runtime.SetFinalizer(&rep.Report.Steps[0], func(*StepReport) { close(done) })
+	return done
+}
+
+// awaitCollected fails t unless every channel of freed closes within a few
+// seconds of garbage collection.
+func awaitCollected(t *testing.T, freed map[string]<-chan struct{}) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for name, done := range freed {
+		for closed := false; !closed; {
+			runtime.GC()
+			select {
+			case <-done:
+				closed = true
+			case <-deadline:
+				t.Fatalf("%s is still reachable", name)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+}
+
+// TestWindowsRetainNoReports: the warehouse keeps a tally of its windows and
+// the last one's report, not every report. Thirty windows after window 3, on
+// a leader and on the follower that replays its journal, window 3's report
+// and the epoch it retired are garbage — its private table copies with it —
+// and one epoch is live.
+func TestWindowsRetainNoReports(t *testing.T) {
 	leader := newRetail(t)
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
-	var leaderEarly <-chan struct{}
-	for i := 0; i < 30; i++ {
+	freed := map[string]<-chan struct{}{}
+	for i := 0; i < 33; i++ {
 		stageEastSale(t, leader, int64(700+i))
-		if _, err := leader.RunWindowOpts(WindowOptions{Journal: j}); err != nil {
+		rep, err := leader.RunWindowOpts(WindowOptions{Journal: j})
+		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			leaderEarly = collected(leader)
+			freed["the leader's epoch after window 3"] = collected(leader)
+			freed["the leader's report of window 3"] = stepsCollected(rep)
 		}
 	}
 	lg, err := journal.ReadLog(bytes.NewReader(buf.Bytes()))
@@ -168,31 +197,20 @@ func TestWindowHistoryReleasesRetiredEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	follower := newRetail(t)
-	var followerEarly <-chan struct{}
 	for i := range lg.Windows {
-		if _, err := follower.ApplyWindow(&lg.Windows[i]); err != nil {
+		rep, err := follower.ApplyWindow(&lg.Windows[i])
+		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			followerEarly = collected(follower)
+			freed["the follower's epoch after window 3"] = collected(follower)
+			freed["the follower's report of window 3"] = stepsCollected(rep)
 		}
 	}
-	if len(leader.History()) != 30 || len(follower.History()) != 30 {
-		t.Fatalf("history: leader %d windows, follower %d", len(leader.History()), len(follower.History()))
+	if leader.Tally().Committed != 33 || follower.Tally().Replicated != 33 {
+		t.Fatalf("tally: leader %+v, follower %+v", leader.Tally(), follower.Tally())
 	}
-	for name, early := range map[string]<-chan struct{}{"leader": leaderEarly, "follower": followerEarly} {
-		deadline := time.After(5 * time.Second)
-		for freed := false; !freed; {
-			runtime.GC()
-			select {
-			case <-early:
-				freed = true
-			case <-deadline:
-				t.Fatalf("%s: the epoch retired after window 3 is still reachable after window 30", name)
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-	}
+	awaitCollected(t, freed)
 	if leader.LiveEpochs() != 1 || follower.LiveEpochs() != 1 {
 		t.Fatalf("live epochs: leader %d, follower %d, want 1 and 1", leader.LiveEpochs(), follower.LiveEpochs())
 	}

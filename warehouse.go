@@ -200,10 +200,10 @@ type Options struct {
 //     so a reader observes exactly the pre-window or post-window warehouse,
 //     never a mix (see PinEpoch for multi-view consistency).
 //   - StageDelta, StageDeltaCSV, RunWindow, RunWindowOpts, Recover,
-//     ApplyWindow, Clone, History, TotalWindowWork and Pending are safe to call
-//     concurrently with each other and with readers; they serialize on an
-//     internal mutex (a StageDelta issued while a window runs blocks until
-//     the window commits or aborts, and lands in the next window).
+//     ApplyWindow, Clone and Pending are safe to call concurrently with each
+//     other and with readers; they serialize on an internal mutex (a
+//     StageDelta issued while a window runs blocks until the window commits or
+//     aborts, and lands in the next window). Tally does not wait for a window.
 //   - Setup methods — DefineBase, DefineViewSQL, DefineView, Load, LoadCSV,
 //     Refresh, SetDeferred, RefreshStale, SetParallelism — mutate the
 //     current epoch in place and require exclusive access: complete the
@@ -213,13 +213,18 @@ type Options struct {
 //     is an atomic epoch flip.
 type Warehouse struct {
 	// mu serializes every state transition: staging, update windows
-	// (including the commit swap), recovery and history. Readers do not
-	// take it — they pin the current epoch instead.
-	mu      sync.Mutex
-	core    *core.Warehouse
-	epochs  *core.Epochs
-	model   CostModel
-	history []WindowReport
+	// (including the commit swap) and recovery. Readers do not take it — they
+	// pin the current epoch instead.
+	mu     sync.Mutex
+	core   *core.Warehouse
+	epochs *core.Epochs
+	model  CostModel
+	// tallyMu guards tally, which every window folds into as it commits or
+	// fails, and last, the last committed window's report: all the facade
+	// keeps of its windows.
+	tallyMu sync.Mutex
+	tally   WindowTally
+	last    WindowReport
 	// plans is the prepared-plan cache consulted by every query path
 	// (Query, QueryEpoch, PinnedEpoch.Query, QuerySchema — and through
 	// them the query server and follower reads). Held through an atomic
@@ -758,18 +763,17 @@ func (w *Warehouse) Parallelize(s Strategy) ParallelPlan {
 func (w *Warehouse) Verify() error { return w.core.VerifyAll() }
 
 // Clone returns an independent copy; executing a strategy on the clone
-// leaves the original untouched. Window history is copied too. Cloning is
-// cheap — storage is shared copy-on-write at relation granularity — and
-// safe to call while the original serves queries or runs a window.
+// leaves the original untouched, and the clone's window tally starts empty.
+// Cloning is cheap — storage is shared copy-on-write at relation granularity
+// — and safe to call while the original serves queries or runs a window.
 func (w *Warehouse) Clone() *Warehouse {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	c := w.core.Clone()
 	out := &Warehouse{
-		core:    c,
-		epochs:  core.NewEpochs(c),
-		model:   w.model,
-		history: append([]WindowReport(nil), w.history...),
+		core:   c,
+		epochs: core.NewEpochs(c),
+		model:  w.model,
 	}
 	// The clone gets its own (empty) plan cache with the same capacity:
 	// plans are immutable and could be shared, but per-clone counters keep

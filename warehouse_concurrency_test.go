@@ -33,7 +33,8 @@ func stageEastSale(t *testing.T, w *Warehouse, id int64) {
 // TestConcurrentQueriesDuringWindows: readers race window commits across
 // sequential, staged and DAG windows. Every query
 // sees exactly a published state — the east total is always one of the
-// per-epoch values, never a blend — and epochs are monotonic per reader.
+// per-epoch values, never a blend — and epochs are monotonic per reader, and
+// so is the tally of committed windows they read beside them.
 func TestConcurrentQueriesDuringWindows(t *testing.T) {
 	w := newRetail(t)
 	const windows = 9
@@ -50,12 +51,19 @@ func TestConcurrentQueriesDuringWindows(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var last uint64
+			var committed int64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				n := w.Tally().Committed
+				if n < committed {
+					t.Errorf("the tally went backwards: %d committed after %d", n, committed)
+					return
+				}
+				committed = n
 				rows, epoch, err := w.QueryEpoch(
 					"SELECT region, SUM(amount) AS total, COUNT(*) AS n FROM SALES_BY_STORE GROUP BY region ORDER BY region LIMIT 1")
 				if err != nil {
@@ -93,8 +101,8 @@ func TestConcurrentQueriesDuringWindows(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := w.Epoch(); got != windows+1 {
-		t.Errorf("epoch after %d windows = %d", windows, got)
+	if got, tally := w.Epoch(), w.Tally(); got != windows+1 || tally.Committed != windows {
+		t.Errorf("after %d windows: epoch %d, tally %+v", windows, got, tally)
 	}
 	if err := w.Verify(); err != nil {
 		t.Error(err)

@@ -177,28 +177,54 @@ func (r WindowReport) Counters() WindowCounters {
 	return c
 }
 
+// WindowTally is the running count of a warehouse's update windows. Every
+// committed window is folded in once, where it commits, whoever ran it — an
+// operator, an ingester, Recover or a follower's ApplyWindow — and every
+// error RunWindowOpts returns counts as Failed. Recovered through
+// FellBackSequential count the committed windows whose report says so, Work
+// sums their measured work, and WindowCounters their engine counters, with
+// the largest of each peak.
+type WindowTally struct {
+	Committed, Failed                                     int64
+	Recovered, Replicated, Recomputed, FellBackSequential int64
+	Work                                                  int64
+	WindowCounters
+}
+
+// add folds one committed window into the tally.
+func (t *WindowTally) add(r WindowReport) {
+	t.Committed++
+	if r.Recovered {
+		t.Recovered++
+	}
+	if r.Replicated {
+		t.Replicated++
+	}
+	if r.Recomputed {
+		t.Recomputed++
+	}
+	if r.FellBackSequential {
+		t.FellBackSequential++
+	}
+	t.Work += r.Report.TotalWork()
+	c := r.Counters()
+	t.Add(c.EngineCounters)
+	t.SharedBytesPeak = max(t.SharedBytesPeak, c.SharedBytesPeak)
+	t.PeakReservedBytes = max(t.PeakReservedBytes, c.PeakReservedBytes)
+}
+
+// Tally returns the warehouse's window tally. Safe at any time, a window
+// running included.
+func (w *Warehouse) Tally() WindowTally {
+	w.tallyMu.Lock()
+	defer w.tallyMu.Unlock()
+	return w.tally
+}
+
 // RunWindow executes one complete update window — plan the staged changes
-// with the named planner, validate, execute sequentially, commit, and record
-// the outcome in the warehouse's history. It is shorthand for
+// with the named planner, validate, execute sequentially, commit, and count
+// the outcome in the warehouse's tally. It is shorthand for
 // RunWindowOpts(WindowOptions{Planner: planner}).
 func (w *Warehouse) RunWindow(planner PlannerName) (WindowReport, error) {
 	return w.RunWindowOpts(WindowOptions{Planner: planner})
-}
-
-// History returns the executed windows in order.
-func (w *Warehouse) History() []WindowReport {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]WindowReport(nil), w.history...)
-}
-
-// TotalWindowWork sums the measured work of every executed window.
-func (w *Warehouse) TotalWindowWork() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var total int64
-	for _, win := range w.history {
-		total += win.Report.TotalWork()
-	}
-	return total
 }

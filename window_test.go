@@ -5,8 +5,12 @@ import (
 	"testing"
 )
 
-func TestRunWindowAndHistory(t *testing.T) {
+// TestRunWindowAndTally: each window's report is numbered in commit order,
+// and the tally sums what the reports say; a failed window counts as failed
+// and leaves the committed figures alone.
+func TestRunWindowAndTally(t *testing.T) {
 	w := newRetail(t)
+	var reports []WindowReport
 
 	// Window 1: MinWork (default when planner is "").
 	stageSale(t, w)
@@ -14,6 +18,7 @@ func TestRunWindowAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, win1)
 	if win1.Seq != 1 || win1.Planner != MinWorkPlanner {
 		t.Errorf("window 1 = %+v", win1)
 	}
@@ -37,6 +42,7 @@ func TestRunWindowAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, win2)
 	if win2.Seq != 2 || win2.Planner != PrunePlanner {
 		t.Errorf("window 2 = %+v", win2)
 	}
@@ -53,28 +59,32 @@ func TestRunWindowAndHistory(t *testing.T) {
 	if err := w.StageDelta("STORES", d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.RunWindow(DualStagePlanner); err != nil {
+	win3, err := w.RunWindow(DualStagePlanner)
+	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, win3)
+	if _, err := w.RunWindow("nope"); err == nil {
+		t.Fatal("unknown planner accepted")
+	}
 
-	hist := w.History()
-	if len(hist) != 3 {
-		t.Fatalf("history = %d windows", len(hist))
+	want := WindowTally{Committed: 3, Failed: 1}
+	for _, r := range reports {
+		c := r.Counters()
+		want.Work += r.Report.TotalWork()
+		want.EngineCounters.Add(c.EngineCounters)
+		want.SharedBytesPeak = max(want.SharedBytesPeak, c.SharedBytesPeak)
+		want.PeakReservedBytes = max(want.PeakReservedBytes, c.PeakReservedBytes)
 	}
-	if w.TotalWindowWork() != hist[0].Report.TotalWork()+hist[1].Report.TotalWork()+hist[2].Report.TotalWork() {
-		t.Errorf("TotalWindowWork inconsistent")
+	if got := w.Tally(); got != want || got.Work == 0 {
+		t.Errorf("tally = %+v, the reports add up to %+v", got, want)
 	}
-	if !strings.Contains(hist[0].String(), "window 1 [minwork]") {
-		t.Errorf("window string = %q", hist[0].String())
+	if !strings.Contains(win1.String(), "window 1 [minwork]") {
+		t.Errorf("window string = %q", win1.String())
 	}
-	// History is a copy.
-	hist[0].Seq = 99
-	if w.History()[0].Seq != 1 {
-		t.Errorf("History aliases internal state")
-	}
-	// Clone carries history.
-	if got := len(w.Clone().History()); got != 3 {
-		t.Errorf("clone history = %d", got)
+	// A clone counts its own windows.
+	if got := w.Clone().Tally(); got != (WindowTally{}) {
+		t.Errorf("clone tally = %+v", got)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -126,9 +136,9 @@ func TestWindowModes(t *testing.T) {
 		t.Errorf("window string = %q", win2.String())
 	}
 
-	// History records both scheduling styles.
-	if len(w.History()) != 2 {
-		t.Fatalf("history = %d windows", len(w.History()))
+	// The tally counts both scheduling styles.
+	if n := w.Tally().Committed; n != 2 {
+		t.Fatalf("tally = %d windows", n)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
