@@ -77,14 +77,17 @@ replica-smoke:
 # the window's cache keeps included), the recovery ladder under persistent
 # spill faults, the facade's window counters and stale-spill-dir sweep, and
 # the memory-budget points of the differential harness (internal/check): the
-# root's table of them, and one starved stream on the sharing fixture replayed
-# from its one-line point.
+# root's table of them, and two starved streams on the sharing fixture
+# replayed from their one-line points — one with the cache per Comp, one with
+# sharing on, where every build spills and the window's cache keeps it for
+# the sibling Comps that share it.
 spill-smoke:
 	$(GO) test ./internal/memory/ ./internal/storage/ -count=1
-	$(call run-tests,./internal/core/,TestSpilled|TestBounded|TestSharedEntrySpills|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory)
+	$(call run-tests,./internal/core/,TestSpilled|TestBounded|TestSharedEntrySpills|TestWindowCacheKeepsBuilds|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory)
 	$(call run-tests,./internal/recovery/,TestSpillFault)
 	$(call run-tests,.,TestWindowCountersReportSpilling|TestCrashMidSpillSweptOnReopen|TestBoundedMemoryDifferential)
 	$(call run-tests,./internal/check/,TestTrials,,-check.point='catalog=siblings mode=dag workers=3 budget=1 windows=5')
+	$(call run-tests,./internal/check/,TestTrials,,-check.point='catalog=siblings mode=dag workers=3 share=true budget=1 windows=5')
 
 # Fault-injected soak of the continuous-ingestion path, under the race
 # detector: a paced producer drives micro-batch windows while probabilistic

@@ -200,15 +200,19 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return usageError{fmt.Errorf("-mode: %w", err)}
 	}
+	memBudget, err := warehouse.MiB(cfg.memBudgetMB)
+	if err != nil {
+		return usageError{fmt.Errorf("-mem-budget-mb: %w", err)}
+	}
 	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed)
 	if err != nil {
 		return err
 	}
 	if cfg.share {
-		w.SetSharing(true, 0)
+		w.SetSharing(true)
 	}
-	if cfg.memBudgetMB > 0 {
-		w.SetMemoryBudget(cfg.memBudgetMB << 20)
+	if memBudget > 0 {
+		w.SetMemoryBudget(memBudget)
 		fmt.Printf("whserverd: window memory budget %dMiB (oversized builds spill to disk)\n", cfg.memBudgetMB)
 	}
 	w.SetPlanCache(cfg.planCacheSize)

@@ -409,21 +409,24 @@ func TestPprofMux(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a mistyped -planner or -mode, or an excluded flag
-// combination, is refused as a usage error before anything is built or
-// listened on — not accepted and then failed by every window. The context is
+// TestUsageErrors: a mistyped -planner or -mode, a -mem-budget-mb that is
+// negative or past int64's bytes, or an excluded flag combination, is refused
+// as a usage error before anything is built or listened on — not accepted and
+// then failed by every window. The context is
 // cancelled already, so a daemon that accepts its flags drains at once.
 func TestUsageErrors(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, cfg := range map[string]config{
-		"planner":              {planner: "minwrok", mode: "dag"},
-		"mode":                 {planner: "shared", mode: "dagg"},
-		"ingest+follow":        {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, follow: "127.0.0.1:1"},
-		"window-every+follow":  {planner: "minwork", mode: "dag", windowEvery: time.Second, follow: "127.0.0.1:1"},
-		"ingest, planner typo": {planner: "prun", mode: "dag", ingest: true, ingestRate: 10},
-		"window-budget+ingest": {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, windowBudget: time.Second},
-		"window-budget+follow": {planner: "minwork", mode: "dag", windowBudget: time.Second, follow: "127.0.0.1:1"},
+		"planner":                   {planner: "minwrok", mode: "dag"},
+		"mode":                      {planner: "shared", mode: "dagg"},
+		"ingest+follow":             {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, follow: "127.0.0.1:1"},
+		"window-every+follow":       {planner: "minwork", mode: "dag", windowEvery: time.Second, follow: "127.0.0.1:1"},
+		"ingest, planner typo":      {planner: "prun", mode: "dag", ingest: true, ingestRate: 10},
+		"window-budget+ingest":      {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, windowBudget: time.Second},
+		"window-budget+follow":      {planner: "minwork", mode: "dag", windowBudget: time.Second, follow: "127.0.0.1:1"},
+		"negative mem-budget-mb":    {planner: "minwork", mode: "dag", memBudgetMB: -1},
+		"overflowing mem-budget-mb": {planner: "minwork", mode: "dag", memBudgetMB: 1 << 43},
 	} {
 		cfg.addr, cfg.stores, cfg.sales = "127.0.0.1:0", 1, 1
 		ready := make(chan string, 1)

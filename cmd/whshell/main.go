@@ -13,7 +13,7 @@
 //	REFRESH;                                    materialize derived views
 //	WINDOW [planner] [STAGED|DAG [workers]];    plan + execute an update window
 //	PARALLEL ON|OFF [workers];                  intra-compute term/morsel parallelism
-//	SHARE ON|OFF [budget-mb];                   window-wide cross-view shared computation
+//	SHARE ON|OFF;                               window-wide cross-view shared computation
 //	EXPLAIN SHARING [planner];                  sharing election + observed reuse
 //	MEMORY <budget-mb>|OFF;                     window memory budget (spill-to-disk builds)
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
@@ -328,29 +328,17 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		}
 		return false, nil
 	case "SHARE":
-		// SHARE ON|OFF [budget-mb]: toggle window-wide shared computation
-		// (operands several views' Comps read are hashed once and reused
-		// across them, bounded by the transient byte budget). WINDOW
+		// SHARE ON|OFF: toggle window-wide shared computation (operands
+		// several views' Comps read are hashed once and reused across them
+		// until their view installs, within the MEMORY budget). WINDOW
 		// reports shared=hits/total and the bytes peak when it engages.
-		if len(words) < 2 || (words[1] != "ON" && words[1] != "OFF") {
-			return false, fmt.Errorf("usage: SHARE ON|OFF [budget-mb]")
+		if len(words) != 2 || (words[1] != "ON" && words[1] != "OFF") {
+			return false, fmt.Errorf("usage: SHARE ON|OFF")
 		}
 		on := words[1] == "ON"
-		var budget int64
-		if len(words) > 2 {
-			n, err := strconv.ParseInt(words[2], 10, 64)
-			if err != nil || n < 0 {
-				return false, fmt.Errorf("SHARE: bad budget %q (MiB)", words[2])
-			}
-			budget = n << 20
-		}
-		sh.w.SetSharing(on, budget)
+		sh.w.SetSharing(on)
 		if on {
-			label := "64MiB default"
-			if budget > 0 {
-				label = fmt.Sprintf("%dMiB", budget>>20)
-			}
-			fmt.Fprintf(sh.out, "ok: window-wide shared computation on (budget=%s)\n", label)
+			fmt.Fprintln(sh.out, "ok: window-wide shared computation on")
 		} else {
 			fmt.Fprintln(sh.out, "ok: window-wide shared computation off")
 		}
@@ -369,10 +357,14 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 			return false, nil
 		}
 		n, err := strconv.ParseInt(words[1], 10, 64)
-		if err != nil || n <= 0 {
+		var bytes int64
+		if err == nil {
+			bytes, err = warehouse.MiB(n)
+		}
+		if err != nil || bytes == 0 {
 			return false, fmt.Errorf("MEMORY: bad budget %q (MiB, or OFF)", words[1])
 		}
-		sh.w.SetMemoryBudget(n << 20)
+		sh.w.SetMemoryBudget(bytes)
 		fmt.Fprintf(sh.out, "ok: window memory budget %dMiB (oversized builds spill to disk)\n", n)
 		return false, nil
 	case "VERIFY":
@@ -413,7 +405,7 @@ func (sh *shell) help() {
   REFRESH;                              REFRESH STALE;
   WINDOW [minwork|prune|dualstage|shared] [STAGED|DAG [workers]];    VERIFY;  DIGEST;
   PARALLEL ON|OFF [workers];            intra-compute term/morsel parallelism
-  SHARE ON|OFF [budget-mb];             window-wide cross-view shared computation
+  SHARE ON|OFF;                         window-wide cross-view shared computation
   EXPLAIN SHARING [planner];            sharing election + last window's observed reuse
   MEMORY <budget-mb>|OFF;               window memory budget (spill-to-disk builds)
   SELECT ... [ORDER BY col|n [ASC|DESC], ...] [LIMIT n [OFFSET m]];

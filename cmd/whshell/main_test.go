@@ -180,7 +180,7 @@ LOAD S FROM '` + s + `';
 REFRESH;
 DELTA R FROM '` + dr + `';
 DELTA S FROM '` + ds + `';
-SHARE ON 32;
+SHARE ON;
 WINDOW dualstage;
 VERIFY;
 SHARE OFF;
@@ -191,7 +191,7 @@ EXIT;
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
 	for _, want := range []string{
-		"ok: window-wide shared computation on (budget=32MiB)",
+		"ok: window-wide shared computation on",
 		" shared=",
 		"every view matches recomputation",
 		"ok: window-wide shared computation off",
@@ -203,8 +203,28 @@ EXIT;
 	if _, err := runScript(t, "SHARE MAYBE;\n"); err == nil {
 		t.Error("bad SHARE argument accepted")
 	}
-	if _, err := runScript(t, "SHARE ON -3;\n"); err == nil {
-		t.Error("negative SHARE budget accepted")
+	if _, err := runScript(t, "SHARE ON 32;\n"); err == nil {
+		t.Error("SHARE accepted a budget: MEMORY is the one budget")
+	}
+}
+
+// TestShellMemoryBudget: MEMORY takes a positive count of MiB or OFF. A count
+// whose bytes an int64 cannot hold is refused, not wrapped: 2^43 MiB once set
+// a negative budget and 2^44 + 1 MiB a 1 MiB one.
+func TestShellMemoryBudget(t *testing.T) {
+	out, err := runScript(t, "MEMORY 4;\nMEMORY OFF;\n")
+	if err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out)
+	}
+	for _, want := range []string{"ok: window memory budget 4MiB", "ok: window memory budget off"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []string{"0", "-1", "8796093022208", "17592186044417", "four"} {
+		if out, err := runScript(t, "MEMORY "+bad+";\n"); err == nil {
+			t.Errorf("MEMORY %s accepted:\n%s", bad, out)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //	whupdate [-sf 0.002] [-seed 7] [-p 0.10] [-insert 0]
 //	         [-planner minwork|prune|dualstage|shared]
 //	         [-par sequential|staged|dag] [-workers N] [-par-terms]
-//	         [-share] [-share-budget-mb N] [-explain-sharing] [-mem-budget-mb N]
+//	         [-share] [-explain-sharing] [-mem-budget-mb N]
 //	         [-skip-empty] [-timeout d] [-journal f [-resume]]
 //	         [-v] [-cpuprofile f] [-memprofile f]
 //
@@ -17,21 +17,21 @@
 // pool of -workers goroutines (0 = GOMAXPROCS). -par-terms additionally
 // parallelizes *inside* each compute expression (concurrent maintenance
 // terms, morsel-parallel probes, shared build tables); it composes with
-// -par dag under the same -workers budget. -share keeps the build cache for the whole window: a build side
-// several views' compute expressions hash is built once and reused across
-// them, bounded by -share-budget-mb of resident builds (0 = 64 MiB
-// default). -planner shared runs the sharing-aware Prune search: candidates
-// are costed by sharing-adjusted work (multi-consumer operands charged once,
-// under the byte budget). -explain-sharing prints the planned election (each
-// candidate's estimated size, savings and admission) before the window and
-// each build the window's cache held — requests, hits, bytes, fate — after
-// it.
-// -mem-budget-mb bounds the window's total transient build-state
-// memory: every build-side hash table draws on one budget and builds that do
-// not fit spill to disk Grace-style, probed partition-wise — results and
+// -par dag under the same -workers budget. -share keeps the build cache for
+// the whole window: a build side several views' compute expressions hash is
+// built once and reused across them until its view installs. -planner shared
+// runs the sharing-aware Prune search: candidates are costed by
+// sharing-adjusted work (multi-consumer operands charged once).
+// -explain-sharing prints the planned election (each candidate's estimated
+// size and savings) before the window and each build the window's cache held
+// — requests, hits, bytes, fate — after it. -mem-budget-mb bounds the
+// window's total transient build-state memory, the builds -share keeps
+// included: every build-side hash table draws on one budget and builds that
+// do not fit spill to disk Grace-style, probed partition-wise — results and
 // measured work are identical at any budget, only bytes moved change (0 =
-// unbounded). -cpuprofile/-memprofile write pprof profiles of the run so
-// term-evaluation hot spots are measurable in the field.
+// unbounded; a negative count, or one past int64's bytes, is a usage error).
+// -cpuprofile/-memprofile write pprof profiles of the run so term-evaluation
+// hot spots are measurable in the field.
 //
 // Every window runs the way the library's other callers run theirs —
 // warehouse.RunWindowOpts: planned by the named planner, executed on a
@@ -113,7 +113,6 @@ func main() {
 	parTerms := flag.Bool("par-terms", false, "parallelize inside each compute expression (terms + morsels, shared builds)")
 	share := flag.Bool("share", false, "share computed operands across views within the window (cross-view CSE)")
 	explainSharing := flag.Bool("explain-sharing", false, "print the sharing election (planned candidates) and each entry's estimated vs observed bytes and hits")
-	shareBudgetMB := flag.Int64("share-budget-mb", 0, "transient materialization budget for -share, in MiB (0 = 64 MiB default)")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "window memory budget for build-side state, in MiB; oversized builds spill to disk (0 = unbounded)")
 	skipEmpty := flag.Bool("skip-empty", false, "elide compute expressions whose deltas are empty (footnote 5)")
 	timeout := flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = no limit)")
@@ -145,7 +144,7 @@ func main() {
 		ctx: ctx,
 		sf:  *sf, seed: *seed, p: *p, insert: *insert, planner: *plannerName,
 		par: *par, workers: *workers, parTerms: *parTerms,
-		share: *share, shareBudgetMB: *shareBudgetMB, memBudgetMB: *memBudgetMB,
+		share: *share, memBudgetMB: *memBudgetMB,
 		explainSharing: *explainSharing,
 		skipEmpty:      *skipEmpty, verbose: *verbose,
 		dot: *dot, script: *script,
@@ -185,7 +184,6 @@ type options struct {
 	parTerms             bool
 	share                bool
 	explainSharing       bool
-	shareBudgetMB        int64
 	memBudgetMB          int64
 	skipEmpty            bool
 	verbose, dot, script bool
@@ -207,6 +205,10 @@ func run(o options) error {
 	plannerName, err := warehouse.ParsePlanner(o.planner)
 	if err != nil {
 		return usageErr(err)
+	}
+	memBudget, err := warehouse.MiB(o.memBudgetMB)
+	if err != nil {
+		return usageErr(fmt.Errorf("-mem-budget-mb: %w", err))
 	}
 
 	// Open the journal first: an in-flight window blocks new work.
@@ -241,8 +243,7 @@ func run(o options) error {
 	start := time.Now()
 	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: o.sf, Seed: o.seed, Options: core.Options{
 		SkipEmptyDeltas: o.skipEmpty, ParallelTerms: o.parTerms, Workers: o.workers,
-		ShareComputation: o.share, SharedBudgetBytes: o.shareBudgetMB << 20,
-		MemoryBudgetBytes: o.memBudgetMB << 20,
+		ShareComputation: o.share, MemoryBudgetBytes: memBudget,
 	}})
 	if err != nil {
 		return err
@@ -252,7 +253,7 @@ func run(o options) error {
 		fmt.Printf("term-parallel engine on (workers=%d)\n", o.workers)
 	}
 	if o.share {
-		fmt.Printf("window-wide shared computation on (budget=%s)\n", budgetLabel(o.shareBudgetMB))
+		fmt.Println("window-wide shared computation on")
 	}
 	if o.memBudgetMB > 0 {
 		fmt.Printf("window memory budget %dMiB (oversized builds spill to disk)\n", o.memBudgetMB)
@@ -486,12 +487,4 @@ func cacheSuffix(step warehouse.StepReport) string {
 		s += fmt.Sprintf(" index=%d probes saved=%d", step.IndexProbes, step.IndexTuplesSaved)
 	}
 	return s
-}
-
-// budgetLabel renders the -share-budget-mb value for logging.
-func budgetLabel(mb int64) string {
-	if mb <= 0 {
-		return "64MiB default"
-	}
-	return fmt.Sprintf("%dMiB", mb)
 }

@@ -47,7 +47,8 @@ func exitCode(err error) int {
 	return exitData
 }
 
-// TestUsageExitCode: unknown planners and modes are usage errors (2).
+// TestUsageExitCode: unknown planners and modes, -resume without a journal
+// and a -mem-budget-mb that is no byte count are usage errors (2).
 func TestUsageExitCode(t *testing.T) {
 	if got := exitCode(run(options{sf: 0.001, par: "bogus"})); got != exitUsage {
 		t.Fatalf("unknown mode: exit %d, want %d", got, exitUsage)
@@ -57,6 +58,13 @@ func TestUsageExitCode(t *testing.T) {
 	}
 	if got := exitCode(run(options{sf: 0.001, planner: "minwork", resume: true})); got != exitUsage {
 		t.Fatalf("-resume without -journal: exit %d, want %d", got, exitUsage)
+	}
+	// A budget in MiB that is negative, or whose bytes wrap an int64, is no
+	// budget: it once ran unbounded or under a wrapped one.
+	for _, mb := range []int64{-1, 1 << 43, 1<<44 + 1} {
+		if got := exitCode(run(options{sf: 0.001, planner: "minwork", memBudgetMB: mb})); got != exitUsage {
+			t.Fatalf("-mem-budget-mb %d: exit %d, want %d", mb, got, exitUsage)
+		}
 	}
 }
 

@@ -45,15 +45,14 @@ func TestBoundedMemoryDifferential(t *testing.T) {
 }
 
 // TestSharingOnOffDifferential: the sharing points. Every window is planned
-// by the sharing-aware search at a 1 MiB shared budget and run with the cache
-// kept for the window, in every scheduling mode, at engine widths 1 and 2;
+// by the sharing-aware search and run with the cache kept for the window, in every scheduling mode, at engine widths 1 and 2;
 // trial.Run holds it to the run that keeps the cache per Comp — sharing elides
 // scans, never results or the metric. The legs must register hits somewhere.
 func TestSharingOnOffDifferential(t *testing.T) {
 	var sum trial.Tally
 	for _, p := range catalogs(4, 2) {
 		for i, mode := range []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG} {
-			p.Planner, p.Share, p.Windows = "shared", 1<<20, 2
+			p.Planner, p.Share, p.Windows = "shared", true, 2
 			p.Mode, p.Workers, p.Width = mode, i+1, 1+(int(p.Seed)+i)%2
 			sum.Add(trial.Run(t, p))
 		}

@@ -25,7 +25,7 @@ func TestOnlineSnapshotIsolationDifferential(t *testing.T) {
 	for seed := range trial.Seeds(12, 3) {
 		plain := check.Point{Seed: 88400 + seed, Readers: 3, Mode: modes[seed%3], Workers: 1 + int(seed%4), Windows: 4}
 		shared := plain
-		shared.Mode, shared.Planner, shared.Share, shared.Width, shared.Windows = modes[(seed+1)%3], "shared", 1<<20, 1+int(seed%2), 2
+		shared.Mode, shared.Planner, shared.Share, shared.Width, shared.Windows = modes[(seed+1)%3], "shared", true, 1+int(seed%2), 2
 		aborted, crashed := plain, plain
 		aborted.Mode, aborted.Windows, aborted.Fault = modes[(seed+2)%3], 2, "deadline"
 		crashed.Windows, crashed.Fault = 2, fmt.Sprintf("crash:step@%d", 1+seed*5%11)

@@ -194,7 +194,7 @@ func Example_multiLevel() {
 	fmt.Println("MinWork ordering", plan.Ordering)
 	fmt.Println(plan.Strategy)
 
-	dual, err := w.PlanDualStage()
+	dual, err := w.Plan(warehouse.DualStagePlanner)
 	must(err)
 	dualRep, err := w.Clone().Execute(dual.Strategy, warehouse.ModeSequential, 0)
 	must(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/planner"
 )
 
 // Explain renders a strategy with its predicted per-expression cost under
@@ -124,28 +125,24 @@ func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
 // ExplainSharing renders what window-wide sharing would do for s and what it
 // last did. The first block is the planned election under the current
 // planning statistics: every operand at least two Comps of s read, with its
-// estimated size and savings and whether the shared byte budget admits it
-// ("+") or not ("-"). The second, present when the last window this warehouse
-// committed held builds in its cache, lists each of them: requests, hits,
-// built rows and bytes, and its fate (resident, spilled or dropped). A nil
-// strategy renders the second block alone — what a caller that printed the
-// election before its window asks for after it.
+// estimated size and savings, most saved first. The second, present when the
+// last window this warehouse committed held builds in its cache, lists each
+// of them: requests, hits, built rows and bytes, and its fate (resident,
+// spilled or dropped). A nil strategy renders the second block alone — what
+// a caller that printed the election before its window asks for after it.
 func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
 	var sb strings.Builder
 	if s != nil {
-		a, err := w.AnalyzeSharing(s)
+		stats, err := w.PlanningStats()
 		if err != nil {
 			return "", err
 		}
+		a := planner.AnalyzeSharing(s, exec.RefsOf(w.core), planner.SharingOptions{Stats: stats, Width: exec.WidthOf(w.core)})
 		fmt.Fprintf(&sb, "sharing election: %d shared operands, est saved %d tuples\n",
 			a.SharedOperands, a.EstimatedSavedTuples)
 		for _, e := range a.Elected {
-			mark := "-"
-			if e.Admitted {
-				mark = "+"
-			}
-			fmt.Fprintf(&sb, "  %s %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-				mark, e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
+			fmt.Fprintf(&sb, "  %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
+				e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
 		}
 	}
 	w.tallyMu.Lock()

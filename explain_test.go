@@ -50,7 +50,7 @@ func TestExplainCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := w.PlanDualStage()
+	ds, err := w.Plan(DualStagePlanner)
 	if err != nil {
 		t.Fatal(err)
 	}

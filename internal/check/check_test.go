@@ -27,7 +27,7 @@ func draw(seed int64) check.Point {
 		Planner: pick("", "prune", "dualstage", "shared"),
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
 		Workers: rng.Intn(4), Width: rng.Intn(4), Skip: rng.Intn(2) == 0,
-		Share:   []int64{0, 1, 1 << 20, 64 << 20}[rng.Intn(4)],
+		Share:   rng.Intn(4) > 0,
 		Budget:  []int64{0, 1, 1 << 20}[rng.Intn(3)],
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),
 	}

@@ -31,10 +31,10 @@ type Point struct {
 	Width   int            `axis:"width"`
 	// Skip sets SkipEmptyDeltas, the one option that changes Work figures.
 	Skip bool `axis:"skip"`
-	// Share keeps the build cache for the window (ShareComputation) under
-	// that many bytes of shared budget; 0 is sharing off. Budget is the
-	// window memory budget in bytes; 0 is none, 1 starves every build.
-	Share  int64 `axis:"share"`
+	// Share keeps the build cache for the window (ShareComputation), each
+	// build until its view installs. Budget is the window memory budget in
+	// bytes, the kept builds included; 0 is none, 1 starves every build.
+	Share  bool  `axis:"share"`
 	Budget int64 `axis:"budget"`
 	// Windows is the length of the stream (0 and 1 are one window). The first
 	// window runs on cold indexes — it builds every one it probes — the ones

@@ -146,7 +146,7 @@ func (r *run) build() *warehouse.Warehouse { return check.BuildCatalog(r, r.p.Ca
 func (r *run) configure(w *warehouse.Warehouse) *warehouse.Warehouse {
 	w.Internal().SetOptions(core.Options{
 		SkipEmptyDeltas: r.p.Skip, ParallelTerms: r.p.Width > 1, Workers: r.p.Width,
-		ShareComputation: r.p.Share > 0, SharedBudgetBytes: r.p.Share,
+		ShareComputation: r.p.Share,
 	})
 	w.SetMemoryBudget(r.p.Budget)
 	return w

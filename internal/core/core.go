@@ -55,13 +55,9 @@ type Options struct {
 	// expressions of the window build on is then scanned and hashed once
 	// and probed by every later consumer. Sharing changes physical work
 	// only — OperandTuples is planned from cardinalities and never sees it.
-	// Off by default.
+	// A build stays until its view installs; MemoryBudgetBytes is what
+	// bounds the bytes that takes. Off by default.
 	ShareComputation bool
-	// SharedBudgetBytes bounds the resident builds a window's cache keeps
-	// past the Compute that made them (0 = a 64 MiB default). A build that
-	// would exceed it serves its Compute and is dropped; one that spilled
-	// under the memory budget holds no memory and is always kept.
-	SharedBudgetBytes int64
 	// MemoryBudgetBytes bounds the window's transient build state (0 = off,
 	// i.e. unbounded). With a budget attached for a window (AttachMemory),
 	// every build-side hash table reserves against it for as long as the

@@ -291,36 +291,32 @@ func colsKey(cols []int) string {
 	return string(b)
 }
 
-// DefaultSharedBudgetBytes bounds the builds a window's cache keeps when the
-// caller does not configure Options.SharedBudgetBytes. Exported so the
-// facade's sharing-aware planner prices candidates against the same budget.
-const DefaultSharedBudgetBytes = 64 << 20
-
 // buildCache is the one cache of transient build tables. The first requester
 // of an (operand, key columns) pair builds; every later requester blocks on
 // that build and reuses it.
 //
 // A run of the term engine outside a window makes its own cache, which dies
 // with the run. A window's cache (AttachSharing) outlives the runs: a build
-// stays for the window's later Comps while the resident bytes kept fit the
-// budget — a spilled build holds none and always stays — and otherwise is
-// dropped when the run that built it ends, like a run's own. No versions or
-// reference counts are needed for that to be right: an operand's content
-// changes only when its view installs (C5/C8 put every Comp of V before any
-// reader of δV, and V's state changes only at Inst(V)), Install(V) drops
-// the builds on V's state and on δV, and every scheduler orders a Comp
-// against the installs of the views it reads — so a build found in the
-// cache was made from the operand as it is now. Dropping a build returns its
-// grant; a run still probing it keeps the table alive until it finishes.
+// stays for the window's later Comps until its view installs or the window
+// detaches — resident under its memory grant, or spilled and holding no
+// memory, as buildFromRows left it; the memory budget is the one bound on
+// what it holds. No versions or reference counts are needed for that to be
+// right: an operand's content changes only when its view installs (C5/C8 put
+// every Comp of V before any reader of δV, and V's state changes only at
+// Inst(V)), Install(V) drops the builds on V's state and on δV, and every
+// scheduler orders a Comp against the installs of the views it reads — so a
+// build found in the cache was made from the operand as it is now. Dropping a
+// build returns its grant; a run still probing it keeps the table alive until
+// it finishes.
 type buildCache struct {
 	mu     sync.Mutex
 	tables map[buildKey]*buildSlot
-	// The rest is a window's cache only. budget is the resident bytes it
-	// may keep (0: a run's own cache, which keeps nothing), used what it
-	// keeps now, peak the high-water mark of used plus the build being
-	// settled; gone collects the report lines of dropped builds.
-	budget, used, peak int64
-	gone               []SharedEntryStats
+	// The rest is a window's cache only. used is the resident bytes it keeps
+	// now, peak their high-water mark; gone collects the report lines of
+	// dropped builds.
+	window     bool
+	used, peak int64
+	gone       []SharedEntryStats
 }
 
 // buildSlot is one build of the cache. The once publishes res and err; kept
@@ -334,14 +330,14 @@ type buildSlot struct {
 	res     buildRes
 	err     error
 	rows    int64
-	kept    bool // stays after its run, charged to used unless spilled
+	kept    bool // a window's build that stays after its run
 	// asks counts the runs that asked for the build, hits those of them
 	// that did not make it.
 	asks, hits atomic.Int64
 }
 
-func newBuildCache(budget int64) *buildCache {
-	return &buildCache{tables: make(map[buildKey]*buildSlot), budget: budget}
+func newBuildCache(window bool) *buildCache {
+	return &buildCache{tables: make(map[buildKey]*buildSlot), window: window}
 }
 
 // warm constructs the build table without touching the run's hit/miss
@@ -375,7 +371,7 @@ func (c *buildCache) get(env *evalEnv, br buildReq) (buildRes, error) {
 			slot.hits.Add(1)
 			env.ctr.SharedHits++
 			env.ctr.SharedTuplesSaved += card
-		} else if c.budget > 0 {
+		} else if c.window {
 			env.ctr.SharedMisses++
 		}
 	}
@@ -397,23 +393,20 @@ func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
 }
 
 // resolveBuild materializes a slot's build, once: scan the operand, hash it
-// under the memory budget (buildFromRows) and, in a window's cache, decide
-// whether the build outlives its run.
+// under the memory budget (buildFromRows) and, in a window's cache, keep it
+// past its run.
 func (c *buildCache) resolveBuild(env *evalEnv, slot *buildSlot, br buildReq) {
 	slot.once.Do(func() {
 		rows := env.buildRows(br.src)
 		slot.rows = int64(len(rows))
 		slot.res, slot.err = buildFromRows(env, rows, br.cols)
-		if slot.err != nil || c.budget == 0 {
+		if slot.err != nil || !c.window {
 			return
 		}
 		c.mu.Lock()
-		held := slot.held()
-		c.peak = max(c.peak, c.used+held)
-		if c.used+held <= c.budget {
-			slot.kept = true
-			c.used += held
-		}
+		slot.kept = true
+		c.used += slot.held()
+		c.peak = max(c.peak, c.used)
 		c.mu.Unlock()
 	})
 }
@@ -436,15 +429,14 @@ func (c *buildCache) drop(slot *buildSlot) {
 	if slot.kept {
 		c.used -= slot.held()
 	}
-	if c.budget > 0 {
+	if c.window {
 		c.gone = append(c.gone, slot.stats("dropped"))
 	}
 }
 
 // endRun drops what a finished run built and the cache does not keep — every
-// build of a run's own cache, the failed and the over-budget ones of a
-// window's. The run has joined its workers, so none of its builds is still
-// in the making.
+// build of a run's own cache, the failed ones of a window's. The run has
+// joined its workers, so none of its builds is still in the making.
 func (c *buildCache) endRun(env *evalEnv) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -479,8 +471,8 @@ type SharedEntryStats struct {
 	// Rows and Bytes describe the built table (resident estimate).
 	Rows, Bytes int64
 	// Fate is where the build was when the window ended: "resident" or
-	// "spilled" (kept to the end), or "dropped" (its view installed, the
-	// budget did not admit it, or it failed).
+	// "spilled" (kept to the end), or "dropped" (its view installed, or it
+	// failed).
 	Fate string
 }
 
@@ -497,8 +489,8 @@ func (s *buildSlot) stats(fate string) SharedEntryStats {
 
 // SharedStats summarizes a detached window cache.
 type SharedStats struct {
-	// BytesPeak is the high-water resident footprint, counting builds that
-	// were made but not kept.
+	// BytesPeak is the high-water mark of the resident bytes the cache
+	// kept.
 	BytesPeak int64
 	// Detail lists every build the cache held, sorted by name.
 	Detail []SharedEntryStats
@@ -513,11 +505,7 @@ func (w *Warehouse) AttachSharing() bool {
 	if !w.opts.ShareComputation || w.cache != nil {
 		return false
 	}
-	budget := w.opts.SharedBudgetBytes
-	if budget <= 0 {
-		budget = DefaultSharedBudgetBytes
-	}
-	w.cache = newBuildCache(budget)
+	w.cache = newBuildCache(true)
 	return true
 }
 
@@ -558,7 +546,7 @@ func (w *Warehouse) DetachSharing() SharedStats {
 // order.
 func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
 	if env.cache == nil {
-		env.cache = newBuildCache(0)
+		env.cache = newBuildCache(false)
 	}
 	defer env.cache.endRun(env)
 	env.scans = newScanCache()

@@ -149,47 +149,78 @@ func TestSharedRegistryHitMissSaved(t *testing.T) {
 	}
 }
 
-// TestSharedRegistryBudgetEviction: under a 1-byte shared budget no build
-// outlives the Compute that made it — later consumers rebuild privately (no
-// hits), and correctness is unaffected.
-func TestSharedRegistryBudgetEviction(t *testing.T) {
-	const n = 2
-	w := newSiblingWarehouse(t, n, Options{ShareComputation: true, SharedBudgetBytes: 1})
-	loadSiblingData(t, w)
-	if !w.AttachSharing() {
-		t.Fatal("AttachSharing refused")
-	}
-	var hits, misses int
-	for i := 1; i <= n; i++ {
-		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits += rep.SharedHits
-		misses += rep.SharedMisses
-		if held := len(w.cache.tables); held != 0 {
-			t.Errorf("after Comp(V%d): the cache still holds %d builds under a 1-byte budget", i, held)
-		}
-	}
-	if hits != 0 || misses == 0 {
-		t.Errorf("1-byte budget: %d hits / %d misses, want every Compute building its own", hits, misses)
-	}
-	for _, name := range []string{"R", "S", "V1", "V2"} {
-		if _, err := w.Install(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := w.DetachSharing()
-	if stats.BytesPeak == 0 {
-		t.Errorf("peak %d: a build made and not kept still counts", stats.BytesPeak)
-	}
-	for _, d := range stats.Detail {
-		if d.Fate != "dropped" || d.Hits != 0 {
-			t.Errorf("detail %+v, want dropped without a hit", d)
-		}
-	}
-	if err := w.VerifyAll(); err != nil {
-		t.Fatal(err)
+// TestWindowCacheKeepsBuildsUntilInstall: a build of the window's cache stays
+// past the Compute that made it until its view installs, whatever it costs —
+// the memory budget decides only where it stays. Without a budget the build
+// is resident; under one that admits no resident build it is spilled once and
+// holds no memory. Either way every later sibling Comp hits it, Install(R)
+// leaves it (it is a build of δS) and Install(S) drops it, and under the
+// budget the window's reservations never pass it.
+func TestWindowCacheKeepsBuildsUntilInstall(t *testing.T) {
+	const n = 3
+	// Less than the delta build needs, more than one of its two partitions.
+	for _, budget := range []int64{0, 8192} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			w := newSiblingWarehouse(t, n, Options{ShareComputation: true, MemoryBudgetBytes: budget})
+			loadSiblingData(t, w)
+			stageBulk(t, w, 120, "R", "S")
+			if w.AttachMemory("", nil) != (budget > 0) {
+				t.Fatal("AttachMemory attached a budget only when one is configured")
+			}
+			if !w.AttachSharing() {
+				t.Fatal("AttachSharing refused")
+			}
+			wantFate := map[bool]string{false: "resident", true: "spilled"}[budget > 0]
+			held := func() []SharedEntryStats {
+				w.cache.mu.Lock()
+				defer w.cache.mu.Unlock()
+				var out []SharedEntryStats
+				for _, slot := range w.cache.tables {
+					out = append(out, slot.stats(wantFate))
+					if (slot.res.sp != nil) != (budget > 0) {
+						t.Errorf("%s: spilled=%v under budget %d", slot.stats("").Name, slot.res.sp != nil, budget)
+					}
+				}
+				return out
+			}
+			for i := 1; i <= n; i++ {
+				rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := min(i-1, 1); rep.SharedHits != want || rep.SharedMisses != 1-want {
+					t.Errorf("Comp(V%d): shared %d hits / %d misses, want %d / %d", i, rep.SharedHits, rep.SharedMisses, want, 1-want)
+				}
+				if kept := held(); len(kept) != 1 || kept[0].Name != "δS[0]" {
+					t.Errorf("after Comp(V%d) the cache holds %+v, want the one build of δS", i, kept)
+				}
+			}
+			if _, err := w.Install("R"); err != nil {
+				t.Fatal(err)
+			}
+			if kept := held(); len(kept) != 1 {
+				t.Errorf("Install(R) left %+v, want the build of δS kept", kept)
+			}
+			for _, name := range []string{"S", "V1", "V2", "V3"} {
+				if _, err := w.Install(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if kept := held(); len(kept) != 0 {
+				t.Errorf("Install(S) left %+v in the cache", kept)
+			}
+			stats := w.DetachSharing()
+			mem := w.DetachMemory()
+			if len(stats.Detail) != 1 || stats.Detail[0].Fate != "dropped" || stats.Detail[0].Requests != n || stats.Detail[0].Hits != n-1 {
+				t.Errorf("cache detail %+v, want one build asked for %d times, dropped at Install", stats.Detail, n)
+			}
+			if budget > 0 && (mem.SpillCount != 1 || mem.PeakReservedBytes > budget) {
+				t.Errorf("%d spills, peak %d bytes: want the one build spilled once, within the %d-byte budget", mem.SpillCount, mem.PeakReservedBytes, budget)
+			}
+			if err := w.VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

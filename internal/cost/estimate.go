@@ -35,22 +35,6 @@ func EstimateMaterializedBytes(rows int64, width int) int64 {
 	return rows * int64(width) * bytesPerColumn
 }
 
-// ShouldShare is the reuse-vs-recompute gate for one shared subexpression
-// result: materializing is worthwhile only when at least two consumers will
-// read it (the first computation is paid either way) and the estimated
-// footprint fits in what remains of the transient byte budget. A
-// non-positive budget means "no budget configured": sharing is then gated
-// on consumer count alone.
-func ShouldShare(consumers int, bytes, budget, used int64) bool {
-	if consumers < 2 {
-		return false
-	}
-	if budget <= 0 {
-		return true
-	}
-	return used+bytes <= budget
-}
-
 // EstimateDeltas fills the DeltaPlus/DeltaMinus statistics of derived views
 // bottom-up from the (exact) base-view deltas, using standard independence
 // assumptions (Section 5.5 of the paper defers to "standard query result

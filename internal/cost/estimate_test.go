@@ -121,26 +121,3 @@ func TestEstimateMaterializedBytes(t *testing.T) {
 		t.Error("not monotone in width")
 	}
 }
-
-func TestShouldShare(t *testing.T) {
-	cases := []struct {
-		name                string
-		consumers           int
-		bytes, budget, used int64
-		want                bool
-	}{
-		{"single consumer never shares", 1, 10, 1000, 0, false},
-		{"zero consumers never shares", 0, 10, 1000, 0, false},
-		{"two consumers within budget", 2, 10, 1000, 0, true},
-		{"fills budget exactly", 2, 1000, 1000, 0, true},
-		{"over budget", 2, 1001, 1000, 0, false},
-		{"budget already consumed", 2, 10, 1000, 995, false},
-		{"no budget configured", 2, 1 << 40, 0, 0, true},
-	}
-	for _, c := range cases {
-		if got := ShouldShare(c.consumers, c.bytes, c.budget, c.used); got != c.want {
-			t.Errorf("%s: ShouldShare(%d, %d, %d, %d) = %v, want %v",
-				c.name, c.consumers, c.bytes, c.budget, c.used, got, c.want)
-		}
-	}
-}

@@ -25,8 +25,8 @@ func TestDifferentialExecutors(t *testing.T) {
 			// Both levels composed: DAG scheduling across expressions and a
 			// wide term engine inside each Comp, under one worker budget.
 			{Mode: warehouse.ModeDAG, Workers: wk, Width: wk},
-			{Share: 64 << 20},
-			{Mode: mixed, Workers: wk, Width: wk * int(seed%2), Share: 64 << 20},
+			{Share: true},
+			{Mode: mixed, Workers: wk, Width: wk * int(seed%2), Share: true},
 		} {
 			p.Seed, p.Planner = seed, []string{"dualstage", "minwork"}[seed%2]
 			trial.Run(t, p)
@@ -50,20 +50,18 @@ func TestFuzzRandomWarehouses(t *testing.T) {
 // the builds made from V's state and from δV (check.Invalidation, check.OneWay;
 // under dual-stage the siblings' multi-delta terms build the deltas, which
 // their views' installs then drop). Every point of mode × engine width ×
-// memory budget × shared budget must land where the sharing-off sequential
-// run does. The canary: with buildCache.invalidate's body emptied this fails.
+// memory budget, sharing on, must land where the sharing-off sequential run
+// does. The canary: with buildCache.invalidate's body emptied this fails.
 func TestWindowCacheInvalidationDifferential(t *testing.T) {
 	var sum trial.Tally
 	for seed := range trial.Seeds(6, 2) {
 		for _, mode := range []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG} {
 			for _, width := range []int{1, 2} {
 				for _, budget := range []int64{0, 1 << 20, 1} {
-					for _, share := range []int64{64 << 20, 1} {
-						sum.Add(trial.Run(t, check.Point{
-							Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
-							Mode: mode, Workers: 3, Width: width, Budget: budget, Share: share,
-						}))
-					}
+					sum.Add(trial.Run(t, check.Point{
+						Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
+						Mode: mode, Workers: 3, Width: width, Budget: budget, Share: true,
+					}))
 				}
 			}
 		}

@@ -96,8 +96,7 @@ func BenchmarkPruneScaling(b *testing.B) {
 }
 
 // BenchmarkPruneShared measures the sharing-aware search on the TPC-D VDAGs
-// of the benchmark's plan-space sweep, under a byte budget that binds: the
-// unclamped bound then cuts little and every feasible ordering is completed.
+// of the benchmark's plan-space sweep.
 func BenchmarkPruneShared(b *testing.B) {
 	for _, m := range []int{6, 7, 8, 10} {
 		g := tpcdSearchGraph(m)

@@ -15,21 +15,20 @@ import (
 
 // refShareCand is one election candidate.
 type refShareCand struct {
-	op       OperandKey
-	n        int
-	rows     int64
-	bytes    int64
-	saved    int64
-	name     string
-	admitted bool
+	op    OperandKey
+	n     int
+	rows  int64
+	bytes int64
+	saved int64
+	name  string
 }
 
-// refAnalyzeSharingOpts is the string- and map-keyed sharing analysis as it
+// refAnalyzeSharing is the string- and map-keyed sharing analysis as it
 // stood before the compiled core replaced it, cut to the operand election
-// when the join intermediates and the share tuner went, and otherwise kept
-// verbatim as the oracle the differential tests compare AnalyzeSharingOpts
-// against.
-func refAnalyzeSharingOpts(s strategy.Strategy, refs func(view string) []string, opts SharingOptions) SharingPlan {
+// when the join intermediates and the share tuner went and to its count of
+// every candidate when the byte budget went, and otherwise kept verbatim as
+// the oracle the differential tests compare AnalyzeSharing against.
+func refAnalyzeSharing(s strategy.Strategy, refs func(view string) []string, opts SharingOptions) SharingPlan {
 	plan := SharingPlan{
 		Consumers: make(map[OperandKey]int),
 		ByComp:    make(map[string][]OperandKey),
@@ -91,15 +90,6 @@ func refAnalyzeSharingOpts(s strategy.Strategy, refs func(view string) []string,
 		}
 	}
 
-	var used int64
-	admit := func(c *refShareCand) bool {
-		if opts.BudgetBytes > 0 && used+c.bytes > opts.BudgetBytes {
-			return false
-		}
-		used += c.bytes
-		return true
-	}
-
 	var opCands []*refShareCand
 	for op, n := range plan.Consumers {
 		if n < 2 {
@@ -122,45 +112,24 @@ func refAnalyzeSharingOpts(s strategy.Strategy, refs func(view string) []string,
 			name:  fmt.Sprintf("%s v%d", name, op.Version),
 		})
 	}
-	refSortCands(opCands)
-	for _, c := range opCands {
-		if c.saved <= 0 || !admit(c) {
-			continue
-		}
-		c.admitted = true
-		plan.EstimatedSavedTuples += c.saved
-	}
-	for _, c := range opCands {
-		plan.Elected = append(plan.Elected, ElectedShare{
-			Name: c.name, Consumers: c.n,
-			EstRows: c.rows, EstBytes: c.bytes, EstSavedTuples: c.saved,
-			Admitted: c.admitted,
-		})
-	}
-	return plan
-}
-
-// sortCands orders election candidates by savings-per-byte (descending),
-// breaking ties by name for determinism.
-func refSortCands(cands []*refShareCand) {
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		// saved/bytes comparison without division: a.saved*b.bytes vs
-		// b.saved*a.bytes (bytes are ≥ 48, never zero, per
-		// EstimateMaterializedBytes's width clamp — but guard anyway).
-		ab, bb := a.bytes, b.bytes
-		if ab <= 0 {
-			ab = 1
-		}
-		if bb <= 0 {
-			bb = 1
-		}
-		da, db := float64(a.saved)/float64(ab), float64(b.saved)/float64(bb)
-		if da != db {
-			return da > db
+	// Most saved first, ties by name for determinism.
+	sort.Slice(opCands, func(i, j int) bool {
+		a, b := opCands[i], opCands[j]
+		if a.saved != b.saved {
+			return a.saved > b.saved
 		}
 		return a.name < b.name
 	})
+	for _, c := range opCands {
+		if c.saved > 0 {
+			plan.EstimatedSavedTuples += c.saved
+		}
+		plan.Elected = append(plan.Elected, ElectedShare{
+			Name: c.name, Consumers: c.n,
+			EstRows: c.rows, EstBytes: c.bytes, EstSavedTuples: c.saved,
+		})
+	}
+	return plan
 }
 
 // refPrune is Prune as a loop over the retained public pieces: a strong

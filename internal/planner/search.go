@@ -44,8 +44,8 @@ type search struct {
 	// The bound's view of the VDAG: a set of placed views is a bit mask.
 	bit      []uint32 // per view: its bit in such a set; 0 for a view without parents
 	children []uint32 // per view: the bits of its children
-	// What sharing saves, unclamped by any budget (sharedsearch.go); without
-	// sharing, as in Prune, nothing.
+	// What sharing saves (sharedsearch.go); without sharing, as in Prune,
+	// nothing.
 	shareBase   float64      // on operands every ordering reads alike
 	stateReads  []int32      // [x·m+i]: the Comps propagating the view of bit i that read view x's state
 	stateSaving [][2]float64 // per view: one saved scan of its state, priced, before and after its install
@@ -187,7 +187,7 @@ func (s *search) evaluate() (work float64, ok bool) {
 // the objective. Strong consistency pins every sibling's install state at each
 // Comp over x to its membership in placed (Theorem 6.1), so this is x's
 // install, the Comps propagating x priced by evaluate's tables, less — under
-// PruneShared — the unclamped saving on x's state: the Comps reading it
+// PruneShared — the saving on x's state: the Comps reading it
 // before its install (those propagating a view of placed, or x) can share one
 // scan, and those after it another. It is +Inf when two or more of x's
 // children are still unplaced: C5 puts Inst(x) after the Comp over the later
@@ -273,8 +273,8 @@ func (s *search) roundingSlack() float64 {
 // saves the strategy in s.out, priced — rendered back to names and
 // expressions; s.out is left holding the winner. A prefix is left unfinished
 // when what it has placed plus the least the rest can add (costToGo) is no
-// better than the best ordering so far: the budgeted election behind saved()
-// saves no more than place's unclamped sum, and an ordering place admits but
+// better than the best ordering so far: the election behind saved() saves
+// exactly place's sum, and an ordering place admits but
 // evaluate finds cyclic is only dropped, so no ordering under a cut prefix
 // would have replaced the incumbent. Examined counts the prefixes priced and
 // the orderings completed, Feasible the complete orderings evaluate found

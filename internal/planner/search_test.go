@@ -24,7 +24,7 @@ type searchCase struct {
 
 // randomSearchCase draws a VDAG of the given shape with minOrderable to
 // maxOrderable views with parents, with statistics, self-join reference
-// counts, and a seed-chosen model, byte budget, widths and reference order.
+// counts, and a seed-chosen model, widths and reference order.
 func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable int) searchCase {
 	var g *vdag.Graph
 	for {
@@ -48,7 +48,6 @@ func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable i
 		{CompCoeff: 2, InstCoeff: 1},
 		{CompCoeff: 1, InstCoeff: 4, MemoryBudgetBytes: 48 * 4 * 300, SpillCoeff: 0.5},
 	}[rng.Intn(3)]
-	c.opts.Sharing.BudgetBytes = []int64{0, 48 * 4 * 400, 1 << 40}[rng.Intn(3)]
 	if rng.Intn(2) == 0 {
 		c.opts.Sharing.Width = func(view string) int { return 2 + len(view)%3 }
 	}
@@ -117,8 +116,8 @@ func randomShape(rng *rand.Rand, shape string) *vdag.Graph {
 }
 
 // TestCompiledSearchMatchesReference is the differential test of the
-// compiled, bounded search: over seeded random VDAGs — byte budgets that bind
-// and orderings with cyclic SEGs among them — Prune and PruneShared choose
+// compiled, bounded search: over seeded random VDAGs — orderings with cyclic
+// SEGs among them — Prune and PruneShared choose
 // what the per-ordering ConstructSEG → TopoSort → cost.Work → sharing
 // analysis loop over all m! orderings chooses, the analysis being the
 // pre-compilation implementation, and every winner is a correct VDAG strategy.
@@ -162,7 +161,7 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 				t.Errorf("%s: Prune's strategy is not correct: %v", name, err)
 			}
 
-			wantS, err := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, refAnalyzeSharingOpts)
+			wantS, err := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, refAnalyzeSharing)
 			if err != nil {
 				t.Fatalf("%s: reference PruneShared: %v", name, err)
 			}
@@ -179,8 +178,8 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 			}
 			// The same loop over today's analysis: the search's election and the
 			// one-shot election are the same code on the same reads.
-			if again, _ := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, AnalyzeSharingOpts); !reflect.DeepEqual(gotS, again) {
-				t.Errorf("%s: PruneShared differs from the loop over AnalyzeSharingOpts: %+v\nwant %+v", name, gotS, again)
+			if again, _ := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, AnalyzeSharing); !reflect.DeepEqual(gotS, again) {
+				t.Errorf("%s: PruneShared differs from the loop over AnalyzeSharing: %+v\nwant %+v", name, gotS, again)
 			}
 		})
 	}
@@ -297,7 +296,7 @@ func TestAnalyzeSharingMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []strategy.Strategy{strategy.DualStageVDAG(c.g), mw.Strategy} {
-			got, want := AnalyzeSharingOpts(s, refsFn, opts), refAnalyzeSharingOpts(s, refsFn, opts)
+			got, want := AnalyzeSharing(s, refsFn, opts), refAnalyzeSharing(s, refsFn, opts)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d, %v:\n got %+v\nwant %+v", seed, s, got, want)
 			}
@@ -330,41 +329,33 @@ func tpcdSearchGraph(orderable int) *vdag.Graph {
 	return vdag.MustBuild(pairs...)
 }
 
-// tpcdSearchInputs are fixed statistics and a byte budget for
-// tpcdSearchGraph.
+// tpcdSearchInputs are fixed statistics for tpcdSearchGraph.
 func tpcdSearchInputs(g *vdag.Graph) (cost.Stats, SharedSearchOptions) {
 	stats := make(cost.Stats)
 	for i, v := range g.Views() {
 		stats[v] = cost.ViewStat{Size: int64(1500 - 170*i + 37*i*i), DeltaPlus: int64(11 + 7*i), DeltaMinus: int64(40 - 3*i)}
 	}
-	return stats, SharedSearchOptions{Sharing: SharingOptions{BudgetBytes: 48 * 4 * 2000}}
+	return stats, SharedSearchOptions{}
 }
 
-// TestSearchGolden pins Prune and PruneShared on the TPC-D graphs to what the
-// commit before the compiled search returned, and their counters to what the
-// bound leaves of the search: Prune prices m(m+1)/2 prefixes on the way to one
-// ordering; PruneShared, whose 384 kB budget binds so that the unclamped
-// saving bounds little, still completes every ordering with an acyclic SEG.
+// TestSearchGolden pins Prune on the TPC-D graphs to what the commit before
+// the compiled search returned, and its counters to what the bound leaves of
+// the search: m(m+1)/2 prefixes priced on the way to one ordering. On these
+// graphs that ordering also has the least sharing-adjusted work, and
+// PruneShared, whose bound is exact, walks the same prefixes to it.
 func TestSearchGolden(t *testing.T) {
 	for _, want := range []struct {
 		orderable                    int
 		prune                        string
-		pruneWork                    float64
+		pruneWork, adjusted          float64
 		pruneExamined, pruneFeasible int
-		shared                       string
-		work, adjusted               float64
-		examined, feasible           int
 	}{
-		{orderable: 6, pruneExamined: 21, pruneFeasible: 1, examined: 1956, feasible: 720,
+		{orderable: 6, pruneExamined: 21, pruneFeasible: 1,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Inst(Q3); Inst(Q5); Inst(Q10)⟩",
-			pruneWork: 68456,
-			shared:    "⟨Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Inst(Q3); Inst(Q5); Inst(Q10)⟩",
-			work:      68706, adjusted: 54809},
-		{orderable: 7, pruneExamined: 28, pruneFeasible: 1, examined: 7069, feasible: 2520,
+			pruneWork: 68456, adjusted: 14819},
+		{orderable: 7, pruneExamined: 28, pruneFeasible: 1,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3P, {Q3}); Inst(Q3); Inst(Q5); Inst(Q10); Inst(Q3P)⟩",
-			pruneWork: 68618,
-			shared:    "⟨Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3P, {Q3}); Inst(Q3); Inst(Q5); Inst(Q10); Inst(Q3P)⟩",
-			work:      68868, adjusted: 54971},
+			pruneWork: 68618, adjusted: 14981},
 	} {
 		g := tpcdSearchGraph(want.orderable)
 		stats, opts := tpcdSearchInputs(g)
@@ -379,8 +370,8 @@ func TestSearchGolden(t *testing.T) {
 		if pr.Strategy.String() != want.prune || pr.Work != want.pruneWork || pr.Examined != want.pruneExamined || pr.Feasible != want.pruneFeasible {
 			t.Errorf("%d views: Prune = %v, work %v, examined %d, feasible %d", want.orderable, pr.Strategy, pr.Work, pr.Examined, pr.Feasible)
 		}
-		if sh.Strategy.String() != want.shared || sh.Work != want.work || sh.AdjustedWork != want.adjusted ||
-			sh.Examined != want.examined || sh.Feasible != want.feasible {
+		if sh.Strategy.String() != want.prune || sh.Work != want.pruneWork || sh.AdjustedWork != want.adjusted ||
+			sh.Examined != want.pruneExamined || sh.Feasible != want.pruneFeasible {
 			t.Errorf("%d views: PruneShared = %v, work %v, adjusted %v, examined %d, feasible %d",
 				want.orderable, sh.Strategy, sh.Work, sh.AdjustedWork, sh.Examined, sh.Feasible)
 		}

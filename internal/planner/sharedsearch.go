@@ -13,7 +13,7 @@ import (
 // globally"). Prune picks the strategy with the least *linear* work and
 // never prefers a plan because it shares well. PruneShared instead costs
 // every candidate with sharing-adjusted work: the linear work minus the
-// operand scans a budget-admitted sharing plan would elide, priced by the
+// operand scans its sharing plan would elide, priced by the
 // model's per-tuple compute coefficient. On graphs where the work-optimal
 // ordering interleaves installs between computes — version-splitting every
 // operand so nothing is reusable — the joint search can elect a slightly
@@ -25,8 +25,8 @@ type SharedSearchOptions struct {
 	// Refs supplies each derived view's FROM-clause reference list
 	// (exec.RefsOf). When nil it is expanded from the RefCounts.
 	Refs func(view string) []string
-	// Sharing parameterizes each candidate's sharing analysis (budget,
-	// widths). Sharing.Stats is overwritten with the search's stats.
+	// Sharing parameterizes each candidate's sharing analysis (widths).
+	// Sharing.Stats is overwritten with the search's stats.
 	Sharing SharingOptions
 }
 
@@ -69,8 +69,8 @@ func refsFromCounts(refs cost.RefCounts) func(view string) []string {
 	}
 }
 
-// boundSharing gives place what sh's election would save were its budget
-// unbounded: (consumers − 1) scans of every operand. Which version of view X's
+// boundSharing gives place what sh's election saves: (consumers − 1) scans of
+// every operand. Which version of view X's
 // state a Comp reads depends only on whether the child that Comp propagates
 // is placed before X, so those reads are counted per view and propagated
 // child for place to add up; every other operand — a delta, always read
@@ -111,10 +111,8 @@ func (s *search) boundSharing(sh *sharer) {
 // with its sharing plan, the first found winning ties. The VDAG and the
 // sharing analysis of its expressions are compiled once, so an ordering costs
 // no allocation and only the winner's plan is rendered. Prune's bound carries
-// over with the election's saving taken unclamped (boundSharing): exact, and
-// as sharp as Prune's, when the byte budget admits every candidate; when the
-// budget binds it cuts little and every feasible ordering is still completed.
-// A model without coefficients is cost.DefaultModel, for work and saved scans
+// over with the election's saving added per view (boundSharing), exact and as
+// sharp as Prune's. A model without coefficients is cost.DefaultModel, for work and saved scans
 // alike.
 func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts, opts SharedSearchOptions) (SharedResult, error) {
 	res := SharedResult{Work: -1, AdjustedWork: -1}
@@ -142,7 +140,7 @@ func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.Re
 	if err != nil {
 		return res, err
 	}
-	plan := AnalyzeSharingOpts(dual, refsFn, shOpts)
+	plan := AnalyzeSharing(dual, refsFn, shOpts)
 	if adj := w - s.model.CompCoeff*float64(plan.EstimatedSavedTuples); res.AdjustedWork < 0 || adj < res.AdjustedWork {
 		res.Work, res.AdjustedWork = w, adj
 		res.Strategy, res.Plan, res.DualStage = dual, plan, true

@@ -28,9 +28,10 @@ import (
 // counter at each Inst(X). The scheduler's conflict ordering preserves
 // exactly these read-after-install relations in every execution mode.
 //
-// With statistics, AnalyzeSharingOpts elects which multi-consumer operands
-// the window's shared byte budget admits — greedily, by savings per byte — so
-// the reported savings are what the budget can hold.
+// With statistics, the election counts every operand at least two Comps read
+// as n − 1 saved scans: the window's cache keeps a build until its view
+// installs, and the memory budget decides only whether it stays resident or
+// spilled.
 
 // OperandKey identifies one shareable operand in a strategy: a view's delta
 // or state, at the given install version (installs of the view executed
@@ -54,11 +55,9 @@ type ElectedShare struct {
 	EstBytes int64
 	// EstSavedTuples is the operand scans sharing it elides.
 	EstSavedTuples int64
-	// Admitted reports whether the byte budget admitted the candidate.
-	Admitted bool
 }
 
-// SharingPlan is the result of AnalyzeSharing / AnalyzeSharingOpts.
+// SharingPlan is the result of AnalyzeSharing.
 type SharingPlan struct {
 	// Consumers maps each operand to the number of Comp expressions
 	// reading it, operands read once included.
@@ -69,22 +68,18 @@ type SharingPlan struct {
 	// SharedOperands counts operands with at least two consumers.
 	SharedOperands int
 	// EstimatedSavedTuples is the planning-statistics estimate of the
-	// operand tuples sharing saves, clamped to what the byte budget
-	// admits. Zero when no stats are supplied.
+	// operand tuples sharing saves. Zero when no stats are supplied.
 	EstimatedSavedTuples int64
-	// Elected lists every candidate the election considered, admitted or
-	// not, in admission-priority order (only with stats).
+	// Elected lists every candidate the election counted, most saved first
+	// (only with stats).
 	Elected []ElectedShare
 }
 
-// SharingOptions parameterize AnalyzeSharingOpts.
+// SharingOptions parameterize AnalyzeSharing.
 type SharingOptions struct {
 	// Stats sizes the savings estimates; without it the analysis returns
 	// structure only (no election, no estimates).
 	Stats cost.Stats
-	// BudgetBytes is the window's shared byte budget the election clamps
-	// against; 0 means unbounded (every multi-consumer candidate admits).
-	BudgetBytes int64
 	// Width returns a view's tuple width in columns (nil: a nominal 4),
 	// used to price candidates in bytes.
 	Width func(view string) int
@@ -95,23 +90,16 @@ type SharingOptions struct {
 	Tuner any
 }
 
-// AnalyzeSharing walks a strategy and returns its cross-view sharing
-// structure. refs supplies each derived view's FROM-clause reference list
-// (one entry per reference; repeat for self-joins) — exec.RefsOf adapts a
-// warehouse. stats, when non-nil, sizes the estimated savings; planning
-// proceeds without it. Estimates are unclamped (no byte budget); see
-// AnalyzeSharingOpts.
-func AnalyzeSharing(s strategy.Strategy, refs func(view string) []string, stats cost.Stats) SharingPlan {
-	return AnalyzeSharingOpts(s, refs, SharingOptions{Stats: stats})
-}
-
 // nominalShareWidth is the per-view tuple width assumed when no Width
 // function is supplied, matching the cost model's nominal build width.
 const nominalShareWidth = 4
 
-// AnalyzeSharingOpts is AnalyzeSharing with the savings estimate clamped to
-// what opts.BudgetBytes admits (greedy by savings-per-byte).
-func AnalyzeSharingOpts(s strategy.Strategy, refs func(view string) []string, opts SharingOptions) SharingPlan {
+// AnalyzeSharing walks a strategy and returns its cross-view sharing
+// structure. refs supplies each derived view's FROM-clause reference list
+// (one entry per reference; repeat for self-joins) — exec.RefsOf adapts a
+// warehouse. opts.Stats, when non-nil, sizes the estimated savings; planning
+// proceeds without it.
+func AnalyzeSharing(s strategy.Strategy, refs func(view string) []string, opts SharingOptions) SharingPlan {
 	sh := compileSharing(s, refs, opts)
 	seq := make([]int32, len(s))
 	for i := range seq {
@@ -122,7 +110,7 @@ func AnalyzeSharingOpts(s strategy.Strategy, refs func(view string) []string, op
 }
 
 // sharer is the compiled sharing analysis of a fixed set of expressions: the
-// one walk and election behind AnalyzeSharingOpts (a strategy, analyzed once)
+// one walk and election behind AnalyzeSharing (a strategy, analyzed once)
 // and PruneShared (the VDAG's expressions, every candidate sequence of them
 // analyzed without allocating). Views are dense ids; an operand (view,
 // version, delta) packs into an integer that indexes flat tables.
@@ -138,10 +126,7 @@ type sharer struct {
 	// One walk's reads.
 	version   []int32 // per view: installs so far
 	consumers []int32 // per operand id: Comps reading it
-
-	// One election's outcome.
-	cands []shareCand
-	saved int64
+	saved     int64   // the election's estimate over them
 }
 
 // shareNode is one expression as the walk sees it: an Inst bumps a version; a
@@ -159,20 +144,12 @@ type shareRead struct {
 
 // shareInfo is the part of a candidate no walk changes.
 type shareInfo struct {
-	name  string // as ElectedShare renders it; the election's tie-break
+	name  string // as ElectedShare renders it; the tie-break of its order
 	rows  int64  // materialized rows; noStats when statistics are missing
 	bytes int64  // materialized bytes
 }
 
 const noStats = -1 << 63
-
-// shareCand is one election candidate.
-type shareCand struct {
-	id, n    int32 // operand id; Comps reading it
-	saved    int64
-	perByte  float64 // saved per byte: the admission priority
-	admitted bool
-}
 
 func (sh *sharer) opID(view, version int32, delta bool) int32 {
 	id := (view*sh.nVer + version) * 2
@@ -284,31 +261,13 @@ func (sh *sharer) analyze(seq []int32) int64 {
 	return sh.saved
 }
 
-// elect is the greedy savings-per-byte admission, against the shared byte
-// budget, of the operands at least two Comps read and whose statistics are
-// known, over the reads analyze recorded.
+// elect counts n − 1 saved scans of every operand n ≥ 2 Comps read, over
+// the reads analyze recorded. An operand without statistics (noStats is
+// negative) or without rows saves nothing.
 func (sh *sharer) elect() {
-	sh.cands = sh.cands[:0]
 	for id, n := range sh.consumers {
-		if c := &sh.op[id]; n >= 2 && c.rows != noStats {
-			saved := int64(n-1) * c.rows
-			// Bytes are ≥ 48, never zero, per EstimateMaterializedBytes's
-			// width clamp — but guard anyway.
-			perByte := float64(saved) / float64(max(c.bytes, 1))
-			sh.cands = append(sh.cands, shareCand{id: int32(id), n: n, saved: saved, perByte: perByte})
-		}
-	}
-	// By savings-per-byte (descending), ties by name for determinism.
-	slices.SortFunc(sh.cands, func(a, b shareCand) int {
-		return cmp.Or(cmp.Compare(b.perByte, a.perByte), strings.Compare(sh.op[a.id].name, sh.op[b.id].name))
-	})
-	var used int64
-	for i := range sh.cands {
-		c := &sh.cands[i]
-		if bytes := sh.op[c.id].bytes; c.saved > 0 && cost.ShouldShare(int(c.n), bytes, sh.opts.BudgetBytes, used) {
-			used += bytes
-			c.admitted = true
-			sh.saved += c.saved
+		if rows := sh.op[id].rows; n >= 2 && rows > 0 {
+			sh.saved += int64(n-1) * rows
 		}
 	}
 }
@@ -338,13 +297,19 @@ func (sh *sharer) plan() SharingPlan {
 			plan.ByComp[key] = append(plan.ByComp[key], sh.opKey(id))
 		}
 	}
-	for _, c := range sh.cands {
-		info := &sh.op[c.id]
-		plan.Elected = append(plan.Elected, ElectedShare{
-			Name: info.name, Consumers: int(c.n),
-			EstRows: info.rows, EstBytes: info.bytes, EstSavedTuples: c.saved,
-			Admitted: c.admitted,
-		})
+	if sh.op == nil {
+		return plan
 	}
+	for id, n := range sh.consumers {
+		if info := &sh.op[id]; n >= 2 && info.rows != noStats {
+			plan.Elected = append(plan.Elected, ElectedShare{
+				Name: info.name, Consumers: int(n),
+				EstRows: info.rows, EstBytes: info.bytes, EstSavedTuples: int64(n-1) * info.rows,
+			})
+		}
+	}
+	slices.SortFunc(plan.Elected, func(a, b ElectedShare) int {
+		return cmp.Or(cmp.Compare(b.EstSavedTuples, a.EstSavedTuples), strings.Compare(a.Name, b.Name))
+	})
 	return plan
 }

@@ -28,7 +28,7 @@ func TestAnalyzeSharingDualStage(t *testing.T) {
 		strategy.Inst{View: "A"}, strategy.Inst{View: "B"},
 		strategy.Inst{View: "V1"}, strategy.Inst{View: "V2"}, strategy.Inst{View: "V3"},
 	}
-	plan := AnalyzeSharing(s, sharingRefs, nil)
+	plan := AnalyzeSharing(s, sharingRefs, SharingOptions{})
 	// Each Comp has r=2, so it reads δA, δB and (r>1) the states of A, B:
 	// 4 operands, each with 3 consumers.
 	if plan.SharedOperands != 4 {
@@ -59,7 +59,7 @@ func TestAnalyzeSharingVersions(t *testing.T) {
 		strategy.Inst{View: "B"},
 		strategy.Inst{View: "V1"}, strategy.Inst{View: "V2"},
 	}
-	plan := AnalyzeSharing(s, sharingRefs, nil)
+	plan := AnalyzeSharing(s, sharingRefs, SharingOptions{})
 	if n := plan.Consumers[OperandKey{View: "A", Delta: true, Version: 0}]; n != 1 {
 		t.Errorf("δA v0 consumers = %d, want 1", n)
 	}
@@ -82,7 +82,7 @@ func TestAnalyzeSharingSingleRef(t *testing.T) {
 		strategy.Comp{View: "V1", Over: []string{"A"}},
 		strategy.Inst{View: "A"}, strategy.Inst{View: "V1"},
 	}
-	plan := AnalyzeSharing(s, sharingRefs, nil)
+	plan := AnalyzeSharing(s, sharingRefs, SharingOptions{})
 	if _, ok := plan.Consumers[OperandKey{View: "A"}]; ok {
 		t.Error("r=1 Comp must not read the over view's state")
 	}
@@ -104,7 +104,7 @@ func TestAnalyzeSharingEstimate(t *testing.T) {
 		"A": {Size: 100, DeltaPlus: 5, DeltaMinus: 5},
 		"B": {Size: 200, DeltaPlus: 10, DeltaMinus: 0},
 	}
-	plan := AnalyzeSharing(s, sharingRefs, stats)
+	plan := AnalyzeSharing(s, sharingRefs, SharingOptions{Stats: stats})
 	// Shared: δA (10), δB (10), state A (100), state B (200); one extra
 	// consumer each → 320 tuples saved.
 	if plan.EstimatedSavedTuples != 320 {

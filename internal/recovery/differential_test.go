@@ -36,8 +36,8 @@ func crashes(t *testing.T, seed int64) {
 		// Crashes must not leak the window's build cache, and a sharing-off
 		// recovery of a sharing-on window must replay to identical digests
 		// (sharing elides scans, not results).
-		{Share: 64 << 20},
-		{Mode: warehouse.ModeDAG, Share: 64 << 20},
+		{Share: true},
+		{Mode: warehouse.ModeDAG, Share: true},
 	} {
 		draw := int(seed)*5 + leg
 		p.Seed, p.Planner, p.Skip = seed, []string{"dualstage", "minwork"}[seed%2], seed%4 < 2

@@ -126,7 +126,7 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 				if shared {
 					res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W), planner.SharedSearchOptions{
 						Refs:    exec.RefsOf(tw.W),
-						Sharing: planner.SharingOptions{BudgetBytes: core.DefaultSharedBudgetBytes, Width: exec.WidthOf(tw.W)},
+						Sharing: planner.SharingOptions{Width: exec.WidthOf(tw.W)},
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -91,8 +91,8 @@ func TestWindowCountersReportSpilling(t *testing.T) {
 
 	w := newBigRetail(t)
 	w.SetMemoryBudget(4096)
-	if got := w.MemoryBudget(); got != 4096 {
-		t.Fatalf("MemoryBudget() = %d", got)
+	if got := w.Internal().Options().MemoryBudgetBytes; got != 4096 {
+		t.Fatalf("MemoryBudgetBytes = %d", got)
 	}
 	stageBigRetail(t, w)
 	rep, err := w.RunWindow(MinWorkPlanner)

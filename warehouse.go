@@ -10,10 +10,13 @@
 // strategy framework and its three planners:
 //
 //   - PlanMinWorkSingle: the optimal strategy for a single view (O(n log n)).
-//   - PlanMinWork: expression-graph planning for the whole VDAG, optimal
-//     for tree- and uniform-shaped warehouses.
-//   - PlanPrune: exhaustive-but-pruned search returning the cheapest 1-way
-//     VDAG strategy.
+//   - Plan(MinWorkPlanner), or PlanMinWork: expression-graph planning for
+//     the whole VDAG, optimal for tree- and uniform-shaped warehouses.
+//   - Plan(PrunePlanner): exhaustive-but-pruned search returning the
+//     cheapest 1-way VDAG strategy; Plan(SharedPlanner) costs the same
+//     candidates by sharing-adjusted work, and Plan(DualStagePlanner) is the
+//     conventional propagate-then-install strategy the paper compares
+//     against.
 //
 // Basic use:
 //
@@ -33,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -166,12 +170,10 @@ type Options struct {
 	// once and probed by every later consumer, in every scheduling mode and
 	// at any engine width, until its view installs. Reported work (the
 	// linear metric) is unchanged; SharedHits/SharedTuplesSaved report the
-	// physical scans elided.
+	// physical scans elided. MemoryBudgetBytes bounds the bytes the kept
+	// builds take: without it every build stays resident until its view
+	// installs.
 	ShareComputation bool
-	// SharedBudgetBytes bounds the resident builds the window's cache keeps
-	// past the Comp that made them; a build that would exceed it serves
-	// that Comp and is rebuilt by later ones. 0 means the 64 MiB default.
-	SharedBudgetBytes int64
 	// MemoryBudgetBytes bounds the window-wide transient memory of update
 	// execution: every build-side hash table draws on one budget for as
 	// long as the build cache holds it, and builds that do not fit are
@@ -244,7 +246,6 @@ func New(opts ...Options) *Warehouse {
 		ParallelTerms:     o.ParallelTerms,
 		Workers:           o.Workers,
 		ShareComputation:  o.ShareComputation,
-		SharedBudgetBytes: o.SharedBudgetBytes,
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
 	}), o.Model)
 }
@@ -324,15 +325,25 @@ func (w *Warehouse) SetParallelism(workers int, on bool) {
 }
 
 // SetSharing reconfigures window-wide shared computation at runtime: on
-// enables cross-view reuse of transiently materialized operands,
-// budgetBytes bounds their footprint (0 = the 64 MiB default). Not safe to
-// call while a window executes.
-func (w *Warehouse) SetSharing(on bool, budgetBytes int64) {
+// enables cross-view reuse of transiently materialized operands, whose
+// footprint the memory budget bounds (SetMemoryBudget). Not safe to call
+// while a window executes.
+func (w *Warehouse) SetSharing(on bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	opts := w.core.Options()
-	opts.ShareComputation, opts.SharedBudgetBytes = on, budgetBytes
+	opts.ShareComputation = on
 	w.core.SetOptions(opts)
+}
+
+// MiB converts a count of mebibytes, as a command takes a budget, to the
+// bytes SetMemoryBudget and Options.MemoryBudgetBytes take. It refuses a
+// negative count and one whose bytes an int64 cannot hold.
+func MiB(n int64) (int64, error) {
+	if n < 0 || n > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("%d MiB is not a byte budget (0 to %d MiB)", n, int64(math.MaxInt64>>20))
+	}
+	return n << 20, nil
 }
 
 // SetMemoryBudget reconfigures the window-wide memory budget at runtime:
@@ -348,62 +359,6 @@ func (w *Warehouse) SetMemoryBudget(bytes int64) {
 	opts.MemoryBudgetBytes = bytes
 	w.core.SetOptions(opts)
 	w.model.MemoryBudgetBytes = bytes
-}
-
-// MemoryBudget returns the configured window memory budget in bytes (0 when
-// budgeting is off).
-func (w *Warehouse) MemoryBudget() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.core.Options().MemoryBudgetBytes
-}
-
-// SharingAnalysis summarizes a strategy's cross-view sharing potential (see
-// AnalyzeSharing).
-type SharingAnalysis struct {
-	// SharedOperands counts operands (a view's state or delta, at one
-	// point of the install sequence) read by at least two Comps.
-	SharedOperands int
-	// EstimatedSavedTuples is the planning-statistics estimate of operand
-	// tuples sharing avoids rescanning, clamped to what the configured
-	// shared byte budget admits.
-	EstimatedSavedTuples int64
-	// Elected lists every candidate the election considered — admitted or
-	// refused — in admission-priority order (EXPLAIN SHARING).
-	Elected []ElectedShare
-}
-
-// ElectedShare is one sharing candidate the election considered.
-type ElectedShare = planner.ElectedShare
-
-// AnalyzeSharing runs the planner's sharing analysis on a strategy with the
-// current planning statistics — the preview of what ShareComputation could
-// reuse. The savings estimate is clamped to the configured shared byte
-// budget (Options.SharedBudgetBytes, defaulting to 64 MiB).
-func (w *Warehouse) AnalyzeSharing(s Strategy) (SharingAnalysis, error) {
-	stats, err := w.PlanningStats()
-	if err != nil {
-		return SharingAnalysis{}, err
-	}
-	p := planner.AnalyzeSharingOpts(s, exec.RefsOf(w.core), planner.SharingOptions{
-		Stats:       stats,
-		BudgetBytes: w.sharedBudget(),
-		Width:       exec.WidthOf(w.core),
-	})
-	return SharingAnalysis{
-		SharedOperands:       p.SharedOperands,
-		EstimatedSavedTuples: p.EstimatedSavedTuples,
-		Elected:              p.Elected,
-	}, nil
-}
-
-// sharedBudget is the byte budget sharing elections price against: the
-// configured Options.SharedBudgetBytes, or the build cache's default.
-func (w *Warehouse) sharedBudget() int64 {
-	if b := w.core.Options().SharedBudgetBytes; b > 0 {
-		return b
-	}
-	return core.DefaultSharedBudgetBytes
 }
 
 // DefineBase registers a base view (data loaded from sources).
@@ -588,8 +543,8 @@ type Plan struct {
 }
 
 // Plan plans the staged changes with the named planner (MinWorkPlanner when
-// empty) — the one dispatch over planner names; RunWindowOpts and every
-// Plan* shorthand go through it. One gathering of planning statistics serves
+// empty) — the one dispatch over planner names; RunWindowOpts and
+// PlanMinWork go through it. One gathering of planning statistics serves
 // the planner and the estimate.
 func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 	g, err := w.planningGraph()
@@ -623,11 +578,8 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 		p.Strategy = strategy.DualStageVDAG(g)
 	case SharedPlanner:
 		res, err := planner.PruneShared(g, w.model, stats, refs, planner.SharedSearchOptions{
-			Refs: exec.RefsOf(w.core),
-			Sharing: planner.SharingOptions{
-				BudgetBytes: w.sharedBudget(),
-				Width:       exec.WidthOf(w.core),
-			},
+			Refs:    exec.RefsOf(w.core),
+			Sharing: planner.SharingOptions{Width: exec.WidthOf(w.core)},
 		})
 		if err != nil {
 			return Plan{}, err
@@ -648,21 +600,6 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 // PlanMinWork plans an update for the whole warehouse with the MinWork
 // algorithm (optimal for tree and uniform VDAGs).
 func (w *Warehouse) PlanMinWork() (Plan, error) { return w.Plan(MinWorkPlanner) }
-
-// PlanPrune plans an update with the Prune search (cheapest 1-way VDAG
-// strategy; factorial in the number of views that other views are defined
-// over).
-func (w *Warehouse) PlanPrune() (Plan, error) { return w.Plan(PrunePlanner) }
-
-// PlanShared plans an update with the sharing-aware Prune search: the same
-// candidate space as PlanPrune (plus the dual-stage strategy), costed by
-// sharing-adjusted work — multi-consumer operands are charged once, subject
-// to the shared byte budget.
-func (w *Warehouse) PlanShared() (Plan, error) { return w.Plan(SharedPlanner) }
-
-// PlanDualStage plans the conventional propagate-then-install strategy the
-// paper compares against ([CGL+96]).
-func (w *Warehouse) PlanDualStage() (Plan, error) { return w.Plan(DualStagePlanner) }
 
 // PlanMinWorkSingle plans an optimal update strategy for one derived view
 // (Algorithm 4.1). The warehouse must consist of that view and its base

@@ -106,15 +106,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPlannersAgreeOnFinalState(t *testing.T) {
 	base := newRetail(t)
 	stageSale(t, base)
-	plans := map[string]func(*Warehouse) (Plan, error){
-		"minwork":   (*Warehouse).PlanMinWork,
-		"prune":     (*Warehouse).PlanPrune,
-		"dualstage": (*Warehouse).PlanDualStage,
-	}
 	var reference []CountedRow
-	for name, planFn := range plans {
+	for _, name := range []PlannerName{MinWorkPlanner, PrunePlanner, DualStagePlanner} {
 		w := base.Clone()
-		p, err := planFn(w)
+		p, err := w.Plan(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -173,7 +168,7 @@ func TestEstimateWorkOrdersStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := w.PlanDualStage()
+	ds, err := w.Plan(DualStagePlanner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +188,7 @@ func TestEstimateWorkOrdersStrategies(t *testing.T) {
 func TestParallelFacade(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	ds, err := w.PlanDualStage()
+	ds, err := w.Plan(DualStagePlanner)
 	if err != nil {
 		t.Fatal(err)
 	}

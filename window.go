@@ -23,8 +23,7 @@ const (
 	// ([CGL+96]), provided as the baseline.
 	DualStagePlanner PlannerName = "dualstage"
 	// SharedPlanner is the sharing-aware Prune search: candidates are costed
-	// by sharing-adjusted work (multi-consumer operands charged once, under
-	// the shared byte budget).
+	// by sharing-adjusted work (multi-consumer operands charged once).
 	SharedPlanner PlannerName = "shared"
 )
 
