@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke examples-smoke
+.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke examples-smoke docs-check experiments
 
 all: build test
 
@@ -41,6 +41,22 @@ staticcheck:
 	@command -v staticcheck >/dev/null 2>&1 \
 		&& staticcheck ./... \
 		|| echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
+
+# The docs that cannot drift from the code: EXPERIMENTS.md's generated block
+# is byte for byte what the harness prints at the defaults, with the shape
+# tests asserting the paper's claims on that same run; every Test, Fuzz,
+# Benchmark and Example name that EXPERIMENTS.md, DESIGN.md, README.md and
+# docs/TUTORIAL.md cite is a function of some _test.go; and cmd/experiments'
+# usage errors and its -only output, a section of the block.
+docs-check:
+	$(call run-tests,./internal/experiments/,TestExperimentsMDIsTheOutput)
+	$(call run-tests,.,TestDocsNameTestsThatExist)
+	$(call run-tests,./cmd/experiments/,TestUnknownExperimentListsTheIDs|TestRetiredOutputFlagsAreUsageErrors|TestOnlyPrintsItsSectionOfTheBlock)
+
+# Print EXPERIMENTS.md's generated block: every table and figure of the
+# paper's evaluation at the defaults (SF 0.002, seed 7, change fraction 0.10).
+experiments:
+	@$(GO) run ./cmd/experiments
 
 # Run the two example programs the README walks through: quickstart, and
 # tpcd, which checks every strategy it runs against recomputation. The other

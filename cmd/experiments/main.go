@@ -1,83 +1,64 @@
 // Command experiments regenerates the paper's evaluation: Table 1 and
-// Figures 12–15, plus the Section 9 parallel-strategy analysis, printing
-// paper-style rows (and optionally a Markdown report for EXPERIMENTS.md).
+// Figures 12–15, the Section 9 parallel-strategy analysis and three
+// extensions, printed as Markdown. At the defaults its output is
+// EXPERIMENTS.md's generated block.
 //
 // Usage:
 //
-//	experiments [-sf 0.002] [-seed 7] [-p 0.10] [-only fig12] [-markdown]
+//	experiments [-sf 0.002] [-seed 7] [-p 0.10] [-only fig12]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the experiments and returns the exit code: 2 for a
+// usage error, 1 for a failed experiment.
+func run(args []string, stdout, stderr io.Writer) int {
 	var ids []string
 	for _, e := range experiments.Experiments {
 		ids = append(ids, e.ID)
 	}
-	sf := flag.Float64("sf", 0.002, "TPC-D scale factor")
-	seed := flag.Int64("seed", 7, "data generation seed")
-	p := flag.Float64("p", 0.10, "change fraction (paper default: 10% decrease)")
-	only := flag.String("only", "", "run a single experiment: "+strings.Join(ids, ", "))
-	markdown := flag.Bool("markdown", false, "emit Markdown tables instead of plain text")
-	chart := flag.Bool("chart", false, "render ASCII bar charts (the paper's figures)")
-	flag.Parse()
-
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sf := fs.Float64("sf", 0.002, "TPC-D scale factor")
+	seed := fs.Int64("seed", 7, "data generation seed")
+	p := fs.Float64("p", 0.10, "change fraction (paper default: 10% decrease)")
+	only := fs.String("only", "", "run a single experiment: "+strings.Join(ids, ", "))
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	cfg := experiments.Config{SF: *sf, Seed: *seed, ChangeFrac: *p}
-	ran := false
-	for _, e := range experiments.Experiments {
-		if *only != "" && *only != e.ID {
-			continue
-		}
-		ran = true
-		start := time.Now()
-		res, err := e.Run(cfg)
+	if *only == "" {
+		results, err := experiments.All(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		switch {
-		case *markdown:
-			fmt.Print(markdownResult(res))
-		case *chart:
-			fmt.Print(res.Chart())
-		default:
-			fmt.Print(res.Format())
+		fmt.Fprint(stdout, experiments.Report(cfg, results))
+		return 0
+	}
+	for _, e := range experiments.Experiments {
+		if e.ID == *only {
+			res, err := e.Run(cfg)
+			if err != nil {
+				fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
+				return 1
+			}
+			fmt.Fprint(stdout, res.Markdown())
+			return 0
 		}
-		fmt.Printf("(%s ran in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(ids, ", "))
-		os.Exit(2)
-	}
-}
-
-func markdownResult(r experiments.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", r.ID, r.Title)
-	if r.PaperClaim != "" {
-		fmt.Fprintf(&b, "*Paper:* %s\n\n", r.PaperClaim)
-	}
-	b.WriteString("| strategy | work | elapsed | predicted | |\n|---|---:|---:|---:|---|\n")
-	for _, row := range r.Rows {
-		pred := ""
-		if row.Predicted >= 0 {
-			pred = fmt.Sprintf("%.0f", row.Predicted)
-		}
-		fmt.Fprintf(&b, "| %s | %d | %s | %s | %s |\n",
-			row.Label, row.Work, row.Elapsed.Round(time.Microsecond), pred, row.Marker)
-	}
-	b.WriteString("\n")
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "- %s\n", n)
-	}
-	b.WriteString("\n")
-	return b.String()
+	fmt.Fprintf(stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(ids, ", "))
+	return 2
 }

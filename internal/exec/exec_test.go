@@ -130,7 +130,8 @@ func TestExecuteValidateRefusesIncorrect(t *testing.T) {
 // quiet view is skipped with zero work while a Comp over a changed one runs.
 // (It took the place of the Prepared-procedure tests: Prepared was a second
 // executor loop; what it checked beyond this — work equal to Execute's — is
-// TestExecuteOneWay and TestMeasuredWorkMatchesLinearMetric.)
+// TestExecuteOneWay and trial.Run's assertion (ii), the cost model over exact
+// statistics equal to every step's measured Work, which TestTrials runs.)
 func TestRunStepSkipsEmptyDeltas(t *testing.T) {
 	w := newWarehouse(t, rand.New(rand.NewSource(31)))
 	w.SetOptions(core.Options{SkipEmptyDeltas: true})

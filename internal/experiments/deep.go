@@ -25,14 +25,7 @@ func Deep(cfg Config) (Result, error) {
 			"ModifyOrdering and lose optimality; Prune remains optimal over " +
 			"1-way strategies",
 	}
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed, DeepVDAG: true})
-	if err != nil {
-		return res, err
-	}
-	if _, err := tw.StageChanges(tpcd.Mixed(cfg.ChangeFrac/2, cfg.ChangeFrac/2)); err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{DeepVDAG: true}, tpcd.Mixed(cfg.ChangeFrac/2, cfg.ChangeFrac/2))
 	if err != nil {
 		return res, err
 	}
@@ -68,6 +61,9 @@ func Deep(cfg Config) (Result, error) {
 	}
 	res.Rows = append(res.Rows, rowDual)
 
+	res.Measured = fmt.Sprintf("MinWork %d %s Prune's best 1-way %d (%s), Prune pricing %d ordering prefixes "+
+		"of the %d orderings; dual-stage %.2f× Prune", rowMW.Work, rel(rowMW.Work, rowPr.Work), rowPr.Work,
+		rowMW.Marker, pr.Examined, orderings(len(tw.Graph.ViewsWithParents())), float64(rowDual.Work)/float64(rowPr.Work))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("VDAG: %d views over %d levels, uniform=%v, tree=%v",
 			len(tw.Graph.Views()), tw.Graph.MaxLevel()+1, tw.Graph.IsUniform(), tw.Graph.IsTree()),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/exec"
 	"repro/internal/planner"
@@ -30,15 +31,9 @@ func Estimation(cfg Config) (Result, error) {
 		{"C/O/L -5%", tpcd.COLDecrease(0.05)},
 		{"mixed -5%/+8%", tpcd.Mixed(0.05, 0.08)},
 	}
+	matched, lo, hi := 0, math.Inf(1), math.Inf(-1)
 	for _, s := range specs {
-		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed})
-		if err != nil {
-			return res, err
-		}
-		if _, err := tw.StageChanges(s.spec); err != nil {
-			return res, err
-		}
-		estStats, err := exec.PlanningStats(tw.W)
+		tw, estStats, err := staged(cfg, tpcd.Config{}, s.spec)
 		if err != nil {
 			return res, err
 		}
@@ -62,6 +57,7 @@ func Estimation(cfg Config) (Result, error) {
 			if act > 0 {
 				errPct = 100 * float64(est-act) / float64(act)
 			}
+			lo, hi = min(lo, errPct), max(hi, errPct)
 			res.Rows = append(res.Rows, Row{
 				Label:     fmt.Sprintf("%s δ%s", s.label, q),
 				Work:      act,
@@ -81,10 +77,14 @@ func Estimation(cfg Config) (Result, error) {
 		same := "orderings MATCH"
 		if fmt.Sprint(estOrd) != fmt.Sprint(exactOrd) {
 			same = fmt.Sprintf("orderings differ: est %v vs exact %v", estOrd, exactOrd)
+		} else {
+			matched++
 		}
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: %s", s.label, same))
 	}
 	res.Notes = append(res.Notes,
 		"'work' column holds the actual |δV|, 'predicted' the Section 5.5 estimate")
+	res.Measured = fmt.Sprintf("derived-delta size estimates off by %+.0f%% to %+.0f%%, yet the ordering from estimates "+
+		"matches the one from exact statistics in %d of %d workloads", lo, hi, matched, len(specs))
 	return res, nil
 }

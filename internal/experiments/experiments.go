@@ -9,18 +9,20 @@
 //	            dual-stage)
 //	Section 9 — parallel strategies (extension)
 //
-// The paper reports seconds on SQL Server 6.5; this harness reports both
+// and three extensions: the metric ablation, estimation quality and the deep
+// VDAG. The paper reports seconds on SQL Server 6.5; this harness reports
 // measured work (tuples scanned/installed — the linear metric's unit) and
-// wall-clock time on the bundled engine. Absolute numbers differ from the
-// paper's; the comparisons (who wins, by roughly what factor) are the
-// reproduced result.
+// the metric's prediction of it, both deterministic, so Report's rendering
+// at the defaults is EXPERIMENTS.md's generated block byte for byte. The
+// comparisons (who wins, by roughly what factor) are the reproduced result.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/exec"
@@ -58,8 +60,6 @@ type Row struct {
 	Label string
 	// Work is measured work: tuples scanned by Comps + rows installed.
 	Work int64
-	// Elapsed is the measured update window on this engine.
-	Elapsed time.Duration
 	// Predicted is the linear-metric estimate from planning statistics
 	// (−1 when not computed).
 	Predicted float64
@@ -69,69 +69,63 @@ type Row struct {
 
 // Result is one reproduced table or figure.
 type Result struct {
-	ID    string // "table1", "fig12", …
-	Title string
-	// Columns names the Row fields being reported (documentation only).
+	ID         string // "table1", "fig12", …
+	Title      string
 	PaperClaim string
-	Rows       []Row
-	Notes      []string
+	// Measured states what the rows show about the paper's claim, for the
+	// summary of claims.
+	Measured string
+	Rows     []Row
+	Notes    []string
 }
 
-// Format renders the result as an ASCII table.
-func (r Result) Format() string {
+// Markdown renders the result as its section of EXPERIMENTS.md.
+func (r Result) Markdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
-	if r.PaperClaim != "" {
-		fmt.Fprintf(&b, "paper: %s\n", r.PaperClaim)
-	}
-	labelW := 10
-	for _, row := range r.Rows {
-		if len(row.Label) > labelW {
-			labelW = len(row.Label)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s  %12s  %12s  %12s  %s\n", labelW, "strategy", "work", "elapsed", "predicted", "")
+	fmt.Fprintf(&b, "### %s — %s\n\n*Paper:* %s\n\n", r.ID, r.Title, r.PaperClaim)
+	b.WriteString("| strategy | work | predicted | |\n|---|---:|---:|---|\n")
 	for _, row := range r.Rows {
 		pred := ""
 		if row.Predicted >= 0 {
 			pred = fmt.Sprintf("%.0f", row.Predicted)
 		}
-		fmt.Fprintf(&b, "%-*s  %12d  %12s  %12s  %s\n",
-			labelW, row.Label, row.Work, row.Elapsed.Round(time.Microsecond), pred, row.Marker)
+		fmt.Fprintf(&b, "| %s | %d | %s | %s |\n", row.Label, row.Work, pred, row.Marker)
+	}
+	if len(r.Notes) > 0 {
+		b.WriteString("\n")
 	}
 	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		fmt.Fprintf(&b, "- %s\n", n)
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// Report renders a run of every experiment as EXPERIMENTS.md's generated
+// block: the summary of claims, then each result's section.
+func Report(cfg Config, results []Result) string {
+	cfg = cfg.withDefaults()
+	var b strings.Builder
+	b.WriteString("## Summary of claims\n\n| Experiment | Paper's claim | Measured here |\n|---|---|---|\n")
+	for _, r := range results {
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", r.ID, r.PaperClaim, r.Measured)
+	}
+	fmt.Fprintf(&b, "\n## Measured tables (SF %g, seed %d, change fraction %g)\n\n", cfg.SF, cfg.Seed, cfg.ChangeFrac)
+	for _, r := range results {
+		b.WriteString(r.Markdown())
 	}
 	return b.String()
 }
 
-// Chart renders the result as an ASCII bar chart (the paper's figures are
-// bar charts of update-window lengths), bars scaled to the largest work.
-func (r Result) Chart() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
-	labelW, maxWork := 8, int64(1)
-	for _, row := range r.Rows {
-		if len(row.Label) > labelW {
-			labelW = len(row.Label)
-		}
-		if row.Work > maxWork {
-			maxWork = row.Work
-		}
+// rel renders how a compares with b.
+func rel[T cmp.Ordered](a, b T) string {
+	switch {
+	case a < b:
+		return "<"
+	case a > b:
+		return ">"
 	}
-	const width = 50
-	for _, row := range r.Rows {
-		n := int(row.Work * width / maxWork)
-		if n == 0 && row.Work > 0 {
-			n = 1
-		}
-		fmt.Fprintf(&b, "%-*s |%-*s %d", labelW, row.Label, width, strings.Repeat("█", n), row.Work)
-		if row.Marker != "" {
-			fmt.Fprintf(&b, "  ← %s", row.Marker)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return "="
 }
 
 // Table1 reproduces Table 1: the number of correct view strategies for a
@@ -152,14 +146,39 @@ func Table1() Result {
 	}
 	// Cross-check by enumeration for n ≤ 4.
 	items := []string{"a", "b", "c", "d"}
+	agree := 0
 	for n := 1; n <= 4; n++ {
 		if got := len(strategy.OrderedPartitions(items[:n])); int64(got) != res.Rows[n-1].Work {
 			res.Notes = append(res.Notes, fmt.Sprintf("enumeration mismatch at n=%d: %d", n, got))
+		} else {
+			agree++
 		}
 	}
+	counts := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		counts[i] = fmt.Sprint(row.Work)
+	}
+	res.Measured = fmt.Sprintf("%s by the closed form; exhaustive enumeration agrees at %d of the 4 sizes n ≤ 4",
+		strings.Join(counts, ", "), agree)
 	res.Notes = append(res.Notes,
 		"Q3, Q5, Q10 are defined over 3, 6 and 4 views: 13, 4683 and 75 strategies respectively")
 	return res
+}
+
+// staged builds the TPC-D warehouse tc describes at cfg's scale and seed,
+// stages the change batch spec makes, and returns it with the planning
+// statistics of that batch.
+func staged(cfg Config, tc tpcd.Config, spec tpcd.ChangeSpec) (*tpcd.Warehouse, cost.Stats, error) {
+	tc.SF, tc.Seed = cfg.SF, cfg.Seed
+	tw, err := tpcd.NewWarehouse(tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := tw.StageChanges(spec); err != nil {
+		return nil, nil, err
+	}
+	stats, err := exec.PlanningStats(tw.W)
+	return tw, stats, err
 }
 
 // measure executes s on a clone of the staged warehouse, returning the row.
@@ -174,7 +193,7 @@ func measure(tw *tpcd.Warehouse, label string, s strategy.Strategy, stats cost.S
 			return Row{}, fmt.Errorf("%s: %w", label, err)
 		}
 	}
-	row := Row{Label: label, Work: rep.TotalWork(), Elapsed: rep.Elapsed, Predicted: -1}
+	row := Row{Label: label, Work: rep.TotalWork(), Predicted: -1}
 	if stats != nil {
 		if pred, err := cost.Work(cost.DefaultModel, stats, exec.RefCounts(tw.W), s); err == nil {
 			row.Predicted = pred
@@ -229,17 +248,10 @@ func Fig12(cfg Config) (Result, error) {
 		PaperClaim: "every 1-way beats every 2-way and the dual-stage strategy; " +
 			"dual-stage ≈2.2–2.3× the optimum; MinWorkSingle near-optimal",
 	}
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed, Queries: []string{tpcd.Q3}})
-	if err != nil {
-		return res, err
-	}
 	// The measured strategies update Q3 only, so only the views Q3 reads
 	// change (the paper also decreased S and N, which Q3 strategies never
 	// touch and which do not affect the measurement).
-	if _, err := tw.StageChanges(tpcd.COLDecrease(cfg.ChangeFrac)); err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{Queries: []string{tpcd.Q3}}, tpcd.COLDecrease(cfg.ChangeFrac))
 	if err != nil {
 		return res, err
 	}
@@ -272,31 +284,33 @@ func Fig12(cfg Config) (Result, error) {
 		}
 		return entries[i].row.Work < entries[j].row.Work
 	})
-	best := entries[0].row.Work
+	// least[k] and worst[k] are the smallest and largest work of the
+	// strategies whose largest Comp block has k views.
+	var least, worst [4]int64
+	var mwsWork int64
 	for _, e := range entries {
-		if e.row.Work < best {
-			best = e.row.Work
+		if least[e.kind] == 0 || e.row.Work < least[e.kind] {
+			least[e.kind] = e.row.Work
+		}
+		worst[e.kind] = max(worst[e.kind], e.row.Work)
+		if e.row.Marker == "MinWorkSingle" {
+			mwsWork = e.row.Work
 		}
 	}
-	var dual, bestRow Row
-	for i, e := range entries {
+	best, dual := min(least[1], least[2], least[3]), least[3]
+	for _, e := range entries {
 		if e.row.Work == best && e.row.Marker == "" {
 			e.row.Marker = "optimal"
-			entries[i] = e
 		}
-		if e.kind == 3 {
-			dual = e.row
-		}
-		if e.row.Work == best {
-			bestRow = e.row
-		}
-	}
-	for _, e := range entries {
 		res.Rows = append(res.Rows, e.row)
 	}
+	ratio := float64(dual) / float64(best)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("dual-stage / optimal work ratio: %.2f (paper: ≈2.2–2.3 in time)",
-			float64(dual.Work)/float64(bestRow.Work)))
+		fmt.Sprintf("dual-stage / optimal work ratio: %.2f (paper: ≈2.2–2.3 in time)", ratio))
+	res.Measured = fmt.Sprintf("worst 1-way %d %s best 2-way %d; worst 2-way %d %s dual-stage %d; "+
+		"dual-stage %.2f× the optimum; MinWorkSingle %d %s the optimum %d",
+		worst[1], rel(worst[1], least[2]), least[2], worst[2], rel(worst[2], dual), dual,
+		ratio, mwsWork, rel(mwsWork, best), best)
 	return res, nil
 }
 
@@ -309,14 +323,7 @@ func Fig13(cfg Config) (Result, error) {
 		Title:      "Q5 view strategies (Experiment 2)",
 		PaperClaim: "dual-stage is over 6× MinWorkSingle for the 6-view Q5",
 	}
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed, Queries: []string{tpcd.Q5}})
-	if err != nil {
-		return res, err
-	}
-	if _, err := tw.StageChanges(tpcd.UniformDecrease(cfg.ChangeFrac)); err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{Queries: []string{tpcd.Q5}}, tpcd.UniformDecrease(cfg.ChangeFrac))
 	if err != nil {
 		return res, err
 	}
@@ -335,8 +342,9 @@ func Fig13(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Rows = append(res.Rows, rowM, rowD)
-	res.Notes = append(res.Notes, fmt.Sprintf("dual-stage / MinWorkSingle work ratio: %.2f (paper: >6 in time; dual-stage evaluates 63 terms vs 6)",
-		float64(rowD.Work)/float64(rowM.Work)))
+	ratio := float64(rowD.Work) / float64(rowM.Work)
+	res.Notes = append(res.Notes, fmt.Sprintf("dual-stage / MinWorkSingle work ratio: %.2f (paper: >6 in time; dual-stage evaluates 63 terms vs 6)", ratio))
+	res.Measured = fmt.Sprintf("dual-stage %.2f× MinWorkSingle in work", ratio)
 	return res, nil
 }
 
@@ -349,16 +357,11 @@ func Fig14(cfg Config) (Result, error) {
 		Title:      "Q3 view strategies across change fractions (Experiment 3)",
 		PaperClaim: "MinWorkSingle ≤ best 2-way ≤ dual-stage over the whole 2–10% range",
 	}
-	for _, pct := range []int{2, 4, 6, 8, 10} {
+	fracs := []int{2, 4, 6, 8, 10}
+	holds := 0
+	for _, pct := range fracs {
 		p := float64(pct) / 100
-		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed, Queries: []string{tpcd.Q3}})
-		if err != nil {
-			return res, err
-		}
-		if _, err := tw.StageChanges(tpcd.COLDecrease(p)); err != nil {
-			return res, err
-		}
-		stats, err := exec.PlanningStats(tw.W)
+		tw, stats, err := staged(cfg, tpcd.Config{Queries: []string{tpcd.Q3}}, tpcd.COLDecrease(p))
 		if err != nil {
 			return res, err
 		}
@@ -398,7 +401,11 @@ func Fig14(cfg Config) (Result, error) {
 			}
 			res.Rows = append(res.Rows, row)
 		}
+		if r := res.Rows[len(res.Rows)-3:]; r[0].Work <= r[1].Work && r[1].Work <= r[2].Work {
+			holds++
+		}
 	}
+	res.Measured = fmt.Sprintf("MinWorkSingle ≤ best 2-way ≤ dual-stage at %d of the %d fractions", holds, len(fracs))
 	return res, nil
 }
 
@@ -419,14 +426,7 @@ func Fig15(cfg Config) (Result, error) {
 		PaperClaim: "MinWork 5–6× better than dual-stage and ≈11% better than " +
 			"the reverse ordering RNSCOL; MinWork is optimal (uniform VDAG)",
 	}
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed})
-	if err != nil {
-		return res, err
-	}
-	if _, err := tw.StageChanges(tpcd.UniformDecrease(cfg.ChangeFrac)); err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{}, tpcd.UniformDecrease(cfg.ChangeFrac))
 	if err != nil {
 		return res, err
 	}
@@ -454,10 +454,8 @@ func Fig15(cfg Config) (Result, error) {
 
 	// RNSCOL: the 1-way VDAG strategy consistent with the reverse of the
 	// desired ordering.
-	rev := append([]string(nil), mw.UsedOrdering...)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	rev := slices.Clone(mw.UsedOrdering)
+	slices.Reverse(rev)
 	eg := planner.ConstructEG(tw.Graph, rev)
 	revStrat, err := eg.TopoSort()
 	if err != nil {
@@ -475,12 +473,23 @@ func Fig15(cfg Config) (Result, error) {
 	}
 	res.Rows = append(res.Rows, rowDual)
 
+	dualRatio, revRatio := float64(rowDual.Work)/float64(rowMW.Work), float64(rowRev.Work)/float64(rowMW.Work)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("dual-stage / MinWork work ratio: %.2f (paper: 5–6×)",
-			float64(rowDual.Work)/float64(rowMW.Work)),
-		fmt.Sprintf("reverse / MinWork work ratio: %.3f (paper: ≈1.11)",
-			float64(rowRev.Work)/float64(rowMW.Work)))
+		fmt.Sprintf("dual-stage / MinWork work ratio: %.2f (paper: 5–6×)", dualRatio),
+		fmt.Sprintf("reverse / MinWork work ratio: %.3f (paper: ≈1.11)", revRatio))
+	res.Measured = fmt.Sprintf("dual-stage %.2f× MinWork; reverse %.3f× MinWork; Prune's best 1-way %d %s MinWork %d, "+
+		"pricing %d ordering prefixes of the %d orderings", dualRatio, revRatio, rowPr.Work, rel(rowPr.Work, rowMW.Work),
+		rowMW.Work, pr.Examined, orderings(len(tw.Graph.ViewsWithParents())))
 	return res, nil
+}
+
+// orderings returns m!, the number of orderings of m views.
+func orderings(m int) int {
+	n := 1
+	for ; m > 1; m-- {
+		n *= m
+	}
+	return n
 }
 
 func initials(views []string) []string {
@@ -503,21 +512,7 @@ func Parallel(cfg Config) (Result, error) {
 			"but increase total work, so the benefit of running expressions in " +
 			"parallel may be offset by the extra work",
 	}
-	mkWarehouse := func() (*tpcd.Warehouse, error) {
-		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tw.StageChanges(tpcd.UniformDecrease(cfg.ChangeFrac)); err != nil {
-			return nil, err
-		}
-		return tw, nil
-	}
-	tw, err := mkWarehouse()
-	if err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{}, tpcd.UniformDecrease(cfg.ChangeFrac))
 	if err != nil {
 		return res, err
 	}
@@ -525,34 +520,34 @@ func Parallel(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-
-	type variant struct {
+	var scheds []exec.Schedule
+	for _, v := range []struct {
 		label string
 		s     strategy.Strategy
-	}
-	for _, v := range []variant{
+	}{
 		{"MinWork (1-way)", mw.Strategy},
 		{"dual-stage", strategy.DualStageVDAG(tw.Graph)},
 	} {
-		run, err := mkWarehouse()
+		run := tw.W.Clone()
+		rep, err := exec.Execute(run, v.s, exec.Options{Mode: exec.ModeStaged})
 		if err != nil {
 			return res, err
 		}
-		rep, err := exec.Execute(run.W, v.s, exec.Options{Mode: exec.ModeStaged})
-		if err != nil {
-			return res, err
-		}
-		if err := run.W.VerifyAll(); err != nil {
+		if err := run.VerifyAll(); err != nil {
 			return res, err
 		}
 		res.Rows = append(res.Rows, Row{
 			Label:     fmt.Sprintf("%s stages=%d", v.label, rep.Sched.Levels),
 			Work:      rep.TotalWork(),
-			Elapsed:   rep.Elapsed,
 			Predicted: float64(rep.Sched.SpanWork),
 			Marker:    fmt.Sprintf("speedup=%.2f", rep.Sched.Speedup()),
 		})
+		scheds = append(scheds, rep.Sched)
 	}
+	one, dual := scheds[0], scheds[1]
+	res.Measured = fmt.Sprintf("dual-stage runs in %d stages to MinWork's %d, but its total work %d %s %d "+
+		"and its span work %d %s %d", dual.Levels, one.Levels, dual.TotalWork, rel(dual.TotalWork, one.TotalWork),
+		one.TotalWork, dual.SpanWork, rel(dual.SpanWork, one.SpanWork), one.SpanWork)
 	res.Notes = append(res.Notes,
 		"'predicted' column holds span work (critical path per expression)",
 		"dual-stage reaches two stages but its single 63-term Comp(Q5,·) dominates the span — "+
@@ -572,14 +567,7 @@ func MetricAblation(cfg Config) (Result, error) {
 		PaperClaim: "a variant metric that sums operand sizes once (ignoring term " +
 			"counts) would rank the dual-stage strategy best, contrary to Experiment 4",
 	}
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: cfg.SF, Seed: cfg.Seed})
-	if err != nil {
-		return res, err
-	}
-	if _, err := tw.StageChanges(tpcd.UniformDecrease(cfg.ChangeFrac)); err != nil {
-		return res, err
-	}
-	stats, err := exec.PlanningStats(tw.W)
+	tw, stats, err := staged(cfg, tpcd.Config{}, tpcd.UniformDecrease(cfg.ChangeFrac))
 	if err != nil {
 		return res, err
 	}
@@ -588,6 +576,7 @@ func MetricAblation(cfg Config) (Result, error) {
 		return res, err
 	}
 	refs := exec.RefCounts(tw.W)
+	var variants []float64
 	for _, c := range []struct {
 		label string
 		s     strategy.Strategy
@@ -605,7 +594,12 @@ func MetricAblation(cfg Config) (Result, error) {
 		}
 		row.Marker = fmt.Sprintf("variant metric predicts %.0f", variant)
 		res.Rows = append(res.Rows, row)
+		variants = append(variants, variant)
 	}
+	mwRow, dualRow := res.Rows[0], res.Rows[1]
+	res.Measured = fmt.Sprintf("measured MinWork %d %s dual-stage %d; linear metric %.0f %s %.0f; variant metric %.0f %s %.0f",
+		mwRow.Work, rel(mwRow.Work, dualRow.Work), dualRow.Work, mwRow.Predicted, rel(mwRow.Predicted, dualRow.Predicted),
+		dualRow.Predicted, variants[0], rel(variants[0], variants[1]), variants[1])
 	res.Notes = append(res.Notes,
 		"the linear metric ('predicted') tracks measured work; the variant inverts the comparison",
 	)
@@ -622,8 +616,7 @@ type Experiment struct {
 var Experiments = []Experiment{
 	{"table1", func(Config) (Result, error) { return Table1(), nil }},
 	{"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
-	{"parallel", Parallel}, {"stagedvsdag", StagedVsDAG}, {"metric", MetricAblation},
-	{"estimation", Estimation}, {"deep", Deep}, {"faulttolerance", FaultTolerance},
+	{"parallel", Parallel}, {"metric", MetricAblation}, {"estimation", Estimation}, {"deep", Deep},
 }
 
 // All runs every experiment.
@@ -632,7 +625,7 @@ func All(cfg Config) ([]Result, error) {
 	for _, e := range Experiments {
 		r, err := e.Run(cfg)
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		out = append(out, r)
 	}
