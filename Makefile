@@ -164,9 +164,12 @@ bench:
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
 # factorial growth (3.6 and 479 million orderings) hangs here, not in a slow
 # plan-space. One journaled window against a disk whose flushes take 300 µs
-# runs once too.
+# runs once too, and so does the resident-bytes benchmark: the TPC-D
+# warehouse at the repository benchmark's scale, its live heap after set-up
+# and after 20 windows, and LINEITEM's bytes per stored row.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -benchtime 1x
 	$(GO) test ./internal/planner -run '^$$' -bench 'BenchmarkPruneScaling/m=1[02]$$' -benchtime 1x -benchmem -timeout 30s
 	$(GO) test ./internal/storage -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
@@ -179,10 +182,13 @@ bench-smoke:
 # steps, ns per driver row), state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (the difference is
-# about one flush of the two it makes: syncs/op). Five samples each,
+# about one flush of the two it makes: syncs/op), and the live heap of the
+# TPC-D warehouse at the repository benchmark's scale after set-up and after
+# 20 windows, with LINEITEM's bytes per stored row. Five samples each,
 # with allocations; the planner's also report prefixes priced per search, the
 # storage, core and state-digest ones ns/row.
 bench-layers:
+	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -count 5
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem

@@ -76,6 +76,11 @@ func TestCompare(t *testing.T) {
 		{NewString("b"), NewString("b"), 0},
 		{NewDate(10), NewDate(11), -1},
 		{NewBool(false), NewBool(true), -1},
+		// NaN sorts after every number, integers included, and equals itself.
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1)), 1},
+		{NewFloat(math.MaxFloat64), NewFloat(math.NaN()), -1},
+		{NewInt(math.MaxInt64), NewFloat(math.NaN()), -1},
+		{NewFloat(math.NaN()), NewFloat(math.NaN()), 0},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -85,7 +90,7 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareDifferentKindsIsAntisymmetric(t *testing.T) {
-	vals := []Value{Null, NewInt(3), NewFloat(3.5), NewString("s"), NewDate(100), NewBool(true)}
+	vals := []Value{Null, NewInt(3), NewFloat(3.5), NewFloat(math.NaN()), NewString("s"), NewDate(100), NewBool(true)}
 	for _, a := range vals {
 		for _, b := range vals {
 			if Compare(a, b) != -Compare(b, a) {

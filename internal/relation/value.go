@@ -54,11 +54,12 @@ func (k Kind) String() string {
 //
 // Value is a small struct rather than an interface so that tuples are flat
 // slices with no per-value heap allocation; this matters because the engine's
-// work model is "scan operands once" and value handling dominates scans.
+// work model is "scan operands once" and value handling dominates scans. Every
+// fixed-width kind keeps its payload in the one word i, so a Value is four
+// words (32 bytes) and every stored, scanned or served tuple is a slice of them.
 type Value struct {
 	kind Kind
-	i    int64 // int, date (days since epoch), bool (0/1)
-	f    float64
+	i    int64 // int, date (days since epoch), bool (0/1), float (IEEE bits)
 	s    string
 }
 
@@ -68,8 +69,21 @@ var Null = Value{}
 // NewInt returns an integer value.
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
-// NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+// canonicalNaN is the bit pattern of the one NaN a float value holds.
+var canonicalNaN = int64(math.Float64bits(math.NaN()))
+
+// NewFloat returns a float value. It stores −0 as +0 and every NaN as the
+// one NaN math.NaN returns, so that values Compare calls equal also encode
+// alike: they land in one group and one key.
+func NewFloat(v float64) Value {
+	switch {
+	case v == 0:
+		return Value{kind: KindFloat}
+	case v != v:
+		return Value{kind: KindFloat, i: canonicalNaN}
+	}
+	return Value{kind: KindFloat, i: int64(math.Float64bits(v))}
+}
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -123,13 +137,16 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt, KindDate:
 		return float64(v.i)
 	default:
 		panic(fmt.Sprintf("relation: Float() on %s value", v.kind))
 	}
 }
+
+// float reads the payload word of a float value as the float it holds.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics if the value is not a string.
 func (v Value) Str() string {
@@ -164,7 +181,8 @@ func numericKinds(a, b Kind) bool {
 
 // Compare orders two values. NULL sorts before everything; values of
 // different non-numeric kinds compare by kind. Integers and floats compare
-// numerically with each other.
+// numerically with each other, and NaN sorts after every number and equals
+// itself, as in PostgreSQL, so that ORDER BY, MIN and MAX see one total order.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -196,7 +214,7 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case KindFloat:
-		return cmpFloat(a.f, b.f)
+		return cmpFloat(a.float(), b.float())
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	default:
@@ -210,8 +228,17 @@ func cmpFloat(a, b float64) int {
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
+	}
+	// At least one is NaN, which sorts last.
+	switch aNaN, bNaN := a != a, b != b; {
+	case aNaN && bNaN:
+		return 0
+	case aNaN:
+		return 1
+	default:
+		return -1
 	}
 }
 
@@ -221,9 +248,10 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // Identical reports whether two values encode alike — the same kind and the
 // same bits — which is the equality of stored keys and of hash-join keys.
 // Equal is coarser: it also holds between an integer and the float of the
-// same value, and between the two zeros.
+// same value, and between a float NewFloat made and one decoded from bits it
+// would not make (a −0 or another NaN).
 func Identical(a, b Value) bool {
-	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+	return a.kind == b.kind && a.i == b.i && a.s == b.s
 }
 
 // String renders the value for display.
@@ -234,7 +262,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindDate:
@@ -256,10 +284,8 @@ func (v Value) appendEncoded(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindInt, KindDate, KindBool:
+	case KindInt, KindDate, KindBool, KindFloat:
 		dst = appendUint64(dst, uint64(v.i))
-	case KindFloat:
-		dst = appendUint64(dst, math.Float64bits(v.f))
 	case KindString:
 		dst = appendUint64(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
@@ -304,13 +330,13 @@ func encodedSize(src string) (int, error) {
 }
 
 // decodeValue decodes the value at the head of src, which encodedSize has
-// validated, and returns the remainder. A string value aliases src.
+// validated, and returns the remainder. A string value aliases src. A float
+// keeps the bits it was encoded with, canonical or not, so that a decoded
+// tuple re-encodes byte for byte.
 func decodeValue(src string) (Value, string) {
 	switch k := Kind(src[0]); k {
-	case KindInt, KindDate, KindBool:
+	case KindInt, KindDate, KindBool, KindFloat:
 		return Value{kind: k, i: int64(decodeUint64(src[1:]))}, src[9:]
-	case KindFloat:
-		return Value{kind: k, f: math.Float64frombits(decodeUint64(src[1:]))}, src[9:]
 	case KindString:
 		end := 9 + int(decodeUint64(src[1:]))
 		return Value{kind: k, s: src[9:end]}, src[end:]
