@@ -131,7 +131,9 @@ race:
 # writer DAG workers append through), over the ingester's producers, window
 # loop and Close beside the replicas they ship to, and over the query server,
 # whose /stats reads the window tally that commits write under the facade's
-# lock.
+# lock. internal/storage's placement differential pins a reader on a table
+# while the writer's install re-places the table's rows by their first column
+# into fresh buckets, and back.
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
@@ -177,7 +179,10 @@ bench-smoke:
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /
-# clone / load / apply (rows and groups), join index build / apply, join
+# clone / load / apply (rows and groups), join index build / apply (the
+# steady-state IndexApply/lineitem, whose table a batch and its undo have
+# placed by L_ORDERKEY so that the row map serves that index, beside
+# IndexApply/lineitem-first, the first window's one-off re-placement), join
 # build and probe (flat table, resident index, and Q3's chain of two index
 # steps, ns per driver row), state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose

@@ -2,8 +2,11 @@ package warehouse
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
+
+	"repro/internal/tpcd"
 )
 
 func TestExplain(t *testing.T) {
@@ -75,5 +78,51 @@ func TestExplainCompare(t *testing.T) {
 	}
 	if ratio < 1 {
 		t.Errorf("dual-stage predicted cheaper than MinWork: %v", ratio)
+	}
+}
+
+// TestExplainMarksIndexesTheRowMapServes: once windows have installed into
+// TPC-D's tables, the three the batches write — LINEITEM, ORDER and
+// CUSTOMER — place their rows by their key, column 0, and EXPLAIN marks
+// the index there as served by the row map. The tables no batch writes keep
+// their postings, and so do the indexes on other columns.
+func TestExplainMarksIndexesTheRowMapServes(t *testing.T) {
+	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: residentSF, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := FromCore(tw.W, CostModel{})
+	for k := 0; k < 3; k++ {
+		tw.W = w.Internal() // tpcd stages on the core the facade serves
+		spec := tpcd.Mixed(0.005, 0.005)
+		spec.Seed = int64(k + 1)
+		if _, err := tw.StageChanges(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := w.PlanMinWork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := w.Explain(plan.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(line, "join index "); ok {
+			placed[strings.Fields(name)[0]] = strings.HasSuffix(line, " placed")
+		}
+	}
+	want := map[string]bool{
+		"LINEITEM[0]": true, "ORDER[0]": true, "CUSTOMER[0]": true,
+		"ORDER[1]": false, "CUSTOMER[2]": false, "SUPPLIER[0]": false, "SUPPLIER[2]": false,
+		"NATION[0]": false, "REGION[0]": false,
+	}
+	if !maps.Equal(placed, want) {
+		t.Errorf("the indexes EXPLAIN lists, and which the row map serves, are %v, want %v:\n%s", placed, want, out)
 	}
 }

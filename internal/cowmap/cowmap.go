@@ -169,6 +169,24 @@ func get[V any, K string | []byte](m *Map[V], hash uint64, key K) (V, bool) {
 	return zero, false
 }
 
+// Visit calls fn with the key and value of every entry stored under hash,
+// until fn returns false. A caller that files several keys under one hash —
+// storage.Table places rows by the hash of a prefix of their key — finds
+// them all this way; fn checks each key, since distinct keys may also share
+// a hash by chance. Visit reads only, as Get does.
+func (m *Map[V]) Visit(hash uint64, fn func(key string, v V) bool) {
+	if len(m.dir) == 0 {
+		return
+	}
+	if b := m.dir[hash&uint64(len(m.dir)-1)]; b != nil {
+		for i := range b.entries {
+			if e := &b.entries[i]; e.hash == hash && !fn(e.key, e.val) {
+				return
+			}
+		}
+	}
+}
+
 // Ref returns a pointer to the value stored under key, inserting the zero
 // value first if the key is absent (existed reports which). The bucket
 // becomes the handle's own, so the caller may write through the pointer —

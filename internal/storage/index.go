@@ -32,6 +32,18 @@ import (
 // maxServingFanOut rows a key — serves joins on more columns, and retires
 // the indexes on them. Every index counts its probes and its upkeep so that
 // a later election can decide the rest.
+//
+// Rows placed by their first column. Most join indexes are on column 0, the
+// key a base table leads with, and an index there duplicates the row map's
+// own structure at the price of one more bucket copy for every row a window
+// changes. So while that index is narrow the table files each row under the
+// hash of its first value (Table.slot) and the row map serves the index: a
+// probe visits the entries filed under the key's hash and keeps those whose
+// key begins with it, and the index holds no postings. The placement changes
+// on the writer path only, in ApplyDelta (Table.settle): it re-places the
+// rows into fresh buckets — clones and pinned epochs keep the old ones —
+// and back, building the postings in the same pass, when the column stops
+// being narrow. JoinIndex never re-places rows: it runs beside readers.
 
 // posting is the rows that share one join key, each as the row map holds
 // it — the stored tuple and its count — so that a probe reads no row map:
@@ -47,6 +59,7 @@ type posting struct {
 type Index struct {
 	t    *Table
 	cols []int // ascending, distinct
+	// keys is empty while the table's row map serves the index (served).
 	keys cowmap.Map[posting]
 	// probes and upkeep count the lookups served and the row arrivals,
 	// departures and count changes applied; a clone starts from its
@@ -66,11 +79,19 @@ type IndexStats struct {
 	// count changes applied, over the life of the index across the handles
 	// it passed through and of the indexes it retired.
 	Probes, Upkeep int64
+	// Placed reports that the table's row map serves the index: its rows
+	// are placed by their first column and the index holds no postings.
+	Placed bool
 }
 
-// String renders the stats as "[cols] keys=… rows=… probes=… upkeep=…".
+// String renders the stats as "[cols] keys=… rows=… probes=… upkeep=…",
+// followed by " placed" when the row map serves the index.
 func (s IndexStats) String() string {
-	return fmt.Sprintf("%v keys=%d rows=%d probes=%d upkeep=%d", s.Cols, s.Keys, s.Rows, s.Probes, s.Upkeep)
+	out := fmt.Sprintf("%v keys=%d rows=%d probes=%d upkeep=%d", s.Cols, s.Keys, s.Rows, s.Probes, s.Upkeep)
+	if s.Placed {
+		out += " placed"
+	}
+	return out
 }
 
 // Cols returns the indexed column positions, ascending. The slice is the
@@ -78,12 +99,21 @@ func (s IndexStats) String() string {
 func (ix *Index) Cols() []int { return ix.cols }
 
 // Probe calls fn with every row whose projection on Cols encodes to key,
-// and its count, until fn returns false: one lookup in the index, none in
-// the row map. The tuples are the stored ones (see Table) and must not be
-// modified. Probe allocates nothing and is safe from any number of
-// goroutines while the handle is not written.
+// and its count, until fn returns false: one lookup in the index, or in the
+// row map when that serves the index. The tuples are the stored ones (see
+// Table) and must not be modified. Probe allocates nothing and is safe from
+// any number of goroutines while the handle is not written.
 func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
-	p, ok := ix.keys.GetBytes(cowmap.HashBytes(key), key)
+	hash := cowmap.HashBytes(key)
+	if ix.served() {
+		// key is one value's encoding, self-delimiting: a row key that
+		// begins with it has it as its first value.
+		ix.t.rows.Visit(hash, func(k string, r storedRow) bool {
+			return len(k) < len(key) || k[:len(key)] != string(key) || fn(r.tup, r.count)
+		})
+		return
+	}
+	p, ok := ix.keys.GetBytes(hash, key)
 	if !ok {
 		return
 	}
@@ -104,9 +134,25 @@ func (ix *Index) CountProbes(n int64) { ix.probes.Add(n) }
 
 func (ix *Index) stats() IndexStats {
 	return IndexStats{
-		Cols: slices.Clone(ix.cols), Keys: int64(ix.keys.Len()), Rows: int64(ix.t.rows.Len()),
-		Probes: ix.probes.Load(), Upkeep: ix.upkeep.Load(),
+		Cols: slices.Clone(ix.cols), Keys: int64(ix.keyCount()), Rows: int64(ix.t.rows.Len()),
+		Probes: ix.probes.Load(), Upkeep: ix.upkeep.Load(), Placed: ix.served(),
 	}
+}
+
+// onFirstColumn reports whether the index is on column 0 alone.
+func (ix *Index) onFirstColumn() bool { return len(ix.cols) == 1 && ix.cols[0] == 0 }
+
+// served reports whether the table's row map serves the index: it is on
+// column 0, by whose values the table's rows are placed. A table holds at
+// most one index on a column set (JoinIndex hands out the resident one).
+func (ix *Index) served() bool { return ix.t.placed && ix.onFirstColumn() }
+
+// keyCount returns the number of distinct keys the index holds.
+func (ix *Index) keyCount() int {
+	if ix.served() {
+		return ix.t.firstKeys
+	}
+	return ix.keys.Len()
 }
 
 // appendKey appends the encoded projection of tup on the index columns.
@@ -213,7 +259,7 @@ const maxServingFanOut = 8
 
 // narrow reports whether the index's mean fan-out, rows per key, is at most
 // maxServingFanOut. An empty index is narrow.
-func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.keys.Len() }
+func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.keyCount() }
 
 // JoinIndex returns the resident index that serves an equi-join on the
 // given column positions (ascending, distinct, not empty), building one by
@@ -313,24 +359,77 @@ func (t *Table) IndexStats() []IndexStats {
 // indexInsert, indexRecount and indexDelete keep every index current:
 // insertKey calls the first when a row appears and the second when a row it
 // holds gains copies, deleteKey the last when a row's last copy goes and the
-// second when some stay.
+// second when some stay. The index the row map serves has nothing to write,
+// but counts the change as upkeep like the others.
 func (t *Table) indexInsert(r storedRow) {
 	for _, ix := range t.indexes {
-		ix.add(r, false)
+		if !ix.served() {
+			ix.add(r, false)
+		}
 		ix.upkeep.Add(1)
 	}
 }
 
 func (t *Table) indexRecount(r storedRow) {
 	for _, ix := range t.indexes {
-		ix.recount(r)
+		if !ix.served() {
+			ix.recount(r)
+		}
 		ix.upkeep.Add(1)
 	}
 }
 
 func (t *Table) indexDelete(tup relation.Tuple) {
 	for _, ix := range t.indexes {
-		ix.remove(tup)
+		if !ix.served() {
+			ix.remove(tup)
+		}
 		ix.upkeep.Add(1)
 	}
+}
+
+// settle re-places the rows when their placement no longer suits the
+// handle's index on [0], if it has one: by first value when that index is
+// narrow, by whole key when it is not. The rows go into fresh buckets of a
+// new row map, the old one left to the clones and pinned epochs that share
+// it; switching back builds the index's postings in the same scan.
+// ApplyDelta calls it, the writer path, so no reader of the handle sees the
+// switch. A column whose fan-out crosses maxServingFanOut back and forth
+// pays one re-placement per crossing.
+func (t *Table) settle() {
+	i := slices.IndexFunc(t.indexes, (*Index).onFirstColumn)
+	if i < 0 {
+		return
+	}
+	ix := t.indexes[i]
+	placed := ix.narrow()
+	if placed == t.placed {
+		return
+	}
+	// The index is the handle's own (Clone gives every handle a copy), so it
+	// changes in place: a join step that resolved it keeps probing it.
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	old, keys := t.rows, ix.keys.Len() // old is only read, then dropped
+	t.rows, ix.keys = cowmap.Map[storedRow]{}, cowmap.Map[posting]{}
+	t.rows.Grow(old.Len())
+	if placed {
+		t.firstKeys = keys
+	} else {
+		ix.keys.Grow(t.firstKeys)
+		t.firstKeys = 0
+	}
+	t.placed = placed
+	old.Scan(func(_ uint64, key string, r storedRow) bool {
+		at := key
+		if placed {
+			at = key[:relation.FirstLen(key)]
+		}
+		slot, _ := t.rows.Ref(cowmap.Hash(at), key)
+		*slot = r
+		if !placed {
+			ix.add(r, true)
+		}
+		return true
+	})
 }

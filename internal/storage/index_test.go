@@ -524,12 +524,14 @@ func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 
 // TestLineItemIndexUpkeepBytes: TPC-D's joins ask LINEITEM for an index on
 // L_ORDERKEY (four rows a key) and one on (L_ORDERKEY, L_SUPPKEY); the first
-// serves both, so a window's clone plus the 1 % batch (BenchmarkIndexApply's
-// lineitem case) copies the buckets of one index, not two. Two indexes cost
-// ≈ 2 800 B a changed row.
+// serves both, and once a window has installed into the table its rows are
+// placed by L_ORDERKEY and the row map serves that index, so a window's
+// clone plus the 1 % batch (BenchmarkIndexApply's lineitem case) copies the
+// row map's buckets and no index's (≈ 700 B a changed row). A posting index
+// beside the row map cost ≈ 1 500, two of them ≈ 2 800.
 func TestLineItemIndexUpkeepBytes(t *testing.T) {
-	const bound = 2_000 // bytes per changed row
-	tbl, d := indexApplyTable([][]int{{0}, {0, 2}})
+	const bound = 1_000 // bytes per changed row
+	tbl, d := indexApplyTable([][]int{{0}, {0, 2}}, false)
 	const runs = 4
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -545,25 +547,39 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 }
 
 // TestIndexProbeAllocatesNothing: a probe reads the key map and the posting,
-// which carries the stored tuples and their counts, and hands them out.
+// which carries the stored tuples and their counts, and hands them out; or,
+// once an install has placed the rows by their first column, the row map's
+// entries under the key's hash.
 func TestIndexProbeAllocatesNothing(t *testing.T) {
-	tbl := NewTable(testSchema())
-	for i := int64(0); i < 2000; i++ {
-		tbl.Insert(cowRow(i/4, fmt.Sprint("p", i)), 1)
-	}
-	ix, _ := tbl.JoinIndex([]int{0})
-	key := make([]byte, 0, 16)
-	var rows int64
-	probe := relation.Tuple{relation.NewInt(0)}
-	allocs := testing.AllocsPerRun(100, func() {
-		probe[0] = relation.NewInt(rows % 500)
-		key = probe.AppendEncoded(key[:0])
-		ix.Probe(key, func(_ relation.Tuple, count int64) bool {
-			rows += count
-			return true
+	for _, placed := range []bool{false, true} {
+		tbl := NewTable(testSchema())
+		for i := int64(0); i < 2000; i++ {
+			tbl.Insert(cowRow(i/4, fmt.Sprint("p", i)), 1)
+		}
+		ix, _ := tbl.JoinIndex([]int{0})
+		if placed {
+			d := delta.New(testSchema())
+			d.Add(cowRow(0, "new"), 1)
+			if err := tbl.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := tbl.IndexStats(); st[0].Placed != placed {
+			t.Fatalf("placed=%v: the index reports %v", placed, st[0])
+		}
+		key := make([]byte, 0, 16)
+		var rows int64
+		probe := relation.Tuple{relation.NewInt(0)}
+		allocs := testing.AllocsPerRun(100, func() {
+			probe[0] = relation.NewInt(rows % 500)
+			key = probe.AppendEncoded(key[:0])
+			ix.Probe(key, func(_ relation.Tuple, count int64) bool {
+				rows += count
+				return true
+			})
 		})
-	})
-	if allocs != 0 || rows == 0 {
-		t.Fatalf("a probe allocated %v times (and found %d rows), want 0", allocs, rows)
+		if allocs != 0 || rows == 0 {
+			t.Fatalf("placed=%v: a probe allocated %v times (and found %d rows), want 0", placed, allocs, rows)
+		}
 	}
 }

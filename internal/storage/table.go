@@ -11,7 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/cowmap"
@@ -24,6 +24,12 @@ import (
 // and its multiplicity. Multiplicities are always positive; installing a
 // change batch that would drive a count negative is an error (it indicates
 // an incorrect maintenance strategy upstream).
+//
+// The row map files a row under the CRC of its encoding, or — while the
+// table's first column is narrow and joins probe it — under the CRC of its
+// first value's encoding, a prefix of the key: the rows that share a first
+// value then share a bucket, and the row map itself serves the join index on
+// column 0 (see index.go, "Rows placed by their first column").
 //
 // A stored tuple is written once, when its row first appears, and never
 // again: Scan, Index.Probe and SortedRows hand out that tuple itself, shared by
@@ -41,6 +47,11 @@ type Table struct {
 	// digest is the XOR over rows of rowDigest: the table's term of the
 	// warehouse state digest, kept current by every count change.
 	digest uint64
+	// placed is set while the rows are filed by their first value, and the
+	// row map serves the index on column 0, which the handle then holds;
+	// firstKeys is then the number of distinct first values.
+	placed    bool
+	firstKeys int
 	// indexes holds the resident join indexes (see index.go), which the
 	// writes below keep current and Clone hands on. idxMu guards the slice,
 	// not the indexes: readers of a handle may create an index on it — the
@@ -98,7 +109,8 @@ func (t *Table) CheckDigest() error {
 
 // CheckIndexes compares every resident index of the handle with one built by
 // a scan of its rows: the same keys, and under each the same rows with the
-// same counts.
+// same counts. An index the row map serves is probed like any other, so a
+// row filed under the wrong hash shows up as missing.
 func (t *Table) CheckIndexes() error {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
@@ -112,8 +124,8 @@ func (t *Table) CheckIndexes() error {
 			want[key][tup.Encode()] = count
 			return true
 		})
-		if ix.keys.Len() != len(want) {
-			return fmt.Errorf("storage: index %v holds %d keys, a scan of the rows finds %d", ix.cols, ix.keys.Len(), len(want))
+		if ix.keyCount() != len(want) {
+			return fmt.Errorf("storage: index %v holds %d keys, a scan of the rows finds %d", ix.cols, ix.keyCount(), len(want))
 		}
 		for key, rows := range want {
 			got := make(map[string]int64)
@@ -155,6 +167,29 @@ func (t *Table) Insert(tup relation.Tuple, count int64) {
 	t.insertKey(cowmap.Hash(key), key, nil, count)
 }
 
+// slot returns the hash the row map files the row encoded as key under,
+// given the CRC of the whole key: that CRC, or the CRC of the key's first
+// value while the rows are placed by it. The whole key's CRC stays the
+// row's digest term either way.
+func (t *Table) slot(hash uint64, key string) uint64 {
+	if t.placed {
+		return cowmap.Hash(key[:relation.FirstLen(key)])
+	}
+	return hash
+}
+
+// sharesFirst reports whether a row other than the one encoded as key has
+// key's first value; at is that value's CRC. Only placed rows are asked.
+func (t *Table) sharesFirst(at uint64, key string) bool {
+	first := key[:relation.FirstLen(key)]
+	shared := false
+	t.rows.Visit(at, func(k string, _ storedRow) bool {
+		shared = k != key && len(k) >= len(first) && k[:len(first)] == first
+		return !shared
+	})
+	return shared
+}
+
 // encodeKey is tup.Encode() through a stack buffer: one allocation, the
 // key itself, for rows that encode to 128 bytes or fewer.
 func encodeKey(tup relation.Tuple) string {
@@ -162,12 +197,13 @@ func encodeKey(tup relation.Tuple) string {
 	return string(tup.AppendEncoded(buf[:0]))
 }
 
-// insertKey adds count copies of the row encoded as key. A row new to the
-// table stores tup, which is key decoded and becomes read-only, or — when tup
-// is nil — decodes key itself; either way the tuple's strings are substrings
-// of the key the table holds anyway.
+// insertKey adds count copies of the row encoded as key, whose CRC is hash.
+// A row new to the table stores tup, which is key decoded and becomes
+// read-only, or — when tup is nil — decodes key itself; either way the
+// tuple's strings are substrings of the key the table holds anyway.
 func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
-	r, existed := t.rows.Ref(hash, key)
+	at := t.slot(hash, key)
+	r, existed := t.rows.Ref(at, key)
 	if existed {
 		t.digest ^= rowDigest(hash, r.count)
 	} else {
@@ -175,6 +211,9 @@ func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int
 			tup = mustDecode(key)
 		}
 		r.tup = tup
+		if t.placed && !t.sharesFirst(at, key) {
+			t.firstKeys++
+		}
 	}
 	r.count += count
 	t.digest ^= rowDigest(hash, r.count)
@@ -210,15 +249,20 @@ func (t *Table) Delete(tup relation.Tuple, count int64) error {
 	return nil
 }
 
-// deleteKey removes count of the have copies of the row encoded as key; the
-// caller has looked have up and checked that it is at least count.
+// deleteKey removes count of the have copies of the row encoded as key,
+// whose CRC is hash; the caller has looked have up and checked that it is at
+// least count.
 func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	t.digest ^= rowDigest(hash, have)
+	at := t.slot(hash, key)
 	if have == count {
-		r, _ := t.rows.Delete(hash, key)
+		r, _ := t.rows.Delete(at, key)
+		if t.placed && !t.sharesFirst(at, key) {
+			t.firstKeys--
+		}
 		t.indexDelete(r.tup)
 	} else {
-		r, _ := t.rows.Ref(hash, key)
+		r, _ := t.rows.Ref(at, key)
 		r.count -= count
 		t.digest ^= rowDigest(hash, r.count)
 		t.indexRecount(*r)
@@ -226,8 +270,9 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	t.card -= count
 }
 
+// countKey returns the count of the row encoded as key, whose CRC is hash.
 func (t *Table) countKey(hash uint64, key string) int64 {
-	r, _ := t.rows.Get(hash, key)
+	r, _ := t.rows.Get(t.slot(hash, key), key)
 	return r.count
 }
 
@@ -259,9 +304,7 @@ func (t *Table) SortedRows() []CountedTuple {
 		out = append(out, CountedTuple{Tuple: tup, Count: count})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		return relation.CompareTuples(out[i].Tuple, out[j].Tuple) < 0
-	})
+	slices.SortFunc(out, func(a, b CountedTuple) int { return relation.CompareTuples(a.Tuple, b.Tuple) })
 	return out
 }
 
@@ -278,7 +321,7 @@ type CountedTuple struct {
 // window actually changes. The resident indexes go with the rows, shared
 // the same way, in O(indexes).
 func (t *Table) Clone() *Table {
-	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest}
+	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest, placed: t.placed, firstKeys: t.firstKeys}
 	t.idxMu.Lock() // cloning an index's map writes its token
 	defer t.idxMu.Unlock()
 	if len(t.indexes) > 0 {
@@ -290,13 +333,17 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Equal reports whether two tables hold the same bag of rows.
+// Equal reports whether two tables hold the same bag of rows, however each
+// places them.
 func (t *Table) Equal(o *Table) bool {
 	if t.rows.Len() != o.rows.Len() || t.card != o.card {
 		return false
 	}
 	equal := true
 	t.rows.Scan(func(hash uint64, key string, r storedRow) bool {
+		if t.placed {
+			hash = cowmap.Hash(key)
+		}
 		equal = o.countKey(hash, key) == r.count
 		return equal
 	})
@@ -353,6 +400,10 @@ func approxTupleEqual(a, b relation.Tuple, tol float64) bool {
 // ApplyDelta installs a change set: plus tuples are inserted, minus tuples
 // deleted. The whole batch is validated before any mutation so an incorrect
 // batch leaves the table untouched.
+//
+// ApplyDelta is also where the rows change placement (see Table.settle):
+// before a batch that is not empty when the handle's index on column 0 is
+// narrow, after it when the batch has made a placed column wide.
 func (t *Table) ApplyDelta(d *delta.Delta) error {
 	if !t.schema.Equal(d.Schema()) {
 		return fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
@@ -379,9 +430,10 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 		changes = append(changes, c)
 		return true
 	})
-	if err != nil {
-		return err
+	if err != nil || len(changes) == 0 {
+		return err // an empty batch writes nothing, so it moves no row either
 	}
+	t.settle()
 	t.rows.Grow(plus)
 	// The table adopts the delta's key strings as its own and, for a row it
 	// does not hold yet, the tuple the window's Comps decoded from the key —
@@ -393,6 +445,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}
 	}
+	t.settle()
 	return nil
 }
 
@@ -400,7 +453,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 // shared with clones are simply abandoned to the other handles.
 func (t *Table) Clear() {
 	t.rows.Clear()
-	t.card, t.digest = 0, 0
+	t.card, t.digest, t.firstKeys = 0, 0, 0
 	for _, ix := range t.indexes {
 		ix.keys.Clear()
 	}
