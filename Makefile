@@ -133,7 +133,7 @@ race:
 # whose /stats reads the window tally that commits write under the facade's
 # lock. internal/storage's placement differential pins a reader on a table
 # while the writer's install re-places the table's rows by their first column
-# into fresh buckets, and back.
+# into fresh buckets.
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...

@@ -48,14 +48,6 @@ const (
 	// probes L first, L ends with that one index, and every δP row's probe
 	// yields the rows of all its key's x, which the step must filter on x.
 	Narrow Catalog = "narrow"
-	// Widening is the fixture of a first column that goes from narrow to
-	// wide in the middle of a trial: L, O, P, J1 and J2 as in Narrow, L
-	// loaded with two rows a key over twelve keys. Once a window has built
-	// L's index on k and installed into L, L's rows are placed by k and its
-	// row map serves that index (storage.Table); StageWide then crowds one
-	// key, and the install that takes those rows switches L back to an index
-	// of its own.
-	Widening Catalog = "widening"
 )
 
 // OneWay is the Invalidation catalog's pinned 1-way strategy: the sibling
@@ -104,12 +96,6 @@ func BuildCatalog(t testing.TB, c Catalog, seed int64) *warehouse.Warehouse {
 		}
 	case Narrow:
 		b.base("L", "k", "x", 30, func(i int64) (int64, int64) { return i % 6, i % 5 })
-		b.base("O", "k", "y", 8, func(i int64) (int64, int64) { return i % 6, i })
-		b.base("P", "k", "x", 6+b.rng.Intn(10), func(int64) (int64, int64) { return b.rng.Int63n(6), b.rng.Int63n(5) })
-		b.view("J1", "SELECT l.x, o.y FROM L l, O o WHERE l.k = o.k")
-		b.view("J2", "SELECT l.k, l.x FROM L l, P p WHERE l.k = p.k AND l.x = p.x")
-	case Widening:
-		b.base("L", "k", "x", 24, func(i int64) (int64, int64) { return i % 12, i / 12 })
 		b.base("O", "k", "y", 8, func(i int64) (int64, int64) { return i % 6, i })
 		b.base("P", "k", "x", 6+b.rng.Intn(10), func(int64) (int64, int64) { return b.rng.Int63n(6), b.rng.Int63n(5) })
 		b.view("J1", "SELECT l.x, o.y FROM L l, O o WHERE l.k = o.k")
@@ -254,17 +240,4 @@ func Stage(t testing.TB, w *warehouse.Warehouse, rng *rand.Rand) []Change {
 func StageHot(t testing.TB, w *warehouse.Warehouse) {
 	t.Helper()
 	bases(t, w, func(_ string, d *warehouse.Delta) { d.Add(warehouse.Tuple{warehouse.Int(2), warehouse.Int(3)}, 1) })
-}
-
-// StageWide stages, on top of whatever is staged, a hundred rows under key 2
-// of the Widening catalog's L, and returns them: its twelve keys or fewer
-// then hold more than the eight rows a key up to which a column is narrow,
-// however the batches before drew.
-func StageWide(t testing.TB, w *warehouse.Warehouse) []Change {
-	t.Helper()
-	return bases(t, w, func(name string, d *warehouse.Delta) {
-		for x := int64(100); name == "L" && x < 200; x++ {
-			d.Add(warehouse.Tuple{warehouse.Int(2), warehouse.Int(x)}, 1)
-		}
-	})
 }

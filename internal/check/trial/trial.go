@@ -158,11 +158,6 @@ func (r *run) options() warehouse.WindowOptions {
 
 func (r *run) streamLen() int { return max(1, r.p.Windows) }
 
-// widening is the window, counted from 1, whose batch crowds the Widening
-// catalog's L (check.StageWide): the middle one, after the windows before it
-// have had the chance to place L's rows by k.
-func (r *run) widening() int { return r.streamLen()/2 + 1 }
-
 // adopted records the state w serves as one it adopted, after checking (iv).
 func (r *run) adopted(w *warehouse.Warehouse, window ...warehouse.Report) check.State {
 	if err := check.Invariants(w); err != nil {
@@ -288,9 +283,6 @@ func (r *run) windows() {
 		check.Stage(r, w, r.rng)
 		if p.Catalog == check.Invalidation {
 			check.StageHot(r, w)
-		}
-		if p.Catalog == check.Widening && win == r.widening() {
-			check.StageWide(r, w)
 		}
 		want := check.Oracle(r, w)
 		s := r.strategy(w)
@@ -689,9 +681,6 @@ func (r *run) stream() {
 	one, all := r.build(), r.build()
 	for i := 0; i < r.streamLen(); i++ {
 		changes = append(changes, check.Stage(r, one, r.rng)...)
-		if p.Catalog == check.Widening && i+1 == r.widening() {
-			changes = append(changes, check.StageWide(r, one)...)
-		}
 		_, err := one.RunWindow(warehouse.MinWorkPlanner)
 		r.ok(err)
 	}

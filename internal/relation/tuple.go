@@ -50,14 +50,8 @@ func DecodeTuple(enc string) (Tuple, error) {
 // valid Tuple.Encode of a tuple with at least one value: enc[:FirstLen(enc)]
 // is the Encode of that value alone, a prefix of the row key.
 func FirstLen(enc string) int {
-	switch Kind(enc[0]) {
-	case KindNull:
-		return 1
-	case KindString:
-		return 9 + int(decodeUint64(enc[1:]))
-	default:
-		return 9
-	}
+	n, _ := encodedSize(enc)
+	return n
 }
 
 // Clone returns a copy of the tuple that shares no backing array.

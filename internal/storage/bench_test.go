@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -249,6 +250,83 @@ func BenchmarkIndexApply(b *testing.B) {
 			reportPerRow(b, d.Size())
 		})
 	}
+}
+
+// BenchmarkWideFirstColumn prices the two ways a table can hold a wide
+// index on column 0 — 16, 64 and 600 rows a key, LINEITEM's rows under a
+// first column of that fan-out — after a batch and its undo: postings, when
+// the column was already wide at the first install, and placed rows served
+// by the row map, when it was narrow then and widened after. apply is
+// BenchmarkIndexApply's window (ns/row per changed row, B/op per window),
+// probe one probe of a key (ns/row per row it yields).
+func BenchmarkWideFirstColumn(b *testing.B) {
+	for _, fan := range []int64{16, 64, 600} {
+		for _, placed := range []bool{false, true} {
+			name := fmt.Sprintf("fanout=%d/postings", fan)
+			if placed {
+				name = fmt.Sprintf("fanout=%d/placed", fan)
+			}
+			t, d := wideFirstColumnTable(fan, placed)
+			ix, _ := t.JoinIndex([]int{0})
+			b.Run("apply/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := t.Clone().ApplyDelta(d); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportPerRow(b, d.Size())
+			})
+			b.Run("probe/"+name, func(b *testing.B) {
+				var key []byte
+				var rows int64
+				for i := 0; i < b.N; i++ {
+					key = relation.Tuple{relation.NewInt(int64(i) % (benchRows / fan))}.AppendEncoded(key[:0])
+					ix.Probe(key, func(_ relation.Tuple, count int64) bool {
+						rows += count
+						return true
+					})
+				}
+				reportPerRow(b, fan)
+			})
+		}
+	}
+}
+
+// wideFirstColumnTable is LINEITEM with fan rows a key in column 0 and an
+// index there, and a 1 % batch, which it has installed and undone. placed
+// builds it narrow — eight rows a key — and installs the rest, so that its
+// rows are placed by column 0 before it widens.
+func wideFirstColumnTable(fan int64, placed bool) (*Table, *delta.Delta) {
+	keys := benchRows / fan
+	row := func(i int64) relation.Tuple {
+		r := lineItemRow(i)
+		r[0], r[1] = relation.NewInt(i%keys), relation.NewInt(i)
+		return r
+	}
+	t, rest := NewTable(lineItemSchema), delta.New(lineItemSchema)
+	for i := int64(0); i < benchRows; i++ {
+		if placed && i >= maxServingFanOut*keys {
+			rest.Add(row(i), 1)
+		} else {
+			t.Insert(row(i), 1)
+		}
+	}
+	t.JoinIndex([]int{0})
+	d := delta.New(lineItemSchema)
+	for i := int64(0); i < benchRows/200; i++ {
+		d.Add(row(i*7), -1)
+		d.Add(row(benchRows+i), 1)
+	}
+	for _, batch := range []*delta.Delta{rest, d, d.Negate()} {
+		if err := t.ApplyDelta(batch); err != nil {
+			panic(err)
+		}
+	}
+	if t.placed != placed {
+		panic(fmt.Sprintf("storage: a table of %d rows a key placed %v, want %v", fan, t.placed, placed))
+	}
+	return t, d
 }
 
 var indexApplyCases = []struct {

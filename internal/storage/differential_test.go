@@ -59,49 +59,3 @@ func TestNarrowIndexDifferential(t *testing.T) {
 		t.Fatal("no window probed an index: the table exercised nothing")
 	}
 }
-
-// TestWideningDifferential: on check.Widening, L's rows are placed by k
-// once a window has built its index on k and installed into it, and the
-// window that installs check.StageWide's crowd of rows switches them back.
-// Every point of mode × engine width × crash, recovery, replica and
-// ingester with that window in the middle of its stream lands on
-// recomputation.
-func TestWideningDifferential(t *testing.T) {
-	w := check.BuildCatalog(t, check.Widening, 1)
-	rng := rand.New(rand.NewSource(1))
-	var placed []bool
-	for win := 1; win <= 3; win++ {
-		check.Stage(t, w, rng)
-		if win == 3 {
-			check.StageWide(t, w)
-		}
-		if _, err := w.RunWindow(warehouse.MinWorkPlanner); err != nil {
-			t.Fatal(err)
-		}
-		st := w.Internal().MustView("L").IndexStats()
-		if len(st) != 1 || !slices.Equal(st[0].Cols, []int{0}) {
-			t.Fatalf("window %d: L holds indexes %v, want the one on k", win, st)
-		}
-		placed = append(placed, st[0].Placed)
-	}
-	if !slices.Equal(placed[1:], []bool{true, false}) {
-		t.Fatalf("L's rows placed by k after windows 1–3: %v, want placed after window 2 and switched back by window 3", placed)
-	}
-
-	var sum trial.Tally
-	for seed := range trial.Seeds(8, 2) {
-		for leg, p := range []check.Point{
-			{},
-			{Planner: "dualstage", Mode: warehouse.ModeDAG, Workers: 3, Width: 3, Readers: 2},
-			{Planner: "prune", Fault: fmt.Sprintf("crash:step@%d", 1+seed%9), Cut: int(seed % 3 * 40)},
-			{Replicas: 2, Drop: true, Kill: 3},
-			{Ingest: true, Fault: "crash:step@2"},
-		} {
-			p.Seed, p.Catalog, p.Windows, p.Skip = seed, check.Widening, 4, (seed+int64(leg))%2 == 0
-			sum.Add(trial.Run(t, p))
-		}
-	}
-	if sum.IndexProbes == 0 {
-		t.Fatal("no window probed an index: the table exercised nothing")
-	}
-}

@@ -40,10 +40,9 @@ import (
 // hash of its first value (Table.slot) and the row map serves the index: a
 // probe visits the entries filed under the key's hash and keeps those whose
 // key begins with it, and the index holds no postings. The placement changes
-// on the writer path only, in ApplyDelta (Table.settle): it re-places the
-// rows into fresh buckets — clones and pinned epochs keep the old ones —
-// and back, building the postings in the same pass, when the column stops
-// being narrow. JoinIndex never re-places rows: it runs beside readers.
+// once, on the writer path, in ApplyDelta (Table.settle): it re-places the
+// rows into fresh buckets — clones and pinned epochs keep the old ones.
+// JoinIndex never re-places rows: it runs beside readers.
 
 // posting is the rows that share one join key, each as the row map holds
 // it — the stored tuple and its count — so that a probe reads no row map:
@@ -106,11 +105,7 @@ func (ix *Index) Cols() []int { return ix.cols }
 func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
 	hash := cowmap.HashBytes(key)
 	if ix.served() {
-		// key is one value's encoding, self-delimiting: a row key that
-		// begins with it has it as its first value.
-		ix.t.rows.Visit(hash, func(k string, r storedRow) bool {
-			return len(k) < len(key) || k[:len(key)] != string(key) || fn(r.tup, r.count)
-		})
+		ix.t.visitFirst(hash, key, func(_ string, r storedRow) bool { return fn(r.tup, r.count) })
 		return
 	}
 	p, ok := ix.keys.GetBytes(hash, key)
@@ -388,48 +383,34 @@ func (t *Table) indexDelete(tup relation.Tuple) {
 	}
 }
 
-// settle re-places the rows when their placement no longer suits the
-// handle's index on [0], if it has one: by first value when that index is
-// narrow, by whole key when it is not. The rows go into fresh buckets of a
-// new row map, the old one left to the clones and pinned epochs that share
-// it; switching back builds the index's postings in the same scan.
+// settle places the rows by their first value before a batch installs, if
+// they are not placed yet and the handle holds a narrow index on [0]. The
+// rows go into fresh buckets of a new row map, the old one left to the
+// clones and pinned epochs that share it, and the index drops its postings.
 // ApplyDelta calls it, the writer path, so no reader of the handle sees the
-// switch. A column whose fan-out crosses maxServingFanOut back and forth
-// pays one re-placement per crossing.
+// switch. The placement stays when the column later widens: a bucket then
+// holds every row of a first value, which an install pays for in key
+// compares instead of the posting copies an index would make, no more per
+// changed row, while a probe reads each row's key as well as its tuple
+// (BenchmarkWideFirstColumn; docs/PERF.md, "PR 38").
 func (t *Table) settle() {
 	i := slices.IndexFunc(t.indexes, (*Index).onFirstColumn)
-	if i < 0 {
-		return
-	}
-	ix := t.indexes[i]
-	placed := ix.narrow()
-	if placed == t.placed {
+	if t.placed || i < 0 || !t.indexes[i].narrow() {
 		return
 	}
 	// The index is the handle's own (Clone gives every handle a copy), so it
 	// changes in place: a join step that resolved it keeps probing it.
+	ix := t.indexes[i]
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	old, keys := t.rows, ix.keys.Len() // old is only read, then dropped
-	t.rows, ix.keys = cowmap.Map[storedRow]{}, cowmap.Map[posting]{}
+	old := t.rows // only read, then dropped
+	t.rows = cowmap.Map[storedRow]{}
 	t.rows.Grow(old.Len())
-	if placed {
-		t.firstKeys = keys
-	} else {
-		ix.keys.Grow(t.firstKeys)
-		t.firstKeys = 0
-	}
-	t.placed = placed
+	t.firstKeys, ix.keys = ix.keys.Len(), cowmap.Map[posting]{}
+	t.placed = true
 	old.Scan(func(_ uint64, key string, r storedRow) bool {
-		at := key
-		if placed {
-			at = key[:relation.FirstLen(key)]
-		}
-		slot, _ := t.rows.Ref(cowmap.Hash(at), key)
+		slot, _ := t.rows.Ref(cowmap.Hash(key[:relation.FirstLen(key)]), key)
 		*slot = r
-		if !placed {
-			ix.add(r, true)
-		}
 		return true
 	})
 }

@@ -16,10 +16,10 @@ import (
 // TestPlacementDifferential drives random batches through a table with an
 // index on its first column and one on its third, through three phases: the
 // first column narrow (the first install places the rows by it), a phase
-// whose inserts crowd a few keys until the column is wide (the table
-// switches back and rebuilds the index's postings), and one whose deletes
-// thin them out again (placed once more). A twin with the third column's
-// index alone never switches. After every batch the two are Equal either
+// whose inserts crowd a few keys until the column is wide (the rows stay
+// placed, a few buckets holding hundreds of them), and one whose deletes
+// thin them out again. A twin with the third column's index alone never
+// places its rows. After every batch the two are Equal either
 // way — each looks the other's rows up under its own placement — their
 // digests and indexes check out, and every probe of either index yields
 // what a map model holds. A clone taken before the batch, and a reader
@@ -46,7 +46,8 @@ func TestPlacementDifferential(t *testing.T) {
 		tbl.JoinIndex([]int{2})
 		twin.JoinIndex([]int{2})
 
-		var placements, switchesBack int
+		var placements int
+		wide := false // the placed column held more than maxServingFanOut rows a key
 		serial := 0
 		for batch := 0; batch < 60; batch++ {
 			phase := batch / 20 // 0 narrow, 1 widening, 2 thinning
@@ -114,8 +115,9 @@ func TestPlacementDifferential(t *testing.T) {
 			case tbl.placed && !wasPlaced:
 				placements++
 			case wasPlaced && !tbl.placed:
-				switchesBack++
+				t.Fatalf("%s: the rows were placed by their first column and are no longer", what)
 			}
+			wide = wide || (tbl.placed && !tbl.indexes[0].narrow())
 			if twin.placed {
 				t.Fatalf("%s: the twin, which has no index on [0], placed its rows", what)
 			}
@@ -142,12 +144,31 @@ func TestPlacementDifferential(t *testing.T) {
 				t.Fatalf("%s: the batch changed the placement of a clone taken before it", what)
 			}
 		}
-		if placements < 2 || switchesBack < 1 {
-			t.Errorf("seed %d: %d placements and %d switches back, want the rows placed, switched back and placed again", seed, placements, switchesBack)
+		if placements != 1 || !wide {
+			t.Errorf("seed %d: %d placements, placed column wide: %v; want the rows placed once and the column wide while they were", seed, placements, wide)
 		}
 		if st := tbl.IndexStats(); !slices.EqualFunc([][]int{st[0].Cols, st[1].Cols}, [][]int{{0}, {2}}, slices.Equal) {
 			t.Errorf("seed %d: the indexes end as %v", seed, st)
 		}
+	}
+}
+
+// TestWideFirstColumnKeepsItsPostings: an index on column 0 that is wide
+// when an install first finds it keeps its postings, and the rows their
+// placement by whole key; one that is narrow there has the row map serve it.
+func TestWideFirstColumnKeepsItsPostings(t *testing.T) {
+	for _, perKey := range []int{maxServingFanOut, maxServingFanOut + 1} {
+		tbl := fannedTable(20, perKey)
+		tbl.JoinIndex([]int{0})
+		d := delta.New(schema)
+		d.Add(row(0, "new"), 1)
+		if err := tbl.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if want := perKey <= maxServingFanOut; tbl.placed != want || tbl.IndexStats()[0].Placed != want {
+			t.Errorf("%d rows a key: placed %v, index %v; want placed %v", perKey, tbl.placed, tbl.IndexStats()[0], want)
+		}
+		checkIndexes(t, fmt.Sprint(perKey, " rows a key"), tbl)
 	}
 }
 

@@ -178,13 +178,22 @@ func (t *Table) slot(hash uint64, key string) uint64 {
 	return hash
 }
 
+// visitFirst calls fn with every row the row map files under hash whose
+// first value encodes to first, until fn returns false. Only placed rows are
+// visited so: first's CRC is hash, and since a value's encoding delimits
+// itself, a row key that begins with first has it as its first value.
+func (t *Table) visitFirst(hash uint64, first []byte, fn func(key string, r storedRow) bool) {
+	t.rows.Visit(hash, func(k string, r storedRow) bool {
+		return len(k) < len(first) || k[:len(first)] != string(first) || fn(k, r)
+	})
+}
+
 // sharesFirst reports whether a row other than the one encoded as key has
 // key's first value; at is that value's CRC. Only placed rows are asked.
 func (t *Table) sharesFirst(at uint64, key string) bool {
-	first := key[:relation.FirstLen(key)]
 	shared := false
-	t.rows.Visit(at, func(k string, _ storedRow) bool {
-		shared = k != key && len(k) >= len(first) && k[:len(first)] == first
+	t.visitFirst(at, []byte(key[:relation.FirstLen(key)]), func(k string, _ storedRow) bool {
+		shared = k != key
 		return !shared
 	})
 	return shared
@@ -402,8 +411,8 @@ func approxTupleEqual(a, b relation.Tuple, tol float64) bool {
 // batch leaves the table untouched.
 //
 // ApplyDelta is also where the rows change placement (see Table.settle):
-// before a batch that is not empty when the handle's index on column 0 is
-// narrow, after it when the batch has made a placed column wide.
+// before a batch that is not empty, when the handle's index on column 0 is
+// narrow.
 func (t *Table) ApplyDelta(d *delta.Delta) error {
 	if !t.schema.Equal(d.Schema()) {
 		return fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
@@ -445,7 +454,6 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}
 	}
-	t.settle()
 	return nil
 }
 
