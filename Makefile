@@ -182,7 +182,9 @@ bench-smoke:
 # clone / load / apply (rows and groups), join index build / apply (the
 # steady-state IndexApply/lineitem, whose table a batch and its undo have
 # placed by L_ORDERKEY so that the row map serves that index, beside
-# IndexApply/lineitem-first, the first window's one-off re-placement), join
+# IndexApply/lineitem-first, the first window's one-off re-placement, and
+# WideFirstColumn, a wide index on column 0 held as postings and as placed
+# rows), join
 # build and probe (flat table, resident index, and Q3's chain of two index
 # steps, ns per driver row), state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose
