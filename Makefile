@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke examples-smoke docs-check experiments
+.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke docs-check experiments
 
 all: build test
 
@@ -50,20 +50,13 @@ staticcheck:
 # usage errors and its -only output, a section of the block.
 docs-check:
 	$(call run-tests,./internal/experiments/,TestExperimentsMDIsTheOutput)
-	$(call run-tests,.,TestDocsNameTestsThatExist)
+	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist)
 	$(call run-tests,./cmd/experiments/,TestUnknownExperimentListsTheIDs|TestRetiredOutputFlagsAreUsageErrors|TestOnlyPrintsItsSectionOfTheBlock)
 
 # Print EXPERIMENTS.md's generated block: every table and figure of the
 # paper's evaluation at the defaults (SF 0.002, seed 7, change fraction 0.10).
 experiments:
 	@$(GO) run ./cmd/experiments
-
-# Run the two example programs the README walks through: quickstart, and
-# tpcd, which checks every strategy it runs against recomputation. The other
-# lessons are Examples in example_test.go, which `go test` runs.
-examples-smoke:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/tpcd
 
 # End-to-end smoke of the query daemon: every test of cmd/whserverd — a
 # daemon with a fast window driver answering queries across flipping epochs

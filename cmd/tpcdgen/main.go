@@ -1,20 +1,28 @@
-// Command tpcdgen dumps the synthetic TPC-D data (and optionally a change
-// batch) as CSV, one file per base view, for inspection or for loading into
-// other systems. Change batches carry the signed __count column the library
-// uses for delta CSV files.
+// Command tpcdgen writes the synthetic TPC-D data as CSV, one file per base
+// view, and optionally a change batch with the signed __count column the
+// library uses for delta CSV files. Beside them it writes tpcd.whs, the
+// whshell script that defines the warehouse of the paper's Figure 4 over
+// those files: the six base views, the Q3, Q5 and Q10 summary views in SQL,
+// LOAD of each file, REFRESH, and a DELTA for each batch file.
 //
 // Usage:
 //
 //	tpcdgen [-sf 0.001] [-seed 7] [-p 0.10] [-dir out]
+//
+// One update window over TPC-D, checked against recomputation:
+//
+//	tpcdgen -sf 0.002 -p 0.10 -dir d
+//	(cat d/tpcd.whs; echo 'SHOW STRATEGY prune; WINDOW prune DAG 4; VERIFY;') | whshell
+//
+// The script names the files as tpcdgen wrote them: run it from the
+// directory tpcdgen ran in, or give -dir an absolute path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"repro/internal/csvio"
 	"repro/internal/tpcd"
 )
 
@@ -25,62 +33,12 @@ func main() {
 	dir := flag.String("dir", ".", "output directory")
 	flag.Parse()
 
-	if err := run(*sf, *seed, *p, *dir); err != nil {
+	paths, err := tpcd.WriteFiles(tpcd.Config{SF: *sf, Seed: *seed}, *p, *dir)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tpcdgen:", err)
 		os.Exit(1)
 	}
-}
-
-func run(sf float64, seed int64, p float64, dir string) error {
-	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: sf, Seed: seed})
-	if err != nil {
-		return err
+	for _, path := range paths {
+		fmt.Println("wrote", path)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, view := range tpcd.BaseViews {
-		v := tw.W.MustView(view)
-		path := filepath.Join(dir, view+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := csvio.WriteRows(f, v.Schema(), v); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d rows)\n", path, v.Cardinality())
-	}
-	if p > 0 {
-		if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
-			return err
-		}
-		for _, view := range tpcd.BaseViews {
-			d, err := tw.W.DeltaOf(view)
-			if err != nil {
-				return err
-			}
-			if d.IsEmpty() {
-				continue
-			}
-			path := filepath.Join(dir, view+".delta.csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := csvio.WriteDelta(f, d); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d changes)\n", path, d.Size())
-		}
-	}
-	return nil
 }

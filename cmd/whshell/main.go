@@ -4,6 +4,10 @@
 //
 //	go run ./cmd/whshell [-f script.whs]
 //
+// cmd/tpcdgen writes tpcd.whs, a script that defines the paper's TPC-D
+// warehouse and stages a change batch; a WINDOW statement after it runs one
+// of the paper's update windows.
+//
 // Commands (case-insensitive keywords; SQL per the library's dialect):
 //
 //	CREATE BASE <name> (<col> <TYPE>, ...);     define a base view
@@ -18,6 +22,7 @@
 //	MEMORY <budget-mb>|OFF;                     window memory budget (spill-to-disk builds)
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
 //	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | STALE | GRAPH | CACHE;
+//	                                            (SCRIPT: §5.5 procedure catalog + update script)
 //	DEFER <view> ON|OFF;                        deferred maintenance policy
 //	REFRESH STALE;                              recompute stale views
 //	VERIFY;                                     check every view against recomputation
@@ -53,6 +58,7 @@ import (
 	"syscall"
 
 	warehouse "repro"
+	"repro/internal/exec"
 )
 
 // Exit codes (documented in the package comment).
@@ -549,6 +555,8 @@ func (sh *shell) show(words []string) error {
 			return err
 		}
 		if words[0] == "SCRIPT" {
+			fmt.Fprintln(sh.out, "-- stored procedures (defined once per VDAG):")
+			fmt.Fprintln(sh.out, exec.ProcedureCatalog(sh.w.Internal()))
 			fmt.Fprint(sh.out, sh.w.Script(plan.Strategy))
 		} else {
 			fmt.Fprintln(sh.out, plan.Strategy)

@@ -2,12 +2,16 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	warehouse "repro"
+	"repro/internal/journal"
+	"repro/internal/tpcd"
 )
 
 // runScript feeds commands to a fresh shell and returns the output.
@@ -67,6 +71,7 @@ EXIT;
 		"west | 17",
 		"(1 rows)",
 		"EXEC comp_TOTALS_from_SALES;",
+		"CREATE PROCEDURE comp_TOTALS_from_SALES AS",
 		"SALES",
 		"digraph VDAG",
 	} {
@@ -328,6 +333,9 @@ func TestShellErrors(t *testing.T) {
 		"SNAPSHOT PUSH 'f';",
 		"SELECT nope FROM nowhere;",
 		"CREATE VIEW V AS SELECT x FROM NOWHERE;",
+		"CREATE BASE S (a INTEGER, a INTEGER);",
+		"WINDOW DAG -3;",
+		"WINDOW minwork DAG -3;",
 	}
 	for _, cmd := range bad {
 		if _, err := runScript(t, cmd+"\n"); err == nil {
@@ -424,14 +432,24 @@ DELTA SALES FROM '` + batch + `';
 	}
 	j.Close()
 
-	// The "restarted process": rebuild schema, restore the snapshot,
-	// reattach the journal, recover, and keep working.
-	recoverScript := `
+	// The "restarted process": rebuild schema, restore the snapshot and
+	// reattach the journal. A window is refused with the recovery-needed exit
+	// code until RECOVER completes the in-flight one.
+	var restarted strings.Builder
+	sh = &shell{w: warehouse.New(), out: &restarted}
+	err = sh.run(strings.NewReader(`
 CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
 CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
-SNAPSHOT LOAD '` + snap + `';
-JOURNAL ON '` + jpath + `';
+SNAPSHOT LOAD '`+snap+`';
+JOURNAL ON '`+jpath+`';
 JOURNAL STATUS;
+WINDOW;
+`), false)
+	if got := exitCodeFor(err); got != exitRecovery {
+		t.Fatalf("WINDOW over an in-flight journal: exit %d (%v), want %d\n%s", got, err, exitRecovery, restarted.String())
+	}
+	// Then recover and keep working.
+	recoverScript := `
 RECOVER;
 VERIFY;
 SELECT region, total FROM TOTALS ORDER BY total DESC LIMIT 1;
@@ -441,7 +459,11 @@ JOURNAL STATUS;
 JOURNAL OFF;
 EXIT;
 `
-	got, err := runScript(t, recoverScript)
+	err = sh.run(strings.NewReader(recoverScript), false)
+	if sh.j != nil {
+		sh.j.Close()
+	}
+	got := restarted.String()
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, got)
 	}
@@ -537,5 +559,118 @@ VERIFY;
 	}
 	if sh2.j != nil {
 		sh2.j.Close()
+	}
+}
+
+// TestShellRunsTheTPCDScript: the script tpcdgen writes loads base views
+// bag-identical to the TPC-D warehouse's at the same seed (floats round-trip
+// through the CSVs), and the window the shell then runs is the one the facade
+// runs over that warehouse with the batch staged directly: the same strategy,
+// the same work and the same schedule bounds.
+func TestShellRunsTheTPCDScript(t *testing.T) {
+	cfg := tpcd.Config{SF: 0.001, Seed: 7}
+	const p, workers = 0.1, 4
+	paths, err := tpcd.WriteFiles(cfg, p, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(paths[len(paths)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	sh := &shell{w: warehouse.New(), out: &out}
+	if err := sh.run(strings.NewReader(string(script)), false); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+
+	tw, err := tpcd.NewWarehouse(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range tpcd.BaseViews {
+		got, want := sh.w.Internal().MustView(view).SortedRows(), tw.W.MustView(view).SortedRows()
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the script loaded %d rows, not the %d TPC-D generates", view, len(got), len(want))
+		}
+	}
+
+	w := warehouse.FromCore(tw.W, warehouse.CostModel{})
+	if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.RunWindowOpts(warehouse.WindowOptions{Planner: warehouse.PrunePlanner, Mode: warehouse.ModeDAG, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := sh.run(strings.NewReader(fmt.Sprintf("SHOW STRATEGY prune;\nWINDOW prune DAG %d;\nVERIFY;\n", workers)), false); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	for _, line := range []string{
+		want.Plan.Strategy.String() + "\n",
+		fmt.Sprintf("window 1 [prune, dag ×%d]: work=%d (comp=%d inst=%d) ", want.Parallel.Workers, want.Report.TotalWork(), want.Report.CompWork, want.Report.InstWork),
+		fmt.Sprintf(" (span %d, critical path %d)\n", want.Parallel.SpanWork, want.Parallel.CriticalPathWork),
+		"ok: every view matches recomputation",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("output lacks %q:\n%s", line, out.String())
+		}
+	}
+}
+
+// TestBudgetedPrunePlansWithTheFacadeModel: MEMORY prices spill I/O into
+// the planners' cost model, and at this scale that changes which strategy
+// Prune picks. The window the shell journals must run the strategy the
+// facade plans under the same budget, not the unbudgeted model's.
+func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
+	cfg := tpcd.Config{SF: 0.004, Seed: 7}
+	const p = 0.10
+	planned := func(budget int64) string {
+		c := cfg
+		c.Options.MemoryBudgetBytes = budget
+		tw, err := tpcd.NewWarehouse(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := warehouse.FromCore(tw.W, warehouse.CostModel{}).Plan(warehouse.PrunePlanner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Strategy.String()
+	}
+	want := planned(1 << 20)
+	if want == planned(0) {
+		t.Fatal("the budget does not change Prune's choice at this scale: the test checks nothing")
+	}
+
+	dir := t.TempDir()
+	paths, err := tpcd.WriteFiles(cfg, p, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(paths[len(paths)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, "wh.journal")
+	out, err := runScript(t, string(script)+"MEMORY 1;\nJOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n")
+	if err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out)
+	}
+	f, err := os.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := journal.ReadLog(f)
+	if err != nil || len(lg.Windows) != 1 {
+		t.Fatalf("journal: %d windows, err %v", len(lg.Windows), err)
+	}
+	if got := lg.Windows[0].Begin.Strategy.String(); got != want {
+		t.Fatalf("the shell ran\n%s\nthe facade plans, under the same budget,\n%s", got, want)
 	}
 }

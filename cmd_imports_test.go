@@ -49,7 +49,7 @@ func nonTestImports(t *testing.T, roots []string, fn func(path, imported string)
 // OpenJournal are how a command or an experiment runs, resumes and journals
 // a window. One that imports internal/recovery or internal/journal is growing
 // a window path of its own beside them — the drift PR 20 removed from
-// cmd/whupdate and PR 23 from the fault-tolerance experiment.
+// cmd/whupdate (since deleted) and PR 23 from the fault-tolerance experiment.
 func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 	banned := map[string]bool{"repro/internal/recovery": true, "repro/internal/journal": true}
 	checked := nonTestImports(t, []string{"cmd", "internal/experiments"}, func(path, imported string) {
@@ -57,7 +57,7 @@ func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 			t.Errorf("%s imports %s: run windows through the warehouse facade", path, imported)
 		}
 	})
-	if checked < 8 {
+	if checked < 7 {
 		t.Fatalf("parsed %d files under cmd/ and internal/experiments: the guard is looking in the wrong place", checked)
 	}
 }
@@ -99,7 +99,7 @@ func TestOnlyTheJournalFramesRecords(t *testing.T) {
 
 // TestEveryInternalPackageHasAProductImporter: every package under internal/
 // is reached from the facade or a command through the imports of non-test
-// files. A package that only an example program or a test reaches is a
+// files. A package that only a test, an Example or the benchmark reaches is a
 // mechanism nothing ships, kept in step with the product for no user. The
 // exceptions are the packages that exist for tests, one reason each; an
 // exception that is gone, or that product code now reaches, fails too.
@@ -150,7 +150,7 @@ func TestEveryInternalPackageHasAProductImporter(t *testing.T) {
 	for dir := range packages {
 		switch _, exempt := testOnly[dir]; {
 		case !reached[dir] && !exempt:
-			t.Errorf("%s is imported by no non-test file the facade or a command reaches (examples/ and bench/ do not count): delete it, or list why tests need it", dir)
+			t.Errorf("%s is imported by no non-test file the facade or a command reaches (tests, Examples and bench/ do not count): delete it, or list why tests need it", dir)
 		case reached[dir] && exempt:
 			t.Errorf("%s is listed as test support but product code imports it: drop it from the list", dir)
 		}

@@ -67,3 +67,32 @@ func TestDocsNameTestsThatExist(t *testing.T) {
 		}
 	}
 }
+
+// goCommand matches a `go run` or `go build` of a directory of this module.
+var goCommand = regexp.MustCompile(`go (?:run|build)(?: -o \S+)? (\./[A-Za-z0-9_./-]*)`)
+
+// TestDocsRunCommandsThatExist: every `go run ./<dir>` and `go build ./<dir>`
+// the docs and the verify skill show names a directory that holds Go files,
+// so a deleted command cannot stay cited as a way to run something.
+// docs/PERF.md and CHANGES.md are history and are not checked.
+func TestDocsRunCommandsThatExist(t *testing.T) {
+	cited := 0
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range goCommand.FindAllStringSubmatch(line, -1) {
+				cited++
+				dir := strings.TrimSuffix(strings.TrimRight(m[1], "."), "/...")
+				if gos, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gos) == 0 {
+					t.Errorf("%s:%d runs %s, which holds no Go files", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+	if cited < 5 {
+		t.Fatalf("found %d go run/build commands in the docs: the check is looking in the wrong place", cited)
+	}
+}

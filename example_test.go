@@ -362,3 +362,73 @@ func ExampleWarehouse_SetDeferred() {
 	// GRAND_TOTAL after RefreshStale, stale []:
 	//   (7649)
 }
+
+// Example_quickstart defines a warehouse, loads it, stages a change batch,
+// plans an update strategy with MinWork, executes it, and reads the result.
+// Prices are integer cents, so the sums do not depend on the order rows are
+// added in.
+func Example_quickstart() {
+	w := warehouse.New()
+
+	// Two base views (populated from sources) and two derived views.
+	w.MustDefineBase("PRODUCTS", warehouse.Schema{
+		{Name: "product_id", Kind: warehouse.KindInt},
+		{Name: "category", Kind: warehouse.KindString},
+		{Name: "cents", Kind: warehouse.KindInt},
+	})
+	w.MustDefineBase("ORDERS", warehouse.Schema{
+		{Name: "order_id", Kind: warehouse.KindInt},
+		{Name: "product_id", Kind: warehouse.KindInt},
+		{Name: "quantity", Kind: warehouse.KindInt},
+	})
+	w.MustDefineViewSQL("ORDER_DETAILS", `
+		SELECT o.order_id, p.category, p.cents * o.quantity AS amount
+		FROM ORDERS o, PRODUCTS p
+		WHERE o.product_id = p.product_id`)
+	w.MustDefineViewSQL("CATEGORY_REVENUE", `
+		SELECT category, SUM(amount) AS revenue, COUNT(*) AS orders
+		FROM ORDER_DETAILS
+		GROUP BY category`)
+
+	// Initial load and materialization.
+	must(w.Load("PRODUCTS", []warehouse.Tuple{
+		{warehouse.Int(1), warehouse.String("books"), warehouse.Int(1250)},
+		{warehouse.Int(2), warehouse.String("games"), warehouse.Int(5990)},
+		{warehouse.Int(3), warehouse.String("books"), warehouse.Int(700)},
+	}))
+	must(w.Load("ORDERS", []warehouse.Tuple{
+		{warehouse.Int(100), warehouse.Int(1), warehouse.Int(2)},
+		{warehouse.Int(101), warehouse.Int(2), warehouse.Int(1)},
+		{warehouse.Int(102), warehouse.Int(3), warehouse.Int(4)},
+	}))
+	must(w.Refresh())
+	printQuery(w, "CATEGORY_REVENUE:", "SELECT category, revenue, orders FROM CATEGORY_REVENUE ORDER BY category")
+
+	// A batch of source changes arrives: one order cancelled, two new ones.
+	d, err := w.NewDelta("ORDERS")
+	must(err)
+	d.Add(warehouse.Tuple{warehouse.Int(101), warehouse.Int(2), warehouse.Int(1)}, -1)
+	d.Add(warehouse.Tuple{warehouse.Int(103), warehouse.Int(2), warehouse.Int(3)}, 1)
+	d.Add(warehouse.Tuple{warehouse.Int(104), warehouse.Int(1), warehouse.Int(1)}, 1)
+	must(w.StageDelta("ORDERS", d))
+
+	// Plan the update window with MinWork and execute it.
+	plan, err := w.PlanMinWork()
+	must(err)
+	fmt.Println("planned strategy:", plan.Strategy)
+	rep, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
+	must(err)
+	fmt.Printf("update window: work=%d (comp=%d inst=%d)\n", rep.TotalWork(), rep.CompWork, rep.InstWork)
+
+	must(w.Verify()) // every view equals its recomputation
+	printQuery(w, "CATEGORY_REVENUE:", "SELECT category, revenue, orders FROM CATEGORY_REVENUE ORDER BY category")
+	// Output:
+	// CATEGORY_REVENUE:
+	//   (books, 5300, 2)
+	//   (games, 5990, 1)
+	// planned strategy: ⟨Comp(ORDER_DETAILS, {PRODUCTS}); Inst(PRODUCTS); Comp(ORDER_DETAILS, {ORDERS}); Inst(ORDERS); Comp(CATEGORY_REVENUE, {ORDER_DETAILS}); Inst(ORDER_DETAILS); Inst(CATEGORY_REVENUE)⟩
+	// update window: work=22 (comp=12 inst=10)
+	// CATEGORY_REVENUE:
+	//   (books, 6550, 3)
+	//   (games, 17970, 1)
+}

@@ -237,6 +237,11 @@ func (w *Warehouse) DefineBase(name string, schema relation.Schema) error {
 	if len(schema) == 0 {
 		return fmt.Errorf("core: base view %q has empty schema", name)
 	}
+	for i, c := range schema {
+		if schema[:i].ColumnIndex(c.Name) >= 0 {
+			return fmt.Errorf("core: base view %q: duplicate output column %q", name, c.Name)
+		}
+	}
 	w.views[name] = &View{name: name, table: storage.NewTable(schema)}
 	w.order = append(w.order, name)
 	w.version++

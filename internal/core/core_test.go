@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -75,6 +76,12 @@ func TestDefineErrors(t *testing.T) {
 	}
 	if err := w.DefineBase("R", nil); err == nil {
 		t.Errorf("empty schema accepted")
+	}
+	// A column named twice could never be loaded (csvio refuses the header),
+	// and a query would bind the first silently.
+	twice := relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "a", Kind: relation.KindInt}}
+	if err := w.DefineBase("T", twice); err == nil || !strings.Contains(err.Error(), `duplicate output column "a"`) {
+		t.Errorf("schema naming a twice: %v", err)
 	}
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)

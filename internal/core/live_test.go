@@ -21,7 +21,7 @@ func TestQ5LiveColumns(t *testing.T) {
 		tpcd.Nation:   {0, 1, 2},
 		tpcd.Region:   {0, 1},
 	}
-	q5 := tpcd.Q5Def()
+	q5 := tpcd.Definitions()[tpcd.Q5]
 	live := core.LiveColumns(q5)
 	n := 0
 	for i, ref := range q5.Refs {

@@ -13,7 +13,6 @@ package planner
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/strategy"
 	"repro/internal/vdag"
@@ -245,28 +244,4 @@ func (eg *ExprGraph) TopoSort() (strategy.Strategy, error) {
 		out[i] = eg.nodes[node]
 	}
 	return out, nil
-}
-
-// DotString renders the graph in Graphviz dot format for debugging; edges
-// are drawn from each expression to the expressions that must precede it,
-// labeled with the condition that demands them.
-func (eg *ExprGraph) DotString() string {
-	s := "digraph EG {\n"
-	for i, e := range eg.nodes {
-		s += fmt.Sprintf("  n%d [label=%q];\n", i, e.String())
-	}
-	keys := make([][2]int, 0, len(eg.label))
-	for k := range eg.label {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		s += fmt.Sprintf("  n%d -> n%d [label=%q];\n", k[0], k[1], string(eg.label[k]))
-	}
-	return s + "}\n"
 }

@@ -166,6 +166,8 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusGatewayTimeout
 		case errors.Is(err, warehouse.ErrRecoveryNeeded):
 			code = http.StatusConflict
+		case errors.Is(err, warehouse.ErrBadWindowOptions):
+			code = http.StatusBadRequest
 		}
 		http.Error(w, err.Error(), code)
 		return

@@ -162,6 +162,7 @@ func TestHTTPWindowBudgetAbort(t *testing.T) {
 // TestHTTPWindowRefusesABadBudget: a budget_ms that is negative, or too large
 // for a time.Duration (1e300 ms would wrap to a negative one), is a bad
 // request — not a window with no deadline that bypasses the server's budget.
+// So is a negative worker count, which once ran as GOMAXPROCS.
 func TestHTTPWindowRefusesABadBudget(t *testing.T) {
 	w := newRetail(t)
 	s := New(w, Config{WindowBudget: time.Hour})
@@ -170,15 +171,15 @@ func TestHTTPWindowRefusesABadBudget(t *testing.T) {
 	defer srv.Close()
 
 	stageSale(t, w, 103)
-	for _, budget := range []string{"-1", "-0.5", "1e300", "9.3e12"} {
-		resp, err := http.Post(srv.URL+"/window", "application/json", strings.NewReader(`{"budget_ms":`+budget+`}`))
+	for _, req := range []string{`{"budget_ms":-1}`, `{"budget_ms":-0.5}`, `{"budget_ms":1e300}`, `{"budget_ms":9.3e12}`, `{"workers":-3}`} {
+		resp, err := http.Post(srv.URL+"/window", "application/json", strings.NewReader(req))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("budget_ms %s: %d %s, want 400", budget, resp.StatusCode, body)
+			t.Errorf("%s: %d %s, want 400", req, resp.StatusCode, body)
 		}
 	}
 	if e, tally := s.Epoch(), w.Tally(); e != 1 || tally.Committed+tally.Failed != 0 {

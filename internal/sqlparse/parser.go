@@ -261,18 +261,23 @@ func (p *parser) parseSelect() (*algebra.CQ, error) {
 		return nil, err
 	}
 	for {
+		// A keyword here names a view when one resolves (TPC-D's ORDER):
+		// nothing else can stand in this position.
 		view := p.next()
-		if view.kind != tokIdent {
+		if view.kind != tokIdent && view.kind != tokKeyword {
 			return nil, p.errAt(view, "expected view name, got %s", p.describe(view))
 		}
 		viewName := p.text(view)
+		schema, err := p.resolve(viewName)
+		switch {
+		case err != nil && view.kind == tokKeyword:
+			return nil, p.errAt(view, "expected view name, got %s", p.describe(view))
+		case err != nil:
+			return nil, fmt.Errorf("sqlparse: FROM %s: %w", viewName, err)
+		}
 		alias := viewName
 		if p.peek().kind == tokIdent {
 			alias = p.text(p.next())
-		}
-		schema, err := p.resolve(viewName)
-		if err != nil {
-			return nil, fmt.Errorf("sqlparse: FROM %s: %w", viewName, err)
 		}
 		p.refs = append(p.refs, algebra.Ref{Alias: alias, View: viewName, Schema: schema.Clone()})
 		if !p.acceptSymbol(symComma) {

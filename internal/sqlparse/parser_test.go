@@ -267,3 +267,29 @@ func TestParseComparisonOperators(t *testing.T) {
 		}
 	}
 }
+
+// TestParseKeywordViewName: in the FROM list a keyword names a view when one
+// resolves — TPC-D's ORDER — and is refused as before when none does.
+func TestParseKeywordViewName(t *testing.T) {
+	withOrder := func(view string) (relation.Schema, error) {
+		if view == "ORDER" {
+			return testSchemas["R"], nil
+		}
+		return resolve(view)
+	}
+	cq, err := Parse("SELECT o.a, s.c FROM S s, ORDER o WHERE o.b = s.b", withOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cq.Refs) != 2 || cq.Refs[1].View != "ORDER" || cq.Refs[1].Alias != "o" {
+		t.Fatalf("refs = %+v", cq.Refs)
+	}
+	if _, err := Parse("SELECT a FROM ORDER", withOrder); err != nil {
+		t.Fatalf("unaliased keyword view: %v", err)
+	}
+	for _, sql := range []string{"SELECT a FROM WHERE", "SELECT a FROM R, WHERE", "SELECT a FROM order o"} {
+		if _, err := Parse(sql, withOrder); err == nil || !strings.Contains(err.Error(), "expected view name") {
+			t.Errorf("Parse(%q) = %v, want an expected view name error", sql, err)
+		}
+	}
+}

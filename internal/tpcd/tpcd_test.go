@@ -1,6 +1,9 @@
 package tpcd
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -254,5 +257,27 @@ func TestDualStageAndMinWorkAgree(t *testing.T) {
 	}
 	if err := ds.VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefinitionsMatchTheHandBuiltRendering: the SQL texts parse to the
+// definitions the views had when they were assembled by hand with
+// algebra.Builder. testdata/definitions.golden holds that rendering — each
+// view's String() and OutputSchema() — computed from the hand-built
+// definitions before they were deleted; it is not regenerated.
+func TestDefinitionsMatchTheHandBuiltRendering(t *testing.T) {
+	want, err := os.ReadFile("testdata/definitions.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs := Definitions()
+	defs[Q3ByPriority] = Q3ByPriorityDef()
+	defs[NationRevenue] = NationRevenueDef()
+	var got strings.Builder
+	for _, name := range []string{Q3, Q5, Q10, Q3ByPriority, NationRevenue} {
+		fmt.Fprintf(&got, "%s\n%s\n%s\n\n", name, defs[name], defs[name].OutputSchema())
+	}
+	if got.String() != string(want) {
+		t.Fatalf("parsed definitions render\n%s\nthe hand-built ones rendered\n%s", got.String(), want)
 	}
 }

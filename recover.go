@@ -40,6 +40,11 @@ var ErrRecoveryNeeded = errors.New("warehouse: journal has an in-flight update w
 // window can simply be re-run. Test with errors.Is.
 var ErrWindowAborted = errors.New("warehouse: update window aborted by deadline or cancellation")
 
+// ErrBadWindowOptions is returned (wrapped) by RunWindowOpts for options no
+// window can run under, such as a negative worker count. Nothing ran and
+// nothing is tallied. Test with errors.Is.
+var ErrBadWindowOptions = errors.New("warehouse: bad window options")
+
 // Journal is an append-only, checksummed log of the changes a warehouse
 // accepted and the update windows that installed them: each accepted change
 // batch, what each window was about to do (strategy, the accepts it installs,
@@ -151,7 +156,7 @@ type WindowOptions struct {
 	Planner PlannerName
 	// Mode schedules the strategy (sequential when empty).
 	Mode Mode
-	// Workers bounds the ModeDAG pool (0 = GOMAXPROCS).
+	// Workers bounds the ModeDAG pool (0 = GOMAXPROCS; negative is refused).
 	Workers int
 	// Journal, when set, makes the window crash-safe: begin/step/commit
 	// records frame the execution, and a process death leaves an in-flight
@@ -187,6 +192,9 @@ type WindowOptions struct {
 // crash-class fault — leaves the serving epoch untouched. On a crash-class
 // failure the journal is left in-flight for Recover.
 func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
+	if o.Workers < 0 {
+		return WindowReport{}, fmt.Errorf("%w: %d workers", ErrBadWindowOptions, o.Workers)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	defer func() {

@@ -2,6 +2,9 @@ package warehouse
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -84,5 +87,40 @@ func TestScriptThroughFacade(t *testing.T) {
 		if !strings.Contains(script, want) {
 			t.Errorf("script missing %q:\n%s", want, script)
 		}
+	}
+}
+
+// TestSaveSnapshotFileCancelledKeepsTheFile: a save cancelled mid-write
+// abandons its temporary file before the rename, so no half-written snapshot
+// appears at the path, none is left beside it, and a good snapshot already
+// there is left as it was.
+func TestSaveSnapshotFileCancelledKeepsTheFile(t *testing.T) {
+	w := newRetail(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wh.snap")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.SaveSnapshotFile(ctx, path); err == nil {
+		t.Fatal("cancelled save reported success")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("cancelled save left %s behind (stat err=%v)", path, err)
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, ".*")); len(leftovers) != 0 {
+		t.Fatalf("cancelled save leaked temporary files: %v", leftovers)
+	}
+
+	if err := w.SaveSnapshotFile(context.Background(), path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SaveSnapshotFile(ctx, path); err == nil {
+		t.Fatal("cancelled rewrite reported success")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("cancelled rewrite clobbered the good snapshot (err=%v)", err)
 	}
 }

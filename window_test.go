@@ -3,6 +3,8 @@ package warehouse
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tpcd"
 )
 
 // TestRunWindowAndTally: each window's report is numbered in commit order,
@@ -272,5 +274,40 @@ func TestAbortedWindowLosesOnlyItsIndexes(t *testing.T) {
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedWindowLeavesWarehouseUntouched: every window runs on a clone, so
+// a TPC-D window whose every rung fails past its first installs leaves the
+// served state at its pre-window digest with the batch still staged, and the
+// warehouse still verifies.
+func TestFailedWindowLeavesWarehouseUntouched(t *testing.T) {
+	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := FromCore(tw.W, CostModel{})
+	before := w.StateDigest()
+	if _, err := tw.StageChanges(tpcd.UniformDecrease(0.10)); err != nil {
+		t.Fatal(err)
+	}
+	// The sixth step of the sequential attempt and of both its retries fails,
+	// and so does the recompute rung.
+	inj := NewFaultInjector(1)
+	for hit := 6; hit <= 18; hit += 6 {
+		inj.FailAt("step", hit)
+	}
+	inj.FailAt("recompute", 1)
+	if _, err := w.RunWindowOpts(WindowOptions{Faults: inj}); err == nil {
+		t.Fatal("the injected failures did not fail the window")
+	}
+	if got := w.StateDigest(); got != before {
+		t.Fatalf("state digest %016x after the failed window, %016x before it", got, before)
+	}
+	if len(w.Pending()) == 0 {
+		t.Fatal("the failed window consumed the staged batch")
+	}
+	if err := w.Verify(); err != nil {
+		t.Fatalf("warehouse after the failed window: %v", err)
 	}
 }
