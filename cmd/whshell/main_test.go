@@ -432,24 +432,14 @@ DELTA SALES FROM '` + batch + `';
 	}
 	j.Close()
 
-	// The "restarted process": rebuild schema, restore the snapshot and
-	// reattach the journal. A window is refused with the recovery-needed exit
-	// code until RECOVER completes the in-flight one.
-	var restarted strings.Builder
-	sh = &shell{w: warehouse.New(), out: &restarted}
-	err = sh.run(strings.NewReader(`
+	// The "restarted process": rebuild schema, restore the snapshot,
+	// reattach the journal, recover, and keep working.
+	recoverScript := `
 CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
 CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
-SNAPSHOT LOAD '`+snap+`';
-JOURNAL ON '`+jpath+`';
+SNAPSHOT LOAD '` + snap + `';
+JOURNAL ON '` + jpath + `';
 JOURNAL STATUS;
-WINDOW;
-`), false)
-	if got := exitCodeFor(err); got != exitRecovery {
-		t.Fatalf("WINDOW over an in-flight journal: exit %d (%v), want %d\n%s", got, err, exitRecovery, restarted.String())
-	}
-	// Then recover and keep working.
-	recoverScript := `
 RECOVER;
 VERIFY;
 SELECT region, total FROM TOTALS ORDER BY total DESC LIMIT 1;
@@ -459,11 +449,7 @@ JOURNAL STATUS;
 JOURNAL OFF;
 EXIT;
 `
-	err = sh.run(strings.NewReader(recoverScript), false)
-	if sh.j != nil {
-		sh.j.Close()
-	}
-	got := restarted.String()
+	got, err := runScript(t, recoverScript)
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, got)
 	}
@@ -562,6 +548,43 @@ VERIFY;
 	}
 }
 
+// tpcdScript writes the tpcdgen files for cfg, with a batch of fraction p,
+// into dir and returns the script.
+func tpcdScript(t *testing.T, cfg tpcd.Config, p float64, dir string) string {
+	t.Helper()
+	paths, err := tpcd.WriteFiles(cfg, p, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(paths[len(paths)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(script)
+}
+
+// journalState opens the journal the way the next shell would and reports
+// what it holds.
+func journalState(t *testing.T, path string) (committed int, needsRecovery bool) {
+	t.Helper()
+	j, err := warehouse.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	return j.Committed(), j.NeedsRecovery()
+}
+
+// runShell runs script on sh and closes the journal it left attached.
+func runShell(sh *shell, script string) error {
+	err := sh.run(strings.NewReader(script), false)
+	if sh.j != nil {
+		sh.j.Close()
+		sh.j = nil
+	}
+	return err
+}
+
 // TestShellRunsTheTPCDScript: the script tpcdgen writes loads base views
 // bag-identical to the TPC-D warehouse's at the same seed (floats round-trip
 // through the CSVs), and the window the shell then runs is the one the facade
@@ -570,17 +593,10 @@ VERIFY;
 func TestShellRunsTheTPCDScript(t *testing.T) {
 	cfg := tpcd.Config{SF: 0.001, Seed: 7}
 	const p, workers = 0.1, 4
-	paths, err := tpcd.WriteFiles(cfg, p, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	script, err := os.ReadFile(paths[len(paths)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	script := tpcdScript(t, cfg, p, t.TempDir())
 	var out strings.Builder
 	sh := &shell{w: warehouse.New(), out: &out}
-	if err := sh.run(strings.NewReader(string(script)), false); err != nil {
+	if err := sh.run(strings.NewReader(script), false); err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out.String())
 	}
 
@@ -648,16 +664,9 @@ func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	paths, err := tpcd.WriteFiles(cfg, p, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script, err := os.ReadFile(paths[len(paths)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	script := tpcdScript(t, cfg, p, dir)
 	jpath := filepath.Join(dir, "wh.journal")
-	out, err := runScript(t, string(script)+"MEMORY 1;\nJOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n")
+	out, err := runScript(t, script+"MEMORY 1;\nJOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n")
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
@@ -672,5 +681,163 @@ func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 	}
 	if got := lg.Windows[0].Begin.Strategy.String(); got != want {
 		t.Fatalf("the shell ran\n%s\nthe facade plans, under the same budget,\n%s", got, want)
+	}
+}
+
+// TestUsageExitCode: over a loaded TPC-D warehouse with its batch staged, an
+// unknown planner or mode, RECOVER without a journal and a MEMORY budget that
+// is no byte count are refused with the plain error exit code, and none of
+// them runs the window.
+func TestUsageExitCode(t *testing.T) {
+	var out strings.Builder
+	sh := &shell{w: warehouse.New(), out: &out}
+	if err := runShell(sh, tpcdScript(t, tpcd.Config{SF: 0.001, Seed: 7}, 0.10, t.TempDir())); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	pending := len(sh.w.Pending())
+	if pending == 0 {
+		t.Fatal("the script staged no batch: the test checks nothing")
+	}
+	// A budget in MiB that is negative, or whose bytes wrap an int64, is no
+	// budget.
+	for _, cmd := range []string{
+		"WINDOW minwork bogus;",
+		"WINDOW bogus;",
+		"RECOVER;",
+		"MEMORY -1;",
+		"MEMORY 8796093022208;",
+		"MEMORY 17592186044417;",
+	} {
+		err := runShell(sh, cmd+"\n")
+		if got := exitCodeFor(err); got != exitError {
+			t.Errorf("%s: exit %d (%v), want %d", cmd, got, err, exitError)
+		}
+		if got := len(sh.w.Pending()); got != pending {
+			t.Fatalf("%s: %d views pending, %d before", cmd, got, pending)
+		}
+	}
+}
+
+// TestDataExitCode: a TPC-D script whose base CSV is missing, or whose batch
+// has a malformed header, stops with the plain error exit code.
+func TestDataExitCode(t *testing.T) {
+	dir := t.TempDir()
+	script := tpcdScript(t, tpcd.Config{SF: 0.001, Seed: 7}, 0.10, dir)
+	lineitem := filepath.Join(dir, "LINEITEM.csv")
+	if err := os.Remove(lineitem); err != nil {
+		t.Fatal(err)
+	}
+	err := runShell(&shell{w: warehouse.New(), out: &strings.Builder{}}, script)
+	if got := exitCodeFor(err); got != exitError || !strings.Contains(fmt.Sprint(err), "LINEITEM.csv") {
+		t.Fatalf("missing base CSV: exit %d (%v), want %d naming the file", got, err, exitError)
+	}
+
+	script = tpcdScript(t, tpcd.Config{SF: 0.001, Seed: 7}, 0.10, dir)
+	if err := os.WriteFile(filepath.Join(dir, "ORDER.delta.csv"), []byte("nope\n1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runShell(&shell{w: warehouse.New(), out: &strings.Builder{}}, script)
+	if got := exitCodeFor(err); got != exitError || !strings.Contains(fmt.Sprint(err), "header") {
+		t.Fatalf("malformed batch: exit %d (%v), want %d for its header", got, err, exitError)
+	}
+}
+
+// TestCrashResumeFlow: a TPC-D window that dies mid-execution leaves the
+// journal in-flight. A shell that restores the pre-window snapshot and
+// reattaches the journal refuses a new window with the recovery-needed exit
+// code until RECOVER completes the journaled window; the recovered warehouse
+// verifies, and the next journaled window runs normally.
+func TestCrashResumeFlow(t *testing.T) {
+	dir := t.TempDir()
+	script := tpcdScript(t, tpcd.Config{SF: 0.001, Seed: 7}, 0.10, dir)
+	load, deltas, ok := strings.Cut(script, "\nDELTA ")
+	schema, _, ok2 := strings.Cut(script, "\nLOAD ")
+	if !ok || !ok2 {
+		t.Fatalf("script has no LOAD or DELTA lines:\n%s", script)
+	}
+	snap := filepath.Join(dir, "pre.snap")
+	jpath := filepath.Join(dir, "wh.journal")
+
+	// The dying process: load, snapshot, stage, and run the journaled window
+	// into a crash at step 3.
+	var out strings.Builder
+	sh := &shell{w: warehouse.New(), out: &out}
+	if err := runShell(sh, load+"\nSNAPSHOT SAVE '"+snap+"';\nDELTA "+deltas); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	j, err := warehouse.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := warehouse.NewFaultInjector(1)
+	inj.CrashAt("step", 3)
+	_, err = sh.w.RunWindowOpts(warehouse.WindowOptions{
+		Journal: j, Mode: warehouse.ModeDAG, Workers: 4, Faults: inj,
+	})
+	j.Close()
+	if err == nil {
+		t.Fatal("crashed window reported success")
+	}
+
+	// The restarted process: a window over the in-flight journal is refused.
+	out.Reset()
+	sh = &shell{w: warehouse.New(), out: &out}
+	restore := schema + "\nSNAPSHOT LOAD '" + snap + "';\nJOURNAL ON '" + jpath + "';\n"
+	err = runShell(sh, restore+"WINDOW;\n")
+	if got := exitCodeFor(err); got != exitRecovery {
+		t.Fatalf("WINDOW over an in-flight journal: exit %d (%v), want %d\n%s", got, err, exitRecovery, out.String())
+	}
+
+	// RECOVER completes the window, and the result matches recomputation.
+	out.Reset()
+	sh = &shell{w: warehouse.New(), out: &out}
+	if err := runShell(sh, restore+"RECOVER;\nVERIFY;\n"); err != nil {
+		t.Fatalf("resume failed: %v\noutput:\n%s", err, out.String())
+	}
+	if committed, needs := journalState(t, jpath); needs || committed != 1 {
+		t.Fatalf("journal after RECOVER: committed=%d needsRecovery=%v", committed, needs)
+	}
+
+	// With the journal clean, the next journaled window runs normally.
+	out.Reset()
+	sh = &shell{w: warehouse.New(), out: &out}
+	if err := runShell(sh, script+"JOURNAL ON '"+jpath+"';\nWINDOW;\n"); err != nil {
+		t.Fatalf("post-recovery window failed: %v\noutput:\n%s", err, out.String())
+	}
+	if committed, _ := journalState(t, jpath); committed != 2 {
+		t.Fatalf("journal holds %d committed windows, want 2", committed)
+	}
+}
+
+// TestInterruptExitCode: a cancelled shell context (what SIGINT/SIGTERM
+// deliver through main's NotifyContext) aborts a TPC-D window with the
+// interrupted exit code and leaves the journal consistent: an abort record
+// closes the window, so no RECOVER is needed and the same script with a live
+// context commits.
+func TestInterruptExitCode(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "wh.journal")
+	script := tpcdScript(t, tpcd.Config{SF: 0.001, Seed: 7}, 0.10, dir) +
+		"JOURNAL ON '" + jpath + "';\nWINDOW minwork DAG;\n"
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the signal already fired
+	var out strings.Builder
+	err := runShell(&shell{w: warehouse.New(), out: &out, ctx: ctx}, script)
+	if got := exitCodeFor(err); got != exitInterrupted {
+		t.Fatalf("interrupted window: exit %d (%v), want %d", got, err, exitInterrupted)
+	}
+	committed, needs := journalState(t, jpath)
+	if needs {
+		t.Fatal("interrupted window left the journal in-flight; want an abort record")
+	}
+	if committed != 0 {
+		t.Fatalf("interrupted window committed %d windows", committed)
+	}
+
+	if err := runShell(&shell{w: warehouse.New(), out: &out, ctx: context.Background()}, script); err != nil {
+		t.Fatalf("post-interrupt window failed: %v\noutput:\n%s", err, out.String())
+	}
+	if committed, _ := journalState(t, jpath); committed != 1 {
+		t.Fatalf("journal after rerun: committed=%d", committed)
 	}
 }
