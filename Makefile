@@ -141,11 +141,14 @@ fuzz:
 # reads the one log of accepted changes and windows, and the snapshot reader
 # both consume arbitrary on-disk bytes and must reject corruption without
 # panicking or mutating state — plus the SQL front end's old-vs-new
-# differential oracle. Cheap enough for CI.
+# differential oracle, and the query path's presentation (ORDER BY, LIMIT and
+# OFFSET over drawn rows) against the reference algorithm it replaced. Cheap
+# enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournal -fuzztime 10s
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRead -fuzztime 10s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParseDifferential -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz FuzzQueryPresentation -fuzztime 10s
 
 bench:
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
@@ -161,7 +164,9 @@ bench:
 # plan-space. One journaled window against a disk whose flushes take 300 µs
 # runs once too, and so does the resident-bytes benchmark: the TPC-D
 # warehouse at the repository benchmark's scale, its live heap after set-up
-# and after 20 windows, and LINEITEM's bytes per stored row.
+# and after 20 windows, and LINEITEM's bytes per stored row. So does one served
+# query of each kind of the repository benchmark's two query mixes, through the
+# HTTP handler.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -benchtime 1x
@@ -169,6 +174,7 @@ bench-smoke:
 	$(GO) test ./internal/storage -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
 	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -benchtime 1x -benchmem
+	$(GO) test ./internal/serve -run '^$$' -bench 'ServeQuery' -benchtime 1x -benchmem
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /

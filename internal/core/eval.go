@@ -89,15 +89,18 @@ func (c *EngineCounters) Add(o EngineCounters) {
 }
 
 // source abstracts the two operand kinds a term reads: a view's current
-// state or a view's pending delta.
+// state or a view's pending delta. Cardinality counts duplicates, as the
+// work metric does; DistinctCount is how many rows a Scan yields.
 type source interface {
 	Cardinality() int64
+	DistinctCount() int64
 	Scan(func(relation.Tuple, int64) bool)
 }
 
 type deltaSource struct{ d *delta.Delta }
 
-func (s deltaSource) Cardinality() int64 { return s.d.Size() }
+func (s deltaSource) Cardinality() int64   { return s.d.Size() }
+func (s deltaSource) DistinctCount() int64 { return int64(s.d.Distinct()) }
 func (s deltaSource) Scan(fn func(relation.Tuple, int64) bool) {
 	s.d.Scan(fn)
 }

@@ -252,7 +252,7 @@ func (c *scanCache) get(src source) []prow {
 // the rows are read-only here and in everything built from them: the
 // pipeline copies a row into its scratch row and never writes through it.
 func materializeScan(src source) []prow {
-	rows := make([]prow, 0, src.Cardinality())
+	rows := make([]prow, 0, src.DistinctCount())
 	src.Scan(func(t relation.Tuple, c int64) bool {
 		rows = append(rows, prow{row: t, count: c})
 		return true

@@ -5,31 +5,33 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/maintain"
+	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
 // Recompute evaluates a derived view's definition from scratch over the
-// current states of its referenced views and returns the result as a plain
-// counted table (aggregate views are rendered to their output rows). The
+// current states of its referenced views and returns the result as counted
+// rows in storage.SortRows order (a base view's are its own, read-only). The
 // view's materialized state is not touched.
 //
 // Recompute is the correctness oracle for incremental strategies: after a
 // correct strategy executes, every view's state must equal its recomputation
 // over the updated base data (Theorem of [GMS93] restated as conditions
 // C1–C8 in the paper).
-func (w *Warehouse) Recompute(name string) (*storage.Table, error) {
+func (w *Warehouse) Recompute(name string) ([]storage.CountedTuple, error) {
 	v := w.views[name]
 	if v == nil {
 		return nil, fmt.Errorf("core: unknown view %q", name)
 	}
 	if v.IsBase() {
-		return v.table.Clone(), nil
+		return v.SortedRows(), nil
 	}
-	out, err := w.evalTable(v.def)
+	rows, err := w.evalRows(v.def)
 	if err != nil {
 		return nil, fmt.Errorf("core: recomputing %q: %w", name, err)
 	}
-	return out, nil
+	storage.SortRows(rows)
+	return rows, nil
 }
 
 // evalFull evaluates a definition from scratch over the current states of
@@ -43,9 +45,10 @@ func (w *Warehouse) evalFull(cq *algebra.CQ) (acc, error) {
 	return out, err
 }
 
-// evalTable is evalFull rendered as a plain counted table (aggregates to
-// their output rows).
-func (w *Warehouse) evalTable(cq *algebra.CQ) (*storage.Table, error) {
+// evalRows is evalFull read as counted rows, in no particular order: the
+// accumulated delta of a select-project-join, or the output rows of the
+// aggregate table an aggregate's partials fill.
+func (w *Warehouse) evalRows(cq *algebra.CQ) ([]storage.CountedTuple, error) {
 	out, err := w.evalFull(cq)
 	if err != nil {
 		return nil, err
@@ -55,24 +58,34 @@ func (w *Warehouse) evalTable(cq *algebra.CQ) (*storage.Table, error) {
 		if err := fresh.Apply(out.p); err != nil {
 			return nil, err
 		}
-		return fresh.AsTable(), nil
+		return rowsOf(int(fresh.Cardinality()), fresh.Scan)
 	}
-	// ApplyDelta refuses a non-positive net count, which a full term over
-	// well-formed states never produces.
-	t := storage.NewTable(cq.OutputSchema())
-	if err := t.ApplyDelta(out.d); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return rowsOf(out.d.Distinct(), out.d.Scan)
+}
+
+// rowsOf collects the n rows scan yields, refusing a non-positive count,
+// which a full term over well-formed states never yields.
+func rowsOf(n int, scan func(func(relation.Tuple, int64) bool)) ([]storage.CountedTuple, error) {
+	rows := make([]storage.CountedTuple, 0, n)
+	var err error
+	scan(func(tup relation.Tuple, count int64) bool {
+		if count <= 0 {
+			err = fmt.Errorf("core: evaluation yields %d copies of %v", count, tup)
+			return false
+		}
+		rows = append(rows, storage.CountedTuple{Tuple: tup, Count: count})
+		return true
+	})
+	return rows, err
 }
 
 // Evaluate runs an ad-hoc query (a validated CQ whose references name
 // catalog views) against the current materialized state and returns the
-// result as a counted table. This is the OLAP read path: queries evaluate
-// against whatever state the views are in, so they keep working during an
-// update window (seeing pre- or post-install states per view, exactly the
-// isolation the paper's discussion section describes).
-func (w *Warehouse) Evaluate(cq *algebra.CQ) (*storage.Table, error) {
+// result as counted rows, in no particular order. This is the OLAP read
+// path: queries evaluate against whatever state the views are in, so they
+// keep working during an update window (seeing pre- or post-install states
+// per view, exactly the isolation the paper's discussion section describes).
+func (w *Warehouse) Evaluate(cq *algebra.CQ) ([]storage.CountedTuple, error) {
 	// Cached plans are validated once at bind time and then shared across
 	// queries; re-validating would rewrite the CQ's internal offsets and
 	// race with concurrent evaluations of the same plan.
@@ -90,7 +103,7 @@ func (w *Warehouse) Evaluate(cq *algebra.CQ) (*storage.Table, error) {
 			return nil, fmt.Errorf("core: query ref %q schema does not match view %q", r.Alias, r.View)
 		}
 	}
-	return w.evalTable(cq)
+	return w.evalRows(cq)
 }
 
 // VerifyView checks that the named view's materialized state equals its
@@ -107,17 +120,15 @@ func (w *Warehouse) VerifyView(name string) error {
 	if err != nil {
 		return err
 	}
-	var got *storage.Table
-	if v.agg != nil {
-		got = v.agg.AsTable()
-	} else {
-		got = v.table.Clone()
-	}
 	// Incremental float aggregation sums in a different order than
 	// recomputation, so float columns compare under relative tolerance.
-	if !got.ApproxEqual(want, verifyTolerance) {
+	if !storage.ApproxEqualRows(v.SortedRows(), want, verifyTolerance) {
+		var n int64
+		for _, r := range want {
+			n += r.Count
+		}
 		return fmt.Errorf("core: view %q diverged from recomputation: have %d rows, recompute gives %d rows",
-			name, got.Cardinality(), want.Cardinality())
+			name, v.Cardinality(), n)
 	}
 	return nil
 }

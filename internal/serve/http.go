@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -210,7 +211,11 @@ func tupleJSON(t warehouse.Tuple) []any {
 		case relation.KindInt:
 			out[i] = v.Int()
 		case relation.KindFloat:
-			out[i] = v.Float()
+			if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+				out[i] = v.String() // JSON has none; csvio reads "NaN", "+Inf", "-Inf" back
+			} else {
+				out[i] = f
+			}
 		case relation.KindString:
 			out[i] = v.Str()
 		case relation.KindBool:
@@ -224,10 +229,15 @@ func tupleJSON(t warehouse.Tuple) []any {
 	return out
 }
 
+// writeJSON encodes v before it writes the status, so that a value JSON
+// cannot hold answers 500 with the reason instead of 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		http.Error(w, "encoding the response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the status is out: a failed write has no one left to tell
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -184,5 +185,54 @@ func TestHTTPWindowRefusesABadBudget(t *testing.T) {
 	}
 	if e, tally := s.Epoch(), w.Tally(); e != 1 || tally.Committed+tally.Failed != 0 {
 		t.Fatalf("a refused window ran: epoch %d, tally %+v", e, tally)
+	}
+}
+
+// TestHTTPQueryNonFiniteFloats: NaN and the infinities, which JSON cannot
+// hold, come back as the strings Value.String gives; and a response that
+// cannot be encoded answers 500 with the reason, not 200 with no body.
+func TestHTTPQueryNonFiniteFloats(t *testing.T) {
+	w := warehouse.New()
+	w.MustDefineBase("F", warehouse.Schema{{Name: "x", Kind: warehouse.KindFloat}})
+	if err := w.Load("F", []warehouse.Tuple{
+		{warehouse.Float(math.Inf(1))}, {warehouse.Float(math.Inf(-1))}, {warehouse.Float(math.NaN())}, {warehouse.Float(1.5)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(w, Config{})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/query?q=" + url.QueryEscape("SELECT x FROM F ORDER BY x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query = %d %s", resp.StatusCode, body)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("%v in %q", err, body)
+	}
+	want := []any{"-Inf", 1.5, "+Inf", "NaN"}
+	if len(qr.Rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", qr.Rows, want)
+	}
+	for i, r := range qr.Rows {
+		if len(r) != 1 || r[0] != want[i] {
+			t.Fatalf("rows = %v, want %v", qr.Rows, want)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "unsupported value") {
+		t.Fatalf("an unencodable response answered %d %q, want 500 with the reason", rec.Code, rec.Body.String())
 	}
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cowmap"
 	"repro/internal/delta"
@@ -71,6 +70,9 @@ func (t *AggTable) Specs() []delta.AggSpec { return t.specs }
 // Cardinality returns the number of groups (= output rows).
 func (t *AggTable) Cardinality() int64 { return int64(t.groups.Len()) }
 
+// DistinctCount is Cardinality: every output row is distinct.
+func (t *AggTable) DistinctCount() int64 { return t.Cardinality() }
+
 // Grow sizes the table for n more groups at once; a load whose size is
 // known calls it first.
 func (t *AggTable) Grow(n int) { t.groups.Grow(n) }
@@ -136,17 +138,7 @@ func (t *AggTable) ScanEncoded(fn func(key string, count int64) bool) {
 }
 
 // SortedRows returns the output rows sorted lexicographically.
-func (t *AggTable) SortedRows() []CountedTuple {
-	out := make([]CountedTuple, 0, t.groups.Len())
-	t.Scan(func(tup relation.Tuple, count int64) bool {
-		out = append(out, CountedTuple{Tuple: tup, Count: count})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return relation.CompareTuples(out[i].Tuple, out[j].Tuple) < 0
-	})
-	return out
-}
+func (t *AggTable) SortedRows() []CountedTuple { return sortedRows(t.groups.Len(), t.Scan) }
 
 // FinalizeDelta computes, without mutating the table, the plus/minus tuple
 // delta over the output schema that installing the partials would produce:
@@ -348,18 +340,6 @@ func (t *AggTable) Clone() *AggTable {
 		groups:      t.groups.Clone(),
 		digest:      t.digest,
 	}
-}
-
-// AsTable converts the current output rows into a plain counted Table, for
-// comparisons against recomputation in tests.
-func (t *AggTable) AsTable() *Table {
-	out := NewTable(t.outSchema)
-	out.Grow(t.groups.Len())
-	t.Scan(func(tup relation.Tuple, count int64) bool {
-		out.Insert(tup, count)
-		return true
-	})
-	return out
 }
 
 // Clear removes all groups. Groups shared with clones are simply abandoned

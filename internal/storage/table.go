@@ -307,14 +307,23 @@ func (t *Table) ScanEncoded(fn func(key string, count int64) bool) {
 // SortedRows returns all distinct rows with counts, sorted lexicographically.
 // Intended for tests and deterministic output. The tuples are the stored
 // ones and must not be modified.
-func (t *Table) SortedRows() []CountedTuple {
-	out := make([]CountedTuple, 0, t.rows.Len())
-	t.Scan(func(tup relation.Tuple, count int64) bool {
+func (t *Table) SortedRows() []CountedTuple { return sortedRows(t.rows.Len(), t.Scan) }
+
+// sortedRows collects the n rows scan yields and sorts them with SortRows.
+func sortedRows(n int, scan func(func(relation.Tuple, int64) bool)) []CountedTuple {
+	out := make([]CountedTuple, 0, n)
+	scan(func(tup relation.Tuple, count int64) bool {
 		out = append(out, CountedTuple{Tuple: tup, Count: count})
 		return true
 	})
-	slices.SortFunc(out, func(a, b CountedTuple) int { return relation.CompareTuples(a.Tuple, b.Tuple) })
+	SortRows(out)
 	return out
+}
+
+// SortRows sorts rows lexicographically by relation.CompareTuples, the order
+// SortedRows hands out.
+func SortRows(rows []CountedTuple) {
+	slices.SortFunc(rows, func(a, b CountedTuple) int { return relation.CompareTuples(a.Tuple, b.Tuple) })
 }
 
 // CountedTuple pairs a tuple with a multiplicity.
@@ -359,16 +368,16 @@ func (t *Table) Equal(o *Table) bool {
 	return equal
 }
 
-// ApproxEqual reports whether two tables hold the same bag of rows, with
-// float values compared under relative tolerance tol. Aggregates maintained
-// incrementally accumulate floating-point sums in a different order than a
-// from-scratch recomputation, so verification of views with float aggregates
-// needs tolerant comparison; all other kinds compare exactly.
-func (t *Table) ApproxEqual(o *Table, tol float64) bool {
-	if t.card != o.card || t.rows.Len() != o.rows.Len() {
+// ApproxEqualRows reports whether two sorted row lists (see SortRows) hold
+// the same bag of rows, with float values compared under relative tolerance
+// tol. Aggregates maintained incrementally accumulate floating-point sums in
+// a different order than a from-scratch recomputation, so verification of
+// views with float aggregates needs tolerant comparison; all other kinds
+// compare exactly.
+func ApproxEqualRows(a, b []CountedTuple, tol float64) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	a, b := t.SortedRows(), o.SortedRows()
 	for i := range a {
 		if a[i].Count != b[i].Count || !approxTupleEqual(a[i].Tuple, b[i].Tuple, tol) {
 			return false

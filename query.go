@@ -2,7 +2,7 @@ package warehouse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -92,11 +92,7 @@ func (p *PinnedEpoch) Rows(name string) ([]CountedRow, error) {
 	if v == nil {
 		return nil, fmt.Errorf("warehouse: unknown view %q", name)
 	}
-	var out []CountedRow
-	for _, r := range v.SortedRows() {
-		out = append(out, CountedRow{Tuple: r.Tuple, Count: r.Count})
-	}
-	return out, nil
+	return v.SortedRows(), nil
 }
 
 // Size returns |V| as of the pinned epoch.
@@ -150,43 +146,35 @@ func (w *Warehouse) prepareQuery(c *core.Warehouse, sql string) (*sqlparse.Query
 
 // evaluateQuery runs a bound plan against one core snapshot and applies
 // the presentation clauses. The plan may be shared with concurrent queries
-// (it comes from the cache) and is never mutated.
+// (it comes from the cache) and is never mutated. The distinct rows are
+// sorted once, by the ORDER BY keys and then by relation.CompareTuples (no
+// two distinct rows tie); OFFSET and LIMIT count copies, and only the copies
+// returned are made.
 func evaluateQuery(c *core.Warehouse, q *sqlparse.Query) ([]Tuple, error) {
-	tbl, err := c.Evaluate(q.CQ)
+	rows, err := c.Evaluate(q.CQ)
 	if err != nil {
 		return nil, err
 	}
-	rows := tbl.SortedRows()
+	slices.SortFunc(rows, func(a, b CountedRow) int {
+		for _, k := range q.OrderBy {
+			if c := relation.Compare(a.Tuple[k.Column], b.Tuple[k.Column]); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return relation.CompareTuples(a.Tuple, b.Tuple)
+	})
+	skip, take := int64(q.Offset), int64(q.Limit) // take < 0, no LIMIT, never reaches 0
 	var out []Tuple
 	for _, r := range rows {
-		for i := int64(0); i < r.Count; i++ {
+		n := r.Count - skip
+		skip = max(-n, 0)
+		for ; n > 0 && take != 0; n-- {
 			out = append(out, r.Tuple)
+			take--
 		}
-	}
-	if len(q.OrderBy) > 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			for _, k := range q.OrderBy {
-				c := relation.Compare(out[i][k.Column], out[j][k.Column])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = out[:0]
-		} else {
-			out = out[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
 	}
 	return out, nil
 }

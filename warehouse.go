@@ -51,6 +51,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/snapshot"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 	"repro/internal/strategy"
 	"repro/internal/vdag"
 )
@@ -195,8 +196,8 @@ type Options struct {
 // A Warehouse serves consistent reads while update windows run. The
 // contract, enforced by the concurrency tests, is:
 //
-//   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs and
-//     ViewSchema are safe to call from any number of goroutines at any
+//   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs, ViewSchema
+//     and NewDelta are safe to call from any number of goroutines at any
 //     time, including while a window executes or commits. Reads are served
 //     from the pinned epoch — an immutable published version of the state —
 //     so a reader observes exactly the pre-window or post-window warehouse,
@@ -376,7 +377,7 @@ func (w *Warehouse) MustDefineBase(name string, schema Schema) {
 // DefineViewSQL registers a derived view from a SQL SELECT statement over
 // previously defined views.
 func (w *Warehouse) DefineViewSQL(name, sql string) error {
-	cq, err := sqlparse.Parse(sql, w.resolveSchema)
+	cq, err := sqlparse.Parse(sql, w.ViewSchema)
 	if err != nil {
 		return err
 	}
@@ -393,7 +394,7 @@ func (w *Warehouse) MustDefineViewSQL(name, sql string) {
 // DefineViewSQLStatement registers a view from a full
 // "CREATE VIEW name AS SELECT …" statement.
 func (w *Warehouse) DefineViewSQLStatement(sql string) (string, error) {
-	name, cq, err := sqlparse.ParseCreateView(sql, w.resolveSchema)
+	name, cq, err := sqlparse.ParseCreateView(sql, w.ViewSchema)
 	if err != nil {
 		return "", err
 	}
@@ -405,16 +406,6 @@ func (w *Warehouse) DefineViewSQLStatement(sql string) (string, error) {
 // DefineViewSQL for the SQL path).
 func (w *Warehouse) DefineView(name string, def *ViewDef) error {
 	return w.core.DefineDerived(name, def)
-}
-
-func (w *Warehouse) resolveSchema(view string) (Schema, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	v := w.core.View(view)
-	if v == nil {
-		return nil, fmt.Errorf("warehouse: unknown view %q", view)
-	}
-	return v.Schema(), nil
 }
 
 // Load bulk-inserts rows into a base view.
@@ -430,7 +421,7 @@ func (w *Warehouse) Refresh() error { return w.core.RefreshAll() }
 // LoadCSV bulk-inserts rows from CSV (header required; columns may appear
 // in any order; empty fields are NULL; dates are YYYY-MM-DD).
 func (w *Warehouse) LoadCSV(name string, r io.Reader) (int, error) {
-	schema, err := w.resolveSchema(name)
+	schema, err := w.ViewSchema(name)
 	if err != nil {
 		return 0, err
 	}
@@ -445,7 +436,7 @@ func (w *Warehouse) LoadCSV(name string, r io.Reader) (int, error) {
 // column gives each row's multiplicity (+insert, −delete); without it every
 // row is one insertion.
 func (w *Warehouse) StageDeltaCSV(name string, r io.Reader) (*Delta, error) {
-	schema, err := w.resolveSchema(name)
+	schema, err := w.ViewSchema(name)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +460,7 @@ func (w *Warehouse) DumpCSV(name string, out io.Writer) error {
 // to call while a window commits — continuous producers build deltas
 // concurrently with the window loop.
 func (w *Warehouse) NewDelta(name string) (*Delta, error) {
-	schema, err := w.resolveSchema(name)
+	schema, err := w.ViewSchema(name)
 	if err != nil {
 		return nil, err
 	}
@@ -488,8 +479,14 @@ func (w *Warehouse) StageDelta(name string, d *Delta) error {
 // Views returns all view names in definition order.
 func (w *Warehouse) Views() []string { return w.core.ViewNames() }
 
-// ViewSchema returns a view's output schema.
-func (w *Warehouse) ViewSchema(name string) (Schema, error) { return w.resolveSchema(name) }
+// ViewSchema returns a view's output schema. It reads the serving epoch, as
+// queries do, so it does not wait for a running window: no window changes
+// the catalog.
+func (w *Warehouse) ViewSchema(name string) (Schema, error) {
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return coreResolver(pin.Warehouse())(name)
+}
 
 // Size returns |V|: the view's row count in the current serving epoch.
 func (w *Warehouse) Size(name string) (int64, error) {
@@ -507,10 +504,7 @@ func (w *Warehouse) Rows(name string) ([]CountedRow, error) {
 }
 
 // CountedRow pairs a tuple with its multiplicity.
-type CountedRow struct {
-	Tuple Tuple
-	Count int64
-}
+type CountedRow = storage.CountedTuple
 
 // Graph returns the warehouse's view DAG.
 func (w *Warehouse) Graph() (*Graph, error) { return exec.Graph(w.core) }

@@ -340,3 +340,61 @@ func TestExternalCancelAbortsWindow(t *testing.T) {
 		t.Fatalf("cancelled window mutated state: epoch=%d pending=%v", w.Epoch(), w.Pending())
 	}
 }
+
+// gatedSink is a journal sink whose first Write waits for gate to close,
+// after closing entered: a window that journals to it holds its lock until
+// the test lets it go on.
+type gatedSink struct {
+	once          sync.Once
+	entered, gate chan struct{}
+	mu            sync.Mutex
+	buf           bytes.Buffer
+}
+
+func (s *gatedSink) Write(p []byte) (int, error) {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.gate
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+// TestSchemaReadsDoNotWaitForAWindow: NewDelta and ViewSchema read the
+// catalog from the serving epoch, so a producer building its next batch
+// does not wait for a window that is held up writing its journal.
+func TestSchemaReadsDoNotWaitForAWindow(t *testing.T) {
+	w := newRetail(t)
+	stageEastSale(t, w, 200)
+	sink := &gatedSink{entered: make(chan struct{}), gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(sink.gate) })
+	defer release()
+	window := make(chan error, 1)
+	go func() {
+		_, err := w.RunWindowOpts(WindowOptions{Journal: NewJournal(sink)})
+		window <- err
+	}()
+	<-sink.entered
+	reads := make(chan error, 1)
+	go func() {
+		if _, err := w.NewDelta("SALES"); err != nil {
+			reads <- err
+			return
+		}
+		_, err := w.ViewSchema("REGION_TOTALS")
+		reads <- err
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewDelta and ViewSchema waited for the window holding the lock")
+	}
+	release()
+	if err := <-window; err != nil {
+		t.Fatal(err)
+	}
+}
