@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/maintain"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -58,25 +57,16 @@ func (w *Warehouse) evalRows(cq *algebra.CQ) ([]storage.CountedTuple, error) {
 		if err := fresh.Apply(out.p); err != nil {
 			return nil, err
 		}
-		return rowsOf(int(fresh.Cardinality()), fresh.Scan)
+		return storage.CollectRows(int(fresh.Cardinality()), fresh.Scan), nil
 	}
-	return rowsOf(out.d.Distinct(), out.d.Scan)
-}
-
-// rowsOf collects the n rows scan yields, refusing a non-positive count,
-// which a full term over well-formed states never yields.
-func rowsOf(n int, scan func(func(relation.Tuple, int64) bool)) ([]storage.CountedTuple, error) {
-	rows := make([]storage.CountedTuple, 0, n)
-	var err error
-	scan(func(tup relation.Tuple, count int64) bool {
-		if count <= 0 {
-			err = fmt.Errorf("core: evaluation yields %d copies of %v", count, tup)
-			return false
+	// A full term over well-formed states never yields a non-positive count.
+	rows := storage.CollectRows(out.d.Distinct(), out.d.Scan)
+	for _, r := range rows {
+		if r.Count <= 0 {
+			return nil, fmt.Errorf("core: evaluation yields %d copies of %v", r.Count, r.Tuple)
 		}
-		rows = append(rows, storage.CountedTuple{Tuple: tup, Count: count})
-		return true
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // Evaluate runs an ad-hoc query (a validated CQ whose references name

@@ -20,10 +20,14 @@ import (
 type queryKind struct{ name, sql string }
 
 // BenchmarkServeQuery is one GET /query through the handler, from the
-// request's bytes to the response's, for each query kind of the repository
-// benchmark's two query mixes: TPC-D at the benchmark's scale factor
-// (0.004) and retail at its store and sale counts (256 and 5 000). rows/op
-// is the rows a response holds, to read allocations per row beside it.
+// request's bytes to the response's, for each query kind of the two query
+// mixes of bench/fixture.go: TPC-D from tpcd.NewWarehouse at SF 0.004, seed
+// 1, and the retail catalog at 256 stores over 5 000 drawn sales. The data
+// is close to the benchmark's, not the same: bench also rounds line-item
+// prices, and draws its sales with its own generator. bench is a separate
+// module, so the kinds and the catalog are copied here; a change to them in
+// bench/fixture.go is made here too. rows/op is the rows a response holds,
+// to read allocations per row beside it.
 func BenchmarkServeQuery(b *testing.B) {
 	b.Run("tpcd", func(b *testing.B) {
 		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.004, Seed: 1})
@@ -80,10 +84,10 @@ func benchQueryKinds(b *testing.B, w *warehouse.Warehouse, kinds []queryKind) {
 	}
 }
 
-// benchRetail is the repository benchmark's retail catalog: STORES and
-// SALES, the join view SALES_BY_STORE, the summaries REGION_TOTALS and
-// STORE_TOTALS over it, and the one-row WATERMARK, with amounts in quarter
-// units.
+// benchRetail is the retail catalog of bench/fixture.go: STORES and SALES,
+// the join view SALES_BY_STORE, the summaries REGION_TOTALS and STORE_TOTALS
+// over it, and the one-row WATERMARK. Its sales are drawn with math/rand
+// seed 1, with amounts in quarter units.
 func benchRetail(b *testing.B, stores, sales int) *warehouse.Warehouse {
 	w := warehouse.New()
 	w.MustDefineBase("STORES", warehouse.Schema{

@@ -138,7 +138,11 @@ func (t *AggTable) ScanEncoded(fn func(key string, count int64) bool) {
 }
 
 // SortedRows returns the output rows sorted lexicographically.
-func (t *AggTable) SortedRows() []CountedTuple { return sortedRows(t.groups.Len(), t.Scan) }
+func (t *AggTable) SortedRows() []CountedTuple {
+	rows := CollectRows(t.groups.Len(), t.Scan)
+	SortRows(rows)
+	return rows
+}
 
 // FinalizeDelta computes, without mutating the table, the plus/minus tuple
 // delta over the output schema that installing the partials would produce:

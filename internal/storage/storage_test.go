@@ -286,20 +286,27 @@ func TestAggTableFinalizeDelta(t *testing.T) {
 		t.Errorf("FinalizeDelta mutated the table")
 	}
 	// Applying must match the finalized delta exactly.
-	before := NewTable(at.Schema())
-	at.Scan(func(tup relation.Tuple, count int64) bool {
-		before.Insert(tup, count)
-		return true
-	})
+	before := aggRows(at)
 	if err := at.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
 	if err := before.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	if !ApproxEqualRows(before.SortedRows(), at.SortedRows(), 0) {
+	if !before.Equal(aggRows(at)) {
 		t.Errorf("Apply and FinalizeDelta disagree")
 	}
+}
+
+// aggRows copies an aggregate table's output rows into a table, to compare
+// by encoded row.
+func aggRows(at *AggTable) *Table {
+	tbl := NewTable(at.Schema())
+	at.Scan(func(tup relation.Tuple, count int64) bool {
+		tbl.Insert(tup, count)
+		return true
+	})
+	return tbl
 }
 
 func TestAggTableGroupDisappears(t *testing.T) {

@@ -307,16 +307,19 @@ func (t *Table) ScanEncoded(fn func(key string, count int64) bool) {
 // SortedRows returns all distinct rows with counts, sorted lexicographically.
 // Intended for tests and deterministic output. The tuples are the stored
 // ones and must not be modified.
-func (t *Table) SortedRows() []CountedTuple { return sortedRows(t.rows.Len(), t.Scan) }
+func (t *Table) SortedRows() []CountedTuple {
+	rows := CollectRows(t.rows.Len(), t.Scan)
+	SortRows(rows)
+	return rows
+}
 
-// sortedRows collects the n rows scan yields and sorts them with SortRows.
-func sortedRows(n int, scan func(func(relation.Tuple, int64) bool)) []CountedTuple {
+// CollectRows returns the n rows scan yields, in the order it yields them.
+func CollectRows(n int, scan func(func(relation.Tuple, int64) bool)) []CountedTuple {
 	out := make([]CountedTuple, 0, n)
 	scan(func(tup relation.Tuple, count int64) bool {
 		out = append(out, CountedTuple{Tuple: tup, Count: count})
 		return true
 	})
-	SortRows(out)
 	return out
 }
 

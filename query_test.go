@@ -286,9 +286,11 @@ func presentation(pick func(n int) int, width int) string {
 	return b.String()
 }
 
-// presentationRetail is the repository benchmark's retail catalog (two base
-// views, a join view, two summaries over it and a one-row watermark) at a
-// small scale, with amounts in quarter units so that sums are exact.
+// presentationRetail is the retail catalog of bench/fixture.go (two base
+// views, a join view, two summaries over it and a one-row watermark) over
+// 2 000 sales drawn with math/rand seed 1, with amounts in quarter units so
+// that sums are exact. bench is a separate module, so the catalog is copied
+// here, as is BenchmarkServeQuery's in internal/serve.
 func presentationRetail(t *testing.T) *Warehouse {
 	t.Helper()
 	w := New()
@@ -323,9 +325,9 @@ func presentationRetail(t *testing.T) *Warehouse {
 }
 
 // TestQueryPresentationMatchesReference holds Query to referenceQuery on
-// every query kind of the repository benchmark's two query mixes, TPC-D and
-// retail, and on drawn ORDER BY, LIMIT and OFFSET clauses over select lists
-// of those catalogs, duplicates included.
+// every query kind of the two query mixes of bench/fixture.go, TPC-D and
+// retail (plan_miss with a fixed number), and on drawn ORDER BY, LIMIT and
+// OFFSET clauses over select lists of those catalogs, duplicates included.
 func TestQueryPresentationMatchesReference(t *testing.T) {
 	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: 1})
 	if err != nil {
