@@ -59,18 +59,20 @@ experiments:
 	@$(GO) run ./cmd/experiments
 
 # End-to-end smoke of the query daemon: every test of cmd/whserverd — a
-# daemon with a fast window driver answering queries across flipping epochs
-# and draining (TestServerLifecycle), a leader and two followers
-# (TestReplicaSmoke), an ingesting leader drained mid-stream whose /stats and
-# drain line count the ingester's windows (TestIngestDrainUnderLoad), the
-# refused flag combinations (TestUsageErrors) and the pprof mux — and every
+# daemon whose continuous ingester (-ingest) commits windows while it answers
+# queries across flipping epochs, then drains (TestServerLifecycle), an
+# ingesting leader and two followers (TestReplicaSmoke), an ingesting leader
+# drained mid-stream whose /stats and drain line count the ingester's windows
+# (TestIngestDrainUnderLoad), the refused flags (TestUsageErrors) and the
+# pprof mux — and every
 # test of internal/serve: admission, shedding, windows and their budgets, the
 # HTTP surface and /stats.
 serve-smoke:
 	$(GO) test ./cmd/whserverd/ ./internal/serve/ -count=1
 
-# End-to-end smoke of replication: TestReplicaSmoke — a whserverd leader with
-# a fast window driver plus two -follow daemons whose lag drains to zero at an
+# End-to-end smoke of replication: TestReplicaSmoke — a whserverd leader whose
+# continuous ingester (-ingest) drives its windows, plus two -follow daemons
+# whose lag drains to zero at an
 # advanced epoch and whose /stats count the windows they applied — and every
 # test of internal/replicate: ship and replay, chunked fetches, the writer's
 # shippable mark, torn streams, failover, the golden chunk, and its table of

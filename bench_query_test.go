@@ -2,8 +2,8 @@ package warehouse
 
 // Serving-path benchmarks for the prepared-plan cache, measuring plan
 // acquisition — the step the cache elides. BenchmarkQueryCold is the cold
-// parse path every request pays without the cache: lex + parse + bind +
-// validate through the same facade entry the serving path uses.
+// parse path every request would pay without the cache: lex + parse + bind +
+// validate, as a cache miss runs it.
 // BenchmarkQueryCached is the steady-state hit path: normalized map probe
 // to the same bound plan, no front-end work at all — and no allocation, which
 // TestPlanCacheHitAllocatesNothing holds as an ordinary test.
@@ -11,7 +11,11 @@ package warehouse
 // puts the pair in context: the full Query (prepare + evaluate + present),
 // cold and cached, over the same shape.
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sqlparse"
+)
 
 // benchQuerySQL is the filter-heavy shape a dashboard or API endpoint
 // repeats all day: one view, a long predicate list, aliases, and the
@@ -48,21 +52,17 @@ func benchQueryWarehouse(b testing.TB) *Warehouse {
 	return w
 }
 
-// BenchmarkQueryCold: plan acquisition with the cache disabled — the full
-// front end runs on every request.
+// BenchmarkQueryCold: plan acquisition without the cache — the full front
+// end runs on every request.
 func BenchmarkQueryCold(b *testing.B) {
 	w := benchQueryWarehouse(b)
-	w.SetPlanCache(0)
 	p := w.PinEpoch()
 	defer p.Close()
-	c := p.pin.Warehouse()
-	if _, err := w.prepareQuery(c, benchQuerySQL); err != nil {
-		b.Fatal(err)
-	}
+	resolve := coreResolver(p.pin.Warehouse())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.prepareQuery(c, benchQuerySQL); err != nil {
+		if _, err := sqlparse.ParseQuery(benchQuerySQL, resolve); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,21 +113,37 @@ func TestPlanCacheHitAllocatesNothing(t *testing.T) {
 // BenchmarkQueryEndToEnd contextualizes the pair: the whole serving path
 // (prepare + evaluate + sort/limit), with and without the cache.
 func BenchmarkQueryEndToEnd(b *testing.B) {
-	run := func(b *testing.B, cacheSize int) {
+	run := func(b *testing.B, query func(w *Warehouse) error) {
 		b.Helper()
 		w := benchQueryWarehouse(b)
-		w.SetPlanCache(cacheSize)
-		if _, err := w.Query(benchQuerySQL); err != nil {
+		if err := query(w); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Query(benchQuerySQL); err != nil {
+			if err := query(w); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, 0) })
-	b.Run("cached", func(b *testing.B) { run(b, DefaultPlanCacheSize) })
+	b.Run("cold", func(b *testing.B) {
+		run(b, func(w *Warehouse) error {
+			p := w.PinEpoch()
+			defer p.Close()
+			c := p.pin.Warehouse()
+			q, err := sqlparse.ParseQuery(benchQuerySQL, coreResolver(c))
+			if err != nil {
+				return err
+			}
+			_, err = evaluateQuery(c, q)
+			return err
+		})
+	})
+	b.Run("cached", func(b *testing.B) {
+		run(b, func(w *Warehouse) error {
+			_, err := w.Query(benchQuerySQL)
+			return err
+		})
+	})
 }

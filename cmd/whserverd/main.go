@@ -7,7 +7,7 @@
 // blend, and epochs never go backwards.
 //
 //	whserverd [-addr :8080] [-queue 64] [-workers N] [-query-timeout 5s]
-//	          [-window-budget 0] [-window-every 0] [-mode sequential|staged|dag]
+//	          [-mode sequential|staged|dag]
 //	          [-planner minwork|prune|dualstage|shared]
 //	          [-share] [-mem-budget-mb 0] [-pprof addr] [-stores 8] [-sales 2000]
 //	          [-seed 7] [-follow leader-addr] [-fetch-interval 100ms]
@@ -15,24 +15,22 @@
 //	          [-ingest-queue 4096]
 //
 // The served warehouse is the retail demo VDAG (SALES/STORES bases, a join
-// view, an aggregate summary), populated from -seed. With -window-every set,
-// the daemon stages a synthetic change batch and runs an update window on
-// that period — windows whose wall-clock exceeds -window-budget abort
-// cleanly and leave the serving epoch unchanged. Windows can also be
-// triggered externally with POST /window. /stats and the drain line count
-// every window the warehouse committed or failed, whichever path ran it.
+// view, an aggregate summary), populated from -seed, on the engine -share
+// and -mem-budget-mb set. An update window runs when a client asks for one
+// with POST /window, under the wall-clock budget the request names (a window
+// that overruns it aborts cleanly and leaves the serving epoch unchanged), or
+// when the ingester cuts a batch. /stats and the drain line count every
+// window the warehouse committed or failed, whichever path ran it.
 //
-// With -ingest the daemon runs the continuous-ingestion regime instead of
-// the periodic driver: a synthetic producer streams sales changes at
-// -ingest-rate row-changes per second into a bounded staging queue
-// (-ingest-queue), and micro-batch windows over what the queue holds keep the
-// views fresh against the -ingest-slo p99 staleness target, which sets each
-// window's deadline. Each accepted change set is a record of the leader's
-// journal, and each window's begin record names the ones it installs, so
-// accepted changes ship to followers beside the windows. The ingester owns
-// the window schedule, so -ingest excludes -window-every, -window-budget and
-// -follow, and POST /window answers 409; GET /ingest reports the freshness
-// snapshot. On
+// With -ingest the daemon is its own source of changes: a synthetic producer
+// streams sales changes at -ingest-rate row-changes per second into a bounded
+// staging queue (-ingest-queue), and micro-batch windows over what the queue
+// holds keep the views fresh against the -ingest-slo p99 staleness target,
+// which sets each window's deadline. Each accepted change set is a record of
+// the leader's journal, and each window's begin record names the ones it
+// installs, so accepted changes ship to followers beside the windows. The
+// ingester owns the window schedule, so -ingest excludes -follow, and POST
+// /window answers 409; GET /ingest reports the freshness snapshot. On
 // shutdown the ingester is quiesced first — its queue drains through final
 // windows — before the HTTP listener and query server close, so a drain
 // never strands accepted changes.
@@ -43,8 +41,7 @@
 // warehouse (same -stores/-sales/-seed), continuously fetches the leader's
 // journal, replays each committed window with full digest verification, and
 // serves queries at its own — possibly stale — epoch. Followers are
-// read-only (POST /window answers 403, and -window-budget is refused) and
-// report their staleness on /lag.
+// read-only (POST /window answers 403) and report their staleness on /lag.
 //
 // Endpoints: /query, /window, /epoch, /stats, /healthz (liveness),
 // /readyz (readiness; flips to 503 the moment a drain begins). Leaders add
@@ -88,13 +85,10 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth (full queue sheds with 503)")
 	workers := flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
 	queryTimeout := flag.Duration("query-timeout", 5*time.Second, "per-query deadline (queue wait + execution)")
-	windowBudget := flag.Duration("window-budget", 0, "wall-clock budget per update window (0 = unbounded)")
-	windowEvery := flag.Duration("window-every", 0, "stage a synthetic batch and run a window on this period (0 = off)")
 	mode := flag.String("mode", "dag", "window scheduling: sequential | staged | dag")
 	plannerName := flag.String("planner", "minwork", "window planner: minwork | prune | dualstage | shared")
 	share := flag.Bool("share", false, "enable window-wide shared computation for update windows")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "window memory budget in MiB; oversized builds spill to disk (0 = unbounded)")
-	planCacheSize := flag.Int("plan-cache-size", 256, "prepared-plan cache capacity for the query path (0 disables)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (separate mux; empty = off)")
 	stores := flag.Int("stores", 8, "demo warehouse: number of stores")
 	sales := flag.Int("sales", 2000, "demo warehouse: initial sales rows")
@@ -102,7 +96,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight work on shutdown")
 	follow := flag.String("follow", "", "run as a follower of this leader (host:port or URL); serve reads at a possibly-stale epoch")
 	fetchInterval := flag.Duration("fetch-interval", 100*time.Millisecond, "follower: idle poll period against the leader's journal")
-	ingestOn := flag.Bool("ingest", false, "continuous ingestion: synthetic producer + micro-batch windows over what the queue holds (excludes -window-every and -follow)")
+	ingestOn := flag.Bool("ingest", false, "continuous ingestion: synthetic producer + micro-batch windows over what the queue holds (excludes -follow)")
 	ingestRate := flag.Int("ingest-rate", 500, "continuous ingestion: producer rate in row-changes per second")
 	ingestSLO := flag.Duration("ingest-slo", 200*time.Millisecond, "continuous ingestion: p99 staleness target; a window's deadline is half of it, doubled after each abort")
 	ingestQueue := flag.Int("ingest-queue", 4096, "continuous ingestion: staging queue bound in row-changes (backpressure past this)")
@@ -112,10 +106,8 @@ func main() {
 	defer stop()
 	if err := run(ctx, config{
 		addr: *addr, queue: *queue, workers: *workers,
-		queryTimeout: *queryTimeout, windowBudget: *windowBudget,
-		windowEvery: *windowEvery, mode: *mode, planner: *plannerName,
-		share: *share, memBudgetMB: *memBudgetMB,
-		planCacheSize: *planCacheSize, pprofAddr: *pprofAddr,
+		queryTimeout: *queryTimeout, mode: *mode, planner: *plannerName,
+		share: *share, memBudgetMB: *memBudgetMB, pprofAddr: *pprofAddr,
 		stores: *stores, sales: *sales, seed: *seed, drainTimeout: *drainTimeout,
 		follow: *follow, fetchInterval: *fetchInterval,
 		ingest: *ingestOn, ingestRate: *ingestRate, ingestSLO: *ingestSLO,
@@ -137,18 +129,16 @@ type usageError struct{ error }
 type config struct {
 	addr                       string
 	queue, workers             int
-	queryTimeout, windowBudget time.Duration
-	windowEvery, drainTimeout  time.Duration
+	queryTimeout, drainTimeout time.Duration
 	mode, planner              string
 	share                      bool
 	memBudgetMB                int64
-	planCacheSize              int
 	pprofAddr                  string
 	stores, sales              int
 	seed                       int64
 	follow                     string // leader address; empty = lead
 	fetchInterval              time.Duration
-	ingest                     bool // continuous ingestion replaces the periodic driver
+	ingest                     bool // a synthetic producer feeds the continuous ingester
 	ingestRate                 int  // producer row-changes per second
 	ingestSLO                  time.Duration
 	ingestQueue                int
@@ -170,24 +160,15 @@ type drainReport struct {
 // cfg.follow it follows: the same demo warehouse is rebuilt locally and
 // the leader's journal is continuously fetched and replayed.
 func run(ctx context.Context, cfg config) error {
-	if cfg.follow != "" && cfg.windowEvery > 0 {
-		return usageError{fmt.Errorf("-window-every cannot be combined with -follow: a follower replays the leader's windows")}
-	}
-	if cfg.follow != "" && cfg.windowBudget != 0 {
-		return usageError{fmt.Errorf("-window-budget cannot be combined with -follow: a follower runs no window of its own")}
-	}
 	if cfg.ingest {
 		if cfg.follow != "" {
 			return usageError{fmt.Errorf("-ingest cannot be combined with -follow: a follower replays the leader's windows")}
 		}
-		if cfg.windowEvery > 0 {
-			return usageError{fmt.Errorf("-ingest replaces -window-every: the ingester owns the window schedule")}
-		}
-		if cfg.windowBudget != 0 {
-			return usageError{fmt.Errorf("-window-budget cannot be combined with -ingest: -ingest-slo sets each window's deadline")}
-		}
 		if cfg.ingestRate <= 0 {
 			return usageError{fmt.Errorf("-ingest-rate must be positive (got %d)", cfg.ingestRate)}
+		}
+		if cfg.ingestSLO < 0 {
+			return usageError{fmt.Errorf("-ingest-slo must not be negative (got %s)", cfg.ingestSLO)}
 		}
 	}
 	// A mistyped name would otherwise be accepted here and fail every window
@@ -204,29 +185,24 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return usageError{fmt.Errorf("-mem-budget-mb: %w", err)}
 	}
-	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed)
+	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed,
+		warehouse.Options{ShareComputation: cfg.share, MemoryBudgetBytes: memBudget})
 	if err != nil {
 		return err
 	}
-	if cfg.share {
-		w.SetSharing(true)
-	}
 	if memBudget > 0 {
-		w.SetMemoryBudget(memBudget)
 		fmt.Printf("whserverd: window memory budget %dMiB (oversized builds spill to disk)\n", cfg.memBudgetMB)
 	}
-	w.SetPlanCache(cfg.planCacheSize)
 	svCfg := serve.Config{
 		QueueDepth:   cfg.queue,
 		Workers:      cfg.workers,
 		QueryTimeout: cfg.queryTimeout,
-		WindowBudget: cfg.windowBudget,
 	}
 	var leader *replicate.Leader
 	var follower *replicate.Follower
 	if cfg.follow == "" {
-		// Leader: every window — driver loop or POST /window — lands in the
-		// shipped journal.
+		// Leader: every window — the ingester's or POST /window's — lands
+		// in the shipped journal.
 		leader = replicate.NewLeader(w)
 		svCfg.WindowJournal = leader.Journal()
 	}
@@ -288,12 +264,8 @@ func run(ctx context.Context, cfg config) error {
 	} else if ing != nil {
 		role = fmt.Sprintf("leading, ingesting %d changes/s (slo=%s)", cfg.ingestRate, cfg.ingestSLO)
 	}
-	planCache := "plan-cache=off"
-	if cfg.planCacheSize > 0 {
-		planCache = fmt.Sprintf("plan-cache=%d", cfg.planCacheSize)
-	}
-	fmt.Printf("whserverd: serving %d views on %s (queue=%d, epoch=%d, share=%v, %s, %s)\n",
-		len(w.Views()), ln.Addr(), cfg.queue, s.Epoch(), cfg.share, planCache, role)
+	fmt.Printf("whserverd: serving %d views on %s (queue=%d, epoch=%d, share=%v, %s)\n",
+		len(w.Views()), ln.Addr(), cfg.queue, s.Epoch(), cfg.share, role)
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr().String()
 	}
@@ -310,9 +282,6 @@ func run(ctx context.Context, cfg config) error {
 	}
 
 	windows := make(chan error, 1)
-	if cfg.windowEvery > 0 {
-		go windowDriver(ctx, s, gen, cfg, warehouse.WindowOptions{Planner: planner, Mode: mode}, windows)
-	}
 	if ing != nil {
 		// The window loop outlives ctx on purpose: a signal stops the
 		// producer, then Close drains the queue through final windows.
@@ -438,38 +407,6 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-// windowDriver periodically stages a synthetic sales batch and runs an
-// update window through the server. Aborted (over-budget) windows are
-// logged and the staged batch carries over into the next period.
-func windowDriver(ctx context.Context, s *serve.Server, gen *demoGen, cfg config, opts warehouse.WindowOptions, out chan<- error) {
-	tick := time.NewTicker(cfg.windowEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		if err := gen.stageBatch(s.Warehouse()); err != nil {
-			out <- fmt.Errorf("staging batch: %w", err)
-			return
-		}
-		rep, err := s.RunWindow(ctx, opts)
-		switch {
-		case errors.Is(err, warehouse.ErrWindowAborted):
-			if ctx.Err() != nil {
-				return // shutting down
-			}
-			fmt.Printf("whserverd: window aborted (budget %s); batch stays staged\n", cfg.windowBudget)
-		case err != nil:
-			out <- fmt.Errorf("update window: %w", err)
-			return
-		default:
-			fmt.Printf("whserverd: committed %s -> epoch %d\n", rep, s.Epoch())
-		}
-	}
-}
-
 // demoGen generates synthetic change batches for the demo warehouse.
 type demoGen struct {
 	rng    *rand.Rand
@@ -477,13 +414,14 @@ type demoGen struct {
 	nextID int64
 }
 
-// buildDemo assembles the retail demo warehouse: STORES and SALES bases, a
-// join view, and a regional aggregate, populated from seed.
-func buildDemo(stores, sales int, seed int64) (*warehouse.Warehouse, *demoGen, error) {
+// buildDemo assembles the retail demo warehouse on the engine opts sets:
+// STORES and SALES bases, a join view, and a regional aggregate, populated
+// from seed.
+func buildDemo(stores, sales int, seed int64, opts warehouse.Options) (*warehouse.Warehouse, *demoGen, error) {
 	if stores < 1 || sales < 0 {
 		return nil, nil, fmt.Errorf("demo warehouse needs stores >= 1 and sales >= 0 (got %d, %d)", stores, sales)
 	}
-	w := warehouse.New()
+	w := warehouse.New(opts)
 	w.MustDefineBase("STORES", warehouse.Schema{
 		{Name: "store_id", Kind: warehouse.KindInt},
 		{Name: "region", Kind: warehouse.KindString},
@@ -540,17 +478,4 @@ func (g *demoGen) sale() warehouse.Tuple {
 		warehouse.Int(int64(g.rng.Intn(g.stores) + 1)),
 		warehouse.Float(float64(g.rng.Intn(10000)) / 4),
 	}
-}
-
-// stageBatch stages ~1% of the initial sales volume as new inserts.
-func (g *demoGen) stageBatch(w *warehouse.Warehouse) error {
-	d, err := w.NewDelta("SALES")
-	if err != nil {
-		return err
-	}
-	n := 1 + g.rng.Intn(20)
-	for i := 0; i < n; i++ {
-		d.Add(g.sale(), 1)
-	}
-	return w.StageDelta("SALES", d)
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/journal"
 )
 
-// TestServerLifecycle boots the daemon on an ephemeral port with a fast
-// window driver, watches queries stay answerable while epochs advance, and
-// then drains it the way a signal would (context cancellation).
+// TestServerLifecycle boots the daemon on an ephemeral port with the
+// continuous ingester driving its windows, watches queries stay answerable
+// while epochs advance, and then drains it the way a signal would (context
+// cancellation).
 func TestServerLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -25,10 +26,12 @@ func TestServerLifecycle(t *testing.T) {
 	go func() {
 		done <- run(ctx, config{
 			addr: "127.0.0.1:0", queue: 64, workers: 2,
-			queryTimeout: 2 * time.Second, windowEvery: 5 * time.Millisecond,
-			mode: "dag", planner: "minwork",
+			queryTimeout: 2 * time.Second,
+			mode:         "dag", planner: "minwork",
 			stores: 4, sales: 200, seed: 7,
 			drainTimeout: 5 * time.Second, ready: ready,
+			ingest: true, ingestRate: 2000,
+			ingestSLO: 20 * time.Millisecond, ingestQueue: 1024,
 		})
 	}()
 	var base string
@@ -74,8 +77,8 @@ func TestServerLifecycle(t *testing.T) {
 		return qr.Epoch, 200
 	}
 
-	// Queries keep answering while the window driver commits epochs; wait
-	// until at least two windows have flipped the epoch.
+	// Queries keep answering while the ingester commits epochs; wait until
+	// at least two windows have flipped the epoch.
 	deadline := time.Now().Add(10 * time.Second)
 	var last uint64
 	for time.Now().Before(deadline) {
@@ -93,7 +96,7 @@ func TestServerLifecycle(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if last < 3 {
-		t.Fatalf("epoch stuck at %d; window driver not committing", last)
+		t.Fatalf("epoch stuck at %d; the ingester is not committing", last)
 	}
 
 	// /stats carries the engine counters (cache + cross-view sharing).
@@ -124,8 +127,8 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
-// TestReplicaSmoke boots a leader with a fast window driver and two
-// followers pointed at it, waits for both followers to drain their lag to
+// TestReplicaSmoke boots a leader whose continuous ingester drives its
+// windows and two followers pointed at it, waits for both followers to drain their lag to
 // zero at an advanced epoch, checks follower queries answer, followers
 // refuse writes and count the windows they applied, then drains all three
 // daemons.
@@ -133,20 +136,22 @@ func TestReplicaSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	boot := func(follow string, windowEvery time.Duration) (string, chan error) {
+	boot := func(follow string) (string, chan error) {
 		ready := make(chan string, 1)
 		done := make(chan error, 1)
 		go func() {
 			done <- run(ctx, config{
 				addr: "127.0.0.1:0", queue: 64, workers: 2,
-				queryTimeout: 2 * time.Second, windowEvery: windowEvery,
-				mode: "dag", planner: "minwork",
+				queryTimeout: 2 * time.Second,
+				mode:         "dag", planner: "minwork",
 				stores: 4, sales: 200, seed: 7,
 				// Generous drain: under -race the whole module's test
 				// binaries share this machine, and three daemons drain
 				// at once.
 				drainTimeout: 30 * time.Second, ready: ready,
 				follow: follow, fetchInterval: 5 * time.Millisecond,
+				ingest: follow == "", ingestRate: 2000,
+				ingestSLO: 20 * time.Millisecond, ingestQueue: 1024,
 			})
 		}()
 		select {
@@ -160,9 +165,9 @@ func TestReplicaSmoke(t *testing.T) {
 		panic("unreachable")
 	}
 
-	leaderBase, leaderDone := boot("", 5*time.Millisecond)
-	f1Base, f1Done := boot(leaderBase, 0)
-	f2Base, f2Done := boot(leaderBase, 0)
+	leaderBase, leaderDone := boot("")
+	f1Base, f1Done := boot(leaderBase)
+	f2Base, f2Done := boot(leaderBase)
 
 	getJSON := func(url string, into any) int {
 		t.Helper()
@@ -410,7 +415,8 @@ func TestPprofMux(t *testing.T) {
 }
 
 // TestUsageErrors: a mistyped -planner or -mode, a -mem-budget-mb that is
-// negative or past int64's bytes, or an excluded flag combination, is refused
+// negative or past int64's bytes, a negative -ingest-slo, or -ingest with
+// -follow, is refused
 // as a usage error before anything is built or listened on — not accepted and
 // then failed by every window. The context is
 // cancelled already, so a daemon that accepts its flags drains at once.
@@ -420,11 +426,10 @@ func TestUsageErrors(t *testing.T) {
 	for name, cfg := range map[string]config{
 		"planner":                   {planner: "minwrok", mode: "dag"},
 		"mode":                      {planner: "shared", mode: "dagg"},
+		"mode parallel":             {planner: "minwork", mode: "parallel"},
 		"ingest+follow":             {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, follow: "127.0.0.1:1"},
-		"window-every+follow":       {planner: "minwork", mode: "dag", windowEvery: time.Second, follow: "127.0.0.1:1"},
 		"ingest, planner typo":      {planner: "prun", mode: "dag", ingest: true, ingestRate: 10},
-		"window-budget+ingest":      {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, windowBudget: time.Second},
-		"window-budget+follow":      {planner: "minwork", mode: "dag", windowBudget: time.Second, follow: "127.0.0.1:1"},
+		"negative ingest-slo":       {planner: "minwork", mode: "dag", ingest: true, ingestRate: 10, ingestSLO: -time.Second},
 		"negative mem-budget-mb":    {planner: "minwork", mode: "dag", memBudgetMB: -1},
 		"overflowing mem-budget-mb": {planner: "minwork", mode: "dag", memBudgetMB: 1 << 43},
 	} {

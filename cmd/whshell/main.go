@@ -2,11 +2,19 @@
 // views, load data, stage change batches, run update windows, and query —
 // the full lifecycle from a prompt (or a piped script).
 //
-//	go run ./cmd/whshell [-f script.whs]
+//	go run ./cmd/whshell [-f script.whs] [-share] [-mem-budget-mb 0] [-term-workers 0]
 //
 // cmd/tpcdgen writes tpcd.whs, a script that defines the paper's TPC-D
 // warehouse and stages a change batch; a WINDOW statement after it runs one
 // of the paper's update windows.
+//
+// The engine the session's warehouse runs on is fixed at start by flags
+// (-share and -mem-budget-mb are whserverd's): -share keeps a window's
+// builds for the whole window (operands several views' Comps read are hashed once, until
+// their view installs), -mem-budget-mb bounds the bytes those builds take
+// (oversized builds spill to disk; 0 = unbounded), and -term-workers widens
+// the term engine to that many workers (concurrent maintenance terms,
+// morsel-parallel probes; 0 keeps it at width 1).
 //
 // Commands (case-insensitive keywords; SQL per the library's dialect):
 //
@@ -16,10 +24,7 @@
 //	DELTA <view> FROM '<file.csv>';             stage a change batch (CSV, __count column)
 //	REFRESH;                                    materialize derived views
 //	WINDOW [planner] [STAGED|DAG [workers]];    plan + execute an update window
-//	PARALLEL ON|OFF [workers];                  intra-compute term/morsel parallelism
-//	SHARE ON|OFF;                               window-wide cross-view shared computation
 //	EXPLAIN SHARING [planner];                  sharing election + observed reuse
-//	MEMORY <budget-mb>|OFF;                     window memory budget (spill-to-disk builds)
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
 //	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | STALE | GRAPH | CACHE;
 //	                                            (SCRIPT: §5.5 procedure catalog + update script)
@@ -41,7 +46,7 @@
 // warehouse keeps its pre-window state, the staged batch stays pending, and
 // a journaled window closes with an abort record, so the journal never
 // needs recovery after an interrupt. Exit codes: 0 success, 1 script or
-// data error, 3 window interrupted, 4 recovery needed.
+// data error, 2 bad flags, 3 window interrupted, 4 recovery needed.
 package main
 
 import (
@@ -65,18 +70,25 @@ import (
 const (
 	exitOK          = 0
 	exitError       = 1
+	exitUsage       = 2
 	exitInterrupted = 3
 	exitRecovery    = 4
 )
 
 func main() {
-	scriptPath := flag.String("f", "", "execute commands from a file instead of stdin")
-	flag.Parse()
+	scriptPath, opts, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(exitOK)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "whshell:", err)
+		os.Exit(exitUsage)
+	}
 
 	in := os.Stdin
 	interactive := true
-	if *scriptPath != "" {
-		f, err := os.Open(*scriptPath)
+	if scriptPath != "" {
+		f, err := os.Open(scriptPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "whshell:", err)
 			os.Exit(exitError)
@@ -87,8 +99,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sh := &shell{w: warehouse.New(), out: os.Stdout, ctx: ctx}
-	err := sh.run(in, interactive)
+	sh := &shell{w: warehouse.New(opts), out: os.Stdout, ctx: ctx}
+	err = sh.run(in, interactive)
 	if sh.j != nil {
 		sh.j.Close()
 	}
@@ -96,6 +108,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "whshell:", err)
 		os.Exit(exitCodeFor(err))
 	}
+}
+
+// parseFlags reads the command line: the script to run (empty for stdin) and
+// the engine settings the session's warehouse is built with. A budget in MiB
+// that is negative or whose bytes an int64 cannot hold, a negative worker
+// count and a stray argument are refused.
+func parseFlags(args []string, stderr io.Writer) (script string, opts warehouse.Options, err error) {
+	fs := flag.NewFlagSet("whshell", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scriptPath := fs.String("f", "", "execute commands from a file instead of stdin")
+	share := fs.Bool("share", false, "enable window-wide shared computation for update windows")
+	memBudgetMB := fs.Int64("mem-budget-mb", 0, "window memory budget in MiB; oversized builds spill to disk (0 = unbounded)")
+	termWorkers := fs.Int("term-workers", 0, "term engine width: concurrent maintenance terms and morsel-parallel probes (0 = width 1)")
+	if err := fs.Parse(args); err != nil {
+		return "", opts, err
+	}
+	if fs.NArg() > 0 {
+		return "", opts, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	budget, err := warehouse.MiB(*memBudgetMB)
+	if err != nil {
+		return "", opts, fmt.Errorf("-mem-budget-mb: %w", err)
+	}
+	if *termWorkers < 0 {
+		return "", opts, fmt.Errorf("-term-workers must not be negative (got %d)", *termWorkers)
+	}
+	return *scriptPath, warehouse.Options{
+		ShareComputation:  *share,
+		MemoryBudgetBytes: budget,
+		ParallelTerms:     *termWorkers > 0,
+		Workers:           *termWorkers,
+	}, nil
 }
 
 // exitCodeFor classifies a shell error: an interrupted or timed-out window
@@ -305,74 +349,6 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		}
 		fmt.Fprintln(sh.out, "ok")
 		return false, nil
-	case "PARALLEL":
-		// PARALLEL ON|OFF [workers]: widen the term engine's worker pool
-		// (concurrent maintenance terms, morsel-parallel probes) or bring
-		// it back to width 1. The worker budget is shared with DAG windows
-		// (WINDOW ... DAG [workers]), so both levels compose.
-		if len(words) < 2 || (words[1] != "ON" && words[1] != "OFF") {
-			return false, fmt.Errorf("usage: PARALLEL ON|OFF [workers]")
-		}
-		on := words[1] == "ON"
-		workers := 0
-		if len(words) > 2 {
-			n, err := strconv.Atoi(words[2])
-			if err != nil || n < 0 {
-				return false, fmt.Errorf("PARALLEL: bad worker count %q", words[2])
-			}
-			workers = n
-		}
-		sh.w.SetParallelism(workers, on)
-		if on {
-			label := "GOMAXPROCS"
-			if workers > 0 {
-				label = strconv.Itoa(workers)
-			}
-			fmt.Fprintf(sh.out, "ok: term-parallel engine on (workers=%s)\n", label)
-		} else {
-			fmt.Fprintln(sh.out, "ok: term-parallel engine off")
-		}
-		return false, nil
-	case "SHARE":
-		// SHARE ON|OFF: toggle window-wide shared computation (operands
-		// several views' Comps read are hashed once and reused across them
-		// until their view installs, within the MEMORY budget). WINDOW
-		// reports shared=hits/total and the bytes peak when it engages.
-		if len(words) != 2 || (words[1] != "ON" && words[1] != "OFF") {
-			return false, fmt.Errorf("usage: SHARE ON|OFF")
-		}
-		on := words[1] == "ON"
-		sh.w.SetSharing(on)
-		if on {
-			fmt.Fprintln(sh.out, "ok: window-wide shared computation on")
-		} else {
-			fmt.Fprintln(sh.out, "ok: window-wide shared computation off")
-		}
-		return false, nil
-	case "MEMORY":
-		// MEMORY <budget-mb>|OFF: bound the window's transient build-state
-		// memory. Oversized builds spill to disk Grace-style and are probed
-		// partition-wise; results and measured work are identical at any
-		// budget. WINDOW reports spills/bytes/peak when spilling engages.
-		if len(words) != 2 {
-			return false, fmt.Errorf("usage: MEMORY <budget-mb>|OFF")
-		}
-		if words[1] == "OFF" {
-			sh.w.SetMemoryBudget(0)
-			fmt.Fprintln(sh.out, "ok: window memory budget off")
-			return false, nil
-		}
-		n, err := strconv.ParseInt(words[1], 10, 64)
-		var bytes int64
-		if err == nil {
-			bytes, err = warehouse.MiB(n)
-		}
-		if err != nil || bytes == 0 {
-			return false, fmt.Errorf("MEMORY: bad budget %q (MiB, or OFF)", words[1])
-		}
-		sh.w.SetMemoryBudget(bytes)
-		fmt.Fprintf(sh.out, "ok: window memory budget %dMiB (oversized builds spill to disk)\n", n)
-		return false, nil
 	case "VERIFY":
 		if err := sh.w.Verify(); err != nil {
 			return false, err
@@ -410,10 +386,7 @@ func (sh *shell) help() {
   LOAD <view> FROM '<file.csv>';        DELTA <view> FROM '<file.csv>';
   REFRESH;                              REFRESH STALE;
   WINDOW [minwork|prune|dualstage|shared] [STAGED|DAG [workers]];    VERIFY;  DIGEST;
-  PARALLEL ON|OFF [workers];            intra-compute term/morsel parallelism
-  SHARE ON|OFF;                         window-wide cross-view shared computation
   EXPLAIN SHARING [planner];            sharing election + last window's observed reuse
-  MEMORY <budget-mb>|OFF;               window memory budget (spill-to-disk builds)
   SELECT ... [ORDER BY col|n [ASC|DESC], ...] [LIMIT n [OFFSET m]];
   SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | STALE | GRAPH | CACHE;
   DEFER <view> ON|OFF;
@@ -421,6 +394,7 @@ func (sh *shell) help() {
   JOURNAL ON '<file>' | OFF | STATUS;   crash-safe (journaled) windows
   RECOVER;                              complete the journal's in-flight window
   HELP;  EXIT;
+engine settings are flags at start: -share, -mem-budget-mb N, -term-workers N
 `)
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,12 +15,17 @@ import (
 	"repro/internal/tpcd"
 )
 
-// runScript feeds commands to a fresh shell and returns the output.
-func runScript(t *testing.T, script string) (string, error) {
+// runScript feeds commands to a fresh shell started with flags and returns
+// the output.
+func runScript(t *testing.T, script string, flags ...string) (string, error) {
 	t.Helper()
+	_, opts, err := parseFlags(flags, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
-	sh := &shell{w: warehouse.New(), out: &out}
-	err := sh.run(strings.NewReader(script), false)
+	sh := &shell{w: warehouse.New(opts), out: &out}
+	err = sh.run(strings.NewReader(script), false)
 	return out.String(), err
 }
 
@@ -167,9 +173,10 @@ EXIT;
 	}
 }
 
-// TestShellSharing drives SHARE ON/OFF around a window whose two sibling
-// join views read the same operands, so the build cache kept for the window
-// serves the second one and the WINDOW line reports it.
+// TestShellSharing runs a window whose two sibling join views read the same
+// operands in a shell started with -share, so the build cache kept for the
+// window serves the second one and the WINDOW line reports it, and the same
+// window in a shell started without it, whose line reports no sharing.
 func TestShellSharing(t *testing.T) {
 	r := writeFile(t, "r.csv", "id,a\n1,10\n2,20\n3,30\n")
 	s := writeFile(t, "s.csv", "id,b\n1,1\n2,2\n3,3\n")
@@ -185,51 +192,77 @@ LOAD S FROM '` + s + `';
 REFRESH;
 DELTA R FROM '` + dr + `';
 DELTA S FROM '` + ds + `';
-SHARE ON;
 WINDOW dualstage;
 VERIFY;
-SHARE OFF;
 EXIT;
 `
-	out, err := runScript(t, script)
+	out, err := runScript(t, script, "-share")
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
-	for _, want := range []string{
-		"ok: window-wide shared computation on",
-		" shared=",
-		"every view matches recomputation",
-		"ok: window-wide shared computation off",
-	} {
+	for _, want := range []string{" shared=", "every view matches recomputation"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := runScript(t, "SHARE MAYBE;\n"); err == nil {
-		t.Error("bad SHARE argument accepted")
+	out, err = runScript(t, script)
+	if err != nil || strings.Contains(out, " shared=") {
+		t.Errorf("a shell without -share shared a build (%v):\n%s", err, out)
 	}
-	if _, err := runScript(t, "SHARE ON 32;\n"); err == nil {
-		t.Error("SHARE accepted a budget: MEMORY is the one budget")
+	// -mem-budget-mb is the one budget: -share takes none.
+	for _, bad := range [][]string{{"-share=maybe"}, {"-share", "32"}} {
+		if _, _, err := parseFlags(bad, io.Discard); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
 }
 
-// TestShellMemoryBudget: MEMORY takes a positive count of MiB or OFF. A count
-// whose bytes an int64 cannot hold is refused, not wrapped: 2^43 MiB once set
-// a negative budget and 2^44 + 1 MiB a 1 MiB one.
+// TestShellMemoryBudget: -mem-budget-mb takes a count of MiB, 0 for no
+// budget. A count whose bytes an int64 cannot hold is refused, not wrapped:
+// 2^43 MiB once set a negative budget and 2^44 + 1 MiB a 1 MiB one.
 func TestShellMemoryBudget(t *testing.T) {
-	out, err := runScript(t, "MEMORY 4;\nMEMORY OFF;\n")
-	if err != nil {
+	for mb, want := range map[string]int64{"4": 4 << 20, "0": 0} {
+		if _, opts, err := parseFlags([]string{"-mem-budget-mb", mb}, io.Discard); err != nil || opts.MemoryBudgetBytes != want {
+			t.Errorf("-mem-budget-mb %s: %d bytes (%v), want %d", mb, opts.MemoryBudgetBytes, err, want)
+		}
+	}
+	for _, bad := range []string{"-1", "8796093022208", "17592186044417", "four"} {
+		if _, opts, err := parseFlags([]string{"-mem-budget-mb", bad}, io.Discard); err == nil {
+			t.Errorf("-mem-budget-mb %s accepted: %d bytes", bad, opts.MemoryBudgetBytes)
+		}
+	}
+}
+
+// TestShellTermWorkers: -term-workers N widens the term engine to N workers,
+// 0 keeps it at width 1, and a negative count is refused. A window on the
+// wide engine lands where recomputation does.
+func TestShellTermWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		arg      string
+		parallel bool
+		workers  int
+	}{{"4", true, 4}, {"0", false, 0}} {
+		_, opts, err := parseFlags([]string{"-term-workers", tc.arg}, io.Discard)
+		if err != nil || opts.ParallelTerms != tc.parallel || opts.Workers != tc.workers {
+			t.Errorf("-term-workers %s: %+v (%v)", tc.arg, opts, err)
+		}
+	}
+	if _, _, err := parseFlags([]string{"-term-workers", "-1"}, io.Discard); err == nil {
+		t.Error("-term-workers -1 accepted")
+	}
+	sales := writeFile(t, "sales.csv", "id,region,amount\n1,west,10\n2,east,5\n")
+	b1 := writeFile(t, "b1.csv", "id,region,amount,__count\n3,west,7,1\n1,west,10,-1\n")
+	out, err := runScript(t, `
+CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
+CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
+LOAD SALES FROM '`+sales+`';
+REFRESH;
+DELTA SALES FROM '`+b1+`';
+WINDOW minwork DAG 4;
+VERIFY;
+`, "-term-workers", "4")
+	if err != nil || !strings.Contains(out, "every view matches recomputation") {
 		t.Fatalf("%v\noutput:\n%s", err, out)
-	}
-	for _, want := range []string{"ok: window memory budget 4MiB", "ok: window memory budget off"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	for _, bad := range []string{"0", "-1", "8796093022208", "17592186044417", "four"} {
-		if out, err := runScript(t, "MEMORY "+bad+";\n"); err == nil {
-			t.Errorf("MEMORY %s accepted:\n%s", bad, out)
-		}
 	}
 }
 
@@ -250,14 +283,13 @@ LOAD R FROM '` + r + `';
 LOAD S FROM '` + s + `';
 REFRESH;
 DELTA R FROM '` + dr + `';
-SHARE ON;
 EXPLAIN SHARING;
 WINDOW shared;
 EXPLAIN SHARING;
 VERIFY;
 EXIT;
 `
-	out, err := runScript(t, script)
+	out, err := runScript(t, script, "-share")
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
@@ -635,8 +667,8 @@ func TestShellRunsTheTPCDScript(t *testing.T) {
 	}
 }
 
-// TestBudgetedPrunePlansWithTheFacadeModel: MEMORY prices spill I/O into
-// the planners' cost model, and at this scale that changes which strategy
+// TestBudgetedPrunePlansWithTheFacadeModel: -mem-budget-mb prices spill I/O
+// into the planners' cost model, and at this scale that changes which strategy
 // Prune picks. The window the shell journals must run the strategy the
 // facade plans under the same budget, not the unbudgeted model's.
 func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
@@ -666,7 +698,7 @@ func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 	dir := t.TempDir()
 	script := tpcdScript(t, cfg, p, dir)
 	jpath := filepath.Join(dir, "wh.journal")
-	out, err := runScript(t, script+"MEMORY 1;\nJOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n")
+	out, err := runScript(t, script+"JOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n", "-mem-budget-mb", "1")
 	if err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out)
 	}
@@ -685,9 +717,8 @@ func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
 }
 
 // TestUsageExitCode: over a loaded TPC-D warehouse with its batch staged, an
-// unknown planner or mode, RECOVER without a journal and a MEMORY budget that
-// is no byte count are refused with the plain error exit code, and none of
-// them runs the window.
+// unknown planner or mode and RECOVER without a journal are refused with the
+// plain error exit code, and none of them runs the window.
 func TestUsageExitCode(t *testing.T) {
 	var out strings.Builder
 	sh := &shell{w: warehouse.New(), out: &out}
@@ -698,15 +729,10 @@ func TestUsageExitCode(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("the script staged no batch: the test checks nothing")
 	}
-	// A budget in MiB that is negative, or whose bytes wrap an int64, is no
-	// budget.
 	for _, cmd := range []string{
 		"WINDOW minwork bogus;",
 		"WINDOW bogus;",
 		"RECOVER;",
-		"MEMORY -1;",
-		"MEMORY 8796093022208;",
-		"MEMORY 17592186044417;",
 	} {
 		err := runShell(sh, cmd+"\n")
 		if got := exitCodeFor(err); got != exitError {

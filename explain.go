@@ -20,15 +20,22 @@ import (
 // keys, rows, probes and upkeep operations. Useful for understanding *why* one
 // strategy beats another before running either.
 func (w *Warehouse) Explain(s Strategy) (string, error) {
-	if err := w.Validate(s); err != nil {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.explain(s)
+}
+
+// explain is Explain for a caller that holds w.mu.
+func (w *Warehouse) explain(s Strategy) (string, error) {
+	if err := validate(w.core, s); err != nil {
 		return "", err
 	}
-	stats, err := w.PlanningStats()
+	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return "", err
 	}
 	refs := exec.RefCounts(w.core)
-	b, err := cost.Simulate(w.model, stats, refs, s)
+	b, err := cost.Simulate(w.costModel(), stats, refs, s)
 	if err != nil {
 		return "", err
 	}
@@ -98,19 +105,21 @@ func containsStr(list []string, s string) bool {
 // ExplainCompare explains two strategies side by side and reports their
 // predicted ratio — e.g. a planned strategy against the dual-stage baseline.
 func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
-	ea, err := w.Explain(a)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ea, err := w.explain(a)
 	if err != nil {
 		return "", err
 	}
-	eb, err := w.Explain(b)
+	eb, err := w.explain(b)
 	if err != nil {
 		return "", err
 	}
-	wa, err := w.EstimateWork(a)
+	wa, err := w.estimateWork(a)
 	if err != nil {
 		return "", err
 	}
-	wb, err := w.EstimateWork(b)
+	wb, err := w.estimateWork(b)
 	if err != nil {
 		return "", err
 	}
@@ -131,9 +140,11 @@ func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
 // spilled or dropped). A nil strategy renders the second block alone — what
 // a caller that printed the election before its window asks for after it.
 func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var sb strings.Builder
 	if s != nil {
-		stats, err := w.PlanningStats()
+		stats, err := exec.PlanningStats(w.core)
 		if err != nil {
 			return "", err
 		}

@@ -142,13 +142,13 @@ func (r *run) ok(err error) {
 
 func (r *run) build() *warehouse.Warehouse { return check.BuildCatalog(r, r.p.Catalog, r.p.Seed) }
 
-// configure sets the point's engine options on a warehouse it built.
+// configure sets the point's engine options on a warehouse it built, before
+// its first use.
 func (r *run) configure(w *warehouse.Warehouse) *warehouse.Warehouse {
 	w.Internal().SetOptions(core.Options{
 		SkipEmptyDeltas: r.p.Skip, ParallelTerms: r.p.Width > 1, Workers: r.p.Width,
-		ShareComputation: r.p.Share,
+		ShareComputation: r.p.Share, MemoryBudgetBytes: r.p.Budget,
 	})
-	w.SetMemoryBudget(r.p.Budget)
 	return w
 }
 
@@ -472,7 +472,7 @@ type follower struct {
 func (r *run) follow(hs *httptest.Server, i int, rebuilt bool) *follower {
 	fw := r.build()
 	if i == 0 {
-		fw.SetMemoryBudget(1)
+		fw.Internal().SetOptions(core.Options{MemoryBudgetBytes: 1})
 	}
 	f := &follower{hs: hs, inj: faults.New(r.p.Seed + int64(i)), dropping: r.p.Drop && i == 0 && !rebuilt}
 	if f.dropping {

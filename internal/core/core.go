@@ -47,9 +47,9 @@ type Options struct {
 	// counts as one worker and at most Workers−1 extra goroutines run at
 	// any moment.
 	Workers int
-	// MorselSize overrides the number of probe rows per parallel morsel
-	// (0 = DefaultMorselSize). Mainly a test/tuning knob.
-	MorselSize int
+	// morselSize overrides the number of probe rows per parallel morsel
+	// (0 = DefaultMorselSize); only this package's tests set it.
+	morselSize int
 	// ShareComputation lets the build cache live for the update window
 	// instead of one Compute (AttachSharing): an operand several Comp
 	// expressions of the window build on is then scanned and hashed once

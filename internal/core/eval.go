@@ -164,7 +164,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{pool: w.pool, morsel: w.opts.MorselSize, ctx: ctx, cache: w.cache, mem: w.mem}
+	env := &evalEnv{pool: w.pool, morsel: w.opts.morselSize, ctx: ctx, cache: w.cache, mem: w.mem}
 	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
 }
 

@@ -154,7 +154,7 @@ func TestEmptyDeltaBuildsNoIndex(t *testing.T) {
 // index — and nothing is built before a probe needs it.
 func TestIndexCreatedOnceAtFirstProbe(t *testing.T) {
 	for _, width := range []int{1, 2} {
-		w := newThreeWayWarehouse(t, Options{ParallelTerms: width > 1, Workers: width, MorselSize: 1})
+		w := newThreeWayWarehouse(t, Options{ParallelTerms: width > 1, Workers: width, morselSize: 1})
 		stageRandomChanges(t, w, rand.New(rand.NewSource(11)))
 		for _, base := range []string{"R", "S", "T"} {
 			if st := w.MustView(base).IndexStats(); len(st) != 0 {

@@ -204,7 +204,7 @@ func termEngineWidthInvariant(t *testing.T, resident bool) {
 			wide.SetOptions(Options{
 				ParallelTerms: true,
 				Workers:       cfg.workers,
-				MorselSize:    cfg.morsel,
+				morselSize:    cfg.morsel,
 			})
 			for _, view := range views {
 				rep, err := wide.Compute(view, over)
@@ -261,7 +261,7 @@ func termEngineWidthInvariant(t *testing.T, resident bool) {
 func TestParallelTermsSingleRef(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
-	w.SetOptions(Options{ParallelTerms: true, Workers: 4, MorselSize: 1})
+	w.SetOptions(Options{ParallelTerms: true, Workers: 4, morselSize: 1})
 
 	d := delta.New(schemaR)
 	d.Add(intRow(7, 10), 2)

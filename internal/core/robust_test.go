@@ -80,7 +80,7 @@ func TestMorselPanicBecomesError(t *testing.T) {
 	// Enough rows for several morsels; the bomb lets the first morsel's
 	// rows through so the panic fires on a pooled morsel goroutine.
 	bomb := &bombExpr{err: boom, after: 10}
-	w := newBombWarehouse(t, Options{ParallelTerms: true, Workers: 4, MorselSize: 8}, bomb, 200)
+	w := newBombWarehouse(t, Options{ParallelTerms: true, Workers: 4, morselSize: 8}, bomb, 200)
 	_, err := w.Compute("V", []string{"R"})
 	if err == nil {
 		t.Fatal("panicking operator did not fail the Compute")

@@ -56,7 +56,7 @@ func ParseMode(name string) (Mode, error) {
 	switch name {
 	case "", "sequential", "seq":
 		return ModeSequential, nil
-	case "staged", "parallel":
+	case "staged":
 		return ModeStaged, nil
 	case "dag":
 		return ModeDAG, nil

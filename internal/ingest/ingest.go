@@ -83,7 +83,8 @@ type Config struct {
 	// not read, and ignores an absent or empty file; it writes none.
 	JournalPath string
 	// SLO is the p99 staleness target. A window's deadline is half of it,
-	// doubled after every abort until the batch commits; 0 sets none.
+	// doubled after every abort until the batch commits; 0 sets none, and
+	// New refuses a negative one.
 	SLO time.Duration
 	// Planner, Mode, Workers select planning and scheduling for the windows.
 	Planner warehouse.PlannerName
@@ -184,6 +185,9 @@ type Ingester struct {
 func New(cfg Config) (*Ingester, error) {
 	if cfg.Warehouse == nil {
 		return nil, errors.New("ingest: Config.Warehouse is required")
+	}
+	if cfg.SLO < 0 {
+		return nil, fmt.Errorf("ingest: SLO %s is negative", cfg.SLO)
 	}
 	if cfg.JournalPath != "" {
 		// Its accepts are not read: starting over it would lose them.

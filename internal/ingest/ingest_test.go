@@ -449,6 +449,15 @@ func TestJournalPathAbsentOrEmptyIsIgnored(t *testing.T) {
 	}
 }
 
+// TestNewRefusesANegativeSLO: a negative SLO is no staleness target; New
+// refuses it rather than run windows without a deadline.
+func TestNewRefusesANegativeSLO(t *testing.T) {
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	if _, err := New(Config{Warehouse: w, SLO: -time.Millisecond}); err == nil {
+		t.Fatal("New accepted a negative SLO")
+	}
+}
+
 // TestIngestPredictionIsThePlansEstimate: the work an ingester-triggered
 // window reports as predicted is the estimate of the plan that window ran,
 // under every planner the warehouse has.

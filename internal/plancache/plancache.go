@@ -46,8 +46,8 @@ type Cache[V any] struct {
 	norm []byte // normalization scratch; guarded by mu
 }
 
-// New creates a cache holding at most capacity plans. Capacity must be
-// positive (callers model "cache off" as no cache, not a zero-cap one).
+// New creates a cache holding at most capacity plans; a capacity below 1
+// holds one.
 func New[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		capacity = 1
@@ -159,13 +159,6 @@ func (c *Cache[V]) Put(sql string, version uint64, val V) {
 	e := &entry[V]{key: string(key), version: version, val: val}
 	c.m[e.key] = e
 	c.pushFront(e)
-}
-
-// Cap returns the configured capacity.
-func (c *Cache[V]) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
 }
 
 // Stats snapshots the counters.

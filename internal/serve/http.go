@@ -110,8 +110,8 @@ type windowRequest struct {
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
 	// BudgetMS is the window's wall-clock budget in (possibly fractional)
-	// milliseconds; 0 falls back to the server's configured budget. A
-	// negative one, or one a time.Duration cannot hold, is refused.
+	// milliseconds; 0 means no budget. A negative one, or one a
+	// time.Duration cannot hold, is refused.
 	BudgetMS float64 `json:"budget_ms"`
 }
 

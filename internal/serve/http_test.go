@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	warehouse "repro"
 )
@@ -162,11 +161,11 @@ func TestHTTPWindowBudgetAbort(t *testing.T) {
 
 // TestHTTPWindowRefusesABadBudget: a budget_ms that is negative, or too large
 // for a time.Duration (1e300 ms would wrap to a negative one), is a bad
-// request — not a window with no deadline that bypasses the server's budget.
-// So is a negative worker count, which once ran as GOMAXPROCS.
+// request — not a window with no deadline. So is a negative worker count,
+// which once ran as GOMAXPROCS.
 func TestHTTPWindowRefusesABadBudget(t *testing.T) {
 	w := newRetail(t)
-	s := New(w, Config{WindowBudget: time.Hour})
+	s := New(w, Config{})
 	defer s.Close(context.Background())
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -46,13 +46,9 @@ type Config struct {
 	// context carries none; it covers queue wait plus execution. Default 5s;
 	// negative disables.
 	QueryTimeout time.Duration
-	// WindowBudget is the default wall-clock budget for update windows run
-	// through RunWindow (overridable per call). 0 means no budget.
-	WindowBudget time.Duration
 	// WindowJournal, when set, journals every window run through the server
 	// that does not bring its own journal — the hook replication uses so
-	// that windows from any path (the driver loop, POST /window) are
-	// shipped to followers.
+	// that the windows POST /window runs are shipped to followers.
 	WindowJournal *warehouse.Journal
 }
 
@@ -98,7 +94,7 @@ type Stats struct {
 	warehouse.WindowCounters
 	// PlanCache* mirror the warehouse's prepared-plan cache counters: a
 	// hit served a query's plan straight from SQL bytes with zero parser
-	// work. All zero when caching is disabled (PlanCacheCap == 0).
+	// work.
 	PlanCacheHits, PlanCacheMisses           uint64
 	PlanCacheEvictions, PlanCacheInvalidated uint64
 	PlanCacheEntries, PlanCacheCap           int
@@ -255,16 +251,12 @@ func (s *Server) serveOne(req *request) {
 
 // RunWindow executes one update window through the server: the staged
 // changes are planned and installed as usual, but the window carries the
-// server's budget (opts.Timeout, or Config.WindowBudget when unset; negative
-// sets none) and journal, and the given context. Queries
+// server's journal (when opts brings none) and the given context. Queries
 // keep flowing during the window — a window commit is an atomic epoch flip,
 // so every concurrent query sees exactly the pre- or post-window state. A
-// window that exceeds its budget aborts cleanly (warehouse.ErrWindowAborted)
-// and leaves the serving epoch unchanged.
+// window that exceeds its budget (opts.Timeout) aborts cleanly
+// (warehouse.ErrWindowAborted) and leaves the serving epoch unchanged.
 func (s *Server) RunWindow(ctx context.Context, opts warehouse.WindowOptions) (warehouse.WindowReport, error) {
-	if opts.Timeout == 0 {
-		opts.Timeout = s.cfg.WindowBudget
-	}
 	if opts.Journal == nil {
 		opts.Journal = s.cfg.WindowJournal
 	}

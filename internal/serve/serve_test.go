@@ -205,11 +205,11 @@ func TestServeWindowCommitFlipsEpoch(t *testing.T) {
 // remains pending, and a re-run without the budget commits it.
 func TestServeWindowBudgetAbort(t *testing.T) {
 	w := newRetail(t)
-	s := New(w, Config{WindowBudget: time.Nanosecond})
+	s := New(w, Config{})
 	defer s.Close(context.Background())
 	stageSale(t, w, 103)
 
-	_, err := s.RunWindow(context.Background(), warehouse.WindowOptions{Mode: warehouse.ModeDAG})
+	_, err := s.RunWindow(context.Background(), warehouse.WindowOptions{Mode: warehouse.ModeDAG, Timeout: time.Nanosecond})
 	if !errors.Is(err, warehouse.ErrWindowAborted) {
 		t.Fatalf("want ErrWindowAborted, got %v", err)
 	}
@@ -226,7 +226,7 @@ func TestServeWindowBudgetAbort(t *testing.T) {
 	if res.Rows[0].String() != "(east, 5)" {
 		t.Errorf("aborted window leaked state: %s", res.Rows[0])
 	}
-	if _, err := s.RunWindow(context.Background(), warehouse.WindowOptions{Mode: warehouse.ModeDAG, Timeout: -1}); err != nil {
+	if _, err := s.RunWindow(context.Background(), warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()

@@ -74,31 +74,6 @@ func TestPlanCacheInvalidatedByViewDefinition(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: SetPlanCache(0) turns the cache off; queries
-// still work and the stats read as an empty cache.
-func TestPlanCacheDisabled(t *testing.T) {
-	w := newRetail(t)
-	w.SetPlanCache(0)
-	for i := 0; i < 3; i++ {
-		if _, err := w.Query("SELECT region FROM REGION_TOTALS"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := w.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Fatalf("disabled cache has stats: %+v", st)
-	}
-	// Re-enabling mid-flight is safe and takes effect.
-	w.SetPlanCache(8)
-	for i := 0; i < 2; i++ {
-		if _, err := w.Query("SELECT region FROM REGION_TOTALS"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := w.PlanCacheStats(); st.Hits != 1 || st.Cap != 8 {
-		t.Fatalf("re-enabled cache: %+v", st)
-	}
-}
-
 // TestPlanCacheConcurrentStorm: many goroutines hammer a small set of
 // query shapes while windows commit underneath them. Run under -race this
 // checks that cached plans are safely shared across concurrent readers
@@ -155,23 +130,26 @@ func TestPlanCacheConcurrentStorm(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUAtFacade: a capacity-1 cache evicts as shapes alternate.
+// TestPlanCacheLRUAtFacade: a full cache evicts the least recently used
+// plan — not the oldest — when a new shape arrives.
 func TestPlanCacheLRUAtFacade(t *testing.T) {
 	w := newRetail(t)
-	w.SetPlanCache(1)
-	for i := 0; i < 3; i++ {
-		for _, q := range []string{
-			"SELECT region FROM REGION_TOTALS",
-			"SELECT total FROM REGION_TOTALS",
-		} {
-			if _, err := w.Query(q); err != nil {
-				t.Fatal(err)
-			}
+	query := func(shape int) {
+		t.Helper()
+		if _, err := w.Query(fmt.Sprintf("SELECT region FROM REGION_TOTALS LIMIT %d", shape+1)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for shape := 0; shape < DefaultPlanCacheSize; shape++ {
+		query(shape)
+	}
+	query(0)                    // a hit: shape 0 is now the most recent
+	query(DefaultPlanCacheSize) // evicts shape 1, the least recent
+	query(0)                    // still cached
+	query(1)                    // evicted, so a miss that evicts shape 2
 	st := w.PlanCacheStats()
-	if st.Evictions == 0 || st.Entries != 1 {
-		t.Fatalf("alternating shapes on cap-1 cache: %+v", st)
+	if st.Hits != 2 || st.Evictions != 2 || st.Entries != DefaultPlanCacheSize {
+		t.Fatalf("LRU at capacity %d: %+v", DefaultPlanCacheSize, st)
 	}
 }
 
@@ -199,15 +177,14 @@ func TestPlanCacheCloneIsolation(t *testing.T) {
 // pressure from distinct shapes.
 func TestPlanCacheManyShapes(t *testing.T) {
 	w := newRetail(t)
-	w.SetPlanCache(4)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < DefaultPlanCacheSize+12; i++ {
 		q := fmt.Sprintf("SELECT region FROM REGION_TOTALS LIMIT %d", i+1)
 		if _, err := w.Query(q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := w.PlanCacheStats()
-	if st.Entries != 4 || st.Evictions != 12 {
+	if st.Entries != DefaultPlanCacheSize || st.Evictions != 12 {
 		t.Fatalf("capacity pressure: %+v", st)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // Repeated query shapes are served from the prepared-plan cache: a hit
 // skips lexing, parsing and binding entirely and goes straight from the
-// SQL bytes to the bound plan (see SetPlanCache / PlanCacheStats).
+// SQL bytes to the bound plan (see PlanCacheStats).
 //
 // Queries stay answerable during an update window and are snapshot-
 // isolated: each query pins one published epoch, so it sees exactly the
@@ -128,19 +128,15 @@ func coreResolver(c *core.Warehouse) func(view string) (Schema, error) {
 // change the catalog) but never across a view definition or snapshot
 // restore. Parse errors are not cached.
 func (w *Warehouse) prepareQuery(c *core.Warehouse, sql string) (*sqlparse.Query, error) {
-	cache := w.plans.Load()
-	if cache == nil {
-		return sqlparse.ParseQuery(sql, coreResolver(c))
-	}
 	version := c.CatalogVersion()
-	if q, ok := cache.Get(sql, version); ok {
+	if q, ok := w.plans.Get(sql, version); ok {
 		return q, nil
 	}
 	q, err := sqlparse.ParseQuery(sql, coreResolver(c))
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(sql, version, q)
+	w.plans.Put(sql, version, q)
 	return q, nil
 }
 

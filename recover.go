@@ -41,8 +41,8 @@ var ErrRecoveryNeeded = errors.New("warehouse: journal has an in-flight update w
 var ErrWindowAborted = errors.New("warehouse: update window aborted by deadline or cancellation")
 
 // ErrBadWindowOptions is returned (wrapped) by RunWindowOpts for options no
-// window can run under, such as a negative worker count. Nothing ran and
-// nothing is tallied. Test with errors.Is.
+// window can run under, such as a negative worker count or timeout. Nothing
+// ran and nothing is tallied. Test with errors.Is.
 var ErrBadWindowOptions = errors.New("warehouse: bad window options")
 
 // Journal is an append-only, checksummed log of the changes a warehouse
@@ -163,7 +163,8 @@ type WindowOptions struct {
 	// window for Recover.
 	Journal *Journal
 	// Timeout bounds the window's wall-clock time; cancellation propagates
-	// through the DAG scheduler and the morsel pool. 0 means no limit.
+	// through the DAG scheduler and the morsel pool. 0 means no limit;
+	// negative is refused.
 	Timeout time.Duration
 	// Context, when set, carries external cancellation (composes with
 	// Timeout).
@@ -195,6 +196,9 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	if o.Workers < 0 {
 		return WindowReport{}, fmt.Errorf("%w: %d workers", ErrBadWindowOptions, o.Workers)
 	}
+	if o.Timeout < 0 {
+		return WindowReport{}, fmt.Errorf("%w: timeout %s", ErrBadWindowOptions, o.Timeout)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	defer func() {
@@ -207,7 +211,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	if o.Journal != nil && o.Journal.NeedsRecovery() {
 		return WindowReport{}, ErrRecoveryNeeded
 	}
-	plan, err := w.Plan(o.Planner)
+	plan, err := w.plan(o.Planner)
 	if err != nil {
 		return WindowReport{}, err
 	}

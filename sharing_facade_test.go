@@ -64,8 +64,7 @@ func stageSharingDelta(t *testing.T, w *Warehouse) {
 // spilled, not given up — with the same view states.
 func TestAnalyzeSharingBudgetClamp(t *testing.T) {
 	open := newSharingWarehouse(t, Options{ShareComputation: true})
-	starved := newSharingWarehouse(t, Options{ShareComputation: true})
-	starved.SetMemoryBudget(1) // 1-byte budget: no build stays resident
+	starved := newSharingWarehouse(t, Options{ShareComputation: true, MemoryBudgetBytes: 1}) // no build stays resident
 	election := func(w *Warehouse) string {
 		t.Helper()
 		stageSharingDelta(t, w)

@@ -38,7 +38,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -184,8 +183,9 @@ type Options struct {
 	// through which delta-driven terms read table state are storage, not
 	// build state, and are not charged.
 	MemoryBudgetBytes int64
-	// Model overrides the cost model used by the planners; zero value means
-	// DefaultCostModel.
+	// Model overrides the cost model's coefficients; zero value means
+	// DefaultCostModel. The planners price the memory budget set above, not
+	// Model's.
 	Model CostModel
 }
 
@@ -196,32 +196,38 @@ type Options struct {
 // A Warehouse serves consistent reads while update windows run. The
 // contract, enforced by the concurrency tests, is:
 //
-//   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs, ViewSchema
-//     and NewDelta are safe to call from any number of goroutines at any
-//     time, including while a window executes or commits. Reads are served
-//     from the pinned epoch — an immutable published version of the state —
-//     so a reader observes exactly the pre-window or post-window warehouse,
-//     never a mix (see PinEpoch for multi-view consistency).
+//   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs, ViewSchema,
+//     Views, Graph, Validate, StaleViews, DumpCSV and NewDelta are safe to
+//     call from any number of goroutines at any time, including while a
+//     window executes or commits. Reads are served from the pinned epoch — an
+//     immutable published version of the state — so a reader observes
+//     exactly the pre-window or post-window warehouse, never a mix (see
+//     PinEpoch for multi-view consistency).
 //   - StageDelta, StageDeltaCSV, RunWindow, RunWindowOpts, Recover,
-//     ApplyWindow, Clone and Pending are safe to call concurrently with each
-//     other and with readers; they serialize on an internal mutex (a
-//     StageDelta issued while a window runs blocks until the window commits or
-//     aborts, and lands in the next window). Tally does not wait for a window.
+//     ApplyWindow, Clone, Pending and the planning reads — Plan, PlanMinWork,
+//     PlanMinWorkSingle, PlanningStats, EstimateWork, Explain, ExplainCompare
+//     and ExplainSharing — are safe to call concurrently with each other and
+//     with readers; they serialize on an internal mutex (a StageDelta or Plan
+//     issued while a window runs blocks until the window commits or aborts;
+//     the batch lands in the next window). Tally does not wait for a window.
 //   - Setup methods — DefineBase, DefineViewSQL, DefineView, Load, LoadCSV,
-//     Refresh, SetDeferred, RefreshStale, SetParallelism — mutate the
-//     current epoch in place and require exclusive access: complete the
-//     loading phase before serving queries concurrently.
+//     Refresh, SetDeferred, RefreshStale — mutate the current epoch in place
+//     and require exclusive access: complete the loading phase before serving
+//     queries concurrently.
 //   - Execute also mutates in place (it is the measurement primitive); a
 //     served warehouse runs windows through RunWindowOpts only, whose commit
 //     is an atomic epoch flip.
 type Warehouse struct {
-	// mu serializes every state transition: staging, update windows
-	// (including the commit swap) and recovery. Readers do not take it — they
-	// pin the current epoch instead.
+	// mu serializes every state transition — staging, update windows
+	// (including the commit swap) and recovery — and the planning reads, which
+	// read the staged changes. Readers do not take it — they pin the current
+	// epoch instead.
 	mu     sync.Mutex
 	core   *core.Warehouse
 	epochs *core.Epochs
-	model  CostModel
+	// model holds the cost model's coefficients; its memory budget is the
+	// core's (see costModel).
+	model CostModel
 	// tallyMu guards tally, which every window folds into as it commits or
 	// fails, and last, the last committed window's report: all the facade
 	// keeps of its windows.
@@ -230,10 +236,8 @@ type Warehouse struct {
 	last    WindowReport
 	// plans is the prepared-plan cache consulted by every query path
 	// (Query, QueryEpoch, PinnedEpoch.Query, QuerySchema — and through
-	// them the query server and follower reads). Held through an atomic
-	// pointer so SetPlanCache can swap or disable it while queries are in
-	// flight; nil means caching is off.
-	plans atomic.Pointer[plancache.Cache[*sqlparse.Query]]
+	// them the query server and follower reads).
+	plans *plancache.Cache[*sqlparse.Query]
 }
 
 // New creates an empty warehouse.
@@ -260,36 +264,19 @@ func FromCore(c *core.Warehouse, model CostModel) *Warehouse {
 	if model.CompCoeff == 0 && model.InstCoeff == 0 {
 		model = DefaultCostModel
 	}
-	model.MemoryBudgetBytes = c.Options().MemoryBudgetBytes
-	w := &Warehouse{core: c, epochs: core.NewEpochs(c), model: model}
-	w.plans.Store(plancache.New[*sqlparse.Query](DefaultPlanCacheSize))
-	return w
+	return &Warehouse{
+		core:   c,
+		epochs: core.NewEpochs(c),
+		model:  model,
+		plans:  plancache.New[*sqlparse.Query](DefaultPlanCacheSize),
+	}
 }
 
-// DefaultPlanCacheSize is the prepared-plan cache capacity a new Warehouse
-// starts with; SetPlanCache adjusts or disables it.
+// DefaultPlanCacheSize is the prepared-plan cache's capacity.
 const DefaultPlanCacheSize = 256
 
-// SetPlanCache replaces the prepared-plan cache with a fresh one holding
-// at most size plans; size <= 0 disables caching. Existing cached plans
-// (and counters) are discarded. Safe to call concurrently with queries:
-// in-flight queries finish against the cache they started with.
-func (w *Warehouse) SetPlanCache(size int) {
-	if size <= 0 {
-		w.plans.Store(nil)
-		return
-	}
-	w.plans.Store(plancache.New[*sqlparse.Query](size))
-}
-
-// PlanCacheStats snapshots the prepared-plan cache counters; the zero
-// Stats when caching is disabled.
-func (w *Warehouse) PlanCacheStats() PlanCacheStats {
-	if c := w.plans.Load(); c != nil {
-		return c.Stats()
-	}
-	return PlanCacheStats{}
-}
+// PlanCacheStats snapshots the prepared-plan cache counters.
+func (w *Warehouse) PlanCacheStats() PlanCacheStats { return w.plans.Stats() }
 
 // PlanCacheStats is the prepared-plan cache's counter snapshot.
 type PlanCacheStats = plancache.Stats
@@ -314,52 +301,14 @@ func (w *Warehouse) Epoch() uint64 { return w.epochs.Current() }
 // readers are holding history alive.
 func (w *Warehouse) LiveEpochs() int { return w.epochs.Live() }
 
-// SetParallelism resizes the term engine's worker pool at runtime: on widens
-// it from 1 to workers (0 = GOMAXPROCS), turning on term/morsel parallelism.
-// Not safe to call while a window executes.
-func (w *Warehouse) SetParallelism(workers int, on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	opts := w.core.Options()
-	opts.ParallelTerms, opts.Workers = on, workers
-	w.core.SetOptions(opts)
-}
-
-// SetSharing reconfigures window-wide shared computation at runtime: on
-// enables cross-view reuse of transiently materialized operands, whose
-// footprint the memory budget bounds (SetMemoryBudget). Not safe to call
-// while a window executes.
-func (w *Warehouse) SetSharing(on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	opts := w.core.Options()
-	opts.ShareComputation = on
-	w.core.SetOptions(opts)
-}
-
 // MiB converts a count of mebibytes, as a command takes a budget, to the
-// bytes SetMemoryBudget and Options.MemoryBudgetBytes take. It refuses a
-// negative count and one whose bytes an int64 cannot hold.
+// bytes Options.MemoryBudgetBytes takes. It refuses a negative count and one
+// whose bytes an int64 cannot hold.
 func MiB(n int64) (int64, error) {
 	if n < 0 || n > math.MaxInt64>>20 {
 		return 0, fmt.Errorf("%d MiB is not a byte budget (0 to %d MiB)", n, int64(math.MaxInt64>>20))
 	}
 	return n << 20, nil
-}
-
-// SetMemoryBudget reconfigures the window-wide memory budget at runtime:
-// bytes bounds the transient build-state footprint of update execution, with
-// over-budget builds spilling to disk (see Options.MemoryBudgetBytes); 0
-// disables budgeting. The planners' cost model is updated too, so estimates
-// charge the spill I/O a bounded window would pay. Not safe to call while a
-// window executes.
-func (w *Warehouse) SetMemoryBudget(bytes int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	opts := w.core.Options()
-	opts.MemoryBudgetBytes = bytes
-	w.core.SetOptions(opts)
-	w.model.MemoryBudgetBytes = bytes
 }
 
 // DefineBase registers a base view (data loaded from sources).
@@ -447,9 +396,12 @@ func (w *Warehouse) StageDeltaCSV(name string, r io.Reader) (*Delta, error) {
 	return d, w.StageDelta(name, d)
 }
 
-// DumpCSV writes a view's current rows (duplicates expanded) as CSV.
+// DumpCSV writes a view's rows (duplicates expanded) as CSV, as of the
+// current serving epoch.
 func (w *Warehouse) DumpCSV(name string, out io.Writer) error {
-	v := w.core.View(name)
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	v := pin.Warehouse().View(name)
 	if v == nil {
 		return fmt.Errorf("warehouse: unknown view %q", name)
 	}
@@ -477,7 +429,11 @@ func (w *Warehouse) StageDelta(name string, d *Delta) error {
 }
 
 // Views returns all view names in definition order.
-func (w *Warehouse) Views() []string { return w.core.ViewNames() }
+func (w *Warehouse) Views() []string {
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return pin.Warehouse().ViewNames()
+}
 
 // ViewSchema returns a view's output schema. It reads the serving epoch, as
 // queries do, so it does not wait for a running window: no window changes
@@ -507,11 +463,28 @@ func (w *Warehouse) Rows(name string) ([]CountedRow, error) {
 type CountedRow = storage.CountedTuple
 
 // Graph returns the warehouse's view DAG.
-func (w *Warehouse) Graph() (*Graph, error) { return exec.Graph(w.core) }
+func (w *Warehouse) Graph() (*Graph, error) {
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return exec.Graph(pin.Warehouse())
+}
 
 // PlanningStats gathers the statistics the planners need: exact base-view
 // deltas, estimated derived deltas (Section 5.5).
-func (w *Warehouse) PlanningStats() (Stats, error) { return exec.PlanningStats(w.core) }
+func (w *Warehouse) PlanningStats() (Stats, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return exec.PlanningStats(w.core)
+}
+
+// costModel is the model the planners price with: the coefficients of
+// w.model and the core's memory budget, so estimates charge the spill I/O a
+// bounded window would pay. Callers hold w.mu.
+func (w *Warehouse) costModel() CostModel {
+	m := w.model
+	m.MemoryBudgetBytes = w.core.Options().MemoryBudgetBytes
+	return m
+}
 
 // Plan is a planned strategy with its provenance.
 type Plan struct {
@@ -541,15 +514,22 @@ type Plan struct {
 // PlanMinWork go through it. One gathering of planning statistics serves
 // the planner and the estimate.
 func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.plan(name)
+}
+
+// plan is Plan for a caller that holds w.mu.
+func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 	g, err := w.planningGraph()
 	if err != nil {
 		return Plan{}, err
 	}
-	stats, err := w.PlanningStats()
+	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return Plan{}, err
 	}
-	refs := exec.RefCounts(w.core)
+	model, refs := w.costModel(), exec.RefCounts(w.core)
 	if name == "" {
 		name = MinWorkPlanner
 	}
@@ -562,7 +542,7 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 		}
 		p.Strategy, p.Ordering, p.Modified = res.Strategy, res.UsedOrdering, res.Modified
 	case PrunePlanner:
-		res, err := planner.Prune(g, w.model, stats, refs)
+		res, err := planner.Prune(g, model, stats, refs)
 		if err != nil {
 			return Plan{}, err
 		}
@@ -571,7 +551,7 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 	case DualStagePlanner:
 		p.Strategy = strategy.DualStageVDAG(g)
 	case SharedPlanner:
-		res, err := planner.PruneShared(g, w.model, stats, refs, planner.SharedSearchOptions{
+		res, err := planner.PruneShared(g, model, stats, refs, planner.SharedSearchOptions{
 			Refs:    exec.RefsOf(w.core),
 			Sharing: planner.SharingOptions{Width: exec.WidthOf(w.core)},
 		})
@@ -584,7 +564,7 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 		return Plan{}, fmt.Errorf("warehouse: unknown planner %q", name)
 	}
 	if p.EstimatedWork < 0 {
-		if p.EstimatedWork, err = cost.Work(w.model, stats, refs, p.Strategy); err != nil {
+		if p.EstimatedWork, err = cost.Work(model, stats, refs, p.Strategy); err != nil {
 			return Plan{}, err
 		}
 	}
@@ -599,7 +579,9 @@ func (w *Warehouse) PlanMinWork() (Plan, error) { return w.Plan(MinWorkPlanner) 
 // (Algorithm 4.1). The warehouse must consist of that view and its base
 // views for the strategy to cover every pending change.
 func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
-	stats, err := w.PlanningStats()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -615,7 +597,7 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	est, err := cost.Work(w.model, stats, exec.RefCounts(w.core), s)
+	est, err := cost.Work(w.costModel(), stats, exec.RefCounts(w.core), s)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -624,9 +606,9 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 
 // planningGraph is the VDAG with deferred-maintenance views (and their
 // dependents) removed: update strategies never touch them; they go stale
-// instead and are brought current by RefreshStale.
+// instead and are brought current by RefreshStale. Callers hold w.mu.
 func (w *Warehouse) planningGraph() (*vdag.Graph, error) {
-	g, err := w.Graph()
+	g, err := exec.Graph(w.core)
 	if err != nil {
 		return nil, err
 	}
@@ -648,8 +630,12 @@ func (w *Warehouse) SetDeferred(name string, deferred bool) error {
 }
 
 // StaleViews lists views skipped by past update windows and not yet
-// refreshed, in dependency order.
-func (w *Warehouse) StaleViews() []string { return w.core.StaleViews() }
+// refreshed, in dependency order, as of the current serving epoch.
+func (w *Warehouse) StaleViews() []string {
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return pin.Warehouse().StaleViews()
+}
 
 // RefreshStale recomputes every stale view bottom-up from current data.
 func (w *Warehouse) RefreshStale() error { return w.core.RefreshStale() }
@@ -657,16 +643,30 @@ func (w *Warehouse) RefreshStale() error { return w.core.RefreshStale() }
 // EstimateWork predicts a strategy's cost under the linear work metric with
 // the current planning statistics.
 func (w *Warehouse) EstimateWork(s Strategy) (float64, error) {
-	stats, err := w.PlanningStats()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.estimateWork(s)
+}
+
+// estimateWork is EstimateWork for a caller that holds w.mu.
+func (w *Warehouse) estimateWork(s Strategy) (float64, error) {
+	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return 0, err
 	}
-	return cost.Work(w.model, stats, exec.RefCounts(w.core), s)
+	return cost.Work(w.costModel(), stats, exec.RefCounts(w.core), s)
 }
 
 // Validate checks a strategy against the correctness conditions (C1–C8).
 func (w *Warehouse) Validate(s Strategy) error {
-	g, err := w.Graph()
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return validate(pin.Warehouse(), s)
+}
+
+// validate checks s against c's view DAG.
+func validate(c *core.Warehouse, s Strategy) error {
+	g, err := exec.Graph(c)
 	if err != nil {
 		return err
 	}
@@ -700,19 +700,9 @@ func (w *Warehouse) Verify() error { return w.core.VerifyAll() }
 func (w *Warehouse) Clone() *Warehouse {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	c := w.core.Clone()
-	out := &Warehouse{
-		core:   c,
-		epochs: core.NewEpochs(c),
-		model:  w.model,
-	}
-	// The clone gets its own (empty) plan cache with the same capacity:
-	// plans are immutable and could be shared, but per-clone counters keep
-	// the stats meaningful.
-	if pc := w.plans.Load(); pc != nil {
-		out.plans.Store(plancache.New[*sqlparse.Query](pc.Cap()))
-	}
-	return out
+	// The clone gets its own (empty) plan cache: plans are immutable and
+	// could be shared, but per-clone counters keep the stats meaningful.
+	return FromCore(w.core.Clone(), w.model)
 }
 
 // Pending returns the views with staged or computed-but-uninstalled changes.

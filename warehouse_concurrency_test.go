@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -396,5 +397,73 @@ func TestSchemaReadsDoNotWaitForAWindow(t *testing.T) {
 	release()
 	if err := <-window; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanningReadsRaceWindows: the planning reads (Plan, PlanningStats,
+// EstimateWork, the Explain family) and the catalog reads (Views, Graph,
+// Validate, StaleViews, DumpCSV) run while another goroutine stages batches
+// and commits windows. Run under -race, it holds the contract: the planning
+// reads serialize with staging and windows, and the catalog reads go to a
+// pinned epoch.
+func TestPlanningReadsRaceWindows(t *testing.T) {
+	w := newRetail(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); i < 20; i++ {
+			d, err := w.NewDelta("SALES")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.Add(Tuple{Int(500 + i), Int(2), Float(50)}, 1)
+			if err := w.StageDelta("SALES", d); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	read := func() error {
+		plan, err := w.Plan(PrunePlanner)
+		if err != nil {
+			return err
+		}
+		if _, err := w.PlanningStats(); err != nil {
+			return err
+		}
+		if _, err := w.EstimateWork(plan.Strategy); err != nil {
+			return err
+		}
+		if _, err := w.ExplainCompare(plan.Strategy, plan.Strategy); err != nil {
+			return err
+		}
+		if _, err := w.ExplainSharing(plan.Strategy); err != nil {
+			return err
+		}
+		if _, err := w.Graph(); err != nil {
+			return err
+		}
+		if err := w.Validate(plan.Strategy); err != nil {
+			return err
+		}
+		if len(w.Views()) != 4 || len(w.StaleViews()) != 0 {
+			return fmt.Errorf("views %v, stale %v", w.Views(), w.StaleViews())
+		}
+		return w.DumpCSV("REGION_TOTALS", io.Discard)
+	}
+	for {
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package warehouse
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tpcd"
 )
@@ -152,6 +154,22 @@ func TestWindowRejectsUnknownMode(t *testing.T) {
 	stageSale(t, w)
 	if _, err := w.RunWindowOpts(WindowOptions{Planner: MinWorkPlanner, Mode: Mode("bogus"), Workers: 0}); err == nil {
 		t.Errorf("unknown mode accepted")
+	}
+}
+
+// TestWindowRefusesBadOptions: a negative worker count or timeout is no
+// window: RunWindowOpts refuses it with ErrBadWindowOptions, runs nothing and
+// tallies nothing.
+func TestWindowRefusesBadOptions(t *testing.T) {
+	w := newRetail(t)
+	stageSale(t, w)
+	for _, o := range []WindowOptions{{Workers: -1}, {Timeout: -time.Second}} {
+		if _, err := w.RunWindowOpts(o); !errors.Is(err, ErrBadWindowOptions) {
+			t.Errorf("%+v: %v, want ErrBadWindowOptions", o, err)
+		}
+	}
+	if tally := w.Tally(); tally.Committed != 0 || tally.Failed != 0 || w.Epoch() != 1 {
+		t.Errorf("refused windows left tally %+v at epoch %d", tally, w.Epoch())
 	}
 }
 
