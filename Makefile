@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke spill-smoke soak-smoke docs-check experiments
+.PHONY: all build test fmt-check check race race-fast fuzz fuzz-smoke bench bench-smoke bench-layers bench-e2e staticcheck serve-smoke replica-smoke soak-smoke docs-check experiments
 
 all: build test
 
@@ -26,7 +26,7 @@ fmt-check:
 # Replay one trial of the differential harness (DESIGN.md, "One oracle"):
 # every failing assertion of internal/check/trial prints the command this
 # runs, with the point that failed.
-#   make check POINT='seed=7 catalog=siblings mode=dag budget=1 windows=5'
+#   make check POINT='seed=7 catalog=siblings mode=dag share=true windows=5'
 check:
 	$(GO) test ./internal/check -run TestTrials -count=1 -v -check.point='$(POINT)'
 
@@ -81,24 +81,6 @@ serve-smoke:
 replica-smoke:
 	$(call run-tests,./cmd/whserverd/,TestReplicaSmoke)
 	$(GO) test ./internal/replicate/ -count=1
-
-# End-to-end smoke of bounded-memory execution: the budget's accounting, the
-# spill file format, frames of the journal's (corruption, truncation, injected I/O and
-# ENOSPC faults), the core spill + partition-odometer path (a spilled build
-# the window's cache keeps included), the recovery ladder under persistent
-# spill faults, the facade's window counters and stale-spill-dir sweep, and
-# the memory-budget points of the differential harness (internal/check): the
-# root's table of them, and two starved streams on the sharing fixture
-# replayed from their one-line points — one with the cache per Comp, one with
-# sharing on, where every build spills and the window's cache keeps it for
-# the sibling Comps that share it.
-spill-smoke:
-	$(GO) test ./internal/memory/ ./internal/storage/ -count=1
-	$(call run-tests,./internal/core/,TestSpilled|TestBounded|TestSharedEntrySpills|TestWindowCacheKeepsBuilds|TestSpillENOSPC|TestCrashMidSpill|TestAttachMemory)
-	$(call run-tests,./internal/recovery/,TestSpillFault)
-	$(call run-tests,.,TestWindowCountersReportSpilling|TestCrashMidSpillSweptOnReopen|TestBoundedMemoryDifferential)
-	$(call run-tests,./internal/check/,TestTrials,,-check.point='catalog=siblings mode=dag workers=3 budget=1 windows=5')
-	$(call run-tests,./internal/check/,TestTrials,,-check.point='catalog=siblings mode=dag workers=3 share=true budget=1 windows=5')
 
 # Fault-injected soak of the continuous-ingestion path, under the race
 # detector: a paced producer drives micro-batch windows while probabilistic

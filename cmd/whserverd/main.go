@@ -9,14 +9,14 @@
 //	whserverd [-addr :8080] [-queue 64] [-workers N] [-query-timeout 5s]
 //	          [-mode sequential|staged|dag]
 //	          [-planner minwork|prune|dualstage|shared]
-//	          [-share] [-mem-budget-mb 0] [-pprof addr] [-stores 8] [-sales 2000]
+//	          [-share] [-pprof addr] [-stores 8] [-sales 2000]
 //	          [-seed 7] [-follow leader-addr] [-fetch-interval 100ms]
 //	          [-ingest] [-ingest-rate 500] [-ingest-slo 200ms]
 //	          [-ingest-queue 4096]
 //
 // The served warehouse is the retail demo VDAG (SALES/STORES bases, a join
 // view, an aggregate summary), populated from -seed, on the engine -share
-// and -mem-budget-mb set. An update window runs when a client asks for one
+// sets. An update window runs when a client asks for one
 // with POST /window, under the wall-clock budget the request names (a window
 // that overruns it aborts cleanly and leaves the serving epoch unchanged), or
 // when the ingester cuts a batch. /stats and the drain line count every
@@ -88,7 +88,6 @@ func main() {
 	mode := flag.String("mode", "dag", "window scheduling: sequential | staged | dag")
 	plannerName := flag.String("planner", "minwork", "window planner: minwork | prune | dualstage | shared")
 	share := flag.Bool("share", false, "enable window-wide shared computation for update windows")
-	memBudgetMB := flag.Int64("mem-budget-mb", 0, "window memory budget in MiB; oversized builds spill to disk (0 = unbounded)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (separate mux; empty = off)")
 	stores := flag.Int("stores", 8, "demo warehouse: number of stores")
 	sales := flag.Int("sales", 2000, "demo warehouse: initial sales rows")
@@ -107,7 +106,7 @@ func main() {
 	if err := run(ctx, config{
 		addr: *addr, queue: *queue, workers: *workers,
 		queryTimeout: *queryTimeout, mode: *mode, planner: *plannerName,
-		share: *share, memBudgetMB: *memBudgetMB, pprofAddr: *pprofAddr,
+		share: *share, pprofAddr: *pprofAddr,
 		stores: *stores, sales: *sales, seed: *seed, drainTimeout: *drainTimeout,
 		follow: *follow, fetchInterval: *fetchInterval,
 		ingest: *ingestOn, ingestRate: *ingestRate, ingestSLO: *ingestSLO,
@@ -132,7 +131,6 @@ type config struct {
 	queryTimeout, drainTimeout time.Duration
 	mode, planner              string
 	share                      bool
-	memBudgetMB                int64
 	pprofAddr                  string
 	stores, sales              int
 	seed                       int64
@@ -181,17 +179,9 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return usageError{fmt.Errorf("-mode: %w", err)}
 	}
-	memBudget, err := warehouse.MiB(cfg.memBudgetMB)
-	if err != nil {
-		return usageError{fmt.Errorf("-mem-budget-mb: %w", err)}
-	}
-	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed,
-		warehouse.Options{ShareComputation: cfg.share, MemoryBudgetBytes: memBudget})
+	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed, warehouse.Options{ShareComputation: cfg.share})
 	if err != nil {
 		return err
-	}
-	if memBudget > 0 {
-		fmt.Printf("whserverd: window memory budget %dMiB (oversized builds spill to disk)\n", cfg.memBudgetMB)
 	}
 	svCfg := serve.Config{
 		QueueDepth:   cfg.queue,

@@ -2,19 +2,18 @@
 // views, load data, stage change batches, run update windows, and query —
 // the full lifecycle from a prompt (or a piped script).
 //
-//	go run ./cmd/whshell [-f script.whs] [-share] [-mem-budget-mb 0] [-term-workers 0]
+//	go run ./cmd/whshell [-f script.whs] [-share] [-term-workers 0]
 //
 // cmd/tpcdgen writes tpcd.whs, a script that defines the paper's TPC-D
 // warehouse and stages a change batch; a WINDOW statement after it runs one
 // of the paper's update windows.
 //
 // The engine the session's warehouse runs on is fixed at start by flags
-// (-share and -mem-budget-mb are whserverd's): -share keeps a window's
-// builds for the whole window (operands several views' Comps read are hashed once, until
-// their view installs), -mem-budget-mb bounds the bytes those builds take
-// (oversized builds spill to disk; 0 = unbounded), and -term-workers widens
-// the term engine to that many workers (concurrent maintenance terms,
-// morsel-parallel probes; 0 keeps it at width 1).
+// (-share is whserverd's): -share keeps a window's builds for the whole
+// window (operands several views' Comps read are hashed once, until their
+// view installs), and -term-workers widens the term engine to that many
+// workers (concurrent maintenance terms, morsel-parallel probes; 0 keeps it
+// at width 1).
 //
 // Commands (case-insensitive keywords; SQL per the library's dialect):
 //
@@ -111,15 +110,13 @@ func main() {
 }
 
 // parseFlags reads the command line: the script to run (empty for stdin) and
-// the engine settings the session's warehouse is built with. A budget in MiB
-// that is negative or whose bytes an int64 cannot hold, a negative worker
-// count and a stray argument are refused.
+// the engine settings the session's warehouse is built with. A negative
+// worker count and a stray argument are refused.
 func parseFlags(args []string, stderr io.Writer) (script string, opts warehouse.Options, err error) {
 	fs := flag.NewFlagSet("whshell", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scriptPath := fs.String("f", "", "execute commands from a file instead of stdin")
 	share := fs.Bool("share", false, "enable window-wide shared computation for update windows")
-	memBudgetMB := fs.Int64("mem-budget-mb", 0, "window memory budget in MiB; oversized builds spill to disk (0 = unbounded)")
 	termWorkers := fs.Int("term-workers", 0, "term engine width: concurrent maintenance terms and morsel-parallel probes (0 = width 1)")
 	if err := fs.Parse(args); err != nil {
 		return "", opts, err
@@ -127,18 +124,13 @@ func parseFlags(args []string, stderr io.Writer) (script string, opts warehouse.
 	if fs.NArg() > 0 {
 		return "", opts, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	budget, err := warehouse.MiB(*memBudgetMB)
-	if err != nil {
-		return "", opts, fmt.Errorf("-mem-budget-mb: %w", err)
-	}
 	if *termWorkers < 0 {
 		return "", opts, fmt.Errorf("-term-workers must not be negative (got %d)", *termWorkers)
 	}
 	return *scriptPath, warehouse.Options{
-		ShareComputation:  *share,
-		MemoryBudgetBytes: budget,
-		ParallelTerms:     *termWorkers > 0,
-		Workers:           *termWorkers,
+		ShareComputation: *share,
+		ParallelTerms:    *termWorkers > 0,
+		Workers:          *termWorkers,
 	}, nil
 }
 
@@ -331,8 +323,8 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 	case "EXPLAIN":
 		// EXPLAIN SHARING [planner]: plan the staged changes (default: the
 		// sharing-aware planner) and print the sharing election — each
-		// candidate's estimated size, savings and admission under the byte
-		// budget — plus, when a window has run with sharing, the observed
+		// candidate's estimated size and savings — plus, when a window has
+		// run with sharing, the observed
 		// per-entry requests/hits/bytes from the latest one.
 		if len(words) < 2 || words[1] != "SHARING" {
 			return false, fmt.Errorf("usage: EXPLAIN SHARING [planner]")
@@ -394,7 +386,7 @@ func (sh *shell) help() {
   JOURNAL ON '<file>' | OFF | STATUS;   crash-safe (journaled) windows
   RECOVER;                              complete the journal's in-flight window
   HELP;  EXIT;
-engine settings are flags at start: -share, -mem-budget-mb N, -term-workers N
+engine settings are flags at start: -share, -term-workers N
 `)
 }
 

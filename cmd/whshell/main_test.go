@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	warehouse "repro"
-	"repro/internal/journal"
 	"repro/internal/tpcd"
 )
 
@@ -209,26 +208,10 @@ EXIT;
 	if err != nil || strings.Contains(out, " shared=") {
 		t.Errorf("a shell without -share shared a build (%v):\n%s", err, out)
 	}
-	// -mem-budget-mb is the one budget: -share takes none.
+	// -share is a switch: it takes no value.
 	for _, bad := range [][]string{{"-share=maybe"}, {"-share", "32"}} {
 		if _, _, err := parseFlags(bad, io.Discard); err == nil {
 			t.Errorf("%v accepted", bad)
-		}
-	}
-}
-
-// TestShellMemoryBudget: -mem-budget-mb takes a count of MiB, 0 for no
-// budget. A count whose bytes an int64 cannot hold is refused, not wrapped:
-// 2^43 MiB once set a negative budget and 2^44 + 1 MiB a 1 MiB one.
-func TestShellMemoryBudget(t *testing.T) {
-	for mb, want := range map[string]int64{"4": 4 << 20, "0": 0} {
-		if _, opts, err := parseFlags([]string{"-mem-budget-mb", mb}, io.Discard); err != nil || opts.MemoryBudgetBytes != want {
-			t.Errorf("-mem-budget-mb %s: %d bytes (%v), want %d", mb, opts.MemoryBudgetBytes, err, want)
-		}
-	}
-	for _, bad := range []string{"-1", "8796093022208", "17592186044417", "four"} {
-		if _, opts, err := parseFlags([]string{"-mem-budget-mb", bad}, io.Discard); err == nil {
-			t.Errorf("-mem-budget-mb %s accepted: %d bytes", bad, opts.MemoryBudgetBytes)
 		}
 	}
 }
@@ -664,55 +647,6 @@ func TestShellRunsTheTPCDScript(t *testing.T) {
 		if !strings.Contains(out.String(), line) {
 			t.Errorf("output lacks %q:\n%s", line, out.String())
 		}
-	}
-}
-
-// TestBudgetedPrunePlansWithTheFacadeModel: -mem-budget-mb prices spill I/O
-// into the planners' cost model, and at this scale that changes which strategy
-// Prune picks. The window the shell journals must run the strategy the
-// facade plans under the same budget, not the unbudgeted model's.
-func TestBudgetedPrunePlansWithTheFacadeModel(t *testing.T) {
-	cfg := tpcd.Config{SF: 0.004, Seed: 7}
-	const p = 0.10
-	planned := func(budget int64) string {
-		c := cfg
-		c.Options.MemoryBudgetBytes = budget
-		tw, err := tpcd.NewWarehouse(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := warehouse.FromCore(tw.W, warehouse.CostModel{}).Plan(warehouse.PrunePlanner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan.Strategy.String()
-	}
-	want := planned(1 << 20)
-	if want == planned(0) {
-		t.Fatal("the budget does not change Prune's choice at this scale: the test checks nothing")
-	}
-
-	dir := t.TempDir()
-	script := tpcdScript(t, cfg, p, dir)
-	jpath := filepath.Join(dir, "wh.journal")
-	out, err := runScript(t, script+"JOURNAL ON '"+jpath+"';\nWINDOW prune;\nJOURNAL OFF;\n", "-mem-budget-mb", "1")
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out)
-	}
-	f, err := os.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	lg, err := journal.ReadLog(f)
-	if err != nil || len(lg.Windows) != 1 {
-		t.Fatalf("journal: %d windows, err %v", len(lg.Windows), err)
-	}
-	if got := lg.Windows[0].Begin.Strategy.String(); got != want {
-		t.Fatalf("the shell ran\n%s\nthe facade plans, under the same budget,\n%s", got, want)
 	}
 }
 

@@ -64,8 +64,8 @@ func TestCommandsEnterWindowsThroughTheFacade(t *testing.T) {
 
 // TestOnlyTheJournalFramesRecords: the record format — its frames, their
 // CRC64, the scan over them, the cut of a torn tail, the cursor that reads a
-// payload — is internal/journal's, and the replication log, snapshots, spill
-// files and accumulator states are written and read through it. A file
+// payload — is internal/journal's, and the replication log, snapshots and
+// accumulator states are written and read through it. A file
 // outside it that imports hash/crc64 is checking or framing records on its
 // own again: the second copy a durability fix does not reach. The packages
 // listed keep row digests of their own. And the format is a leaf: a journal
@@ -76,7 +76,7 @@ func TestOnlyTheJournalFramesRecords(t *testing.T) {
 	for _, pkg := range []string{"core", "delta", "storage", "exec", "recovery"} {
 		runtime["repro/internal/"+pkg] = true
 	}
-	through := map[string]bool{"internal/ingest": false, "internal/replicate": false, "internal/snapshot": false, "internal/storage": false, "internal/delta": false}
+	through := map[string]bool{"internal/ingest": false, "internal/replicate": false, "internal/snapshot": false, "internal/delta": false}
 	nonTestImports(t, []string{"."}, func(path, imported string) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch {

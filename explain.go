@@ -35,7 +35,7 @@ func (w *Warehouse) explain(s Strategy) (string, error) {
 		return "", err
 	}
 	refs := exec.RefCounts(w.core)
-	b, err := cost.Simulate(w.costModel(), stats, refs, s)
+	b, err := cost.Simulate(w.model, stats, refs, s)
 	if err != nil {
 		return "", err
 	}
@@ -136,8 +136,8 @@ func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
 // planning statistics: every operand at least two Comps of s read, with its
 // estimated size and savings, most saved first. The second, present when the
 // last window this warehouse committed held builds in its cache, lists each
-// of them: requests, hits, built rows and bytes, and its fate (resident,
-// spilled or dropped). A nil strategy renders the second block alone — what
+// of them: requests, hits, built rows and bytes, and its fate (resident or
+// dropped). A nil strategy renders the second block alone — what
 // a caller that printed the election before its window asks for after it.
 func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
 	w.mu.Lock()

@@ -28,7 +28,6 @@ func draw(seed int64) check.Point {
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
 		Workers: rng.Intn(4), Width: rng.Intn(4), Skip: rng.Intn(2) == 0,
 		Share:   rng.Intn(4) > 0,
-		Budget:  []int64{0, 1, 1 << 20}[rng.Intn(3)],
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),
 	}
 	switch rng.Intn(3) {
@@ -88,7 +87,7 @@ func TestPointRoundTrip(t *testing.T) {
 			set[name] = true
 		}
 	}
-	for _, axis := range strings.Fields("seed catalog planner mode workers width skip share budget windows fault cut readers replicas drop slow kill ingest") {
+	for _, axis := range strings.Fields("seed catalog planner mode workers width skip share windows fault cut readers replicas drop slow kill ingest") {
 		if !set[axis] {
 			t.Errorf("no drawn point set axis %s: its round trip went untested", axis)
 		}

@@ -38,8 +38,8 @@ const (
 	Invalidation Catalog = "invalidation"
 	// Siblings is the sharing fixture: bases D(k,x), A0(k,y), B(y,z), the
 	// summary A = MAX(y) of A0 by k, and three siblings D ⋈ A ⋈ B. Every
-	// Comp(Vi, {D}) joins δD with A's state — the build a window shares, and
-	// the one a starved budget spills — and then probes B's resident index.
+	// Comp(Vi, {D}) joins δD with A's state — the build a window shares — and
+	// then probes B's resident index.
 	Siblings Catalog = "siblings"
 	// Narrow is the fixture of a join index that serves joins on more
 	// columns than its own: bases L(k,x), O(k,y), P(k,x), J1 joining L and O
@@ -70,10 +70,11 @@ func Build(t testing.TB, seed int64) *warehouse.Warehouse {
 }
 
 // BuildCatalog makes the named catalog through the facade's SQL, so that
-// every layer a trial drives sees the same warehouse.
-func BuildCatalog(t testing.TB, c Catalog, seed int64) *warehouse.Warehouse {
+// every layer a trial drives sees the same warehouse; opts, when given, are
+// the warehouse's engine options.
+func BuildCatalog(t testing.TB, c Catalog, seed int64, opts ...warehouse.Options) *warehouse.Warehouse {
 	t.Helper()
-	b := builder{TB: t, w: warehouse.New(), rng: rand.New(rand.NewSource(seed))}
+	b := builder{TB: t, w: warehouse.New(opts...), rng: rand.New(rand.NewSource(seed))}
 	switch c {
 	case Random:
 		b.random()

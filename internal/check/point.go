@@ -32,10 +32,8 @@ type Point struct {
 	// Skip sets SkipEmptyDeltas, the one option that changes Work figures.
 	Skip bool `axis:"skip"`
 	// Share keeps the build cache for the window (ShareComputation), each
-	// build until its view installs. Budget is the window memory budget in
-	// bytes, the kept builds included; 0 is none, 1 starves every build.
-	Share  bool  `axis:"share"`
-	Budget int64 `axis:"budget"`
+	// build until its view installs.
+	Share bool `axis:"share"`
 	// Windows is the length of the stream (0 and 1 are one window). The first
 	// window runs on cold indexes — it builds every one it probes — the ones
 	// after it on warm.
@@ -55,13 +53,12 @@ type Point struct {
 	// Readers race every window with that many readers of whole epochs, some
 	// of their reads through a query server.
 	Readers int `axis:"readers"`
-	// Replicas is the number of followers replaying the stream over HTTP,
-	// follower 0 under a 1-byte memory budget. Drop makes follower 0 suffer
-	// disconnects, Slow makes the last one fetch only every other window (in
-	// an ingest trial, never while the stream runs), and Kill crashes follower
-	// Kill mod Replicas in the middle of replaying window Kill (from 1; in an
-	// ingest trial, the first window it replays once the stream is in), to be
-	// rebuilt and caught up from offset 0.
+	// Replicas is the number of followers replaying the stream over HTTP. Drop
+	// makes follower 0 suffer disconnects, Slow makes the last one fetch only
+	// every other window (in an ingest trial, never while the stream runs), and
+	// Kill crashes follower Kill mod Replicas in the middle of replaying window
+	// Kill (from 1; in an ingest trial, the first window it replays once the
+	// stream is in), to be rebuilt and caught up from offset 0.
 	Replicas int  `axis:"replicas"`
 	Drop     bool `axis:"drop"`
 	Slow     bool `axis:"slow"`

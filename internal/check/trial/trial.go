@@ -51,21 +51,19 @@ import (
 
 // Tally is what the machine did for a trial beside the work the metric
 // counts. A table sums it over its points to prove it exercised what it is
-// there for: one that never shared, spilled, rebuilt or restarted proves
-// nothing about sharing, spilling, invalidation or recovery.
+// there for: one that never shared, rebuilt or restarted proves nothing about
+// sharing, invalidation or recovery.
 type Tally struct {
 	core.EngineCounters
-	// SpillsBesideProbes counts the steps that spilled a build and probed a
-	// resident index (a spilled step's passes repeat its index steps),
-	// Rebuilds the windows whose cache made some build again after an install
-	// had dropped it, Restarts an ingest trial's incarnations past the first.
-	SpillsBesideProbes, Rebuilds, Restarts int
+	// Rebuilds counts the windows whose cache made some build again after an
+	// install had dropped it, Restarts an ingest trial's incarnations past the
+	// first.
+	Rebuilds, Restarts int
 }
 
 // Add folds o into t.
 func (t *Tally) Add(o Tally) {
 	t.EngineCounters.Add(o.EngineCounters)
-	t.SpillsBesideProbes += o.SpillsBesideProbes
 	t.Rebuilds += o.Rebuilds
 	t.Restarts += o.Restarts
 }
@@ -147,7 +145,7 @@ func (r *run) build() *warehouse.Warehouse { return check.BuildCatalog(r, r.p.Ca
 func (r *run) configure(w *warehouse.Warehouse) *warehouse.Warehouse {
 	w.Internal().SetOptions(core.Options{
 		SkipEmptyDeltas: r.p.Skip, ParallelTerms: r.p.Width > 1, Workers: r.p.Width,
-		ShareComputation: r.p.Share, MemoryBudgetBytes: r.p.Budget,
+		ShareComputation: r.p.Share,
 	})
 	return w
 }
@@ -218,8 +216,8 @@ func (r *run) reference(w *warehouse.Warehouse, s warehouse.Strategy, want check
 	return rep
 }
 
-// sameSteps holds a leg to the reference run step by step — caches, sharing,
-// budgets and scheduling change what the machine does, never what the metric
+// sameSteps holds a leg to the reference run step by step — caches, sharing
+// and scheduling change what the machine does, never what the metric
 // counts or what is installed — and tallies what the machine did.
 func (r *run) sameSteps(ref, got warehouse.Report) {
 	if len(got.Steps) != len(ref.Steps) {
@@ -231,9 +229,6 @@ func (r *run) sameSteps(ref, got warehouse.Report) {
 				i, step.Expr, step.Work, step.Terms, step.Digest, want.Expr, want.Work, want.Terms, want.Digest)
 		}
 		r.tally.EngineCounters.Add(step.EngineCounters)
-		if step.SpillCount > 0 && step.IndexProbes > 0 {
-			r.tally.SpillsBesideProbes++
-		}
 	}
 	builds := make(map[string]int)
 	for _, d := range got.SharedDetail {
@@ -471,9 +466,6 @@ type follower struct {
 // follow builds follower i from the sources.
 func (r *run) follow(hs *httptest.Server, i int, rebuilt bool) *follower {
 	fw := r.build()
-	if i == 0 {
-		fw.Internal().SetOptions(core.Options{MemoryBudgetBytes: 1})
-	}
 	f := &follower{hs: hs, inj: faults.New(r.p.Seed + int64(i)), dropping: r.p.Drop && i == 0 && !rebuilt}
 	if f.dropping {
 		f.inj.FailTimes("fetch", 1+r.rng.Intn(3))

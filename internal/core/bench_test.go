@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -114,89 +113,6 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSpillBuild measures the raw spill machinery: partition a build's
-// rows to CRC-framed spill files, then load every partition back as a hash
-// table — one full Grace-style write + probe-load round trip.
-func BenchmarkSpillBuild(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		rows := make([]prow, n)
-		for i := range rows {
-			rows[i] = prow{row: intRow(int64(i), int64(i)), count: 1}
-		}
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			w := New(Options{MemoryBudgetBytes: 64 << 10})
-			if !w.AttachMemory(b.TempDir(), nil) {
-				b.Fatal("AttachMemory = false")
-			}
-			defer w.DetachMemory()
-			env := &evalEnv{ctx: context.Background(), mem: w.mem}
-			est := estimateRowsBytes(rows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sb, err := w.mem.spill(env, rows, []int{1}, est)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for k := range sb.parts {
-					bt, g, err := sb.loadPart(env, k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = bt
-					g.Release()
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBoundedWindow contrasts the same update window run fully
-// resident and under a budget that forces its one transient build — the
-// second delta of the two-delta term; the states are read through resident
-// indexes — through the spill path: the wall-clock price of bounded memory.
-func BenchmarkBoundedWindow(b *testing.B) {
-	const n = 10000
-	for _, budget := range []int64{0, 64 << 10} {
-		label := "unbounded"
-		if budget > 0 {
-			label = fmt.Sprintf("budget=%dKiB", budget>>10)
-		}
-		b.Run(label, func(b *testing.B) {
-			w := benchWarehouse(b, n)
-			w.opts.MemoryBudgetBytes = budget
-			d := delta.New(schemaS)
-			for i := int64(0); i < n/10; i++ {
-				d.Add(intRow(i%(n/4+1), n+i), 1)
-			}
-			if err := w.StageDelta("S", d); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run := w.Clone()
-				if budget > 0 {
-					if !run.AttachMemory("", nil) {
-						b.Fatal("AttachMemory = false")
-					}
-				}
-				if _, err := run.Compute("J", []string{"R", "S"}); err != nil {
-					b.Fatal(err)
-				}
-				for _, v := range []string{"R", "S", "J"} {
-					if _, err := run.Install(v); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if budget > 0 {
-					if ms := run.DetachMemory(); ms.SpillCount == 0 {
-						b.Fatal("bounded window never spilled")
-					}
-				}
-			}
-		})
-	}
 }
 
 // buildBenchRows is the build side of the two layer benchmarks below: n

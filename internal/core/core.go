@@ -55,18 +55,8 @@ type Options struct {
 	// expressions of the window build on is then scanned and hashed once
 	// and probed by every later consumer. Sharing changes physical work
 	// only — OperandTuples is planned from cardinalities and never sees it.
-	// A build stays until its view installs; MemoryBudgetBytes is what
-	// bounds the bytes that takes. Off by default.
+	// A build stays resident until its view installs. Off by default.
 	ShareComputation bool
-	// MemoryBudgetBytes bounds the window's transient build state (0 = off,
-	// i.e. unbounded). With a budget attached for a window (AttachMemory),
-	// every build-side hash table reserves against it for as long as the
-	// build cache holds it, and builds that do not fit spill to CRC-framed
-	// temp files probed partition-wise (Grace-style). Results, digests and
-	// the linear work metric are identical at any budget; only wall-clock,
-	// bytes moved and the spill counters differ. Resident join indexes are
-	// storage, like the rows they point at, and are not charged.
-	MemoryBudgetBytes int64
 }
 
 // View is one materialized warehouse view.
@@ -197,9 +187,6 @@ type Warehouse struct {
 	// (AttachSharing/DetachSharing), nil otherwise: every Compute then makes
 	// its own. Clones never inherit it: each window attaches its own.
 	cache *buildCache
-	// mem is the window-wide memory manager (AttachMemory/DetachMemory),
-	// nil outside a budgeted window. Like cache, clones never inherit it.
-	mem *memManager
 	// version counts catalog changes (view definitions). The prepared-plan
 	// cache records the version a plan was bound against and discards the
 	// plan when it no longer matches, so a plan can never outlive the

@@ -36,9 +36,8 @@ type CompReport struct {
 }
 
 // EngineCounters is what the machine did for the work the metric charges: the
-// build cache's, the memory budget's and the resident indexes' side of one
-// Comp (CompReport, exec.StepReport) or of a window's Comps (the facade's
-// WindowCounters). The engine run fills it once; none of it ever changes
+// build cache's and the resident indexes' side of one Comp (CompReport,
+// exec.StepReport) or of a window's Comps (the facade's WindowCounters). The engine run fills it once; none of it ever changes
 // OperandTuples, which is planned from cardinalities.
 type EngineCounters struct {
 	// CacheMisses counts the distinct (operand, key columns) build tables a
@@ -58,10 +57,10 @@ type EngineCounters struct {
 	// SharedTuplesSaved totals the operand tuples whose scan-and-hash the
 	// shared hits elided.
 	SharedTuplesSaved int64
-	// SpillCount is the number of build tables spilled to disk because they
-	// did not fit the window memory budget (0 without an attached budget),
-	// SpilledBytes the bytes written to spill files and SpillReReadBytes
-	// the bytes re-read from them during partition-wise probing.
+	// SpillCount, SpilledBytes and SpillReReadBytes are inert and always 0 —
+	// no build spills since the window memory budget is gone; they stay
+	// because the frozen benchmark (bench/layers.go) reads them. ROADMAP
+	// item 1 deletes them.
 	SpillCount                     int
 	SpilledBytes, SpillReReadBytes int64
 	// IndexProbes counts the lookups made in resident join indexes
@@ -81,9 +80,6 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.SharedHits += o.SharedHits
 	c.SharedMisses += o.SharedMisses
 	c.SharedTuplesSaved += o.SharedTuplesSaved
-	c.SpillCount += o.SpillCount
-	c.SpilledBytes += o.SpilledBytes
-	c.SpillReReadBytes += o.SpillReReadBytes
 	c.IndexProbes += o.IndexProbes
 	c.IndexTuplesSaved += o.IndexTuplesSaved
 }
@@ -164,7 +160,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{pool: w.pool, morsel: w.opts.morselSize, ctx: ctx, cache: w.cache, mem: w.mem}
+	env := &evalEnv{pool: w.pool, morsel: w.opts.morselSize, ctx: ctx, cache: w.cache}
 	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
 }
 
@@ -178,7 +174,7 @@ type operand struct {
 // evalEnv is one run of the term engine (runTerms): what its terms and
 // morsels share — the scan memo, the worker pool (nil runs everything inline
 // on the caller — width 1), the morsel size and the counters — and the
-// caller's handles on the build cache and the window memory budget.
+// caller's handle on the build cache.
 type evalEnv struct {
 	// cache holds the run's build tables: the window's cache when one is
 	// attached (AttachSharing), else one runTerms makes for this run alone.
@@ -187,8 +183,6 @@ type evalEnv struct {
 	pool   *workerPool
 	morsel int
 	ctx    context.Context
-	// mem is the window memory budget (nil when none is attached).
-	mem *memManager
 
 	// mu guards what the run's concurrent terms write: the counters, and the
 	// cache slots a term of this run has asked for (made at the first ask:
@@ -243,19 +237,14 @@ type buildReq struct {
 }
 
 // runTerm executes a planned term: materialize the driver, resolve the
-// build sides through the env's cache (which owns them and their budget
-// grants), and run the pipeline. It returns the term's linear-metric work,
-// which deliberately counts every build-side operand even when the cache
-// served the physical table.
+// build sides through the env's cache (which owns them), and run the
+// pipeline. It returns the number of index probes; the term's linear-metric
+// work was fixed at planning and counts every build-side operand even when
+// the cache served the physical table.
 func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
 	rows := env.scans.get(plan.driverSrc)
 	for _, br := range plan.builds {
-		res, err := env.cache.get(env, br)
-		if err != nil {
-			return 0, err
-		}
-		plan.pl.steps[br.step].build = res.bt
-		plan.pl.steps[br.step].spilled = res.sp
+		plan.pl.steps[br.step].build = env.cache.get(env, br)
 	}
 	return plan.pl.run(rows, sink, env)
 }
@@ -426,11 +415,10 @@ type joinStep struct {
 	roff int
 	// live is the operand's columns that a match copies into the scratch
 	// row (liveColumns).
-	live    []int
-	preds   []algebra.Expr
-	build   *buildTable   // transient build (nil when indexed or spilled)
-	spilled *spilledBuild // spilled transient build: probed partition-wise
-	idx     *indexStep    // resident index
+	live  []int
+	preds []algebra.Expr
+	build *buildTable // transient build (nil when indexed)
+	idx   *indexStep  // resident index
 }
 
 // indexStep is the operand side of a join step that reads a plain table's
@@ -512,24 +500,8 @@ type pipeline struct {
 // parallel morsels when env carries a worker pool; sink hands each morsel its
 // goroutine-local sink. It returns the number of index probes performed —
 // the machine's side of the index-served steps, whose scans the metric
-// accounted at planning time like every other step's. Steps whose build
-// spilled to disk execute pass-wise (see runSpilled); the resident path is
-// runResident.
+// accounted at planning time like every other step's.
 func (p *pipeline) run(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
-	var spilled []int
-	for i := range p.steps {
-		if p.steps[i].spilled != nil {
-			spilled = append(spilled, i)
-		}
-	}
-	if len(spilled) > 0 {
-		return p.runSpilled(rows, sink, env, spilled)
-	}
-	return p.runResident(rows, sink, env)
-}
-
-// runResident runs the pipeline with every build side resident in memory.
-func (p *pipeline) runResident(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
 	pool := env.pool
 	ms := env.morselSize()
 	if pool == nil || len(rows) <= ms {

@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/maintain"
-	"repro/internal/memory"
 	"repro/internal/relation"
 )
 
@@ -191,31 +191,15 @@ func (bt *buildTable) keyOf(i int32) []byte {
 	return bt.arena[start:bt.entries[i].kend]
 }
 
-// buildRes is a resolved build side: a resident table or a spilled one, the
-// budget grant a resident one holds until the cache drops it (nil without an
-// attached budget), and the estimate of its resident footprint.
-type buildRes struct {
-	bt    *buildTable
-	sp    *spilledBuild
-	grant *memory.Grant
-	bytes int64
-}
-
-// buildFromRows hashes materialized rows under the window memory budget:
-// resident when the reservation fits (the grant travels with the result),
-// spilled to disk otherwise. Without an attached budget it is the classic
-// unbudgeted build. Every build of the engine is made here.
-func buildFromRows(env *evalEnv, rows []prow, cols []int) (buildRes, error) {
-	est := estimateRowsBytes(rows)
-	mm := env.mem
-	if mm == nil {
-		return buildRes{bt: newBuildTable(rows, cols), bytes: est}, nil
+// estimateRowsBytes estimates the resident hash-table footprint of a
+// materialized row set, in the units the planner's sharing election prices
+// with.
+func estimateRowsBytes(rows []prow) int64 {
+	width := 1
+	if len(rows) > 0 {
+		width = len(rows[0].row)
 	}
-	if g, ok := mm.budget.TryReserveUnder(est, mm.resLimit); ok {
-		return buildRes{bt: newBuildTable(rows, cols), grant: g, bytes: est}, nil
-	}
-	sp, err := mm.spill(env, rows, cols, est)
-	return buildRes{sp: sp, bytes: est}, err
+	return cost.EstimateMaterializedBytes(int64(len(rows)), width)
 }
 
 // scanCache memoizes materialized operand scans for one Compute: the 2^r−1
@@ -297,17 +281,14 @@ func colsKey(cols []int) string {
 //
 // A run of the term engine outside a window makes its own cache, which dies
 // with the run. A window's cache (AttachSharing) outlives the runs: a build
-// stays for the window's later Comps until its view installs or the window
-// detaches — resident under its memory grant, or spilled and holding no
-// memory, as buildFromRows left it; the memory budget is the one bound on
-// what it holds. No versions or reference counts are needed for that to be
+// stays resident for the window's later Comps until its view installs or the
+// window detaches. No versions or reference counts are needed for that to be
 // right: an operand's content changes only when its view installs (C5/C8 put
 // every Comp of V before any reader of δV, and V's state changes only at
 // Inst(V)), Install(V) drops the builds on V's state and on δV, and every
 // scheduler orders a Comp against the installs of the views it reads — so a
-// build found in the cache was made from the operand as it is now. Dropping a
-// build returns its grant; a run still probing it keeps the table alive until
-// it finishes.
+// build found in the cache was made from the operand as it is now. A run
+// still probing a dropped build keeps the table alive until it finishes.
 type buildCache struct {
 	mu     sync.Mutex
 	tables map[buildKey]*buildSlot
@@ -319,18 +300,18 @@ type buildCache struct {
 	gone       []SharedEntryStats
 }
 
-// buildSlot is one build of the cache. The once publishes res and err; kept
-// is written under the cache's lock.
+// buildSlot is one build of the cache. The once publishes bt, rows and
+// bytes; kept is written under the cache's lock.
 type buildSlot struct {
 	key     buildKey
 	view    string
 	isDelta bool
 	owner   *evalEnv // the run whose request made the slot
 	once    sync.Once
-	res     buildRes
-	err     error
+	bt      *buildTable
 	rows    int64
-	kept    bool // a window's build that stays after its run
+	bytes   int64 // estimate of bt's resident footprint
+	kept    bool  // a window's build that stays after its run
 	// asks counts the runs that asked for the build, hits those of them
 	// that did not make it.
 	asks, hits atomic.Int64
@@ -353,7 +334,7 @@ func (c *buildCache) warm(env *evalEnv, br buildReq) {
 // get returns the build a term asks for, accounting the request to the
 // term's run: its first request of a pair is the run's miss — shared when
 // another run of the window made the build — and every further one a hit.
-func (c *buildCache) get(env *evalEnv, br buildReq) (buildRes, error) {
+func (c *buildCache) get(env *evalEnv, br buildReq) *buildTable {
 	slot := c.slot(env, br)
 	card := br.src.Cardinality()
 	env.mu.Lock()
@@ -377,7 +358,7 @@ func (c *buildCache) get(env *evalEnv, br buildReq) (buildRes, error) {
 	}
 	env.mu.Unlock()
 	c.resolveBuild(env, slot, br)
-	return slot.res, slot.err
+	return slot.bt
 }
 
 func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
@@ -393,41 +374,33 @@ func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
 }
 
 // resolveBuild materializes a slot's build, once: scan the operand, hash it
-// under the memory budget (buildFromRows) and, in a window's cache, keep it
-// past its run.
+// and, in a window's cache, keep it past its run. Every build of the engine
+// is made here.
 func (c *buildCache) resolveBuild(env *evalEnv, slot *buildSlot, br buildReq) {
 	slot.once.Do(func() {
 		rows := env.buildRows(br.src)
 		slot.rows = int64(len(rows))
-		slot.res, slot.err = buildFromRows(env, rows, br.cols)
-		if slot.err != nil || !c.window {
+		slot.bytes = estimateRowsBytes(rows)
+		slot.bt = newBuildTable(rows, br.cols)
+		if !c.window {
 			return
 		}
 		c.mu.Lock()
 		slot.kept = true
-		c.used += slot.held()
+		c.used += slot.bytes
 		c.peak = max(c.peak, c.used)
 		c.mu.Unlock()
 	})
 }
 
-// held is the resident bytes a built slot occupies: none once spilled.
-func (s *buildSlot) held() int64 {
-	if s.res.sp != nil {
-		return 0
-	}
-	return s.res.bytes
-}
-
-// drop removes a slot from the cache and returns its grant; a later request
-// for the pair builds afresh. Callers hold c.mu, and the slot's build has
-// finished: a run waits for the builds it asked for, and no Comp reading a
-// view runs beside that view's Install.
+// drop removes a slot from the cache; a later request for the pair builds
+// afresh. Callers hold c.mu, and the slot's build has finished: a run waits
+// for the builds it asked for, and no Comp reading a view runs beside that
+// view's Install.
 func (c *buildCache) drop(slot *buildSlot) {
 	delete(c.tables, slot.key)
-	slot.res.grant.Release()
 	if slot.kept {
-		c.used -= slot.held()
+		c.used -= slot.bytes
 	}
 	if c.window {
 		c.gone = append(c.gone, slot.stats("dropped"))
@@ -435,8 +408,9 @@ func (c *buildCache) drop(slot *buildSlot) {
 }
 
 // endRun drops what a finished run built and the cache does not keep — every
-// build of a run's own cache, the failed ones of a window's. The run has
-// joined its workers, so none of its builds is still in the making.
+// build of a run's own cache, and those of a window's whose scan panicked
+// before the build was kept. The run has joined its workers, so none of its
+// builds is still in the making.
 func (c *buildCache) endRun(env *evalEnv) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -470,9 +444,8 @@ type SharedEntryStats struct {
 	Requests, Hits int64
 	// Rows and Bytes describe the built table (resident estimate).
 	Rows, Bytes int64
-	// Fate is where the build was when the window ended: "resident" or
-	// "spilled" (kept to the end), or "dropped" (its view installed, or it
-	// failed).
+	// Fate is where the build was when the window ended: "resident" (kept
+	// to the end) or "dropped" (its view installed, or it failed).
 	Fate string
 }
 
@@ -483,7 +456,7 @@ func (s *buildSlot) stats(fate string) SharedEntryStats {
 	}
 	return SharedEntryStats{
 		Name: name + "[" + s.key.cols + "]", Requests: s.asks.Load(), Hits: s.hits.Load(),
-		Rows: s.rows, Bytes: s.res.bytes, Fate: fate,
+		Rows: s.rows, Bytes: s.bytes, Fate: fate,
 	}
 }
 
@@ -521,12 +494,7 @@ func (w *Warehouse) DetachSharing() SharedStats {
 	defer c.mu.Unlock()
 	st := SharedStats{BytesPeak: c.peak, Detail: c.gone}
 	for _, slot := range c.tables {
-		fate := "resident"
-		if slot.res.sp != nil {
-			fate = "spilled"
-		}
-		st.Detail = append(st.Detail, slot.stats(fate))
-		slot.res.grant.Release()
+		st.Detail = append(st.Detail, slot.stats("resident"))
 	}
 	sort.SliceStable(st.Detail, func(i, j int) bool { return st.Detail[i].Name < st.Detail[j].Name })
 	return st

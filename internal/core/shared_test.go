@@ -149,115 +149,114 @@ func TestSharedRegistryHitMissSaved(t *testing.T) {
 	}
 }
 
-// TestWindowCacheKeepsBuildsUntilInstall: a build of the window's cache stays
-// past the Compute that made it until its view installs, whatever it costs —
-// the memory budget decides only where it stays. Without a budget the build
-// is resident; under one that admits no resident build it is spilled once and
-// holds no memory. Either way every later sibling Comp hits it, Install(R)
-// leaves it (it is a build of δS) and Install(S) drops it, and under the
-// budget the window's reservations never pass it.
-func TestWindowCacheKeepsBuildsUntilInstall(t *testing.T) {
-	const n = 3
-	// Less than the delta build needs, more than one of its two partitions.
-	for _, budget := range []int64{0, 8192} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			w := newSiblingWarehouse(t, n, Options{ShareComputation: true, MemoryBudgetBytes: budget})
-			loadSiblingData(t, w)
-			stageBulk(t, w, 120, "R", "S")
-			if w.AttachMemory("", nil) != (budget > 0) {
-				t.Fatal("AttachMemory attached a budget only when one is configured")
-			}
-			if !w.AttachSharing() {
-				t.Fatal("AttachSharing refused")
-			}
-			wantFate := map[bool]string{false: "resident", true: "spilled"}[budget > 0]
-			held := func() []SharedEntryStats {
-				w.cache.mu.Lock()
-				defer w.cache.mu.Unlock()
-				var out []SharedEntryStats
-				for _, slot := range w.cache.tables {
-					out = append(out, slot.stats(wantFate))
-					if (slot.res.sp != nil) != (budget > 0) {
-						t.Errorf("%s: spilled=%v under budget %d", slot.stats("").Name, slot.res.sp != nil, budget)
-					}
-				}
-				return out
-			}
-			for i := 1; i <= n; i++ {
-				rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := min(i-1, 1); rep.SharedHits != want || rep.SharedMisses != 1-want {
-					t.Errorf("Comp(V%d): shared %d hits / %d misses, want %d / %d", i, rep.SharedHits, rep.SharedMisses, want, 1-want)
-				}
-				if kept := held(); len(kept) != 1 || kept[0].Name != "δS[0]" {
-					t.Errorf("after Comp(V%d) the cache holds %+v, want the one build of δS", i, kept)
-				}
-			}
-			if _, err := w.Install("R"); err != nil {
-				t.Fatal(err)
-			}
-			if kept := held(); len(kept) != 1 {
-				t.Errorf("Install(R) left %+v, want the build of δS kept", kept)
-			}
-			for _, name := range []string{"S", "V1", "V2", "V3"} {
-				if _, err := w.Install(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if kept := held(); len(kept) != 0 {
-				t.Errorf("Install(S) left %+v in the cache", kept)
-			}
-			stats := w.DetachSharing()
-			mem := w.DetachMemory()
-			if len(stats.Detail) != 1 || stats.Detail[0].Fate != "dropped" || stats.Detail[0].Requests != n || stats.Detail[0].Hits != n-1 {
-				t.Errorf("cache detail %+v, want one build asked for %d times, dropped at Install", stats.Detail, n)
-			}
-			if budget > 0 && (mem.SpillCount != 1 || mem.PeakReservedBytes > budget) {
-				t.Errorf("%d spills, peak %d bytes: want the one build spilled once, within the %d-byte budget", mem.SpillCount, mem.PeakReservedBytes, budget)
-			}
-			if err := w.VerifyAll(); err != nil {
-				t.Fatal(err)
-			}
-		})
+// stageBulk stages n more rows — (k, k) for n keys no loaded row carries —
+// on each of the named two-column integer base views. State tables are read
+// through resident indexes and build nothing, so what a term over two of
+// these views builds is a delta: one of the deltas is on its build side, and
+// a delta carries no index.
+func stageBulk(t *testing.T, w *Warehouse, n int, bases ...string) {
+	t.Helper()
+	for _, base := range bases {
+		d := delta.New(w.MustView(base).Schema())
+		for i := int64(0); i < int64(n); i++ {
+			d.Add(intRow(2_000_000+i, 2_000_000+i), 1)
+		}
+		if err := w.StageDelta(base, d); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestSharedRegistryLifecycle: a build the window's cache keeps holds its
-// memory reservation until Install of its view or the detach drops it, and
-// then gives it back — asserted on the memory budget, which is what a leak
-// would starve.
-func TestSharedRegistryLifecycle(t *testing.T) {
-	const n = 2
-	attach := func(t *testing.T) *Warehouse {
-		w := newSiblingWarehouse(t, n, Options{ShareComputation: true, MemoryBudgetBytes: 1 << 30})
-		loadSiblingData(t, w)
-		if !w.AttachMemory("", nil) {
-			t.Fatal("AttachMemory = false")
+// TestWindowCacheKeepsBuildsUntilInstall: a build of the window's cache stays
+// resident past the Compute that made it until its view installs. Every
+// later sibling Comp hits it, Install(R) leaves it (it is a build of δS) and
+// Install(S) drops it.
+func TestWindowCacheKeepsBuildsUntilInstall(t *testing.T) {
+	const n = 3
+	w := newSiblingWarehouse(t, n, Options{ShareComputation: true})
+	loadSiblingData(t, w)
+	stageBulk(t, w, 120, "R", "S")
+	if !w.AttachSharing() {
+		t.Fatal("AttachSharing refused")
+	}
+	held := func() []SharedEntryStats {
+		w.cache.mu.Lock()
+		defer w.cache.mu.Unlock()
+		var out []SharedEntryStats
+		for _, slot := range w.cache.tables {
+			out = append(out, slot.stats("resident"))
+			if slot.bt == nil {
+				t.Errorf("%s: kept without a build table", slot.stats("").Name)
+			}
 		}
-		if !w.AttachSharing() {
-			t.Fatal("AttachSharing refused")
-		}
-		if _, err := w.Compute("V1", []string{"R", "S"}); err != nil {
+		return out
+	}
+	for i := 1; i <= n; i++ {
+		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if w.mem.budget.Used() == 0 {
-			t.Fatal("nothing reserved after the first of two consumers: its builds were not kept")
+		if want := min(i-1, 1); rep.SharedHits != want || rep.SharedMisses != 1-want {
+			t.Errorf("Comp(V%d): shared %d hits / %d misses, want %d / %d", i, rep.SharedHits, rep.SharedMisses, want, 1-want)
 		}
-		return w
+		if kept := held(); len(kept) != 1 || kept[0].Name != "δS[0]" {
+			t.Errorf("after Comp(V%d) the cache holds %+v, want the one build of δS", i, kept)
+		}
+	}
+	if _, err := w.Install("R"); err != nil {
+		t.Fatal(err)
+	}
+	if kept := held(); len(kept) != 1 {
+		t.Errorf("Install(R) left %+v, want the build of δS kept", kept)
+	}
+	for _, name := range []string{"S", "V1", "V2", "V3"} {
+		if _, err := w.Install(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept := held(); len(kept) != 0 {
+		t.Errorf("Install(S) left %+v in the cache", kept)
+	}
+	stats := w.DetachSharing()
+	if len(stats.Detail) != 1 || stats.Detail[0].Fate != "dropped" || stats.Detail[0].Requests != n || stats.Detail[0].Hits != n-1 {
+		t.Errorf("cache detail %+v, want one build asked for %d times, dropped at Install", stats.Detail, n)
+	}
+	if err := w.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedRegistryLifecycle: a build the window's cache keeps counts in
+// its resident bytes until Install of its view drops it, and then stops
+// counting — asserted on the cache's accounting, which is what a leak would
+// inflate.
+func TestSharedRegistryLifecycle(t *testing.T) {
+	const n = 2
+	w := newSiblingWarehouse(t, n, Options{ShareComputation: true})
+	loadSiblingData(t, w)
+	if !w.AttachSharing() {
+		t.Fatal("AttachSharing refused")
+	}
+	used := func() int64 {
+		w.cache.mu.Lock()
+		defer w.cache.mu.Unlock()
+		return w.cache.used
+	}
+	if _, err := w.Compute("V1", []string{"R", "S"}); err != nil {
+		t.Fatal(err)
+	}
+	before := used()
+	if before == 0 {
+		t.Fatal("nothing kept after the first of two consumers")
 	}
 
 	// Comp(V1, {R, S}) built δS (δR drives the two-delta term). Install of
 	// a view drops the builds on its delta and state, and only those.
-	w := attach(t)
-	budget := w.mem.budget
-	before := budget.Used()
 	if _, err := w.Install("R"); err != nil {
 		t.Fatal(err)
 	}
-	if after := budget.Used(); after != before {
-		t.Errorf("Install(R): reserved %d → %d, but the build kept is on δS", before, after)
+	if after := used(); after != before {
+		t.Errorf("Install(R): kept %d → %d bytes, but the build kept is on δS", before, after)
 	}
 	rep, err := w.Compute("V2", []string{"R", "S"})
 	if err != nil {
@@ -269,25 +268,12 @@ func TestSharedRegistryLifecycle(t *testing.T) {
 	if _, err := w.Install("S"); err != nil {
 		t.Fatal(err)
 	}
-	if used := budget.Used(); used != 0 {
-		t.Errorf("Install(S) left %d bytes reserved", used)
+	if after := used(); after != 0 {
+		t.Errorf("Install(S) left %d bytes kept", after)
 	}
-	w.DetachSharing()
-	w.DetachMemory()
-
-	// Detach drops whatever is left.
-	w2 := attach(t)
-	budget2 := w2.mem.budget
-	stats := w2.DetachSharing()
-	if used := budget2.Used(); used != 0 {
-		t.Errorf("detached but %d bytes stay reserved", used)
+	if stats := w.DetachSharing(); stats.BytesPeak != before {
+		t.Errorf("peak %d bytes, want the one build's %d", stats.BytesPeak, before)
 	}
-	for _, d := range stats.Detail {
-		if d.Fate != "resident" {
-			t.Errorf("detail %+v, want resident at detach", d)
-		}
-	}
-	w2.DetachMemory()
 }
 
 // TestSharedRegistryDisabled: without ShareComputation the attach refuses

@@ -44,51 +44,10 @@ type Model struct {
 	CompCoeff float64
 	// InstCoeff is the per-tuple constant i of installs.
 	InstCoeff float64
-	// SpillCoeff is the per-tuple constant of spill I/O: what writing one
-	// build-side tuple to disk and reading it back costs relative to
-	// scanning it. Charged only when MemoryBudgetBytes forces a build to
-	// spill; 0 means DefaultSpillCoeff.
-	SpillCoeff float64
-	// MemoryBudgetBytes is the window memory budget the estimates assume
-	// (see the engine's Options.MemoryBudgetBytes). When positive, a Comp
-	// whose build-side operand would not fit is charged the spill penalty,
-	// so Prune and EstimateWork prefer strategies that keep builds small
-	// under pressure. 0 assumes unbounded memory: no penalty. MinWork is
-	// statistics-only and ignores the model either way.
-	MemoryBudgetBytes int64
 }
 
 // DefaultModel weights compute and install tuples equally.
 var DefaultModel = Model{CompCoeff: 1, InstCoeff: 1}
-
-// DefaultSpillCoeff is the per-tuple spill I/O constant assumed when the
-// model does not set one: writing a tuple out plus re-reading it is taken to
-// cost as much as scanning it once.
-const DefaultSpillCoeff = 1
-
-// SpillPenalty estimates the extra work a bounded window pays to hash-build
-// an operand of the given size (tuples): zero when no budget is configured
-// or the estimated footprint fits, otherwise SpillCoeff times the tuples
-// written out and re-read (one pass each way). Footprint uses a nominal
-// tuple width — planning statistics carry cardinalities, not schemas — and
-// only needs to rank strategies consistently, not predict bytes exactly.
-func (m Model) SpillPenalty(size int64) float64 {
-	if m.MemoryBudgetBytes <= 0 || size <= 0 {
-		return 0
-	}
-	if EstimateMaterializedBytes(size, nominalBuildWidth) <= m.MemoryBudgetBytes {
-		return 0
-	}
-	coeff := m.SpillCoeff
-	if coeff == 0 {
-		coeff = DefaultSpillCoeff
-	}
-	return coeff * float64(2*size)
-}
-
-// nominalBuildWidth is the tuple width SpillPenalty assumes when estimating
-// a build's footprint from a cardinality alone.
-const nominalBuildWidth = 4
 
 // RefCounts describes, for each derived view, how many FROM-clause
 // references its definition has of each child view (almost always 1; >1 for
@@ -170,39 +129,31 @@ func (s *Simulator) CompWork(comp strategy.Comp) (float64, error) {
 	if r > 62 {
 		return 0, fmt.Errorf("cost: too many delta references (%d)", r)
 	}
-	var work, spill float64
+	var work float64
 	for child, n := range refs {
 		size, err := s.currentSize(child)
 		if err != nil {
 			return 0, err
 		}
-		w, sp := s.model.RefWork(n, r, overSet[child], size, s.stats[child].DeltaSize())
-		work += w
-		spill += sp
+		work += RefWork(n, r, overSet[child], size, s.stats[child].DeltaSize())
 	}
-	return s.model.CompCoeff*work + spill, nil
+	return s.model.CompCoeff * work, nil
 }
 
 // RefWork returns what a Comp's n references to one child contribute to it:
-// the operand tuples its terms scan (scaled by CompCoeff in the Comp's work)
-// and the spill penalty. r is the Comp's number of delta-bound references
-// (1..62), over reports that this child is among them, size is the child's
-// current size and delta its |δ|. CompWork sums it over the children; the
-// planner's compiled search tabulates it per child and install state.
-func (m Model) RefWork(n, r int, over bool, size, delta int64) (scan, spill float64) {
+// the operand tuples its terms scan, which the Comp's work scales by
+// CompCoeff. r is the Comp's number of delta-bound references (1..62), over
+// reports that this child is among them, size is the child's current size
+// and delta its |δ|. CompWork sums it over the children; the planner's
+// compiled search tabulates it per child and install state.
+func RefWork(n, r int, over bool, size, delta int64) float64 {
 	terms := float64(int64(1)<<uint(r)) - 1
 	deltaTerms := float64(int64(1) << uint(r-1))
 	stateTerms := deltaTerms - 1
 	if over {
-		scan = float64(n) * (deltaTerms*float64(delta) + stateTerms*float64(size))
-	} else {
-		scan = float64(n) * terms * float64(size)
+		return float64(n) * (deltaTerms*float64(delta) + stateTerms*float64(size))
 	}
-	// Bounded-memory penalty: a state operand too large for the window
-	// budget is built as a spilled hash table — written out once and
-	// re-read during partition-wise probing. Builds are cached across a
-	// Comp's terms, so the penalty is charged once per reference.
-	return scan, float64(n) * m.SpillPenalty(size)
+	return float64(n) * terms * float64(size)
 }
 
 // InstWork returns the work of Inst(view): i·|δV|.

@@ -17,8 +17,8 @@ type ViewInfo struct {
 
 // bytesPerColumn is the rough in-memory footprint of one column value in a
 // materialized hash table: a boxed value plus slice/map overhead amortized
-// per cell. The constant only needs to be consistent between the budget and
-// the estimates it gates.
+// per cell. The constant only needs to be consistent between the build
+// cache's accounting and the sharing election's estimates.
 const bytesPerColumn = 48
 
 // EstimateMaterializedBytes estimates the transient memory footprint of

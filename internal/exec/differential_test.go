@@ -49,24 +49,22 @@ func TestFuzzRandomWarehouses(t *testing.T) {
 // line the window-lived build cache's correctness rests on: Install(V) drops
 // the builds made from V's state and from δV (check.Invalidation, check.OneWay;
 // under dual-stage the siblings' multi-delta terms build the deltas, which
-// their views' installs then drop). Every point of mode × engine width ×
-// memory budget, sharing on, must land where the sharing-off sequential run
-// does. The canary: with buildCache.invalidate's body emptied this fails.
+// their views' installs then drop). Every point of mode × engine width,
+// sharing on, must land where the sharing-off sequential run does. The
+// canary: with buildCache.invalidate's body emptied this fails.
 func TestWindowCacheInvalidationDifferential(t *testing.T) {
 	var sum trial.Tally
 	for seed := range trial.Seeds(6, 2) {
 		for _, mode := range []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG} {
 			for _, width := range []int{1, 2} {
-				for _, budget := range []int64{0, 1 << 20, 1} {
-					sum.Add(trial.Run(t, check.Point{
-						Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
-						Mode: mode, Workers: 3, Width: width, Budget: budget, Share: true,
-					}))
-				}
+				sum.Add(trial.Run(t, check.Point{
+					Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
+					Mode: mode, Workers: 3, Width: width, Share: true,
+				}))
 			}
 		}
 	}
-	if sum.SharedHits == 0 || sum.SpillCount == 0 || sum.Rebuilds == 0 {
-		t.Fatalf("%d shared hits, %d spills, %d windows that built G's state again after its install: the table exercised nothing", sum.SharedHits, sum.SpillCount, sum.Rebuilds)
+	if sum.SharedHits == 0 || sum.Rebuilds == 0 {
+		t.Fatalf("%d shared hits, %d windows that built G's state again after its install: the table exercised nothing", sum.SharedHits, sum.Rebuilds)
 	}
 }

@@ -83,8 +83,8 @@ type StepReport struct {
 	// Skipped marks a Comp elided by the empty-delta optimization.
 	Skipped bool
 	// EngineCounters is the machine's side of a Comp step: what the build
-	// cache, the memory budget and the resident indexes did for it. Work is
-	// untouched by all of it.
+	// cache and the resident indexes did for it. Work is untouched by all of
+	// it.
 	core.EngineCounters
 	// Digest fingerprints the delta an Inst step installed (see
 	// delta.Digest); 0 for Comp steps and for views whose float-valued
@@ -109,9 +109,6 @@ type Report struct {
 	// SharedDetail lists every build the window's cache held, sorted by
 	// name; nil when sharing is off.
 	SharedDetail []core.SharedEntryStats
-	// PeakReservedBytes is the high-water mark of the window memory
-	// budget's reserved bytes (0 when no budget is attached).
-	PeakReservedBytes int64
 	// Elapsed is the total update window.
 	Elapsed time.Duration
 	// Sched carries the scheduling metrics of the run.
@@ -188,13 +185,9 @@ type Options struct {
 	// call it from concurrent workers: it must be safe for concurrent use.
 	OnStep func(idx int, step StepReport) error
 	// Faults, when non-nil, is consulted at every step boundary (point
-	// "step") before the expression runs, and at the spill I/O points when
-	// a memory budget is attached. Injected failures, panics and crashes
-	// surface exactly as real ones would.
+	// "step") before the expression runs. Injected failures, panics and
+	// crashes surface exactly as real ones would.
 	Faults *faults.Injector
-	// SpillDir is where over-budget builds spill when the warehouse
-	// configures a memory budget; empty means a per-run temp directory.
-	SpillDir string
 }
 
 // Graph derives the VDAG of a warehouse.
@@ -304,10 +297,10 @@ func instDigest(w *core.Warehouse, view string) uint64 {
 
 // Execute runs the strategy against the warehouse, mutating it, and returns
 // the measured report. It is the only executor: whatever the mode, the run
-// validates the strategy (when asked), attaches the window's build cache
-// and memory budget, passes every expression through the "step"
-// fault point, RunStep and OnStep, and finishes with the deferred-maintenance
-// bookkeeping (MarkSkippedStale). The first expression error cancels
+// validates the strategy (when asked), attaches the window's build cache,
+// passes every expression through the "step" fault point, RunStep and
+// OnStep, and finishes with the deferred-maintenance bookkeeping
+// (MarkSkippedStale). The first expression error cancels
 // scheduling (in-flight expressions finish, unstarted ones are abandoned)
 // and is returned deterministically: among the failures of a run, the one
 // whose expression is earliest in the strategy wins — a step that the
@@ -331,11 +324,9 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 	changed := ChangedViews(w)
 	d := BuildDAG(s, w.Children)
 	detach := AttachSharing(w)
-	detachMem := AttachMemory(w, opts.SpillDir, opts.Faults)
 	err := d.run(w, mode, opts, &rep)
 	st := detach()
 	rep.SharedBytesPeak, rep.SharedDetail = st.BytesPeak, st.Detail
-	rep.PeakReservedBytes = detachMem().PeakReservedBytes
 	if err != nil {
 		return rep, err
 	}

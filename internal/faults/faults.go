@@ -1,10 +1,10 @@
 // Package faults is a seeded fault-injection layer for exercising the
 // warehouse's crash-safety machinery. Code under test declares named
-// injection points (step boundaries in the executors, spill I/O, the
-// ingester's journal and batch points, replication fetch and apply) by
-// calling Injector.Hit; tests arm the injector with trigger-point rules
-// ("fail the 3rd hit of point X") or probability rules ("each hit of X fails
-// with p=0.01") and the armed hits return — or panic with — a *Fault.
+// injection points (step boundaries in the executors, the recompute
+// fallback, the ingester's journal and batch points, replication fetch and
+// apply) by calling Injector.Hit; tests arm the injector with trigger-point
+// rules ("fail the 3rd hit of point X") or probability rules ("each hit of X
+// fails with p=0.01") and the armed hits return — or panic with — a *Fault.
 //
 // Faults come in three flavours:
 //

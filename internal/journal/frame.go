@@ -11,8 +11,8 @@ package journal
 // record vocabulary, and it and the replication log (internal/replicate),
 // which ships the same records, read and cut through here, so a durability
 // fix lands in both. It is also the one binary format of the state the
-// warehouse writes and reads back: a snapshot (internal/snapshot) and a spill
-// file (internal/storage) are runs of these frames, and an accumulator state
+// warehouse writes and reads back: a snapshot (internal/snapshot) is a run of
+// these frames, and an accumulator state
 // (internal/delta) is fields a Cursor reads. So this package imports none of
 // the packages that hold that state.
 

@@ -57,16 +57,16 @@ type search struct {
 	installed []uint8
 }
 
-// workTerm is what one referenced child adds to a Comp (cost.Model.RefWork),
+// workTerm is what one referenced child adds to a Comp (cost.RefWork),
 // indexed by whether the child is installed.
 type workTerm struct {
-	view        int32
-	scan, spill [2]float64
+	view int32
+	scan [2]float64
 }
 
 // compileSearch interns g and prices its expressions. A model with neither a
-// compute nor an install coefficient is read as cost.DefaultModel's (budget
-// and spill coefficient kept), so work and sharing savings are priced alike.
+// compute nor an install coefficient is read as cost.DefaultModel's, so work
+// and sharing savings are priced alike.
 func compileSearch(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts) (*search, error) {
 	if model.CompCoeff == 0 && model.InstCoeff == 0 {
 		model.CompCoeff, model.InstCoeff = cost.DefaultModel.CompCoeff, cost.DefaultModel.InstCoeff
@@ -108,8 +108,8 @@ func compileSearch(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.
 			}
 			found++
 			st, t := stats[child], workTerm{view: int32(ci)}
-			t.scan[0], t.spill[0] = model.RefWork(nref, r, ci == c, st.Size, st.DeltaSize())
-			t.scan[1], t.spill[1] = model.RefWork(nref, r, ci == c, st.SizeAfter(), st.DeltaSize())
+			t.scan[0] = cost.RefWork(nref, r, ci == c, st.Size, st.DeltaSize())
+			t.scan[1] = cost.RefWork(nref, r, ci == c, st.SizeAfter(), st.DeltaSize())
 			s.terms = append(s.terms, t)
 		}
 		if found != len(rc) {
@@ -173,12 +173,11 @@ func (s *search) evaluate() (work float64, ok bool) {
 			s.installed[node] = 1
 			continue
 		}
-		var scan, spill float64
+		var scan float64
 		for _, t := range s.terms[s.termOff[k]:s.termOff[k+1]] {
 			scan += t.scan[s.installed[t.view]]
-			spill += t.spill[s.installed[t.view]]
 		}
-		work += s.model.CompCoeff*scan + spill
+		work += s.model.CompCoeff * scan
 	}
 	return work, true
 }
@@ -200,16 +199,15 @@ func (s *search) place(x int32, placed uint32) float64 {
 	w := s.instWork[x]
 	for _, node := range s.compsOver[x] {
 		k := int(node) - s.nViews
-		var scan, spill float64
+		var scan float64
 		for _, t := range s.terms[s.termOff[k]:s.termOff[k+1]] {
 			installed := 0
 			if placed&s.bit[t.view] != 0 {
 				installed = 1
 			}
 			scan += t.scan[installed]
-			spill += t.spill[installed]
 		}
-		w += s.model.CompCoeff*scan + spill
+		w += s.model.CompCoeff * scan
 	}
 	if s.stateReads != nil {
 		var n [2]int32 // the Comps reading x's state before its install, and after
@@ -254,8 +252,8 @@ func (s *search) roundingSlack() float64 {
 	}
 	for _, t := range s.terms {
 		for i := range t.scan {
-			exact = exact && t.scan[i] == math.Trunc(t.scan[i]) && onGrid(t.spill[i])
-			total += math.Abs(s.model.CompCoeff*t.scan[i]) + math.Abs(t.spill[i])
+			exact = exact && t.scan[i] == math.Trunc(t.scan[i])
+			total += math.Abs(s.model.CompCoeff * t.scan[i])
 		}
 	}
 	for i, reads := range s.stateReads {

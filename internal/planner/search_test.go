@@ -46,7 +46,7 @@ func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable i
 	c.model = []cost.Model{
 		cost.DefaultModel,
 		{CompCoeff: 2, InstCoeff: 1},
-		{CompCoeff: 1, InstCoeff: 4, MemoryBudgetBytes: 48 * 4 * 300, SpillCoeff: 0.5},
+		{CompCoeff: 1, InstCoeff: 4},
 	}[rng.Intn(3)]
 	if rng.Intn(2) == 0 {
 		c.opts.Sharing.Width = func(view string) int { return 2 + len(view)%3 }
@@ -197,9 +197,6 @@ func TestBoundedSearchNonDyadic(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(5000 + seed)))
 		c := randomSearchCase(rng, shapes[seed%len(shapes)], 3, 6)
 		c.model = cost.Model{CompCoeff: 0.1 + rng.Float64(), InstCoeff: 0.3 + 3*rng.Float64()}
-		if seed%2 == 0 {
-			c.model.MemoryBudgetBytes, c.model.SpillCoeff = 48*4*300, 0.7
-		}
 		if seed%3 > 0 { // few distinct statistics: many orderings tie but for rounding
 			for _, v := range c.g.Views() {
 				c.stats[v] = cost.ViewStat{Size: int64(300 + 100*rng.Intn(2)), DeltaPlus: int64(7 * rng.Intn(2)), DeltaMinus: int64(3 * rng.Intn(2))}
@@ -446,30 +443,27 @@ func TestSearchAllocations(t *testing.T) {
 // TestZeroModelIsDefaultModel (regression): with a model that has no
 // coefficients PruneShared priced saved scans at the default coefficient but
 // the work itself at zero, so adjusted work went negative. Both searches now
-// read such a model as cost.DefaultModel, its memory budget kept.
+// read such a model as cost.DefaultModel.
 func TestZeroModelIsDefaultModel(t *testing.T) {
 	g := tpcdSearchGraph(6)
 	stats, opts := tpcdSearchInputs(g)
 	refs := uniformRefs(g)
-	for _, budget := range []int64{0, 48 * 4 * 300} {
-		zero, def := cost.Model{MemoryBudgetBytes: budget}, cost.DefaultModel
-		def.MemoryBudgetBytes = budget
-		got, err := PruneShared(g, zero, stats, refs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.AdjustedWork <= 0 || got.Work <= 0 {
-			t.Errorf("budget %d: zero model gives work %v, adjusted %v", budget, got.Work, got.AdjustedWork)
-		}
-		if want, _ := PruneShared(g, def, stats, refs, opts); !reflect.DeepEqual(got, want) {
-			t.Errorf("budget %d: zero model gives %+v\ndefault model %+v", budget, got, want)
-		}
-		pr, err := Prune(g, zero, stats, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := Prune(g, def, stats, refs); !reflect.DeepEqual(pr, want) {
-			t.Errorf("budget %d: Prune with a zero model gives %+v\ndefault model %+v", budget, pr, want)
-		}
+	var zero cost.Model
+	got, err := PruneShared(g, zero, stats, refs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AdjustedWork <= 0 || got.Work <= 0 {
+		t.Errorf("zero model gives work %v, adjusted %v", got.Work, got.AdjustedWork)
+	}
+	if want, _ := PruneShared(g, cost.DefaultModel, stats, refs, opts); !reflect.DeepEqual(got, want) {
+		t.Errorf("zero model gives %+v\ndefault model %+v", got, want)
+	}
+	pr, err := Prune(g, zero, stats, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Prune(g, cost.DefaultModel, stats, refs); !reflect.DeepEqual(pr, want) {
+		t.Errorf("Prune with a zero model gives %+v\ndefault model %+v", pr, want)
 	}
 }

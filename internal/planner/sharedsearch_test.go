@@ -12,8 +12,7 @@ import (
 // TestAnalyzeSharingBudgetClamp (regression): the election clamps to no byte
 // budget. It counts n − 1 saved scans of every operand that n ≥ 2 Comps read
 // and the statistics size, whatever its bytes: the window's cache keeps a
-// build until its view installs, and the memory budget decides only whether
-// it stays resident or spilled. State B is estimated at 192 MB, three times
+// build resident until its view installs. State B is estimated at 192 MB, three times
 // the 64 MiB the election once clamped to; state C, which the statistics
 // miss, and δA's single reader elsewhere count nothing.
 func TestAnalyzeSharingBudgetClamp(t *testing.T) {

@@ -30,8 +30,7 @@ import (
 //
 // With statistics, the election counts every operand at least two Comps read
 // as n − 1 saved scans: the window's cache keeps a build until its view
-// installs, and the memory budget decides only whether it stays resident or
-// spilled.
+// installs.
 
 // OperandKey identifies one shareable operand in a strategy: a view's delta
 // or state, at the given install version (installs of the view executed
@@ -91,7 +90,7 @@ type SharingOptions struct {
 }
 
 // nominalShareWidth is the per-view tuple width assumed when no Width
-// function is supplied, matching the cost model's nominal build width.
+// function is supplied.
 const nominalShareWidth = 4
 
 // AnalyzeSharing walks a strategy and returns its cross-view sharing

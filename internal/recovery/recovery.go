@@ -14,8 +14,8 @@
 // before it — once its flush has returned, which the closing record waits for, and any prefix of its step
 // records, whole or torn. Power lost before that leaves no begin record or a
 // torn one, which the next open cuts off with whatever follows it: no window,
-// and nothing to undo, because an attempt writes only its clone, journal
-// frames and a spill directory the next open sweeps. Every step without a
+// and nothing to undo, because an attempt writes only its clone and journal
+// frames. Every step without a
 // record is re-executed, so power loss costs redone steps and never a
 // different state. Every way out of an attempt — commit, abort, crash-class
 // return — waits for the begin record's flush, so the caller of Run or
@@ -68,15 +68,9 @@ type Options struct {
 	// Validate checks the strategy against the correctness conditions
 	// before each attempt.
 	Validate bool
-	// Faults, when non-nil, is consulted at step boundaries, at the
-	// recompute fallback (points "step" and "recompute"), and at the spill
-	// I/O points when a memory budget is attached.
+	// Faults, when non-nil, is consulted at step boundaries and at the
+	// recompute fallback (points "step" and "recompute").
 	Faults *faults.Injector
-	// SpillDir is where over-budget builds spill when the warehouse
-	// configures a memory budget; empty means a per-run temp directory.
-	// Journaled windows should derive it from the journal path and Seq so
-	// a crashed window's spill files are sweepable on the next open.
-	SpillDir string
 	// Accepts names the journal's accept records whose changes the caller
 	// staged; zero journals the staged batch as an accept of the window's own
 	// before each attempt's begin record (journal.BeginRecord.Own).
@@ -309,7 +303,6 @@ func execute(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Option
 			Validate: opts.Validate,
 			OnStep:   onStep,
 			Faults:   opts.Faults,
-			SpillDir: opts.SpillDir,
 		})
 	}
 	t0 := time.Now()

@@ -30,6 +30,8 @@ import (
 //	GET      /healthz  — 200 while the process lives (liveness).
 //	GET      /readyz   — 200 while accepting queries, 503 once draining
 //	                     (readiness; flips before connections stop).
+//
+// A /query or /window body over maxBodyBytes is refused with 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -67,6 +69,27 @@ type queryRequest struct {
 	SQL string `json:"sql"`
 }
 
+// maxBodyBytes bounds a /query or /window request body at the 1 MiB
+// http.DefaultMaxHeaderBytes already holds a ?q= to.
+const maxBodyBytes = http.DefaultMaxHeaderBytes
+
+// decodeBody decodes r's JSON body, of at most maxBodyBytes, into v; an empty
+// body leaves v as it is. It answers 413 for a larger body and 400 for one
+// that does not decode, and reports whether the handler goes on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil || errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 type queryResponse struct {
 	Epoch  uint64  `json:"epoch"`
 	Rows   [][]any `json:"rows"`
@@ -78,8 +101,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sql := r.URL.Query().Get("q")
 	if sql == "" && r.Method == http.MethodPost {
 		var qr queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &qr) {
 			return
 		}
 		sql = qr.SQL
@@ -130,13 +152,10 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// An empty body is fine: every field has a default.
 	var wr windowRequest
-	if r.Body != nil {
-		// An empty body is fine: every field has a default.
-		if err := json.NewDecoder(r.Body).Decode(&wr); err != nil && !errors.Is(err, io.EOF) {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	if !decodeBody(w, r, &wr) {
+		return
 	}
 	planner, err := warehouse.ParsePlanner(wr.Planner)
 	if err != nil {

@@ -235,3 +235,43 @@ func TestHTTPQueryNonFiniteFloats(t *testing.T) {
 		t.Fatalf("an unencodable response answered %d %q, want 500 with the reason", rec.Code, rec.Body.String())
 	}
 }
+
+// TestHTTPBodiesAreBounded: a /query or /window body one byte over the
+// 1 MiB a ?q= is held to is refused with 413 — a valid request padded with
+// blanks, which the server would otherwise read, parse and keep as a
+// plan-cache key. The query is not admitted and no window runs.
+func TestHTTPBodiesAreBounded(t *testing.T) {
+	w := newRetail(t)
+	s := New(w, Config{})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	stageSale(t, w, 103)
+
+	padded := func(head, tail string) string {
+		return head + strings.Repeat(" ", maxBodyBytes+1-len(head)-len(tail)) + tail
+	}
+	for path, body := range map[string]string{
+		"/query":  padded(`{"sql":"`+totalsQuery, `"}`),
+		"/window": padded(`{"planner":"minwork"`, `}`),
+	} {
+		if len(body) != maxBodyBytes+1 {
+			t.Fatalf("%s: a body of %d bytes", path, len(body))
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %s, want 413", path, len(body), resp.StatusCode, msg)
+		}
+	}
+	if st := s.Stats(); st.Admitted != 0 {
+		t.Errorf("an oversized /query was admitted: %+v", st)
+	}
+	if e, tally := s.Epoch(), w.Tally(); e != 1 || tally.Committed+tally.Failed != 0 {
+		t.Fatalf("an oversized /window ran: epoch %d, tally %+v", e, tally)
+	}
+}

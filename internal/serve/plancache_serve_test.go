@@ -33,10 +33,10 @@ func TestServeZeroParseOnHit(t *testing.T) {
 		t.Errorf("warm queries parsed: ParseCalls %d -> %d", warm, got)
 	}
 	st := s.Stats()
-	if st.PlanCacheHits < 5 {
+	if st.PlanCache.Hits < 5 {
 		t.Errorf("stats did not surface the hits: %+v", st)
 	}
-	if st.PlanCacheEntries == 0 || st.PlanCacheCap == 0 {
+	if st.PlanCache.Entries == 0 || st.PlanCache.Cap == 0 {
 		t.Errorf("cache population not surfaced: %+v", st)
 	}
 }

@@ -87,17 +87,13 @@ type Stats struct {
 	// follower's replay (warehouse.WindowTally's Committed and Failed).
 	WindowsCommitted, WindowsAborted int64
 	// WindowCounters sums every committed window's engine counters — what
-	// WindowReport.Counters reports for one window: the build cache's, the
-	// memory budget's and the resident join indexes' side of the work — and
-	// holds the largest build-cache footprint and reserved build state any
-	// window reached (the latter 0 with no memory budget configured).
+	// WindowReport.Counters reports for one window: the build cache's and
+	// the resident join indexes' side of the work — and holds the largest
+	// build-cache footprint any window reached.
 	warehouse.WindowCounters
-	// PlanCache* mirror the warehouse's prepared-plan cache counters: a
-	// hit served a query's plan straight from SQL bytes with zero parser
-	// work.
-	PlanCacheHits, PlanCacheMisses           uint64
-	PlanCacheEvictions, PlanCacheInvalidated uint64
-	PlanCacheEntries, PlanCacheCap           int
+	// PlanCache is the warehouse's prepared-plan cache counters: a hit
+	// served a query's plan straight from SQL bytes with zero parser work.
+	PlanCache warehouse.PlanCacheStats
 	// Epoch is the current serving epoch, LiveEpochs how many retired
 	// epochs readers still pin (plus the current one).
 	Epoch      uint64
@@ -301,29 +297,23 @@ func (s *Server) Stats() Stats {
 		st := ing.Stats()
 		ingStats = &st
 	}
-	pc := s.w.PlanCacheStats()
 	t := s.w.Tally()
 	return Stats{
-		Ingest:               ingStats,
-		PlanCacheHits:        pc.Hits,
-		PlanCacheMisses:      pc.Misses,
-		PlanCacheEvictions:   pc.Evictions,
-		PlanCacheInvalidated: pc.Invalidations,
-		PlanCacheEntries:     pc.Entries,
-		PlanCacheCap:         pc.Cap,
-		Admitted:             s.admitted.Load(),
-		Shed:                 s.shed.Load(),
-		Expired:              s.expired.Load(),
-		Completed:            s.completed.Load(),
-		Failed:               s.failed.Load(),
-		WindowsCommitted:     t.Committed,
-		WindowsAborted:       t.Failed,
-		WindowCounters:       t.WindowCounters,
-		Epoch:                s.w.Epoch(),
-		LiveEpochs:           s.w.LiveEpochs(),
-		QueueLen:             qlen,
-		QueueCap:             s.cfg.QueueDepth,
-		Draining:             draining,
+		Ingest:           ingStats,
+		PlanCache:        s.w.PlanCacheStats(),
+		Admitted:         s.admitted.Load(),
+		Shed:             s.shed.Load(),
+		Expired:          s.expired.Load(),
+		Completed:        s.completed.Load(),
+		Failed:           s.failed.Load(),
+		WindowsCommitted: t.Committed,
+		WindowsAborted:   t.Failed,
+		WindowCounters:   t.WindowCounters,
+		Epoch:            s.w.Epoch(),
+		LiveEpochs:       s.w.LiveEpochs(),
+		QueueLen:         qlen,
+		QueueCap:         s.cfg.QueueDepth,
+		Draining:         draining,
 	}
 }
 

@@ -101,14 +101,14 @@ func TestScaleSF01(t *testing.T) {
 // join intermediates and the share tuner unnecessary: under a 1-way strategy
 // every Comp has one term, its delta drives, and every state it joins is a
 // plain table read through a resident index — so a TPC-D window asks the
-// build cache for nothing, shares nothing and spills nothing, whichever
+// build cache for nothing and shares nothing, whichever
 // planner chose the strategy and whether or not the cache is kept for the
 // window. A change that brings state builds back fails here, not only in the
 // benchmark; so does one that changes which join indexes stay resident.
 func TestOneWayWindowsBuildNothing(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		for _, share := range []bool{false, true} {
-			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, Options: core.Options{ShareComputation: share, MemoryBudgetBytes: 4 << 20}})
+			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, Options: core.Options{ShareComputation: share}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 					}
 					s = res.Strategy
 				}
-				rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true, SpillDir: t.TempDir()})
+				rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,10 +150,10 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 				for _, step := range rep.Steps {
 					c.Add(step.EngineCounters)
 				}
-				if c.CacheMisses != 0 || c.CacheHits != 0 || c.SharedHits != 0 || c.SharedMisses != 0 || c.SpillCount != 0 ||
-					rep.SharedBytesPeak != 0 || rep.PeakReservedBytes != 0 || len(rep.SharedDetail) != 0 {
-					t.Errorf("shared planner %v, sharing %v, window %d: %+v (cache peak %d, reserved peak %d), want no build asked for",
-						shared, share, win, c, rep.SharedBytesPeak, rep.PeakReservedBytes)
+				if c.CacheMisses != 0 || c.CacheHits != 0 || c.SharedHits != 0 || c.SharedMisses != 0 ||
+					rep.SharedBytesPeak != 0 || len(rep.SharedDetail) != 0 {
+					t.Errorf("shared planner %v, sharing %v, window %d: %+v (cache peak %d), want no build asked for",
+						shared, share, win, c, rep.SharedBytesPeak)
 				}
 				// From the second window on the indexes are resident: what the
 				// metric charges for the states, no scan reads.

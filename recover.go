@@ -67,10 +67,6 @@ type Journal struct {
 	// that window, so recovery must go through a fresh OpenJournal, which
 	// reads the in-flight record back.
 	crashed bool
-	// spillSwept counts the stale per-window spill directories OpenJournal
-	// removed — the leftovers of crashed windows, whose processes never
-	// reached the commit-time cleanup.
-	spillSwept int
 }
 
 // OpenJournal opens (creating if absent) a file-backed journal in append
@@ -90,7 +86,6 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	j := resume(&lg, f)
 	j.f, j.path = f, path
-	j.spillSwept = recovery.SweepSpillDirs(path)
 	return j, nil
 }
 
@@ -105,10 +100,6 @@ func resume(lg *journal.Log, out io.Writer) *Journal {
 	}
 	return j
 }
-
-// SpillDirsSwept reports how many stale spill directories OpenJournal
-// removed when this handle was opened.
-func (j *Journal) SpillDirsSwept() int { return j.spillSwept }
 
 // NewJournal wraps any writer as a window journal (no recovery state is
 // read; the journal starts empty). Useful for buffers in tests.
@@ -235,7 +226,6 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	if o.Journal != nil {
 		ropts.Journal = o.Journal.w
 		ropts.Seq = o.Journal.Committed() + 1
-		ropts.SpillDir = recovery.SpillDir(o.Journal.path, ropts.Seq)
 		ropts.Accepts = o.Accepts
 	}
 	started := time.Now()
@@ -305,20 +295,16 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	}
 	started := time.Now()
 	begin := j.inflight.Begin
-	res, err := recovery.Recover(w.core, &journal.Log{Windows: []journal.WindowLog{*j.inflight}}, recovery.Options{
-		Journal:  j.w,
-		SpillDir: recovery.SpillDir(j.path, begin.Seq),
-	})
+	res, err := recovery.Recover(w.core, &journal.Log{Windows: []journal.WindowLog{*j.inflight}}, recovery.Options{Journal: j.w})
 	if err != nil {
 		return WindowReport{}, err
 	}
 	j.inflight = nil
 	j.committed.Add(1)
 	return w.commit(res, WindowReport{
-		Planner:        PlannerName(begin.Planner),
-		Plan:           Plan{Strategy: begin.Strategy, EstimatedWork: -1},
-		Started:        started,
-		SpillDirsSwept: j.spillSwept,
+		Planner: PlannerName(begin.Planner),
+		Plan:    Plan{Strategy: begin.Strategy, EstimatedWork: -1},
+		Started: started,
 	}), nil
 }
 

@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"repro/internal/algebra"
@@ -170,22 +169,15 @@ type Options struct {
 	// once and probed by every later consumer, in every scheduling mode and
 	// at any engine width, until its view installs. Reported work (the
 	// linear metric) is unchanged; SharedHits/SharedTuplesSaved report the
-	// physical scans elided. MemoryBudgetBytes bounds the bytes the kept
-	// builds take: without it every build stays resident until its view
+	// physical scans elided. Every build stays resident until its view
 	// installs.
 	ShareComputation bool
-	// MemoryBudgetBytes bounds the window-wide transient memory of update
-	// execution: every build-side hash table draws on one budget for as
-	// long as the build cache holds it, and builds that do not fit are
-	// spilled to disk Grace-style and probed partition-wise.
-	// Results, digests and reported work are identical at any budget; only
-	// bytes moved change. 0 disables budgeting. The resident join indexes
-	// through which delta-driven terms read table state are storage, not
-	// build state, and are not charged.
+	// MemoryBudgetBytes is inert — the window memory budget is gone, and
+	// nothing reads it; it stays because the frozen benchmark
+	// (bench/main.go) sets it. ROADMAP item 1 deletes it.
 	MemoryBudgetBytes int64
 	// Model overrides the cost model's coefficients; zero value means
-	// DefaultCostModel. The planners price the memory budget set above, not
-	// Model's.
+	// DefaultCostModel.
 	Model CostModel
 }
 
@@ -225,8 +217,7 @@ type Warehouse struct {
 	mu     sync.Mutex
 	core   *core.Warehouse
 	epochs *core.Epochs
-	// model holds the cost model's coefficients; its memory budget is the
-	// core's (see costModel).
+	// model is the cost model the planners and estimates price with.
 	model CostModel
 	// tallyMu guards tally, which every window folds into as it commits or
 	// fails, and last, the last committed window's report: all the facade
@@ -247,19 +238,18 @@ func New(opts ...Options) *Warehouse {
 		o = opts[0]
 	}
 	return FromCore(core.New(core.Options{
-		SkipEmptyDeltas:   o.SkipEmptyDeltas,
-		ParallelTerms:     o.ParallelTerms,
-		Workers:           o.Workers,
-		ShareComputation:  o.ShareComputation,
-		MemoryBudgetBytes: o.MemoryBudgetBytes,
+		SkipEmptyDeltas:  o.SkipEmptyDeltas,
+		ParallelTerms:    o.ParallelTerms,
+		Workers:          o.Workers,
+		ShareComputation: o.ShareComputation,
 	}), o.Model)
 }
 
 // FromCore serves an assembled core warehouse through the facade, so that
 // in-module builders of fixed catalogs (internal/tpcd) run their windows the
-// way every other caller does. The zero model means DefaultCostModel; either
-// way the planners price the core's memory budget. The facade owns c from
-// here on: a committed window replaces it with the window's clone.
+// way every other caller does. The zero model means DefaultCostModel. The
+// facade owns c from here on: a committed window replaces it with the
+// window's clone.
 func FromCore(c *core.Warehouse, model CostModel) *Warehouse {
 	if model.CompCoeff == 0 && model.InstCoeff == 0 {
 		model = DefaultCostModel
@@ -300,16 +290,6 @@ func (w *Warehouse) Epoch() uint64 { return w.epochs.Current() }
 // warehouses report 1; a growing number under load means long-running
 // readers are holding history alive.
 func (w *Warehouse) LiveEpochs() int { return w.epochs.Live() }
-
-// MiB converts a count of mebibytes, as a command takes a budget, to the
-// bytes Options.MemoryBudgetBytes takes. It refuses a negative count and one
-// whose bytes an int64 cannot hold.
-func MiB(n int64) (int64, error) {
-	if n < 0 || n > math.MaxInt64>>20 {
-		return 0, fmt.Errorf("%d MiB is not a byte budget (0 to %d MiB)", n, int64(math.MaxInt64>>20))
-	}
-	return n << 20, nil
-}
 
 // DefineBase registers a base view (data loaded from sources).
 func (w *Warehouse) DefineBase(name string, schema Schema) error {
@@ -477,15 +457,6 @@ func (w *Warehouse) PlanningStats() (Stats, error) {
 	return exec.PlanningStats(w.core)
 }
 
-// costModel is the model the planners price with: the coefficients of
-// w.model and the core's memory budget, so estimates charge the spill I/O a
-// bounded window would pay. Callers hold w.mu.
-func (w *Warehouse) costModel() CostModel {
-	m := w.model
-	m.MemoryBudgetBytes = w.core.Options().MemoryBudgetBytes
-	return m
-}
-
 // Plan is a planned strategy with its provenance.
 type Plan struct {
 	// Planner is the algorithm that produced the strategy; empty for the
@@ -529,7 +500,7 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	model, refs := w.costModel(), exec.RefCounts(w.core)
+	model, refs := w.model, exec.RefCounts(w.core)
 	if name == "" {
 		name = MinWorkPlanner
 	}
@@ -597,7 +568,7 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	est, err := cost.Work(w.costModel(), stats, exec.RefCounts(w.core), s)
+	est, err := cost.Work(w.model, stats, exec.RefCounts(w.core), s)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -654,7 +625,7 @@ func (w *Warehouse) estimateWork(s Strategy) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cost.Work(w.costModel(), stats, exec.RefCounts(w.core), s)
+	return cost.Work(w.model, stats, exec.RefCounts(w.core), s)
 }
 
 // Validate checks a strategy against the correctness conditions (C1–C8).

@@ -83,10 +83,6 @@ type WindowReport struct {
 	// Replicated reports the window was not run locally but replayed from a
 	// leader's shipped journal (ApplyWindow).
 	Replicated bool
-	// SpillDirsSwept counts stale spill directories — left behind by crashed
-	// windows — that opening the journal removed before this window ran.
-	// Only Recover-produced reports set it.
-	SpillDirsSwept int
 	// Ingest carries the micro-batch context for windows triggered by the
 	// continuous ingester (internal/ingest); nil for operator-invoked windows.
 	Ingest *IngestInfo
@@ -132,10 +128,6 @@ func (r WindowReport) String() string {
 		s += fmt.Sprintf(" shared=%d/%d saved=%d peakB=%d",
 			c.SharedHits, c.SharedHits+c.SharedMisses, c.SharedTuplesSaved, c.SharedBytesPeak)
 	}
-	if c.SpillCount > 0 {
-		s += fmt.Sprintf(" spills=%d spilledB=%d rereadB=%d memPeakB=%d",
-			c.SpillCount, c.SpilledBytes, c.SpillReReadBytes, c.PeakReservedBytes)
-	}
 	if in := r.Ingest; in != nil {
 		s += fmt.Sprintf(" ingest batch=%d n=%d queue=%d staleness=%s",
 			in.Batch, in.Changes, in.QueueDepth, time.Duration(in.StalenessNS))
@@ -151,17 +143,17 @@ func (r WindowReport) String() string {
 
 // WindowCounters aggregates one window's engine counters: what the build
 // cache (across a Comp's terms and, with ShareComputation, across the
-// window's Comps), the memory budget and the resident join indexes did. All
-// of it is physical work elided or moved; the work metric counts the scans
-// regardless.
+// window's Comps) and the resident join indexes did. All of it is physical
+// work elided; the work metric counts the scans regardless.
 type WindowCounters struct {
 	// EngineCounters sums the window's Comp steps.
 	core.EngineCounters
 	// SharedBytesPeak is the high-water resident footprint of the window's
 	// build cache (0 without ShareComputation).
 	SharedBytesPeak int64
-	// PeakReservedBytes is the high-water mark of the window memory
-	// budget's reserved build-state bytes.
+	// PeakReservedBytes is inert and always 0 — the window memory budget it
+	// measured is gone; it stays because the frozen benchmark
+	// (bench/layers.go) reads it. ROADMAP item 1 deletes it.
 	PeakReservedBytes int64
 }
 
@@ -172,7 +164,6 @@ func (r WindowReport) Counters() WindowCounters {
 		c.Add(step.EngineCounters)
 	}
 	c.SharedBytesPeak = r.Report.SharedBytesPeak
-	c.PeakReservedBytes = r.Report.PeakReservedBytes
 	return c
 }
 
@@ -209,7 +200,6 @@ func (t *WindowTally) add(r WindowReport) {
 	c := r.Counters()
 	t.Add(c.EngineCounters)
 	t.SharedBytesPeak = max(t.SharedBytesPeak, c.SharedBytesPeak)
-	t.PeakReservedBytes = max(t.PeakReservedBytes, c.PeakReservedBytes)
 }
 
 // Tally returns the warehouse's window tally. Safe at any time, a window

@@ -78,7 +78,6 @@ func TestRunWindowAndTally(t *testing.T) {
 		want.Work += r.Report.TotalWork()
 		want.EngineCounters.Add(c.EngineCounters)
 		want.SharedBytesPeak = max(want.SharedBytesPeak, c.SharedBytesPeak)
-		want.PeakReservedBytes = max(want.PeakReservedBytes, c.PeakReservedBytes)
 	}
 	if got := w.Tally(); got != want || got.Work == 0 {
 		t.Errorf("tally = %+v, the reports add up to %+v", got, want)
