@@ -170,60 +170,64 @@ func stageBulk(t *testing.T, w *Warehouse, n int, bases ...string) {
 // TestWindowCacheKeepsBuildsUntilInstall: a build of the window's cache stays
 // resident past the Compute that made it until its view installs. Every
 // later sibling Comp hits it, Install(R) leaves it (it is a build of δS) and
-// Install(S) drops it.
+// Install(S) drops it. The case is named budget=0 —
+// no memory budget — as it was when the cache also ran under one; an
+// unbounded cache is now the only kind.
 func TestWindowCacheKeepsBuildsUntilInstall(t *testing.T) {
-	const n = 3
-	w := newSiblingWarehouse(t, n, Options{ShareComputation: true})
-	loadSiblingData(t, w)
-	stageBulk(t, w, 120, "R", "S")
-	if !w.AttachSharing() {
-		t.Fatal("AttachSharing refused")
-	}
-	held := func() []SharedEntryStats {
-		w.cache.mu.Lock()
-		defer w.cache.mu.Unlock()
-		var out []SharedEntryStats
-		for _, slot := range w.cache.tables {
-			out = append(out, slot.stats("resident"))
-			if slot.bt == nil {
-				t.Errorf("%s: kept without a build table", slot.stats("").Name)
+	t.Run("budget=0", func(t *testing.T) {
+		const n = 3
+		w := newSiblingWarehouse(t, n, Options{ShareComputation: true})
+		loadSiblingData(t, w)
+		stageBulk(t, w, 120, "R", "S")
+		if !w.AttachSharing() {
+			t.Fatal("AttachSharing refused")
+		}
+		held := func() []SharedEntryStats {
+			w.cache.mu.Lock()
+			defer w.cache.mu.Unlock()
+			var out []SharedEntryStats
+			for _, slot := range w.cache.tables {
+				out = append(out, slot.stats("resident"))
+				if slot.bt == nil {
+					t.Errorf("%s: kept without a build table", slot.stats("").Name)
+				}
+			}
+			return out
+		}
+		for i := 1; i <= n; i++ {
+			rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(i-1, 1); rep.SharedHits != want || rep.SharedMisses != 1-want {
+				t.Errorf("Comp(V%d): shared %d hits / %d misses, want %d / %d", i, rep.SharedHits, rep.SharedMisses, want, 1-want)
+			}
+			if kept := held(); len(kept) != 1 || kept[0].Name != "δS[0]" {
+				t.Errorf("after Comp(V%d) the cache holds %+v, want the one build of δS", i, kept)
 			}
 		}
-		return out
-	}
-	for i := 1; i <= n; i++ {
-		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
-		if err != nil {
+		if _, err := w.Install("R"); err != nil {
 			t.Fatal(err)
 		}
-		if want := min(i-1, 1); rep.SharedHits != want || rep.SharedMisses != 1-want {
-			t.Errorf("Comp(V%d): shared %d hits / %d misses, want %d / %d", i, rep.SharedHits, rep.SharedMisses, want, 1-want)
+		if kept := held(); len(kept) != 1 {
+			t.Errorf("Install(R) left %+v, want the build of δS kept", kept)
 		}
-		if kept := held(); len(kept) != 1 || kept[0].Name != "δS[0]" {
-			t.Errorf("after Comp(V%d) the cache holds %+v, want the one build of δS", i, kept)
+		for _, name := range []string{"S", "V1", "V2", "V3"} {
+			if _, err := w.Install(name); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, err := w.Install("R"); err != nil {
-		t.Fatal(err)
-	}
-	if kept := held(); len(kept) != 1 {
-		t.Errorf("Install(R) left %+v, want the build of δS kept", kept)
-	}
-	for _, name := range []string{"S", "V1", "V2", "V3"} {
-		if _, err := w.Install(name); err != nil {
+		if kept := held(); len(kept) != 0 {
+			t.Errorf("Install(S) left %+v in the cache", kept)
+		}
+		stats := w.DetachSharing()
+		if len(stats.Detail) != 1 || stats.Detail[0].Fate != "dropped" || stats.Detail[0].Requests != n || stats.Detail[0].Hits != n-1 {
+			t.Errorf("cache detail %+v, want one build asked for %d times, dropped at Install", stats.Detail, n)
+		}
+		if err := w.VerifyAll(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if kept := held(); len(kept) != 0 {
-		t.Errorf("Install(S) left %+v in the cache", kept)
-	}
-	stats := w.DetachSharing()
-	if len(stats.Detail) != 1 || stats.Detail[0].Fate != "dropped" || stats.Detail[0].Requests != n || stats.Detail[0].Hits != n-1 {
-		t.Errorf("cache detail %+v, want one build asked for %d times, dropped at Install", stats.Detail, n)
-	}
-	if err := w.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestSharedRegistryLifecycle: a build the window's cache keeps counts in
