@@ -25,16 +25,16 @@
 //	WINDOW [planner] [STAGED|DAG [workers]];    plan + execute an update window
 //	EXPLAIN SHARING [planner];                  sharing election + observed reuse
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
-//	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | STALE | GRAPH | CACHE;
+//	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
 //	                                            (SCRIPT: §5.5 procedure catalog + update script)
-//	DEFER <view> ON|OFF;                        deferred maintenance policy
-//	REFRESH STALE;                              recompute stale views
 //	VERIFY;                                     check every view against recomputation
 //	DIGEST;                                     print epoch + state digest (replica comparison)
 //	SNAPSHOT SAVE '<file>' | SNAPSHOT LOAD '<file>';
 //	JOURNAL ON '<file>' | OFF | STATUS;         crash-safe (journaled) windows
 //	RECOVER;                                    complete the journal's in-flight window
 //	HELP; EXIT;
+//
+// A statement refuses words it does not read, with its usage.
 //
 // With a journal attached, WINDOW runs crash-safe: begin/step/commit
 // records frame the execution, and a process death mid-window leaves an
@@ -235,6 +235,9 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 	if len(words) == 0 {
 		return false, nil
 	}
+	if takesNoOperands[words[0]] && len(words) > 1 {
+		return false, fmt.Errorf("usage: %s (takes no operands)", words[0])
+	}
 	switch words[0] {
 	case "EXIT", "QUIT":
 		return true, nil
@@ -264,13 +267,6 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 	case "DELTA":
 		return false, sh.loadOrDelta(stmt, true)
 	case "REFRESH":
-		if len(words) > 1 && words[1] == "STALE" {
-			if err := sh.w.RefreshStale(); err != nil {
-				return false, err
-			}
-			fmt.Fprintln(sh.out, "ok")
-			return false, nil
-		}
 		if err := sh.w.Refresh(); err != nil {
 			return false, err
 		}
@@ -301,7 +297,10 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 			if err != nil {
 				return false, fmt.Errorf("WINDOW: bad worker count %q", rest[0])
 			}
-			workers = n
+			workers, rest = n, rest[1:]
+		}
+		if len(rest) > 0 {
+			return false, fmt.Errorf("usage: WINDOW [planner] [STAGED|DAG [workers]]")
 		}
 		// Journaled when a journal is attached, and cancellable when the
 		// shell has a context (SIGINT/SIGTERM aborts the window).
@@ -317,7 +316,7 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		return false, nil
 	case "SHOW":
 		if len(words) < 2 {
-			return false, fmt.Errorf("SHOW VIEWS | STRATEGY | SCRIPT | HISTORY | STALE | GRAPH | CACHE")
+			return false, errShowUsage
 		}
 		return false, sh.show(words[1:])
 	case "EXPLAIN":
@@ -326,21 +325,10 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 		// candidate's estimated size and savings — plus, when a window has
 		// run with sharing, the observed
 		// per-entry requests/hits/bytes from the latest one.
-		if len(words) < 2 || words[1] != "SHARING" {
+		if len(words) < 2 || words[1] != "SHARING" || len(words) > 3 {
 			return false, fmt.Errorf("usage: EXPLAIN SHARING [planner]")
 		}
 		return false, sh.explainSharing(words[2:])
-	case "DEFER":
-		fields := strings.Fields(stmt)
-		if len(fields) != 3 {
-			return false, fmt.Errorf("usage: DEFER <view> ON|OFF")
-		}
-		on := strings.EqualFold(fields[2], "ON")
-		if err := sh.w.SetDeferred(fields[1], on); err != nil {
-			return false, err
-		}
-		fmt.Fprintln(sh.out, "ok")
-		return false, nil
 	case "VERIFY":
 		if err := sh.w.Verify(); err != nil {
 			return false, err
@@ -371,17 +359,26 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 	}
 }
 
+// takesNoOperands lists the statements that are one keyword. Given more
+// words, they are refused: running one without the words it does not read
+// would do something the script did not ask for.
+var takesNoOperands = map[string]bool{
+	"EXIT": true, "QUIT": true, "HELP": true, "REFRESH": true,
+	"VERIFY": true, "DIGEST": true, "RECOVER": true,
+}
+
+var errShowUsage = errors.New("usage: SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE")
+
 func (sh *shell) help() {
 	fmt.Fprint(sh.out, `commands:
   CREATE BASE <name> (<col> <INTEGER|FLOAT|VARCHAR|DATE|BOOLEAN>, ...);
   CREATE VIEW <name> AS SELECT ...;
   LOAD <view> FROM '<file.csv>';        DELTA <view> FROM '<file.csv>';
-  REFRESH;                              REFRESH STALE;
+  REFRESH;
   WINDOW [minwork|prune|dualstage|shared] [STAGED|DAG [workers]];    VERIFY;  DIGEST;
   EXPLAIN SHARING [planner];            sharing election + last window's observed reuse
   SELECT ... [ORDER BY col|n [ASC|DESC], ...] [LIMIT n [OFFSET m]];
-  SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | STALE | GRAPH | CACHE;
-  DEFER <view> ON|OFF;
+  SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
   SNAPSHOT SAVE '<file>';               SNAPSHOT LOAD '<file>';
   JOURNAL ON '<file>' | OFF | STATUS;   crash-safe (journaled) windows
   RECOVER;                              complete the journal's in-flight window
@@ -498,6 +495,13 @@ func (sh *shell) query(stmt string) error {
 }
 
 func (sh *shell) show(words []string) error {
+	operands := 0
+	if words[0] == "STRATEGY" || words[0] == "SCRIPT" {
+		operands = 1
+	}
+	if len(words) > 1+operands {
+		return errShowUsage
+	}
 	switch words[0] {
 	case "VIEWS":
 		for _, v := range sh.w.Views() {
@@ -531,8 +535,6 @@ func (sh *shell) show(words []string) error {
 		for _, line := range sh.history {
 			fmt.Fprintln(sh.out, line)
 		}
-	case "STALE":
-		fmt.Fprintln(sh.out, sh.w.StaleViews())
 	case "GRAPH":
 		g, err := sh.w.Graph()
 		if err != nil {
@@ -555,7 +557,11 @@ func (sh *shell) journal(stmt string) error {
 	if len(fields) < 2 {
 		return fmt.Errorf("usage: JOURNAL ON '<file>' | OFF | STATUS")
 	}
-	switch strings.ToUpper(fields[1]) {
+	op := strings.ToUpper(fields[1])
+	if (op == "OFF" || op == "STATUS") && len(fields) > 2 {
+		return fmt.Errorf("usage: JOURNAL %s", op)
+	}
+	switch op {
 	case "ON":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: JOURNAL ON '<file>'")

@@ -54,10 +54,7 @@ SELECT region, total FROM TOTALS ORDER BY total DESC LIMIT 1;
 SHOW VIEWS;
 SHOW HISTORY;
 SHOW SCRIPT dualstage;
-SHOW STALE;
 SHOW GRAPH;
-DEFER TOTALS ON;
-DEFER TOTALS OFF;
 SNAPSHOT SAVE '` + snap + `';
 SNAPSHOT LOAD '` + snap + `';
 HELP;
@@ -344,6 +341,17 @@ func TestShellErrors(t *testing.T) {
 		"SHOW STRATEGY bogus;",
 		"DEFER X;",
 		"DEFER X ON;",
+		"REFRESH STALE;",
+		"SHOW STALE;",
+		"VERIFY please;",
+		"SHOW VIEWS please;",
+		"WINDOW DAG 2 STAGED;",
+		"REFRESH everything;",
+		"HELP me;",
+		"DIGEST now;",
+		"EXIT now;",
+		"JOURNAL OFF now;",
+		"EXPLAIN SHARING shared now;",
 		"SNAPSHOT;",
 		"SNAPSHOT PUSH 'f';",
 		"SELECT nope FROM nowhere;",

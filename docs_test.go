@@ -17,10 +17,10 @@ import (
 var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_][A-Za-z0-9_]*`)
 
 // TestDocsNameTestsThatExist: every test, fuzz target, benchmark and example
-// the docs cite by name is a function of some _test.go file in the
-// repository (bench/ included). A doc that points at a deleted or renamed
-// test sends its reader to a claim nothing checks. docs/PERF.md and
-// CHANGES.md are history and are not checked.
+// the docs and the verify skill cite by name is a function of some _test.go
+// file in the repository (bench/ included). A doc that points at a deleted
+// or renamed test sends its reader to a claim nothing checks. docs/PERF.md
+// and CHANGES.md are history and are not checked.
 func TestDocsNameTestsThatExist(t *testing.T) {
 	funcs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -53,7 +53,7 @@ func TestDocsNameTestsThatExist(t *testing.T) {
 	if !funcs["TestDocsNameTestsThatExist"] {
 		t.Fatalf("the walk over _test.go files missed this test's own file: it is looking in the wrong place")
 	}
-	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md"} {
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -307,62 +307,6 @@ func ExampleWarehouse_Parallelize() {
 	//   total work 3498, span work 2895
 }
 
-// ExampleWarehouse_SetDeferred keeps a rarely read summary out of the update
-// windows: a deferred view is skipped by every strategy, goes stale once its
-// inputs change, and RefreshStale recomputes it on demand.
-func ExampleWarehouse_SetDeferred() {
-	w := warehouse.New()
-	w.MustDefineBase("ORDERS", warehouse.Schema{
-		{Name: "order_id", Kind: warehouse.KindInt},
-		{Name: "customer", Kind: warehouse.KindInt},
-		{Name: "cents", Kind: warehouse.KindInt},
-	})
-	w.MustDefineViewSQL("BY_CUSTOMER", `
-		SELECT customer, SUM(cents) AS total, COUNT(*) AS orders
-		FROM ORDERS GROUP BY customer`)
-	w.MustDefineViewSQL("GRAND_TOTAL", `SELECT SUM(total) AS revenue FROM BY_CUSTOMER`)
-	must(w.SetDeferred("GRAND_TOTAL", true))
-
-	must(w.Load("ORDERS", []warehouse.Tuple{
-		{warehouse.Int(1), warehouse.Int(7), warehouse.Int(1250)},
-		{warehouse.Int(2), warehouse.Int(8), warehouse.Int(400)},
-	}))
-	must(w.Refresh())
-
-	for i, order := range []warehouse.Tuple{
-		{warehouse.Int(3), warehouse.Int(7), warehouse.Int(999)},
-		{warehouse.Int(4), warehouse.Int(9), warehouse.Int(5000)},
-	} {
-		d, err := w.NewDelta("ORDERS")
-		must(err)
-		d.Add(order, 1)
-		must(w.StageDelta("ORDERS", d))
-		plan, err := w.PlanMinWork()
-		must(err)
-		_, err = w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
-		must(err)
-		fmt.Printf("window %d: %s, stale %v\n", i+1, plan.Strategy, w.StaleViews())
-	}
-	must(w.Verify())
-	printQuery(w, "BY_CUSTOMER:", "SELECT customer, total, orders FROM BY_CUSTOMER ORDER BY customer")
-	printQuery(w, "GRAND_TOTAL, stale:", "SELECT revenue FROM GRAND_TOTAL")
-
-	must(w.RefreshStale())
-	printQuery(w, fmt.Sprintf("GRAND_TOTAL after RefreshStale, stale %v:", w.StaleViews()), "SELECT revenue FROM GRAND_TOTAL")
-	must(w.Verify())
-	// Output:
-	// window 1: ⟨Comp(BY_CUSTOMER, {ORDERS}); Inst(ORDERS); Inst(BY_CUSTOMER)⟩, stale [GRAND_TOTAL]
-	// window 2: ⟨Comp(BY_CUSTOMER, {ORDERS}); Inst(ORDERS); Inst(BY_CUSTOMER)⟩, stale [GRAND_TOTAL]
-	// BY_CUSTOMER:
-	//   (7, 2249, 2)
-	//   (8, 400, 1)
-	//   (9, 5000, 1)
-	// GRAND_TOTAL, stale:
-	//   (1650)
-	// GRAND_TOTAL after RefreshStale, stale []:
-	//   (7649)
-}
-
 // Example_quickstart defines a warehouse, loads it, stages a change batch,
 // plans an update strategy with MinWork, executes it, and reads the result.
 // Prices are integer cents, so the sums do not depend on the order rows are

@@ -74,11 +74,6 @@ type View struct {
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
 	finalized       *delta.Delta         // aggregate: cached tuple delta once read
-
-	// deferred marks the view's maintenance policy (see SetDeferred);
-	// stale records that a window skipped it.
-	deferred bool
-	stale    bool
 }
 
 // Name returns the view's name.
@@ -465,7 +460,7 @@ func (w *Warehouse) Clone() *Warehouse {
 	out.order = append([]string(nil), w.order...)
 	out.version = w.version
 	for name, v := range w.views {
-		nv := &View{name: v.name, def: v.def, deferred: v.deferred, stale: v.stale}
+		nv := &View{name: v.name, def: v.def}
 		if v.table != nil {
 			nv.table = v.table.Clone()
 		}

@@ -129,17 +129,12 @@ const verifyTolerance = 1e-9
 
 // VerifyAll verifies every derived view bottom-up (definition order is
 // topological, so each view is checked against already-verified children),
-// and every view's running digest against a scan of its rows. Views known
-// to be stale under deferred maintenance are skipped for the first check —
-// their divergence is expected until RefreshStale runs.
+// and every view's running digest against a scan of its rows.
 func (w *Warehouse) VerifyAll() error {
 	for _, name := range w.order {
 		v := w.views[name]
 		if err := v.CheckDigest(); err != nil {
 			return fmt.Errorf("core: view %q: %w", name, err)
-		}
-		if v.stale {
-			continue
 		}
 		if err := w.VerifyView(name); err != nil {
 			return err
@@ -150,8 +145,7 @@ func (w *Warehouse) VerifyAll() error {
 
 // RefreshAll recomputes every derived view from the current base data and
 // overwrites its materialized state, in definition (topological) order. It
-// is how a warehouse is initially populated after LoadBase. Staleness
-// markers are cleared.
+// is how a warehouse is initially populated after LoadBase.
 func (w *Warehouse) RefreshAll() error {
 	for _, name := range w.order {
 		v := w.views[name]
@@ -161,7 +155,6 @@ func (w *Warehouse) RefreshAll() error {
 		if err := w.refreshOne(v); err != nil {
 			return err
 		}
-		v.stale = false
 	}
 	return nil
 }

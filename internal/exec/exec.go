@@ -297,15 +297,13 @@ func instDigest(w *core.Warehouse, view string) uint64 {
 
 // Execute runs the strategy against the warehouse, mutating it, and returns
 // the measured report. It is the only executor: whatever the mode, the run
-// validates the strategy (when asked), attaches the window's build cache,
+// validates the strategy (when asked), attaches the window's build cache and
 // passes every expression through the "step" fault point, RunStep and
-// OnStep, and finishes with the deferred-maintenance bookkeeping
-// (MarkSkippedStale). The first expression error cancels
-// scheduling (in-flight expressions finish, unstarted ones are abandoned)
-// and is returned deterministically: among the failures of a run, the one
-// whose expression is earliest in the strategy wins — a step that the
-// cancellation stopped is not among them. The report then holds the steps
-// that completed.
+// OnStep. The first expression error cancels scheduling (in-flight
+// expressions finish, unstarted ones are abandoned) and is returned
+// deterministically: among the failures of a run, the one whose expression
+// is earliest in the strategy wins — a step that the cancellation stopped is
+// not among them. The report then holds the steps that completed.
 func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, error) {
 	rep := Report{Strategy: s}
 	mode := opts.Mode
@@ -321,16 +319,12 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 			return rep, err
 		}
 	}
-	changed := ChangedViews(w)
 	d := BuildDAG(s, w.Children)
 	detach := AttachSharing(w)
 	err := d.run(w, mode, opts, &rep)
 	st := detach()
 	rep.SharedBytesPeak, rep.SharedDetail = st.BytesPeak, st.Detail
-	if err != nil {
-		return rep, err
-	}
-	return rep, MarkSkippedStale(w, s, changed)
+	return rep, err
 }
 
 // readySet is the scheduler's state: which DAG nodes have every predecessor
@@ -526,51 +520,26 @@ func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error
 }
 
 // Validate checks a strategy against the correctness conditions (C1–C8)
-// relative to the warehouse's VDAG and current pending changes: a view may
-// be skipped if nothing it depends on changed, or if it is under deferred
-// maintenance (it will be marked stale instead).
+// relative to the warehouse's VDAG and current pending changes, relaxed as
+// in footnote 5: a view may be skipped if nothing it depends on changed.
 func Validate(w *core.Warehouse, s strategy.Strategy) error {
 	g, err := Graph(w)
 	if err != nil {
 		return err
 	}
-	changed := ChangedViews(w)
-	deferred := w.EffectivelyDeferred()
-	quiescent := func(v string) bool { return !changed[v] || deferred[v] }
+	changed := changedViews(w)
+	quiescent := func(v string) bool { return !changed[v] }
 	if err := strategy.ValidateVDAGStrategyRelaxed(g, s, quiescent); err != nil {
 		return fmt.Errorf("exec: refusing incorrect strategy: %w", err)
 	}
 	return nil
 }
 
-// MarkSkippedStale performs the deferred-maintenance bookkeeping after a
-// strategy has executed: a view whose underlying data changed but which the
-// strategy did not install is now stale. Execute calls this once its
-// strategy completes, passing the ChangedViews set captured *before*
-// execution (installs clear the pending state the set is derived from).
-func MarkSkippedStale(w *core.Warehouse, s strategy.Strategy, changed map[string]bool) error {
-	deferred := w.EffectivelyDeferred()
-	installed := make(map[string]bool)
-	for _, e := range s {
-		if inst, ok := e.(strategy.Inst); ok {
-			installed[inst.View] = true
-		}
-	}
-	for v := range deferred {
-		if changed[v] && !installed[v] {
-			if err := w.MarkStale(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ChangedViews computes which views the staged update batch touches: a base
+// changedViews computes which views the staged update batch touches: a base
 // view with pending changes, a view with computed-but-uninstalled changes,
 // or a derived view with a changed child (transitively). The complement is
 // the quiescent set of the footnote-5 relaxation: views a strategy may skip.
-func ChangedViews(w *core.Warehouse) map[string]bool {
+func changedViews(w *core.Warehouse) map[string]bool {
 	changed := make(map[string]bool)
 	for _, name := range w.ViewNames() { // topological order
 		if w.MustView(name).HasPending() {

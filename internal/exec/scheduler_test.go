@@ -307,33 +307,3 @@ func TestEmptyStrategy(t *testing.T) {
 		}
 	}
 }
-
-// TestDeferredSkipMarksStale is the executor half of the deferred-
-// maintenance contract: whatever the mode and width, a window that skips a
-// deferred view leaves it marked stale, so verification passes over it.
-// (The staged-plan entry point this replaces, parallel.Execute(Plan), never
-// called MarkSkippedStale; the facade's table-driven test pins the same.)
-func TestDeferredSkipMarksStale(t *testing.T) {
-	for _, mode := range allModes {
-		for _, workers := range []int{1, 4} {
-			w := newForkWarehouse(t)
-			if err := w.SetDeferred("J2", true); err != nil {
-				t.Fatal(err)
-			}
-			stageForkChanges(t, w)
-			s := strategy.Strategy{
-				strategy.Comp{View: "J1", Over: []string{"R", "S"}},
-				strategy.Inst{View: "R"}, strategy.Inst{View: "S"}, strategy.Inst{View: "J1"},
-			}
-			if _, err := Execute(w, s, Options{Mode: mode, Workers: workers, Validate: true}); err != nil {
-				t.Fatalf("%s ×%d: %v", mode, workers, err)
-			}
-			if got := w.StaleViews(); len(got) != 1 || got[0] != "J2" {
-				t.Fatalf("%s ×%d: stale = %v, want [J2]", mode, workers, got)
-			}
-			if err := w.VerifyAll(); err != nil {
-				t.Fatalf("%s ×%d: %v", mode, workers, err)
-			}
-		}
-	}
-}

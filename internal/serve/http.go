@@ -138,13 +138,12 @@ type windowRequest struct {
 }
 
 type windowResponse struct {
-	Epoch     uint64   `json:"epoch"`
-	Seq       int      `json:"seq"`
-	Planner   string   `json:"planner"`
-	Mode      string   `json:"mode"`
-	TotalWork int64    `json:"total_work"`
-	ElapsedUS int64    `json:"elapsed_us"`
-	Stale     []string `json:"stale,omitempty"`
+	Epoch     uint64 `json:"epoch"`
+	Seq       int    `json:"seq"`
+	Planner   string `json:"planner"`
+	Mode      string `json:"mode"`
+	TotalWork int64  `json:"total_work"`
+	ElapsedUS int64  `json:"elapsed_us"`
 }
 
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
@@ -199,7 +198,6 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		Mode:      string(rep.Mode),
 		TotalWork: rep.Report.TotalWork(),
 		ElapsedUS: rep.Report.Elapsed.Microseconds(),
-		Stale:     rep.StaleAfter,
 	})
 }
 

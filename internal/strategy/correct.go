@@ -186,7 +186,7 @@ func ValidateVDAGStrategyRelaxed(g *vdag.Graph, s Strategy, quiescent func(view 
 	for _, v := range g.Views() {
 		used := UsedViewStrategy(s, v, g.Children(v))
 		if quiescent(v) && !touchesView(used, v) {
-			// Footnote 5 / deferred maintenance: a skippable view whose own
+			// Footnote 5: a skippable view whose own
 			// expressions are absent needs no validation — the child
 			// installs in its used subsequence belong to other views'
 			// strategies. If any of its own expressions are present, the

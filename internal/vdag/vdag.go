@@ -242,27 +242,6 @@ func (g *Graph) Descendants(view string) []string {
 	return out
 }
 
-// WithoutViews returns the subgraph with the given views removed. Every
-// removed view's descendants must also be removed (otherwise a kept view
-// would reference a missing child), or an error is returned.
-func (g *Graph) WithoutViews(remove map[string]bool) (*Graph, error) {
-	b := NewBuilder()
-	for _, n := range g.names {
-		if remove[n] {
-			continue
-		}
-		for _, c := range g.children[n] {
-			if remove[c] {
-				return nil, fmt.Errorf("vdag: cannot remove %q while keeping %q, which is defined over it", c, n)
-			}
-		}
-		if err := b.Add(n, g.children[n]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
 // SortByLevel stably sorts a copy of the given views by increasing Level,
 // preserving the input's relative order within a level. This is exactly
 // ModifyOrdering (Algorithm 5.2) applied to an arbitrary view ordering.

@@ -167,40 +167,6 @@ func TestMustBuildAndString(t *testing.T) {
 	MustBuild([2]interface{}{"X", []string{"missing"}})
 }
 
-func TestWithoutViews(t *testing.T) {
-	g := fig3(t)
-	sub, err := g.WithoutViews(map[string]bool{"V5": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Has("V5") || !sub.Has("V4") || len(sub.Views()) != 4 {
-		t.Errorf("subgraph = %s", sub)
-	}
-	if !sub.IsTree() || sub.MaxLevel() != 1 {
-		t.Errorf("subgraph shape wrong: %s", sub)
-	}
-	// Removing V4 while keeping V5 (defined over it) must fail.
-	if _, err := g.WithoutViews(map[string]bool{"V4": true}); err == nil {
-		t.Errorf("dangling reference accepted")
-	}
-	// Removing both works.
-	sub, err = g.WithoutViews(map[string]bool{"V4": true, "V5": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Views()) != 3 || len(sub.DerivedViews()) != 0 {
-		t.Errorf("subgraph = %s", sub)
-	}
-	// Removing nothing returns an equivalent graph.
-	sub, err = g.WithoutViews(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Views()) != 5 {
-		t.Errorf("full copy = %s", sub)
-	}
-}
-
 func TestViewsCopies(t *testing.T) {
 	g := fig3(t)
 	vs := g.Views()

@@ -260,7 +260,6 @@ func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowRepo
 	window.Mode = res.Mode
 	window.Parallel = &sched
 	window.Report = res.Report
-	window.StaleAfter = w.StaleViews()
 	window.Attempts = res.Attempts
 	window.FellBackSequential = res.FellBackSequential
 	window.Recomputed = res.Recomputed

@@ -189,12 +189,12 @@ type Options struct {
 // contract, enforced by the concurrency tests, is:
 //
 //   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs, ViewSchema,
-//     Views, Graph, Validate, StaleViews, DumpCSV and NewDelta are safe to
-//     call from any number of goroutines at any time, including while a
-//     window executes or commits. Reads are served from the pinned epoch — an
-//     immutable published version of the state — so a reader observes
-//     exactly the pre-window or post-window warehouse, never a mix (see
-//     PinEpoch for multi-view consistency).
+//     Views, Graph, Validate, DumpCSV and NewDelta are safe to call from any
+//     number of goroutines at any time, including while a window executes or
+//     commits. Reads are served from the pinned epoch — an immutable
+//     published version of the state — so a reader observes exactly the
+//     pre-window or post-window warehouse, never a mix (see PinEpoch for
+//     multi-view consistency).
 //   - StageDelta, StageDeltaCSV, RunWindow, RunWindowOpts, Recover,
 //     ApplyWindow, Clone, Pending and the planning reads — Plan, PlanMinWork,
 //     PlanMinWorkSingle, PlanningStats, EstimateWork, Explain, ExplainCompare
@@ -203,7 +203,7 @@ type Options struct {
 //     issued while a window runs blocks until the window commits or aborts;
 //     the batch lands in the next window). Tally does not wait for a window.
 //   - Setup methods — DefineBase, DefineViewSQL, DefineView, Load, LoadCSV,
-//     Refresh, SetDeferred, RefreshStale — mutate the current epoch in place
+//     Refresh — mutate the current epoch in place
 //     and require exclusive access: complete the loading phase before serving
 //     queries concurrently.
 //   - Execute also mutates in place (it is the measurement primitive); a
@@ -492,7 +492,7 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 
 // plan is Plan for a caller that holds w.mu.
 func (w *Warehouse) plan(name PlannerName) (Plan, error) {
-	g, err := w.planningGraph()
+	g, err := exec.Graph(w.core)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -574,42 +574,6 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 	}
 	return Plan{Strategy: s, Ordering: ord, EstimatedWork: est}, nil
 }
-
-// planningGraph is the VDAG with deferred-maintenance views (and their
-// dependents) removed: update strategies never touch them; they go stale
-// instead and are brought current by RefreshStale. Callers hold w.mu.
-func (w *Warehouse) planningGraph() (*vdag.Graph, error) {
-	g, err := exec.Graph(w.core)
-	if err != nil {
-		return nil, err
-	}
-	deferred := w.core.EffectivelyDeferred()
-	if len(deferred) == 0 {
-		return g, nil
-	}
-	return g.WithoutViews(deferred)
-}
-
-// SetDeferred switches a derived view between immediate maintenance (the
-// default: every update window brings it current) and deferred maintenance
-// (update windows skip it — and necessarily everything defined over it —
-// marking it stale; RefreshStale recomputes it on demand). Deferring large,
-// rarely queried summaries is one of the update-window-shrinking levers the
-// paper's related work ([CKL+97]) describes as complementary.
-func (w *Warehouse) SetDeferred(name string, deferred bool) error {
-	return w.core.SetDeferred(name, deferred)
-}
-
-// StaleViews lists views skipped by past update windows and not yet
-// refreshed, in dependency order, as of the current serving epoch.
-func (w *Warehouse) StaleViews() []string {
-	pin := w.epochs.Pin()
-	defer pin.Unpin()
-	return pin.Warehouse().StaleViews()
-}
-
-// RefreshStale recomputes every stale view bottom-up from current data.
-func (w *Warehouse) RefreshStale() error { return w.core.RefreshStale() }
 
 // EstimateWork predicts a strategy's cost under the linear work metric with
 // the current planning statistics.

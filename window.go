@@ -68,8 +68,6 @@ type WindowReport struct {
 	// the window's return covers clone, steps, journal and adopt, not the
 	// plan search.
 	Started time.Time
-	// StaleAfter lists views left stale (deferred maintenance).
-	StaleAfter []string
 	// Attempts counts execution attempts (retries and fallbacks included).
 	Attempts int
 	// FellBackSequential reports a parallel window that succeeded only
