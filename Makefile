@@ -46,11 +46,12 @@ staticcheck:
 # is byte for byte what the harness prints at the defaults, with the shape
 # tests asserting the paper's claims on that same run; every Test, Fuzz,
 # Benchmark and Example name that EXPERIMENTS.md, DESIGN.md, README.md and
-# docs/TUTORIAL.md cite is a function of some _test.go; and cmd/experiments'
-# usage errors and its -only output, a section of the block.
+# docs/TUTORIAL.md cite is a function of some _test.go, every w.Name( they
+# show is a method of *Warehouse; and cmd/experiments' usage errors and its
+# -only output, a section of the block.
 docs-check:
 	$(call run-tests,./internal/experiments/,TestExperimentsMDIsTheOutput)
-	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist)
+	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist|TestDocsCallWarehouseMethodsThatExist)
 	$(call run-tests,./cmd/experiments/,TestUnknownExperimentListsTheIDs|TestRetiredOutputFlagsAreUsageErrors|TestOnlyPrintsItsSectionOfTheBlock)
 
 # Print EXPERIMENTS.md's generated block: every table and figure of the

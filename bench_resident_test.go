@@ -41,7 +41,7 @@ func BenchmarkResidentBytes(b *testing.B) {
 			if _, err := tw.StageChanges(spec); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+			if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,11 +37,7 @@ func TestCSVFacadeEndToEnd(t *testing.T) {
 	if d.PlusCount() != 1 || d.MinusCount() != 1 {
 		t.Errorf("staged delta = +%d −%d", d.PlusCount(), d.MinusCount())
 	}
-	plan, err := w.PlanMinWork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Execute(plan.Strategy, ModeSequential, 0); err != nil {
+	if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Verify(); err != nil {

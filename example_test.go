@@ -24,8 +24,8 @@ func printQuery(w *warehouse.Warehouse, title, sql string) {
 	}
 }
 
-// Example shows the full lifecycle: define, load, stage changes, plan with
-// MinWork, execute, and query.
+// Example shows the full lifecycle: define, load, stage changes, run an
+// update window (planned with MinWork), and query.
 func Example() {
 	w := warehouse.New()
 	w.MustDefineBase("SALES", warehouse.Schema{
@@ -52,14 +52,11 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	plan, err := w.PlanMinWork()
+	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(plan.Strategy)
-	if _, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println(win.Plan.Strategy)
 
 	rows, err := w.Query("SELECT region, total FROM TOTALS ORDER BY region")
 	if err != nil {
@@ -189,18 +186,14 @@ func Example_multiLevel() {
 	must(w.StageDelta("SALES", d))
 	fmt.Printf("staged δSALES: +%d −%d\n", d.PlusCount(), d.MinusCount())
 
-	plan, err := w.PlanMinWork()
+	dual, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Planner: warehouse.DualStagePlanner})
 	must(err)
-	fmt.Println("MinWork ordering", plan.Ordering)
-	fmt.Println(plan.Strategy)
-
-	dual, err := w.Plan(warehouse.DualStagePlanner)
-	must(err)
-	dualRep, err := w.Clone().Execute(dual.Strategy, warehouse.ModeSequential, 0)
-	must(err)
-	rep, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
+	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
 	must(err)
 	must(w.Verify())
+	fmt.Println("MinWork ordering", win.Plan.Ordering)
+	fmt.Println(win.Plan.Strategy)
+	rep, dualRep := win.Report, dual.Report
 	fmt.Printf("MinWork work=%d (comp=%d inst=%d)\n", rep.TotalWork(), rep.CompWork, rep.InstWork)
 	fmt.Printf("dual-stage work=%d (comp=%d inst=%d)\n", dualRep.TotalWork(), dualRep.CompWork, dualRep.InstWork)
 	printQuery(w, "CITY_TOTALS:", "SELECT city, revenue FROM CITY_TOTALS ORDER BY city")
@@ -288,15 +281,13 @@ func ExampleWarehouse_Parallelize() {
 
 	for _, planner := range []warehouse.PlannerName{warehouse.MinWorkPlanner, warehouse.DualStagePlanner} {
 		run := w.Clone()
-		plan, err := run.Plan(planner)
-		must(err)
-		staged := run.Parallelize(plan.Strategy)
-		fmt.Printf("%s: %d expressions in %d stages\n", planner, staged.Exprs(), staged.Stages())
-		fmt.Println(" ", staged)
-		rep, err := run.Execute(plan.Strategy, warehouse.ModeStaged, 0)
+		win, err := run.RunWindowOpts(warehouse.WindowOptions{Planner: planner, Mode: warehouse.ModeStaged})
 		must(err)
 		must(run.Verify())
-		fmt.Printf("  total work %d, span work %d\n", rep.Sched.TotalWork, rep.Sched.SpanWork)
+		staged := run.Parallelize(win.Plan.Strategy)
+		fmt.Printf("%s: %d expressions in %d stages\n", planner, staged.Exprs(), staged.Stages())
+		fmt.Println(" ", staged)
+		fmt.Printf("  total work %d, span work %d\n", win.Report.Sched.TotalWork, win.Report.Sched.SpanWork)
 	}
 	// Output:
 	// minwork: 9 expressions in 4 stages
@@ -308,7 +299,7 @@ func ExampleWarehouse_Parallelize() {
 }
 
 // Example_quickstart defines a warehouse, loads it, stages a change batch,
-// plans an update strategy with MinWork, executes it, and reads the result.
+// runs an update window that plans with MinWork, and reads the result.
 // Prices are integer cents, so the sums do not depend on the order rows are
 // added in.
 func Example_quickstart() {
@@ -356,12 +347,11 @@ func Example_quickstart() {
 	d.Add(warehouse.Tuple{warehouse.Int(104), warehouse.Int(1), warehouse.Int(1)}, 1)
 	must(w.StageDelta("ORDERS", d))
 
-	// Plan the update window with MinWork and execute it.
-	plan, err := w.PlanMinWork()
+	// Run the update window: plan with MinWork, execute, commit.
+	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
 	must(err)
-	fmt.Println("planned strategy:", plan.Strategy)
-	rep, err := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
-	must(err)
+	fmt.Println("planned strategy:", win.Plan.Strategy)
+	rep := win.Report
 	fmt.Printf("update window: work=%d (comp=%d inst=%d)\n", rep.TotalWork(), rep.CompWork, rep.InstWork)
 
 	must(w.Verify()) // every view equals its recomputation

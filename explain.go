@@ -22,11 +22,6 @@ import (
 func (w *Warehouse) Explain(s Strategy) (string, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.explain(s)
-}
-
-// explain is Explain for a caller that holds w.mu.
-func (w *Warehouse) explain(s Strategy) (string, error) {
 	if err := validate(w.core, s); err != nil {
 		return "", err
 	}
@@ -100,35 +95,6 @@ func containsStr(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// ExplainCompare explains two strategies side by side and reports their
-// predicted ratio — e.g. a planned strategy against the dual-stage baseline.
-func (w *Warehouse) ExplainCompare(a, b Strategy) (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ea, err := w.explain(a)
-	if err != nil {
-		return "", err
-	}
-	eb, err := w.explain(b)
-	if err != nil {
-		return "", err
-	}
-	wa, err := w.estimateWork(a)
-	if err != nil {
-		return "", err
-	}
-	wb, err := w.estimateWork(b)
-	if err != nil {
-		return "", err
-	}
-	ratio := "n/a"
-	if wa > 0 {
-		ratio = fmt.Sprintf("%.2f", wb/wa)
-	}
-	return fmt.Sprintf("--- strategy A ---\n%s\n--- strategy B ---\n%s\nB/A predicted work ratio: %s\n",
-		ea, eb, ratio), nil
 }
 
 // ExplainSharing renders what window-wide sharing would do for s and what it

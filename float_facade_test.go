@@ -54,7 +54,7 @@ func TestIncrementalMaxOverNaN(t *testing.T) {
 		if _, err := w.StageDeltaCSV("T", strings.NewReader(step.delta)); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := w.RunWindow(MinWorkPlanner)
+		rep, err := w.RunWindowOpts(WindowOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

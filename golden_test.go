@@ -78,7 +78,7 @@ func TestGoldenFloatDigest(t *testing.T) {
 		if err := w.StageDelta("SALES", d); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+		if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 			t.Fatalf("window %d: %v", win+1, err)
 		}
 	}

@@ -192,11 +192,13 @@ func (r *run) strategy(w *warehouse.Warehouse) warehouse.Strategy {
 
 // reference runs s over w's staged batch on a clone — sequentially, on the
 // default engine but for SkipEmptyDeltas — and holds the outcome to the
-// oracle and, (ii), every step's work to the cost model's prediction.
+// oracle and, (ii), every step's work to the cost model's prediction. It
+// executes s in place, not as a window: a window's ladder would recompute
+// past an incremental failure and hide it.
 func (r *run) reference(w *warehouse.Warehouse, s warehouse.Strategy, want check.State) warehouse.Report {
 	ref := w.Clone()
 	ref.Internal().SetOptions(core.Options{SkipEmptyDeltas: r.p.Skip})
-	rep, err := ref.Execute(s, warehouse.ModeSequential, 0)
+	rep, err := exec.Execute(ref.Internal(), s, exec.Options{Validate: true})
 	r.ok(err)
 	if err := check.Diff(want, check.Capture(ref, rep)); err != nil {
 		r.Fatalf("a sequential run on the default engine differs from recomputation: %v\nstrategy: %s", err, s)
@@ -287,7 +289,8 @@ func (r *run) windows() {
 			if p.Planner != "oneway" {
 				return srv.RunWindow(ctx, o)
 			}
-			rep, err := w.Execute(s, p.Mode, p.Workers) // in place: nobody reads it
+			// In place: no faults, no readers.
+			rep, err := exec.Execute(w.Internal(), s, exec.Options{Mode: p.Mode, Workers: p.Workers, Validate: true})
 			return warehouse.WindowReport{Report: rep}, err
 		}
 
@@ -673,7 +676,7 @@ func (r *run) stream() {
 	one, all := r.build(), r.build()
 	for i := 0; i < r.streamLen(); i++ {
 		changes = append(changes, check.Stage(r, one, r.rng)...)
-		_, err := one.RunWindow(warehouse.MinWorkPlanner)
+		_, err := one.RunWindowOpts(warehouse.WindowOptions{})
 		r.ok(err)
 	}
 	for _, c := range changes {

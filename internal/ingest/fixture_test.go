@@ -112,7 +112,7 @@ func oracleDigest(t testing.TB, seed int64, stores, sales int, accepted []saleSe
 		}
 	}
 	if len(accepted) > 0 {
-		if _, err := w.RunWindow(warehouse.MinWorkPlanner); err != nil {
+		if _, err := w.RunWindowOpts(warehouse.WindowOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func TestFailover(t *testing.T) {
 	// two — a mid-stream death leaves followers at different HWMs.
 	for i := 0; i < 5; i++ {
 		check.Stage(t, leader.Warehouse(), rng)
-		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
+		if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Journal: leader.Journal()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := ahead.CatchUp(ctx); err != nil {
@@ -102,7 +102,7 @@ func TestFailover(t *testing.T) {
 	// sequence numbering continues, the stale follower stays converged.
 	for i := 0; i < 2; i++ {
 		check.Stage(t, promoted.Warehouse(), rng)
-		if _, err := promoted.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
+		if _, err := promoted.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Journal: promoted.Journal()}); err != nil {
 			t.Fatalf("post-failover window %d: %v", i, err)
 		}
 		if err := stale.CatchUp(ctx); err != nil {

@@ -112,13 +112,13 @@ func TestLagWallClock(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed + 1))
 
 	check.Stage(t, lw, rng)
-	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
+	if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Journal: leader.Journal()}); err != nil {
 		t.Fatal(err)
 	}
 	const gap = 10 * time.Millisecond
 	time.Sleep(gap)
 	check.Stage(t, lw, rng)
-	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
+	if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Journal: leader.Journal()}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -36,7 +36,7 @@ const DefaultChunkBytes = 1 << 20
 const maxChunkBytes = 4 << 20
 
 // Leader publishes a warehouse's journal for followers. Every update window
-// run through the leader is journaled into its Log; Handler serves the
+// run with the leader's Journal is journaled into its Log; Handler serves the
 // stable prefix in chunks plus shipping stats. A leader is either fresh
 // (NewLeader, empty log) or promoted (NewLeaderFrom, continuing a follower's
 // replicated log).
@@ -49,9 +49,8 @@ type Leader struct {
 	shippedBytes atomic.Int64
 }
 
-// NewLeader makes w a replication leader with an empty journal log. Windows
-// must be run through RunWindow (or with Journal() passed explicitly) to be
-// shipped.
+// NewLeader makes w a replication leader with an empty journal log. A window
+// is shipped when it runs with Journal() as its WindowOptions.Journal.
 func NewLeader(w *warehouse.Warehouse) *Leader {
 	log := NewLog()
 	return &Leader{w: w, log: log, j: warehouse.NewJournal(log)}
@@ -76,19 +75,12 @@ func NewLeaderFrom(w *warehouse.Warehouse, log *Log) (*Leader, error) {
 func (l *Leader) Warehouse() *warehouse.Warehouse { return l.w }
 
 // Journal returns the shipping journal. Pass it as WindowOptions.Journal to
-// ship windows run outside RunWindow.
+// ship a window: its records land in the log and its commit advances the
+// stable watermark, making it fetchable by followers.
 func (l *Leader) Journal() *warehouse.Journal { return l.j }
 
 // Log returns the leader's journal byte log.
 func (l *Leader) Log() *Log { return l.log }
-
-// RunWindow runs one update window through the shipping journal: the
-// window's records land in the log and its commit advances the stable
-// watermark, making it fetchable by followers.
-func (l *Leader) RunWindow(opts warehouse.WindowOptions) (warehouse.WindowReport, error) {
-	opts.Journal = l.j
-	return l.w.RunWindowOpts(opts)
-}
 
 // LeaderStats is the leader's replication counter snapshot.
 type LeaderStats struct {

@@ -55,7 +55,7 @@ func TestShipAndReplay(t *testing.T) {
 	modes := []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG}
 	for i := 0; i < 6; i++ {
 		check.Stage(t, leader.Warehouse(), rng)
-		rep, err := leader.RunWindow(warehouse.WindowOptions{Mode: modes[i%len(modes)]})
+		rep, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: modes[i%len(modes)], Journal: leader.Journal()})
 		if err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
@@ -100,10 +100,10 @@ func TestAbortedWindowShipsHarmlessly(t *testing.T) {
 	ctx := context.Background()
 
 	check.Stage(t, leader.Warehouse(), rng)
-	if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Timeout: time.Nanosecond}); !errors.Is(err, warehouse.ErrWindowAborted) {
+	if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Timeout: time.Nanosecond, Journal: leader.Journal()}); !errors.Is(err, warehouse.ErrWindowAborted) {
 		t.Fatalf("want abort, got %v", err)
 	}
-	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
+	if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Journal: leader.Journal()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CatchUp(ctx); err != nil {
@@ -130,7 +130,7 @@ func TestChunkedFetch(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		check.Stage(t, leader.Warehouse(), rng)
-		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
+		if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Journal: leader.Journal()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	leader, f, srv := newPair(t, seed)
 	rng := rand.New(rand.NewSource(seed * 3))
 	check.Stage(t, leader.Warehouse(), rng)
-	if _, err := leader.RunWindow(warehouse.WindowOptions{}); err != nil {
+	if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Journal: leader.Journal()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CatchUp(context.Background()); err != nil {

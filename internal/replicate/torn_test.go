@@ -80,7 +80,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 
 		for i := 0; i < 2; i++ {
 			check.Stage(t, leader.Warehouse(), rng)
-			if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
+			if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Journal: leader.Journal()}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,7 +92,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		preHWM := f.HWM()
 
 		check.Stage(t, leader.Warehouse(), rng)
-		if _, err := leader.RunWindow(warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
+		if _, err := leader.Warehouse().RunWindowOpts(warehouse.WindowOptions{Mode: warehouse.ModeDAG, Journal: leader.Journal()}); err != nil {
 			t.Fatal(err)
 		}
 		proxy.arm()

@@ -24,7 +24,7 @@ func TestPlanCacheHitOnRepeat(t *testing.T) {
 	}
 
 	stageSale(t, w)
-	if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := w.Query(q)
@@ -114,7 +114,7 @@ func TestPlanCacheConcurrentStorm(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+			if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 				t.Error(err)
 				return
 			}

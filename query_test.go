@@ -65,7 +65,7 @@ func TestQueryAdHocAggregate(t *testing.T) {
 func TestQueryDuringUpdateWindow(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	plan, err := w.PlanMinWork()
+	plan, err := w.Plan(MinWorkPlanner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestQueryLimitReadsOnlyWhatItReturns(t *testing.T) {
 	if _, err := w.StageDeltaCSV("S", strings.NewReader("a,__count\n7,16777216\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

@@ -140,8 +140,9 @@ func (j *Journal) Close() error {
 }
 
 // WindowOptions configure an update window (RunWindowOpts). The zero value
-// plans with MinWork and executes sequentially, unjournaled — the window
-// RunWindow runs.
+// plans with MinWork and executes sequentially, unjournaled. A window always
+// runs the strategy its planner makes; Validate, Explain, EstimateWork and
+// Script take any strategy.
 type WindowOptions struct {
 	// Planner selects the planning algorithm (MinWorkPlanner when empty).
 	Planner PlannerName

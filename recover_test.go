@@ -34,12 +34,12 @@ func sameRows(a, b []CountedRow) bool {
 	return true
 }
 
-// TestRunWindowOptsJournaled: a journaled window commits, matches the
-// legacy path's result, and the journal accumulates committed windows.
+// TestRunWindowOptsJournaled: a journaled window commits, matches an
+// unjournaled window's result, and the journal accumulates committed windows.
 func TestRunWindowOptsJournaled(t *testing.T) {
 	ref := newRetail(t)
 	stageSale(t, ref)
-	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := ref.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func TestRunWindowOptsJournaled(t *testing.T) {
 	}
 	for _, v := range ref.Views() {
 		if !sameRows(rowsOf(t, ref, v), rowsOf(t, w, v)) {
-			t.Fatalf("%s differs from the legacy window's result", v)
+			t.Fatalf("%s differs from the unjournaled window's result", v)
 		}
 	}
 	// A second window through the same journal.
@@ -100,7 +100,7 @@ func stageSale2(t *testing.T, w *Warehouse) {
 func TestRunWindowOptsDegradation(t *testing.T) {
 	ref := newRetail(t)
 	stageSale(t, ref)
-	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := ref.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +132,7 @@ func TestRunWindowOptsDegradation(t *testing.T) {
 func TestOperatorWindowRetriesInPlace(t *testing.T) {
 	ref := newRetail(t)
 	stageSale(t, ref)
-	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := ref.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,7 +184,7 @@ func TestOperatorWindowRetriesInPlace(t *testing.T) {
 func TestCrashAndRecoverThroughFacade(t *testing.T) {
 	ref := newRetail(t)
 	stageSale(t, ref)
-	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := ref.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,7 +263,7 @@ func TestCrashAndRecoverThroughFacade(t *testing.T) {
 func TestRecoverAfterTornJournalTail(t *testing.T) {
 	ref := newRetail(t)
 	stageSale(t, ref)
-	if _, err := ref.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := ref.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -68,7 +68,7 @@ func TestAnalyzeSharingBudgetClamp(t *testing.T) {
 	election := func(w *Warehouse) string {
 		t.Helper()
 		stageSharingDelta(t, w)
-		plan, err := w.PlanMinWork()
+		plan, err := w.Plan(MinWorkPlanner)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,11 @@ func TestAnalyzeSharingBudgetClamp(t *testing.T) {
 		t.Errorf("a 1-byte budget changed the election:\n%s\nwant\n%s", es, eo)
 	}
 
-	ro, err := open.RunWindow(MinWorkPlanner)
+	ro, err := open.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := starved.RunWindow(MinWorkPlanner)
+	rs, err := starved.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestSharedPlannerMatchesPlainResults(t *testing.T) {
 	shared := newSharingWarehouse(t, Options{ShareComputation: true})
 	stageSharingDelta(t, plain)
 	stageSharingDelta(t, shared)
-	if _, err := plain.RunWindow(MinWorkPlanner); err != nil {
+	if _, err := plain.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shared.RunWindow(SharedPlanner); err != nil {
+	if _, err := shared.RunWindowOpts(WindowOptions{Planner: SharedPlanner}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {

@@ -57,11 +57,7 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	}
 	// The restored warehouse runs a full update window.
 	stageSale(t, fresh)
-	plan, err := fresh.PlanMinWork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Execute(plan.Strategy, ModeSequential, 0); err != nil {
+	if _, err := fresh.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.Verify(); err != nil {
@@ -78,7 +74,7 @@ func TestSnapshotThroughFacade(t *testing.T) {
 func TestScriptThroughFacade(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	plan, err := w.PlanMinWork()
+	plan, err := w.Plan(MinWorkPlanner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 // strategy framework and its three planners:
 //
 //   - PlanMinWorkSingle: the optimal strategy for a single view (O(n log n)).
-//   - Plan(MinWorkPlanner), or PlanMinWork: expression-graph planning for
-//     the whole VDAG, optimal for tree- and uniform-shaped warehouses.
+//   - Plan(MinWorkPlanner): expression-graph planning for the whole VDAG,
+//     optimal for tree- and uniform-shaped warehouses.
 //   - Plan(PrunePlanner): exhaustive-but-pruned search returning the
 //     cheapest 1-way VDAG strategy; Plan(SharedPlanner) costs the same
 //     candidates by sharing-adjusted work, and Plan(DualStagePlanner) is the
@@ -28,8 +28,11 @@
 //	w.Refresh()
 //	// … changes arrive …
 //	w.StageDelta("SALES", d)
-//	plan, _ := w.PlanMinWork()
-//	report, _ := w.Execute(plan.Strategy, warehouse.ModeSequential, 0)
+//	win, _ := w.RunWindowOpts(warehouse.WindowOptions{}) // plan with MinWork, run, commit
+//	// win.Plan.Strategy is what ran, win.Report its measured work
+//
+// After set-up the views change only through such a window, which runs on a
+// clone of the serving state and commits by an atomic epoch flip.
 package warehouse
 
 import (
@@ -133,7 +136,7 @@ var (
 	Null = relation.Null
 )
 
-// Execution modes for Execute and WindowOptions.
+// Execution modes for WindowOptions.Mode.
 const (
 	ModeSequential = exec.ModeSequential
 	ModeStaged     = exec.ModeStaged
@@ -159,7 +162,7 @@ type Options struct {
 	ParallelTerms bool
 	// Workers bounds the worker budget the term engine shares across all
 	// concurrent Computes under ParallelTerms (0 = GOMAXPROCS). Pass the
-	// same value to Execute/WindowOptions so DAG-level and term-level
+	// same value as WindowOptions.Workers so DAG-level and term-level
 	// parallelism compose under one budget.
 	Workers int
 	// ShareComputation makes the build cache live for the update window
@@ -185,35 +188,40 @@ type Options struct {
 //
 // # Thread safety
 //
-// A Warehouse serves consistent reads while update windows run. The
-// contract, enforced by the concurrency tests, is:
+// A Warehouse serves consistent reads while update windows run. After set-up
+// the views change only through a window — RunWindowOpts, Recover,
+// ApplyWindow, Restore — or LoadSnapshot, each of which builds the next state
+// on a clone and commits it by an atomic epoch flip. Each exported method
+// belongs to exactly one of the classes below, and the concurrency tests
+// enforce the contract:
 //
-//   - Query, QueryEpoch, PinEpoch, Rows, Size, Epoch, LiveEpochs, ViewSchema,
-//     Views, Graph, Validate, DumpCSV and NewDelta are safe to call from any
-//     number of goroutines at any time, including while a window executes or
-//     commits. Reads are served from the pinned epoch — an immutable
-//     published version of the state — so a reader observes exactly the
-//     pre-window or post-window warehouse, never a mix (see PinEpoch for
-//     multi-view consistency).
-//   - StageDelta, StageDeltaCSV, RunWindow, RunWindowOpts, Recover,
-//     ApplyWindow, Clone, Pending and the planning reads — Plan, PlanMinWork,
-//     PlanMinWorkSingle, PlanningStats, EstimateWork, Explain, ExplainCompare
-//     and ExplainSharing — are safe to call concurrently with each other and
-//     with readers; they serialize on an internal mutex (a StageDelta or Plan
-//     issued while a window runs blocks until the window commits or aborts;
-//     the batch lands in the next window). Tally does not wait for a window.
-//   - Setup methods — DefineBase, DefineViewSQL, DefineView, Load, LoadCSV,
-//     Refresh — mutate the current epoch in place
-//     and require exclusive access: complete the loading phase before serving
-//     queries concurrently.
-//   - Execute also mutates in place (it is the measurement primitive); a
-//     served warehouse runs windows through RunWindowOpts only, whose commit
-//     is an atomic epoch flip.
+//   - Set-up: DefineBase, MustDefineBase, DefineViewSQL, MustDefineViewSQL,
+//     DefineViewSQLStatement, DefineView, Load, LoadCSV and Refresh mutate
+//     the serving epoch in place and require exclusive access: complete the
+//     loading phase before serving queries or running windows concurrently.
+//   - Reads of the pinned epoch: Query, QueryEpoch, QuerySchema, PinEpoch,
+//     Rows, Size, ViewSchema, Views, Graph, Validate, Parallelize, Verify,
+//     StateDigest, DumpCSV and NewDelta are safe from any number of
+//     goroutines at any time, including while a window executes or commits.
+//     Each reads one pinned epoch — an immutable published version of the
+//     state — so it observes exactly the pre-window or post-window warehouse,
+//     never a mix (see PinEpoch for multi-view consistency).
+//   - Serialized on the facade mutex: StageDelta, StageDeltaCSV,
+//     RunWindowOpts, Recover, Restore, ApplyWindow, LoadSnapshot,
+//     SaveSnapshot, SaveSnapshotFile, Clone, Pending and the planning reads —
+//     Plan, PlanMinWorkSingle, PlanningStats, EstimateWork, Explain and
+//     ExplainSharing — are safe to call concurrently with each other and
+//     with readers. One issued while a window runs blocks until the window
+//     commits or aborts; a batch staged then lands in the next window.
+//   - Safe at any time, never waiting for a window: Epoch, LiveEpochs, Tally,
+//     PlanCacheStats and Script, which read counters or no state at all.
+//   - In-module: Internal hands the serving epoch's core warehouse to
+//     set-up and measurement code that holds exclusive access.
 type Warehouse struct {
 	// mu serializes every state transition — staging, update windows
-	// (including the commit swap) and recovery — and the planning reads, which
-	// read the staged changes. Readers do not take it — they pin the current
-	// epoch instead.
+	// (including the commit swap), recovery and snapshot loads — and the
+	// planning reads and snapshot saves, which read the staged changes.
+	// Readers do not take it — they pin the current epoch instead.
 	mu     sync.Mutex
 	core   *core.Warehouse
 	epochs *core.Epochs
@@ -481,9 +489,9 @@ type Plan struct {
 }
 
 // Plan plans the staged changes with the named planner (MinWorkPlanner when
-// empty) — the one dispatch over planner names; RunWindowOpts and
-// PlanMinWork go through it. One gathering of planning statistics serves
-// the planner and the estimate.
+// empty) — the one dispatch over planner names; RunWindowOpts goes through
+// it. One gathering of planning statistics serves the planner and the
+// estimate.
 func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -542,10 +550,6 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 	return p, nil
 }
 
-// PlanMinWork plans an update for the whole warehouse with the MinWork
-// algorithm (optimal for tree and uniform VDAGs).
-func (w *Warehouse) PlanMinWork() (Plan, error) { return w.Plan(MinWorkPlanner) }
-
 // PlanMinWorkSingle plans an optimal update strategy for one derived view
 // (Algorithm 4.1). The warehouse must consist of that view and its base
 // views for the strategy to cover every pending change.
@@ -580,11 +584,6 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 func (w *Warehouse) EstimateWork(s Strategy) (float64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.estimateWork(s)
-}
-
-// estimateWork is EstimateWork for a caller that holds w.mu.
-func (w *Warehouse) estimateWork(s Strategy) (float64, error) {
 	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return 0, err
@@ -608,28 +607,25 @@ func validate(c *core.Warehouse, s Strategy) error {
 	return strategy.ValidateVDAGStrategy(g, s)
 }
 
-// Execute runs a strategy under the given scheduling mode after validating
-// it, mutating the warehouse in place, and returns the measured update-window
-// report. workers bounds the ModeDAG worker pool (0 means
-// runtime.GOMAXPROCS(0)); the other modes ignore it. The report's
-// Sched.TotalWork, SpanWork and CriticalPathWork are all measured on the
-// same run, so modes compare directly.
-func (w *Warehouse) Execute(s Strategy, mode Mode, workers int) (Report, error) {
-	return exec.Execute(w.core, s, exec.Options{Mode: mode, Workers: workers, Validate: true})
-}
-
 // Parallelize stages a correct sequential strategy into sets of
 // expressions that can run concurrently (Section 9) — the plan ModeStaged
 // executes.
 func (w *Warehouse) Parallelize(s Strategy) ParallelPlan {
-	return exec.Parallelize(s, w.core.Children)
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return exec.Parallelize(s, pin.Warehouse().Children)
 }
 
-// Verify checks every derived view against a from-scratch recomputation.
-func (w *Warehouse) Verify() error { return w.core.VerifyAll() }
+// Verify checks every derived view of the serving epoch against a
+// from-scratch recomputation.
+func (w *Warehouse) Verify() error {
+	pin := w.epochs.Pin()
+	defer pin.Unpin()
+	return pin.Warehouse().VerifyAll()
+}
 
-// Clone returns an independent copy; executing a strategy on the clone
-// leaves the original untouched, and the clone's window tally starts empty.
+// Clone returns an independent copy; a window run on the clone leaves the
+// original untouched, and the clone's window tally starts empty.
 // Cloning is cheap — storage is shared copy-on-write at relation granularity
 // — and safe to call while the original serves queries or runs a window.
 func (w *Warehouse) Clone() *Warehouse {
@@ -647,18 +643,19 @@ func (w *Warehouse) Pending() []string {
 	return w.core.PendingViews()
 }
 
-// Internal returns the underlying core warehouse for advanced (in-module)
-// use such as the experiment harness.
+// Internal returns the serving epoch's core warehouse for in-module set-up
+// and measurement code that holds exclusive access, such as the experiment
+// harness.
 func (w *Warehouse) Internal() *core.Warehouse { return w.core }
 
 // SaveSnapshot writes the materialized state of every view to out in the
 // library's versioned binary format. The warehouse must be quiescent (no
-// staged or uninstalled changes). The state written is one consistent
-// epoch: a window committing mid-write cannot tear the snapshot.
+// staged or uninstalled changes). The save holds the facade mutex, so no
+// batch is staged and no window commits while it writes.
 func (w *Warehouse) SaveSnapshot(out io.Writer) error {
-	p := w.PinEpoch()
-	defer p.Close()
-	return snapshot.Write(p.pin.Warehouse(), out)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return snapshot.Write(w.core, out)
 }
 
 // SaveSnapshotFile is SaveSnapshot to the file at path, observing ctx (nil
@@ -669,9 +666,9 @@ func (w *Warehouse) SaveSnapshotFile(ctx context.Context, path string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := w.PinEpoch()
-	defer p.Close()
-	return snapshot.WriteFile(ctx, p.pin.Warehouse(), path)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return snapshot.WriteFile(ctx, w.core, path)
 }
 
 // LoadSnapshot restores state saved by SaveSnapshot into this warehouse,

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,7 +91,7 @@ func TestConcurrentQueriesDuringWindows(t *testing.T) {
 		var err error
 		switch i % 3 {
 		case 0:
-			_, err = w.RunWindow(MinWorkPlanner)
+			_, err = w.RunWindowOpts(WindowOptions{})
 		case 1:
 			_, err = w.RunWindowOpts(WindowOptions{Mode: ModeStaged})
 		default:
@@ -401,11 +403,12 @@ func TestSchemaReadsDoNotWaitForAWindow(t *testing.T) {
 }
 
 // TestPlanningReadsRaceWindows: the planning reads (Plan, PlanningStats,
-// EstimateWork, the Explain family) and the catalog reads (Views, Graph,
-// Validate, DumpCSV) run while another goroutine stages batches
-// and commits windows. Run under -race, it holds the contract: the planning
-// reads serialize with staging and windows, and the catalog reads go to a
-// pinned epoch.
+// EstimateWork, Explain, ExplainSharing), the snapshot save and the reads of
+// the pinned epoch (Views, Graph, Validate, Parallelize, Verify, StateDigest,
+// QuerySchema, DumpCSV) run while another goroutine stages batches and
+// commits windows. Run under -race, it holds the contract: the planning reads
+// and the save serialize with staging and windows, and the rest read a
+// pinned epoch. A save that finds the next batch staged refuses it.
 func TestPlanningReadsRaceWindows(t *testing.T) {
 	w := newRetail(t)
 	done := make(chan struct{})
@@ -422,7 +425,7 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := w.RunWindow(MinWorkPlanner); err != nil {
+			if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -439,7 +442,7 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 		if _, err := w.EstimateWork(plan.Strategy); err != nil {
 			return err
 		}
-		if _, err := w.ExplainCompare(plan.Strategy, plan.Strategy); err != nil {
+		if _, err := w.Explain(plan.Strategy); err != nil {
 			return err
 		}
 		if _, err := w.ExplainSharing(plan.Strategy); err != nil {
@@ -454,6 +457,19 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 		if len(w.Views()) != 4 {
 			return fmt.Errorf("views %v", w.Views())
 		}
+		if w.Parallelize(plan.Strategy).Exprs() != len(plan.Strategy) {
+			return fmt.Errorf("Parallelize lost expressions of %s", plan.Strategy)
+		}
+		if err := w.Verify(); err != nil {
+			return err
+		}
+		if err := w.SaveSnapshot(io.Discard); err != nil && !strings.Contains(err.Error(), "pending changes") {
+			return err
+		}
+		w.StateDigest()
+		if _, err := w.QuerySchema("SELECT region, total FROM REGION_TOTALS"); err != nil {
+			return err
+		}
 		return w.DumpCSV("REGION_TOTALS", io.Discard)
 	}
 	for {
@@ -465,5 +481,105 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestQueriesBesideLoadSnapshotAndRecover: QueryEpoch readers run while
+// LoadSnapshot restores, and while Recover completes a crashed window, the
+// post-window state on a warehouse at the pre-window one. Run under -race,
+// every read is one of the two states the warehouse adopted, the one of the
+// epoch it was served from.
+func TestQueriesBesideLoadSnapshotAndRecover(t *testing.T) {
+	const q = "SELECT region, total, n FROM REGION_TOTALS ORDER BY region"
+	read := func(t *testing.T, w *Warehouse) (string, uint64) {
+		rows, epoch, err := w.QueryEpoch(q)
+		if err != nil {
+			t.Error(err)
+		}
+		return fmt.Sprint(rows), epoch
+	}
+	post := newRetail(t)
+	stageSale(t, post)
+	if _, err := post.RunWindowOpts(WindowOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	adopted := map[uint64]string{}
+	adopted[1], _ = read(t, newRetail(t))
+	adopted[2], _ = read(t, post)
+	if adopted[1] == adopted[2] {
+		t.Fatalf("the window left REGION_TOTALS at %s", adopted[1])
+	}
+	var snap bytes.Buffer
+	if err := post.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	// The crash set-up of TestCrashAndRecoverThroughFacade.
+	path := filepath.Join(t.TempDir(), "wh.journal")
+	crashed := newRetail(t)
+	stageSale(t, crashed)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewFaultInjector(1)
+	inj.CrashAt("step", 2)
+	if _, err := crashed.RunWindowOpts(WindowOptions{Journal: j, Faults: inj}); err == nil {
+		t.Fatal("crashed window reported success")
+	}
+	j.Close()
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+
+	for _, c := range []struct {
+		name   string
+		change func(*Warehouse) error
+	}{
+		{"LoadSnapshot", func(w *Warehouse) error { return w.LoadSnapshot(bytes.NewReader(snap.Bytes())) }},
+		{"Recover", func(w *Warehouse) error {
+			_, err := w.Recover(j2)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newRetail(t)
+			stop := make(chan struct{})
+			var reading, wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				reading.Add(1)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						got, epoch := read(t, w)
+						if i == 0 {
+							reading.Done()
+						}
+						if got != adopted[epoch] {
+							t.Errorf("epoch %d served %s, it adopted %q", epoch, got, adopted[epoch])
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			reading.Wait()
+			err := c.change(w)
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, epoch := read(t, w); epoch != 2 || got != adopted[2] {
+				t.Errorf("after %s: epoch %d serves %s, want epoch 2 serving %s", c.name, epoch, got, adopted[2])
+			}
+		})
 	}
 }

@@ -77,18 +77,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if got := w.Pending(); len(got) != 1 || got[0] != "SALES" {
 		t.Errorf("Pending = %v", got)
 	}
-	plan, err := w.PlanMinWork()
+	win, err := w.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Modified {
+	if win.Plan.Modified {
 		t.Errorf("tree warehouse should not need ModifyOrdering")
 	}
-	rep, err := w.Execute(plan.Strategy, ModeSequential, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalWork() == 0 {
+	if win.Report.TotalWork() == 0 {
 		t.Errorf("no work measured")
 	}
 	if err := w.Verify(); err != nil {
@@ -116,7 +112,7 @@ func TestPlannersAgreeOnFinalState(t *testing.T) {
 		if err := w.Validate(p.Strategy); err != nil {
 			t.Fatalf("%s: invalid plan: %v", name, err)
 		}
-		if _, err := w.Execute(p.Strategy, ModeSequential, 0); err != nil {
+		if _, err := w.RunWindowOpts(WindowOptions{Planner: name}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := w.Verify(); err != nil {
@@ -164,7 +160,7 @@ func TestPlanMinWorkSingle(t *testing.T) {
 func TestEstimateWorkOrdersStrategies(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	mw, err := w.PlanMinWork()
+	mw, err := w.Plan(MinWorkPlanner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +192,12 @@ func TestParallelFacade(t *testing.T) {
 	if plan.Stages() < 2 {
 		t.Fatalf("plan = %s", plan)
 	}
-	rep, err := w.Execute(ds.Strategy, ModeStaged, 0)
+	win, err := w.RunWindowOpts(WindowOptions{Planner: DualStagePlanner, Mode: ModeStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sched.TotalWork == 0 || rep.Sched.SpanWork == 0 || rep.Sched.Levels != plan.Stages() {
-		t.Errorf("staged report of a %d-stage plan: %+v", plan.Stages(), rep.Sched)
+	if sched := win.Report.Sched; win.Mode != ModeStaged || sched.TotalWork == 0 || sched.SpanWork == 0 || sched.Levels != plan.Stages() {
+		t.Errorf("staged window of a %d-stage plan ran %s: %+v", plan.Stages(), win.Mode, sched)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)

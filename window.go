@@ -7,7 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// PlannerName selects the planning algorithm for RunWindow.
+// PlannerName selects the planning algorithm of a window
+// (WindowOptions.Planner).
 type PlannerName string
 
 // Available planners.
@@ -206,12 +207,4 @@ func (w *Warehouse) Tally() WindowTally {
 	w.tallyMu.Lock()
 	defer w.tallyMu.Unlock()
 	return w.tally
-}
-
-// RunWindow executes one complete update window — plan the staged changes
-// with the named planner, validate, execute sequentially, commit, and count
-// the outcome in the warehouse's tally. It is shorthand for
-// RunWindowOpts(WindowOptions{Planner: planner}).
-func (w *Warehouse) RunWindow(planner PlannerName) (WindowReport, error) {
-	return w.RunWindowOpts(WindowOptions{Planner: planner})
 }

@@ -18,7 +18,7 @@ func TestRunWindowAndTally(t *testing.T) {
 
 	// Window 1: MinWork (default when planner is "").
 	stageSale(t, w)
-	win1, err := w.RunWindow("")
+	win1, err := w.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunWindowAndTally(t *testing.T) {
 	if err := w.StageDelta("SALES", d); err != nil {
 		t.Fatal(err)
 	}
-	win2, err := w.RunWindow(PrunePlanner)
+	win2, err := w.RunWindowOpts(WindowOptions{Planner: PrunePlanner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestRunWindowAndTally(t *testing.T) {
 	if err := w.StageDelta("STORES", d); err != nil {
 		t.Fatal(err)
 	}
-	win3, err := w.RunWindow(DualStagePlanner)
+	win3, err := w.RunWindowOpts(WindowOptions{Planner: DualStagePlanner})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reports = append(reports, win3)
-	if _, err := w.RunWindow("nope"); err == nil {
+	if _, err := w.RunWindowOpts(WindowOptions{Planner: "nope"}); err == nil {
 		t.Fatal("unknown planner accepted")
 	}
 
@@ -174,7 +174,7 @@ func TestWindowRefusesBadOptions(t *testing.T) {
 
 func TestRunWindowUnknownPlanner(t *testing.T) {
 	w := newRetail(t)
-	if _, err := w.RunWindow("nope"); err == nil {
+	if _, err := w.RunWindowOpts(WindowOptions{Planner: "nope"}); err == nil {
 		t.Errorf("unknown planner accepted")
 	}
 }
@@ -210,7 +210,7 @@ func TestIndexCountersThroughFacade(t *testing.T) {
 		if err := w.StageDelta("B", d); err != nil {
 			t.Fatal(err)
 		}
-		win, err := w.RunWindow(MinWorkPlanner)
+		win, err := w.RunWindowOpts(WindowOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
