@@ -37,9 +37,7 @@ func TestCSVFacadeEndToEnd(t *testing.T) {
 	if d.PlusCount() != 1 || d.MinusCount() != 1 {
 		t.Errorf("staged delta = +%d −%d", d.PlusCount(), d.MinusCount())
 	}
-	if _, err := w.RunWindowOpts(WindowOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	runIncremental(t, w, WindowOptions{})
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_][A-Za-
 // TestDocsNameTestsThatExist: every test, fuzz target, benchmark and example
 // the docs and the verify skill cite by name is a function of some _test.go
 // file in the repository (bench/ included). A doc that points at a deleted
-// or renamed test sends its reader to a claim nothing checks. docs/PERF.md
-// and CHANGES.md are history and are not checked.
+// or renamed test sends its reader to a claim nothing checks.
 func TestDocsNameTestsThatExist(t *testing.T) {
 	funcs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -54,17 +53,27 @@ func TestDocsNameTestsThatExist(t *testing.T) {
 	if !funcs["TestDocsNameTestsThatExist"] {
 		t.Fatalf("the walk over _test.go files missed this test's own file: it is looking in the wrong place")
 	}
+	eachDocLine(t, func(doc string, n int, line string) {
+		for _, name := range testName.FindAllString(line, -1) {
+			if !funcs[name] {
+				t.Errorf("%s:%d names %s, which no _test.go file defines", doc, n, name)
+			}
+		}
+	})
+}
+
+// eachDocLine calls f with every line, numbered from 1, of the docs and the
+// verify skill, which the docs checks hold to the code. docs/PERF.md and
+// CHANGES.md are history and are not checked.
+func eachDocLine(t *testing.T, f func(doc string, n int, line string)) {
+	t.Helper()
 	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
-			for _, name := range testName.FindAllString(line, -1) {
-				if !funcs[name] {
-					t.Errorf("%s:%d names %s, which no _test.go file defines", doc, i+1, name)
-				}
-			}
+			f(doc, i+1, line)
 		}
 	}
 }
@@ -75,25 +84,18 @@ var facadeCall = regexp.MustCompile(`\bw\.([A-Z][A-Za-z0-9_]*)\(`)
 // TestDocsCallWarehouseMethodsThatExist: every w.Name( the docs and the
 // verify skill show is an exported method of *Warehouse, read from the
 // package's non-test files, so a deleted or renamed facade method cannot stay
-// in a doc as the way to do something. docs/PERF.md and CHANGES.md are
-// history and are not checked.
+// in a doc as the way to do something.
 func TestDocsCallWarehouseMethodsThatExist(t *testing.T) {
 	methods, _ := facade(t)
 	cited := 0
-	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(text), "\n") {
-			for _, m := range facadeCall.FindAllStringSubmatch(line, -1) {
-				cited++
-				if !slices.Contains(methods, m[1]) {
-					t.Errorf("%s:%d calls w.%s, which is no method of *Warehouse", doc, i+1, m[1])
-				}
+	eachDocLine(t, func(doc string, n int, line string) {
+		for _, m := range facadeCall.FindAllStringSubmatch(line, -1) {
+			cited++
+			if !slices.Contains(methods, m[1]) {
+				t.Errorf("%s:%d calls w.%s, which is no method of *Warehouse", doc, n, m[1])
 			}
 		}
-	}
+	})
 	if cited < 20 {
 		t.Fatalf("found %d facade calls in the docs: the check is looking in the wrong place", cited)
 	}
@@ -187,24 +189,17 @@ var goCommand = regexp.MustCompile(`go (?:run|build)(?: -o \S+)? (\./[A-Za-z0-9_
 // TestDocsRunCommandsThatExist: every `go run ./<dir>` and `go build ./<dir>`
 // the docs and the verify skill show names a directory that holds Go files,
 // so a deleted command cannot stay cited as a way to run something.
-// docs/PERF.md and CHANGES.md are history and are not checked.
 func TestDocsRunCommandsThatExist(t *testing.T) {
 	cited := 0
-	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(text), "\n") {
-			for _, m := range goCommand.FindAllStringSubmatch(line, -1) {
-				cited++
-				dir := strings.TrimSuffix(strings.TrimRight(m[1], "."), "/...")
-				if gos, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gos) == 0 {
-					t.Errorf("%s:%d runs %s, which holds no Go files", doc, i+1, m[1])
-				}
+	eachDocLine(t, func(doc string, n int, line string) {
+		for _, m := range goCommand.FindAllStringSubmatch(line, -1) {
+			cited++
+			dir := strings.TrimSuffix(strings.TrimRight(m[1], "."), "/...")
+			if gos, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gos) == 0 {
+				t.Errorf("%s:%d runs %s, which holds no Go files", doc, n, m[1])
 			}
 		}
-	}
+	})
 	if cited < 5 {
 		t.Fatalf("found %d go run/build commands in the docs: the check is looking in the wrong place", cited)
 	}

@@ -14,6 +14,17 @@ func must(err error) {
 	}
 }
 
+// incremental stops an example unless its window committed on the first,
+// incremental attempt: the failure ladder would otherwise recompute every
+// view past an incremental failure and print the same rows.
+func incremental(win warehouse.WindowReport, err error) warehouse.WindowReport {
+	must(err)
+	if win.Attempts != 1 || win.Recomputed || win.FellBackSequential {
+		log.Fatalf("the window was not incremental: %s", win)
+	}
+	return win
+}
+
 // printQuery prints a title and then the rows of a query, one a line.
 func printQuery(w *warehouse.Warehouse, title, sql string) {
 	rows, err := w.Query(sql)
@@ -52,10 +63,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	win := incremental(w.RunWindowOpts(warehouse.WindowOptions{}))
 	fmt.Println(win.Plan.Strategy)
 
 	rows, err := w.Query("SELECT region, total FROM TOTALS ORDER BY region")
@@ -186,10 +194,8 @@ func Example_multiLevel() {
 	must(w.StageDelta("SALES", d))
 	fmt.Printf("staged δSALES: +%d −%d\n", d.PlusCount(), d.MinusCount())
 
-	dual, err := w.Clone().RunWindowOpts(warehouse.WindowOptions{Planner: warehouse.DualStagePlanner})
-	must(err)
-	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
-	must(err)
+	dual := incremental(w.Clone().RunWindowOpts(warehouse.WindowOptions{Planner: warehouse.DualStagePlanner}))
+	win := incremental(w.RunWindowOpts(warehouse.WindowOptions{}))
 	must(w.Verify())
 	fmt.Println("MinWork ordering", win.Plan.Ordering)
 	fmt.Println(win.Plan.Strategy)
@@ -281,8 +287,7 @@ func ExampleWarehouse_Parallelize() {
 
 	for _, planner := range []warehouse.PlannerName{warehouse.MinWorkPlanner, warehouse.DualStagePlanner} {
 		run := w.Clone()
-		win, err := run.RunWindowOpts(warehouse.WindowOptions{Planner: planner, Mode: warehouse.ModeStaged})
-		must(err)
+		win := incremental(run.RunWindowOpts(warehouse.WindowOptions{Planner: planner, Mode: warehouse.ModeStaged}))
 		must(run.Verify())
 		staged := run.Parallelize(win.Plan.Strategy)
 		fmt.Printf("%s: %d expressions in %d stages\n", planner, staged.Exprs(), staged.Stages())
@@ -348,8 +353,7 @@ func Example_quickstart() {
 	must(w.StageDelta("ORDERS", d))
 
 	// Run the update window: plan with MinWork, execute, commit.
-	win, err := w.RunWindowOpts(warehouse.WindowOptions{})
-	must(err)
+	win := incremental(w.RunWindowOpts(warehouse.WindowOptions{}))
 	fmt.Println("planned strategy:", win.Plan.Strategy)
 	rep := win.Report
 	fmt.Printf("update window: work=%d (comp=%d inst=%d)\n", rep.TotalWork(), rep.CompWork, rep.InstWork)

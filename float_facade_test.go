@@ -76,6 +76,11 @@ func queryString(t *testing.T, w *Warehouse, sql string) string {
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
+	return tupleString(rows)
+}
+
+// tupleString renders rows one after another, separated by spaces.
+func tupleString(rows []Tuple) string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = r.String()

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -62,40 +63,78 @@ func TestQueryAdHocAggregate(t *testing.T) {
 	}
 }
 
+// TestQueryDuringUpdateWindow: a query never sees a window's installs view
+// by view. It reads the pre-window epoch until the window commits — also
+// after a window that ran part of its strategy and then failed — and the
+// post-window epoch from the commit on. Readers running beside the window
+// see one of the two, and an epoch pinned before the window keeps the
+// pre-window rows after it.
 func TestQueryDuringUpdateWindow(t *testing.T) {
+	const sql = "SELECT region, total, n FROM REGION_TOTALS ORDER BY region"
+	const pre, post = "(east, 5, 1) (west, 30, 2)", "(east, 55, 2) (west, 20, 1)"
 	w := newRetail(t)
 	stageSale(t, w)
-	plan, err := w.Plan(MinWorkPlanner)
-	if err != nil {
-		t.Fatal(err)
+	pin := w.PinEpoch()
+	defer pin.Close()
+	if got := queryString(t, w, sql); got != pre {
+		t.Fatalf("before the window: %s, want %s", got, pre)
 	}
-	// Execute only a prefix of the strategy (propagation of SALES into the
-	// join view plus the install of SALES); summaries are not yet updated.
-	prefix := plan.Strategy[:2]
-	g, err := w.Graph()
-	if err != nil {
-		t.Fatal(err)
+
+	// The first two steps of the plan run on the window's clone; the
+	// crash at the third ends the window without a commit.
+	inj := NewFaultInjector(1)
+	inj.CrashAt("step", 3)
+	if _, err := w.RunWindowOpts(WindowOptions{Faults: inj}); err == nil {
+		t.Fatal("a window that crashed at its third step committed")
 	}
-	_ = g
-	for _, e := range prefix {
-		switch x := e.(type) {
-		case Comp:
-			if _, err := w.Internal().Compute(x.View, x.Over); err != nil {
-				t.Fatal(err)
+	if inj.Hits("step") < 3 {
+		t.Fatalf("the crashed window reached %d step boundaries, want 3", inj.Hits("step"))
+	}
+	if got := queryString(t, w, sql); got != pre {
+		t.Fatalf("after a window that ran two steps and crashed: %s, want %s", got, pre)
+	}
+
+	stop := make(chan struct{})
+	seen := make(chan string, 4)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows, err := w.Query(sql)
+				if err != nil {
+					seen <- err.Error()
+					return
+				}
+				if got := tupleString(rows); got != pre && got != post {
+					seen <- got
+					return
+				}
 			}
-		case Inst:
-			if _, err := w.Internal().Install(x.View); err != nil {
-				t.Fatal(err)
-			}
-		}
+		}()
 	}
-	// Mid-window OLAP queries still answer from current (mixed) state.
-	rows, err := w.Query(`SELECT region, total FROM REGION_TOTALS ORDER BY region`)
+	runIncremental(t, w, WindowOptions{Mode: ModeDAG, Workers: 2})
+	close(stop)
+	wg.Wait()
+	close(seen)
+	for got := range seen {
+		t.Errorf("a query beside the window read %s, want %s or %s", got, pre, post)
+	}
+	if got := queryString(t, w, sql); got != post {
+		t.Errorf("after the window: %s, want %s", got, post)
+	}
+	rows, err := pin.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Errorf("mid-window query failed: %v", rows)
+	if got := tupleString(rows); got != pre {
+		t.Errorf("the epoch pinned before the window reads %s, want %s", got, pre)
 	}
 }
 

@@ -287,6 +287,11 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.recover(j)
+}
+
+// recover is Recover for a caller that holds w.mu.
+func (w *Warehouse) recover(j *Journal) (WindowReport, error) {
 	if j.crashed {
 		return WindowReport{}, fmt.Errorf("warehouse: this journal handle saw a crash mid-window; reopen it with OpenJournal(%q) to load the in-flight window", j.path)
 	}
@@ -312,22 +317,24 @@ func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 // restart: every committed window is replayed in order (aborted windows are
 // skipped, as their effects never reached the serving epoch), and a trailing
 // in-flight window — the signature of a crash mid-window — is completed via
-// Recover. The warehouse must be at the journal's initial state: the
+// Recover, all under one hold of the facade mutex, so nothing is staged
+// between them. The warehouse must be at the journal's initial state: the
 // deterministic fixture whose digest the first window's begin record pins.
 // The tally counts every window it replays.
 func (w *Warehouse) Restore(j *Journal) error {
 	if j == nil {
 		return errors.New("warehouse: Restore requires a journal")
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var lg journal.Log
 	if j.path != "" {
 		in, err := os.Open(j.path)
 		if err != nil {
 			return err
 		}
-		lg, err = journal.ReadLog(in)
-		in.Close()
-		if err != nil {
+		defer in.Close()
+		if lg, err = journal.ReadLog(in); err != nil {
 			return fmt.Errorf("warehouse: reading journal %s: %w", j.path, err)
 		}
 	}
@@ -336,12 +343,12 @@ func (w *Warehouse) Restore(j *Journal) error {
 		if !wl.Committed() {
 			continue // aborted, or the in-flight tail Recover handles below
 		}
-		if _, err := w.ApplyWindow(wl); err != nil {
+		if _, err := w.applyWindow(wl); err != nil {
 			return fmt.Errorf("warehouse: restoring window %d: %w", wl.Begin.Seq, err)
 		}
 	}
 	if j.NeedsRecovery() {
-		_, err := w.Recover(j)
+		_, err := w.recover(j)
 		return err
 	}
 	return nil

@@ -37,6 +37,11 @@ func (w *Warehouse) ApplyWindow(wl *WindowLog) (WindowReport, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.applyWindow(wl)
+}
+
+// applyWindow is ApplyWindow for a caller that holds w.mu.
+func (w *Warehouse) applyWindow(wl *WindowLog) (WindowReport, error) {
 	started := time.Now()
 	res, err := recovery.Replay(w.core, wl, recovery.Options{})
 	if err != nil {

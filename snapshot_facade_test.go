@@ -57,9 +57,7 @@ func TestSnapshotThroughFacade(t *testing.T) {
 	}
 	// The restored warehouse runs a full update window.
 	stageSale(t, fresh)
-	if _, err := fresh.RunWindowOpts(WindowOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	runIncremental(t, fresh, WindowOptions{})
 	if err := fresh.Verify(); err != nil {
 		t.Fatal(err)
 	}

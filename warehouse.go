@@ -207,12 +207,13 @@ type Options struct {
 //     state — so it observes exactly the pre-window or post-window warehouse,
 //     never a mix (see PinEpoch for multi-view consistency).
 //   - Serialized on the facade mutex: StageDelta, StageDeltaCSV,
-//     RunWindowOpts, Recover, Restore, ApplyWindow, LoadSnapshot,
-//     SaveSnapshot, SaveSnapshotFile, Clone, Pending and the planning reads —
-//     Plan, PlanMinWorkSingle, PlanningStats, EstimateWork, Explain and
-//     ExplainSharing — are safe to call concurrently with each other and
-//     with readers. One issued while a window runs blocks until the window
-//     commits or aborts; a batch staged then lands in the next window.
+//     RunWindowOpts, Recover, Restore (across every window it replays),
+//     ApplyWindow, LoadSnapshot, SaveSnapshot, SaveSnapshotFile, Clone,
+//     Pending and the planning reads — Plan, PlanMinWorkSingle,
+//     PlanningStats, EstimateWork, Explain and ExplainSharing — are safe to
+//     call concurrently with each other and with readers. One issued while a
+//     window runs blocks until the window commits or aborts; a batch staged
+//     then lands in the next window.
 //   - Safe at any time, never waiting for a window: Epoch, LiveEpochs, Tally,
 //     PlanCacheStats and Script, which read counters or no state at all.
 //   - In-module: Internal hands the serving epoch's core warehouse to

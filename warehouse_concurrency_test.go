@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -581,5 +582,79 @@ func TestQueriesBesideLoadSnapshotAndRecover(t *testing.T) {
 				t.Errorf("after %s: epoch %d serves %s, want epoch 2 serving %s", c.name, epoch, got, adopted[2])
 			}
 		})
+	}
+}
+
+// TestRestoreHoldsTheFacadeMutex: Restore replays every committed window of
+// a journal under the facade mutex, so batches staged while it runs wait for
+// the last window instead of landing between two of them, where the next
+// replay would run them in a window whose journal does not hold them.
+func TestRestoreHoldsTheFacadeMutex(t *testing.T) {
+	const windows = 32
+	path := filepath.Join(t.TempDir(), "wh.journal")
+	leader := newRetail(t)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range windows {
+		stageEastSale(t, leader, int64(700+i))
+		if _, err := leader.RunWindowOpts(WindowOptions{Journal: j}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+
+	w := newRetail(t)
+	initial := w.Epoch()
+	restored := make(chan struct{})
+	staged := make(chan error, 1)
+	go func() {
+		// Stage batch after batch from Restore's first commit on, until it
+		// has returned: at least one.
+		for w.Epoch() == initial {
+			runtime.Gosched()
+		}
+		for id := int64(800); ; id++ {
+			d, err := w.NewDelta("SALES")
+			if err == nil {
+				d.Add(Tuple{Int(id), Int(1), Float(1)}, 1)
+				err = w.StageDelta("SALES", d)
+			}
+			if err != nil {
+				staged <- err
+				return
+			}
+			select {
+			case <-restored:
+				staged <- nil
+				return
+			default:
+			}
+		}
+	}()
+	err = w.Restore(j2)
+	close(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-staged; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.StateDigest(), leader.StateDigest(); got != want {
+		t.Errorf("restored state digests to %016x, the journal's last window left %016x", got, want)
+	}
+	if got := w.Tally().Committed; got != windows {
+		t.Errorf("Restore committed %d windows, the journal holds %d", got, windows)
+	}
+	if got := w.Pending(); len(got) != 1 || got[0] != "SALES" {
+		t.Errorf("the batches staged during Restore left pending %v, want [SALES]", got)
 	}
 }

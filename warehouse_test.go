@@ -61,6 +61,23 @@ func stageSale(t *testing.T, w *Warehouse) {
 	}
 }
 
+// runIncremental runs one update window and fails unless it committed on its
+// first, incremental attempt. The failure ladder would otherwise recompute
+// every view past an incremental failure, and the state checks after the
+// window would pass all the same.
+func runIncremental(t *testing.T, w *Warehouse, o WindowOptions) WindowReport {
+	t.Helper()
+	win, err := w.RunWindowOpts(o)
+	if err != nil {
+		t.Fatalf("window (%s, %s): %v", o.Planner, o.Mode, err)
+	}
+	if win.Attempts != 1 || win.Recomputed || win.FellBackSequential {
+		t.Fatalf("window (%s, %s) committed after %d attempts (recomputed %v, fell back to sequential %v), want the first, incremental one",
+			o.Planner, o.Mode, win.Attempts, win.Recomputed, win.FellBackSequential)
+	}
+	return win
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	w := newRetail(t)
 	rows, err := w.Rows("REGION_TOTALS")
@@ -77,10 +94,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if got := w.Pending(); len(got) != 1 || got[0] != "SALES" {
 		t.Errorf("Pending = %v", got)
 	}
-	win, err := w.RunWindowOpts(WindowOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	win := runIncremental(t, w, WindowOptions{})
 	if win.Plan.Modified {
 		t.Errorf("tree warehouse should not need ModifyOrdering")
 	}
@@ -112,8 +126,8 @@ func TestPlannersAgreeOnFinalState(t *testing.T) {
 		if err := w.Validate(p.Strategy); err != nil {
 			t.Fatalf("%s: invalid plan: %v", name, err)
 		}
-		if _, err := w.RunWindowOpts(WindowOptions{Planner: name}); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if win := runIncremental(t, w, WindowOptions{Planner: name}); win.Plan.Strategy.String() != p.Strategy.String() {
+			t.Fatalf("%s: the window ran %s, the validated plan is %s", name, win.Plan.Strategy, p.Strategy)
 		}
 		if err := w.Verify(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -192,10 +206,7 @@ func TestParallelFacade(t *testing.T) {
 	if plan.Stages() < 2 {
 		t.Fatalf("plan = %s", plan)
 	}
-	win, err := w.RunWindowOpts(WindowOptions{Planner: DualStagePlanner, Mode: ModeStaged})
-	if err != nil {
-		t.Fatal(err)
-	}
+	win := runIncremental(t, w, WindowOptions{Planner: DualStagePlanner, Mode: ModeStaged})
 	if sched := win.Report.Sched; win.Mode != ModeStaged || sched.TotalWork == 0 || sched.SpanWork == 0 || sched.Levels != plan.Stages() {
 		t.Errorf("staged window of a %d-stage plan ran %s: %+v", plan.Stages(), win.Mode, sched)
 	}
