@@ -16,6 +16,19 @@ define run-tests
 	$(GO) test $(3) $(1) -run '$(2)' -count=1 $(4)
 endef
 
+# run-benches runs `go test -bench` over one package with an alternation of
+# benchmark name patterns, after checking with `go test -list` that every
+# alternative still matches a benchmark — by its top-level name, the part
+# before the first "/", which is all -list sees: a renamed benchmark otherwise
+# leaves bench-smoke running nothing, and passing.
+# $(call run-benches,<package>,<pat1|pat2|…>[,<go test flags>])
+define run-benches
+	@set -f; for p in $(subst |, ,$(2)); do \
+		$(GO) test -list "$${p%%/*}" $(1) | grep -q '^Benchmark' || { echo "$(1): -bench alternative '$$p' matches no benchmark" >&2; exit 1; }; \
+	done
+	$(GO) test $(1) -run '^$$' -bench '$(2)' -benchtime 1x $(3)
+endef
+
 build:
 	$(GO) build ./...
 
@@ -92,12 +105,13 @@ replica-smoke:
 soak-smoke:
 	$(call run-tests,./internal/ingest/,TestSoakIngest,-race,-soak 25s)
 
-# The concurrency tier: the full suite under the race detector. The
-# goroutines that run update windows live in two packages — internal/exec
-# (the scheduler's workers, staged and DAG) and internal/core (the term
-# engine's pool and sharded sinks, the window's build cache) — and
-# internal/recovery and the facade drive both against shared warehouse
-# state; running everything keeps the tier honest as coverage grows.
+# The concurrency tier: the full suite under the race detector. The only
+# goroutines that run update windows are internal/exec's (the scheduler's
+# workers, staged and DAG); what they share inside a window lives in
+# internal/core (the window's build cache, the views' pending state, the
+# tables' join indexes), and internal/recovery and the facade drive both
+# against shared warehouse state; running everything keeps the tier honest
+# as coverage grows.
 race:
 	$(GO) test -race ./...
 
@@ -153,13 +167,13 @@ bench:
 # query of each kind of the repository benchmark's two query mixes, through the
 # HTTP handler.
 bench-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkCompute' -benchtime 1x -benchmem
-	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -benchtime 1x
-	$(GO) test ./internal/planner -run '^$$' -bench 'BenchmarkPruneScaling/m=1[02]$$' -benchtime 1x -benchmem -timeout 30s
-	$(GO) test ./internal/storage -run '^$$' -bench . -benchtime 1x -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'Probe' -benchtime 1x -benchmem
-	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -benchtime 1x -benchmem
-	$(GO) test ./internal/serve -run '^$$' -bench 'ServeQuery' -benchtime 1x -benchmem
+	$(call run-benches,.,BenchmarkCompute,-benchmem)
+	$(call run-benches,.,BenchmarkResidentBytes)
+	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
+	$(call run-benches,./internal/storage,.,-benchmem)
+	$(call run-benches,./internal/core,Probe,-benchmem)
+	$(call run-benches,./internal/recovery,StateDigest|JournaledWindow,-benchmem)
+	$(call run-benches,./internal/serve,ServeQuery,-benchmem)
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /

@@ -9,7 +9,6 @@
 package warehouse
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -289,45 +288,26 @@ func benchTermSetup(b *testing.B) *tpcd.Warehouse {
 	return benchTermState.tw
 }
 
-// BenchmarkComputeTermParallel measures the term engine's width on the
-// 63-term Comp(Q5, all six base views) — the multi-term expression the
-// dual-stage strategy pays for — at SF 0.01 under the mixed change workload.
-// "default" is the engine as configured out of the box (width 1, no pool);
-// "w=N" rows run ParallelTerms with that worker budget (w=1 is the same
-// serial schedule with a pool attached, so w=4 vs w=1 isolates the parallel
-// speedup). Compute only accumulates pending changes, so iterations repeat
-// identical work on the same warehouse.
-func BenchmarkComputeTermParallel(b *testing.B) {
+// BenchmarkComputeDualStageQ5 measures the 63-term Comp(Q5, all six base
+// views) — the multi-term expression the dual-stage strategy pays for — at
+// SF 0.01 under the mixed change workload, its terms run one after another
+// by the one term engine. Compute only accumulates pending changes, so
+// iterations repeat identical work on the same warehouse.
+func BenchmarkComputeDualStageQ5(b *testing.B) {
 	tw := benchTermSetup(b)
 	children := tw.W.Children(tpcd.Q5)
-	run := func(b *testing.B, w *tpcd.Warehouse) {
-		b.Helper()
-		b.ReportAllocs()
-		var saved int64
-		for i := 0; i < b.N; i++ {
-			rep, err := w.W.Compute(tpcd.Q5, children)
-			if err != nil {
-				b.Fatal(err)
-			}
-			saved = rep.CacheTuplesSaved
+	w := tw.W.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var saved int64
+	for i := 0; i < b.N; i++ {
+		rep, err := w.Compute(tpcd.Q5, children)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(saved), "tuples_saved")
+		saved = rep.CacheTuplesSaved
 	}
-	b.Run("default", func(b *testing.B) {
-		w := tw.W.Clone()
-		b.ResetTimer()
-		run(b, &tpcd.Warehouse{W: w})
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w=%d", workers), func(b *testing.B) {
-			w := tw.W.Clone()
-			opts := w.Options()
-			opts.ParallelTerms, opts.Workers = true, workers
-			w.SetOptions(opts)
-			b.ResetTimer()
-			run(b, &tpcd.Warehouse{W: w})
-		})
-	}
+	b.ReportMetric(float64(saved), "tuples_saved")
 }
 
 // BenchmarkComputeProbeAllocs isolates the probe-path allocation diet on the

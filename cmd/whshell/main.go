@@ -2,18 +2,16 @@
 // views, load data, stage change batches, run update windows, and query —
 // the full lifecycle from a prompt (or a piped script).
 //
-//	go run ./cmd/whshell [-f script.whs] [-share] [-term-workers 0]
+//	go run ./cmd/whshell [-f script.whs] [-share]
 //
 // cmd/tpcdgen writes tpcd.whs, a script that defines the paper's TPC-D
 // warehouse and stages a change batch; a WINDOW statement after it runs one
 // of the paper's update windows.
 //
-// The engine the session's warehouse runs on is fixed at start by flags
-// (-share is whserverd's): -share keeps a window's builds for the whole
-// window (operands several views' Comps read are hashed once, until their
-// view installs), and -term-workers widens the term engine to that many
-// workers (concurrent maintenance terms, morsel-parallel probes; 0 keeps it
-// at width 1).
+// The engine the session's warehouse runs on is fixed at start by a flag
+// (whserverd's too): -share keeps a window's builds for the whole window
+// (operands several views' Comps read are hashed once, until their view
+// installs).
 //
 // Commands (case-insensitive keywords; SQL per the library's dialect):
 //
@@ -22,7 +20,7 @@
 //	LOAD <view> FROM '<file.csv>';              bulk-load a base view
 //	DELTA <view> FROM '<file.csv>';             stage a change batch (CSV, __count column)
 //	REFRESH;                                    materialize derived views
-//	WINDOW [planner] [STAGED|DAG [workers]];    plan + execute an update window
+//	WINDOW [planner] [SEQUENTIAL|STAGED|DAG [workers]];  plan + execute an update window
 //	EXPLAIN SHARING [planner];                  sharing election + observed reuse
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
 //	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
@@ -110,28 +108,20 @@ func main() {
 }
 
 // parseFlags reads the command line: the script to run (empty for stdin) and
-// the engine settings the session's warehouse is built with. A negative
-// worker count and a stray argument are refused.
+// the engine settings the session's warehouse is built with. A stray
+// argument is refused.
 func parseFlags(args []string, stderr io.Writer) (script string, opts warehouse.Options, err error) {
 	fs := flag.NewFlagSet("whshell", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scriptPath := fs.String("f", "", "execute commands from a file instead of stdin")
 	share := fs.Bool("share", false, "enable window-wide shared computation for update windows")
-	termWorkers := fs.Int("term-workers", 0, "term engine width: concurrent maintenance terms and morsel-parallel probes (0 = width 1)")
 	if err := fs.Parse(args); err != nil {
 		return "", opts, err
 	}
 	if fs.NArg() > 0 {
 		return "", opts, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *termWorkers < 0 {
-		return "", opts, fmt.Errorf("-term-workers must not be negative (got %d)", *termWorkers)
-	}
-	return *scriptPath, warehouse.Options{
-		ShareComputation: *share,
-		ParallelTerms:    *termWorkers > 0,
-		Workers:          *termWorkers,
-	}, nil
+	return *scriptPath, warehouse.Options{ShareComputation: *share}, nil
 }
 
 // exitCodeFor classifies a shell error: an interrupted or timed-out window
@@ -292,7 +282,8 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 				}
 			}
 		}
-		if len(rest) > 0 {
+		// Only the DAG scheduler reads a worker count.
+		if len(rest) > 0 && mode == warehouse.ModeDAG {
 			n, err := strconv.Atoi(rest[0])
 			if err != nil {
 				return false, fmt.Errorf("WINDOW: bad worker count %q", rest[0])
@@ -300,7 +291,7 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 			workers, rest = n, rest[1:]
 		}
 		if len(rest) > 0 {
-			return false, fmt.Errorf("usage: WINDOW [planner] [STAGED|DAG [workers]]")
+			return false, errWindowUsage
 		}
 		// Journaled when a journal is attached, and cancellable when the
 		// shell has a context (SIGINT/SIGTERM aborts the window).
@@ -367,6 +358,8 @@ var takesNoOperands = map[string]bool{
 	"VERIFY": true, "DIGEST": true, "RECOVER": true,
 }
 
+var errWindowUsage = errors.New("usage: WINDOW [planner] [SEQUENTIAL|STAGED|DAG [workers]]")
+
 var errShowUsage = errors.New("usage: SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE")
 
 func (sh *shell) help() {
@@ -375,7 +368,7 @@ func (sh *shell) help() {
   CREATE VIEW <name> AS SELECT ...;
   LOAD <view> FROM '<file.csv>';        DELTA <view> FROM '<file.csv>';
   REFRESH;
-  WINDOW [minwork|prune|dualstage|shared] [STAGED|DAG [workers]];    VERIFY;  DIGEST;
+  WINDOW [minwork|prune|dualstage|shared] [SEQUENTIAL|STAGED|DAG [workers]];    VERIFY;  DIGEST;
   EXPLAIN SHARING [planner];            sharing election + last window's observed reuse
   SELECT ... [ORDER BY col|n [ASC|DESC], ...] [LIMIT n [OFFSET m]];
   SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
@@ -383,7 +376,7 @@ func (sh *shell) help() {
   JOURNAL ON '<file>' | OFF | STATUS;   crash-safe (journaled) windows
   RECOVER;                              complete the journal's in-flight window
   HELP;  EXIT;
-engine settings are flags at start: -share, -term-workers N
+engine settings are flags at start: -share
 `)
 }
 

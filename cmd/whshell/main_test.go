@@ -213,36 +213,41 @@ EXIT;
 	}
 }
 
-// TestShellTermWorkers: -term-workers N widens the term engine to N workers,
-// 0 keeps it at width 1, and a negative count is refused. A window on the
-// wide engine lands where recomputation does.
-func TestShellTermWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		arg      string
-		parallel bool
-		workers  int
-	}{{"4", true, 4}, {"0", false, 0}} {
-		_, opts, err := parseFlags([]string{"-term-workers", tc.arg}, io.Discard)
-		if err != nil || opts.ParallelTerms != tc.parallel || opts.Workers != tc.workers {
-			t.Errorf("-term-workers %s: %+v (%v)", tc.arg, opts, err)
-		}
-	}
-	if _, _, err := parseFlags([]string{"-term-workers", "-1"}, io.Discard); err == nil {
-		t.Error("-term-workers -1 accepted")
-	}
+// TestShellWindowWorkersOnlyAfterDAG: a worker count is a word only the DAG
+// scheduler reads, so after SEQUENTIAL or STAGED (or no mode) it is refused
+// with the usage, which names every mode; the window does not run, and the
+// same batch then lands through WINDOW DAG 2. HELP names every mode too.
+func TestShellWindowWorkersOnlyAfterDAG(t *testing.T) {
+	const usage = "usage: WINDOW [planner] [SEQUENTIAL|STAGED|DAG [workers]]"
 	sales := writeFile(t, "sales.csv", "id,region,amount\n1,west,10\n2,east,5\n")
-	b1 := writeFile(t, "b1.csv", "id,region,amount,__count\n3,west,7,1\n1,west,10,-1\n")
-	out, err := runScript(t, `
+	b1 := writeFile(t, "b1.csv", "id,region,amount,__count\n3,west,7,1\n")
+	setup := `
 CREATE BASE SALES (id INTEGER, region VARCHAR, amount FLOAT);
 CREATE VIEW TOTALS AS SELECT region, SUM(amount) AS total FROM SALES GROUP BY region;
-LOAD SALES FROM '`+sales+`';
+LOAD SALES FROM '` + sales + `';
 REFRESH;
-DELTA SALES FROM '`+b1+`';
-WINDOW minwork DAG 4;
-VERIFY;
-`, "-term-workers", "4")
-	if err != nil || !strings.Contains(out, "every view matches recomputation") {
-		t.Fatalf("%v\noutput:\n%s", err, out)
+DELTA SALES FROM '` + b1 + `';
+`
+	for _, stmt := range []string{
+		"WINDOW SEQUENTIAL 4;",
+		"WINDOW STAGED 7;",
+		"WINDOW minwork SEQUENTIAL 2;",
+		"WINDOW prune STAGED 3;",
+	} {
+		out, err := runScript(t, setup+stmt+"\n")
+		if err == nil || err.Error() != usage {
+			t.Errorf("%s: error %v, want %q", stmt, err, usage)
+		}
+		if strings.Contains(out, "window 1") {
+			t.Errorf("%s ran a window:\n%s", stmt, out)
+		}
+	}
+	out, err := runScript(t, setup+"WINDOW DAG 2;\nVERIFY;\nHELP;\n")
+	if err != nil || !strings.Contains(out, "window 1 [minwork, dag") || !strings.Contains(out, "every view matches recomputation") {
+		t.Fatalf("WINDOW DAG 2: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "[SEQUENTIAL|STAGED|DAG [workers]]") {
+		t.Errorf("HELP does not name SEQUENTIAL:\n%s", out)
 	}
 }
 

@@ -23,15 +23,15 @@ func catalogs(n, short int64) []check.Point {
 }
 
 // TestSharingOnOffDifferential: the sharing points. Every window is planned
-// by the sharing-aware search and run with the cache kept for the window, in every scheduling mode, at engine widths 1 and 2;
-// trial.Run holds it to the run that keeps the cache per Comp — sharing elides
+// by the sharing-aware search and run with the cache kept for the window, in
+// every scheduling mode; trial.Run holds it to the run that keeps the cache per Comp — sharing elides
 // scans, never results or the metric. The legs must register hits somewhere.
 func TestSharingOnOffDifferential(t *testing.T) {
 	var sum trial.Tally
 	for _, p := range catalogs(4, 2) {
 		for i, mode := range []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG} {
 			p.Planner, p.Share, p.Windows = "shared", true, 2
-			p.Mode, p.Workers, p.Width = mode, i+1, 1+(int(p.Seed)+i)%2
+			p.Mode, p.Workers = mode, i+1
 			sum.Add(trial.Run(t, p))
 		}
 	}
@@ -40,18 +40,19 @@ func TestSharingOnOffDifferential(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetIsInert: Options.MemoryBudgetBytes stays only because the
-// frozen benchmark sets it, and changes nothing. On the Siblings catalog every
-// Comp(Vi, {D}) hashes A's state — the build a 1-byte budget once spilled —
-// and a warehouse given that budget plans the same strategies, does the same
-// work step by step and lands on the same state as one given none, with every
-// spill counter and the reserved peak at 0.
+// TestMemoryBudgetIsInert: Options.MemoryBudgetBytes, ParallelTerms and
+// Workers stay only because the frozen benchmark sets them, and change
+// nothing. On the Siblings catalog every Comp(Vi, {D}) hashes A's state — the
+// build a 1-byte budget once spilled — and a warehouse given that budget and
+// a term engine of two workers plans the same strategies, does the same work
+// step by step and lands on the same state as one given none of them, with
+// every spill counter and the reserved peak at 0.
 func TestMemoryBudgetIsInert(t *testing.T) {
-	open := warehouse.Options{ParallelTerms: true, Workers: 2, ShareComputation: true}
-	starved := open
-	starved.MemoryBudgetBytes = 1
-	a := check.BuildCatalog(t, check.Siblings, 1, open)
-	b := check.BuildCatalog(t, check.Siblings, 1, starved)
+	plain := warehouse.Options{ShareComputation: true}
+	inert := plain
+	inert.MemoryBudgetBytes, inert.ParallelTerms, inert.Workers = 1, true, 2
+	a := check.BuildCatalog(t, check.Siblings, 1, plain)
+	b := check.BuildCatalog(t, check.Siblings, 1, inert)
 	ra, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 	opts := warehouse.WindowOptions{Planner: warehouse.SharedPlanner, Mode: warehouse.ModeDAG, Workers: 2}
 	var hashed int
@@ -67,16 +68,16 @@ func TestMemoryBudgetIsInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wb.Plan.Strategy.String() != wa.Plan.Strategy.String() || wb.Plan.EstimatedWork != wa.Plan.EstimatedWork {
-			t.Fatalf("window %d: the budget planned %s (est %v), none planned %s (est %v)",
+			t.Fatalf("window %d: the inert options planned %s (est %v), none planned %s (est %v)",
 				win, wb.Plan.Strategy, wb.Plan.EstimatedWork, wa.Plan.Strategy, wa.Plan.EstimatedWork)
 		}
 		for i, step := range wb.Report.Steps {
 			if want := wa.Report.Steps[i]; step.Expr.Key() != want.Expr.Key() || step.Work != want.Work {
-				t.Errorf("window %d step %d: %s work=%d under the budget, %s work=%d without", win, i, step.Expr, step.Work, want.Expr, want.Work)
+				t.Errorf("window %d step %d: %s work=%d with the inert options, %s work=%d without", win, i, step.Expr, step.Work, want.Expr, want.Work)
 			}
 		}
 		if da, db := a.StateDigest(), b.StateDigest(); da != db {
-			t.Errorf("window %d: state digest %016x under the budget, %016x without", win, db, da)
+			t.Errorf("window %d: state digest %016x with the inert options, %016x without", win, db, da)
 		}
 		if c := wb.Counters(); c.SpillCount != 0 || c.SpilledBytes != 0 || c.SpillReReadBytes != 0 || c.PeakReservedBytes != 0 {
 			t.Errorf("window %d: spill counters %+v, want all 0", win, c)

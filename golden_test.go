@@ -8,8 +8,9 @@ import (
 // goldenFloatDigest is the state digest TestGoldenFloatDigest must land on.
 // It was computed at the commit before the two term evaluators became one
 // (f7a74ea, the sequential Compute branch), so it pins that the default
-// engine — the term engine at width 1, accumulating straight into the
-// view's pending state — adds the same floats in the same order.
+// engine — the term engine, running terms in order and accumulating
+// straight into the view's pending state — adds the same floats in the same
+// order.
 const goldenFloatDigest = 0x64a5d93987c453a9
 
 // TestGoldenFloatDigest runs ten windows of non-dyadic float data on the

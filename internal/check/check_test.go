@@ -26,7 +26,7 @@ func draw(seed int64) check.Point {
 		Catalog: check.Catalog(pick("", "", string(check.Invalidation), string(check.Siblings), string(check.Narrow))),
 		Planner: pick("", "prune", "dualstage", "shared"),
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
-		Workers: rng.Intn(4), Width: rng.Intn(4), Skip: rng.Intn(2) == 0,
+		Workers: rng.Intn(4), Skip: rng.Intn(2) == 0,
 		Share:   rng.Intn(4) > 0,
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),
 	}
@@ -87,7 +87,7 @@ func TestPointRoundTrip(t *testing.T) {
 			set[name] = true
 		}
 	}
-	for _, axis := range strings.Fields("seed catalog planner mode workers width skip share windows fault cut readers replicas drop slow kill ingest") {
+	for _, axis := range strings.Fields("seed catalog planner mode workers skip share windows fault cut readers replicas drop slow kill ingest") {
 		if !set[axis] {
 			t.Errorf("no drawn point set axis %s: its round trip went untested", axis)
 		}

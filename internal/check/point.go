@@ -24,11 +24,9 @@ type Point struct {
 	// or "oneway", the Invalidation catalog's pinned strategy.
 	Planner string `axis:"planner"`
 	// Mode schedules the strategy ("" = sequential), Workers bounds the
-	// scheduler's pool (0 = GOMAXPROCS), Width is the term engine's pool (0
-	// and 1 are the narrow engine).
+	// scheduler's pool (0 = GOMAXPROCS).
 	Mode    warehouse.Mode `axis:"mode"`
 	Workers int            `axis:"workers"`
-	Width   int            `axis:"width"`
 	// Skip sets SkipEmptyDeltas, the one option that changes Work figures.
 	Skip bool `axis:"skip"`
 	// Share keeps the build cache for the window (ShareComputation), each

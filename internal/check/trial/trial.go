@@ -144,8 +144,7 @@ func (r *run) build() *warehouse.Warehouse { return check.BuildCatalog(r, r.p.Ca
 // its first use.
 func (r *run) configure(w *warehouse.Warehouse) *warehouse.Warehouse {
 	w.Internal().SetOptions(core.Options{
-		SkipEmptyDeltas: r.p.Skip, ParallelTerms: r.p.Width > 1, Workers: r.p.Width,
-		ShareComputation: r.p.Share,
+		SkipEmptyDeltas: r.p.Skip, ShareComputation: r.p.Share,
 	})
 	return w
 }

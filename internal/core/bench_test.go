@@ -158,7 +158,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.runMorsel(driver, sink)
+		p.run(driver, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
@@ -181,11 +181,11 @@ func BenchmarkIndexProbe(b *testing.B) {
 	}
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	p.runMorsel(driver[:1], sink) // the first probe builds the index
+	p.run(driver[:1], sink) // the first probe builds the index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.runMorsel(driver, sink)
+		p.run(driver, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
@@ -280,14 +280,14 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 	rows := materializeScan(plan.driverSrc)
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	plan.pl.runMorsel(rows, sink) // the first run builds both indexes
+	plan.pl.run(rows, sink) // the first run builds both indexes
 	if matched == 0 {
 		b.Fatal("no driver row reached the sink")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.pl.runMorsel(rows, sink)
+		plan.pl.run(rows, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }

@@ -40,7 +40,7 @@ func probeBag(t *testing.T, bt *buildTable, key relation.Tuple) map[string]int64
 	p := pipeline{live: liveColumns(read, 0, len(key)), width: len(read), steps: []joinStep{step}}
 	bag := make(map[string]int64)
 	sink := func(row relation.Tuple, count int64) { bag[row[len(key):].Encode()] += count }
-	p.runMorsel([]prow{{row: key, count: 1}}, sink)
+	p.run([]prow{{row: key, count: 1}}, sink)
 	return bag
 }
 

@@ -31,25 +31,6 @@ type Options struct {
 	// compute terms whose delta operands are all empty, the footnote-5
 	// extension of the paper. Off by default to match the measured system.
 	SkipEmptyDeltas bool
-	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
-	// the 2^r − 1 maintenance terms of one Comp then evaluate concurrently,
-	// each join step's probe rows are dispatched in fixed-size morsels, and
-	// term output merges into the view's pending state through sharded
-	// sinks. The produced bag of change rows — and the reported
-	// OperandTuples work — is identical at any width; only wall-clock
-	// differs. Off by default: width 1 evaluates terms one after another in
-	// term order, the paper's measured system.
-	ParallelTerms bool
-	// Workers bounds the warehouse-wide worker budget under ParallelTerms
-	// (0 = GOMAXPROCS). The pool is shared by every concurrent Compute, so
-	// term- and morsel-level parallelism composes with DAG-level strategy
-	// scheduling without multiplying goroutines: the submitting goroutine
-	// counts as one worker and at most Workers−1 extra goroutines run at
-	// any moment.
-	Workers int
-	// morselSize overrides the number of probe rows per parallel morsel
-	// (0 = DefaultMorselSize); only this package's tests set it.
-	morselSize int
 	// ShareComputation lets the build cache live for the update window
 	// instead of one Compute (AttachSharing): an operand several Comp
 	// expressions of the window build on is then scanned and hashed once
@@ -177,7 +158,6 @@ type Warehouse struct {
 	views map[string]*View
 	order []string // definition order; children always precede parents
 	opts  Options
-	pool  *workerPool // shared budget of the term engine (nil = width 1)
 	// cache is the build cache of the update window in progress
 	// (AttachSharing/DetachSharing), nil otherwise: every Compute then makes
 	// its own. Clones never inherit it: each window attaches its own.
@@ -192,24 +172,15 @@ type Warehouse struct {
 
 // New creates an empty warehouse.
 func New(opts Options) *Warehouse {
-	w := &Warehouse{views: make(map[string]*View)}
-	w.SetOptions(opts)
-	return w
+	return &Warehouse{views: make(map[string]*View), opts: opts}
 }
 
 // Options returns the warehouse's execution options.
 func (w *Warehouse) Options() Options { return w.opts }
 
-// SetOptions replaces the execution options and resizes the term engine's
-// worker pool accordingly — the one place ParallelTerms is read. Not safe to
-// call while strategies execute.
-func (w *Warehouse) SetOptions(o Options) {
-	w.opts = o
-	w.pool = nil
-	if o.ParallelTerms {
-		w.pool = newWorkerPool(o.Workers)
-	}
-}
+// SetOptions replaces the execution options. Not safe to call while
+// strategies execute.
+func (w *Warehouse) SetOptions(o Options) { w.opts = o }
 
 // DefineBase registers a base view with the given schema.
 func (w *Warehouse) DefineBase(name string, schema relation.Schema) error {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
@@ -117,8 +116,8 @@ func (w *Warehouse) Compute(name string, over []string) (CompReport, error) {
 }
 
 // ComputeCtx is Compute with cooperative cancellation: a nil ctx never
-// cancels; otherwise evaluation stops between term launches and between
-// morsels once ctx is done, returning an error that wraps ctx.Err().
+// cancels; otherwise evaluation stops before the next term once ctx is
+// done, returning an error that wraps ctx.Err().
 func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) (CompReport, error) {
 	rep := CompReport{View: name, Over: append([]string(nil), over...)}
 	v := w.views[name]
@@ -160,7 +159,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{pool: w.pool, morsel: w.opts.morselSize, ctx: ctx, cache: w.cache}
+	env := &evalEnv{ctx: ctx, cache: w.cache}
 	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
 }
 
@@ -171,24 +170,19 @@ type operand struct {
 	src     source
 }
 
-// evalEnv is one run of the term engine (runTerms): what its terms and
-// morsels share — the scan memo, the worker pool (nil runs everything inline
-// on the caller — width 1), the morsel size and the counters — and the
-// caller's handle on the build cache.
+// evalEnv is one run of the term engine (runTerms): what its terms share —
+// the scan memo and the counters — and the caller's handle on the build
+// cache. A run belongs to one goroutine.
 type evalEnv struct {
 	// cache holds the run's build tables: the window's cache when one is
 	// attached (AttachSharing), else one runTerms makes for this run alone.
-	cache  *buildCache
-	scans  *scanCache
-	pool   *workerPool
-	morsel int
-	ctx    context.Context
+	cache *buildCache
+	scans scanCache
+	ctx   context.Context
 
-	// mu guards what the run's concurrent terms write: the counters, and the
-	// cache slots a term of this run has asked for (made at the first ask:
-	// most runs ask for none).
-	mu    sync.Mutex
-	ctr   EngineCounters
+	ctr EngineCounters
+	// asked holds the cache slots a term of this run has asked for (made at
+	// the first ask: most runs ask for none).
 	asked map[*buildSlot]bool
 }
 
@@ -201,13 +195,6 @@ func (e *evalEnv) ctxErr() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
-}
-
-func (e *evalEnv) morselSize() int {
-	if e.morsel <= 0 {
-		return DefaultMorselSize
-	}
-	return e.morsel
 }
 
 // termPlan is one maintenance term's fully planned execution: the driver
@@ -236,17 +223,23 @@ type buildReq struct {
 	isDelta bool
 }
 
-// runTerm executes a planned term: materialize the driver, resolve the
+// runTerm executes planned term ti: materialize the driver, resolve the
 // build sides through the env's cache (which owns them), and run the
-// pipeline. It returns the number of index probes; the term's linear-metric
-// work was fixed at planning and counts every build-side operand even when
-// the cache served the physical table.
-func runTerm(plan *termPlan, sink func() sinkFn, env *evalEnv) (int64, error) {
+// pipeline into the sink. It returns the number of index probes; the term's
+// linear-metric work was fixed at planning and counts every build-side
+// operand even when the cache served the physical table. A panic in the
+// term — an operand scan or an operator — comes back as its error.
+func runTerm(ti int, plan *termPlan, sink *sink, env *evalEnv) (probes int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = recoveredErr(fmt.Sprintf("term %d", ti), r)
+		}
+	}()
 	rows := env.scans.get(plan.driverSrc)
 	for _, br := range plan.builds {
 		plan.pl.steps[br.step].build = env.cache.get(env, br)
 	}
-	return plan.pl.run(rows, sink, env)
+	return plan.pl.run(rows, sink.add), nil
 }
 
 // planTerm resolves a term's operands and plans its join pipeline:
@@ -375,8 +368,7 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 		} else {
 			// A build-side hash table over one operand scan, matching the
 			// linear work metric's execution model. The build itself is
-			// deferred to runTerm so the engine can pre-warm distinct
-			// builds concurrently.
+			// deferred to runTerm, through the build cache.
 			cols := make([]int, len(keys))
 			for ki, k := range keys {
 				cols[ki] = k.newCol - roff
@@ -424,12 +416,10 @@ type joinStep struct {
 // indexStep is the operand side of a join step that reads a plain table's
 // state through its resident join index. The index is resolved — and, if
 // the table does not hold one yet, built — at the step's first probe, so a
-// term whose delta is empty builds nothing and probes nothing; the morsels
-// that reach that probe together resolve it once.
+// term whose delta is empty builds nothing and probes nothing.
 type indexStep struct {
-	tbl  *storage.Table
-	once sync.Once
-	ix   *storage.Index
+	tbl *storage.Table
+	ix  *storage.Index // nil until the first probe
 	// probe is the equi-keys whose operand columns the index covers, in its
 	// column order: their bound sides make the probe key. resid is the
 	// others — a second equality on a column already used, or the columns
@@ -441,27 +431,29 @@ type indexStep struct {
 	scanned int64
 }
 
-// resolve finds or builds the index for the step's keys (sorted by newCol).
+// resolve finds or builds the index for the step's keys (sorted by newCol),
+// once.
 func (s *indexStep) resolve(keys []equiKey, roff int) {
-	s.once.Do(func() {
-		cols := make([]int, 0, len(keys))
-		for _, k := range keys {
-			if c := k.newCol - roff; len(cols) == 0 || cols[len(cols)-1] != c {
-				cols = append(cols, c)
-			}
+	if s.ix != nil {
+		return
+	}
+	cols := make([]int, 0, len(keys))
+	for _, k := range keys {
+		if c := k.newCol - roff; len(cols) == 0 || cols[len(cols)-1] != c {
+			cols = append(cols, c)
 		}
-		ix, scanned := s.tbl.JoinIndex(cols)
-		s.scanned = scanned
-		covered := ix.Cols()
-		for _, k := range keys {
-			if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-roff {
-				s.probe = append(s.probe, k)
-			} else {
-				s.resid = append(s.resid, k)
-			}
+	}
+	ix, scanned := s.tbl.JoinIndex(cols)
+	s.scanned = scanned
+	covered := ix.Cols()
+	for _, k := range keys {
+		if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-roff {
+			s.probe = append(s.probe, k)
+		} else {
+			s.resid = append(s.resid, k)
 		}
-		s.ix = ix
-	})
+	}
+	s.ix = ix
 }
 
 // indexedState returns the table whose resident index serves a join step on
@@ -481,8 +473,8 @@ func indexedState(term maintain.Term, op operand) *storage.Table {
 // plus the ordered join steps. Probing is depth-first and tuple-at-a-time —
 // a partial row is pushed through every remaining step before the next
 // match of the current step is tried — so intermediate join results are
-// never materialized. Each morsel works in a single scratch row of the
-// term's joined width: step i only overwrites its own operand's columns,
+// never materialized. A run works in a single scratch row of the term's
+// joined width: step i only overwrites its own operand's columns,
 // and the predicates evaluated at depth i only read columns bound at depths
 // ≤ i, so sibling matches can safely reuse the buffer. The scratch row holds
 // only live columns — those a filter, key, select expression, group-by key
@@ -496,58 +488,10 @@ type pipeline struct {
 	steps       []joinStep
 }
 
-// run pushes the driver rows through the pipeline, splitting them into
-// parallel morsels when env carries a worker pool; sink hands each morsel its
-// goroutine-local sink. It returns the number of index probes performed —
-// the machine's side of the index-served steps, whose scans the metric
-// accounted at planning time like every other step's.
-func (p *pipeline) run(rows []prow, sink func() sinkFn, env *evalEnv) (int64, error) {
-	pool := env.pool
-	ms := env.morselSize()
-	if pool == nil || len(rows) <= ms {
-		return p.runMorsel(rows, sink()), nil
-	}
-	nm := (len(rows) + ms - 1) / ms
-	probes := make([]int64, nm)
-	errs := make([]error, nm)
-	var wg sync.WaitGroup
-	for m := 0; m < nm; m++ {
-		m := m
-		lo := m * ms
-		hi := lo + ms
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		pool.do(&wg, func() {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[m] = recoveredErr("morsel", r)
-				}
-			}()
-			if err := env.ctxErr(); err != nil {
-				errs[m] = err
-				return
-			}
-			probes[m] = p.runMorsel(rows[lo:hi], sink())
-		})
-	}
-	wg.Wait()
-	var probed int64
-	for m := 0; m < nm; m++ {
-		if errs[m] != nil {
-			return 0, errs[m]
-		}
-		probed += probes[m]
-	}
-	return probed, nil
-}
-
-// morselState is the per-morsel scratch: the joined row under construction
-// plus per-depth key-projection and key-encoding buffers, and the count of
-// index probes made at each depth. All state is local to one morsel, so
-// morsels run concurrently; sink is the morsel's goroutine-local sink
-// closure.
-type morselState struct {
+// probeState is one run's scratch: the joined row under construction plus
+// per-depth key-projection and key-encoding buffers, and the count of index
+// probes made at each depth.
+type probeState struct {
 	scratch relation.Tuple
 	keys    []relation.Tuple
 	encs    [][]byte
@@ -555,10 +499,12 @@ type morselState struct {
 	sink    sinkFn
 }
 
-// runMorsel pushes one slice of driver rows through the whole pipeline and
-// returns the number of index probes it made.
-func (p *pipeline) runMorsel(rows []prow, sink sinkFn) int64 {
-	st := &morselState{
+// run pushes the driver rows through the whole pipeline into sink and
+// returns the number of index probes it made — the machine's side of the
+// index-served steps, whose scans the metric accounted at planning time like
+// every other step's.
+func (p *pipeline) run(rows []prow, sink sinkFn) int64 {
+	st := &probeState{
 		scratch: make(relation.Tuple, p.width),
 		keys:    make([]relation.Tuple, len(p.steps)),
 		encs:    make([][]byte, len(p.steps)),
@@ -599,7 +545,7 @@ func (p *pipeline) runMorsel(rows []prow, sink sinkFn) int64 {
 // probe advances one partial row past step depth. Rows that clear the last
 // step stream into the sink; sinks must not retain the tuple (the scratch
 // row is reused immediately).
-func (p *pipeline) probe(depth int, count int64, st *morselState) {
+func (p *pipeline) probe(depth int, count int64, st *probeState) {
 	if depth == len(p.steps) {
 		st.sink(st.scratch, count)
 		return
@@ -639,7 +585,7 @@ func (p *pipeline) probe(depth int, count int64, st *morselState) {
 
 // emit joins one match into the scratch row — its live columns — applies
 // the step's filters, and recurses into the next step.
-func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *morselState) {
+func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *probeState) {
 	s := &p.steps[depth]
 	for _, c := range s.live {
 		st.scratch[s.roff+c] = t[c]

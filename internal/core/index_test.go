@@ -147,43 +147,41 @@ func TestEmptyDeltaBuildsNoIndex(t *testing.T) {
 	}
 }
 
-// TestIndexCreatedOnceAtFirstProbe: the seven terms of a three-way Comp, and
-// at width 2 their one-row morsels, all arrive at steps that read the same
-// tables; each (table, key) index is built once — the saving of a second,
-// warm Comp exceeds the cold one's by one scan of each indexed table per
-// index — and nothing is built before a probe needs it.
+// TestIndexCreatedOnceAtFirstProbe: the seven terms of a three-way Comp all
+// arrive at steps that read the same tables; each (table, key) index is
+// built once — the saving of a second, warm Comp exceeds the cold one's by
+// one scan of each indexed table per index — and nothing is built before a
+// probe needs it.
 func TestIndexCreatedOnceAtFirstProbe(t *testing.T) {
-	for _, width := range []int{1, 2} {
-		w := newThreeWayWarehouse(t, Options{ParallelTerms: width > 1, Workers: width, morselSize: 1})
-		stageRandomChanges(t, w, rand.New(rand.NewSource(11)))
-		for _, base := range []string{"R", "S", "T"} {
-			if st := w.MustView(base).IndexStats(); len(st) != 0 {
-				t.Fatalf("width %d: %s has indexes before any Comp: %v", width, base, st)
-			}
+	w := newThreeWayWarehouse(t, Options{})
+	stageRandomChanges(t, w, rand.New(rand.NewSource(11)))
+	for _, base := range []string{"R", "S", "T"} {
+		if st := w.MustView(base).IndexStats(); len(st) != 0 {
+			t.Fatalf("%s has indexes before any Comp: %v", base, st)
 		}
-		over := []string{"R", "S", "T"}
-		cold, err := w.Compute("V3", over)
-		if err != nil {
-			t.Fatal(err)
+	}
+	over := []string{"R", "S", "T"}
+	cold, err := w.Compute("V3", over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built int64
+	for base, want := range map[string]int{"R": 1, "S": 2, "T": 1} { // S is joined on b and on c
+		st := w.MustView(base).IndexStats()
+		if len(st) != want {
+			t.Fatalf("%s has %d indexes after the Comp, want %d: %v", base, len(st), want, st)
 		}
-		var built int64
-		for base, want := range map[string]int{"R": 1, "S": 2, "T": 1} { // S is joined on b and on c
-			st := w.MustView(base).IndexStats()
-			if len(st) != want {
-				t.Fatalf("width %d: %s has %d indexes after the Comp, want %d: %v", width, base, len(st), want, st)
-			}
-			for _, ix := range st {
-				built += ix.Rows
-			}
+		for _, ix := range st {
+			built += ix.Rows
 		}
-		warm, err := w.Compute("A3", over) // the same join, the indexes now resident
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.IndexProbes != cold.IndexProbes || warm.IndexTuplesSaved-cold.IndexTuplesSaved != built {
-			t.Errorf("width %d: cold probes/saved %d/%d, warm %d/%d: want the same probes and %d more tuples saved",
-				width, cold.IndexProbes, cold.IndexTuplesSaved, warm.IndexProbes, warm.IndexTuplesSaved, built)
-		}
+	}
+	warm, err := w.Compute("A3", over) // the same join, the indexes now resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.IndexProbes != cold.IndexProbes || warm.IndexTuplesSaved-cold.IndexTuplesSaved != built {
+		t.Errorf("cold probes/saved %d/%d, warm %d/%d: want the same probes and %d more tuples saved",
+			cold.IndexProbes, cold.IndexTuplesSaved, warm.IndexProbes, warm.IndexTuplesSaved, built)
 	}
 }
 
@@ -296,24 +294,22 @@ func newChainWarehouse(t *testing.T, opts Options, nD, nA, nB, nDelta int64) *Wa
 // TestSiblingCompsProbeIndexes: two sibling Comps that join one delta with
 // the same pair of plain-table states go through the tables' resident
 // indexes — no build, no scan of either state once the indexes exist —
-// whether or not the build cache is kept for the window, at width 1 and 2;
-// and with the cache kept, at the size where it used to matter (sharing
+// whether or not the build cache is kept for the window; and with the cache
+// kept, at the size where it used to matter (sharing
 // turned this window 30× slower: an elected A⋈B join intermediate took
 // precedence over the index steps and scanned both states to materialize
 // their join).
 func TestSiblingCompsProbeIndexes(t *testing.T) {
 	for _, c := range []struct {
-		share, parallel    bool
+		share              bool
 		nD, nA, nB, nDelta int64
 	}{
-		{false, false, 2000, 2000, 250, 20},
-		{false, true, 2000, 2000, 250, 20},
-		{true, false, 2000, 2000, 250, 20},
-		{true, true, 2000, 2000, 250, 20},
-		{true, false, 40000, 40000, 5000, 400},
+		{false, 2000, 2000, 250, 20},
+		{true, 2000, 2000, 250, 20},
+		{true, 40000, 40000, 5000, 400},
 	} {
-		t.Run(fmt.Sprintf("share=%v/parallel=%v/rows=%d", c.share, c.parallel, c.nA), func(t *testing.T) {
-			w := newChainWarehouse(t, Options{ShareComputation: c.share, ParallelTerms: c.parallel, Workers: 2}, c.nD, c.nA, c.nB, c.nDelta)
+		t.Run(fmt.Sprintf("share=%v/rows=%d", c.share, c.nA), func(t *testing.T) {
+			w := newChainWarehouse(t, Options{ShareComputation: c.share}, c.nD, c.nA, c.nB, c.nDelta)
 			if attached := w.AttachSharing(); attached != c.share {
 				t.Fatalf("AttachSharing = %v, want %v", attached, c.share)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/algebra"
@@ -14,16 +13,15 @@ import (
 
 // bombExpr is a boolean operator that panics with err once its Eval count
 // exceeds after — an injected misbehaving operator for the panic-recovery
-// tests. Eval runs concurrently under the parallel engines, hence the
-// atomic counter.
+// tests.
 type bombExpr struct {
-	calls atomic.Int64
+	calls int64
 	after int64
 	err   error
 }
 
 func (b *bombExpr) Eval(relation.Tuple) relation.Value {
-	if b.calls.Add(1) > b.after {
+	if b.calls++; b.calls > b.after {
 		panic(b.err)
 	}
 	return relation.NewBool(true)
@@ -32,11 +30,12 @@ func (b *bombExpr) Kind() relation.Kind     { return relation.KindBool }
 func (b *bombExpr) Columns(dst []int) []int { return dst }
 func (b *bombExpr) String() string          { return "bomb()" }
 
-// newBombWarehouse builds base R and derived V = σ_bomb(R), staging nRows
-// delta rows so δR drives the maintenance term.
-func newBombWarehouse(t *testing.T, opts Options, bomb *bombExpr, nRows int) *Warehouse {
+// newBombWarehouse builds base R and derived V = σ_bomb(R), loading nRows
+// rows into R and staging nRows delta rows so δR drives the maintenance
+// term.
+func newBombWarehouse(t *testing.T, bomb *bombExpr, nRows int) *Warehouse {
 	t.Helper()
-	w := New(opts)
+	w := New(Options{})
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +48,14 @@ func newBombWarehouse(t *testing.T, opts Options, bomb *bombExpr, nRows int) *Wa
 	if err := w.DefineDerived("V", v); err != nil {
 		t.Fatal(err)
 	}
+	rows := make([]relation.Tuple, nRows)
 	d := delta.New(schemaR)
-	for i := 0; i < nRows; i++ {
-		d.Add(intRow(int64(i), int64(i%7)), 1)
+	for i := range rows {
+		rows[i] = intRow(int64(i), int64(i%7))
+		d.Add(intRow(int64(nRows+i), int64(i%7)), 1)
+	}
+	if err := w.LoadBase("R", rows); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.StageDelta("R", d); err != nil {
 		t.Fatal(err)
@@ -59,45 +63,40 @@ func newBombWarehouse(t *testing.T, opts Options, bomb *bombExpr, nRows int) *Wa
 	return w
 }
 
-func TestParallelTermPanicBecomesError(t *testing.T) {
+// TestOperatorPanicBecomesError: an operator that panics fails each way into
+// the term engine — Compute, and Recompute and Evaluate, which no window step
+// guards — with an error that names the panic and keeps its value's
+// identity.
+func TestOperatorPanicBecomesError(t *testing.T) {
 	boom := errors.New("boom")
-	bomb := &bombExpr{err: boom}
-	w := newBombWarehouse(t, Options{ParallelTerms: true, Workers: 4}, bomb, 10)
-	_, err := w.Compute("V", []string{"R"})
-	if err == nil {
-		t.Fatal("panicking operator did not fail the Compute")
-	}
-	if !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("error does not mention the panic: %v", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("panic value identity lost: %v", err)
-	}
-}
-
-func TestMorselPanicBecomesError(t *testing.T) {
-	boom := errors.New("boom")
-	// Enough rows for several morsels; the bomb lets the first morsel's
-	// rows through so the panic fires on a pooled morsel goroutine.
-	bomb := &bombExpr{err: boom, after: 10}
-	w := newBombWarehouse(t, Options{ParallelTerms: true, Workers: 4, morselSize: 8}, bomb, 200)
-	_, err := w.Compute("V", []string{"R"})
-	if err == nil {
-		t.Fatal("panicking operator did not fail the Compute")
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("panic value identity lost: %v", err)
+	w := newBombWarehouse(t, &bombExpr{err: boom}, 10)
+	def := w.MustView("V").Def()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Compute", func() error { _, err := w.Compute("V", []string{"R"}); return err }},
+		{"Recompute", func() error { _, err := w.Recompute("V"); return err }},
+		{"Evaluate", func() error { _, err := w.Evaluate(def); return err }},
+	} {
+		err := tc.run()
+		if err == nil {
+			t.Fatalf("%s: a panicking operator did not fail it", tc.name)
+		}
+		if !strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: the error does not mention the panic: %v", tc.name, err)
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("%s: panic value identity lost: %v", tc.name, err)
+		}
 	}
 }
 
 func TestComputeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, par := range []bool{false, true} {
-		w := newBombWarehouse(t, Options{ParallelTerms: par, Workers: 2}, &bombExpr{after: 1 << 40}, 10)
-		_, err := w.ComputeCtx(ctx, "V", []string{"R"})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%v: want context.Canceled, got %v", par, err)
-		}
+	w := newBombWarehouse(t, &bombExpr{after: 1 << 40}, 10)
+	if _, err := w.ComputeCtx(ctx, "V", []string{"R"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

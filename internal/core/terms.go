@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,12 +17,11 @@ import (
 // This file is the term engine — the one evaluator behind Compute,
 // Recompute, Evaluate and refresh:
 //
-//   - runTerms plans the maintenance terms of one definition, pre-warms their
-//     distinct scans and builds when the pool has background workers, runs
-//     the terms on the pool with each join step's probe rows split into
-//     fixed-size morsels, and flushes the sinks. Options.ParallelTerms only
-//     sizes the pool; the default engine is this code at width 1, where every
-//     task runs inline on the caller in term order.
+//   - runTerms plans the maintenance terms of one definition, then runs them
+//     one after another in term order on the caller's goroutine, each
+//     pushing its driver rows through its join pipeline into the run's sink.
+//     A window's parallelism is between expressions (package exec's
+//     scheduler), never inside one.
 //   - buildCache is the one cache of transient build state: it shares
 //     immutable build-side hash tables across the terms of one run — and,
 //     attached to the warehouse for an update window (AttachSharing), across
@@ -34,73 +32,12 @@ import (
 //     metric's — and EngineCounters reports the hits and tuples saved. The
 //     same rule covers the steps a resident join index serves (see
 //     indexStep): they ask for no build at all.
-//   - sinks accumulate term output in mutex-protected shards that merge into
-//     the target at flush. Bag accumulation is commutative (integer counts;
-//     integer sums), so the result is independent of scheduling; float sums
-//     commute up to rounding. At width 1 the single shard is the target
-//     itself, so rows accumulate straight into the view's pending state in
+//   - the sink folds term output straight into the view's pending state, in
 //     term and row order.
-
-// DefaultMorselSize is the number of probe rows dispatched per parallel
-// morsel. Large enough that per-task overhead (closure, pool handoff) is
-// amortized over thousands of probes, small enough that a skewed join step
-// still splits across workers.
-const DefaultMorselSize = 1024
-
-// effectiveWorkers resolves the Workers option (0 = GOMAXPROCS).
-func effectiveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// workerPool is the warehouse-wide budget for intra-Compute parallelism: a
-// semaphore admitting workers−1 background goroutines, the submitting
-// goroutine being the workers-th. do never blocks waiting for a slot — when
-// the pool is saturated the task runs inline on the submitter — which both
-// bounds total goroutines under composed DAG- and term-level parallelism
-// and makes nested waits (a term waiting on its morsels) deadlock-free. A
-// nil pool is a pool of width 1: everything runs inline.
-type workerPool struct {
-	sem chan struct{}
-}
-
-// width is the number of goroutines the pool lets one submitter occupy,
-// itself included.
-func (p *workerPool) width() int {
-	if p == nil {
-		return 1
-	}
-	return cap(p.sem) + 1
-}
-
-func newWorkerPool(workers int) *workerPool {
-	return &workerPool{sem: make(chan struct{}, effectiveWorkers(workers)-1)}
-}
-
-// do runs fn on a pooled goroutine tracked by wg if a slot is free, and
-// inline otherwise.
-func (p *workerPool) do(wg *sync.WaitGroup, fn func()) {
-	if p != nil {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				fn()
-			}()
-			return
-		default:
-		}
-	}
-	fn()
-}
 
 // recoveredErr converts a recovered panic value into an error naming where
 // it happened. Error identity is preserved (%w) so injected faults stay
-// recognizable to errors.As after crossing a goroutine boundary as a panic.
+// recognizable to errors.As after being delivered as a panic.
 func recoveredErr(what string, p any) error {
 	if err, ok := p.(error); ok {
 		return fmt.Errorf("core: panic in %s: %w", what, err)
@@ -202,33 +139,19 @@ func estimateRowsBytes(rows []prow) int64 {
 	return cost.EstimateMaterializedBytes(int64(len(rows)), width)
 }
 
-// scanCache memoizes materialized operand scans for one Compute: the 2^r−1
-// terms repeatedly read the same deltas and state tables, and a delta
-// decodes its rows on every scan. The memoized rows are shared
-// read-only — the pipeline copies into a scratch row before evaluating
-// anything.
-type scanCache struct {
-	mu    sync.Mutex
-	slots map[source]*scanSlot
-}
+// scanCache memoizes the driver scans of one run: the 2^r−1 terms
+// repeatedly drive from the same deltas, and a delta decodes its rows on
+// every scan. The memoized rows are shared read-only — the pipeline copies
+// into a scratch row before evaluating anything.
+type scanCache map[source][]prow
 
-type scanSlot struct {
-	once sync.Once
-	rows []prow
-}
-
-func newScanCache() *scanCache { return &scanCache{slots: make(map[source]*scanSlot)} }
-
-func (c *scanCache) get(src source) []prow {
-	c.mu.Lock()
-	slot := c.slots[src]
-	if slot == nil {
-		slot = &scanSlot{}
-		c.slots[src] = slot
+func (c scanCache) get(src source) []prow {
+	rows, ok := c[src]
+	if !ok {
+		rows = materializeScan(src)
+		c[src] = rows
 	}
-	c.mu.Unlock()
-	slot.once.Do(func() { slot.rows = materializeScan(src) })
-	return slot.rows
+	return rows
 }
 
 // materializeScan snapshots a source as (tuple, count) rows. A state table
@@ -242,18 +165,6 @@ func materializeScan(src source) []prow {
 		return true
 	})
 	return rows
-}
-
-// buildRows reads a build side's rows. With background workers they come
-// from the scan memo, which the warm phase filled in parallel and which
-// other builds and drivers of the same operand share. At width 1 nothing
-// overlaps, so the operand is scanned on demand and the rows are dropped
-// once the table is built: no copy of a state operand outlives its build.
-func (e *evalEnv) buildRows(src source) []prow {
-	if e.pool.width() == 1 {
-		return materializeScan(src)
-	}
-	return e.scans.get(src)
 }
 
 // buildKey identifies a build table: the physical operand (state table,
@@ -301,7 +212,8 @@ type buildCache struct {
 }
 
 // buildSlot is one build of the cache. The once publishes bt, rows and
-// bytes; kept is written under the cache's lock.
+// bytes — runs on concurrent DAG workers may ask for one build of a
+// window's cache together; kept is written under the cache's lock.
 type buildSlot struct {
 	key     buildKey
 	view    string
@@ -321,23 +233,12 @@ func newBuildCache(window bool) *buildCache {
 	return &buildCache{tables: make(map[buildKey]*buildSlot), window: window}
 }
 
-// warm constructs the build table without touching the run's hit/miss
-// accounting. Pre-warming is an engine scheduling detail: the first term
-// that asks for the build still records it as its miss, so the reported
-// counters are identical with and without pre-warming. A warm-phase error
-// is remembered by the slot and surfaces, deterministically in term order,
-// from the first get.
-func (c *buildCache) warm(env *evalEnv, br buildReq) {
-	c.resolveBuild(env, c.slot(env, br), br)
-}
-
 // get returns the build a term asks for, accounting the request to the
 // term's run: its first request of a pair is the run's miss — shared when
 // another run of the window made the build — and every further one a hit.
 func (c *buildCache) get(env *evalEnv, br buildReq) *buildTable {
 	slot := c.slot(env, br)
 	card := br.src.Cardinality()
-	env.mu.Lock()
 	if env.asked[slot] {
 		env.ctr.CacheHits++
 		env.ctr.CacheTuplesSaved += card
@@ -356,8 +257,7 @@ func (c *buildCache) get(env *evalEnv, br buildReq) *buildTable {
 			env.ctr.SharedMisses++
 		}
 	}
-	env.mu.Unlock()
-	c.resolveBuild(env, slot, br)
+	c.resolveBuild(slot, br)
 	return slot.bt
 }
 
@@ -375,10 +275,11 @@ func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
 
 // resolveBuild materializes a slot's build, once: scan the operand, hash it
 // and, in a window's cache, keep it past its run. Every build of the engine
-// is made here.
-func (c *buildCache) resolveBuild(env *evalEnv, slot *buildSlot, br buildReq) {
+// is made here. The scanned rows are dropped once the table is built: no
+// copy of a state operand outlives its build.
+func (c *buildCache) resolveBuild(slot *buildSlot, br buildReq) {
 	slot.once.Do(func() {
-		rows := env.buildRows(br.src)
+		rows := materializeScan(br.src)
 		slot.rows = int64(len(rows))
 		slot.bytes = estimateRowsBytes(rows)
 		slot.bt = newBuildTable(rows, br.cols)
@@ -409,8 +310,8 @@ func (c *buildCache) drop(slot *buildSlot) {
 
 // endRun drops what a finished run built and the cache does not keep — every
 // build of a run's own cache, and those of a window's whose scan panicked
-// before the build was kept. The run has joined its workers, so none of its
-// builds is still in the making.
+// before the build was kept. The run has finished, so none of its builds is
+// still in the making.
 func (c *buildCache) endRun(env *evalEnv) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -501,126 +402,44 @@ func (w *Warehouse) DetachSharing() SharedStats {
 }
 
 // runTerms is the term engine: it evaluates terms of cq into out and fills
-// the work and cache accounting of rep. It runs in phases: plan every term
-// (cheap, data-independent); when the pool has background workers, pre-warm
-// the distinct operand scans and then the distinct build tables concurrently;
-// fan the terms out on the pool, each probing through morsels and emitting
-// into the sinks; flush the sinks into out once every term is done. The
-// pre-warm phases matter because the terms of one Comp all want the same few
-// scans and builds first: left to the terms, those constructions serialize
-// behind sync.Once while every other worker parks. With no background workers
-// there is nobody to park, so width 1 goes straight to the terms, which then
-// run inline one after another. Errors surface deterministically in term
-// order.
+// the work and cache accounting of rep. It plans and runs the terms one
+// after another, in term order on the caller's goroutine, each emitting into
+// one sink that writes straight into out. A term that panics (a misbehaving
+// operator, an injected fault) fails the run with an error, as does a
+// cancelled context between terms; the first error ends it.
 func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
 	if env.cache == nil {
 		env.cache = newBuildCache(false)
 	}
 	defer env.cache.endRun(env)
-	env.scans = newScanCache()
+	env.scans = make(scanCache)
 
-	plans := make([]*termPlan, len(terms))
+	sink := newSink(cq, out)
 	for ti, term := range terms {
+		if err := env.ctxErr(); err != nil {
+			return err
+		}
 		plan, err := w.planTerm(cq, term, deltas)
 		if err != nil {
 			return err
 		}
-		plans[ti] = plan
-	}
-	var wg sync.WaitGroup
-	if env.pool.width() > 1 {
-		if err := warm(env, &wg, plans); err != nil {
+		probes, err := runTerm(ti, plan, sink, env)
+		if err != nil {
 			return err
 		}
-	}
-
-	sinks := newSinks(cq, out, shardCount(env.pool.width()))
-	probes := make([]int64, len(terms))
-	errs := make([]error, len(terms))
-	for ti := range terms {
-		ti := ti
-		env.pool.do(&wg, func() {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[ti] = recoveredErr(fmt.Sprintf("term %d", ti), r)
-				}
-			}()
-			if err := env.ctxErr(); err != nil {
-				errs[ti] = err
-				return
-			}
-			probes[ti], errs[ti] = runTerm(plans[ti], sinks.local, env)
-		})
-	}
-	wg.Wait()
-	for ti := range terms {
-		if errs[ti] != nil {
-			return errs[ti]
-		}
 		rep.Terms++
-		rep.OperandTuples += plans[ti].scanned
-		env.ctr.IndexProbes += probes[ti]
-		env.ctr.IndexTuplesSaved += plans[ti].indexed
-		for i := range plans[ti].pl.steps {
-			if idx := plans[ti].pl.steps[i].idx; idx != nil {
+		rep.OperandTuples += plan.scanned
+		env.ctr.IndexProbes += probes
+		env.ctr.IndexTuplesSaved += plan.indexed
+		for i := range plan.pl.steps {
+			if idx := plan.pl.steps[i].idx; idx != nil {
 				env.ctr.IndexTuplesSaved -= idx.scanned
 			}
 		}
 	}
-	rep.OutputTuples = sinks.flush()
+	rep.OutputTuples = sink.produced()
 	rep.EngineCounters = env.ctr
 	return nil
-}
-
-// warm pre-scans the plans' distinct sources, then pre-builds their distinct
-// build tables (builds read the memoized scans). Each phase's items are
-// independent, so they use the whole pool; cache.warm bypasses the hit/miss
-// accounting, so the first term to request each build still records its one
-// miss.
-func warm(env *evalEnv, wg *sync.WaitGroup, plans []*termPlan) error {
-	srcSet := make(map[source]bool)
-	buildSet := make(map[buildKey]buildReq)
-	for _, plan := range plans {
-		srcSet[plan.driverSrc] = true
-		for _, br := range plan.builds {
-			srcSet[br.src] = true
-			buildSet[buildKey{src: br.src, cols: colsKey(br.cols)}] = br
-		}
-	}
-	// Warm closures run operand Scan callbacks, which can panic (a
-	// misbehaving operator, an injected fault). A panic in a pooled
-	// goroutine would kill the process, so every closure is guarded; the
-	// first panic (any order — warm work has no term identity) wins.
-	var mu sync.Mutex
-	var warmErr error
-	guard := func(what string, fn func()) func() {
-		return func() {
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if warmErr == nil {
-						warmErr = recoveredErr(what, r)
-					}
-					mu.Unlock()
-				}
-			}()
-			fn()
-		}
-	}
-	for src := range srcSet {
-		src := src
-		env.pool.do(wg, guard("operand scan", func() { env.scans.get(src) }))
-	}
-	wg.Wait()
-	if warmErr != nil {
-		return warmErr
-	}
-	for _, wb := range buildSet {
-		wb := wb
-		env.pool.do(wg, guard("build warm", func() { env.cache.warm(env, wb) }))
-	}
-	wg.Wait()
-	return warmErr
 }
 
 // acc accumulates term output: the signed change rows of an SPJ definition
@@ -647,18 +466,9 @@ func (a acc) add(key string, inputs []relation.Value, count int64) {
 	a.d.AddEncoded(key, count)
 }
 
-func (a acc) merge(b acc) {
-	if a.p != nil {
-		a.p.Merge(b.p)
-		return
-	}
-	a.d.Merge(b.d)
-}
-
 // projector maps a joined row to a definition's output: the select list of
 // an SPJ view, or the group key and aggregate inputs of a summary view. It
-// owns its scratch, so each goroutine takes its own, and what project
-// returns is valid until the next call.
+// owns its scratch, so what project returns is valid until the next call.
 type projector struct {
 	cq     *algebra.CQ
 	key    relation.Tuple
@@ -692,86 +502,39 @@ func (p *projector) project(row relation.Tuple) (relation.Tuple, []relation.Valu
 	return p.key, p.inputs
 }
 
-// shardCount sizes the sink shard array: one shard at width 1, else a few
-// shards per worker (rounded to a power of two for mask selection), which
-// keeps lock contention low without bloating the final merge.
-func shardCount(width int) int {
-	if width == 1 {
-		return 1
-	}
-	p := 1
-	for p < 2*width && p < 64 {
-		p <<= 1
-	}
-	return p
-}
-
-// sinks fans the output of one engine run into shards. Rows route by the
-// hash of their encoded output key (select tuple or group key), so one key
-// always lands in one shard and the merged bag is exact regardless of
-// scheduling. With a single shard, that shard is the target.
-type sinks struct {
-	cq     *algebra.CQ
+// sink is where every term of one engine run emits: it projects each joined
+// row and folds it straight into the target, in term and row order. Bag
+// accumulation is commutative (integer counts; integer sums), and float sums
+// follow that order.
+type sink struct {
+	proj   *projector
 	target acc
+	enc    []byte
 	before int // groups in an aggregate target before the run
-	mask   uint64
-	shards []sinkShard
+	rows   int64
 }
 
-type sinkShard struct {
-	mu       sync.Mutex
-	acc      acc
-	produced int64
-	_        [4]uint64 // soften false sharing between neighboring shards
-}
-
-func newSinks(cq *algebra.CQ, target acc, n int) *sinks {
-	s := &sinks{cq: cq, target: target, mask: uint64(n - 1), shards: make([]sinkShard, n)}
+func newSink(cq *algebra.CQ, target acc) *sink {
+	s := &sink{proj: newProjector(cq), target: target, enc: make([]byte, 0, 64)}
 	if target.p != nil {
 		s.before = target.p.GroupCount()
-	}
-	for i := range s.shards {
-		s.shards[i].acc = target
-		if n > 1 {
-			s.shards[i].acc = newAcc(cq)
-		}
 	}
 	return s
 }
 
-// local returns a sink closure with private projection and encoding
-// scratch; only the shard append is locked.
-func (s *sinks) local() sinkFn {
-	proj := newProjector(s.cq)
-	enc := make([]byte, 0, 64)
-	return func(row relation.Tuple, count int64) {
-		key, inputs := proj.project(row)
-		enc = key.AppendEncoded(enc[:0])
-		sh := &s.shards[0]
-		if s.mask != 0 {
-			sh = &s.shards[hashBytes(enc)&s.mask]
-		}
-		sh.mu.Lock()
-		sh.acc.add(string(enc), inputs, count)
-		sh.produced++
-		sh.mu.Unlock()
-	}
+// add is the pipeline's sinkFn.
+func (s *sink) add(row relation.Tuple, count int64) {
+	key, inputs := s.proj.project(row)
+	s.enc = key.AppendEncoded(s.enc[:0])
+	s.target.add(string(s.enc), inputs, count)
+	s.rows++
 }
 
-// flush merges the shards into the target and returns the produced-row
-// count: change rows emitted for an SPJ definition, newly affected groups
-// for an aggregate one.
-func (s *sinks) flush() int64 {
-	var produced int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.acc != s.target {
-			s.target.merge(sh.acc)
-		}
-		produced += sh.produced
-	}
+// produced returns the run's produced-row count: change rows emitted for an
+// SPJ definition, newly affected groups for an aggregate one.
+func (s *sink) produced() int64 {
 	if s.target.p != nil {
 		return int64(s.target.p.GroupCount() - s.before)
 	}
-	return produced
+	return s.rows
 }

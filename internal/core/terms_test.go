@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -90,20 +88,6 @@ func stageRandomChanges(t *testing.T, w *Warehouse, rng *rand.Rand) {
 	}
 }
 
-func sameDelta(t *testing.T, label string, a, b *delta.Delta) {
-	t.Helper()
-	sa, sb := a.Sorted(), b.Sorted()
-	if len(sa) != len(sb) {
-		t.Fatalf("%s: %d vs %d distinct changes", label, len(sa), len(sb))
-	}
-	for i := range sa {
-		if relation.CompareTuples(sa[i].Tuple, sb[i].Tuple) != 0 || sa[i].Count != sb[i].Count {
-			t.Fatalf("%s: change %d differs: %v×%d vs %v×%d",
-				label, i, sa[i].Tuple, sa[i].Count, sb[i].Tuple, sb[i].Count)
-		}
-	}
-}
-
 // refWork is the linear work metric of Comp(view, over) computed from
 // operand cardinalities alone, independently of the engine: each of the
 // 2^r − 1 terms scans every reference once — its pending delta where the
@@ -131,42 +115,36 @@ func refWork(t *testing.T, w *Warehouse, view string, over []string) int64 {
 	return work
 }
 
-// TestTermEngineWidthInvariant runs the one term engine at width 1 (the
-// default) and across worker counts and morsel sizes (including degenerate
-// one-row morsels) on the same staged changes: the produced delta bags,
-// Terms, OperandTuples, the build-cache accounting and the index counters
-// must not depend on the width, the work must equal the cardinality-derived
-// refWork, and the installed states must survive the recomputation oracle.
-// Both states of the join indexes are run: not there yet, so that the terms
-// and morsels of each width build them at their first probes, and resident
-// beforehand, as every window after a warehouse's first finds them. (This
-// replaces the sequential-vs-parallel differential: there is no second
-// evaluator left to compare against.)
-func TestTermEngineWidthInvariant(t *testing.T) {
+// TestThreeWayCompWorkAndCounters runs the seven terms of a three-way Comp
+// for an SPJ and a summary view on random staged changes: the work must
+// equal the cardinality-derived refWork, the multi-delta terms must share
+// build tables through the run's cache, the state sides must be index steps,
+// and the installed states must survive the recomputation oracle. Both
+// states of the join indexes are run: not there yet, so that the terms build
+// them at their first probes, and resident beforehand, as every window after
+// a warehouse's first finds them.
+func TestThreeWayCompWorkAndCounters(t *testing.T) {
 	for _, resident := range []bool{false, true} {
-		termEngineWidthInvariant(t, resident)
+		threeWayCompWorkAndCounters(t, resident)
 	}
 }
 
-func termEngineWidthInvariant(t *testing.T, resident bool) {
+func threeWayCompWorkAndCounters(t *testing.T, resident bool) {
 	over := []string{"R", "S", "T"}
-	views := []string{"V3", "A3"}
 	rng := rand.New(rand.NewSource(7))
-	base := newThreeWayWarehouse(t, Options{})
-	stageRandomChanges(t, base, rng)
+	w := newThreeWayWarehouse(t, Options{})
+	stageRandomChanges(t, w, rng)
 	if resident {
 		for view, cols := range map[string][][]int{"R": {{1}}, "S": {{0}, {1}}, "T": {{0}}} {
 			for _, c := range cols {
-				base.MustView(view).Table().JoinIndex(c)
+				w.MustView(view).Table().JoinIndex(c)
 			}
 		}
 	}
 
-	one := base.Clone()
-	want := make(map[string]CompReport)
-	for _, view := range views {
-		ref := refWork(t, one, view, over)
-		rep, err := one.Compute(view, over)
+	for _, view := range []string{"V3", "A3"} {
+		ref := refWork(t, w, view, over)
+		rep, err := w.Compute(view, over)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,81 +165,27 @@ func termEngineWidthInvariant(t *testing.T, resident bool) {
 		if rep.IndexProbes == 0 {
 			t.Fatalf("%s: no index probes", view)
 		}
-		want[view] = rep
 	}
 	for view, n := range map[string]int{"R": 1, "S": 2, "T": 1} {
-		if st := one.MustView(view).IndexStats(); len(st) != n {
+		if st := w.MustView(view).IndexStats(); len(st) != n {
 			t.Fatalf("resident=%v: %s ends with %d indexes, want %d: %v", resident, view, len(st), n, st)
 		}
 	}
-
-	for _, cfg := range []struct{ workers, morsel int }{
-		{1, 1}, {1, 1024}, {2, 1}, {4, 4}, {4, 1024}, {8, 16},
-	} {
-		name := fmt.Sprintf("indexes=%v/workers=%d/morsel=%d", resident, cfg.workers, cfg.morsel)
-		t.Run(name, func(t *testing.T) {
-			wide := base.Clone()
-			wide.SetOptions(Options{
-				ParallelTerms: true,
-				Workers:       cfg.workers,
-				morselSize:    cfg.morsel,
-			})
-			for _, view := range views {
-				rep, err := wide.Compute(view, over)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w1 := want[view]
-				if rep.Terms != w1.Terms || rep.OperandTuples != w1.OperandTuples || rep.OutputTuples != w1.OutputTuples {
-					t.Fatalf("%s: terms/work/output %d/%d/%d, width 1 gives %d/%d/%d", view,
-						rep.Terms, rep.OperandTuples, rep.OutputTuples, w1.Terms, w1.OperandTuples, w1.OutputTuples)
-				}
-				if rep.CacheHits != w1.CacheHits || rep.CacheMisses != w1.CacheMisses || rep.CacheTuplesSaved != w1.CacheTuplesSaved {
-					t.Fatalf("%s: cache hits/misses/saved %d/%d/%d, width 1 gives %d/%d/%d", view,
-						rep.CacheHits, rep.CacheMisses, rep.CacheTuplesSaved,
-						w1.CacheHits, w1.CacheMisses, w1.CacheTuplesSaved)
-				}
-				if rep.IndexProbes != w1.IndexProbes || rep.IndexTuplesSaved != w1.IndexTuplesSaved {
-					t.Fatalf("%s: index probes/saved %d/%d, width 1 gives %d/%d", view,
-						rep.IndexProbes, rep.IndexTuplesSaved, w1.IndexProbes, w1.IndexTuplesSaved)
-				}
-				d1, err := one.DeltaOf(view)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dw, err := wide.DeltaOf(view)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameDelta(t, view, dw, d1)
-			}
-			for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-				if _, err := wide.Install(view); err != nil {
-					t.Fatalf("install %s: %v", view, err)
-				}
-			}
-			if err := wide.VerifyAll(); err != nil {
-				t.Fatalf("width %d diverged from recomputation: %v", cfg.workers, err)
-			}
-		})
-	}
-
 	for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-		if _, err := one.Install(view); err != nil {
+		if _, err := w.Install(view); err != nil {
 			t.Fatalf("install %s: %v", view, err)
 		}
 	}
-	if err := one.VerifyAll(); err != nil {
-		t.Fatalf("width 1 diverged from recomputation: %v", err)
+	if err := w.VerifyAll(); err != nil {
+		t.Fatalf("resident=%v: diverged from recomputation: %v", resident, err)
 	}
 }
 
-// TestParallelTermsSingleRef checks the degenerate cases: a one-ref view
-// (single term, no cache sharing) and an empty change batch.
-func TestParallelTermsSingleRef(t *testing.T) {
+// TestSingleRefCompute checks the degenerate cases: a one-ref view (single
+// term, no cache sharing) and an empty change batch.
+func TestSingleRefCompute(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
-	w.SetOptions(Options{ParallelTerms: true, Workers: 4, morselSize: 1})
 
 	d := delta.New(schemaR)
 	d.Add(intRow(7, 10), 2)
@@ -288,7 +212,7 @@ func TestParallelTermsSingleRef(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Nothing staged: Compute must produce an empty delta without deadlock.
+	// Nothing staged: Compute must produce an empty delta.
 	if _, err := w.Compute("J", []string{"R"}); err != nil {
 		t.Fatal(err)
 	}
@@ -298,24 +222,5 @@ func TestParallelTermsSingleRef(t *testing.T) {
 	}
 	if !dj.IsEmpty() {
 		t.Fatalf("expected empty delta, got %d changes", dj.Size())
-	}
-}
-
-// TestWorkerPoolInlineFallback pins the budget semantics: a pool of one
-// worker admits zero background goroutines, so every task runs inline on
-// the submitter, strictly serially.
-func TestWorkerPoolInlineFallback(t *testing.T) {
-	p := newWorkerPool(1)
-	if cap(p.sem) != 0 {
-		t.Fatalf("one-worker pool admits %d background goroutines, want 0", cap(p.sem))
-	}
-	var wg sync.WaitGroup
-	ran := 0
-	for i := 0; i < 10; i++ {
-		p.do(&wg, func() { ran++ }) // inline: no synchronization needed
-	}
-	wg.Wait()
-	if ran != 10 {
-		t.Fatalf("ran %d of 10 tasks", ran)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // TestDifferentialExecutors: 100 seeded catalogs, the planner alternating
 // dual-stage and MinWork, each through the points of mode × scheduler workers
-// × engine width × sharing.
+// × sharing.
 func TestDifferentialExecutors(t *testing.T) {
 	for seed := range trial.Seeds(100, 15) {
 		wk := 1 + int(seed*5%8)
@@ -22,11 +22,8 @@ func TestDifferentialExecutors(t *testing.T) {
 		for _, p := range []check.Point{
 			{Mode: warehouse.ModeStaged},
 			{Mode: warehouse.ModeDAG, Workers: wk},
-			// Both levels composed: DAG scheduling across expressions and a
-			// wide term engine inside each Comp, under one worker budget.
-			{Mode: warehouse.ModeDAG, Workers: wk, Width: wk},
 			{Share: true},
-			{Mode: mixed, Workers: wk, Width: wk * int(seed%2), Share: true},
+			{Mode: mixed, Workers: wk, Share: true},
 		} {
 			p.Seed, p.Planner = seed, []string{"dualstage", "minwork"}[seed%2]
 			trial.Run(t, p)
@@ -49,19 +46,17 @@ func TestFuzzRandomWarehouses(t *testing.T) {
 // line the window-lived build cache's correctness rests on: Install(V) drops
 // the builds made from V's state and from δV (check.Invalidation, check.OneWay;
 // under dual-stage the siblings' multi-delta terms build the deltas, which
-// their views' installs then drop). Every point of mode × engine width,
-// sharing on, must land where the sharing-off sequential run does. The
+// their views' installs then drop). Every mode, sharing on, must land where
+// the sharing-off sequential run does. The
 // canary: with buildCache.invalidate's body emptied this fails.
 func TestWindowCacheInvalidationDifferential(t *testing.T) {
 	var sum trial.Tally
 	for seed := range trial.Seeds(6, 2) {
 		for _, mode := range []warehouse.Mode{warehouse.ModeSequential, warehouse.ModeStaged, warehouse.ModeDAG} {
-			for _, width := range []int{1, 2} {
-				sum.Add(trial.Run(t, check.Point{
-					Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
-					Mode: mode, Workers: 3, Width: width, Share: true,
-				}))
-			}
+			sum.Add(trial.Run(t, check.Point{
+				Seed: seed, Catalog: check.Invalidation, Planner: []string{"oneway", "oneway", "dualstage"}[seed%3],
+				Mode: mode, Workers: 3, Share: true,
+			}))
 		}
 	}
 	if sum.SharedHits == 0 || sum.Rebuilds == 0 {

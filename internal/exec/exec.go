@@ -175,7 +175,7 @@ type Options struct {
 	// the warehouse.
 	Validate bool
 	// Context cancels execution between steps and propagates into term
-	// evaluation and the morsel pool; nil means no cancellation. In-flight
+	// evaluation; nil means no cancellation. In-flight
 	// expressions finish, unstarted ones are abandoned.
 	Context context.Context
 	// OnStep, when non-nil, is called after each expression completes
@@ -205,8 +205,8 @@ func Graph(w *core.Warehouse) (*vdag.Graph, error) {
 // error identity (errors.Is / errors.As see through the wrapping) when the
 // panic value is itself an error. Every executor that turns worker panics
 // into step failures routes them through here so a panicking operator in a
-// DAG worker or a morsel goroutine surfaces as a diagnosable error instead
-// of taking down the process.
+// DAG worker surfaces as a diagnosable error instead of taking down the
+// process.
 func PanicError(p any) error {
 	if err, ok := p.(error); ok {
 		return fmt.Errorf("panic: %w", err)
@@ -236,7 +236,7 @@ func ContextErr(ctx context.Context) error {
 // nothing). A panic anywhere inside — the expression itself or an injected
 // fault — is recovered and returned as an error (see PanicError), so a
 // panicking operator in a worker goroutine fails its step instead of killing
-// the process; ctx cancels term evaluation and the morsel pool mid-Comp. Inst
+// the process; ctx cancels term evaluation mid-Comp, between terms. Inst
 // steps fingerprint the delta they are about to install (StepReport.Digest)
 // so journaled windows can be verified on recovery.
 func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *faults.Injector) (step StepReport, err error) {

@@ -18,7 +18,7 @@
 //     journal is left exactly as a killed process would leave it.
 //   - panics (PanicAt/PanicCrashAt): the fault is raised as a panic instead
 //     of returned, exercising the recover() guards in the DAG workers and
-//     the morsel pool.
+//     the term engine.
 //
 // A nil *Injector is inert: every method is safe to call and Hit returns
 // nil, so production paths carry the hook at zero configuration cost.

@@ -12,8 +12,8 @@ import (
 // TestCrashRecoveryDifferential: the crash points of the one differential
 // harness (internal/check, DESIGN.md "One oracle"). For 100 seeded catalogs
 // a journaled window dies at a step drawn from the seed — every scheduling
-// mode, sharing on and off, one death in three delivered by panic, engine
-// width and scheduler pool drawn per leg, every fourth seed losing the
+// mode, sharing on and off, one death in three delivered by panic, the
+// scheduler's pool drawn per leg, every fourth seed losing the
 // unflushed tail of its journal to a power cut — and is recovered on a rebuilt
 // warehouse. trial.Run holds the recovered state to recomputation, the serving
 // epoch to its pre-window state until then, and the completed journal to one
@@ -41,7 +41,7 @@ func crashes(t *testing.T, seed int64) {
 	} {
 		draw := int(seed)*5 + leg
 		p.Seed, p.Planner, p.Skip = seed, []string{"dualstage", "minwork"}[seed%2], seed%4 < 2
-		p.Width, p.Workers = 1+draw%4, 1+draw/4%4
+		p.Workers = 1 + draw/4%4
 		p.Fault = fmt.Sprintf("%s:step@%d", fault, 1+draw*7%23)
 		if seed%4 == 3 {
 			p.Cut = 1 + draw*13%150

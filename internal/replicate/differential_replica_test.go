@@ -27,7 +27,6 @@ func TestDifferentialReplication(t *testing.T) {
 		}
 		if seed%3 > 0 {
 			p.Mode = warehouse.ModeDAG
-			p.Width = []int{1, p.Workers}[seed%3-1]
 		}
 		if seed%3 == 0 {
 			p.Kill = 2 + int(seed%5)

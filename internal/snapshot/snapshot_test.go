@@ -161,7 +161,7 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
 			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu", "Warehouse.cache"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",
-			[]string{"Warehouse.opts", "Warehouse.pool"}},
+			[]string{"Warehouse.opts"}},
 	}
 	classOf := make(map[string]string)
 	for _, c := range classes {

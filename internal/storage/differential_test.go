@@ -18,8 +18,8 @@ import (
 // TestNarrowIndexDifferential: on check.Narrow, L is joined on (k) by J1 and
 // on (k, x) by J2, and its index on k serves both — the δP terms of J2 probe
 // it and check x on every row it yields. Every planner leaves L with that one
-// index whichever join probes first, and every point of mode × engine width ×
-// crash, recovery, replica and ingester lands on recomputation. With the
+// index whichever join probes first, and every point of mode × crash,
+// recovery, replica and ingester lands on recomputation. With the
 // evaluator's check of the uncovered equalities dropped this fails.
 func TestNarrowIndexDifferential(t *testing.T) {
 	for _, planner := range warehouse.Planners {
@@ -44,8 +44,8 @@ func TestNarrowIndexDifferential(t *testing.T) {
 	for seed := range trial.Seeds(12, 3) {
 		for leg, p := range []check.Point{
 			{},
-			{Planner: "dualstage", Mode: warehouse.ModeStaged, Width: 2},
-			{Planner: "prune", Mode: warehouse.ModeDAG, Workers: 3, Width: 3, Readers: 2},
+			{Planner: "dualstage", Mode: warehouse.ModeStaged},
+			{Planner: "prune", Mode: warehouse.ModeDAG, Workers: 3, Readers: 2},
 			{Planner: "dualstage", Fault: fmt.Sprintf("crash:step@%d", 1+seed%9), Cut: int(seed % 3 * 40)},
 			{Fault: "transient:step@2", Mode: warehouse.ModeDAG},
 			{Planner: "dualstage", Replicas: 2, Drop: true, Kill: 2},

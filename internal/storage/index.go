@@ -269,9 +269,9 @@ func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.k
 // that hold them keep their own copies. So the indexes a table ends with do
 // not depend on which join probed first.
 //
-// Safe to call from concurrent readers of the handle: morsels of one join
-// step, and terms of several compute expressions, may all arrive at a
-// first probe together; one builds and the others wait. A reader that got a
+// Safe to call from concurrent readers of the handle: the terms of several
+// compute expressions on concurrent DAG workers may all arrive at a first
+// probe together; one builds and the others wait. A reader that got a
 // retired index may go on probing it: the handle is not written while read.
 func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 	for i, c := range cols {

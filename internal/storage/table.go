@@ -55,10 +55,10 @@ type Table struct {
 	// indexes holds the resident join indexes (see index.go), which the
 	// writes below keep current and Clone hands on. idxMu guards the slice,
 	// not the indexes: readers of a handle may create an index on it — the
-	// morsels and terms that reach a join step's first probe together, a
-	// reader of the live handle while a window clones it — and only one of
-	// them may build. The handle's writer needs no lock: nothing reads a
-	// handle while it is written.
+	// Comps on concurrent DAG workers that reach a join step's first probe
+	// together, a reader of the live handle while a window clones it — and
+	// only one of them may build. The handle's writer needs no lock: nothing
+	// reads a handle while it is written.
 	idxMu   sync.RWMutex
 	indexes []*Index
 }

@@ -155,8 +155,8 @@ type WindowOptions struct {
 	// window for Recover.
 	Journal *Journal
 	// Timeout bounds the window's wall-clock time; cancellation propagates
-	// through the DAG scheduler and the morsel pool. 0 means no limit;
-	// negative is refused.
+	// through the DAG scheduler and stops a Comp before its next term. 0
+	// means no limit; negative is refused.
 	Timeout time.Duration
 	// Context, when set, carries external cancellation (composes with
 	// Timeout).

@@ -155,22 +155,19 @@ type Options struct {
 	// SkipEmptyDeltas elides compute expressions whose delta operands are
 	// all empty (the paper's footnote-5 extension).
 	SkipEmptyDeltas bool
-	// ParallelTerms widens the term engine's worker pool from 1 to Workers:
-	// the 2^r − 1 maintenance terms of each Comp then evaluate concurrently
-	// and join-step probes run as morsels on the pool. Produced deltas and
-	// reported work are identical at any width; only wall-clock changes.
+	// ParallelTerms and Workers are inert — the term engine runs the terms
+	// of a Comp one after another, and a window's parallelism is the
+	// scheduler's (WindowOptions.Mode and Workers); nothing reads them. They
+	// stay because the frozen benchmark (bench/main.go) sets them. ROADMAP
+	// item 1 deletes them.
 	ParallelTerms bool
-	// Workers bounds the worker budget the term engine shares across all
-	// concurrent Computes under ParallelTerms (0 = GOMAXPROCS). Pass the
-	// same value as WindowOptions.Workers so DAG-level and term-level
-	// parallelism compose under one budget.
-	Workers int
+	Workers       int
 	// ShareComputation makes the build cache live for the update window
 	// instead of one Comp: a build side (a pending delta, an aggregate
 	// view's state — plain tables are read through their resident indexes
 	// and build nothing) that several views' Comp expressions hash is built
-	// once and probed by every later consumer, in every scheduling mode and
-	// at any engine width, until its view installs. Reported work (the
+	// once and probed by every later consumer, in every scheduling mode,
+	// until its view installs. Reported work (the
 	// linear metric) is unchanged; SharedHits/SharedTuplesSaved report the
 	// physical scans elided. Every build stays resident until its view
 	// installs.
@@ -248,8 +245,6 @@ func New(opts ...Options) *Warehouse {
 	}
 	return FromCore(core.New(core.Options{
 		SkipEmptyDeltas:  o.SkipEmptyDeltas,
-		ParallelTerms:    o.ParallelTerms,
-		Workers:          o.Workers,
 		ShareComputation: o.ShareComputation,
 	}), o.Model)
 }
