@@ -39,7 +39,7 @@ fmt-check:
 # Replay one trial of the differential harness (DESIGN.md, "One oracle"):
 # every failing assertion of internal/check/trial prints the command this
 # runs, with the point that failed.
-#   make check POINT='seed=7 catalog=siblings mode=dag share=true windows=5'
+#   make check POINT='seed=7 catalog=siblings mode=dag windows=5'
 check:
 	$(GO) test ./internal/check -run TestTrials -count=1 -v -check.point='$(POINT)'
 
@@ -60,11 +60,12 @@ staticcheck:
 # tests asserting the paper's claims on that same run; every Test, Fuzz,
 # Benchmark and Example name that EXPERIMENTS.md, DESIGN.md, README.md and
 # docs/TUTORIAL.md cite is a function of some _test.go, every w.Name( they
-# show is a method of *Warehouse; and cmd/experiments' usage errors and its
-# -only output, a section of the block.
+# show is a method of *Warehouse, every replay point they and this Makefile
+# quote (POINT='…', -check.point='…') parses; and cmd/experiments' usage
+# errors and its -only output, a section of the block.
 docs-check:
 	$(call run-tests,./internal/experiments/,TestExperimentsMDIsTheOutput)
-	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist|TestDocsCallWarehouseMethodsThatExist)
+	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist|TestDocsCallWarehouseMethodsThatExist|TestDocsReplayPointsParse)
 	$(call run-tests,./cmd/experiments/,TestUnknownExperimentListsTheIDs|TestRetiredOutputFlagsAreUsageErrors|TestOnlyPrintsItsSectionOfTheBlock)
 
 # Print EXPERIMENTS.md's generated block: every table and figure of the
@@ -108,8 +109,7 @@ soak-smoke:
 # The concurrency tier: the full suite under the race detector. The only
 # goroutines that run update windows are internal/exec's (the scheduler's
 # workers, staged and DAG); what they share inside a window lives in
-# internal/core (the window's build cache, the views' pending state, the
-# tables' join indexes), and internal/recovery and the facade drive both
+# internal/core (the views' pending state, the tables' join indexes), and internal/recovery and the facade drive both
 # against shared warehouse state; running everything keeps the tier honest
 # as coverage grows.
 race:

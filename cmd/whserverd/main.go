@@ -9,17 +9,16 @@
 //	whserverd [-addr :8080] [-queue 64] [-workers N] [-query-timeout 5s]
 //	          [-mode sequential|staged|dag]
 //	          [-planner minwork|prune|dualstage|shared]
-//	          [-share] [-pprof addr] [-stores 8] [-sales 2000]
+//	          [-pprof addr] [-stores 8] [-sales 2000]
 //	          [-seed 7] [-follow leader-addr] [-fetch-interval 100ms]
 //	          [-ingest] [-ingest-rate 500] [-ingest-slo 200ms]
 //	          [-ingest-queue 4096]
 //
 // The served warehouse is the retail demo VDAG (SALES/STORES bases, a join
-// view, an aggregate summary), populated from -seed, on the engine -share
-// sets. An update window runs when a client asks for one
-// with POST /window, under the wall-clock budget the request names (a window
-// that overruns it aborts cleanly and leaves the serving epoch unchanged), or
-// when the ingester cuts a batch. /stats and the drain line count every
+// view, an aggregate summary), populated from -seed. An update window runs
+// when a client asks for one with POST /window, under the wall-clock budget
+// the request names (a window that overruns it aborts cleanly and leaves the
+// serving epoch unchanged), or when the ingester cuts a batch. /stats and the drain line count every
 // window the warehouse committed or failed, whichever path ran it.
 //
 // With -ingest the daemon is its own source of changes: a synthetic producer
@@ -87,7 +86,6 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 5*time.Second, "per-query deadline (queue wait + execution)")
 	mode := flag.String("mode", "dag", "window scheduling: sequential | staged | dag")
 	plannerName := flag.String("planner", "minwork", "window planner: minwork | prune | dualstage | shared")
-	share := flag.Bool("share", false, "enable window-wide shared computation for update windows")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (separate mux; empty = off)")
 	stores := flag.Int("stores", 8, "demo warehouse: number of stores")
 	sales := flag.Int("sales", 2000, "demo warehouse: initial sales rows")
@@ -105,8 +103,7 @@ func main() {
 	defer stop()
 	if err := run(ctx, config{
 		addr: *addr, queue: *queue, workers: *workers,
-		queryTimeout: *queryTimeout, mode: *mode, planner: *plannerName,
-		share: *share, pprofAddr: *pprofAddr,
+		queryTimeout: *queryTimeout, mode: *mode, planner: *plannerName, pprofAddr: *pprofAddr,
 		stores: *stores, sales: *sales, seed: *seed, drainTimeout: *drainTimeout,
 		follow: *follow, fetchInterval: *fetchInterval,
 		ingest: *ingestOn, ingestRate: *ingestRate, ingestSLO: *ingestSLO,
@@ -130,7 +127,6 @@ type config struct {
 	queue, workers             int
 	queryTimeout, drainTimeout time.Duration
 	mode, planner              string
-	share                      bool
 	pprofAddr                  string
 	stores, sales              int
 	seed                       int64
@@ -179,7 +175,7 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return usageError{fmt.Errorf("-mode: %w", err)}
 	}
-	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed, warehouse.Options{ShareComputation: cfg.share})
+	w, gen, err := buildDemo(cfg.stores, cfg.sales, cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -254,8 +250,8 @@ func run(ctx context.Context, cfg config) error {
 	} else if ing != nil {
 		role = fmt.Sprintf("leading, ingesting %d changes/s (slo=%s)", cfg.ingestRate, cfg.ingestSLO)
 	}
-	fmt.Printf("whserverd: serving %d views on %s (queue=%d, epoch=%d, share=%v, %s)\n",
-		len(w.Views()), ln.Addr(), cfg.queue, s.Epoch(), cfg.share, role)
+	fmt.Printf("whserverd: serving %d views on %s (queue=%d, epoch=%d, %s)\n",
+		len(w.Views()), ln.Addr(), cfg.queue, s.Epoch(), role)
 	if cfg.ready != nil {
 		cfg.ready <- ln.Addr().String()
 	}
@@ -404,14 +400,13 @@ type demoGen struct {
 	nextID int64
 }
 
-// buildDemo assembles the retail demo warehouse on the engine opts sets:
-// STORES and SALES bases, a join view, and a regional aggregate, populated
-// from seed.
-func buildDemo(stores, sales int, seed int64, opts warehouse.Options) (*warehouse.Warehouse, *demoGen, error) {
+// buildDemo assembles the retail demo warehouse: STORES and SALES bases, a
+// join view, and a regional aggregate, populated from seed.
+func buildDemo(stores, sales int, seed int64) (*warehouse.Warehouse, *demoGen, error) {
 	if stores < 1 || sales < 0 {
 		return nil, nil, fmt.Errorf("demo warehouse needs stores >= 1 and sales >= 0 (got %d, %d)", stores, sales)
 	}
-	w := warehouse.New(opts)
+	w := warehouse.New()
 	w.MustDefineBase("STORES", warehouse.Schema{
 		{Name: "store_id", Kind: warehouse.KindInt},
 		{Name: "region", Kind: warehouse.KindString},

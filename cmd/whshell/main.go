@@ -2,16 +2,11 @@
 // views, load data, stage change batches, run update windows, and query —
 // the full lifecycle from a prompt (or a piped script).
 //
-//	go run ./cmd/whshell [-f script.whs] [-share]
+//	go run ./cmd/whshell [-f script.whs]
 //
 // cmd/tpcdgen writes tpcd.whs, a script that defines the paper's TPC-D
 // warehouse and stages a change batch; a WINDOW statement after it runs one
 // of the paper's update windows.
-//
-// The engine the session's warehouse runs on is fixed at start by a flag
-// (whserverd's too): -share keeps a window's builds for the whole window
-// (operands several views' Comps read are hashed once, until their view
-// installs).
 //
 // Commands (case-insensitive keywords; SQL per the library's dialect):
 //
@@ -21,7 +16,6 @@
 //	DELTA <view> FROM '<file.csv>';             stage a change batch (CSV, __count column)
 //	REFRESH;                                    materialize derived views
 //	WINDOW [planner] [SEQUENTIAL|STAGED|DAG [workers]];  plan + execute an update window
-//	EXPLAIN SHARING [planner];                  sharing election + observed reuse
 //	SELECT ...;                                 ad-hoc query (ORDER BY col|ordinal, LIMIT n OFFSET m)
 //	SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
 //	                                            (SCRIPT: §5.5 procedure catalog + update script)
@@ -73,7 +67,7 @@ const (
 )
 
 func main() {
-	scriptPath, opts, err := parseFlags(os.Args[1:], os.Stderr)
+	scriptPath, err := parseFlags(os.Args[1:], os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		os.Exit(exitOK)
 	}
@@ -96,7 +90,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sh := &shell{w: warehouse.New(opts), out: os.Stdout, ctx: ctx}
+	sh := &shell{w: warehouse.New(), out: os.Stdout, ctx: ctx}
 	err = sh.run(in, interactive)
 	if sh.j != nil {
 		sh.j.Close()
@@ -107,21 +101,19 @@ func main() {
 	}
 }
 
-// parseFlags reads the command line: the script to run (empty for stdin) and
-// the engine settings the session's warehouse is built with. A stray
-// argument is refused.
-func parseFlags(args []string, stderr io.Writer) (script string, opts warehouse.Options, err error) {
+// parseFlags reads the command line: the script to run (empty for stdin). A
+// stray argument is refused.
+func parseFlags(args []string, stderr io.Writer) (script string, err error) {
 	fs := flag.NewFlagSet("whshell", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scriptPath := fs.String("f", "", "execute commands from a file instead of stdin")
-	share := fs.Bool("share", false, "enable window-wide shared computation for update windows")
 	if err := fs.Parse(args); err != nil {
-		return "", opts, err
+		return "", err
 	}
 	if fs.NArg() > 0 {
-		return "", opts, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return "", fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	return *scriptPath, warehouse.Options{ShareComputation: *share}, nil
+	return *scriptPath, nil
 }
 
 // exitCodeFor classifies a shell error: an interrupted or timed-out window
@@ -310,16 +302,6 @@ func (sh *shell) execute(stmt string) (quit bool, err error) {
 			return false, errShowUsage
 		}
 		return false, sh.show(words[1:])
-	case "EXPLAIN":
-		// EXPLAIN SHARING [planner]: plan the staged changes (default: the
-		// sharing-aware planner) and print the sharing election — each
-		// candidate's estimated size and savings — plus, when a window has
-		// run with sharing, the observed
-		// per-entry requests/hits/bytes from the latest one.
-		if len(words) < 2 || words[1] != "SHARING" || len(words) > 3 {
-			return false, fmt.Errorf("usage: EXPLAIN SHARING [planner]")
-		}
-		return false, sh.explainSharing(words[2:])
 	case "VERIFY":
 		if err := sh.w.Verify(); err != nil {
 			return false, err
@@ -369,34 +351,13 @@ func (sh *shell) help() {
   LOAD <view> FROM '<file.csv>';        DELTA <view> FROM '<file.csv>';
   REFRESH;
   WINDOW [minwork|prune|dualstage|shared] [SEQUENTIAL|STAGED|DAG [workers]];    VERIFY;  DIGEST;
-  EXPLAIN SHARING [planner];            sharing election + last window's observed reuse
   SELECT ... [ORDER BY col|n [ASC|DESC], ...] [LIMIT n [OFFSET m]];
   SHOW VIEWS | STRATEGY [planner] | SCRIPT [planner] | HISTORY | GRAPH | CACHE;
   SNAPSHOT SAVE '<file>';               SNAPSHOT LOAD '<file>';
   JOURNAL ON '<file>' | OFF | STATUS;   crash-safe (journaled) windows
   RECOVER;                              complete the journal's in-flight window
   HELP;  EXIT;
-engine settings are flags at start: -share
 `)
-}
-
-// explainSharing plans with the named planner (default: shared) and prints
-// the sharing election, then the latest window's observed per-entry stats.
-func (sh *shell) explainSharing(words []string) error {
-	planner := warehouse.SharedPlanner
-	if len(words) > 0 {
-		planner = warehouse.PlannerName(strings.ToLower(words[0]))
-	}
-	plan, err := sh.w.Plan(planner)
-	if err != nil {
-		return err
-	}
-	text, err := sh.w.ExplainSharing(plan.Strategy)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(sh.out, text)
-	return nil
 }
 
 var kindNames = map[string]warehouse.Kind{

@@ -14,17 +14,12 @@ import (
 	"repro/internal/tpcd"
 )
 
-// runScript feeds commands to a fresh shell started with flags and returns
-// the output.
-func runScript(t *testing.T, script string, flags ...string) (string, error) {
+// runScript feeds commands to a fresh shell and returns the output.
+func runScript(t *testing.T, script string) (string, error) {
 	t.Helper()
-	_, opts, err := parseFlags(flags, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	sh := &shell{w: warehouse.New(opts), out: &out}
-	err = sh.run(strings.NewReader(script), false)
+	sh := &shell{w: warehouse.New(), out: &out}
+	err := sh.run(strings.NewReader(script), false)
 	return out.String(), err
 }
 
@@ -169,45 +164,14 @@ EXIT;
 	}
 }
 
-// TestShellSharing runs a window whose two sibling join views read the same
-// operands in a shell started with -share, so the build cache kept for the
-// window serves the second one and the WINDOW line reports it, and the same
-// window in a shell started without it, whose line reports no sharing.
-func TestShellSharing(t *testing.T) {
-	r := writeFile(t, "r.csv", "id,a\n1,10\n2,20\n3,30\n")
-	s := writeFile(t, "s.csv", "id,b\n1,1\n2,2\n3,3\n")
-	dr := writeFile(t, "dr.csv", "id,a,__count\n4,40,1\n")
-	ds := writeFile(t, "ds.csv", "id,b,__count\n4,4,1\n")
-	script := `
-CREATE BASE R (id INTEGER, a INTEGER);
-CREATE BASE S (id INTEGER, b INTEGER);
-CREATE VIEW V1 AS SELECT r.a AS a, s.b AS b FROM R r, S s WHERE r.id = s.id;
-CREATE VIEW V2 AS SELECT r.a AS g, SUM(s.b) AS t FROM R r, S s WHERE r.id = s.id GROUP BY r.a;
-LOAD R FROM '` + r + `';
-LOAD S FROM '` + s + `';
-REFRESH;
-DELTA R FROM '` + dr + `';
-DELTA S FROM '` + ds + `';
-WINDOW dualstage;
-VERIFY;
-EXIT;
-`
-	out, err := runScript(t, script, "-share")
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out)
+// TestShellFlags: -f is the one flag; an engine setting, a value it does
+// not read or a stray argument is refused.
+func TestShellFlags(t *testing.T) {
+	if script, err := parseFlags([]string{"-f", "x.whs"}, io.Discard); err != nil || script != "x.whs" {
+		t.Errorf("-f x.whs: %q, %v", script, err)
 	}
-	for _, want := range []string{" shared=", "every view matches recomputation"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	out, err = runScript(t, script)
-	if err != nil || strings.Contains(out, " shared=") {
-		t.Errorf("a shell without -share shared a build (%v):\n%s", err, out)
-	}
-	// -share is a switch: it takes no value.
-	for _, bad := range [][]string{{"-share=maybe"}, {"-share", "32"}} {
-		if _, _, err := parseFlags(bad, io.Discard); err == nil {
+	for _, bad := range [][]string{{"-share"}, {"-f", "x.whs", "y.whs"}, {"-f"}} {
+		if _, err := parseFlags(bad, io.Discard); err == nil {
 			t.Errorf("%v accepted", bad)
 		}
 	}
@@ -248,54 +212,6 @@ DELTA SALES FROM '` + b1 + `';
 	}
 	if !strings.Contains(out, "[SEQUENTIAL|STAGED|DAG [workers]]") {
 		t.Errorf("HELP does not name SEQUENTIAL:\n%s", out)
-	}
-}
-
-// TestShellExplainSharing: the sibling views join R with SG, a summary view
-// over S, because that is the state a window still hashes and can share — a
-// plain table's state is read through its resident join index.
-func TestShellExplainSharing(t *testing.T) {
-	r := writeFile(t, "r.csv", "id,a\n1,10\n2,20\n3,30\n")
-	s := writeFile(t, "s.csv", "id,b\n1,1\n2,2\n3,3\n")
-	dr := writeFile(t, "dr.csv", "id,a,__count\n4,40,1\n")
-	script := `
-CREATE BASE R (id INTEGER, a INTEGER);
-CREATE BASE S (id INTEGER, b INTEGER);
-CREATE VIEW SG AS SELECT id, SUM(b) AS b FROM S GROUP BY id;
-CREATE VIEW V1 AS SELECT r.a AS a, s.b AS b FROM R r, SG s WHERE r.id = s.id;
-CREATE VIEW V2 AS SELECT r.a AS g, SUM(s.b) AS t FROM R r, SG s WHERE r.id = s.id GROUP BY r.a;
-LOAD R FROM '` + r + `';
-LOAD S FROM '` + s + `';
-REFRESH;
-DELTA R FROM '` + dr + `';
-EXPLAIN SHARING;
-WINDOW shared;
-EXPLAIN SHARING;
-VERIFY;
-EXIT;
-`
-	out, err := runScript(t, script, "-share")
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out)
-	}
-	for _, want := range []string{
-		"sharing election:",
-		"window 1 [shared]",
-		"observed (window 1):",
-		// V1 and V2 both join δR with SG's state, an aggregate store no index
-		// serves: the window's cache held one build of it, asked for twice.
-		"SG[0]", "requests=2 hits=1", "fate=resident",
-		"every view matches recomputation",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := runScript(t, "EXPLAIN NOTHING;\n"); err == nil {
-		t.Error("bad EXPLAIN argument accepted")
-	}
-	if _, err := runScript(t, "EXPLAIN SHARING bogus;\n"); err == nil {
-		t.Error("unknown planner accepted by EXPLAIN SHARING")
 	}
 }
 
@@ -356,7 +272,7 @@ func TestShellErrors(t *testing.T) {
 		"DIGEST now;",
 		"EXIT now;",
 		"JOURNAL OFF now;",
-		"EXPLAIN SHARING shared now;",
+		"EXPLAIN SHARING;",
 		"SNAPSHOT;",
 		"SNAPSHOT PUSH 'f';",
 		"SELECT nope FROM nowhere;",

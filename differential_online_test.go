@@ -14,7 +14,7 @@ import (
 // Over 12 seeded catalogs, three readers — pinning epochs and capturing them
 // whole, or sending ordered queries through the server's queue — race 120
 // windows: streams that commit (every scheduling mode, some planned by the
-// sharing-aware search with the cache kept for the window),
+// sharing-aware search),
 // streams whose last window aborts on a nanosecond deadline and is run again,
 // and streams whose last window dies to an injected crash and is completed by
 // Recover on a snapshot-restored rebuild. trial.Run holds every read to
@@ -25,7 +25,7 @@ func TestOnlineSnapshotIsolationDifferential(t *testing.T) {
 	for seed := range trial.Seeds(12, 3) {
 		plain := check.Point{Seed: 88400 + seed, Readers: 3, Mode: modes[seed%3], Workers: 1 + int(seed%4), Windows: 4}
 		shared := plain
-		shared.Mode, shared.Planner, shared.Share, shared.Windows = modes[(seed+1)%3], "shared", true, 2
+		shared.Mode, shared.Planner, shared.Windows = modes[(seed+1)%3], "shared", 2
 		aborted, crashed := plain, plain
 		aborted.Mode, aborted.Windows, aborted.Fault = modes[(seed+2)%3], 2, "deadline"
 		crashed.Windows, crashed.Fault = 2, fmt.Sprintf("crash:step@%d", 1+seed*5%11)

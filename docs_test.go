@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/check"
 )
 
 // testName matches what the docs cite as a test: a Test, Fuzz, Benchmark or
@@ -62,12 +64,20 @@ func TestDocsNameTestsThatExist(t *testing.T) {
 	})
 }
 
-// eachDocLine calls f with every line, numbered from 1, of the docs and the
-// verify skill, which the docs checks hold to the code. docs/PERF.md and
-// CHANGES.md are history and are not checked.
+// docs are the documents the docs checks hold to the code: the docs and the
+// verify skill. docs/PERF.md and CHANGES.md are history and are not checked.
+var docs = []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"}
+
+// eachDocLine calls f with every line, numbered from 1, of the docs.
 func eachDocLine(t *testing.T, f func(doc string, n int, line string)) {
 	t.Helper()
-	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md", "docs/TUTORIAL.md", ".claude/skills/verify/SKILL.md"} {
+	eachLine(t, docs, f)
+}
+
+// eachLine calls f with every line, numbered from 1, of each file.
+func eachLine(t *testing.T, files []string, f func(doc string, n int, line string)) {
+	t.Helper()
+	for _, doc := range files {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -202,5 +212,31 @@ func TestDocsRunCommandsThatExist(t *testing.T) {
 	})
 	if cited < 5 {
 		t.Fatalf("found %d go run/build commands in the docs: the check is looking in the wrong place", cited)
+	}
+}
+
+// replayPoint matches a differential-harness point quoted as the value of
+// make check's POINT or of the -check.point flag.
+var replayPoint = regexp.MustCompile(`(?:POINT|-check\.point)='([^']*)'`)
+
+// TestDocsReplayPointsParse: every concrete point the docs, the verify skill
+// and the Makefile quote for replaying one trial parses as a check.Point, so
+// a deleted or renamed axis cannot stay in an example that then fails to run.
+// Placeholders (…, <point>, $(POINT), a format verb) are not points.
+func TestDocsReplayPointsParse(t *testing.T) {
+	cited := 0
+	eachLine(t, append(slices.Clone(docs), "Makefile"), func(doc string, n int, line string) {
+		for _, m := range replayPoint.FindAllStringSubmatch(line, -1) {
+			if strings.ContainsAny(m[1], "…<$%") {
+				continue
+			}
+			cited++
+			if _, err := check.ParsePoint(m[1]); err != nil {
+				t.Errorf("%s:%d quotes the point %q: %v", doc, n, m[1], err)
+			}
+		}
+	})
+	if cited < 2 {
+		t.Fatalf("found %d replay points in the docs and the Makefile: the check is looking in the wrong place", cited)
 	}
 }

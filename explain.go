@@ -8,7 +8,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/maintain"
-	"repro/internal/planner"
 )
 
 // Explain renders a strategy with its predicted per-expression cost under
@@ -95,42 +94,4 @@ func containsStr(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// ExplainSharing renders what window-wide sharing would do for s and what it
-// last did. The first block is the planned election under the current
-// planning statistics: every operand at least two Comps of s read, with its
-// estimated size and savings, most saved first. The second, present when the
-// last window this warehouse committed held builds in its cache, lists each
-// of them: requests, hits, built rows and bytes, and its fate (resident or
-// dropped). A nil strategy renders the second block alone — what
-// a caller that printed the election before its window asks for after it.
-func (w *Warehouse) ExplainSharing(s Strategy) (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var sb strings.Builder
-	if s != nil {
-		stats, err := exec.PlanningStats(w.core)
-		if err != nil {
-			return "", err
-		}
-		a := planner.AnalyzeSharing(s, exec.RefsOf(w.core), planner.SharingOptions{Stats: stats, Width: exec.WidthOf(w.core)})
-		fmt.Fprintf(&sb, "sharing election: %d shared operands, est saved %d tuples\n",
-			a.SharedOperands, a.EstimatedSavedTuples)
-		for _, e := range a.Elected {
-			fmt.Fprintf(&sb, "  %-24s consumers=%d est_rows=%-8d est_bytes=%-10d est_saved=%d\n",
-				e.Name, e.Consumers, e.EstRows, e.EstBytes, e.EstSavedTuples)
-		}
-	}
-	w.tallyMu.Lock()
-	last := w.last
-	w.tallyMu.Unlock()
-	if detail := last.Report.SharedDetail; len(detail) > 0 {
-		fmt.Fprintf(&sb, "shared entries observed (window %d):\n", last.Seq)
-		for _, d := range detail {
-			fmt.Fprintf(&sb, "  %-24s requests=%d hits=%d rows=%-8d bytes=%-10d fate=%s\n",
-				d.Name, d.Requests, d.Hits, d.Rows, d.Bytes, d.Fate)
-		}
-	}
-	return sb.String(), nil
 }

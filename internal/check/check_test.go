@@ -23,11 +23,10 @@ func draw(seed int64) check.Point {
 	pick := func(of ...string) string { return of[rng.Intn(len(of))] }
 	p := check.Point{
 		Seed:    seed,
-		Catalog: check.Catalog(pick("", "", string(check.Invalidation), string(check.Siblings), string(check.Narrow))),
+		Catalog: check.Catalog(pick("", "", string(check.Siblings), string(check.Narrow))),
 		Planner: pick("", "prune", "dualstage", "shared"),
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
 		Workers: rng.Intn(4), Skip: rng.Intn(2) == 0,
-		Share:   rng.Intn(4) > 0,
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),
 	}
 	switch rng.Intn(3) {
@@ -87,7 +86,7 @@ func TestPointRoundTrip(t *testing.T) {
 			set[name] = true
 		}
 	}
-	for _, axis := range strings.Fields("seed catalog planner mode workers skip share windows fault cut readers replicas drop slow kill ingest") {
+	for _, axis := range strings.Fields("seed catalog planner mode workers skip windows fault cut readers replicas drop slow kill ingest") {
 		if !set[axis] {
 			t.Errorf("no drawn point set axis %s: its round trip went untested", axis)
 		}
@@ -95,7 +94,7 @@ func TestPointRoundTrip(t *testing.T) {
 	if zero := (check.Point{}).String(); zero != "seed=0" {
 		t.Errorf("the default point prints as %q", zero)
 	}
-	for _, bad := range []string{"sead=1", "seed=x", "fault=crash", "fault=melt:step@1", "fault=crash:step@0"} {
+	for _, bad := range []string{"sead=1", "share=true", "seed=x", "fault=crash", "fault=melt:step@1", "fault=crash:step@0"} {
 		if p, err := check.ParsePoint(bad); err == nil {
 			t.Errorf("%q parsed as %+v", bad, p)
 		}

@@ -27,19 +27,11 @@ const (
 	// earlier view (diamonds and self-joins included), or a SUM/COUNT
 	// summary. Integer columns keep every comparison exact.
 	Random Catalog = ""
-	// Invalidation is the fixture of the window-lived build cache: bases
-	// B0(k,x), B1(k,y), B2(k,z), the summary G of B1 by k, and two siblings
-	// over B0 ⋈ G ⋈ B2 on k, P1 a join view and P2 a summary of it. G is an
-	// aggregate store, so every term that reads its state hashes it (no index
-	// serves it), the siblings on the same column: a window that keeps its
-	// cache builds it once per version of G. B1 is small, so a batch makes
-	// groups of G appear and disappear, and a build of G's state made before
-	// Inst(G) differs from one made after in the rows it holds.
-	Invalidation Catalog = "invalidation"
-	// Siblings is the sharing fixture: bases D(k,x), A0(k,y), B(y,z), the
-	// summary A = MAX(y) of A0 by k, and three siblings D ⋈ A ⋈ B. Every
-	// Comp(Vi, {D}) joins δD with A's state — the build a window shares — and
-	// then probes B's resident index.
+	// Siblings is the fixture of sibling Comps that read one build side:
+	// bases D(k,x), A0(k,y), B(y,z), the summary A = MAX(y) of A0 by k, and
+	// three siblings D ⋈ A ⋈ B. Every Comp(Vi, {D}) joins δD with A's state —
+	// an aggregate store no index serves, so each Comp hashes it — and then
+	// probes B's resident index.
 	Siblings Catalog = "siblings"
 	// Narrow is the fixture of a join index that serves joins on more
 	// columns than its own: bases L(k,x), O(k,y), P(k,x), J1 joining L and O
@@ -49,17 +41,6 @@ const (
 	// yields the rows of all its key's x, which the step must filter on x.
 	Narrow Catalog = "narrow"
 )
-
-// OneWay is the Invalidation catalog's pinned 1-way strategy: the sibling
-// Comps over {B2} hash G's state, G then installs, and the Comps over {B0}
-// must hash G's new state, not find the old build.
-var OneWay = warehouse.Strategy{
-	warehouse.Comp{View: "P1", Over: []string{"B2"}}, warehouse.Comp{View: "P2", Over: []string{"B2"}}, warehouse.Inst{View: "B2"},
-	warehouse.Comp{View: "G", Over: []string{"B1"}}, warehouse.Inst{View: "B1"},
-	warehouse.Comp{View: "P1", Over: []string{"G"}}, warehouse.Comp{View: "P2", Over: []string{"G"}}, warehouse.Inst{View: "G"},
-	warehouse.Comp{View: "P1", Over: []string{"B0"}}, warehouse.Comp{View: "P2", Over: []string{"B0"}}, warehouse.Inst{View: "B0"},
-	warehouse.Inst{View: "P1"}, warehouse.Inst{View: "P2"},
-}
 
 // Build makes the Random catalog of a seed, loaded and refreshed. It is
 // deterministic in seed, which is what lets a leader, its followers and a
@@ -78,14 +59,6 @@ func BuildCatalog(t testing.TB, c Catalog, seed int64, opts ...warehouse.Options
 	switch c {
 	case Random:
 		b.random()
-	case Invalidation:
-		row := func(int64) (int64, int64) { return b.rng.Int63n(6), b.rng.Int63n(4) }
-		b.base("B0", "k", "x", 10+b.rng.Intn(15), row)
-		b.base("B1", "k", "y", 3+b.rng.Intn(4), row)
-		b.base("B2", "k", "z", 10+b.rng.Intn(15), row)
-		b.view("G", "SELECT k, SUM(y) AS s, COUNT(*) AS n FROM B1 GROUP BY k")
-		b.view("P1", "SELECT a.x, g.s, c.z FROM B0 a, G g, B2 c WHERE a.k = g.k AND a.k = c.k")
-		b.view("P2", "SELECT c.z, SUM(g.s) AS t, COUNT(*) AS n FROM B0 a, G g, B2 c WHERE a.k = g.k AND a.k = c.k GROUP BY c.z")
 	case Siblings:
 		b.base("D", "k", "x", 60, func(i int64) (int64, int64) { return i, 3 * i })
 		b.base("A0", "k", "y", 60, func(i int64) (int64, int64) { return i, i % 7 })
@@ -186,10 +159,13 @@ type Change struct {
 	Delta *warehouse.Delta
 }
 
-// bases calls fn with every base view of w and an empty delta for it, and
-// stages the deltas fn left changes in.
-func bases(t testing.TB, w *warehouse.Warehouse, fn func(name string, d *warehouse.Delta)) []Change {
+// Stage stages a random change batch on every base view of w — inserts
+// only, deletes only, or both — and returns what it staged. Deletes hit rows
+// w holds, so a stream of batches is valid in the order it was drawn from a
+// warehouse that installed each before the next.
+func Stage(t testing.TB, w *warehouse.Warehouse, rng *rand.Rand) []Change {
 	t.Helper()
+	kind := rng.Intn(3) // 0 = inserts, 1 = deletes, 2 = both
 	var out []Change
 	for _, name := range w.Views() {
 		if !w.Internal().MustView(name).IsBase() {
@@ -199,25 +175,6 @@ func bases(t testing.TB, w *warehouse.Warehouse, fn func(name string, d *warehou
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fn(name, d); d.IsEmpty() {
-			continue
-		}
-		if err := w.StageDelta(name, d); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, Change{name, d})
-	}
-	return out
-}
-
-// Stage stages a random change batch on every base view of w — inserts
-// only, deletes only, or both — and returns what it staged. Deletes hit rows
-// w holds, so a stream of batches is valid in the order it was drawn from a
-// warehouse that installed each before the next.
-func Stage(t testing.TB, w *warehouse.Warehouse, rng *rand.Rand) []Change {
-	t.Helper()
-	kind := rng.Intn(3) // 0 = inserts, 1 = deletes, 2 = both
-	return bases(t, w, func(name string, d *warehouse.Delta) {
 		if kind != 0 {
 			rows, _ := w.Rows(name) // a view of w's: no error
 			for _, r := range rows {
@@ -231,14 +188,13 @@ func Stage(t testing.TB, w *warehouse.Warehouse, rng *rand.Rand) []Change {
 				d.Add(warehouse.Tuple{warehouse.Int(rng.Int63n(5)), warehouse.Int(rng.Int63n(5))}, 1)
 			}
 		}
-	})
-}
-
-// StageHot stages, on top of whatever is staged, the row (2, 3) on every
-// base view. On the Invalidation catalog that is one key certain to show a
-// stale build: δB1 changes (or creates) G's group 2, and δB0 and δB2 each
-// bring a row that joins it.
-func StageHot(t testing.TB, w *warehouse.Warehouse) {
-	t.Helper()
-	bases(t, w, func(_ string, d *warehouse.Delta) { d.Add(warehouse.Tuple{warehouse.Int(2), warehouse.Int(3)}, 1) })
+		if d.IsEmpty() {
+			continue
+		}
+		if err := w.StageDelta(name, d); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, Change{name, d})
+	}
+	return out
 }

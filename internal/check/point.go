@@ -20,8 +20,7 @@ type Point struct {
 	// Seed draws the catalog's shape and data and every change batch.
 	Seed    int64   `axis:"seed"`
 	Catalog Catalog `axis:"catalog"`
-	// Planner plans every window: a warehouse.PlannerName ("" = minwork),
-	// or "oneway", the Invalidation catalog's pinned strategy.
+	// Planner plans every window: a warehouse.PlannerName ("" = minwork).
 	Planner string `axis:"planner"`
 	// Mode schedules the strategy ("" = sequential), Workers bounds the
 	// scheduler's pool (0 = GOMAXPROCS).
@@ -29,9 +28,6 @@ type Point struct {
 	Workers int            `axis:"workers"`
 	// Skip sets SkipEmptyDeltas, the one option that changes Work figures.
 	Skip bool `axis:"skip"`
-	// Share keeps the build cache for the window (ShareComputation), each
-	// build until its view installs.
-	Share bool `axis:"share"`
 	// Windows is the length of the stream (0 and 1 are one window). The first
 	// window runs on cold indexes — it builds every one it probes — the ones
 	// after it on warm.

@@ -51,20 +51,17 @@ import (
 
 // Tally is what the machine did for a trial beside the work the metric
 // counts. A table sums it over its points to prove it exercised what it is
-// there for: one that never shared, rebuilt or restarted proves nothing about
-// sharing, invalidation or recovery.
+// there for: one that never probed an index or restarted proves nothing
+// about join indexes or recovery.
 type Tally struct {
 	core.EngineCounters
-	// Rebuilds counts the windows whose cache made some build again after an
-	// install had dropped it, Restarts an ingest trial's incarnations past the
-	// first.
-	Rebuilds, Restarts int
+	// Restarts counts an ingest trial's incarnations past the first.
+	Restarts int
 }
 
 // Add folds o into t.
 func (t *Tally) Add(o Tally) {
 	t.EngineCounters.Add(o.EngineCounters)
-	t.Rebuilds += o.Rebuilds
 	t.Restarts += o.Restarts
 }
 
@@ -85,13 +82,11 @@ func Run(t testing.TB, p check.Point) Tally {
 	r.kind, r.at, r.hit, err = p.FaultAt()
 	r.ok(err)
 	r.crashes = r.kind == "crash" || r.kind == "panic"
-	switch pinned := p.Planner == "oneway"; {
-	case p.Ingest && (pinned || (r.kind != "" && r.kind != "crash" && r.kind != "transient")):
-		r.Fatalf("an ingest trial takes a planner by name, and a crash or a transient fault")
-	case p.Replicas > 0 && !p.Ingest && (r.crashes || pinned):
-		r.Fatalf("a replicated trial takes a planner by name and no crash of the leader, whose journal is the shipping log")
-	case pinned && (p.Catalog != check.Invalidation || r.kind != "" || p.Readers > 0):
-		r.Fatalf("planner=oneway is the invalidation catalog's strategy, run in place: no faults, no readers")
+	switch {
+	case p.Ingest && r.kind != "" && r.kind != "crash" && r.kind != "transient":
+		r.Fatalf("an ingest trial takes a crash or a transient fault")
+	case p.Replicas > 0 && !p.Ingest && r.crashes:
+		r.Fatalf("a replicated trial takes no crash of the leader, whose journal is the shipping log")
 	case p.Cut > 0 && !r.crashes:
 		r.Fatalf("cut tears the journal a crash left: it needs fault=crash or fault=panic")
 	case p.Ingest:
@@ -143,9 +138,7 @@ func (r *run) build() *warehouse.Warehouse { return check.BuildCatalog(r, r.p.Ca
 // configure sets the point's engine options on a warehouse it built, before
 // its first use.
 func (r *run) configure(w *warehouse.Warehouse) *warehouse.Warehouse {
-	w.Internal().SetOptions(core.Options{
-		SkipEmptyDeltas: r.p.Skip, ShareComputation: r.p.Share,
-	})
+	w.Internal().SetOptions(core.Options{SkipEmptyDeltas: r.p.Skip})
 	return w
 }
 
@@ -169,9 +162,6 @@ func (r *run) adopted(w *warehouse.Warehouse, window ...warehouse.Report) check.
 // returns the strategy the point's planner will run.
 func (r *run) strategy(w *warehouse.Warehouse) warehouse.Strategy {
 	plans := make(map[string]warehouse.Strategy)
-	if r.p.Catalog == check.Invalidation {
-		plans["oneway"] = check.OneWay
-	}
 	for _, name := range warehouse.Planners {
 		plan, err := w.Plan(name)
 		r.ok(err)
@@ -217,7 +207,7 @@ func (r *run) reference(w *warehouse.Warehouse, s warehouse.Strategy, want check
 	return rep
 }
 
-// sameSteps holds a leg to the reference run step by step — caches, sharing
+// sameSteps holds a leg to the reference run step by step — caches, indexes
 // and scheduling change what the machine does, never what the metric
 // counts or what is installed — and tallies what the machine did.
 func (r *run) sameSteps(ref, got warehouse.Report) {
@@ -230,12 +220,6 @@ func (r *run) sameSteps(ref, got warehouse.Report) {
 				i, step.Expr, step.Work, step.Terms, step.Digest, want.Expr, want.Work, want.Terms, want.Digest)
 		}
 		r.tally.EngineCounters.Add(step.EngineCounters)
-	}
-	builds := make(map[string]int)
-	for _, d := range got.SharedDetail {
-		if builds[d.Name]++; builds[d.Name] == 2 {
-			r.tally.Rebuilds++
-		}
 	}
 }
 
@@ -277,21 +261,10 @@ func (r *run) windows() {
 			}
 		}
 		check.Stage(r, w, r.rng)
-		if p.Catalog == check.Invalidation {
-			check.StageHot(r, w)
-		}
 		want := check.Oracle(r, w)
 		s := r.strategy(w)
 		ref := r.reference(w, s, want)
 		stop := r.readers(srv)
-		window := func(o warehouse.WindowOptions) (warehouse.WindowReport, error) {
-			if p.Planner != "oneway" {
-				return srv.RunWindow(ctx, o)
-			}
-			// In place: no faults, no readers.
-			rep, err := exec.Execute(w.Internal(), s, exec.Options{Mode: p.Mode, Workers: p.Workers, Validate: true})
-			return warehouse.WindowReport{Report: rep}, err
-		}
 
 		opts, inj := r.options(), faults.New(p.Seed)
 		hit := r.hit
@@ -303,23 +276,23 @@ func (r *run) windows() {
 		switch kind {
 		case "deadline":
 			opts.Timeout = time.Nanosecond
-			if _, err := window(opts); !errors.Is(err, warehouse.ErrWindowAborted) {
+			if _, err := srv.RunWindow(ctx, opts); !errors.Is(err, warehouse.ErrWindowAborted) {
 				r.Fatalf("window %d under a nanosecond deadline returned %v", win, err)
 			}
 			r.unchanged(w, pre, "a window aborted by its deadline")
-			rep, err = window(r.options())
+			rep, err = srv.RunWindow(ctx, r.options())
 		case "transient":
 			// Retried in the mode it ran in: whatever steps the failure
 			// cancelled, the scheduler reports the fault, not their echo.
 			inj.FailAt(r.at, hit)
 			opts.Faults = inj
-			if rep, err = window(opts); err == nil && (rep.Attempts != 2 || rep.FellBackSequential) {
+			if rep, err = srv.RunWindow(ctx, opts); err == nil && (rep.Attempts != 2 || rep.FellBackSequential) {
 				r.Fatalf("window %d: %d attempts (sequential fallback %v) around one transient fault at %s@%d", win, rep.Attempts, rep.FellBackSequential, r.at, hit)
 			}
 		case "persistent":
 			inj.FailTimes(r.at, 1<<30)
 			opts.Faults = inj
-			if rep, err = window(opts); err == nil && !rep.Recomputed {
+			if rep, err = srv.RunWindow(ctx, opts); err == nil && !rep.Recomputed {
 				r.Fatalf("window %d committed incrementally although every hit of %s fails", win, r.at)
 			}
 		case "crash", "panic":
@@ -329,7 +302,7 @@ func (r *run) windows() {
 				inj.CrashAt(r.at, hit)
 			}
 			opts.Faults = inj
-			if _, err := window(opts); err == nil {
+			if _, err := srv.RunWindow(ctx, opts); err == nil {
 				r.Fatalf("window %d: the crash at %s@%d did not fire", win, r.at, hit)
 			}
 			r.unchanged(w, pre, "a window that crashed")
@@ -340,7 +313,7 @@ func (r *run) windows() {
 			r.checkReads(w) // before the restart forgets the epochs they name
 			w, rep, err = r.restart(jpath, &snap)
 		default:
-			rep, err = window(opts)
+			rep, err = srv.RunWindow(ctx, opts)
 		}
 		if err != nil {
 			r.Fatalf("window %d: %v\nstrategy: %s", win, err, s)
@@ -359,7 +332,7 @@ func (r *run) windows() {
 		}
 		if rep.Recovered {
 			r.journaledOnce(jpath, w, ref)
-		} else if r.checkReads(w); p.Planner != "oneway" && post.Epoch != pre.Epoch+1 {
+		} else if r.checkReads(w); post.Epoch != pre.Epoch+1 {
 			r.Fatalf("window %d took epoch %d to %d", win, pre.Epoch, post.Epoch)
 		}
 		for i, f := range followers {

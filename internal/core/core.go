@@ -31,13 +31,6 @@ type Options struct {
 	// compute terms whose delta operands are all empty, the footnote-5
 	// extension of the paper. Off by default to match the measured system.
 	SkipEmptyDeltas bool
-	// ShareComputation lets the build cache live for the update window
-	// instead of one Compute (AttachSharing): an operand several Comp
-	// expressions of the window build on is then scanned and hashed once
-	// and probed by every later consumer. Sharing changes physical work
-	// only — OperandTuples is planned from cardinalities and never sees it.
-	// A build stays resident until its view installs. Off by default.
-	ShareComputation bool
 }
 
 // View is one materialized warehouse view.
@@ -158,10 +151,6 @@ type Warehouse struct {
 	views map[string]*View
 	order []string // definition order; children always precede parents
 	opts  Options
-	// cache is the build cache of the update window in progress
-	// (AttachSharing/DetachSharing), nil otherwise: every Compute then makes
-	// its own. Clones never inherit it: each window attaches its own.
-	cache *buildCache
 	// version counts catalog changes (view definitions). The prepared-plan
 	// cache records the version a plan was bound against and discards the
 	// plan when it no longer matches, so a plan can never outlive the
@@ -398,11 +387,6 @@ func (w *Warehouse) Install(name string) (int64, error) {
 		return 0, err
 	}
 	n := d.Size()
-	// The window's cache may hold builds of V's state and of δV; both are
-	// about to change.
-	if w.cache != nil {
-		w.cache.invalidate(name)
-	}
 	if v.agg != nil {
 		if err := v.agg.Apply(v.pendingPartials); err != nil {
 			return 0, fmt.Errorf("core: installing δ%s: %w", name, err)

@@ -47,15 +47,12 @@ type EngineCounters struct {
 	// CacheTuplesSaved totals the operand tuples whose re-scan those hits
 	// elided.
 	CacheTuplesSaved int64
-	// SharedHits counts the build tables a Compute probed that another
-	// Compute of the window had built (only while the cache is attached for
-	// the window, see AttachSharing; 0 otherwise), SharedMisses the ones it
-	// was first to build into the window's cache. Each pair counts once per
-	// Compute however many terms probe it.
+	// SharedHits, SharedMisses and SharedTuplesSaved are inert and always
+	// 0 — no build outlives the Compute that made it since the window-wide
+	// build cache is gone; they stay because the frozen benchmark
+	// (bench/layers.go) reads them. ROADMAP item 1 deletes them.
 	SharedHits, SharedMisses int
-	// SharedTuplesSaved totals the operand tuples whose scan-and-hash the
-	// shared hits elided.
-	SharedTuplesSaved int64
+	SharedTuplesSaved        int64
 	// SpillCount, SpilledBytes and SpillReReadBytes are inert and always 0 —
 	// no build spills since the window memory budget is gone; they stay
 	// because the frozen benchmark (bench/layers.go) reads them. ROADMAP
@@ -76,9 +73,6 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.CacheHits += o.CacheHits
 	c.CacheMisses += o.CacheMisses
 	c.CacheTuplesSaved += o.CacheTuplesSaved
-	c.SharedHits += o.SharedHits
-	c.SharedMisses += o.SharedMisses
-	c.SharedTuplesSaved += o.SharedTuplesSaved
 	c.IndexProbes += o.IndexProbes
 	c.IndexTuplesSaved += o.IndexTuplesSaved
 }
@@ -159,7 +153,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{ctx: ctx, cache: w.cache}
+	env := &evalEnv{ctx: ctx}
 	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
 }
 
@@ -171,19 +165,14 @@ type operand struct {
 }
 
 // evalEnv is one run of the term engine (runTerms): what its terms share —
-// the scan memo and the counters — and the caller's handle on the build
-// cache. A run belongs to one goroutine.
+// the build tables, the scan memo and the counters. A run belongs to one
+// goroutine.
 type evalEnv struct {
-	// cache holds the run's build tables: the window's cache when one is
-	// attached (AttachSharing), else one runTerms makes for this run alone.
-	cache *buildCache
+	cache buildCache
 	scans scanCache
 	ctx   context.Context
 
 	ctr EngineCounters
-	// asked holds the cache slots a term of this run has asked for (made at
-	// the first ask: most runs ask for none).
-	asked map[*buildSlot]bool
 }
 
 // ctxErr reports the env's cancellation state; a nil ctx never cancels.
@@ -213,18 +202,15 @@ type termPlan struct {
 }
 
 // buildReq defers one build side: pl.steps[step] needs the hash table of src
-// over the key columns cols. view/isDelta name the operand — whose state or
-// pending delta src is — so that Install can drop the builds it makes stale.
+// over the key columns cols.
 type buildReq struct {
-	step    int
-	src     source
-	cols    []int
-	view    string
-	isDelta bool
+	step int
+	src  source
+	cols []int
 }
 
 // runTerm executes planned term ti: materialize the driver, resolve the
-// build sides through the env's cache (which owns them), and run the
+// build sides through the run's cache (which owns them), and run the
 // pipeline into the sink. It returns the number of index probes; the term's
 // linear-metric work was fixed at planning and counts every build-side
 // operand even when the cache served the physical table. A panic in the
@@ -237,7 +223,7 @@ func runTerm(ti int, plan *termPlan, sink *sink, env *evalEnv) (probes int64, er
 	}()
 	rows := env.scans.get(plan.driverSrc)
 	for _, br := range plan.builds {
-		plan.pl.steps[br.step].build = env.cache.get(env, br)
+		plan.pl.steps[br.step].build = env.build(br)
 	}
 	return plan.pl.run(rows, sink.add), nil
 }
@@ -373,10 +359,7 @@ func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[stri
 			for ki, k := range keys {
 				cols[ki] = k.newCol - roff
 			}
-			plan.builds = append(plan.builds, buildReq{
-				step: len(plan.pl.steps), src: ops[i].src, cols: cols,
-				view: cq.Refs[i].View, isDelta: ops[i].isDelta,
-			})
+			plan.builds = append(plan.builds, buildReq{step: len(plan.pl.steps), src: ops[i].src, cols: cols})
 		}
 		// The metric counts the scan per term however the step is served.
 		plan.scanned += card

@@ -100,3 +100,30 @@ func TestComputeCtxCancelled(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// scanBomb is an operand whose scan panics: a build side that fails while
+// the run's cache makes it.
+type scanBomb struct{ err error }
+
+func (scanBomb) Cardinality() int64                      { return 1 }
+func (scanBomb) DistinctCount() int64                    { return 1 }
+func (b scanBomb) Scan(func(relation.Tuple, int64) bool) { panic(b.err) }
+
+// TestPanickingBuildFailsItsTerm: a build whose operand scan panics fails the
+// term that asked for it with an error that keeps the panic's value, and the
+// run's cache keeps nothing of it, so no later term probes a half-made table.
+func TestPanickingBuildFailsItsTerm(t *testing.T) {
+	boom := errors.New("boom")
+	env := &evalEnv{cache: make(buildCache), scans: make(scanCache)}
+	plan := &termPlan{
+		driverSrc: deltaSource{delta.New(schemaR)},
+		pl:        pipeline{steps: make([]joinStep, 1)},
+		builds:    []buildReq{{step: 0, src: scanBomb{boom}}},
+	}
+	if _, err := runTerm(3, plan, nil, env); !errors.Is(err, boom) || !strings.Contains(err.Error(), "term 3") {
+		t.Fatalf("a panicking build returned %v", err)
+	}
+	if len(env.cache) != 0 || env.ctr.CacheMisses != 1 {
+		t.Errorf("after the failed build the cache holds %d tables, counters %+v", len(env.cache), env.ctr)
+	}
+}

@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
-	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/maintain"
 	"repro/internal/relation"
@@ -23,15 +19,14 @@ import (
 //     A window's parallelism is between expressions (package exec's
 //     scheduler), never inside one.
 //   - buildCache is the one cache of transient build state: it shares
-//     immutable build-side hash tables across the terms of one run — and,
-//     attached to the warehouse for an update window (AttachSharing), across
-//     the window's Comps: every term joining the same operand on the same
-//     equi-key columns probes one physical table instead of re-scanning and
-//     re-hashing the operand. The linear work metric still charges each
-//     term its operand scan — the cache changes the machine's work, not the
-//     metric's — and EngineCounters reports the hits and tuples saved. The
-//     same rule covers the steps a resident join index serves (see
-//     indexStep): they ask for no build at all.
+//     immutable build-side hash tables across the terms of one run, which
+//     makes it and drops it — every term joining the same operand on the
+//     same equi-key columns probes one physical table instead of
+//     re-scanning and re-hashing the operand. The linear work metric still
+//     charges each term its operand scan — the cache changes the machine's
+//     work, not the metric's — and EngineCounters reports the hits and
+//     tuples saved. The same rule covers the steps a resident join index
+//     serves (see indexStep): they ask for no build at all.
 //   - the sink folds term output straight into the view's pending state, in
 //     term and row order.
 
@@ -128,17 +123,6 @@ func (bt *buildTable) keyOf(i int32) []byte {
 	return bt.arena[start:bt.entries[i].kend]
 }
 
-// estimateRowsBytes estimates the resident hash-table footprint of a
-// materialized row set, in the units the planner's sharing election prices
-// with.
-func estimateRowsBytes(rows []prow) int64 {
-	width := 1
-	if len(rows) > 0 {
-		width = len(rows[0].row)
-	}
-	return cost.EstimateMaterializedBytes(int64(len(rows)), width)
-}
-
 // scanCache memoizes the driver scans of one run: the 2^r−1 terms
 // repeatedly drive from the same deltas, and a delta decodes its rows on
 // every scan. The memoized rows are shared read-only — the pipeline copies
@@ -186,219 +170,28 @@ func colsKey(cols []int) string {
 	return string(b)
 }
 
-// buildCache is the one cache of transient build tables. The first requester
-// of an (operand, key columns) pair builds; every later requester blocks on
-// that build and reuses it.
-//
-// A run of the term engine outside a window makes its own cache, which dies
-// with the run. A window's cache (AttachSharing) outlives the runs: a build
-// stays resident for the window's later Comps until its view installs or the
-// window detaches. No versions or reference counts are needed for that to be
-// right: an operand's content changes only when its view installs (C5/C8 put
-// every Comp of V before any reader of δV, and V's state changes only at
-// Inst(V)), Install(V) drops the builds on V's state and on δV, and every
-// scheduler orders a Comp against the installs of the views it reads — so a
-// build found in the cache was made from the operand as it is now. A run
-// still probing a dropped build keeps the table alive until it finishes.
-type buildCache struct {
-	mu     sync.Mutex
-	tables map[buildKey]*buildSlot
-	// The rest is a window's cache only. used is the resident bytes it keeps
-	// now, peak their high-water mark; gone collects the report lines of
-	// dropped builds.
-	window     bool
-	used, peak int64
-	gone       []SharedEntryStats
-}
+// buildCache is the one cache of transient build tables: the build sides
+// of one run of the term engine. The first term that asks for an (operand,
+// key columns) pair builds its table; every later term of the run probes
+// that table. The cache belongs to the run — one goroutine fills it and
+// drops it with the run — so no build outlives the operand it was made
+// from: an operand changes only when its view installs, and no Install runs
+// inside a Compute.
+type buildCache map[buildKey]*buildTable
 
-// buildSlot is one build of the cache. The once publishes bt, rows and
-// bytes — runs on concurrent DAG workers may ask for one build of a
-// window's cache together; kept is written under the cache's lock.
-type buildSlot struct {
-	key     buildKey
-	view    string
-	isDelta bool
-	owner   *evalEnv // the run whose request made the slot
-	once    sync.Once
-	bt      *buildTable
-	rows    int64
-	bytes   int64 // estimate of bt's resident footprint
-	kept    bool  // a window's build that stays after its run
-	// asks counts the runs that asked for the build, hits those of them
-	// that did not make it.
-	asks, hits atomic.Int64
-}
-
-func newBuildCache(window bool) *buildCache {
-	return &buildCache{tables: make(map[buildKey]*buildSlot), window: window}
-}
-
-// get returns the build a term asks for, accounting the request to the
-// term's run: its first request of a pair is the run's miss — shared when
-// another run of the window made the build — and every further one a hit.
-func (c *buildCache) get(env *evalEnv, br buildReq) *buildTable {
-	slot := c.slot(env, br)
-	card := br.src.Cardinality()
-	if env.asked[slot] {
-		env.ctr.CacheHits++
-		env.ctr.CacheTuplesSaved += card
-	} else {
-		if env.asked == nil {
-			env.asked = make(map[*buildSlot]bool)
-		}
-		env.asked[slot] = true
-		slot.asks.Add(1)
-		env.ctr.CacheMisses++
-		if slot.owner != env {
-			slot.hits.Add(1)
-			env.ctr.SharedHits++
-			env.ctr.SharedTuplesSaved += card
-		} else if c.window {
-			env.ctr.SharedMisses++
-		}
-	}
-	c.resolveBuild(slot, br)
-	return slot.bt
-}
-
-func (c *buildCache) slot(env *evalEnv, br buildReq) *buildSlot {
+// build returns the build table a term asks for, accounting the request to
+// the run: its first request of a pair is a miss, every further one a hit.
+func (env *evalEnv) build(br buildReq) *buildTable {
 	key := buildKey{src: br.src, cols: colsKey(br.cols)}
-	c.mu.Lock()
-	slot, ok := c.tables[key]
-	if !ok {
-		slot = &buildSlot{key: key, view: br.view, isDelta: br.isDelta, owner: env}
-		c.tables[key] = slot
+	if bt, ok := env.cache[key]; ok {
+		env.ctr.CacheHits++
+		env.ctr.CacheTuplesSaved += br.src.Cardinality()
+		return bt
 	}
-	c.mu.Unlock()
-	return slot
-}
-
-// resolveBuild materializes a slot's build, once: scan the operand, hash it
-// and, in a window's cache, keep it past its run. Every build of the engine
-// is made here. The scanned rows are dropped once the table is built: no
-// copy of a state operand outlives its build.
-func (c *buildCache) resolveBuild(slot *buildSlot, br buildReq) {
-	slot.once.Do(func() {
-		rows := materializeScan(br.src)
-		slot.rows = int64(len(rows))
-		slot.bytes = estimateRowsBytes(rows)
-		slot.bt = newBuildTable(rows, br.cols)
-		if !c.window {
-			return
-		}
-		c.mu.Lock()
-		slot.kept = true
-		c.used += slot.bytes
-		c.peak = max(c.peak, c.used)
-		c.mu.Unlock()
-	})
-}
-
-// drop removes a slot from the cache; a later request for the pair builds
-// afresh. Callers hold c.mu, and the slot's build has finished: a run waits
-// for the builds it asked for, and no Comp reading a view runs beside that
-// view's Install.
-func (c *buildCache) drop(slot *buildSlot) {
-	delete(c.tables, slot.key)
-	if slot.kept {
-		c.used -= slot.bytes
-	}
-	if c.window {
-		c.gone = append(c.gone, slot.stats("dropped"))
-	}
-}
-
-// endRun drops what a finished run built and the cache does not keep — every
-// build of a run's own cache, and those of a window's whose scan panicked
-// before the build was kept. The run has finished, so none of its builds is
-// still in the making.
-func (c *buildCache) endRun(env *evalEnv) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, slot := range c.tables {
-		if slot.owner == env && !slot.kept {
-			c.drop(slot)
-		}
-	}
-}
-
-// invalidate drops the builds made from a view's state or pending delta,
-// which its Install is about to change.
-func (c *buildCache) invalidate(view string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, slot := range c.tables {
-		if slot.view == view {
-			c.drop(slot)
-		}
-	}
-}
-
-// SharedEntryStats reports the life of one build of a window's cache, for
-// EXPLAIN SHARING.
-type SharedEntryStats struct {
-	// Name renders the operand and the key columns it was hashed on:
-	// "δV[0]", "V[1,2]".
-	Name string
-	// Requests counts the Comps that asked for the build; Hits those served
-	// a build another Comp had made.
-	Requests, Hits int64
-	// Rows and Bytes describe the built table (resident estimate).
-	Rows, Bytes int64
-	// Fate is where the build was when the window ended: "resident" (kept
-	// to the end) or "dropped" (its view installed, or it failed).
-	Fate string
-}
-
-func (s *buildSlot) stats(fate string) SharedEntryStats {
-	name := s.view
-	if s.isDelta {
-		name = "δ" + name
-	}
-	return SharedEntryStats{
-		Name: name + "[" + s.key.cols + "]", Requests: s.asks.Load(), Hits: s.hits.Load(),
-		Rows: s.rows, Bytes: s.bytes, Fate: fate,
-	}
-}
-
-// SharedStats summarizes a detached window cache.
-type SharedStats struct {
-	// BytesPeak is the high-water mark of the resident bytes the cache
-	// kept.
-	BytesPeak int64
-	// Detail lists every build the cache held, sorted by name.
-	Detail []SharedEntryStats
-}
-
-// AttachSharing gives the warehouse a build cache for the coming window, so
-// that a build one Comp makes serves the window's later Comps. It reports
-// false — attaching nothing — when Options.ShareComputation is off or a
-// cache is already attached. Not safe to call while expressions execute;
-// callers attach before the window's first step.
-func (w *Warehouse) AttachSharing() bool {
-	if !w.opts.ShareComputation || w.cache != nil {
-		return false
-	}
-	w.cache = newBuildCache(true)
-	return true
-}
-
-// DetachSharing removes the window's cache, dropping every build it still
-// holds, and returns its stats. Safe to call when nothing is attached.
-func (w *Warehouse) DetachSharing() SharedStats {
-	c := w.cache
-	w.cache = nil
-	if c == nil {
-		return SharedStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := SharedStats{BytesPeak: c.peak, Detail: c.gone}
-	for _, slot := range c.tables {
-		st.Detail = append(st.Detail, slot.stats("resident"))
-	}
-	sort.SliceStable(st.Detail, func(i, j int) bool { return st.Detail[i].Name < st.Detail[j].Name })
-	return st
+	env.ctr.CacheMisses++
+	bt := newBuildTable(materializeScan(br.src), br.cols)
+	env.cache[key] = bt
+	return bt
 }
 
 // runTerms is the term engine: it evaluates terms of cq into out and fills
@@ -408,10 +201,7 @@ func (w *Warehouse) DetachSharing() SharedStats {
 // operator, an injected fault) fails the run with an error, as does a
 // cancelled context between terms; the first error ends it.
 func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
-	if env.cache == nil {
-		env.cache = newBuildCache(false)
-	}
-	defer env.cache.endRun(env)
+	env.cache = make(buildCache)
 	env.scans = make(scanCache)
 
 	sink := newSink(cq, out)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -222,5 +223,127 @@ func TestSingleRefCompute(t *testing.T) {
 	}
 	if !dj.IsEmpty() {
 		t.Fatalf("expected empty delta, got %d changes", dj.Size())
+	}
+}
+
+// newSiblingWarehouse builds base R(a,b), S(b,c) and n sibling join views
+// V1..Vn = R ⋈ S on b with distinct selection thresholds — the cross-view
+// sibling case: every view's Comp over {R, S} reads the same four operands
+// (δR, δS, and the states of R and S), and builds one of the deltas (the
+// term over both joins them; the states are read through their indexes).
+func newSiblingWarehouse(t *testing.T, n int, opts Options) *Warehouse {
+	t.Helper()
+	w := New(opts)
+	if err := w.DefineBase("R", schemaR); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DefineBase("S", schemaS); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		b := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
+		b.Join("r.b", "s.b").
+			Where(&algebra.Binary{Op: algebra.OpGt, L: b.Col("s.c"), R: &algebra.Const{Value: relation.NewInt(int64(i * 10))}}).
+			SelectCol("r.a").SelectCol("s.c")
+		cq, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.DefineDerived(fmt.Sprintf("V%d", i), cq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+func loadSiblingData(t *testing.T, w *Warehouse) {
+	t.Helper()
+	var rRows, sRows []relation.Tuple
+	for i := int64(0); i < 120; i++ {
+		rRows = append(rRows, intRow(i, i%10))
+		sRows = append(sRows, intRow(i%10, i))
+	}
+	if err := w.LoadBase("R", rRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadBase("S", sRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{"R", "S"} {
+		d := delta.New(w.MustView(base).Schema())
+		d.Add(intRow(1000, 3), 1)
+		d.Add(intRow(3, 55), 1)
+		if err := w.StageDelta(base, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runSiblingWindow computes and installs every view dual-stage, returning
+// the per-view CompReports.
+func runSiblingWindow(t *testing.T, w *Warehouse, n int) []CompReport {
+	t.Helper()
+	reps := make([]CompReport, n)
+	for i := 1; i <= n; i++ {
+		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i-1] = rep
+	}
+	for _, name := range []string{"R", "S", "V1", "V2", "V3"}[:n+2] {
+		if _, err := w.Install(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reps
+}
+
+// stageBulk stages n more rows — (k, k) for n keys no loaded row carries —
+// on each of the named two-column integer base views. State tables are read
+// through resident indexes and build nothing, so what a term over two of
+// these views builds is a delta: one of the deltas is on its build side, and
+// a delta carries no index.
+func stageBulk(t *testing.T, w *Warehouse, n int, bases ...string) {
+	t.Helper()
+	for _, base := range bases {
+		d := delta.New(w.MustView(base).Schema())
+		for i := int64(0); i < int64(n); i++ {
+			d.Add(intRow(2_000_000+i, 2_000_000+i), 1)
+		}
+		if err := w.StageDelta(base, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSiblingComputesBuildTheirOwn: a build lives and dies inside the
+// Compute that made it. Three sibling views read the same operands, and each
+// of their Computes builds δS afresh — the same misses, no hits across
+// Computes, and the inert shared counters at 0 — while the reported work is
+// the cardinalities' and the installed state verifies against recomputation.
+func TestSiblingComputesBuildTheirOwn(t *testing.T) {
+	const n = 3
+	w := newSiblingWarehouse(t, n, Options{})
+	loadSiblingData(t, w)
+	stageBulk(t, w, 120, "R", "S")
+	reps := runSiblingWindow(t, w, n)
+	for i, rep := range reps {
+		if rep.CacheMisses == 0 || rep.CacheMisses != reps[0].CacheMisses || rep.CacheHits != reps[0].CacheHits {
+			t.Errorf("V%d: cache %d hits / %d misses, V1 %d / %d: every sibling builds its own",
+				i+1, rep.CacheHits, rep.CacheMisses, reps[0].CacheHits, reps[0].CacheMisses)
+		}
+		if rep.OperandTuples != reps[0].OperandTuples {
+			t.Errorf("V%d: work %d, V1 %d: the siblings read the same operands", i+1, rep.OperandTuples, reps[0].OperandTuples)
+		}
+		if rep.SharedHits != 0 || rep.SharedMisses != 0 || rep.SharedTuplesSaved != 0 {
+			t.Errorf("V%d: shared counters %+v, want 0", i+1, rep.EngineCounters)
+		}
+	}
+	if err := w.VerifyAll(); err != nil {
+		t.Fatal(err)
 	}
 }

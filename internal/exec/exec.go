@@ -103,12 +103,6 @@ type Report struct {
 	Steps []StepReport
 	// CompWork and InstWork split the measured work by expression type.
 	CompWork, InstWork int64
-	// SharedBytesPeak is the high-water resident footprint of the window's
-	// build cache (0 when sharing is off).
-	SharedBytesPeak int64
-	// SharedDetail lists every build the window's cache held, sorted by
-	// name; nil when sharing is off.
-	SharedDetail []core.SharedEntryStats
 	// Elapsed is the total update window.
 	Elapsed time.Duration
 	// Sched carries the scheduling metrics of the run.
@@ -320,10 +314,7 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 		}
 	}
 	d := BuildDAG(s, w.Children)
-	detach := AttachSharing(w)
 	err := d.run(w, mode, opts, &rep)
-	st := detach()
-	rep.SharedBytesPeak, rep.SharedDetail = st.BytesPeak, st.Detail
 	return rep, err
 }
 

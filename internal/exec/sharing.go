@@ -3,7 +3,7 @@ package exec
 import "repro/internal/core"
 
 // This file adapts a warehouse catalog to what the planner's sharing analysis
-// asks of it, and attaches the window's build cache for Execute.
+// asks of it.
 
 // RefsOf adapts a warehouse catalog to the reference function
 // planner.AnalyzeSharing expects: the FROM-clause view list of each derived
@@ -39,16 +39,4 @@ func WidthOf(w *core.Warehouse) func(view string) int {
 		}
 		return len(v.Schema())
 	}
-}
-
-// AttachSharing makes the warehouse's build cache live for the coming window
-// when its options enable sharing, and returns the detach function the
-// caller must invoke once the window completes. When sharing is off (or a
-// cache is already attached) the returned function is a harmless no-op, so
-// callers can attach/detach unconditionally.
-func AttachSharing(w *core.Warehouse) func() core.SharedStats {
-	if !w.AttachSharing() {
-		return func() core.SharedStats { return core.SharedStats{} }
-	}
-	return w.DetachSharing
 }

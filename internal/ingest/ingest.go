@@ -86,7 +86,8 @@ type Config struct {
 	// doubled after every abort until the batch commits; 0 sets none, and
 	// New refuses a negative one.
 	SLO time.Duration
-	// Planner, Mode, Workers select planning and scheduling for the windows.
+	// Planner, Mode, Workers select planning and scheduling for the windows;
+	// New refuses an unknown planner or mode.
 	Planner warehouse.PlannerName
 	Mode    warehouse.Mode
 	Workers int
@@ -188,6 +189,12 @@ func New(cfg Config) (*Ingester, error) {
 	}
 	if cfg.SLO < 0 {
 		return nil, fmt.Errorf("ingest: SLO %s is negative", cfg.SLO)
+	}
+	if _, err := warehouse.ParsePlanner(string(cfg.Planner)); err != nil {
+		return nil, fmt.Errorf("ingest: %w: %w", warehouse.ErrBadWindowOptions, err)
+	}
+	if _, err := warehouse.ParseMode(string(cfg.Mode)); err != nil {
+		return nil, fmt.Errorf("ingest: %w: %w", warehouse.ErrBadWindowOptions, err)
 	}
 	if cfg.JournalPath != "" {
 		// Its accepts are not read: starting over it would lose them.

@@ -458,6 +458,21 @@ func TestNewRefusesANegativeSLO(t *testing.T) {
 	}
 }
 
+// TestNewRefusesUnknownPlannerOrMode: a planner or mode no window runs under
+// is refused at New with ErrBadWindowOptions, not at every window the
+// ingester would cut.
+func TestNewRefusesUnknownPlannerOrMode(t *testing.T) {
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	for _, cfg := range []Config{{Warehouse: w, Planner: "bogus"}, {Warehouse: w, Mode: "bogus"}} {
+		if in, err := New(cfg); !errors.Is(err, warehouse.ErrBadWindowOptions) {
+			if in != nil {
+				in.Close(context.Background())
+			}
+			t.Errorf("planner %q mode %q: %v, want ErrBadWindowOptions", cfg.Planner, cfg.Mode, err)
+		}
+	}
+}
+
 // TestIngestPredictionIsThePlansEstimate: the work an ingester-triggered
 // window reports as predicted is the estimate of the plan that window ran,
 // under every planner the warehouse has.

@@ -12,7 +12,7 @@ import (
 // TestCrashRecoveryDifferential: the crash points of the one differential
 // harness (internal/check, DESIGN.md "One oracle"). For 100 seeded catalogs
 // a journaled window dies at a step drawn from the seed — every scheduling
-// mode, sharing on and off, one death in three delivered by panic, the
+// mode, one death in three delivered by panic, the
 // scheduler's pool drawn per leg, every fourth seed losing the
 // unflushed tail of its journal to a power cut — and is recovered on a rebuilt
 // warehouse. trial.Run holds the recovered state to recomputation, the serving
@@ -33,11 +33,6 @@ func crashes(t *testing.T, seed int64) {
 		{},
 		{Mode: warehouse.ModeStaged},
 		{Mode: warehouse.ModeDAG},
-		// Crashes must not leak the window's build cache, and a sharing-off
-		// recovery of a sharing-on window must replay to identical digests
-		// (sharing elides scans, not results).
-		{Share: true},
-		{Mode: warehouse.ModeDAG, Share: true},
 	} {
 		draw := int(seed)*5 + leg
 		p.Seed, p.Planner, p.Skip = seed, []string{"dualstage", "minwork"}[seed%2], seed%4 < 2

@@ -159,7 +159,7 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 		{"catalog", "the catalog is code: Read refuses a warehouse whose views, order or kinds do not match",
 			[]string{"View.name", "View.def", "Warehouse.order", "Warehouse.views", "Warehouse.version"}},
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
-			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu", "Warehouse.cache"}},
+			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",
 			[]string{"Warehouse.opts"}},
 	}

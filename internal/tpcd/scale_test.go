@@ -97,85 +97,79 @@ func TestScaleSF01(t *testing.T) {
 	t.Logf("SF 0.01 window: %s", rep)
 }
 
-// TestOneWayWindowsBuildNothing pins what made the window-wide registry, the
-// join intermediates and the share tuner unnecessary: under a 1-way strategy
-// every Comp has one term, its delta drives, and every state it joins is a
-// plain table read through a resident index — so a TPC-D window asks the
-// build cache for nothing and shares nothing, whichever
-// planner chose the strategy and whether or not the cache is kept for the
-// window. A change that brings state builds back fails here, not only in the
+// TestOneWayWindowsBuildNothing pins what made the window-wide build cache,
+// the join intermediates and the share tuner unnecessary: under a 1-way
+// strategy every Comp has one term, its delta drives, and every state it
+// joins is a plain table read through a resident index — so a TPC-D window
+// asks the build cache for nothing, whichever planner chose the strategy. A change that brings state builds back fails here, not only in the
 // benchmark; so does one that changes which join indexes stay resident.
 func TestOneWayWindowsBuildNothing(t *testing.T) {
 	for _, shared := range []bool{false, true} {
-		for _, share := range []bool{false, true} {
-			tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7, Options: core.Options{ShareComputation: share}})
+		tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for win := 0; win < 3; win++ {
+			spec := Mixed(0.03, 0.04)
+			spec.Seed = int64(200 + win)
+			if _, err := tw.StageChanges(spec); err != nil {
+				t.Fatal(err)
+			}
+			stats, err := exec.PlanningStats(tw.W)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for win := 0; win < 3; win++ {
-				spec := Mixed(0.03, 0.04)
-				spec.Seed = int64(200 + win)
-				if _, err := tw.StageChanges(spec); err != nil {
-					t.Fatal(err)
-				}
-				stats, err := exec.PlanningStats(tw.W)
+			var s strategy.Strategy
+			if shared {
+				res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W), planner.SharedSearchOptions{
+					Refs:    exec.RefsOf(tw.W),
+					Sharing: planner.SharingOptions{Width: exec.WidthOf(tw.W)},
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				var s strategy.Strategy
-				if shared {
-					res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W), planner.SharedSearchOptions{
-						Refs:    exec.RefsOf(tw.W),
-						Sharing: planner.SharingOptions{Width: exec.WidthOf(tw.W)},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.DualStage {
-						t.Fatalf("PruneShared chose the dual-stage strategy: the fixture no longer pins a 1-way window")
-					}
-					s = res.Strategy
-				} else {
-					res, err := planner.MinWork(tw.Graph, stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s = res.Strategy
+				if res.DualStage {
+					t.Fatalf("PruneShared chose the dual-stage strategy: the fixture no longer pins a 1-way window")
 				}
-				rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true})
+				s = res.Strategy
+			} else {
+				res, err := planner.MinWork(tw.Graph, stats)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var c core.EngineCounters
-				for _, step := range rep.Steps {
-					c.Add(step.EngineCounters)
-				}
-				if c.CacheMisses != 0 || c.CacheHits != 0 || c.SharedHits != 0 || c.SharedMisses != 0 ||
-					rep.SharedBytesPeak != 0 || len(rep.SharedDetail) != 0 {
-					t.Errorf("shared planner %v, sharing %v, window %d: %+v (cache peak %d), want no build asked for",
-						shared, share, win, c, rep.SharedBytesPeak)
-				}
-				// From the second window on the indexes are resident: what the
-				// metric charges for the states, no scan reads.
-				if c.IndexProbes == 0 || (win > 0 && c.IndexTuplesSaved == 0) {
-					t.Errorf("shared planner %v, sharing %v, window %d: %d index probes, %d tuples saved", shared, share, win, c.IndexProbes, c.IndexTuplesSaved)
-				}
+				s = res.Strategy
 			}
-			if err := tw.W.VerifyAll(); err != nil {
+			rep, err := exec.Execute(tw.W, s, exec.Options{Validate: true})
+			if err != nil {
 				t.Fatal(err)
 			}
-			// Whichever planner ran, LINEITEM's index on L_ORDERKEY also serves
-			// the joins on (L_ORDERKEY, L_SUPPKEY): nine indexes in all.
-			var got []string
-			for _, name := range tw.W.ViewNames() {
-				for _, st := range tw.W.MustView(name).IndexStats() {
-					got = append(got, fmt.Sprint(name, st.Cols))
-				}
+			var c core.EngineCounters
+			for _, step := range rep.Steps {
+				c.Add(step.EngineCounters)
 			}
-			slices.Sort(got)
-			if want := "CUSTOMER[0] CUSTOMER[2] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0] SUPPLIER[2]"; strings.Join(got, " ") != want {
-				t.Errorf("shared planner %v, sharing %v: resident indexes %v, want %s", shared, share, got, want)
+			if c.CacheMisses != 0 || c.CacheHits != 0 {
+				t.Errorf("shared planner %v, window %d: %+v, want no build asked for", shared, win, c)
 			}
+			// From the second window on the indexes are resident: what the
+			// metric charges for the states, no scan reads.
+			if c.IndexProbes == 0 || (win > 0 && c.IndexTuplesSaved == 0) {
+				t.Errorf("shared planner %v, window %d: %d index probes, %d tuples saved", shared, win, c.IndexProbes, c.IndexTuplesSaved)
+			}
+		}
+		if err := tw.W.VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+		// Whichever planner ran, LINEITEM's index on L_ORDERKEY also serves
+		// the joins on (L_ORDERKEY, L_SUPPKEY): nine indexes in all.
+		var got []string
+		for _, name := range tw.W.ViewNames() {
+			for _, st := range tw.W.MustView(name).IndexStats() {
+				got = append(got, fmt.Sprint(name, st.Cols))
+			}
+		}
+		slices.Sort(got)
+		if want := "CUSTOMER[0] CUSTOMER[2] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0] SUPPLIER[2]"; strings.Join(got, " ") != want {
+			t.Errorf("shared planner %v: resident indexes %v, want %s", shared, got, want)
 		}
 	}
 }

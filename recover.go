@@ -41,8 +41,8 @@ var ErrRecoveryNeeded = errors.New("warehouse: journal has an in-flight update w
 var ErrWindowAborted = errors.New("warehouse: update window aborted by deadline or cancellation")
 
 // ErrBadWindowOptions is returned (wrapped) by RunWindowOpts for options no
-// window can run under, such as a negative worker count or timeout. Nothing
-// ran and nothing is tallied. Test with errors.Is.
+// window can run under: an unknown planner or mode, a negative worker count
+// or timeout. Nothing ran and nothing is tallied. Test with errors.Is.
 var ErrBadWindowOptions = errors.New("warehouse: bad window options")
 
 // Journal is an append-only, checksummed log of the changes a warehouse
@@ -185,6 +185,14 @@ type WindowOptions struct {
 // crash-class fault — leaves the serving epoch untouched. On a crash-class
 // failure the journal is left in-flight for Recover.
 func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
+	planner, err := ParsePlanner(string(o.Planner))
+	if err != nil {
+		return WindowReport{}, fmt.Errorf("%w: %w", ErrBadWindowOptions, err)
+	}
+	mode, err := ParseMode(string(o.Mode))
+	if err != nil {
+		return WindowReport{}, fmt.Errorf("%w: %w", ErrBadWindowOptions, err)
+	}
 	if o.Workers < 0 {
 		return WindowReport{}, fmt.Errorf("%w: %d workers", ErrBadWindowOptions, o.Workers)
 	}
@@ -203,7 +211,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	if o.Journal != nil && o.Journal.NeedsRecovery() {
 		return WindowReport{}, ErrRecoveryNeeded
 	}
-	plan, err := w.plan(o.Planner)
+	plan, err := w.plan(planner)
 	if err != nil {
 		return WindowReport{}, err
 	}
@@ -218,7 +226,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	}
 	ropts := recovery.Options{
 		Planner:  string(plan.Planner),
-		Mode:     o.Mode,
+		Mode:     mode,
 		Workers:  o.Workers,
 		Context:  ctx,
 		Validate: true,
@@ -250,8 +258,8 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 // window (RunWindowOpts), a recovered one (Recover) and a replicated one
 // (ApplyWindow): the completed clone becomes the serving epoch, and window —
 // which arrives carrying what only its caller knows (planner, plan, start
-// time) — is completed from the result, folded into the tally and kept as the
-// last report, the only one kept. Callers hold w.mu.
+// time) — is completed from the result and folded into the tally. Callers
+// hold w.mu.
 func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowReport {
 	w.adopt(res.Core)
 	// The report keeps its own copy of the scheduling metrics: a pointer into
@@ -270,7 +278,6 @@ func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowRepo
 	defer w.tallyMu.Unlock()
 	w.tally.add(window)
 	window.Seq = int(w.tally.Committed)
-	w.last = window
 	return window
 }
 

@@ -2,17 +2,21 @@ package warehouse
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/planner"
 )
 
-// newSharingWarehouse builds the sharing fixture: bases D(k,x), A0(k,y),
-// B(y,z), the summary view A(k,y) = A0 grouped by k, and three sibling views
-// Vi = D ⋈ A ⋈ B with distinct selections. Staging δD makes every
-// Comp(Vi, {D}) join δD with A's state, which the three then build once. A
-// is a summary view because that is the state operand a window still scans
-// and hashes: a plain table's state is read through its resident join index
-// and builds nothing to share, while an aggregate store carries no index.
+// newSharingWarehouse builds the sharing planner's fixture: bases D(k,x),
+// A0(k,y), B(y,z), the summary view A(k,y) = A0 grouped by k, and three
+// sibling views Vi = D ⋈ A ⋈ B with distinct selections. Staging δD makes
+// every Comp(Vi, {D}) join δD with A's state, the operand the planner's
+// sharing election counts three consumers of. A is a summary view because
+// that is the state operand a Comp still scans and hashes: a plain table's
+// state is read through its resident join index, while an aggregate store
+// carries no index.
 func newSharingWarehouse(t *testing.T, opts Options) *Warehouse {
 	t.Helper()
 	w := New(opts)
@@ -60,49 +64,39 @@ func stageSharingDelta(t *testing.T, w *Warehouse) {
 
 // TestAnalyzeSharingBudgetClamp (regression): no byte budget clamps sharing.
 // A 1-byte MemoryBudgetBytes, which is inert, leaves the election's estimates
-// as they are, and the window serves every hit it serves without one, with
-// the same view states.
+// as they are, and the window lands on the same view states.
 func TestAnalyzeSharingBudgetClamp(t *testing.T) {
-	open := newSharingWarehouse(t, Options{ShareComputation: true})
-	starved := newSharingWarehouse(t, Options{ShareComputation: true, MemoryBudgetBytes: 1})
-	election := func(w *Warehouse) string {
+	open := newSharingWarehouse(t, Options{})
+	starved := newSharingWarehouse(t, Options{MemoryBudgetBytes: 1})
+	election := func(w *Warehouse) planner.SharingPlan {
 		t.Helper()
 		stageSharingDelta(t, w)
 		plan, err := w.Plan(MinWorkPlanner)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := w.ExplainSharing(plan.Strategy)
+		stats, err := exec.PlanningStats(w.core)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return planner.AnalyzeSharing(plan.Strategy, exec.RefsOf(w.core), planner.SharingOptions{Stats: stats, Width: exec.WidthOf(w.core)})
 	}
 	eo, es := election(open), election(starved)
-	if !strings.Contains(eo, "consumers=") || strings.Contains(eo, "est saved 0 tuples") {
-		t.Fatalf("unbudgeted election found no sharing:\n%s", eo)
+	if eo.SharedOperands == 0 || eo.EstimatedSavedTuples == 0 {
+		t.Fatalf("unbudgeted election found no sharing: %+v", eo)
 	}
-	if es != eo {
-		t.Errorf("a 1-byte budget changed the election:\n%s\nwant\n%s", es, eo)
+	if !reflect.DeepEqual(es, eo) {
+		t.Errorf("a 1-byte budget changed the election:\n%+v\nwant\n%+v", es, eo)
 	}
 
-	ro, err := open.RunWindowOpts(WindowOptions{})
-	if err != nil {
+	if _, err := open.RunWindowOpts(WindowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := starved.RunWindowOpts(WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, cs := ro.Counters(), rs.Counters()
-	if co.SharedHits == 0 || co.SharedTuplesSaved == 0 {
-		t.Fatalf("unbudgeted window saw no reuse: %+v", co)
-	}
-	if cs.SharedHits != co.SharedHits || cs.SharedTuplesSaved != co.SharedTuplesSaved {
-		t.Errorf("starved window reused %d hits / %d tuples, want %d / %d",
-			cs.SharedHits, cs.SharedTuplesSaved, co.SharedHits, co.SharedTuplesSaved)
-	}
-	if cs.SpillCount != 0 {
+	if cs := rs.Counters(); cs.SpillCount != 0 {
 		t.Errorf("the inert budget spilled: %+v", cs)
 	}
 	for i := 1; i <= 3; i++ {
@@ -117,12 +111,12 @@ func TestAnalyzeSharingBudgetClamp(t *testing.T) {
 }
 
 // TestRunWindowSharedPlanner runs a window of the sharing-aware planner end
-// to end: the window reports reuse hits and per-build detail, and state
-// stays correct, as it does in a differently planned window after it.
+// to end: state stays correct, as it does in a differently planned window
+// after it.
 func TestRunWindowSharedPlanner(t *testing.T) {
 	for _, mode := range []Mode{ModeSequential, ModeStaged} {
 		t.Run(string(mode), func(t *testing.T) {
-			w := newSharingWarehouse(t, Options{ShareComputation: true})
+			w := newSharingWarehouse(t, Options{})
 			stageSharingDelta(t, w)
 			win, err := w.RunWindowOpts(WindowOptions{Planner: SharedPlanner, Mode: mode, Workers: 2})
 			if err != nil {
@@ -130,13 +124,6 @@ func TestRunWindowSharedPlanner(t *testing.T) {
 			}
 			if win.Planner != SharedPlanner {
 				t.Errorf("planner = %q", win.Planner)
-			}
-			c := win.Counters()
-			if c.SharedHits == 0 || c.SharedTuplesSaved == 0 {
-				t.Errorf("joint window saw no reuse: %+v", c)
-			}
-			if len(win.Report.SharedDetail) == 0 {
-				t.Errorf("no shared detail recorded")
 			}
 			if err := w.Verify(); err != nil {
 				t.Fatal(err)
@@ -153,12 +140,12 @@ func TestRunWindowSharedPlanner(t *testing.T) {
 	}
 }
 
-// TestSharedPlannerMatchesPlainResults: the jointly-optimized window must
-// produce bit-identical view states to a sharing-off window over the same
+// TestSharedPlannerMatchesPlainResults: the sharing-aware planner's window
+// must produce the same view states as a MinWork window over the same
 // changes.
 func TestSharedPlannerMatchesPlainResults(t *testing.T) {
 	plain := newSharingWarehouse(t, Options{})
-	shared := newSharingWarehouse(t, Options{ShareComputation: true})
+	shared := newSharingWarehouse(t, Options{})
 	stageSharingDelta(t, plain)
 	stageSharingDelta(t, shared)
 	if _, err := plain.RunWindowOpts(WindowOptions{}); err != nil {

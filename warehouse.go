@@ -162,15 +162,10 @@ type Options struct {
 	// item 1 deletes them.
 	ParallelTerms bool
 	Workers       int
-	// ShareComputation makes the build cache live for the update window
-	// instead of one Comp: a build side (a pending delta, an aggregate
-	// view's state — plain tables are read through their resident indexes
-	// and build nothing) that several views' Comp expressions hash is built
-	// once and probed by every later consumer, in every scheduling mode,
-	// until its view installs. Reported work (the
-	// linear metric) is unchanged; SharedHits/SharedTuplesSaved report the
-	// physical scans elided. Every build stays resident until its view
-	// installs.
+	// ShareComputation is inert — a build lives and dies inside the Comp
+	// that made it since the window-wide build cache is gone, and nothing
+	// reads it; it stays because the frozen benchmark (bench/main.go) sets
+	// it. ROADMAP item 1 deletes it.
 	ShareComputation bool
 	// MemoryBudgetBytes is inert — the window memory budget is gone, and
 	// nothing reads it; it stays because the frozen benchmark
@@ -207,8 +202,8 @@ type Options struct {
 //     RunWindowOpts, Recover, Restore (across every window it replays),
 //     ApplyWindow, LoadSnapshot, SaveSnapshot, SaveSnapshotFile, Clone,
 //     Pending and the planning reads — Plan, PlanMinWorkSingle,
-//     PlanningStats, EstimateWork, Explain and ExplainSharing — are safe to
-//     call concurrently with each other and with readers. One issued while a
+//     PlanningStats, EstimateWork and Explain — are safe to call
+//     concurrently with each other and with readers. One issued while a
 //     window runs blocks until the window commits or aborts; a batch staged
 //     then lands in the next window.
 //   - Safe at any time, never waiting for a window: Epoch, LiveEpochs, Tally,
@@ -226,11 +221,9 @@ type Warehouse struct {
 	// model is the cost model the planners and estimates price with.
 	model CostModel
 	// tallyMu guards tally, which every window folds into as it commits or
-	// fails, and last, the last committed window's report: all the facade
-	// keeps of its windows.
+	// fails: all the facade keeps of its windows.
 	tallyMu sync.Mutex
 	tally   WindowTally
-	last    WindowReport
 	// plans is the prepared-plan cache consulted by every query path
 	// (Query, QueryEpoch, PinnedEpoch.Query, QuerySchema — and through
 	// them the query server and follower reads).
@@ -243,10 +236,7 @@ func New(opts ...Options) *Warehouse {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return FromCore(core.New(core.Options{
-		SkipEmptyDeltas:  o.SkipEmptyDeltas,
-		ShareComputation: o.ShareComputation,
-	}), o.Model)
+	return FromCore(core.New(core.Options{SkipEmptyDeltas: o.SkipEmptyDeltas}), o.Model)
 }
 
 // FromCore serves an assembled core warehouse through the facade, so that

@@ -404,7 +404,7 @@ func TestSchemaReadsDoNotWaitForAWindow(t *testing.T) {
 }
 
 // TestPlanningReadsRaceWindows: the planning reads (Plan, PlanningStats,
-// EstimateWork, Explain, ExplainSharing), the snapshot save and the reads of
+// EstimateWork, Explain), the snapshot save and the reads of
 // the pinned epoch (Views, Graph, Validate, Parallelize, Verify, StateDigest,
 // QuerySchema, DumpCSV) run while another goroutine stages batches and
 // commits windows. Run under -race, it holds the contract: the planning reads
@@ -444,9 +444,6 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 			return err
 		}
 		if _, err := w.Explain(plan.Strategy); err != nil {
-			return err
-		}
-		if _, err := w.ExplainSharing(plan.Strategy); err != nil {
 			return err
 		}
 		if _, err := w.Graph(); err != nil {

@@ -24,7 +24,11 @@ const (
 	// ([CGL+96]), provided as the baseline.
 	DualStagePlanner PlannerName = "dualstage"
 	// SharedPlanner is the sharing-aware Prune search: candidates are costed
-	// by sharing-adjusted work (multi-consumer operands charged once).
+	// by sharing-adjusted work (multi-consumer operands charged once). That
+	// adjusted work prices a saving no executor makes — every Comp builds its
+	// own tables — so it is an estimate, not a prediction; the planner stays
+	// because the frozen benchmark (bench/) plans and times with it. ROADMAP
+	// item 3 deletes it.
 	SharedPlanner PlannerName = "shared"
 )
 
@@ -122,11 +126,6 @@ func (r WindowReport) String() string {
 	} else {
 		s = fmt.Sprintf("window %d [%s]: %s", r.Seq, r.Planner, r.Report)
 	}
-	c := r.Counters()
-	if c.SharedHits+c.SharedMisses > 0 {
-		s += fmt.Sprintf(" shared=%d/%d saved=%d peakB=%d",
-			c.SharedHits, c.SharedHits+c.SharedMisses, c.SharedTuplesSaved, c.SharedBytesPeak)
-	}
 	if in := r.Ingest; in != nil {
 		s += fmt.Sprintf(" ingest batch=%d n=%d queue=%d staleness=%s",
 			in.Batch, in.Changes, in.QueueDepth, time.Duration(in.StalenessNS))
@@ -141,14 +140,16 @@ func (r WindowReport) String() string {
 }
 
 // WindowCounters aggregates one window's engine counters: what the build
-// cache (across a Comp's terms and, with ShareComputation, across the
-// window's Comps) and the resident join indexes did. All of it is physical
-// work elided; the work metric counts the scans regardless.
+// cache (across the terms of each Comp) and the resident join indexes did.
+// All of it is physical work elided; the work metric counts the scans
+// regardless.
 type WindowCounters struct {
 	// EngineCounters sums the window's Comp steps.
 	core.EngineCounters
-	// SharedBytesPeak is the high-water resident footprint of the window's
-	// build cache (0 without ShareComputation).
+	// SharedBytesPeak is inert and always 0 — no build outlives the Comp
+	// that made it since the window-wide build cache is gone; it stays
+	// because the frozen benchmark (bench/layers.go) reads it. ROADMAP item
+	// 1 deletes it.
 	SharedBytesPeak int64
 	// PeakReservedBytes is inert and always 0 — the window memory budget it
 	// measured is gone; it stays because the frozen benchmark
@@ -162,17 +163,16 @@ func (r WindowReport) Counters() WindowCounters {
 	for _, step := range r.Report.Steps {
 		c.Add(step.EngineCounters)
 	}
-	c.SharedBytesPeak = r.Report.SharedBytesPeak
 	return c
 }
 
 // WindowTally is the running count of a warehouse's update windows. Every
 // committed window is folded in once, where it commits, whoever ran it — an
 // operator, an ingester, Recover or a follower's ApplyWindow — and every
-// error RunWindowOpts returns counts as Failed. Recovered through
-// FellBackSequential count the committed windows whose report says so, Work
-// sums their measured work, and WindowCounters their engine counters, with
-// the largest of each peak.
+// error RunWindowOpts returns counts as Failed, except ErrBadWindowOptions:
+// options it refuses start no window. Recovered through FellBackSequential
+// count the committed windows whose report says so, Work sums their
+// measured work, and WindowCounters their engine counters.
 type WindowTally struct {
 	Committed, Failed                                     int64
 	Recovered, Replicated, Recomputed, FellBackSequential int64
@@ -196,9 +196,7 @@ func (t *WindowTally) add(r WindowReport) {
 		t.FellBackSequential++
 	}
 	t.Work += r.Report.TotalWork()
-	c := r.Counters()
-	t.Add(c.EngineCounters)
-	t.SharedBytesPeak = max(t.SharedBytesPeak, c.SharedBytesPeak)
+	t.Add(r.Counters().EngineCounters)
 }
 
 // Tally returns the warehouse's window tally. Safe at any time, a window

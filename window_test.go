@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -68,6 +69,14 @@ func TestRunWindowAndTally(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports = append(reports, win3)
+	// A window that starts and aborts counts as failed; options no window
+	// runs under are refused untallied.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stageSale(t, w)
+	if _, err := w.RunWindowOpts(WindowOptions{Context: cancelled}); !errors.Is(err, ErrWindowAborted) {
+		t.Fatalf("a cancelled window returned %v", err)
+	}
 	if _, err := w.RunWindowOpts(WindowOptions{Planner: "nope"}); err == nil {
 		t.Fatal("unknown planner accepted")
 	}
@@ -77,7 +86,6 @@ func TestRunWindowAndTally(t *testing.T) {
 		c := r.Counters()
 		want.Work += r.Report.TotalWork()
 		want.EngineCounters.Add(c.EngineCounters)
-		want.SharedBytesPeak = max(want.SharedBytesPeak, c.SharedBytesPeak)
 	}
 	if got := w.Tally(); got != want || got.Work == 0 {
 		t.Errorf("tally = %+v, the reports add up to %+v", got, want)
@@ -156,13 +164,13 @@ func TestWindowRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestWindowRefusesBadOptions: a negative worker count or timeout is no
-// window: RunWindowOpts refuses it with ErrBadWindowOptions, runs nothing and
-// tallies nothing.
+// TestWindowRefusesBadOptions: an unknown planner or mode, or a negative
+// worker count or timeout, is no window: RunWindowOpts refuses it with
+// ErrBadWindowOptions, runs nothing and tallies nothing.
 func TestWindowRefusesBadOptions(t *testing.T) {
 	w := newRetail(t)
 	stageSale(t, w)
-	for _, o := range []WindowOptions{{Workers: -1}, {Timeout: -time.Second}} {
+	for _, o := range []WindowOptions{{Planner: "bogus"}, {Mode: "bogus"}, {Workers: -1}, {Timeout: -time.Second}} {
 		if _, err := w.RunWindowOpts(o); !errors.Is(err, ErrBadWindowOptions) {
 			t.Errorf("%+v: %v, want ErrBadWindowOptions", o, err)
 		}
