@@ -61,11 +61,12 @@ staticcheck:
 # Benchmark and Example name that EXPERIMENTS.md, DESIGN.md, README.md and
 # docs/TUTORIAL.md cite is a function of some _test.go, every w.Name( they
 # show is a method of *Warehouse, every replay point they and this Makefile
-# quote (POINT='…', -check.point='…') parses; and cmd/experiments' usage
-# errors and its -only output, a section of the block.
+# quote (POINT='…', -check.point='…') parses, every package and (file.go)
+# the module tables of DESIGN.md and README.md name exists; and
+# cmd/experiments' usage errors and its -only output, a section of the block.
 docs-check:
 	$(call run-tests,./internal/experiments/,TestExperimentsMDIsTheOutput)
-	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist|TestDocsCallWarehouseMethodsThatExist|TestDocsReplayPointsParse)
+	$(call run-tests,.,TestDocsNameTestsThatExist|TestDocsRunCommandsThatExist|TestDocsCallWarehouseMethodsThatExist|TestDocsReplayPointsParse|TestDocsNameFilesThatExist)
 	$(call run-tests,./cmd/experiments/,TestUnknownExperimentListsTheIDs|TestRetiredOutputFlagsAreUsageErrors|TestOnlyPrintsItsSectionOfTheBlock)
 
 # Print EXPERIMENTS.md's generated block: every table and figure of the
@@ -153,7 +154,10 @@ bench:
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 # One-iteration pass over the Compute benchmarks with allocation stats:
-# cheap enough for CI, and catches probe-path allocation regressions. The
+# cheap enough for CI, and catches probe-path allocation regressions. So does
+# one steady-state TPC-D window (BenchmarkIndexedExecution), whose check that
+# index probes stay far below the operand tuples they save then runs in CI;
+# it reports the rows those probes yield beside them. The
 # storage, state-digest and join-probe layer benchmarks (the Q3 probe chain
 # through ORDER's and CUSTOMER's indexes among them) run once too, so that
 # they keep compiling and executing between the runs of bench-layers that
@@ -167,7 +171,7 @@ bench:
 # query of each kind of the repository benchmark's two query mixes, through the
 # HTTP handler.
 bench-smoke:
-	$(call run-benches,.,BenchmarkCompute,-benchmem)
+	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution,-benchmem)
 	$(call run-benches,.,BenchmarkResidentBytes)
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
 	$(call run-benches,./internal/storage,.,-benchmem)

@@ -331,8 +331,9 @@ func BenchmarkComputeProbeAllocs(b *testing.B) {
 // which delta-driven terms read table state are resident, and each
 // iteration clones the warehouse and runs the next window. The work
 // reported is the linear metric — every operand charged as scanned — and
-// beside it the probes made and the operand tuples no scan read, which must
-// dwarf them.
+// beside it the probes made, the rows they yielded, and the operand tuples
+// no scan read, which must dwarf the probes. make bench-smoke runs it once,
+// so that check runs in CI.
 func BenchmarkIndexedExecution(b *testing.B) {
 	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: benchSF, Seed: 7})
 	if err != nil {
@@ -357,16 +358,17 @@ func BenchmarkIndexedExecution(b *testing.B) {
 	}
 	s := plan()
 	b.ResetTimer()
-	var work, probes, saved int64
+	var work, probes, rows, saved int64
 	for i := 0; i < b.N; i++ {
 		run := tw.W.Clone()
 		rep, err := exec.Execute(run, s, exec.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		work, probes, saved = rep.TotalWork(), 0, 0
+		work, probes, rows, saved = rep.TotalWork(), 0, 0, 0
 		for _, step := range rep.Steps {
 			probes += step.IndexProbes
+			rows += step.IndexRows
 			saved += step.IndexTuplesSaved
 		}
 	}
@@ -375,6 +377,7 @@ func BenchmarkIndexedExecution(b *testing.B) {
 	}
 	b.ReportMetric(float64(work), "work")
 	b.ReportMetric(float64(probes), "probes")
+	b.ReportMetric(float64(rows), "index_rows")
 	b.ReportMetric(float64(saved), "saved")
 }
 

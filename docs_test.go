@@ -240,3 +240,57 @@ func TestDocsReplayPointsParse(t *testing.T) {
 		t.Fatalf("found %d replay points in the docs and the Makefile: the check is looking in the wrong place", cited)
 	}
 }
+
+var (
+	// packagePath matches a package directory the docs name.
+	packagePath = regexp.MustCompile(`\binternal/[a-z0-9_/]*[a-z0-9_]`)
+	// fileList matches a parenthesized list of Go file names: (a.go, b.go).
+	fileList = regexp.MustCompile(`\(([a-z0-9_]+\.go(?:, [a-z0-9_]+\.go)*)\)`)
+)
+
+// TestDocsNameFilesThatExist: every package path and every (name.go) the
+// module tables name — DESIGN.md's "| Module | Contents |" table and
+// README.md's list of packages — exists in the tree: the file in the
+// package of its row, or at the root on a row about the root package. A row
+// that describes deleted code sends its reader to something that is gone.
+func TestDocsNameFilesThatExist(t *testing.T) {
+	var rows []string
+	var inTable bool
+	eachLine(t, []string{"DESIGN.md"}, func(_ string, _ int, line string) {
+		switch {
+		case strings.HasPrefix(line, "| Module | Contents |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && !strings.HasPrefix(line, "|---"):
+			rows = append(rows, strings.Split(line, "|")[1])
+		}
+	})
+	eachLine(t, []string{"README.md"}, func(_ string, _ int, line string) {
+		if strings.HasPrefix(line, "- `internal/") {
+			rows = append(rows, line[:strings.Index(line, " — ")])
+		}
+	})
+	if len(rows) < 40 {
+		t.Fatalf("found %d module rows in DESIGN.md and README.md: the check is looking in the wrong place", len(rows))
+	}
+	for _, row := range rows {
+		pkgs := packagePath.FindAllString(row, -1)
+		for _, pkg := range pkgs {
+			if gos, _ := filepath.Glob(filepath.Join(pkg, "*.go")); len(gos) == 0 {
+				t.Errorf("module row %q names %s, which holds no Go files", row, pkg)
+			}
+		}
+		dir := "."
+		if len(pkgs) > 0 {
+			dir = pkgs[0]
+		}
+		for _, m := range fileList.FindAllStringSubmatch(row, -1) {
+			for _, name := range strings.Split(m[1], ", ") {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					t.Errorf("module row %q names %s, which is not in %s", row, name, dir)
+				}
+			}
+		}
+	}
+}

@@ -76,12 +76,12 @@ func TestExplainMarksIndexesTheRowMapServes(t *testing.T) {
 	placed := map[string]bool{}
 	for _, line := range strings.Split(out, "\n") {
 		if name, ok := strings.CutPrefix(line, "join index "); ok {
-			placed[strings.Fields(name)[0]] = strings.HasSuffix(line, " placed")
+			placed[name[:strings.Index(name, "]")+1]] = strings.HasSuffix(line, " placed")
 		}
 	}
 	want := map[string]bool{
 		"LINEITEM[0]": true, "ORDER[0]": true, "CUSTOMER[0]": true,
-		"ORDER[1]": false, "CUSTOMER[2]": false, "SUPPLIER[0]": false, "SUPPLIER[2]": false,
+		"ORDER[1]": false, "SUPPLIER[0 2]": false,
 		"NATION[0]": false, "REGION[0]": false,
 	}
 	if !maps.Equal(placed, want) {

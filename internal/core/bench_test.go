@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
-	"repro/internal/maintain"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -147,8 +146,9 @@ func BenchmarkBuildTable(b *testing.B) {
 func BenchmarkProbe(b *testing.B) {
 	const n = 24_000
 	read := readAll(3)
-	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), build: newBuildTable(buildBenchRows(n), []int{0}), keys: []equiKey{{boundCol: 0, newCol: 1}}}
+	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), keys: []equiKey{{boundCol: 0, newCol: 1}}}
 	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
+	sides := []stepSide{{build: newBuildTable(buildBenchRows(n), []int{0})}}
 	driver := make([]prow, n)
 	for i := range driver {
 		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
@@ -158,7 +158,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.run(driver, sink)
+		p.run(driver, sides, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
@@ -173,19 +173,20 @@ func BenchmarkIndexProbe(b *testing.B) {
 		tbl.Insert(r.row, r.count)
 	}
 	read := readAll(3)
-	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), idx: &indexStep{tbl: tbl}, keys: []equiKey{{boundCol: 0, newCol: 1}}}
+	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), indexed: true, cols: []int{0}, keys: []equiKey{{boundCol: 0, newCol: 1}}}
 	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
+	sides := []stepSide{{idx: indexStep{tbl: tbl}}}
 	driver := make([]prow, n)
 	for i := range driver {
 		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
 	}
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	p.run(driver[:1], sink) // the first probe builds the index
+	p.run(driver[:1], sides, sink) // the first probe builds the index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.run(driver, sink)
+		p.run(driver, sides, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
@@ -213,7 +214,7 @@ var (
 // BenchmarkIndexProbeChain drives 240 LINEITEM rows — a 1 % batch at the
 // benchmark's 24 000 line items — through the term of Q3 that δLINEITEM
 // drives: an index step on ORDER (6 000 rows, unique key), then one on
-// CUSTOMER (600), as planTerm plans it — each match copied into the scratch
+// CUSTOMER (600), as its compiled order runs it — each match copied into the scratch
 // row as far as the view reads it, the date and segment filters applied —
 // into a sink that only counts. Every change passes the ship-date filter and
 // so probes ORDER; about half the orders pass the order-date one and go on
@@ -269,25 +270,27 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 			relation.NewFloat(float64(rng.Int63n(100_000)) / 4), relation.NewFloat(float64(rng.Int63n(8)) / 64),
 			relation.NewString("N"), relation.NewDate(9_300 + rng.Int63n(400))}, 1)
 	}
-	plan, err := w.planTerm(q3, maintain.Term{DeltaRefs: []int{2}}, map[string]*delta.Delta{"LINEITEM": d})
+	terms, err := w.compiledComp(w.views["Q3"], []string{"LINEITEM"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(plan.pl.steps) != 2 || plan.pl.steps[0].idx == nil || plan.pl.steps[1].idx == nil ||
-		plan.pl.steps[0].idx.tbl != w.views["ORDER"].table || plan.pl.steps[1].idx.tbl != w.views["CUSTOMER"].table {
+	pl := terms[0].orders[0]
+	if len(pl.steps) != 2 || !pl.steps[0].indexed || !pl.steps[1].indexed ||
+		q3.Refs[pl.steps[0].ref].View != "ORDER" || q3.Refs[pl.steps[1].ref].View != "CUSTOMER" {
 		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
 	}
-	rows := materializeScan(plan.driverSrc)
+	sides := []stepSide{{idx: indexStep{tbl: w.views["ORDER"].table}}, {idx: indexStep{tbl: w.views["CUSTOMER"].table}}}
+	rows := materializeScan(deltaSource{d})
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	plan.pl.run(rows, sink) // the first run builds both indexes
+	pl.run(rows, sides, sink) // the first run builds both indexes
 	if matched == 0 {
 		b.Fatal("no driver row reached the sink")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.pl.run(rows, sink)
+		pl.run(rows, sides, sink)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }

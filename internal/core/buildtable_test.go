@@ -33,14 +33,14 @@ func readAll(width int) []bool {
 func probeBag(t *testing.T, bt *buildTable, key relation.Tuple) map[string]int64 {
 	t.Helper()
 	read := readAll(len(key) + 2)
-	step := joinStep{roff: len(key), live: liveColumns(read, len(key), 2), build: bt}
+	step := joinStep{roff: len(key), live: liveColumns(read, len(key), 2)}
 	for i := range key {
 		step.keys = append(step.keys, equiKey{boundCol: i, newCol: len(key) + i})
 	}
 	p := pipeline{live: liveColumns(read, 0, len(key)), width: len(read), steps: []joinStep{step}}
 	bag := make(map[string]int64)
 	sink := func(row relation.Tuple, count int64) { bag[row[len(key):].Encode()] += count }
-	p.run([]prow{{row: key, count: 1}}, sink)
+	p.run([]prow{{row: key, count: 1}}, []stepSide{{build: bt}}, sink)
 	return bag
 }
 

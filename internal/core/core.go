@@ -37,6 +37,9 @@ type Options struct {
 type View struct {
 	name string
 	def  *algebra.CQ // nil for base views
+	// orders is the definition's compiled join orders, shared by every
+	// clone (nil for base views).
+	orders *viewOrders
 
 	table *storage.Table    // base views and SPJ derived views
 	agg   *storage.AggTable // aggregate derived views
@@ -214,7 +217,7 @@ func (w *Warehouse) DefineDerived(name string, def *algebra.CQ) error {
 				name, r.Alias, r.Schema, child.Schema())
 		}
 	}
-	v := &View{name: name, def: def}
+	v := &View{name: name, def: def, orders: newViewOrders(def)}
 	if def.IsAggregate() {
 		v.agg = storage.NewAggTable(def.GroupSchema(), def.AggSpecs(), def.AggNames())
 	} else {
@@ -407,15 +410,15 @@ func (w *Warehouse) Install(name string) (int64, error) {
 func (w *Warehouse) ShareTuner() any { return nil }
 
 // Clone returns a deep copy of the warehouse: independent stores and pending
-// state, shared (immutable) definitions. Executing a strategy on a clone
-// leaves the original untouched, which is how the experiments compare many
-// strategies from the same start state.
+// state, shared (immutable) definitions and compiled join orders. Executing
+// a strategy on a clone leaves the original untouched, which is how the
+// experiments compare many strategies from the same start state.
 func (w *Warehouse) Clone() *Warehouse {
 	out := New(w.opts)
 	out.order = append([]string(nil), w.order...)
 	out.version = w.version
 	for name, v := range w.views {
-		nv := &View{name: v.name, def: v.def}
+		nv := &View{name: v.name, def: v.def, orders: v.orders}
 		if v.table != nil {
 			nv.table = v.table.Clone()
 		}

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
-	"repro/internal/maintain"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -61,11 +60,12 @@ type EngineCounters struct {
 	SpilledBytes, SpillReReadBytes int64
 	// IndexProbes counts the lookups made in resident join indexes
 	// (storage.Index): one per partial row arriving at a join step whose
-	// operand an index serves. IndexTuplesSaved totals the operand tuples
-	// OperandTuples charges for those steps and no scan read: their
-	// operands' cardinalities, less the rows scanned to build an index that
-	// was not resident yet.
-	IndexProbes, IndexTuplesSaved int64
+	// operand an index serves. IndexRows counts the rows those lookups
+	// yielded, before residual keys and filters. IndexTuplesSaved totals the
+	// operand tuples OperandTuples charges for those steps and no scan read:
+	// their operands' cardinalities, less the rows scanned to build an index
+	// that was not resident yet.
+	IndexProbes, IndexRows, IndexTuplesSaved int64
 }
 
 // Add folds o into c.
@@ -74,6 +74,7 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.CacheMisses += o.CacheMisses
 	c.CacheTuplesSaved += o.CacheTuplesSaved
 	c.IndexProbes += o.IndexProbes
+	c.IndexRows += o.IndexRows
 	c.IndexTuplesSaved += o.IndexTuplesSaved
 }
 
@@ -124,7 +125,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	if v.agg != nil && v.finalized != nil {
 		return rep, fmt.Errorf("core: Compute(%s, …) after δ%s was already finalized — incorrect strategy order", name, name)
 	}
-	terms, err := maintain.Terms(v.def, over)
+	terms, err := w.compiledComp(v, over)
 	if err != nil {
 		return rep, err
 	}
@@ -150,26 +151,63 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 			return rep, nil
 		}
 	}
+	ops, err := w.bindStates(v.def)
+	if err != nil {
+		return rep, err
+	}
+	ops.delta = make([]source, len(v.def.Refs))
+	for i, ref := range v.def.Refs {
+		if d := deltas[ref.View]; d != nil {
+			ops.delta[i] = deltaSource{d}
+		}
+	}
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
 	env := &evalEnv{ctx: ctx}
-	return rep, w.runTerms(env, v.def, terms, deltas, out, &rep)
+	return rep, runTerms(env, v.def, terms, ops, out, &rep)
 }
 
-// operand describes one term input during planning.
-type operand struct {
-	refIdx  int
-	isDelta bool
-	src     source
+// operands binds one run's references to their sources: state[i] is
+// reference i's current state, delta[i] its view's pending delta (nil in a
+// run that binds no deltas). A term reads the delta of the references in
+// its delta mask and the state of the others.
+type operands struct {
+	state, delta []source
+}
+
+// of returns reference ref's operand in a term whose delta mask is mask.
+func (o operands) of(ref int, mask uint64) source {
+	if mask&(1<<uint(ref)) != 0 {
+		return o.delta[ref]
+	}
+	return o.state[ref]
+}
+
+// bindStates returns the operands of a definition over w's current states.
+func (w *Warehouse) bindStates(cq *algebra.CQ) (operands, error) {
+	ops := operands{state: make([]source, len(cq.Refs))}
+	for i, ref := range cq.Refs {
+		child := w.views[ref.View]
+		if child == nil {
+			return ops, fmt.Errorf("core: unknown referenced view %q", ref.View)
+		}
+		if child.agg != nil {
+			ops.state[i] = child.agg
+		} else {
+			ops.state[i] = child.table
+		}
+	}
+	return ops, nil
 }
 
 // evalEnv is one run of the term engine (runTerms): what its terms share —
-// the build tables, the scan memo and the counters. A run belongs to one
-// goroutine.
+// the build tables, the scan memo, the step sides and the counters. A run
+// belongs to one goroutine.
 type evalEnv struct {
 	cache buildCache
 	scans scanCache
+	sides []stepSide
 	ctx   context.Context
 
 	ctr EngineCounters
@@ -186,214 +224,71 @@ func (e *evalEnv) ctxErr() error {
 	return nil
 }
 
-// termPlan is one maintenance term's fully planned execution: the driver
-// source, the probe pipeline, the deferred build-side requests, and the
-// term's modeled scan work. Planning depends only on cardinalities and
-// predicates — never on the data — so the modeled work (driver cardinality
-// plus every build-side operand's cardinality) is fixed here, independent
-// of what any cache later serves.
-type termPlan struct {
-	driverSrc source
-	scanned   int64
-	// indexed is the part of scanned charged for index-served steps.
-	indexed int64
-	pl      pipeline
-	builds  []buildReq
+// stepSide is what one join step probes in one run: the build table of its
+// operand, or the resident index of the plain table it reads.
+type stepSide struct {
+	build *buildTable
+	idx   indexStep
 }
 
-// buildReq defers one build side: pl.steps[step] needs the hash table of src
-// over the key columns cols.
-type buildReq struct {
-	step int
-	src  source
-	cols []int
-}
-
-// runTerm executes planned term ti: materialize the driver, resolve the
-// build sides through the run's cache (which owns them), and run the
-// pipeline into the sink. It returns the number of index probes; the term's
-// linear-metric work was fixed at planning and counts every build-side
-// operand even when the cache served the physical table. A panic in the
+// runTerm runs one term along pipeline pl over the operands its delta mask
+// selects: materialize the driver, give each step its side — a build table
+// through the run's cache (which owns them), or the plain table whose index
+// serves it — and run the pipeline into the sink. It returns the term's
+// linear-metric work: the driver's cardinality plus every step operand's,
+// whether a scan, the cache or an index served the step. A panic in the
 // term — an operand scan or an operator — comes back as its error.
-func runTerm(ti int, plan *termPlan, sink *sink, env *evalEnv) (probes int64, err error) {
+func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *evalEnv) (scanned int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoveredErr(fmt.Sprintf("term %d", ti), r)
 		}
 	}()
-	rows := env.scans.get(plan.driverSrc)
-	for _, br := range plan.builds {
-		plan.pl.steps[br.step].build = env.build(br)
-	}
-	return plan.pl.run(rows, sink.add), nil
-}
-
-// planTerm resolves a term's operands and plans its join pipeline:
-// references listed in term.DeltaRefs read their view's pending delta, all
-// others read current state.
-//
-// The plan is a hash-join pipeline: the smallest delta operand drives;
-// remaining operands are joined one at a time, preferring operands connected
-// to the bound prefix by equi-join predicates (composite keys supported),
-// falling back to a cross product when the join graph is disconnected. Every
-// operand is modeled as scanned exactly once per term to build its hash
-// table, which is precisely the execution model behind the paper's linear
-// work metric. That is also what runs, except where a delta-driven term
-// joins a plain table's state on a key: that step probes the table's
-// resident index (see indexStep) and scans nothing. The driver and every
-// step copy only their operand's live columns (liveColumns).
-func (w *Warehouse) planTerm(cq *algebra.CQ, term maintain.Term, deltas map[string]*delta.Delta) (*termPlan, error) {
-	n := len(cq.Refs)
-	ops := make([]operand, n)
-	isDelta := make([]bool, n)
-	for _, r := range term.DeltaRefs {
-		isDelta[r] = true
-	}
-	for i, ref := range cq.Refs {
-		child := w.views[ref.View]
-		if child == nil {
-			return nil, fmt.Errorf("core: unknown referenced view %q", ref.View)
-		}
-		var src source
-		if isDelta[i] {
-			d := deltas[ref.View]
-			if d == nil {
-				return nil, fmt.Errorf("core: no delta resolved for %q", ref.View)
-			}
-			src = deltaSource{d}
+	driver := ops.of(pl.driver, mask)
+	rows := env.scans.get(driver)
+	scanned = driver.Cardinality()
+	sides := env.sides[:0]
+	for i := range pl.steps {
+		s := &pl.steps[i]
+		src := ops.of(s.ref, mask)
+		scanned += src.Cardinality()
+		if s.indexed {
+			sides = append(sides, stepSide{idx: indexStep{tbl: src.(*storage.Table)}})
+			env.ctr.IndexTuplesSaved += src.Cardinality()
 		} else {
-			if child.agg != nil {
-				src = child.agg
-			} else {
-				src = child.table
-			}
-		}
-		ops[i] = operand{refIdx: i, isDelta: isDelta[i], src: src}
-	}
-
-	// Pick the driver: the smallest delta operand (deterministic tie-break
-	// by ref index); if the term has no delta operands (full recompute),
-	// the smallest operand drives.
-	driver := -1
-	for i, op := range ops {
-		if len(term.DeltaRefs) > 0 && !op.isDelta {
-			continue
-		}
-		if driver < 0 || op.src.Cardinality() < ops[driver].src.Cardinality() {
-			driver = i
+			sides = append(sides, stepSide{build: env.build(src, s)})
 		}
 	}
-
-	plan := &termPlan{driverSrc: ops[driver].src}
-	plan.scanned += ops[driver].src.Cardinality()
-
-	bound := uint64(1) << uint(driver)
-	applied := make([]bool, len(cq.Filters))
-	read := cq.ReadColumns()
-	plan.pl = pipeline{
-		off:   cq.RefOffset(driver),
-		live:  liveColumns(read, cq.RefOffset(driver), len(cq.Refs[driver].Schema)),
-		width: len(cq.JoinedSchema()),
-		// Filters local to the driver run before the first probe.
-		driverPreds: pendingFilters(cq, bound, applied),
+	env.sides = sides
+	probes, yielded := pl.run(rows, sides, sink.add)
+	env.ctr.IndexProbes += probes
+	env.ctr.IndexRows += yielded
+	for i := range sides {
+		env.ctr.IndexTuplesSaved -= sides[i].idx.scanned
 	}
-
-	remaining := make([]int, 0, n-1)
-	for i := range ops {
-		if i != driver {
-			remaining = append(remaining, i)
-		}
-	}
-	// Deterministic initial order.
-	sort.Ints(remaining)
-
-	for len(remaining) > 0 {
-		// Choose the next operand: connected (has an unapplied equi-join
-		// predicate linking it to bound refs) and smallest; else smallest.
-		next, nextPos := -1, -1
-		nextConnected := false
-		for pos, i := range remaining {
-			conn := len(equiKeys(cq, bound, i, applied)) > 0
-			better := false
-			switch {
-			case next < 0:
-				better = true
-			case conn != nextConnected:
-				better = conn
-			case ops[i].src.Cardinality() != ops[next].src.Cardinality():
-				better = ops[i].src.Cardinality() < ops[next].src.Cardinality()
-			}
-			if better {
-				next, nextPos, nextConnected = i, pos, conn
-			}
-		}
-		i := next
-		remaining = append(remaining[:nextPos], remaining[nextPos+1:]...)
-
-		keys := equiKeys(cq, bound, i, applied)
-		for _, k := range keys {
-			applied[k.filterIdx] = true
-		}
-		// Canonical key order: both the build and probe sides project in
-		// newCol order, so cached build tables are reusable across terms
-		// that discover the same keys in a different sequence.
-		sortKeysByNewCol(keys)
-		roff := cq.RefOffset(i)
-		bound |= 1 << uint(i)
-
-		step := joinStep{
-			keys:  keys,
-			roff:  roff,
-			live:  liveColumns(read, roff, len(cq.Refs[i].Schema)),
-			preds: pendingFilters(cq, bound, applied),
-		}
-		card := ops[i].src.Cardinality()
-		if tbl := indexedState(term, ops[i]); tbl != nil && len(keys) > 0 {
-			step.idx = &indexStep{tbl: tbl}
-			plan.indexed += card
-		} else {
-			// A build-side hash table over one operand scan, matching the
-			// linear work metric's execution model. The build itself is
-			// deferred to runTerm, through the build cache.
-			cols := make([]int, len(keys))
-			for ki, k := range keys {
-				cols[ki] = k.newCol - roff
-			}
-			plan.builds = append(plan.builds, buildReq{step: len(plan.pl.steps), src: ops[i].src, cols: cols})
-		}
-		// The metric counts the scan per term however the step is served.
-		plan.scanned += card
-		plan.pl.steps = append(plan.pl.steps, step)
-	}
-	return plan, nil
+	return scanned, nil
 }
 
-// liveColumns returns the operand-local positions, ascending, of the n
-// columns at joined offset off that read marks (CQ.ReadColumns): what the
-// pipeline copies of one of that operand's rows into the scratch row. No
-// step, sink or projector reads any other column.
-func liveColumns(read []bool, off, n int) []int {
-	var live []int
-	for c := 0; c < n; c++ {
-		if read[off+c] {
-			live = append(live, c)
-		}
-	}
-	return live
-}
-
-// joinStep is one planned hash-join step: probe the partial row against an
-// operand via a build table or a resident index, then apply the filters
-// that just became evaluable.
+// joinStep is one compiled hash-join step: probe the partial row against
+// operand ref — through a build table, or through the resident index of a
+// plain table's state — then apply the filters that just became evaluable.
 type joinStep struct {
+	ref  int // the operand's reference index
 	keys []equiKey
 	roff int
 	// live is the operand's columns that a match copies into the scratch
 	// row (liveColumns).
 	live  []int
 	preds []algebra.Expr
-	build *buildTable // transient build (nil when indexed)
-	idx   *indexStep  // resident index
+	// indexed marks a step that reads a plain table's state through its
+	// resident index (delta-driven terms only); every other step probes a
+	// build table.
+	indexed bool
+	// cols is the operand-local key columns in newCol order: one per key for
+	// a build table, and colsKey their build-cache key; each column once for
+	// an index.
+	cols    []int
+	colsKey string
 }
 
 // indexStep is the operand side of a join step that reads a plain table's
@@ -414,56 +309,42 @@ type indexStep struct {
 	scanned int64
 }
 
-// resolve finds or builds the index for the step's keys (sorted by newCol),
-// once.
-func (s *indexStep) resolve(keys []equiKey, roff int) {
+// resolve finds or builds the index for the step's key columns, once.
+func (s *indexStep) resolve(step *joinStep) {
 	if s.ix != nil {
 		return
 	}
-	cols := make([]int, 0, len(keys))
-	for _, k := range keys {
-		if c := k.newCol - roff; len(cols) == 0 || cols[len(cols)-1] != c {
-			cols = append(cols, c)
-		}
-	}
-	ix, scanned := s.tbl.JoinIndex(cols)
+	ix, scanned := s.tbl.JoinIndex(step.cols)
 	s.scanned = scanned
 	covered := ix.Cols()
-	for _, k := range keys {
-		if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-roff {
-			s.probe = append(s.probe, k)
-		} else {
-			s.resid = append(s.resid, k)
+	if len(step.keys) == len(covered) && slices.Equal(covered, step.cols) {
+		s.probe = step.keys // the compiled keys, shared read-only
+	} else {
+		for _, k := range step.keys {
+			if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-step.roff {
+				s.probe = append(s.probe, k)
+			} else {
+				s.resid = append(s.resid, k)
+			}
 		}
 	}
 	s.ix = ix
 }
 
-// indexedState returns the table whose resident index serves a join step on
-// the operand: the term is driven by a delta, and the operand is the state
-// of a view kept as a plain table. Recompute terms read every operand whole
-// — there the linear model is exact and a flat build table the right
-// algorithm — and deltas and aggregate stores carry no index.
-func indexedState(term maintain.Term, op operand) *storage.Table {
-	if len(term.DeltaRefs) == 0 || op.isDelta {
-		return nil
-	}
-	tbl, _ := op.src.(*storage.Table)
-	return tbl
-}
-
-// pipeline is one term's fully planned execution: the driver-local filters
-// plus the ordered join steps. Probing is depth-first and tuple-at-a-time —
-// a partial row is pushed through every remaining step before the next
-// match of the current step is tried — so intermediate join results are
-// never materialized. A run works in a single scratch row of the term's
-// joined width: step i only overwrites its own operand's columns,
+// pipeline is one term's compiled execution for one driver: the
+// driver-local filters plus the ordered join steps. Probing is depth-first
+// and tuple-at-a-time — a partial row is pushed through every remaining step
+// before the next match of the current step is tried — so intermediate join
+// results are never materialized. A run works in a single scratch row of
+// the term's joined width: step i only overwrites its own operand's columns,
 // and the predicates evaluated at depth i only read columns bound at depths
 // ≤ i, so sibling matches can safely reuse the buffer. The scratch row holds
 // only live columns — those a filter, key, select expression, group-by key
 // or aggregate input reads (CQ.ReadColumns); the rest stay unset, and
-// nothing reads them.
+// nothing reads them. A pipeline is immutable once compiled; what a run
+// probes comes in its sides.
 type pipeline struct {
+	driver      int   // the driver's reference index
 	off         int   // driver's column offset in the joined row
 	live        []int // the driver's columns copied into the scratch row
 	width       int   // joined-row width
@@ -472,25 +353,30 @@ type pipeline struct {
 }
 
 // probeState is one run's scratch: the joined row under construction plus
-// per-depth key-projection and key-encoding buffers, and the count of index
-// probes made at each depth.
+// per-depth key-projection and key-encoding buffers, what each step probes,
+// the count of index probes made at each depth and of the rows they
+// yielded.
 type probeState struct {
 	scratch relation.Tuple
 	keys    []relation.Tuple
 	encs    [][]byte
+	sides   []stepSide
 	probes  []int64
+	yielded int64
 	sink    sinkFn
 }
 
-// run pushes the driver rows through the whole pipeline into sink and
-// returns the number of index probes it made — the machine's side of the
-// index-served steps, whose scans the metric accounted at planning time like
-// every other step's.
-func (p *pipeline) run(rows []prow, sink sinkFn) int64 {
+// run pushes the driver rows through the whole pipeline into sink, sides[i]
+// being what step i probes, and returns the number of index probes it made
+// and of the rows they yielded before residual keys and filters — the
+// machine's side of the index-served steps, whose scans the metric
+// accounted like every other step's.
+func (p *pipeline) run(rows []prow, sides []stepSide, sink sinkFn) (probes, yielded int64) {
 	st := &probeState{
 		scratch: make(relation.Tuple, p.width),
 		keys:    make([]relation.Tuple, len(p.steps)),
 		encs:    make([][]byte, len(p.steps)),
+		sides:   sides,
 		probes:  make([]int64, len(p.steps)),
 		sink:    sink,
 	}
@@ -515,14 +401,13 @@ func (p *pipeline) run(rows []prow, sink sinkFn) int64 {
 		}
 		p.probe(0, pr.count, st)
 	}
-	var probed int64
 	for i, n := range st.probes {
 		if n > 0 {
-			p.steps[i].idx.ix.CountProbes(n)
-			probed += n
+			sides[i].idx.ix.CountProbes(n)
+			probes += n
 		}
 	}
-	return probed
+	return probes, st.yielded
 }
 
 // probe advances one partial row past step depth. Rows that clear the last
@@ -534,10 +419,11 @@ func (p *pipeline) probe(depth int, count int64, st *probeState) {
 		return
 	}
 	s := &p.steps[depth]
+	side := &st.sides[depth]
 	keys := s.keys
-	if s.idx != nil {
-		s.idx.resolve(s.keys, s.roff)
-		keys = s.idx.probe
+	if s.indexed {
+		side.idx.resolve(s)
+		keys = side.idx.probe
 	}
 	keyT := st.keys[depth][:len(keys)]
 	for ki, k := range keys {
@@ -545,16 +431,17 @@ func (p *pipeline) probe(depth int, count int64, st *probeState) {
 	}
 	enc := keyT.AppendEncoded(st.encs[depth][:0])
 	st.encs[depth] = enc
-	if s.idx != nil {
+	if s.indexed {
 		// Resident index: one lookup per arriving partial row.
 		st.probes[depth]++
-		s.idx.ix.Probe(enc, func(t relation.Tuple, c int64) bool {
+		side.idx.ix.Probe(enc, func(t relation.Tuple, c int64) bool {
+			st.yielded++
 			p.emit(depth, t, count*c, st)
 			return true
 		})
 		return
 	}
-	bt := s.build
+	bt := side.build
 	for i := bt.first(enc); i != 0; i = bt.entries[i-1].next {
 		// Hash-then-verify: a chain may mix keys; confirm byte equality
 		// before emitting.
@@ -573,11 +460,9 @@ func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *probeState
 	for _, c := range s.live {
 		st.scratch[s.roff+c] = t[c]
 	}
-	if s.idx != nil {
-		for _, k := range s.idx.resid {
-			if !relation.Identical(st.scratch[k.boundCol], st.scratch[k.newCol]) {
-				return
-			}
+	for _, k := range st.sides[depth].idx.resid {
+		if !relation.Identical(st.scratch[k.boundCol], st.scratch[k.newCol]) {
+			return
 		}
 	}
 	for _, pred := range s.preds {
@@ -588,67 +473,8 @@ func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *probeState
 	p.probe(depth+1, count, st)
 }
 
-// sortKeysByNewCol orders equi-key pairs by their candidate-side column, the
-// canonical order join indexes and the build cache use.
-func sortKeysByNewCol(keys []equiKey) {
-	sort.Slice(keys, func(a, b int) bool { return keys[a].newCol < keys[b].newCol })
-}
-
 // prow is a partially-joined row with its accumulated multiplicity.
 type prow struct {
 	row   relation.Tuple
 	count int64
-}
-
-// pendingFilters collects — and marks applied — every not-yet-applied filter
-// whose referenced refs are all bound.
-func pendingFilters(cq *algebra.CQ, bound uint64, applied []bool) []algebra.Expr {
-	var preds []algebra.Expr
-	for fi, f := range cq.Filters {
-		if applied[fi] {
-			continue
-		}
-		if cq.FilterRefs(fi)&^bound == 0 {
-			preds = append(preds, f)
-			applied[fi] = true
-		}
-	}
-	return preds
-}
-
-// equiKey describes one usable equi-join key pair for a candidate operand.
-type equiKey struct {
-	filterIdx int
-	boundCol  int // column index (joined row) on the already-bound side
-	newCol    int // column index (joined row) on the candidate side
-}
-
-// equiKeys finds unapplied equality filters of the form col=col with one
-// side entirely in bound refs and the other on candidate ref i.
-func equiKeys(cq *algebra.CQ, bound uint64, i int, applied []bool) []equiKey {
-	var out []equiKey
-	for fi, f := range cq.Filters {
-		if applied[fi] {
-			continue
-		}
-		b, ok := f.(*algebra.Binary)
-		if !ok || b.Op != algebra.OpEq {
-			continue
-		}
-		lc, lok := b.L.(*algebra.Col)
-		rc, rok := b.R.(*algebra.Col)
-		if !lok || !rok {
-			continue
-		}
-		lRef, rRef := cq.RefOfColumn(lc.Index), cq.RefOfColumn(rc.Index)
-		lBound := bound&(1<<uint(lRef)) != 0
-		rBound := bound&(1<<uint(rRef)) != 0
-		switch {
-		case lBound && rRef == i:
-			out = append(out, equiKey{filterIdx: fi, boundCol: lc.Index, newCol: rc.Index})
-		case rBound && lRef == i:
-			out = append(out, equiKey{filterIdx: fi, boundCol: rc.Index, newCol: lc.Index})
-		}
-	}
-	return out
 }

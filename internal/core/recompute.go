@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/maintain"
 	"repro/internal/storage"
 )
 
@@ -38,9 +37,14 @@ func (w *Warehouse) Recompute(name string) ([]storage.CountedTuple, error) {
 // state) run through the term engine, outside any window's build cache, into
 // a fresh accumulator.
 func (w *Warehouse) evalFull(cq *algebra.CQ) (acc, error) {
+	ops, err := w.bindStates(cq)
+	if err != nil {
+		return acc{}, err
+	}
 	out := newAcc(cq)
 	var rep CompReport
-	err := w.runTerms(&evalEnv{}, cq, []maintain.Term{{}}, nil, out, &rep)
+	term := compiledTerm{orders: []*pipeline{recomputeOrder(cq, ops)}}
+	err = runTerms(&evalEnv{}, cq, []compiledTerm{term}, ops, out, &rep)
 	return out, err
 }
 

@@ -115,12 +115,9 @@ func (b scanBomb) Scan(func(relation.Tuple, int64) bool) { panic(b.err) }
 func TestPanickingBuildFailsItsTerm(t *testing.T) {
 	boom := errors.New("boom")
 	env := &evalEnv{cache: make(buildCache), scans: make(scanCache)}
-	plan := &termPlan{
-		driverSrc: deltaSource{delta.New(schemaR)},
-		pl:        pipeline{steps: make([]joinStep, 1)},
-		builds:    []buildReq{{step: 0, src: scanBomb{boom}}},
-	}
-	if _, err := runTerm(3, plan, nil, env); !errors.Is(err, boom) || !strings.Contains(err.Error(), "term 3") {
+	pl := &pipeline{driver: 0, steps: []joinStep{{ref: 1}}}
+	ops := operands{state: []source{deltaSource{delta.New(schemaR)}, scanBomb{boom}}}
+	if _, err := runTerm(3, pl, ops, 0, nil, env); !errors.Is(err, boom) || !strings.Contains(err.Error(), "term 3") {
 		t.Fatalf("a panicking build returned %v", err)
 	}
 	if len(env.cache) != 0 || env.ctr.CacheMisses != 1 {

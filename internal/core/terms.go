@@ -2,20 +2,19 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
-	"repro/internal/maintain"
 	"repro/internal/relation"
 )
 
 // This file is the term engine — the one evaluator behind Compute,
 // Recompute, Evaluate and refresh:
 //
-//   - runTerms plans the maintenance terms of one definition, then runs them
-//     one after another in term order on the caller's goroutine, each
-//     pushing its driver rows through its join pipeline into the run's sink.
+//   - runTerms runs the maintenance terms of one definition one after
+//     another in term order on the caller's goroutine, each pushing its
+//     driver rows through its compiled join pipeline (orders.go) into the
+//     run's sink.
 //     A window's parallelism is between expressions (package exec's
 //     scheduler), never inside one.
 //   - buildCache is the one cache of transient build state: it shares
@@ -159,17 +158,6 @@ type buildKey struct {
 	cols string
 }
 
-func colsKey(cols []int) string {
-	b := make([]byte, 0, 3*len(cols))
-	for i, c := range cols {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(c), 10)
-	}
-	return string(b)
-}
-
 // buildCache is the one cache of transient build tables: the build sides
 // of one run of the term engine. The first term that asks for an (operand,
 // key columns) pair builds its table; every later term of the run probes
@@ -179,53 +167,52 @@ func colsKey(cols []int) string {
 // inside a Compute.
 type buildCache map[buildKey]*buildTable
 
-// build returns the build table a term asks for, accounting the request to
-// the run: its first request of a pair is a miss, every further one a hit.
-func (env *evalEnv) build(br buildReq) *buildTable {
-	key := buildKey{src: br.src, cols: colsKey(br.cols)}
+// build returns the build table of src over the key columns of step,
+// accounting the request to the run: its first request of a pair is a miss,
+// every further one a hit.
+func (env *evalEnv) build(src source, step *joinStep) *buildTable {
+	key := buildKey{src: src, cols: step.colsKey}
 	if bt, ok := env.cache[key]; ok {
 		env.ctr.CacheHits++
-		env.ctr.CacheTuplesSaved += br.src.Cardinality()
+		env.ctr.CacheTuplesSaved += src.Cardinality()
 		return bt
 	}
 	env.ctr.CacheMisses++
-	bt := newBuildTable(materializeScan(br.src), br.cols)
+	bt := newBuildTable(materializeScan(src), step.cols)
 	env.cache[key] = bt
 	return bt
 }
 
-// runTerms is the term engine: it evaluates terms of cq into out and fills
-// the work and cache accounting of rep. It plans and runs the terms one
-// after another, in term order on the caller's goroutine, each emitting into
-// one sink that writes straight into out. A term that panics (a misbehaving
-// operator, an injected fault) fails the run with an error, as does a
-// cancelled context between terms; the first error ends it.
-func (w *Warehouse) runTerms(env *evalEnv, cq *algebra.CQ, terms []maintain.Term, deltas map[string]*delta.Delta, out acc, rep *CompReport) error {
+// runTerms is the term engine: it evaluates terms of cq over ops into out
+// and fills the work and cache accounting of rep. It runs the terms one
+// after another, in term order on the caller's goroutine, each along the
+// pipeline its driver — the smallest of its deltas, ties by reference
+// index — compiled, and each emitting into one sink that writes straight
+// into out. A term that panics (a misbehaving operator, an injected fault)
+// fails the run with an error, as does a cancelled context between terms;
+// the first error ends it.
+func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, out acc, rep *CompReport) error {
 	env.cache = make(buildCache)
 	env.scans = make(scanCache)
 
 	sink := newSink(cq, out)
-	for ti, term := range terms {
+	for ti := range terms {
 		if err := env.ctxErr(); err != nil {
 			return err
 		}
-		plan, err := w.planTerm(cq, term, deltas)
-		if err != nil {
-			return err
+		t := &terms[ti]
+		k := 0
+		for j := 1; j < len(t.deltaRefs); j++ {
+			if ops.delta[t.deltaRefs[j]].Cardinality() < ops.delta[t.deltaRefs[k]].Cardinality() {
+				k = j
+			}
 		}
-		probes, err := runTerm(ti, plan, sink, env)
+		scanned, err := runTerm(ti, t.orders[k], ops, t.deltaMask, sink, env)
 		if err != nil {
 			return err
 		}
 		rep.Terms++
-		rep.OperandTuples += plan.scanned
-		env.ctr.IndexProbes += probes
-		env.ctr.IndexTuplesSaved += plan.indexed
-		for i := range plan.pl.steps {
-			if idx := plan.pl.steps[i].idx; idx != nil {
-				env.ctr.IndexTuplesSaved -= idx.scanned
-			}
-		}
+		rep.OperandTuples += scanned
 	}
 	rep.OutputTuples = sink.produced()
 	rep.EngineCounters = env.ctr

@@ -158,6 +158,8 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 			[]string{"View.table", "View.agg"}},
 		{"catalog", "the catalog is code: Read refuses a warehouse whose views, order or kinds do not match",
 			[]string{"View.name", "View.def", "Warehouse.order", "Warehouse.views", "Warehouse.version"}},
+		{"compiled from the catalog", "a function of the definition alone: the join orders a view's Comps run, compiled at their first call",
+			[]string{"View.orders"}},
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
 			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",

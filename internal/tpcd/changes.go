@@ -8,13 +8,19 @@ import (
 )
 
 // ChangeSpec describes the change batch to stage on the base views, as
-// fractions of each view's current size.
+// fractions of each view's current size or as row counts.
 type ChangeSpec struct {
 	// DeleteFrac[view] is the fraction of existing rows to delete.
 	DeleteFrac map[string]float64
 	// InsertFrac[view] is the fraction (of current size) of fresh rows to
 	// insert.
 	InsertFrac map[string]float64
+	// DeleteRows[view] and InsertRows[view] are the absolute form: the
+	// number of existing rows to delete and of fresh rows to insert,
+	// whatever the view's size, so that a batch is the same at every scale
+	// factor. A view's deletions, and its insertions, take a fraction or a
+	// count, not both.
+	DeleteRows, InsertRows map[string]int64
 	// Seed drives row selection; change batches are deterministic.
 	Seed int64
 }
@@ -50,6 +56,13 @@ func Mixed(deleteP, insertP float64) ChangeSpec {
 	}
 }
 
+// MixedRows returns a workload of the same size at every scale factor:
+// rows[view] existing rows deleted from the view and as many fresh rows
+// inserted.
+func MixedRows(rows map[string]int64) ChangeSpec {
+	return ChangeSpec{DeleteRows: rows, InsertRows: rows, Seed: 1}
+}
+
 // StageChanges generates and stages a change batch per spec. It returns the
 // per-view staged delta sizes. The warehouse state itself is not modified
 // (changes are only staged; an update strategy must propagate and install
@@ -58,35 +71,37 @@ func (t *Warehouse) StageChanges(spec ChangeSpec) (map[string]int64, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	sizes := make(map[string]int64)
 	for _, view := range BaseViews {
-		df := spec.DeleteFrac[view]
-		inf := spec.InsertFrac[view]
-		if df < 0 || df > 1 || inf < 0 {
-			return nil, fmt.Errorf("tpcd: bad change fractions for %s: delete %v insert %v", view, df, inf)
+		v := t.W.MustView(view)
+		del, delGiven, err := spec.count(view, spec.DeleteFrac, spec.DeleteRows, v.Cardinality())
+		if err != nil {
+			return nil, err
 		}
-		if df == 0 && inf == 0 {
+		ins, insGiven, err := spec.count(view, spec.InsertFrac, spec.InsertRows, v.Cardinality())
+		if err != nil {
+			return nil, err
+		}
+		if !delGiven && !insGiven {
 			continue
 		}
-		v := t.W.MustView(view)
+		if del > v.Cardinality() {
+			return nil, fmt.Errorf("tpcd: cannot delete %d rows of %s, which holds %d", del, view, v.Cardinality())
+		}
 		d := delta.New(v.Schema())
-		if df > 0 {
+		if delGiven {
 			// Delete a deterministic sample of distinct existing rows.
 			rows := v.SortedRows()
-			target := int64(float64(v.Cardinality()) * df)
 			perm := rng.Perm(len(rows))
 			var deleted int64
 			for _, idx := range perm {
-				if deleted >= target {
+				if deleted >= del {
 					break
 				}
 				d.Add(rows[idx].Tuple, -rows[idx].Count)
 				deleted += rows[idx].Count
 			}
 		}
-		if inf > 0 {
-			n := int(float64(v.Cardinality()) * inf)
-			for i := 0; i < n; i++ {
-				d.Add(t.gen.freshRow(view), 1)
-			}
+		for i := int64(0); i < ins; i++ {
+			d.Add(t.gen.freshRow(view), 1)
 		}
 		if err := t.W.StageDelta(view, d); err != nil {
 			return nil, err
@@ -94,4 +109,21 @@ func (t *Warehouse) StageChanges(spec ChangeSpec) (map[string]int64, error) {
 		sizes[view] = d.Size()
 	}
 	return sizes, nil
+}
+
+// count returns how many rows of view, which holds card, the spec deletes
+// (or inserts) — a fraction of card or a count — and whether it names the
+// view at all: a fraction that rounds to no rows still draws the sample it
+// would have taken, so that the batches after it do not change.
+func (spec ChangeSpec) count(view string, frac map[string]float64, rows map[string]int64, card int64) (n int64, given bool, err error) {
+	f, c := frac[view], rows[view]
+	switch {
+	case f < 0 || c < 0:
+		return 0, false, fmt.Errorf("tpcd: bad change size for %s: fraction %v, rows %d", view, f, c)
+	case f > 0 && c > 0:
+		return 0, false, fmt.Errorf("tpcd: %s takes a fraction (%v) and a row count (%d)", view, f, c)
+	case c > 0:
+		return c, true, nil
+	}
+	return int64(float64(card) * f), f > 0, nil
 }

@@ -2,6 +2,8 @@ package tpcd
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/planner"
+	"repro/internal/relation"
 	"repro/internal/strategy"
 )
 
@@ -159,8 +162,11 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 		if err := tw.W.VerifyAll(); err != nil {
 			t.Fatal(err)
 		}
-		// Whichever planner ran, LINEITEM's index on L_ORDERKEY also serves
-		// the joins on (L_ORDERKEY, L_SUPPKEY): nine indexes in all.
+		// Whichever planner ran, every step a delta drives looks up a key
+		// (column 0) where the join graph has one: seven indexes in all, one
+		// on columns other than a key (ORDER[1], the δCUSTOMER terms'
+		// O_CUSTKEY) and one composite (SUPPLIER's key and nation, which a
+		// δLINEITEM term reaches after CUSTOMER).
 		var got []string
 		for _, name := range tw.W.ViewNames() {
 			for _, st := range tw.W.MustView(name).IndexStats() {
@@ -168,8 +174,179 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 			}
 		}
 		slices.Sort(got)
-		if want := "CUSTOMER[0] CUSTOMER[2] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0] SUPPLIER[2]"; strings.Join(got, " ") != want {
+		if want := "CUSTOMER[0] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0 2]"; strings.Join(got, " ") != want {
 			t.Errorf("shared planner %v: resident indexes %v, want %s", shared, got, want)
+		}
+	}
+}
+
+// gateRows is the scale gate's batch: the rows deleted from each of
+// CUSTOMER, ORDER and LINEITEM, and as many fresh ones inserted, at every
+// scale factor.
+var gateRows = map[string]int64{Customer: 20, Order: 100, LineItem: 200}
+
+// TestMixedRowsStagesItsCounts: the absolute form of a ChangeSpec stages the
+// rows it asks for whatever the warehouse's size.
+func TestMixedRowsStagesItsCounts(t *testing.T) {
+	for _, sf := range []float64{0.001, 0.01} {
+		tw, err := NewWarehouse(Config{SF: sf, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := tw.StageChanges(MixedRows(gateRows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int64{}
+		for v, n := range gateRows {
+			want[v] = 2 * n
+		}
+		if !maps.Equal(sizes, want) {
+			t.Errorf("SF %v: staged %v, want %v", sf, sizes, want)
+		}
+	}
+	tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []ChangeSpec{
+		{DeleteRows: map[string]int64{Region: 6}},
+		{DeleteRows: map[string]int64{Order: -1}},
+		{DeleteFrac: map[string]float64{Order: 0.1}, DeleteRows: map[string]int64{Order: 1}},
+	} {
+		if _, err := tw.StageChanges(spec); err == nil {
+			t.Errorf("%+v staged", spec)
+		}
+	}
+}
+
+// tiled returns the SF 0.001 warehouse of seed 7 at ten times its size: its
+// SUPPLIER, CUSTOMER, ORDER and LINEITEM rows, and nine copies of them whose
+// keys — and the foreign keys that point at them — are shifted past the
+// ones before, beside the same 25 nations and 5 regions. That is SF 0.01's
+// row counts and per-key fan-outs (10 orders a customer, 4 lines an order,
+// 60 customers and 4 suppliers a nation), and its first tenth is the SF
+// 0.001 warehouse row for row. Fresh keys start past the tenth copy, in it
+// and in the SF 0.001 warehouse alike, so that a batch staged on one
+// applies to the other.
+func tiled(t *testing.T) (small, large *Warehouse) {
+	t.Helper()
+	const copies = 10
+	for _, w := range []**Warehouse{&small, &large} {
+		tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []string{Supplier, Customer, Order} {
+			tw.gen.nextKey[v] *= copies
+		}
+		*w = tw
+	}
+	n := RowCounts(0.001)
+	shift := map[string]map[int]int64{ // view → column → key range of a copy
+		Supplier: {0: int64(n[Supplier])},
+		Customer: {0: int64(n[Customer])},
+		Order:    {0: int64(n[Order]), 1: int64(n[Customer])},
+		LineItem: {0: int64(n[Order]), 2: int64(n[Supplier])},
+	}
+	for view, cols := range shift {
+		var rows []relation.Tuple
+		for c := int64(1); c < copies; c++ {
+			for _, r := range small.W.MustView(view).SortedRows() {
+				row := slices.Clone(r.Tuple)
+				for col, width := range cols {
+					row[col] = relation.NewInt(row[col].Int() + c*width)
+				}
+				rows = append(rows, row)
+			}
+		}
+		if err := large.W.LoadBase(view, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := large.W.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	return small, large
+}
+
+// TestWindowWorkFollowsTheBatch is the paper's title as a counted check: a
+// window's machine work follows its batch, not the warehouse. The same
+// batch (gateRows, drawn on the SF 0.001 warehouse) runs at SF 0.001 and at
+// SF 0.01 (tiled: the SF 0.001 rows are its first tenth, so scale is the
+// only variable, not the draw of the data), under one MinWork strategy on
+// the default engine, after one warm window that makes the join indexes
+// resident and places the written tables' rows. Across the 10× scale every
+// Comp step's index probes and the rows those probes yield, and every Inst
+// step's rows installed, must stay within gateBound: each join step a
+// delta drives looks up a key. A step that joins on a column shared by a
+// tenth of a table — CUSTOMER on its nation — yields ten times the rows
+// at SF 0.01. Allocated bytes per window are logged beside them, not
+// bounded.
+func TestWindowWorkFollowsTheBatch(t *testing.T) {
+	const gateBound = 1.25
+	small, large := tiled(t)
+	var s strategy.Strategy
+	var reps [2]exec.Report
+	var bytes [2]uint64
+	for seed := int64(1); seed <= 2; seed++ {
+		spec := MixedRows(gateRows)
+		spec.Seed = seed
+		if _, err := small.StageChanges(spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, view := range BaseViews {
+			d, err := small.W.DeltaOf(view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := large.W.StageDelta(view, d.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s == nil {
+			stats, err := exec.PlanningStats(small.W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := planner.MinWork(small.Graph, stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = res.Strategy
+		}
+		for i, tw := range []*Warehouse{small, large} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := exec.Execute(tw.W, s, exec.Options{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i], bytes[i] = rep, after.TotalAlloc-before.TotalAlloc
+		}
+	}
+	for _, tw := range []*Warehouse{small, large} {
+		if err := tw.W.VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("allocated by the window: %d KB at SF 0.001, %d KB at SF 0.01", bytes[0]>>10, bytes[1]>>10)
+	within := func(a, b int64) bool {
+		return float64(max(a, b)) <= gateBound*float64(min(a, b))
+	}
+	for i, a := range reps[0].Steps {
+		b := reps[1].Steps[i]
+		counts := [][3]any{{"rows installed", a.Work, b.Work}}
+		if _, comp := a.Expr.(strategy.Comp); comp {
+			counts = [][3]any{{"index probes", a.IndexProbes, b.IndexProbes}, {"index rows", a.IndexRows, b.IndexRows}}
+		}
+		for _, c := range counts {
+			x, y := c[1].(int64), c[2].(int64)
+			t.Logf("%-24s %-14s %6d → %6d", a.Expr, c[0], x, y)
+			if !within(x, y) {
+				t.Errorf("%s: %s %d at SF 0.001 and %d at SF 0.01, beyond %v× across the scale", a.Expr, c[0], x, y, gateBound)
+			}
 		}
 	}
 }
