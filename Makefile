@@ -169,11 +169,14 @@ bench:
 # warehouse at the repository benchmark's scale, its live heap after set-up
 # and after 20 windows, and LINEITEM's bytes per stored row. So does one served
 # query of each kind of the repository benchmark's two query mixes, through the
-# HTTP handler.
+# HTTP handler. So do what one TPC-D window does before its first step —
+# plan, validate, step DAG and begin record, with allocations and bytes — and
+# MinWork's planning cost as the VDAG grows.
 bench-smoke:
-	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution,-benchmem)
+	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution|BenchmarkWindowFixedPath,-benchmem)
 	$(call run-benches,.,BenchmarkResidentBytes)
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
+	$(call run-benches,./internal/planner,BenchmarkMinWorkScaling,-benchmem)
 	$(call run-benches,./internal/storage,.,-benchmem)
 	$(call run-benches,./internal/core,Probe,-benchmem)
 	$(call run-benches,./internal/recovery,StateDigest|JournaledWindow,-benchmem)

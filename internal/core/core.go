@@ -23,6 +23,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/vdag"
 )
 
 // Options configure warehouse execution behaviour.
@@ -51,6 +52,10 @@ type View struct {
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
 	finalized       *delta.Delta         // aggregate: cached tuple delta once read
+	// sharedDelta marks a base view's pendingDelta as also another
+	// warehouse's — Clone shares a staged batch instead of copying it — and
+	// so read-only: StageDelta merges into a copy of its own first.
+	sharedDelta bool
 }
 
 // Name returns the view's name.
@@ -152,19 +157,24 @@ func (v *View) HasPending() bool {
 // Warehouse is the catalog of views plus their materialized state.
 type Warehouse struct {
 	views map[string]*View
-	order []string // definition order; children always precede parents
-	opts  Options
+	// list holds the views in definition order — children always precede
+	// parents — so list[id] is the view the graph numbers id.
+	list []*View
+	opts Options
 	// version counts catalog changes (view definitions). The prepared-plan
 	// cache records the version a plan was bound against and discards the
 	// plan when it no longer matches, so a plan can never outlive the
 	// catalog shape it was resolved in. Clones inherit the version: a
 	// window commit that defines no views invalidates nothing.
 	version uint64
+	// graph is the catalog's VDAG: built where version is bumped, immutable,
+	// and shared by every clone of this catalog version.
+	graph *vdag.Graph
 }
 
 // New creates an empty warehouse.
 func New(opts Options) *Warehouse {
-	return &Warehouse{views: make(map[string]*View), opts: opts}
+	return &Warehouse{views: make(map[string]*View), opts: opts, graph: vdag.NewBuilder().Build()}
 }
 
 // Options returns the warehouse's execution options.
@@ -187,9 +197,7 @@ func (w *Warehouse) DefineBase(name string, schema relation.Schema) error {
 			return fmt.Errorf("core: base view %q: duplicate output column %q", name, c.Name)
 		}
 	}
-	w.views[name] = &View{name: name, table: storage.NewTable(schema)}
-	w.order = append(w.order, name)
-	w.version++
+	w.define(&View{name: name, table: storage.NewTable(schema)})
 	return nil
 }
 
@@ -223,11 +231,35 @@ func (w *Warehouse) DefineDerived(name string, def *algebra.CQ) error {
 	} else {
 		v.table = storage.NewTable(def.OutputSchema())
 	}
-	w.views[name] = v
-	w.order = append(w.order, name)
-	w.version++
+	w.define(v)
 	return nil
 }
+
+// define adds a checked view to the catalog: a new catalog version, whose
+// VDAG is built here, once.
+func (w *Warehouse) define(v *View) {
+	w.views[v.name] = v
+	w.list = append(w.list, v)
+	w.version++
+	b := vdag.NewBuilder()
+	for _, u := range w.list {
+		var over []string
+		if u.def != nil {
+			over = u.def.BaseViews()
+		}
+		if err := b.Add(u.name, over); err != nil {
+			panic(fmt.Sprintf("core: catalog is not a VDAG: %v", err)) // the Define checks rule this out
+		}
+	}
+	w.graph = b.Build()
+}
+
+// Graph returns the catalog's VDAG — the one graph of this catalog version,
+// shared with every clone; ids are definition order. O(1).
+func (w *Warehouse) Graph() *vdag.Graph { return w.graph }
+
+// ViewAt returns the view the catalog's graph numbers id.
+func (w *Warehouse) ViewAt(id int32) *View { return w.list[id] }
 
 // CatalogVersion returns the monotonic count of catalog changes. Two
 // warehouses (e.g. an epoch snapshot and its successor) answer queries
@@ -258,35 +290,15 @@ func (w *Warehouse) MustView(name string) *View {
 }
 
 // ViewNames returns all view names in definition order.
-func (w *Warehouse) ViewNames() []string { return append([]string(nil), w.order...) }
+func (w *Warehouse) ViewNames() []string { return w.graph.Views() }
 
-// Children returns the distinct views the named view is defined over
-// (empty for base views).
-func (w *Warehouse) Children(name string) []string {
-	v := w.MustView(name)
-	if v.def == nil {
-		return nil
-	}
-	return v.def.BaseViews()
-}
+// Children returns the distinct views the named view is defined over, from
+// the catalog's graph (empty for base views and names the catalog lacks).
+func (w *Warehouse) Children(name string) []string { return w.graph.Children(name) }
 
-// Parents returns the views defined (directly) over the named view.
-func (w *Warehouse) Parents(name string) []string {
-	var out []string
-	for _, n := range w.order {
-		v := w.views[n]
-		if v.def == nil {
-			continue
-		}
-		for _, child := range v.def.BaseViews() {
-			if child == name {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
-}
+// Parents returns the views defined (directly) over the named view, in
+// definition order.
+func (w *Warehouse) Parents(name string) []string { return w.graph.Parents(name) }
 
 // LoadBase bulk-inserts rows into a base view (initial population).
 func (w *Warehouse) LoadBase(name string, rows []relation.Tuple) error {
@@ -320,8 +332,11 @@ func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 	if !d.Schema().Equal(v.table.Schema()) {
 		return fmt.Errorf("core: staged delta schema does not match %q", name)
 	}
-	if v.pendingDelta == nil {
+	switch {
+	case v.pendingDelta == nil:
 		v.pendingDelta = delta.New(v.table.Schema())
+	case v.sharedDelta:
+		v.pendingDelta, v.sharedDelta = v.pendingDelta.Clone(), false
 	}
 	v.pendingDelta.Merge(d)
 	return nil
@@ -401,7 +416,7 @@ func (w *Warehouse) Install(name string) (int64, error) {
 	if err := v.table.ApplyDelta(d); err != nil {
 		return 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 	}
-	v.pendingDelta = nil
+	v.pendingDelta, v.sharedDelta = nil, false
 	return n, nil
 }
 
@@ -410,14 +425,16 @@ func (w *Warehouse) Install(name string) (int64, error) {
 func (w *Warehouse) ShareTuner() any { return nil }
 
 // Clone returns a deep copy of the warehouse: independent stores and pending
-// state, shared (immutable) definitions and compiled join orders. Executing
-// a strategy on a clone leaves the original untouched, which is how the
-// experiments compare many strategies from the same start state.
+// state, shared (immutable) definitions, compiled join orders and VDAG.
+// Executing a strategy on a clone leaves the original untouched, which is how
+// the experiments compare many strategies from the same start state. A base
+// view's staged batch is not copied: both warehouses hold it read-only until
+// one of them stages more (StageDelta) or installs it, so Clone writes the
+// source as the stores' own clones do.
 func (w *Warehouse) Clone() *Warehouse {
-	out := New(w.opts)
-	out.order = append([]string(nil), w.order...)
-	out.version = w.version
-	for name, v := range w.views {
+	out := &Warehouse{views: make(map[string]*View, len(w.list)), opts: w.opts, version: w.version, graph: w.graph}
+	out.list = make([]*View, 0, len(w.list))
+	for _, v := range w.list {
 		nv := &View{name: v.name, def: v.def, orders: v.orders}
 		if v.table != nil {
 			nv.table = v.table.Clone()
@@ -425,8 +442,12 @@ func (w *Warehouse) Clone() *Warehouse {
 		if v.agg != nil {
 			nv.agg = v.agg.Clone()
 		}
-		if v.pendingDelta != nil {
-			nv.pendingDelta = v.pendingDelta.Clone()
+		switch {
+		case v.pendingDelta == nil:
+		case v.def == nil:
+			nv.pendingDelta, nv.sharedDelta, v.sharedDelta = v.pendingDelta, true, true
+		default:
+			nv.pendingDelta = v.pendingDelta.Clone() // Compute writes a derived view's
 		}
 		if v.pendingPartials != nil {
 			// Partials are cloned by merging into an empty set.
@@ -437,7 +458,8 @@ func (w *Warehouse) Clone() *Warehouse {
 		if v.finalized != nil {
 			nv.finalized = v.finalized.Clone()
 		}
-		out.views[name] = nv
+		out.views[v.name] = nv
+		out.list = append(out.list, nv)
 	}
 	return out
 }

@@ -551,3 +551,58 @@ func TestRandomizedStrategiesMatchRecompute(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneSharesTheStagedBatch: Clone hands a base view's staged delta to the
+// clone without copying it, and neither side sees the other's later changes —
+// more staged on either, or an install on either.
+func TestCloneSharesTheStagedBatch(t *testing.T) {
+	w := newJoinWarehouse(t)
+	loadJoinData(t, w)
+	stage(t, w, "R", []delta.Change{{Tuple: intRow(1, 10), Count: -1}, {Tuple: intRow(7, 20), Count: 1}})
+	digest := func(w *Warehouse) uint64 {
+		d, err := w.DeltaOf("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Digest()
+	}
+	staged := digest(w)
+
+	cl := w.Clone()
+	if a, _ := w.DeltaOf("R"); a != mustDelta(t, cl, "R") {
+		t.Fatalf("Clone copied the staged delta")
+	}
+	stage(t, cl, "R", []delta.Change{{Tuple: intRow(8, 20), Count: 1}})
+	if digest(w) != staged || digest(cl) == staged {
+		t.Errorf("staging on the clone: source digest %x (want %x), clone %x", digest(w), staged, digest(cl))
+	}
+
+	cl2 := w.Clone()
+	stage(t, w, "R", []delta.Change{{Tuple: intRow(9, 20), Count: 1}})
+	if digest(cl2) != staged || digest(w) == staged {
+		t.Errorf("staging on the source: clone digest %x (want %x)", digest(cl2), staged)
+	}
+
+	cl3 := cl2.Clone()
+	if _, err := cl3.Install("R"); err != nil {
+		t.Fatal(err)
+	}
+	if digest(cl2) != staged || !cl2.MustView("R").HasPending() || cl2.MustView("R").Cardinality() != 3 {
+		t.Errorf("an install on a clone reached its source")
+	}
+	for _, step := range []string{"cJ.R", "iR", "cJ.S", "iS", "cA.J", "iJ", "iA"} {
+		applyStep(t, cl2, step)
+	}
+	if err := cl2.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustDelta(t *testing.T, w *Warehouse, view string) *delta.Delta {
+	t.Helper()
+	d, err := w.DeltaOf(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}

@@ -135,12 +135,11 @@ const verifyTolerance = 1e-9
 // topological, so each view is checked against already-verified children),
 // and every view's running digest against a scan of its rows.
 func (w *Warehouse) VerifyAll() error {
-	for _, name := range w.order {
-		v := w.views[name]
+	for _, v := range w.list {
 		if err := v.CheckDigest(); err != nil {
-			return fmt.Errorf("core: view %q: %w", name, err)
+			return fmt.Errorf("core: view %q: %w", v.name, err)
 		}
-		if err := w.VerifyView(name); err != nil {
+		if err := w.VerifyView(v.name); err != nil {
 			return err
 		}
 	}
@@ -151,8 +150,7 @@ func (w *Warehouse) VerifyAll() error {
 // overwrites its materialized state, in definition (topological) order. It
 // is how a warehouse is initially populated after LoadBase.
 func (w *Warehouse) RefreshAll() error {
-	for _, name := range w.order {
-		v := w.views[name]
+	for _, v := range w.list {
 		if v.IsBase() {
 			continue
 		}
@@ -186,9 +184,9 @@ func (w *Warehouse) refreshOne(v *View) error {
 // PendingViews returns the names of views with uninstalled changes.
 func (w *Warehouse) PendingViews() []string {
 	var out []string
-	for _, name := range w.order {
-		if w.views[name].HasPending() {
-			out = append(out, name)
+	for _, v := range w.list {
+		if v.HasPending() {
+			out = append(out, v.name)
 		}
 	}
 	return out

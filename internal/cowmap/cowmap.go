@@ -44,6 +44,9 @@ func Extend(h uint64, p []byte) uint64 {
 	return ^h
 }
 
+// ExtendString is Extend over a string's bytes.
+func ExtendString(h uint64, s string) uint64 { return ^update(^h, s) }
+
 // slicing holds the slicing-by-8 tables of the ECMA polynomial. hash/crc64
 // has the same tables, but reaches them through a 2 KB table comparison on
 // every call and only for inputs of 64 bytes and more; row keys are about

@@ -10,10 +10,10 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"sort"
 	"sync"
 
+	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
@@ -202,22 +202,19 @@ func (d *Delta) ScanEncoded(fn func(key string, count int64) bool) {
 	}
 }
 
-var digestTable = crc64.MakeTable(crc64.ECMA)
-
 // Digest returns an order-independent fingerprint of the delta's contents:
-// the XOR over rows of CRC64(encoded tuple ‖ varint count). Two deltas
-// holding the same bag of signed changes digest identically regardless of
-// accumulation order, which is what lets the window journal compare a
-// replayed step's installed delta against the journaled one across
+// the XOR over rows of CRC64(encoded tuple ‖ varint count), the CRC-64/ECMA
+// hash/crc64 gives, taken over the key's string in place (cowmap.Hash). Two
+// deltas holding the same bag of signed changes digest identically
+// regardless of accumulation order, which is what lets the window journal
+// compare a replayed step's installed delta against the journaled one across
 // execution modes.
 func (d *Delta) Digest() uint64 {
 	var h uint64
 	var buf [binary.MaxVarintLen64]byte
 	for key, count := range d.rows {
-		crc := crc64.Update(0, digestTable, []byte(key))
 		n := binary.PutVarint(buf[:], count)
-		crc = crc64.Update(crc, digestTable, buf[:n])
-		h ^= crc
+		h ^= cowmap.Extend(cowmap.Hash(key), buf[:n])
 	}
 	return h
 }

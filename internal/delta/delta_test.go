@@ -1,6 +1,10 @@
 package delta
 
 import (
+	"encoding/binary"
+	"hash/crc64"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -416,6 +420,32 @@ func TestConcurrentScansDecodeOnce(t *testing.T) {
 			if !sameTuple(tp, got[g][k]) {
 				t.Fatalf("scanners 0 and %d hold different decodings of tuple %d", g, k)
 			}
+		}
+	}
+}
+
+// TestDigestIsTheCRCOfKeyAndCount: Digest is the XOR over rows of
+// hash/crc64's CRC-64/ECMA of the encoded tuple followed by the varint count
+// — the value journals record — on drawn deltas with keys shorter and
+// longer than a slicing step.
+func TestDigestIsTheCRCOfKeyAndCount(t *testing.T) {
+	table := crc64.MakeTable(crc64.ECMA)
+	rng := rand.New(rand.NewSource(52))
+	schema := relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "s", Kind: relation.KindString}}
+	for trial := 0; trial < 50; trial++ {
+		d := New(schema)
+		for i, n := 0, rng.Intn(100); i < n; i++ {
+			d.Add(relation.Tuple{relation.NewInt(rng.Int63()), relation.NewString(strings.Repeat("y", rng.Intn(90)))}, rng.Int63n(2001)-1000)
+		}
+		var want uint64
+		var buf [binary.MaxVarintLen64]byte
+		d.ScanEncoded(func(key string, count int64) bool {
+			crc := crc64.Update(0, table, []byte(key))
+			want ^= crc64.Update(crc, table, buf[:binary.PutVarint(buf[:], count)])
+			return true
+		})
+		if got := d.Digest(); got != want {
+			t.Fatalf("trial %d: Digest %016x, CRC of key and count %016x", trial, got, want)
 		}
 	}
 }

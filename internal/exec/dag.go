@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/strategy"
+	"repro/internal/vdag"
 )
 
 // This file implements the conflict analysis of Section 9 of the paper,
@@ -55,82 +57,85 @@ func (p Plan) Exprs() int {
 	return n
 }
 
-// conflicts reports whether expression b must wait for earlier expression a;
-// children resolves the views a derived view is defined over.
-func conflicts(a, b strategy.Expr, children func(view string) []string) bool {
-	switch x := a.(type) {
-	case strategy.Inst:
-		switch y := b.(type) {
-		case strategy.Inst:
-			return x.View == y.View
-		case strategy.Comp:
-			// The Comp reads the state (or delta) of every referenced view.
-			for _, c := range children(y.View) {
-				if c == x.View {
-					return true
-				}
-			}
-			return y.View == x.View // Inst(V) consumes δV that Comp(V,·) writes
-		}
-	case strategy.Comp:
-		switch y := b.(type) {
-		case strategy.Inst:
-			// Inst(V) after Comp(V,·) (consumes its output); Inst(X) after
-			// Comp(·,{…X…}) (C3: the Comp reads δX before it is folded in).
-			if y.View == x.View {
-				return true
-			}
-			return x.Uses(y.View)
-		case strategy.Comp:
-			if x.View == y.View {
-				return true // both write δ(View)
-			}
-			// C8: a Comp consuming δX waits for the Comps producing it.
-			return y.Uses(x.View) || x.Uses(y.View)
-		}
+// mustWait reports whether expression b of the resolved strategy conflicts
+// with earlier expression a and so must wait for it; g is the graph it was
+// resolved against.
+func mustWait(r *strategy.Resolved, g *vdag.Graph, a, b int32) bool {
+	ka, kb := r.Kind(a), r.Kind(b)
+	va, vb := r.View(a), r.View(b)
+	uses := func(p, v int32) bool { return slices.Contains(r.Over(p), v) }
+	switch {
+	case ka == strategy.OtherExpr || kb == strategy.OtherExpr:
+		return false
+	case ka == strategy.InstExpr && kb == strategy.InstExpr:
+		return va == vb
+	case ka == strategy.InstExpr:
+		// The Comp reads the state (or delta) of every referenced view, and
+		// Inst(V) consumes the δV that Comp(V,·) writes.
+		return vb == va || int(vb) < g.Len() && slices.Contains(g.ChildIDs(vb), va)
+	case kb == strategy.InstExpr:
+		// Inst(V) after Comp(V,·) (consumes its output); Inst(X) after
+		// Comp(·,{…X…}) (C3: the Comp reads δX before it is folded in).
+		return vb == va || uses(a, vb)
 	}
-	return false
+	// Both write δ(View), or C8: a Comp consuming δX waits for the Comps
+	// producing it.
+	return va == vb || uses(b, va) || uses(a, vb)
 }
 
 // DAG is the precedence graph of a correct sequential strategy: node i is
 // the strategy's i-th expression; an edge j→i (j < i) means expression i
 // conflicts with earlier expression j and must wait for it. Because edges
 // only point from lower to higher strategy positions, the graph is acyclic
-// by construction.
+// by construction. Its edges are kept flat: node i's predecessors are
+// pred[predOff[i]:predOff[i+1]], its successors likewise.
 type DAG struct {
-	exprs  strategy.Strategy
-	preds  [][]int // preds[i]: nodes i waits for (each < i)
-	succs  [][]int // succs[j]: nodes waiting for j (each > j)
-	level  []int   // barrier-stage index: 1 + max level over preds
-	widths []int   // widths[l]: number of nodes at level l
+	exprs         strategy.Strategy
+	predOff, pred []int32 // nodes i waits for (each < i), ascending
+	succOff, succ []int32 // nodes waiting for j (each > j), ascending
+	level         []int   // barrier-stage index: 1 + max level over preds
+	widths        []int   // widths[l]: number of nodes at level l
 }
 
-// BuildDAG converts a correct sequential strategy into its precedence DAG.
-// The edge set is the full conflict relation (no transitive reduction):
-// redundant edges do not change the schedule, only the in-degree
-// bookkeeping.
-func BuildDAG(s strategy.Strategy, children func(view string) []string) *DAG {
+// BuildDAG converts a correct sequential strategy into its precedence DAG,
+// resolving its views against g, the warehouse's VDAG. The edge set is the
+// full conflict relation (no transitive reduction): redundant edges do not
+// change the schedule, only the in-degree bookkeeping.
+func BuildDAG(s strategy.Strategy, g *vdag.Graph) *DAG {
 	n := len(s)
+	r := strategy.Resolve(g, s)
 	d := &DAG{
-		exprs: s.Clone(),
-		preds: make([][]int, n),
-		succs: make([][]int, n),
-		level: make([]int, n),
+		exprs:   s.Clone(),
+		predOff: make([]int32, n+1),
+		pred:    make([]int32, 0, 8*n),
+		succOff: make([]int32, n+1),
+		level:   make([]int, n),
+		widths:  make([]int, 0, n),
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
-			if conflicts(s[j], s[i], children) {
-				d.preds[i] = append(d.preds[i], j)
-				d.succs[j] = append(d.succs[j], i)
-				if d.level[j]+1 > d.level[i] {
-					d.level[i] = d.level[j] + 1
-				}
+			if mustWait(&r, g, int32(j), int32(i)) {
+				d.pred = append(d.pred, int32(j))
+				d.succOff[j+1]++
+				d.level[i] = max(d.level[i], d.level[j]+1)
 			}
 		}
+		d.predOff[i+1] = int32(len(d.pred))
 		for len(d.widths) <= d.level[i] {
 			d.widths = append(d.widths, 0)
 		}
 		d.widths[d.level[i]]++
+	}
+	for j := 0; j < n; j++ {
+		d.succOff[j+1] += d.succOff[j]
+	}
+	d.succ = make([]int32, len(d.pred))
+	fill := slices.Clone(d.succOff[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range d.preds(i) {
+			d.succ[fill[j]] = int32(i)
+			fill[j]++
+		}
 	}
 	return d
 }
@@ -138,9 +143,15 @@ func BuildDAG(s strategy.Strategy, children func(view string) []string) *DAG {
 // Parallelize converts a correct sequential strategy into a staged plan:
 // each expression lands in the earliest stage after all earlier conflicting
 // expressions. The sequential semantics are preserved exactly.
-func Parallelize(s strategy.Strategy, children func(view string) []string) Plan {
-	return BuildDAG(s, children).StagedPlan()
+func Parallelize(s strategy.Strategy, g *vdag.Graph) Plan {
+	return BuildDAG(s, g).StagedPlan()
 }
+
+// preds returns the nodes node i waits for.
+func (d *DAG) preds(i int) []int32 { return d.pred[d.predOff[i]:d.predOff[i+1]] }
+
+// succs returns the nodes waiting for node j.
+func (d *DAG) succs(j int) []int32 { return d.succ[d.succOff[j]:d.succOff[j+1]] }
 
 // Len returns the number of expressions (nodes).
 func (d *DAG) Len() int { return len(d.exprs) }
@@ -150,12 +161,7 @@ func (d *DAG) Expr(i int) strategy.Expr { return d.exprs[i] }
 
 // HasEdge reports whether node i waits for node j.
 func (d *DAG) HasEdge(j, i int) bool {
-	for _, p := range d.preds[i] {
-		if p == j {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(d.preds(i), int32(j))
 }
 
 // Level returns the barrier-stage index of node i.
@@ -188,11 +194,11 @@ func (d *DAG) StagedPlan() Plan {
 func (d *DAG) Acyclic() bool {
 	n := d.Len()
 	indeg := make([]int, n)
-	var queue []int
+	var queue []int32
 	for i := 0; i < n; i++ {
-		indeg[i] = len(d.preds[i])
+		indeg[i] = len(d.preds(i))
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			queue = append(queue, int32(i))
 		}
 	}
 	removed := 0
@@ -200,7 +206,7 @@ func (d *DAG) Acyclic() bool {
 		j := queue[0]
 		queue = queue[1:]
 		removed++
-		for _, i := range d.succs[j] {
+		for _, i := range d.succs(int(j)) {
 			indeg[i]--
 			if indeg[i] == 0 {
 				queue = append(queue, i)
@@ -235,7 +241,7 @@ func (d *DAG) criticalPathWork(work []int64) int64 {
 	var longest int64
 	for i := range d.exprs {
 		var best int64
-		for _, j := range d.preds[i] {
+		for _, j := range d.preds(i) {
 			if cp[j] > best {
 				best = cp[j]
 			}

@@ -71,7 +71,7 @@ func forkDualStage(w *core.Warehouse) strategy.Strategy {
 
 func TestParallelizeDualStage(t *testing.T) {
 	w := newForkWarehouse(t)
-	plan := Parallelize(forkDualStage(w), w.Children)
+	plan := Parallelize(forkDualStage(w), w.Graph())
 	// Both comps are independent → stage 1; all installs conflict with the
 	// comps → stage 2.
 	if plan.Stages() != 2 {
@@ -98,7 +98,7 @@ func TestParallelizeOneWayKeepsOrder(t *testing.T) {
 		strategy.Inst{View: "S"},
 		strategy.Inst{View: "J1"}, strategy.Inst{View: "J2"},
 	}
-	plan := Parallelize(s, w.Children)
+	plan := Parallelize(s, w.Graph())
 	// Stage 1: both comps over R. Stage 2: Inst(R). Stage 3: Comp(J1,{S}),
 	// Inst(J2)? Inst(J2) conflicts with Comp(J2,{R}) (stage 1) only → could
 	// land in stage 2 alongside Inst(R).
@@ -139,8 +139,8 @@ func TestParallelizePropertyRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := Parallelize(res.Strategy, g.Children)
-		d := BuildDAG(res.Strategy, g.Children)
+		plan := Parallelize(res.Strategy, g)
+		d := BuildDAG(res.Strategy, g)
 		if d.Len() != len(res.Strategy) || d.Levels() != plan.Stages() {
 			t.Fatalf("trial %d: DAG has %d nodes in %d levels, strategy %d in %d stages",
 				trial, d.Len(), d.Levels(), len(res.Strategy), plan.Stages())
@@ -254,7 +254,7 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 		strategy.Comp{View: "K", Over: []string{"J"}},
 		strategy.Inst{View: "R"}, strategy.Inst{View: "J"}, strategy.Inst{View: "K"},
 	}
-	plan := Parallelize(s, w.Children)
+	plan := Parallelize(s, w.Graph())
 	if len(plan[0]) != 1 {
 		t.Fatalf("unflattened first stage = %v", plan[0])
 	}
@@ -283,7 +283,7 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 		strategy.Comp{View: "K", Over: []string{"R"}},
 		strategy.Inst{View: "R"}, strategy.Inst{View: "J"}, strategy.Inst{View: "K"},
 	}
-	planF := Parallelize(sf, w2.Children)
+	planF := Parallelize(sf, w2.Graph())
 	if len(planF[0]) != 2 {
 		t.Fatalf("flattened first stage = %v (%s)", planF[0], planF)
 	}
@@ -324,6 +324,48 @@ var fuzzVDAG = map[string][]string{
 
 func fuzzChildren(view string) []string { return fuzzVDAG[view] }
 
+var fuzzGraph = vdag.MustBuild(
+	[2]interface{}{"R", nil}, [2]interface{}{"S", nil},
+	[2]interface{}{"J1", fuzzVDAG["J1"]},
+	[2]interface{}{"J2", fuzzVDAG["J2"]},
+	[2]interface{}{"K", fuzzVDAG["K"]},
+)
+
+// conflicts is the conflict relation as BuildDAG decided it by name before
+// it resolved views to ids: whether expression b must wait for earlier
+// expression a, children resolving the views a derived view is defined
+// over. The tests hold the id form to it.
+func conflicts(a, b strategy.Expr, children func(view string) []string) bool {
+	switch x := a.(type) {
+	case strategy.Inst:
+		switch y := b.(type) {
+		case strategy.Inst:
+			return x.View == y.View
+		case strategy.Comp:
+			for _, c := range children(y.View) {
+				if c == x.View {
+					return true
+				}
+			}
+			return y.View == x.View
+		}
+	case strategy.Comp:
+		switch y := b.(type) {
+		case strategy.Inst:
+			if y.View == x.View {
+				return true
+			}
+			return x.Uses(y.View)
+		case strategy.Comp:
+			if x.View == y.View {
+				return true
+			}
+			return y.Uses(x.View) || x.Uses(y.View)
+		}
+	}
+	return false
+}
+
 // fuzzVocab is the expression alphabet fuzzed strategies are decoded from:
 // every Inst plus every 1-way and combined Comp over the fuzz VDAG.
 var fuzzVocab = []strategy.Expr{
@@ -363,8 +405,8 @@ func FuzzParallelizeRespectsConflicts(f *testing.F) {
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2}) // out-of-range bytes wrap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeStrategy(data)
-		plan := Parallelize(s, fuzzChildren)
-		d := BuildDAG(s, fuzzChildren)
+		plan := Parallelize(s, fuzzGraph)
+		d := BuildDAG(s, fuzzGraph)
 
 		if plan.Exprs() != len(s) || d.Len() != len(s) {
 			t.Fatalf("expression count changed: plan %d, dag %d, strategy %d",

@@ -184,17 +184,6 @@ type Options struct {
 	Faults *faults.Injector
 }
 
-// Graph derives the VDAG of a warehouse.
-func Graph(w *core.Warehouse) (*vdag.Graph, error) {
-	b := vdag.NewBuilder()
-	for _, name := range w.ViewNames() {
-		if err := b.Add(name, w.Children(name)); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
 // PanicError converts a recovered panic value into an error, preserving
 // error identity (errors.Is / errors.As see through the wrapping) when the
 // panic value is itself an error. Every executor that turns worker panics
@@ -313,7 +302,7 @@ func Execute(w *core.Warehouse, s strategy.Strategy, opts Options) (Report, erro
 			return rep, err
 		}
 	}
-	d := BuildDAG(s, w.Children)
+	d := BuildDAG(s, w.Graph())
 	err := d.run(w, mode, opts, &rep)
 	return rep, err
 }
@@ -339,7 +328,7 @@ func newReadySet(d *DAG, staged bool) *readySet {
 	r := &readySet{d: d, indeg: make([]int, d.Len()), ready: make([]bool, d.Len()), left: d.Len(), staged: staged}
 	r.cond = sync.NewCond(&r.mu)
 	for i := range r.indeg {
-		r.indeg[i] = len(d.preds[i])
+		r.indeg[i] = len(d.preds(i))
 		r.ready[i] = r.indeg[i] == 0
 	}
 	r.open = d.width(0)
@@ -369,7 +358,7 @@ func (r *readySet) take() (int, bool) {
 func (r *readySet) done(i int) {
 	r.mu.Lock()
 	r.left--
-	for _, succ := range r.d.succs[i] {
+	for _, succ := range r.d.succs(i) {
 		if r.indeg[succ]--; r.indeg[succ] == 0 {
 			r.ready[succ] = true
 		}
@@ -514,35 +503,25 @@ func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error
 // relative to the warehouse's VDAG and current pending changes, relaxed as
 // in footnote 5: a view may be skipped if nothing it depends on changed.
 func Validate(w *core.Warehouse, s strategy.Strategy) error {
-	g, err := Graph(w)
-	if err != nil {
-		return err
-	}
-	changed := changedViews(w)
-	quiescent := func(v string) bool { return !changed[v] }
-	if err := strategy.ValidateVDAGStrategyRelaxed(g, s, quiescent); err != nil {
+	g := w.Graph()
+	if err := strategy.ValidateVDAGStrategyRelaxed(g, s, quiescentViews(w, g)); err != nil {
 		return fmt.Errorf("exec: refusing incorrect strategy: %w", err)
 	}
 	return nil
 }
 
-// changedViews computes which views the staged update batch touches: a base
-// view with pending changes, a view with computed-but-uninstalled changes,
-// or a derived view with a changed child (transitively). The complement is
-// the quiescent set of the footnote-5 relaxation: views a strategy may skip.
-func changedViews(w *core.Warehouse) map[string]bool {
-	changed := make(map[string]bool)
-	for _, name := range w.ViewNames() { // topological order
-		if w.MustView(name).HasPending() {
-			changed[name] = true
-			continue
-		}
-		for _, c := range w.Children(name) {
-			if changed[c] {
-				changed[name] = true
-				break
-			}
+// quiescentViews computes, by view id, the quiescent set of the footnote-5
+// relaxation — the views a strategy may skip: those the staged update batch
+// does not touch. A view is touched when it has pending changes (a base view
+// with a staged delta, a view with computed-but-uninstalled changes) or a
+// touched child.
+func quiescentViews(w *core.Warehouse, g *vdag.Graph) []bool {
+	quiet := make([]bool, g.Len())
+	for v := range quiet { // ids are topological
+		quiet[v] = !w.ViewAt(int32(v)).HasPending()
+		for _, c := range g.ChildIDs(int32(v)) {
+			quiet[v] = quiet[v] && quiet[c]
 		}
 	}
-	return changed
+	return quiet
 }

@@ -208,10 +208,7 @@ func TestRefCountsAndGraph(t *testing.T) {
 	if _, ok := rc["R"]; ok {
 		t.Errorf("base view should have no ref counts")
 	}
-	g, err := Graph(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := w.Graph()
 	if !g.IsTree() || g.Level("A") != 2 {
 		t.Errorf("graph misderived: %s", g)
 	}

@@ -18,10 +18,7 @@ import (
 func TestTheorem61Measured(t *testing.T) {
 	base := newWarehouse(t, rand.New(rand.NewSource(61)))
 	stageRandomChanges(t, base, rand.New(rand.NewSource(62)))
-	g, err := Graph(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := base.Graph()
 	withParents := make(map[string]bool)
 	for _, v := range g.ViewsWithParents() {
 		withParents[v] = true

@@ -51,12 +51,29 @@ func ChunkCRC(p []byte) uint64 { return crc64.Checksum(p, crcTable) }
 // EncodeFrame wraps a payload in a frame without appending it anywhere. The
 // CRC covers the type byte, the length bytes and the payload.
 func EncodeFrame(typ byte, payload []byte) []byte {
-	frame := make([]byte, 0, 1+binary.MaxVarintLen64+len(payload)+8)
-	frame = append(frame, typ)
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-	sum := crc64.Checksum(frame, crcTable)
-	return binary.BigEndian.AppendUint64(frame, sum)
+	buf, start := appendFrame(make([]byte, 0, frameGap+len(payload)+8), typ,
+		func(p []byte) []byte { return append(p, payload...) })
+	return buf[start:]
+}
+
+// frameGap is the room a frame's head takes at most: the type byte and the
+// payload's length as a uvarint.
+const frameGap = 1 + binary.MaxVarintLen64
+
+// appendFrame appends to dst the frame of the payload enc appends and
+// returns the buffer and where in it the frame starts. The payload is
+// encoded once, where it stays: behind a gap of frameGap bytes, into whose
+// end the head is written once the payload's length is known; the CRC over
+// head and payload follows it.
+func appendFrame(dst []byte, typ byte, enc func([]byte) []byte) ([]byte, int) {
+	var head [frameGap]byte
+	body := len(dst) + frameGap
+	dst = enc(append(dst, head[:]...))
+	head[0] = typ
+	n := 1 + binary.PutUvarint(head[1:], uint64(len(dst)-body))
+	start := body - n
+	copy(dst[start:body], head[:n])
+	return binary.BigEndian.AppendUint64(dst, crc64.Checksum(dst[start:], crcTable)), start
 }
 
 // DecodeFrame parses the first frame of buf: its type byte, its payload

@@ -62,11 +62,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"slices"
 	"sync"
 
+	"repro/internal/cowmap"
 	"repro/internal/strategy"
 )
 
@@ -225,6 +225,25 @@ type Writer struct {
 	written, durable, begun int64
 	// syncing is closed when the sync in progress returns; nil when none runs.
 	syncing chan struct{}
+	// buf is the buffer records are encoded into in place and handed to out
+	// from — which, an io.Writer, keeps none of it — reused from record to
+	// record. A buffer grown past maxKeptBuffer for a large batch is let go
+	// once written.
+	buf []byte
+}
+
+// maxKeptBuffer is the largest frame buffer a Writer keeps for its next
+// record: a window of the repository benchmark's size (tens of kilobytes) is
+// journaled without allocating, and an operator's multi-megabyte batch is
+// not pinned by the writer after its window.
+const maxKeptBuffer = 256 << 10
+
+// keepLocked keeps buf as the writer's buffer unless it is too large to
+// keep (w.mu held).
+func (w *Writer) keepLocked(buf []byte) {
+	if cap(buf) <= maxKeptBuffer {
+		w.buf = buf[:0]
+	}
 }
 
 // NewWriter creates a journal writer appending to out, numbering accepts
@@ -254,17 +273,19 @@ func (w *Writer) Err() error {
 	return w.err
 }
 
-// appendLocked writes one record (w.mu held).
-func (w *Writer) appendLocked(typ byte, payload []byte) error {
+// appendLocked writes one record, whose payload enc encodes in place into
+// the frame, and hands the frame to the sink in one Write (w.mu held).
+func (w *Writer) appendLocked(typ byte, enc func([]byte) []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	frame := EncodeFrame(typ, payload)
-	if _, err := w.out.Write(frame); err != nil {
+	buf, start := appendFrame(w.buf[:0], typ, enc)
+	defer w.keepLocked(buf)
+	if _, err := w.out.Write(buf[start:]); err != nil {
 		w.err = fmt.Errorf("journal: append: %w", err)
 		return w.err
 	}
-	w.written += int64(len(frame))
+	w.written += int64(len(buf) - start)
 	return nil
 }
 
@@ -349,7 +370,7 @@ func (w *Writer) Accept(a AcceptRecord) (AcceptRecord, int64, error) {
 
 func (w *Writer) acceptLocked(a AcceptRecord) (AcceptRecord, error) {
 	a.Seq = w.lastAccept + 1
-	if err := w.appendLocked(TypeAccept, encodeAccept(a)); err != nil {
+	if err := w.appendLocked(TypeAccept, a.appendTo); err != nil {
 		return a, err
 	}
 	if w.lastAccept = a.Seq; !a.Own {
@@ -372,12 +393,20 @@ func (w *Writer) Pending() Accepts {
 // Begin appends a window-begin record — behind the accept of its own batch
 // when b.Own is set — and starts the sync that makes them durable, which
 // Commit, Abort or Wait waits for; Begin does not. Without b.Own, every accept
-// b names must be pending.
+// b names must be pending. Each frame is encoded in place into the writer's
+// buffer and handed to the sink in one Write.
 func (w *Writer) Begin(b BeginRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.gateLocked(); err != nil {
 		return err
+	}
+	for _, e := range b.Strategy {
+		switch e.(type) {
+		case strategy.Comp, strategy.Inst:
+		default:
+			return fmt.Errorf("journal: unknown expression type %T", e)
+		}
 	}
 	if b.Own {
 		a, err := w.acceptLocked(AcceptRecord{Own: true, Batch: b.Batch})
@@ -388,11 +417,7 @@ func (w *Writer) Begin(b BeginRecord) error {
 	} else if _, err := w.pending.Named(b.Accepts); err != nil {
 		return err
 	}
-	p, err := encodeBegin(b)
-	if err != nil {
-		return err
-	}
-	if err := w.appendLocked(TypeBegin, p); err != nil {
+	if err := w.appendLocked(TypeBegin, b.appendTo); err != nil {
 		return err
 	}
 	w.open, w.begun, w.inWindow = b.Accepts, w.written, true
@@ -407,38 +432,41 @@ func (w *Writer) Step(s StepRecord) error {
 	if err := w.gateLocked(); err != nil {
 		return err
 	}
-	return w.appendLocked(TypeStep, encodeStep(s))
+	return w.appendLocked(TypeStep, s.appendTo)
 }
 
 // Commit appends a window-commit record, once the window's begin record is
 // durable, and syncs it. It stamps the record with when the first accept the
 // window installs was accepted, and those accepts are pending no more.
 func (w *Writer) Commit(c CommitRecord) error {
-	return w.close(TypeCommit, func() []byte {
+	return w.close(TypeCommit, func() func([]byte) []byte {
 		c.AcceptUnixNano = 0
 		if named, _ := w.pending.Named(w.open); len(named) > 0 {
 			c.AcceptUnixNano = named[0].UnixNano
 		}
 		w.pending = w.pending.Without(w.open)
 		w.latest = c
-		return encodeCommit(c)
+		return c.appendTo
 	})
 }
 
 // Abort appends a window-abort record, once the window's begin record is
 // durable, and syncs it.
 func (w *Writer) Abort(a AbortRecord) error {
-	return w.close(TypeAbort, func() []byte { return AppendString(nil, a.Reason) })
+	return w.close(TypeAbort, func() func([]byte) []byte {
+		return func(p []byte) []byte { return AppendString(p, a.Reason) }
+	})
 }
 
-// close appends a window's closing record, which payload encodes (w.mu
-// held), behind its durable begin record and syncs it.
-func (w *Writer) close(typ byte, payload func() []byte) error {
+// close appends a window's closing record, whose payload encoder record
+// returns (called with w.mu held), behind its durable begin record and
+// syncs it.
+func (w *Writer) close(typ byte, record func() func([]byte) []byte) error {
 	if err := w.Wait(); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	err := w.appendLocked(typ, payload())
+	err := w.appendLocked(typ, record())
 	if err == nil {
 		w.inWindow = false
 		w.shipLocked()
@@ -451,8 +479,11 @@ func (w *Writer) close(typ byte, payload func() []byte) error {
 	return w.Sync(end)
 }
 
-func encodeAccept(a AcceptRecord) []byte {
-	p := binary.AppendUvarint(nil, a.Seq)
+// The payload encoders, each appending a record's payload in place
+// (appendFrame).
+
+func (a AcceptRecord) appendTo(p []byte) []byte {
+	p = binary.AppendUvarint(p, a.Seq)
 	p = binary.AppendVarint(p, a.UnixNano)
 	var flags byte
 	if a.Own {
@@ -465,8 +496,8 @@ func encodeAccept(a AcceptRecord) []byte {
 	return p
 }
 
-func encodeBegin(b BeginRecord) ([]byte, error) {
-	p := binary.AppendUvarint(nil, uint64(b.Seq))
+func (b BeginRecord) appendTo(p []byte) []byte {
+	p = binary.AppendUvarint(p, uint64(b.Seq))
 	p = AppendString(p, b.Planner)
 	p = AppendString(p, b.Mode)
 	p = binary.AppendUvarint(p, uint64(b.Workers))
@@ -491,23 +522,21 @@ func encodeBegin(b BeginRecord) ([]byte, error) {
 			}
 		case strategy.Inst:
 			p = AppendString(append(p, 1), x.View)
-		default:
-			return nil, fmt.Errorf("journal: unknown expression type %T", e)
 		}
 	}
 	p = binary.AppendUvarint(p, b.Accepts.Lo)
-	return binary.AppendUvarint(p, b.Accepts.Hi), nil
+	return binary.AppendUvarint(p, b.Accepts.Hi)
 }
 
-func encodeCommit(c CommitRecord) []byte {
-	p := binary.AppendVarint(nil, c.TotalWork)
+func (c CommitRecord) appendTo(p []byte) []byte {
+	p = binary.AppendVarint(p, c.TotalWork)
 	p = binary.AppendVarint(p, c.ElapsedNS)
 	p = binary.AppendVarint(p, c.UnixNano)
 	return binary.AppendVarint(p, c.AcceptUnixNano)
 }
 
-func encodeStep(s StepRecord) []byte {
-	p := binary.AppendUvarint(nil, uint64(s.Index))
+func (s StepRecord) appendTo(p []byte) []byte {
+	p = binary.AppendUvarint(p, uint64(s.Index))
 	p = AppendString(p, s.Key)
 	p = binary.AppendVarint(p, s.Work)
 	p = binary.AppendUvarint(p, uint64(s.Terms))
@@ -851,10 +880,21 @@ func decodeCommit(p []byte) (CommitRecord, error) {
 func BatchDigest(batch []ViewBatch) uint64 {
 	var h uint64
 	for _, vb := range batch {
-		view := crc64.Update(0, crcTable, []byte(vb.View+"\x00"))
+		seed := ViewSeed(vb.View)
 		for _, rc := range vb.Rows {
-			h += uint64(rc.Count) * crc64.Update(view, crcTable, []byte(rc.Key))
+			h += RowDigest(seed, rc.Key, rc.Count)
 		}
 	}
 	return h
+}
+
+// ViewSeed is the hash BatchDigest continues over each of a view's keys:
+// the CRC-64/ECMA of the view's name and a 0 byte.
+func ViewSeed(view string) uint64 { return cowmap.Extend(cowmap.Hash(view), []byte{0}) }
+
+// RowDigest is one row's term of BatchDigest: the count times the CRC of
+// the view's seed continued over the key. A batch's digest is the sum of
+// its rows' terms, in any order.
+func RowDigest(seed uint64, key string, count int64) uint64 {
+	return uint64(count) * cowmap.ExtendString(seed, key)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/strategy"
@@ -17,23 +16,23 @@ import (
 const maxSearchViews = 20
 
 // search is the compiled form of one Prune / PruneShared search. What no
-// ordering changes is resolved once: expressions are dense ids (ConstructEG's
-// node ids: Inst(V) per view, then Comp(V,{c}) per VDAG edge), the C3/C5/C8
-// edges are laid down, and each Comp's linear work is tabulated per child and
-// install state. Evaluating an ordering adds its V/C4/SEG edges, sorts and
+// ordering changes is resolved once: expressions are the dense node ids of
+// the graph's skeleton (Inst(V) per view, then Comp(V,{c}) per VDAG edge)
+// with its C3/C5/C8 edges, both compiled once per graph, and each Comp's
+// linear work is tabulated per child and install state. Evaluating an ordering adds its V/C4/SEG edges, sorts and
 // simulates against reused scratch, allocating nothing. The same tables price
 // a view placed after a *set* of views (place), which is what lets run bound a
 // prefix of an ordering without completing it.
 type search struct {
 	nodes     []strategy.Expr
 	nViews    int
-	compView  []int32   // per Comp node (less nViews): the view it computes
-	compOver  []int32   // per Comp node (less nViews): the child it propagates
-	compsOver [][]int32 // per view: the Comp nodes propagating it
+	compView  []int32   // per Comp node (less nViews): the view it computes (the skeleton's, read-only)
+	compOver  []int32   // per Comp node (less nViews): the child it propagates (likewise)
+	compsOver [][]int32 // per view: the Comp nodes propagating it (likewise)
 
 	deps    depGraph
 	nStatic int     // edges that hold under every ordering
-	indeg0  []int32 // deps.indeg and deps.head with only those edges
+	indeg0  []int32 // deps.indeg and deps.head with only those edges (the skeleton's, read-only)
 	head0   []int32
 
 	model    cost.Model // normalised: never without coefficients
@@ -64,50 +63,52 @@ type workTerm struct {
 	scan [2]float64
 }
 
-// compileSearch interns g and prices its expressions. A model with neither a
-// compute nor an install coefficient is read as cost.DefaultModel's, so work
-// and sharing savings are priced alike.
+// compileSearch prices g's expressions for one search. The expressions and
+// the edges no ordering changes are g's skeleton, compiled once per graph; a
+// model with neither a compute nor an install coefficient is read as
+// cost.DefaultModel's, so work and sharing savings are priced alike.
 func compileSearch(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts) (*search, error) {
 	if model.CompCoeff == 0 && model.InstCoeff == 0 {
 		model.CompCoeff, model.InstCoeff = cost.DefaultModel.CompCoeff, cost.DefaultModel.InstCoeff
 	}
-	orderable := orderableViews(g)
-	if len(orderable) > maxSearchViews {
-		return nil, fmt.Errorf("planner: %d views have parents and the search orders at most %d (it keeps a cost per subset of them); plan with MinWork",
-			len(orderable), maxSearchViews)
+	n := g.Len()
+	s := &search{nViews: n, model: model, termOff: []int32{0}, bit: make([]uint32, n), children: make([]uint32, n)}
+	for v := int32(0); v < int32(n); v++ {
+		if len(g.ParentIDs(v)) > 0 {
+			s.ord = append(s.ord, v)
+		}
 	}
-	eg := construct(g, nil, false) // no ordering: the nodes and the C3/C5/C8 edges
+	if len(s.ord) > maxSearchViews {
+		return nil, fmt.Errorf("planner: %d views have parents and the search orders at most %d (it keeps a cost per subset of them); plan with MinWork",
+			len(s.ord), maxSearchViews)
+	}
+	sk := skeletonOf(g)
+	s.nodes, s.compView, s.compOver, s.compsOver = sk.nodes, sk.compView, sk.compOver, sk.compsOver
 	// Priced once by the general simulator, which rejects missing statistics
 	// and reference counts with the errors callers know.
-	if _, err := cost.Work(model, stats, refs, eg.nodes); err != nil {
+	if _, err := cost.Work(model, stats, refs, s.nodes); err != nil {
 		return nil, err
 	}
-	views := g.Views()
-	n := len(views)
-	s := &search{nodes: eg.nodes, nViews: n, deps: eg.deps, model: model, compsOver: make([][]int32, n), termOff: []int32{0},
-		bit: make([]uint32, n), children: make([]uint32, n)}
-	for _, v := range views {
-		s.instWork = append(s.instWork, model.InstCoeff*float64(stats[v].DeltaSize()))
+	for v := int32(0); v < int32(n); v++ {
+		s.instWork = append(s.instWork, model.InstCoeff*float64(stats[g.Name(v)].DeltaSize()))
 	}
-	for i, v := range orderable {
-		s.ord = append(s.ord, int32(eg.nodeID(strategy.Inst{View: v})))
-		s.bit[s.ord[i]] = 1 << i
+	for i, v := range s.ord {
+		s.bit[v] = 1 << i
 	}
-	for node := n; node < len(s.nodes); node++ {
-		x := s.nodes[node].(strategy.Comp)
-		v, c := eg.nodeID(strategy.Inst{View: x.View}), eg.nodeID(strategy.Inst{View: x.Over[0]})
-		s.compView, s.compOver = append(s.compView, int32(v)), append(s.compOver, int32(c))
-		s.compsOver[c] = append(s.compsOver[c], int32(node))
+	for k, v := range s.compView {
+		c := s.compOver[k]
 		s.children[v] |= s.bit[c]
+		x := s.nodes[n+k].(strategy.Comp)
 		rc := refs[x.View]
 		r, found := rc[x.Over[0]], 0 // r: the Comp's delta-bound references
-		for ci, child := range views {
+		for ci := int32(0); ci < int32(n); ci++ {
+			child := g.Name(ci)
 			nref, ok := rc[child]
 			if !ok {
 				continue
 			}
 			found++
-			st, t := stats[child], workTerm{view: int32(ci)}
+			st, t := stats[child], workTerm{view: ci}
 			t.scan[0] = cost.RefWork(nref, r, ci == c, st.Size, st.DeltaSize())
 			t.scan[1] = cost.RefWork(nref, r, ci == c, st.SizeAfter(), st.DeltaSize())
 			s.terms = append(s.terms, t)
@@ -117,15 +118,15 @@ func compileSearch(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.
 		}
 		s.termOff = append(s.termOff, int32(len(s.terms)))
 	}
+	// The edges no ordering changes are the skeleton's; evaluate resets to
+	// them and adds one ordering's: a SEG chain, and a V and a C4 edge per
+	// Comp.
+	s.deps = sk.static.grown(len(s.ord) + 2*len(s.compView))
+	s.nStatic, s.indeg0, s.head0 = len(sk.static.to), sk.static.indeg, sk.static.head
+	s.deps.prio = make([]int32, len(s.nodes))
 	for i := range s.deps.prio {
 		s.deps.prio[i] = int32(2*len(s.ord) + 1) // views no ordering lists install last
 	}
-	s.nStatic = len(s.deps.to)
-	s.indeg0 = slices.Clone(s.deps.indeg)
-	s.head0 = slices.Clone(s.deps.head)
-	// Room for one ordering's edges: a SEG chain, and a V and a C4 edge per Comp.
-	s.deps.to = slices.Grow(s.deps.to, len(s.ord)+2*len(s.compView))
-	s.deps.next = slices.Grow(s.deps.next, len(s.ord)+2*len(s.compView))
 	s.out = make([]int32, len(s.nodes))
 	s.ready = make([]int32, 0, len(s.nodes))
 	s.lastComp = make([]int32, n)

@@ -203,8 +203,13 @@ func pause(ctx context.Context, d time.Duration) error {
 // the strategy, the accepts that hold its change batch — the batch itself,
 // journaled as the window's own accept, when the caller names none — digests
 // of the pre-window state and batch, and the work-affecting engine options.
+// The batch is collected and digested in one pass over the staged deltas,
+// and only digested when the caller's accepts hold it. The record is for
+// journal.Writer.Begin, which encodes it at once: it shares s and the
+// staged rows' keys.
 func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (journal.BeginRecord, error) {
-	batch, err := BatchOf(w)
+	own := opts.Accepts == journal.Range{}
+	batch, digest, err := stagedBatch(w, own)
 	if err != nil {
 		return journal.BeginRecord{}, err
 	}
@@ -216,12 +221,24 @@ func beginRecord(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Op
 		Workers:         opts.Workers,
 		SkipEmptyDeltas: o.SkipEmptyDeltas,
 		StateDigest:     StateDigest(w),
-		BatchDigest:     journal.BatchDigest(batch),
-		Strategy:        s.Clone(),
+		BatchDigest:     digest,
+		Strategy:        s,
 		Accepts:         opts.Accepts,
-		Own:             opts.Accepts == journal.Range{},
+		Own:             own,
 		Batch:           batch,
 	}, nil
+}
+
+// Begin journals what a window writes before its first step through
+// opts.Journal: its begin record (beginRecord), behind the accept of the
+// staged batch when opts names no accepts. It starts the records' flush and
+// does not wait for it (journal.Writer.Begin).
+func Begin(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) error {
+	b, err := beginRecord(w, s, mode, opts)
+	if err != nil {
+		return err
+	}
+	return opts.Journal.Begin(b)
 }
 
 // stepRecord converts an executed step into its journal record.
@@ -247,13 +264,9 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 	clone := w.Clone()
 	jw := opts.Journal
 	if jw != nil {
-		b, err := beginRecord(w, s, mode, opts)
-		if err != nil {
-			return exec.Report{}, nil, err
-		}
 		// Begin starts the record's flush and does not wait for it: the steps
 		// below write nothing but the clone and journal frames.
-		if err := jw.Begin(b); err != nil {
+		if err := Begin(w, s, mode, opts); err != nil {
 			return exec.Report{}, nil, err
 		}
 	}

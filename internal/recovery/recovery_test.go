@@ -53,11 +53,7 @@ func stageBatch(t testing.TB, w *core.Warehouse, dr, ds *delta.Delta) strategy.S
 	if err := w.StageDelta("S", ds); err != nil {
 		t.Fatal(err)
 	}
-	g, err := exec.Graph(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strategy.DualStageVDAG(g)
+	return strategy.DualStageVDAG(w.Graph())
 }
 
 func bags(t testing.TB, w *core.Warehouse) map[string]string {

@@ -18,7 +18,7 @@ import (
 
 // RowsOf lists a delta's row changes, sorted by key for deterministic bytes.
 func RowsOf(d *delta.Delta) []journal.RowChange {
-	var rows []journal.RowChange
+	rows := make([]journal.RowChange, 0, d.Distinct())
 	d.ScanEncoded(func(key string, count int64) bool {
 		rows = append(rows, journal.RowChange{Key: key, Count: count})
 		return true
@@ -30,20 +30,62 @@ func RowsOf(d *delta.Delta) []journal.RowChange {
 // BatchOf collects a warehouse's staged base-view deltas as a journaled
 // batch, sorted by view name (and rows by key) for deterministic bytes.
 func BatchOf(w *core.Warehouse) ([]journal.ViewBatch, error) {
-	var out []journal.ViewBatch
-	for _, name := range w.ViewNames() {
-		v := w.MustView(name)
-		if !v.IsBase() || !v.HasPending() {
-			continue
-		}
-		d, err := w.DeltaOf(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, journal.ViewBatch{View: name, Rows: RowsOf(d)})
+	batch, _, err := stagedBatch(w, true)
+	return batch, err
+}
+
+// stagedBatch is one pass over a warehouse's staged base-view deltas that
+// computes their journal.BatchDigest — as the sum it is, in whatever order
+// the rows come — and, when collect is set, collects them as BatchOf does:
+// every row into one slice, each view's sorted once by key, the views by
+// name. A window that journals no batch of its own digests without
+// collecting.
+func stagedBatch(w *core.Warehouse, collect bool) ([]journal.ViewBatch, uint64, error) {
+	type staged struct {
+		name string
+		d    *delta.Delta
 	}
-	slices.SortFunc(out, func(a, b journal.ViewBatch) int { return strings.Compare(a.View, b.View) })
-	return out, nil
+	var (
+		views []staged
+		rows  int
+	)
+	g := w.Graph()
+	for id := int32(0); id < int32(g.Len()); id++ {
+		if v := w.ViewAt(id); v.IsBase() && v.HasPending() {
+			d, err := w.DeltaOf(v.Name())
+			if err != nil {
+				return nil, 0, err
+			}
+			views = append(views, staged{v.Name(), d})
+			rows += d.Distinct()
+		}
+	}
+	var (
+		batch  []journal.ViewBatch
+		all    []journal.RowChange
+		digest uint64
+	)
+	if collect {
+		slices.SortFunc(views, func(a, b staged) int { return strings.Compare(a.name, b.name) })
+		batch, all = make([]journal.ViewBatch, 0, len(views)), make([]journal.RowChange, 0, rows)
+	}
+	for _, sv := range views {
+		seed := journal.ViewSeed(sv.name)
+		start := len(all)
+		sv.d.ScanEncoded(func(key string, count int64) bool {
+			digest += journal.RowDigest(seed, key, count)
+			if collect {
+				all = append(all, journal.RowChange{Key: key, Count: count})
+			}
+			return true
+		})
+		if collect {
+			rows := all[start:len(all):len(all)]
+			slices.SortFunc(rows, func(a, b journal.RowChange) int { return strings.Compare(a.Key, b.Key) })
+			batch = append(batch, journal.ViewBatch{View: sv.name, Rows: rows})
+		}
+	}
+	return batch, digest, nil
 }
 
 // RestoreBatch re-stages a journaled batch onto a warehouse whose catalog
@@ -76,8 +118,9 @@ func RestoreBatch(w *core.Warehouse, batch []journal.ViewBatch) error {
 // the fold costs O(views) whatever the warehouse holds.
 func StateDigest(w *core.Warehouse) uint64 {
 	var h uint64
-	for _, name := range w.ViewNames() {
-		h ^= nameFold(name, w.MustView(name).Digest())
+	for id := int32(0); id < int32(w.Graph().Len()); id++ {
+		v := w.ViewAt(id)
+		h ^= nameFold(v.Name(), v.Digest())
 	}
 	return h
 }

@@ -157,11 +157,11 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 		{"written by the snapshot", "Write streams each view's rows or groups; Read restores them",
 			[]string{"View.table", "View.agg"}},
 		{"catalog", "the catalog is code: Read refuses a warehouse whose views, order or kinds do not match",
-			[]string{"View.name", "View.def", "Warehouse.order", "Warehouse.views", "Warehouse.version"}},
-		{"compiled from the catalog", "a function of the definition alone: the join orders a view's Comps run, compiled at their first call",
-			[]string{"View.orders"}},
+			[]string{"View.name", "View.def", "Warehouse.list", "Warehouse.views", "Warehouse.version"}},
+		{"compiled from the catalog", "a function of the definitions alone: the join orders a view's Comps run, compiled at their first call, and the VDAG, built per catalog version",
+			[]string{"View.orders", "Warehouse.graph"}},
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
-			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu"}},
+			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.sharedDelta", "View.mu"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",
 			[]string{"Warehouse.opts"}},
 	}

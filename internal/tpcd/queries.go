@@ -93,7 +93,7 @@ func Q3ByPriorityDef() *algebra.CQ { return parseView(Q3ByPriority) }
 func NationRevenueDef() *algebra.CQ { return parseView(NationRevenue) }
 
 // Warehouse holds the assembled TPC-D warehouse plus its generator (for
-// change batches) and VDAG.
+// change batches) and VDAG (the catalog's, W.Graph()).
 type Warehouse struct {
 	W     *core.Warehouse
 	Graph *vdag.Graph
@@ -145,11 +145,5 @@ func NewWarehouse(cfg Config) (*Warehouse, error) {
 	if err := w.RefreshAll(); err != nil {
 		return nil, err
 	}
-	gb := vdag.NewBuilder()
-	for _, name := range w.ViewNames() {
-		if err := gb.Add(name, w.Children(name)); err != nil {
-			return nil, err
-		}
-	}
-	return &Warehouse{W: w, Graph: gb.Build(), gen: gen}, nil
+	return &Warehouse{W: w, Graph: w.Graph(), gen: gen}, nil
 }

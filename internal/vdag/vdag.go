@@ -10,15 +10,25 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// Graph is an immutable-after-build VDAG.
+// Graph is an immutable-after-build VDAG. Its views are interned to dense
+// ids in insertion order — a topological order, so a view's children have
+// smaller ids than it — and the adjacency and levels are kept over those ids:
+// the form the planner, the validator and the scheduler read, with no map
+// lookups by name and no slice copies. The name-keyed methods below answer
+// from the same arrays.
 type Graph struct {
-	names    []string            // insertion order
-	children map[string][]string // view -> views it is defined over
-	parents  map[string][]string // view -> views defined over it
-	level    map[string]int
+	names    []string
+	ids      map[string]int32
+	children [][]int32 // view -> views it is defined over, in the order given
+	parents  [][]int32 // view -> views defined over it, in id order
+	level    []int32
 	maxLevel int
+	// compiled holds what other packages compile from the graph alone
+	// (Compiled), keyed by the key they pass.
+	compiled sync.Map
 }
 
 // Builder accumulates views and edges for a Graph.
@@ -61,33 +71,32 @@ func (b *Builder) Add(view string, over []string) error {
 
 // Build finalizes the graph.
 func (b *Builder) Build() *Graph {
+	n := len(b.names)
 	g := &Graph{
 		names:    append([]string(nil), b.names...),
-		children: make(map[string][]string, len(b.names)),
-		parents:  make(map[string][]string, len(b.names)),
-		level:    make(map[string]int, len(b.names)),
+		ids:      make(map[string]int32, n),
+		children: make([][]int32, n),
+		parents:  make([][]int32, n),
+		level:    make([]int32, n),
 	}
-	for _, n := range b.names {
-		g.children[n] = append([]string(nil), b.children[n]...)
+	for i, name := range g.names {
+		g.ids[name] = int32(i)
 	}
-	for _, n := range g.names {
-		for _, c := range g.children[n] {
-			g.parents[c] = append(g.parents[c], n)
+	for v, name := range g.names {
+		for _, c := range b.children[name] {
+			g.children[v] = append(g.children[v], g.ids[c])
 		}
 	}
-	// Level(V) = max distance to a base view; insertion order is
-	// topological so one pass suffices.
-	for _, n := range g.names {
-		l := 0
-		for _, c := range g.children[n] {
-			if g.level[c]+1 > l {
-				l = g.level[c] + 1
-			}
+	// Level(V) = max distance to a base view; ids are topological so one
+	// pass suffices.
+	for v, cs := range g.children {
+		var l int32
+		for _, c := range cs {
+			g.parents[c] = append(g.parents[c], int32(v))
+			l = max(l, g.level[c]+1)
 		}
-		g.level[n] = l
-		if l > g.maxLevel {
-			g.maxLevel = l
-		}
+		g.level[v] = l
+		g.maxLevel = max(g.maxLevel, int(l))
 	}
 	return g
 }
@@ -109,34 +118,91 @@ func MustBuild(pairs ...[2]interface{}) *Graph {
 	return b.Build()
 }
 
+// Len returns the number of views; their ids are 0 through Len()−1.
+func (g *Graph) Len() int { return len(g.names) }
+
+// ID returns the view's id, and false for a view the graph does not have.
+func (g *Graph) ID(view string) (int32, bool) {
+	id, ok := g.ids[view]
+	return id, ok
+}
+
+// Name returns the name of view id.
+func (g *Graph) Name(id int32) string { return g.names[id] }
+
+// ChildIDs returns the ids of the views view id is defined over. The slice
+// is the graph's own: read it, do not write it.
+func (g *Graph) ChildIDs(id int32) []int32 { return g.children[id] }
+
+// ParentIDs returns the ids of the views defined directly over view id, in
+// id order. The slice is the graph's own: read it, do not write it.
+func (g *Graph) ParentIDs(id int32) []int32 { return g.parents[id] }
+
+// Compiled returns what compile made of g for key, calling it the first time
+// key is asked for. It is where a package keeps what it derives from the VDAG
+// alone — the planner's expression-graph skeleton — so that it is derived
+// once per graph, and a warehouse's graph is built once per catalog version
+// and shared by its clones. key is a value of a type of the caller's own, as
+// with context keys; the result must not be written to. Safe for concurrent
+// use: callers that race on a first use may each compile, and all get the
+// first result stored.
+func (g *Graph) Compiled(key any, compile func(*Graph) any) any {
+	if v, ok := g.compiled.Load(key); ok {
+		return v
+	}
+	v, _ := g.compiled.LoadOrStore(key, compile(g))
+	return v
+}
+
+// namesOf returns the names of the views in ids, in that order.
+func (g *Graph) namesOf(ids []int32) []string {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = g.names[id]
+	}
+	return out
+}
+
 // Views returns all view names in topological (insertion) order.
 func (g *Graph) Views() []string { return append([]string(nil), g.names...) }
 
 // Has reports whether the view exists.
-func (g *Graph) Has(view string) bool { _, ok := g.children[view]; return ok }
+func (g *Graph) Has(view string) bool { _, ok := g.ids[view]; return ok }
 
 // Children returns the views the given view is defined over.
 func (g *Graph) Children(view string) []string {
-	return append([]string(nil), g.children[view]...)
+	if id, ok := g.ids[view]; ok {
+		return g.namesOf(g.children[id])
+	}
+	return nil
 }
 
 // Parents returns the views defined directly over the given view.
 func (g *Graph) Parents(view string) []string {
-	return append([]string(nil), g.parents[view]...)
+	if id, ok := g.ids[view]; ok {
+		return g.namesOf(g.parents[id])
+	}
+	return nil
 }
 
 // IsBase reports whether the view has no children (defined over sources).
-func (g *Graph) IsBase(view string) bool { return len(g.children[view]) == 0 }
+func (g *Graph) IsBase(view string) bool { return !g.IsDerived(view) }
 
 // IsDerived reports whether the view is defined over warehouse views.
-func (g *Graph) IsDerived(view string) bool { return len(g.children[view]) > 0 }
+func (g *Graph) IsDerived(view string) bool {
+	id, ok := g.ids[view]
+	return ok && len(g.children[id]) > 0
+}
 
 // BaseViews returns all base views in topological order.
 func (g *Graph) BaseViews() []string {
 	var out []string
-	for _, n := range g.names {
-		if g.IsBase(n) {
-			out = append(out, n)
+	for v, cs := range g.children {
+		if len(cs) == 0 {
+			out = append(out, g.names[v])
 		}
 	}
 	return out
@@ -145,16 +211,21 @@ func (g *Graph) BaseViews() []string {
 // DerivedViews returns all derived views in topological order.
 func (g *Graph) DerivedViews() []string {
 	var out []string
-	for _, n := range g.names {
-		if g.IsDerived(n) {
-			out = append(out, n)
+	for v, cs := range g.children {
+		if len(cs) > 0 {
+			out = append(out, g.names[v])
 		}
 	}
 	return out
 }
 
 // Level returns Level(V): the maximum distance from V to a base view.
-func (g *Graph) Level(view string) int { return g.level[view] }
+func (g *Graph) Level(view string) int {
+	if id, ok := g.ids[view]; ok {
+		return int(g.level[id])
+	}
+	return 0
+}
 
 // MaxLevel returns the maximum Level of any view.
 func (g *Graph) MaxLevel() int { return g.maxLevel }
@@ -165,9 +236,9 @@ func (g *Graph) MaxLevel() int { return g.maxLevel }
 // (the m! optimization of Section 6).
 func (g *Graph) ViewsWithParents() []string {
 	var out []string
-	for _, n := range g.names {
-		if len(g.parents[n]) > 0 {
-			out = append(out, n)
+	for v, ps := range g.parents {
+		if len(ps) > 0 {
+			out = append(out, g.names[v])
 		}
 	}
 	return out
@@ -176,8 +247,8 @@ func (g *Graph) ViewsWithParents() []string {
 // IsTree reports whether the VDAG is a tree VDAG (Definition 5.1): no view
 // is used in the definition of more than one other view.
 func (g *Graph) IsTree() bool {
-	for _, n := range g.names {
-		if len(g.parents[n]) > 1 {
+	for _, ps := range g.parents {
+		if len(ps) > 1 {
 			return false
 		}
 	}
@@ -187,9 +258,9 @@ func (g *Graph) IsTree() bool {
 // IsUniform reports whether the VDAG is a uniform VDAG (Definition 5.2):
 // every derived view at Level i is defined only over views at Level i−1.
 func (g *Graph) IsUniform() bool {
-	for _, n := range g.names {
-		for _, c := range g.children[n] {
-			if g.level[c] != g.level[n]-1 {
+	for v, cs := range g.children {
+		for _, c := range cs {
+			if g.level[c] != g.level[v]-1 {
 				return false
 			}
 		}
@@ -199,44 +270,33 @@ func (g *Graph) IsUniform() bool {
 
 // Ancestors returns every view transitively reachable from view through
 // child edges (i.e., the views it directly or indirectly depends on).
-func (g *Graph) Ancestors(view string) []string {
-	seen := make(map[string]bool)
-	var walk func(string)
-	walk = func(v string) {
-		for _, c := range g.children[v] {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(view)
-	out := make([]string, 0, len(seen))
-	for _, n := range g.names {
-		if seen[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+func (g *Graph) Ancestors(view string) []string { return g.reach(view, g.children) }
 
 // Descendants returns every view that transitively depends on view.
-func (g *Graph) Descendants(view string) []string {
-	seen := make(map[string]bool)
-	var walk func(string)
-	walk = func(v string) {
-		for _, p := range g.parents[v] {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
+func (g *Graph) Descendants(view string) []string { return g.reach(view, g.parents) }
+
+// reach returns, in topological order, the views reachable from view along
+// the adjacency next (children or parents), view itself excluded.
+func (g *Graph) reach(view string, next [][]int32) []string {
+	id, ok := g.ids[view]
+	if !ok {
+		return []string{}
+	}
+	seen := make([]bool, len(g.names))
+	var walk func(int32)
+	walk = func(v int32) {
+		for _, u := range next[v] {
+			if !seen[u] {
+				seen[u] = true
+				walk(u)
 			}
 		}
 	}
-	walk(view)
-	out := make([]string, 0, len(seen))
-	for _, n := range g.names {
-		if seen[n] {
-			out = append(out, n)
+	walk(id)
+	out := []string{}
+	for v, ok := range seen {
+		if ok {
+			out = append(out, g.names[v])
 		}
 	}
 	return out
@@ -247,7 +307,7 @@ func (g *Graph) Descendants(view string) []string {
 // ModifyOrdering (Algorithm 5.2) applied to an arbitrary view ordering.
 func (g *Graph) SortByLevel(views []string) []string {
 	out := append([]string(nil), views...)
-	sort.SliceStable(out, func(i, j int) bool { return g.level[out[i]] < g.level[out[j]] })
+	sort.SliceStable(out, func(i, j int) bool { return g.Level(out[i]) < g.Level(out[j]) })
 	return out
 }
 
@@ -256,16 +316,16 @@ func (g *Graph) SortByLevel(views []string) []string {
 func (g *Graph) Dot() string {
 	var b strings.Builder
 	b.WriteString("digraph VDAG {\n  rankdir=BT;\n")
-	for _, n := range g.names {
+	for v, n := range g.names {
 		shape := "box"
-		if g.IsBase(n) {
+		if len(g.children[v]) == 0 {
 			shape = "ellipse"
 		}
-		fmt.Fprintf(&b, "  %q [shape=%s, label=\"%s\\nlevel %d\"];\n", n, shape, n, g.level[n])
+		fmt.Fprintf(&b, "  %q [shape=%s, label=\"%s\\nlevel %d\"];\n", n, shape, n, g.level[v])
 	}
-	for _, n := range g.names {
-		for _, c := range g.children[n] {
-			fmt.Fprintf(&b, "  %q -> %q;\n", n, c)
+	for v, n := range g.names {
+		for _, c := range g.children[v] {
+			fmt.Fprintf(&b, "  %q -> %q;\n", n, g.names[c])
 		}
 	}
 	b.WriteString("}\n")
@@ -275,18 +335,18 @@ func (g *Graph) Dot() string {
 // String renders the graph compactly for diagnostics.
 func (g *Graph) String() string {
 	s := ""
-	for _, n := range g.names {
+	for v, n := range g.names {
 		if s != "" {
 			s += "; "
 		}
 		s += n
-		if cs := g.children[n]; len(cs) > 0 {
+		if cs := g.children[v]; len(cs) > 0 {
 			s += " <- ("
 			for i, c := range cs {
 				if i > 0 {
 					s += ", "
 				}
-				s += c
+				s += g.names[c]
 			}
 			s += ")"
 		}

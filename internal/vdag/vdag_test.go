@@ -2,6 +2,7 @@ package vdag
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -178,5 +179,31 @@ func TestViewsCopies(t *testing.T) {
 	cs[0] = "mutated"
 	if g.Children("V4")[0] != "V2" {
 		t.Errorf("Children returns aliased slice")
+	}
+}
+
+// TestCompiledOnce: what a key compiles is kept with the graph, and callers
+// racing on its first use all get the one value stored (run under -race).
+func TestCompiledOnce(t *testing.T) {
+	g := fig3(t)
+	type key struct{}
+	compile := func(g *Graph) any { n := g.Len(); return &n }
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Compiled(key{}, compile)
+		}(i)
+	}
+	wg.Wait()
+	for _, v := range got {
+		if v != got[0] {
+			t.Fatalf("racing first uses got different values")
+		}
+	}
+	if g.Compiled(key{}, compile) != got[0] || *got[0].(*int) != 5 {
+		t.Errorf("Compiled did not keep the first value")
 	}
 }

@@ -436,11 +436,12 @@ func (w *Warehouse) Rows(name string) ([]CountedRow, error) {
 // CountedRow pairs a tuple with its multiplicity.
 type CountedRow = storage.CountedTuple
 
-// Graph returns the warehouse's view DAG.
+// Graph returns the warehouse's view DAG: the catalog's, one per catalog
+// version and shared by every epoch of it, in O(1). The error is always nil.
 func (w *Warehouse) Graph() (*Graph, error) {
 	pin := w.epochs.Pin()
 	defer pin.Unpin()
-	return exec.Graph(pin.Warehouse())
+	return pin.Warehouse().Graph(), nil
 }
 
 // PlanningStats gathers the statistics the planners need: exact base-view
@@ -486,10 +487,7 @@ func (w *Warehouse) Plan(name PlannerName) (Plan, error) {
 
 // plan is Plan for a caller that holds w.mu.
 func (w *Warehouse) plan(name PlannerName) (Plan, error) {
-	g, err := exec.Graph(w.core)
-	if err != nil {
-		return Plan{}, err
-	}
+	g := w.core.Graph()
 	stats, err := exec.PlanningStats(w.core)
 	if err != nil {
 		return Plan{}, err
@@ -586,11 +584,7 @@ func (w *Warehouse) Validate(s Strategy) error {
 
 // validate checks s against c's view DAG.
 func validate(c *core.Warehouse, s Strategy) error {
-	g, err := exec.Graph(c)
-	if err != nil {
-		return err
-	}
-	return strategy.ValidateVDAGStrategy(g, s)
+	return strategy.ValidateVDAGStrategy(c.Graph(), s)
 }
 
 // Parallelize stages a correct sequential strategy into sets of
@@ -599,7 +593,7 @@ func validate(c *core.Warehouse, s Strategy) error {
 func (w *Warehouse) Parallelize(s Strategy) ParallelPlan {
 	pin := w.epochs.Pin()
 	defer pin.Unpin()
-	return exec.Parallelize(s, pin.Warehouse().Children)
+	return exec.Parallelize(s, pin.Warehouse().Graph())
 }
 
 // Verify checks every derived view of the serving epoch against a

@@ -164,6 +164,9 @@ func TestPlanMinWorkSingle(t *testing.T) {
 	if _, err := w.PlanMinWorkSingle("SALES"); err == nil {
 		t.Errorf("base view accepted")
 	}
+	if _, err := w.PlanMinWorkSingle("NO_SUCH_VIEW"); err == nil {
+		t.Errorf("unknown view accepted") // it panicked while the catalog's children were looked up by MustView
+	}
 	// Executing just the single-view strategy leaves REGION_TOTALS stale;
 	// validation must reject it since REGION_TOTALS' child changes.
 	if err := w.Validate(p.Strategy); err == nil {

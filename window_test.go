@@ -3,10 +3,13 @@ package warehouse
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/recovery"
 	"repro/internal/tpcd"
 )
 
@@ -334,5 +337,101 @@ func TestFailedWindowLeavesWarehouseUntouched(t *testing.T) {
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatalf("warehouse after the failed window: %v", err)
+	}
+}
+
+// TestFailedWindowKeepsTheStagedBatch: a window's clone shares the staged
+// batch instead of copying it, and a window that fails on every rung —
+// after its attempts have installed base deltas on their clones — leaves the
+// serving warehouse's batch bag-identical; the next window sees it whole and
+// does the work a warehouse that never failed does.
+func TestFailedWindowKeepsTheStagedBatch(t *testing.T) {
+	build := func() *Warehouse {
+		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.StageChanges(tpcd.Mixed(0.10, 0.05)); err != nil {
+			t.Fatal(err)
+		}
+		return FromCore(tw.W, CostModel{})
+	}
+	w := build()
+	batch, err := recovery.BatchOf(w.Internal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewFaultInjector(1)
+	for hit := 20; hit <= 60; hit += 20 {
+		inj.FailAt("step", hit) // late enough that the base views were installed
+	}
+	inj.FailAt("recompute", 1)
+	if _, err := w.RunWindowOpts(WindowOptions{Faults: inj}); err == nil {
+		t.Fatal("the injected failures did not fail the window")
+	}
+	after, err := recovery.BatchOf(w.Internal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, batch) {
+		t.Fatal("the failed window changed the staged batch")
+	}
+	retry, err := w.RunWindowOpts(WindowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := build().RunWindowOpts(WindowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry.Report.TotalWork() != control.Report.TotalWork() {
+		t.Errorf("the retry did %d work, a window that never failed %d", retry.Report.TotalWork(), control.Report.TotalWork())
+	}
+	if err := w.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadersBesideASharedBatch: readers query the serving epoch — whose
+// staged batch the window's clone shares — while DAG workers scan that batch
+// and install it on the clone; run under -race, none of it races.
+func TestReadersBesideASharedBatch(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.StageChanges(tpcd.Mixed(0.05, 0.05)); err != nil {
+			t.Fatal(err)
+		}
+		w := FromCore(tw.W, CostModel{})
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if _, err := w.Query("SELECT N_NAME, REVENUE FROM Q5"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		_, err = w.RunWindowOpts(WindowOptions{Mode: ModeDAG, Workers: 4})
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
