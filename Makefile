@@ -201,7 +201,7 @@ bench-smoke:
 # storage, core and state-digest ones ns/row.
 bench-layers:
 	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -count 5
-	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|PruneShared|MinWorkScaling' -count 5 -benchmem
+	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem
 	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -count 5 -benchmem

@@ -94,12 +94,6 @@ func (b *Builder) GroupByCol(qualified string, name ...string) *Builder {
 	return b
 }
 
-// GroupByExpr adds a computed grouping expression.
-func (b *Builder) GroupByExpr(name string, e Expr) *Builder {
-	b.cq.GroupBy = append(b.cq.GroupBy, NamedExpr{Name: name, E: e})
-	return b
-}
-
 // Agg adds an aggregate output. Input may be nil for COUNT(*).
 func (b *Builder) Agg(name string, kind delta.AggKind, input Expr) *Builder {
 	vk := relation.KindInt

@@ -24,7 +24,7 @@ func draw(seed int64) check.Point {
 	p := check.Point{
 		Seed:    seed,
 		Catalog: check.Catalog(pick("", "", string(check.Siblings), string(check.Narrow))),
-		Planner: pick("", "prune", "dualstage", "shared"),
+		Planner: pick("", "prune", "dualstage"),
 		Mode:    warehouse.Mode(pick("", "staged", "dag")),
 		Workers: rng.Intn(4), Skip: rng.Intn(2) == 0,
 		Windows: 1 + rng.Intn(4), Readers: rng.Intn(3),

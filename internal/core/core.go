@@ -422,6 +422,7 @@ func (w *Warehouse) Install(name string) (int64, error) {
 
 // ShareTuner is inert — the share tuner is gone, and nothing reads what this
 // returns; it stays because the frozen benchmark (bench/layers.go) calls it.
+// ROADMAP item 25 deletes it.
 func (w *Warehouse) ShareTuner() any { return nil }
 
 // Clone returns a deep copy of the warehouse: independent stores and pending

@@ -49,13 +49,13 @@ type EngineCounters struct {
 	// SharedHits, SharedMisses and SharedTuplesSaved are inert and always
 	// 0 — no build outlives the Compute that made it since the window-wide
 	// build cache is gone; they stay because the frozen benchmark
-	// (bench/layers.go) reads them. ROADMAP item 1 deletes them.
+	// (bench/layers.go) reads them. ROADMAP item 25 deletes them.
 	SharedHits, SharedMisses int
 	SharedTuplesSaved        int64
 	// SpillCount, SpilledBytes and SpillReReadBytes are inert and always 0 —
 	// no build spills since the window memory budget is gone; they stay
 	// because the frozen benchmark (bench/layers.go) reads them. ROADMAP
-	// item 1 deletes them.
+	// item 25 deletes them.
 	SpillCount                     int
 	SpilledBytes, SpillReReadBytes int64
 	// IndexProbes counts the lookups made in resident join indexes

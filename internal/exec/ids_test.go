@@ -17,9 +17,9 @@ import (
 
 // TestDAGMatchesNameConflicts holds the precedence DAG, built over view ids,
 // to a brute-force DAG over the by-name conflict relation it replaced: the
-// same predecessors and levels for every strategy MinWork, Prune and
-// PruneShared emit on the differential harness's Random catalogs and on
-// TPC-D flat and deep, and for DualStageVDAG on each.
+// same predecessors and levels for every strategy MinWork and Prune emit on
+// the differential harness's Random catalogs and on TPC-D flat and deep, and
+// for DualStageVDAG on each.
 func TestDAGMatchesNameConflicts(t *testing.T) {
 	var graphs []*vdag.Graph
 	for seed := int64(0); seed < 30; seed++ {
@@ -77,9 +77,5 @@ func emitted(t *testing.T, g *vdag.Graph, rng *rand.Rand) []strategy.Strategy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := planner.PruneShared(g, cost.DefaultModel, stats, refs, planner.SharedSearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []strategy.Strategy{mw.Strategy, pr.Strategy, ps.Strategy, strategy.DualStageVDAG(g)}
+	return []strategy.Strategy{mw.Strategy, pr.Strategy, strategy.DualStageVDAG(g)}
 }

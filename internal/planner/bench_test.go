@@ -95,27 +95,6 @@ func BenchmarkPruneScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkPruneShared measures the sharing-aware search on the TPC-D VDAGs
-// of the benchmark's plan-space sweep.
-func BenchmarkPruneShared(b *testing.B) {
-	for _, m := range []int{6, 7, 8, 10} {
-		g := tpcdSearchGraph(m)
-		stats, opts := tpcdSearchInputs(g)
-		refs := uniformRefs(g)
-		b.Run(fmt.Sprintf("tpcd/m=%d", m), func(b *testing.B) {
-			b.ReportAllocs()
-			var res SharedResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = PruneShared(g, cost.DefaultModel, stats, refs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Examined), "prefixes/op")
-		})
-	}
-}
-
 // BenchmarkConstructEG isolates expression-graph construction and sorting.
 func BenchmarkConstructEG(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

@@ -136,11 +136,32 @@ func Prune(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCount
 	if err != nil {
 		return PruneResult{Work: -1}, err
 	}
-	res, _ := s.run(func() float64 { return 0 })
+	res := s.run()
 	if res.Feasible == 0 {
 		return res, fmt.Errorf("planner: no feasible ordering found (impossible for a well-formed VDAG)")
 	}
 	return res, nil
+}
+
+// PruneShared is inert — it returns Prune's result and ignores opts; it stays
+// because the frozen benchmark (bench/layers.go) calls it. ROADMAP item 25
+// deletes it.
+func PruneShared(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts, _ SharedSearchOptions) (PruneResult, error) {
+	return Prune(g, model, stats, refs)
+}
+
+// SharedSearchOptions is inert — PruneShared reads none of it; it stays
+// because the frozen benchmark (bench/layers.go) sets it. ROADMAP item 25
+// deletes it.
+type SharedSearchOptions struct {
+	Refs    any
+	Sharing SharingOptions
+}
+
+// SharingOptions is inert — nothing reads it; it stays because the frozen
+// benchmark (bench/layers.go) sets it. ROADMAP item 25 deletes it.
+type SharingOptions struct {
+	Width, Pairs, Tuner any
 }
 
 // BestViewStrategy exhaustively evaluates every correct view strategy for a

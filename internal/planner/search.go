@@ -10,19 +10,19 @@ import (
 	"repro/internal/vdag"
 )
 
-// maxSearchViews is the most views with parents Prune and PruneShared order:
-// the search keeps one float64 per subset of them (8 MB, about a second, at
-// the limit).
+// maxSearchViews is the most views with parents Prune orders: the search
+// keeps one float64 per subset of them (8 MB, about a second, at the limit).
 const maxSearchViews = 20
 
-// search is the compiled form of one Prune / PruneShared search. What no
-// ordering changes is resolved once: expressions are the dense node ids of
-// the graph's skeleton (Inst(V) per view, then Comp(V,{c}) per VDAG edge)
-// with its C3/C5/C8 edges, both compiled once per graph, and each Comp's
-// linear work is tabulated per child and install state. Evaluating an ordering adds its V/C4/SEG edges, sorts and
-// simulates against reused scratch, allocating nothing. The same tables price
-// a view placed after a *set* of views (place), which is what lets run bound a
-// prefix of an ordering without completing it.
+// search is the compiled form of one Prune search. What no ordering changes
+// is resolved once: expressions are the dense node ids of the graph's
+// skeleton (Inst(V) per view, then Comp(V,{c}) per VDAG edge) with its
+// C3/C5/C8 edges, both compiled once per graph, and each Comp's linear work
+// is tabulated per child and install state. Evaluating an ordering adds its
+// V/C4/SEG edges, sorts and simulates against reused scratch, allocating
+// nothing. The same tables price a view placed after a *set* of views
+// (place), which is what lets run bound a prefix of an ordering without
+// completing it.
 type search struct {
 	nodes     []strategy.Expr
 	nViews    int
@@ -43,11 +43,6 @@ type search struct {
 	// The bound's view of the VDAG: a set of placed views is a bit mask.
 	bit      []uint32 // per view: its bit in such a set; 0 for a view without parents
 	children []uint32 // per view: the bits of its children
-	// What sharing saves (sharedsearch.go); without sharing, as in Prune,
-	// nothing.
-	shareBase   float64      // on operands every ordering reads alike
-	stateReads  []int32      // [x·m+i]: the Comps propagating the view of bit i that read view x's state
-	stateSaving [][2]float64 // per view: one saved scan of its state, priced, before and after its install
 
 	ord       []int32 // the ordering under evaluation: views with parents
 	out       []int32 // its strategy, as node ids
@@ -66,7 +61,7 @@ type workTerm struct {
 // compileSearch prices g's expressions for one search. The expressions and
 // the edges no ordering changes are g's skeleton, compiled once per graph; a
 // model with neither a compute nor an install coefficient is read as
-// cost.DefaultModel's, so work and sharing savings are priced alike.
+// cost.DefaultModel's.
 func compileSearch(g *vdag.Graph, model cost.Model, stats cost.Stats, refs cost.RefCounts) (*search, error) {
 	if model.CompCoeff == 0 && model.InstCoeff == 0 {
 		model.CompCoeff, model.InstCoeff = cost.DefaultModel.CompCoeff, cost.DefaultModel.InstCoeff
@@ -186,13 +181,10 @@ func (s *search) evaluate() (work float64, ok bool) {
 // place is what placing view x directly after the views in placed adds to
 // the objective. Strong consistency pins every sibling's install state at each
 // Comp over x to its membership in placed (Theorem 6.1), so this is x's
-// install, the Comps propagating x priced by evaluate's tables, less — under
-// PruneShared — the saving on x's state: the Comps reading it
-// before its install (those propagating a view of placed, or x) can share one
-// scan, and those after it another. It is +Inf when two or more of x's
-// children are still unplaced: C5 puts Inst(x) after the Comp over the later
-// of them, C4 puts that Comp after the earlier one's Inst, and the ordering
-// puts that Inst after Inst(x).
+// install and the Comps propagating x, priced by evaluate's tables. It is
+// +Inf when two or more of x's children are still unplaced: C5 puts Inst(x)
+// after the Comp over the later of them, C4 puts that Comp after the earlier
+// one's Inst, and the ordering puts that Inst after Inst(x).
 func (s *search) place(x int32, placed uint32) float64 {
 	if bits.OnesCount32(s.children[x]&^placed) >= 2 {
 		return math.Inf(1)
@@ -209,14 +201,6 @@ func (s *search) place(x int32, placed uint32) float64 {
 			scan += t.scan[installed]
 		}
 		w += s.model.CompCoeff * scan
-	}
-	if s.stateReads != nil {
-		var n [2]int32 // the Comps reading x's state before its install, and after
-		m, before := len(s.ord), placed|s.bit[x]
-		for i, reads := range s.stateReads[int(x)*m:][:m] {
-			n[1-(before>>i&1)] += reads
-		}
-		w -= s.stateSaving[x][0]*float64(max(n[0]-1, 0)) + s.stateSaving[x][1]*float64(max(n[1]-1, 0))
 	}
 	return w
 }
@@ -240,14 +224,14 @@ func (s *search) costToGo() []float64 {
 }
 
 // roundingSlack is how far a prefix's bound may exceed, by rounding alone, the
-// objective evaluate and saved() report for an ordering under it: the two sum
-// the same priced terms in different orders. It is zero when no sum can round
+// work evaluate reports for an ordering under it: the two sum the same priced
+// terms in different orders. It is zero when no sum can round
 // — tuple counts priced by coefficients on a 2⁻¹⁶ grid, as cost.DefaultModel's
 // are — so that orderings tied with the incumbent are cut; otherwise ties
 // within the slack are evaluated, as the loop over every ordering would.
 func (s *search) roundingSlack() float64 {
 	onGrid := func(v float64) bool { return v*(1<<16) == math.Trunc(v*(1<<16)) }
-	exact, total := onGrid(s.model.CompCoeff), math.Abs(s.shareBase)
+	exact, total := onGrid(s.model.CompCoeff), 0.0
 	for _, w := range s.instWork {
 		exact, total = exact && onGrid(w), total+math.Abs(w)
 	}
@@ -257,10 +241,6 @@ func (s *search) roundingSlack() float64 {
 			total += math.Abs(s.model.CompCoeff * t.scan[i])
 		}
 	}
-	for i, reads := range s.stateReads {
-		x := i / len(s.ord)
-		total += (s.stateSaving[x][0] + s.stateSaving[x][1]) * float64(reads)
-	}
 	if exact && total < 1<<36 {
 		return 0
 	}
@@ -268,18 +248,16 @@ func (s *search) roundingSlack() float64 {
 }
 
 // run searches the orderings depth-first, in strategy.Permutations order, and
-// returns the first of those with the least work less saved() — what sharing
-// saves the strategy in s.out, priced — rendered back to names and
+// returns the first of those with the least work, rendered back to names and
 // expressions; s.out is left holding the winner. A prefix is left unfinished
 // when what it has placed plus the least the rest can add (costToGo) is no
-// better than the best ordering so far: the election behind saved() saves
-// exactly place's sum, and an ordering place admits but
-// evaluate finds cyclic is only dropped, so no ordering under a cut prefix
-// would have replaced the incumbent. Examined counts the prefixes priced and
-// the orderings completed, Feasible the complete orderings evaluate found
-// acyclic.
-func (s *search) run(saved func() float64) (res PruneResult, adjusted float64) {
-	res.Work, adjusted = -1, -1
+// better than the best ordering so far: an ordering's work is exactly place's
+// sum, and an ordering place admits but evaluate finds cyclic is only
+// dropped, so no ordering under a cut prefix would have replaced the
+// incumbent. Examined counts the prefixes priced and the orderings completed,
+// Feasible the complete orderings evaluate found acyclic.
+func (s *search) run() (res PruneResult) {
+	res.Work = -1
 	best := make([]int32, len(s.ord))
 	h, slack := s.costToGo(), s.roundingSlack()
 	var extend func(k int, placed uint32, prefix float64)
@@ -291,8 +269,8 @@ func (s *search) run(saved func() float64) (res PruneResult, adjusted float64) {
 				return // cyclic SEG: no strongly consistent strategy exists
 			}
 			res.Feasible++
-			if adj := w - saved(); adjusted < 0 || adj < adjusted {
-				res.Work, adjusted = w, adj
+			if res.Work < 0 || w < res.Work {
+				res.Work = w
 				copy(best, s.ord)
 			}
 			return
@@ -302,13 +280,13 @@ func (s *search) run(saved func() float64) (res PruneResult, adjusted float64) {
 			res.Examined++
 			x := s.ord[k]
 			with := prefix + s.place(x, placed)
-			if bound := with + h[placed|s.bit[x]]; bound < math.Inf(1) && (adjusted < 0 || bound-slack < adjusted) {
+			if bound := with + h[placed|s.bit[x]]; bound < math.Inf(1) && (res.Work < 0 || bound-slack < res.Work) {
 				extend(k+1, placed|s.bit[x], with)
 			}
 			s.ord[k], s.ord[i] = s.ord[i], s.ord[k]
 		}
 	}
-	base := -s.shareBase
+	var base float64
 	for v, w := range s.instWork {
 		if s.bit[v] == 0 {
 			base += w
@@ -316,7 +294,7 @@ func (s *search) run(saved func() float64) (res PruneResult, adjusted float64) {
 	}
 	extend(0, 0, base)
 	if res.Feasible == 0 {
-		return res, adjusted
+		return res
 	}
 	copy(s.ord, best)
 	s.evaluate()
@@ -327,5 +305,5 @@ func (s *search) run(saved func() float64) (res PruneResult, adjusted float64) {
 	for _, v := range best {
 		res.Ordering = append(res.Ordering, s.nodes[v].(strategy.Inst).View)
 	}
-	return res, adjusted
+	return res
 }

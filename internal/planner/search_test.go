@@ -19,12 +19,11 @@ type searchCase struct {
 	model cost.Model
 	stats cost.Stats
 	refs  cost.RefCounts
-	opts  SharedSearchOptions
 }
 
 // randomSearchCase draws a VDAG of the given shape with minOrderable to
 // maxOrderable views with parents, with statistics, self-join reference
-// counts, and a seed-chosen model, widths and reference order.
+// counts, and a seed-chosen model.
 func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable int) searchCase {
 	var g *vdag.Graph
 	for {
@@ -48,20 +47,6 @@ func randomSearchCase(rng *rand.Rand, shape string, minOrderable, maxOrderable i
 		{CompCoeff: 2, InstCoeff: 1},
 		{CompCoeff: 1, InstCoeff: 4},
 	}[rng.Intn(3)]
-	if rng.Intn(2) == 0 {
-		c.opts.Sharing.Width = func(view string) int { return 2 + len(view)%3 }
-	}
-	if rng.Intn(3) == 0 {
-		// A reference list in another order than the sorted expansion.
-		sorted := refsFromCounts(c.refs)
-		c.opts.Refs = func(view string) []string {
-			list := sorted(view)
-			for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
-				list[i], list[j] = list[j], list[i]
-			}
-			return list
-		}
-	}
 	return c
 }
 
@@ -117,10 +102,9 @@ func randomShape(rng *rand.Rand, shape string) *vdag.Graph {
 
 // TestCompiledSearchMatchesReference is the differential test of the
 // compiled, bounded search: over seeded random VDAGs — orderings with cyclic
-// SEGs among them — Prune and PruneShared choose
-// what the per-ordering ConstructSEG → TopoSort → cost.Work → sharing
-// analysis loop over all m! orderings chooses, the analysis being the
-// pre-compilation implementation, and every winner is a correct VDAG strategy.
+// SEGs among them — Prune chooses what the per-ordering ConstructSEG →
+// TopoSort → cost.Work loop over all m! orderings chooses, and its winner is
+// a correct VDAG strategy.
 func TestCompiledSearchMatchesReference(t *testing.T) {
 	cases := 180
 	if testing.Short() {
@@ -160,27 +144,6 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 			if err := strategy.ValidateVDAGStrategy(c.g, got.Strategy); err != nil {
 				t.Errorf("%s: Prune's strategy is not correct: %v", name, err)
 			}
-
-			wantS, err := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, refAnalyzeSharing)
-			if err != nil {
-				t.Fatalf("%s: reference PruneShared: %v", name, err)
-			}
-			gotS, err := PruneShared(c.g, c.model, c.stats, c.refs, c.opts)
-			if err != nil {
-				t.Fatalf("%s: PruneShared: %v", name, err)
-			}
-			gotS.Examined, gotS.Feasible = wantS.Examined, wantS.Feasible
-			if !reflect.DeepEqual(gotS, wantS) {
-				t.Errorf("%s: PruneShared = %+v\nwant %+v", name, gotS, wantS)
-			}
-			if err := strategy.ValidateVDAGStrategy(c.g, gotS.Strategy); err != nil {
-				t.Errorf("%s: PruneShared's strategy is not correct: %v", name, err)
-			}
-			// The same loop over today's analysis: the search's election and the
-			// one-shot election are the same code on the same reads.
-			if again, _ := refPruneShared(c.g, c.model, c.stats, c.refs, c.opts, AnalyzeSharing); !reflect.DeepEqual(gotS, again) {
-				t.Errorf("%s: PruneShared differs from the loop over AnalyzeSharing: %+v\nwant %+v", name, gotS, again)
-			}
 		})
 	}
 }
@@ -188,9 +151,9 @@ func TestCompiledSearchMatchesReference(t *testing.T) {
 // TestBoundedSearchNonDyadic holds the bound admissible in floating point.
 // Under coefficients no binary fraction represents, the bound and evaluate sum
 // the same terms in different orders and may differ in the last bits; the
-// search must still return exactly what a plain loop of evaluate() and
-// saved() over every permutation returns — on statistics full of ties too,
-// where rounding alone decides between orderings.
+// search must still return exactly what a plain loop of evaluate() over every
+// permutation returns — on statistics full of ties too, where rounding alone
+// decides between orderings.
 func TestBoundedSearchNonDyadic(t *testing.T) {
 	shapes := []string{"tree", "uniform", "deep"}
 	for seed := 0; seed < 90; seed++ {
@@ -202,52 +165,39 @@ func TestBoundedSearchNonDyadic(t *testing.T) {
 				c.stats[v] = cost.ViewStat{Size: int64(300 + 100*rng.Intn(2)), DeltaPlus: int64(7 * rng.Intn(2)), DeltaMinus: int64(3 * rng.Intn(2))}
 			}
 		}
-		for _, shared := range []bool{false, true} {
-			compile := func() (*search, func() float64) {
-				s, err := compileSearch(c.g, c.model, c.stats, c.refs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !shared {
-					return s, func() float64 { return 0 }
-				}
-				opts := c.opts.Sharing
-				opts.Stats = c.stats
-				sh := compileSharing(s.nodes, refsFromCounts(c.refs), opts)
-				s.boundSharing(sh)
-				return s, func() float64 { return s.model.CompCoeff * float64(sh.analyze(s.out)) }
+		compile := func() *search {
+			s, err := compileSearch(c.g, c.model, c.stats, c.refs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			s, saved := compile()
-			sweep, sweepSaved := compile() // the same input, for the plain loop
-			if s.roundingSlack() == 0 {
-				t.Fatalf("seed %d: the model %+v is priced as if its sums were exact", seed, c.model)
-			}
-			got, gotAdjusted := s.run(saved)
+			return s
+		}
+		s, sweep := compile(), compile() // the same input, for the plain loop
+		if s.roundingSlack() == 0 {
+			t.Fatalf("seed %d: the model %+v is priced as if its sums were exact", seed, c.model)
+		}
+		got := s.run()
 
-			var want []int32
-			wantWork, wantAdjusted := -1.0, -1.0
-			strategy.VisitPermutations(sweep.ord, func([]int32) {
-				if w, ok := sweep.evaluate(); ok {
-					if adj := w - sweepSaved(); wantAdjusted < 0 || adj < wantAdjusted {
-						want, wantWork, wantAdjusted = slices.Clone(sweep.ord), w, adj
-					}
-				}
-			})
-			var wantOrdering []string
-			for _, v := range want {
-				wantOrdering = append(wantOrdering, sweep.nodes[v].(strategy.Inst).View)
+		var want []int32
+		wantWork := -1.0
+		strategy.VisitPermutations(sweep.ord, func([]int32) {
+			if w, ok := sweep.evaluate(); ok && (wantWork < 0 || w < wantWork) {
+				want, wantWork = slices.Clone(sweep.ord), w
 			}
-			if !reflect.DeepEqual(got.Ordering, wantOrdering) || got.Work != wantWork || gotAdjusted != wantAdjusted {
-				t.Errorf("seed %d (%v, shared %v): searched %v work %v adjusted %v, swept %v work %v adjusted %v",
-					seed, c.g, shared, got.Ordering, got.Work, gotAdjusted, wantOrdering, wantWork, wantAdjusted)
-			}
+		})
+		var wantOrdering []string
+		for _, v := range want {
+			wantOrdering = append(wantOrdering, sweep.nodes[v].(strategy.Inst).View)
+		}
+		if !reflect.DeepEqual(got.Ordering, wantOrdering) || got.Work != wantWork {
+			t.Errorf("seed %d (%v): searched %v work %v, swept %v work %v",
+				seed, c.g, got.Ordering, got.Work, wantOrdering, wantWork)
 		}
 	}
 }
 
 // TestSearchRefusesTooManyViews: the search keeps a cost per subset of the
-// views with parents, so past maxSearchViews of them Prune and PruneShared
-// fail at once — naming the count and MinWork, which plans such a VDAG —
+// views with parents, so past maxSearchViews of them Prune fails at once — naming the count and MinWork, which plans such a VDAG —
 // rather than allocate 2^m floats.
 func TestSearchRefusesTooManyViews(t *testing.T) {
 	pairs := [][2]interface{}{}
@@ -257,47 +207,12 @@ func TestSearchRefusesTooManyViews(t *testing.T) {
 		pairs = append(pairs, [2]interface{}{bases[i], nil})
 	}
 	g := vdag.MustBuild(append(pairs, [2]interface{}{"D", bases})...)
-	stats, opts := tpcdSearchInputs(g)
-	_, err := Prune(g, cost.DefaultModel, stats, uniformRefs(g))
-	_, errShared := PruneShared(g, cost.DefaultModel, stats, uniformRefs(g), opts)
-	for _, err := range []error{err, errShared} {
-		if err == nil || !strings.Contains(err.Error(), "21 views") || !strings.Contains(err.Error(), "MinWork") {
-			t.Errorf("21 views with parents: error %v, want one naming the count and MinWork", err)
-		}
+	stats := tpcdSearchInputs(g)
+	if _, err := Prune(g, cost.DefaultModel, stats, uniformRefs(g)); err == nil || !strings.Contains(err.Error(), "21 views") || !strings.Contains(err.Error(), "MinWork") {
+		t.Errorf("21 views with parents: error %v, want one naming the count and MinWork", err)
 	}
 	if _, err := MinWork(g, stats); err != nil {
 		t.Errorf("MinWork on the same VDAG: %v", err)
-	}
-}
-
-// TestAnalyzeSharingMatchesReference compares the compiled sharing analysis
-// with the pre-compilation one on strategies no search emits: dual-stage,
-// partitioned multi-way Comps, and analysis without statistics.
-func TestAnalyzeSharingMatchesReference(t *testing.T) {
-	for seed := 0; seed < 120; seed++ {
-		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		c := randomSearchCase(rng, []string{"tree", "uniform", "deep"}[seed%3], 3, 6)
-		refsFn := c.opts.Refs
-		if refsFn == nil {
-			refsFn = refsFromCounts(c.refs)
-		}
-		opts := c.opts.Sharing
-		if seed%4 > 0 {
-			opts.Stats = c.stats
-		}
-		if seed%5 == 0 {
-			delete(c.stats, c.g.Views()[0]) // a view the statistics miss
-		}
-		mw, err := MinWork(c.g, randStats(c.g, rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []strategy.Strategy{strategy.DualStageVDAG(c.g), mw.Strategy} {
-			got, want := AnalyzeSharing(s, refsFn, opts), refAnalyzeSharing(s, refsFn, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d, %v:\n got %+v\nwant %+v", seed, s, got, want)
-			}
-		}
 	}
 }
 
@@ -327,76 +242,57 @@ func tpcdSearchGraph(orderable int) *vdag.Graph {
 }
 
 // tpcdSearchInputs are fixed statistics for tpcdSearchGraph.
-func tpcdSearchInputs(g *vdag.Graph) (cost.Stats, SharedSearchOptions) {
+func tpcdSearchInputs(g *vdag.Graph) cost.Stats {
 	stats := make(cost.Stats)
 	for i, v := range g.Views() {
 		stats[v] = cost.ViewStat{Size: int64(1500 - 170*i + 37*i*i), DeltaPlus: int64(11 + 7*i), DeltaMinus: int64(40 - 3*i)}
 	}
-	return stats, SharedSearchOptions{}
+	return stats
 }
 
 // TestSearchGolden pins Prune on the TPC-D graphs to what the commit before
 // the compiled search returned, and its counters to what the bound leaves of
-// the search: m(m+1)/2 prefixes priced on the way to one ordering. On these
-// graphs that ordering also has the least sharing-adjusted work, and
-// PruneShared, whose bound is exact, walks the same prefixes to it.
+// the search: m(m+1)/2 prefixes priced on the way to one ordering.
 func TestSearchGolden(t *testing.T) {
 	for _, want := range []struct {
 		orderable                    int
 		prune                        string
-		pruneWork, adjusted          float64
+		pruneWork                    float64
 		pruneExamined, pruneFeasible int
 	}{
 		{orderable: 6, pruneExamined: 21, pruneFeasible: 1,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Inst(Q3); Inst(Q5); Inst(Q10)⟩",
-			pruneWork: 68456, adjusted: 14819},
+			pruneWork: 68456},
 		{orderable: 7, pruneExamined: 28, pruneFeasible: 1,
 			prune:     "⟨Comp(Q3, {C}); Comp(Q5, {C}); Comp(Q10, {C}); Inst(C); Comp(Q3, {O}); Comp(Q5, {O}); Comp(Q10, {O}); Inst(O); Comp(Q3, {L}); Comp(Q5, {L}); Comp(Q10, {L}); Inst(L); Comp(Q5, {S}); Inst(S); Comp(Q5, {N}); Comp(Q10, {N}); Inst(N); Comp(Q5, {R}); Inst(R); Comp(Q3P, {Q3}); Inst(Q3); Inst(Q5); Inst(Q10); Inst(Q3P)⟩",
-			pruneWork: 68618, adjusted: 14981},
+			pruneWork: 68618},
 	} {
 		g := tpcdSearchGraph(want.orderable)
-		stats, opts := tpcdSearchInputs(g)
-		pr, err := Prune(g, cost.DefaultModel, stats, uniformRefs(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := PruneShared(g, cost.DefaultModel, stats, uniformRefs(g), opts)
+		pr, err := Prune(g, cost.DefaultModel, tpcdSearchInputs(g), uniformRefs(g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pr.Strategy.String() != want.prune || pr.Work != want.pruneWork || pr.Examined != want.pruneExamined || pr.Feasible != want.pruneFeasible {
 			t.Errorf("%d views: Prune = %v, work %v, examined %d, feasible %d", want.orderable, pr.Strategy, pr.Work, pr.Examined, pr.Feasible)
 		}
-		if sh.Strategy.String() != want.prune || sh.Work != want.pruneWork || sh.AdjustedWork != want.adjusted ||
-			sh.Examined != want.pruneExamined || sh.Feasible != want.pruneFeasible {
-			t.Errorf("%d views: PruneShared = %v, work %v, adjusted %v, examined %d, feasible %d",
-				want.orderable, sh.Strategy, sh.Work, sh.AdjustedWork, sh.Examined, sh.Feasible)
-		}
 	}
 }
 
 // TestSearchAllocations gates, without a clock, that costing an ordering
 // allocates nothing — directly, on the compiled evaluation of one ordering,
-// and at the surface: PruneShared over 720 orderings allocates about what it
+// and at the surface: Prune over 720 orderings allocates about what it
 // does over 6 on a VDAG of about the same size (what it allocates is the
 // compilation and the rendered winner, which grow with the VDAG), and a
 // 7-view search allocates a few hundred times (the string-keyed graphs it
 // replaces took 5.58 million).
 func TestSearchAllocations(t *testing.T) {
 	g := tpcdSearchGraph(7)
-	stats, opts := tpcdSearchInputs(g)
-	opts.Sharing.Stats = stats
-	s, err := compileSearch(g, cost.DefaultModel, stats, uniformRefs(g))
+	s, err := compileSearch(g, cost.DefaultModel, tpcdSearchInputs(g), uniformRefs(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := compileSharing(s.nodes, refsFromCounts(uniformRefs(g)), opts.Sharing)
 	if n := testing.AllocsPerRun(10, func() {
-		strategy.VisitPermutations(s.ord[:4], func([]int32) {
-			if _, ok := s.evaluate(); ok {
-				sh.analyze(s.out)
-			}
-		})
+		strategy.VisitPermutations(s.ord[:4], func([]int32) { s.evaluate() })
 	}); n != 0 {
 		t.Errorf("costing 24 orderings allocates %.0f times, want 0", n)
 	}
@@ -414,17 +310,9 @@ func TestSearchAllocations(t *testing.T) {
 		return vdag.MustBuild(pairs...)
 	}
 	allocs := func(g *vdag.Graph) float64 {
-		stats, opts := tpcdSearchInputs(g)
-		// Reference lists handed out ready-made, as a catalog would, so the
-		// count is the planner's own.
-		lists := make(map[string][]string)
-		for _, v := range g.Views() {
-			lists[v] = g.Children(v)
-		}
-		opts.Refs = func(view string) []string { return lists[view] }
-		refs := uniformRefs(g)
+		stats, refs := tpcdSearchInputs(g), uniformRefs(g)
 		return testing.AllocsPerRun(3, func() {
-			if _, err := PruneShared(g, cost.DefaultModel, stats, refs, opts); err != nil {
+			if _, err := Prune(g, cost.DefaultModel, stats, refs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -433,37 +321,26 @@ func TestSearchAllocations(t *testing.T) {
 	// 6 under 2 (12 edges, 720 orderings).
 	few, many := allocs(summaries(3, 4)), allocs(summaries(6, 2))
 	if diff := many - few; diff <= -64 || diff >= 64 {
-		t.Errorf("PruneShared allocates %.0f times over 6 orderings and %.0f over 720", few, many)
+		t.Errorf("Prune allocates %.0f times over 6 orderings and %.0f over 720", few, many)
 	}
 	if n := allocs(tpcdSearchGraph(7)); n >= 2000 {
-		t.Errorf("PruneShared on seven views with parents allocates %.0f times, want < 2000", n)
+		t.Errorf("Prune on seven views with parents allocates %.0f times, want < 2000", n)
 	}
 }
 
-// TestZeroModelIsDefaultModel (regression): with a model that has no
-// coefficients PruneShared priced saved scans at the default coefficient but
-// the work itself at zero, so adjusted work went negative. Both searches now
-// read such a model as cost.DefaultModel.
+// TestZeroModelIsDefaultModel: the search reads a model with no coefficients
+// as cost.DefaultModel rather than pricing every strategy at zero work.
 func TestZeroModelIsDefaultModel(t *testing.T) {
 	g := tpcdSearchGraph(6)
-	stats, opts := tpcdSearchInputs(g)
-	refs := uniformRefs(g)
-	var zero cost.Model
-	got, err := PruneShared(g, zero, stats, refs, opts)
+	stats, refs := tpcdSearchInputs(g), uniformRefs(g)
+	got, err := Prune(g, cost.Model{}, stats, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AdjustedWork <= 0 || got.Work <= 0 {
-		t.Errorf("zero model gives work %v, adjusted %v", got.Work, got.AdjustedWork)
+	if got.Work <= 0 {
+		t.Errorf("zero model gives work %v", got.Work)
 	}
-	if want, _ := PruneShared(g, cost.DefaultModel, stats, refs, opts); !reflect.DeepEqual(got, want) {
-		t.Errorf("zero model gives %+v\ndefault model %+v", got, want)
-	}
-	pr, err := Prune(g, zero, stats, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := Prune(g, cost.DefaultModel, stats, refs); !reflect.DeepEqual(pr, want) {
-		t.Errorf("Prune with a zero model gives %+v\ndefault model %+v", pr, want)
+	if want, _ := Prune(g, cost.DefaultModel, stats, refs); !reflect.DeepEqual(got, want) {
+		t.Errorf("Prune with a zero model gives %+v\ndefault model %+v", got, want)
 	}
 }

@@ -123,7 +123,7 @@ func TestPruneFeasibleCountMatchesSEG(t *testing.T) {
 			}
 		}
 		// Every ordering ties on these statistics, so the search completes few.
-		if res, _ := s.run(func() float64 { return 0 }); res.Feasible < 1 || res.Feasible > feasible {
+		if res := s.run(); res.Feasible < 1 || res.Feasible > feasible {
 			t.Errorf("%v: Prune counts %d feasible orderings, the SEG sweep %d", g, res.Feasible, feasible)
 		}
 	}

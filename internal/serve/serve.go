@@ -144,7 +144,15 @@ type Server struct {
 // legal (the facade serializes mutators, and counts every window in its
 // tally, which Stats reports); RunWindow adds the server's budget and
 // journal.
+//
+// New collects garbage once before it serves. A server starts over a
+// warehouse that was just loaded, and the collector sizes its next goal from
+// what its last cycle found live: a cycle that ran during Refresh counts
+// Refresh's transient build tables, and the heap may grow to twice
+// state-plus-builds before the next cycle. Peak memory would then depend on
+// where that cycle fell. Collected here, the goal is twice the served state.
 func New(w *warehouse.Warehouse, cfg Config) *Server {
+	runtime.GC()
 	cfg = cfg.withDefaults()
 	s := &Server{w: w, cfg: cfg, queue: make(chan *request, cfg.QueueDepth)}
 	s.wg.Add(cfg.Workers)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,21 @@ func TestServeQuery(t *testing.T) {
 	st := s.Stats()
 	if st.Admitted != 1 || st.Completed != 1 || st.Shed != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestNewCollectsBeforeServing: New runs one collection before it serves, so
+// the collector's goal is sized from the state the server holds and not from
+// the load's garbage.
+func TestNewCollectsBeforeServing(t *testing.T) {
+	w := newRetail(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(w, Config{})
+	defer s.Close(context.Background())
+	runtime.ReadMemStats(&after)
+	if after.NumForcedGC == before.NumForcedGC {
+		t.Errorf("New ran no collection (forced GCs %d before and after)", before.NumForcedGC)
 	}
 }
 

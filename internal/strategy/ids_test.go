@@ -42,8 +42,8 @@ func mutants(s strategy.Strategy, rng *rand.Rand) []strategy.Strategy {
 
 // TestValidationMatchesNames holds validation over view ids to the
 // validation by name it replaced, message for message: on every strategy
-// MinWork, Prune and PruneShared emit on the differential harness's Random
-// catalogs and on TPC-D flat and deep, on DualStageVDAG, and on those
+// MinWork and Prune emit on the differential harness's Random catalogs and on
+// TPC-D flat and deep, on DualStageVDAG, and on those
 // strategies with an expression swapped, dropped or duplicated — each with no
 // view quiescent and with the quiescent set of a drawn change batch.
 func TestValidationMatchesNames(t *testing.T) {
@@ -75,10 +75,6 @@ func TestValidationMatchesNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := planner.PruneShared(g, cost.DefaultModel, stats, refs, planner.SharedSearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A drawn batch: some base views change, and so does every view over
 		// a changed one; the rest are quiescent.
 		quiet := make([]bool, g.Len())
@@ -89,7 +85,7 @@ func TestValidationMatchesNames(t *testing.T) {
 			}
 		}
 		byName := func(view string) bool { id, _ := g.ID(view); return quiet[id] }
-		for _, s := range []strategy.Strategy{mw.Strategy, pr.Strategy, ps.Strategy, strategy.DualStageVDAG(g)} {
+		for _, s := range []strategy.Strategy{mw.Strategy, pr.Strategy, strategy.DualStageVDAG(g)} {
 			for _, m := range append([]strategy.Strategy{s}, mutants(s, rng)...) {
 				name := fmt.Sprintf("graph %d (%v), %s", gi, g, m)
 				got, want := strategy.ValidateVDAGStrategy(g, m), strategy.RefValidateVDAGStrategy(g, m, nil)

@@ -107,7 +107,7 @@ func TestScaleSF01(t *testing.T) {
 // asks the build cache for nothing, whichever planner chose the strategy. A change that brings state builds back fails here, not only in the
 // benchmark; so does one that changes which join indexes stay resident.
 func TestOneWayWindowsBuildNothing(t *testing.T) {
-	for _, shared := range []bool{false, true} {
+	for _, prune := range []bool{false, true} {
 		tw, err := NewWarehouse(Config{SF: 0.001, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -123,16 +123,10 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			var s strategy.Strategy
-			if shared {
-				res, err := planner.PruneShared(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W), planner.SharedSearchOptions{
-					Refs:    exec.RefsOf(tw.W),
-					Sharing: planner.SharingOptions{Width: exec.WidthOf(tw.W)},
-				})
+			if prune {
+				res, err := planner.Prune(tw.Graph, cost.DefaultModel, stats, exec.RefCounts(tw.W))
 				if err != nil {
 					t.Fatal(err)
-				}
-				if res.DualStage {
-					t.Fatalf("PruneShared chose the dual-stage strategy: the fixture no longer pins a 1-way window")
 				}
 				s = res.Strategy
 			} else {
@@ -151,12 +145,12 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 				c.Add(step.EngineCounters)
 			}
 			if c.CacheMisses != 0 || c.CacheHits != 0 {
-				t.Errorf("shared planner %v, window %d: %+v, want no build asked for", shared, win, c)
+				t.Errorf("prune %v, window %d: %+v, want no build asked for", prune, win, c)
 			}
 			// From the second window on the indexes are resident: what the
 			// metric charges for the states, no scan reads.
 			if c.IndexProbes == 0 || (win > 0 && c.IndexTuplesSaved == 0) {
-				t.Errorf("shared planner %v, window %d: %d index probes, %d tuples saved", shared, win, c.IndexProbes, c.IndexTuplesSaved)
+				t.Errorf("prune %v, window %d: %d index probes, %d tuples saved", prune, win, c.IndexProbes, c.IndexTuplesSaved)
 			}
 		}
 		if err := tw.W.VerifyAll(); err != nil {
@@ -175,7 +169,7 @@ func TestOneWayWindowsBuildNothing(t *testing.T) {
 		}
 		slices.Sort(got)
 		if want := "CUSTOMER[0] LINEITEM[0] NATION[0] ORDER[0] ORDER[1] REGION[0] SUPPLIER[0 2]"; strings.Join(got, " ") != want {
-			t.Errorf("shared planner %v: resident indexes %v, want %s", shared, got, want)
+			t.Errorf("prune %v: resident indexes %v, want %s", prune, got, want)
 		}
 	}
 }

@@ -13,8 +13,7 @@
 //   - Plan(MinWorkPlanner): expression-graph planning for the whole VDAG,
 //     optimal for tree- and uniform-shaped warehouses.
 //   - Plan(PrunePlanner): exhaustive-but-pruned search returning the
-//     cheapest 1-way VDAG strategy; Plan(SharedPlanner) costs the same
-//     candidates by sharing-adjusted work, and Plan(DualStagePlanner) is the
+//     cheapest 1-way VDAG strategy, and Plan(DualStagePlanner) is the
 //     conventional propagate-then-install strategy the paper compares
 //     against.
 //
@@ -159,17 +158,17 @@ type Options struct {
 	// of a Comp one after another, and a window's parallelism is the
 	// scheduler's (WindowOptions.Mode and Workers); nothing reads them. They
 	// stay because the frozen benchmark (bench/main.go) sets them. ROADMAP
-	// item 1 deletes them.
+	// item 25 deletes them.
 	ParallelTerms bool
 	Workers       int
 	// ShareComputation is inert — a build lives and dies inside the Comp
 	// that made it since the window-wide build cache is gone, and nothing
 	// reads it; it stays because the frozen benchmark (bench/main.go) sets
-	// it. ROADMAP item 1 deletes it.
+	// it. ROADMAP item 25 deletes it.
 	ShareComputation bool
 	// MemoryBudgetBytes is inert — the window memory budget is gone, and
 	// nothing reads it; it stays because the frozen benchmark
-	// (bench/main.go) sets it. ROADMAP item 1 deletes it.
+	// (bench/main.go) sets it. ROADMAP item 25 deletes it.
 	MemoryBudgetBytes int64
 	// Model overrides the cost model's coefficients; zero value means
 	// DefaultCostModel.
@@ -463,11 +462,10 @@ type Plan struct {
 	// Modified reports MinWork fell back to the level-respecting ordering.
 	Modified bool
 	// EstimatedWork is the strategy's predicted cost under the linear work
-	// metric and the statistics it was planned from — sharing-adjusted for
-	// SharedPlanner. -1 for a recovered or replicated window, whose strategy
-	// was not planned here.
+	// metric and the statistics it was planned from. -1 for a recovered or
+	// replicated window, whose strategy was not planned here.
 	EstimatedWork float64
-	// Examined and Feasible are a Prune or PruneShared search's effort (see
+	// Examined and Feasible are a Prune search's effort (see
 	// planner.PruneResult): the prefixes of view orderings it priced, and the
 	// complete orderings it evaluated and found to admit a strategy. Neither is
 	// the m! orderings of the search space; 0 for the planners that do not
@@ -504,7 +502,7 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 			return Plan{}, err
 		}
 		p.Strategy, p.Ordering, p.Modified = res.Strategy, res.UsedOrdering, res.Modified
-	case PrunePlanner:
+	case PrunePlanner, SharedPlanner:
 		res, err := planner.Prune(g, model, stats, refs)
 		if err != nil {
 			return Plan{}, err
@@ -513,16 +511,6 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 		p.Examined, p.Feasible = res.Examined, res.Feasible
 	case DualStagePlanner:
 		p.Strategy = strategy.DualStageVDAG(g)
-	case SharedPlanner:
-		res, err := planner.PruneShared(g, model, stats, refs, planner.SharedSearchOptions{
-			Refs:    exec.RefsOf(w.core),
-			Sharing: planner.SharingOptions{Width: exec.WidthOf(w.core)},
-		})
-		if err != nil {
-			return Plan{}, err
-		}
-		p.Strategy, p.Ordering, p.EstimatedWork = res.Strategy, res.Ordering, res.AdjustedWork
-		p.Examined, p.Feasible = res.Examined, res.Feasible
 	default:
 		return Plan{}, fmt.Errorf("warehouse: unknown planner %q", name)
 	}

@@ -23,12 +23,9 @@ const (
 	// DualStagePlanner is the conventional propagate-then-install strategy
 	// ([CGL+96]), provided as the baseline.
 	DualStagePlanner PlannerName = "dualstage"
-	// SharedPlanner is the sharing-aware Prune search: candidates are costed
-	// by sharing-adjusted work (multi-consumer operands charged once). That
-	// adjusted work prices a saving no executor makes — every Comp builds its
-	// own tables — so it is an estimate, not a prediction; the planner stays
-	// because the frozen benchmark (bench/) plans and times with it. ROADMAP
-	// item 3 deletes it.
+	// SharedPlanner is inert — it plans as PrunePlanner, whose strategy,
+	// estimate and effort it reports under its own name; it stays because the
+	// frozen benchmark (bench/) plans with it. ROADMAP item 25 deletes it.
 	SharedPlanner PlannerName = "shared"
 )
 
@@ -148,12 +145,12 @@ type WindowCounters struct {
 	core.EngineCounters
 	// SharedBytesPeak is inert and always 0 — no build outlives the Comp
 	// that made it since the window-wide build cache is gone; it stays
-	// because the frozen benchmark (bench/layers.go) reads it. ROADMAP item
-	// 1 deletes it.
+	// because the frozen benchmark (bench/layers.go) reads it. ROADMAP
+	// item 25 deletes it.
 	SharedBytesPeak int64
 	// PeakReservedBytes is inert and always 0 — the window memory budget it
 	// measured is gone; it stays because the frozen benchmark
-	// (bench/layers.go) reads it. ROADMAP item 1 deletes it.
+	// (bench/layers.go) reads it. ROADMAP item 25 deletes it.
 	PeakReservedBytes int64
 }
 
