@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -563,6 +564,14 @@ func (sh *shell) snapshot(stmt string) error {
 	path := strings.Trim(fields[2], "'")
 	switch strings.ToUpper(fields[1]) {
 	case "SAVE":
+		// The last window's commit record rides the journal's next flush:
+		// flush it now, or a power loss could leave this snapshot of the
+		// window's state beside a journal that shows the window in flight.
+		if sh.j != nil {
+			if err := sh.j.Sync(math.MaxInt64); err != nil {
+				return err
+			}
+		}
 		if err := sh.w.SaveSnapshotFile(sh.ctx, path); err != nil {
 			return err
 		}

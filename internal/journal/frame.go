@@ -143,6 +143,10 @@ func ScanFile(buf []byte, fn func(typ byte, payload []byte, end int) error) (siz
 // appending after its last whole frame. The file is read first and fn sees
 // its frames as under ScanFile; a torn tail is then cut off, or the torn
 // frame would hide every record appended behind it from the next reader.
+// A file that held anything is then flushed, with the cut: a process that
+// died may have left records no flush reached, such as the begin record of a
+// window that a recovery is about to complete and report, and a writer
+// appending behind them counts its bytes from a durable start.
 func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (*os.File, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -160,6 +164,12 @@ func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (
 		if err := f.Truncate(size); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("journal: cutting the torn tail of %s: %w", path, err)
+		}
+	}
+	if len(buf) > 0 {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: flushing %s: %w", path, err)
 		}
 	}
 	return f, nil

@@ -27,18 +27,24 @@
 // records end.
 //
 // Durability. The writer hands every record to the file in one Write as it
-// is appended, and syncs after a Begin, a Commit and an Abort — not after a
-// Step, which rides the next sync. The begin record's sync runs beside the
+// is appended, and syncs after a Begin and an Abort — not after a Step or a
+// Commit, which ride the next sync. The begin record's sync runs beside the
 // window: Begin starts it and returns, steps are appended while the disk
 // works, and Commit, Abort and Wait wait for it to return before anything
-// else happens to the window, so a window still waits for the disk twice but
-// idles through one of the waits only. An accept is durable once Sync passes
-// its end; producers waiting together share one sync, which covers everything
-// written before it started, and one sync runs at a time. A window is durable
-// when its commit record is, and its begin record — behind its accepts — is
-// durable before its closing record is written. A process that dies leaves
-// exactly the records it appended. A machine that loses power leaves one of
-// four things of the window it interrupted:
+// else happens to the window, so a committed window waits for the disk once,
+// and only for the part of that flush its steps did not outlast. An accept is
+// durable once Sync passes its end; producers waiting together share one
+// sync, which covers everything written before it started, and one sync runs
+// at a time. A window is recoverable once its begin record — behind its
+// accepts — is durable, because that record holds everything a re-execution
+// needs. A commit record only saves the re-execution: it is appended once the
+// begin record's sync has returned, and made durable by the next sync,
+// whoever starts it (the next window's begin, an abort, an accept's Sync, or
+// whoever closes the file). An abort record is synced before Abort returns,
+// because a caller told a window aborted may stage its batch again, and
+// recovery must then never complete it. A process that dies leaves exactly
+// the records it appended. A machine that loses power leaves one of four
+// things of the last window begun:
 //
 //   - nothing, or a begin frame cut short or holed — whatever frames follow
 //     it. The reader stops at the first frame that fails its CRC and
@@ -48,12 +54,16 @@
 //     ending inside a frame — an in-flight window. Recovery re-executes every
 //     step the journal does not hold, so lost step records cost redone work
 //     and never a different result;
-//   - the same and a torn closing record: cut off, an in-flight window;
+//   - the same and a torn or lost closing record: an in-flight window, which
+//     recovery completes. A window whose Commit had returned is completed to
+//     the state it returned; one whose Abort had returned is not among them,
+//     because Abort returns only once its record is durable;
 //   - the whole window, closed.
 //
 // A closing record without its begin record is not among them, because the
 // closing record is not written until the begin record's sync has returned;
-// an accept whose Sync had returned is among what any of them keeps.
+// an accept whose Sync had returned is among what any of them keeps, and so
+// is every record in front of a begin record whose sync had returned.
 package journal
 
 import (
@@ -248,15 +258,17 @@ func (w *Writer) keepLocked(buf []byte) {
 
 // NewWriter creates a journal writer appending to out, numbering accepts
 // from 1 (Log.Writer continues a log). If out has a Sync() error method (an
-// *os.File), it is called after each begin, commit and abort record is
-// written, and by Sync. A sync runs while records are written, so out must
+// *os.File), it is called after each begin and abort record is written, and
+// by Sync. A sync runs while records are written, so out must
 // take Write calls beside it as a file does (see the package comment). If out
 // has a Shippable(latest CommitRecord) method (package replicate's Log), it is
 // called after each record that leaves no window open — an accept between
 // windows, a commit or abort record — to say all out holds may ship, with the
 // last commit record written or continued behind: an accept written inside a
 // window ships with its closing record. A caller that stops using the writer
-// with a window open — or closes out — calls Wait first.
+// with a window open calls Wait first, and one that closes out calls Sync
+// past the end of what was written — math.MaxInt64 — so that a commit record
+// no later sync covered reaches the disk.
 func NewWriter(out io.Writer) *Writer { return &Writer{out: out} }
 
 // shipLocked tells out that everything written may ship (w.mu held).
@@ -303,9 +315,10 @@ func (w *Writer) SetContext(ctx context.Context) {
 }
 
 // Sync returns, with the sticky error, once every record appended before end
-// — an offset Accept returned — is durable: it waits for the sync running, and
-// starts one if that did not cover end. A sync covers everything appended
-// before it started, so callers waiting together share it.
+// — an offset Accept returned, or math.MaxInt64 for every record — is
+// durable: it waits for the sync running, and starts one if that did not
+// cover end. A sync covers everything appended before it started, so callers
+// waiting together share it.
 func (w *Writer) Sync(end int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -339,8 +352,7 @@ func (w *Writer) Sync(end int64) error {
 // Wait returns once the last begin record is durable — the sync Begin
 // started has returned — with the writer's sticky error: that sync's failure,
 // if it failed. Commit and Abort wait by themselves; Wait is for a window that
-// gets neither — a crash-class exit leaves the journal in flight — and for
-// whoever closes the file.
+// gets neither — a crash-class exit leaves the journal in flight.
 func (w *Writer) Wait() error {
 	w.mu.Lock()
 	begun := w.begun
@@ -436,10 +448,12 @@ func (w *Writer) Step(s StepRecord) error {
 }
 
 // Commit appends a window-commit record, once the window's begin record is
-// durable, and syncs it. It stamps the record with when the first accept the
-// window installs was accepted, and those accepts are pending no more.
+// durable, and returns without syncing it: the window is recoverable from
+// its begin record, and the commit record rides the next sync. It stamps the
+// record with when the first accept the window installs was accepted, and
+// those accepts are pending no more.
 func (w *Writer) Commit(c CommitRecord) error {
-	return w.close(TypeCommit, func() func([]byte) []byte {
+	_, err := w.close(TypeCommit, func() func([]byte) []byte {
 		c.AcceptUnixNano = 0
 		if named, _ := w.pending.Named(w.open); len(named) > 0 {
 			c.AcceptUnixNano = named[0].UnixNano
@@ -448,35 +462,36 @@ func (w *Writer) Commit(c CommitRecord) error {
 		w.latest = c
 		return c.appendTo
 	})
+	return err
 }
 
 // Abort appends a window-abort record, once the window's begin record is
-// durable, and syncs it.
+// durable, and syncs it: a window reported aborted is never recovered.
 func (w *Writer) Abort(a AbortRecord) error {
-	return w.close(TypeAbort, func() func([]byte) []byte {
+	end, err := w.close(TypeAbort, func() func([]byte) []byte {
 		return func(p []byte) []byte { return AppendString(p, a.Reason) }
 	})
-}
-
-// close appends a window's closing record, whose payload encoder record
-// returns (called with w.mu held), behind its durable begin record and
-// syncs it.
-func (w *Writer) close(typ byte, record func() func([]byte) []byte) error {
-	if err := w.Wait(); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	err := w.appendLocked(typ, record())
-	if err == nil {
-		w.inWindow = false
-		w.shipLocked()
-	}
-	end := w.written
-	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return w.Sync(end)
+}
+
+// close appends a window's closing record, whose payload encoder record
+// returns (called with w.mu held), behind its durable begin record, and
+// returns where it ends.
+func (w *Writer) close(typ byte, record func() func([]byte) []byte) (int64, error) {
+	if err := w.Wait(); err != nil {
+		return 0, err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.appendLocked(typ, record()); err != nil {
+		return 0, err
+	}
+	w.inWindow = false
+	w.shipLocked()
+	return w.written, nil
 }
 
 // The payload encoders, each appending a record's payload in place

@@ -262,12 +262,13 @@ func TestWriterSetContext(t *testing.T) {
 	}
 }
 
-// TestWriterSyncsWindowBoundaries: the writer syncs the begin record, the
-// commit and the abort — four syncs for two windows — and lets step records
-// ride the next of those, each record still handed to the file whole, in one
-// Write, as it is appended. The begin record's sync is started by Begin and
-// waited for by whatever closes the window, so what it made durable is read
-// after Wait.
+// TestWriterSyncsWindowBoundaries: the writer syncs the begin record and the
+// abort — one sync for a committed window, two for an aborted one — and lets
+// step and commit records ride the next of those, each record still handed
+// to the file whole, in one Write, as it is appended. The begin record's sync
+// is started by Begin and waited for by whatever closes the window, so what
+// it made durable is read after Wait; no closing record is written before it
+// has returned.
 func TestWriterSyncsWindowBoundaries(t *testing.T) {
 	f := &journaltest.Disk{}
 	w := NewWriter(f)
@@ -299,11 +300,18 @@ func TestWriterSyncsWindowBoundaries(t *testing.T) {
 		}
 	}
 	expect("five steps", 1, begun)
+	stepped := f.Now().Written
 	if err := w.Commit(CommitRecord{TotalWork: 10}); err != nil {
 		t.Fatal(err)
 	}
-	expect("commit", 2, f.Now().Written)
+	expect("commit", 1, begun)
+	for _, m := range f.Moments() {
+		if m.Written > stepped && m.Durable < begun {
+			t.Fatalf("commit frame on the disk at %+v, before the begin record (ends at %d) was durable", m, begun)
+		}
+	}
 
+	// The next begin record's sync carries the commit record with it.
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +324,13 @@ func TestWriterSyncsWindowBoundaries(t *testing.T) {
 	}
 	// The step may have been written before the begin record's sync started,
 	// and is then flushed with it.
-	if d := f.Now().Durable; f.Syncs() != 3 || d < begun {
-		t.Fatalf("after second begin and a step: %d syncs, %d bytes synced; want 3 and at least %d", f.Syncs(), d, begun)
+	if d := f.Now().Durable; f.Syncs() != 2 || d < begun {
+		t.Fatalf("after second begin and a step: %d syncs, %d bytes synced; want 2 and at least %d", f.Syncs(), d, begun)
 	}
 	if err := w.Abort(AbortRecord{Reason: "test"}); err != nil {
 		t.Fatal(err)
 	}
-	expect("abort", 4, f.Now().Written)
+	expect("abort", 3, f.Now().Written)
 }
 
 // TestReadLogReportsIntactSize: Size is where the intact records end,

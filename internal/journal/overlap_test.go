@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,8 @@ func stillBlocked(t *testing.T, what string, done <-chan error) {
 // TestBeginFlushOverlapsSteps is the writer's ordering contract: Begin
 // returns with its flush still running, step frames land beside it — from
 // several goroutines, as DAG workers append them — and Commit writes nothing
-// until the flush has returned.
+// until the flush has returned, and then flushes nothing: the begin record's
+// is the window's one sync, and the commit record rides the next.
 func TestBeginFlushOverlapsSteps(t *testing.T) {
 	d, release := heldDisk(nil)
 	defer release()
@@ -73,8 +75,16 @@ func TestBeginFlushOverlapsSteps(t *testing.T) {
 	if err := <-committed; err != nil {
 		t.Fatal(err)
 	}
+	// The held flush covers the begin record and whatever steps were written
+	// before it started; the commit frame is written and not flushed.
+	if now := d.Now(); d.Syncs() != 1 || now.Durable < begun.Written || now.Durable > stepped.Written || now.Written <= stepped.Written {
+		t.Fatalf("after commit: %d syncs, %+v; want 1, the begin record's %d bytes durable and the commit frame behind %d written, not durable", d.Syncs(), now, begun.Written, stepped.Written)
+	}
+	if err := w.Sync(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
 	if now := d.Now(); d.Syncs() != 2 || now.Durable != now.Written {
-		t.Fatalf("after commit: %d syncs, %+v", d.Syncs(), now)
+		t.Fatalf("after a sync of everything: %d syncs, %+v", d.Syncs(), now)
 	}
 	// The disk's own history agrees: the commit frame was written at a
 	// moment when the begin record was already durable.

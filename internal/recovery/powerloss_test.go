@@ -52,7 +52,9 @@ func (d *windowDisk) Write(p []byte) (int, error) {
 
 // TestBeginDoesNotWaitForItsFlush runs one journaled window whose begin
 // flush cannot return until its first step has been journaled: it deadlocks,
-// and times out, if Begin ever blocks on the disk again.
+// and times out, if Begin ever blocks on the disk again. The window's begin
+// flush is its only one, and its commit record reaches the disk only once
+// that flush has returned.
 func TestBeginDoesNotWaitForItsFlush(t *testing.T) {
 	w, s := newFixture(t)
 	disk := newWindowDisk(t, nil, true)
@@ -69,9 +71,89 @@ func TestBeginDoesNotWaitForItsFlush(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the window is waiting for its begin record's flush before running its first step")
 	}
-	if now := disk.Now(); disk.Syncs() != 3 || now.Durable != now.Written {
-		t.Fatalf("after the window: %d syncs (want the preload's, begin's, commit's), %+v", disk.Syncs(), now)
+	if now := disk.Now(); disk.Syncs() != 2 || now.Durable >= now.Written {
+		t.Fatalf("after the window: %d syncs (want the preload's and the begin record's), %+v (want the commit record written, not flushed)", disk.Syncs(), now)
 	}
+	closeFollowsDurableBegin(t, disk.Disk, 0)
+}
+
+// TestCommittedWindowMakesOneSync is the window's one wait for the disk: a
+// journaled window returns while the flush after its begin record's is held,
+// so it does not wait for its commit record to be flushed, and every
+// committed window makes exactly one sync — its begin record's, which carries
+// the commit record of the window before it.
+func TestCommittedWindowMakesOneSync(t *testing.T) {
+	w, s := newFixture(t)
+	disk := &journaltest.Disk{}
+	release := disk.Hold(1, nil) // Sync 0 is the first window's begin record's
+	defer release()
+	jw := journal.NewWriter(disk)
+	run := func(seq int) error {
+		_, err := Run(w, s, Options{Journal: jw, Seq: seq, Mode: exec.ModeSequential, Validate: true})
+		return err
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(1) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the window waits for a flush after its begin record's, which can only be its commit record's")
+	}
+	if now := disk.Now(); disk.Syncs() != 1 || now.Durable >= now.Written {
+		t.Fatalf("after the first window: %d syncs, %+v; want 1 and the commit record not flushed", disk.Syncs(), now)
+	}
+	closeFollowsDurableBegin(t, disk, 0)
+	release()
+	// Run leaves w as it was, so every window is the same one again.
+	for seq := 2; seq <= 5; seq++ {
+		base := disk.Now().Written
+		if err := run(seq); err != nil {
+			t.Fatal(err)
+		}
+		if disk.Syncs() != seq {
+			t.Fatalf("after %d committed windows: %d syncs", seq, disk.Syncs())
+		}
+		closeFollowsDurableBegin(t, disk, base)
+	}
+}
+
+// closeFollowsDurableBegin checks the ordering the reachable power-loss
+// images rest on, over every moment the disk recorded: no byte of the
+// closing record of the window journaled from base on is on the disk before
+// that window's begin record is durable.
+func closeFollowsDurableBegin(t testing.TB, disk *journaltest.Disk, base int) {
+	t.Helper()
+	whole := disk.Bytes()
+	_, beginEnd, closeStart, _, _ := windowFrames(t, whole, base)
+	for _, m := range disk.Moments() {
+		if m.Written > closeStart && m.Durable < beginEnd {
+			t.Fatalf("closing record written at %+v with the begin record (ends at %d) not durable", m, beginEnd)
+		}
+	}
+}
+
+// windowFrames locates the one window journaled from base to the end of
+// whole: ends holds the end offset of every frame of the journal, beginEnd
+// where the window's begin record ends and closeStart where its closing
+// record starts — len(whole) when closed is not set. committed tells a
+// commit record from an abort.
+func windowFrames(t testing.TB, whole []byte, base int) (ends []int, beginEnd, closeStart int, closed, committed bool) {
+	t.Helper()
+	ends = frameEnds(t, whole)
+	first, start := 0, 0 // index in ends of the begin frame, and where it starts
+	for ends[first] <= base || whole[start] != journal.TypeBegin {
+		start = ends[first]
+		first++
+	}
+	beginEnd, closeStart = ends[first], len(whole)
+	lastStart := ends[len(ends)-2]
+	if typ := whole[lastStart]; typ == journal.TypeCommit || typ == journal.TypeAbort {
+		closeStart, closed, committed = lastStart, true, typ == journal.TypeCommit
+	}
+	return ends, beginEnd, closeStart, closed, committed
 }
 
 // frameEnds returns the end offset of every frame of a whole journal.
@@ -156,6 +238,7 @@ func TestPowerLossDifferential(t *testing.T) {
 	}
 	pre := res.Core
 	preState := bags(t, pre)
+	preFirst := bags(t, w0)
 	base := first.Len()
 
 	// Window 2, the one that loses power.
@@ -217,8 +300,72 @@ func TestPowerLossDifferential(t *testing.T) {
 				}
 				powerLossCases(t, disk.Disk, base, held, preState, postState, postSteps)
 			})
+			// The same window journaled behind window 1 as it returned, on
+			// one disk: window 1's commit record is written and, unless
+			// Commit syncs it, not flushed.
+			t.Run(fmt.Sprintf("%s/%s/behind-unflushed-commit", m.mode, oc.name), func(t *testing.T) {
+				disk := &journaltest.Disk{}
+				jw := journal.NewWriter(disk)
+				if _, err := Run(w0, s1, Options{Journal: jw, Seq: 1, Mode: exec.ModeSequential, Validate: true}); err != nil {
+					t.Fatal(err)
+				}
+				now := disk.Now()
+				unflushed := now.Durable < now.Written
+				returned := len(disk.Moments()) - 1
+				opts := Options{Journal: jw, Seq: 2, Mode: m.mode, Workers: m.workers, Validate: true}
+				if oc.arm != nil {
+					oc.arm(&opts)
+				}
+				if _, err := Run(pre, s, opts); (err == nil) != (oc.arm == nil) {
+					t.Fatalf("the window returned %v", err)
+				}
+				if lost := powerLossBehindReturned(t, disk, returned, preFirst, preState, postState); unflushed && !lost {
+					t.Fatal("window 1's commit record was not flushed when it returned, and no image lost it")
+				}
+			})
 		}
 	}
+}
+
+// powerLossBehindReturned loses power at every moment of a disk from moment
+// returned on, when window 1 had returned with its commit record not flushed
+// and window 2 was then journaled behind it, and cuts each image at what was
+// flushed, at every frame boundary and inside every frame of the rest. A
+// restart lands on the state after window 1 or after window 2, never on the
+// one before window 1: window 1 returned as recoverable, and is recovered
+// where its commit record was lost. It reports whether any image lost it.
+func powerLossBehindReturned(t *testing.T, disk *journaltest.Disk, returned int, preFirst, postFirst, postSecond map[string]string) (lostCommit bool) {
+	whole := disk.Bytes()
+	ends := frameEnds(t, whole)
+	for _, m := range disk.Moments()[returned:] {
+		cuts := []int{m.Durable}
+		for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
+			cuts = append(cuts, start+(ends[i]-start)/2, ends[i])
+		}
+		for _, cut := range cuts {
+			if cut < m.Durable || cut > m.Written {
+				continue
+			}
+			what := fmt.Sprintf("power lost at %+v, cut at %d", m, cut)
+			got := reopen(t, disk.PowerLoss(m, cut-m.Durable))
+			committed := got.final.CommittedCount()
+			if got.final.InFlight() != nil || committed < 1 || committed > 2 {
+				t.Fatalf("%s: %d windows committed after the restart, in flight=%v", what, committed, got.final.InFlight() != nil)
+			}
+			switch state := fmt.Sprint(got.state); {
+			case state == fmt.Sprint(preFirst):
+				t.Fatalf("%s: restarted before window 1, which had returned", what)
+			case committed == 1:
+				sameBags(t, what, postFirst, got.state)
+			default:
+				sameBags(t, what, postSecond, got.state)
+			}
+			if wl := got.found.InFlight(); wl != nil && wl.Begin.Seq == 1 {
+				lostCommit = true
+			}
+		}
+	}
+	return lostCommit
 }
 
 // interruptAt is a window's context cancelled at the window's k-th step
@@ -243,22 +390,11 @@ func (c interruptAt) Err() error {
 // a restart makes of each image.
 func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, preState, postState map[string]string, postSteps map[int]uint64) {
 	whole := disk.Bytes()
-	ends := frameEnds(t, whole)
 	// The window's frames start at base with its own accept; the begin
 	// record behind it ends at beginEnd.
-	first, start := 0, 0 // index in ends of the begin frame, and where it starts
-	for ends[first] <= base || whole[start] != journal.TypeBegin {
-		start = ends[first]
-		first++
-	}
-	beginStart, beginEnd := base, ends[first]
-	// Where the closing record starts, if the window got one.
-	closeStart, closed := len(whole), false
-	lastStart := ends[len(ends)-2]
-	if typ := whole[lastStart]; typ == journal.TypeCommit || typ == journal.TypeAbort {
-		closeStart, closed = lastStart, true
-	}
-	committed := closed && whole[lastStart] == journal.TypeCommit
+	ends, beginEnd, _, closed, committed := windowFrames(t, whole, base)
+	beginStart := base
+	closeFollowsDurableBegin(t, disk, base)
 
 	check := func(what string, image []byte, begun bool) {
 		t.Helper()
@@ -305,11 +441,6 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 		if m.Written <= base {
 			continue
 		}
-		// The contract the reachable images rest on: no byte of the closing
-		// record is on the disk before the begin record is durable.
-		if m.Written > closeStart && m.Durable < beginEnd {
-			t.Fatalf("closing record written at %+v with the begin record (ends at %d) not durable", m, beginEnd)
-		}
 		// Cuts: what is flushed, then every frame boundary and a point
 		// inside every frame of what is written and not flushed.
 		cuts := []int{m.Durable}
@@ -352,9 +483,10 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 
 // BenchmarkJournaledWindow is a journaled window against a disk whose every
 // flush takes 300 µs, beside the same window unjournaled: the difference is
-// what the journal costs a window, and with the begin record's flush running
-// beside the steps it is about one flush — not the two the window makes
-// (syncs/op) — once the steps take as long as a flush does.
+// what the journal costs a window. The window makes one flush (syncs/op), its
+// begin record's, which runs beside the steps, and its commit record rides
+// the next window's; once the steps take as long as a flush does, what is
+// left is encoding and writing the records.
 func BenchmarkJournaledWindow(b *testing.B) {
 	const flush = 300 * time.Microsecond
 	w, s := benchFixture(b)

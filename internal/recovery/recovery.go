@@ -9,17 +9,21 @@
 // each replayed step against the journaled step records.
 //
 // What Recover may find is set by what the journal syncs (package journal):
-// a committed window is durable; an in-flight one has its begin record —
-// strategy, pre-state digest, and the accepts that hold its batch, written
-// before it — once its flush has returned, which the closing record waits for, and any prefix of its step
-// records, whole or torn. Power lost before that leaves no begin record or a
-// torn one, which the next open cuts off with whatever follows it: no window,
-// and nothing to undo, because an attempt writes only its clone and journal
-// frames. Every step without a
-// record is re-executed, so power loss costs redone steps and never a
-// different state. Every way out of an attempt — commit, abort, crash-class
-// return — waits for the begin record's flush, so the caller of Run or
-// Recover gets back a journal nothing is still writing to.
+// a window that Run returned has its begin record — strategy, pre-state
+// digest, and the accepts that hold its batch, written before it — durable,
+// since its commit record waits for that flush, and its commit record rides
+// the journal's next flush. A power loss in between finds the window in
+// flight, and Recover completes it to the state Run returned. A window in
+// flight has its begin record once its flush has returned, and any prefix of
+// its step records, whole or torn. Power lost before that leaves no begin
+// record or a torn one, which the next open cuts off with whatever follows
+// it: no window, and nothing to undo, because an attempt writes only its
+// clone and journal frames. Every step without a record is re-executed, so
+// power loss costs redone steps and never a different state. An aborted
+// attempt returns only once its abort record is durable, so a window
+// reported failed is never recovered. Every way out of an attempt — commit,
+// abort, crash-class return — waits for the begin record's flush, so the
+// caller of Run or Recover gets back a journal nothing is still writing to.
 //
 // Replay is by re-execution: the engine is deterministic given the same
 // pre-window state, change batch and work-affecting options (which the
@@ -115,7 +119,10 @@ func isCrash(err error, inj *faults.Injector) bool {
 
 // Run executes the strategy as a robust update window against w. w itself is
 // never mutated: each attempt executes on a clone, and the committed clone
-// is returned in Result.Core for the caller to adopt. A failed attempt
+// is returned in Result.Core for the caller to adopt. A journaled window
+// returns once it is recoverable — its begin record durable, its commit
+// record appended and left for the journal's next flush — so it waits for
+// the disk once, for the flush its steps ran beside. A failed attempt
 // decides the next by what it observes:
 //
 //   - a crash-class failure returns at once with the journal left in flight —

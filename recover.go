@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 	"time"
@@ -75,7 +76,9 @@ type Journal struct {
 // Pending which of its accepts no committed window installs. A torn final
 // record — a crash during a journal write, or power lost before the unsynced
 // records reached the disk whole — is treated as not written and cut off, so
-// that what is appended next follows the last intact record. A journal whose
+// that what is appended next follows the last intact record. What it read,
+// and the cut, are flushed before it returns, so a window Recover completes
+// is as recoverable as one RunWindowOpts returns. A journal whose
 // begin records carry their change batches, written before accepted changes
 // were records of their own, is refused with that reason.
 func OpenJournal(path string) (*Journal, error) {
@@ -120,19 +123,22 @@ func (j *Journal) Accept(a journal.AcceptRecord) (journal.AcceptRecord, int64, e
 }
 
 // Sync returns once the journal is durable up to end, an offset Accept
-// returned. Accepts waiting together share one flush.
+// returned; math.MaxInt64 flushes every record appended, the commit record
+// of the last window returned included. Accepts waiting together share one
+// flush.
 func (j *Journal) Sync(end int64) error { return j.w.Sync(end) }
 
 // Pending returns the journal's accepts that no committed window installs and
 // that no window was written for: what a resuming ingester requeues.
 func (j *Journal) Pending() journal.Accepts { return j.w.Pending() }
 
-// Close waits for a journal flush still in flight and closes the underlying
-// file, if any. It reports the first append or flush that failed through this
-// handle — after which the tail of the journal is suspect, whatever the
-// windows run since have returned — joined with the file's close error.
+// Close flushes every record appended — a window's commit record rides the
+// next flush, and this may be the last — and closes the underlying file, if
+// any. It reports the first append or flush that failed through this handle
+// — after which the tail of the journal is suspect, whatever the windows run
+// since have returned — joined with the file's close error.
 func (j *Journal) Close() error {
-	err := j.w.Wait()
+	err := j.w.Sync(math.MaxInt64)
 	if j.f != nil {
 		err = errors.Join(err, j.f.Close())
 	}
@@ -151,8 +157,8 @@ type WindowOptions struct {
 	// Workers bounds the ModeDAG pool (0 = GOMAXPROCS; negative is refused).
 	Workers int
 	// Journal, when set, makes the window crash-safe: begin/step/commit
-	// records frame the execution, and a process death leaves an in-flight
-	// window for Recover.
+	// records frame the execution, and a process death or a power loss
+	// leaves an in-flight window for Recover.
 	Journal *Journal
 	// Timeout bounds the window's wall-clock time; cancellation propagates
 	// through the DAG scheduler and stops a Comp before its next term. 0
@@ -184,6 +190,15 @@ type WindowOptions struct {
 // exactly the pre- or post-window state, and a failed window — including a
 // crash-class fault — leaves the serving epoch untouched. On a crash-class
 // failure the journal is left in-flight for Recover.
+//
+// A journaled window returns once it is recoverable: its begin record, which
+// holds its batch's accepts, its strategy and its pre-state digest, is
+// durable, and its commit record is appended but not flushed — the journal's
+// next flush (the next window's begin record, an abort, an accept's Sync,
+// Journal.Close) makes it durable. After a power loss in between, Restore or
+// Recover finds the window in flight and completes it to the state it
+// returned, with the same digests. An aborted window returns only once its
+// abort record is durable, so its batch may be staged again.
 func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 	planner, err := ParsePlanner(string(o.Planner))
 	if err != nil {

@@ -373,3 +373,25 @@ func TestJournalCloseReportsSuspectTail(t *testing.T) {
 		t.Fatalf("second Close reports %v, want the file's own error", err)
 	}
 }
+
+// TestJournalCloseFlushesTheLastCommit: a journaled window returns once its
+// begin record is durable, with its commit record written and not flushed,
+// and Close flushes it: everything appended is durable once Close returns.
+func TestJournalCloseFlushesTheLastCommit(t *testing.T) {
+	disk := &journaltest.Disk{}
+	w := newRetail(t)
+	stageSale(t, w)
+	j := NewJournal(disk)
+	if _, err := w.RunWindowOpts(WindowOptions{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	if now := disk.Now(); disk.Syncs() != 1 || now.Durable >= now.Written {
+		t.Fatalf("the window returned after %d syncs with %+v; want its begin record's sync only, and its commit record not flushed", disk.Syncs(), now)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if now := disk.Now(); now.Durable != now.Written {
+		t.Fatalf("after Close: %+v", now)
+	}
+}

@@ -620,6 +620,12 @@ func (w *Warehouse) Internal() *core.Warehouse { return w.core }
 // library's versioned binary format. The warehouse must be quiescent (no
 // staged or uninstalled changes). The save holds the facade mutex, so no
 // batch is staged and no window commits while it writes.
+//
+// A snapshot pairs with a journal only once the journal is flushed: a window
+// returns with its commit record not yet on the disk, so a snapshot of its
+// state beside a journal that lost that record to a power loss would read the
+// window as in flight, and Recover would refuse the snapshot's state digest.
+// A caller that journals windows calls Journal.Sync(math.MaxInt64) first.
 func (w *Warehouse) SaveSnapshot(out io.Writer) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -629,7 +635,7 @@ func (w *Warehouse) SaveSnapshot(out io.Writer) error {
 // SaveSnapshotFile is SaveSnapshot to the file at path, observing ctx (nil
 // never cancels): the snapshot goes to a temporary file beside path, renamed
 // over it only once whole, so a save that is refused, fails or is cancelled
-// leaves whatever path held.
+// leaves whatever path held. Flush the journal first, as for SaveSnapshot.
 func (w *Warehouse) SaveSnapshotFile(ctx context.Context, path string) error {
 	if ctx == nil {
 		ctx = context.Background()
