@@ -328,12 +328,13 @@ func TestPowerLossDifferential(t *testing.T) {
 }
 
 // powerLossBehindReturned loses power at every moment of a disk from moment
-// returned on, when window 1 had returned with its commit record not flushed
-// and window 2 was then journaled behind it, and cuts each image at what was
-// flushed, at every frame boundary and inside every frame of the rest. A
-// restart lands on the state after window 1 or after window 2, never on the
-// one before window 1: window 1 returned as recoverable, and is recovered
-// where its commit record was lost. It reports whether any image lost it.
+// returned on, when window 1 had returned, its commit record perhaps not yet
+// flushed, and window 2 was then journaled behind it; it cuts each image at
+// what was flushed, at every frame boundary and inside every frame of the
+// rest. A restart lands on the state after window 1 or after window 2, never
+// on the one before window 1: window 1 returned as recoverable, and is
+// recovered where its commit record was lost. It reports whether any image
+// lost it.
 func powerLossBehindReturned(t *testing.T, disk *journaltest.Disk, returned int, preFirst, postFirst, postSecond map[string]string) (lostCommit bool) {
 	whole := disk.Bytes()
 	ends := frameEnds(t, whole)
