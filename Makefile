@@ -165,7 +165,8 @@ bench:
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
 # factorial growth (3.6 and 479 million orderings) hangs here, not in a slow
 # plan-space. One journaled window against a disk whose flushes take 300 µs
-# (one flush a window, syncs/op 1) runs once too, and so does the resident-bytes benchmark: the TPC-D
+# (one flush a window, syncs/op 1, and three writes — accept, begin, commit —
+# writes/op 3) runs once too, and so does the resident-bytes benchmark: the TPC-D
 # warehouse at the repository benchmark's scale, its live heap after set-up
 # and after 20 windows, and LINEITEM's bytes per stored row. So does one served
 # query of each kind of the repository benchmark's two query mixes, through the
@@ -195,7 +196,7 @@ bench-smoke:
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (its one flush,
 # syncs/op 1, runs beside its steps, so the difference is mostly encoding and
-# writing its records), and the live heap of the
+# writing its three records, writes/op 3), and the live heap of the
 # TPC-D warehouse at the repository benchmark's scale after set-up and after
 # 20 windows, with LINEITEM's bytes per stored row. Five samples each,
 # with allocations; the planner's also report prefixes priced per search, the

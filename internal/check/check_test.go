@@ -46,7 +46,6 @@ func draw(seed int64) check.Point {
 		p.Fault = pick("", "deadline", "transient:step@3", "persistent:step@1", "crash:step@", "panic:step@")
 		if strings.HasSuffix(p.Fault, "@") {
 			p.Fault += strconv.Itoa(1 + rng.Intn(12))
-			p.Cut = rng.Intn(3) * rng.Intn(200)
 		}
 	}
 	return p
@@ -86,7 +85,7 @@ func TestPointRoundTrip(t *testing.T) {
 			set[name] = true
 		}
 	}
-	for _, axis := range strings.Fields("seed catalog planner mode workers skip windows fault cut readers replicas drop slow kill ingest") {
+	for _, axis := range strings.Fields("seed catalog planner mode workers skip windows fault readers replicas drop slow kill ingest") {
 		if !set[axis] {
 			t.Errorf("no drawn point set axis %s: its round trip went untested", axis)
 		}

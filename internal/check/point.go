@@ -41,9 +41,6 @@ type Point struct {
 	// nanosecond budget and is run again. n counts from 1 and, at point
 	// "step", wraps around the strategy's length.
 	Fault string `axis:"fault"`
-	// Cut tears that many bytes off the tail of the journal a crash left —
-	// the step records a power loss had not flushed.
-	Cut int `axis:"cut"`
 	// Readers race every window with that many readers of whole epochs, some
 	// of their reads through a query server.
 	Readers int `axis:"readers"`

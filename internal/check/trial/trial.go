@@ -87,8 +87,6 @@ func Run(t testing.TB, p check.Point) Tally {
 		r.Fatalf("an ingest trial takes a crash or a transient fault")
 	case p.Replicas > 0 && !p.Ingest && r.crashes:
 		r.Fatalf("a replicated trial takes no crash of the leader, whose journal is the shipping log")
-	case p.Cut > 0 && !r.crashes:
-		r.Fatalf("cut tears the journal a crash left: it needs fault=crash or fault=panic")
 	case p.Ingest:
 		r.stream()
 	default:
@@ -359,21 +357,8 @@ func (r *run) unchanged(w *warehouse.Warehouse, pre check.State, what string) {
 
 // restart is the process restart after a crash: the catalog is rebuilt from
 // the seed — on the default engine, whatever engine crashed — the pre-window
-// snapshot restored, the journal reopened (after the point's cut of its
-// unflushed tail, never into the begin record) and its window recovered.
+// snapshot restored, the journal reopened and its window recovered.
 func (r *run) restart(jpath string, snap *bytes.Buffer) (*warehouse.Warehouse, warehouse.WindowReport, error) {
-	if r.p.Cut > 0 {
-		image, err := os.ReadFile(jpath)
-		r.ok(err)
-		begin := 0 // where the last begin record ends
-		_, _ = journal.Scan(image, func(typ byte, _ []byte, end int) error {
-			if typ == journal.TypeBegin {
-				begin = end
-			}
-			return nil
-		})
-		r.ok(os.Truncate(jpath, int64(max(begin, len(image)-r.p.Cut))))
-	}
 	fresh := r.build()
 	r.ok(fresh.LoadSnapshot(snap))
 	j, err := warehouse.OpenJournal(jpath)
@@ -404,8 +389,8 @@ func (r *run) readLog(image []byte, w *warehouse.Warehouse) journal.Log {
 }
 
 // journaledOnce checks the journal of a stream whose last window crashed and
-// was recovered: every window committed once, the last with one record per
-// step and the uninterrupted run's installed-delta digests.
+// was recovered: every window committed once, the last with one step record
+// per step, each with the uninterrupted run's installed-delta digest.
 func (r *run) journaledOnce(jpath string, w *warehouse.Warehouse, ref warehouse.Report) {
 	image, err := os.ReadFile(jpath)
 	r.ok(err)
@@ -413,16 +398,14 @@ func (r *run) journaledOnce(jpath string, w *warehouse.Warehouse, ref warehouse.
 	if lg.InFlight() != nil || lg.CommittedCount() != r.streamLen() {
 		r.Fatalf("the recovered journal holds %d committed windows of %d, in flight: %v", lg.CommittedCount(), r.streamLen(), lg.InFlight() != nil)
 	}
-	steps := lg.Windows[len(lg.Windows)-1].Steps
-	seen := make(map[int]bool)
-	for _, sr := range steps {
-		if seen[sr.Index] || sr.Index >= len(ref.Steps) || sr.Digest != ref.Steps[sr.Index].Digest {
-			r.Fatalf("the recovered journal records step %d with digest %016x: a duplicate, or not the uninterrupted run's", sr.Index, sr.Digest)
-		}
-		seen[sr.Index] = true
-	}
+	steps := lg.Windows[len(lg.Windows)-1].Commit.Steps
 	if len(steps) != len(ref.Steps) {
 		r.Fatalf("the recovered journal holds %d step records of %d", len(steps), len(ref.Steps))
+	}
+	for i, sr := range steps {
+		if sr.Digest != ref.Steps[i].Digest {
+			r.Fatalf("the recovered journal records step %d with digest %016x, the uninterrupted run %016x", i, sr.Digest, ref.Steps[i].Digest)
+		}
 	}
 }
 

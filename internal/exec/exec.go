@@ -174,9 +174,11 @@ type Options struct {
 	Context context.Context
 	// OnStep, when non-nil, is called after each expression completes
 	// successfully, with the expression's strategy index and its measured
-	// step. An error fails the step (the window journal uses this to make
-	// a failed journal append fail the window). Staged and DAG execution
-	// call it from concurrent workers: it must be safe for concurrent use.
+	// step, and an error fails the step. No window sets it: it is the
+	// scheduler tests' seam, the one place that can hold a completed step
+	// from releasing its dependents (TestStagedHoldsLevelsBack blocks a DAG
+	// worker in it). Staged and DAG execution call it from concurrent
+	// workers: it must be safe for concurrent use.
 	OnStep func(idx int, step StepReport) error
 	// Faults, when non-nil, is consulted at every step boundary (point
 	// "step") before the expression runs. Injected failures, panics and

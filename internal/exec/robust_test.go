@@ -183,16 +183,12 @@ func TestCancelledContextStopsModes(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(string(mode), func(t *testing.T) {
 			w, s := newBombSetup(t, nil)
-			var steps atomic.Int64
-			_, err := Execute(w, s, Options{Mode: mode,
-				Workers: 4, Validate: true, Context: ctx,
-				OnStep: func(int, StepReport) error { steps.Add(1); return nil },
-			})
+			rep, err := Execute(w, s, Options{Mode: mode, Workers: 4, Validate: true, Context: ctx})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
-			if steps.Load() != 0 {
-				t.Fatalf("%d steps ran under a cancelled context", steps.Load())
+			if len(rep.Steps) != 0 {
+				t.Fatalf("%d steps ran under a cancelled context", len(rep.Steps))
 			}
 		})
 	}

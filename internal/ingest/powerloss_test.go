@@ -177,7 +177,7 @@ func TestPowerLossOverTheOneLog(t *testing.T) {
 		release := disk.hold()
 		done := make(chan error, 1)
 		go func() { done <- ing.drain(ctx, false) }()
-		waitFor(t, "a step of window 1", func() bool { return disk.frames(journal.TypeStep) > 0 })
+		waitFor(t, "a step of window 1", func() bool { return inj.Hits("step") > 0 })
 		accepted := make(chan struct{})
 		go func() { submit(3); close(accepted) }()
 		waitFor(t, "set 3's accept", func() bool { return disk.frames(journal.TypeAccept) == 4 })

@@ -18,8 +18,6 @@ func encodeAccept(a AcceptRecord) []byte { return a.appendTo(nil) }
 
 func encodeBegin(b BeginRecord) ([]byte, error) { return b.appendTo(nil), nil }
 
-func encodeStep(s StepRecord) []byte { return s.appendTo(nil) }
-
 func encodeCommit(c CommitRecord) []byte { return c.appendTo(nil) }
 
 // The encoders as they stood before records were encoded in place, each
@@ -74,23 +72,27 @@ func oldEncodeBegin(b BeginRecord) ([]byte, error) {
 	return binary.AppendUvarint(p, b.Accepts.Hi), nil
 }
 
+// oldEncodeCommit is the commit record built by appending, in the layout
+// that carries the window's steps: work, the three times eight bytes wide,
+// and a step count followed by each step's key, work, terms, flags and
+// digest.
 func oldEncodeCommit(c CommitRecord) []byte {
 	p := binary.AppendVarint(nil, c.TotalWork)
-	p = binary.AppendVarint(p, c.ElapsedNS)
-	p = binary.AppendVarint(p, c.UnixNano)
-	return binary.AppendVarint(p, c.AcceptUnixNano)
-}
-
-func oldEncodeStep(s StepRecord) []byte {
-	p := binary.AppendUvarint(nil, uint64(s.Index))
-	p = AppendString(p, s.Key)
-	p = binary.AppendVarint(p, s.Work)
-	p = binary.AppendUvarint(p, uint64(s.Terms))
-	var flags byte
-	if s.Skipped {
-		flags = 1
+	for _, t := range []int64{c.ElapsedNS, c.UnixNano, c.AcceptUnixNano} {
+		p = binary.BigEndian.AppendUint64(p, uint64(t))
 	}
-	return binary.BigEndian.AppendUint64(append(p, flags), s.Digest)
+	p = binary.AppendUvarint(p, uint64(len(c.Steps)))
+	for _, s := range c.Steps {
+		p = AppendString(p, s.Key)
+		p = binary.AppendVarint(p, s.Work)
+		p = binary.AppendUvarint(p, uint64(s.Terms))
+		var flags byte
+		if s.Skipped {
+			flags = 1
+		}
+		p = binary.BigEndian.AppendUint64(append(p, flags), s.Digest)
+	}
+	return p
 }
 
 // oldEncodeFrame is EncodeFrame as it stood: the head, the payload copied
@@ -130,10 +132,11 @@ func randomBatch(rng *rand.Rand) []ViewBatch {
 	return batch
 }
 
-// TestInPlaceEncodingWritesTheOldBytes: for drawn batches and begin records,
-// what the writer hands its sink — an operator window's accept and begin
-// frames, or an ingester's, then its steps and commit — is
-// byte for byte what the append-and-copy encoders made of the same records.
+// TestInPlaceEncodingWritesTheOldBytes: for drawn batches, begin records and
+// commit records, what the writer hands its sink — an operator window's
+// accept and begin frames, or an ingester's, then its commit with a record of
+// each step — is byte for byte what the append-and-copy encoders made of the
+// same records.
 func TestInPlaceEncodingWritesTheOldBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 200; trial++ {
@@ -172,16 +175,14 @@ func TestInPlaceEncodingWritesTheOldBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, oldEncodeFrame(TypeBegin, p)...)
-		st := StepRecord{Index: rng.Intn(1000), Key: "C:Q:A,B", Work: rng.Int63(), Terms: 3, Skipped: true, Digest: rng.Uint64()}
 		c := CommitRecord{TotalWork: rng.Int63(), ElapsedNS: -rng.Int63(), UnixNano: rng.Int63()}
-		if err := w.Step(st); err != nil {
-			t.Fatal(err)
+		for _, e := range b.Strategy {
+			c.Steps = append(c.Steps, StepRecord{Key: e.Key(), Work: rng.Int63() >> rng.Intn(63), Terms: rng.Intn(300), Skipped: rng.Intn(2) == 0, Digest: rng.Uint64()})
 		}
 		if err := w.Commit(c); err != nil {
 			t.Fatal(err)
 		}
 		c.AcceptUnixNano = acceptNS
-		want = append(want, oldEncodeFrame(TypeStep, oldEncodeStep(st))...)
 		want = append(want, oldEncodeFrame(TypeCommit, oldEncodeCommit(c))...)
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("trial %d: the writer wrote %d bytes, the old encoders %d", trial, got.Len(), len(want))
@@ -208,8 +209,20 @@ func TestBatchDigestIsTheCRCFormula(t *testing.T) {
 func TestEncodeFrameIsTheOldFrame(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
 		payload := bytes.Repeat([]byte{byte(n)}, n)
-		if got, want := EncodeFrame(TypeStep, payload), oldEncodeFrame(TypeStep, payload); !bytes.Equal(got, want) {
+		if got, want := EncodeFrame(TypeCommit, payload), oldEncodeFrame(TypeCommit, payload); !bytes.Equal(got, want) {
 			t.Fatalf("a %d-byte payload: EncodeFrame wrote %d bytes, the old encoder %d", n, len(got), len(want))
 		}
+	}
+}
+
+// TestCommitLengthIsIndependentOfItsTimes: two commit records that differ
+// only in how long their windows ran and when they committed encode to the
+// same number of bytes, so the journal's length says nothing about timing.
+func TestCommitLengthIsIndependentOfItsTimes(t *testing.T) {
+	steps := []StepRecord{{Key: "C:V:A,B", Work: 42, Terms: 3}, {Key: "I:V", Work: 7, Digest: 0xabcdef}}
+	fast := CommitRecord{TotalWork: 49, ElapsedNS: 1, UnixNano: 1, Steps: steps}
+	slow := CommitRecord{TotalWork: 49, ElapsedNS: 1 << 40, UnixNano: 1700000000000000001, AcceptUnixNano: 1699999999000000000, Steps: steps}
+	if a, b := len(encodeCommit(fast)), len(encodeCommit(slow)); a != b {
+		t.Fatalf("a commit of a 1 ns window encodes to %d bytes, one of a %d ns window to %d", a, slow.ElapsedNS, b)
 	}
 }

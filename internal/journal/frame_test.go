@@ -68,12 +68,12 @@ func TestFileAndStreamPolicies(t *testing.T) {
 		t.Fatalf("ReadLog over an unknown type: %d windows, Truncated=%v Size=%d of %d, %v", len(lg.Windows), lg.Truncated, lg.Size, len(raw), err)
 	}
 
-	var begin, step []byte
+	var begin, commit []byte
 	_, _ = Scan(raw, func(typ byte, payload []byte, end int) error {
 		if frame := raw[end-len(EncodeFrame(typ, payload)) : end]; typ == TypeBegin && begin == nil {
 			begin = frame
-		} else if typ == TypeStep && step == nil {
-			step = frame
+		} else if typ == TypeCommit && commit == nil {
+			commit = frame
 		}
 		return nil
 	})
@@ -91,8 +91,8 @@ func TestFileAndStreamPolicies(t *testing.T) {
 		t.Fatalf("the Assembler took a begin record inside an open window: %v", err)
 	}
 
-	if _, err := ReadLog(bytes.NewReader(append(append([]byte(nil), raw...), step...))); err == nil {
-		t.Fatal("ReadLog took a step record behind a closed window")
+	if _, err := ReadLog(bytes.NewReader(append(append([]byte(nil), raw...), commit...))); err == nil {
+		t.Fatal("ReadLog took a commit record behind a closed window")
 	}
 }
 

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -18,9 +19,7 @@ func FuzzJournal(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
 	_ = w.Begin(testBegin())
-	_ = w.Step(StepRecord{Index: 0, Key: "C:V:A,B", Work: 42, Terms: 3})
-	_ = w.Step(StepRecord{Index: 2, Key: "I:V", Work: 7, Digest: 0xabcdef})
-	_ = w.Commit(CommitRecord{TotalWork: 49, ElapsedNS: 1})
+	_ = w.Commit(CommitRecord{TotalWork: 49, ElapsedNS: 1, Steps: []StepRecord{{Key: "C:V:A,B", Work: 42, Terms: 3}, {Key: "I:V", Work: 7, Digest: 0xabcdef}}})
 	_ = w.Begin(BeginRecord{Seq: 2, Mode: "sequential"})
 	_ = w.Abort(AbortRecord{Reason: "boom"})
 	f.Add(seed.Bytes())
@@ -33,8 +32,10 @@ func FuzzJournal(f *testing.F) {
 	}
 	unseen, _ := encodeBegin(BeginRecord{Seq: 3, Accepts: Range{7, 8}})
 	f.Add(append(seed.Bytes(), EncodeFrame(TypeBegin, unseen)...))
-	if old, err := os.ReadFile("testdata/batch_in_begin.journal"); err == nil {
-		f.Add(old)
+	for _, old := range []string{"testdata/batch_in_begin.journal", "testdata/step_frames.journal"} {
+		if old, err := os.ReadFile(old); err == nil {
+			f.Add(old)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -47,7 +48,7 @@ func FuzzJournal(f *testing.F) {
 		var accepts []uint64
 		for {
 			typ, p, n, err := DecodeFrame(data[whole:])
-			if err != nil || n == 0 || typ < TypeStep || typ > TypeBegin {
+			if err != nil || n == 0 || typ < TypeAbort || typ > TypeCommit {
 				break
 			}
 			if a, _ := decodeAccept(p); typ == TypeAccept && !a.Own {
@@ -95,7 +96,8 @@ func (s *shipSink) Shippable(latest CommitRecord) { s.mark, s.latest = s.Len(), 
 
 // checkShippable drives a Writer with the calls ops spell, one a byte — an
 // accept, an operator's window, a window naming the first pending accept, a
-// step, a commit, an abort — and after each checks its shippable mark against
+// commit with a step record, a commit without, an abort — and after each
+// checks its shippable mark against
 // an Assembler, fresh at the start, fed every record written: the mark sits
 // at the end of the last record that leaves the Assembler with no window
 // open, and comes with the last commit record it read. So an accept written
@@ -124,7 +126,7 @@ func checkShippable(t *testing.T, ops []byte) {
 			}
 		case 3:
 			if open {
-				err = w.Step(StepRecord{Index: i})
+				err, open = w.Commit(CommitRecord{TotalWork: int64(i), UnixNano: int64(i + 1), Steps: []StepRecord{{Key: "I:A", Work: int64(i)}}}), false
 			}
 		case 4:
 			if open {
@@ -151,7 +153,7 @@ func checkShippable(t *testing.T, ops []byte) {
 		if read += n; err != nil || read != sink.Len() {
 			t.Fatalf("after writer call %d the Assembler reads %d of the %d bytes written: %v", i, read, sink.Len(), err)
 		}
-		if sink.mark != closed || sink.latest != latest {
+		if sink.mark != closed || !reflect.DeepEqual(sink.latest, latest) {
 			t.Fatalf("after writer call %d (op %d) the mark is at %d with commit %+v; the records leave no window open at %d, the last commit is %+v",
 				i, op%6, sink.mark, sink.latest, closed, latest)
 		}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/strategy"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/parent.journal with this commit's writer")
@@ -15,7 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/parent.jo
 // writeGolden journals what testdata/parent.journal holds, every field of
 // every record set: two accepts a committed window installs, an operator's
 // window that aborts and its retry that commits, an accept a window in flight
-// names, and one appended among that window's steps.
+// names, and one appended while that window runs.
 func writeGolden(t testing.TB, w *Writer) {
 	t.Helper()
 	must := func(err error) {
@@ -34,23 +36,30 @@ func writeGolden(t testing.TB, w *Writer) {
 	first := testBegin()
 	first.Own, first.Accepts = false, Range{1, 2}
 	must(w.Begin(first))
-	must(w.Step(StepRecord{Index: 0, Key: "C:V:A,B", Work: 42, Terms: 3}))
-	must(w.Step(StepRecord{Index: 2, Key: "I:V", Work: 7, Digest: 0xabcdef}))
-	must(w.Step(StepRecord{Index: 1, Key: "C:W:A", Terms: 1, Skipped: true}))
-	must(w.Commit(CommitRecord{TotalWork: 49, ElapsedNS: 12345, UnixNano: 1700000000000000001, AcceptUnixNano: 1699999999000000000}))
-	operator := BeginRecord{Seq: 2, Planner: "prune", Mode: "sequential", Workers: 1, ProbeWork: true, StateDigest: 1, BatchDigest: 2, Own: true,
-		Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "\x00k\xff", Count: -3}}}}}
+	must(w.Commit(goldenCommits[0]))
+	operator := BeginRecord{Seq: 2, Planner: "prune", Mode: "sequential", Workers: 1, ProbeWork: true, StateDigest: 1, BatchDigest: 2,
+		Strategy: strategy.Strategy{strategy.Inst{View: "A"}}, Own: true, Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "\x00k\xff", Count: -3}}}}}
 	must(w.Begin(operator))
 	must(w.Abort(AbortRecord{Reason: "deadline"}))
 	accept(AcceptRecord{UnixNano: 1700000000000000002, Batch: []ViewBatch{{View: "B", Rows: []RowChange{{Key: "k4", Count: 5}}}}})
 	must(w.Begin(operator))
-	must(w.Step(StepRecord{Index: 0, Key: "I:A", Work: 3, Digest: 9}))
-	must(w.Commit(CommitRecord{TotalWork: 3, ElapsedNS: 1, UnixNano: 1700000000000000003}))
+	must(w.Commit(goldenCommits[1]))
 	inflight := BeginRecord{Seq: 3, Mode: "recompute", Strategy: testBegin().Strategy, Accepts: Range{4, 4}}
 	must(w.Begin(inflight))
 	accept(AcceptRecord{UnixNano: 1700000000000000004, Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "k5", Count: 1}}}}})
-	must(w.Step(StepRecord{Index: 0, Key: "C:V:A,B", Work: 1}))
 	must(w.Wait())
+}
+
+// goldenCommits are the commit records of testdata/parent.journal's two
+// committed windows, one step record for each expression of their strategies.
+var goldenCommits = []CommitRecord{
+	{TotalWork: 49, ElapsedNS: 12345, UnixNano: 1700000000000000001, AcceptUnixNano: 1699999999000000000, Steps: []StepRecord{
+		{Key: "C:V:A,B", Work: 42, Terms: 3},
+		{Key: "C:W:A", Terms: 1, Skipped: true},
+		{Key: "I:V", Work: 7, Digest: 0xabcdef},
+		{Key: "I:W", Digest: 1 << 63},
+	}},
+	{TotalWork: 3, ElapsedNS: 1, UnixNano: 1700000000000000003, Steps: []StepRecord{{Key: "I:A", Work: 3, Digest: 9}}},
 }
 
 // goldenLog is how testdata/parent.journal reads: its windows, and the
@@ -60,26 +69,17 @@ func goldenLog() ([]WindowLog, Accepts) {
 	first.Own, first.Accepts = false, Range{1, 2}
 	first.Batch = []ViewBatch{{View: "A", Rows: []RowChange{{Key: "k1", Count: 2}, {Key: "k2", Count: -1}}},
 		{View: "A", Rows: []RowChange{{Key: "k1", Count: -2}}}, {View: "B", Rows: []RowChange{{Key: "k3", Count: 1}}}}
-	aborted := BeginRecord{Seq: 2, Planner: "prune", Mode: "sequential", Workers: 1, ProbeWork: true, StateDigest: 1, BatchDigest: 2, Own: true,
-		Accepts: Range{3, 3}, Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "\x00k\xff", Count: -3}}}}}
+	aborted := BeginRecord{Seq: 2, Planner: "prune", Mode: "sequential", Workers: 1, ProbeWork: true, StateDigest: 1, BatchDigest: 2,
+		Strategy: strategy.Strategy{strategy.Inst{View: "A"}}, Own: true, Accepts: Range{3, 3}, Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "\x00k\xff", Count: -3}}}}}
 	retried := aborted
 	retried.Accepts = Range{5, 5}
 	fourth := AcceptRecord{Seq: 4, UnixNano: 1700000000000000002, Batch: []ViewBatch{{View: "B", Rows: []RowChange{{Key: "k4", Count: 5}}}}}
 	sixth := AcceptRecord{Seq: 6, UnixNano: 1700000000000000004, Batch: []ViewBatch{{View: "A", Rows: []RowChange{{Key: "k5", Count: 1}}}}}
 	return []WindowLog{
-		{
-			Begin: first,
-			Steps: []StepRecord{
-				{Index: 0, Key: "C:V:A,B", Work: 42, Terms: 3},
-				{Index: 2, Key: "I:V", Work: 7, Digest: 0xabcdef},
-				{Index: 1, Key: "C:W:A", Terms: 1, Skipped: true},
-			},
-			Commit: &CommitRecord{TotalWork: 49, ElapsedNS: 12345, UnixNano: 1700000000000000001, AcceptUnixNano: 1699999999000000000},
-		},
+		{Begin: first, Commit: &goldenCommits[0]},
 		{Begin: aborted, Abort: &AbortRecord{Reason: "deadline"}},
-		{Begin: retried, Steps: []StepRecord{{Index: 0, Key: "I:A", Work: 3, Digest: 9}}, Commit: &CommitRecord{TotalWork: 3, ElapsedNS: 1, UnixNano: 1700000000000000003}},
-		{Begin: BeginRecord{Seq: 3, Mode: "recompute", Strategy: testBegin().Strategy, Accepts: Range{4, 4}, Batch: fourth.Batch},
-			Steps: []StepRecord{{Index: 0, Key: "C:V:A,B", Work: 1}}},
+		{Begin: retried, Commit: &goldenCommits[1]},
+		{Begin: BeginRecord{Seq: 3, Mode: "recompute", Strategy: testBegin().Strategy, Accepts: Range{4, 4}, Batch: fourth.Batch}},
 	}, Accepts{fourth, sixth}
 }
 
@@ -101,10 +101,6 @@ func reencode(t testing.TB, buf []byte) []byte {
 			if b, err = decodeBegin(p); err == nil {
 				again, err = encodeBegin(b)
 			}
-		case TypeStep:
-			var s StepRecord
-			s, err = decodeStep(p)
-			again = encodeStep(s)
 		case TypeCommit:
 			var c CommitRecord
 			c, err = decodeCommit(p)
@@ -173,27 +169,40 @@ func TestGoldenJournalBytes(t *testing.T) {
 	}
 }
 
-// TestBatchInBeginIsRefused: a journal whose begin records carry their
-// change batches — testdata/batch_in_begin.journal, written before accepted
-// changes were records of their own — is refused by the file reader and by an
-// open for append with the reason, not read as torn, and is left as it was.
+// TestBatchInBeginIsRefused: journals written by older builds are refused by
+// the file reader and by an open for append with the reason, not read as
+// torn, and are left as they were: testdata/batch_in_begin.journal, whose
+// begin records carry their change batches, written before accepted changes
+// were records of their own, and testdata/step_frames.journal, whose windows
+// journal each step as a record of its own, written before a window's step
+// records rode its commit record.
 func TestBatchInBeginIsRefused(t *testing.T) {
-	old, err := os.ReadFile("testdata/batch_in_begin.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadLog(bytes.NewReader(old)); !errors.Is(err, errBatchBegin) {
-		t.Fatalf("ReadLog of a journal with batches in its begin records: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "old.journal")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var lg Log
-	if _, err := OpenAppend(path, lg.Feed); !errors.Is(err, errBatchBegin) {
-		t.Fatalf("OpenAppend of a journal with batches in its begin records: %v", err)
-	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
-		t.Fatal("the refused journal was cut")
+	for _, tc := range []struct {
+		file string
+		want error
+	}{
+		{"testdata/batch_in_begin.journal", errBatchBegin},
+		{"testdata/step_frames.journal", errStepFrames},
+	} {
+		t.Run(filepath.Base(tc.file), func(t *testing.T) {
+			old, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadLog(bytes.NewReader(old)); !errors.Is(err, tc.want) {
+				t.Fatalf("ReadLog: %v, want %v", err, tc.want)
+			}
+			path := filepath.Join(t.TempDir(), "old.journal")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var lg Log
+			if _, err := OpenAppend(path, lg.Feed); !errors.Is(err, tc.want) {
+				t.Fatalf("OpenAppend: %v, want %v", err, tc.want)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+				t.Fatal("the refused journal was cut")
+			}
+		})
 	}
 }

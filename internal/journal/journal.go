@@ -3,16 +3,15 @@
 // record holds one batch — a producer's change set, or the batch an operator
 // staged for a window. A journaled window writes a Begin record (sequence
 // number, planner, execution mode, a fingerprint of the pre-window
-// materialized state, the full strategy and the range of accepts it installs),
-// one Step record per completed Comp/Inst expression (with the installed
-// delta's digest for Inst steps), and a Commit — or an Abort when the window
-// failed in-process. A crash leaves the journal with a Begin and some Steps
+// materialized state, the full strategy and the range of accepts it installs)
+// and a Commit, which holds one step record per Comp/Inst expression of the
+// strategy (with the installed delta's digest for Inst steps) — or an Abort
+// when the window failed in-process. A crash leaves the journal with a Begin
 // but neither Commit nor Abort; package recovery detects that in-flight
 // window, restores the pre-window state, re-stages the batch its accepts hold
-// and re-executes the strategy, verifying each replayed step against the
-// journaled digests.
+// and re-executes the strategy.
 //
-// The grammar is log = { accept | begin { step | accept } [commit | abort] }.
+// The grammar is log = { accept | begin { accept } [commit | abort] }.
 // An accept belongs to no window, not even the one it sits inside, until a
 // begin record names it. An operator's window journals its batch as an accept
 // of its own (Own) directly before its begin record: installed if the window
@@ -27,33 +26,30 @@
 // records end.
 //
 // Durability. The writer hands every record to the file in one Write as it
-// is appended, and syncs after a Begin and an Abort — not after a Step or a
-// Commit, which ride the next sync. The begin record's sync runs beside the
-// window: Begin starts it and returns, steps are appended while the disk
-// works, and Commit, Abort and Wait wait for it to return before anything
-// else happens to the window, so a committed window waits for the disk once,
-// and only for the part of that flush its steps did not outlast. An accept is
-// durable once Sync passes its end; producers waiting together share one
-// sync, which covers everything written before it started, and one sync runs
-// at a time. A window is recoverable once its begin record — behind its
-// accepts — is durable, because that record holds everything a re-execution
-// needs. A commit record only saves the re-execution: it is appended once the
-// begin record's sync has returned, and made durable by the next sync,
-// whoever starts it (the next window's begin, an abort, an accept's Sync, or
-// whoever closes the file). An abort record is synced before Abort returns,
-// because a caller told a window aborted may stage its batch again, and
-// recovery must then never complete it. A process that dies leaves exactly
-// the records it appended. A machine that loses power leaves one of four
-// things of the last window begun:
+// is appended, and syncs after a Begin and an Abort — not after a Commit,
+// which rides the next sync. The begin record's sync runs beside the window:
+// Begin starts it and returns, the steps run while the disk works, and
+// Commit, Abort and Wait wait for it to return before anything else happens
+// to the window, so a committed window waits for the disk once, and only for
+// the part of that flush its steps did not outlast. An accept is durable once
+// Sync passes its end; producers waiting together share one sync, which
+// covers everything written before it started, and one sync runs at a time.
+// A window is recoverable once its begin record — behind its accepts — is
+// durable, because that record holds everything a re-execution needs. A
+// commit record only saves the re-execution: it is appended once the begin
+// record's sync has returned, and made durable by the next sync, whoever
+// starts it (the next window's begin, an abort, an accept's Sync, or whoever
+// closes the file). An abort record is synced before Abort returns, because a
+// caller told a window aborted may stage its batch again, and recovery must
+// then never complete it. A process that dies leaves exactly the records it
+// appended. A machine that loses power leaves one of four things of the last
+// window begun:
 //
 //   - nothing, or a begin frame cut short or holed — whatever frames follow
 //     it. The reader stops at the first frame that fails its CRC and
 //     OpenAppend cuts the file there: the window never happened, its batch is
 //     still with whoever staged it, and its steps touched only a clone;
-//   - the begin record and some prefix of the frames behind it, possibly
-//     ending inside a frame — an in-flight window. Recovery re-executes every
-//     step the journal does not hold, so lost step records cost redone work
-//     and never a different result;
+//   - the begin record — an in-flight window, which recovery re-executes;
 //   - the same and a torn or lost closing record: an in-flight window, which
 //     recovery completes. A window whose Commit had returned is completed to
 //     the state it returned; one whose Abort had returned is not among them,
@@ -82,18 +78,26 @@ import (
 
 // The window journal's record types: the type byte of their frames.
 const (
-	TypeStep   byte = 2
-	TypeCommit byte = 3
 	TypeAbort  byte = 4
 	TypeAccept byte = 5
 	TypeBegin  byte = 6
+	TypeCommit byte = 7
 )
 
-// typeBatchBegin is the begin record of journals written before accepts were
-// records of their own, which carried its batch: refused, not converted.
-const typeBatchBegin byte = 1
+// The record types of older journals, refused and not converted: a begin
+// record that carried its batch, from before accepts were records of their
+// own, and a step record and a commit record without steps, from before a
+// window's step records rode its commit record.
+const (
+	typeBatchBegin byte = 1
+	typeStep       byte = 2
+	typeStepCommit byte = 3
+)
 
-var errBatchBegin = errors.New("journal: a begin record that carries its change batch (record type 1): the journal was written before accepted changes were records of their own, and is not read — finish it with the build that wrote it")
+var (
+	errBatchBegin = errors.New("journal: a begin record that carries its change batch (record type 1): the journal was written before accepted changes were records of their own, and is not read — finish it with the build that wrote it")
+	errStepFrames = errors.New("journal: a step record or a commit record without steps (record type 2 or 3): the journal was written before a window's step records rode its commit record, and is not read — finish it with the build that wrote it")
+)
 
 // RowChange is one signed tuple change of a journaled batch, keyed by the
 // tuple's encoded form (relation.Tuple.Encode).
@@ -167,10 +171,8 @@ type BeginRecord struct {
 	Batch []ViewBatch
 }
 
-// StepRecord marks one completed expression.
+// StepRecord is one completed expression of a committed window.
 type StepRecord struct {
-	// Index is the expression's position in the Begin record's strategy.
-	Index int
 	// Key is the expression's strategy key (sanity cross-check).
 	Key string
 	// Work is the step's measured work (operand tuples for Comp, rows
@@ -190,7 +192,9 @@ type StepRecord struct {
 type CommitRecord struct {
 	// TotalWork is the window's measured work.
 	TotalWork int64
-	// ElapsedNS is the window's wall-clock duration in nanoseconds.
+	// ElapsedNS is the window's wall-clock duration in nanoseconds. It and
+	// the two times below are written eight bytes wide, so a commit record's
+	// length does not depend on them.
 	ElapsedNS int64
 	// UnixNano is the commit's wall-clock time.
 	UnixNano int64
@@ -199,6 +203,10 @@ type CommitRecord struct {
 	// it. Commit minus accept is the freshness a replica can report against
 	// the leader.
 	AcceptUnixNano int64
+	// Steps holds one record per expression of the begin record's strategy,
+	// in strategy order; none for a window that recomputed its views
+	// (mode "recompute").
+	Steps []StepRecord
 }
 
 // AbortRecord closes a window that failed in-process (the failure was
@@ -209,8 +217,8 @@ type AbortRecord struct {
 }
 
 // Writer appends records to a journal sink, each as one frame through a
-// single Write. Methods are safe for concurrent use (DAG workers journal steps
-// as they complete, producers accept changes beside a window). Errors are
+// single Write. Methods are safe for concurrent use (producers accept changes
+// beside a window). Errors are
 // sticky: once a write or a sync has failed the tail of the log may hold part
 // of a frame, which would hide whatever was appended behind it, so every
 // later call reports the first failure and writes nothing.
@@ -218,7 +226,7 @@ type Writer struct {
 	mu  sync.Mutex // serializes appends and guards the fields below
 	out io.Writer
 	err error           // sticky
-	ctx context.Context // when non-nil, gates begin and step appends
+	ctx context.Context // when non-nil, gates begin appends
 	// lastAccept is the sequence number of the last accept appended, pending
 	// the accepts that no committed window installs and that no window was
 	// written for, and open names those of the window last begun; inWindow
@@ -301,13 +309,12 @@ func (w *Writer) appendLocked(typ byte, enc func([]byte) []byte) error {
 	return nil
 }
 
-// SetContext attaches ctx to the writer: once ctx is cancelled, Begin and
-// Step appends are refused with ctx's error, so a dead window cannot keep
-// opening or extending journal windows. Commit and Abort stay exempt — they
-// are how an already-executed window closes its journal record, and
-// refusing them would manufacture a phantom in-flight window — and so does
-// Accept, which no window owns. The refusal is not sticky (the journal tail
-// is intact). Pass nil to detach.
+// SetContext attaches ctx to the writer: once ctx is cancelled, Begin is
+// refused with ctx's error, so a dead window cannot open a journal window.
+// Commit and Abort stay exempt — they are how an already-executed window
+// closes its journal record, and refusing them would manufacture a phantom
+// in-flight window — and so does Accept, which no window owns. The refusal is
+// not sticky (the journal tail is intact). Pass nil to detach.
 func (w *Writer) SetContext(ctx context.Context) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -360,16 +367,6 @@ func (w *Writer) Wait() error {
 	return w.Sync(begun)
 }
 
-// gateLocked refuses a begin or a step once the context is done (w.mu held).
-func (w *Writer) gateLocked() error {
-	if w.ctx != nil {
-		if err := w.ctx.Err(); err != nil {
-			return fmt.Errorf("journal: append cancelled: %w", err)
-		}
-	}
-	return nil
-}
-
 // Accept appends an accept record numbered after the last one appended, and
 // returns it as numbered with the offset where it ends: Sync(end) makes it
 // durable.
@@ -410,8 +407,8 @@ func (w *Writer) Pending() Accepts {
 func (w *Writer) Begin(b BeginRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.gateLocked(); err != nil {
-		return err
+	if w.ctx != nil && w.ctx.Err() != nil {
+		return fmt.Errorf("journal: append cancelled: %w", w.ctx.Err())
 	}
 	for _, e := range b.Strategy {
 		switch e.(type) {
@@ -435,16 +432,6 @@ func (w *Writer) Begin(b BeginRecord) error {
 	w.open, w.begun, w.inWindow = b.Accepts, w.written, true
 	go func(end int64) { _ = w.Sync(end) }(w.begun) // a failure is the sticky error
 	return nil
-}
-
-// Step appends a completed-step record; it rides the next sync.
-func (w *Writer) Step(s StepRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.gateLocked(); err != nil {
-		return err
-	}
-	return w.appendLocked(TypeStep, s.appendTo)
 }
 
 // Commit appends a window-commit record, once the window's begin record is
@@ -545,27 +532,26 @@ func (b BeginRecord) appendTo(p []byte) []byte {
 
 func (c CommitRecord) appendTo(p []byte) []byte {
 	p = binary.AppendVarint(p, c.TotalWork)
-	p = binary.AppendVarint(p, c.ElapsedNS)
-	p = binary.AppendVarint(p, c.UnixNano)
-	return binary.AppendVarint(p, c.AcceptUnixNano)
-}
-
-func (s StepRecord) appendTo(p []byte) []byte {
-	p = binary.AppendUvarint(p, uint64(s.Index))
-	p = AppendString(p, s.Key)
-	p = binary.AppendVarint(p, s.Work)
-	p = binary.AppendUvarint(p, uint64(s.Terms))
-	var flags byte
-	if s.Skipped {
-		flags = 1
+	p = binary.BigEndian.AppendUint64(p, uint64(c.ElapsedNS))
+	p = binary.BigEndian.AppendUint64(p, uint64(c.UnixNano))
+	p = binary.BigEndian.AppendUint64(p, uint64(c.AcceptUnixNano))
+	p = binary.AppendUvarint(p, uint64(len(c.Steps)))
+	for _, s := range c.Steps {
+		p = AppendString(p, s.Key)
+		p = binary.AppendVarint(p, s.Work)
+		p = binary.AppendUvarint(p, uint64(s.Terms))
+		var flags byte
+		if s.Skipped {
+			flags = 1
+		}
+		p = binary.BigEndian.AppendUint64(append(p, flags), s.Digest)
 	}
-	return binary.BigEndian.AppendUint64(append(p, flags), s.Digest)
+	return p
 }
 
 // WindowLog is one window's records as read back from a journal.
 type WindowLog struct {
 	Begin  BeginRecord
-	Steps  []StepRecord
 	Commit *CommitRecord
 	Abort  *AbortRecord
 }
@@ -716,7 +702,7 @@ func (as Accepts) Without(r Range) Accepts {
 // when a commit or abort record closes the open window, nil otherwise. It
 // holds the accepts no committed window has installed, and resolves the range
 // a begin record names into the window's batch. Records that violate the
-// grammar (a step outside any window, a begin inside an open one, a begin
+// grammar (a commit outside any window, a begin inside an open one, a begin
 // naming an accept it does not hold, an accept out of sequence) are errors:
 // on a verified stream they indicate a protocol bug, not line noise.
 type Assembler struct {
@@ -757,12 +743,14 @@ func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
 	switch {
 	case typ == typeBatchBegin:
 		return nil, errBatchBegin
-	case typ < TypeStep || typ > TypeBegin:
+	case typ == typeStep || typ == typeStepCommit:
+		return nil, errStepFrames
+	case typ < TypeAbort || typ > TypeCommit:
 		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorruptFrame, typ)
 	case typ == TypeBegin && a.cur != nil:
 		return nil, fmt.Errorf("journal: begin record arrived inside open window %d", a.cur.Begin.Seq)
 	case typ != TypeBegin && typ != TypeAccept && a.cur == nil:
-		return nil, fmt.Errorf("journal: %s record outside any window", [...]string{TypeStep: "step", TypeCommit: "commit", TypeAbort: "abort"}[typ])
+		return nil, fmt.Errorf("journal: %s record outside any window", [...]string{TypeAbort: "abort", TypeCommit: "commit"}[typ])
 	}
 	own := a.own
 	a.own = nil
@@ -797,13 +785,6 @@ func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
 			b.Batch = append(b.Batch, acc.Batch...)
 		}
 		a.cur, a.begun = &WindowLog{Begin: b}, a.last
-		return nil, nil
-	case TypeStep:
-		s, err := decodeStep(payload)
-		if err != nil {
-			return nil, err
-		}
-		a.cur.Steps = append(a.cur.Steps, s)
 		return nil, nil
 	case TypeCommit:
 		c, err := decodeCommit(payload)
@@ -870,21 +851,14 @@ func decodeBegin(p []byte) (BeginRecord, error) {
 	return b, c.Done()
 }
 
-func decodeStep(p []byte) (StepRecord, error) {
-	c := NewCursor("journal: step", p)
-	var s StepRecord
-	s.Index = int(c.Uvarint("index"))
-	s.Key = c.String("key")
-	s.Work = c.Varint("work")
-	s.Terms = int(c.Uvarint("terms"))
-	s.Skipped = c.Byte("flags")&1 != 0
-	s.Digest = c.Uint64("digest")
-	return s, c.Done()
-}
-
 func decodeCommit(p []byte) (CommitRecord, error) {
 	c := NewCursor("journal: commit", p)
-	rec := CommitRecord{TotalWork: c.Varint("work"), ElapsedNS: c.Varint("elapsed"), UnixNano: c.Varint("time"), AcceptUnixNano: c.Varint("accept time")}
+	rec := CommitRecord{TotalWork: c.Varint("work"), ElapsedNS: int64(c.Uint64("elapsed")), UnixNano: int64(c.Uint64("time")), AcceptUnixNano: int64(c.Uint64("accept time"))}
+	for i, n := 0, c.Count("step count"); i < n && c.err == nil; i++ {
+		s := StepRecord{Key: c.String("step key"), Work: c.Varint("step work"), Terms: int(c.Uvarint("step terms"))}
+		s.Skipped, s.Digest = c.Byte("step flags")&1 != 0, c.Uint64("step digest")
+		rec.Steps = append(rec.Steps, s)
+	}
 	return rec, c.Done()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/journal/journaltest"
@@ -43,16 +44,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := []StepRecord{
-		{Index: 0, Key: "C:V:A,B", Work: 42, Terms: 3},
-		{Index: 2, Key: "I:V", Work: 7, Digest: 0xabcdef},
-		{Index: 1, Key: "C:W:A", Work: 0, Terms: 1, Skipped: true},
+		{Key: "C:V:A,B", Work: 42, Terms: 3},
+		{Key: "C:W:A", Work: 0, Terms: 1, Skipped: true},
+		{Key: "I:V", Work: 7, Digest: 0xabcdef},
+		{Key: "I:W"},
 	}
-	for _, s := range steps {
-		if err := w.Step(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Commit(CommitRecord{TotalWork: 49, ElapsedNS: 12345}); err != nil {
+	if err := w.Commit(CommitRecord{TotalWork: 49, ElapsedNS: 12345, Steps: steps}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,11 +83,8 @@ func TestRoundTrip(t *testing.T) {
 		got.Batch[0].Rows[1].Count != -1 || got.Batch[1].Rows[0].Key != "k3" {
 		t.Fatalf("batch mismatch: %+v", got.Batch)
 	}
-	if len(wl.Steps) != 3 {
-		t.Fatalf("%d steps, want 3", len(wl.Steps))
-	}
-	if wl.Steps[1].Digest != 0xabcdef || !wl.Steps[2].Skipped || wl.Steps[0].Terms != 3 {
-		t.Fatalf("steps mismatch: %+v", wl.Steps)
+	if !reflect.DeepEqual(wl.Commit.Steps, steps) {
+		t.Fatalf("steps %+v, want %+v", wl.Commit.Steps, steps)
 	}
 	if wl.Commit.TotalWork != 49 || wl.Commit.ElapsedNS != 12345 {
 		t.Fatalf("commit mismatch: %+v", wl.Commit)
@@ -109,9 +103,6 @@ func TestInFlightDetection(t *testing.T) {
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B", Work: 10}); err != nil {
-		t.Fatal(err)
-	}
 	lg, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +111,8 @@ func TestInFlightDetection(t *testing.T) {
 	if wl == nil {
 		t.Fatal("crashed journal has no in-flight window")
 	}
-	if len(wl.Steps) != 1 || wl.Steps[0].Work != 10 {
-		t.Fatalf("in-flight steps: %+v", wl.Steps)
+	if wl.Begin.Strategy.String() != testBegin().Strategy.String() {
+		t.Fatalf("in-flight strategy: %s", wl.Begin.Strategy)
 	}
 
 	// An aborted window is closed, not in-flight.
@@ -146,16 +137,13 @@ func TestTornTailTolerated(t *testing.T) {
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B"}); err != nil {
-		t.Fatal(err)
-	}
 	intact := buf.Len()
-	if err := w.Step(StepRecord{Index: 1, Key: "C:W:A"}); err != nil {
+	if err := w.Commit(CommitRecord{TotalWork: 1, Steps: []StepRecord{{Key: "C:V:A,B", Work: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Every strict prefix that cuts into the last record must parse to the
-	// first two records with Truncated set.
+	// Every strict prefix that cuts into the commit record must parse to the
+	// window in flight with Truncated set.
 	for cut := intact + 1; cut < len(full); cut++ {
 		lg, err := ReadLog(bytes.NewReader(full[:cut]))
 		if err != nil {
@@ -164,7 +152,7 @@ func TestTornTailTolerated(t *testing.T) {
 		if !lg.Truncated {
 			t.Fatalf("cut %d: torn tail not reported", cut)
 		}
-		if len(lg.Windows) != 1 || len(lg.Windows[0].Steps) != 1 {
+		if len(lg.Windows) != 1 || lg.InFlight() == nil {
 			t.Fatalf("cut %d: parsed %+v", cut, lg.Windows)
 		}
 	}
@@ -177,28 +165,30 @@ func TestCorruptByteDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	mark := buf.Len()
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B", Work: 5}); err != nil {
+	if err := w.Commit(CommitRecord{TotalWork: 5, Steps: []StepRecord{{Key: "C:V:A,B", Work: 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
-	raw[mark+3] ^= 0xff // corrupt the step record's body
+	raw[mark+3] ^= 0xff // corrupt the commit record's body
 	lg, err := ReadLog(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lg.Truncated || len(lg.Windows[0].Steps) != 0 {
-		t.Fatalf("corrupt record not dropped: truncated=%v steps=%d", lg.Truncated, len(lg.Windows[0].Steps))
+	if !lg.Truncated || lg.Windows[0].Committed() {
+		t.Fatalf("corrupt record not dropped: truncated=%v committed=%v", lg.Truncated, lg.Windows[0].Committed())
 	}
 }
 
+// TestStepOutsideWindowIsError: a commit record, with the step records it
+// carries, is read only inside the window its begin record opened.
 func TestStepOutsideWindowIsError(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A"}); err != nil {
+	if err := w.Commit(CommitRecord{Steps: []StepRecord{{Key: "C:V:A"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadLog(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("step before begin accepted")
+		t.Fatal("commit before begin accepted")
 	}
 }
 
@@ -219,10 +209,10 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, bytes.ErrTooLarge }
 
-// TestWriterSetContext: with a cancelled context attached, Begin and Step
-// are refused (a dead window must not open or extend journal windows) while
-// Abort and Commit still land — they close a window that already executed.
-// The refusal is not sticky, and detaching the context restores appends.
+// TestWriterSetContext: with a cancelled context attached, Begin is refused
+// (a dead window must not open a journal window) while Abort and Commit
+// still land — they close a window that already executed. The refusal is not
+// sticky, and detaching the context restores appends.
 func TestWriterSetContext(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -232,9 +222,6 @@ func TestWriterSetContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w.SetContext(ctx)
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A", Work: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("step under cancelled ctx: %v", err)
-	}
 	if err := w.Begin(testBegin()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("begin under cancelled ctx: %v", err)
 	}
@@ -264,10 +251,10 @@ func TestWriterSetContext(t *testing.T) {
 
 // TestWriterSyncsWindowBoundaries: the writer syncs the begin record and the
 // abort — one sync for a committed window, two for an aborted one — and lets
-// step and commit records ride the next of those, each record still handed
-// to the file whole, in one Write, as it is appended. The begin record's sync
-// is started by Begin and waited for by whatever closes the window, so what
-// it made durable is read after Wait; no closing record is written before it
+// the commit record ride the next of those, each record still handed to the
+// file whole, in one Write, as it is appended. The begin record's sync is
+// started by Begin and waited for by whatever closes the window, so what it
+// made durable is read after Wait; no closing record is written before it
 // has returned.
 func TestWriterSyncsWindowBoundaries(t *testing.T) {
 	f := &journaltest.Disk{}
@@ -289,24 +276,22 @@ func TestWriterSyncsWindowBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("begin", 1, begun)
-	for i := 0; i < 5; i++ {
-		before := f.Now().Written
-		if err := w.Step(StepRecord{Index: i, Key: "C:V:A", Work: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		added := f.Bytes()[before:]
-		if _, _, n, err := DecodeFrame(added); err != nil || n != len(added) {
-			t.Fatalf("step %d did not reach the file as one whole frame: n=%d of %d, err=%v", i, n, len(added), err)
-		}
+	steps := make([]StepRecord, len(testBegin().Strategy))
+	for i, e := range testBegin().Strategy {
+		steps[i] = StepRecord{Key: e.Key(), Work: int64(i)}
 	}
-	expect("five steps", 1, begun)
-	stepped := f.Now().Written
-	if err := w.Commit(CommitRecord{TotalWork: 10}); err != nil {
+	writes := len(f.Moments())
+	if err := w.Commit(CommitRecord{TotalWork: 6, Steps: steps}); err != nil {
 		t.Fatal(err)
 	}
 	expect("commit", 1, begun)
+	if added := f.Bytes()[begun:]; len(f.Moments()) != writes+1 {
+		t.Fatalf("the commit record took %d writes", len(f.Moments())-writes)
+	} else if _, _, n, err := DecodeFrame(added); err != nil || n != len(added) {
+		t.Fatalf("the commit record did not reach the file as one whole frame: n=%d of %d, err=%v", n, len(added), err)
+	}
 	for _, m := range f.Moments() {
-		if m.Written > stepped && m.Durable < begun {
+		if m.Written > begun && m.Durable < begun {
 			t.Fatalf("commit frame on the disk at %+v, before the begin record (ends at %d) was durable", m, begun)
 		}
 	}
@@ -316,17 +301,10 @@ func TestWriterSyncsWindowBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	begun = f.Now().Written
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := w.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// The step may have been written before the begin record's sync started,
-	// and is then flushed with it.
-	if d := f.Now().Durable; f.Syncs() != 2 || d < begun {
-		t.Fatalf("after second begin and a step: %d syncs, %d bytes synced; want 2 and at least %d", f.Syncs(), d, begun)
-	}
+	expect("second begin", 2, begun)
 	if err := w.Abort(AbortRecord{Reason: "test"}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +320,7 @@ func TestReadLogReportsIntactSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	begun := buf.Len()
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A,B"}); err != nil {
+	if err := w.Commit(CommitRecord{Steps: []StepRecord{{Key: "C:V:A,B"}}}); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Len()

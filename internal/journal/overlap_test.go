@@ -32,10 +32,11 @@ func stillBlocked(t *testing.T, what string, done <-chan error) {
 }
 
 // TestBeginFlushOverlapsSteps is the writer's ordering contract: Begin
-// returns with its flush still running, step frames land beside it — from
-// several goroutines, as DAG workers append them — and Commit writes nothing
-// until the flush has returned, and then flushes nothing: the begin record's
-// is the window's one sync, and the commit record rides the next.
+// returns with its flush still running, so the window's steps run beside it
+// and accepts land beside it — from several goroutines, as producers append
+// them — and Commit writes nothing until the flush has returned, and then
+// flushes nothing: the begin record's is the window's one sync, and the
+// commit record rides the next.
 func TestBeginFlushOverlapsSteps(t *testing.T) {
 	d, release := heldDisk(nil)
 	defer release()
@@ -53,7 +54,7 @@ func TestBeginFlushOverlapsSteps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if err := w.Step(StepRecord{Index: g*8 + i, Key: "C:V:A", Work: int64(i)}); err != nil {
+				if _, _, err := w.Accept(AcceptRecord{UnixNano: int64(g*8 + i + 1)}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -62,11 +63,11 @@ func TestBeginFlushOverlapsSteps(t *testing.T) {
 	wg.Wait()
 	stepped := d.Now()
 	if stepped.Written <= begun.Written || stepped.Durable != 0 {
-		t.Fatalf("after 32 steps beside the held flush: %+v (begin ended at %d)", stepped, begun.Written)
+		t.Fatalf("after 32 accepts beside the held flush: %+v (begin ended at %d)", stepped, begun.Written)
 	}
 
 	committed := make(chan error, 1)
-	go func() { committed <- w.Commit(CommitRecord{TotalWork: 1}) }()
+	go func() { committed <- w.Commit(CommitRecord{TotalWork: 1, Steps: []StepRecord{{Key: "I:V", Work: 1}}}) }()
 	stillBlocked(t, "Commit", committed)
 	if now := d.Now(); now != stepped {
 		t.Fatalf("Commit touched the file before the begin flush returned: %+v, was %+v", now, stepped)
@@ -75,7 +76,7 @@ func TestBeginFlushOverlapsSteps(t *testing.T) {
 	if err := <-committed; err != nil {
 		t.Fatal(err)
 	}
-	// The held flush covers the begin record and whatever steps were written
+	// The held flush covers the begin record and whatever accepts were written
 	// before it started; the commit frame is written and not flushed.
 	if now := d.Now(); d.Syncs() != 1 || now.Durable < begun.Written || now.Durable > stepped.Written || now.Written <= stepped.Written {
 		t.Fatalf("after commit: %d syncs, %+v; want 1, the begin record's %d bytes durable and the commit frame behind %d written, not durable", d.Syncs(), now, begun.Written, stepped.Written)
@@ -97,8 +98,8 @@ func TestBeginFlushOverlapsSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lg.Windows) != 1 || !lg.Windows[0].Committed() || len(lg.Windows[0].Steps) != 32 || lg.Truncated {
-		t.Fatalf("log shape: %d windows, truncated=%v", len(lg.Windows), lg.Truncated)
+	if len(lg.Windows) != 1 || !lg.Windows[0].Committed() || len(lg.Windows[0].Commit.Steps) != 1 || len(lg.Pending()) != 32 || lg.Truncated {
+		t.Fatalf("log shape: %d windows, %d accepts pending, truncated=%v", len(lg.Windows), len(lg.Pending()), lg.Truncated)
 	}
 }
 
@@ -114,9 +115,6 @@ func TestFailedBeginFlushIsSticky(t *testing.T) {
 	if err := w.Begin(testBegin()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Step(StepRecord{Index: 0, Key: "C:V:A"}); err != nil {
-		t.Fatal(err)
-	}
 	before := d.Now()
 	release()
 	err := w.Commit(CommitRecord{TotalWork: 1})
@@ -130,10 +128,10 @@ func TestFailedBeginFlushIsSticky(t *testing.T) {
 		t.Fatalf("a closing record was written after its begin record's flush failed: %+v, was %+v", now, before)
 	}
 	for what, err := range map[string]error{
-		"Abort": w.Abort(AbortRecord{Reason: "x"}),
-		"Begin": w.Begin(testBegin()),
-		"Step":  w.Step(StepRecord{Index: 1, Key: "C:V:A"}),
-		"Wait":  w.Wait(),
+		"Abort":  w.Abort(AbortRecord{Reason: "x"}),
+		"Begin":  w.Begin(testBegin()),
+		"Accept": func() error { _, _, err := w.Accept(AcceptRecord{}); return err }(),
+		"Wait":   w.Wait(),
 	} {
 		if !errors.Is(err, boom) {
 			t.Errorf("%s after the failure: %v", what, err)
@@ -146,8 +144,8 @@ func TestFailedBeginFlushIsSticky(t *testing.T) {
 
 // TestWaitLeavesNothingInFlight: a window that ends with neither commit nor
 // abort (a crash-class return) is followed by Wait, after which the file
-// holds the begin record, durable, and every step record whole — an
-// in-flight window, and no goroutine still using the file.
+// holds the begin record, durable, and every accept appended behind it
+// whole — an in-flight window, and no goroutine still using the file.
 func TestWaitLeavesNothingInFlight(t *testing.T) {
 	d, release := heldDisk(nil)
 	defer release()
@@ -160,7 +158,7 @@ func TestWaitLeavesNothingInFlight(t *testing.T) {
 	}
 	begun := d.Now().Written
 	for i := 0; i < 3; i++ {
-		if err := w.Step(StepRecord{Index: i, Key: "C:V:A"}); err != nil {
+		if _, _, err := w.Accept(AcceptRecord{UnixNano: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +176,7 @@ func TestWaitLeavesNothingInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl := lg.InFlight(); wl == nil || len(wl.Steps) != 3 || lg.Truncated {
+	if wl := lg.InFlight(); wl == nil || len(lg.Pending()) != 3 || lg.Truncated {
 		t.Fatalf("log after Wait: in-flight=%v truncated=%v", wl != nil, lg.Truncated)
 	}
 	if err := w.Wait(); err != nil { // a second Wait finds the flush done

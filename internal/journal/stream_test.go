@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -19,9 +20,7 @@ func writeSampleLog(t *testing.T) []byte {
 		}
 	}
 	must(w.Begin(BeginRecord{Seq: 1, Planner: "minwork", Mode: "dag", StateDigest: 7, BatchDigest: BatchDigest(nil)}))
-	must(w.Step(StepRecord{Index: 0, Key: "comp:J", Work: 12, Digest: 99}))
-	must(w.Step(StepRecord{Index: 1, Key: "inst:J", Work: 3}))
-	must(w.Commit(CommitRecord{TotalWork: 15}))
+	must(w.Commit(CommitRecord{TotalWork: 15, Steps: []StepRecord{{Key: "comp:J", Work: 12, Digest: 99}, {Key: "inst:J", Work: 3}}}))
 	must(w.Begin(BeginRecord{Seq: 2, Mode: "sequential"}))
 	must(w.Abort(AbortRecord{Reason: "deadline"}))
 	return buf.Bytes()
@@ -51,7 +50,7 @@ func TestDecodeRecordIncremental(t *testing.T) {
 	if len(buf) != 0 {
 		t.Fatalf("%d undecoded trailing bytes", len(buf))
 	}
-	want := []byte{TypeBegin, TypeStep, TypeStep, TypeCommit, TypeBegin, TypeAbort}
+	want := []byte{TypeBegin, TypeCommit, TypeBegin, TypeAbort}
 	if len(types) != len(want) {
 		t.Fatalf("decoded %d records, want %d", len(types), len(want))
 	}
@@ -129,16 +128,11 @@ func TestAssemblerReassemblesWindows(t *testing.T) {
 	}
 	for i, wl := range got {
 		rw := ref.Windows[i]
-		if wl.Begin.Seq != rw.Begin.Seq || wl.Committed() != rw.Committed() || len(wl.Steps) != len(rw.Steps) {
+		if !reflect.DeepEqual(*wl, rw) {
 			t.Fatalf("window %d: assembled %+v, parsed %+v", i, wl, rw)
 		}
-		for j := range wl.Steps {
-			if wl.Steps[j] != rw.Steps[j] {
-				t.Fatalf("window %d step %d: %+v vs %+v", i, j, wl.Steps[j], rw.Steps[j])
-			}
-		}
 	}
-	if !got[0].Committed() || got[0].Commit.TotalWork != 15 {
+	if !got[0].Committed() || got[0].Commit.TotalWork != 15 || len(got[0].Commit.Steps) != 2 || got[0].Commit.Steps[0].Digest != 99 {
 		t.Fatalf("window 0: %+v", got[0].Commit)
 	}
 	if got[1].Abort == nil || got[1].Abort.Reason != "deadline" {
@@ -162,11 +156,11 @@ func TestAssemblerGrammar(t *testing.T) {
 	}
 
 	var a Assembler
-	if _, err := feed(&a, 1); err == nil { // step with no begin
-		t.Fatal("step outside a window accepted")
-	}
-	if _, err := feed(&a, 3); err == nil { // commit with no begin
+	if _, err := feed(&a, 1); err == nil { // commit with no begin
 		t.Fatal("commit outside a window accepted")
+	}
+	if _, err := feed(&a, 3); err == nil { // abort with no begin
+		t.Fatal("abort outside a window accepted")
 	}
 	if _, err := feed(&a, 0); err != nil {
 		t.Fatal(err)

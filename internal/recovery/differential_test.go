@@ -12,12 +12,11 @@ import (
 // TestCrashRecoveryDifferential: the crash points of the one differential
 // harness (internal/check, DESIGN.md "One oracle"). For 100 seeded catalogs
 // a journaled window dies at a step drawn from the seed — every scheduling
-// mode, one death in three delivered by panic, the
-// scheduler's pool drawn per leg, every fourth seed losing the
-// unflushed tail of its journal to a power cut — and is recovered on a rebuilt
-// warehouse. trial.Run holds the recovered state to recomputation, the serving
-// epoch to its pre-window state until then, and the completed journal to one
-// record a step with the uninterrupted run's installed-delta digests.
+// mode, one death in three delivered by panic, the scheduler's pool drawn
+// per leg — and is recovered on a rebuilt warehouse. trial.Run holds the
+// recovered state to recomputation, the serving epoch to its pre-window
+// state until then, and the completed journal to one commit record with a
+// step record a step and the uninterrupted run's installed-delta digests.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	for seed := range trial.Seeds(100, 12) {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -38,9 +37,6 @@ func crashes(t *testing.T, seed int64) {
 		p.Seed, p.Planner, p.Skip = seed, []string{"dualstage", "minwork"}[seed%2], seed%4 < 2
 		p.Workers = 1 + draw/4%4
 		p.Fault = fmt.Sprintf("%s:step@%d", fault, 1+draw*7%23)
-		if seed%4 == 3 {
-			p.Cut = 1 + draw*13%150
-		}
 		trial.Run(t, p)
 	}
 }

@@ -17,50 +17,41 @@ import (
 	"repro/internal/strategy"
 )
 
-// windowDisk is the journal file of the power-loss tests: a disk that
+// newWindowDisk is the journal file of the power-loss tests: a disk that
 // already holds prior, flushed, and whose next flush — the begin record's of
-// the window about to run — is, when held, not allowed to return before that
-// window's first step record has been written. A window whose Begin waited
-// for its flush would never write one, and hang.
-type windowDisk struct {
-	*journaltest.Disk
-	release func()
-}
-
-func newWindowDisk(t testing.TB, prior []byte, held bool) *windowDisk {
+// the window about to run — does not return, when inj is set, before that
+// window has started a step (inj's count of the "step" point). A window whose
+// Begin waited for its flush would never start one, and hang.
+func newWindowDisk(t testing.TB, prior []byte, inj *faults.Injector) *journaltest.Disk {
 	t.Helper()
-	d := &windowDisk{Disk: &journaltest.Disk{}, release: func() {}}
-	if held {
-		d.release = d.Disk.Hold(1, nil) // Sync 0 is the one below
+	d := &journaltest.Disk{}
+	if inj != nil {
+		d.BeforeSync = func(nth int) error { // Sync 0 is the one below
+			for nth == 1 && inj.Hits("step") == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			return nil
+		}
 	}
-	d.Disk.Write(prior)
-	if err := d.Disk.Sync(); err != nil {
+	d.Write(prior)
+	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// Write releases the held flush from inside the OnStep that journals the
-// window's first completed step.
-func (d *windowDisk) Write(p []byte) (int, error) {
-	n, err := d.Disk.Write(p)
-	if len(p) > 0 && p[0] == journal.TypeStep {
-		d.release()
-	}
-	return n, err
-}
-
 // TestBeginDoesNotWaitForItsFlush runs one journaled window whose begin
-// flush cannot return until its first step has been journaled: it deadlocks,
-// and times out, if Begin ever blocks on the disk again. The window's begin
-// flush is its only one, and its commit record reaches the disk only once
-// that flush has returned.
+// flush cannot return until its first step has started: it deadlocks, and
+// times out, if Begin ever blocks on the disk again. The window's begin flush
+// is its only one, and its commit record reaches the disk only once that
+// flush has returned.
 func TestBeginDoesNotWaitForItsFlush(t *testing.T) {
 	w, s := newFixture(t)
-	disk := newWindowDisk(t, nil, true)
+	inj := faults.New(1)
+	disk := newWindowDisk(t, nil, inj)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(w, s, Options{Journal: journal.NewWriter(disk), Seq: 1, Mode: exec.ModeSequential, Validate: true})
+		_, err := Run(w, s, Options{Journal: journal.NewWriter(disk), Seq: 1, Mode: exec.ModeSequential, Validate: true, Faults: inj})
 		done <- err
 	}()
 	select {
@@ -74,7 +65,7 @@ func TestBeginDoesNotWaitForItsFlush(t *testing.T) {
 	if now := disk.Now(); disk.Syncs() != 2 || now.Durable >= now.Written {
 		t.Fatalf("after the window: %d syncs (want the preload's and the begin record's), %+v (want the commit record written, not flushed)", disk.Syncs(), now)
 	}
-	closeFollowsDurableBegin(t, disk.Disk, 0)
+	closeFollowsDurableBegin(t, disk, 0)
 }
 
 // TestCommittedWindowMakesOneSync is the window's one wait for the disk: a
@@ -117,6 +108,51 @@ func TestCommittedWindowMakesOneSync(t *testing.T) {
 			t.Fatalf("after %d committed windows: %d syncs", seq, disk.Syncs())
 		}
 		closeFollowsDurableBegin(t, disk, base)
+	}
+}
+
+// writeCounter is a journal sink that counts the writes it is handed.
+type writeCounter struct{ writes int }
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+// TestCommittedWindowMakesThreeWrites: a committed operator's window hands
+// the journal three writes — its batch's accept, its begin record and its
+// commit record — however many steps its strategy has, because the steps'
+// records ride the commit record.
+func TestCommittedWindowMakesThreeWrites(t *testing.T) {
+	bases := core.New(core.Options{})
+	for _, v := range []struct {
+		name   string
+		schema relation.Schema
+	}{{"R", schemaR}, {"S", schemaS}} {
+		if err := bases.DefineBase(v.name, v.schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dr, ds := delta.New(schemaR), delta.New(schemaS)
+	dr.Add(intRow(1, 10), 1)
+	ds.Add(intRow(10, 100), 1)
+	two := stageBatch(t, bases, dr, ds)
+	w, full := newFixture(t)
+	for _, c := range []struct {
+		w *core.Warehouse
+		s strategy.Strategy
+	}{{bases, two}, {w, full}} {
+		sink := &writeCounter{}
+		res, err := Run(c.w, c.s, Options{Journal: journal.NewWriter(sink), Seq: 1, Mode: exec.ModeDAG, Workers: 2, Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Report.Steps) != len(c.s) || sink.writes != 3 {
+			t.Errorf("a window of %d steps (%s) ran %d and made %d writes, want 3", len(c.s), c.s, len(res.Report.Steps), sink.writes)
+		}
+	}
+	if len(two) != 2 || len(full) <= 2 {
+		t.Fatalf("strategies of %d and %d steps", len(two), len(full))
 	}
 }
 
@@ -209,9 +245,9 @@ func reopen(t testing.TB, image []byte) reopened {
 		t.Fatal(err)
 	}
 	out := reopened{found: found, final: readLog(t, intact), state: bags(t, w), steps: map[int]uint64{}}
-	if n := len(out.final.Windows); n > 0 {
-		for _, sr := range out.final.Windows[n-1].Steps {
-			out.steps[sr.Index] = sr.Digest
+	if n := len(out.final.Windows); n > 0 && out.final.Windows[n-1].Committed() {
+		for i, sr := range out.final.Windows[n-1].Commit.Steps {
+			out.steps[i] = sr.Digest
 		}
 	}
 	return out
@@ -224,8 +260,9 @@ func reopen(t testing.TB, image []byte) reopened {
 // power is lost at every moment the disk recorded (after each write, after
 // each flush, and with the begin record's flush held open past the first
 // step), leaving the flushed bytes and any prefix of the rest, cut at and
-// inside every frame. Whatever is left, a restart lands on exactly one of two
-// states: the pre-window one — no begin record, or a torn one, or a durable
+// inside every frame, or all of it with a hole through a frame not flushed.
+// Whatever is left, a restart lands on exactly one of two states: the
+// pre-window one — no begin record, or a torn or holed one, or a durable
 // abort — or, through Recover where the window is found in flight, the
 // uninterrupted window's, with the same install digests journaled.
 func TestPowerLossDifferential(t *testing.T) {
@@ -272,6 +309,7 @@ func TestPowerLossDifferential(t *testing.T) {
 		outcomes = append(outcomes,
 			outcome{fmt.Sprintf("abort@%d", k), func(o *Options) {
 				o.Faults = faults.New(1)
+				o.Faults.FailAt("step", k)
 				o.Context = interruptAt{Context: context.Background(), inj: o.Faults, k: k}
 			}},
 			outcome{fmt.Sprintf("crash@%d", k), func(o *Options) {
@@ -287,18 +325,16 @@ func TestPowerLossDifferential(t *testing.T) {
 	for _, m := range modes {
 		for _, oc := range outcomes {
 			t.Run(fmt.Sprintf("%s/%s", m.mode, oc.name), func(t *testing.T) {
-				// Only a window that commits is sure to journal a step,
-				// which is what lets go of a held flush.
-				held := oc.arm == nil
-				disk := newWindowDisk(t, first.Bytes(), held)
-				opts := Options{Journal: prior.Writer(disk), Seq: 2, Mode: m.mode, Workers: m.workers, Validate: true}
+				opts := Options{Seq: 2, Mode: m.mode, Workers: m.workers, Validate: true, Faults: faults.New(1)}
 				if oc.arm != nil {
 					oc.arm(&opts)
 				}
+				disk := newWindowDisk(t, first.Bytes(), opts.Faults)
+				opts.Journal = prior.Writer(disk)
 				if _, err := Run(pre, s, opts); (err == nil) != (oc.arm == nil) {
 					t.Fatalf("the window returned %v", err)
 				}
-				powerLossCases(t, disk.Disk, base, held, preState, postState, postSteps)
+				powerLossCases(t, disk, base, preState, postState, postSteps)
 			})
 			// The same window journaled behind window 1 as it returned, on
 			// one disk: window 1's commit record is written and, unless
@@ -370,9 +406,9 @@ func powerLossBehindReturned(t *testing.T, disk *journaltest.Disk, returned int,
 }
 
 // interruptAt is a window's context cancelled at the window's k-th step
-// boundary: the k-th step's record is refused and the attempt aborts, as it
-// does at a transient fault there — but no rung of the ladder follows a
-// cancellation, so the abort closes the window.
+// boundary, where a transient fault (armed beside it) fails the step: the
+// attempt aborts, and no rung of the ladder follows a cancellation, so the
+// abort closes the window.
 type interruptAt struct {
 	context.Context
 	inj *faults.Injector
@@ -389,28 +425,30 @@ func (c interruptAt) Err() error {
 // powerLossCases loses power at every recorded moment of a disk that held
 // base flushed bytes before one window was journaled to it, and checks what
 // a restart makes of each image.
-func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, preState, postState map[string]string, postSteps map[int]uint64) {
+func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, preState, postState map[string]string, postSteps map[int]uint64) {
 	whole := disk.Bytes()
 	// The window's frames start at base with its own accept; the begin
 	// record behind it ends at beginEnd.
-	ends, beginEnd, _, closed, committed := windowFrames(t, whole, base)
-	beginStart := base
+	ends, beginEnd, closeStart, closed, committed := windowFrames(t, whole, base)
 	closeFollowsDurableBegin(t, disk, base)
 
-	check := func(what string, image []byte, begun bool) {
+	// check restarts from image, which holds the begin record whole when
+	// begun is set and holds the window's every frame as written when intact
+	// is.
+	check := func(what string, image []byte, begun, intact bool) {
 		t.Helper()
 		got := reopen(t, image)
 		switch {
 		case !begun:
-			// No begin record, or a torn one: cut off with whatever follows
-			// it, and the window never happened. Its own accept, if whole,
-			// is void: no ingester requeues it.
+			// No begin record, or a torn or holed one: cut off with whatever
+			// follows it, and the window never happened. Its own accept, if
+			// whole, is void: no ingester requeues it.
 			if got.found.Size >= int64(beginEnd) || got.found.InFlight() != nil || len(got.final.Windows) != 1 || len(got.found.Pending()) != 0 {
 				t.Fatalf("%s: read as %d windows over %d bytes, in flight=%v, %d accepts pending; want window 1 alone, nothing pending, within %d",
 					what, len(got.found.Windows), got.found.Size, got.found.InFlight() != nil, len(got.found.Pending()), beginEnd)
 			}
 			sameBags(t, what, preState, got.state)
-		case len(image) == len(whole) && closed && !committed:
+		case intact && closed && !committed:
 			if got.found.InFlight() != nil || got.final.CommittedCount() != 1 || len(got.final.Windows) != 2 {
 				t.Fatalf("%s: a durable abort reads as in flight=%v, %d committed", what, got.found.InFlight() != nil, got.final.CommittedCount())
 			}
@@ -418,7 +456,7 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 		default:
 			// Committed, or found in flight and recovered: the uninterrupted
 			// window either way.
-			if inFlight := got.found.InFlight() != nil; inFlight == (len(image) == len(whole) && committed) {
+			if inFlight := got.found.InFlight() != nil; inFlight == (intact && committed) {
 				t.Fatalf("%s: in flight=%v", what, inFlight)
 			}
 			if got.final.InFlight() != nil || got.final.CommittedCount() != 2 {
@@ -437,7 +475,7 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 	}
 
 	tried := map[int]bool{}
-	holedWithSteps := false
+	holedClose := false
 	for _, m := range disk.Moments() {
 		if m.Written <= base {
 			continue
@@ -459,23 +497,26 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 			if len(image) != cut {
 				t.Fatalf("PowerLoss(%+v, %d) left %d bytes", m, cut-m.Durable, len(image))
 			}
-			check(fmt.Sprintf("cut at %d of %d", cut, len(whole)), image, cut >= beginEnd)
+			check(fmt.Sprintf("cut at %d of %d", cut, len(whole)), image, cut >= beginEnd, cut == len(whole))
 		}
-		// A flush in progress may have written the later sectors of the
-		// begin record and the step frames behind it, and not an earlier
-		// one: a holed begin frame followed by intact frames.
-		if m.Durable < beginEnd && m.Written >= beginEnd {
-			image := disk.PowerLoss(m, m.Written)
-			mid := beginStart + (beginEnd-beginStart)/2
-			for i := mid; i < mid+8; i++ {
-				image[i] ^= 0xff
+		// A flush in progress may have written the later sectors of a frame,
+		// and whatever is behind it, and not an earlier one: a holed frame —
+		// the begin record, or the closing record — followed by the rest.
+		for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
+			if start < base || start < m.Durable || ends[i] > m.Written {
+				continue
 			}
-			check(fmt.Sprintf("holed begin record, %d bytes behind it", m.Written-beginEnd), image, false)
-			holedWithSteps = holedWithSteps || m.Written > beginEnd
+			image := disk.PowerLoss(m, m.Written)
+			mid := start + (ends[i]-start)/2
+			for j := mid; j < mid+8; j++ {
+				image[j] ^= 0xff
+			}
+			check(fmt.Sprintf("frame %d of %d holed, %d bytes written", start, len(whole), m.Written), image, start >= beginEnd, false)
+			holedClose = holedClose || start == closeStart
 		}
 	}
-	if held && !holedWithSteps {
-		t.Fatal("the held flush saw no step frame written beside it")
+	if closed && !holedClose {
+		t.Fatal("no moment left the closing record written and not flushed")
 	}
 	if !tried[beginEnd] || !tried[base] || !tried[len(whole)] {
 		t.Fatalf("cuts tried: %v; want %d (no begin), %d (begin whole) and %d (everything) among them", tried, base, beginEnd, len(whole))
@@ -486,8 +527,9 @@ func powerLossCases(t *testing.T, disk *journaltest.Disk, base int, held bool, p
 // flush takes 300 µs, beside the same window unjournaled: the difference is
 // what the journal costs a window. The window makes one flush (syncs/op), its
 // begin record's, which runs beside the steps, and its commit record rides
-// the next window's; once the steps take as long as a flush does, what is
-// left is encoding and writing the records.
+// the next window's; it hands the disk three writes (writes/op): its batch's
+// accept, its begin record and its commit record. Once the steps take as long
+// as a flush does, what is left is encoding and writing the records.
 func BenchmarkJournaledWindow(b *testing.B) {
 	const flush = 300 * time.Microsecond
 	w, s := benchFixture(b)
@@ -509,7 +551,9 @@ func BenchmarkJournaledWindow(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(disk.Syncs())/float64(b.N), "syncs/op")
+			syncs := disk.Syncs()
+			b.ReportMetric(float64(syncs)/float64(b.N), "syncs/op")
+			b.ReportMetric(float64(len(disk.Moments())-syncs)/float64(b.N), "writes/op") // a moment per write and per sync
 		})
 	}
 }

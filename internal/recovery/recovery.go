@@ -2,11 +2,11 @@
 // as a journaled, atomic, retryable window: every attempt runs on a clone of
 // the warehouse, so the caller's state is untouched until the attempt
 // commits, and the journal records window begin (strategy, the accepts that
-// hold its change batch, digests), every completed step, and commit/abort.
-// Recover completes a window whose journal ends without commit or abort — the
-// signature of a crash — by restoring the pre-window state, re-staging the
-// batch its accepts hold, and re-executing the journaled strategy, verifying
-// each replayed step against the journaled step records.
+// hold its change batch, digests) and commit — which holds a record of every
+// step — or abort. Recover completes a window whose journal ends without
+// commit or abort — the signature of a crash — by restoring the pre-window
+// state, re-staging the batch its accepts hold, and re-executing the
+// journaled strategy.
 //
 // What Recover may find is set by what the journal syncs (package journal):
 // a window that Run returned has its begin record — strategy, pre-state
@@ -14,24 +14,23 @@
 // since its commit record waits for that flush, and its commit record rides
 // the journal's next flush. A power loss in between finds the window in
 // flight, and Recover completes it to the state Run returned. A window in
-// flight has its begin record once its flush has returned, and any prefix of
-// its step records, whole or torn. Power lost before that leaves no begin
-// record or a torn one, which the next open cuts off with whatever follows
-// it: no window, and nothing to undo, because an attempt writes only its
-// clone and journal frames. Every step without a record is re-executed, so
-// power loss costs redone steps and never a different state. An aborted
-// attempt returns only once its abort record is durable, so a window
-// reported failed is never recovered. Every way out of an attempt — commit,
-// abort, crash-class return — waits for the begin record's flush, so the
-// caller of Run or Recover gets back a journal nothing is still writing to.
+// flight has its begin record once its flush has returned. Power lost before
+// that leaves no begin record or a torn one, which the next open cuts off
+// with whatever follows it: no window, and nothing to undo, because an
+// attempt writes only its clone and journal frames. Every step of a window
+// in flight is re-executed, so power loss costs redone steps and never a
+// different state. An aborted attempt returns only once its abort record is
+// durable, so a window reported failed is never recovered. Every way out of
+// an attempt — commit, abort, crash-class return — waits for the begin
+// record's flush, so the caller of Run or Recover gets back a journal nothing
+// is still writing to.
 //
 // Replay is by re-execution: the engine is deterministic given the same
 // pre-window state, change batch and work-affecting options (which the
 // begin record captures), so a recovered window is bag-identical to the
-// window the crashed process would have produced. Completed steps of the
-// crashed run are not re-journaled; their journaled work and delta digests
-// are instead checked against the replay, turning silent divergence into a
-// hard error.
+// window the crashed process would have produced. A committed window's step
+// records — its work and installed-delta digests — are checked against the
+// replay, turning silent divergence into a hard error.
 //
 // Run also hardens every window against non-crash failures, by one ladder no
 // caller configures: a transient error is retried in place (each attempt its
@@ -139,8 +138,8 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		return nil, err
 	}
 	if opts.Journal != nil && opts.Context != nil {
-		// Gate journal begin/step appends — and a begin's own accept — on the
-		// window's context: a cancelled window stops extending the journal
+		// Gate the journal's begin — and a begin's own accept — on the
+		// window's context: a cancelled window opens no journal window
 		// (commit/abort still land, closing the window's record).
 		opts.Journal.SetContext(opts.Context)
 		defer opts.Journal.SetContext(nil)
@@ -248,22 +247,22 @@ func Begin(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options)
 	return opts.Journal.Begin(b)
 }
 
-// stepRecord converts an executed step into its journal record.
-func stepRecord(idx int, step exec.StepReport) journal.StepRecord {
-	return journal.StepRecord{
-		Index:   idx,
-		Key:     step.Expr.Key(),
-		Work:    step.Work,
-		Terms:   step.Terms,
-		Skipped: step.Skipped,
-		Digest:  step.Digest,
+// commitRecord is the commit record of an executed window: its work, how
+// long it ran from t0, and a record of every step rep holds — in strategy
+// order, since the window ran every one.
+func commitRecord(rep exec.Report, t0 time.Time) journal.CommitRecord {
+	c := journal.CommitRecord{TotalWork: rep.TotalWork(), ElapsedNS: time.Since(t0).Nanoseconds(), UnixNano: time.Now().UnixNano(),
+		Steps: make([]journal.StepRecord, len(rep.Steps))}
+	for i, step := range rep.Steps {
+		c.Steps[i] = journal.StepRecord{Key: step.Expr.Key(), Work: step.Work, Terms: step.Terms, Skipped: step.Skipped, Digest: step.Digest}
 	}
+	return c
 }
 
 // runAttempt executes one journaled attempt on a fresh clone: the strategy
 // under mode, or — for ModeRecompute, the graceful-degradation attempt — an
 // install of the staged base deltas and a rebuild of every derived view,
-// whose journal window has no step records (recovery of an in-flight
+// whose commit record holds no step records (recovery of an in-flight
 // recompute window simply redoes the whole recompute). Failures append an
 // abort record — unless they are crash-class, in which case the journal is
 // left exactly as a killed process would leave it.
@@ -272,25 +271,19 @@ func runAttempt(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Opt
 	jw := opts.Journal
 	if jw != nil {
 		// Begin starts the record's flush and does not wait for it: the steps
-		// below write nothing but the clone and journal frames.
+		// below write nothing but the clone.
 		if err := Begin(w, s, mode, opts); err != nil {
 			return exec.Report{}, nil, err
 		}
 	}
-	var onStep func(int, exec.StepReport) error
-	if jw != nil {
-		onStep = func(idx int, step exec.StepReport) error {
-			return jw.Step(stepRecord(idx, step))
-		}
-	}
 	t0 := time.Now()
-	rep, err := execute(clone, s, mode, opts, onStep)
+	rep, err := execute(clone, s, mode, opts)
 	if err != nil {
 		closeFailed(jw, err.Error(), isCrash(err, opts.Faults))
 		return rep, nil, err
 	}
 	if jw != nil {
-		if cerr := jw.Commit(journal.CommitRecord{TotalWork: rep.TotalWork(), ElapsedNS: time.Since(t0).Nanoseconds(), UnixNano: time.Now().UnixNano()}); cerr != nil {
+		if cerr := jw.Commit(commitRecord(rep, t0)); cerr != nil {
 			return rep, nil, cerr
 		}
 	}
@@ -314,14 +307,13 @@ func closeFailed(jw *journal.Writer, reason string, crash bool) {
 // execute runs a window's strategy on w — through the executor, or through
 // recomputeAll for ModeRecompute, whose report carries the installed base
 // rows as its only work.
-func execute(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options, onStep func(int, exec.StepReport) error) (exec.Report, error) {
+func execute(w *core.Warehouse, s strategy.Strategy, mode exec.Mode, opts Options) (exec.Report, error) {
 	if mode != exec.ModeRecompute {
 		return exec.Execute(w, s, exec.Options{
 			Mode:     mode,
 			Workers:  opts.Workers,
 			Context:  opts.Context,
 			Validate: opts.Validate,
-			OnStep:   onStep,
 			Faults:   opts.Faults,
 		})
 	}
@@ -364,15 +356,15 @@ func recomputeAll(w *core.Warehouse, inj *faults.Injector) (int64, error) {
 // record's state digest verifies this, the batch digest that the change
 // batch is intact), the journaled change batch is re-staged on a clone, and
 // the journaled strategy re-executed under the journaled work-affecting
-// options. Every step the log holds a record for is verified against it —
-// key, work, skip flag, installed-delta digest — turning silent divergence
-// into a hard error. What happens to the rest depends on the log:
+// options. What happens then depends on the log:
 //
-//   - A committed window (a shipped window on a replica) must hold a record
-//     for every step, its total work must match the commit record, and
-//     nothing is journaled — the shipped bytes are the replica's journal.
-//   - An in-flight window (a crash) gets its missing steps and its commit
-//     appended through opts.Journal, or an abort if the replay fails.
+//   - A committed window (a shipped window on a replica) is verified against
+//     its commit record — total work, and every step's key, work, skip flag
+//     and installed-delta digest — turning silent divergence into a hard
+//     error, and nothing is journaled: the shipped bytes are the replica's
+//     journal.
+//   - An in-flight window (a crash) gets its commit record appended through
+//     opts.Journal, or an abort if the replay fails.
 //
 // The completed clone comes back in Result.Core for the caller to adopt.
 func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
@@ -412,59 +404,58 @@ func replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	if opts.Workers == 0 {
 		opts.Workers = b.Workers
 	}
-	done := make(map[int]journal.StepRecord, len(wl.Steps))
-	for _, sr := range wl.Steps {
-		done[sr.Index] = sr
-	}
-	if committed && mode != exec.ModeRecompute && len(done) != len(b.Strategy) {
-		return nil, fmt.Errorf("recovery: committed window %d ships %d distinct step records for a %d-step strategy",
-			b.Seq, len(done), len(b.Strategy))
-	}
-	onStep := func(idx int, step exec.StepReport) error {
-		sr, ok := done[idx]
-		switch {
-		case ok:
-			// The journaled run completed this step — verify the replay
-			// reproduced it instead of re-journaling it.
-			if sr.Key != step.Expr.Key() {
-				return fmt.Errorf("recovery: window %d step %d is journaled as %s, replayed as %s",
-					b.Seq, idx, sr.Key, step.Expr.Key())
-			}
-			if sr.Skipped != step.Skipped || sr.Work != step.Work {
-				return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled work=%d skipped=%v, replayed work=%d skipped=%v",
-					b.Seq, idx, sr.Key, sr.Work, sr.Skipped, step.Work, step.Skipped)
-			}
-			if sr.Digest != 0 && step.Digest != 0 && sr.Digest != step.Digest {
-				return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled delta digest %016x, replayed %016x",
-					b.Seq, idx, sr.Key, sr.Digest, step.Digest)
-			}
-			return nil
-		case jw != nil:
-			return jw.Step(stepRecord(idx, step))
-		}
-		return nil
-	}
 	t0 := time.Now()
-	rep, err := execute(clone, b.Strategy, mode, opts, onStep)
+	rep, err := execute(clone, b.Strategy, mode, opts)
 	if err != nil {
 		closeFailed(jw, "recovery failed: "+err.Error(), isCrash(err, opts.Faults))
 		return nil, fmt.Errorf("recovery: replaying window %d: %w", b.Seq, err)
 	}
-	if committed && rep.TotalWork() != wl.Commit.TotalWork {
-		return nil, fmt.Errorf("recovery: window %d replayed %d total work, leader committed %d",
-			b.Seq, rep.TotalWork(), wl.Commit.TotalWork)
+	c := commitRecord(rep, t0)
+	if committed {
+		if err := verifyCommit(b.Seq, wl.Commit, c); err != nil {
+			return nil, err
+		}
 	}
 	if jw != nil {
-		if cerr := jw.Commit(journal.CommitRecord{TotalWork: rep.TotalWork(), ElapsedNS: time.Since(t0).Nanoseconds(), UnixNano: time.Now().UnixNano()}); cerr != nil {
+		if cerr := jw.Commit(c); cerr != nil {
 			return nil, cerr
 		}
 	}
 	return &Result{Core: clone, Report: rep, Mode: mode, Attempts: 1, Recomputed: mode == exec.ModeRecompute}, nil
 }
 
+// verifyCommit checks the commit record a replay of window seq made, got,
+// against the one the window was journaled with: the same total work and the
+// same steps, key, work and skip flag each, and the same installed-delta
+// digest where both digested the delta.
+func verifyCommit(seq int, journaled *journal.CommitRecord, got journal.CommitRecord) error {
+	if len(journaled.Steps) != len(got.Steps) {
+		return fmt.Errorf("recovery: committed window %d ships %d step records, its replay ran %d steps",
+			seq, len(journaled.Steps), len(got.Steps))
+	}
+	for i, sr := range journaled.Steps {
+		step := got.Steps[i]
+		if sr.Key != step.Key {
+			return fmt.Errorf("recovery: window %d step %d is journaled as %s, replayed as %s", seq, i, sr.Key, step.Key)
+		}
+		if sr.Skipped != step.Skipped || sr.Work != step.Work {
+			return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled work=%d skipped=%v, replayed work=%d skipped=%v",
+				seq, i, sr.Key, sr.Work, sr.Skipped, step.Work, step.Skipped)
+		}
+		if sr.Digest != 0 && step.Digest != 0 && sr.Digest != step.Digest {
+			return fmt.Errorf("recovery: replay diverged at window %d step %d (%s): journaled delta digest %016x, replayed %016x",
+				seq, i, sr.Key, sr.Digest, step.Digest)
+		}
+	}
+	if got.TotalWork != journaled.TotalWork {
+		return fmt.Errorf("recovery: window %d replayed %d total work, leader committed %d", seq, got.TotalWork, journaled.TotalWork)
+	}
+	return nil
+}
+
 // Replay re-executes one committed journaled window against w — the
 // follower's half of journal shipping: the leader already committed it, so
-// every step record is present and the replica's re-execution is pure
+// its commit record holds every step and the replica's re-execution is pure
 // verification (see replay).
 func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
 	if wl == nil || !wl.Committed() {
@@ -480,9 +471,9 @@ func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 
 // Recover completes the journal's in-flight window — one that begins but
 // never commits or aborts, the signature of a crash. w must be the warehouse
-// restored from the pre-window snapshot. Steps the crashed run completed are
-// verified rather than re-journaled; missing steps and the commit are
-// appended through opts.Journal (see replay).
+// restored from the pre-window snapshot. Every step is re-executed, and the
+// commit record, with its steps, is appended through opts.Journal (see
+// replay).
 func Recover(w *core.Warehouse, lg *journal.Log, opts Options) (*Result, error) {
 	if lg == nil || lg.InFlight() == nil {
 		return nil, errors.New("recovery: journal has no in-flight window")

@@ -88,7 +88,7 @@ func readLog(t testing.TB, buf *bytes.Buffer) journal.Log {
 }
 
 // instDigestsOf extracts the last journal window's Inst-step digests by
-// strategy index.
+// strategy index: none when it did not commit.
 func instDigestsOf(t *testing.T, buf *bytes.Buffer) map[int]uint64 {
 	t.Helper()
 	lg := readLog(t, buf)
@@ -96,8 +96,10 @@ func instDigestsOf(t *testing.T, buf *bytes.Buffer) map[int]uint64 {
 		t.Fatal("journal has no windows")
 	}
 	out := make(map[int]uint64)
-	for _, sr := range lg.Windows[len(lg.Windows)-1].Steps {
-		out[sr.Index] = sr.Digest
+	if c := lg.Windows[len(lg.Windows)-1].Commit; c != nil {
+		for i, sr := range c.Steps {
+			out[i] = sr.Digest
+		}
 	}
 	return out
 }
@@ -140,8 +142,13 @@ func TestRunCommitsAndAdopts(t *testing.T) {
 	if wl.Begin.Seq != 7 || wl.Begin.Planner != "dual" || wl.Begin.Mode != "dag" {
 		t.Fatalf("begin record: %+v", wl.Begin)
 	}
-	if len(wl.Steps) != len(s) {
-		t.Fatalf("%d journaled steps, strategy has %d", len(wl.Steps), len(s))
+	if len(wl.Commit.Steps) != len(s) {
+		t.Fatalf("%d journaled steps, strategy has %d", len(wl.Commit.Steps), len(s))
+	}
+	for i, sr := range wl.Commit.Steps {
+		if step := res.Report.Steps[i]; sr.Key != s[i].Key() || sr.Work != step.Work || sr.Terms != step.Terms || sr.Digest != step.Digest {
+			t.Fatalf("step %d journaled as %+v, ran as %s work=%d terms=%d digest=%016x", i, sr, s[i].Key(), step.Work, step.Terms, step.Digest)
+		}
 	}
 	if wl.Commit.TotalWork != res.Report.TotalWork() {
 		t.Fatalf("journaled work %d, report %d", wl.Commit.TotalWork, res.Report.TotalWork())
@@ -177,13 +184,13 @@ func TestTransientRetryJournalShape(t *testing.T) {
 	if len(lg.Windows) != 3 {
 		t.Fatalf("%d journal windows, want 3 (abort, abort, commit)", len(lg.Windows))
 	}
-	for i, steps := range []int{1, 0} {
-		if wl := lg.Windows[i]; wl.Abort == nil || wl.Committed() || len(wl.Steps) != steps {
-			t.Fatalf("attempt %d: aborted=%v, %d steps journaled; want an abort after %d", i+1, wl.Abort != nil, len(wl.Steps), steps)
+	for i := 0; i < 2; i++ {
+		if wl := lg.Windows[i]; wl.Abort == nil || wl.Committed() {
+			t.Fatalf("attempt %d: aborted=%v committed=%v; want an abort", i+1, wl.Abort != nil, wl.Committed())
 		}
 	}
-	if !lg.Windows[2].Committed() {
-		t.Fatal("third attempt not committed")
+	if !lg.Windows[2].Committed() || len(lg.Windows[2].Commit.Steps) != len(s) {
+		t.Fatal("third attempt not committed with a record of every step")
 	}
 	for _, wl := range lg.Windows {
 		if wl.Begin.Seq != 3 {
@@ -231,7 +238,7 @@ func TestRecomputeFallback(t *testing.T) {
 	}
 	lg := readLog(t, &buf)
 	last := lg.Windows[len(lg.Windows)-1]
-	if !last.Committed() || last.Begin.Mode != string(exec.ModeRecompute) || len(last.Steps) != 0 {
+	if !last.Committed() || last.Begin.Mode != string(exec.ModeRecompute) || len(last.Commit.Steps) != 0 {
 		t.Fatalf("recompute window shape: %+v", last)
 	}
 	for _, wl := range lg.Windows[:len(lg.Windows)-1] {
@@ -260,9 +267,8 @@ func TestCrashLeavesJournalInFlight(t *testing.T) {
 	if lg.InFlight() == nil {
 		t.Fatal("crashed journal does not need recovery")
 	}
-	wl := lg.InFlight()
-	if wl.Abort != nil || wl.Commit != nil || len(wl.Steps) != 1 {
-		t.Fatalf("in-flight window shape: steps=%d closed=%v", len(wl.Steps), wl.Closed())
+	if wl := lg.InFlight(); wl.Closed() || wl.Begin.Strategy.String() != s.String() {
+		t.Fatalf("in-flight window shape: closed=%v strategy %s", wl.Closed(), wl.Begin.Strategy)
 	}
 }
 
@@ -298,16 +304,14 @@ func TestRecoverCompletesCrashedWindow(t *testing.T) {
 	if final.InFlight() != nil || final.CommittedCount() != 1 {
 		t.Fatalf("journal not completed: inflight=%v committed=%d", final.InFlight() != nil, final.CommittedCount())
 	}
-	wl := final.Windows[len(final.Windows)-1]
-	if len(wl.Steps) != len(s) {
-		t.Fatalf("completed window has %d steps, strategy %d (crashed steps + replayed rest, no duplicates)", len(wl.Steps), len(s))
+	steps := final.Windows[len(final.Windows)-1].Commit.Steps
+	if len(steps) != len(s) {
+		t.Fatalf("completed window has %d step records, strategy %d", len(steps), len(s))
 	}
-	seen := make(map[int]bool)
-	for _, sr := range wl.Steps {
-		if seen[sr.Index] {
-			t.Fatalf("step %d journaled twice", sr.Index)
+	for i, sr := range steps {
+		if sr.Key != s[i].Key() {
+			t.Fatalf("step %d journaled as %s, strategy has %s", i, sr.Key, s[i].Key())
 		}
-		seen[sr.Index] = true
 	}
 }
 

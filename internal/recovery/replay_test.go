@@ -69,9 +69,10 @@ func TestReplayRejectsTamperedWindow(t *testing.T) {
 	})
 	t.Run("step-digest", func(t *testing.T) {
 		wl, _ := shipWindow(t, exec.ModeSequential)
-		for i := range wl.Steps {
-			if !wl.Steps[i].Skipped && wl.Steps[i].Digest != 0 {
-				wl.Steps[i].Digest ^= 1
+		steps := wl.Commit.Steps
+		for i := range steps {
+			if !steps[i].Skipped && steps[i].Digest != 0 {
+				steps[i].Digest ^= 1
 				break
 			}
 		}
@@ -81,7 +82,7 @@ func TestReplayRejectsTamperedWindow(t *testing.T) {
 	})
 	t.Run("missing-step", func(t *testing.T) {
 		wl, _ := shipWindow(t, exec.ModeSequential)
-		wl.Steps = wl.Steps[:len(wl.Steps)-1]
+		wl.Commit.Steps = wl.Commit.Steps[:len(wl.Commit.Steps)-1]
 		if _, err := Replay(buildPristine(t), wl, Options{}); err == nil {
 			t.Fatal("committed window with a missing step record replayed")
 		}
@@ -126,11 +127,6 @@ func TestReplayRefusesProbeWorkJournal(t *testing.T) {
 	jw := journal.NewWriter(&buf)
 	if err := jw.Begin(wl.Begin); err != nil {
 		t.Fatal(err)
-	}
-	for _, sr := range wl.Steps {
-		if err := jw.Step(sr); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := jw.Commit(*wl.Commit); err != nil {
 		t.Fatal(err)

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
 
 	warehouse "repro"
 	"repro/internal/journal"
+	"repro/internal/strategy"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/parent_chunk.bin with this commit's leader")
@@ -37,9 +39,11 @@ func TestGoldenChunkBytes(t *testing.T) {
 	lg := NewLog()
 	w := journal.NewWriter(lg)
 	accept(w, 1700000000000000001, "k0")
-	must(w.Begin(journal.BeginRecord{Seq: 1, Planner: "minwork", Mode: "dag", Workers: 2, StateDigest: 7, BatchDigest: 8, Accepts: journal.Range{Lo: 1, Hi: 1}}))
-	must(w.Step(journal.StepRecord{Index: 0, Key: "I:A", Work: 2, Digest: 99}))
-	must(w.Commit(journal.CommitRecord{TotalWork: 2, ElapsedNS: 5, UnixNano: 1700000000000000009, AcceptUnixNano: 1700000000000000001}))
+	must(w.Begin(journal.BeginRecord{Seq: 1, Planner: "minwork", Mode: "dag", Workers: 2, StateDigest: 7, BatchDigest: 8,
+		Strategy: strategy.Strategy{strategy.Inst{View: "A"}}, Accepts: journal.Range{Lo: 1, Hi: 1}}))
+	commit := journal.CommitRecord{TotalWork: 2, ElapsedNS: 5, UnixNano: 1700000000000000009, AcceptUnixNano: 1700000000000000001,
+		Steps: []journal.StepRecord{{Key: "I:A", Work: 2, Digest: 99}}}
+	must(w.Commit(commit))
 	operator := journal.BeginRecord{Seq: 2, Mode: "sequential", Own: true, Batch: []journal.ViewBatch{{View: "A", Rows: []journal.RowChange{{Key: "k1", Count: 2}}}}}
 	must(w.Begin(operator))
 	must(w.Abort(journal.AbortRecord{Reason: "deadline"}))
@@ -66,21 +70,21 @@ func TestGoldenChunkBytes(t *testing.T) {
 		t.Fatalf("the leader ships %d bytes that differ from the parent's %d", len(body), len(golden))
 	}
 	for header, want := range map[string]string{
-		HeaderCRC: "15dcf96da1b16167", HeaderNext: "263", HeaderStable: "263",
+		HeaderCRC: "3eca10a76af813a4", HeaderNext: "261", HeaderStable: "261",
 		HeaderCommitNS: "1700000000000000009", HeaderAcceptNS: "1700000000000000001",
 	} {
 		if got := resp.Header.Get(header); got != want {
 			t.Errorf("%s: %s, the parent sent %s", header, got, want)
 		}
 	}
-	if st := leader.Stats(); st.ShippedBytes != 263 || st.CommittedWindows != 1 {
-		t.Errorf("shipped %d bytes of %d committed windows, want 263 of 1", st.ShippedBytes, st.CommittedWindows)
+	if st := leader.Stats(); st.ShippedBytes != 261 || st.CommittedWindows != 1 {
+		t.Errorf("shipped %d bytes of %d committed windows, want 261 of 1", st.ShippedBytes, st.CommittedWindows)
 	}
 
 	shipped, err := journal.ReadLog(bytes.NewReader(golden))
 	must(err)
-	if shipped.Size != 263 || shipped.Truncated || len(shipped.Windows) != 2 || shipped.CommittedCount() != 1 || shipped.InFlight() != nil ||
-		*shipped.Windows[0].Commit != (journal.CommitRecord{TotalWork: 2, ElapsedNS: 5, UnixNano: 1700000000000000009, AcceptUnixNano: 1700000000000000001}) {
+	if shipped.Size != 261 || shipped.Truncated || len(shipped.Windows) != 2 || shipped.CommittedCount() != 1 || shipped.InFlight() != nil ||
+		!reflect.DeepEqual(*shipped.Windows[0].Commit, commit) {
 		t.Fatalf("the parent's chunk reads as %d bytes, truncated=%v, %d windows of which %d committed: %+v",
 			shipped.Size, shipped.Truncated, len(shipped.Windows), shipped.CommittedCount(), shipped.Windows)
 	}

@@ -153,10 +153,7 @@ func TestLeaderServesTheAskedChunkUpToTheCap(t *testing.T) {
 	if err := jw.Begin(journal.BeginRecord{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Step(journal.StepRecord{Key: strings.Repeat("x", maxChunkBytes+1<<20)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Commit(journal.CommitRecord{}); err != nil {
+	if err := jw.Commit(journal.CommitRecord{Steps: []journal.StepRecord{{Key: strings.Repeat("x", maxChunkBytes+1<<20)}}}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(leader.Handler())
@@ -226,14 +223,13 @@ func TestUnstableTailNeverShips(t *testing.T) {
 		_, _, err := jw.Accept(journal.AcceptRecord{UnixNano: 5, Batch: []journal.ViewBatch{{View: "A", Rows: []journal.RowChange{{Key: "k", Count: 1}}}}})
 		return err
 	}
-	commit := journal.CommitRecord{UnixNano: 9, ElapsedNS: 1}
+	commit := journal.CommitRecord{UnixNano: 9, ElapsedNS: 1, Steps: []journal.StepRecord{{Key: "x"}}}
 	steps := []struct {
 		name string
 		do   func() error
 	}{
 		{"accept between windows", accept},
 		{"begin", func() error { return jw.Begin(journal.BeginRecord{Seq: 1, Accepts: journal.Range{Lo: 1, Hi: 1}}) }},
-		{"step", func() error { return jw.Step(journal.StepRecord{Index: 0, Key: "x"}) }},
 		{"accept inside the window", accept},
 		{"commit", func() error { return jw.Commit(commit) }},
 		{"accept between windows", accept},

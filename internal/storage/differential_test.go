@@ -46,7 +46,7 @@ func TestNarrowIndexDifferential(t *testing.T) {
 			{},
 			{Planner: "dualstage", Mode: warehouse.ModeStaged},
 			{Planner: "prune", Mode: warehouse.ModeDAG, Workers: 3, Readers: 2},
-			{Planner: "dualstage", Fault: fmt.Sprintf("crash:step@%d", 1+seed%9), Cut: int(seed % 3 * 40)},
+			{Planner: "dualstage", Fault: fmt.Sprintf("crash:step@%d", 1+seed%9)},
 			{Fault: "transient:step@2", Mode: warehouse.ModeDAG},
 			{Planner: "dualstage", Replicas: 2, Drop: true, Kill: 2},
 			{Planner: "prune", Ingest: true, Fault: "crash:step@2"},
