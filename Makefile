@@ -159,7 +159,8 @@ bench:
 # index probes stay far below the operand tuples they save then runs in CI;
 # it reports the rows those probes yield beside them. The
 # storage, state-digest and join-probe layer benchmarks (the Q3 probe chain
-# through ORDER's and CUSTOMER's indexes among them) run once too, so that
+# through ORDER's and CUSTOMER's indexes among them) and the install of a
+# staged aggregate change (BenchmarkInstall) run once too, so that
 # they keep compiling and executing between the runs of bench-layers that
 # read them.
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
@@ -179,7 +180,7 @@ bench-smoke:
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
 	$(call run-benches,./internal/planner,BenchmarkMinWorkScaling,-benchmem)
 	$(call run-benches,./internal/storage,.,-benchmem)
-	$(call run-benches,./internal/core,Probe,-benchmem)
+	$(call run-benches,./internal/core,Probe|Install$$,-benchmem)
 	$(call run-benches,./internal/recovery,StateDigest|JournaledWindow,-benchmem)
 	$(call run-benches,./internal/serve,ServeQuery,-benchmem)
 
@@ -192,7 +193,8 @@ bench-smoke:
 # WideFirstColumn, a wide index on column 0 held as postings and as placed
 # rows), join
 # build and probe (flat table, resident index, and Q3's chain of two index
-# steps, ns per driver row), state digest (the fold a
+# steps, ns per driver row), the install of a staged aggregate change into a
+# cloned summary table (ns and allocations per changed group), state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (its one flush,
 # syncs/op 1, runs beside its steps, so the difference is mostly encoding and
@@ -205,7 +207,7 @@ bench-layers:
 	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -count 5
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe' -count 5 -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe|Install$$' -count 5 -benchmem
 	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -count 5 -benchmem
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): each of the

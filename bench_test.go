@@ -242,7 +242,7 @@ func BenchmarkEnginePrimitives(b *testing.B) {
 	b.Run("InstallBase", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := benchState.tw.W.Clone()
-			if _, err := run.Install(tpcd.LineItem); err != nil {
+			if _, _, err := run.Install(tpcd.LineItem); err != nil {
 				b.Fatal(err)
 			}
 		}

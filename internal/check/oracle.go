@@ -170,7 +170,7 @@ func Oracle(t testing.TB, w *warehouse.Warehouse) State {
 	scan(-1)
 	for _, name := range c.ViewNames() {
 		if v := c.MustView(name); v.IsBase() && v.HasPending() {
-			if _, err := c.Install(name); err != nil {
+			if _, _, err := c.Install(name); err != nil {
 				t.Fatalf("check: oracle: installing %s: %v", name, err)
 			}
 		}

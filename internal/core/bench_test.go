@@ -74,7 +74,7 @@ func BenchmarkInstallScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("delta=%d", n/10), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := w.Clone()
-				if _, err := run.Install("R"); err != nil {
+				if _, _, err := run.Install("R"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,10 +93,10 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 			if _, err := run.Compute("J", []string{"R"}); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := run.Install("R"); err != nil {
+			if _, _, err := run.Install("R"); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := run.Install("J"); err != nil {
+			if _, _, err := run.Install("J"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 	b.Run("recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := w.Clone()
-			if _, err := run.Install("R"); err != nil {
+			if _, _, err := run.Install("R"); err != nil {
 				b.Fatal(err)
 			}
 			if err := run.RefreshAll(); err != nil {

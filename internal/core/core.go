@@ -393,31 +393,31 @@ func (w *Warehouse) DeltaSize(name string) (int64, error) {
 	return d.Size(), nil
 }
 
-// Install folds the view's pending delta into its materialized state and
-// clears the pending state. It returns the number of rows installed (|δV|).
-func (w *Warehouse) Install(name string) (int64, error) {
+// Install folds the view's pending change into its materialized state and
+// clears the pending state. It returns what it installed: the number of
+// rows, |δV|, and the digest of δV (delta.Delta.Digest). An aggregate view
+// folds its group partials in one pass and builds no tuple delta for it (see
+// storage.AggTable.Apply); only a reader of δV does (DeltaOf).
+func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) {
 	v := w.views[name]
 	if v == nil {
-		return 0, fmt.Errorf("core: unknown view %q", name)
+		return 0, 0, fmt.Errorf("core: unknown view %q", name)
 	}
-	d, err := w.DeltaOf(name)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	switch {
+	case v.agg != nil && v.pendingPartials != nil:
+		rows, digest, err = v.agg.Apply(v.pendingPartials)
+	case v.agg == nil && v.pendingDelta != nil:
+		rows = v.pendingDelta.Size()
+		digest, err = v.table.ApplyDelta(v.pendingDelta)
+	}
 	if err != nil {
-		return 0, err
+		return 0, 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 	}
-	n := d.Size()
-	if v.agg != nil {
-		if err := v.agg.Apply(v.pendingPartials); err != nil {
-			return 0, fmt.Errorf("core: installing δ%s: %w", name, err)
-		}
-		v.pendingPartials = nil
-		v.finalized = nil
-		return n, nil
-	}
-	if err := v.table.ApplyDelta(d); err != nil {
-		return 0, fmt.Errorf("core: installing δ%s: %w", name, err)
-	}
+	v.pendingPartials, v.finalized = nil, nil
 	v.pendingDelta, v.sharedDelta = nil, false
-	return n, nil
+	return rows, digest, nil
 }
 
 // ShareTuner is inert — the share tuner is gone, and nothing reads what this

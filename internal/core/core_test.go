@@ -196,7 +196,7 @@ func TestOneWayStrategyMatchesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := w.Install(s.inst); err != nil {
+			if _, _, err := w.Install(s.inst); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +227,7 @@ func TestDualStageStrategyMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"R", "S", "J", "A"} {
-		if _, err := w.Install(v); err != nil {
+		if _, _, err := w.Install(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func applyStep(t *testing.T, w *Warehouse, step string) {
 			t.Fatalf("step %s: %v", step, err)
 		}
 	case 'i':
-		if _, err := w.Install(step[1:]); err != nil {
+		if _, _, err := w.Install(step[1:]); err != nil {
 			t.Fatalf("step %s: %v", step, err)
 		}
 	}
@@ -359,7 +359,7 @@ func TestWorkAccounting(t *testing.T) {
 		t.Errorf("terms = %d, want 1", rep.Terms)
 	}
 	// Install R: |δR| = 1 row.
-	n, err := w.Install("R")
+	n, _, err := w.Install("R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,13 +434,13 @@ func TestDeltaOfAndSizes(t *testing.T) {
 	if _, err := w.Compute("J", []string{"R"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Install("R"); err != nil {
+	if _, _, err := w.Install("R"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Compute("J", []string{"S"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Install("S"); err != nil {
+	if _, _, err := w.Install("S"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Compute("A", []string{"J"}); err != nil {
@@ -455,7 +455,7 @@ func TestDeltaOfAndSizes(t *testing.T) {
 		t.Errorf("δA = %v", dA.Sorted())
 	}
 	for _, v := range []string{"J", "A"} {
-		if _, err := w.Install(v); err != nil {
+		if _, _, err := w.Install(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,12 +467,12 @@ func TestDeltaOfAndSizes(t *testing.T) {
 func TestInstallErrors(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
-	if _, err := w.Install("nope"); err == nil {
+	if _, _, err := w.Install("nope"); err == nil {
 		t.Errorf("Install unknown accepted")
 	}
 	// Deleting a row that does not exist must fail at install.
 	stage(t, w, "R", []delta.Change{{Tuple: intRow(99, 99), Count: -1}})
-	if _, err := w.Install("R"); err == nil {
+	if _, _, err := w.Install("R"); err == nil {
 		t.Errorf("install of impossible delete accepted")
 	}
 }
@@ -530,7 +530,7 @@ func TestRandomizedStrategiesMatchRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range []string{"R", "S", "J", "A"} {
-			if _, err := dual.Install(v); err != nil {
+			if _, _, err := dual.Install(v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -584,7 +584,7 @@ func TestCloneSharesTheStagedBatch(t *testing.T) {
 	}
 
 	cl3 := cl2.Clone()
-	if _, err := cl3.Install("R"); err != nil {
+	if _, _, err := cl3.Install("R"); err != nil {
 		t.Fatal(err)
 	}
 	if digest(cl2) != staged || !cl2.MustView("R").HasPending() || cl2.MustView("R").Cardinality() != 3 {

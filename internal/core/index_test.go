@@ -207,7 +207,7 @@ func TestTwoDeltasOneState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, view := range []string{"R", "S", "V3", "A3"} {
-		if _, err := w.Install(view); err != nil {
+		if _, _, err := w.Install(view); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestTwoDeltasOneState(t *testing.T) {
 		}
 	}
 	for _, view := range []string{"T", "V3", "A3"} {
-		if _, err := w.Install(view); err != nil {
+		if _, _, err := w.Install(view); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestSiblingCompsProbeIndexes(t *testing.T) {
 				}
 			}
 			for _, name := range []string{"D", "V1", "V2"} {
-				if _, err := w.Install(name); err != nil {
+				if _, _, err := w.Install(name); err != nil {
 					t.Fatal(err)
 				}
 			}

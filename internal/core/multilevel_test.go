@@ -52,10 +52,10 @@ func TestSelfJoinMaintenance(t *testing.T) {
 	if rep.Terms != 3 {
 		t.Errorf("self-join terms = %d, want 3", rep.Terms)
 	}
-	if _, err := w.Install("R"); err != nil {
+	if _, _, err := w.Install("R"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Install("PAIRS"); err != nil {
+	if _, _, err := w.Install("PAIRS"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.VerifyAll(); err != nil {

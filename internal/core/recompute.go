@@ -58,7 +58,7 @@ func (w *Warehouse) evalRows(cq *algebra.CQ) ([]storage.CountedTuple, error) {
 	}
 	if out.p != nil {
 		fresh := storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
-		if err := fresh.Apply(out.p); err != nil {
+		if _, _, err := fresh.Apply(out.p); err != nil {
 			return nil, err
 		}
 		return storage.CollectRows(int(fresh.Cardinality()), fresh.Scan), nil
@@ -170,10 +170,10 @@ func (w *Warehouse) refreshOne(v *View) error {
 	}
 	if v.agg != nil {
 		v.agg.Clear()
-		err = v.agg.Apply(out.p)
+		_, _, err = v.agg.Apply(out.p)
 	} else {
 		v.table.Clear()
-		err = v.table.ApplyDelta(out.d)
+		_, err = v.table.ApplyDelta(out.d)
 	}
 	if err != nil {
 		return fmt.Errorf("core: refreshing %q: %w", v.name, err)

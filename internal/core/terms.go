@@ -234,13 +234,14 @@ func newAcc(cq *algebra.CQ) acc {
 }
 
 // add folds in count copies of one projected row: key is the encoded select
-// tuple, or the encoded group key with the aggregate inputs beside it.
-func (a acc) add(key string, inputs []relation.Value, count int64) {
+// tuple, or the encoded group key with the aggregate inputs beside it. The
+// key is not retained.
+func (a acc) add(key []byte, inputs []relation.Value, count int64) {
 	if a.p != nil {
 		a.p.AccumulateEncoded(key, inputs, count)
 		return
 	}
-	a.d.AddEncoded(key, count)
+	a.d.AddEncoded(string(key), count)
 }
 
 // projector maps a joined row to a definition's output: the select list of
@@ -303,7 +304,7 @@ func newSink(cq *algebra.CQ, target acc) *sink {
 func (s *sink) add(row relation.Tuple, count int64) {
 	key, inputs := s.proj.project(row)
 	s.enc = key.AppendEncoded(s.enc[:0])
-	s.target.add(string(s.enc), inputs, count)
+	s.target.add(s.enc, inputs, count)
 	s.rows++
 }
 

@@ -173,7 +173,7 @@ func threeWayCompWorkAndCounters(t *testing.T, resident bool) {
 		}
 	}
 	for _, view := range []string{"V3", "A3", "R", "S", "T"} {
-		if _, err := w.Install(view); err != nil {
+		if _, _, err := w.Install(view); err != nil {
 			t.Fatalf("install %s: %v", view, err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestSingleRefCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, view := range []string{"R", "J", "A"} {
-		if _, err := w.Install(view); err != nil {
+		if _, _, err := w.Install(view); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func runSiblingWindow(t *testing.T, w *Warehouse, n int) []CompReport {
 		reps[i-1] = rep
 	}
 	for _, name := range []string{"R", "S", "V1", "V2", "V3"}[:n+2] {
-		if _, err := w.Install(name); err != nil {
+		if _, _, err := w.Install(name); err != nil {
 			t.Fatal(err)
 		}
 	}

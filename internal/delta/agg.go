@@ -123,8 +123,9 @@ func (a *Accum) Add(v relation.Value, count int64) {
 			a.sumF += v.Float() * float64(count)
 		}
 	case AggMin, AggMax:
-		key := relation.Tuple{v}.Encode()
-		a.note(v, a.mm.add(cowmap.Hash(key), key, count))
+		var buf [32]byte
+		key := v.AppendEncoded(buf[:0])
+		a.note(v, a.mm.addBytes(cowmap.HashBytes(key), key, count))
 	}
 }
 
@@ -135,6 +136,18 @@ func (m *minMax) add(hash uint64, key string, count int64) int64 {
 	nw := *n
 	if nw == 0 {
 		m.vals.Delete(hash, key)
+	}
+	return nw
+}
+
+// addBytes is add for a value encoded into a scratch buffer: the key string
+// is made only when the value is new to the bag.
+func (m *minMax) addBytes(hash uint64, key []byte, count int64) int64 {
+	n, _ := m.vals.RefBytes(hash, key)
+	*n += count
+	nw := *n
+	if nw == 0 {
+		m.vals.DeleteBytes(hash, key)
 	}
 	return nw
 }
@@ -177,17 +190,20 @@ func (a *Accum) settle() {
 	m.known = true
 }
 
+// decodeValue decodes a bag key, allocating nothing.
 func decodeValue(key string) relation.Value {
-	tup, err := relation.DecodeTuple(key)
-	if err != nil || len(tup) != 1 {
+	v, err := relation.DecodeValue(key)
+	if err != nil {
 		panic(fmt.Sprintf("delta: corrupt min/max value %q: %v", key, err))
 	}
-	return tup[0]
+	return v
 }
 
 // Fold merges other into a and reports whether every MIN/MAX value count it
 // touched is still non-negative — whether a, if it was a legal materialized
-// state before, still is one. Specs must match.
+// state before, still is one. Specs must match. A MIN/MAX fold is one scan of
+// other's bag, which keeps the extreme as it goes; only when it deletes the
+// last copy of the extreme does a scan of a's bag find the next one.
 func (a *Accum) Fold(other *Accum) bool {
 	if a.spec != other.spec {
 		panic("delta: folding accumulators with different specs")
@@ -212,8 +228,30 @@ func (a *Accum) Fold(other *Accum) bool {
 	return valid
 }
 
+// CanFold reports what a.Fold(other) would, without folding: whether every
+// MIN/MAX value count stays non-negative. Only other's deletions are looked
+// up — an arrival cannot take a count below zero.
+func (a *Accum) CanFold(other *Accum) bool {
+	if a.spec != other.spec {
+		panic("delta: folding accumulators with different specs")
+	}
+	valid := true
+	if a.mm != nil {
+		other.mm.vals.Scan(func(hash uint64, key string, cnt int64) bool {
+			if cnt < 0 {
+				have, _ := a.mm.vals.Get(hash, key)
+				valid = have+cnt >= 0
+			}
+			return valid
+		})
+	}
+	return valid
+}
+
 // Folded returns what a.Output(support) would be after a.Fold(other), and
 // what that Fold would report, without folding: a is read and not changed.
+// Only a reader of an aggregate view's delta needs it (see
+// storage.AggTable.FinalizeDelta); an install folds once and previews nothing.
 // A MIN/MAX accumulator looks up only the values other holds; unless other
 // deletes the last copy of the current extreme, the new one is the better
 // of it and other's arrivals. Only then is a clone folded and scanned.
@@ -308,8 +346,8 @@ func (a *Accum) Output(support int64) relation.Value {
 
 // GroupPartials accumulates per-group partial aggregate changes produced by
 // the Comp expressions of an aggregate view. Partials from successive Comp
-// expressions of the same strategy are merged, then finalized against the
-// pre-install view state into a plus/minus tuple Delta.
+// expressions of the same strategy are merged, then folded into the view's
+// groups by its install (storage.AggTable.Apply).
 type GroupPartials struct {
 	groupSchema relation.Schema
 	specs       []AggSpec
@@ -341,23 +379,25 @@ func (p *GroupPartials) Specs() []AggSpec { return p.specs }
 // key and the aggregate input values (one per spec; the value for COUNT(*)
 // is ignored).
 func (p *GroupPartials) Accumulate(group relation.Tuple, inputs []relation.Value, count int64) {
-	p.AccumulateEncoded(group.Encode(), inputs, count)
+	p.AccumulateEncoded(group.AppendEncoded(nil), inputs, count)
 }
 
 // AccumulateEncoded is Accumulate for callers that already hold the group
-// tuple's Encode key, sparing a second encoding on the sink path. The
-// inputs slice is not retained; callers may reuse it across rows.
-func (p *GroupPartials) AccumulateEncoded(key string, inputs []relation.Value, count int64) {
+// tuple's Encode bytes, sparing a second encoding on the sink path. The
+// group is found by those bytes, and the key string is made only for a new
+// group, so a row of a group already present allocates nothing. Neither key
+// nor inputs is retained; callers may reuse them across rows.
+func (p *GroupPartials) AccumulateEncoded(key []byte, inputs []relation.Value, count int64) {
 	if len(inputs) != len(p.specs) {
 		panic(fmt.Sprintf("delta: %d aggregate inputs for %d specs", len(inputs), len(p.specs)))
 	}
-	gp := p.groups[key]
+	gp := p.groups[string(key)]
 	if gp == nil {
 		gp = &GroupPartial{Accums: make([]*Accum, len(p.specs))}
 		for i, s := range p.specs {
 			gp.Accums[i] = NewAccum(s)
 		}
-		p.groups[key] = gp
+		p.groups[string(key)] = gp
 	}
 	gp.Support += count
 	for i, v := range inputs {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -222,8 +223,8 @@ func ContextErr(ctx context.Context) error {
 // fault — is recovered and returned as an error (see PanicError), so a
 // panicking operator in a worker goroutine fails its step instead of killing
 // the process; ctx cancels term evaluation mid-Comp, between terms. Inst
-// steps fingerprint the delta they are about to install (StepReport.Digest)
-// so journaled windows can be verified on recovery.
+// steps fingerprint the delta they installed (StepReport.Digest) so
+// journaled windows can be verified on recovery.
 func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *faults.Injector) (step StepReport, err error) {
 	step.Expr = e
 	defer func() {
@@ -246,38 +247,23 @@ func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *fault
 		step.Skipped = cr.Skipped
 		step.EngineCounters = cr.EngineCounters
 	case strategy.Inst:
-		step.Digest = instDigest(w, x.View)
-		n, ierr := w.Install(x.View)
+		n, digest, ierr := w.Install(x.View)
 		if ierr != nil {
 			return step, ierr
 		}
 		step.Work = n
+		// A view with a float column digests to 0: float accumulation order
+		// varies across evaluation modes, so bit-exact digests would be
+		// unsound there.
+		float := func(c relation.Column) bool { return c.Kind == relation.KindFloat }
+		if !slices.ContainsFunc(w.View(x.View).Schema(), float) {
+			step.Digest = digest
+		}
 	default:
 		return step, fmt.Errorf("unknown expression type %T", e)
 	}
 	step.Elapsed = time.Since(t0)
 	return step, nil
-}
-
-// instDigest fingerprints the delta an install is about to fold in. Views
-// with float-valued columns digest to 0: float accumulation order varies
-// across evaluation modes, so bit-exact digests would be unsound there.
-// Finalizing the delta here is safe — Install is about to do it anyway.
-func instDigest(w *core.Warehouse, view string) uint64 {
-	v := w.View(view)
-	if v == nil || !v.HasPending() {
-		return 0
-	}
-	for _, col := range v.Schema() {
-		if col.Kind == relation.KindFloat {
-			return 0
-		}
-	}
-	d, err := w.DeltaOf(view)
-	if err != nil {
-		return 0
-	}
-	return d.Digest()
 }
 
 // Execute runs the strategy against the warehouse, mutating it, and returns

@@ -134,7 +134,7 @@ func TestStateDigestMatchesScanEncode(t *testing.T) {
 				if step.comp != "" {
 					_, err = w.Compute(step.comp, []string{step.over})
 				} else {
-					_, err = w.Install(step.over)
+					_, _, err = w.Install(step.over)
 				}
 				if err != nil {
 					t.Fatalf("seed %d round %d: %v", seed, round, err)
@@ -237,7 +237,7 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 						_, err := w.Compute(step.comp, []string{step.over})
 						must(err)
 					} else {
-						_, err := w.Install(step.over)
+						_, _, err := w.Install(step.over)
 						must(err)
 					}
 				}
@@ -407,7 +407,7 @@ func TestStateDigestDetectsChanges(t *testing.T) {
 	if StateDigest(clone) != h1 {
 		t.Fatal("staged-but-uninstalled delta changed the state digest")
 	}
-	if _, err := clone.Install("B0"); err != nil {
+	if _, _, err := clone.Install("B0"); err != nil {
 		t.Fatal(err)
 	}
 	if StateDigest(clone) == h1 {

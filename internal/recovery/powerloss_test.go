@@ -294,7 +294,7 @@ func TestPowerLossDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	postState := bags(t, res.Core)
-	postSteps := instDigestsOf(t, &ref)
+	postSteps := stepDigestsOf(t, &ref)
 	if fmt.Sprint(preState) == fmt.Sprint(postState) {
 		t.Fatal("the second window changes nothing")
 	}

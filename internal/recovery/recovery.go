@@ -338,7 +338,7 @@ func recomputeAll(w *core.Warehouse, inj *faults.Injector) (int64, error) {
 	for _, name := range w.ViewNames() {
 		v := w.View(name)
 		if v.IsBase() && v.HasPending() {
-			n, err := w.Install(name)
+			n, _, err := w.Install(name)
 			if err != nil {
 				return work, err
 			}

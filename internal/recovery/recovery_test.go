@@ -87,9 +87,9 @@ func readLog(t testing.TB, buf *bytes.Buffer) journal.Log {
 	return lg
 }
 
-// instDigestsOf extracts the last journal window's Inst-step digests by
+// stepDigestsOf extracts the last journal window's step digests by
 // strategy index: none when it did not commit.
-func instDigestsOf(t *testing.T, buf *bytes.Buffer) map[int]uint64 {
+func stepDigestsOf(t *testing.T, buf *bytes.Buffer) map[int]uint64 {
 	t.Helper()
 	lg := readLog(t, buf)
 	if len(lg.Windows) == 0 {
@@ -395,7 +395,7 @@ func TestRecoverRejectsWrongSnapshot(t *testing.T) {
 	if err := wrong.StageDelta("R", d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wrong.Install("R"); err != nil {
+	if _, _, err := wrong.Install("R"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Recover(wrong, &lg, Options{}); err == nil {

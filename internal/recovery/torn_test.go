@@ -39,7 +39,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bags(t, res.Core)
-	wantDigests := instDigestsOf(t, &whole)
+	wantDigests := stepDigestsOf(t, &whole)
 
 	// Frame boundaries of the one window: its own accept, begin, commit.
 	ends := frameEnds(t, whole.Bytes())
@@ -85,7 +85,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 			if final.InFlight() != nil || final.CommittedCount() != 1 {
 				t.Fatalf("journal not completed: inflight=%v committed=%d", final.InFlight() != nil, final.CommittedCount())
 			}
-			got := instDigestsOf(t, torn)
+			got := stepDigestsOf(t, torn)
 			if len(got) != len(wantDigests) {
 				t.Fatalf("completed window journals %d steps, the uninterrupted run %d", len(got), len(wantDigests))
 			}

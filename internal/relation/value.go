@@ -277,6 +277,27 @@ func (v Value) String() string {
 	}
 }
 
+// AppendEncoded appends v's encoding, which is Tuple{v}.Encode, to dst and
+// returns the extended slice.
+func (v Value) AppendEncoded(dst []byte) []byte { return v.appendEncoded(dst) }
+
+// DecodeValue reverses Value.AppendEncoded: enc must hold exactly one value's
+// encoding. It allocates nothing; a string value aliases enc.
+func DecodeValue(enc string) (Value, error) {
+	if len(enc) == 0 {
+		return Null, fmt.Errorf("relation: empty value encoding")
+	}
+	n, err := encodedSize(enc)
+	if err != nil {
+		return Null, err
+	}
+	if n != len(enc) {
+		return Null, fmt.Errorf("relation: %d bytes after a value's encoding", len(enc)-n)
+	}
+	v, _ := decodeValue(enc)
+	return v, nil
+}
+
 // appendEncoded appends a self-delimiting binary encoding of v to dst. The
 // encoding is injective across values of all kinds, which is what the counted
 // bag tables require of their map keys.

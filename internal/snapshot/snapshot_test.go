@@ -113,7 +113,7 @@ func TestRoundTrip(t *testing.T) {
 		if step.comp != "" {
 			_, err = fresh.Compute(step.comp, step.over)
 		} else {
-			_, err = fresh.Install(step.inst)
+			_, _, err = fresh.Install(step.inst)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +299,7 @@ func TestRandomizedRoundTrips(t *testing.T) {
 			if step.comp != "" {
 				_, err = w.Compute(step.comp, step.over)
 			} else {
-				_, err = w.Install(step.inst)
+				_, _, err = w.Install(step.inst)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -37,9 +37,12 @@ type groupEntry struct {
 	group   relation.Tuple
 	support int64
 	accums  []*delta.Accum
-	// digest is rowDigest of the group's current output row (count 1).
-	digest uint64
+	// crc is the CRC of the encoding of the group's current output row.
+	crc uint64
 }
+
+// digest is the entry's term of the table digest: its row, count 1.
+func (e *groupEntry) digest() uint64 { return rowDigest(e.crc, 1) }
 
 // NewAggTable creates an empty aggregate table. aggNames names the aggregate
 // output columns (len must equal len(specs)).
@@ -90,32 +93,35 @@ func (t *AggTable) CheckDigest() error {
 	return nil
 }
 
-// newEntry makes an entry of this handle's own, with its digest still to
-// be sealed once support and accumulators are final.
+// newEntry makes an entry of this handle's own, with its CRC still to be
+// sealed once support and accumulators are final.
 func (t *AggTable) newEntry(group relation.Tuple, support int64) *groupEntry {
 	return &groupEntry{owner: t.groups.Owner(), group: group, support: support, accums: make([]*delta.Accum, len(t.specs))}
 }
 
-// seal computes the entry's digest from its final state: the CRC of the
-// output row's encoding — the group key, whose CRC is its stored hash, then
-// the aggregate outputs — and the count 1.
+// seal computes the entry's CRC from its final state: the CRC of the output
+// row's encoding — the group key, whose CRC is its stored hash, then the
+// aggregate outputs.
 func (e *groupEntry) seal(keyHash uint64) {
 	var buf [64]byte
 	enc := buf[:0]
 	for _, a := range e.accums {
-		enc = relation.Tuple{a.Output(e.support)}.AppendEncoded(enc)
+		enc = a.Output(e.support).AppendEncoded(enc)
 	}
-	e.digest = rowDigest(cowmap.Extend(keyHash, enc), 1)
+	e.crc = cowmap.Extend(keyHash, enc)
+}
+
+// outputs appends the group's aggregate outputs to dst.
+func (e *groupEntry) outputs(dst relation.Tuple) relation.Tuple {
+	for _, a := range e.accums {
+		dst = append(dst, a.Output(e.support))
+	}
+	return dst
 }
 
 // row materializes the output row for a group.
 func (e *groupEntry) row() relation.Tuple {
-	out := make(relation.Tuple, 0, len(e.group)+len(e.accums))
-	out = append(out, e.group...)
-	for _, a := range e.accums {
-		out = append(out, a.Output(e.support))
-	}
-	return out
+	return e.outputs(append(make(relation.Tuple, 0, len(e.group)+len(e.accums)), e.group...))
 }
 
 // Scan calls fn for each output row; every row has multiplicity 1.
@@ -127,11 +133,9 @@ func (t *AggTable) Scan(fn func(tup relation.Tuple, count int64) bool) {
 // group key followed by the encoded aggregate outputs.
 func (t *AggTable) ScanEncoded(fn func(key string, count int64) bool) {
 	var enc []byte
-	outs := make(relation.Tuple, len(t.specs))
+	outs := make(relation.Tuple, 0, len(t.specs))
 	t.groups.Scan(func(_ uint64, key string, e *groupEntry) bool {
-		for i, a := range e.accums {
-			outs[i] = a.Output(e.support)
-		}
+		outs = e.outputs(outs[:0])
 		enc = outs.AppendEncoded(append(enc[:0], key...))
 		return fn(string(enc), 1)
 	})
@@ -148,7 +152,9 @@ func (t *AggTable) SortedRows() []CountedTuple {
 // delta over the output schema that installing the partials would produce:
 // for each affected group, a minus tuple for the old row (if the group
 // existed) and a plus tuple for the new row (if the group survives). Groups
-// whose output row is unchanged contribute nothing.
+// whose output row is unchanged contribute nothing. Only a reader of the
+// view's delta needs it — a parent's Comp; Apply installs without it and
+// reports the size and digest of this delta itself.
 func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 	d := delta.New(t.outSchema)
 	var err error
@@ -211,75 +217,96 @@ func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 	return d, nil
 }
 
-// mutable returns the entry of a group that exists, as one this handle may
-// modify in place: the stored entry if the handle made it since its last
+// mutable returns e, the stored entry of a group that exists, as one this
+// handle may modify in place: e itself if the handle made it since its last
 // Clone, otherwise a clone of it (accumulators included, each O(1)) stored
 // in its place. Other handles keep the entry they had.
-func (t *AggTable) mutable(hash uint64, groupKey string) *groupEntry {
-	slot, _ := t.groups.Ref(hash, groupKey)
-	if e := *slot; e.owner != t.groups.Owner() {
-		ne := t.newEntry(e.group, e.support)
-		ne.digest = e.digest
-		for i, a := range e.accums {
-			ne.accums[i] = a.Clone()
-		}
-		*slot = ne
+func (t *AggTable) mutable(hash uint64, groupKey string, e *groupEntry) *groupEntry {
+	if e.owner == t.groups.Owner() {
+		return e
 	}
-	return *slot
+	ne := t.newEntry(e.group, e.support)
+	ne.crc = e.crc
+	for i, a := range e.accums {
+		ne.accums[i] = a.Clone()
+	}
+	slot, _ := t.groups.Ref(hash, groupKey)
+	*slot = ne
+	return ne
 }
 
-// Apply installs the partials, mutating the group state. It returns an error
-// (leaving the table partially modified only on programmer error upstream)
-// if any group's support would go negative.
-func (t *AggTable) Apply(p *delta.GroupPartials) error {
-	// Validate first so a bad batch does not leave the table half-applied.
-	var err error
+// Apply installs the partials and returns what it installed: the size and
+// the digest (delta.Delta.Digest) of the delta FinalizeDelta would have
+// built, which it does not build. It checks every group before it changes
+// any: a group whose support would go negative, or a surviving group one of
+// whose MIN/MAX value counts would, is refused with the table unchanged.
+// Then one pass over the groups finds each once and folds its partial once.
+func (t *AggTable) Apply(p *delta.GroupPartials) (rows int64, digest uint64, err error) {
+	type change struct {
+		hash uint64
+		key  string
+		gp   *delta.GroupPartial
+		old  *groupEntry // nil for a group the table does not hold
+	}
+	changes := make([]change, 0, p.GroupCount())
 	fresh := 0
 	p.Scan(func(groupKey string, gp *delta.GroupPartial) bool {
-		old, _ := t.groups.Get(cowmap.Hash(groupKey), groupKey)
-		var have int64
-		if old != nil {
-			have = old.support
+		c := change{hash: cowmap.Hash(groupKey), key: groupKey, gp: gp}
+		support := gp.Support
+		if c.old, _ = t.groups.Get(c.hash, groupKey); c.old != nil {
+			support += c.old.support
 		} else {
 			fresh++
 		}
-		if have+gp.Support < 0 {
-			err = fmt.Errorf("storage: group %s support would go negative (%d)", groupKey, have+gp.Support)
+		if support < 0 {
+			err = fmt.Errorf("storage: group %v support would go negative (%d)", mustDecode(groupKey), support)
 			return false
 		}
+		for i, a := range gp.Accums {
+			// A group that goes is not checked: its accumulators go with it.
+			if support > 0 && (c.old == nil && !a.Valid() || c.old != nil && !c.old.accums[i].CanFold(a)) {
+				err = fmt.Errorf("storage: group %v aggregate %d would delete an absent value", mustDecode(groupKey), i)
+				return false
+			}
+		}
+		changes = append(changes, c)
 		return true
 	})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	t.groups.Grow(fresh)
-	p.Scan(func(groupKey string, gp *delta.GroupPartial) bool {
-		hash := cowmap.Hash(groupKey)
-		old, _ := t.groups.Get(hash, groupKey)
-		switch {
-		case old == nil && gp.Support == 0:
+	// outs holds a changed group's outputs before its fold, then after it.
+	outs := make(relation.Tuple, 2*len(t.specs))
+	for _, c := range changes {
+		switch old := c.old; {
+		case old == nil && c.gp.Support == 0:
 		case old == nil:
-			e := t.newEntry(mustDecode(groupKey), gp.Support)
-			for i, a := range gp.Accums {
+			e := t.newEntry(mustDecode(c.key), c.gp.Support)
+			for i, a := range c.gp.Accums {
 				e.accums[i] = a.Clone()
 			}
-			t.put(hash, groupKey, e)
-		case old.support+gp.Support == 0:
-			t.groups.Delete(hash, groupKey)
-			t.digest ^= old.digest
+			t.put(c.hash, c.key, e)
+			rows, digest = rows+1, digest^e.digest()
+		case old.support+c.gp.Support == 0:
+			t.groups.Delete(c.hash, c.key)
+			t.digest ^= old.digest()
+			rows, digest = rows+1, digest^rowDigest(old.crc, -1)
 		default:
-			e := t.mutable(hash, groupKey)
-			t.digest ^= e.digest
-			e.support += gp.Support
-			for i, a := range gp.Accums {
+			e := t.mutable(c.hash, c.key, old)
+			was, crc := e.outputs(outs[:0]), e.crc
+			e.support += c.gp.Support
+			for i, a := range c.gp.Accums {
 				e.accums[i].Fold(a)
 			}
-			e.seal(hash)
-			t.digest ^= e.digest
+			e.seal(c.hash)
+			t.digest ^= rowDigest(crc, 1) ^ e.digest()
+			if relation.CompareTuples(was, e.outputs(outs[len(was):len(was)])) != 0 {
+				rows, digest = rows+2, digest^rowDigest(crc, -1)^e.digest()
+			}
 		}
-		return true
-	})
-	return nil
+	}
+	return rows, digest, nil
 }
 
 // put stores a finished entry under a key, replacing (and undigesting) any
@@ -288,10 +315,10 @@ func (t *AggTable) put(hash uint64, groupKey string, e *groupEntry) {
 	e.seal(hash)
 	slot, _ := t.groups.Ref(hash, groupKey)
 	if *slot != nil {
-		t.digest ^= (*slot).digest
+		t.digest ^= (*slot).digest()
 	}
 	*slot = e
-	t.digest ^= e.digest
+	t.digest ^= e.digest()
 }
 
 // ScanGroups iterates the raw group state (encoded group key, support

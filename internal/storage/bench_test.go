@@ -106,7 +106,7 @@ func BenchmarkTableCloneDetach(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := t.Clone()
-			if err := c.ApplyDelta(d); err != nil {
+			if _, err := c.ApplyDelta(d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +153,7 @@ func BenchmarkAggApply(b *testing.B) {
 			}
 		}
 		fill(load, benchRows, installed)
-		if err := t.Apply(load); err != nil {
+		if _, _, err := t.Apply(load); err != nil {
 			b.Fatal(err)
 		}
 		p := delta.NewGroupPartials(groupBy, specs)
@@ -162,7 +162,7 @@ func BenchmarkAggApply(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := t.Clone()
-			if err := c.Apply(p); err != nil {
+			if _, _, err := c.Apply(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -194,10 +194,10 @@ func BenchmarkApplyDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := t.ApplyDelta(d); err != nil {
+		if _, err := t.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
-		if err := t.ApplyDelta(undo); err != nil {
+		if _, err := t.ApplyDelta(undo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkIndexApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := t.Clone()
-				if err := c.ApplyDelta(d); err != nil {
+				if _, err := c.ApplyDelta(d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -271,7 +271,7 @@ func BenchmarkWideFirstColumn(b *testing.B) {
 			b.Run("apply/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := t.Clone().ApplyDelta(d); err != nil {
+					if _, err := t.Clone().ApplyDelta(d); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -319,7 +319,7 @@ func wideFirstColumnTable(fan int64, placed bool) (*Table, *delta.Delta) {
 		d.Add(row(benchRows+i), 1)
 	}
 	for _, batch := range []*delta.Delta{rest, d, d.Negate()} {
-		if err := t.ApplyDelta(batch); err != nil {
+		if _, err := t.ApplyDelta(batch); err != nil {
 			panic(err)
 		}
 	}
@@ -352,10 +352,10 @@ func indexApplyTable(cols [][]int, first bool) (*Table, *delta.Delta) {
 	}
 	d, undo := benchBatch()
 	if !first {
-		if err := t.ApplyDelta(d); err != nil {
+		if _, err := t.ApplyDelta(d); err != nil {
 			panic(err)
 		}
-		if err := t.ApplyDelta(undo); err != nil {
+		if _, err := t.ApplyDelta(undo); err != nil {
 			panic(err)
 		}
 	}

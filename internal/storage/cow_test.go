@@ -94,7 +94,7 @@ func TestTableApplyDeltaDetaches(t *testing.T) {
 	d := delta.New(testSchema())
 	d.Add(cowRow(1, "x"), -1)
 	d.Add(cowRow(2, "y"), 3)
-	if err := b.ApplyDelta(d); err != nil {
+	if _, err := b.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count(cowRow(1, "x")) != 2 || a.Count(cowRow(2, "y")) != 0 {
@@ -189,7 +189,7 @@ func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 	d := delta.New(testSchema())
 	d.Add(cowRow(0, "v0"), 2)
 	d.Add(cowRow(150, "new"), -1)
-	if err := next.ApplyDelta(d); err != nil {
+	if _, err := next.ApplyDelta(d); err != nil {
 		t.Error(err)
 	}
 	next.Clear()
@@ -218,7 +218,7 @@ func TestAggTableCloneIsolation(t *testing.T) {
 		t.Helper()
 		p := delta.NewGroupPartials(gs, specs)
 		p.Accumulate(relation.Tuple{relation.NewString(g)}, []relation.Value{relation.NewInt(v)}, support)
-		if err := tbl.Apply(p); err != nil {
+		if _, _, err := tbl.Apply(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	a := NewAggTable(gs, specs, []string{"n"})
 	p := delta.NewGroupPartials(gs, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g1")}, []relation.Value{relation.Null}, 3)
-	if err := a.Apply(p); err != nil {
+	if _, _, err := a.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	b := a.Clone()
@@ -349,7 +349,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			ps.Accumulate(relation.Tuple{relation.NewInt(id % 40)}, []relation.Value{relation.NewInt(id), relation.Null}, count)
 			pe.Accumulate(relation.Tuple{}, []relation.Value{relation.NewInt(id), relation.NewInt(id)}, count)
 		}
-		if err := tbl.ApplyDelta(d); err != nil {
+		if _, err := tbl.ApplyDelta(d); err != nil {
 			t.Error(err)
 		}
 		for _, step := range []struct {
@@ -359,7 +359,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			if _, err := step.agg.FinalizeDelta(step.p); err != nil {
 				t.Error(err)
 			}
-			if err := step.agg.Apply(step.p); err != nil {
+			if _, _, err := step.agg.Apply(step.p); err != nil {
 				t.Error(err)
 			}
 		}

@@ -424,7 +424,7 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 					}
 					return true
 				})
-				if err := tbl.ApplyDelta(d); err != nil {
+				if _, err := tbl.ApplyDelta(d); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 			case r < 60:
@@ -546,7 +546,7 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if err := tbl.Clone().ApplyDelta(d); err != nil {
+			if _, err := tbl.Clone().ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -573,7 +573,7 @@ func TestIndexProbeAllocatesNothing(t *testing.T) {
 		if placed {
 			d := delta.New(testSchema())
 			d.Add(cowRow(0, "new"), 1)
-			if err := tbl.ApplyDelta(d); err != nil {
+			if _, err := tbl.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -95,13 +95,13 @@ func TestPlacementDifferential(t *testing.T) {
 					}
 				}
 			}()
-			err := tbl.ApplyDelta(d)
+			_, err := tbl.ApplyDelta(d)
 			close(stop)
 			reader.Wait()
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if err := twin.ApplyDelta(d); err != nil {
+			if _, err := twin.ApplyDelta(d); err != nil {
 				t.Fatalf("%s: twin: %v", what, err)
 			}
 			d.Scan(func(tup relation.Tuple, count int64) bool {
@@ -162,7 +162,7 @@ func TestWideFirstColumnKeepsItsPostings(t *testing.T) {
 		tbl.JoinIndex([]int{0})
 		d := delta.New(schema)
 		d.Add(row(0, "new"), 1)
-		if err := tbl.ApplyDelta(d); err != nil {
+		if _, err := tbl.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
 		if want := perKey <= maxServingFanOut; tbl.placed != want || tbl.IndexStats()[0].Placed != want {
@@ -254,7 +254,7 @@ func TestPlacedFirstValuesThatCollide(t *testing.T) {
 	d := delta.New(sch)
 	d.Add(row(zero, 2), 1)
 	d.Add(row(pattern, 3), 2)
-	if err := tbl.ApplyDelta(d); err != nil {
+	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.placed {

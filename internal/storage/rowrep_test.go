@@ -41,7 +41,7 @@ func TestStoredTupleIsPrivate(t *testing.T) {
 
 	d := delta.New(testSchema())
 	d.Add(cowRow(2, "b"), 3)
-	if err := tbl.ApplyDelta(d); err != nil {
+	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := tbl.JoinIndex([]int{0})
@@ -88,7 +88,7 @@ func TestScanMatchesScanEncoded(t *testing.T) {
 				if r := randRow(); tbl.Count(r) > 0 {
 					d.Add(r, -1)
 				}
-				if err := tbl.ApplyDelta(d); err != nil {
+				if _, err := tbl.ApplyDelta(d); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			case 3, 4, 5:
@@ -129,7 +129,7 @@ func TestAggTableScanEncoded(t *testing.T) {
 	accumulate(p, "west", 10, 1)
 	accumulate(p, "west", 2.5, 1)
 	accumulate(p, "east", 4, 2)
-	if err := agg.Apply(p); err != nil {
+	if _, _, err := agg.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]int64)

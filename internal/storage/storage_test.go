@@ -97,7 +97,7 @@ func TestApplyDelta(t *testing.T) {
 	d := delta.New(schema)
 	d.Add(row(1, "a"), -1)
 	d.Add(row(2, "b"), 3)
-	if err := tbl.ApplyDelta(d); err != nil {
+	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Count(row(1, "a")) != 1 || tbl.Count(row(2, "b")) != 3 {
@@ -120,7 +120,7 @@ func TestApplyDeltaAdoptsDecodedTuples(t *testing.T) {
 		return tbl, d
 	}
 	plain, d0 := build()
-	if err := plain.ApplyDelta(d0); err != nil {
+	if _, err := plain.ApplyDelta(d0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestApplyDeltaAdoptsDecodedTuples(t *testing.T) {
 		decoded[tp.Encode()] = tp
 		return true
 	})
-	if err := tbl.ApplyDelta(d); err != nil {
+	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Equal(plain) || tbl.Digest() != plain.Digest() || tbl.Cardinality() != plain.Cardinality() {
@@ -158,7 +158,7 @@ func TestApplyDeltaValidatesBeforeMutating(t *testing.T) {
 	d.Add(row(2, "b"), 5)  // valid insert
 	d.Add(row(1, "a"), -3) // invalid over-delete
 	before := tbl.Clone()
-	if err := tbl.ApplyDelta(d); err == nil {
+	if _, err := tbl.ApplyDelta(d); err == nil {
 		t.Fatal("expected error")
 	}
 	if !tbl.Equal(before) {
@@ -169,7 +169,7 @@ func TestApplyDeltaValidatesBeforeMutating(t *testing.T) {
 func TestApplyDeltaSchemaMismatch(t *testing.T) {
 	tbl := NewTable(schema)
 	d := delta.New(relation.Schema{{Name: "x", Kind: relation.KindInt}})
-	if err := tbl.ApplyDelta(d); err == nil {
+	if _, err := tbl.ApplyDelta(d); err == nil {
 		t.Errorf("expected schema mismatch error")
 	}
 }
@@ -205,10 +205,10 @@ func TestApplyDeltaRoundTripQuick(t *testing.T) {
 		if !valid {
 			return true
 		}
-		if err := tbl.ApplyDelta(d); err != nil {
+		if _, err := tbl.ApplyDelta(d); err != nil {
 			return false
 		}
-		if err := tbl.ApplyDelta(d.Negate()); err != nil {
+		if _, err := tbl.ApplyDelta(d.Negate()); err != nil {
 			return false
 		}
 		return tbl.Equal(orig)
@@ -240,7 +240,7 @@ func TestAggTableApplyAndScan(t *testing.T) {
 	accumulate(p, "a", 10, 1)
 	accumulate(p, "a", 5, 1)
 	accumulate(p, "b", 2, 1)
-	if err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	if at.Cardinality() != 2 {
@@ -256,7 +256,7 @@ func TestAggTableFinalizeDelta(t *testing.T) {
 	at := newAgg()
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 10, 2)
-	if err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1); err != nil {
 		t.Fatal(err)
 	}
 	// Change: remove one contributing row from a (value 10), add group c.
@@ -287,10 +287,10 @@ func TestAggTableFinalizeDelta(t *testing.T) {
 	}
 	// Applying must match the finalized delta exactly.
 	before := aggRows(at)
-	if err := at.Apply(p2); err != nil {
+	if _, _, err := at.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
-	if err := before.ApplyDelta(d); err != nil {
+	if _, err := before.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if !before.Equal(aggRows(at)) {
@@ -313,7 +313,7 @@ func TestAggTableGroupDisappears(t *testing.T) {
 	at := newAgg()
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 3, 1)
-	if err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1); err != nil {
 		t.Fatal(err)
 	}
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
@@ -325,7 +325,7 @@ func TestAggTableGroupDisappears(t *testing.T) {
 	if d.PlusCount() != 0 || d.MinusCount() != 1 {
 		t.Errorf("delta = %v", d.Sorted())
 	}
-	if err := at.Apply(p2); err != nil {
+	if _, _, err := at.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
 	if at.Cardinality() != 0 {
@@ -338,7 +338,7 @@ func TestAggTableOffsettingChangeProducesNoDelta(t *testing.T) {
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 5, 1)
 	accumulate(p1, "a", 3, 1)
-	if err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a 5-row and insert another 5-row: same group row after.
@@ -361,7 +361,7 @@ func TestAggTableNegativeSupportRejected(t *testing.T) {
 	if _, err := at.FinalizeDelta(p); err == nil {
 		t.Errorf("FinalizeDelta should reject negative support")
 	}
-	if err := at.Apply(p); err == nil {
+	if _, _, err := at.Apply(p); err == nil {
 		t.Errorf("Apply should reject negative support")
 	}
 	if at.Cardinality() != 0 {
@@ -373,13 +373,13 @@ func TestAggTableClone(t *testing.T) {
 	at := newAgg()
 	p := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p, "a", 5, 1)
-	if err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	cl := at.Clone()
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p2, "b", 1, 1)
-	if err := cl.Apply(p2); err != nil {
+	if _, _, err := cl.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
 	if at.Cardinality() != 1 || cl.Cardinality() != 2 {
@@ -405,7 +405,7 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 	add(p, 4, 1)
 	add(p, 7, 1)
 	add(p, 1, 1)
-	if err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	rows := at.SortedRows()
@@ -423,7 +423,7 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 	if d.Size() != 2 {
 		t.Fatalf("delta = %v", d.Sorted())
 	}
-	if err := at.Apply(p2); err != nil {
+	if _, _, err := at.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
 	if at.SortedRows()[0].Tuple.String() != "(g, 4, 4)" {
@@ -436,7 +436,7 @@ func TestAggTableDeleteAbsentMinMaxValueRejected(t *testing.T) {
 	at := NewAggTable(groupSchema, specs, []string{"lo"})
 	p := delta.NewGroupPartials(groupSchema, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(5)}, 2)
-	if err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	bad := delta.NewGroupPartials(groupSchema, specs)

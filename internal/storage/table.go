@@ -420,14 +420,15 @@ func approxTupleEqual(a, b relation.Tuple, tol float64) bool {
 
 // ApplyDelta installs a change set: plus tuples are inserted, minus tuples
 // deleted. The whole batch is validated before any mutation so an incorrect
-// batch leaves the table untouched.
+// batch leaves the table untouched. It returns the digest of what it
+// installed, d.Digest(), folded from the hash of each key it computes anyway.
 //
 // ApplyDelta is also where the rows change placement (see Table.settle):
 // before a batch that is not empty, when the handle's index on column 0 is
 // narrow.
-func (t *Table) ApplyDelta(d *delta.Delta) error {
+func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 	if !t.schema.Equal(d.Schema()) {
-		return fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
+		return 0, fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
 	}
 	// One pass over the delta hashes each key once and checks the deletes;
 	// the second installs from what the first collected.
@@ -437,11 +438,11 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 		tup         relation.Tuple // nil unless the delta has decoded it already
 		count, have int64          // have is looked up for deletes only
 	}
-	var err error
 	changes := make([]change, 0, d.Distinct())
 	plus := 0
 	d.ScanKeyed(func(key string, tup relation.Tuple, count int64) bool {
 		c := change{hash: cowmap.Hash(key), key: key, tup: tup, count: count}
+		digest ^= rowDigest(c.hash, count)
 		if count > 0 {
 			plus++
 		} else if c.have = t.countKey(c.hash, key); c.have < -count {
@@ -452,7 +453,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 		return true
 	})
 	if err != nil || len(changes) == 0 {
-		return err // an empty batch writes nothing, so it moves no row either
+		return 0, err // an empty batch writes nothing, so it moves no row either
 	}
 	t.settle()
 	t.rows.Grow(plus)
@@ -466,7 +467,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) error {
 			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}
 	}
-	return nil
+	return digest, nil
 }
 
 // Clear removes every row. Resident indexes are emptied but kept. Rows
