@@ -30,7 +30,7 @@ func BenchmarkResidentBytes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := FromCore(tw.W, CostModel{})
+		w := FromCore(tw.W)
 		setup = float64(liveHeap() - before)
 		for k := 0; k < residentWindows; k++ {
 			// tpcd stages on the core it was given; after a commit the

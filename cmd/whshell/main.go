@@ -28,9 +28,9 @@
 //
 // A statement refuses words it does not read, with its usage.
 //
-// With a journal attached, WINDOW runs crash-safe: begin/step/commit
-// records frame the execution, and a process death mid-window leaves an
-// in-flight record. To recover after a crash: restore the pre-window state
+// With a journal attached, WINDOW runs crash-safe: a begin record and a
+// commit record (which carries the step records) frame the execution, and a
+// process death mid-window leaves an in-flight record. To recover after a crash: restore the pre-window state
 // (SNAPSHOT LOAD), reattach the journal (JOURNAL ON), and RECOVER.
 //
 // SIGINT/SIGTERM cancel the in-flight window and whshell exits 3: the

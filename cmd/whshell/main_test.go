@@ -555,7 +555,7 @@ func TestShellRunsTheTPCDScript(t *testing.T) {
 		}
 	}
 
-	w := warehouse.FromCore(tw.W, warehouse.CostModel{})
+	w := warehouse.FromCore(tw.W)
 	if _, err := tw.StageChanges(tpcd.UniformDecrease(p)); err != nil {
 		t.Fatal(err)
 	}

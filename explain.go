@@ -29,7 +29,7 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 		return "", err
 	}
 	refs := exec.RefCounts(w.core)
-	b, err := cost.Simulate(w.model, stats, refs, s)
+	b, err := cost.Simulate(DefaultCostModel, stats, refs, s)
 	if err != nil {
 		return "", err
 	}

@@ -53,7 +53,7 @@ func TestExplainMarksIndexesTheRowMapServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := FromCore(tw.W, CostModel{})
+	w := FromCore(tw.W)
 	for k := 0; k < 3; k++ {
 		tw.W = w.Internal() // tpcd stages on the core the facade serves
 		spec := tpcd.Mixed(0.005, 0.005)

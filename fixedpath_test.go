@@ -36,7 +36,7 @@ func fixedPathWarehouse(tb testing.TB) *Warehouse {
 	if n != 304 {
 		tb.Fatalf("staged %d changes, want 304", n)
 	}
-	return FromCore(tw.W, CostModel{})
+	return FromCore(tw.W)
 }
 
 // countingSink counts the bytes a journal writes, and keeps none.

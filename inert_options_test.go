@@ -25,7 +25,7 @@ func TestSharedPlannerIsPrune(t *testing.T) {
 	if _, err := tw.StageChanges(tpcd.Mixed(0.05, 0.05)); err != nil {
 		t.Fatal(err)
 	}
-	ws := []*warehouse.Warehouse{warehouse.FromCore(tw.W, warehouse.CostModel{})}
+	ws := []*warehouse.Warehouse{warehouse.FromCore(tw.W)}
 	for seed := int64(0); seed < 20; seed++ {
 		w := check.Build(t, seed)
 		check.Stage(t, w, rand.New(rand.NewSource(seed)))

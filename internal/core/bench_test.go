@@ -114,45 +114,51 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 	})
 }
 
-// buildBenchRows is the build side of the two layer benchmarks below: n
-// two-column integer rows, four to a key.
-func buildBenchRows(n int) []prow {
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(i / 4)
+// benchDriver is the driver of the two probe benchmarks below: a decoded
+// delta of n two-column integer rows (key, payload), each key of
+// decodedIntDelta(n) probed four times.
+func benchDriver(n int) deltaSource {
+	d := delta.New(relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "i", Kind: relation.KindInt}})
+	for i := 0; i < n; i++ {
+		d.Add(relation.Tuple{relation.NewInt(int64(i % (n / 4))), relation.NewInt(int64(i))}, 1)
 	}
-	return intRows(keys...)
+	d.Scan(func(relation.Tuple, int64) bool { return true })
+	return deltaSource{d}
 }
 
-// BenchmarkBuildTable hashes one materialized operand scan on its first
-// column — the build half of a join step. Run with -benchmem: allocs/op
-// must not grow with the row count.
+// probeBenchPipeline is the one-step pipeline of the two probe benchmarks:
+// the driver's two columns, then the operand's two, joined on the first of
+// each.
+func probeBenchPipeline(indexed bool) pipeline {
+	read := readAll(4)
+	step := joinStep{roff: 2, live: liveColumns(read, 2, 2), indexed: indexed, cols: []int{0}, keys: []equiKey{{boundCol: 0, newCol: 2}}}
+	return pipeline{live: liveColumns(read, 0, 2), width: 4, steps: []joinStep{step}}
+}
+
+// BenchmarkBuildTable hashes one decoded delta on its first column as its
+// scan yields the rows — the build half of a join step. Run with -benchmem:
+// allocs/op must not grow with the row count.
 func BenchmarkBuildTable(b *testing.B) {
 	for _, n := range []int{1_000, 24_000} {
-		rows := buildBenchRows(n)
+		src := deltaSource{decodedIntDelta(n)}
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				newBuildTable(rows, []int{0})
+				newBuildTable(src, []int{0})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})
 	}
 }
 
-// BenchmarkProbe pushes one driver row per build row through a one-step
-// pipeline — encode the key, walk the chain, verify, emit four matches —
-// into a sink that only counts.
+// BenchmarkProbe drives one decoded delta row per build row through a
+// one-step pipeline — scan the driver, encode the key, walk the chain,
+// verify, emit four matches — into a sink that only counts.
 func BenchmarkProbe(b *testing.B) {
 	const n = 24_000
-	read := readAll(3)
-	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), keys: []equiKey{{boundCol: 0, newCol: 1}}}
-	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
-	sides := []stepSide{{build: newBuildTable(buildBenchRows(n), []int{0})}}
-	driver := make([]prow, n)
-	for i := range driver {
-		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
-	}
+	p := probeBenchPipeline(false)
+	sides := []stepSide{{build: newBuildTable(deltaSource{decodedIntDelta(n)}, []int{0})}}
+	driver := benchDriver(n)
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
 	b.ReportAllocs()
@@ -169,20 +175,16 @@ func BenchmarkProbe(b *testing.B) {
 func BenchmarkIndexProbe(b *testing.B) {
 	const n = 24_000
 	tbl := storage.NewTable(relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "i", Kind: relation.KindInt}})
-	for _, r := range buildBenchRows(n) {
-		tbl.Insert(r.row, r.count)
-	}
-	read := readAll(3)
-	step := joinStep{roff: 1, live: liveColumns(read, 1, 2), indexed: true, cols: []int{0}, keys: []equiKey{{boundCol: 0, newCol: 1}}}
-	p := pipeline{live: liveColumns(read, 0, 1), width: 3, steps: []joinStep{step}}
+	decodedIntDelta(n).Scan(func(t relation.Tuple, c int64) bool {
+		tbl.Insert(t, c)
+		return true
+	})
+	p := probeBenchPipeline(true)
 	sides := []stepSide{{idx: indexStep{tbl: tbl}}}
-	driver := make([]prow, n)
-	for i := range driver {
-		driver[i] = prow{row: relation.Tuple{relation.NewInt(int64(i % (n / 4)))}, count: 1}
-	}
+	driver := benchDriver(n)
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	p.run(driver[:1], sides, sink) // the first probe builds the index
+	p.run(intRows(0), sides, sink) // the first probe builds the index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -280,17 +282,17 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
 	}
 	sides := []stepSide{{idx: indexStep{tbl: w.views["ORDER"].table}}, {idx: indexStep{tbl: w.views["CUSTOMER"].table}}}
-	rows := materializeScan(deltaSource{d})
+	driver := deltaSource{d}
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	pl.run(rows, sides, sink) // the first run builds both indexes
+	pl.run(driver, sides, sink) // the first run builds both indexes and decodes the delta
 	if matched == 0 {
 		b.Fatal("no driver row reached the sink")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.run(rows, sides, sink)
+		pl.run(driver, sides, sink)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.Distinct()), "ns/row")
 }

@@ -1,15 +1,45 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/delta"
 	"repro/internal/relation"
 )
 
+// prow is one row of a hand-made operand with its multiplicity.
+type prow struct {
+	row   relation.Tuple
+	count int64
+}
+
+// rowsSource is an operand over hand-made rows: its scan yields them in
+// order, which lets a test choose the order a build chains them in.
+type rowsSource []prow
+
+func (s rowsSource) Cardinality() int64 {
+	var n int64
+	for _, r := range s {
+		n += r.count
+	}
+	return n
+}
+
+func (s rowsSource) DistinctCount() int64 { return int64(len(s)) }
+
+func (s rowsSource) Scan(fn func(relation.Tuple, int64) bool) {
+	for _, r := range s {
+		if !fn(r.row, r.count) {
+			return
+		}
+	}
+}
+
 // intRows makes one two-column row (key, payload) per key, payloads
 // numbered so that duplicate keys stay distinguishable.
-func intRows(keys ...int64) []prow {
-	rows := make([]prow, len(keys))
+func intRows(keys ...int64) rowsSource {
+	rows := make(rowsSource, len(keys))
 	for i, k := range keys {
 		rows[i] = prow{row: relation.Tuple{relation.NewInt(k), relation.NewInt(int64(i))}, count: int64(1 + i%3)}
 	}
@@ -40,12 +70,12 @@ func probeBag(t *testing.T, bt *buildTable, key relation.Tuple) map[string]int64
 	p := pipeline{live: liveColumns(read, 0, len(key)), width: len(read), steps: []joinStep{step}}
 	bag := make(map[string]int64)
 	sink := func(row relation.Tuple, count int64) { bag[row[len(key):].Encode()] += count }
-	p.run([]prow{{row: key, count: 1}}, []stepSide{{build: bt}}, sink)
+	p.run(rowsSource{{row: key, count: 1}}, []stepSide{{build: bt}}, sink)
 	return bag
 }
 
 // wantBag is the same by brute force over the rows.
-func wantBag(rows []prow, cols []int, key relation.Tuple) map[string]int64 {
+func wantBag(rows rowsSource, cols []int, key relation.Tuple) map[string]int64 {
 	bag := make(map[string]int64)
 	for _, r := range rows {
 		if relation.CompareTuples(r.row.Project(cols), key) == 0 {
@@ -67,8 +97,8 @@ func equalBags(a, b map[string]int64) bool {
 	return true
 }
 
-func reversed(rows []prow) []prow {
-	out := make([]prow, len(rows))
+func reversed(rows rowsSource) rowsSource {
+	out := make(rowsSource, len(rows))
 	for i, r := range rows {
 		out[len(rows)-1-i] = r
 	}
@@ -124,7 +154,7 @@ func TestBuildTableSharedChains(t *testing.T) {
 func TestBuildTableCrossProduct(t *testing.T) {
 	rows := intRows(5, 6, 5, 7)
 	want := wantBag(rows, nil, relation.Tuple{})
-	for _, in := range [][]prow{rows, reversed(rows)} {
+	for _, in := range []rowsSource{rows, reversed(rows)} {
 		bt := newBuildTable(in, nil)
 		if got := probeBag(t, bt, relation.Tuple{}); len(got) != 4 || !equalBags(got, want) {
 			t.Fatalf("cross-product probe emits %v, want all of %v", got, want)
@@ -133,7 +163,7 @@ func TestBuildTableCrossProduct(t *testing.T) {
 			t.Fatalf("keyless build holds %d arena bytes", len(bt.arena))
 		}
 	}
-	if got := probeBag(t, newBuildTable(nil, nil), relation.Tuple{}); len(got) != 0 {
+	if got := probeBag(t, newBuildTable(rowsSource(nil), nil), relation.Tuple{}); len(got) != 0 {
 		t.Fatalf("empty build matched %v", got)
 	}
 }
@@ -147,10 +177,54 @@ func TestBuildTableAllocations(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64(i % (n/2 + 1))
 		}
-		rows := intRows(keys...)
-		allocs := testing.AllocsPerRun(3, func() { newBuildTable(rows, []int{0}) })
+		var src source = intRows(keys...)
+		allocs := testing.AllocsPerRun(3, func() { newBuildTable(src, []int{0}) })
 		if allocs > 8 {
 			t.Errorf("build of %d rows allocated %v times, want at most 8", n, allocs)
+		}
+	}
+}
+
+// decodedIntDelta is a delta of n two-column integer rows (key, payload),
+// four to a key, scanned once so that it holds its decoded rows — the
+// operand a window's build reads.
+func decodedIntDelta(n int) *delta.Delta {
+	d := delta.New(relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "i", Kind: relation.KindInt}})
+	for i := 0; i < n; i++ {
+		d.Add(relation.Tuple{relation.NewInt(int64(i / 4)), relation.NewInt(int64(i))}, 1)
+	}
+	d.Scan(func(relation.Tuple, int64) bool { return true })
+	return d
+}
+
+// TestBuildFromDeltaReadsInPlace: a run's build of a decoded delta hashes
+// the delta's own rows — no staging copy of them — so it costs the entry,
+// head and arena bytes of each row and a handful of allocations, however
+// many rows there are.
+func TestBuildFromDeltaReadsInPlace(t *testing.T) {
+	const runs = 5
+	step := &joinStep{cols: []int{0}, colsKey: "0"}
+	for _, n := range []int{1_000, 50_000} {
+		src := deltaSource{decodedIntDelta(n)}
+		env := &evalEnv{cache: make(buildCache)}
+		build := func() {
+			clear(env.cache)
+			if bt := env.build(src, step); len(bt.entries) != n {
+				t.Fatalf("build of %d rows holds %d entries", n, len(bt.entries))
+			}
+		}
+		build() // the cache's map takes its room once
+		allocs := testing.AllocsPerRun(runs, build)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*n)
+		t.Logf("build of a %d-row delta: %v allocations, %.1f B a row", n, allocs, perRow)
+		if allocs > 8 || perRow > 72 {
+			t.Errorf("build of a %d-row delta: %v allocations and %.1f B a row, want at most 8 and 72", n, allocs, perRow)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
@@ -14,8 +15,6 @@ import (
 
 // CompReport summarizes one Compute call for work accounting.
 type CompReport struct {
-	View string
-	Over []string
 	// Terms is the number of maintenance terms evaluated (2^r − 1).
 	Terms int
 	// OperandTuples is the total number of tuples scanned across all term
@@ -24,8 +23,6 @@ type CompReport struct {
 	// metric models every term's operand scan, whether or not the physical
 	// build-side hash table was shared (see EngineCounters).
 	OperandTuples int64
-	// OutputTuples is the number of (signed) change rows produced.
-	OutputTuples int64
 	// Skipped reports that the whole expression was elided because every
 	// delta operand was empty (only with Options.SkipEmptyDeltas).
 	Skipped bool
@@ -111,10 +108,10 @@ func (w *Warehouse) Compute(name string, over []string) (CompReport, error) {
 }
 
 // ComputeCtx is Compute with cooperative cancellation: a nil ctx never
-// cancels; otherwise evaluation stops before the next term once ctx is
-// done, returning an error that wraps ctx.Err().
+// cancels; otherwise evaluation stops before the next term once ctx is done
+// by ContextErr's rule, returning an error that wraps what it reports.
 func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) (CompReport, error) {
-	rep := CompReport{View: name, Over: append([]string(nil), over...)}
+	var rep CompReport
 	v := w.views[name]
 	if v == nil {
 		return rep, fmt.Errorf("core: unknown view %q", name)
@@ -202,24 +199,31 @@ func (w *Warehouse) bindStates(cq *algebra.CQ) (operands, error) {
 }
 
 // evalEnv is one run of the term engine (runTerms): what its terms share —
-// the build tables, the scan memo, the step sides and the counters. A run
-// belongs to one goroutine.
+// the build tables, the step sides and the counters. A run belongs to one
+// goroutine.
 type evalEnv struct {
 	cache buildCache
-	scans scanCache
 	sides []stepSide
 	ctx   context.Context
 
 	ctr EngineCounters
 }
 
-// ctxErr reports the env's cancellation state; a nil ctx never cancels.
-func (e *evalEnv) ctxErr() error {
-	if e.ctx == nil {
+// ContextErr is ctx.Err(), except that a deadline already past reports
+// context.DeadlineExceeded even before the runtime's timer has cancelled ctx:
+// a CPU-bound window can run far beyond its deadline before that timer gets
+// to fire. A nil ctx never cancels. It is the one rule for when a window's
+// context is done: the term loop, the scheduler and the window's recovery
+// ladder all ask it.
+func ContextErr(ctx context.Context) error {
+	if ctx == nil {
 		return nil
 	}
-	if err := e.ctx.Err(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
 	}
 	return nil
 }
@@ -232,9 +236,9 @@ type stepSide struct {
 }
 
 // runTerm runs one term along pipeline pl over the operands its delta mask
-// selects: materialize the driver, give each step its side — a build table
-// through the run's cache (which owns them), or the plain table whose index
-// serves it — and run the pipeline into the sink. It returns the term's
+// selects: give each step its side — a build table through the run's cache
+// (which owns them), or the plain table whose index serves it — and drive
+// the pipeline from the driver's scan into the sink. It returns the term's
 // linear-metric work: the driver's cardinality plus every step operand's,
 // whether a scan, the cache or an index served the step. A panic in the
 // term — an operand scan or an operator — comes back as its error.
@@ -245,7 +249,6 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 		}
 	}()
 	driver := ops.of(pl.driver, mask)
-	rows := env.scans.get(driver)
 	scanned = driver.Cardinality()
 	sides := env.sides[:0]
 	for i := range pl.steps {
@@ -260,7 +263,7 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 		}
 	}
 	env.sides = sides
-	probes, yielded := pl.run(rows, sides, sink.add)
+	probes, yielded := pl.run(driver, sides, sink.add)
 	env.ctr.IndexProbes += probes
 	env.ctr.IndexRows += yielded
 	for i := range sides {
@@ -366,12 +369,12 @@ type probeState struct {
 	sink    sinkFn
 }
 
-// run pushes the driver rows through the whole pipeline into sink, sides[i]
-// being what step i probes, and returns the number of index probes it made
-// and of the rows they yielded before residual keys and filters — the
-// machine's side of the index-served steps, whose scans the metric
-// accounted like every other step's.
-func (p *pipeline) run(rows []prow, sides []stepSide, sink sinkFn) (probes, yielded int64) {
+// run pushes each row of the driver's scan through the whole pipeline into
+// sink, sides[i] being what step i probes, and returns the number of index
+// probes it made and of the rows they yielded before residual keys and
+// filters — the machine's side of the index-served steps, whose scans the
+// metric accounted like every other step's.
+func (p *pipeline) run(driver source, sides []stepSide, sink sinkFn) (probes, yielded int64) {
 	st := &probeState{
 		scratch: make(relation.Tuple, p.width),
 		keys:    make([]relation.Tuple, len(p.steps)),
@@ -384,23 +387,18 @@ func (p *pipeline) run(rows []prow, sides []stepSide, sink sinkFn) (probes, yiel
 		st.keys[i] = make(relation.Tuple, len(p.steps[i].keys))
 		st.encs[i] = make([]byte, 0, 64)
 	}
-	for ri := range rows {
-		pr := &rows[ri]
+	driver.Scan(func(row relation.Tuple, count int64) bool {
 		for _, c := range p.live {
-			st.scratch[p.off+c] = pr.row[c]
+			st.scratch[p.off+c] = row[c]
 		}
-		ok := true
 		for _, f := range p.driverPreds {
 			if !algebra.EvalBool(f, st.scratch) {
-				ok = false
-				break
+				return true
 			}
 		}
-		if !ok {
-			continue
-		}
-		p.probe(0, pr.count, st)
-	}
+		p.probe(0, count, st)
+		return true
+	})
 	for i, n := range st.probes {
 		if n > 0 {
 			sides[i].idx.ix.CountProbes(n)
@@ -471,10 +469,4 @@ func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *probeState
 		}
 	}
 	p.probe(depth+1, count, st)
-}
-
-// prow is a partially-joined row with its accumulated multiplicity.
-type prow struct {
-	row   relation.Tuple
-	count int64
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
@@ -101,6 +103,24 @@ func TestComputeCtxCancelled(t *testing.T) {
 	}
 }
 
+// pastDeadline is a context whose deadline has passed while the runtime's
+// timer has not cancelled it yet: Err is still nil.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestComputeStopsAtAPassedDeadline: the term loop asks ContextErr, so a
+// context past its deadline stops a multi-term Comp before its first term,
+// even while its Err is still nil.
+func TestComputeStopsAtAPassedDeadline(t *testing.T) {
+	w := newThreeWayWarehouse(t, Options{})
+	stageRandomChanges(t, w, rand.New(rand.NewSource(7)))
+	rep, err := w.ComputeCtx(pastDeadline{context.Background()}, "V3", []string{"R", "S", "T"})
+	if !errors.Is(err, context.DeadlineExceeded) || rep.Terms != 0 || rep.OperandTuples != 0 {
+		t.Fatalf("a Comp past its deadline ran %d terms (%d tuples), err %v", rep.Terms, rep.OperandTuples, err)
+	}
+}
+
 // scanBomb is an operand whose scan panics: a build side that fails while
 // the run's cache makes it.
 type scanBomb struct{ err error }
@@ -114,7 +134,7 @@ func (b scanBomb) Scan(func(relation.Tuple, int64) bool) { panic(b.err) }
 // run's cache keeps nothing of it, so no later term probes a half-made table.
 func TestPanickingBuildFailsItsTerm(t *testing.T) {
 	boom := errors.New("boom")
-	env := &evalEnv{cache: make(buildCache), scans: make(scanCache)}
+	env := &evalEnv{cache: make(buildCache)}
 	pl := &pipeline{driver: 0, steps: []joinStep{{ref: 1}}}
 	ops := operands{state: []source{deltaSource{delta.New(schemaR)}, scanBomb{boom}}}
 	if _, err := runTerm(3, pl, ops, 0, nil, env); !errors.Is(err, boom) || !strings.Contains(err.Error(), "term 3") {

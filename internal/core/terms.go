@@ -12,9 +12,11 @@ import (
 // Recompute, Evaluate and refresh:
 //
 //   - runTerms runs the maintenance terms of one definition one after
-//     another in term order on the caller's goroutine, each pushing its
-//     driver rows through its compiled join pipeline (orders.go) into the
-//     run's sink.
+//     another in term order on the caller's goroutine, each pushing the rows
+//     of its driver's scan through its compiled join pipeline (orders.go)
+//     into the run's sink. Operands are read in place, never copied: a
+//     state table's scan hands out its stored tuples, and a delta's the rows
+//     it decoded once and keeps (delta.Delta), its only memo.
 //     A window's parallelism is between expressions (package exec's
 //     scheduler), never inside one.
 //   - buildCache is the one cache of transient build state: it shares
@@ -72,39 +74,42 @@ type buildEntry struct {
 // a head, or collide on the whole hash), so a probe verifies byte equality
 // before it emits; the order of a chain never shows in the output bag. With
 // no key columns (cross product) every entry has the empty key, lands in
-// one chain, and matches every probe. The tuples are the operand's own
-// (see materializeScan) and are only read.
+// one chain, and matches every probe. The tuples are the ones the operand's
+// scan handed out — a state table's stored rows, a delta's decoded ones —
+// and are only read.
 type buildTable struct {
 	entries []buildEntry
 	heads   []int32 // entry index + 1 of each chain's first entry; 0 = empty
 	arena   []byte
 }
 
-// newBuildTable hashes an operand's materialized rows on the key columns
-// (operand-local indexes, canonical newCol order).
-func newBuildTable(rows []prow, cols []int) *buildTable {
+// newBuildTable hashes an operand's rows on the key columns (operand-local
+// indexes, canonical newCol order) as its scan yields them.
+func newBuildTable(src source, cols []int) *buildTable {
+	n := int(src.DistinctCount())
 	nh := 1
-	for nh < len(rows) {
+	for nh < n {
 		nh <<= 1
 	}
-	bt := &buildTable{entries: make([]buildEntry, len(rows)), heads: make([]int32, nh)}
+	bt := &buildTable{entries: make([]buildEntry, 0, n), heads: make([]int32, nh)}
 	key := make(relation.Tuple, len(cols))
-	for i := range rows {
-		r := &rows[i]
+	src.Scan(func(t relation.Tuple, c int64) bool {
 		for ki, col := range cols {
-			key[ki] = r.row[col]
+			key[ki] = t[col]
+		}
+		if bt.arena == nil {
+			// Size the arena from the first key: exact when keys are of
+			// fixed width (integers, dates), a first guess otherwise.
+			var first [64]byte
+			bt.arena = make([]byte, 0, len(key.AppendEncoded(first[:0]))*n)
 		}
 		start := len(bt.arena)
 		bt.arena = key.AppendEncoded(bt.arena)
-		if i == 0 {
-			// Size the arena from the first key: exact when keys are of
-			// fixed width (integers, dates), a first guess otherwise.
-			bt.arena = append(make([]byte, 0, len(bt.arena)*len(rows)), bt.arena...)
-		}
 		head := &bt.heads[hashBytes(bt.arena[start:])&uint64(nh-1)]
-		bt.entries[i] = buildEntry{tup: r.row, count: r.count, kend: len(bt.arena), next: *head}
-		*head = int32(i + 1)
-	}
+		bt.entries = append(bt.entries, buildEntry{tup: t, count: c, kend: len(bt.arena), next: *head})
+		*head = int32(len(bt.entries))
+		return true
+	})
 	return bt
 }
 
@@ -120,34 +125,6 @@ func (bt *buildTable) keyOf(i int32) []byte {
 		start = bt.entries[i-1].kend
 	}
 	return bt.arena[start:bt.entries[i].kend]
-}
-
-// scanCache memoizes the driver scans of one run: the 2^r−1 terms
-// repeatedly drive from the same deltas, and a delta decodes its rows on
-// every scan. The memoized rows are shared read-only — the pipeline copies
-// into a scratch row before evaluating anything.
-type scanCache map[source][]prow
-
-func (c scanCache) get(src source) []prow {
-	rows, ok := c[src]
-	if !ok {
-		rows = materializeScan(src)
-		c[src] = rows
-	}
-	return rows
-}
-
-// materializeScan snapshots a source as (tuple, count) rows. A state table
-// hands out its stored tuples, which every epoch holding the row shares, so
-// the rows are read-only here and in everything built from them: the
-// pipeline copies a row into its scratch row and never writes through it.
-func materializeScan(src source) []prow {
-	rows := make([]prow, 0, src.DistinctCount())
-	src.Scan(func(t relation.Tuple, c int64) bool {
-		rows = append(rows, prow{row: t, count: c})
-		return true
-	})
-	return rows
 }
 
 // buildKey identifies a build table: the physical operand (state table,
@@ -178,7 +155,7 @@ func (env *evalEnv) build(src source, step *joinStep) *buildTable {
 		return bt
 	}
 	env.ctr.CacheMisses++
-	bt := newBuildTable(materializeScan(src), step.cols)
+	bt := newBuildTable(src, step.cols)
 	env.cache[key] = bt
 	return bt
 }
@@ -189,16 +166,15 @@ func (env *evalEnv) build(src source, step *joinStep) *buildTable {
 // pipeline its driver — the smallest of its deltas, ties by reference
 // index — compiled, and each emitting into one sink that writes straight
 // into out. A term that panics (a misbehaving operator, an injected fault)
-// fails the run with an error, as does a cancelled context between terms;
-// the first error ends it.
+// fails the run with an error, as does a context that is done before a
+// term (ContextErr); the first error ends it.
 func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, out acc, rep *CompReport) error {
 	env.cache = make(buildCache)
-	env.scans = make(scanCache)
 
 	sink := newSink(cq, out)
 	for ti := range terms {
-		if err := env.ctxErr(); err != nil {
-			return err
+		if err := ContextErr(env.ctx); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 		t := &terms[ti]
 		k := 0
@@ -214,7 +190,6 @@ func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, 
 		rep.Terms++
 		rep.OperandTuples += scanned
 	}
-	rep.OutputTuples = sink.produced()
 	rep.EngineCounters = env.ctr
 	return nil
 }
@@ -288,16 +263,10 @@ type sink struct {
 	proj   *projector
 	target acc
 	enc    []byte
-	before int // groups in an aggregate target before the run
-	rows   int64
 }
 
 func newSink(cq *algebra.CQ, target acc) *sink {
-	s := &sink{proj: newProjector(cq), target: target, enc: make([]byte, 0, 64)}
-	if target.p != nil {
-		s.before = target.p.GroupCount()
-	}
-	return s
+	return &sink{proj: newProjector(cq), target: target, enc: make([]byte, 0, 64)}
 }
 
 // add is the pipeline's sinkFn.
@@ -305,14 +274,4 @@ func (s *sink) add(row relation.Tuple, count int64) {
 	key, inputs := s.proj.project(row)
 	s.enc = key.AppendEncoded(s.enc[:0])
 	s.target.add(s.enc, inputs, count)
-	s.rows++
-}
-
-// produced returns the run's produced-row count: change rows emitted for an
-// SPJ definition, newly affected groups for an aggregate one.
-func (s *sink) produced() int64 {
-	if s.target.p != nil {
-		return int64(s.target.p.GroupCount() - s.before)
-	}
-	return s.rows
 }

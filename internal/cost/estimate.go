@@ -15,26 +15,6 @@ type ViewInfo struct {
 	IsAggregate bool
 }
 
-// bytesPerColumn is the rough in-memory footprint of one column value in a
-// materialized hash table: a boxed value plus slice/map overhead amortized
-// per cell. The constant only needs to be consistent between the build
-// cache's accounting and the sharing election's estimates.
-const bytesPerColumn = 48
-
-// EstimateMaterializedBytes estimates the transient memory footprint of
-// materializing rows tuples of the given width (columns) into a hash table.
-// The build cache charges its builds, and the planner's sharing election its
-// candidates, in these bytes.
-func EstimateMaterializedBytes(rows int64, width int) int64 {
-	if rows <= 0 {
-		return 0
-	}
-	if width < 1 {
-		width = 1
-	}
-	return rows * int64(width) * bytesPerColumn
-}
-
 // EstimateDeltas fills the DeltaPlus/DeltaMinus statistics of derived views
 // bottom-up from the (exact) base-view deltas, using standard independence
 // assumptions (Section 5.5 of the paper defers to "standard query result

@@ -102,22 +102,3 @@ func TestEstimateDeltasTopoOrder(t *testing.T) {
 		t.Errorf("T DeltaMinus = %d, want 10", stats["T"].DeltaMinus)
 	}
 }
-
-func TestEstimateMaterializedBytes(t *testing.T) {
-	if got := EstimateMaterializedBytes(0, 4); got != 0 {
-		t.Errorf("0 rows → %d bytes, want 0", got)
-	}
-	if got := EstimateMaterializedBytes(-5, 4); got != 0 {
-		t.Errorf("negative rows → %d bytes, want 0", got)
-	}
-	if got := EstimateMaterializedBytes(10, 0); got != EstimateMaterializedBytes(10, 1) {
-		t.Errorf("width 0 should clamp to 1: %d", got)
-	}
-	// Monotone in both rows and width.
-	if EstimateMaterializedBytes(10, 4) >= EstimateMaterializedBytes(20, 4) {
-		t.Error("not monotone in rows")
-	}
-	if EstimateMaterializedBytes(10, 2) >= EstimateMaterializedBytes(10, 4) {
-		t.Error("not monotone in width")
-	}
-}

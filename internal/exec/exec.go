@@ -200,23 +200,6 @@ func PanicError(p any) error {
 	return fmt.Errorf("panic: %v", p)
 }
 
-// ContextErr is ctx.Err(), except that a deadline already past reports
-// context.DeadlineExceeded even before the runtime's timer has cancelled ctx:
-// a CPU-bound window can run far beyond its deadline before that timer gets
-// to fire. A nil ctx never cancels.
-func ContextErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // RunStep executes one strategy expression against the warehouse and
 // measures it, after passing the "step" fault point of inj (nil injects
 // nothing). A panic anywhere inside — the expression itself or an injected
@@ -419,7 +402,7 @@ func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error
 			// Only the caller's context is consulted between steps: the
 			// derived one is cancelled by a sibling's failure, which must
 			// not be reported as this step's.
-			err := ContextErr(parent)
+			err := core.ContextErr(parent)
 			if err == nil {
 				var step StepReport
 				if step, err = RunStep(ctx, w, d.Expr(idx), opts.Faults); err == nil {
@@ -435,7 +418,7 @@ func (d *DAG) run(w *core.Warehouse, mode Mode, opts Options, rep *Report) error
 				// a sibling's failure, recorded before it cancelled: the echo
 				// is not a failure of the run and must not outrank its cause,
 				// or a transient fault would be reported as a cancellation.
-				echo := errors.Is(err, context.Canceled) && ContextErr(parent) == nil
+				echo := errors.Is(err, context.Canceled) && core.ContextErr(parent) == nil
 				errMu.Lock()
 				if idx < firstIdx && !echo {
 					firstIdx, firstErr = idx, err

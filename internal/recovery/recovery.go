@@ -156,7 +156,7 @@ func Run(w *core.Warehouse, s strategy.Strategy, opts Options) (*Result, error) 
 		if isCrash(err, opts.Faults) {
 			return nil, err
 		}
-		if exec.ContextErr(opts.Context) != nil {
+		if core.ContextErr(opts.Context) != nil {
 			// Deadline or cancellation: the attempt already journaled its
 			// abort; another rung would just re-run a dead window.
 			return nil, err

@@ -34,7 +34,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchQueryKinds(b, warehouse.FromCore(tw.W, warehouse.CostModel{}), []queryKind{
+		benchQueryKinds(b, warehouse.FromCore(tw.W), []queryKind{
 			{"agg_view", "SELECT N_NAME, REVENUE FROM Q5"},
 			{"order_limit", "SELECT L_ORDERKEY, REVENUE FROM Q3 ORDER BY REVENUE DESC LIMIT 10"},
 			{"join_view_filter", "SELECT C_CUSTKEY, REVENUE FROM Q10 WHERE REVENUE > 100000"},

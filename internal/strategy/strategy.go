@@ -56,33 +56,6 @@ func (c Comp) Uses(v string) bool {
 	return false
 }
 
-// Reads classifies the operands the Comp's 2^r − 1 maintenance terms scan,
-// given the view's FROM-clause references (one entry per reference; repeat
-// for self-joins). A referenced view in Over contributes its delta in every
-// term and — when there is more than one delta-bound reference in total —
-// its pre-state in the terms where another reference carries the delta. A
-// referenced view outside Over contributes only its state. The returned
-// slices preserve reference order and may repeat views (self-joins).
-func (c Comp) Reads(refs []string) (deltas, states []string) {
-	r := 0
-	for _, v := range refs {
-		if c.Uses(v) {
-			r++
-		}
-	}
-	for _, v := range refs {
-		if c.Uses(v) {
-			deltas = append(deltas, v)
-			if r > 1 {
-				states = append(states, v)
-			}
-		} else {
-			states = append(states, v)
-		}
-	}
-	return deltas, states
-}
-
 // Inst is Inst(View): install the pending changes of View.
 type Inst struct {
 	View string

@@ -378,7 +378,7 @@ func TestQueryPresentationMatchesReference(t *testing.T) {
 		kinds   []string
 		selects []string
 	}{
-		{"tpcd", FromCore(tw.W, CostModel{}), []string{
+		{"tpcd", FromCore(tw.W), []string{
 			"SELECT N_NAME, REVENUE FROM Q5",
 			"SELECT L_ORDERKEY, REVENUE FROM Q3 ORDER BY REVENUE DESC LIMIT 10",
 			"SELECT C_CUSTKEY, REVENUE FROM Q10 WHERE REVENUE > 100000",

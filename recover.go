@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -49,7 +50,8 @@ var ErrBadWindowOptions = errors.New("warehouse: bad window options")
 // Journal is an append-only, checksummed log of the changes a warehouse
 // accepted and the update windows that installed them: each accepted change
 // batch, what each window was about to do (strategy, the accepts it installs,
-// pre-state digest), each completed step, and the final commit or abort. A
+// pre-state digest), and how it closed — a commit record carrying one record
+// per step (its work, and the installed delta's digest), or an abort. A
 // window that begins but never closes is the on-disk signature of a crash,
 // and carries everything needed to finish it (see Warehouse.Recover).
 type Journal struct {
@@ -156,9 +158,10 @@ type WindowOptions struct {
 	Mode Mode
 	// Workers bounds the ModeDAG pool (0 = GOMAXPROCS; negative is refused).
 	Workers int
-	// Journal, when set, makes the window crash-safe: begin/step/commit
-	// records frame the execution, and a process death or a power loss
-	// leaves an in-flight window for Recover.
+	// Journal, when set, makes the window crash-safe: a begin record and a
+	// commit record (which carries the step records) frame the execution,
+	// and a process death or a power loss leaves an in-flight window for
+	// Recover.
 	Journal *Journal
 	// Timeout bounds the window's wall-clock time; cancellation propagates
 	// through the DAG scheduler and stops a Comp before its next term. 0
@@ -258,7 +261,7 @@ func (w *Warehouse) RunWindowOpts(o WindowOptions) (_ WindowReport, err error) {
 		if o.Journal != nil && (faults.IsCrash(err) || o.Faults.Crashed()) {
 			o.Journal.crashed = true
 		}
-		if exec.ContextErr(ctx) != nil {
+		if core.ContextErr(ctx) != nil {
 			return WindowReport{}, fmt.Errorf("%w: %w", ErrWindowAborted, err)
 		}
 		return WindowReport{}, err
@@ -300,9 +303,8 @@ func (w *Warehouse) commit(res *recovery.Result, window WindowReport) WindowRepo
 // in the pre-window state the journal's begin record describes — rebuilt
 // from the same sources or restored from a snapshot taken before the window
 // (the journaled state digest verifies this). The journaled change batch is
-// re-staged, the journaled strategy re-executed; steps the crashed run
-// completed are verified against their journaled work and delta digests,
-// and the missing steps plus the commit are appended to the journal.
+// re-staged and the journaled strategy re-executed in full, and the commit
+// record, with its steps, is appended to the journal.
 func (w *Warehouse) Recover(j *Journal) (WindowReport, error) {
 	if j == nil {
 		return WindowReport{}, errors.New("warehouse: Recover requires a journal")

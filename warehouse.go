@@ -146,7 +146,8 @@ const (
 // "dag") to a Mode.
 var ParseMode = exec.ParseMode
 
-// DefaultCostModel weights compute-scanned and installed tuples equally.
+// DefaultCostModel weights compute-scanned and installed tuples equally. It is
+// the model the facade's planners and estimates price with.
 var DefaultCostModel = cost.DefaultModel
 
 // Options configure a Warehouse.
@@ -170,9 +171,6 @@ type Options struct {
 	// nothing reads it; it stays because the frozen benchmark
 	// (bench/main.go) sets it. ROADMAP item 25 deletes it.
 	MemoryBudgetBytes int64
-	// Model overrides the cost model's coefficients; zero value means
-	// DefaultCostModel.
-	Model CostModel
 }
 
 // Warehouse is a catalog of materialized views plus their state.
@@ -217,8 +215,6 @@ type Warehouse struct {
 	mu     sync.Mutex
 	core   *core.Warehouse
 	epochs *core.Epochs
-	// model is the cost model the planners and estimates price with.
-	model CostModel
 	// tallyMu guards tally, which every window folds into as it commits or
 	// fails: all the facade keeps of its windows.
 	tallyMu sync.Mutex
@@ -235,22 +231,17 @@ func New(opts ...Options) *Warehouse {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return FromCore(core.New(core.Options{SkipEmptyDeltas: o.SkipEmptyDeltas}), o.Model)
+	return FromCore(core.New(core.Options{SkipEmptyDeltas: o.SkipEmptyDeltas}))
 }
 
 // FromCore serves an assembled core warehouse through the facade, so that
 // in-module builders of fixed catalogs (internal/tpcd) run their windows the
-// way every other caller does. The zero model means DefaultCostModel. The
-// facade owns c from here on: a committed window replaces it with the
-// window's clone.
-func FromCore(c *core.Warehouse, model CostModel) *Warehouse {
-	if model.CompCoeff == 0 && model.InstCoeff == 0 {
-		model = DefaultCostModel
-	}
+// way every other caller does. The facade owns c from here on: a committed
+// window replaces it with the window's clone.
+func FromCore(c *core.Warehouse) *Warehouse {
 	return &Warehouse{
 		core:   c,
 		epochs: core.NewEpochs(c),
-		model:  model,
 		plans:  plancache.New[*sqlparse.Query](DefaultPlanCacheSize),
 	}
 }
@@ -490,7 +481,7 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	model, refs := w.model, exec.RefCounts(w.core)
+	refs := exec.RefCounts(w.core)
 	if name == "" {
 		name = MinWorkPlanner
 	}
@@ -503,7 +494,7 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 		}
 		p.Strategy, p.Ordering, p.Modified = res.Strategy, res.UsedOrdering, res.Modified
 	case PrunePlanner, SharedPlanner:
-		res, err := planner.Prune(g, model, stats, refs)
+		res, err := planner.Prune(g, DefaultCostModel, stats, refs)
 		if err != nil {
 			return Plan{}, err
 		}
@@ -515,7 +506,7 @@ func (w *Warehouse) plan(name PlannerName) (Plan, error) {
 		return Plan{}, fmt.Errorf("warehouse: unknown planner %q", name)
 	}
 	if p.EstimatedWork < 0 {
-		if p.EstimatedWork, err = cost.Work(model, stats, refs, p.Strategy); err != nil {
+		if p.EstimatedWork, err = cost.Work(DefaultCostModel, stats, refs, p.Strategy); err != nil {
 			return Plan{}, err
 		}
 	}
@@ -544,7 +535,7 @@ func (w *Warehouse) PlanMinWorkSingle(view string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	est, err := cost.Work(w.model, stats, exec.RefCounts(w.core), s)
+	est, err := cost.Work(DefaultCostModel, stats, exec.RefCounts(w.core), s)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -560,7 +551,7 @@ func (w *Warehouse) EstimateWork(s Strategy) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cost.Work(w.model, stats, exec.RefCounts(w.core), s)
+	return cost.Work(DefaultCostModel, stats, exec.RefCounts(w.core), s)
 }
 
 // Validate checks a strategy against the correctness conditions (C1–C8).
@@ -601,7 +592,7 @@ func (w *Warehouse) Clone() *Warehouse {
 	defer w.mu.Unlock()
 	// The clone gets its own (empty) plan cache: plans are immutable and
 	// could be shared, but per-clone counters keep the stats meaningful.
-	return FromCore(w.core.Clone(), w.model)
+	return FromCore(w.core.Clone())
 }
 
 // Pending returns the views with staged or computed-but-uninstalled changes.

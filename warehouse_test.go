@@ -219,7 +219,7 @@ func TestParallelFacade(t *testing.T) {
 }
 
 func TestFacadeErrorsAndAccessors(t *testing.T) {
-	w := New(Options{SkipEmptyDeltas: true, Model: CostModel{CompCoeff: 2, InstCoeff: 1}})
+	w := New(Options{SkipEmptyDeltas: true})
 	if err := w.DefineViewSQL("V", "SELECT x FROM NOPE"); err == nil {
 		t.Errorf("view over unknown base accepted")
 	}

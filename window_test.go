@@ -314,7 +314,7 @@ func TestFailedWindowLeavesWarehouseUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := FromCore(tw.W, CostModel{})
+	w := FromCore(tw.W)
 	before := w.StateDigest()
 	if _, err := tw.StageChanges(tpcd.UniformDecrease(0.10)); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestFailedWindowKeepsTheStagedBatch(t *testing.T) {
 		if _, err := tw.StageChanges(tpcd.Mixed(0.10, 0.05)); err != nil {
 			t.Fatal(err)
 		}
-		return FromCore(tw.W, CostModel{})
+		return FromCore(tw.W)
 	}
 	w := build()
 	batch, err := recovery.BatchOf(w.Internal())
@@ -404,7 +404,7 @@ func TestReadersBesideASharedBatch(t *testing.T) {
 		if _, err := tw.StageChanges(tpcd.Mixed(0.05, 0.05)); err != nil {
 			t.Fatal(err)
 		}
-		w := FromCore(tw.W, CostModel{})
+		w := FromCore(tw.W)
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		for r := 0; r < 3; r++ {
