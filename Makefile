@@ -172,17 +172,21 @@ bench:
 # and after 20 windows, and LINEITEM's bytes per stored row. So does one served
 # query of each kind of the repository benchmark's two query mixes, through the
 # HTTP handler. So do what one TPC-D window does before its first step —
-# plan, validate, step DAG and begin record, with allocations and bytes — and
-# MinWork's planning cost as the VDAG grows.
+# plan, validate, step DAG and begin record, with allocations and bytes —
+# MinWork's planning cost as the VDAG grows, and the bulk builds that fill a
+# warehouse: the TPC-D snapshot read back at SF 0.004 and 0.01
+# (BenchmarkLoadSnapshot, MB/s and allocations per stored row) and LoadBase
+# of SF 0.004 LINEITEM (BenchmarkLoadBase), with allocations.
 bench-smoke:
 	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution|BenchmarkWindowFixedPath,-benchmem)
 	$(call run-benches,.,BenchmarkResidentBytes)
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
 	$(call run-benches,./internal/planner,BenchmarkMinWorkScaling,-benchmem)
 	$(call run-benches,./internal/storage,.,-benchmem)
-	$(call run-benches,./internal/core,Probe|Install$$,-benchmem)
+	$(call run-benches,./internal/core,Probe|Install$$|LoadBase,-benchmem)
 	$(call run-benches,./internal/recovery,StateDigest|JournaledWindow,-benchmem)
 	$(call run-benches,./internal/serve,ServeQuery,-benchmem)
+	$(call run-benches,./internal/snapshot,LoadSnapshot,-benchmem)
 
 # The layer microbenchmarks of the packages that own a window's phases
 # (docs/PERF.md quotes them): plan search against VDAG size, table scan /

@@ -143,6 +143,17 @@ func (v *View) IndexStats() []storage.IndexStats {
 // otherwise). Intended for snapshot/restore machinery.
 func (v *View) AggStore() *storage.AggTable { return v.agg }
 
+// Replace makes t the view's rows, or agg its groups, whichever kind of
+// store the view keeps: snapshot.Read builds each view's state beside the
+// live one and swaps it in once the whole snapshot has verified. The store
+// must have the view's schema, and the view no pending changes.
+func (v *View) Replace(t *storage.Table, agg *storage.AggTable) {
+	if (t == nil) != (v.table == nil) || (agg == nil) != (v.agg == nil) {
+		panic(fmt.Sprintf("core: Replace of view %q with a store of the other kind", v.name))
+	}
+	v.table, v.agg = t, agg
+}
+
 // HasPending reports whether uninstalled changes exist for the view.
 func (v *View) HasPending() bool {
 	if v.pendingDelta != nil && !v.pendingDelta.IsEmpty() {
@@ -300,7 +311,10 @@ func (w *Warehouse) Children(name string) []string { return w.graph.Children(nam
 // definition order.
 func (w *Warehouse) Parents(name string) []string { return w.graph.Parents(name) }
 
-// LoadBase bulk-inserts rows into a base view (initial population).
+// LoadBase bulk-inserts rows into a base view (initial population): each
+// row is encoded once and the view's table built from the encodings
+// (storage.Builder). A row of the wrong width refuses the whole load, which
+// then adds nothing.
 func (w *Warehouse) LoadBase(name string, rows []relation.Tuple) error {
 	v := w.views[name]
 	if v == nil {
@@ -309,13 +323,15 @@ func (w *Warehouse) LoadBase(name string, rows []relation.Tuple) error {
 	if !v.IsBase() {
 		return fmt.Errorf("core: LoadBase on derived view %q", name)
 	}
-	v.table.Grow(len(rows))
+	b := v.table.Build(len(rows))
+	var enc []byte
 	for _, r := range rows {
-		if len(r) != len(v.table.Schema()) {
-			return fmt.Errorf("core: row arity %d does not match %q schema width %d", len(r), name, len(v.table.Schema()))
+		enc = r.AppendEncoded(enc[:0])
+		if err := b.Add(enc, 1); err != nil {
+			return fmt.Errorf("core: loading %q: %w", name, err)
 		}
-		v.table.Insert(r, 1)
 	}
+	b.Done()
 	return nil
 }
 

@@ -286,6 +286,58 @@ func (m *Map[V]) Grow(n int) {
 	m.room = want/size + 2
 }
 
+// Fill puts len(hashes) entries into the handle, which must be empty, at
+// once: entry i has hash hashes[i] and key key(i), and set is called with i
+// and a pointer to the value stored under that key — the zero value when i
+// is the key's first entry, as Ref would hand it out. It is a bulk load's
+// Ref: the directory is sized once, as Grow sizes it, and its buckets and
+// their entries are made in one allocation each, every bucket with room for
+// exactly the entries that land in it. The buckets share those two arrays
+// until writes replace them, so the arrays stay allocated while any bucket
+// of the load does.
+func (m *Map[V]) Fill(hashes []uint64, key func(int) string, set func(int, *V)) {
+	if m.n != 0 {
+		panic("cowmap: Fill of a handle that holds entries")
+	}
+	size := 1
+	for len(hashes) > maxLoad*size {
+		size *= 2
+	}
+	mask := uint64(size - 1)
+	counts := make([]int32, size)
+	used := 0
+	for _, h := range hashes {
+		if counts[h&mask]++; counts[h&mask] == 1 {
+			used++
+		}
+	}
+	dir := make([]*bucket[V], size)
+	buckets := make([]bucket[V], used)
+	entries := make([]entry[V], len(hashes))
+	for i, c := range counts {
+		if c > 0 {
+			b := &buckets[len(buckets)-used]
+			used--
+			b.owner, b.entries = m.owner, entries[:0:c]
+			entries = entries[c:]
+			dir[i] = b
+		}
+	}
+	m.dir, m.dirOwner, m.room = dir, m.owner, len(hashes)/size+2
+	for i, h := range hashes {
+		b, k := dir[h&mask], key(i)
+		j := 0
+		for j < len(b.entries) && (b.entries[j].hash != h || b.entries[j].key != k) {
+			j++
+		}
+		if j == len(b.entries) {
+			b.entries = append(b.entries, entry[V]{hash: h, key: k})
+			m.n++
+		}
+		set(i, &b.entries[j].val)
+	}
+}
+
 // own makes the directory and bucket i the handle's own and returns the
 // bucket, copying each only if it is still shared. A copied bucket gets
 // room for the given number of further entries and no more: the copy is

@@ -62,13 +62,31 @@ const frameGap = 1 + binary.MaxVarintLen64
 
 // appendFrame appends to dst the frame of the payload enc appends and
 // returns the buffer and where in it the frame starts. The payload is
-// encoded once, where it stays: behind a gap of frameGap bytes, into whose
-// end the head is written once the payload's length is known; the CRC over
-// head and payload follows it.
+// encoded once, where it stays (BeginFrame, EndFrame).
 func appendFrame(dst []byte, typ byte, enc func([]byte) []byte) ([]byte, int) {
+	dst, body := BeginFrame(dst)
+	return EndFrame(enc(dst), typ, body)
+}
+
+// BeginFrame opens a frame at the end of dst: it appends a gap of
+// frameGap bytes, into whose end EndFrame writes the frame's head once the
+// payload's length is known, and returns the buffer and the payload's
+// offset. The payload is then appended where it stays, so a writer that
+// frames record after record into one buffer it reuses allocates nothing
+// once the buffer has grown.
+func BeginFrame(dst []byte) ([]byte, int) {
+	var gap [frameGap]byte
+	dst = append(dst, gap[:]...)
+	return dst, len(dst)
+}
+
+// EndFrame closes the frame whose payload is dst[body:]: it writes the
+// head just before body, which is at or after the offset BeginFrame
+// returned — a payload may begin later, in room kept for a field that is
+// known last — and appends the CRC over head and payload. It returns the
+// buffer and where in it the frame starts.
+func EndFrame(dst []byte, typ byte, body int) ([]byte, int) {
 	var head [frameGap]byte
-	body := len(dst) + frameGap
-	dst = enc(append(dst, head[:]...))
 	head[0] = typ
 	n := 1 + binary.PutUvarint(head[1:], uint64(len(dst)-body))
 	start := body - n
@@ -140,25 +158,28 @@ func ScanFile(buf []byte, fn func(typ byte, payload []byte, end int) error) (siz
 }
 
 // OpenAppend opens the log file at path, creating it when absent, for
-// appending after its last whole frame. The file is read first and fn sees
-// its frames as under ScanFile; a torn tail is then cut off, or the torn
-// frame would hide every record appended behind it from the next reader.
+// appending after its last whole frame. The file is read first, in one
+// sized read (ReadAll), and fn sees its frames as under ScanFile; a torn
+// tail is then cut off, or the torn frame would hide every record appended
+// behind it from the next reader.
 // A file that held anything is then flushed, with the cut: a process that
 // died may have left records no flush reached, such as the begin record of a
 // window that a recovery is about to complete and report, and a writer
 // appending behind them counts its bytes from a durable start.
 func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (*os.File, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := ReadAll(f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	size, torn, err := ScanFile(buf, fn)
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
 	}
 	if torn {
 		if err := f.Truncate(size); err != nil {
@@ -173,6 +194,42 @@ func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (
 		}
 	}
 	return f, nil
+}
+
+// ReadAll reads in to its end, as io.ReadAll does, but into one buffer
+// sized from what in reports it holds — the Len of a bytes.Reader or
+// bytes.Buffer, the size of a regular file — where io.ReadAll grows its
+// buffer by doubling and so allocates about twice what it reads. A reader
+// that reports nothing is read by io.ReadAll.
+func ReadAll(in io.Reader) ([]byte, error) {
+	size := -1
+	switch r := in.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(in)
+	}
+	// One byte more than reported, so that the read that finds the end
+	// has room and grows nothing.
+	buf := make([]byte, 0, size+1)
+	for {
+		if len(buf) == cap(buf) { // in held more than it reported
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := in.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // AppendString appends s to a payload as a uvarint length and its bytes. The
@@ -287,8 +344,13 @@ func (c *Cursor) Uint64(field string) uint64 {
 	return 0
 }
 
+// Bytes is String without the copy: the bytes alias the payload.
+func (c *Cursor) Bytes(field string) []byte {
+	return c.take(field, c.Uvarint(field))
+}
+
 func (c *Cursor) String(field string) string {
-	return string(c.take(field, c.Uvarint(field)))
+	return string(c.Bytes(field))
 }
 
 // Count reads the length of a list, bounded so that a corrupt one allocates

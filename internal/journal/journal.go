@@ -639,7 +639,7 @@ func (lg *Log) Writer(out io.Writer) *Writer {
 // record that names an accept the log does not hold pending, and a begin
 // record from before accepts were records of their own are format errors.
 func ReadLog(in io.Reader) (Log, error) {
-	buf, err := io.ReadAll(in)
+	buf, err := ReadAll(in)
 	if err != nil {
 		return Log{}, fmt.Errorf("journal: reading the log: %w", err)
 	}

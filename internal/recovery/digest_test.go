@@ -174,10 +174,11 @@ func propWarehouse(t testing.TB, rows []relation.Tuple) *core.Warehouse {
 
 // TestRunningDigestMatchesScan: whatever a store goes through — direct
 // inserts and deletes, installed windows (ApplyDelta on the tables, Apply on
-// the summary view, with groups appearing, changing and vanishing),
-// RestoreGroup, Clear and refresh, clones that then diverge, a snapshot
-// written and read back — the digest it maintains is the digest a scan of
-// its rows gives, on every live handle, after every operation.
+// the summary view, with groups appearing, changing and vanishing), a group
+// built in from another handle, Clear and refresh, clones that then
+// diverge, a snapshot written and read back — the digest it maintains is the
+// digest a scan of its rows gives, on every live handle, after every
+// operation.
 func TestRunningDigestMatchesScan(t *testing.T) {
 	groups := []string{"north", "south", "east", "west", ""}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -275,7 +276,13 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 					return skip >= 0
 				})
 				if accums != nil {
-					must(w.MustView("A").AggStore().RestoreGroup(key, support+rng.Int63n(2), accums))
+					owned := make([]*delta.Accum, len(accums))
+					for i, a := range accums {
+						owned[i] = a.Clone()
+					}
+					b := w.MustView("A").AggStore().Build(1)
+					must(b.Add([]byte(key), support+rng.Int63n(2), owned))
+					b.Done()
 					check(op, "restore group", false)
 					must(w.RefreshAll())
 				}

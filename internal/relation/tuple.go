@@ -28,22 +28,42 @@ func (t Tuple) AppendEncoded(dst []byte) []byte {
 
 // DecodeTuple reverses Tuple.Encode. It reads enc in place — string values
 // of the result are substrings of enc, not copies — and sizes the tuple in
-// one allocation: a first pass validates and counts the values, the second
-// decodes them.
+// one allocation: a first pass validates and counts the values (Arity), the
+// second decodes them.
 func DecodeTuple(enc string) (Tuple, error) {
-	n := 0
-	for rest := enc; len(rest) > 0; n++ {
-		size, err := encodedSize(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = rest[size:]
+	n, err := Arity(enc)
+	if err != nil {
+		return nil, err
 	}
 	t := make(Tuple, n)
-	for i := range t {
-		t[i], enc = decodeValue(enc)
-	}
+	DecodeInto(t, enc)
 	return t, nil
+}
+
+// Arity validates enc as a Tuple.Encode and returns how many values it
+// holds, or the error DecodeTuple would return. It allocates nothing.
+func Arity[S string | []byte](enc S) (int, error) {
+	n := 0
+	for len(enc) > 0 {
+		size, err := encodedSize(enc)
+		if err != nil {
+			return 0, err
+		}
+		enc = enc[size:]
+		n++
+	}
+	return n, nil
+}
+
+// DecodeInto decodes the len(dst) values at the head of enc into dst and
+// returns the rest of enc. enc must begin with that many valid encodings,
+// as Arity has checked; string values alias enc. It allocates nothing, so
+// a bulk load decodes many rows into one slab of values with it.
+func DecodeInto(dst Tuple, enc string) (rest string) {
+	for i := range dst {
+		dst[i], enc = decodeValue(enc)
+	}
+	return enc
 }
 
 // FirstLen returns the length of the encoding of the first value in enc, a

@@ -320,14 +320,14 @@ func appendUint64(dst []byte, u uint64) []byte {
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
 
-func decodeUint64(src string) uint64 {
+func decodeUint64[S string | []byte](src S) uint64 {
 	return uint64(src[0])<<56 | uint64(src[1])<<48 | uint64(src[2])<<40 | uint64(src[3])<<32 |
 		uint64(src[4])<<24 | uint64(src[5])<<16 | uint64(src[6])<<8 | uint64(src[7])
 }
 
-// encodedSize validates the value encoding at the head of src and returns
-// its length in bytes.
-func encodedSize(src string) (int, error) {
+// encodedSize validates the value encoding at the head of src, which is not
+// empty, and returns its length in bytes.
+func encodedSize[S string | []byte](src S) (int, error) {
 	switch k := Kind(src[0]); k {
 	case KindNull:
 		return 1, nil

@@ -37,7 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/journal"
-	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // The type bytes of a snapshot's frames, apart from the journal's.
@@ -78,28 +78,28 @@ func WriteContext(ctx context.Context, w *core.Warehouse, out io.Writer) error {
 	}
 	sw := &writer{ctx: ctx, out: bufio.NewWriter(out)}
 	names := w.ViewNames()
-	sw.frame(typeHeader, binary.AppendUvarint(nil, uint64(len(names))))
+	sw.end(typeHeader, binary.AppendUvarint(sw.begin(), uint64(len(names))))
 	for _, name := range names {
 		v := w.MustView(name)
 		if agg := v.AggStore(); agg != nil {
 			sw.view(name, kindAgg, agg.Cardinality())
 			agg.ScanGroups(func(key string, support int64, accums []*delta.Accum) bool {
-				sw.body = binary.AppendVarint(journal.AppendString(sw.body, key), support)
+				sw.buf = binary.AppendVarint(journal.AppendString(sw.open(), key), support)
 				for _, a := range accums {
-					sw.body = a.AppendBinary(sw.body)
+					sw.buf = a.AppendBinary(sw.buf)
 				}
 				return sw.entry()
 			})
 		} else {
 			sw.view(name, kindTable, v.Table().DistinctCount())
 			v.Table().ScanEncoded(func(key string, count int64) bool {
-				sw.body = binary.AppendVarint(journal.AppendString(sw.body, key), count)
+				sw.buf = binary.AppendVarint(journal.AppendString(sw.open(), key), count)
 				return sw.entry()
 			})
 		}
 		sw.chunk()
 	}
-	sw.frame(typeEnd, nil)
+	sw.end(typeEnd, sw.begin())
 	if sw.err != nil {
 		return sw.err
 	}
@@ -107,19 +107,35 @@ func WriteContext(ctx context.Context, w *core.Warehouse, out io.Writer) error {
 }
 
 // writer emits a snapshot's frames. Its error — a failed write, or the
-// context's once it is done — is the first one, and stops it.
+// context's once it is done — is the first one, and stops it. Every frame
+// is encoded in place into buf, which is reused: a write allocates a few
+// times its largest frame, whatever the snapshot's size.
 type writer struct {
 	ctx  context.Context
 	out  *bufio.Writer
 	name string // the view being written
-	body []byte // the open chunk's entries
-	n    int    // how many
+	buf  []byte // the frame being written
+	body int    // where its payload begins in buf
+	n    int    // the entries of the open chunk, if one is open
 	err  error
 }
 
-func (sw *writer) frame(typ byte, payload []byte) {
-	if sw.err == nil {
-		_, sw.err = sw.out.Write(journal.EncodeFrame(typ, payload))
+// countRoom is the room a chunk keeps for its count, which is written last:
+// a uvarint of at most chunkRows (below 1<<14) takes two bytes.
+const countRoom = 2
+
+// begin opens a frame in buf and returns buf, for its payload to be
+// appended to.
+func (sw *writer) begin() []byte {
+	sw.buf, sw.body = journal.BeginFrame(sw.buf[:0])
+	return sw.buf
+}
+
+// end closes the frame begun, whose payload buf now ends, and writes it.
+func (sw *writer) end(typ byte, buf []byte) {
+	buf, start := journal.EndFrame(buf, typ, sw.body)
+	if sw.buf = buf; sw.err == nil {
+		_, sw.err = sw.out.Write(buf[start:])
 	}
 }
 
@@ -134,7 +150,16 @@ func (sw *writer) check(where string) {
 func (sw *writer) view(name string, kind byte, count int64) {
 	sw.name = name
 	sw.check("before")
-	sw.frame(typeView, binary.AppendUvarint(append(journal.AppendString(nil, name), kind), uint64(count)))
+	sw.end(typeView, binary.AppendUvarint(append(journal.AppendString(sw.begin(), name), kind), uint64(count)))
+}
+
+// open returns buf for the next entry to be appended to, opening a chunk
+// frame first if none is open.
+func (sw *writer) open() []byte {
+	if sw.n == 0 {
+		sw.buf = append(sw.begin(), make([]byte, countRoom)...)
+	}
+	return sw.buf
 }
 
 // entry counts the entry just appended to the chunk, and writes the chunk
@@ -146,13 +171,18 @@ func (sw *writer) entry() bool {
 	return sw.err == nil
 }
 
-// chunk writes the open chunk, unless it is empty.
+// chunk writes the open chunk, if there is one: its count goes at the end
+// of the room kept for it, where the payload then begins.
 func (sw *writer) chunk() {
 	if sw.n > 0 {
 		sw.check("in")
-		sw.frame(typeChunk, append(binary.AppendUvarint(nil, uint64(sw.n)), sw.body...))
+		var count [countRoom]byte
+		k := binary.PutUvarint(count[:], uint64(sw.n))
+		sw.body += countRoom - k
+		copy(sw.buf[sw.body:], count[:k])
+		sw.end(typeChunk, sw.buf)
 	}
-	sw.body, sw.n = sw.body[:0], 0
+	sw.n = 0
 }
 
 // WriteFile writes the snapshot to a temporary file beside path and renames
@@ -174,42 +204,38 @@ func WriteFile(ctx context.Context, w *core.Warehouse, path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-type stagedRow struct {
-	tup   relation.Tuple
-	count int64
-}
-
-type stagedGroup struct {
-	key     string
-	support int64
-	accums  []*delta.Accum
-}
-
+// stagedView is a view's state as Read builds it, beside the live one: a
+// fresh table and the build that fills it, or a fresh aggregate table and
+// its build.
 type stagedView struct {
-	name   string
-	isAgg  bool
-	rows   []stagedRow
-	groups []stagedGroup
+	view   *core.View
+	table  *storage.Table
+	rows   *storage.Builder
+	agg    *storage.AggTable
+	groups *storage.AggBuilder
+	accums []*delta.Accum // the group being read's, reused
 }
 
 // Read restores a snapshot into w, whose catalog must match the snapshot's
-// (same view names in the same order, schema-compatible rows). The entire
-// snapshot is verified and decoded — frame CRCs, fields, row encodings,
-// accumulator states, the end frame, and that nothing follows it — into
-// staging buffers first; the warehouse is mutated only after every check
+// (same view names in the same order, schema-compatible rows). The snapshot
+// is read in one sized read (journal.ReadAll) and verified whole — frame
+// CRCs, fields, row encodings and widths, accumulator states, the end frame,
+// and that nothing follows it — while each view's state is built into a
+// fresh store beside the live one, straight from the view's chunk frames
+// (storage.Builder). The fresh stores are swapped in only after every check
 // has passed, so on error w is left exactly as it was.
 func Read(w *core.Warehouse, in io.Reader) error {
 	if pending := w.PendingViews(); len(pending) > 0 {
 		return fmt.Errorf("snapshot: refusing to restore over pending changes on %v", pending)
 	}
-	buf, err := io.ReadAll(in)
+	buf, err := journal.ReadAll(in)
 	if err != nil {
 		return fmt.Errorf("snapshot: reading: %w", err)
 	}
 	if bytes.HasPrefix(buf, []byte(oldMagic)) {
 		return errors.New("snapshot: a " + oldMagic + " snapshot, the format written before snapshots were journal frames, is not read: write it again with the build that wrote it")
 	}
-	r := reader{w: w, names: w.ViewNames()}
+	r := reader{w: w, names: w.ViewNames(), size: len(buf)}
 	n, err := journal.Scan(buf, r.frame)
 	switch {
 	case r.ended && n < len(buf):
@@ -220,36 +246,24 @@ func Read(w *core.Warehouse, in io.Reader) error {
 		return fmt.Errorf("snapshot: %w: the snapshot ends before its end frame", io.ErrUnexpectedEOF)
 	}
 
-	// Everything verified — swap the staged state in.
+	// Everything verified — swap the built state in.
 	for _, sv := range r.views {
-		v := w.MustView(sv.name)
-		if sv.isAgg {
-			agg := v.AggStore()
-			agg.Clear()
-			agg.Grow(len(sv.groups))
-			for _, g := range sv.groups {
-				if err := agg.RestoreGroup(g.key, g.support, g.accums); err != nil {
-					// Unreachable: every RestoreGroup precondition was
-					// checked during staging.
-					return fmt.Errorf("snapshot: %s: %w", sv.name, err)
-				}
-			}
+		if sv.rows != nil {
+			sv.rows.Done()
 		} else {
-			tbl := v.Table()
-			tbl.Clear()
-			tbl.Grow(len(sv.rows))
-			for _, r := range sv.rows {
-				tbl.Insert(r.tup, r.count)
-			}
+			sv.groups.Done()
 		}
+		sv.view.Replace(sv.table, sv.agg)
 	}
 	return nil
 }
 
-// reader stages the frames of a snapshot as journal.Scan hands them over.
+// reader builds the views of a snapshot from its frames as journal.Scan
+// hands them over.
 type reader struct {
 	w     *core.Warehouse
 	names []string
+	size  int          // the snapshot's bytes, which bound what a view can hold
 	views []stagedView // the views read; the last is the one being read
 	left  uint64       // the rows or groups of the last view still to come
 	begun bool         // the header was read
@@ -281,7 +295,7 @@ func (r *reader) frame(typ byte, payload []byte, _ int) error {
 	case typ != typeView && typ != typeEnd:
 		return fmt.Errorf("a frame of type %d where a view or end frame belongs", typ)
 	case len(r.views) > 0 && r.left > 0:
-		return fmt.Errorf("view %s ends %d entries short", r.views[len(r.views)-1].name, r.left)
+		return fmt.Errorf("view %s ends %d entries short", r.views[len(r.views)-1].view.Name(), r.left)
 	case typ == typeEnd:
 		if len(r.views) < len(r.names) {
 			return fmt.Errorf("the end frame follows %d of %d views", len(r.views), len(r.names))
@@ -304,70 +318,62 @@ func (r *reader) frame(typ byte, payload []byte, _ int) error {
 	if name != r.names[i] {
 		return fmt.Errorf("view %q where catalog expects %q (definition order must match)", name, r.names[i])
 	}
-	if agg := r.w.MustView(name).AggStore() != nil; kind > kindAgg || agg != (kind == kindAgg) {
+	v := r.w.MustView(name)
+	if agg := v.AggStore() != nil; kind > kindAgg || agg != (kind == kindAgg) {
 		return fmt.Errorf("view %q is of kind %d in the snapshot, and aggregate=%v in the catalog", name, kind, agg)
 	}
-	r.views = append(r.views, stagedView{name: name, isAgg: kind == kindAgg})
+	// The count sizes the build, so it is trusted no further than the bytes
+	// present: an entry takes two at the least.
+	sv, hint := stagedView{view: v}, int(min(count, uint64(r.size/2)))
+	if agg := v.AggStore(); agg != nil {
+		sv.agg = agg.Empty()
+		sv.groups = sv.agg.Build(hint)
+	} else {
+		sv.table = storage.NewTable(v.Schema())
+		sv.rows = sv.table.Build(hint)
+	}
+	r.views = append(r.views, sv)
 	r.left = count
 	return nil
 }
 
-// chunk stages a chunk of the last view's rows or groups.
+// chunk builds a chunk of the last view's rows or groups.
 func (r *reader) chunk(payload []byte) error {
 	sv := &r.views[len(r.views)-1]
-	c := journal.NewCursor(sv.name, payload)
+	c := journal.NewCursor(sv.view.Name(), payload)
 	n := c.Count("chunk length")
 	if n == 0 || n > chunkRows || uint64(n) > r.left {
 		c.Fail("chunk length", fmt.Errorf("%d entries, where a chunk holds 1 to %d and the view %d more", n, chunkRows, r.left))
 	}
 	r.left -= uint64(min(uint64(n), r.left))
-	v := r.w.MustView(sv.name)
 	for i := 0; i < n && c.Err() == nil; i++ {
-		if sv.isAgg {
-			sv.group(c, v.AggStore().Specs())
+		if sv.rows != nil {
+			sv.row(c)
 		} else {
-			sv.row(c, len(v.Schema()))
+			sv.group(c)
 		}
 	}
 	return c.Done()
 }
 
-func (sv *stagedView) row(c *journal.Cursor, width int) {
-	key, count := c.String("row"), c.Varint("row count")
-	tup, err := relation.DecodeTuple(key)
-	switch {
-	case c.Err() != nil:
-	case err != nil:
-		c.Fail("row", err)
-	case len(tup) != width:
-		c.Fail("row", fmt.Errorf("arity %d does not match schema width %d", len(tup), width))
-	case count <= 0:
-		c.Fail("row count", fmt.Errorf("non-positive row count %d", count))
-	default:
-		sv.rows = append(sv.rows, stagedRow{tup, count})
+func (sv *stagedView) row(c *journal.Cursor) {
+	key, count := c.Bytes("row"), c.Varint("row count")
+	if c.Err() == nil {
+		if err := sv.rows.Add(key, count); err != nil {
+			c.Fail("row", err)
+		}
 	}
 }
 
-func (sv *stagedView) group(c *journal.Cursor, specs []delta.AggSpec) {
-	key, support := c.String("group key"), c.Varint("group support")
-	accums := make([]*delta.Accum, len(specs))
-	for j, spec := range specs {
-		accums[j] = delta.DecodeAccum(c, spec)
+func (sv *stagedView) group(c *journal.Cursor) {
+	key, support := c.Bytes("group key"), c.Varint("group support")
+	sv.accums = sv.accums[:0]
+	for _, spec := range sv.agg.Specs() {
+		sv.accums = append(sv.accums, delta.DecodeAccum(c, spec))
 	}
-	_, err := relation.DecodeTuple(key)
-	switch {
-	case c.Err() != nil:
-	case err != nil:
-		c.Fail("group key", err)
-	case support <= 0:
-		c.Fail("group support", fmt.Errorf("non-positive group support %d", support))
-	default:
-		for j, a := range accums {
-			if !a.Valid() {
-				c.Fail("accumulator", fmt.Errorf("accumulator %d of group %q is invalid", j, key))
-				return
-			}
+	if c.Err() == nil {
+		if err := sv.groups.Add(key, support, sv.accums); err != nil {
+			c.Fail("group", err)
 		}
-		sv.groups = append(sv.groups, stagedGroup{key, support, accums})
 	}
 }

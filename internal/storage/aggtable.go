@@ -61,6 +61,16 @@ func NewAggTable(groupSchema relation.Schema, specs []delta.AggSpec, aggNames []
 	}
 }
 
+// Empty returns an empty table of t's group schema, specs and output
+// schema: a store to build a replacement for t in.
+func (t *AggTable) Empty() *AggTable {
+	return &AggTable{
+		groupSchema: t.groupSchema.Clone(),
+		specs:       append([]delta.AggSpec(nil), t.specs...),
+		outSchema:   t.outSchema.Clone(),
+	}
+}
+
 // Schema returns the output schema (group columns then aggregate columns).
 func (t *AggTable) Schema() relation.Schema { return t.outSchema }
 
@@ -75,10 +85,6 @@ func (t *AggTable) Cardinality() int64 { return int64(t.groups.Len()) }
 
 // DistinctCount is Cardinality: every output row is distinct.
 func (t *AggTable) DistinctCount() int64 { return t.Cardinality() }
-
-// Grow sizes the table for n more groups at once; a load whose size is
-// known calls it first.
-func (t *AggTable) Grow(n int) { t.groups.Grow(n) }
 
 // Digest returns the order-independent fingerprint of the table's output
 // rows in O(1); see Table.Digest.
@@ -328,49 +334,14 @@ func (t *AggTable) ScanGroups(fn func(groupKey string, support int64, accums []*
 	t.groups.Scan(func(_ uint64, key string, e *groupEntry) bool { return fn(key, e.support, e.accums) })
 }
 
-// RestoreGroup installs raw group state, replacing any existing group with
-// the same key. It is the inverse of ScanGroups, used when loading a
-// snapshot; support must be positive and the accumulator count must match
-// the table's specs.
-func (t *AggTable) RestoreGroup(groupKey string, support int64, accums []*delta.Accum) error {
-	if support <= 0 {
-		return fmt.Errorf("storage: restoring group with non-positive support %d", support)
-	}
-	if len(accums) != len(t.specs) {
-		return fmt.Errorf("storage: restoring group with %d accumulators, want %d", len(accums), len(t.specs))
-	}
-	group, err := relation.DecodeTuple(groupKey)
-	if err != nil {
-		return fmt.Errorf("storage: restoring group with corrupt key: %w", err)
-	}
-	for i, a := range accums {
-		if a.Spec() != t.specs[i] {
-			return fmt.Errorf("storage: restored accumulator %d has spec %+v, want %+v", i, a.Spec(), t.specs[i])
-		}
-		if !a.Valid() {
-			return fmt.Errorf("storage: restored accumulator %d has negative value counts", i)
-		}
-	}
-	e := t.newEntry(group, support)
-	for i, a := range accums {
-		e.accums[i] = a.Clone()
-	}
-	t.put(cowmap.Hash(groupKey), groupKey, e)
-	return nil
-}
-
 // Clone returns an independent copy of the table in O(1): the groups and
 // their entries are shared copy-on-write, and from here on either handle
 // clones a group's entry the first time it changes that group. See
 // Table.Clone.
 func (t *AggTable) Clone() *AggTable {
-	return &AggTable{
-		groupSchema: t.groupSchema.Clone(),
-		specs:       append([]delta.AggSpec(nil), t.specs...),
-		outSchema:   t.outSchema.Clone(),
-		groups:      t.groups.Clone(),
-		digest:      t.digest,
-	}
+	c := t.Empty()
+	c.groups, c.digest = t.groups.Clone(), t.digest
+	return c
 }
 
 // Clear removes all groups. Groups shared with clones are simply abandoned

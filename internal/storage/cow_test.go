@@ -243,8 +243,8 @@ func TestAggTableCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestAggTableRestoreGroupDetaches: snapshot restore through one handle
-// must not overwrite groups the other handle still serves.
+// TestAggTableRestoreGroupDetaches: a group built through one handle must
+// not overwrite groups the other handle still serves.
 func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	gs := relation.Schema{{Name: "g", Kind: relation.KindString}}
 	specs := []delta.AggSpec{{Kind: delta.AggCount}}
@@ -262,9 +262,7 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 		key, accums = gk, as
 		return false
 	})
-	if err := b.RestoreGroup(key, 99, accums); err != nil {
-		t.Fatal(err)
-	}
+	restoreGroup(t, b, key, 99, accums)
 	if a.SortedRows()[0].Count != 1 || b.SortedRows()[0].Count != 1 {
 		t.Fatal("unexpected group counts")
 	}
@@ -274,7 +272,7 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 		return false
 	})
 	if support != 3 {
-		t.Fatalf("RestoreGroup on clone changed the original's support to %d", support)
+		t.Fatalf("a build on the clone changed the original's support to %d", support)
 	}
 }
 

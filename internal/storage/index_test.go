@@ -400,7 +400,13 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 			case r < 7:
 				tbl.Clear()
 			case r < 10:
-				tbl.Grow(rng.Intn(100))
+				b := tbl.Build(rng.Intn(40))
+				for i := rng.Intn(40); i > 0; i-- {
+					if err := b.Add(randRow().AppendEncoded(nil), 1+rng.Int63n(3)); err != nil {
+						t.Fatalf("seed %d op %d: %v", seed, op, err)
+					}
+				}
+				b.Done()
 			case r < 18:
 				had := slices.Clone(tbl.indexes)
 				ix, _ := tbl.JoinIndex(colSets[rng.Intn(len(colSets))])

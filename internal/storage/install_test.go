@@ -133,9 +133,7 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 				ref, cur = cur.Clone(), cur.Clone()
 			} else { // a copy that leaves cur the owner of the entries it made
 				cur.ScanGroups(func(key string, support int64, accums []*delta.Accum) bool {
-					if err := ref.RestoreGroup(key, support, accums); err != nil {
-						t.Fatal(err)
-					}
+					restoreGroup(t, ref, key, support, accums)
 					return true
 				})
 			}

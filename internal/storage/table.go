@@ -153,12 +153,11 @@ func (t *Table) Cardinality() int64 { return t.card }
 // DistinctCount returns the number of distinct rows.
 func (t *Table) DistinctCount() int64 { return int64(t.rows.Len()) }
 
-// Grow sizes the table for n more distinct rows at once; a load whose size
-// is known calls it first.
-func (t *Table) Grow(n int) { t.rows.Grow(n) }
-
-// Insert adds count copies of the tuple. Count must be positive. The table
-// keeps nothing of tup itself; the caller may reuse or modify it.
+// Insert adds count copies of the tuple: the one-row form of a bulk build
+// (Builder), placed as Done places each row of a table that holds rows —
+// its key encoded once, its tuple decoded from the key. Count must be
+// positive. The table keeps nothing of tup itself; the caller may reuse or
+// modify it.
 func (t *Table) Insert(tup relation.Tuple, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))

@@ -321,7 +321,9 @@ func (w *Warehouse) DefineView(name string, def *ViewDef) error {
 	return w.core.DefineDerived(name, def)
 }
 
-// Load bulk-inserts rows into a base view.
+// Load bulk-inserts rows into a base view, each row encoded once into the
+// view's table (a bulk build). A row of the wrong width refuses the whole
+// load, which then adds nothing.
 func (w *Warehouse) Load(name string, rows []Tuple) error {
 	return w.core.LoadBase(name, rows)
 }
