@@ -142,13 +142,15 @@ fuzz:
 # both consume arbitrary on-disk bytes and must reject corruption without
 # panicking or mutating state — plus the SQL front end's old-vs-new
 # differential oracle, and the query path's presentation (ORDER BY, LIMIT and
-# OFFSET over drawn rows) against the reference algorithm it replaced. Cheap
-# enough for CI.
+# OFFSET over drawn rows) against the reference algorithm it replaced, and the
+# sealed delta — drawn Add, AddEncoded, Merge and Seal sequences — against a
+# map of signed counts. Cheap enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournal -fuzztime 10s
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRead -fuzztime 10s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParseDifferential -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzQueryPresentation -fuzztime 10s
+	$(GO) test ./internal/delta/ -run '^$$' -fuzz FuzzSealedDelta -fuzztime 10s
 
 bench:
 	$(GO) test . -run '^$$' -bench . -benchtime 1x

@@ -9,8 +9,8 @@ import (
 
 // Builder assembles a bound CQ programmatically, resolving qualified column
 // names ("alias.column") against the accumulated refs. It is the Go-level
-// alternative to the SQL front end and is what the TPC-D view definitions
-// and most tests use.
+// alternative to the SQL front end, for tests that define views in Go; the
+// TPC-D view definitions are SQL texts (package tpcd).
 type Builder struct {
 	cq  CQ
 	err error

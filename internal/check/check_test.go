@@ -48,6 +48,9 @@ func draw(seed int64) check.Point {
 			p.Fault += strconv.Itoa(1 + rng.Intn(12))
 		}
 	}
+	if !p.Ingest {
+		p.Shuffle = rng.Intn(3)
+	}
 	return p
 }
 
@@ -85,7 +88,7 @@ func TestPointRoundTrip(t *testing.T) {
 			set[name] = true
 		}
 	}
-	for _, axis := range strings.Fields("seed catalog planner mode workers skip windows fault readers replicas drop slow kill ingest") {
+	for _, axis := range strings.Fields("seed catalog planner mode workers skip windows fault readers replicas drop slow kill ingest shuffle") {
 		if !set[axis] {
 			t.Errorf("no drawn point set axis %s: its round trip went untested", axis)
 		}

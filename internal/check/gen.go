@@ -188,6 +188,9 @@ func Stage(t testing.TB, w *warehouse.Warehouse, rng *rand.Rand) []Change {
 				d.Add(warehouse.Tuple{warehouse.Int(rng.Int63n(5)), warehouse.Int(rng.Int63n(5))}, 1)
 			}
 		}
+		if err := d.Seal(); err != nil {
+			t.Fatal(err)
+		}
 		if d.IsEmpty() {
 			continue
 		}

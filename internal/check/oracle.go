@@ -108,6 +108,9 @@ func byLoops(c *core.Warehouse, cq *algebra.CQ) []string {
 		p.Accumulate(key, inputs, count)
 	}
 	join(0, 1)
+	if err := d.Seal(); err != nil {
+		panic(err) // d holds what Add encoded
+	}
 	var lines []string
 	d.Scan(func(tup relation.Tuple, count int64) bool {
 		lines = append(lines, line(tup, count))
@@ -189,6 +192,9 @@ func Oracle(t testing.TB, w *warehouse.Warehouse) State {
 		}
 	}
 	for name, d := range diffs {
+		if err := d.Seal(); err != nil {
+			t.Fatal(err)
+		}
 		if !d.IsEmpty() {
 			s.InstDigests[name] = d.Digest()
 		}

@@ -64,6 +64,12 @@ type Point struct {
 	// leader: the follower holding the most of its log is promoted and
 	// ingests the rest.
 	Ingest bool `axis:"ingest"`
+	// Shuffle stages each window's batch that many more times on a clone of
+	// the warehouse before it, each in another arrival order — rows shuffled,
+	// counts split into single changes, spread over up to three deltas a
+	// view — and holds each run's views and installed-delta digests to the
+	// first order's. Trials that stage window by window only.
+	Shuffle int `axis:"shuffle"`
 }
 
 // String renders the point as the one-line reproducer ParsePoint reads back:

@@ -87,6 +87,8 @@ func Run(t testing.TB, p check.Point) Tally {
 		r.Fatalf("an ingest trial takes a crash or a transient fault")
 	case p.Replicas > 0 && !p.Ingest && r.crashes:
 		r.Fatalf("a replicated trial takes no crash of the leader, whose journal is the shipping log")
+	case p.Ingest && p.Shuffle > 0:
+		r.Fatalf("an ingest trial takes no shuffle: the ingester cuts its own batches")
 	case p.Ingest:
 		r.stream()
 	default:
@@ -221,6 +223,57 @@ func (r *run) sameSteps(ref, got warehouse.Report) {
 	}
 }
 
+// shuffled is the arrival-order axis: it stages batch on clones of before,
+// the warehouse it was staged on, in p.Shuffle other orders, runs s over
+// each in the point's mode, and holds every run's views and step digests to
+// the reference run's. A sealed delta reads its rows in key order, so the
+// order they arrived in never shows.
+func (r *run) shuffled(before *warehouse.Warehouse, batch []check.Change, s warehouse.Strategy, ref warehouse.Report, want check.State) {
+	type change struct {
+		view  string
+		tup   relation.Tuple
+		count int64
+	}
+	var rows []change
+	for _, c := range batch {
+		c.Delta.Scan(func(tup relation.Tuple, n int64) bool {
+			for unit := n / max(n, -n); n != 0; n -= unit {
+				rows = append(rows, change{c.View, tup, unit})
+			}
+			return true
+		})
+	}
+	for k := 1; k <= r.p.Shuffle; k++ {
+		w := before.Clone()
+		r.rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		parts := 1 + r.rng.Intn(3)
+		for part := range parts {
+			deltas := make(map[string]*warehouse.Delta)
+			for i := part; i < len(rows); i += parts {
+				if deltas[rows[i].view] == nil {
+					d, err := w.NewDelta(rows[i].view)
+					r.ok(err)
+					deltas[rows[i].view] = d
+				}
+				deltas[rows[i].view].Add(rows[i].tup, rows[i].count)
+			}
+			for view, d := range deltas {
+				r.ok(w.StageDelta(view, d))
+			}
+		}
+		rep, err := exec.Execute(w.Internal(), s, exec.Options{Validate: true, Mode: r.p.Mode, Workers: r.p.Workers})
+		r.ok(err)
+		if err := check.Diff(want, check.Capture(w, rep)); err != nil {
+			r.Fatalf("arrival order %d of the batch commits a state that differs from recomputation: %v\nstrategy: %s", k, err, s)
+		}
+		for i, step := range rep.Steps {
+			if step.Digest != ref.Steps[i].Digest {
+				r.Fatalf("arrival order %d: step %d %s installs a delta digesting to %016x, the first order's to %016x", k, i, step.Expr, step.Digest, ref.Steps[i].Digest)
+			}
+		}
+	}
+}
+
 // windows is the trial of a stream staged and run window by window.
 func (r *run) windows() {
 	p, ctx := r.p, context.Background()
@@ -258,10 +311,12 @@ func (r *run) windows() {
 				r.ok(w.SaveSnapshot(&snap))
 			}
 		}
-		check.Stage(r, w, r.rng)
+		before := w.Clone()
+		batch := check.Stage(r, w, r.rng)
 		want := check.Oracle(r, w)
 		s := r.strategy(w)
 		ref := r.reference(w, s, want)
+		r.shuffled(before, batch, s, ref, want)
 		stop := r.readers(srv)
 
 		opts, inj := r.options(), faults.New(p.Seed)

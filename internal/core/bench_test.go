@@ -114,7 +114,7 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 	})
 }
 
-// benchDriver is the driver of the two probe benchmarks below: a decoded
+// benchDriver is the driver of the two probe benchmarks below: a sealed
 // delta of n two-column integer rows (key, payload), each key of
 // decodedIntDelta(n) probed four times.
 func benchDriver(n int) deltaSource {
@@ -122,7 +122,7 @@ func benchDriver(n int) deltaSource {
 	for i := 0; i < n; i++ {
 		d.Add(relation.Tuple{relation.NewInt(int64(i % (n / 4))), relation.NewInt(int64(i))}, 1)
 	}
-	d.Scan(func(relation.Tuple, int64) bool { return true })
+	d.Seal()
 	return deltaSource{d}
 }
 
@@ -282,10 +282,11 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
 	}
 	sides := []stepSide{{idx: indexStep{tbl: w.views["ORDER"].table}}, {idx: indexStep{tbl: w.views["CUSTOMER"].table}}}
+	d.Seal()
 	driver := deltaSource{d}
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
-	pl.run(driver, sides, sink) // the first run builds both indexes and decodes the delta
+	pl.run(driver, sides, sink) // the first run builds both indexes
 	if matched == 0 {
 		b.Fatal("no driver row reached the sink")
 	}

@@ -185,15 +185,14 @@ func TestBuildTableAllocations(t *testing.T) {
 	}
 }
 
-// decodedIntDelta is a delta of n two-column integer rows (key, payload),
-// four to a key, scanned once so that it holds its decoded rows — the
-// operand a window's build reads.
+// decodedIntDelta is a sealed delta of n two-column integer rows (key,
+// payload), four to a key — the operand a window's build reads.
 func decodedIntDelta(n int) *delta.Delta {
 	d := delta.New(relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "i", Kind: relation.KindInt}})
 	for i := 0; i < n; i++ {
 		d.Add(relation.Tuple{relation.NewInt(int64(i / 4)), relation.NewInt(int64(i))}, 1)
 	}
-	d.Scan(func(relation.Tuple, int64) bool { return true })
+	d.Seal()
 	return d
 }
 

@@ -52,10 +52,6 @@ type View struct {
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
 	finalized       *delta.Delta         // aggregate: cached tuple delta once read
-	// sharedDelta marks a base view's pendingDelta as also another
-	// warehouse's — Clone shares a staged batch instead of copying it — and
-	// so read-only: StageDelta merges into a copy of its own first.
-	sharedDelta bool
 }
 
 // Name returns the view's name.
@@ -336,7 +332,8 @@ func (w *Warehouse) LoadBase(name string, rows []relation.Tuple) error {
 }
 
 // StageDelta records an arriving change batch for a base view; batches
-// staged before the update window merge together.
+// staged before the update window merge together. It seals d, which the
+// view then shares: a sealed run is never written in place.
 func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 	v := w.views[name]
 	if v == nil {
@@ -348,13 +345,14 @@ func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 	if !d.Schema().Equal(v.table.Schema()) {
 		return fmt.Errorf("core: staged delta schema does not match %q", name)
 	}
-	switch {
-	case v.pendingDelta == nil:
-		v.pendingDelta = delta.New(v.table.Schema())
-	case v.sharedDelta:
-		v.pendingDelta, v.sharedDelta = v.pendingDelta.Clone(), false
+	if err := d.Seal(); err != nil {
+		return fmt.Errorf("core: staging %q: %w", name, err)
 	}
-	v.pendingDelta.Merge(d)
+	if v.pendingDelta == nil {
+		v.pendingDelta = d.Clone()
+	} else {
+		v.pendingDelta.Merge(d)
+	}
 	return nil
 }
 
@@ -400,15 +398,6 @@ func (v *View) pendingLocked() acc {
 	return acc{d: v.pendingDelta}
 }
 
-// DeltaSize returns |δV| for the view (0 if nothing is pending).
-func (w *Warehouse) DeltaSize(name string) (int64, error) {
-	d, err := w.DeltaOf(name)
-	if err != nil {
-		return 0, err
-	}
-	return d.Size(), nil
-}
-
 // Install folds the view's pending change into its materialized state and
 // clears the pending state. It returns what it installed: the number of
 // rows, |δV|, and the digest of δV (delta.Delta.Digest). An aggregate view
@@ -431,8 +420,7 @@ func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) 
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 	}
-	v.pendingPartials, v.finalized = nil, nil
-	v.pendingDelta, v.sharedDelta = nil, false
+	v.pendingPartials, v.finalized, v.pendingDelta = nil, nil, nil
 	return rows, digest, nil
 }
 
@@ -444,10 +432,8 @@ func (w *Warehouse) ShareTuner() any { return nil }
 // Clone returns a deep copy of the warehouse: independent stores and pending
 // state, shared (immutable) definitions, compiled join orders and VDAG.
 // Executing a strategy on a clone leaves the original untouched, which is how
-// the experiments compare many strategies from the same start state. A base
-// view's staged batch is not copied: both warehouses hold it read-only until
-// one of them stages more (StageDelta) or installs it, so Clone writes the
-// source as the stores' own clones do.
+// the experiments compare many strategies from the same start state. A
+// pending delta's sealed run is shared, not copied (see delta.Delta.Clone).
 func (w *Warehouse) Clone() *Warehouse {
 	out := &Warehouse{views: make(map[string]*View, len(w.list)), opts: w.opts, version: w.version, graph: w.graph}
 	out.list = make([]*View, 0, len(w.list))
@@ -459,12 +445,8 @@ func (w *Warehouse) Clone() *Warehouse {
 		if v.agg != nil {
 			nv.agg = v.agg.Clone()
 		}
-		switch {
-		case v.pendingDelta == nil:
-		case v.def == nil:
-			nv.pendingDelta, nv.sharedDelta, v.sharedDelta = v.pendingDelta, true, true
-		default:
-			nv.pendingDelta = v.pendingDelta.Clone() // Compute writes a derived view's
+		if v.pendingDelta != nil {
+			nv.pendingDelta = v.pendingDelta.Clone()
 		}
 		if v.pendingPartials != nil {
 			// Partials are cloned by merging into an empty set.

@@ -102,7 +102,8 @@ type sinkFn = func(row relation.Tuple, count int64)
 // current materialized states of all other referenced views. The result is
 // accumulated (merged) into any previously computed pending changes of the
 // view, matching the paper's model where the Comp expressions of a strategy
-// gather changes in δV until Inst(V) installs them.
+// gather changes in δV until Inst(V) installs them: the terms append to δV,
+// and the Comp seals it at its end (runTerms).
 func (w *Warehouse) Compute(name string, over []string) (CompReport, error) {
 	return w.ComputeCtx(nil, name, over)
 }
@@ -161,8 +162,7 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	v.mu.Lock()
 	out := v.pendingLocked()
 	v.mu.Unlock()
-	env := &evalEnv{ctx: ctx}
-	return rep, runTerms(env, v.def, terms, ops, out, &rep)
+	return rep, runTerms(&evalEnv{ctx: ctx}, v.def, terms, ops, out, &rep)
 }
 
 // operands binds one run's references to their sources: state[i] is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -16,7 +17,7 @@ import (
 //     of its driver's scan through its compiled join pipeline (orders.go)
 //     into the run's sink. Operands are read in place, never copied: a
 //     state table's scan hands out its stored tuples, and a delta's the rows
-//     it decoded once and keeps (delta.Delta), its only memo.
+//     its Seal decoded (delta.Delta).
 //     A window's parallelism is between expressions (package exec's
 //     scheduler), never inside one.
 //   - buildCache is the one cache of transient build state: it shares
@@ -167,9 +168,13 @@ func (env *evalEnv) build(src source, step *joinStep) *buildTable {
 // index — compiled, and each emitting into one sink that writes straight
 // into out. A term that panics (a misbehaving operator, an injected fault)
 // fails the run with an error, as does a context that is done before a
-// term (ContextErr); the first error ends it.
-func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, out acc, rep *CompReport) error {
+// term (ContextErr); the first error ends it. The run seals the delta it
+// appended to, whatever its outcome: the rows are then out's to read.
+func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, out acc, rep *CompReport) (err error) {
 	env.cache = make(buildCache)
+	if out.d != nil {
+		defer func() { err = cmp.Or(err, out.d.Seal()) }()
+	}
 
 	sink := newSink(cq, out)
 	for ti := range terms {

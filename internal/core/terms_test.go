@@ -103,11 +103,11 @@ func refWork(t *testing.T, w *Warehouse, view string, over []string) int64 {
 			card := w.MustView(ref.View).Cardinality()
 			for i, o := range over {
 				if o == ref.View && subset&(1<<i) != 0 {
-					n, err := w.DeltaSize(o)
+					d, err := w.DeltaOf(o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					card = n
+					card = d.Size()
 				}
 			}
 			work += card

@@ -128,7 +128,7 @@ func ReadDelta(r io.Reader, schema relation.Schema) (*delta.Delta, error) {
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return d, nil
+			return d, d.Seal()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("csvio: line %d: %w", line, err)

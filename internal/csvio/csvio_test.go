@@ -80,6 +80,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	d := delta.New(schema)
 	d.Add(relation.Tuple{relation.NewInt(1), relation.NewString("a"), relation.NewFloat(2), relation.NewDate(10), relation.NewBool(true)}, 3)
 	d.Add(relation.Tuple{relation.NewInt(2), relation.NewString("b"), relation.NewFloat(4), relation.NewDate(20), relation.NewBool(false)}, -2)
+	d.Seal()
 	var buf bytes.Buffer
 	if err := WriteDelta(&buf, d); err != nil {
 		t.Fatal(err)

@@ -9,141 +9,203 @@ package delta
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/cowmap"
 	"repro/internal/relation"
 )
 
 // Delta is a set of signed tuple changes: positive counts are insertions
-// (plus tuples), negative counts are deletions (minus tuples). Entries with
-// count zero are removed eagerly, so Size is always the number of tuples
-// that actually change.
+// (plus tuples), negative counts are deletions (minus tuples).
 //
-// A delta is written by one goroutine at a time and not while another reads
-// it; reads may run together.
+// A delta is written, then sealed, then read. Add and AddEncoded append
+// changes in arrival order; Seal folds what was appended into the sealed
+// run, one row per changed tuple in ascending order of its encoded key
+// (Tuple.Encode), equal keys summed, zero counts dropped and every key's
+// tuple at hand. Every read — Scan, ScanEncoded, Digest, Size and the rest — walks
+// that run, so a batch folds in one order wherever it is read, and reads may
+// run together with no lock. A read of a delta holding appends that no Seal
+// has folded in panics with ErrUnsealed. A fresh delta is sealed and empty.
+//
+// A run is never written in place: Seal and Merge make a new one, so a Clone
+// shares its source's run.
 type Delta struct {
 	schema relation.Schema
-	rows   map[string]int64
+	run    []row
 	plus   int64 // total multiplicity of plus tuples
 	minus  int64 // total multiplicity of minus tuples (as a positive number)
-
-	// decoded is rows with every tuple decoded, made by the first Scan
-	// since the last change and read by every Scan after it — a staged delta
-	// is scanned once by each Comp over its view and once more by its
-	// install. decodeMu orders the readers that would make it together.
-	decodeMu sync.Mutex
-	decoded  []decodedRow
+	// tail is what was appended since the last Seal, in arrival order.
+	tail []change
 }
 
-// decodedRow is one entry of rows with its tuple beside it. The tuple is
-// shared by everyone who scans the delta and by the table that installs it.
-type decodedRow struct {
+// change is one append: a tuple's encoded key and a signed count.
+type change struct {
 	key   string
-	tup   relation.Tuple
 	count int64
 }
 
+// row is one row of a run: a change and its tuple, which Seal decodes from
+// the key. A run's tuples are shared by everyone who scans the delta and by
+// the table that installs it.
+type row struct {
+	change
+	tup relation.Tuple
+}
+
+// ErrUnsealed is what a read of a delta panics with when it holds appends
+// that no Seal has folded in.
+var ErrUnsealed = errors.New("delta: read of a delta with appends not sealed")
+
+// slabRows is how many minus tuples Seal decodes into one slab of values.
+// A plus tuple gets an allocation of its own: a table adopts it, and a slab
+// would stay allocated while any of its rows lived.
+const slabRows = 256
+
 // New creates an empty delta over the given schema.
 func New(schema relation.Schema) *Delta {
-	return &Delta{schema: schema.Clone(), rows: make(map[string]int64)}
+	return &Delta{schema: schema.Clone()}
 }
 
 // Schema returns the delta's schema.
 func (d *Delta) Schema() relation.Schema { return d.schema }
 
-// Add records count signed copies of the tuple (positive = insert, negative
-// = delete). Adding zero is a no-op. Opposite-signed additions cancel.
-func (d *Delta) Add(tup relation.Tuple, count int64) {
-	if count == 0 {
-		return
-	}
-	key := tup.Encode()
-	d.addKey(key, count)
-}
+// Add appends count signed copies of the tuple (positive = insert, negative
+// = delete). Adding zero is a no-op. Opposite-signed additions cancel when
+// the delta is sealed.
+func (d *Delta) Add(tup relation.Tuple, count int64) { d.AddEncoded(tup.Encode(), count) }
 
 // AddEncoded is Add for callers that already hold the tuple's Encode key,
-// sparing a second encoding on the sink path. key must be a valid
-// Tuple.Encode result over the delta's schema; Scan decodes it back.
+// sparing a second encoding on the sink path. key must be a Tuple.Encode
+// result over the delta's schema, which Seal checks.
 func (d *Delta) AddEncoded(key string, count int64) {
-	if count == 0 {
-		return
+	if count != 0 {
+		d.tail = append(d.tail, change{key, count})
 	}
-	d.addKey(key, count)
 }
 
-func (d *Delta) addKey(key string, count int64) {
-	d.decoded = nil
-	old := d.rows[key]
-	nw := old + count
-	if nw == 0 {
-		delete(d.rows, key)
-	} else {
-		d.rows[key] = nw
+// Seal folds the changes appended since the last Seal into the run: it
+// sorts them by key, sums equal keys, drops zero counts, decodes the tuples
+// left and merges their rows into the run. Sealing a sealed delta does
+// nothing. A key that is not a row of the schema's width is an error, which
+// discards the appended changes and leaves the run as it was.
+func (d *Delta) Seal() error {
+	if len(d.tail) == 0 {
+		return nil
 	}
-	// Update plus/minus totals from the transition old -> nw.
-	d.plus += pos(nw) - pos(old)
-	d.minus += pos(-nw) - pos(-old)
+	tail := d.tail
+	d.tail = nil
+	slices.SortFunc(tail, func(a, b change) int { return strings.Compare(a.key, b.key) })
+	width := len(d.schema)
+	fresh := make([]row, 0, len(tail))
+	minus := 0 // minus rows, whose tuples decode into slabs
+	for i := 0; i < len(tail); {
+		c := tail[i]
+		for i++; i < len(tail) && tail[i].key == c.key; i++ {
+			c.count += tail[i].count
+		}
+		if c.count == 0 {
+			continue
+		}
+		if n, err := relation.Arity(c.key); err != nil || n != width {
+			return fmt.Errorf("delta: %q is not the encoding of a row of %d values (%d, %v)", c.key, width, n, err)
+		}
+		if c.count < 0 {
+			minus++
+		}
+		fresh = append(fresh, row{change: c})
+	}
+	if 2*len(fresh) < cap(fresh) {
+		fresh = slices.Clone(fresh)
+	}
+	var slab []relation.Value
+	for i := range fresh {
+		switch r := &fresh[i]; {
+		case r.count > 0:
+			r.tup = make(relation.Tuple, width)
+		case len(slab) == 0:
+			slab = make([]relation.Value, min(slabRows, minus)*width)
+			fallthrough
+		default:
+			r.tup, slab, minus = slab[:width:width], slab[width:], minus-1
+		}
+		relation.DecodeInto(fresh[i].tup, fresh[i].key)
+	}
+	d.merge(fresh)
+	return nil
 }
 
-func pos(v int64) int64 {
-	if v > 0 {
-		return v
+// merge makes d's run the rows of its run and of b, another run: one linear
+// pass, equal keys summed and zero sums dropped, a key keeping the tuple of
+// d's row; either run is kept whole when the other is empty. It writes
+// neither run, and recounts the totals.
+func (d *Delta) merge(b []row) {
+	a, out := d.run, b
+	if len(b) == 0 {
+		out = a
+	} else if len(a) > 0 {
+		out = make([]row, 0, len(a)+len(b))
+		for len(a) > 0 && len(b) > 0 {
+			switch c := strings.Compare(a[0].key, b[0].key); {
+			case c < 0:
+				out, a = append(out, a[0]), a[1:]
+			case c > 0:
+				out, b = append(out, b[0]), b[1:]
+			default:
+				if r := a[0]; r.count+b[0].count != 0 {
+					r.count += b[0].count
+					out = append(out, r)
+				}
+				a, b = a[1:], b[1:]
+			}
+		}
+		out = append(append(out, a...), b...)
 	}
-	return 0
+	d.run, d.plus, d.minus = out, 0, 0
+	for _, r := range out {
+		if r.count > 0 {
+			d.plus += r.count
+		} else {
+			d.minus -= r.count
+		}
+	}
 }
 
-// Merge folds other into d. Schemas must match.
+// sealed returns the run, or panics with ErrUnsealed.
+func (d *Delta) sealed() []row {
+	if len(d.tail) > 0 {
+		panic(ErrUnsealed)
+	}
+	return d.run
+}
+
+// Merge folds other into d, both sealed: one linear merge of their runs.
+// Schemas must match.
 func (d *Delta) Merge(other *Delta) {
 	if !d.schema.Equal(other.schema) {
 		panic(fmt.Sprintf("delta: merge of incompatible schemas [%s] and [%s]", d.schema, other.schema))
 	}
-	for k, v := range other.rows {
-		d.addKey(k, v)
-	}
+	d.sealed()
+	d.merge(other.sealed())
 }
 
-// Scan calls fn for each changed tuple with its signed multiplicity.
-// Iteration stops early if fn returns false. Order is unspecified. The
-// tuples are decoded by the first Scan after a change and shared by the
-// later ones, so fn must not write to them.
+// Scan calls fn for each changed tuple with its signed multiplicity, in
+// ascending order of the tuple's encoded key. Iteration stops early if fn
+// returns false. The tuples are the run's, so fn must not write to them.
 func (d *Delta) Scan(fn func(tup relation.Tuple, count int64) bool) {
-	d.decodeMu.Lock()
-	if d.decoded == nil && len(d.rows) > 0 {
-		d.decoded = make([]decodedRow, 0, len(d.rows))
-		for key, count := range d.rows {
-			tup, err := relation.DecodeTuple(key)
-			if err != nil {
-				d.decodeMu.Unlock()
-				panic(fmt.Sprintf("delta: corrupt encoding: %v", err))
-			}
-			d.decoded = append(d.decoded, decodedRow{key, tup, count})
-		}
-	}
-	decoded := d.decoded
-	d.decodeMu.Unlock()
-	for _, r := range decoded {
+	for _, r := range d.sealed() {
 		if !fn(r.tup, r.count) {
 			return
 		}
 	}
 }
 
-// ScanKeyed is ScanEncoded for a caller that will want some of the tuples:
-// fn also gets each key's tuple when a Scan has decoded the delta since its
-// last change, and nil when none has — ScanKeyed decodes nothing itself. The
-// tuple is the one Scan hands out, read-only.
-func (d *Delta) ScanKeyed(fn func(key string, tup relation.Tuple, count int64) bool) {
-	d.decodeMu.Lock()
-	decoded := d.decoded
-	d.decodeMu.Unlock()
-	if decoded == nil {
-		d.ScanEncoded(func(key string, count int64) bool { return fn(key, nil, count) })
-		return
-	}
-	for _, r := range decoded {
+// ScanEncoded is Scan handing each changed tuple's encoded key beside its
+// tuple.
+func (d *Delta) ScanEncoded(fn func(key string, tup relation.Tuple, count int64) bool) {
+	for _, r := range d.sealed() {
 		if !fn(r.key, r.tup, r.count) {
 			return
 		}
@@ -153,68 +215,40 @@ func (d *Delta) ScanKeyed(fn func(key string, tup relation.Tuple, count int64) b
 // Size returns the total multiplicity of changed tuples, |plus| + |minus|.
 // This is the |δV| of the paper's linear work metric: the number of rows an
 // install (or a scan of the delta as a term operand) must touch.
-func (d *Delta) Size() int64 { return d.plus + d.minus }
+func (d *Delta) Size() int64 { d.sealed(); return d.plus + d.minus }
 
 // PlusCount returns the total multiplicity of inserted tuples.
-func (d *Delta) PlusCount() int64 { return d.plus }
+func (d *Delta) PlusCount() int64 { d.sealed(); return d.plus }
 
 // MinusCount returns the total multiplicity of deleted tuples.
-func (d *Delta) MinusCount() int64 { return d.minus }
-
-// NetGrowth returns |V'| - |V| for the view this delta applies to.
-func (d *Delta) NetGrowth() int64 { return d.plus - d.minus }
+func (d *Delta) MinusCount() int64 { d.sealed(); return d.minus }
 
 // Distinct returns the number of distinct changed tuples.
-func (d *Delta) Distinct() int { return len(d.rows) }
+func (d *Delta) Distinct() int { return len(d.sealed()) }
 
 // IsEmpty reports whether the delta changes nothing.
-func (d *Delta) IsEmpty() bool { return len(d.rows) == 0 }
+func (d *Delta) IsEmpty() bool { return len(d.sealed()) == 0 }
 
-// Clone returns an independent copy, which decodes its rows for itself when
-// it is first scanned.
+// Clone returns a copy of d that shares its sealed run; what was appended
+// since the last Seal is copied.
 func (d *Delta) Clone() *Delta {
-	out := New(d.schema)
-	out.plus, out.minus = d.plus, d.minus
-	for k, v := range d.rows {
-		out.rows[k] = v
-	}
-	return out
-}
-
-// Negate returns a delta that undoes d (plus and minus swapped).
-func (d *Delta) Negate() *Delta {
-	out := New(d.schema)
-	out.plus, out.minus = d.minus, d.plus
-	for k, v := range d.rows {
-		out.rows[k] = -v
-	}
-	return out
-}
-
-// ScanEncoded calls fn for each changed tuple's encoded key with its signed
-// multiplicity, sparing the decode Scan performs. Iteration stops early if
-// fn returns false. Order is unspecified.
-func (d *Delta) ScanEncoded(fn func(key string, count int64) bool) {
-	for key, count := range d.rows {
-		if !fn(key, count) {
-			return
-		}
-	}
+	out := *d
+	out.tail = slices.Clone(d.tail)
+	return &out
 }
 
 // Digest returns an order-independent fingerprint of the delta's contents:
 // the XOR over rows of CRC64(encoded tuple ‖ varint count), the CRC-64/ECMA
 // hash/crc64 gives, taken over the key's string in place (cowmap.Hash). Two
-// deltas holding the same bag of signed changes digest identically
-// regardless of accumulation order, which is what lets the window journal
-// compare a replayed step's installed delta against the journaled one across
-// execution modes.
+// deltas holding the same bag of signed changes digest identically, which is
+// what lets the window journal compare a replayed step's installed delta
+// against the journaled one across execution modes.
 func (d *Delta) Digest() uint64 {
 	var h uint64
 	var buf [binary.MaxVarintLen64]byte
-	for key, count := range d.rows {
-		n := binary.PutVarint(buf[:], count)
-		h ^= cowmap.Extend(cowmap.Hash(key), buf[:n])
+	for _, r := range d.sealed() {
+		n := binary.PutVarint(buf[:], r.count)
+		h ^= cowmap.Extend(cowmap.Hash(r.key), buf[:n])
 	}
 	return h
 }
@@ -222,14 +256,12 @@ func (d *Delta) Digest() uint64 {
 // Sorted returns the changes sorted lexicographically by tuple, for
 // deterministic output in tests and tools.
 func (d *Delta) Sorted() []Change {
-	out := make([]Change, 0, len(d.rows))
+	out := make([]Change, 0, d.Distinct())
 	d.Scan(func(tup relation.Tuple, count int64) bool {
 		out = append(out, Change{Tuple: tup, Count: count})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		return relation.CompareTuples(out[i].Tuple, out[j].Tuple) < 0
-	})
+	slices.SortFunc(out, func(a, b Change) int { return relation.CompareTuples(a.Tuple, b.Tuple) })
 	return out
 }
 

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math/rand"
 	"strings"
@@ -16,22 +17,32 @@ var schema = relation.Schema{{Name: "k", Kind: relation.KindInt}}
 
 func tup(i int64) relation.Tuple { return relation.Tuple{relation.NewInt(i)} }
 
+// sealed seals d for a test and returns it.
+func sealed(t testing.TB, d *Delta) *Delta {
+	t.Helper()
+	if err := d.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDeltaAddAndCounts(t *testing.T) {
 	d := New(schema)
 	d.Add(tup(1), 3)
 	d.Add(tup(2), -2)
-	if d.PlusCount() != 3 || d.MinusCount() != 2 || d.Size() != 5 || d.NetGrowth() != 1 {
-		t.Errorf("counts = +%d -%d size %d net %d", d.PlusCount(), d.MinusCount(), d.Size(), d.NetGrowth())
+	sealed(t, d)
+	if d.PlusCount() != 3 || d.MinusCount() != 2 || d.Size() != 5 {
+		t.Errorf("counts = +%d -%d size %d", d.PlusCount(), d.MinusCount(), d.Size())
 	}
 	d.Add(tup(1), -3) // cancel
-	if d.PlusCount() != 0 || d.Size() != 2 {
+	if sealed(t, d).PlusCount() != 0 || d.Size() != 2 {
 		t.Errorf("after cancel: +%d size %d", d.PlusCount(), d.Size())
 	}
 	if d.IsEmpty() {
 		t.Errorf("delta should not be empty")
 	}
 	d.Add(tup(2), 2)
-	if !d.IsEmpty() {
+	if !sealed(t, d).IsEmpty() {
 		t.Errorf("delta should be empty after full cancel")
 	}
 	d.Add(tup(5), 0) // no-op
@@ -44,7 +55,7 @@ func TestDeltaSignTransition(t *testing.T) {
 	d := New(schema)
 	d.Add(tup(1), 2)
 	d.Add(tup(1), -5) // 2 -> -3: plus goes 2->0, minus 0->3
-	if d.PlusCount() != 0 || d.MinusCount() != 3 {
+	if sealed(t, d).PlusCount() != 0 || d.MinusCount() != 3 {
 		t.Errorf("after sign flip: +%d -%d", d.PlusCount(), d.MinusCount())
 	}
 }
@@ -55,7 +66,7 @@ func TestDeltaMerge(t *testing.T) {
 	b := New(schema)
 	b.Add(tup(1), -1)
 	b.Add(tup(2), 4)
-	a.Merge(b)
+	sealed(t, a).Merge(sealed(t, b))
 	ch := a.Sorted()
 	if len(ch) != 2 || ch[0].Count != 1 || ch[1].Count != 4 {
 		t.Errorf("merged = %v", ch)
@@ -77,16 +88,18 @@ func TestDeltaNegateClone(t *testing.T) {
 	d := New(schema)
 	d.Add(tup(1), 2)
 	d.Add(tup(2), -3)
-	n := d.Negate()
-	if n.PlusCount() != 3 || n.MinusCount() != 2 {
+	n := New(schema)
+	sealed(t, d).Scan(func(tp relation.Tuple, count int64) bool { n.Add(tp, -count); return true })
+	if sealed(t, n).PlusCount() != 3 || n.MinusCount() != 2 {
 		t.Errorf("negate counts = +%d -%d", n.PlusCount(), n.MinusCount())
 	}
 	c := d.Clone()
 	c.Add(tup(1), 10)
+	sealed(t, c)
 	if d.Sorted()[0].Count != 2 {
 		t.Errorf("Clone aliases state")
 	}
-	d.Merge(n) // d + (-d) = 0... wait n is negate of original d, and d unchanged
+	d.Merge(n) // d + (-d) = 0
 	if !d.IsEmpty() {
 		t.Errorf("d + negate(d) should be empty")
 	}
@@ -102,9 +115,9 @@ func TestDeltaCountsInvariantQuick(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d.Add(tup(int64(keys[i]%4)), int64(counts[i]))
 		}
-		// Recompute plus/minus from scratch and compare to incremental totals.
+		// Recompute plus/minus from scratch and compare to the sealed totals.
 		var plus, minus int64
-		d.Scan(func(_ relation.Tuple, c int64) bool {
+		sealed(t, d).Scan(func(_ relation.Tuple, c int64) bool {
 			if c > 0 {
 				plus += c
 			} else {
@@ -304,34 +317,35 @@ func scanned(d *Delta) map[int64]relation.Tuple {
 // ones.
 func sameTuple(a, b relation.Tuple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-// TestScanDecodesOncePerChange: the tuples of a second Scan are the first
-// Scan's, a change drops them (and the next Scan sees it), and a clone
-// decodes for itself.
+// TestScanDecodesOncePerChange: Seal decodes each tuple once — every Scan,
+// and every clone, hands out the same tuples — and a Seal that folds in a
+// change decodes only the tuples new to the run: the rows it keeps keep
+// their tuples, and so do those a Merge keeps.
 func TestScanDecodesOncePerChange(t *testing.T) {
 	d := New(schema)
 	for i := int64(1); i <= 4; i++ {
 		d.Add(tup(i), i)
 	}
-	first, second := scanned(d), scanned(d)
+	first, second := scanned(sealed(t, d)), scanned(d)
 	for k, tp := range first {
 		if !sameTuple(tp, second[k]) {
 			t.Fatalf("tuple %d was decoded again by the second Scan", k)
 		}
 	}
-	if c := scanned(d.Clone()); len(c) != 4 || sameTuple(c[1], first[1]) {
-		t.Fatalf("a clone scans %d tuples, sharing=%v; want 4 of its own", len(c), sameTuple(c[1], first[1]))
+	if c := scanned(d.Clone()); len(c) != 4 || !sameTuple(c[1], first[1]) {
+		t.Fatalf("a clone scans %d tuples, sharing=%v; want the same 4", len(c), sameTuple(c[1], first[1]))
 	}
 
 	d.Add(tup(1), -1) // cancels tuple 1
 	d.AddEncoded(tup(9).Encode(), 2)
-	after := scanned(d)
-	if _, ok := after[1]; ok || len(after) != 4 || after[9] == nil {
+	after := scanned(sealed(t, d))
+	if _, ok := after[1]; ok || len(after) != 4 || after[9] == nil || !sameTuple(after[3], first[3]) {
 		t.Fatalf("Scan after a change walks %v", after)
 	}
 	other := New(schema)
 	other.Add(tup(2), -2)
-	d.Merge(other)
-	if after = scanned(d); len(after) != 3 || after[2] != nil {
+	d.Merge(sealed(t, other))
+	if after = scanned(d); len(after) != 3 || after[2] != nil || !sameTuple(after[4], first[4]) {
 		t.Fatalf("Scan after a merge walks %v", after)
 	}
 
@@ -346,80 +360,123 @@ func TestScanDecodesOncePerChange(t *testing.T) {
 	})
 }
 
-// TestScanKeyedHandsOutDecodedTuples: nil tuples until a Scan has decoded
-// the delta, that Scan's tuples afterwards, nil again after a change — and
-// the keys and counts of ScanEncoded throughout.
-func TestScanKeyedHandsOutDecodedTuples(t *testing.T) {
+// TestScanEncodedHandsOutTheRun: ScanEncoded walks Scan's rows, each key
+// beside the tuple Seal decoded from it, in ascending key order.
+func TestScanEncodedHandsOutTheRun(t *testing.T) {
 	d := New(schema)
-	d.Add(tup(1), 1)
-	d.Add(tup(2), -2)
-	keyed := func() (tuples int, counts map[string]int64) {
-		counts = make(map[string]int64)
-		d.ScanKeyed(func(key string, tp relation.Tuple, count int64) bool {
-			counts[key] = count
-			if tp != nil {
-				if tp.Encode() != key {
-					t.Fatalf("key %q came with tuple %v", key, tp)
-				}
-				tuples++
-			}
-			return true
-		})
-		return tuples, counts
+	for _, i := range []int64{300, -2, 7, 1 << 40, 0} {
+		d.Add(tup(i), i%5+1)
 	}
-	want := map[string]int64{tup(1).Encode(): 1, tup(2).Encode(): -2}
-	check := func(when string, wantTuples int) {
-		t.Helper()
-		tuples, counts := keyed()
-		if tuples != wantTuples || len(counts) != len(want) {
-			t.Fatalf("%s: %d tuples, changes %v; want %d tuples, %v", when, tuples, counts, wantTuples, want)
+	first := scanned(sealed(t, d))
+	prev := ""
+	n := 0
+	d.ScanEncoded(func(key string, tp relation.Tuple, count int64) bool {
+		if n > 0 && key <= prev {
+			t.Fatalf("key %q after %q", key, prev)
 		}
-		for k, c := range want {
-			if counts[k] != c {
-				t.Fatalf("%s: changes %v, want %v", when, counts, want)
-			}
+		if tp.Encode() != key || !sameTuple(tp, first[tp[0].Int()]) || count != tp[0].Int()%5+1 {
+			t.Fatalf("key %q came with tuple %v, count %d", key, tp, count)
 		}
-	}
-	check("before any Scan", 0)
-	first := scanned(d)
-	check("after a Scan", 2)
-	d.ScanKeyed(func(_ string, tp relation.Tuple, _ int64) bool {
-		if !sameTuple(tp, first[tp[0].Int()]) {
-			t.Fatalf("ScanKeyed decoded tuple %v again", tp)
-		}
+		prev, n = key, n+1
 		return true
 	})
-	d.Add(tup(3), 3)
-	want[tup(3).Encode()] = 3
-	check("after a change", 0)
+	if n != 5 {
+		t.Fatalf("ScanEncoded walked %d rows, want 5", n)
+	}
 }
 
-// TestConcurrentScansDecodeOnce: two DAG workers may run Comps over one view
-// together; both read the tuples one of them decoded (run with -race).
+// TestConcurrentScansDecodeOnce: DAG workers read one sealed δ together —
+// the Comps of its parents and its install. Eight goroutines Scan,
+// ScanEncoded, Digest and Sort one sealed delta at once, with no lock (run
+// with -race), and all see the tuples its Seal decoded.
 func TestConcurrentScansDecodeOnce(t *testing.T) {
 	d := New(schema)
 	for i := int64(0); i < 256; i++ {
-		d.Add(tup(i), 1)
+		d.Add(tup(i), i%3-1)
 	}
-	const scanners = 4
-	got := make([]map[int64]relation.Tuple, scanners)
+	sealed(t, d)
+	want, digest := scanned(d), d.Digest()
+	const readers = 8
+	errs := make(chan string, readers)
 	var wg sync.WaitGroup
-	for g := range got {
+	for g := range readers {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			got[g] = scanned(d)
-		}(g)
+			for round := 0; round < 20; round++ {
+				got := scanned(d)
+				d.ScanEncoded(func(key string, tp relation.Tuple, _ int64) bool {
+					if !sameTuple(tp, got[tp[0].Int()]) {
+						errs <- fmt.Sprintf("reader %d: ScanEncoded and Scan disagree on %q", g, key)
+						return false
+					}
+					return true
+				})
+				if d.Digest() != digest || len(d.Sorted()) != len(want) || len(got) != len(want) {
+					errs <- fmt.Sprintf("reader %d: digest, Sorted or Scan changed under readers", g)
+				}
+				for k, tp := range want {
+					if !sameTuple(tp, got[k]) {
+						errs <- fmt.Sprintf("reader %d holds another decoding of tuple %d", g, k)
+						break
+					}
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	for g := 1; g < scanners; g++ {
-		if len(got[g]) != 256 {
-			t.Fatalf("scanner %d saw %d tuples", g, len(got[g]))
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestReadOfUnsealedDeltaPanics: every read of a delta holding appends no
+// Seal has folded in panics with ErrUnsealed — there is no lazy seal — and a
+// fresh delta reads as sealed and empty.
+func TestReadOfUnsealedDeltaPanics(t *testing.T) {
+	if d := New(schema); !d.IsEmpty() || d.Size() != 0 {
+		t.Fatal("a fresh delta is not empty")
+	}
+	reads := map[string]func(d *Delta){
+		"Scan":        func(d *Delta) { d.Scan(func(relation.Tuple, int64) bool { return true }) },
+		"ScanEncoded": func(d *Delta) { d.ScanEncoded(func(string, relation.Tuple, int64) bool { return true }) },
+		"Digest":      func(d *Delta) { d.Digest() },
+		"Size":        func(d *Delta) { d.Size() },
+		"Distinct":    func(d *Delta) { d.Distinct() },
+		"IsEmpty":     func(d *Delta) { d.IsEmpty() },
+		"Sorted":      func(d *Delta) { d.Sorted() },
+		"Merge":       func(d *Delta) { New(schema).Merge(d) },
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			d := New(schema)
+			d.Add(tup(1), 1)
+			sealed(t, d)
+			d.Add(tup(2), 1)
+			defer func() {
+				if r := recover(); r != ErrUnsealed {
+					t.Fatalf("%s of an unsealed delta recovered %v, want ErrUnsealed", name, r)
+				}
+			}()
+			read(d)
+		})
+	}
+}
+
+// TestSealRefusesABadKey: a key that is not a row of the schema's width is
+// Seal's error, which leaves the run as it was.
+func TestSealRefusesABadKey(t *testing.T) {
+	d := New(schema)
+	d.Add(tup(1), 1)
+	sealed(t, d)
+	for _, key := range []string{"\xff", relation.Tuple{relation.NewInt(1), relation.NewInt(2)}.Encode()} {
+		d.AddEncoded(key, 1)
+		if err := d.Seal(); err == nil {
+			t.Fatalf("Seal took key %q", key)
 		}
-		for k, tp := range got[0] {
-			if !sameTuple(tp, got[g][k]) {
-				t.Fatalf("scanners 0 and %d hold different decodings of tuple %d", g, k)
-			}
+		if d.Size() != 1 {
+			t.Fatalf("a refused Seal left %d rows", d.Size())
 		}
 	}
 }
@@ -439,7 +496,7 @@ func TestDigestIsTheCRCOfKeyAndCount(t *testing.T) {
 		}
 		var want uint64
 		var buf [binary.MaxVarintLen64]byte
-		d.ScanEncoded(func(key string, count int64) bool {
+		sealed(t, d).ScanEncoded(func(key string, _ relation.Tuple, count int64) bool {
 			crc := crc64.Update(0, table, []byte(key))
 			want ^= crc64.Update(crc, table, buf[:binary.PutVarint(buf[:], count)])
 			return true
@@ -447,5 +504,123 @@ func TestDigestIsTheCRCOfKeyAndCount(t *testing.T) {
 		if got := d.Digest(); got != want {
 			t.Fatalf("trial %d: Digest %016x, CRC of key and count %016x", trial, got, want)
 		}
+	}
+}
+
+// FuzzSealedDelta applies drawn Add, AddEncoded, Merge and Seal sequences to
+// a delta and to a reference map of signed counts, and after every Seal
+// holds the run to the map: keys strictly ascending, each tuple its key
+// decoded, no zero count, and Size, PlusCount, MinusCount, Distinct and
+// Digest the map's. Each op is three bytes: the op, a row and a count.
+func FuzzSealedDelta(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 1, 1, 254, 3, 0, 0})
+	f.Add([]byte{0, 17, 5, 2, 17, 251, 0, 40, 1, 3, 0, 0, 1, 40, 255, 3, 0, 0})
+	f.Add([]byte{2, 3, 7, 0, 3, 249, 2, 200, 128, 3, 0, 0})
+	schema := relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "s", Kind: relation.KindString}}
+	row := func(b byte) relation.Tuple {
+		return relation.Tuple{relation.NewInt(int64(b%16) - 8), relation.NewString(strings.Repeat("x", int(b/16)))}
+	}
+	ecma := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := New(schema)
+		ref, appended := make(map[string]int64), make(map[string]int64)
+		seal := func() {
+			sealed(t, d)
+			for k, c := range appended {
+				ref[k] += c
+			}
+			clear(appended)
+			var plus, minus int64
+			var digest uint64
+			var buf [binary.MaxVarintLen64]byte
+			n := 0
+			for k, c := range ref {
+				switch {
+				case c > 0:
+					plus += c
+				case c < 0:
+					minus -= c
+				default:
+					continue
+				}
+				n++
+				digest ^= crc64.Update(crc64.Update(0, ecma, []byte(k)), ecma, buf[:binary.PutVarint(buf[:], c)])
+			}
+			prev, rows := "", 0
+			d.ScanEncoded(func(key string, tp relation.Tuple, count int64) bool {
+				if rows > 0 && key <= prev {
+					t.Fatalf("key %q after %q", key, prev)
+				}
+				if count == 0 || count != ref[key] || tp.Encode() != key {
+					t.Fatalf("row %v (%q) count %d, the reference holds %d", tp, key, count, ref[key])
+				}
+				prev, rows = key, rows+1
+				return true
+			})
+			if rows != n || d.Distinct() != n || d.PlusCount() != plus || d.MinusCount() != minus || d.Size() != plus+minus || d.Digest() != digest {
+				t.Fatalf("run of %d rows (distinct %d) +%d -%d size %d digest %016x; the reference holds %d rows +%d -%d digest %016x",
+					rows, d.Distinct(), d.PlusCount(), d.MinusCount(), d.Size(), d.Digest(), n, plus, minus, digest)
+			}
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			tp, count := row(ops[1]), int64(int8(ops[2]))
+			switch ops[0] % 4 {
+			case 0:
+				d.Add(tp, count)
+				appended[tp.Encode()] += count
+			case 1:
+				d.AddEncoded(tp.Encode(), count)
+				appended[tp.Encode()] += count
+			case 2:
+				// A sealed delta of two rows, the second cancelling part of
+				// the first's neighbour, merged into d sealed.
+				seal()
+				o := New(schema)
+				o.Add(tp, count)
+				o.Add(row(ops[1]+1), -count/2)
+				d.Merge(sealed(t, o))
+				ref[tp.Encode()] += count
+				ref[row(ops[1]+1).Encode()] -= count / 2
+			default:
+				seal()
+			}
+		}
+		seal()
+	})
+}
+
+// BenchmarkSeal prices a delta of LINEITEM-shaped rows — seven columns,
+// half of them inserts and half deletes — from its appends to its first
+// read: Add of every row, Seal, and Digest, at a serve-ingest batch's size
+// and at a batch-seq window's. ns/row is per row.
+func BenchmarkSeal(b *testing.B) {
+	schema := relation.Schema{
+		{Name: "orderkey", Kind: relation.KindInt}, {Name: "partkey", Kind: relation.KindInt},
+		{Name: "suppkey", Kind: relation.KindInt}, {Name: "linenumber", Kind: relation.KindInt},
+		{Name: "quantity", Kind: relation.KindFloat}, {Name: "price", Kind: relation.KindFloat},
+		{Name: "shipdate", Kind: relation.KindDate},
+	}
+	for _, n := range []int{610, 24_000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		rows := make([]relation.Tuple, n)
+		for i := range rows {
+			rows[i] = relation.Tuple{relation.NewInt(rng.Int63n(600_000)), relation.NewInt(rng.Int63n(20_000)),
+				relation.NewInt(rng.Int63n(1_000)), relation.NewInt(int64(i % 7)), relation.NewFloat(float64(rng.Intn(50))),
+				relation.NewFloat(float64(rng.Intn(10_000_000)) / 100), relation.NewDate(8_000 + rng.Int63n(2_500))}
+		}
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := New(schema)
+				for j, r := range rows {
+					d.Add(r, int64(1-2*(j%2)))
+				}
+				if err := d.Seal(); err != nil {
+					b.Fatal(err)
+				}
+				d.Digest()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
 	}
 }

@@ -18,13 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/relation"
 	"repro/internal/strategy"
 	"repro/internal/vdag"
 )
@@ -88,10 +86,11 @@ type StepReport struct {
 	// it.
 	core.EngineCounters
 	// Digest fingerprints the delta an Inst step installed (see
-	// delta.Digest); 0 for Comp steps and for views whose float-valued
-	// columns make bit-exact digests unsound across evaluation orders. The
-	// window journal records it so recovery can verify a replayed install
-	// against the crashed run.
+	// delta.Digest); 0 for Comp steps. Float columns included: a batch's
+	// sealed deltas are read in key order, so replaying a window over the
+	// same store history folds every float sum in the same order. The window
+	// journal records it so recovery can verify a replayed install against
+	// the crashed run, and a follower against its leader.
 	Digest uint64
 }
 
@@ -235,13 +234,7 @@ func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *fault
 			return step, ierr
 		}
 		step.Work = n
-		// A view with a float column digests to 0: float accumulation order
-		// varies across evaluation modes, so bit-exact digests would be
-		// unsound there.
-		float := func(c relation.Column) bool { return c.Kind == relation.KindFloat }
-		if !slices.ContainsFunc(w.View(x.View).Schema(), float) {
-			step.Digest = digest
-		}
+		step.Digest = digest
 	default:
 		return step, fmt.Errorf("unknown expression type %T", e)
 	}

@@ -263,9 +263,14 @@ func (in *Ingester) highWaterMark() int {
 // error the changes are accepted: queued for the next micro-batch and, when
 // journaled, durable — they will reach a committed window exactly once, crash
 // or no crash. Safe for concurrent producers, whose accepts share flushes.
+// Submit seals a copy of d, so a producer that keeps d keeps no decoded tuples.
 func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
-	if d == nil || d.IsEmpty() {
+	if d == nil {
 		return nil
+	}
+	d = d.Clone()
+	if err := d.Seal(); err != nil || d.IsEmpty() {
+		return err
 	}
 	e := newEntry(journal.AcceptRecord{Batch: []journal.ViewBatch{{View: view, Rows: recovery.RowsOf(d)}}})
 	n := e.n
@@ -551,18 +556,27 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 		if err := in.cfg.Faults.Hit(pointStage); err != nil {
 			return err
 		}
+		// The entries fold into one delta a view, so StageDelta seals each
+		// view's share of the batch once.
+		deltas := make(map[string]*warehouse.Delta)
 		for _, e := range b.entries {
 			for _, vb := range e.Batch {
-				d, err := w.NewDelta(vb.View)
-				if err != nil {
-					return err
+				d := deltas[vb.View]
+				if d == nil {
+					var err error
+					if d, err = w.NewDelta(vb.View); err != nil {
+						return err
+					}
+					deltas[vb.View] = d
 				}
 				for _, rc := range vb.Rows {
 					d.AddEncoded(rc.Key, rc.Count)
 				}
-				if err := w.StageDelta(vb.View, d); err != nil {
-					return err
-				}
+			}
+		}
+		for view, d := range deltas {
+			if err := w.StageDelta(view, d); err != nil {
+				return err
 			}
 		}
 		b.staged = true

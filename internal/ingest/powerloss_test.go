@@ -117,7 +117,9 @@ func TestSubmitsShareAFlush(t *testing.T) {
 		seqOf[a.Batch[0].Rows[0].Key] = a.Seq
 	}
 	for g := range sets {
-		seq := seqOf[recovery.RowsOf(sets[g].delta(t, w))[0].Key]
+		d := sets[g].delta(t, w)
+		d.Seal()
+		seq := seqOf[recovery.RowsOf(d)[0].Key]
 		if seq == 0 || durableAt[g] < ends[seq-1] {
 			t.Fatalf("Submit %d returned with %d bytes durable, its accept %d ends at %d", g, durableAt[g], seq, ends[seq-1])
 		}

@@ -182,9 +182,9 @@ type StepRecord struct {
 	Terms int
 	// Skipped marks a Comp elided by the empty-delta optimization.
 	Skipped bool
-	// Digest fingerprints the delta an Inst step installed; 0 when not
-	// digested (Comp steps, and views whose float-valued aggregates make
-	// bit-exact digests unsound across evaluation orders).
+	// Digest fingerprints the delta an Inst step installed; 0 for a Comp
+	// step. A replay over the same store history folds float aggregates in
+	// the same order, so it digests them bit for bit too.
 	Digest uint64
 }
 

@@ -10,20 +10,20 @@ import (
 	"repro/internal/cowmap"
 	"repro/internal/delta"
 	"repro/internal/journal"
+	"repro/internal/relation"
 )
 
 // This file joins the journal's records to the warehouse they describe: a
 // staged batch as the rows an accept record carries and back, and the state
 // digest a begin record and every replica check.
 
-// RowsOf lists a delta's row changes, sorted by key for deterministic bytes.
+// RowsOf lists a sealed delta's row changes in its run's order, by key.
 func RowsOf(d *delta.Delta) []journal.RowChange {
 	rows := make([]journal.RowChange, 0, d.Distinct())
-	d.ScanEncoded(func(key string, count int64) bool {
+	d.ScanEncoded(func(key string, _ relation.Tuple, count int64) bool {
 		rows = append(rows, journal.RowChange{Key: key, Count: count})
 		return true
 	})
-	slices.SortFunc(rows, func(a, b journal.RowChange) int { return strings.Compare(a.Key, b.Key) })
 	return rows
 }
 
@@ -35,56 +35,34 @@ func BatchOf(w *core.Warehouse) ([]journal.ViewBatch, error) {
 }
 
 // stagedBatch is one pass over a warehouse's staged base-view deltas that
-// computes their journal.BatchDigest — as the sum it is, in whatever order
-// the rows come — and, when collect is set, collects them as BatchOf does:
-// every row into one slice, each view's sorted once by key, the views by
+// computes their journal.BatchDigest and, when collect is set, collects them
+// as BatchOf does: each view's rows in its run's order (by key), the views by
 // name. A window that journals no batch of its own digests without
 // collecting.
 func stagedBatch(w *core.Warehouse, collect bool) ([]journal.ViewBatch, uint64, error) {
-	type staged struct {
-		name string
-		d    *delta.Delta
-	}
-	var (
-		views []staged
-		rows  int
-	)
-	g := w.Graph()
-	for id := int32(0); id < int32(g.Len()); id++ {
-		if v := w.ViewAt(id); v.IsBase() && v.HasPending() {
-			d, err := w.DeltaOf(v.Name())
-			if err != nil {
-				return nil, 0, err
-			}
-			views = append(views, staged{v.Name(), d})
-			rows += d.Distinct()
-		}
-	}
 	var (
 		batch  []journal.ViewBatch
-		all    []journal.RowChange
 		digest uint64
 	)
-	if collect {
-		slices.SortFunc(views, func(a, b staged) int { return strings.Compare(a.name, b.name) })
-		batch, all = make([]journal.ViewBatch, 0, len(views)), make([]journal.RowChange, 0, rows)
-	}
-	for _, sv := range views {
-		seed := journal.ViewSeed(sv.name)
-		start := len(all)
-		sv.d.ScanEncoded(func(key string, count int64) bool {
+	for id := int32(0); id < int32(w.Graph().Len()); id++ {
+		v := w.ViewAt(id)
+		if !v.IsBase() || !v.HasPending() {
+			continue
+		}
+		d, err := w.DeltaOf(v.Name())
+		if err != nil {
+			return nil, 0, err
+		}
+		seed := journal.ViewSeed(v.Name())
+		d.ScanEncoded(func(key string, _ relation.Tuple, count int64) bool {
 			digest += journal.RowDigest(seed, key, count)
-			if collect {
-				all = append(all, journal.RowChange{Key: key, Count: count})
-			}
 			return true
 		})
 		if collect {
-			rows := all[start:len(all):len(all)]
-			slices.SortFunc(rows, func(a, b journal.RowChange) int { return strings.Compare(a.Key, b.Key) })
-			batch = append(batch, journal.ViewBatch{View: sv.name, Rows: rows})
+			batch = append(batch, journal.ViewBatch{View: v.Name(), Rows: RowsOf(d)})
 		}
 	}
+	slices.SortFunc(batch, func(a, b journal.ViewBatch) int { return strings.Compare(a.View, b.View) })
 	return batch, digest, nil
 }
 

@@ -161,7 +161,7 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 		{"compiled from the catalog", "a function of the definitions alone: the join orders a view's Comps run, compiled at their first call, and the VDAG, built per catalog version",
 			[]string{"View.orders", "Warehouse.graph"}},
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
-			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.sharedDelta", "View.mu"}},
+			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",
 			[]string{"Warehouse.opts"}},
 	}

@@ -220,7 +220,7 @@ func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return d, d.Seal()
 }
 
 // mutable returns e, the stored entry of a group that exists, as one this

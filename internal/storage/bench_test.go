@@ -82,7 +82,19 @@ func benchBatch() (d, undo *delta.Delta) {
 		d.Add(lineItemRow(i*7), -1)
 		d.Add(lineItemRow(benchRows+i), 1)
 	}
-	return d, d.Negate()
+	d.Seal()
+	return d, negate(d)
+}
+
+// negate returns the sealed delta that undoes d, itself sealed.
+func negate(d *delta.Delta) *delta.Delta {
+	out := delta.New(d.Schema())
+	d.Scan(func(tup relation.Tuple, count int64) bool {
+		out.Add(tup, -count)
+		return true
+	})
+	out.Seal()
+	return out
 }
 
 // BenchmarkTableCloneDetach is what a window pays to get a LINEITEM it may
@@ -323,7 +335,9 @@ func wideFirstColumnTable(fan int64, placed bool) (*Table, *delta.Delta) {
 		d.Add(row(i*7), -1)
 		d.Add(row(benchRows+i), 1)
 	}
-	for _, batch := range []*delta.Delta{rest, d, d.Negate()} {
+	rest.Seal()
+	d.Seal()
+	for _, batch := range []*delta.Delta{rest, d, negate(d)} {
 		if _, err := t.ApplyDelta(batch); err != nil {
 			panic(err)
 		}

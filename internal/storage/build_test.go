@@ -157,6 +157,7 @@ func TestBulkBuildRetention(t *testing.T) {
 			d.Add(lineItemRow(i), -1)
 		}
 	}
+	d.Seal()
 	if _, err := kept.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}

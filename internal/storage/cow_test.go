@@ -94,6 +94,7 @@ func TestTableApplyDeltaDetaches(t *testing.T) {
 	d := delta.New(testSchema())
 	d.Add(cowRow(1, "x"), -1)
 	d.Add(cowRow(2, "y"), 3)
+	d.Seal()
 	if _, err := b.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +190,7 @@ func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 	d := delta.New(testSchema())
 	d.Add(cowRow(0, "v0"), 2)
 	d.Add(cowRow(150, "new"), -1)
+	d.Seal()
 	if _, err := next.ApplyDelta(d); err != nil {
 		t.Error(err)
 	}
@@ -347,6 +349,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			ps.Accumulate(relation.Tuple{relation.NewInt(id % 40)}, []relation.Value{relation.NewInt(id), relation.Null}, count)
 			pe.Accumulate(relation.Tuple{}, []relation.Value{relation.NewInt(id), relation.NewInt(id)}, count)
 		}
+		d.Seal()
 		if _, err := tbl.ApplyDelta(d); err != nil {
 			t.Error(err)
 		}

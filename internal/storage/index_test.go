@@ -430,6 +430,7 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 					}
 					return true
 				})
+				d.Seal()
 				if _, err := tbl.ApplyDelta(d); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
@@ -552,6 +553,7 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
+			d.Seal()
 			if _, err := tbl.Clone().ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
@@ -579,6 +581,7 @@ func TestIndexProbeAllocatesNothing(t *testing.T) {
 		if placed {
 			d := delta.New(testSchema())
 			d.Add(cowRow(0, "new"), 1)
+			d.Seal()
 			if _, err := tbl.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}

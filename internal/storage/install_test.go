@@ -148,6 +148,7 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 				t.Fatalf("seed %d batch %d: Apply installed %d rows, digest %016x; the finalized delta has %d, %016x",
 					seed, batch, rows, digest, d.Size(), d.Digest())
 			}
+			d.Seal()
 			if _, err := before.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
@@ -266,6 +267,7 @@ func TestApplyDeltaReportsTheDeltaDigest(t *testing.T) {
 			for i := rng.Intn(8); i > 0; i-- {
 				add(rng.Int63n(60), 1+rng.Int63n(3)) // insert, or more copies
 			}
+			d.Seal()
 			digest, err := tbl.ApplyDelta(d)
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", shape.name, batch, err)

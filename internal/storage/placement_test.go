@@ -95,12 +95,14 @@ func TestPlacementDifferential(t *testing.T) {
 					}
 				}
 			}()
+			d.Seal()
 			_, err := tbl.ApplyDelta(d)
 			close(stop)
 			reader.Wait()
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
+			d.Seal()
 			if _, err := twin.ApplyDelta(d); err != nil {
 				t.Fatalf("%s: twin: %v", what, err)
 			}
@@ -162,6 +164,7 @@ func TestWideFirstColumnKeepsItsPostings(t *testing.T) {
 		tbl.JoinIndex([]int{0})
 		d := delta.New(schema)
 		d.Add(row(0, "new"), 1)
+		d.Seal()
 		if _, err := tbl.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
@@ -254,6 +257,7 @@ func TestPlacedFirstValuesThatCollide(t *testing.T) {
 	d := delta.New(sch)
 	d.Add(row(zero, 2), 1)
 	d.Add(row(pattern, 3), 2)
+	d.Seal()
 	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}

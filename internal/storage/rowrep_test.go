@@ -41,6 +41,7 @@ func TestStoredTupleIsPrivate(t *testing.T) {
 
 	d := delta.New(testSchema())
 	d.Add(cowRow(2, "b"), 3)
+	d.Seal()
 	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +89,7 @@ func TestScanMatchesScanEncoded(t *testing.T) {
 				if r := randRow(); tbl.Count(r) > 0 {
 					d.Add(r, -1)
 				}
+				d.Seal()
 				if _, err := tbl.ApplyDelta(d); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

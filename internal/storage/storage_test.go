@@ -97,6 +97,7 @@ func TestApplyDelta(t *testing.T) {
 	d := delta.New(schema)
 	d.Add(row(1, "a"), -1)
 	d.Add(row(2, "b"), 3)
+	d.Seal()
 	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +106,26 @@ func TestApplyDelta(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaAdoptsDecodedTuples: a delta that a Comp has scanned installs
-// the tuples that scan decoded, for the rows new to the table, and the table
-// is the one an unscanned copy of the delta gives.
+// TestApplyDeltaAdoptsDecodedTuples: a delta installs the tuples its Seal
+// decoded, for the rows new to the table, and the table is the one the same
+// changes made row by row give.
 func TestApplyDeltaAdoptsDecodedTuples(t *testing.T) {
-	build := func() (*Table, *delta.Delta) {
-		tbl := NewTable(schema)
-		tbl.Insert(row(1, "a"), 2)
-		tbl.Insert(row(3, "c"), 1)
-		d := delta.New(schema)
-		d.Add(row(1, "a"), 1)  // a row the table holds
-		d.Add(row(2, "b"), 3)  // a new row
-		d.Add(row(3, "c"), -1) // a delete
-		return tbl, d
+	tbl, plain := NewTable(schema), NewTable(schema)
+	for _, x := range []*Table{tbl, plain} {
+		x.Insert(row(1, "a"), 2)
+		x.Insert(row(3, "c"), 1)
 	}
-	plain, d0 := build()
-	if _, err := plain.ApplyDelta(d0); err != nil {
+	d := delta.New(schema)
+	d.Add(row(1, "a"), 1)  // a row the table holds
+	d.Add(row(2, "b"), 3)  // a new row
+	d.Add(row(3, "c"), -1) // a delete
+	d.Seal()
+	plain.Insert(row(1, "a"), 1)
+	plain.Insert(row(2, "b"), 3)
+	if err := plain.Delete(row(3, "c"), 1); err != nil {
 		t.Fatal(err)
 	}
 
-	tbl, d := build()
 	decoded := make(map[string]relation.Tuple)
 	d.Scan(func(tp relation.Tuple, _ int64) bool {
 		decoded[tp.Encode()] = tp
@@ -134,7 +135,7 @@ func TestApplyDeltaAdoptsDecodedTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tbl.Equal(plain) || tbl.Digest() != plain.Digest() || tbl.Cardinality() != plain.Cardinality() {
-		t.Fatalf("installing a scanned delta gives %v, an unscanned one %v", tbl.SortedRows(), plain.SortedRows())
+		t.Fatalf("installing the delta gives %v, the same changes row by row %v", tbl.SortedRows(), plain.SortedRows())
 	}
 	if err := tbl.CheckDigest(); err != nil {
 		t.Fatal(err)
@@ -158,6 +159,7 @@ func TestApplyDeltaValidatesBeforeMutating(t *testing.T) {
 	d.Add(row(2, "b"), 5)  // valid insert
 	d.Add(row(1, "a"), -3) // invalid over-delete
 	before := tbl.Clone()
+	d.Seal()
 	if _, err := tbl.ApplyDelta(d); err == nil {
 		t.Fatal("expected error")
 	}
@@ -169,6 +171,7 @@ func TestApplyDeltaValidatesBeforeMutating(t *testing.T) {
 func TestApplyDeltaSchemaMismatch(t *testing.T) {
 	tbl := NewTable(schema)
 	d := delta.New(relation.Schema{{Name: "x", Kind: relation.KindInt}})
+	d.Seal()
 	if _, err := tbl.ApplyDelta(d); err == nil {
 		t.Errorf("expected schema mismatch error")
 	}
@@ -195,6 +198,7 @@ func TestApplyDeltaRoundTripQuick(t *testing.T) {
 		}
 		// The delta may over-delete if minusIdx repeats; skip those cases.
 		valid := true
+		d.Seal()
 		d.Scan(func(tup relation.Tuple, c int64) bool {
 			if c < 0 && tbl.Count(tup) < -c {
 				valid = false
@@ -205,10 +209,11 @@ func TestApplyDeltaRoundTripQuick(t *testing.T) {
 		if !valid {
 			return true
 		}
+		d.Seal()
 		if _, err := tbl.ApplyDelta(d); err != nil {
 			return false
 		}
-		if _, err := tbl.ApplyDelta(d.Negate()); err != nil {
+		if _, err := tbl.ApplyDelta(negate(d)); err != nil {
 			return false
 		}
 		return tbl.Equal(orig)
@@ -290,6 +295,7 @@ func TestAggTableFinalizeDelta(t *testing.T) {
 	if _, _, err := at.Apply(p2); err != nil {
 		t.Fatal(err)
 	}
+	d.Seal()
 	if _, err := before.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}

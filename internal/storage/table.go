@@ -163,7 +163,7 @@ func (t *Table) Insert(tup relation.Tuple, count int64) {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
 	key := encodeKey(tup)
-	t.insertKey(cowmap.Hash(key), key, nil, count)
+	t.insertKey(cowmap.Hash(key), key, mustDecode(key), count)
 }
 
 // slot returns the hash the row map files the row encoded as key under,
@@ -207,17 +207,13 @@ func encodeKey(tup relation.Tuple) string {
 
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
 // A row new to the table stores tup, which is key decoded and becomes
-// read-only, or — when tup is nil — decodes key itself; either way the
-// tuple's strings are substrings of the key the table holds anyway.
+// read-only; its strings are substrings of the key the table holds anyway.
 func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
 	at := t.slot(hash, key)
 	r, existed := t.rows.Ref(at, key)
 	if existed {
 		t.digest ^= rowDigest(hash, r.count)
 	} else {
-		if tup == nil {
-			tup = mustDecode(key)
-		}
 		r.tup = tup
 		if t.placed && !t.sharesFirst(at, key) {
 			t.firstKeys++
@@ -434,12 +430,12 @@ func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 	type change struct {
 		hash        uint64
 		key         string
-		tup         relation.Tuple // nil unless the delta has decoded it already
-		count, have int64          // have is looked up for deletes only
+		tup         relation.Tuple
+		count, have int64 // have is looked up for deletes only
 	}
 	changes := make([]change, 0, d.Distinct())
 	plus := 0
-	d.ScanKeyed(func(key string, tup relation.Tuple, count int64) bool {
+	d.ScanEncoded(func(key string, tup relation.Tuple, count int64) bool {
 		c := change{hash: cowmap.Hash(key), key: key, tup: tup, count: count}
 		digest ^= rowDigest(c.hash, count)
 		if count > 0 {
@@ -457,8 +453,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 	t.settle()
 	t.rows.Grow(plus)
 	// The table adopts the delta's key strings as its own and, for a row it
-	// does not hold yet, the tuple the window's Comps decoded from the key —
-	// decoding it only when none of them scanned the delta.
+	// does not hold yet, the tuple the delta's Seal decoded from the key.
 	for _, c := range changes {
 		if c.count > 0 {
 			t.insertKey(c.hash, c.key, c.tup, c.count)

@@ -69,7 +69,8 @@ type (
 	Schema = relation.Schema
 	// Kind is a scalar type tag.
 	Kind = relation.Kind
-	// Delta is a set of inserted (plus) and deleted (minus) tuples.
+	// Delta is a set of inserted (plus) and deleted (minus) tuples, read
+	// once sealed: StageDelta seals it (see delta.Delta).
 	Delta = delta.Delta
 
 	// Expr is a strategy expression: Comp or Inst.
@@ -385,9 +386,9 @@ func (w *Warehouse) NewDelta(name string) (*Delta, error) {
 	return delta.New(schema), nil
 }
 
-// StageDelta records an arriving change batch for a base view. Safe to call
-// concurrently with readers and windows: a batch staged while a window runs
-// blocks until the window finishes and applies to the next one.
+// StageDelta records an arriving change batch for a base view, and seals d.
+// Safe to call concurrently with readers and windows: a batch staged while a
+// window runs blocks until the window finishes and applies to the next one.
 func (w *Warehouse) StageDelta(name string, d *Delta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
