@@ -25,10 +25,12 @@ import (
 // changes in arrival order; Seal folds what was appended into the sealed
 // run, one row per changed tuple in ascending order of its encoded key
 // (Tuple.Encode), equal keys summed, zero counts dropped and every key's
-// tuple at hand. Every read — Scan, ScanEncoded, Digest, Size and the rest — walks
-// that run, so a batch folds in one order wherever it is read, and reads may
-// run together with no lock. A read of a delta holding appends that no Seal
-// has folded in panics with ErrUnsealed. A fresh delta is sealed and empty.
+// tuple at hand. Every read walks that run, so a batch folds in one order
+// wherever it is read, and reads may run together with no lock. The reads
+// that hand out tuples — Scan, ScanEncoded, Sorted and Merge — panic with
+// ErrUnsealed on a delta holding appends that no Seal has folded in; the
+// counting reads — Size, PlusCount, MinusCount, Distinct, IsEmpty and Digest
+// — read a sealed copy, writing nothing. A fresh delta is sealed and empty.
 //
 // A run is never written in place: Seal and Merge make a new one, so a Clone
 // shares its source's run.
@@ -55,8 +57,8 @@ type row struct {
 	tup relation.Tuple
 }
 
-// ErrUnsealed is what a read of a delta panics with when it holds appends
-// that no Seal has folded in.
+// ErrUnsealed is what a read that hands out tuples panics with when the
+// delta holds appends that no Seal has folded in.
 var ErrUnsealed = errors.New("delta: read of a delta with appends not sealed")
 
 // slabRows is how many minus tuples Seal decodes into one slab of values.
@@ -173,6 +175,17 @@ func (d *Delta) merge(b []row) {
 	}
 }
 
+// folded returns d, or when d holds appends no Seal has folded in, a sealed
+// copy of d: what the counting reads read. It writes nothing of d.
+func (d *Delta) folded() *Delta {
+	if len(d.tail) == 0 {
+		return d
+	}
+	f := &Delta{schema: d.schema, run: d.run, tail: slices.Clone(d.tail)}
+	_ = f.Seal() // a refused key leaves f's run d's
+	return f
+}
+
 // sealed returns the run, or panics with ErrUnsealed.
 func (d *Delta) sealed() []row {
 	if len(d.tail) > 0 {
@@ -215,19 +228,19 @@ func (d *Delta) ScanEncoded(fn func(key string, tup relation.Tuple, count int64)
 // Size returns the total multiplicity of changed tuples, |plus| + |minus|.
 // This is the |δV| of the paper's linear work metric: the number of rows an
 // install (or a scan of the delta as a term operand) must touch.
-func (d *Delta) Size() int64 { d.sealed(); return d.plus + d.minus }
+func (d *Delta) Size() int64 { f := d.folded(); return f.plus + f.minus }
 
 // PlusCount returns the total multiplicity of inserted tuples.
-func (d *Delta) PlusCount() int64 { d.sealed(); return d.plus }
+func (d *Delta) PlusCount() int64 { return d.folded().plus }
 
 // MinusCount returns the total multiplicity of deleted tuples.
-func (d *Delta) MinusCount() int64 { d.sealed(); return d.minus }
+func (d *Delta) MinusCount() int64 { return d.folded().minus }
 
 // Distinct returns the number of distinct changed tuples.
-func (d *Delta) Distinct() int { return len(d.sealed()) }
+func (d *Delta) Distinct() int { return len(d.folded().run) }
 
 // IsEmpty reports whether the delta changes nothing.
-func (d *Delta) IsEmpty() bool { return len(d.sealed()) == 0 }
+func (d *Delta) IsEmpty() bool { return d.Distinct() == 0 }
 
 // Clone returns a copy of d that shares its sealed run; what was appended
 // since the last Seal is copied.
@@ -246,7 +259,7 @@ func (d *Delta) Clone() *Delta {
 func (d *Delta) Digest() uint64 {
 	var h uint64
 	var buf [binary.MaxVarintLen64]byte
-	for _, r := range d.sealed() {
+	for _, r := range d.folded().run {
 		n := binary.PutVarint(buf[:], r.count)
 		h ^= cowmap.Extend(cowmap.Hash(r.key), buf[:n])
 	}

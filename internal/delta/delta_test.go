@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
@@ -431,9 +432,9 @@ func TestConcurrentScansDecodeOnce(t *testing.T) {
 	}
 }
 
-// TestReadOfUnsealedDeltaPanics: every read of a delta holding appends no
-// Seal has folded in panics with ErrUnsealed — there is no lazy seal — and a
-// fresh delta reads as sealed and empty.
+// TestReadOfUnsealedDeltaPanics: every read that hands out tuples of a
+// delta holding appends no Seal has folded in panics with ErrUnsealed —
+// there is no lazy seal — and a fresh delta reads as sealed and empty.
 func TestReadOfUnsealedDeltaPanics(t *testing.T) {
 	if d := New(schema); !d.IsEmpty() || d.Size() != 0 {
 		t.Fatal("a fresh delta is not empty")
@@ -441,10 +442,6 @@ func TestReadOfUnsealedDeltaPanics(t *testing.T) {
 	reads := map[string]func(d *Delta){
 		"Scan":        func(d *Delta) { d.Scan(func(relation.Tuple, int64) bool { return true }) },
 		"ScanEncoded": func(d *Delta) { d.ScanEncoded(func(string, relation.Tuple, int64) bool { return true }) },
-		"Digest":      func(d *Delta) { d.Digest() },
-		"Size":        func(d *Delta) { d.Size() },
-		"Distinct":    func(d *Delta) { d.Distinct() },
-		"IsEmpty":     func(d *Delta) { d.IsEmpty() },
 		"Sorted":      func(d *Delta) { d.Sorted() },
 		"Merge":       func(d *Delta) { New(schema).Merge(d) },
 	}
@@ -461,6 +458,35 @@ func TestReadOfUnsealedDeltaPanics(t *testing.T) {
 			}()
 			read(d)
 		})
+	}
+}
+
+// TestCountingReadsSeeUnsealedAppends: Size, PlusCount, MinusCount,
+// Distinct, IsEmpty and Digest of a delta holding appends read what a Seal
+// would fold in, and leave the appends unsealed.
+func TestCountingReadsSeeUnsealedAppends(t *testing.T) {
+	d := New(schema)
+	d.Add(tup(1), 2)
+	d.Add(tup(2), -1)
+	sealed(t, d)
+	d.Add(tup(2), 1) // cancels a sealed row
+	d.Add(tup(3), -3)
+	d.Add(tup(4), 1)
+	d.Add(tup(4), -1) // cancels within the appends
+	d.Add(tup(1), 1)
+	want := New(schema)
+	want.Add(tup(1), 3)
+	want.Add(tup(3), -3)
+	sealed(t, want)
+	if d.Size() != 6 || d.PlusCount() != 3 || d.MinusCount() != 3 || d.Distinct() != 2 || d.IsEmpty() || d.Digest() != want.Digest() {
+		t.Fatalf("unsealed reads size %d +%d -%d distinct %d empty %v digest %016x, want 6 +3 -3 2 false %016x",
+			d.Size(), d.PlusCount(), d.MinusCount(), d.Distinct(), d.IsEmpty(), d.Digest(), want.Digest())
+	}
+	if len(d.tail) != 5 {
+		t.Fatalf("a counting read sealed the delta: %d appends left", len(d.tail))
+	}
+	if sealed(t, d).Digest() != want.Digest() || d.Size() != 6 {
+		t.Fatal("the sealed delta disagrees with its unsealed reads")
 	}
 }
 
@@ -508,10 +534,11 @@ func TestDigestIsTheCRCOfKeyAndCount(t *testing.T) {
 }
 
 // FuzzSealedDelta applies drawn Add, AddEncoded, Merge and Seal sequences to
-// a delta and to a reference map of signed counts, and after every Seal
-// holds the run to the map: keys strictly ascending, each tuple its key
-// decoded, no zero count, and Size, PlusCount, MinusCount, Distinct and
-// Digest the map's. Each op is three bytes: the op, a row and a count.
+// a delta and to a reference map of signed counts. After every Seal it holds
+// the run to the map: keys strictly ascending, each tuple its key decoded, no
+// zero count. After every op, sealed or not, Size, PlusCount, MinusCount,
+// Distinct and Digest are the map's. Each op is three bytes: the op, a row
+// and a count.
 func FuzzSealedDelta(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 1, 254, 3, 0, 0})
 	f.Add([]byte{0, 17, 5, 2, 17, 251, 0, 40, 1, 3, 0, 0, 1, 40, 255, 3, 0, 0})
@@ -524,17 +551,18 @@ func FuzzSealedDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		d := New(schema)
 		ref, appended := make(map[string]int64), make(map[string]int64)
-		seal := func() {
-			sealed(t, d)
+		// check holds the counting reads to ref and appended summed and, on a
+		// sealed delta, the run to ref.
+		check := func() {
+			want := maps.Clone(ref)
 			for k, c := range appended {
-				ref[k] += c
+				want[k] += c
 			}
-			clear(appended)
 			var plus, minus int64
 			var digest uint64
 			var buf [binary.MaxVarintLen64]byte
 			n := 0
-			for k, c := range ref {
+			for k, c := range want {
 				switch {
 				case c > 0:
 					plus += c
@@ -545,6 +573,13 @@ func FuzzSealedDelta(f *testing.F) {
 				}
 				n++
 				digest ^= crc64.Update(crc64.Update(0, ecma, []byte(k)), ecma, buf[:binary.PutVarint(buf[:], c)])
+			}
+			if d.Distinct() != n || d.PlusCount() != plus || d.MinusCount() != minus || d.Size() != plus+minus || d.Digest() != digest || d.IsEmpty() != (n == 0) {
+				t.Fatalf("distinct %d +%d -%d size %d digest %016x; the reference holds %d rows +%d -%d digest %016x",
+					d.Distinct(), d.PlusCount(), d.MinusCount(), d.Size(), d.Digest(), n, plus, minus, digest)
+			}
+			if len(appended) > 0 {
+				return
 			}
 			prev, rows := "", 0
 			d.ScanEncoded(func(key string, tp relation.Tuple, count int64) bool {
@@ -557,10 +592,17 @@ func FuzzSealedDelta(f *testing.F) {
 				prev, rows = key, rows+1
 				return true
 			})
-			if rows != n || d.Distinct() != n || d.PlusCount() != plus || d.MinusCount() != minus || d.Size() != plus+minus || d.Digest() != digest {
-				t.Fatalf("run of %d rows (distinct %d) +%d -%d size %d digest %016x; the reference holds %d rows +%d -%d digest %016x",
-					rows, d.Distinct(), d.PlusCount(), d.MinusCount(), d.Size(), d.Digest(), n, plus, minus, digest)
+			if rows != n {
+				t.Fatalf("run of %d rows; the reference holds %d", rows, n)
 			}
+		}
+		seal := func() {
+			sealed(t, d)
+			for k, c := range appended {
+				ref[k] += c
+			}
+			clear(appended)
+			check()
 		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			tp, count := row(ops[1]), int64(int8(ops[2]))
@@ -584,6 +626,7 @@ func FuzzSealedDelta(f *testing.F) {
 			default:
 				seal()
 			}
+			check()
 		}
 		seal()
 	})

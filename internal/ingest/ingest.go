@@ -122,6 +122,9 @@ func (c Config) withDefaults() Config {
 type entry struct {
 	journal.AcceptRecord
 	n int // row-changes (delta size: insertions plus deletions)
+	// sealed is the change set Submit accepted, sealed; nil for an accept
+	// requeued from the journal, whose rows tryBatch seals.
+	sealed *warehouse.Delta
 }
 
 func newEntry(a journal.AcceptRecord) entry {
@@ -263,16 +266,25 @@ func (in *Ingester) highWaterMark() int {
 // error the changes are accepted: queued for the next micro-batch and, when
 // journaled, durable — they will reach a committed window exactly once, crash
 // or no crash. Safe for concurrent producers, whose accepts share flushes.
-// Submit seals a copy of d, so a producer that keeps d keeps no decoded tuples.
+// Submit seals a copy of d, which the queue keeps until a window stages it,
+// so a producer that keeps d keeps no decoded tuples.
 func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 	if d == nil {
 		return nil
+	}
+	// The window merges the sealed change sets of a view, which needs one
+	// schema.
+	if s, err := in.cfg.Warehouse.ViewSchema(view); err != nil {
+		return fmt.Errorf("ingest: %w", err)
+	} else if !s.Equal(d.Schema()) {
+		return fmt.Errorf("ingest: change set over [%s] for %q, whose schema is [%s]", d.Schema(), view, s)
 	}
 	d = d.Clone()
 	if err := d.Seal(); err != nil || d.IsEmpty() {
 		return err
 	}
 	e := newEntry(journal.AcceptRecord{Batch: []journal.ViewBatch{{View: view, Rows: recovery.RowsOf(d)}}})
+	e.sealed = d
 	n := e.n
 	in.mu.Lock()
 	if in.err != nil {
@@ -556,26 +568,35 @@ func (in *Ingester) tryBatch(ctx context.Context, b *batch, timeout time.Duratio
 		if err := in.cfg.Faults.Hit(pointStage); err != nil {
 			return err
 		}
-		// The entries fold into one delta a view, so StageDelta seals each
-		// view's share of the batch once.
-		deltas := make(map[string]*warehouse.Delta)
+		// The entries' sealed runs merge two at a time, the merged run going
+		// to the back of the line, into one delta a view: a row is sorted and
+		// decoded once, and copied once for each doubling of its run.
+		runs := make(map[string][]*warehouse.Delta)
 		for _, e := range b.entries {
 			for _, vb := range e.Batch {
-				d := deltas[vb.View]
+				d := e.sealed
 				if d == nil {
 					var err error
 					if d, err = w.NewDelta(vb.View); err != nil {
 						return err
 					}
-					deltas[vb.View] = d
+					for _, rc := range vb.Rows {
+						d.AddEncoded(rc.Key, rc.Count)
+					}
+					if err := d.Seal(); err != nil {
+						return err
+					}
 				}
-				for _, rc := range vb.Rows {
-					d.AddEncoded(rc.Key, rc.Count)
-				}
+				runs[vb.View] = append(runs[vb.View], d)
 			}
 		}
-		for view, d := range deltas {
-			if err := w.StageDelta(view, d); err != nil {
+		for view, ds := range runs {
+			for ; len(ds) > 1; ds = ds[2:] {
+				d := ds[0].Clone()
+				d.Merge(ds[1])
+				ds = append(ds, d)
+			}
+			if err := w.StageDelta(view, ds[0]); err != nil {
 				return err
 			}
 		}

@@ -227,6 +227,39 @@ func TestIngestCloseFlushes(t *testing.T) {
 	installedOnce(t, wjPath, len(sets))
 }
 
+// TestSubmitRefusesAnotherSchema: a change set whose schema is not its
+// view's, or for no view, is refused at Submit, and the ingester goes on to
+// install what it accepted.
+func TestSubmitRefusesAnotherSchema(t *testing.T) {
+	w := buildFixture(t, fixSeed, fixStores, fixSales)
+	ing, err := New(Config{Warehouse: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := genSets(fixSeed, fixStores, fixSales, 3, 20)
+	stores, err := w.NewDelta("STORES")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores.Add(warehouse.Tuple{warehouse.Int(9999), warehouse.String("north")}, 1)
+	for view, d := range map[string]*warehouse.Delta{"SALES": stores, "NOPE": sets[0].delta(t, w)} {
+		if err := ing.Submit(view, d); err == nil {
+			t.Fatalf("Submit to %s of a change set over %v was accepted", view, d.Schema())
+		}
+	}
+	for _, s := range sets {
+		if err := ing.Submit("SALES", s.delta(t, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.StateDigest(), oracleDigest(t, fixSeed, fixStores, fixSales, sets); got != want {
+		t.Fatalf("digest %x after the refusals, want %x", got, want)
+	}
+}
+
 // TestIngestResumeAfterCrash kills the ingester with a crash-class fault
 // before any batch is installed, then simulates a process restart — rebuild
 // the fixture, restore from the journal — and checks the new incarnation
