@@ -226,7 +226,7 @@ func BenchmarkEnginePrimitives(b *testing.B) {
 	b.Run("ComputeOneWay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := benchState.tw.W.Clone()
-			if _, err := run.Compute(tpcd.Q3, []string{tpcd.LineItem}); err != nil {
+			if _, err := run.ComputeCtx(nil, tpcd.Q3, []string{tpcd.LineItem}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,7 +234,7 @@ func BenchmarkEnginePrimitives(b *testing.B) {
 	b.Run("ComputeDual", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := benchState.tw.W.Clone()
-			if _, err := run.Compute(tpcd.Q3, []string{tpcd.Customer, tpcd.Order, tpcd.LineItem}); err != nil {
+			if _, err := run.ComputeCtx(nil, tpcd.Q3, []string{tpcd.Customer, tpcd.Order, tpcd.LineItem}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -301,7 +301,7 @@ func BenchmarkComputeDualStageQ5(b *testing.B) {
 	b.ResetTimer()
 	var saved int64
 	for i := 0; i < b.N; i++ {
-		rep, err := w.Compute(tpcd.Q5, children)
+		rep, err := w.ComputeCtx(nil, tpcd.Q5, children)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func BenchmarkComputeProbeAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Compute(tpcd.Q3, []string{tpcd.LineItem}); err != nil {
+		if _, err := w.ComputeCtx(nil, tpcd.Q3, []string{tpcd.LineItem}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -290,7 +290,7 @@ func ExampleWarehouse_Parallelize() {
 		win := incremental(run.RunWindowOpts(warehouse.WindowOptions{Planner: planner, Mode: warehouse.ModeStaged}))
 		must(run.Verify())
 		staged := run.Parallelize(win.Plan.Strategy)
-		fmt.Printf("%s: %d expressions in %d stages\n", planner, staged.Exprs(), staged.Stages())
+		fmt.Printf("%s: %d expressions in %d stages\n", planner, len(win.Plan.Strategy), len(staged))
 		fmt.Println(" ", staged)
 		fmt.Printf("  total work %d, span work %d\n", win.Report.Sched.TotalWork, win.Report.Sched.SpanWork)
 	}

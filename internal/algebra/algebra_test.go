@@ -155,13 +155,10 @@ func TestConjunctsAndAll(t *testing.T) {
 	a := &Const{Value: relation.NewBool(true)}
 	b := &Const{Value: relation.NewBool(false)}
 	c := &Const{Value: relation.NewBool(true)}
-	e := AndAll([]Expr{a, b, c})
+	e := &Binary{Op: OpAnd, L: &Binary{Op: OpAnd, L: a, R: b}, R: c}
 	parts := Conjuncts(e)
 	if len(parts) != 3 {
 		t.Errorf("Conjuncts = %d", len(parts))
-	}
-	if AndAll(nil) != nil {
-		t.Errorf("AndAll(nil) should be nil")
 	}
 	if got := FormatExprs(parts); !strings.Contains(got, "AND") {
 		t.Errorf("FormatExprs = %q", got)
@@ -183,151 +180,17 @@ func TestBinOpStrings(t *testing.T) {
 	}
 }
 
-func buildJoin(t *testing.T) *CQ {
-	t.Helper()
-	b := NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	b.Join("r.b", "s.b").
-		Where(gtExpr(b.Col("s.c"), 0)).
-		SelectCol("r.a").
-		SelectExpr("twice", &Binary{Op: OpMul, L: b.Col("s.c"), R: &Const{Value: relation.NewFloat(2)}})
-	cq, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cq
-}
-
-func gtExpr(e Expr, v float64) Expr {
-	return &Binary{Op: OpGt, L: e, R: &Const{Value: relation.NewFloat(v)}}
-}
-
-func TestCQStructure(t *testing.T) {
-	cq := buildJoin(t)
-	if cq.IsAggregate() {
-		t.Errorf("SPJ view misclassified")
-	}
-	js := cq.JoinedSchema()
-	if len(js) != 4 || js[0].Name != "r.a" || js[2].Name != "s.b" {
-		t.Errorf("joined schema = %v", js)
-	}
-	if cq.RefOffset(0) != 0 || cq.RefOffset(1) != 2 {
-		t.Errorf("offsets wrong")
-	}
-	if cq.RefOfColumn(1) != 0 || cq.RefOfColumn(3) != 1 {
-		t.Errorf("RefOfColumn wrong")
-	}
-	out := cq.OutputSchema()
-	if out.String() != "a INTEGER, twice FLOAT" {
-		t.Errorf("output schema = %s", out)
-	}
-	if got := cq.BaseViews(); len(got) != 2 || got[0] != "R" {
-		t.Errorf("BaseViews = %v", got)
-	}
-	if got := cq.RefsOfView("S"); len(got) != 1 || got[0] != 1 {
-		t.Errorf("RefsOfView = %v", got)
-	}
-	if mask := cq.RefsOfExpr(cq.Filters[0]); mask != 0b11 {
-		t.Errorf("join filter mask = %b", mask)
-	}
-	if !strings.Contains(cq.String(), "FROM R r, S s") {
-		t.Errorf("String = %q", cq.String())
-	}
-}
-
-func TestCQAggregate(t *testing.T) {
-	b := NewBuilder().From("r", "R", schemaR)
-	b.GroupByCol("r.a").
-		Agg("n", delta.AggCount, nil).
-		Agg("total", delta.AggSum, b.Col("r.b"))
-	cq, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cq.IsAggregate() {
-		t.Errorf("aggregate view misclassified")
-	}
-	if cq.GroupSchema().String() != "a INTEGER" {
-		t.Errorf("group schema = %s", cq.GroupSchema())
-	}
-	specs := cq.AggSpecs()
-	if len(specs) != 2 || specs[0].Kind != delta.AggCount || specs[1].Kind != delta.AggSum {
-		t.Errorf("specs = %v", specs)
-	}
-	if names := cq.AggNames(); names[0] != "n" || names[1] != "total" {
-		t.Errorf("names = %v", names)
-	}
-	if cq.OutputSchema().String() != "a INTEGER, n INTEGER, total INTEGER" {
-		t.Errorf("output = %s", cq.OutputSchema())
-	}
-	if !strings.Contains(cq.String(), "GROUP BY") || !strings.Contains(cq.String(), "COUNT(*)") {
-		t.Errorf("String = %q", cq.String())
-	}
-}
-
-func TestGlobalAggregate(t *testing.T) {
-	b := NewBuilder().From("r", "R", schemaR)
-	b.Agg("total", delta.AggSum, b.Col("r.b"))
-	cq, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cq.IsAggregate() || len(cq.GroupBy) != 0 {
-		t.Errorf("global aggregate should have empty non-nil GroupBy")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	b := NewBuilder().From("r", "R", schemaR)
-	b.SelectCol("r.a").Distinct()
-	cq, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cq.IsAggregate() || len(cq.GroupBy) != 1 || len(cq.Aggs) != 0 {
-		t.Errorf("DISTINCT should become zero-agg grouping")
-	}
-	// DISTINCT after GROUP BY is rejected.
-	b2 := NewBuilder().From("r", "R", schemaR)
-	b2.GroupByCol("r.a").Distinct()
-	if _, err := b2.Build(); err == nil {
-		t.Errorf("DISTINCT with GROUP BY accepted")
-	}
-}
-
-func TestBuilderErrors(t *testing.T) {
-	// Unknown column.
-	b := NewBuilder().From("r", "R", schemaR)
-	b.SelectCol("r.zzz")
-	if _, err := b.Build(); err == nil {
-		t.Errorf("unknown column accepted")
-	}
-	// Empty projection.
-	if _, err := NewBuilder().From("r", "R", schemaR).Build(); err == nil {
-		t.Errorf("empty projection accepted")
-	}
-	// Duplicate alias.
-	b3 := NewBuilder().From("r", "R", schemaR).From("r", "S", schemaS)
-	b3.SelectCol("r.a")
-	if _, err := b3.Build(); err == nil {
-		t.Errorf("duplicate alias accepted")
-	}
-	// MustBuild panics.
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustBuild should panic")
-		}
-	}()
-	bb := NewBuilder().From("r", "R", schemaR)
-	bb.SelectCol("r.zzz")
-	bb.MustBuild()
-}
-
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		cq   CQ
 	}{
 		{"no refs", CQ{}},
+		{"no output", CQ{Refs: []Ref{{Alias: "r", View: "R", Schema: schemaR}}}},
+		{"duplicate alias", CQ{
+			Refs:   []Ref{{Alias: "r", View: "R", Schema: schemaR}, {Alias: "r", View: "S", Schema: schemaS}},
+			Select: []NamedExpr{{Name: "x", E: &Const{Value: relation.NewInt(1)}}},
+		}},
 		{"empty alias", CQ{Refs: []Ref{{Alias: "", View: "R", Schema: schemaR}}, Select: []NamedExpr{{Name: "x", E: &Const{Value: relation.NewInt(1)}}}}},
 		{"empty schema", CQ{Refs: []Ref{{Alias: "r", View: "R"}}, Select: []NamedExpr{{Name: "x", E: &Const{Value: relation.NewInt(1)}}}}},
 		{"aggs without group", CQ{Refs: []Ref{{Alias: "r", View: "R", Schema: schemaR}}, Aggs: []AggExpr{{Name: "n", Spec: delta.AggSpec{Kind: delta.AggCount}}}}},

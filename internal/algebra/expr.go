@@ -250,19 +250,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// AndAll combines predicates into one conjunction; nil for an empty list.
-func AndAll(preds []Expr) Expr {
-	var out Expr
-	for _, p := range preds {
-		if out == nil {
-			out = p
-		} else {
-			out = &Binary{Op: OpAnd, L: out, R: p}
-		}
-	}
-	return out
-}
-
 // FormatExprs renders a list of expressions for diagnostics.
 func FormatExprs(exprs []Expr) string {
 	parts := make([]string, len(exprs))

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -22,11 +21,7 @@ func benchWarehouse(b *testing.B, n int) *Warehouse {
 	if err := w.DefineBase("S", schemaS); err != nil {
 		b.Fatal(err)
 	}
-	jb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	jb.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	if err := w.DefineDerived("J", jb.MustBuild()); err != nil {
-		b.Fatal(err)
-	}
+	defineSQL(b, w, "J", "SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b")
 	rng := rand.New(rand.NewSource(1))
 	var rRows, sRows []relation.Tuple
 	for i := 0; i < n; i++ {
@@ -59,7 +54,7 @@ func BenchmarkComputeScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := w.Clone()
-				if _, err := run.Compute("J", []string{"R"}); err != nil {
+				if _, err := run.ComputeCtx(nil, "J", []string{"R"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -90,7 +85,7 @@ func BenchmarkRecomputeVsIncremental(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := w.Clone()
-			if _, err := run.Compute("J", []string{"R"}); err != nil {
+			if _, err := run.ComputeCtx(nil, "J", []string{"R"}); err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := run.Install("R"); err != nil {
@@ -233,19 +228,12 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	qb := algebra.NewBuilder().From("c", "CUSTOMER", chainCustomer).From("o", "ORDER", chainOrder).From("l", "LINEITEM", chainLineItem)
-	qb.WhereEq("c.C_MKTSEGMENT", relation.NewString("BUILDING")).
-		Join("c.C_CUSTKEY", "o.O_CUSTKEY").
-		Join("l.L_ORDERKEY", "o.O_ORDERKEY").
-		Where(&algebra.Binary{Op: algebra.OpLt, L: qb.Col("o.O_ORDERDATE"), R: &algebra.Const{Value: relation.MustDate("1995-03-15")}}).
-		Where(&algebra.Binary{Op: algebra.OpGt, L: qb.Col("l.L_SHIPDATE"), R: &algebra.Const{Value: relation.MustDate("1995-03-15")}}).
-		GroupByCol("l.L_ORDERKEY").GroupByCol("o.O_ORDERDATE").GroupByCol("o.O_SHIPPRIORITY").
-		Agg("REVENUE", delta.AggSum, &algebra.Binary{Op: algebra.OpMul, L: qb.Col("l.L_EXTENDEDPRICE"),
-			R: &algebra.Binary{Op: algebra.OpSub, L: &algebra.Const{Value: relation.NewFloat(1)}, R: qb.Col("l.L_DISCOUNT")}})
-	q3 := qb.MustBuild()
-	if err := w.DefineDerived("Q3", q3); err != nil {
-		b.Fatal(err)
-	}
+	defineSQL(b, w, "Q3", `SELECT l.L_ORDERKEY, o.O_ORDERDATE, o.O_SHIPPRIORITY,
+       SUM(l.L_EXTENDEDPRICE * (1.0 - l.L_DISCOUNT)) AS REVENUE
+FROM CUSTOMER c, ORDER o, LINEITEM l
+WHERE c.C_MKTSEGMENT = 'BUILDING' AND c.C_CUSTKEY = o.O_CUSTKEY AND l.L_ORDERKEY = o.O_ORDERKEY
+  AND o.O_ORDERDATE < DATE '1995-03-15' AND l.L_SHIPDATE > DATE '1995-03-15'
+GROUP BY l.L_ORDERKEY, o.O_ORDERDATE, o.O_SHIPPRIORITY`)
 	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
 	cust := make([]relation.Tuple, customers)
 	for i := range cust {
@@ -278,7 +266,7 @@ func BenchmarkIndexProbeChain(b *testing.B) {
 	}
 	pl := terms[0].orders[0]
 	if len(pl.steps) != 2 || !pl.steps[0].indexed || !pl.steps[1].indexed ||
-		q3.Refs[pl.steps[0].ref].View != "ORDER" || q3.Refs[pl.steps[1].ref].View != "CUSTOMER" {
+		w.views["Q3"].def.Refs[pl.steps[0].ref].View != "ORDER" || w.views["Q3"].def.Refs[pl.steps[1].ref].View != "CUSTOMER" {
 		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
 	}
 	sides := []stepSide{{idx: indexStep{tbl: w.views["ORDER"].table}}, {idx: indexStep{tbl: w.views["CUSTOMER"].table}}}

@@ -78,7 +78,11 @@ func probeBag(t *testing.T, bt *buildTable, key relation.Tuple) map[string]int64
 func wantBag(rows rowsSource, cols []int, key relation.Tuple) map[string]int64 {
 	bag := make(map[string]int64)
 	for _, r := range rows {
-		if relation.CompareTuples(r.row.Project(cols), key) == 0 {
+		proj := make(relation.Tuple, len(cols))
+		for i, c := range cols {
+			proj[i] = r.row[c]
+		}
+		if relation.CompareTuples(proj, key) == 0 {
 			bag[r.row.Encode()] += r.count
 		}
 	}

@@ -303,10 +303,6 @@ func (w *Warehouse) ViewNames() []string { return w.graph.Views() }
 // the catalog's graph (empty for base views and names the catalog lacks).
 func (w *Warehouse) Children(name string) []string { return w.graph.Children(name) }
 
-// Parents returns the views defined (directly) over the named view, in
-// definition order.
-func (w *Warehouse) Parents(name string) []string { return w.graph.Parents(name) }
-
 // LoadBase bulk-inserts rows into a base view (initial population): each
 // row is encoded once and the view's table built from the encodings
 // (storage.Builder). A row of the wrong width refuses the whole load, which

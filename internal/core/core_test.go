@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,12 +9,36 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 )
 
 var (
 	schemaR = relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "b", Kind: relation.KindInt}}
 	schemaS = relation.Schema{{Name: "b", Kind: relation.KindInt}, {Name: "c", Kind: relation.KindInt}}
 )
+
+// parseSQL binds a view definition's SQL text against w's catalog.
+func parseSQL(tb testing.TB, w *Warehouse, sql string) *algebra.CQ {
+	tb.Helper()
+	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
+		if view := w.View(v); view != nil {
+			return view.Schema(), nil
+		}
+		return nil, fmt.Errorf("no view %q", v)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cq
+}
+
+// defineSQL defines the derived view name on w by its SQL text.
+func defineSQL(tb testing.TB, w *Warehouse, name, sql string) {
+	tb.Helper()
+	if err := w.DefineDerived(name, parseSQL(tb, w, sql)); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 func intRow(vals ...int64) relation.Tuple {
 	t := make(relation.Tuple, len(vals))
@@ -34,25 +59,8 @@ func newJoinWarehouse(t *testing.T) *Warehouse {
 	if err := w.DefineBase("S", schemaS); err != nil {
 		t.Fatal(err)
 	}
-	jb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	jb.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	j, err := jb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("J", j); err != nil {
-		t.Fatal(err)
-	}
-	jSchema := j.OutputSchema()
-	ab := algebra.NewBuilder().From("j", "J", jSchema)
-	ab.GroupByCol("j.a").Agg("total", delta.AggSum, ab.Col("j.c"))
-	a, err := ab.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("A", a); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "J", "SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b")
+	defineSQL(t, w, "A", "SELECT j.a, SUM(j.c) AS total FROM J j GROUP BY j.a")
 	return w
 }
 
@@ -92,25 +100,15 @@ func TestDefineErrors(t *testing.T) {
 	if err := w.DefineDerived("D", nil); err == nil {
 		t.Errorf("nil def accepted")
 	}
-	// Ref to unknown view.
-	cq := algebra.NewBuilder().From("x", "X", schemaR)
-	cq.SelectCol("x.a")
-	def, err := cq.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("D", def); err == nil {
-		t.Errorf("undefined ref accepted")
-	}
-	// Ref schema mismatch.
-	cq2 := algebra.NewBuilder().From("r", "R", schemaS)
-	cq2.SelectCol("r.b")
-	def2, err := cq2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("D", def2); err == nil {
-		t.Errorf("schema mismatch accepted")
+	// Ref to unknown view; ref schema mismatch.
+	for _, c := range []struct{ sql, want string }{{"SELECT x.b FROM X x", "undefined ref"}, {"SELECT r.b FROM R r", "schema mismatch"}} {
+		def, err := sqlparse.Parse(c.sql, func(string) (relation.Schema, error) { return schemaS, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.DefineDerived("D", def); err == nil {
+			t.Errorf("%s accepted", c.want)
+		}
 	}
 }
 
@@ -138,12 +136,6 @@ func TestGraphAccessors(t *testing.T) {
 	}
 	if got := w.Children("R"); got != nil {
 		t.Errorf("Children(R) = %v", got)
-	}
-	if got := w.Parents("J"); len(got) != 1 || got[0] != "A" {
-		t.Errorf("Parents(J) = %v", got)
-	}
-	if got := w.Parents("R"); len(got) != 1 || got[0] != "J" {
-		t.Errorf("Parents(R) = %v", got)
 	}
 	names := w.ViewNames()
 	if len(names) != 4 || names[0] != "R" || names[3] != "A" {
@@ -192,7 +184,7 @@ func TestOneWayStrategyMatchesRecompute(t *testing.T) {
 	}
 	for _, s := range steps {
 		if s.comp != "" {
-			if _, err := w.Compute(s.comp, s.over); err != nil {
+			if _, err := w.ComputeCtx(nil, s.comp, s.over); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -216,14 +208,14 @@ func TestDualStageStrategyMatchesRecompute(t *testing.T) {
 	stage(t, w, "S", []delta.Change{{Tuple: intRow(20, 300), Count: -1}, {Tuple: intRow(20, 77), Count: 1}})
 
 	// Dual-stage: Comp(J,{R,S}); Comp(A,{J}); then install everything.
-	rep, err := w.Compute("J", []string{"R", "S"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"R", "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Terms != 3 {
 		t.Errorf("Comp(J,{R,S}) evaluated %d terms, want 3", rep.Terms)
 	}
-	if _, err := w.Compute("A", []string{"J"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"J"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"R", "S", "J", "A"} {
@@ -283,7 +275,7 @@ func applyStep(t *testing.T, w *Warehouse, step string) {
 				view, over = step[1:i], step[i+1:]
 			}
 		}
-		if _, err := w.Compute(view, []string{over}); err != nil {
+		if _, err := w.ComputeCtx(nil, view, []string{over}); err != nil {
 			t.Fatalf("step %s: %v", step, err)
 		}
 	case 'i':
@@ -296,26 +288,26 @@ func applyStep(t *testing.T, w *Warehouse, step string) {
 func TestComputeErrors(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
-	if _, err := w.Compute("R", []string{"S"}); err == nil {
+	if _, err := w.ComputeCtx(nil, "R", []string{"S"}); err == nil {
 		t.Errorf("Compute on base view accepted")
 	}
-	if _, err := w.Compute("nope", nil); err == nil {
+	if _, err := w.ComputeCtx(nil, "nope", nil); err == nil {
 		t.Errorf("Compute on unknown view accepted")
 	}
-	if _, err := w.Compute("J", []string{"A"}); err == nil {
+	if _, err := w.ComputeCtx(nil, "J", []string{"A"}); err == nil {
 		t.Errorf("Compute over non-referenced view accepted")
 	}
-	if _, err := w.Compute("J", nil); err == nil {
+	if _, err := w.ComputeCtx(nil, "J", nil); err == nil {
 		t.Errorf("Compute over empty set accepted")
 	}
 	// Compute after finalize on aggregate view must fail.
-	if _, err := w.Compute("A", []string{"J"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"J"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.DeltaOf("A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Compute("A", []string{"J"}); err == nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"J"}); err == nil {
 		t.Errorf("Compute after finalization accepted")
 	}
 }
@@ -348,7 +340,7 @@ func TestWorkAccounting(t *testing.T) {
 	loadJoinData(t, w)
 	stage(t, w, "R", []delta.Change{{Tuple: intRow(9, 10), Count: 1}})
 	// Comp(J,{R}) has one term: δR ⋈ S. Operands scanned: |δR| + |S| = 1 + 3.
-	rep, err := w.Compute("J", []string{"R"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +359,7 @@ func TestWorkAccounting(t *testing.T) {
 		t.Errorf("Install(R) = %d rows, want 1", n)
 	}
 	// Comp(J,{S}): δS empty; one term: R' ⋈ δS → |R'| + |δS| = 4 + 0.
-	rep, err = w.Compute("J", []string{"S"})
+	rep, err = w.ComputeCtx(nil, "J", []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +372,7 @@ func TestSkipEmptyDeltas(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
 	w.SetOptions(Options{SkipEmptyDeltas: true})
-	rep, err := w.Compute("J", []string{"S"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,19 +419,19 @@ func TestDeltaOfAndSizes(t *testing.T) {
 	}
 	// Aggregate delta: deleting R(1,10) removes group 1 (its only rows);
 	// inserting R(7,20) adds group 7 with S(20,300).
-	if _, err := w.Compute("J", []string{"R"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "J", []string{"R"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := w.Install("R"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Compute("J", []string{"S"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "J", []string{"S"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := w.Install("S"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Compute("A", []string{"J"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"J"}); err != nil {
 		t.Fatal(err)
 	}
 	dA, err := w.DeltaOf("A")
@@ -519,10 +511,10 @@ func TestRandomizedStrategiesMatchRecompute(t *testing.T) {
 			t.Fatalf("trial %d 1-way: %v", trial, err)
 		}
 		dual := w.Clone()
-		if _, err := dual.Compute("J", []string{"R", "S"}); err != nil {
+		if _, err := dual.ComputeCtx(nil, "J", []string{"R", "S"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dual.Compute("A", []string{"J"}); err != nil {
+		if _, err := dual.ComputeCtx(nil, "A", []string{"J"}); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range []string{"R", "S", "J", "A"} {

@@ -26,10 +26,6 @@ type Epoch struct {
 	refs int // pinned readers; guarded by the owning registry's mutex
 }
 
-// Number returns the epoch's sequence number (the first published epoch of
-// a registry is 1).
-func (e *Epoch) Number() uint64 { return e.n }
-
 // Epochs is the registry of published warehouse versions: one current
 // epoch, plus retired epochs kept alive by pinned readers.
 type Epochs struct {

@@ -97,20 +97,15 @@ func (s deltaSource) Scan(fn func(relation.Tuple, int64) bool) {
 // array across calls.
 type sinkFn = func(row relation.Tuple, count int64)
 
-// Compute evaluates Comp(name, over): it propagates the pending deltas of
+// ComputeCtx evaluates Comp(name, over): it propagates the pending deltas of
 // the views in over into the pending delta of the named view, reading the
 // current materialized states of all other referenced views. The result is
 // accumulated (merged) into any previously computed pending changes of the
 // view, matching the paper's model where the Comp expressions of a strategy
 // gather changes in δV until Inst(V) installs them: the terms append to δV,
-// and the Comp seals it at its end (runTerms).
-func (w *Warehouse) Compute(name string, over []string) (CompReport, error) {
-	return w.ComputeCtx(nil, name, over)
-}
-
-// ComputeCtx is Compute with cooperative cancellation: a nil ctx never
-// cancels; otherwise evaluation stops before the next term once ctx is done
-// by ContextErr's rule, returning an error that wraps what it reports.
+// and the Comp seals it at its end (runTerms). A nil ctx never cancels;
+// otherwise evaluation stops before the next term once ctx is done by
+// ContextErr's rule, returning an error that wraps what it reports.
 func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) (CompReport, error) {
 	var rep CompReport
 	v := w.views[name]

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -49,7 +48,7 @@ func TestIndexedTermsMatchRecompute(t *testing.T) {
 				}
 			}
 			for _, step := range [][2]string{{"J", "R"}, {"J", "S"}} {
-				rep, err := w.Compute(step[0], []string{step[1]})
+				rep, err := w.ComputeCtx(nil, step[0], []string{step[1]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +104,7 @@ func TestIndexWorkAccounting(t *testing.T) {
 	// First window: |δR| + |S| = 1 + 500 modelled; one probe made, and the
 	// 500 rows read were read to build the index, so nothing was saved yet.
 	stageOne(2)
-	rep, err := w.Compute("J", []string{"R"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestIndexWorkAccounting(t *testing.T) {
 	applyStep(t, w, "iR")
 	// Second window: the index is resident; the whole operand is saved.
 	stageOne(3)
-	rep, err = w.Compute("J", []string{"R"})
+	rep, err = w.ComputeCtx(nil, "J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestIndexWorkAccounting(t *testing.T) {
 func TestEmptyDeltaBuildsNoIndex(t *testing.T) {
 	w := newJoinWarehouse(t)
 	loadJoinData(t, w)
-	rep, err := w.Compute("J", []string{"S"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestIndexCreatedOnceAtFirstProbe(t *testing.T) {
 		}
 	}
 	over := []string{"R", "S", "T"}
-	cold, err := w.Compute("V3", over)
+	cold, err := w.ComputeCtx(nil, "V3", over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestIndexCreatedOnceAtFirstProbe(t *testing.T) {
 			built += ix.Rows
 		}
 	}
-	warm, err := w.Compute("A3", over) // the same join, the indexes now resident
+	warm, err := w.ComputeCtx(nil, "A3", over) // the same join, the indexes now resident
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestTwoDeltasOneState(t *testing.T) {
 	stageRandomChanges(t, w, rand.New(rand.NewSource(5)))
 	over := []string{"R", "S"}
 	want := refWork(t, w, "V3", over)
-	rep, err := w.Compute("V3", over)
+	rep, err := w.ComputeCtx(nil, "V3", over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestTwoDeltasOneState(t *testing.T) {
 	if rep.CacheMisses != 1 || rep.IndexProbes == 0 {
 		t.Fatalf("builds %d, index probes %d; want the one delta build and some probes", rep.CacheMisses, rep.IndexProbes)
 	}
-	if _, err := w.Compute("A3", over); err != nil {
+	if _, err := w.ComputeCtx(nil, "A3", over); err != nil {
 		t.Fatal(err)
 	}
 	for _, view := range []string{"R", "S", "V3", "A3"} {
@@ -213,7 +212,7 @@ func TestTwoDeltasOneState(t *testing.T) {
 	}
 	// T's delta is still pending: bring it in the one-way, then verify.
 	for _, view := range []string{"V3", "A3"} {
-		if _, err := w.Compute(view, []string{"T"}); err != nil {
+		if _, err := w.ComputeCtx(nil, view, []string{"T"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,17 +249,7 @@ func newChainWarehouse(t *testing.T, opts Options, nD, nA, nB, nDelta int64) *Wa
 		}
 	}
 	for i := int64(1); i <= 2; i++ {
-		b := algebra.NewBuilder().From("d", "D", schemaD).From("a", "A", schemaA).From("b", "B", schemaB)
-		b.Join("d.k", "a.k").Join("a.y", "b.y").
-			Where(&algebra.Binary{Op: algebra.OpGt, L: b.Col("b.z"), R: &algebra.Const{Value: relation.NewInt(i)}}).
-			SelectCol("d.x").SelectCol("b.z")
-		cq, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.DefineDerived(fmt.Sprintf("V%d", i), cq); err != nil {
-			t.Fatal(err)
-		}
+		defineSQL(t, w, fmt.Sprintf("V%d", i), fmt.Sprintf("SELECT d.x, b.z FROM D d, A a, B b WHERE d.k = a.k AND a.y = b.y AND b.z > %d", i))
 	}
 	rows := func(n int64, row func(i int64) relation.Tuple) []relation.Tuple {
 		out := make([]relation.Tuple, n)
@@ -305,7 +294,7 @@ func TestSiblingCompsProbeIndexes(t *testing.T) {
 		t.Run(fmt.Sprintf("rows=%d", c.nA), func(t *testing.T) {
 			w := newChainWarehouse(t, Options{}, c.nD, c.nA, c.nB, c.nDelta)
 			for i := 1; i <= 2; i++ {
-				rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"D"})
+				rep, err := w.ComputeCtx(nil, fmt.Sprintf("V%d", i), []string{"D"})
 				if err != nil {
 					t.Fatal(err)
 				}

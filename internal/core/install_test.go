@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -23,19 +22,11 @@ func stagedAggregate(tb testing.TB, shape string, groups, changed int) *Warehous
 	if err := w.DefineBase("R", schemaR); err != nil {
 		tb.Fatal(err)
 	}
-	ab := algebra.NewBuilder().From("r", "R", schemaR)
-	ab.GroupByCol("r.a")
-	switch shape {
-	case "sum-count":
-		ab.Agg("total", delta.AggSum, ab.Col("r.b")).Agg("n", delta.AggCount, nil)
-	case "max":
-		ab.Agg("hi", delta.AggMax, ab.Col("r.b"))
-	default:
+	aggs := map[string]string{"sum-count": "SUM(r.b) AS total, COUNT(*) AS n", "max": "MAX(r.b) AS hi"}[shape]
+	if aggs == "" {
 		tb.Fatalf("unknown shape %q", shape)
 	}
-	if err := w.DefineDerived("A", ab.MustBuild()); err != nil {
-		tb.Fatal(err)
-	}
+	defineSQL(tb, w, "A", "SELECT r.a, "+aggs+" FROM R r GROUP BY r.a")
 	rows := make([]relation.Tuple, 0, 4*groups)
 	for g := 0; g < groups; g++ {
 		for b := int64(0); b < 40; b += 10 {
@@ -57,7 +48,7 @@ func stagedAggregate(tb testing.TB, shape string, groups, changed int) *Warehous
 	if err := w.StageDelta("R", d); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := w.Compute("A", []string{"R"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"R"}); err != nil {
 		tb.Fatal(err)
 	}
 	return w
@@ -100,14 +91,11 @@ func TestInstallAllocationsPerGroup(t *testing.T) {
 // row of that group, whatever its aggregates — MIN/MAX included, for a value
 // already in the group's bag — allocates nothing.
 func TestAccumulatingIntoAGroupAllocatesNothing(t *testing.T) {
-	ab := algebra.NewBuilder().From("r", "R", schemaR)
-	ab.GroupByCol("r.a").
-		Agg("total", delta.AggSum, ab.Col("r.b")).
-		Agg("n", delta.AggCount, nil).
-		Agg("mean", delta.AggAvg, ab.Col("r.b")).
-		Agg("lo", delta.AggMin, ab.Col("r.b")).
-		Agg("hi", delta.AggMax, ab.Col("r.b"))
-	cq := ab.MustBuild()
+	w := New(Options{})
+	if err := w.DefineBase("R", schemaR); err != nil {
+		t.Fatal(err)
+	}
+	cq := parseSQL(t, w, "SELECT r.a, SUM(r.b) AS total, COUNT(*) AS n, AVG(r.b) AS mean, MIN(r.b) AS lo, MAX(r.b) AS hi FROM R r GROUP BY r.a")
 	s := newSink(cq, newAcc(cq))
 	row := intRow(1, 10)
 	s.add(row, 1)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -18,13 +17,7 @@ func TestSelfJoinMaintenance(t *testing.T) {
 		if err := w.DefineBase("R", schemaR); err != nil {
 			t.Fatal(err)
 		}
-		b := algebra.NewBuilder().From("x", "R", schemaR).From("y", "R", schemaR)
-		b.Join("x.b", "y.b").
-			Where(&algebra.Binary{Op: algebra.OpLt, L: b.Col("x.a"), R: b.Col("y.a")}).
-			SelectCol("x.a", "left").SelectCol("y.a", "right")
-		if err := w.DefineDerived("PAIRS", b.MustBuild()); err != nil {
-			t.Fatal(err)
-		}
+		defineSQL(t, w, "PAIRS", "SELECT x.a AS left, y.a AS right FROM R x, R y WHERE x.b = y.b AND x.a < y.a")
 		if err := w.LoadBase("R", []relation.Tuple{
 			intRow(1, 10), intRow(2, 10), intRow(3, 10), intRow(4, 20), intRow(5, 20),
 		}); err != nil {
@@ -45,7 +38,7 @@ func TestSelfJoinMaintenance(t *testing.T) {
 		{Tuple: intRow(6, 20), Count: 1},  // adds (4,6),(5,6)
 	})
 	// Comp(PAIRS,{R}) must expand to 2²−1 = 3 terms.
-	rep, err := w.Compute("PAIRS", []string{"R"})
+	rep, err := w.ComputeCtx(nil, "PAIRS", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,31 +79,12 @@ func newDeepWarehouse(t *testing.T) *Warehouse {
 		}
 	}
 	must(w.DefineBase("R", schemaR))
-	jb := algebra.NewBuilder().From("r", "R", schemaR)
-	jb.Where(&algebra.Binary{Op: algebra.OpGt, L: jb.Col("r.b"), R: &algebra.Const{Value: relation.NewInt(0)}}).
-		SelectCol("r.a").SelectCol("r.b")
-	jDef := jb.MustBuild()
-	must(w.DefineDerived("J", jDef))
-
-	ab := algebra.NewBuilder().From("j", "J", jDef.OutputSchema())
-	ab.GroupByCol("j.a").
-		Agg("total", delta.AggSum, ab.Col("j.b")).
-		Agg("n", delta.AggCount, nil)
-	aDef := ab.MustBuild()
-	must(w.DefineDerived("A", aDef))
-
+	defineSQL(t, w, "J", "SELECT r.a, r.b FROM R r WHERE r.b > 0")
+	defineSQL(t, w, "A", "SELECT j.a, SUM(j.b) AS total, COUNT(*) AS n FROM J j GROUP BY j.a")
 	// Aggregate over aggregate: roll A's totals up into buckets of n.
-	rb := algebra.NewBuilder().From("a", "A", aDef.OutputSchema())
-	rb.GroupByCol("a.n").
-		Agg("grand", delta.AggSum, rb.Col("a.total")).
-		Agg("groups", delta.AggCount, nil)
-	must(w.DefineDerived("ROLL", rb.MustBuild()))
-
+	defineSQL(t, w, "ROLL", "SELECT a.n, SUM(a.total) AS grand, COUNT(*) AS groups FROM A a GROUP BY a.n")
 	// SPJ over aggregate: the keys with large totals.
-	ob := algebra.NewBuilder().From("a", "A", aDef.OutputSchema())
-	ob.Where(&algebra.Binary{Op: algebra.OpGe, L: ob.Col("a.total"), R: &algebra.Const{Value: relation.NewInt(50)}}).
-		SelectCol("a.a").SelectCol("a.total")
-	must(w.DefineDerived("OVER_A", ob.MustBuild()))
+	defineSQL(t, w, "OVER_A", "SELECT a.a, a.total FROM A a WHERE a.total >= 50")
 	return w
 }
 
@@ -203,11 +177,7 @@ func TestDistinctViewMaintenance(t *testing.T) {
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)
 	}
-	b := algebra.NewBuilder().From("r", "R", schemaR)
-	b.SelectCol("r.b").Distinct()
-	if err := w.DefineDerived("D", b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "D", "SELECT DISTINCT r.b FROM R r")
 	if err := w.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(2, 10), intRow(3, 20)}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +189,7 @@ func TestDistinctViewMaintenance(t *testing.T) {
 	}
 	// Remove one of the two b=10 rows: D unchanged.
 	stage(t, w, "R", []delta.Change{{Tuple: intRow(1, 10), Count: -1}})
-	if _, err := w.Compute("D", []string{"R"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "D", []string{"R"}); err != nil {
 		t.Fatal(err)
 	}
 	dD, err := w.DeltaOf("D")
@@ -253,13 +223,7 @@ func TestMinMaxViewThroughStrategies(t *testing.T) {
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)
 	}
-	b := algebra.NewBuilder().From("r", "R", schemaR)
-	b.GroupByCol("r.a").
-		Agg("lo", delta.AggMin, b.Col("r.b")).
-		Agg("hi", delta.AggMax, b.Col("r.b"))
-	if err := w.DefineDerived("EXTREMES", b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "EXTREMES", "SELECT r.a, MIN(r.b) AS lo, MAX(r.b) AS hi FROM R r GROUP BY r.a")
 	if err := w.LoadBase("R", []relation.Tuple{
 		intRow(1, 5), intRow(1, 9), intRow(1, 2), intRow(2, 7),
 	}); err != nil {
@@ -295,13 +259,8 @@ func TestCrossProductView(t *testing.T) {
 	if err := w.DefineBase("S", schemaS); err != nil {
 		t.Fatal(err)
 	}
-	b := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
 	// Non-equi join: r.b < s.c (residual only).
-	b.Where(&algebra.Binary{Op: algebra.OpLt, L: b.Col("r.b"), R: b.Col("s.c")}).
-		SelectCol("r.a").SelectCol("s.c")
-	if err := w.DefineDerived("X", b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "X", "SELECT r.a, s.c FROM R r, S s WHERE r.b < s.c")
 	if err := w.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(2, 300)}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -25,11 +24,7 @@ func TestJoinOrderLooksUpKeysFirst(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b := algebra.NewBuilder().From("d", "D", kx).From("f", "F", kx).From("g", "G", kx)
-		b.Join("d.k", "f.k").Join("d.x", "g.x").SelectCol("f.x").SelectCol("g.k")
-		if err := w.DefineDerived("V", b.MustBuild()); err != nil {
-			t.Fatal(err)
-		}
+		defineSQL(t, w, "V", "SELECT f.x, g.k FROM D d, F f, G g WHERE d.k = f.k AND d.x = g.x")
 		var f, g []relation.Tuple
 		for i := int64(0); i < 20; i++ {
 			f = append(f, intRow(i, i%3))
@@ -76,7 +71,7 @@ func TestCompiledOrdersAreSharedByClones(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = c.Compute("J", []string{"R", "S"})
+			_, errs[i] = c.ComputeCtx(nil, "J", []string{"R", "S"})
 		}()
 	}
 	wg.Wait()

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -41,12 +40,8 @@ func newBombWarehouse(t *testing.T, bomb *bombExpr, nRows int) *Warehouse {
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)
 	}
-	vb := algebra.NewBuilder().From("r", "R", schemaR)
-	vb.Where(bomb).SelectCol("r.a").SelectCol("r.b")
-	v, err := vb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := parseSQL(t, w, "SELECT r.a, r.b FROM R r")
+	v.Filters = append(v.Filters, bomb)
 	if err := w.DefineDerived("V", v); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +72,7 @@ func TestOperatorPanicBecomesError(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"Compute", func() error { _, err := w.Compute("V", []string{"R"}); return err }},
+		{"Compute", func() error { _, err := w.ComputeCtx(nil, "V", []string{"R"}); return err }},
 		{"Recompute", func() error { _, err := w.Recompute("V"); return err }},
 		{"Evaluate", func() error { _, err := w.Evaluate(def); return err }},
 	} {

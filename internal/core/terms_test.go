@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
 )
@@ -28,25 +27,8 @@ func newThreeWayWarehouse(t *testing.T, opts Options) *Warehouse {
 			t.Fatal(err)
 		}
 	}
-	vb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS).From("tt", "T", schemaT)
-	vb.Join("r.b", "s.b").Join("s.c", "tt.c").SelectCol("r.a").SelectCol("tt.d")
-	v3, err := vb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("V3", v3); err != nil {
-		t.Fatal(err)
-	}
-	ab := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS).From("tt", "T", schemaT)
-	ab.Join("r.b", "s.b").Join("s.c", "tt.c").GroupByCol("r.a")
-	ab.Agg("n", delta.AggCount, nil).Agg("total", delta.AggSum, ab.Col("tt.d"))
-	a3, err := ab.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DefineDerived("A3", a3); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "V3", "SELECT r.a, tt.d FROM R r, S s, T tt WHERE r.b = s.b AND s.c = tt.c")
+	defineSQL(t, w, "A3", "SELECT r.a, COUNT(*) AS n, SUM(tt.d) AS total FROM R r, S s, T tt WHERE r.b = s.b AND s.c = tt.c GROUP BY r.a")
 	return w
 }
 
@@ -145,7 +127,7 @@ func threeWayCompWorkAndCounters(t *testing.T, resident bool) {
 
 	for _, view := range []string{"V3", "A3"} {
 		ref := refWork(t, w, view, over)
-		rep, err := w.Compute(view, over)
+		rep, err := w.ComputeCtx(nil, view, over)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,14 +176,14 @@ func TestSingleRefCompute(t *testing.T) {
 	if err := w.StageDelta("R", d); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Compute("J", []string{"R"})
+	rep, err := w.ComputeCtx(nil, "J", []string{"R"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Terms != 1 || rep.CacheHits != 0 {
 		t.Fatalf("single-ref compute: terms=%d hits=%d", rep.Terms, rep.CacheHits)
 	}
-	if _, err := w.Compute("A", []string{"J"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "A", []string{"J"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, view := range []string{"R", "J", "A"} {
@@ -214,7 +196,7 @@ func TestSingleRefCompute(t *testing.T) {
 	}
 
 	// Nothing staged: Compute must produce an empty delta.
-	if _, err := w.Compute("J", []string{"R"}); err != nil {
+	if _, err := w.ComputeCtx(nil, "J", []string{"R"}); err != nil {
 		t.Fatal(err)
 	}
 	dj, err := w.DeltaOf("J")
@@ -241,17 +223,7 @@ func newSiblingWarehouse(t *testing.T, n int, opts Options) *Warehouse {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		b := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-		b.Join("r.b", "s.b").
-			Where(&algebra.Binary{Op: algebra.OpGt, L: b.Col("s.c"), R: &algebra.Const{Value: relation.NewInt(int64(i * 10))}}).
-			SelectCol("r.a").SelectCol("s.c")
-		cq, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.DefineDerived(fmt.Sprintf("V%d", i), cq); err != nil {
-			t.Fatal(err)
-		}
+		defineSQL(t, w, fmt.Sprintf("V%d", i), fmt.Sprintf("SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b AND s.c > %d", i*10))
 	}
 	return w
 }
@@ -288,7 +260,7 @@ func runSiblingWindow(t *testing.T, w *Warehouse, n int) []CompReport {
 	t.Helper()
 	reps := make([]CompReport, n)
 	for i := 1; i <= n; i++ {
-		rep, err := w.Compute(fmt.Sprintf("V%d", i), []string{"R", "S"})
+		rep, err := w.ComputeCtx(nil, fmt.Sprintf("V%d", i), []string{"R", "S"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,18 +45,6 @@ func (p Plan) String() string {
 	return s
 }
 
-// Stages returns the number of stages (the depth of the plan).
-func (p Plan) Stages() int { return len(p) }
-
-// Exprs returns the total number of expressions.
-func (p Plan) Exprs() int {
-	n := 0
-	for _, st := range p {
-		n += len(st)
-	}
-	return n
-}
-
 // mustWait reports whether expression b of the resolved strategy conflicts
 // with earlier expression a and so must wait for it; g is the graph it was
 // resolved against.
@@ -159,14 +147,6 @@ func (d *DAG) Len() int { return len(d.exprs) }
 // Expr returns the i-th expression.
 func (d *DAG) Expr(i int) strategy.Expr { return d.exprs[i] }
 
-// HasEdge reports whether node i waits for node j.
-func (d *DAG) HasEdge(j, i int) bool {
-	return slices.Contains(d.preds(i), int32(j))
-}
-
-// Level returns the barrier-stage index of node i.
-func (d *DAG) Level(i int) int { return d.level[i] }
-
 // Levels returns the number of barrier stages (the plan depth).
 func (d *DAG) Levels() int { return len(d.widths) }
 
@@ -186,34 +166,6 @@ func (d *DAG) StagedPlan() Plan {
 		plan[d.level[i]] = append(plan[d.level[i]], e)
 	}
 	return plan
-}
-
-// Acyclic verifies by Kahn's algorithm that every node is reachable through
-// in-degree-zero elimination. BuildDAG guarantees this (edges point forward
-// in strategy order); the check backs the fuzz harness.
-func (d *DAG) Acyclic() bool {
-	n := d.Len()
-	indeg := make([]int, n)
-	var queue []int32
-	for i := 0; i < n; i++ {
-		indeg[i] = len(d.preds(i))
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	removed := 0
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		removed++
-		for _, i := range d.succs(int(j)) {
-			indeg[i]--
-			if indeg[i] == 0 {
-				queue = append(queue, i)
-			}
-		}
-	}
-	return removed == n
 }
 
 // spanWork computes the barrier-plan span from measured per-node work: the

@@ -3,10 +3,10 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/delta"
@@ -32,13 +32,8 @@ func newForkWarehouse(t *testing.T) *core.Warehouse {
 	}
 	must(w.DefineBase("R", schemaR))
 	must(w.DefineBase("S", schemaS))
-	j1 := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	j1.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	must(w.DefineDerived("J1", j1.MustBuild()))
-	j2 := algebra.NewBuilder().From("r", "R", schemaR)
-	j2.Where(&algebra.Binary{Op: algebra.OpGt, L: j2.Col("r.a"), R: &algebra.Const{Value: relation.NewInt(1)}}).
-		SelectCol("r.a").SelectCol("r.b")
-	must(w.DefineDerived("J2", j2.MustBuild()))
+	defineSQL(t, w, "J1", "SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b")
+	defineSQL(t, w, "J2", "SELECT r.a, r.b FROM R r WHERE r.a > 1")
 	must(w.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(2, 10), intRow(3, 20), intRow(4, 20)}))
 	must(w.LoadBase("S", []relation.Tuple{intRow(10, 100), intRow(20, 200)}))
 	must(w.RefreshAll())
@@ -74,14 +69,11 @@ func TestParallelizeDualStage(t *testing.T) {
 	plan := Parallelize(forkDualStage(w), w.Graph())
 	// Both comps are independent → stage 1; all installs conflict with the
 	// comps → stage 2.
-	if plan.Stages() != 2 {
-		t.Fatalf("stages = %d (%s)", plan.Stages(), plan)
+	if len(plan) != 2 {
+		t.Fatalf("stages = %d (%s)", len(plan), plan)
 	}
 	if len(plan[0]) != 2 || len(plan[1]) != 4 {
 		t.Errorf("stage sizes wrong: %s", plan)
-	}
-	if plan.Exprs() != 6 {
-		t.Errorf("Exprs = %d", plan.Exprs())
 	}
 	if !strings.Contains(plan.String(), "[1:") {
 		t.Errorf("String = %q", plan.String())
@@ -102,8 +94,8 @@ func TestParallelizeOneWayKeepsOrder(t *testing.T) {
 	// Stage 1: both comps over R. Stage 2: Inst(R). Stage 3: Comp(J1,{S}),
 	// Inst(J2)? Inst(J2) conflicts with Comp(J2,{R}) (stage 1) only → could
 	// land in stage 2 alongside Inst(R).
-	if plan.Stages() < 4 {
-		t.Fatalf("expected ≥4 stages, got %d (%s)", plan.Stages(), plan)
+	if len(plan) < 4 {
+		t.Fatalf("expected ≥4 stages, got %d (%s)", len(plan), plan)
 	}
 	// First stage holds the two independent comps.
 	if len(plan[0]) != 2 {
@@ -141,14 +133,11 @@ func TestParallelizePropertyRandom(t *testing.T) {
 		}
 		plan := Parallelize(res.Strategy, g)
 		d := BuildDAG(res.Strategy, g)
-		if d.Len() != len(res.Strategy) || d.Levels() != plan.Stages() {
+		if d.Len() != len(res.Strategy) || d.Levels() != len(plan) {
 			t.Fatalf("trial %d: DAG has %d nodes in %d levels, strategy %d in %d stages",
-				trial, d.Len(), d.Levels(), len(res.Strategy), plan.Stages())
+				trial, d.Len(), d.Levels(), len(res.Strategy), len(plan))
 		}
 		// (a) same multiset of expressions.
-		if plan.Exprs() != len(res.Strategy) {
-			t.Fatalf("trial %d: %d exprs staged, strategy has %d", trial, plan.Exprs(), len(res.Strategy))
-		}
 		seen := make(map[string]int)
 		for _, e := range res.Strategy {
 			seen[e.Key()]++
@@ -177,13 +166,13 @@ func TestParallelizePropertyRandom(t *testing.T) {
 					}
 				}
 				// (c) every conflict is an edge and nothing else is.
-				if d.HasEdge(i, j) != conflict {
-					t.Fatalf("trial %d: edge %d→%d = %v, conflict = %v", trial, i, j, d.HasEdge(i, j), conflict)
+				if edge := slices.Contains(d.Preds(j), int32(i)); edge != conflict {
+					t.Fatalf("trial %d: edge %d→%d = %v, conflict = %v", trial, i, j, edge, conflict)
 				}
 			}
-		}
-		if !d.Acyclic() {
-			t.Fatalf("trial %d: DAG not acyclic", trial)
+			if slices.ContainsFunc(d.Preds(i), func(j int32) bool { return int(j) >= i }) {
+				t.Fatalf("trial %d: node %d waits for a later node: the DAG is not acyclic", trial, i)
+			}
 		}
 	}
 }
@@ -226,10 +215,11 @@ func TestSpeedupEmptyPlan(t *testing.T) {
 }
 
 // TestInlineFlatteningEnablesTwoStagePlan reproduces the Section 9
-// flattening example: a level-2 view inlined down to base views lets every
-// comp run in the first stage.
+// flattening example: K over J over R waits for J's comp, and K defined over
+// R directly — what inlining J's definition into K gives — lets every comp
+// run in the first stage.
 func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
-	// Chain: R → J (σ over R) → K (σ over J).
+	// Chain: R → J (π over R) → K (σ over J).
 	w := core.New(core.Options{})
 	must := func(err error) {
 		t.Helper()
@@ -238,15 +228,8 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 		}
 	}
 	must(w.DefineBase("R", schemaR))
-	jb := algebra.NewBuilder().From("r", "R", schemaR)
-	jb.SelectCol("r.a").SelectCol("r.b")
-	jDef := jb.MustBuild()
-	must(w.DefineDerived("J", jDef))
-	kb := algebra.NewBuilder().From("j", "J", jDef.OutputSchema())
-	kb.Where(&algebra.Binary{Op: algebra.OpGt, L: kb.Col("j.a"), R: &algebra.Const{Value: relation.NewInt(2)}}).
-		SelectCol("j.a")
-	kDef := kb.MustBuild()
-	must(w.DefineDerived("K", kDef))
+	defineSQL(t, w, "J", "SELECT r.a, r.b FROM R r")
+	defineSQL(t, w, "K", "SELECT j.a FROM J j WHERE j.a > 2")
 
 	// Unflattened: Comp(K,{J}) must follow Comp(J,{R}) → ≥2 comp stages.
 	s := strategy.Strategy{
@@ -259,18 +242,11 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 		t.Fatalf("unflattened first stage = %v", plan[0])
 	}
 
-	// Flatten K over J: K now references R directly.
-	flat, err := algebra.Inline(kDef, 0, jDef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.BaseViews()[0] != "R" {
-		t.Fatalf("flattened refs = %v", flat.BaseViews())
-	}
+	// Flattened: K references R directly.
 	w2 := core.New(core.Options{})
 	must(w2.DefineBase("R", schemaR))
-	must(w2.DefineDerived("J", jDef))
-	must(w2.DefineDerived("K", flat))
+	defineSQL(t, w2, "J", "SELECT r.a, r.b FROM R r")
+	defineSQL(t, w2, "K", "SELECT r.a FROM R r WHERE r.a > 2")
 	must(w2.LoadBase("R", []relation.Tuple{intRow(1, 10), intRow(3, 30), intRow(4, 40)}))
 	must(w2.RefreshAll())
 	dR := delta.New(schemaR)
@@ -294,8 +270,8 @@ func TestInlineFlatteningEnablesTwoStagePlan(t *testing.T) {
 	if err := w2.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sched.Levels != planF.Stages() {
-		t.Errorf("report has %d levels, plan %d stages", rep.Sched.Levels, planF.Stages())
+	if rep.Sched.Levels != len(planF) {
+		t.Errorf("report has %d levels, plan %d stages", rep.Sched.Levels, len(planF))
 	}
 	// K must reflect the change: row 9 (>2) present, 3 gone.
 	rows := w2.MustView("K").SortedRows()
@@ -355,12 +331,12 @@ func conflicts(a, b strategy.Expr, children func(view string) []string) bool {
 			if y.View == x.View {
 				return true
 			}
-			return x.Uses(y.View)
+			return slices.Contains(x.Over, y.View)
 		case strategy.Comp:
 			if x.View == y.View {
 				return true
 			}
-			return y.Uses(x.View) || x.Uses(y.View)
+			return slices.Contains(y.Over, x.View) || slices.Contains(x.Over, y.View)
 		}
 	}
 	return false
@@ -408,12 +384,11 @@ func FuzzParallelizeRespectsConflicts(f *testing.F) {
 		plan := Parallelize(s, fuzzGraph)
 		d := BuildDAG(s, fuzzGraph)
 
-		if plan.Exprs() != len(s) || d.Len() != len(s) {
-			t.Fatalf("expression count changed: plan %d, dag %d, strategy %d",
-				plan.Exprs(), d.Len(), len(s))
+		if d.Len() != len(s) {
+			t.Fatalf("expression count changed: dag %d, strategy %d", d.Len(), len(s))
 		}
-		if d.Levels() != plan.Stages() {
-			t.Fatalf("dag levels %d != plan stages %d", d.Levels(), plan.Stages())
+		if d.Levels() != len(plan) {
+			t.Fatalf("dag levels %d != plan stages %d", d.Levels(), len(plan))
 		}
 
 		// Positions are not unique keys (duplicates allowed), so recover each
@@ -436,6 +411,9 @@ func FuzzParallelizeRespectsConflicts(f *testing.F) {
 				}
 			}
 		}
+		if i := slices.Index(used, false); i >= 0 {
+			t.Fatalf("no stage holds %s", s[i])
+		}
 
 		for i := 0; i < len(s); i++ {
 			for j := i + 1; j < len(s); j++ {
@@ -448,16 +426,13 @@ func FuzzParallelizeRespectsConflicts(f *testing.F) {
 						s[i], s[j], stageOf[i], stageOf[j])
 				}
 				// …and the DAG must carry the edge, in the original direction.
-				if !d.HasEdge(i, j) {
+				if !slices.Contains(d.Preds(j), int32(i)) {
 					t.Fatalf("conflict %s ≺ %s has no DAG edge %d→%d", s[i], s[j], i, j)
 				}
-				if d.HasEdge(j, i) {
-					t.Fatalf("reversed DAG edge %d→%d", j, i)
-				}
 			}
-		}
-		if !d.Acyclic() {
-			t.Fatalf("DAG not acyclic for strategy %s", s)
+			if slices.ContainsFunc(d.Preds(i), func(j int32) bool { return int(j) >= i }) {
+				t.Fatalf("node %d waits for a later node: the DAG is not acyclic", i)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 	"repro/internal/strategy"
 )
 
@@ -16,6 +18,29 @@ var (
 	schemaR = relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "b", Kind: relation.KindInt}}
 	schemaS = relation.Schema{{Name: "b", Kind: relation.KindInt}, {Name: "c", Kind: relation.KindInt}}
 )
+
+// parseSQL binds a view definition's SQL text against w's catalog.
+func parseSQL(t *testing.T, w *core.Warehouse, sql string) *algebra.CQ {
+	t.Helper()
+	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
+		if view := w.View(v); view != nil {
+			return view.Schema(), nil
+		}
+		return nil, fmt.Errorf("no view %q", v)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cq
+}
+
+// defineSQL defines the derived view name on w by its SQL text.
+func defineSQL(t *testing.T, w *core.Warehouse, name, sql string) {
+	t.Helper()
+	if err := w.DefineDerived(name, parseSQL(t, w, sql)); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func intRow(vals ...int64) relation.Tuple {
 	t := make(relation.Tuple, len(vals))
@@ -37,13 +62,8 @@ func newWarehouse(t *testing.T, rng *rand.Rand) *core.Warehouse {
 	}
 	must(w.DefineBase("R", schemaR))
 	must(w.DefineBase("S", schemaS))
-	jb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	jb.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	j := jb.MustBuild()
-	must(w.DefineDerived("J", j))
-	ab := algebra.NewBuilder().From("j", "J", j.OutputSchema())
-	ab.GroupByCol("j.a").Agg("total", delta.AggSum, ab.Col("j.c"))
-	must(w.DefineDerived("A", ab.MustBuild()))
+	defineSQL(t, w, "J", "SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b")
+	defineSQL(t, w, "A", "SELECT j.a, SUM(j.c) AS total FROM J j GROUP BY j.a")
 
 	var rRows, sRows []relation.Tuple
 	for i := 0; i < 40; i++ {

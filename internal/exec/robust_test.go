@@ -42,14 +42,9 @@ func newBombSetup(t *testing.T, bomb algebra.Expr) (*core.Warehouse, strategy.St
 	if err := w.DefineBase("R", schemaR); err != nil {
 		t.Fatal(err)
 	}
-	vb := algebra.NewBuilder().From("r", "R", schemaR)
+	v := parseSQL(t, w, "SELECT r.a, r.b FROM R r")
 	if bomb != nil {
-		vb.Where(bomb)
-	}
-	vb.SelectCol("r.a").SelectCol("r.b")
-	v, err := vb.Build()
-	if err != nil {
-		t.Fatal(err)
+		v.Filters = append(v.Filters, bomb)
 	}
 	if err := w.DefineDerived("V", v); err != nil {
 		t.Fatal(err)

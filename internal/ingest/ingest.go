@@ -273,11 +273,14 @@ func (in *Ingester) Submit(view string, d *warehouse.Delta) error {
 		return nil
 	}
 	// The window merges the sealed change sets of a view, which needs one
-	// schema.
+	// schema, and stages them, which only a base view takes.
 	if s, err := in.cfg.Warehouse.ViewSchema(view); err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	} else if !s.Equal(d.Schema()) {
 		return fmt.Errorf("ingest: change set over [%s] for %q, whose schema is [%s]", d.Schema(), view, s)
+	}
+	if g, _ := in.cfg.Warehouse.Graph(); !g.IsBase(view) { // Graph's error is always nil
+		return fmt.Errorf("ingest: change set for derived view %q: only base views take changes", view)
 	}
 	d = d.Clone()
 	if err := d.Seal(); err != nil || d.IsEmpty() {

@@ -228,8 +228,8 @@ func TestIngestCloseFlushes(t *testing.T) {
 }
 
 // TestSubmitRefusesAnotherSchema: a change set whose schema is not its
-// view's, or for no view, is refused at Submit, and the ingester goes on to
-// install what it accepted.
+// view's, for no view, or for a derived view, is refused at Submit, and the
+// ingester goes on to install what it accepted.
 func TestSubmitRefusesAnotherSchema(t *testing.T) {
 	w := buildFixture(t, fixSeed, fixStores, fixSales)
 	ing, err := New(Config{Warehouse: w})
@@ -242,7 +242,12 @@ func TestSubmitRefusesAnotherSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores.Add(warehouse.Tuple{warehouse.Int(9999), warehouse.String("north")}, 1)
-	for view, d := range map[string]*warehouse.Delta{"SALES": stores, "NOPE": sets[0].delta(t, w)} {
+	derived, err := w.NewDelta("SALES_BY_STORE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived.Add(warehouse.Tuple{warehouse.Int(9999), warehouse.Int(0), warehouse.Float(1), warehouse.String("north")}, 1)
+	for view, d := range map[string]*warehouse.Delta{"SALES": stores, "NOPE": sets[0].delta(t, w), "SALES_BY_STORE": derived} {
 		if err := ing.Submit(view, d); err == nil {
 			t.Fatalf("Submit to %s of a change set over %v was accepted", view, d.Schema())
 		}

@@ -21,7 +21,7 @@ func encodeBegin(b BeginRecord) ([]byte, error) { return b.appendTo(nil), nil }
 func encodeCommit(c CommitRecord) []byte { return c.appendTo(nil) }
 
 // The encoders as they stood before records were encoded in place, each
-// payload built by appending and copied into its frame by EncodeFrame: the
+// payload built by appending and copied into its frame: the
 // bytes the in-place encoders are held to.
 
 func oldEncodeAccept(a AcceptRecord) []byte {
@@ -95,7 +95,7 @@ func oldEncodeCommit(c CommitRecord) []byte {
 	return p
 }
 
-// oldEncodeFrame is EncodeFrame as it stood: the head, the payload copied
+// oldEncodeFrame is the frame encoder as it stood: the head, the payload copied
 // behind it, and the CRC over both.
 func oldEncodeFrame(typ byte, payload []byte) []byte {
 	frame := append([]byte{typ}, binary.AppendUvarint(nil, uint64(len(payload)))...)
@@ -203,14 +203,14 @@ func TestBatchDigestIsTheCRCFormula(t *testing.T) {
 	}
 }
 
-// TestEncodeFrameIsTheOldFrame: EncodeFrame, which builds its frame in
+// TestEncodeFrameIsTheOldFrame: appendFrame, which builds its frame in
 // place behind a gap, writes the old head, payload and CRC for payloads
 // whose lengths take one to three varint bytes.
 func TestEncodeFrameIsTheOldFrame(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
 		payload := bytes.Repeat([]byte{byte(n)}, n)
-		if got, want := EncodeFrame(TypeCommit, payload), oldEncodeFrame(TypeCommit, payload); !bytes.Equal(got, want) {
-			t.Fatalf("a %d-byte payload: EncodeFrame wrote %d bytes, the old encoder %d", n, len(got), len(want))
+		if got, want := encodeFrame(TypeCommit, payload), oldEncodeFrame(TypeCommit, payload); !bytes.Equal(got, want) {
+			t.Fatalf("a %d-byte payload: appendFrame wrote %d bytes, the old encoder %d", n, len(got), len(want))
 		}
 	}
 }

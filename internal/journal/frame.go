@@ -48,14 +48,6 @@ var ErrCorruptFrame = errors.New("journal: corrupt frame")
 // record boundary).
 func ChunkCRC(p []byte) uint64 { return crc64.Checksum(p, crcTable) }
 
-// EncodeFrame wraps a payload in a frame without appending it anywhere. The
-// CRC covers the type byte, the length bytes and the payload.
-func EncodeFrame(typ byte, payload []byte) []byte {
-	buf, start := appendFrame(make([]byte, 0, frameGap+len(payload)+8), typ,
-		func(p []byte) []byte { return append(p, payload...) })
-	return buf[start:]
-}
-
 // frameGap is the room a frame's head takes at most: the type byte and the
 // payload's length as a uvarint.
 const frameGap = 1 + binary.MaxVarintLen64

@@ -10,10 +10,23 @@ import (
 	"testing"
 )
 
+// encodeFrame wraps a payload in a frame without appending it anywhere.
+func encodeFrame(typ byte, payload []byte) []byte {
+	buf, start := appendFrame(nil, typ, func(p []byte) []byte { return append(p, payload...) })
+	return buf[start:]
+}
+
+// stickyErr is the writer's sticky error, if any append or sync has failed.
+func stickyErr(w *Writer) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
 // TestScanStops: Scan tells an incomplete tail from a corrupt one and from a
 // record its caller refused, and counts only the frames the caller took.
 func TestScanStops(t *testing.T) {
-	one, two := EncodeFrame(7, []byte("one")), EncodeFrame(8, []byte("two"))
+	one, two := encodeFrame(7, []byte("one")), encodeFrame(8, []byte("two"))
 	whole := append(append([]byte(nil), one...), two...)
 	flipped := append([]byte(nil), whole...)
 	flipped[len(one)+3] ^= 1
@@ -57,7 +70,7 @@ func TestScanStops(t *testing.T) {
 // closed window is outside any window for both.
 func TestFileAndStreamPolicies(t *testing.T) {
 	raw := writeSampleLog(t) // a committed window, an aborted one
-	alien := EncodeFrame(9, []byte("no such record"))
+	alien := encodeFrame(9, []byte("no such record"))
 
 	var asm Assembler
 	if _, err := asm.Feed(9, []byte("no such record")); !errors.Is(err, ErrCorruptFrame) {
@@ -70,7 +83,7 @@ func TestFileAndStreamPolicies(t *testing.T) {
 
 	var begin, commit []byte
 	_, _ = Scan(raw, func(typ byte, payload []byte, end int) error {
-		if frame := raw[end-len(EncodeFrame(typ, payload)) : end]; typ == TypeBegin && begin == nil {
+		if frame := raw[end-len(encodeFrame(typ, payload)) : end]; typ == TypeBegin && begin == nil {
 			begin = frame
 		} else if typ == TypeCommit && commit == nil {
 			commit = frame
@@ -100,7 +113,7 @@ func TestFileAndStreamPolicies(t *testing.T) {
 // last whole frame, whatever the tail was, and a record the vocabulary cannot
 // read leaves the file alone.
 func TestOpenAppendCutsTheTornTail(t *testing.T) {
-	one, two := EncodeFrame(7, []byte("one")), EncodeFrame(8, []byte("two"))
+	one, two := encodeFrame(7, []byte("one")), encodeFrame(8, []byte("two"))
 	flipped := append([]byte(nil), two...)
 	flipped[2] ^= 1
 	for name, tail := range map[string][]byte{"none": nil, "incomplete": two[:len(two)-2], "corrupt": append(flipped, one...)} {
@@ -176,8 +189,8 @@ func TestAppenderErrorsAreSticky(t *testing.T) {
 		t.Fatalf("the failed write returned %v", first)
 	}
 	sink.n = 100
-	if _, _, err := w.Accept(AcceptRecord{}); err != first || w.Err() != first || len(sink.writes) != 1 {
-		t.Fatalf("after a failed write: Accept = %v, Err = %v, %d writes reached the sink", err, w.Err(), len(sink.writes))
+	if _, _, err := w.Accept(AcceptRecord{}); err != first || stickyErr(w) != first || len(sink.writes) != 1 {
+		t.Fatalf("after a failed write: Accept = %v, Err = %v, %d writes reached the sink", err, stickyErr(w), len(sink.writes))
 	}
 
 	sink = &failAfter{n: 100}

@@ -26,12 +26,12 @@ func FuzzJournal(f *testing.F) {
 	f.Add(seed.Bytes()[:seed.Len()-3])
 	f.Add([]byte{})
 	f.Add([]byte{TypeBegin, 0xff, 0xff, 0xff, 0xff})
-	f.Add(append(seed.Bytes(), EncodeFrame(9, []byte("no such record"))...))
+	f.Add(append(seed.Bytes(), encodeFrame(9, []byte("no such record"))...))
 	if golden, err := os.ReadFile("testdata/parent.journal"); err == nil {
 		f.Add(golden) // accepts between windows and inside one, ranges, own accepts
 	}
 	unseen, _ := encodeBegin(BeginRecord{Seq: 3, Accepts: Range{7, 8}})
-	f.Add(append(seed.Bytes(), EncodeFrame(TypeBegin, unseen)...))
+	f.Add(append(seed.Bytes(), encodeFrame(TypeBegin, unseen)...))
 	for _, old := range []string{"testdata/batch_in_begin.journal", "testdata/step_frames.journal"} {
 		if old, err := os.ReadFile(old); err == nil {
 			f.Add(old)

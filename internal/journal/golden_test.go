@@ -112,7 +112,7 @@ func reencode(t testing.TB, buf []byte) []byte {
 		default:
 			err = errors.New("not a record of the window journal")
 		}
-		out = append(out, EncodeFrame(typ, again)...)
+		out = append(out, encodeFrame(typ, again)...)
 		return err
 	})
 	if err != nil || n != len(buf) {

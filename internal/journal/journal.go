@@ -286,13 +286,6 @@ func (w *Writer) shipLocked() {
 	}
 }
 
-// Err returns the sticky error, if any append or sync has failed.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // appendLocked writes one record, whose payload enc encodes in place into
 // the frame, and hands the frame to the sink in one Write (w.mu held).
 func (w *Writer) appendLocked(typ byte, enc func([]byte) []byte) error {

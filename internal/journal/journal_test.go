@@ -197,7 +197,7 @@ func TestWriterStickyError(t *testing.T) {
 	if err := w.Commit(CommitRecord{}); err == nil {
 		t.Fatal("write to failing sink succeeded")
 	}
-	if err := w.Err(); err == nil {
+	if err := stickyErr(w); err == nil {
 		t.Fatal("sticky error not recorded")
 	}
 	if err := w.Abort(AbortRecord{}); err == nil {
@@ -228,8 +228,8 @@ func TestWriterSetContext(t *testing.T) {
 	if err := w.Abort(AbortRecord{Reason: "cancelled"}); err != nil {
 		t.Fatalf("abort must land under cancelled ctx: %v", err)
 	}
-	if w.Err() != nil {
-		t.Fatalf("context refusal became sticky: %v", w.Err())
+	if stickyErr(w) != nil {
+		t.Fatalf("context refusal became sticky: %v", stickyErr(w))
 	}
 	w.SetContext(nil)
 	if err := w.Begin(testBegin()); err != nil {

@@ -121,8 +121,8 @@ func TestFailedBeginFlushIsSticky(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "journal: sync") {
 		t.Fatalf("Commit after a failed begin flush: %v", err)
 	}
-	if !errors.Is(w.Err(), boom) {
-		t.Fatalf("sticky error: %v", w.Err())
+	if !errors.Is(stickyErr(w), boom) {
+		t.Fatalf("sticky error: %v", stickyErr(w))
 	}
 	if now := d.Now(); now != before {
 		t.Fatalf("a closing record was written after its begin record's flush failed: %+v, was %+v", now, before)

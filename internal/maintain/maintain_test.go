@@ -11,14 +11,9 @@ var schemaA = relation.Schema{{Name: "x", Kind: relation.KindInt}}
 
 func joinCQ(t *testing.T, views ...string) *algebra.CQ {
 	t.Helper()
-	b := algebra.NewBuilder()
+	cq := &algebra.CQ{Select: []algebra.NamedExpr{{Name: "x", E: &algebra.Col{Name: "a.x", Typ: relation.KindInt}}}}
 	for i, v := range views {
-		b.From(string(rune('a'+i)), v, schemaA)
-	}
-	b.SelectCol("a.x")
-	cq, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+		cq.Refs = append(cq.Refs, algebra.Ref{Alias: string(rune('a' + i)), View: v, Schema: schemaA})
 	}
 	return cq
 }

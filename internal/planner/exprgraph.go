@@ -166,45 +166,6 @@ func compileSkeleton(g *vdag.Graph) any {
 // comp returns the node of Comp(v,{the i-th child of v}).
 func (sk *skeleton) comp(v int32, i int) int32 { return int32(sk.nViews) + sk.compOff[v] + int32(i) }
 
-// node returns the node id of a 1-way expression of the graph.
-func (sk *skeleton) node(e strategy.Expr) (int32, bool) {
-	switch x := e.(type) {
-	case strategy.Inst:
-		return sk.g.ID(x.View)
-	case strategy.Comp:
-		v, ok := sk.g.ID(x.View)
-		if !ok || len(x.Over) != 1 {
-			return 0, false
-		}
-		c, ok := sk.g.ID(x.Over[0])
-		if i := slices.Index(sk.g.ChildIDs(v), c); ok && i >= 0 {
-			return sk.comp(v, i), true
-		}
-	}
-	return 0, false
-}
-
-// Nodes returns the 1-way expressions of the graph.
-func (eg *ExprGraph) Nodes() []strategy.Expr { return slices.Clone(eg.sk.nodes) }
-
-// EdgeCount returns the number of dependency edges.
-func (eg *ExprGraph) EdgeCount() int { return len(eg.deps.to) }
-
-// HasDep reports whether expression a must come after expression b.
-func (eg *ExprGraph) HasDep(a, b strategy.Expr) bool {
-	ai, aok := eg.sk.node(a)
-	bi, bok := eg.sk.node(b)
-	if !aok || !bok {
-		return false
-	}
-	for e := eg.deps.head[bi]; e >= 0; e = eg.deps.next[e] {
-		if eg.deps.to[e] == ai {
-			return true
-		}
-	}
-	return false
-}
-
 // construct builds the expression graph of g with respect to ordering,
 // following ConstructEG (Appendix B): the skeleton's C3/C5/C8 edges, and the
 // ordering edges between each view's Comps (lines 3–5) with the C4 edges they

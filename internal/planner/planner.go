@@ -163,27 +163,3 @@ type SharedSearchOptions struct {
 type SharingOptions struct {
 	Width, Pairs, Tuner any
 }
-
-// BestViewStrategy exhaustively evaluates every correct view strategy for a
-// single view (one representative per ordered partition of the children)
-// under the linear work metric and returns the cheapest. Exponential in the
-// number of children; it is the oracle MinWorkSingle is tested against and
-// the generator behind the paper's Figure 12.
-func BestViewStrategy(g *vdag.Graph, view string, model cost.Model, stats cost.Stats, refs cost.RefCounts) (strategy.Strategy, float64, error) {
-	children := g.Children(view)
-	if len(children) == 0 {
-		return nil, 0, fmt.Errorf("planner: %q is a base view", view)
-	}
-	var best strategy.Strategy
-	bestW := -1.0
-	for _, s := range strategy.EnumerateViewStrategies(view, children) {
-		w, err := cost.Work(model, stats, refs, s)
-		if err != nil {
-			return nil, 0, err
-		}
-		if bestW < 0 || w < bestW {
-			bestW, best = w, s
-		}
-	}
-	return best, bestW, nil
-}

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/journal"
@@ -33,20 +31,8 @@ func digestWarehouse(t testing.TB, rows []relation.Tuple) *core.Warehouse {
 	if err := w.DefineBase("B", digestSchema); err != nil {
 		t.Fatal(err)
 	}
-	spj := algebra.NewBuilder().From("b", "B", digestSchema).
-		SelectCol("b.g").SelectCol("b.x").SelectCol("b.k")
-	if err := w.DefineDerived("P", spj.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	ps := w.MustView("P").Schema()
-	agg := algebra.NewBuilder().From("p", "P", ps)
-	agg.GroupByCol("p.g").
-		Agg("total", delta.AggSum, agg.Col("p.x")).
-		Agg("n", delta.AggCount, nil).
-		Agg("top", delta.AggMax, agg.Col("p.x"))
-	if err := w.DefineDerived("A", agg.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
+	defineSQL(t, w, "P", "SELECT b.g, b.x, b.k FROM B b")
+	defineSQL(t, w, "A", "SELECT p.g, SUM(p.x) AS total, COUNT(*) AS n, MAX(p.x) AS top FROM P p GROUP BY p.g")
 	if err := w.LoadBase("B", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +118,7 @@ func TestStateDigestMatchesScanEncode(t *testing.T) {
 			for _, step := range []struct{ comp, over string }{{"P", "B"}, {"", "B"}, {"A", "P"}, {"", "P"}, {"", "A"}} {
 				var err error
 				if step.comp != "" {
-					_, err = w.Compute(step.comp, []string{step.over})
+					_, err = w.ComputeCtx(nil, step.comp, []string{step.over})
 				} else {
 					_, _, err = w.Install(step.over)
 				}
@@ -156,17 +142,8 @@ func propWarehouse(t testing.TB, rows []relation.Tuple) *core.Warehouse {
 		}
 	}
 	must(w.DefineBase("B", digestSchema))
-	spj := algebra.NewBuilder().From("b", "B", digestSchema).
-		SelectCol("b.g").SelectCol("b.x").SelectCol("b.k")
-	must(w.DefineDerived("P", spj.MustBuild()))
-	agg := algebra.NewBuilder().From("p", "P", w.MustView("P").Schema())
-	agg.GroupByCol("p.g").
-		Agg("total", delta.AggSum, agg.Col("p.x")).
-		Agg("n", delta.AggCount, nil).
-		Agg("mean", delta.AggAvg, agg.Col("p.x")).
-		Agg("lo", delta.AggMin, agg.Col("p.k")).
-		Agg("hi", delta.AggMax, agg.Col("p.k"))
-	must(w.DefineDerived("A", agg.MustBuild()))
+	defineSQL(t, w, "P", "SELECT b.g, b.x, b.k FROM B b")
+	defineSQL(t, w, "A", "SELECT p.g, SUM(p.x) AS total, COUNT(*) AS n, AVG(p.x) AS mean, MIN(p.k) AS lo, MAX(p.k) AS hi FROM P p GROUP BY p.g")
 	must(w.LoadBase("B", rows))
 	must(w.RefreshAll())
 	return w
@@ -235,7 +212,7 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 				must(w.StageDelta("B", d))
 				for _, step := range []struct{ comp, over string }{{"P", "B"}, {"", "B"}, {"A", "P"}, {"", "P"}, {"", "A"}} {
 					if step.comp != "" {
-						_, err := w.Compute(step.comp, []string{step.over})
+						_, err := w.ComputeCtx(nil, step.comp, []string{step.over})
 						must(err)
 					} else {
 						_, _, err := w.Install(step.over)
@@ -367,7 +344,7 @@ func TestBatchRoundTripThroughWarehouse(t *testing.T) {
 	if err := w.StageDelta("B0", d); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := BatchOf(w)
+	batch, _, err := stagedBatch(w, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +403,8 @@ func TestStateDigestDetectsChanges(t *testing.T) {
 // views defined in an order that is not their names', a derived view among
 // them, long keys and counts of either sign — the digest a window takes
 // straight from the staged deltas, without collecting them, and the one it
-// takes while collecting its own batch are both journal.BatchDigest of
-// BatchOf, bit for bit; and the batch it collects is BatchOf's.
+// takes while collecting its own batch are both journal.BatchDigest of the
+// collected batch, bit for bit.
 func TestStagedDigestIsBatchDigest(t *testing.T) {
 	schema := relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "s", Kind: relation.KindString}}
 	rng := rand.New(rand.NewSource(52))
@@ -439,10 +416,7 @@ func TestStagedDigestIsBatchDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		spj := algebra.NewBuilder().From("z", "Z", schema).SelectCol("z.a")
-		if err := w.DefineDerived("P", spj.MustBuild()); err != nil {
-			t.Fatal(err)
-		}
+		defineSQL(t, w, "P", "SELECT z.a FROM Z z")
 		for _, name := range bases {
 			if rng.Intn(4) == 0 {
 				continue // nothing staged on this view
@@ -456,17 +430,16 @@ func TestStagedDigestIsBatchDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		batch, err := BatchOf(w)
+		batch, got, err := stagedBatch(w, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := journal.BatchDigest(batch)
-		if _, got, err := stagedBatch(w, false); err != nil || got != want {
-			t.Fatalf("trial %d: digest of the staged deltas %016x (%v), BatchDigest of BatchOf %016x", trial, got, err, want)
+		if got != want {
+			t.Fatalf("trial %d: collecting digest %016x, BatchDigest of the batch %016x", trial, got, want)
 		}
-		collected, got, err := stagedBatch(w, true)
-		if err != nil || got != want || !reflect.DeepEqual(collected, batch) {
-			t.Fatalf("trial %d: collecting digest %016x (%v), want %016x; batch equal: %v", trial, got, err, want, reflect.DeepEqual(collected, batch))
+		if _, got, err := stagedBatch(w, false); err != nil || got != want {
+			t.Fatalf("trial %d: digest of the staged deltas %016x (%v), BatchDigest of the batch %016x", trial, got, err, want)
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 	"repro/internal/strategy"
 )
 
@@ -21,6 +21,24 @@ var (
 	schemaR = relation.Schema{{Name: "a", Kind: relation.KindInt}, {Name: "b", Kind: relation.KindInt}}
 	schemaS = relation.Schema{{Name: "b", Kind: relation.KindInt}, {Name: "c", Kind: relation.KindInt}}
 )
+
+// defineSQL defines the derived view name on w by its SQL text, bound
+// against w's catalog.
+func defineSQL(t testing.TB, w *core.Warehouse, name, sql string) {
+	t.Helper()
+	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
+		if view := w.View(v); view != nil {
+			return view.Schema(), nil
+		}
+		return nil, fmt.Errorf("no view %q", v)
+	})
+	if err == nil {
+		err = w.DefineDerived(name, cq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func intRow(vals ...int64) relation.Tuple {
 	t := make(relation.Tuple, len(vals))
@@ -336,13 +354,8 @@ func loadCatalog(t testing.TB, r, s []relation.Tuple) *core.Warehouse {
 	}
 	must(w.DefineBase("R", schemaR))
 	must(w.DefineBase("S", schemaS))
-	jb := algebra.NewBuilder().From("r", "R", schemaR).From("s", "S", schemaS)
-	jb.Join("r.b", "s.b").SelectCol("r.a").SelectCol("s.c")
-	must(w.DefineDerived("J", jb.MustBuild()))
-	js := w.MustView("J").Schema()
-	ab := algebra.NewBuilder().From("j", "J", js)
-	ab.GroupByCol("j.a").Agg("total", delta.AggSum, ab.Col("j.c"))
-	must(w.DefineDerived("A", ab.MustBuild()))
+	defineSQL(t, w, "J", "SELECT r.a, s.c FROM R r, S s WHERE r.b = s.b")
+	defineSQL(t, w, "A", "SELECT j.a, SUM(j.c) AS total FROM J j GROUP BY j.a")
 	must(w.LoadBase("R", r))
 	must(w.LoadBase("S", s))
 	must(w.RefreshAll())

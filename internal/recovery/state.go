@@ -27,18 +27,11 @@ func RowsOf(d *delta.Delta) []journal.RowChange {
 	return rows
 }
 
-// BatchOf collects a warehouse's staged base-view deltas as a journaled
-// batch, sorted by view name (and rows by key) for deterministic bytes.
-func BatchOf(w *core.Warehouse) ([]journal.ViewBatch, error) {
-	batch, _, err := stagedBatch(w, true)
-	return batch, err
-}
-
 // stagedBatch is one pass over a warehouse's staged base-view deltas that
 // computes their journal.BatchDigest and, when collect is set, collects them
-// as BatchOf does: each view's rows in its run's order (by key), the views by
-// name. A window that journals no batch of its own digests without
-// collecting.
+// as a journaled batch with deterministic bytes: each view's rows in its
+// run's order (by key), the views by name. A window that journals no batch
+// of its own digests without collecting.
 func stagedBatch(w *core.Warehouse, collect bool) ([]journal.ViewBatch, uint64, error) {
 	var (
 		batch  []journal.ViewBatch
@@ -67,7 +60,7 @@ func stagedBatch(w *core.Warehouse, collect bool) ([]journal.ViewBatch, uint64, 
 }
 
 // RestoreBatch re-stages a journaled batch onto a warehouse whose catalog
-// matches the journal's (the inverse of BatchOf).
+// matches the journal's (the inverse of stagedBatch's collecting).
 func RestoreBatch(w *core.Warehouse, batch []journal.ViewBatch) error {
 	for _, vb := range batch {
 		v := w.View(vb.View)

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Tuple is a row of values laid out according to some Schema.
 type Tuple []Value
@@ -81,23 +78,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Concat returns the concatenation of t and u as a fresh tuple.
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	out = append(out, u...)
-	return out
-}
-
-// Project returns the tuple restricted to the given column indexes.
-func (t Tuple) Project(idx []int) Tuple {
-	out := make(Tuple, len(idx))
-	for i, j := range idx {
-		out[i] = t[j]
-	}
-	return out
-}
-
 // CompareTuples orders tuples lexicographically; shorter tuples sort first on
 // ties of the shared prefix.
 func CompareTuples(a, b Tuple) int {
@@ -148,16 +128,6 @@ func (s Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// MustColumnIndex is ColumnIndex that panics on a missing column; for use
-// where the binder has already validated names.
-func (s Schema) MustColumnIndex(name string) int {
-	i := s.ColumnIndex(name)
-	if i < 0 {
-		panic(fmt.Sprintf("relation: no column %q in schema %v", name, s.Names()))
-	}
-	return i
-}
-
 // Names returns the column names in order.
 func (s Schema) Names() []string {
 	out := make([]string, len(s))
@@ -171,14 +141,6 @@ func (s Schema) Names() []string {
 func (s Schema) Clone() Schema {
 	out := make(Schema, len(s))
 	copy(out, s)
-	return out
-}
-
-// Concat returns the schema of a concatenated tuple.
-func (s Schema) Concat(o Schema) Schema {
-	out := make(Schema, 0, len(s)+len(o))
-	out = append(out, s...)
-	out = append(out, o...)
 	return out
 }
 

@@ -108,9 +108,6 @@ func NewFollower(w *warehouse.Warehouse, cfg FollowerConfig) *Follower {
 // own, possibly stale, epoch.
 func (f *Follower) Warehouse() *warehouse.Warehouse { return f.w }
 
-// Log returns the follower's verbatim copy of the applied journal prefix.
-func (f *Follower) Log() *Log { return f.log }
-
 // HWM is the follower's high-water mark: the byte offset of replicated,
 // fully applied journal. It is directly comparable across followers of the
 // same leader (the log bytes are identical), which is what failover election

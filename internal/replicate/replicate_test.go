@@ -82,7 +82,7 @@ func TestShipAndReplay(t *testing.T) {
 	if ls.CommittedWindows != 6 || ls.ShippedBytes < st.HWM {
 		t.Errorf("leader stats: %+v", ls)
 	}
-	image, _, _ := f.Log().Chunk(0, 0)
+	image, _, _ := f.log.Chunk(0, 0)
 	if lg, err := journal.ReadLog(bytes.NewReader(image)); err != nil || lg.CommittedCount() != 6 {
 		t.Errorf("follower log holds %d committed windows: %v", lg.CommittedCount(), err)
 	}

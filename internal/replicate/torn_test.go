@@ -107,7 +107,7 @@ func runTornTrial(t *testing.T, name string, tm tamper) {
 		if got := f.Warehouse().Epoch(); got != preEpoch {
 			t.Fatalf("tampered chunk flipped the epoch: %d -> %d", preEpoch, got)
 		}
-		held, _, _ := f.Log().Chunk(0, 0)
+		held, _, _ := f.log.Chunk(0, 0)
 		shipped, _, _ := leader.Log().Chunk(0, 0)
 		if f.HWM() < preHWM || !bytes.HasPrefix(shipped, held) {
 			t.Fatalf("tampered chunk took the HWM from %d to %d, over bytes the leader did not ship", preHWM, f.HWM())

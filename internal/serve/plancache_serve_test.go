@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	warehouse "repro"
-	"repro/internal/sqlparse"
 )
 
 // TestServeZeroParseOnHit: once a query shape is warm, serving it again
 // does not invoke the SQL front end at all — the plan comes straight from
-// the cache. sqlparse.ParseCalls is the witness: it must not move across
-// the repeated queries.
+// the cache. The cache's misses are the witness (a query parses only on a
+// miss): they must not move across the repeated queries.
 func TestServeZeroParseOnHit(t *testing.T) {
 	s := New(newRetail(t), Config{})
 	defer s.Close(context.Background())
@@ -19,7 +18,7 @@ func TestServeZeroParseOnHit(t *testing.T) {
 	if _, err := s.Query(context.Background(), totalsQuery); err != nil {
 		t.Fatal(err)
 	}
-	warm := sqlparse.ParseCalls()
+	warm := s.Stats().PlanCache.Misses
 	for i := 0; i < 5; i++ {
 		res, err := s.Query(context.Background(), totalsQuery)
 		if err != nil {
@@ -29,8 +28,8 @@ func TestServeZeroParseOnHit(t *testing.T) {
 			t.Fatalf("rows = %v", res.Rows)
 		}
 	}
-	if got := sqlparse.ParseCalls(); got != warm {
-		t.Errorf("warm queries parsed: ParseCalls %d -> %d", warm, got)
+	if got := s.Stats().PlanCache.Misses; got != warm {
+		t.Errorf("warm queries parsed: plan-cache misses %d -> %d", warm, got)
 	}
 	st := s.Stats()
 	if st.PlanCache.Hits < 5 {
@@ -54,7 +53,7 @@ func TestServeWindowKeepsPlansWarm(t *testing.T) {
 	if _, err := s.RunWindow(context.Background(), warehouse.WindowOptions{Mode: warehouse.ModeDAG}); err != nil {
 		t.Fatal(err)
 	}
-	warm := sqlparse.ParseCalls()
+	warm := s.Stats().PlanCache.Misses
 	res, err := s.Query(context.Background(), totalsQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +61,7 @@ func TestServeWindowKeepsPlansWarm(t *testing.T) {
 	if res.Epoch != 2 {
 		t.Fatalf("epoch = %d", res.Epoch)
 	}
-	if got := sqlparse.ParseCalls(); got != warm {
-		t.Errorf("post-window query re-parsed: ParseCalls %d -> %d", warm, got)
+	if got := s.Stats().PlanCache.Misses; got != warm {
+		t.Errorf("post-window query re-parsed: plan-cache misses %d -> %d", warm, got)
 	}
 }

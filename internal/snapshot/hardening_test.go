@@ -67,7 +67,9 @@ func framesOf(t testing.TB, snap []byte) []frame {
 func encode(fs ...frame) []byte {
 	var out []byte
 	for _, f := range fs {
-		out = append(out, journal.EncodeFrame(f.typ, f.payload)...)
+		var body int
+		out, body = journal.BeginFrame(out)
+		out, _ = journal.EndFrame(append(out, f.payload...), f.typ, body)
 	}
 	return out
 }

@@ -7,11 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/journal"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 )
 
 var (
@@ -38,16 +38,14 @@ func build(t testing.TB) *core.Warehouse {
 		}
 	}
 	must(w.DefineBase("R", schemaR))
-	jb := algebra.NewBuilder().From("r", "R", schemaR)
-	jb.Where(&algebra.Binary{Op: algebra.OpGt, L: jb.Col("r.b"), R: &algebra.Const{Value: relation.NewInt(0)}}).
-		SelectCol("r.a").SelectCol("r.b")
-	jDef := jb.MustBuild()
-	must(w.DefineDerived("J", jDef))
-	ab := algebra.NewBuilder().From("j", "J", jDef.OutputSchema())
-	ab.GroupByCol("j.a").
-		Agg("total", delta.AggSum, ab.Col("j.b")).
-		Agg("lo", delta.AggMin, ab.Col("j.b"))
-	must(w.DefineDerived("A", ab.MustBuild()))
+	for _, v := range []struct{ name, sql string }{
+		{"J", "SELECT r.a, r.b FROM R r WHERE r.b > 0"},
+		{"A", "SELECT j.a, SUM(j.b) AS total, MIN(j.b) AS lo FROM J j GROUP BY j.a"},
+	} {
+		cq, err := sqlparse.Parse(v.sql, func(name string) (relation.Schema, error) { return w.MustView(name).Schema(), nil })
+		must(err)
+		must(w.DefineDerived(v.name, cq))
+	}
 	must(w.LoadBase("R", []relation.Tuple{
 		intRow(1, 10), intRow(1, 10), intRow(1, 3), intRow(2, 7), intRow(3, -5),
 	}))
@@ -111,7 +109,7 @@ func TestRoundTrip(t *testing.T) {
 	} {
 		var err error
 		if step.comp != "" {
-			_, err = fresh.Compute(step.comp, step.over)
+			_, err = fresh.ComputeCtx(nil, step.comp, step.over)
 		} else {
 			_, _, err = fresh.Install(step.inst)
 		}
@@ -297,7 +295,7 @@ func TestRandomizedRoundTrips(t *testing.T) {
 		} {
 			var err error
 			if step.comp != "" {
-				_, err = w.Compute(step.comp, step.over)
+				_, err = w.ComputeCtx(nil, step.comp, step.over)
 			} else {
 				_, _, err = w.Install(step.inst)
 			}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/delta"
@@ -15,14 +14,6 @@ import (
 
 // Resolver looks up the output schema of a warehouse view by name.
 type Resolver func(view string) (relation.Schema, error)
-
-// parseCalls counts front-end invocations (Parse, ParseCreateView,
-// ParseQuery). The serve-level plan-cache tests use it to prove a cache
-// hit performs zero parser work.
-var parseCalls atomic.Uint64
-
-// ParseCalls returns the process-wide number of parser entry-point calls.
-func ParseCalls() uint64 { return parseCalls.Load() }
 
 // parserPool recycles parsers — and with them the lexer's source/token
 // buffers and the select-item scratch — across parses. The expression
@@ -44,7 +35,6 @@ var parserPool = sync.Pool{New: func() any { return new(parser) }}
 // where item is an expression with an optional AS name, or an aggregate
 // SUM/AVG/MIN/MAX(expr), COUNT(*).
 func Parse(sql string, resolve Resolver) (*algebra.CQ, error) {
-	parseCalls.Add(1)
 	p, err := newParser(sql, resolve)
 	if err != nil {
 		return nil, err
@@ -64,7 +54,6 @@ func Parse(sql string, resolve Resolver) (*algebra.CQ, error) {
 // ParseCreateView parses CREATE VIEW name AS SELECT …, returning the view
 // name and its definition.
 func ParseCreateView(sql string, resolve Resolver) (string, *algebra.CQ, error) {
-	parseCalls.Add(1)
 	p, err := newParser(sql, resolve)
 	if err != nil {
 		return "", nil, err

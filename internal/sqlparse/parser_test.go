@@ -229,6 +229,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a, b FROM R GROUP BY a",        // b not grouped
 		"SELECT a AS x, b AS x FROM R",         // duplicate names
 		"SELECT DISTINCT SUM(a) FROM R",        // DISTINCT + aggregate
+		"SELECT DISTINCT a FROM R GROUP BY a",  // DISTINCT + GROUP BY
 		"SELECT 99999999999999999999 FROM R",   // int overflow
 	}
 	for _, sql := range bad {

@@ -34,7 +34,6 @@ type Query struct {
 // ASC or DESC; LIMIT takes an optional OFFSET (OFFSET is a soft keyword:
 // it remains usable as a column or view name everywhere else).
 func ParseQuery(sql string, resolve Resolver) (*Query, error) {
-	parseCalls.Add(1)
 	p, err := newParser(sql, resolve)
 	if err != nil {
 		return nil, err

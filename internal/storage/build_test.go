@@ -69,7 +69,7 @@ func TestBuildRefusesBadRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Done()
-	if tbl.Cardinality() != 2 || tbl.Count(row(1, "a")) != 2 {
+	if tbl.Cardinality() != 2 || countOf(tbl, row(1, "a")) != 2 {
 		t.Errorf("after the refusals the table holds %v", tbl.SortedRows())
 	}
 }

@@ -37,16 +37,16 @@ func TestTableCloneIsolation(t *testing.T) {
 	if err := b.Delete(cowRow(1, "x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if a.Cardinality() != 3 || a.Count(cowRow(3, "z")) != 0 || a.Count(cowRow(1, "x")) != 2 {
+	if a.Cardinality() != 3 || countOf(a, cowRow(3, "z")) != 0 || countOf(a, cowRow(1, "x")) != 2 {
 		t.Fatalf("original changed under clone mutation: card=%d", a.Cardinality())
 	}
-	if b.Cardinality() != 3 || b.Count(cowRow(1, "x")) != 1 || b.Count(cowRow(3, "z")) != 1 {
+	if b.Cardinality() != 3 || countOf(b, cowRow(1, "x")) != 1 || countOf(b, cowRow(3, "z")) != 1 {
 		t.Fatalf("clone state wrong: card=%d", b.Cardinality())
 	}
 
 	// Mutate the original afterwards: the clone must not move either.
 	a.Insert(cowRow(4, "w"), 5)
-	if b.Count(cowRow(4, "w")) != 0 {
+	if countOf(b, cowRow(4, "w")) != 0 {
 		t.Fatal("clone saw the original's post-clone insert")
 	}
 }
@@ -62,7 +62,7 @@ func TestTableCloneChain(t *testing.T) {
 	if a.Cardinality() != 1 || b.Cardinality() != 2 || c.Cardinality() != 2 {
 		t.Fatalf("cards: a=%d b=%d c=%d", a.Cardinality(), b.Cardinality(), c.Cardinality())
 	}
-	if b.Count(cowRow(2, "y")) != 0 || c.Count(cowRow(3, "z")) != 0 {
+	if countOf(b, cowRow(2, "y")) != 0 || countOf(c, cowRow(3, "z")) != 0 {
 		t.Fatal("sibling clones leaked mutations into each other")
 	}
 }
@@ -78,7 +78,7 @@ func TestTableClearDetaches(t *testing.T) {
 		t.Fatal("Clear on clone emptied the original")
 	}
 	b.Insert(cowRow(9, "q"), 1)
-	if a.Count(cowRow(9, "q")) != 0 {
+	if countOf(a, cowRow(9, "q")) != 0 {
 		t.Fatal("post-Clear insert leaked into the original")
 	}
 }
@@ -98,7 +98,7 @@ func TestTableApplyDeltaDetaches(t *testing.T) {
 	if _, err := b.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	if a.Count(cowRow(1, "x")) != 2 || a.Count(cowRow(2, "y")) != 0 {
+	if countOf(a, cowRow(1, "x")) != 2 || countOf(a, cowRow(2, "y")) != 0 {
 		t.Fatal("ApplyDelta on clone mutated the original")
 	}
 }

@@ -86,7 +86,7 @@ func TestScanMatchesScanEncoded(t *testing.T) {
 				for i := 0; i < 5; i++ {
 					d.Add(randRow(), 1+rng.Int63n(2))
 				}
-				if r := randRow(); tbl.Count(r) > 0 {
+				if r := randRow(); countOf(tbl, r) > 0 {
 					d.Add(r, -1)
 				}
 				d.Seal()
@@ -94,8 +94,8 @@ func TestScanMatchesScanEncoded(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			case 3, 4, 5:
-				if r := randRow(); tbl.Count(r) > 0 {
-					if err := tbl.Delete(r, 1+rng.Int63n(tbl.Count(r))); err != nil {
+				if r := randRow(); countOf(tbl, r) > 0 {
+					if err := tbl.Delete(r, 1+rng.Int63n(countOf(tbl, r))); err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}

@@ -280,12 +280,6 @@ func (t *Table) countKey(hash uint64, key string) int64 {
 	return r.count
 }
 
-// Count returns the multiplicity of the tuple (0 if absent).
-func (t *Table) Count(tup relation.Tuple) int64 {
-	key := encodeKey(tup)
-	return t.countKey(cowmap.Hash(key), key)
-}
-
 // Scan calls fn for each distinct row with its multiplicity. Iteration stops
 // early if fn returns false. Iteration order is unspecified. The tuple is
 // the stored one (see Table): fn may keep it but must not modify it.

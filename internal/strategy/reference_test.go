@@ -10,6 +10,26 @@ import (
 // held to: the used view strategy of every view extracted, and conditions
 // C1–C8 checked over maps keyed by name and Expr.Key().
 
+// Uses reports whether the Comp propagates the changes of view v.
+func (c Comp) Uses(v string) bool {
+	for _, o := range c.Over {
+		if o == v {
+			return true
+		}
+	}
+	return false
+}
+
+// indexOfInst returns the position of Inst(view), or -1.
+func (s Strategy) indexOfInst(view string) int {
+	for i, e := range s {
+		if inst, ok := e.(Inst); ok && inst.View == view {
+			return i
+		}
+	}
+	return -1
+}
+
 // refValidateViewStrategy is the view-strategy check as it stood before
 // validation resolved views to ids. It applies the footnote-5 extension: quiescent
 // children need not be propagated (C1) or installed (C2), and a quiescent
@@ -140,11 +160,11 @@ func refValidateVDAGStrategy(g *vdag.Graph, s Strategy, quiescent func(view stri
 	for _, e := range s {
 		switch x := e.(type) {
 		case Comp:
-			if !g.Has(x.View) {
+			if _, ok := g.ID(x.View); !ok {
 				return fmt.Errorf("strategy: %s references unknown view", x)
 			}
 		case Inst:
-			if !g.Has(x.View) {
+			if _, ok := g.ID(x.View); !ok {
 				return fmt.Errorf("strategy: %s references unknown view", x)
 			}
 		default:

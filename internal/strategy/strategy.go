@@ -46,16 +46,6 @@ func (c Comp) String() string {
 	return fmt.Sprintf("Comp(%s, {%s})", c.View, strings.Join(c.Over, ", "))
 }
 
-// Uses reports whether the Comp propagates the changes of view v.
-func (c Comp) Uses(v string) bool {
-	for _, o := range c.Over {
-		if o == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Inst is Inst(View): install the pending changes of View.
 type Inst struct {
 	View string
@@ -94,17 +84,6 @@ func (s Strategy) InstOrder() []string {
 	return out
 }
 
-// Comps returns all Comp expressions in order.
-func (s Strategy) Comps() []Comp {
-	var out []Comp
-	for _, e := range s {
-		if c, ok := e.(Comp); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // IsOneWay reports whether every Comp propagates a single view's changes.
 func (s Strategy) IsOneWay() bool {
 	for _, e := range s {
@@ -113,16 +92,6 @@ func (s Strategy) IsOneWay() bool {
 		}
 	}
 	return true
-}
-
-// indexOfInst returns the position of Inst(view), or -1.
-func (s Strategy) indexOfInst(view string) int {
-	for i, e := range s {
-		if inst, ok := e.(Inst); ok && inst.View == view {
-			return i
-		}
-	}
-	return -1
 }
 
 // OneWayView builds the 1-way view strategy for view that propagates its

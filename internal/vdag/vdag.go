@@ -169,21 +169,10 @@ func (g *Graph) namesOf(ids []int32) []string {
 // Views returns all view names in topological (insertion) order.
 func (g *Graph) Views() []string { return append([]string(nil), g.names...) }
 
-// Has reports whether the view exists.
-func (g *Graph) Has(view string) bool { _, ok := g.ids[view]; return ok }
-
 // Children returns the views the given view is defined over.
 func (g *Graph) Children(view string) []string {
 	if id, ok := g.ids[view]; ok {
 		return g.namesOf(g.children[id])
-	}
-	return nil
-}
-
-// Parents returns the views defined directly over the given view.
-func (g *Graph) Parents(view string) []string {
-	if id, ok := g.ids[view]; ok {
-		return g.namesOf(g.parents[id])
 	}
 	return nil
 }
@@ -195,17 +184,6 @@ func (g *Graph) IsBase(view string) bool { return !g.IsDerived(view) }
 func (g *Graph) IsDerived(view string) bool {
 	id, ok := g.ids[view]
 	return ok && len(g.children[id]) > 0
-}
-
-// BaseViews returns all base views in topological order.
-func (g *Graph) BaseViews() []string {
-	var out []string
-	for v, cs := range g.children {
-		if len(cs) == 0 {
-			out = append(out, g.names[v])
-		}
-	}
-	return out
 }
 
 // DerivedViews returns all derived views in topological order.
@@ -266,40 +244,6 @@ func (g *Graph) IsUniform() bool {
 		}
 	}
 	return true
-}
-
-// Ancestors returns every view transitively reachable from view through
-// child edges (i.e., the views it directly or indirectly depends on).
-func (g *Graph) Ancestors(view string) []string { return g.reach(view, g.children) }
-
-// Descendants returns every view that transitively depends on view.
-func (g *Graph) Descendants(view string) []string { return g.reach(view, g.parents) }
-
-// reach returns, in topological order, the views reachable from view along
-// the adjacency next (children or parents), view itself excluded.
-func (g *Graph) reach(view string, next [][]int32) []string {
-	id, ok := g.ids[view]
-	if !ok {
-		return []string{}
-	}
-	seen := make([]bool, len(g.names))
-	var walk func(int32)
-	walk = func(v int32) {
-		for _, u := range next[v] {
-			if !seen[u] {
-				seen[u] = true
-				walk(u)
-			}
-		}
-	}
-	walk(id)
-	out := []string{}
-	for v, ok := range seen {
-		if ok {
-			out = append(out, g.names[v])
-		}
-	}
-	return out
 }
 
 // SortByLevel stably sorts a copy of the given views by increasing Level,

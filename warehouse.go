@@ -108,8 +108,7 @@ type (
 	// (ModeDAG).
 	Mode = exec.Mode
 
-	// ViewDef is a bound view definition (use DefineViewSQL or the algebra
-	// builder to construct one).
+	// ViewDef is a bound view definition (DefineViewSQL binds one from SQL).
 	ViewDef = algebra.CQ
 )
 
@@ -315,9 +314,8 @@ func (w *Warehouse) DefineViewSQLStatement(sql string) (string, error) {
 	return name, w.core.DefineDerived(name, cq)
 }
 
-// DefineView registers a derived view from a pre-built definition (see the
-// algebra builder re-exported by this package's tpcd helpers, or
-// DefineViewSQL for the SQL path).
+// DefineView registers a derived view from a bound definition
+// (DefineViewSQL binds one from SQL and registers it).
 func (w *Warehouse) DefineView(name string, def *ViewDef) error {
 	return w.core.DefineDerived(name, def)
 }

@@ -455,7 +455,11 @@ func TestPlanningReadsRaceWindows(t *testing.T) {
 		if len(w.Views()) != 4 {
 			return fmt.Errorf("views %v", w.Views())
 		}
-		if w.Parallelize(plan.Strategy).Exprs() != len(plan.Strategy) {
+		staged := 0
+		for _, stage := range w.Parallelize(plan.Strategy) {
+			staged += len(stage)
+		}
+		if staged != len(plan.Strategy) {
 			return fmt.Errorf("Parallelize lost expressions of %s", plan.Strategy)
 		}
 		if err := w.Verify(); err != nil {

@@ -206,12 +206,12 @@ func TestParallelFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := w.Parallelize(ds.Strategy)
-	if plan.Stages() < 2 {
+	if len(plan) < 2 {
 		t.Fatalf("plan = %s", plan)
 	}
 	win := runIncremental(t, w, WindowOptions{Planner: DualStagePlanner, Mode: ModeStaged})
-	if sched := win.Report.Sched; win.Mode != ModeStaged || sched.TotalWork == 0 || sched.SpanWork == 0 || sched.Levels != plan.Stages() {
-		t.Errorf("staged window of a %d-stage plan ran %s: %+v", plan.Stages(), win.Mode, sched)
+	if sched := win.Report.Sched; win.Mode != ModeStaged || sched.TotalWork == 0 || sched.SpanWork == 0 || sched.Levels != len(plan) {
+		t.Errorf("staged window of a %d-stage plan ran %s: %+v", len(plan), win.Mode, sched)
 	}
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestFacadeErrorsAndAccessors(t *testing.T) {
 		t.Errorf("Views = %v", views)
 	}
 	g, err := w.Graph()
-	if err != nil || !g.Has("V2") {
+	if _, ok := g.ID("V2"); err != nil || !ok {
 		t.Fatalf("Graph: %v", err)
 	}
 	if w.Internal() == nil {
