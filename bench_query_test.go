@@ -58,7 +58,7 @@ func BenchmarkQueryCold(b *testing.B) {
 	w := benchQueryWarehouse(b)
 	p := w.PinEpoch()
 	defer p.Close()
-	resolve := coreResolver(p.pin.Warehouse())
+	resolve := p.pin.Warehouse().ViewSchema
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,7 +132,7 @@ func BenchmarkQueryEndToEnd(b *testing.B) {
 			p := w.PinEpoch()
 			defer p.Close()
 			c := p.pin.Warehouse()
-			q, err := sqlparse.ParseQuery(benchQuerySQL, coreResolver(c))
+			q, err := sqlparse.ParseQuery(benchQuerySQL, c.ViewSchema)
 			if err != nil {
 				return err
 			}

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -51,7 +52,11 @@ type View struct {
 	mu              sync.Mutex
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
-	finalized       *delta.Delta         // aggregate: cached tuple delta once read
+	// finalized and next are an aggregate's δV once read (DeltaOf): the rows
+	// its install changes, and the clone of its store that install built
+	// them on, which Install then adopts.
+	finalized *delta.Delta
+	next      *storage.AggTable
 }
 
 // Name returns the view's name.
@@ -140,9 +145,11 @@ func (v *View) IndexStats() []storage.IndexStats {
 func (v *View) AggStore() *storage.AggTable { return v.agg }
 
 // Replace makes t the view's rows, or agg its groups, whichever kind of
-// store the view keeps: snapshot.Read builds each view's state beside the
-// live one and swaps it in once the whole snapshot has verified. The store
-// must have the view's schema, and the view no pending changes.
+// store the view keeps: a store built fresh replaces the old one whole, which
+// stays as it was for whoever still holds it. snapshot.Read builds each
+// view's state beside the live one and swaps it in once the whole snapshot
+// has verified; a refresh swaps in its recomputation. The store must have the
+// view's schema, and the view no pending changes.
 func (v *View) Replace(t *storage.Table, agg *storage.AggTable) {
 	if (t == nil) != (v.table == nil) || (agg == nil) != (v.agg == nil) {
 		panic(fmt.Sprintf("core: Replace of view %q with a store of the other kind", v.name))
@@ -287,6 +294,16 @@ func (w *Warehouse) checkNewName(name string) error {
 // View returns the named view, or nil.
 func (w *Warehouse) View(name string) *View { return w.views[name] }
 
+// ViewSchema returns the named view's output schema: the resolver view
+// definitions and queries are bound against (sqlparse.Resolver).
+func (w *Warehouse) ViewSchema(name string) (relation.Schema, error) {
+	v := w.views[name]
+	if v == nil {
+		return nil, fmt.Errorf("core: unknown view %q", name)
+	}
+	return v.Schema(), nil
+}
+
 // MustView returns the named view and panics if absent.
 func (w *Warehouse) MustView(name string) *View {
 	v := w.views[name]
@@ -353,10 +370,12 @@ func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 }
 
 // DeltaOf returns the view's pending change set as plus/minus tuples. For an
-// aggregate view this finalizes the accumulated group partials against the
-// pre-install state; after finalization, further Compute calls on the view
-// are rejected (a correct strategy never needs them: conditions C5/C8 put
-// every Comp of V before any reader of δV).
+// aggregate view this finalizes the accumulated group partials: it installs
+// them into a clone of the view's store, which yields δV as the old and new
+// rows of the groups they change (storage.AggTable.Apply), and keeps the
+// clone for Install to adopt. After finalization, further Compute calls on
+// the view are rejected (a correct strategy never needs them: conditions
+// C5/C8 put every Comp of V before any reader of δV).
 func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	v := w.views[name]
 	if v == nil {
@@ -365,17 +384,18 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	pending := v.pendingLocked()
-	if v.agg != nil {
-		if v.finalized == nil {
-			d, err := v.agg.FinalizeDelta(pending.p)
-			if err != nil {
-				return nil, fmt.Errorf("core: finalizing δ%s: %w", name, err)
-			}
-			v.finalized = d
-		}
-		return v.finalized, nil
+	if v.agg == nil {
+		return pending.d, nil
 	}
-	return pending.d, nil
+	if v.finalized == nil {
+		next, d := v.agg.Clone(), delta.New(v.agg.Schema())
+		_, _, err := next.Apply(pending.p, d)
+		if err = cmp.Or(err, d.Seal()); err != nil {
+			return nil, fmt.Errorf("core: finalizing δ%s: %w", name, err)
+		}
+		v.finalized, v.next = d, next
+	}
+	return v.finalized, nil
 }
 
 // pendingLocked returns the view's pending change state, creating it empty
@@ -397,8 +417,9 @@ func (v *View) pendingLocked() acc {
 // Install folds the view's pending change into its materialized state and
 // clears the pending state. It returns what it installed: the number of
 // rows, |δV|, and the digest of δV (delta.Delta.Digest). An aggregate view
-// folds its group partials in one pass and builds no tuple delta for it (see
-// storage.AggTable.Apply); only a reader of δV does (DeltaOf).
+// whose δV was read adopts the store DeltaOf built it on; otherwise it folds
+// its group partials in one pass and builds no tuple delta for them (see
+// storage.AggTable.Apply).
 func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) {
 	v := w.views[name]
 	if v == nil {
@@ -407,8 +428,10 @@ func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) 
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	switch {
+	case v.next != nil:
+		v.agg, rows, digest = v.next, v.finalized.Size(), v.finalized.Digest()
 	case v.agg != nil && v.pendingPartials != nil:
-		rows, digest, err = v.agg.Apply(v.pendingPartials)
+		rows, digest, err = v.agg.Apply(v.pendingPartials, nil)
 	case v.agg == nil && v.pendingDelta != nil:
 		rows = v.pendingDelta.Size()
 		digest, err = v.table.ApplyDelta(v.pendingDelta)
@@ -416,7 +439,7 @@ func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) 
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: installing δ%s: %w", name, err)
 	}
-	v.pendingPartials, v.finalized, v.pendingDelta = nil, nil, nil
+	v.pendingPartials, v.finalized, v.next, v.pendingDelta = nil, nil, nil, nil
 	return rows, digest, nil
 }
 
@@ -450,8 +473,8 @@ func (w *Warehouse) Clone() *Warehouse {
 			np.Merge(v.pendingPartials)
 			nv.pendingPartials = np
 		}
-		if v.finalized != nil {
-			nv.finalized = v.finalized.Clone()
+		if v.next != nil {
+			nv.finalized, nv.next = v.finalized.Clone(), v.next.Clone()
 		}
 		out.views[v.name] = nv
 		out.list = append(out.list, nv)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 )
 
 var (
@@ -20,12 +21,7 @@ var (
 // parseSQL binds a view definition's SQL text against w's catalog.
 func parseSQL(tb testing.TB, w *Warehouse, sql string) *algebra.CQ {
 	tb.Helper()
-	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
-		if view := w.View(v); view != nil {
-			return view.Schema(), nil
-		}
-		return nil, fmt.Errorf("no view %q", v)
-	})
+	cq, err := sqlparse.Parse(sql, w.ViewSchema)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -123,6 +119,38 @@ func TestRefreshAndRecompute(t *testing.T) {
 	rows := w.MustView("A").SortedRows()
 	if len(rows) != 3 || rows[0].Tuple.String() != "(1, 300)" || rows[2].Tuple.String() != "(3, 300)" {
 		t.Fatalf("A = %v", rows)
+	}
+	if err := w.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A duplicate-heavy join: 600 more rows of R, six distinct, each
+	// matching one or two rows of S, make 905 rows of three distinct ones,
+	// which the refresh's table and Evaluate's merge as they arrive.
+	var many []relation.Tuple
+	for i := int64(0); i < 600; i++ {
+		many = append(many, intRow(i%3, 10+10*(i%2)))
+	}
+	if err := w.LoadBase("R", many); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT s.c FROM R r, S s WHERE r.b = s.b"
+	defineSQL(t, w, "D", sql)
+	if err := w.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	d := w.MustView("D")
+	want := "[{(100) 302} {(200) 302} {(300) 301}]"
+	if got := fmt.Sprint(d.SortedRows()); d.Cardinality() != 905 || d.Table().DistinctCount() != 3 || got != want {
+		t.Fatalf("D = %s (%d rows), want %s", got, d.Cardinality(), want)
+	}
+	evaluated, err := w.Evaluate(parseSQL(t, w, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage.SortRows(evaluated)
+	if got := fmt.Sprint(evaluated); got != want {
+		t.Fatalf("Evaluate(D) = %s, want %s", got, want)
 	}
 	if err := w.VerifyAll(); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func TestAccumulatingIntoAGroupAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cq := parseSQL(t, w, "SELECT r.a, SUM(r.b) AS total, COUNT(*) AS n, AVG(r.b) AS mean, MIN(r.b) AS lo, MAX(r.b) AS hi FROM R r GROUP BY r.a")
-	s := newSink(cq, newAcc(cq))
+	s := newSink(cq, acc{p: delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())})
 	row := intRow(1, 10)
 	s.add(row, 1)
 	if allocs := testing.AllocsPerRun(100, func() { s.add(row, 1) }); allocs != 0 {

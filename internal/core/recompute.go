@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/delta"
 	"repro/internal/storage"
 )
 
@@ -24,53 +25,44 @@ func (w *Warehouse) Recompute(name string) ([]storage.CountedTuple, error) {
 	if v.IsBase() {
 		return v.SortedRows(), nil
 	}
-	rows, err := w.evalRows(v.def)
+	fresh, err := w.evalFull(v.def)
 	if err != nil {
 		return nil, fmt.Errorf("core: recomputing %q: %w", name, err)
 	}
-	storage.SortRows(rows)
-	return rows, nil
+	return fresh.SortedRows(), nil
 }
 
 // evalFull evaluates a definition from scratch over the current states of
-// its referenced views: the full term (no delta refs — every operand reads
-// state) run through the term engine, outside any window's build cache, into
-// a fresh accumulator.
-func (w *Warehouse) evalFull(cq *algebra.CQ) (acc, error) {
+// its referenced views — the full term (no delta refs: every operand reads
+// state) run through the term engine, outside any window's build cache —
+// into a fresh store, returned as a view outside the catalog that holds only
+// it: a select-project-join's rows go straight into a new table, whose row
+// map merges equal rows, and an aggregate's partials are applied to a new
+// aggregate table.
+func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
 	ops, err := w.bindStates(cq)
-	if err != nil {
-		return acc{}, err
-	}
-	out := newAcc(cq)
-	var rep CompReport
-	term := compiledTerm{orders: []*pipeline{recomputeOrder(cq, ops)}}
-	err = runTerms(&evalEnv{}, cq, []compiledTerm{term}, ops, out, &rep)
-	return out, err
-}
-
-// evalRows is evalFull read as counted rows, in no particular order: the
-// accumulated delta of a select-project-join, or the output rows of the
-// aggregate table an aggregate's partials fill.
-func (w *Warehouse) evalRows(cq *algebra.CQ) ([]storage.CountedTuple, error) {
-	out, err := w.evalFull(cq)
 	if err != nil {
 		return nil, err
 	}
+	fresh, out := &View{}, acc{}
+	if cq.IsAggregate() {
+		fresh.agg = storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
+		out.p = delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())
+	} else {
+		fresh.table = storage.NewTable(cq.OutputSchema())
+		out.t = fresh.table
+	}
+	var rep CompReport
+	term := compiledTerm{orders: []*pipeline{recomputeOrder(cq, ops)}}
+	if err := runTerms(&evalEnv{}, cq, []compiledTerm{term}, ops, out, &rep); err != nil {
+		return nil, err
+	}
 	if out.p != nil {
-		fresh := storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
-		if _, _, err := fresh.Apply(out.p); err != nil {
+		if _, _, err := fresh.agg.Apply(out.p, nil); err != nil {
 			return nil, err
 		}
-		return storage.CollectRows(int(fresh.Cardinality()), fresh.Scan), nil
 	}
-	// A full term over well-formed states never yields a non-positive count.
-	rows := storage.CollectRows(out.d.Distinct(), out.d.Scan)
-	for _, r := range rows {
-		if r.Count <= 0 {
-			return nil, fmt.Errorf("core: evaluation yields %d copies of %v", r.Count, r.Tuple)
-		}
-	}
-	return rows, nil
+	return fresh, nil
 }
 
 // Evaluate runs an ad-hoc query (a validated CQ whose references name
@@ -97,7 +89,11 @@ func (w *Warehouse) Evaluate(cq *algebra.CQ) ([]storage.CountedTuple, error) {
 			return nil, fmt.Errorf("core: query ref %q schema does not match view %q", r.Alias, r.View)
 		}
 	}
-	return w.evalRows(cq)
+	fresh, err := w.evalFull(cq)
+	if err != nil {
+		return nil, err
+	}
+	return storage.CollectRows(0, fresh.Scan), nil
 }
 
 // VerifyView checks that the named view's materialized state equals its
@@ -146,37 +142,19 @@ func (w *Warehouse) VerifyAll() error {
 	return nil
 }
 
-// RefreshAll recomputes every derived view from the current base data and
-// overwrites its materialized state, in definition (topological) order. It
-// is how a warehouse is initially populated after LoadBase.
+// RefreshAll recomputes every derived view from the current base data into
+// a fresh store and swaps it in (View.Replace), in definition (topological)
+// order. It is how a warehouse is initially populated after LoadBase.
 func (w *Warehouse) RefreshAll() error {
 	for _, v := range w.list {
 		if v.IsBase() {
 			continue
 		}
-		if err := w.refreshOne(v); err != nil {
-			return err
+		fresh, err := w.evalFull(v.def)
+		if err != nil {
+			return fmt.Errorf("core: refreshing %q: %w", v.name, err)
 		}
-	}
-	return nil
-}
-
-// refreshOne recomputes one derived view from its children's current state
-// and replaces its materialized contents.
-func (w *Warehouse) refreshOne(v *View) error {
-	out, err := w.evalFull(v.def)
-	if err != nil {
-		return err
-	}
-	if v.agg != nil {
-		v.agg.Clear()
-		_, _, err = v.agg.Apply(out.p)
-	} else {
-		v.table.Clear()
-		_, err = v.table.ApplyDelta(out.d)
-	}
-	if err != nil {
-		return fmt.Errorf("core: refreshing %q: %w", v.name, err)
+		v.Replace(fresh.table, fresh.agg)
 	}
 	return nil
 }

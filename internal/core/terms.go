@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/delta"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // This file is the term engine — the one evaluator behind Compute,
@@ -200,28 +201,26 @@ func runTerms(env *evalEnv, cq *algebra.CQ, terms []compiledTerm, ops operands, 
 }
 
 // acc accumulates term output: the signed change rows of an SPJ definition
-// (d) or the group partials of an aggregate one (p). Exactly one is set.
+// (d), the rows of a full evaluation of one (t), or the group partials of an
+// aggregate one (p). Exactly one is set.
 type acc struct {
 	d *delta.Delta
+	t *storage.Table
 	p *delta.GroupPartials
-}
-
-func newAcc(cq *algebra.CQ) acc {
-	if cq.IsAggregate() {
-		return acc{p: delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())}
-	}
-	return acc{d: delta.New(cq.OutputSchema())}
 }
 
 // add folds in count copies of one projected row: key is the encoded select
 // tuple, or the encoded group key with the aggregate inputs beside it. The
 // key is not retained.
 func (a acc) add(key []byte, inputs []relation.Value, count int64) {
-	if a.p != nil {
+	switch {
+	case a.p != nil:
 		a.p.AccumulateEncoded(key, inputs, count)
-		return
+	case a.t != nil:
+		a.t.InsertEncoded(string(key), count)
+	default:
+		a.d.AddEncoded(string(key), count)
 	}
-	a.d.AddEncoded(string(key), count)
 }
 
 // projector maps a joined row to a definition's output: the select list of

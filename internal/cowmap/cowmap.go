@@ -145,11 +145,6 @@ func (m *Map[V]) Clone() Map[V] {
 	return c
 }
 
-// Clear empties this handle, abandoning shared buckets to the other handles.
-func (m *Map[V]) Clear() {
-	m.dir, m.dirOwner, m.n, m.room = nil, m.owner, 0, 0
-}
-
 // Get returns the value stored under key.
 func (m *Map[V]) Get(hash uint64, key string) (V, bool) { return get(m, hash, key) }
 
@@ -193,7 +188,7 @@ func (m *Map[V]) Visit(hash uint64, fn func(key string, v V) bool) {
 // Ref returns a pointer to the value stored under key, inserting the zero
 // value first if the key is absent (existed reports which). The bucket
 // becomes the handle's own, so the caller may write through the pointer —
-// until the handle's next Ref, Delete, Grow, Clear or Clone.
+// until the handle's next Ref, Delete, Grow or Clone.
 func (m *Map[V]) Ref(hash uint64, key string) (v *V, existed bool) { return ref(m, hash, key) }
 
 // RefBytes is Ref for a key held as bytes; the key is copied into a string

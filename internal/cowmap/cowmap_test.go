@@ -60,8 +60,8 @@ func sameContents(t *testing.T, what string, m *Map[int], want map[string]int) {
 // TestCloneDivergence drives random writes through a family of handles
 // cloned from one another, each against its own model map: no write through
 // one handle ever shows through another, across directory doublings,
-// deletes, Grow and Clear — through the string-keyed methods and the
-// byte-keyed ones alike.
+// deletes, Grow and a handle replaced by an empty one — through the
+// string-keyed methods and the byte-keyed ones alike.
 func TestCloneDivergence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -80,8 +80,7 @@ func TestCloneDivergence(t *testing.T) {
 				}
 				handles, models = append(handles, &c), append(models, cm)
 			case r < 4:
-				m.Clear()
-				models[i] = map[string]int{}
+				handles[i], models[i] = new(Map[int]), map[string]int{}
 			case r < 6:
 				m.Grow(rng.Intn(300))
 			case r < 40:

@@ -248,44 +248,6 @@ func (a *Accum) CanFold(other *Accum) bool {
 	return valid
 }
 
-// Folded returns what a.Output(support) would be after a.Fold(other), and
-// what that Fold would report, without folding: a is read and not changed.
-// Only a reader of an aggregate view's delta needs it (see
-// storage.AggTable.FinalizeDelta); an install folds once and previews nothing.
-// A MIN/MAX accumulator looks up only the values other holds; unless other
-// deletes the last copy of the current extreme, the new one is the better
-// of it and other's arrivals. Only then is a clone folded and scanned.
-func (a *Accum) Folded(other *Accum, support int64) (relation.Value, bool) {
-	if a.spec != other.spec {
-		panic("delta: folding accumulators with different specs")
-	}
-	if a.mm == nil {
-		sum := Accum{spec: a.spec, sumI: a.sumI + other.sumI, sumF: a.sumF + other.sumF}
-		return sum.Output(support), true
-	}
-	best, valid, lost := a.Output(support), true, false
-	other.mm.vals.Scan(func(hash uint64, key string, cnt int64) bool {
-		have, _ := a.mm.vals.Get(hash, key)
-		switch nw := have + cnt; {
-		case nw < 0:
-			valid = false
-		case nw > 0 && have <= 0:
-			if v := decodeValue(key); best.IsNull() || a.better(v, best) {
-				best = v
-			}
-		case nw == 0 && have > 0:
-			lost = lost || relation.Equal(decodeValue(key), a.mm.best)
-		}
-		return valid && !lost
-	})
-	if valid && lost {
-		c := a.Clone()
-		valid = c.Fold(other)
-		best = c.Output(support)
-	}
-	return best, valid
-}
-
 // Clone returns an independent copy in O(1): the value bag of a MIN/MAX
 // accumulator is shared copy-on-write.
 func (a *Accum) Clone() *Accum {

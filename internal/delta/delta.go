@@ -3,8 +3,9 @@
 // ("minus tuples") as signed multiplicities, following the counting
 // representation of [GL95]. For aggregate views, the package also provides
 // GroupPartials — per-group partial aggregate changes that are accumulated
-// across the Comp expressions of a strategy and finalized into plus/minus
-// tuples against the pre-install view state.
+// across the Comp expressions of a strategy and applied to the view's groups
+// by its install, whose old and new output rows are the view's plus/minus
+// tuples (storage.AggTable.Apply).
 package delta
 
 import (

@@ -1,22 +1,24 @@
-package delta
+package delta_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/delta"
 	"repro/internal/journal"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // scanExtreme is MIN/MAX as a full scan of a model bag computes it: what the
 // cached extreme must equal.
-func scanExtreme(kind AggKind, bag map[int64]int64) relation.Value {
+func scanExtreme(kind delta.AggKind, bag map[int64]int64) relation.Value {
 	best := relation.Null
 	for v, n := range bag {
 		if n <= 0 {
 			continue
 		}
-		if best.IsNull() || (kind == AggMin && v < best.Int()) || (kind == AggMax && v > best.Int()) {
+		if best.IsNull() || (kind == delta.AggMin && v < best.Int()) || (kind == delta.AggMax && v > best.Int()) {
 			best = relation.NewInt(v)
 		}
 	}
@@ -27,7 +29,7 @@ func sameValue(a, b relation.Value) bool {
 	return a.IsNull() == b.IsNull() && (a.IsNull() || relation.Compare(a, b) == 0)
 }
 
-func wantOutput(t *testing.T, what string, a *Accum, want relation.Value) {
+func wantOutput(t *testing.T, what string, a *delta.Accum, want relation.Value) {
 	t.Helper()
 	if got := a.Output(1); !sameValue(got, want) {
 		t.Fatalf("%s: output %v, want %v", what, got, want)
@@ -37,60 +39,81 @@ func wantOutput(t *testing.T, what string, a *Accum, want relation.Value) {
 // TestMinMaxExtremeDeletes walks the cases the cached extreme has to get
 // right: deleting the current extreme while a duplicate of it remains,
 // deleting its last copy (the next one is found by a scan), deleting down
-// to empty (NULL) and filling up again — through Add, through Fold, and in
-// the preview FinalizeDelta reads (Folded).
+// to empty (the group goes) and filling up again — through Add, and through
+// an aggregate table's install, whose delta must be the group's old row out
+// and its new row in, on a clone that leaves the state it came from as it
+// was.
 func TestMinMaxExtremeDeletes(t *testing.T) {
-	for _, kind := range []AggKind{AggMin, AggMax} {
-		spec := AggSpec{Kind: kind, ValueKind: relation.KindInt}
+	group := relation.Schema{{Name: "g", Kind: relation.KindString}}
+	for _, kind := range []delta.AggKind{delta.AggMin, delta.AggMax} {
+		spec := delta.AggSpec{Kind: kind, ValueKind: relation.KindInt}
 		ext, mid, far := int64(9), int64(5), int64(1) // best to worst for MAX
-		if kind == AggMin {
+		if kind == delta.AggMin {
 			ext, far = 1, 9
 		}
-		partial := func(changes ...int64) *Accum { // value, count pairs
-			p := NewAccum(spec)
+		partial := func(changes ...int64) *delta.GroupPartials { // value, count pairs
+			p := delta.NewGroupPartials(group, []delta.AggSpec{spec})
 			for i := 0; i < len(changes); i += 2 {
-				p.Add(relation.NewInt(changes[i]), changes[i+1])
+				p.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(changes[i])}, changes[i+1])
 			}
 			return p
 		}
-		state := partial(ext, 2, mid, 1, far, 1)
-		wantOutput(t, "loaded", state, relation.NewInt(ext))
+		row := func(v relation.Value) relation.Tuple { return relation.Tuple{relation.NewString("g"), v} }
+		state := storage.NewAggTable(group, []delta.AggSpec{spec}, []string{"best"})
+		if _, _, err := state.Apply(partial(ext, 2, mid, 1, far, 1), nil); err != nil {
+			t.Fatal(err)
+		}
+		had := relation.NewInt(ext)
 
-		step := func(what string, p *Accum, want relation.Value, wantValid bool) {
+		step := func(what string, p *delta.GroupPartials, want relation.Value, wantValid bool) {
 			t.Helper()
-			preview, valid := state.Folded(p, 1)
-			if valid != wantValid {
-				t.Fatalf("%v %s: Folded reports valid=%v, want %v", kind, what, valid, wantValid)
+			before := state.Digest()
+			next, d := state.Clone(), delta.New(state.Schema())
+			_, _, err := next.Apply(p, d)
+			if (err == nil) != wantValid {
+				t.Fatalf("%v %s: Apply returns %v, want valid=%v", kind, what, err, wantValid)
 			}
-			before := state.Output(1)
+			if err := d.Seal(); err != nil {
+				t.Fatal(err)
+			}
 			if !wantValid {
-				wantOutput(t, what+" (state after a preview)", state, before)
+				if !d.IsEmpty() || next.Cardinality() != 1 {
+					t.Fatalf("%v %s: a refused Apply left δ %v and %d groups", kind, what, d.Sorted(), next.Cardinality())
+				}
 				return
 			}
-			if !sameValue(preview, want) {
-				t.Fatalf("%v %s: Folded previews %v, want %v", kind, what, preview, want)
+			wantD := delta.New(state.Schema())
+			if !had.IsNull() {
+				wantD.Add(row(had), -1)
 			}
-			wantOutput(t, what+" (state after a preview)", state, before)
-			next := state.Clone()
-			if !next.Fold(p) {
-				t.Fatalf("%v %s: Fold reports an invalid state", kind, what)
+			if !want.IsNull() {
+				wantD.Add(row(want), 1)
 			}
-			wantOutput(t, what+" (folded clone)", next, want)
-			wantOutput(t, what+" (original of the clone)", state, before)
-			state = next
+			if err := wantD.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if d.Size() != wantD.Size() || d.Digest() != wantD.Digest() {
+				t.Fatalf("%v %s: Apply appends δ %v, want %v", kind, what, d.Sorted(), wantD.Sorted())
+			}
+			if state.Digest() != before {
+				t.Fatalf("%v %s: Apply on a clone changed the original's rows to %v", kind, what, state.SortedRows())
+			}
+			state, had = next, want
 		}
 		step("delete one of two copies of the extreme", partial(ext, -1), relation.NewInt(ext), true)
 		step("delete its last copy", partial(ext, -1), relation.NewInt(mid), true)
 		step("delete an absent value", partial(ext, -1), relation.Null, false)
 		step("delete the extreme while a better one arrives", partial(mid, -1, ext, 1), relation.NewInt(ext), true)
 		step("delete to empty", partial(ext, -1, far, -1), relation.Null, true)
-		if !state.Valid() {
-			t.Fatalf("%v: empty state reports invalid", kind)
+		if state.Cardinality() != 0 {
+			t.Fatalf("%v: a group deleted to empty stays", kind)
 		}
 		step("refill", partial(far, 1), relation.NewInt(far), true)
 
 		// The same through Add alone, on one accumulator.
-		a := partial(ext, 2, mid, 1)
+		a := delta.NewAccum(spec)
+		a.Add(relation.NewInt(ext), 2)
+		a.Add(relation.NewInt(mid), 1)
 		a.Add(relation.NewInt(ext), -1)
 		wantOutput(t, "Add: duplicate of the extreme remains", a, relation.NewInt(ext))
 		a.Add(relation.NewInt(ext), -1)
@@ -104,15 +127,15 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 // round trips against a model bag: after every operation the output is the
 // extreme a scan of the model finds, on every live accumulator.
 func TestMinMaxMatchesScan(t *testing.T) {
-	for _, kind := range []AggKind{AggMin, AggMax} {
-		spec := AggSpec{Kind: kind, ValueKind: relation.KindInt}
+	for _, kind := range []delta.AggKind{delta.AggMin, delta.AggMax} {
+		spec := delta.AggSpec{Kind: kind, ValueKind: relation.KindInt}
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			type pair struct {
-				a   *Accum
+				a   *delta.Accum
 				bag map[int64]int64
 			}
-			live := []pair{{NewAccum(spec), map[int64]int64{}}}
+			live := []pair{{delta.NewAccum(spec), map[int64]int64{}}}
 			for op := 0; op < 400; op++ {
 				i := rng.Intn(len(live))
 				cur := live[i]
@@ -125,14 +148,14 @@ func TestMinMaxMatchesScan(t *testing.T) {
 					live = append(live, pair{cur.a.Clone(), bag})
 				case r == 1:
 					c := journal.NewCursor("test: accumulator", cur.a.AppendBinary(nil))
-					back := DecodeAccum(c, spec)
+					back := delta.DecodeAccum(c, spec)
 					if err := c.Done(); err != nil {
 						t.Fatal(err)
 					}
 					live[i].a = back
 				case r < 5:
 					// A partial that only deletes present copies or adds.
-					p := NewAccum(spec)
+					p := delta.NewAccum(spec)
 					for n := rng.Intn(6); n >= 0; n-- {
 						v := rng.Int63n(12)
 						count := int64(1 + rng.Intn(2))
@@ -142,12 +165,8 @@ func TestMinMaxMatchesScan(t *testing.T) {
 						p.Add(relation.NewInt(v), count)
 						cur.bag[v] += count
 					}
-					preview, valid := cur.a.Folded(p, 1)
-					if !valid || !cur.a.Fold(p) {
+					if !cur.a.CanFold(p) || !cur.a.Fold(p) {
 						t.Fatalf("%v seed %d op %d: a legal fold reports invalid", kind, seed, op)
-					}
-					if want := scanExtreme(kind, cur.bag); !sameValue(preview, want) {
-						t.Fatalf("%v seed %d op %d: Folded previewed %v, a scan gives %v", kind, seed, op, preview, want)
 					}
 				default:
 					v := rng.Int63n(12)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,12 +21,7 @@ var (
 // parseSQL binds a view definition's SQL text against w's catalog.
 func parseSQL(t *testing.T, w *core.Warehouse, sql string) *algebra.CQ {
 	t.Helper()
-	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
-		if view := w.View(v); view != nil {
-			return view.Schema(), nil
-		}
-		return nil, fmt.Errorf("no view %q", v)
-	})
+	cq, err := sqlparse.Parse(sql, w.ViewSchema)
 	if err != nil {
 		t.Fatal(err)
 	}

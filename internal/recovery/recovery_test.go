@@ -26,12 +26,7 @@ var (
 // against w's catalog.
 func defineSQL(t testing.TB, w *core.Warehouse, name, sql string) {
 	t.Helper()
-	cq, err := sqlparse.Parse(sql, func(v string) (relation.Schema, error) {
-		if view := w.View(v); view != nil {
-			return view.Schema(), nil
-		}
-		return nil, fmt.Errorf("no view %q", v)
-	})
+	cq, err := sqlparse.Parse(sql, w.ViewSchema)
 	if err == nil {
 		err = w.DefineDerived(name, cq)
 	}

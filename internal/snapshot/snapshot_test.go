@@ -12,6 +12,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 )
 
 var (
@@ -42,7 +43,7 @@ func build(t testing.TB) *core.Warehouse {
 		{"J", "SELECT r.a, r.b FROM R r WHERE r.b > 0"},
 		{"A", "SELECT j.a, SUM(j.b) AS total, MIN(j.b) AS lo FROM J j GROUP BY j.a"},
 	} {
-		cq, err := sqlparse.Parse(v.sql, func(name string) (relation.Schema, error) { return w.MustView(name).Schema(), nil })
+		cq, err := sqlparse.Parse(v.sql, w.ViewSchema)
 		must(err)
 		must(w.DefineDerived(v.name, cq))
 	}
@@ -62,6 +63,15 @@ func snapshotOf(t testing.TB, w *core.Warehouse) []byte {
 	return buf.Bytes()
 }
 
+// emptyStore swaps an empty store of its kind in for the view's.
+func emptyStore(v *core.View) {
+	if t := v.Table(); t != nil {
+		v.Replace(storage.NewTable(t.Schema()), nil)
+	} else {
+		v.Replace(nil, v.AggStore().Empty())
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	w := build(t)
 	data := snapshotOf(t, w)
@@ -69,13 +79,7 @@ func TestRoundTrip(t *testing.T) {
 	// Restore into a freshly declared (empty) warehouse.
 	fresh := build(t)
 	for _, name := range fresh.ViewNames() {
-		v := fresh.MustView(name)
-		if v.Table() != nil {
-			v.Table().Clear()
-		}
-		if v.AggStore() != nil {
-			v.AggStore().Clear()
-		}
+		emptyStore(fresh.MustView(name))
 	}
 	if err := Read(fresh, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
@@ -159,7 +163,7 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 		{"compiled from the catalog", "a function of the definitions alone: the join orders a view's Comps run, compiled at their first call, and the VDAG, built per catalog version",
 			[]string{"View.orders", "Warehouse.graph"}},
 		{"window-transient", "empty when a snapshot is written: Write refuses pending changes (TestWriteRefusesPending)",
-			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.mu"}},
+			[]string{"View.pendingDelta", "View.pendingPartials", "View.finalized", "View.next", "View.mu"}},
 		{"engine", "how a window runs, not what it computes: fixed when the warehouse is made",
 			[]string{"Warehouse.opts"}},
 	}
@@ -263,7 +267,7 @@ func TestRandomizedRoundTrips(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		w := build(t)
 		// Replace the fixture data with random rows.
-		w.MustView("R").Table().Clear()
+		emptyStore(w.MustView("R"))
 		var rows []relation.Tuple
 		for i := 0; i < 5+rng.Intn(40); i++ {
 			rows = append(rows, intRow(rng.Int63n(6), rng.Int63n(20)-5))

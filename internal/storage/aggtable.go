@@ -154,75 +154,6 @@ func (t *AggTable) SortedRows() []CountedTuple {
 	return rows
 }
 
-// FinalizeDelta computes, without mutating the table, the plus/minus tuple
-// delta over the output schema that installing the partials would produce:
-// for each affected group, a minus tuple for the old row (if the group
-// existed) and a plus tuple for the new row (if the group survives). Groups
-// whose output row is unchanged contribute nothing. Only a reader of the
-// view's delta needs it — a parent's Comp; Apply installs without it and
-// reports the size and digest of this delta itself.
-func (t *AggTable) FinalizeDelta(p *delta.GroupPartials) (*delta.Delta, error) {
-	d := delta.New(t.outSchema)
-	var err error
-	p.Scan(func(groupKey string, gp *delta.GroupPartial) bool {
-		old, _ := t.groups.Get(cowmap.Hash(groupKey), groupKey)
-		var oldRow, group relation.Tuple
-		newSupport := gp.Support
-		if old != nil {
-			oldRow = old.row()
-			group = old.group
-			newSupport += old.support
-		}
-		if newSupport < 0 {
-			err = fmt.Errorf("storage: group %s support would go negative (%d)", groupKey, newSupport)
-			return false
-		}
-		var newRow relation.Tuple
-		if newSupport > 0 {
-			if group == nil {
-				group = mustDecode(groupKey)
-			}
-			// The new row is the group's columns and each aggregate's output
-			// after the partial is folded in, which the accumulators answer
-			// without folding (Apply does that, once).
-			newRow = make(relation.Tuple, 0, len(group)+len(gp.Accums))
-			newRow = append(newRow, group...)
-			for i, a := range gp.Accums {
-				var out relation.Value
-				var valid bool
-				if old != nil {
-					out, valid = old.accums[i].Folded(a, newSupport)
-				} else {
-					out, valid = a.Output(newSupport), a.Valid()
-				}
-				if !valid {
-					err = fmt.Errorf("storage: group %s aggregate %d would delete absent value", groupKey, i)
-					return false
-				}
-				newRow = append(newRow, out)
-			}
-		}
-		switch {
-		case oldRow == nil && newRow == nil:
-			// Group neither existed nor survives; nothing changes.
-		case oldRow != nil && newRow != nil && relation.CompareTuples(oldRow, newRow) == 0:
-			// Offsetting changes left the row identical.
-		default:
-			if oldRow != nil {
-				d.Add(oldRow, -1)
-			}
-			if newRow != nil {
-				d.Add(newRow, 1)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, d.Seal()
-}
-
 // mutable returns e, the stored entry of a group that exists, as one this
 // handle may modify in place: e itself if the handle made it since its last
 // Clone, otherwise a clone of it (accumulators included, each O(1)) stored
@@ -241,13 +172,16 @@ func (t *AggTable) mutable(hash uint64, groupKey string, e *groupEntry) *groupEn
 	return ne
 }
 
-// Apply installs the partials and returns what it installed: the size and
-// the digest (delta.Delta.Digest) of the delta FinalizeDelta would have
-// built, which it does not build. It checks every group before it changes
-// any: a group whose support would go negative, or a surviving group one of
-// whose MIN/MAX value counts would, is refused with the table unchanged.
-// Then one pass over the groups finds each once and folds its partial once.
-func (t *AggTable) Apply(p *delta.GroupPartials) (rows int64, digest uint64, err error) {
+// Apply installs the partials and returns what it installed: the number of
+// output rows that went or came — a changed group's old row and its new one
+// — and their digest (delta.Delta.Digest), with each row's count, -1 for an
+// old row and 1 for a new one. A d that is not nil gets those rows appended
+// (the delta's Seal is the caller's); a nil d builds nothing. It checks every
+// group before it changes any: a group whose support would go negative, or a
+// surviving group one of whose MIN/MAX value counts would, is refused with
+// the table and d unchanged. Then one pass over the groups finds each once
+// and folds its partial once.
+func (t *AggTable) Apply(p *delta.GroupPartials, d *delta.Delta) (rows int64, digest uint64, err error) {
 	type change struct {
 		hash uint64
 		key  string
@@ -294,10 +228,12 @@ func (t *AggTable) Apply(p *delta.GroupPartials) (rows int64, digest uint64, err
 			}
 			t.put(c.hash, c.key, e)
 			rows, digest = rows+1, digest^e.digest()
+			addRow(d, c.key, e.outputs(outs[:0]), 1)
 		case old.support+c.gp.Support == 0:
 			t.groups.Delete(c.hash, c.key)
 			t.digest ^= old.digest()
 			rows, digest = rows+1, digest^rowDigest(old.crc, -1)
+			addRow(d, c.key, old.outputs(outs[:0]), -1)
 		default:
 			e := t.mutable(c.hash, c.key, old)
 			was, crc := e.outputs(outs[:0]), e.crc
@@ -307,12 +243,23 @@ func (t *AggTable) Apply(p *delta.GroupPartials) (rows int64, digest uint64, err
 			}
 			e.seal(c.hash)
 			t.digest ^= rowDigest(crc, 1) ^ e.digest()
-			if relation.CompareTuples(was, e.outputs(outs[len(was):len(was)])) != 0 {
+			if now := e.outputs(outs[len(was):len(was)]); relation.CompareTuples(was, now) != 0 {
 				rows, digest = rows+2, digest^rowDigest(crc, -1)^e.digest()
+				addRow(d, c.key, was, -1)
+				addRow(d, c.key, now, 1)
 			}
 		}
 	}
 	return rows, digest, nil
+}
+
+// addRow appends to d, unless it is nil, count copies of the output row of
+// the group whose key is groupKey and whose aggregate outputs are outs: its
+// encoding is the key's followed by theirs.
+func addRow(d *delta.Delta, groupKey string, outs relation.Tuple, count int64) {
+	if d != nil {
+		d.AddEncoded(string(outs.AppendEncoded([]byte(groupKey))), count)
+	}
 }
 
 // put stores a finished entry under a key, replacing (and undigesting) any
@@ -342,11 +289,4 @@ func (t *AggTable) Clone() *AggTable {
 	c := t.Empty()
 	c.groups, c.digest = t.groups.Clone(), t.digest
 	return c
-}
-
-// Clear removes all groups. Groups shared with clones are simply abandoned
-// to the other handles.
-func (t *AggTable) Clear() {
-	t.groups.Clear()
-	t.digest = 0
 }

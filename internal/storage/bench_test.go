@@ -170,7 +170,7 @@ func BenchmarkAggApply(b *testing.B) {
 			}
 		}
 		fill(load, benchRows, installed)
-		if _, _, err := t.Apply(load); err != nil {
+		if _, _, err := t.Apply(load, nil); err != nil {
 			b.Fatal(err)
 		}
 		p := delta.NewGroupPartials(groupBy, specs)
@@ -179,7 +179,7 @@ func BenchmarkAggApply(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := t.Clone()
-			if _, _, err := c.Apply(p); err != nil {
+			if _, _, err := c.Apply(p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,11 +14,11 @@ import (
 // surviving row keeps allocated (see Builder).
 const slabRows = 256
 
-// Builder fills a table in bulk, and is the one path by which rows first
-// enter a table: core's LoadBase (the facade's Load, tpcd's population)
-// and snapshot.Read build through it. Insert adds one row as Done adds
+// Builder fills a table in bulk from stored rows: core's LoadBase (the
+// facade's Load, tpcd's population) and snapshot.Read build through it. Insert adds one row as Done adds
 // each row to a table that already holds rows, and a change batch
-// (ApplyDelta) adds rows the same way.
+// (ApplyDelta) and a full evaluation's output (InsertEncoded) add rows the
+// same way.
 //
 // A row is added as its encoding (Tuple.Encode) and count, and is
 // validated then. Rows are gathered slabRows at a time into a chunk: one

@@ -67,22 +67,6 @@ func TestTableCloneChain(t *testing.T) {
 	}
 }
 
-// TestTableClearDetaches: Clear on one handle abandons the shared map
-// instead of emptying it under the other handle.
-func TestTableClearDetaches(t *testing.T) {
-	a := NewTable(testSchema())
-	a.Insert(cowRow(1, "x"), 1)
-	b := a.Clone()
-	b.Clear()
-	if a.Cardinality() != 1 {
-		t.Fatal("Clear on clone emptied the original")
-	}
-	b.Insert(cowRow(9, "q"), 1)
-	if countOf(a, cowRow(9, "q")) != 0 {
-		t.Fatal("post-Clear insert leaked into the original")
-	}
-}
-
 // TestTableApplyDeltaDetaches: installing a change batch through one handle
 // leaves the other handle's bag untouched (the epoch-isolation property the
 // online window layer builds on).
@@ -147,8 +131,8 @@ func TestTableConcurrentReadersDuringCloneMutation(t *testing.T) {
 // TestPinnedTuplesSurviveSuccessor: the tuples a reader scanned from a
 // pinned epoch's table are the stored ones, shared with the successor's
 // clone — and stay bit-identical while the successor detaches, inserts,
-// deletes every shared row and clears, with a reader scanning the pinned
-// handle throughout. Run under -race.
+// deletes every shared row and then every other, with a reader scanning the
+// pinned handle throughout. Run under -race.
 func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 	pinned := NewTable(testSchema())
 	for i := int64(0); i < 64; i++ {
@@ -194,7 +178,11 @@ func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 	if _, err := next.ApplyDelta(d); err != nil {
 		t.Error(err)
 	}
-	next.Clear()
+	for _, r := range next.SortedRows() {
+		if err := next.Delete(r.Tuple, r.Count); err != nil {
+			t.Error(err)
+		}
+	}
 	close(stop)
 	wg.Wait()
 
@@ -220,7 +208,7 @@ func TestAggTableCloneIsolation(t *testing.T) {
 		t.Helper()
 		p := delta.NewGroupPartials(gs, specs)
 		p.Accumulate(relation.Tuple{relation.NewString(g)}, []relation.Value{relation.NewInt(v)}, support)
-		if _, _, err := tbl.Apply(p); err != nil {
+		if _, _, err := tbl.Apply(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +241,7 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	a := NewAggTable(gs, specs, []string{"n"})
 	p := delta.NewGroupPartials(gs, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g1")}, []relation.Value{relation.Null}, 3)
-	if _, _, err := a.Apply(p); err != nil {
+	if _, _, err := a.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	b := a.Clone()
@@ -357,10 +345,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			agg *AggTable
 			p   *delta.GroupPartials
 		}{{sums, ps}, {ext, pe}} {
-			if _, err := step.agg.FinalizeDelta(step.p); err != nil {
-				t.Error(err)
-			}
-			if _, _, err := step.agg.Apply(step.p); err != nil {
+			if _, _, err := step.agg.Apply(step.p, delta.New(step.agg.Schema())); err != nil {
 				t.Error(err)
 			}
 		}

@@ -17,9 +17,11 @@ import (
 // projection of a row on the index columns to the table's rows that carry
 // it. It belongs to the table the way the rows do —
 //
-//   - Insert, Delete, ApplyDelta and Clear keep it current: a row that
-//     appears or vanishes updates every index, and so does a count that
-//     changes, since a posting carries each row's count beside its tuple.
+//   - Insert, Delete and ApplyDelta keep it current: a row that appears or
+//     vanishes updates every index, and so does a count that changes, since
+//     a posting carries each row's count beside its tuple. A table built
+//     fresh to replace one (a refresh's) starts with none; its joins build
+//     what they probe again.
 //   - Clone hands every index to the new handle in O(indexes), shared bucket
 //     by bucket like the rows. A window that commits passes its indexes on
 //     to the next; one that aborts loses only what it built.

@@ -121,14 +121,6 @@ func TestIndexMaintenance(t *testing.T) {
 	if count() != 1 {
 		t.Errorf("a refilled posting yields %d copies", count())
 	}
-	tbl.Clear()
-	if count() != 0 {
-		t.Errorf("after Clear: %d", count())
-	}
-	tbl.Insert(row(6, "x"), 3)
-	if count() != 3 {
-		t.Errorf("an index is not kept current after Clear: %d", count())
-	}
 }
 
 // TestCountChangeSparesClones: a count change replaces the posting entry on
@@ -398,7 +390,7 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 			case r < 6:
 				handles[rng.Intn(len(handles))] = tbl.Clone() // a handle is dropped
 			case r < 7:
-				tbl.Clear()
+				handles[rng.Intn(len(handles))] = NewTable(sch) // a store built fresh
 			case r < 10:
 				b := tbl.Build(rng.Intn(40))
 				for i := rng.Intn(40); i > 0; i-- {

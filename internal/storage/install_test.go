@@ -52,14 +52,13 @@ func installRow(p *delta.GroupPartials, g, v, count int64) {
 // TestAggApplyMatchesTwoPass draws batches against a model bag of (group,
 // value) rows — groups created, deleted, changed, changed back to the row
 // they had, and groups that lose the last copy of their MIN/MAX extreme —
-// and installs each in one pass (Apply) beside the two-pass reference:
-// FinalizeDelta, then Apply on a copy. The rows installed and their digest
-// are the finalized delta's Size and Digest, both handles end with the same
-// rows and digest, and those rows are the old ones with the finalized delta
-// applied. Every other batch is installed on a fresh clone, whose entries
-// are all shared, and the others on the handle that made the entries the
-// batch before changed, so both the copy-on-write and the in-place fold are
-// drawn.
+// and installs each with a delta to append to: the rows and digest Apply
+// reports are that delta's Size and Digest, and the old rows with the delta
+// applied are the new ones. A second handle installs the same batch with no
+// delta and ends with the same rows and digest. Every other batch is
+// installed on fresh clones, whose entries are all shared, and the others on
+// the handle that made the entries the batch before changed, so both the
+// copy-on-write and the in-place fold are drawn.
 func TestAggApplyMatchesTwoPass(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,10 +123,6 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 				nextGroup++
 			}
 
-			d, err := cur.FinalizeDelta(p)
-			if err != nil {
-				t.Fatalf("seed %d batch %d: FinalizeDelta: %v", seed, batch, err)
-			}
 			before, ref := aggRows(cur), newInstallTable()
 			if batch%2 == 0 {
 				ref, cur = cur.Clone(), cur.Clone()
@@ -137,26 +132,29 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 					return true
 				})
 			}
-			if _, _, err := ref.Apply(p); err != nil {
-				t.Fatalf("seed %d batch %d: reference Apply: %v", seed, batch, err)
+			if _, _, err := ref.Apply(p, nil); err != nil {
+				t.Fatalf("seed %d batch %d: Apply with no delta: %v", seed, batch, err)
 			}
-			rows, digest, err := cur.Apply(p)
+			d := delta.New(cur.Schema())
+			rows, digest, err := cur.Apply(p, d)
+			if err == nil {
+				err = d.Seal()
+			}
 			if err != nil {
 				t.Fatalf("seed %d batch %d: Apply: %v", seed, batch, err)
 			}
 			if rows != d.Size() || digest != d.Digest() {
-				t.Fatalf("seed %d batch %d: Apply installed %d rows, digest %016x; the finalized delta has %d, %016x",
+				t.Fatalf("seed %d batch %d: Apply installed %d rows, digest %016x; its delta has %d, %016x",
 					seed, batch, rows, digest, d.Size(), d.Digest())
 			}
-			d.Seal()
 			if _, err := before.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 			if !before.Equal(aggRows(cur)) || !before.Equal(aggRows(ref)) {
-				t.Fatalf("seed %d batch %d: rows after Apply differ from the old rows with the finalized delta applied", seed, batch)
+				t.Fatalf("seed %d batch %d: rows after Apply differ from the old rows with its delta applied", seed, batch)
 			}
 			if cur.Digest() != ref.Digest() || cur.Digest() != before.Digest() {
-				t.Fatalf("seed %d batch %d: table digests %016x (one pass), %016x (two passes), %016x (rows)",
+				t.Fatalf("seed %d batch %d: table digests %016x (with a delta), %016x (without), %016x (rows)",
 					seed, batch, cur.Digest(), ref.Digest(), before.Digest())
 			}
 			if err := cur.CheckDigest(); err != nil {
@@ -181,7 +179,7 @@ func TestAggApplyRefusesWithoutWriting(t *testing.T) {
 	for g := int64(0); g < 20; g++ {
 		installRow(load, g, 5, 2)
 	}
-	if _, _, err := base.Apply(load); err != nil {
+	if _, _, err := base.Apply(load, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -216,7 +214,7 @@ func TestAggApplyRefusesWithoutWriting(t *testing.T) {
 			}
 			installRow(p, 50, 1, 1) // and a valid new group
 			tc.bad(p)
-			if _, _, err := at.Apply(p); err == nil {
+			if _, _, err := at.Apply(p, nil); err == nil {
 				t.Errorf("%s: Apply accepted the batch", tc.name)
 			}
 			if at.Digest() != digest || !rows.Equal(aggRows(at)) {

@@ -131,7 +131,7 @@ func TestAggTableScanEncoded(t *testing.T) {
 	accumulate(p, "west", 10, 1)
 	accumulate(p, "west", 2.5, 1)
 	accumulate(p, "east", 4, 2)
-	if _, _, err := agg.Apply(p); err != nil {
+	if _, _, err := agg.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]int64)

@@ -65,7 +65,7 @@ func TestTableScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTableCloneEqualClear(t *testing.T) {
+func TestTableCloneEqual(t *testing.T) {
 	tbl := NewTable(schema)
 	tbl.Insert(row(1, "a"), 2)
 	cl := tbl.Clone()
@@ -81,10 +81,6 @@ func TestTableCloneEqualClear(t *testing.T) {
 	cl2.Insert(row(1, "a"), 1)
 	if !tbl.Equal(cl2) {
 		t.Errorf("same bag should be equal")
-	}
-	tbl.Clear()
-	if tbl.Cardinality() != 0 || tbl.DistinctCount() != 0 {
-		t.Errorf("clear failed")
 	}
 }
 
@@ -252,7 +248,7 @@ func TestAggTableApplyAndScan(t *testing.T) {
 	accumulate(p, "a", 10, 1)
 	accumulate(p, "a", 5, 1)
 	accumulate(p, "b", 2, 1)
-	if _, _, err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if at.Cardinality() != 2 {
@@ -264,21 +260,33 @@ func TestAggTableApplyAndScan(t *testing.T) {
 	}
 }
 
-func TestAggTableFinalizeDelta(t *testing.T) {
+// applyWithDelta installs p into at and returns the delta Apply appended
+// to, sealed.
+func applyWithDelta(t *testing.T, at *AggTable, p *delta.GroupPartials) *delta.Delta {
+	t.Helper()
+	d := delta.New(at.Schema())
+	if _, _, err := at.Apply(p, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestAggTableApplyAppendsDelta(t *testing.T) {
 	at := newAgg()
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 10, 2)
-	if _, _, err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Change: remove one contributing row from a (value 10), add group c.
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p2, "a", 10, -1)
 	accumulate(p2, "c", 7, 1)
-	d, err := at.FinalizeDelta(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := aggRows(at)
+	d := applyWithDelta(t, at, p2)
 	ch := d.Sorted()
 	// Expected: -(a,20,2), +(a,10,1), +(c,7,1)
 	if len(ch) != 3 {
@@ -293,21 +301,12 @@ func TestAggTableFinalizeDelta(t *testing.T) {
 	if ch[2].Tuple.String() != "(c, 7, 1)" || ch[2].Count != 1 {
 		t.Errorf("ch[2] = %v", ch[2])
 	}
-	// FinalizeDelta must not mutate.
-	if at.Cardinality() != 1 {
-		t.Errorf("FinalizeDelta mutated the table")
-	}
-	// Applying must match the finalized delta exactly.
-	before := aggRows(at)
-	if _, _, err := at.Apply(p2); err != nil {
-		t.Fatal(err)
-	}
-	d.Seal()
+	// The old rows with the delta applied are the new ones.
 	if _, err := before.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if !before.Equal(aggRows(at)) {
-		t.Errorf("Apply and FinalizeDelta disagree")
+		t.Errorf("Apply's rows and its delta disagree")
 	}
 }
 
@@ -326,20 +325,13 @@ func TestAggTableGroupDisappears(t *testing.T) {
 	at := newAgg()
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 3, 1)
-	if _, _, err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1, nil); err != nil {
 		t.Fatal(err)
 	}
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p2, "a", 3, -1)
-	d, err := at.FinalizeDelta(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.PlusCount() != 0 || d.MinusCount() != 1 {
+	if d := applyWithDelta(t, at, p2); d.PlusCount() != 0 || d.MinusCount() != 1 {
 		t.Errorf("delta = %v", d.Sorted())
-	}
-	if _, _, err := at.Apply(p2); err != nil {
-		t.Fatal(err)
 	}
 	if at.Cardinality() != 0 {
 		t.Errorf("group should be gone")
@@ -351,18 +343,14 @@ func TestAggTableOffsettingChangeProducesNoDelta(t *testing.T) {
 	p1 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p1, "a", 5, 1)
 	accumulate(p1, "a", 3, 1)
-	if _, _, err := at.Apply(p1); err != nil {
+	if _, _, err := at.Apply(p1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a 5-row and insert another 5-row: same group row after.
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p2, "a", 5, -1)
 	accumulate(p2, "a", 5, 1)
-	d, err := at.FinalizeDelta(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsEmpty() {
+	if d := applyWithDelta(t, at, p2); !d.IsEmpty() {
 		t.Errorf("offsetting change produced delta %v", d.Sorted())
 	}
 }
@@ -371,14 +359,12 @@ func TestAggTableNegativeSupportRejected(t *testing.T) {
 	at := newAgg()
 	p := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p, "a", 5, -1)
-	if _, err := at.FinalizeDelta(p); err == nil {
-		t.Errorf("FinalizeDelta should reject negative support")
-	}
-	if _, _, err := at.Apply(p); err == nil {
+	d := delta.New(at.Schema())
+	if _, _, err := at.Apply(p, d); err == nil {
 		t.Errorf("Apply should reject negative support")
 	}
-	if at.Cardinality() != 0 {
-		t.Errorf("failed Apply mutated table")
+	if at.Cardinality() != 0 || d.Size() != 0 {
+		t.Errorf("failed Apply mutated table or appended %d rows", d.Size())
 	}
 }
 
@@ -386,13 +372,13 @@ func TestAggTableClone(t *testing.T) {
 	at := newAgg()
 	p := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p, "a", 5, 1)
-	if _, _, err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl := at.Clone()
 	p2 := delta.NewGroupPartials(groupSchema, sumSpecs)
 	accumulate(p2, "b", 1, 1)
-	if _, _, err := cl.Apply(p2); err != nil {
+	if _, _, err := cl.Apply(p2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if at.Cardinality() != 1 || cl.Cardinality() != 2 {
@@ -400,10 +386,6 @@ func TestAggTableClone(t *testing.T) {
 	}
 	if !cl.GroupSchema().Equal(groupSchema) || len(cl.Specs()) != 2 {
 		t.Errorf("clone metadata wrong")
-	}
-	cl.Clear()
-	if cl.Cardinality() != 0 {
-		t.Errorf("clear failed")
 	}
 }
 
@@ -418,7 +400,7 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 	add(p, 4, 1)
 	add(p, 7, 1)
 	add(p, 1, 1)
-	if _, _, err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	rows := at.SortedRows()
@@ -429,15 +411,8 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 	p2 := delta.NewGroupPartials(groupSchema, specs)
 	add(p2, 1, -1)
 	add(p2, 7, -1)
-	d, err := at.FinalizeDelta(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Size() != 2 {
+	if d := applyWithDelta(t, at, p2); d.Size() != 2 {
 		t.Fatalf("delta = %v", d.Sorted())
-	}
-	if _, _, err := at.Apply(p2); err != nil {
-		t.Fatal(err)
 	}
 	if at.SortedRows()[0].Tuple.String() != "(g, 4, 4)" {
 		t.Errorf("after deletes: %v", at.SortedRows())
@@ -449,13 +424,13 @@ func TestAggTableDeleteAbsentMinMaxValueRejected(t *testing.T) {
 	at := NewAggTable(groupSchema, specs, []string{"lo"})
 	p := delta.NewGroupPartials(groupSchema, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(5)}, 2)
-	if _, _, err := at.Apply(p); err != nil {
+	if _, _, err := at.Apply(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	bad := delta.NewGroupPartials(groupSchema, specs)
 	bad.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(99)}, -1)
 	// Support stays positive (2-1=1) but value 99 was never present.
-	if _, err := at.FinalizeDelta(bad); err == nil {
+	if _, _, err := at.Apply(bad, delta.New(at.Schema())); err == nil {
 		t.Errorf("expected invalid-accumulator error")
 	}
 }

@@ -158,12 +158,18 @@ func (t *Table) DistinctCount() int64 { return int64(t.rows.Len()) }
 // its key encoded once, its tuple decoded from the key. Count must be
 // positive. The table keeps nothing of tup itself; the caller may reuse or
 // modify it.
-func (t *Table) Insert(tup relation.Tuple, count int64) {
+func (t *Table) Insert(tup relation.Tuple, count int64) { t.InsertEncoded(encodeKey(tup), count) }
+
+// InsertEncoded is Insert for a row held as its encoding (Tuple.Encode): a
+// row new to the table keeps key as its own and the tuple decoded from it,
+// as ApplyDelta's adopted rows do; a row it holds gains count copies, and
+// nothing is decoded. It is how a full evaluation fills a fresh table with a
+// term's output, equal rows merged in the row map (core's evalFull).
+func (t *Table) InsertEncoded(key string, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
-	key := encodeKey(tup)
-	t.insertKey(cowmap.Hash(key), key, mustDecode(key), count)
+	t.insertKey(cowmap.Hash(key), key, nil, count)
 }
 
 // slot returns the hash the row map files the row encoded as key under,
@@ -206,14 +212,18 @@ func encodeKey(tup relation.Tuple) string {
 }
 
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
-// A row new to the table stores tup, which is key decoded and becomes
-// read-only; its strings are substrings of the key the table holds anyway.
+// A row new to the table stores tup, which is key decoded (decoded here when
+// nil) and becomes read-only; its strings are substrings of the key the
+// table holds anyway.
 func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
 	at := t.slot(hash, key)
 	r, existed := t.rows.Ref(at, key)
 	if existed {
 		t.digest ^= rowDigest(hash, r.count)
 	} else {
+		if tup == nil {
+			tup = mustDecode(key)
+		}
 		r.tup = tup
 		if t.placed && !t.sharesFirst(at, key) {
 			t.firstKeys++
@@ -456,14 +466,4 @@ func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 		}
 	}
 	return digest, nil
-}
-
-// Clear removes every row. Resident indexes are emptied but kept. Rows
-// shared with clones are simply abandoned to the other handles.
-func (t *Table) Clear() {
-	t.rows.Clear()
-	t.card, t.digest, t.firstKeys = 0, 0, 0
-	for _, ix := range t.indexes {
-		ix.keys.Clear()
-	}
 }

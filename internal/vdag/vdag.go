@@ -177,8 +177,12 @@ func (g *Graph) Children(view string) []string {
 	return nil
 }
 
-// IsBase reports whether the view has no children (defined over sources).
-func (g *Graph) IsBase(view string) bool { return !g.IsDerived(view) }
+// IsBase reports whether the graph holds the view and it has no children
+// (it is defined over sources).
+func (g *Graph) IsBase(view string) bool {
+	id, ok := g.ids[view]
+	return ok && len(g.children[id]) == 0
+}
 
 // IsDerived reports whether the view is defined over warehouse views.
 func (g *Graph) IsDerived(view string) bool {

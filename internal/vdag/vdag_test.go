@@ -88,6 +88,9 @@ func TestAdjacency(t *testing.T) {
 	if !g.IsBase("V1") || g.IsBase("V4") || !g.IsDerived("V5") || g.IsDerived("V2") {
 		t.Errorf("base/derived classification wrong")
 	}
+	if g.IsBase("nope") || g.IsDerived("nope") {
+		t.Errorf("a view the graph does not hold is classified base or derived")
+	}
 	if !reflect.DeepEqual(g.DerivedViews(), []string{"V4", "V5"}) {
 		t.Errorf("DerivedViews = %v", g.DerivedViews())
 	}

@@ -111,17 +111,6 @@ func (p *PinnedEpoch) Views() []string { return p.pin.Warehouse().ViewNames() }
 // use (see Warehouse.Internal).
 func (p *PinnedEpoch) Internal() *core.Warehouse { return p.pin.Warehouse() }
 
-// coreResolver resolves view schemas against one core snapshot.
-func coreResolver(c *core.Warehouse) func(view string) (Schema, error) {
-	return func(view string) (Schema, error) {
-		v := c.View(view)
-		if v == nil {
-			return nil, fmt.Errorf("warehouse: unknown view %q", view)
-		}
-		return v.Schema(), nil
-	}
-}
-
 // prepareQuery resolves sql to a bound plan, consulting the prepared-plan
 // cache first. The cache key is the normalized SQL plus the snapshot's
 // catalog version, so a plan is reused across epochs (window commits don't
@@ -132,7 +121,7 @@ func (w *Warehouse) prepareQuery(c *core.Warehouse, sql string) (*sqlparse.Query
 	if q, ok := w.plans.Get(sql, version); ok {
 		return q, nil
 	}
-	q, err := sqlparse.ParseQuery(sql, coreResolver(c))
+	q, err := sqlparse.ParseQuery(sql, c.ViewSchema)
 	if err != nil {
 		return nil, err
 	}

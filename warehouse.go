@@ -406,7 +406,7 @@ func (w *Warehouse) Views() []string {
 func (w *Warehouse) ViewSchema(name string) (Schema, error) {
 	pin := w.epochs.Pin()
 	defer pin.Unpin()
-	return coreResolver(pin.Warehouse())(name)
+	return pin.Warehouse().ViewSchema(name)
 }
 
 // Size returns |V|: the view's row count in the current serving epoch.
