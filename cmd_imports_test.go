@@ -337,7 +337,6 @@ var unreachedBecause = map[string]string{
 	"storage.Table.Delete":                   reasonHarness,
 	"storage.Table.Equal":                    reasonHarness,
 	"storage.Table.Insert":                   reasonHarness,
-	"storage.encodeKey":                      reasonHarness,
 	"strategy.EnumerateOneWayViewStrategies": reasonModel,
 	"strategy.EnumerateVDAGStrategies":       reasonModel,
 	"strategy.EnumerateViewStrategies":       reasonModel,

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/storage"
 )
 
 // Explain renders a strategy with its predicted per-expression cost under
@@ -33,6 +33,11 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// Read once: a placed index counts its keys by a scan (storage.IndexStats).
+	indexes := make(map[string][]storage.IndexStats)
+	for _, name := range w.core.ViewNames() {
+		indexes[name] = w.core.MustView(name).IndexStats()
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN (linear work metric; estimated |δ| for derived views)\n")
 	installed := make(map[string]bool)
@@ -53,7 +58,7 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 					size = st.SizeAfter()
 					mark = "′" // post-install state
 				}
-				operands = append(operands, fmt.Sprintf("|%s%s|=%d%s", child, mark, size, indexMarks(w.core.MustView(child))))
+				operands = append(operands, fmt.Sprintf("|%s%s|=%d%s", child, mark, size, indexMarks(indexes[child])))
 				if containsStr(x.Over, child) {
 					operands = append(operands, fmt.Sprintf("|δ%s|=%d", child, st.DeltaSize()))
 				}
@@ -67,18 +72,18 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 	}
 	fmt.Fprintf(&sb, "total predicted work: %.0f (comp %.0f + inst %.0f)\n", b.Total, b.Comp, b.Inst)
 	for _, name := range w.core.ViewNames() {
-		for _, st := range w.core.MustView(name).IndexStats() {
+		for _, st := range indexes[name] {
 			fmt.Fprintf(&sb, "join index %s%s\n", name, st)
 		}
 	}
 	return sb.String(), nil
 }
 
-// indexMarks renders a state operand's resident join indexes as " ix[0][0 2]"
-// (column positions), or nothing when it has none.
-func indexMarks(v *core.View) string {
+// indexMarks renders a state operand's resident join indexes as " ix[1][0]"
+// (column positions, in creation order), or nothing when it has none.
+func indexMarks(indexes []storage.IndexStats) string {
 	var s string
-	for _, st := range v.IndexStats() {
+	for _, st := range indexes {
 		s += fmt.Sprint(st.Cols)
 	}
 	if s != "" {

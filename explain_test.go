@@ -81,7 +81,7 @@ func TestExplainMarksIndexesTheRowMapServes(t *testing.T) {
 	}
 	want := map[string]bool{
 		"LINEITEM[0]": true, "ORDER[0]": true, "CUSTOMER[0]": true,
-		"ORDER[1]": false, "SUPPLIER[0 2]": false,
+		"ORDER[1]": false, "SUPPLIER[0]": false,
 		"NATION[0]": false, "REGION[0]": false,
 	}
 	if !maps.Equal(placed, want) {

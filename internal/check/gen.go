@@ -33,12 +33,12 @@ const (
 	// an aggregate store no index serves, so each Comp hashes it — and then
 	// probes B's resident index.
 	Siblings Catalog = "siblings"
-	// Narrow is the fixture of a join index that serves joins on more
-	// columns than its own: bases L(k,x), O(k,y), P(k,x), J1 joining L and O
-	// on k, J2 L and P on k and x. L holds five rows a key, so its index on k
-	// is narrow (storage.Table.JoinIndex): whichever of a δO and a δP term
-	// probes L first, L ends with that one index, and every δP row's probe
-	// yields the rows of all its key's x, which the step must filter on x.
+	// Narrow is the fixture of a join step that binds more columns than the
+	// index it probes: bases L(k,x), O(k,y), P(k,x), J1 joining L and O on k,
+	// J2 L and P on k and x. A step that binds a table's column 0 probes the
+	// index on that column alone (core's compiled rule), so L ends with its
+	// index on k whichever planner ran, and every δP row's probe yields the
+	// rows of all its key's x — five a key — which the step checks on x.
 	Narrow Catalog = "narrow"
 )
 

@@ -175,7 +175,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 		return true
 	})
 	p := probeBenchPipeline(true)
-	sides := []stepSide{{idx: indexStep{tbl: tbl}}}
+	sides := []stepSide{{tbl: tbl}}
 	driver := benchDriver(n)
 	var matched int64
 	sink := func(_ relation.Tuple, count int64) { matched += count }
@@ -269,7 +269,7 @@ GROUP BY l.L_ORDERKEY, o.O_ORDERDATE, o.O_SHIPPRIORITY`)
 		w.views["Q3"].def.Refs[pl.steps[0].ref].View != "ORDER" || w.views["Q3"].def.Refs[pl.steps[1].ref].View != "CUSTOMER" {
 		b.Fatal("the δLINEITEM term of Q3 is not an index step on ORDER and then one on CUSTOMER")
 	}
-	sides := []stepSide{{idx: indexStep{tbl: w.views["ORDER"].table}}, {idx: indexStep{tbl: w.views["CUSTOMER"].table}}}
+	sides := []stepSide{{tbl: w.views["ORDER"].table}, {tbl: w.views["CUSTOMER"].table}}
 	d.Seal()
 	driver := deltaSource{d}
 	var matched int64

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/algebra"
@@ -224,10 +223,17 @@ func ContextErr(ctx context.Context) error {
 }
 
 // stepSide is what one join step probes in one run: the build table of its
-// operand, or the resident index of the plain table it reads.
+// operand, or the resident index of the plain table it reads. The index is
+// resolved — and, if the table does not hold it yet, built — at the step's
+// first probe, so a term whose delta is empty builds nothing and probes
+// nothing.
 type stepSide struct {
 	build *buildTable
-	idx   indexStep
+	tbl   *storage.Table // an index step's operand
+	ix    *storage.Index // nil until the step's first probe
+	// scanned is the number of rows read to build ix, 0 when the table
+	// already held it.
+	scanned int64
 }
 
 // runTerm runs one term along pipeline pl over the operands its delta mask
@@ -251,7 +257,7 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 		src := ops.of(s.ref, mask)
 		scanned += src.Cardinality()
 		if s.indexed {
-			sides = append(sides, stepSide{idx: indexStep{tbl: src.(*storage.Table)}})
+			sides = append(sides, stepSide{tbl: src.(*storage.Table)})
 			env.ctr.IndexTuplesSaved += src.Cardinality()
 		} else {
 			sides = append(sides, stepSide{build: env.build(src, s)})
@@ -262,7 +268,7 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 	env.ctr.IndexProbes += probes
 	env.ctr.IndexRows += yielded
 	for i := range sides {
-		env.ctr.IndexTuplesSaved -= sides[i].idx.scanned
+		env.ctr.IndexTuplesSaved -= sides[i].scanned
 	}
 	return scanned, nil
 }
@@ -271,9 +277,13 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 // operand ref — through a build table, or through the resident index of a
 // plain table's state — then apply the filters that just became evaluable.
 type joinStep struct {
-	ref  int // the operand's reference index
-	keys []equiKey
-	roff int
+	ref int // the operand's reference index
+	// keys is the equi-keys whose bound sides make the probe key, in newCol
+	// order: every key of a build table's step, the ones its index covers for
+	// an index step. resid is an index step's other keys, checked on each
+	// row the index yields (indexKeys).
+	keys, resid []equiKey
+	roff        int
 	// live is the operand's columns that a match copies into the scratch
 	// row (liveColumns).
 	live  []int
@@ -282,51 +292,11 @@ type joinStep struct {
 	// resident index (delta-driven terms only); every other step probes a
 	// build table.
 	indexed bool
-	// cols is the operand-local key columns in newCol order: one per key for
-	// a build table, and colsKey their build-cache key; each column once for
-	// an index.
+	// cols is the operand-local columns of keys: a build table's key
+	// columns, colsKey their build-cache key, or the columns of the index a
+	// step probes.
 	cols    []int
 	colsKey string
-}
-
-// indexStep is the operand side of a join step that reads a plain table's
-// state through its resident join index. The index is resolved — and, if
-// the table does not hold one yet, built — at the step's first probe, so a
-// term whose delta is empty builds nothing and probes nothing.
-type indexStep struct {
-	tbl *storage.Table
-	ix  *storage.Index // nil until the first probe
-	// probe is the equi-keys whose operand columns the index covers, in its
-	// column order: their bound sides make the probe key. resid is the
-	// others — a second equality on a column already used, or the columns
-	// beyond a narrow index on a subset (see Table.JoinIndex) — checked on
-	// each row the index yields.
-	probe, resid []equiKey
-	// scanned is the number of rows read to build the index, 0 when the
-	// table already held it.
-	scanned int64
-}
-
-// resolve finds or builds the index for the step's key columns, once.
-func (s *indexStep) resolve(step *joinStep) {
-	if s.ix != nil {
-		return
-	}
-	ix, scanned := s.tbl.JoinIndex(step.cols)
-	s.scanned = scanned
-	covered := ix.Cols()
-	if len(step.keys) == len(covered) && slices.Equal(covered, step.cols) {
-		s.probe = step.keys // the compiled keys, shared read-only
-	} else {
-		for _, k := range step.keys {
-			if n := len(s.probe); n < len(covered) && covered[n] == k.newCol-step.roff {
-				s.probe = append(s.probe, k)
-			} else {
-				s.resid = append(s.resid, k)
-			}
-		}
-	}
-	s.ix = ix
 }
 
 // pipeline is one term's compiled execution for one driver: the
@@ -396,7 +366,7 @@ func (p *pipeline) run(driver source, sides []stepSide, sink sinkFn) (probes, yi
 	})
 	for i, n := range st.probes {
 		if n > 0 {
-			sides[i].idx.ix.CountProbes(n)
+			sides[i].ix.CountProbes(n)
 			probes += n
 		}
 	}
@@ -413,21 +383,19 @@ func (p *pipeline) probe(depth int, count int64, st *probeState) {
 	}
 	s := &p.steps[depth]
 	side := &st.sides[depth]
-	keys := s.keys
-	if s.indexed {
-		side.idx.resolve(s)
-		keys = side.idx.probe
-	}
-	keyT := st.keys[depth][:len(keys)]
-	for ki, k := range keys {
+	keyT := st.keys[depth]
+	for ki, k := range s.keys {
 		keyT[ki] = st.scratch[k.boundCol]
 	}
 	enc := keyT.AppendEncoded(st.encs[depth][:0])
 	st.encs[depth] = enc
 	if s.indexed {
 		// Resident index: one lookup per arriving partial row.
+		if side.ix == nil {
+			side.ix, side.scanned = side.tbl.JoinIndex(s.cols)
+		}
 		st.probes[depth]++
-		side.idx.ix.Probe(enc, func(t relation.Tuple, c int64) bool {
+		side.ix.Probe(enc, func(t relation.Tuple, c int64) bool {
 			st.yielded++
 			p.emit(depth, t, count*c, st)
 			return true
@@ -453,7 +421,7 @@ func (p *pipeline) emit(depth int, t relation.Tuple, count int64, st *probeState
 	for _, c := range s.live {
 		st.scratch[s.roff+c] = t[c]
 	}
-	for _, k := range st.sides[depth].idx.resid {
+	for _, k := range s.resid {
 		if !relation.Identical(st.scratch[k.boundCol], st.scratch[k.newCol]) {
 			return
 		}

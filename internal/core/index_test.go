@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/delta"
@@ -321,5 +322,72 @@ func TestSiblingCompsProbeIndexes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestIndexStepChecksResidualKeys: a step whose operand column two bound
+// references are equated to probes its index on that column once and checks
+// the other equality on every row the probe yields (joinStep.resid). V binds
+// F's column 0 to both d.x and e.x, W binds G's column 1 to both; δD's terms
+// join E on its key first, then F through the index on [0] or G through the
+// one on [1]. A δD row whose x differs from its E row's finds F and G rows
+// by the probe that its E row's x does not equal, and those must join
+// nothing.
+func TestIndexStepChecksResidualKeys(t *testing.T) {
+	kx := relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "x", Kind: relation.KindInt}}
+	w := New(Options{})
+	for _, base := range []string{"D", "E", "F", "G"} {
+		if err := w.DefineBase(base, kx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defineSQL(t, w, "V", "SELECT d.k, f.x FROM D d, E e, F f WHERE d.k = e.k AND d.x = f.k AND e.x = f.k")
+	defineSQL(t, w, "W", "SELECT d.k, g.k AS gk FROM D d, E e, G g WHERE d.k = e.k AND d.x = g.x AND e.x = g.x")
+	var e, fg []relation.Tuple
+	for i := int64(0); i < 12; i++ {
+		e = append(e, intRow(i, i%3))
+	}
+	for i := int64(0); i < 6; i++ {
+		fg = append(fg, intRow(i, i%4))
+	}
+	for base, rows := range map[string][]relation.Tuple{"E": e, "F": fg, "G": fg} {
+		if err := w.LoadBase(base, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	for view, want := range map[string]int{"V": 0, "W": 1} {
+		terms, err := w.compiledComp(w.views[view], []string{"D"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := terms[0].orders[0].steps[1]
+		if !last.indexed || !slices.Equal(last.cols, []int{want}) || len(last.resid) != 1 {
+			t.Fatalf("%s: δD's last step probes %v (indexed %v) and checks %d keys, want the index on [%d] and one residual key", view, last.cols, last.indexed, len(last.resid), want)
+		}
+	}
+	var changes []delta.Change
+	for i := int64(0); i < 12; i++ {
+		changes = append(changes, delta.Change{Tuple: intRow(i, i%4), Count: 1})
+	}
+	stage(t, w, "D", changes)
+	var probes int64
+	for _, view := range []string{"V", "W"} {
+		rep, err := w.ComputeCtx(nil, view, []string{"D"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes += rep.IndexProbes
+	}
+	for _, view := range []string{"D", "V", "W"} {
+		applyStep(t, w, "i"+view)
+	}
+	if err := w.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	if probes == 0 || w.MustView("V").Table().Cardinality() == 0 || w.MustView("W").Table().Cardinality() == 0 {
+		t.Fatalf("probes %d, |V| %d, |W| %d: the fixture exercised nothing", probes, w.MustView("V").Table().Cardinality(), w.MustView("W").Table().Cardinality())
 	}
 }

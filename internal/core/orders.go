@@ -24,11 +24,11 @@ import (
 // to the bound prefix — that yields the fewest rows a probe, ties broken by
 // reference index; a cross product comes only when none is connected. A
 // step on a plain table's state whose keys cover the table's column 0 — the
-// key the row map counts and serves, one row a probe on a keyed table —
-// goes before a step that may fan out: one on other columns, or one on a
-// delta or an aggregate's state. On foreign-key joins every step a delta
-// drives then looks up a key, and the term's machine work follows |δ|, not
-// the sizes of the tables it joins.
+// key the row map serves, one row a probe on a keyed table — goes before a
+// step that may fan out: one on other columns, or one on a delta or an
+// aggregate's state. On foreign-key joins every step a delta drives then
+// looks up a key, and the term's machine work follows |δ|, not the sizes of
+// the tables it joins.
 //
 // A recompute term (no delta operand) reads every operand whole, and there
 // the linear metric is exact: it is planned at each call from the operands'
@@ -154,10 +154,11 @@ func recomputeOrder(cq *algebra.CQ, ops operands) *pipeline {
 // join one at a time, each the connected one of lowest rank (ties by
 // reference index), else the unconnected one of lowest rank. A step is an
 // index step when indexed says its operand is read through a resident
-// index and an equi-join keys it; every other step probes a build table
-// over one operand scan, which is the execution model behind the paper's
-// linear work metric. The driver and every step copy only their operand's
-// live columns (liveColumns).
+// index and an equi-join keys it, and its index columns are decided here
+// (indexKeys); every other step probes a build table over one operand scan,
+// which is the execution model behind the paper's linear work metric. The
+// driver and every step copy only their operand's live columns
+// (liveColumns).
 func compileOrder(cq *algebra.CQ, driver int, indexed func(ref int) bool, rank func(ref int, keys []equiKey) int64) *pipeline {
 	bound := uint64(1) << uint(driver)
 	applied := make([]bool, len(cq.Filters))
@@ -215,12 +216,11 @@ func compileOrder(cq *algebra.CQ, driver int, indexed func(ref int) bool, rank f
 			preds:   pendingFilters(cq, bound, applied),
 			indexed: indexed(i) && len(keys) > 0,
 		}
-		for _, k := range keys {
-			c := k.newCol - roff
-			// An index takes each column once; a build table one per key.
-			if !step.indexed || len(step.cols) == 0 || step.cols[len(step.cols)-1] != c {
-				step.cols = append(step.cols, c)
-			}
+		if step.indexed {
+			step.keys, step.resid = indexKeys(keys, roff)
+		}
+		for _, k := range step.keys {
+			step.cols = append(step.cols, k.newCol-roff)
 		}
 		if !step.indexed {
 			step.colsKey = colsKey(step.cols)
@@ -228,6 +228,24 @@ func compileOrder(cq *algebra.CQ, driver int, indexed func(ref int) bool, rank f
 		p.steps = append(p.steps, step)
 	}
 	return p
+}
+
+// indexKeys splits an index step's keys, in newCol order, into those its
+// probe encodes and those checked on each row the probe yields (resid). A
+// step that binds its operand's column 0 (at joined offset roff) probes the
+// index on that column alone and checks every other key; any other step
+// probes the index on exactly its key columns and checks a second equality
+// on a column. So which index a step probes is compiled with its order, and
+// the indexes a table holds follow from the compiled orders.
+func indexKeys(keys []equiKey, roff int) (probe, resid []equiKey) {
+	for _, k := range keys {
+		if n := len(probe); n == 0 || probe[0].newCol != roff && probe[n-1].newCol != k.newCol {
+			probe = append(probe, k)
+		} else {
+			resid = append(resid, k)
+		}
+	}
+	return probe, resid
 }
 
 // liveColumns returns the operand-local positions, ascending, of the n

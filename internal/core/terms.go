@@ -29,7 +29,7 @@ import (
 //     charges each term its operand scan — the cache changes the machine's
 //     work, not the metric's — and EngineCounters reports the hits and
 //     tuples saved. The same rule covers the steps a resident join index
-//     serves (see indexStep): they ask for no build at all.
+//     serves (see stepSide): they ask for no build at all.
 //   - the sink folds term output straight into the view's pending state, in
 //     term and row order.
 
@@ -217,7 +217,7 @@ func (a acc) add(key []byte, inputs []relation.Value, count int64) {
 	case a.p != nil:
 		a.p.AccumulateEncoded(key, inputs, count)
 	case a.t != nil:
-		a.t.InsertEncoded(string(key), count)
+		a.t.InsertEncoded(key, count)
 	default:
 		a.d.AddEncoded(string(key), count)
 	}

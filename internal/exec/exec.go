@@ -244,9 +244,9 @@ func RunStep(ctx context.Context, w *core.Warehouse, e strategy.Expr, inj *fault
 
 // Execute runs the strategy against the warehouse, mutating it, and returns
 // the measured report. It is the only executor: whatever the mode, the run
-// validates the strategy (when asked), attaches the window's build cache and
-// passes every expression through the "step" fault point, RunStep and
-// OnStep. The first expression error cancels scheduling (in-flight
+// validates the strategy (when asked) and passes every expression through
+// the "step" fault point, RunStep and OnStep; each Comp's term engine makes
+// and drops its own build cache. The first expression error cancels scheduling (in-flight
 // expressions finish, unstarted ones are abandoned) and is returned
 // deterministically: among the failures of a run, the one whose expression
 // is earliest in the strategy wins — a step that the cancellation stopped is

@@ -66,7 +66,7 @@ func DecodeInto(dst Tuple, enc string) (rest string) {
 // FirstLen returns the length of the encoding of the first value in enc, a
 // valid Tuple.Encode of a tuple with at least one value: enc[:FirstLen(enc)]
 // is the Encode of that value alone, a prefix of the row key.
-func FirstLen(enc string) int {
+func FirstLen[S string | []byte](enc S) int {
 	n, _ := encodedSize(enc)
 	return n
 }

@@ -16,11 +16,11 @@ import (
 )
 
 // TestNarrowIndexDifferential: on check.Narrow, L is joined on (k) by J1 and
-// on (k, x) by J2, and its index on k serves both — the δP terms of J2 probe
-// it and check x on every row it yields. Every planner leaves L with that one
-// index whichever join probes first, and every point of mode × crash,
-// recovery, replica and ingester lands on recomputation. With the
-// evaluator's check of the uncovered equalities dropped this fails.
+// on (k, x) by J2, and both probe its index on k, as the compiled rule has a
+// step that binds column 0 do — the δP terms of J2 check x on every row it
+// yields. Every planner leaves L with that one index, and every point of
+// mode × crash, recovery, replica and ingester lands on recomputation. With
+// the evaluator's check of the residual keys dropped this fails.
 func TestNarrowIndexDifferential(t *testing.T) {
 	for _, planner := range warehouse.Planners {
 		w := check.BuildCatalog(t, check.Narrow, 1)

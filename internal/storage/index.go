@@ -30,10 +30,11 @@ import (
 //     that share the bucket — a pinned epoch among them — may be reading it.
 //
 // The term engine asks for an index at the first probe of a join step
-// (Table.JoinIndex); the one rule here is that a narrow index — at most
-// maxServingFanOut rows a key — serves joins on more columns, and retires
-// the indexes on them. Every index counts its probes and its upkeep so that
-// a later election can decide the rest.
+// (Table.JoinIndex), on the columns the step's compiled order names (package
+// core, compileOrder): the index on column 0 for a step that binds it, else
+// the index on exactly the step's key columns. So the indexes a table holds
+// follow from the compiled orders and the batches, not from which join
+// probed first. Every index counts its probes and its upkeep.
 //
 // Rows placed by their first column. Most join indexes are on column 0, the
 // key a base table leads with, and an index there duplicates the row map's
@@ -64,8 +65,7 @@ type Index struct {
 	keys cowmap.Map[posting]
 	// probes and upkeep count the lookups served and the row arrivals,
 	// departures and count changes applied; a clone starts from its
-	// source's counts, and a narrow index from those of the indexes it
-	// retires.
+	// source's counts.
 	probes, upkeep atomic.Int64
 }
 
@@ -78,7 +78,7 @@ type IndexStats struct {
 	Keys, Rows int64
 	// Probes counts lookups served, Upkeep the row arrivals, departures and
 	// count changes applied, over the life of the index across the handles
-	// it passed through and of the indexes it retired.
+	// it passed through.
 	Probes, Upkeep int64
 	// Placed reports that the table's row map serves the index: its rows
 	// are placed by their first column and the index holds no postings.
@@ -95,15 +95,12 @@ func (s IndexStats) String() string {
 	return out
 }
 
-// Cols returns the indexed column positions, ascending. The slice is the
-// index's own and must not be modified.
-func (ix *Index) Cols() []int { return ix.cols }
-
-// Probe calls fn with every row whose projection on Cols encodes to key,
-// and its count, until fn returns false: one lookup in the index, or in the
-// row map when that serves the index. The tuples are the stored ones (see
-// Table) and must not be modified. Probe allocates nothing and is safe from
-// any number of goroutines while the handle is not written.
+// Probe calls fn with every row whose projection on the index columns
+// encodes to key, and its count, until fn returns false: one lookup in the
+// index, or in the row map when that serves the index. The tuples are the
+// stored ones (see Table) and must not be modified. Probe allocates nothing
+// and is safe from any number of goroutines while the handle is not
+// written.
 func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
 	hash := cowmap.HashBytes(key)
 	if ix.served() {
@@ -144,12 +141,24 @@ func (ix *Index) onFirstColumn() bool { return len(ix.cols) == 1 && ix.cols[0] =
 // most one index on a column set (JoinIndex hands out the resident one).
 func (ix *Index) served() bool { return ix.t.placed && ix.onFirstColumn() }
 
-// keyCount returns the number of distinct keys the index holds.
+// keyCount returns the number of distinct keys the index holds. The index
+// the row map serves counts its table's first values by a scan: a row
+// counts when it is the first of its first value that its bucket holds.
 func (ix *Index) keyCount() int {
-	if ix.served() {
-		return ix.t.firstKeys
+	if !ix.served() {
+		return ix.keys.Len()
 	}
-	return ix.keys.Len()
+	n := 0
+	ix.t.rows.Scan(func(hash uint64, key string, _ storedRow) bool {
+		ix.t.visitFirst(hash, []byte(key[:relation.FirstLen(key)]), func(k string, _ storedRow) bool {
+			if k == key {
+				n++
+			}
+			return false
+		})
+		return true
+	})
+	return n
 }
 
 // appendKey appends the encoded projection of tup on the index columns.
@@ -247,34 +256,27 @@ func (ix *Index) clone(c *Table) *Index {
 	return out
 }
 
-// maxServingFanOut is the mean number of rows per key up to which an index
-// serves a join on a superset of its columns. Such a probe yields that many
-// candidates on average, each checked on the remaining columns, where an
-// index on the superset would cost every write that lands on the table one
-// more map write — the trade Mistry et al. price as benefit against upkeep.
+// maxServingFanOut is the mean number of rows per key up to which settle
+// places a table's rows by their first column, so that the row map serves the
+// index on column 0. A probe then visits that many rows on average, where
+// postings of the index's own would cost every write that lands on the table
+// one more bucket copy — the trade Mistry et al. price as benefit against
+// upkeep.
 const maxServingFanOut = 8
 
 // narrow reports whether the index's mean fan-out, rows per key, is at most
-// maxServingFanOut. An empty index is narrow.
+// maxServingFanOut: settle's rule for placing the rows. An empty index is
+// narrow.
 func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.keyCount() }
 
-// JoinIndex returns the resident index that serves an equi-join on the
-// given column positions (ascending, distinct, not empty), building one by
-// a scan of the rows if none does; scanned is the number of rows that scan
-// read, 0 when an index was there. The index returned is on cols, or on a
-// narrow subset of them: it finds the few candidate rows, and the caller
-// checks the remaining columns on each.
-//
-// A narrow index that JoinIndex builds retires the handle's indexes on
-// supersets of its columns, which it serves from then on: they leave this
-// handle's set and are never written again, while clones and pinned epochs
-// that hold them keep their own copies. So the indexes a table ends with do
-// not depend on which join probed first.
+// JoinIndex returns the resident index on the given column positions
+// (ascending, distinct, not empty), building it by a scan of the rows if
+// the handle does not hold it; scanned is the number of rows that scan
+// read, 0 when the index was there.
 //
 // Safe to call from concurrent readers of the handle: the terms of several
 // compute expressions on concurrent DAG workers may all arrive at a first
-// probe together; one builds and the others wait. A reader that got a
-// retired index may go on probing it: the handle is not written while read.
+// probe together; one builds and the others wait.
 func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 	for i, c := range cols {
 		if c < 0 || c >= len(t.schema) || (i > 0 && cols[i-1] >= c) {
@@ -285,14 +287,14 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 		panic("storage: index on no columns")
 	}
 	t.idxMu.RLock()
-	ix = t.serving(cols)
+	ix = t.resident(cols)
 	t.idxMu.RUnlock()
 	if ix != nil {
 		return ix, 0
 	}
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	if ix = t.serving(cols); ix != nil {
+	if ix = t.resident(cols); ix != nil {
 		return ix, 0
 	}
 	ix = &Index{t: t, cols: slices.Clone(cols)}
@@ -300,46 +302,18 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 		ix.add(r, true)
 		return true
 	})
-	// The writer's hooks range over the slice they loaded; publish a new one.
-	// A retired index's counts go to the index that serves its joins now.
-	retire := ix.narrow()
-	kept := make([]*Index, 0, len(t.indexes)+1)
-	for _, old := range t.indexes {
-		if retire && subset(cols, old.cols) {
-			ix.probes.Add(old.probes.Load())
-			ix.upkeep.Add(old.upkeep.Load())
-			continue
-		}
-		kept = append(kept, old)
-	}
-	t.indexes = append(kept, ix)
+	t.indexes = append(t.indexes, ix)
 	return ix, int64(t.rows.Len())
 }
 
-// serving returns the index JoinIndex hands out for cols among those
-// resident — the one on cols, else the first narrow one on a subset — or
-// nil. Callers hold idxMu.
-func (t *Table) serving(cols []int) *Index {
-	var sub *Index
+// resident returns the handle's index on cols, or nil. Callers hold idxMu.
+func (t *Table) resident(cols []int) *Index {
 	for _, ix := range t.indexes {
 		if slices.Equal(ix.cols, cols) {
 			return ix
 		}
-		if sub == nil && subset(ix.cols, cols) && ix.narrow() {
-			sub = ix
-		}
 	}
-	return sub
-}
-
-// subset reports whether every element of a is in b; both ascend.
-func subset(a, b []int) bool {
-	for _, c := range a {
-		if _, ok := slices.BinarySearch(b, c); !ok {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // IndexStats describes the table's resident indexes in creation order.
@@ -408,7 +382,7 @@ func (t *Table) settle() {
 	old := t.rows // only read, then dropped
 	t.rows = cowmap.Map[storedRow]{}
 	t.rows.Grow(old.Len())
-	t.firstKeys, ix.keys = ix.keys.Len(), cowmap.Map[posting]{}
+	ix.keys = cowmap.Map[posting]{}
 	t.placed = true
 	old.Scan(func(_ uint64, key string, r storedRow) bool {
 		slot, _ := t.rows.Ref(cowmap.Hash(key[:relation.FirstLen(key)]), key)

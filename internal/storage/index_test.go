@@ -40,8 +40,8 @@ func TestEnsureIndexAndLookup(t *testing.T) {
 	tbl.Insert(row(1, "b"), 1)
 	tbl.Insert(row(2, "a"), 1)
 	ix, scanned := tbl.JoinIndex([]int{0})
-	if scanned != 3 || !slices.Equal(ix.Cols(), []int{0}) {
-		t.Fatalf("first JoinIndex scanned %d rows for columns %v, want 3 and [0]", scanned, ix.Cols())
+	if scanned != 3 || !slices.Equal(ix.cols, []int{0}) {
+		t.Fatalf("first JoinIndex scanned %d rows for columns %v, want 3 and [0]", scanned, ix.cols)
 	}
 	if again, scanned := tbl.JoinIndex([]int{0}); again != ix || scanned != 0 {
 		t.Fatalf("second JoinIndex built again (scanned %d)", scanned)
@@ -155,31 +155,6 @@ func TestCountChangeSparesClones(t *testing.T) {
 	checkIndexes(t, "clone", before)
 }
 
-// TestRetiredIndexKeepsHistory: the probes and upkeep a superset index
-// counted pass to the narrow index that retires it, so IndexStats still
-// counts them.
-func TestRetiredIndexKeepsHistory(t *testing.T) {
-	tbl := NewTable(relation.Schema{
-		{Name: "k", Kind: relation.KindInt},
-		{Name: "v", Kind: relation.KindString},
-		{Name: "s", Kind: relation.KindInt},
-	})
-	for i := int64(0); i < 40; i++ {
-		tbl.Insert(relation.Tuple{relation.NewInt(i / 4), relation.NewString(fmt.Sprint("v", i)), relation.NewInt(i % 3)}, 1)
-	}
-	wide, _ := tbl.JoinIndex([]int{0, 2})
-	wide.CountProbes(5)
-	tbl.Insert(relation.Tuple{relation.NewInt(3), relation.NewString("new"), relation.NewInt(1)}, 1)
-	narrow, _ := tbl.JoinIndex([]int{0})
-	if got := indexCols(tbl); !slices.EqualFunc(got, [][]int{{0}}, slices.Equal) {
-		t.Fatalf("after [0] the indexes are %v, want [0] alone", got)
-	}
-	narrow.CountProbes(2)
-	if st := tbl.IndexStats()[0]; st.Probes != 7 || st.Upkeep != 1 {
-		t.Errorf("the narrow index reports probes=%d upkeep=%d, want the retired index's 5 and 1 in them (7 and 1)", st.Probes, st.Upkeep)
-	}
-}
-
 // TestIndexErrors: column lists that are empty, out of range or not strictly
 // ascending are a caller's bug.
 func TestIndexErrors(t *testing.T) {
@@ -205,95 +180,6 @@ func fannedTable(keys, perKey int) *Table {
 		}
 	}
 	return tbl
-}
-
-// indexCols lists the columns of the handle's resident indexes in order.
-func indexCols(tbl *Table) [][]int {
-	var out [][]int
-	for _, st := range tbl.IndexStats() {
-		out = append(out, st.Cols)
-	}
-	return out
-}
-
-// TestNarrowSubsetServesSuperset: an index of at most maxServingFanOut rows a
-// key serves a join on more columns and builds nothing; above the bound the
-// wider index is built; a narrow index built after a wider one retires it,
-// while a clone taken before keeps probing its copy, kept current by its
-// own writes.
-func TestNarrowSubsetServesSuperset(t *testing.T) {
-	t.Run("narrow serves wide", func(t *testing.T) {
-		tbl := fannedTable(10, maxServingFanOut)
-		narrow, _ := tbl.JoinIndex([]int{0})
-		if ix, scanned := tbl.JoinIndex([]int{0, 1}); ix != narrow || scanned != 0 {
-			t.Fatalf("an index on [0] of %d rows a key did not serve [0 1]: got %v, scanned %d", maxServingFanOut, ix.Cols(), scanned)
-		}
-		if ix, _ := tbl.JoinIndex([]int{1}); ix == narrow {
-			t.Fatal("an index on [0] served a join on [1]")
-		}
-		checkIndexes(t, "narrow", tbl)
-	})
-	t.Run("above the bound the wide index is built", func(t *testing.T) {
-		tbl := fannedTable(10, maxServingFanOut)
-		tbl.Insert(row(0, "one more"), 1) // 81 rows over 10 keys
-		narrow, _ := tbl.JoinIndex([]int{0})
-		wide, scanned := tbl.JoinIndex([]int{0, 1})
-		if wide == narrow || scanned != 81 || !slices.Equal(wide.Cols(), []int{0, 1}) {
-			t.Fatalf("an index on [0] above the fan-out bound served [0 1] (scanned %d)", scanned)
-		}
-		if got := indexCols(tbl); len(got) != 2 {
-			t.Fatalf("indexes %v, want [0] and [0 1]", got)
-		}
-		checkIndexes(t, "wide", tbl)
-	})
-	t.Run("narrow built second retires wide", func(t *testing.T) {
-		tbl := fannedTable(10, 4)
-		wide, _ := tbl.JoinIndex([]int{0, 1})
-		other, _ := tbl.JoinIndex([]int{1}) // not a superset of [0]: stays
-		before := tbl.Clone()
-		narrow, scanned := tbl.JoinIndex([]int{0})
-		if scanned != 40 {
-			t.Fatalf("building [0] scanned %d rows, want 40", scanned)
-		}
-		if got := indexCols(tbl); !slices.EqualFunc(got, [][]int{{1}, {0}}, slices.Equal) {
-			t.Fatalf("after [0] the indexes are %v, want [1] [0]", got)
-		}
-		if ix, _ := tbl.JoinIndex([]int{0, 1}); ix != narrow {
-			t.Fatalf("[0 1] is served by %v, want the index on [0]", ix.Cols())
-		}
-		if ix, _ := tbl.JoinIndex([]int{1}); ix != other {
-			t.Fatal("retirement dropped an index on a column set that is no superset")
-		}
-		// The retired index is never written again: a write through the
-		// handle leaves its upkeep where it was.
-		upkeep := wide.upkeep.Load()
-		tbl.Insert(row(3, "new"), 1)
-		if wide.upkeep.Load() != upkeep {
-			t.Error("a write through the handle maintained a retired index")
-		}
-		checkIndexes(t, "after retirement", tbl)
-
-		// The clone taken before the retirement keeps all three, probes its
-		// wide index and keeps it current under its own writes.
-		if got := indexCols(before); len(got) != 2 {
-			t.Fatalf("the clone's indexes are %v, want [0 1] and [1]", got)
-		}
-		cw, _ := before.JoinIndex([]int{0, 1})
-		if !slices.Equal(cw.Cols(), []int{0, 1}) {
-			t.Fatalf("the clone's [0 1] probe is served by %v", cw.Cols())
-		}
-		before.Insert(row(2, "fresh"), 2)
-		if err := before.Delete(row(2, "v1"), 1); err != nil {
-			t.Fatal(err)
-		}
-		checkIndexes(t, "clone after writes", before)
-		if got := probeBag(cw, row(2, "fresh")); !sameBag(got, map[string]int64{row(2, "fresh").Encode(): 2}) {
-			t.Errorf("the clone's wide index yields %v for (2, fresh)", got)
-		}
-		if got := probeBag(cw, row(2, "v1")); len(got) != 0 {
-			t.Errorf("the clone's wide index still yields a deleted row: %v", got)
-		}
-	})
 }
 
 // TestCompositeIndexCanonicalOrder: a composite key is the columns'
@@ -355,9 +241,7 @@ func TestCloneSharesIndexes(t *testing.T) {
 
 // TestIndexesEqualScanUnderRandomOps drives random writes through a family
 // of handles cloned from one another, with indexes on single, composite and
-// NULL-bearing columns made at random moments — a narrow one retiring the
-// handle's indexes on supersets of its columns while clones keep theirs —
-// and after every operation compares every index of every live handle with
+// NULL-bearing columns made at random moments, and after every operation compares every index of every live handle with
 // a scan. Row and key ranges are small, so rows repeat (counts change
 // without a row appearing or vanishing), postings empty and refill, and the
 // index directories double.
@@ -367,7 +251,6 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 		{Name: "b", Kind: relation.KindString},
 		{Name: "c", Kind: relation.KindInt},
 	}
-	retired := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		randRow := func() relation.Tuple {
@@ -400,16 +283,9 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 				}
 				b.Done()
 			case r < 18:
-				had := slices.Clone(tbl.indexes)
-				ix, _ := tbl.JoinIndex(colSets[rng.Intn(len(colSets))])
-				if slices.Contains(had, ix) {
-					break // served by a resident index
-				}
-				retired += len(had) + 1 - len(tbl.indexes)
-				for _, other := range tbl.indexes {
-					if ix.narrow() && other != ix && subset(ix.cols, other.cols) {
-						t.Fatalf("seed %d op %d: narrow index %v left %v resident", seed, op, ix.cols, other.cols)
-					}
+				cols := colSets[rng.Intn(len(colSets))]
+				if ix, _ := tbl.JoinIndex(cols); !slices.Equal(ix.cols, cols) {
+					t.Fatalf("seed %d op %d: JoinIndex(%v) handed out the index on %v", seed, op, cols, ix.cols)
 				}
 			case r < 40:
 				d := delta.New(sch)
@@ -439,9 +315,6 @@ func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 				checkIndexes(t, fmt.Sprintf("seed %d op %d handle %d", seed, op, i), h)
 			}
 		}
-	}
-	if retired == 0 {
-		t.Error("no operation retired an index")
 	}
 }
 
@@ -521,12 +394,13 @@ func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 	}
 }
 
-// TestLineItemIndexUpkeepBytes: TPC-D's joins ask LINEITEM for an index on
-// L_ORDERKEY (four rows a key) and one on (L_ORDERKEY, L_SUPPKEY); the first
-// serves both, and once a window has installed into the table its rows are
-// placed by L_ORDERKEY and the row map serves that index, so a window's
-// clone plus the 1 % batch (BenchmarkIndexApply's lineitem case) copies the
-// row map's buckets and no index's (≈ 700 B a changed row). An index the
+// TestLineItemIndexUpkeepBytes: TPC-D's joins ask LINEITEM for one index,
+// on L_ORDERKEY (four rows a key) — the step that also binds L_SUPPKEY checks
+// it on each row the probe yields — and once a window has installed into the
+// table its rows are placed by L_ORDERKEY and the row map serves that index,
+// so a window's clone plus the 1 % batch (BenchmarkIndexApply's lineitem
+// case) copies the row map's buckets and no index's (≈ 700 B a changed
+// row). An index the
 // row map cannot serve, the unique one on (L_ORDERKEY, L_LINENUMBER), keeps
 // postings, a key a row: the second case bounds their copy-on-write upkeep
 // (≈ 2 100 B with the row map's; a window that copied the whole index would
@@ -537,7 +411,7 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 		cols  [][]int
 		bound float64 // bytes per changed row
 	}{
-		{"placed", [][]int{{0}, {0, 2}}, 1_000},
+		{"placed", [][]int{{0}}, 1_000},
 		{"postings", [][]int{{0, 1}}, 2_500},
 	} {
 		tbl, d := indexApplyTable(c.cols, false)

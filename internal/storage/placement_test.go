@@ -181,7 +181,7 @@ func TestWideFirstColumnKeepsItsPostings(t *testing.T) {
 func probesMatch(tbl *Table, model map[string]int64, cols ...[]int) error {
 	for _, c := range cols {
 		ix, scanned := tbl.JoinIndex(c)
-		if scanned != 0 || !slices.Equal(ix.Cols(), c) {
+		if scanned != 0 || !slices.Equal(ix.cols, c) {
 			return fmt.Errorf("no resident index on %v", c)
 		}
 		want := make(map[string]map[string]int64) // key → row → count

@@ -48,10 +48,8 @@ type Table struct {
 	// warehouse state digest, kept current by every count change.
 	digest uint64
 	// placed is set while the rows are filed by their first value, and the
-	// row map serves the index on column 0, which the handle then holds;
-	// firstKeys is then the number of distinct first values.
-	placed    bool
-	firstKeys int
+	// row map serves the index on column 0, which the handle then holds.
+	placed bool
 	// indexes holds the resident join indexes (see index.go), which the
 	// writes below keep current and Clone hands on. idxMu guards the slice,
 	// not the indexes: readers of a handle may create an index on it — the
@@ -158,18 +156,32 @@ func (t *Table) DistinctCount() int64 { return int64(t.rows.Len()) }
 // its key encoded once, its tuple decoded from the key. Count must be
 // positive. The table keeps nothing of tup itself; the caller may reuse or
 // modify it.
-func (t *Table) Insert(tup relation.Tuple, count int64) { t.InsertEncoded(encodeKey(tup), count) }
+func (t *Table) Insert(tup relation.Tuple, count int64) {
+	t.InsertEncoded(tup.AppendEncoded(nil), count)
+}
 
 // InsertEncoded is Insert for a row held as its encoding (Tuple.Encode): a
-// row new to the table keeps key as its own and the tuple decoded from it,
-// as ApplyDelta's adopted rows do; a row it holds gains count copies, and
-// nothing is decoded. It is how a full evaluation fills a fresh table with a
-// term's output, equal rows merged in the row map (core's evalFull).
-func (t *Table) InsertEncoded(key string, count int64) {
+// row the table holds is found by the bytes and gains count copies, with
+// nothing allocated or decoded; only a row new to the table makes key a
+// string, which it keeps as its own with the tuple decoded from it, as
+// ApplyDelta's adopted rows do. The table keeps nothing of key itself. It is
+// how a full evaluation fills a fresh table with a term's output, equal rows
+// merged in the row map (core's evalFull).
+func (t *Table) InsertEncoded(key []byte, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("storage: Insert with non-positive count %d", count))
 	}
-	t.insertKey(cowmap.Hash(key), key, nil, count)
+	hash := cowmap.HashBytes(key)
+	at := hash
+	if t.placed { // see slot
+		at = cowmap.HashBytes(key[:relation.FirstLen(key)])
+	}
+	if _, held := t.rows.GetBytes(at, key); !held {
+		t.insertKey(hash, string(key), nil, count)
+		return
+	}
+	r, _ := t.rows.RefBytes(at, key)
+	t.addCopies(hash, r, count)
 }
 
 // slot returns the hash the row map files the row encoded as key under,
@@ -193,50 +205,32 @@ func (t *Table) visitFirst(hash uint64, first []byte, fn func(key string, r stor
 	})
 }
 
-// sharesFirst reports whether a row other than the one encoded as key has
-// key's first value; at is that value's CRC. Only placed rows are asked.
-func (t *Table) sharesFirst(at uint64, key string) bool {
-	shared := false
-	t.visitFirst(at, []byte(key[:relation.FirstLen(key)]), func(k string, _ storedRow) bool {
-		shared = k != key
-		return !shared
-	})
-	return shared
-}
-
-// encodeKey is tup.Encode() through a stack buffer: one allocation, the
-// key itself, for rows that encode to 128 bytes or fewer.
-func encodeKey(tup relation.Tuple) string {
-	var buf [128]byte
-	return string(tup.AppendEncoded(buf[:0]))
-}
-
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
 // A row new to the table stores tup, which is key decoded (decoded here when
 // nil) and becomes read-only; its strings are substrings of the key the
 // table holds anyway.
 func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
-	at := t.slot(hash, key)
-	r, existed := t.rows.Ref(at, key)
+	r, existed := t.rows.Ref(t.slot(hash, key), key)
 	if existed {
-		t.digest ^= rowDigest(hash, r.count)
-	} else {
-		if tup == nil {
-			tup = mustDecode(key)
-		}
-		r.tup = tup
-		if t.placed && !t.sharesFirst(at, key) {
-			t.firstKeys++
-		}
+		t.addCopies(hash, r, count)
+		return
 	}
+	if tup == nil {
+		tup = mustDecode(key)
+	}
+	*r = storedRow{tup: tup, count: count}
+	t.digest ^= rowDigest(hash, count)
+	t.card += count
+	t.indexInsert(*r)
+}
+
+// addCopies adds count copies to the held row r, whose key's CRC is hash.
+func (t *Table) addCopies(hash uint64, r *storedRow, count int64) {
+	t.digest ^= rowDigest(hash, r.count)
 	r.count += count
 	t.digest ^= rowDigest(hash, r.count)
 	t.card += count
-	if existed {
-		t.indexRecount(*r)
-	} else {
-		t.indexInsert(*r)
-	}
+	t.indexRecount(*r)
 }
 
 func mustDecode(key string) relation.Tuple {
@@ -253,7 +247,7 @@ func (t *Table) Delete(tup relation.Tuple, count int64) error {
 	if count <= 0 {
 		return fmt.Errorf("storage: Delete with non-positive count %d", count)
 	}
-	key := encodeKey(tup)
+	key := tup.Encode()
 	hash := cowmap.Hash(key)
 	have := t.countKey(hash, key)
 	if have < count {
@@ -271,9 +265,6 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	at := t.slot(hash, key)
 	if have == count {
 		r, _ := t.rows.Delete(at, key)
-		if t.placed && !t.sharesFirst(at, key) {
-			t.firstKeys--
-		}
 		t.indexDelete(r.tup)
 	} else {
 		r, _ := t.rows.Ref(at, key)
@@ -341,7 +332,7 @@ type CountedTuple struct {
 // window actually changes. The resident indexes go with the rows, shared
 // the same way, in O(indexes).
 func (t *Table) Clone() *Table {
-	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest, placed: t.placed, firstKeys: t.firstKeys}
+	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest, placed: t.placed}
 	t.idxMu.Lock() // cloning an index's map writes its token
 	defer t.idxMu.Unlock()
 	if len(t.indexes) > 0 {
