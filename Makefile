@@ -125,8 +125,7 @@ race:
 # loop and Close beside the replicas they ship to, and over the query server,
 # whose /stats reads the window tally that commits write under the facade's
 # lock. internal/storage's placement differential pins a reader on a table
-# while the writer's install re-places the table's rows by their first column
-# into fresh buckets.
+# while the writer's install makes the index on its first column the row map.
 race-fast:
 	$(GO) test -race ./internal/core/... ./internal/exec/... ./internal/recovery/... ./internal/check/... .
 	$(GO) test -race ./internal/cowmap/... ./internal/storage/... ./internal/delta/... ./internal/journal/...
@@ -195,9 +194,9 @@ bench-smoke:
 # clone / load / apply (rows and groups), join index build / apply (the
 # steady-state IndexApply/lineitem, whose table a batch and its undo have
 # placed by L_ORDERKEY so that the row map serves that index, beside
-# IndexApply/lineitem-first, the first window's one-off re-placement, and
-# WideFirstColumn, a wide index on column 0 held as postings and as placed
-# rows), join
+# IndexApply/lineitem-first, the first window's adoption of that index's map
+# as the row map, and WideFirstColumn, a placed column 0 of 16 to 600 rows a
+# key), join
 # build and probe (flat table, resident index, and Q3's chain of two index
 # steps, ns per driver row), the install of a staged aggregate change into a
 # cloned summary table (ns and allocations per changed group), state digest (the fold a

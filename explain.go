@@ -33,7 +33,7 @@ func (w *Warehouse) Explain(s Strategy) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Read once: a placed index counts its keys by a scan (storage.IndexStats).
+	// Read once: every index counts its keys by a scan (storage.IndexStats).
 	indexes := make(map[string][]storage.IndexStats)
 	for _, name := range w.core.ViewNames() {
 		indexes[name] = w.core.MustView(name).IndexStats()

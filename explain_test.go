@@ -47,7 +47,7 @@ func TestExplain(t *testing.T) {
 // TPC-D's tables, the three the batches write — LINEITEM, ORDER and
 // CUSTOMER — place their rows by their key, column 0, and EXPLAIN marks
 // the index there as served by the row map. The tables no batch writes keep
-// their postings, and so do the indexes on other columns.
+// their indexes' own maps, and so do the indexes on other columns.
 func TestExplainMarksIndexesTheRowMapServes(t *testing.T) {
 	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: residentSF, Seed: 1})
 	if err != nil {

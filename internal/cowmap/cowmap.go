@@ -119,7 +119,9 @@ type bucket[V any] struct {
 
 // Map is a hash table from string keys to V with copy-on-write clones. The
 // zero Map is empty and ready for use. A Map must not be copied by
-// assignment after first use; use Clone.
+// assignment after first use, so that two live handles share a token; use
+// Clone. A handle may be moved, leaving the source zeroed
+// (a, b = b, Map[V]{}).
 type Map[V any] struct {
 	dir      []*bucket[V] // length 0 or a power of two; nil where a bucket is empty
 	dirOwner Token        // dir is this handle's own iff dirOwner == owner

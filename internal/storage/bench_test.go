@@ -242,16 +242,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkIndexApply is BenchmarkTableCloneDetach/batch=1pct — clone, then
 // the repo benchmark's 1 % batch — on a LINEITEM that carries join indexes:
 // a unique one (L_ORDERKEY, L_LINENUMBER), one of four rows a key
-// (L_ORDERKEY), one of six hundred (L_SUPPKEY, whose every changed row
-// replaces a posting of 14 kB), and what TPC-D's joins ask of LINEITEM —
-// (L_ORDERKEY) alone, which every step that binds it probes. The
-// table has installed a batch and its undo before the clones are timed, as
-// every window after the first finds it: where the index on L_ORDERKEY is
-// narrow its rows are placed by that column and the row map serves it.
+// (L_ORDERKEY), one of six hundred (L_SUPPKEY), and what TPC-D's joins ask
+// of LINEITEM — (L_ORDERKEY) alone, which every step that binds it probes.
+// The table has installed a batch and its undo before the clones are timed,
+// as every window after the first finds it: where it holds the index on
+// L_ORDERKEY its rows are placed by that column and the row map serves it.
 // lineitem-first clones a table that was never written instead, so its
-// window also pays the one-off re-placement. ns/row and B/op are per
-// changed row and per window; the difference from the unindexed benchmark
-// is the indexes' upkeep.
+// window also adopts that index's map as the row map. ns/row and B/op are
+// per changed row and per window; the difference from the unindexed
+// benchmark is the indexes' upkeep.
 func BenchmarkIndexApply(b *testing.B) {
 	for _, c := range indexApplyCases {
 		b.Run(c.name, func(b *testing.B) {
@@ -269,65 +268,52 @@ func BenchmarkIndexApply(b *testing.B) {
 	}
 }
 
-// BenchmarkWideFirstColumn prices the two ways a table can hold a wide
-// index on column 0 — 16, 64 and 600 rows a key, LINEITEM's rows under a
-// first column of that fan-out — after a batch and its undo: postings, when
-// the column was already wide at the first install, and placed rows served
-// by the row map, when it was narrow then and widened after. apply is
-// BenchmarkIndexApply's window (ns/row per changed row, B/op per window),
-// probe one probe of a key (ns/row per row it yields).
+// BenchmarkWideFirstColumn prices a wide index on column 0 — 16, 64 and 600
+// rows a key, LINEITEM's rows under a first column of that fan-out — after
+// a batch and its undo, its rows placed by that column and served by the
+// row map. apply is BenchmarkIndexApply's window (ns/row per changed row,
+// B/op per window), probe one probe of a key (ns/row per row it yields).
 func BenchmarkWideFirstColumn(b *testing.B) {
 	for _, fan := range []int64{16, 64, 600} {
-		for _, placed := range []bool{false, true} {
-			name := fmt.Sprintf("fanout=%d/postings", fan)
-			if placed {
-				name = fmt.Sprintf("fanout=%d/placed", fan)
+		t, d := wideFirstColumnTable(fan)
+		ix, _ := t.JoinIndex([]int{0})
+		name := fmt.Sprintf("fanout=%d", fan)
+		b.Run("apply/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := t.Clone().ApplyDelta(d); err != nil {
+					b.Fatal(err)
+				}
 			}
-			t, d := wideFirstColumnTable(fan, placed)
-			ix, _ := t.JoinIndex([]int{0})
-			b.Run("apply/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := t.Clone().ApplyDelta(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportPerRow(b, d.Size())
-			})
-			b.Run("probe/"+name, func(b *testing.B) {
-				var key []byte
-				var rows int64
-				for i := 0; i < b.N; i++ {
-					key = relation.Tuple{relation.NewInt(int64(i) % (benchRows / fan))}.AppendEncoded(key[:0])
-					ix.Probe(key, func(_ relation.Tuple, count int64) bool {
-						rows += count
-						return true
-					})
-				}
-				reportPerRow(b, fan)
-			})
-		}
+			reportPerRow(b, d.Size())
+		})
+		b.Run("probe/"+name, func(b *testing.B) {
+			var key []byte
+			var rows int64
+			for i := 0; i < b.N; i++ {
+				key = relation.Tuple{relation.NewInt(int64(i) % (benchRows / fan))}.AppendEncoded(key[:0])
+				ix.Probe(key, func(_ relation.Tuple, count int64) bool {
+					rows += count
+					return true
+				})
+			}
+			reportPerRow(b, fan)
+		})
 	}
 }
 
 // wideFirstColumnTable is LINEITEM with fan rows a key in column 0 and an
-// index there, and a 1 % batch, which it has installed and undone. placed
-// builds it narrow — eight rows a key — and installs the rest, so that its
-// rows are placed by column 0 before it widens.
-func wideFirstColumnTable(fan int64, placed bool) (*Table, *delta.Delta) {
+// index there, and a 1 % batch, which it has installed and undone.
+func wideFirstColumnTable(fan int64) (*Table, *delta.Delta) {
 	keys := benchRows / fan
 	row := func(i int64) relation.Tuple {
 		r := lineItemRow(i)
 		r[0], r[1] = relation.NewInt(i%keys), relation.NewInt(i)
 		return r
 	}
-	t, rest := NewTable(lineItemSchema), delta.New(lineItemSchema)
+	t := NewTable(lineItemSchema)
 	for i := int64(0); i < benchRows; i++ {
-		if placed && i >= maxServingFanOut*keys {
-			rest.Add(row(i), 1)
-		} else {
-			t.Insert(row(i), 1)
-		}
+		t.Insert(row(i), 1)
 	}
 	t.JoinIndex([]int{0})
 	d := delta.New(lineItemSchema)
@@ -335,15 +321,14 @@ func wideFirstColumnTable(fan int64, placed bool) (*Table, *delta.Delta) {
 		d.Add(row(i*7), -1)
 		d.Add(row(benchRows+i), 1)
 	}
-	rest.Seal()
 	d.Seal()
-	for _, batch := range []*delta.Delta{rest, d, negate(d)} {
+	for _, batch := range []*delta.Delta{d, negate(d)} {
 		if _, err := t.ApplyDelta(batch); err != nil {
 			panic(err)
 		}
 	}
-	if t.placed != placed {
-		panic(fmt.Sprintf("storage: a table of %d rows a key placed %v, want %v", fan, t.placed, placed))
+	if !t.placed {
+		panic(fmt.Sprintf("storage: a table of %d rows a key is not placed", fan))
 	}
 	return t, d
 }

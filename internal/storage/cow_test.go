@@ -315,8 +315,8 @@ func (p pinnedView) same(scan func(func(relation.Tuple, int64) bool), sorted fun
 // values coming and going — while the reader rescans the pinned handles.
 // Their Scan, SortedRows, digest and every tuple scanned earlier stay
 // bit-identical throughout, and so does every probe of the table's two join
-// indexes, one unique and one of fifteen rows a key, whose buckets and
-// postings the windows replace as they write. Run under -race.
+// indexes, one unique and one of fifteen rows a key, whose buckets the
+// windows replace as they write. Run under -race.
 func TestPinnedEpochSurvivesWindows(t *testing.T) {
 	const rows = 600
 	gs := relation.Schema{{Name: "g", Kind: relation.KindInt}}

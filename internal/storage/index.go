@@ -13,21 +13,20 @@ import (
 // maintenance term, and its linear work metric prices exactly that; a term
 // driven by a 1 % delta then reads the whole warehouse to find the few rows
 // the delta joins. An Index is the auxiliary structure that finds them
-// directly: a copy-on-write map (package cowmap) from the encoded
-// projection of a row on the index columns to the table's rows that carry
-// it. It belongs to the table the way the rows do —
+// directly: a second filing of the table's own rows, a copy-on-write map
+// (package cowmap) that holds each row under its key, with the tuple and
+// count the row map holds, hashed by the CRC of the row's projection on the
+// index columns. A probe visits the entries filed under its key's CRC
+// and keeps the rows that project to the key. It belongs to the table the
+// way the rows do —
 //
-//   - Insert, Delete and ApplyDelta keep it current: a row that appears or
-//     vanishes updates every index, and so does a count that changes, since
-//     a posting carries each row's count beside its tuple. A table built
-//     fresh to replace one (a refresh's) starts with none; its joins build
-//     what they probe again.
+//   - Insert, Delete and ApplyDelta keep it current: a row that appears, or
+//     whose count changes, is one entry written; a row that vanishes is one
+//     entry deleted. A table built fresh to replace one (a refresh's) starts
+//     with none; its joins build what they probe again.
 //   - Clone hands every index to the new handle in O(indexes), shared bucket
 //     by bucket like the rows. A window that commits passes its indexes on
 //     to the next; one that aborts loses only what it built.
-//   - A write copies the bucket it lands in and replaces the posting it
-//     changes. A posting is never modified once a map holds it: the handles
-//     that share the bucket — a pinned epoch among them — may be reading it.
 //
 // The term engine asks for an index at the first probe of a join step
 // (Table.JoinIndex), on the columns the step's compiled order names (package
@@ -37,32 +36,21 @@ import (
 // probed first. Every index counts its probes and its upkeep.
 //
 // Rows placed by their first column. Most join indexes are on column 0, the
-// key a base table leads with, and an index there duplicates the row map's
-// own structure at the price of one more bucket copy for every row a window
-// changes. So while that index is narrow the table files each row under the
-// hash of its first value (Table.slot) and the row map serves the index: a
-// probe visits the entries filed under the key's hash and keeps those whose
-// key begins with it, and the index holds no postings. The placement changes
-// once, on the writer path, in ApplyDelta (Table.settle): it re-places the
-// rows into fresh buckets — clones and pinned epochs keep the old ones.
-// JoinIndex never re-places rows: it runs beside readers.
-
-// posting is the rows that share one join key, each as the row map holds
-// it — the stored tuple and its count — so that a probe reads no row map:
-// the row itself when there is one (so a unique key costs no allocation),
-// all of them in more otherwise. A table stores each row's tuple once, so
-// the tuple names the row (see at).
-type posting struct {
-	one  storedRow
-	more []storedRow
-}
+// key a base table leads with, and such an index files the table's rows
+// exactly as the row map would if it hashed each row by its first value
+// (Table.slot). So the first install into a table that holds it
+// (Table.settle, on the writer path) makes the index's map the row map, in
+// O(1): the rows are placed by their first column from then on, the row map
+// serves the index, and every write to the table is one bucket copy fewer.
 
 // Index is one resident join index of a Table handle.
 type Index struct {
 	t    *Table
 	cols []int // ascending, distinct
-	// keys is empty while the table's row map serves the index (served).
-	keys cowmap.Map[posting]
+	// rows holds every row of the table under its key and the hash of its
+	// projection on cols; it is empty while the table's row map serves the
+	// index (served).
+	rows cowmap.Map[storedRow]
 	// probes and upkeep count the lookups served and the row arrivals,
 	// departures and count changes applied; a clone starts from its
 	// source's counts.
@@ -81,7 +69,7 @@ type IndexStats struct {
 	// it passed through.
 	Probes, Upkeep int64
 	// Placed reports that the table's row map serves the index: its rows
-	// are placed by their first column and the index holds no postings.
+	// are placed by their first column and the index files no rows of its own.
 	Placed bool
 }
 
@@ -96,30 +84,15 @@ func (s IndexStats) String() string {
 }
 
 // Probe calls fn with every row whose projection on the index columns
-// encodes to key, and its count, until fn returns false: one lookup in the
-// index, or in the row map when that serves the index. The tuples are the
-// stored ones (see Table) and must not be modified. Probe allocates nothing
-// and is safe from any number of goroutines while the handle is not
-// written.
+// encodes to key, and its count, until fn returns false: one visit of the
+// entries filed under the key's CRC, in the index's map or in the row map
+// when that serves the index. The tuples are the stored ones (see Table)
+// and must not be modified. Probe allocates nothing and is safe from any
+// number of goroutines while the handle is not written.
 func (ix *Index) Probe(key []byte, fn func(relation.Tuple, int64) bool) {
-	hash := cowmap.HashBytes(key)
-	if ix.served() {
-		ix.t.visitFirst(hash, key, func(_ string, r storedRow) bool { return fn(r.tup, r.count) })
-		return
-	}
-	p, ok := ix.keys.GetBytes(hash, key)
-	if !ok {
-		return
-	}
-	if p.more == nil {
-		fn(p.one.tup, p.one.count)
-		return
-	}
-	for _, r := range p.more {
-		if !fn(r.tup, r.count) {
-			return
-		}
-	}
+	ix.entries().Visit(cowmap.HashBytes(key), func(k string, r storedRow) bool {
+		return !ix.projects(k, key) || fn(r.tup, r.count)
+	})
 }
 
 // CountProbes adds n to the index's probe counter; the prober counts its
@@ -141,17 +114,28 @@ func (ix *Index) onFirstColumn() bool { return len(ix.cols) == 1 && ix.cols[0] =
 // most one index on a column set (JoinIndex hands out the resident one).
 func (ix *Index) served() bool { return ix.t.placed && ix.onFirstColumn() }
 
-// keyCount returns the number of distinct keys the index holds. The index
-// the row map serves counts its table's first values by a scan: a row
-// counts when it is the first of its first value that its bucket holds.
-func (ix *Index) keyCount() int {
-	if !ix.served() {
-		return ix.keys.Len()
+// entries returns the map that files the table's rows by the index's key:
+// the index's own, or the row map while that serves it.
+func (ix *Index) entries() *cowmap.Map[storedRow] {
+	if ix.served() {
+		return &ix.t.rows
 	}
+	return &ix.rows
+}
+
+// keyCount returns the number of distinct keys the index holds, by a scan:
+// a row counts when it is the first of its key that its bucket holds.
+func (ix *Index) keyCount() int {
+	m := ix.entries()
 	n := 0
-	ix.t.rows.Scan(func(hash uint64, key string, _ storedRow) bool {
-		ix.t.visitFirst(hash, []byte(key[:relation.FirstLen(key)]), func(k string, _ storedRow) bool {
-			if k == key {
+	var key []byte
+	m.Scan(func(hash uint64, rowKey string, r storedRow) bool {
+		key = ix.appendKey(key[:0], r.tup)
+		m.Visit(hash, func(k string, _ storedRow) bool {
+			if !ix.projects(k, key) {
+				return true
+			}
+			if k == rowKey {
 				n++
 			}
 			return false
@@ -169,105 +153,55 @@ func (ix *Index) appendKey(dst []byte, tup relation.Tuple) []byte {
 	return dst
 }
 
-// postingOf returns the posting of an indexed row's key for writing, with
-// the key encoded into buf and its hash: the bucket is now this handle's
-// own, the posting's rows may still be shared (see add).
-func (ix *Index) postingOf(buf []byte, tup relation.Tuple) (p *posting, hash uint64, key []byte) {
-	key = ix.appendKey(buf, tup)
-	hash = cowmap.HashBytes(key)
-	p, existed := ix.keys.RefBytes(hash, key)
-	if !existed {
-		panic(fmt.Sprintf("storage: index %v does not hold a row of its table", ix.cols))
-	}
-	return p, hash, key
-}
-
-// add indexes a row that has just appeared. While an index is being built
-// nothing else can see it and its postings grow in place; afterwards a
-// posting that gains a row is replaced by a longer copy.
-func (ix *Index) add(r storedRow, building bool) {
-	var buf [64]byte
-	key := ix.appendKey(buf[:0], r.tup)
-	p, existed := ix.keys.RefBytes(cowmap.HashBytes(key), key)
-	switch {
-	case !existed:
-		p.one = r
-	case p.more == nil:
-		p.more = []storedRow{p.one, r}
-		p.one = storedRow{}
-	case building:
-		p.more = append(p.more, r)
-	default:
-		p.more = append(p.more[:len(p.more):len(p.more)], r)
-	}
-}
-
-// recount gives a row whose count changed, the row itself staying, its new
-// count: the entry is replaced in a copy of the posting, so the handles that
-// share the old one keep the count they saw.
-func (ix *Index) recount(r storedRow) {
-	var buf [64]byte
-	p, _, _ := ix.postingOf(buf[:0], r.tup)
-	if p.more == nil {
-		p.one = r
-		return
-	}
-	more := slices.Clone(p.more)
-	more[ix.at(more, r.tup)] = r
-	p.more = more
-}
-
-// remove drops a row that has just vanished.
-func (ix *Index) remove(tup relation.Tuple) {
-	var buf [64]byte
-	p, hash, key := ix.postingOf(buf[:0], tup)
-	if p.more == nil {
-		ix.keys.DeleteBytes(hash, key)
-		return
-	}
-	i := ix.at(p.more, tup)
-	if len(p.more) == 2 {
-		*p = posting{one: p.more[1-i]}
-		return
-	}
-	rest := make([]storedRow, 0, len(p.more)-1)
-	p.more = append(append(rest, p.more[:i]...), p.more[i+1:]...)
-}
-
-// at returns the position in rows of the row whose stored tuple is tup. A
-// table stores each row's tuple once and hands out only that array (see
-// Table), so the array's identity names the row; an index is on at least one
-// column, so the tuple is not empty.
-func (ix *Index) at(rows []storedRow, tup relation.Tuple) int {
-	for i, r := range rows {
-		if &r.tup[0] == &tup[0] {
-			return i
+// hash returns the CRC of the projection on the index columns of the row
+// encoded as rowKey: the hash the index files the row under, and for the
+// index on column 0 the one Table.slot places it by. It walks the key's
+// self-delimiting values and continues the CRC over each indexed one.
+func (ix *Index) hash(rowKey string) uint64 {
+	var h uint64 // the CRC of no bytes
+	at := 0
+	for _, c := range ix.cols {
+		for ; at < c; at++ {
+			rowKey = rowKey[relation.FirstLen(rowKey):]
 		}
+		n := relation.FirstLen(rowKey)
+		h = cowmap.ExtendString(h, rowKey[:n])
+		rowKey, at = rowKey[n:], at+1
 	}
-	panic(fmt.Sprintf("storage: index %v does not hold a row of its table", ix.cols))
+	return h
+}
+
+// projects reports whether the row encoded as rowKey projects on the index
+// columns to the encoding key. It walks the row key to each index column and
+// compares that value's encoding with key's next bytes — for the last
+// column, key's rest as a prefix, since an encoding delimits itself. Only a
+// row whose projection shares key's CRC by chance is rejected here.
+func (ix *Index) projects(rowKey string, key []byte) bool {
+	at, last := 0, len(ix.cols)-1
+	for _, c := range ix.cols[:last] {
+		for ; at < c; at++ {
+			rowKey = rowKey[relation.FirstLen(rowKey):]
+		}
+		n := relation.FirstLen(rowKey)
+		if len(key) < n || rowKey[:n] != string(key[:n]) {
+			return false
+		}
+		rowKey, key, at = rowKey[n:], key[n:], at+1
+	}
+	for ; at < ix.cols[last]; at++ {
+		rowKey = rowKey[relation.FirstLen(rowKey):]
+	}
+	return len(rowKey) >= len(key) && rowKey[:len(key)] == string(key)
 }
 
 // clone returns the index as the handle c holds it: the same entries,
 // shared copy-on-write.
 func (ix *Index) clone(c *Table) *Index {
-	out := &Index{t: c, cols: ix.cols, keys: ix.keys.Clone()}
+	out := &Index{t: c, cols: ix.cols, rows: ix.rows.Clone()}
 	out.probes.Store(ix.probes.Load())
 	out.upkeep.Store(ix.upkeep.Load())
 	return out
 }
-
-// maxServingFanOut is the mean number of rows per key up to which settle
-// places a table's rows by their first column, so that the row map serves the
-// index on column 0. A probe then visits that many rows on average, where
-// postings of the index's own would cost every write that lands on the table
-// one more bucket copy — the trade Mistry et al. price as benefit against
-// upkeep.
-const maxServingFanOut = 8
-
-// narrow reports whether the index's mean fan-out, rows per key, is at most
-// maxServingFanOut: settle's rule for placing the rows. An empty index is
-// narrow.
-func (ix *Index) narrow() bool { return ix.t.rows.Len() <= maxServingFanOut*ix.keyCount() }
 
 // JoinIndex returns the resident index on the given column positions
 // (ascending, distinct, not empty), building it by a scan of the rows if
@@ -298,8 +232,10 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 		return ix, 0
 	}
 	ix = &Index{t: t, cols: slices.Clone(cols)}
-	t.rows.Scan(func(_ uint64, _ string, r storedRow) bool {
-		ix.add(r, true)
+	ix.rows.Grow(t.rows.Len())
+	t.rows.Scan(func(_ uint64, key string, r storedRow) bool {
+		slot, _ := ix.rows.Ref(ix.hash(key), key)
+		*slot = r
 		return true
 	})
 	t.indexes = append(t.indexes, ix)
@@ -327,51 +263,44 @@ func (t *Table) IndexStats() []IndexStats {
 	return out
 }
 
-// indexInsert, indexRecount and indexDelete keep every index current:
-// insertKey calls the first when a row appears and the second when a row it
-// holds gains copies, deleteKey the last when a row's last copy goes and the
-// second when some stay. The index the row map serves has nothing to write,
-// but counts the change as upkeep like the others.
-func (t *Table) indexInsert(r storedRow) {
+// indexPut and indexDelete keep every index current: insertKey calls the
+// first when a row appears or gains copies and deleteKey when some copies
+// stay, with the row as the row map now holds it; deleteKey calls the second
+// when a row's last copy goes. Each index takes the key string the row map
+// holds, so an index entry allocates no key of its own. The index the row
+// map serves has nothing to write, but counts the change as upkeep like the
+// others.
+func (t *Table) indexPut(key string, r storedRow) {
 	for _, ix := range t.indexes {
 		if !ix.served() {
-			ix.add(r, false)
+			slot, _ := ix.rows.Ref(ix.hash(key), key)
+			*slot = r
 		}
 		ix.upkeep.Add(1)
 	}
 }
 
-func (t *Table) indexRecount(r storedRow) {
+func (t *Table) indexDelete(key string) {
 	for _, ix := range t.indexes {
 		if !ix.served() {
-			ix.recount(r)
-		}
-		ix.upkeep.Add(1)
-	}
-}
-
-func (t *Table) indexDelete(tup relation.Tuple) {
-	for _, ix := range t.indexes {
-		if !ix.served() {
-			ix.remove(tup)
+			ix.rows.Delete(ix.hash(key), key)
 		}
 		ix.upkeep.Add(1)
 	}
 }
 
 // settle places the rows by their first value before a batch installs, if
-// they are not placed yet and the handle holds a narrow index on [0]. The
-// rows go into fresh buckets of a new row map, the old one left to the
-// clones and pinned epochs that share it, and the index drops its postings.
-// ApplyDelta calls it, the writer path, so no reader of the handle sees the
-// switch. The placement stays when the column later widens: a bucket then
-// holds every row of a first value, which an install pays for in key
-// compares instead of the posting copies an index would make, no more per
-// changed row, while a probe reads each row's key as well as its tuple
-// (BenchmarkWideFirstColumn; docs/PERF.md, "PR 38").
+// they are not placed yet and the handle holds an index on [0]: that index's
+// map, which files every row under its first value's CRC, becomes the row
+// map, and the old row map is dropped — the clones and pinned epochs that
+// share its buckets keep them. ApplyDelta calls it, the writer path, so no
+// reader of the handle sees the switch. The placement stays however wide
+// the column grows: a bucket then holds every row of a first value, which
+// an install pays for in key compares and a probe in reading each row's key
+// (BenchmarkWideFirstColumn).
 func (t *Table) settle() {
 	i := slices.IndexFunc(t.indexes, (*Index).onFirstColumn)
-	if t.placed || i < 0 || !t.indexes[i].narrow() {
+	if t.placed || i < 0 {
 		return
 	}
 	// The index is the handle's own (Clone gives every handle a copy), so it
@@ -379,14 +308,6 @@ func (t *Table) settle() {
 	ix := t.indexes[i]
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	old := t.rows // only read, then dropped
-	t.rows = cowmap.Map[storedRow]{}
-	t.rows.Grow(old.Len())
-	ix.keys = cowmap.Map[posting]{}
+	t.rows, ix.rows = ix.rows, cowmap.Map[storedRow]{}
 	t.placed = true
-	old.Scan(func(_ uint64, key string, r storedRow) bool {
-		slot, _ := t.rows.Ref(cowmap.Hash(key[:relation.FirstLen(key)]), key)
-		*slot = r
-		return true
-	})
 }

@@ -66,14 +66,15 @@ func TestEnsureIndexAndLookup(t *testing.T) {
 	}
 }
 
-// TestIndexMaintenance: rows that appear and vanish move through the postings —
-// one row inline, several in a list, back to one, gone, and back again — and
-// a count that changes replaces that row's entry in every index's posting,
-// inline or in a list, once per index, which upkeep counts.
+// TestIndexMaintenance: rows that appear and vanish move through an index's
+// keys — one row under a key, several, back to one, gone, and back again —
+// and a count that changes rewrites that row's entry in every index, under
+// a key it shares and under one of its own, once per index, which upkeep
+// counts.
 func TestIndexMaintenance(t *testing.T) {
 	tbl := NewTable(schema)
-	ix, _ := tbl.JoinIndex([]int{1})   // on v: the rows share one posting
-	uniq, _ := tbl.JoinIndex([]int{0}) // on k: every row inline
+	ix, _ := tbl.JoinIndex([]int{1})   // on v: the rows share one key
+	uniq, _ := tbl.JoinIndex([]int{0}) // on k: a key a row
 	count := func() int64 {
 		var n int64
 		for _, c := range probeBag(ix, row(0, "x")) {
@@ -99,10 +100,10 @@ func TestIndexMaintenance(t *testing.T) {
 	tbl.Insert(row(3, "x"), 5)
 	want := map[string]int64{row(1, "x").Encode(): 1, row(2, "x").Encode(): 1, row(3, "x").Encode(): 6}
 	if got := probeBag(ix, row(0, "x")); !sameBag(got, want) {
-		t.Errorf("after count changes the shared posting yields %v, want %v", got, want)
+		t.Errorf("after count changes the shared key yields %v, want %v", got, want)
 	}
 	if got := probeBag(uniq, row(3, "")); !sameBag(got, map[string]int64{row(3, "x").Encode(): 6}) {
-		t.Errorf("after a count change the inline posting yields %v", got)
+		t.Errorf("after a count change the row's own key yields %v", got)
 	}
 	if v1, k1 := upkeep(); v1-v0 != 2 || k1-k0 != 2 {
 		t.Errorf("two count changes cost upkeep %d on [1] and %d on [0], want 2 and 2", v1-v0, k1-k0)
@@ -115,17 +116,17 @@ func TestIndexMaintenance(t *testing.T) {
 		checkIndexes(t, "after deleting "+r.String(), tbl)
 	}
 	if count() != 0 || tbl.IndexStats()[0].Keys != 0 {
-		t.Errorf("an emptied posting still yields %d copies", count())
+		t.Errorf("an emptied key still yields %d copies", count())
 	}
 	tbl.Insert(row(5, "x"), 1)
 	if count() != 1 {
-		t.Errorf("a refilled posting yields %d copies", count())
+		t.Errorf("a refilled key yields %d copies", count())
 	}
 }
 
-// TestCountChangeSparesClones: a count change replaces the posting entry on
+// TestCountChangeSparesClones: a count change rewrites the index entry on
 // the handle that makes it; a clone taken before keeps probing the count it
-// had, in a posting of several rows and in an inline one.
+// had, under a key of several rows and under a key of one.
 func TestCountChangeSparesClones(t *testing.T) {
 	tbl := NewTable(schema)
 	tbl.Insert(row(1, "a"), 1)
@@ -142,10 +143,10 @@ func TestCountChangeSparesClones(t *testing.T) {
 		key  relation.Tuple
 		want map[string]int64
 	}{
-		{"live, listed", ix, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 5}},
-		{"live, inline", ix, row(2, ""), map[string]int64{row(2, "c").Encode(): 5}},
-		{"clone, listed", old, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 2}},
-		{"clone, inline", old, row(2, ""), map[string]int64{row(2, "c").Encode(): 1}},
+		{"live, shared key", ix, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 5}},
+		{"live, own key", ix, row(2, ""), map[string]int64{row(2, "c").Encode(): 5}},
+		{"clone, shared key", old, row(1, ""), map[string]int64{row(1, "a").Encode(): 1, row(1, "b").Encode(): 2}},
+		{"clone, own key", old, row(2, ""), map[string]int64{row(2, "c").Encode(): 1}},
 	} {
 		if got := probeBag(c.ix, c.key); !sameBag(got, c.want) {
 			t.Errorf("%s: probe yields %v, want %v", c.what, got, c.want)
@@ -243,7 +244,7 @@ func TestCloneSharesIndexes(t *testing.T) {
 // of handles cloned from one another, with indexes on single, composite and
 // NULL-bearing columns made at random moments, and after every operation compares every index of every live handle with
 // a scan. Row and key ranges are small, so rows repeat (counts change
-// without a row appearing or vanishing), postings empty and refill, and the
+// without a row appearing or vanishing), keys empty and refill, and the
 // index directories double.
 func TestIndexesEqualScanUnderRandomOps(t *testing.T) {
 	sch := relation.Schema{
@@ -385,8 +386,8 @@ func indexedCloneWriteAllocs(n int64) float64 {
 }
 
 // TestIndexedCloneAndWriteAllocationsIgnoreRowCount: with indexes a clone
-// and one write copy a directory and a bucket per map and one posting, the
-// same count at two thousand rows and at thirty-two thousand.
+// and one write copy a directory and a bucket per map, the same count at two
+// thousand rows and at thirty-two thousand.
 func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 	small, large := indexedCloneWriteAllocs(2_000), indexedCloneWriteAllocs(32_000)
 	if small != large || large > 30 {
@@ -399,12 +400,11 @@ func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 // it on each row the probe yields — and once a window has installed into the
 // table its rows are placed by L_ORDERKEY and the row map serves that index,
 // so a window's clone plus the 1 % batch (BenchmarkIndexApply's lineitem
-// case) copies the row map's buckets and no index's (≈ 700 B a changed
-// row). An index the
-// row map cannot serve, the unique one on (L_ORDERKEY, L_LINENUMBER), keeps
-// postings, a key a row: the second case bounds their copy-on-write upkeep
-// (≈ 2 100 B with the row map's; a window that copied the whole index would
-// add ≈ 8 000).
+// case) copies the row map's buckets and no index's (≈ 600 B a changed
+// row). An index the row map cannot serve, the unique one on (L_ORDERKEY,
+// L_LINENUMBER), files the rows in a map of its own: the second case bounds
+// that map's copy-on-write upkeep (≈ 1 700 B with the row map's; a window
+// that copied the whole index would add ≈ 8 000).
 func TestLineItemIndexUpkeepBytes(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -412,7 +412,7 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 		bound float64 // bytes per changed row
 	}{
 		{"placed", [][]int{{0}}, 1_000},
-		{"postings", [][]int{{0, 1}}, 2_500},
+		{"own map", [][]int{{0, 1}}, 2_500},
 	} {
 		tbl, d := indexApplyTable(c.cols, false)
 		const runs = 4
@@ -433,10 +433,10 @@ func TestLineItemIndexUpkeepBytes(t *testing.T) {
 	}
 }
 
-// TestIndexProbeAllocatesNothing: a probe reads the key map and the posting,
-// which carries the stored tuples and their counts, and hands them out; or,
-// once an install has placed the rows by their first column, the row map's
-// entries under the key's hash.
+// TestIndexProbeAllocatesNothing: a probe reads the index's entries under
+// the key's hash, which carry the stored tuples and their counts, and hands
+// them out; or, once an install has placed the rows by their first column,
+// the row map's.
 func TestIndexProbeAllocatesNothing(t *testing.T) {
 	for _, placed := range []bool{false, true} {
 		tbl := NewTable(testSchema())

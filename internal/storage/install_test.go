@@ -230,7 +230,8 @@ func TestAggApplyRefusesWithoutWriting(t *testing.T) {
 // TestApplyDeltaReportsTheDeltaDigest: the digest ApplyDelta reports is the
 // installed delta's Digest, over drawn batches of inserts, deletes and
 // count changes, on a table without indexes, one whose join index on its
-// second column holds postings, and one placed by its first column.
+// second column files the rows in a map of its own, and one placed by its
+// first column.
 func TestApplyDeltaReportsTheDeltaDigest(t *testing.T) {
 	sch := relation.Schema{{Name: "k", Kind: relation.KindInt}, {Name: "v", Kind: relation.KindString}}
 	for _, shape := range []struct {

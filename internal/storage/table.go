@@ -25,11 +25,11 @@ import (
 // change batch that would drive a count negative is an error (it indicates
 // an incorrect maintenance strategy upstream).
 //
-// The row map files a row under the CRC of its encoding, or — while the
-// table's first column is narrow and joins probe it — under the CRC of its
-// first value's encoding, a prefix of the key: the rows that share a first
-// value then share a bucket, and the row map itself serves the join index on
-// column 0 (see index.go, "Rows placed by their first column").
+// The row map files a row under the CRC of its encoding, or — once an
+// install has found the join index on column 0 resident — under the CRC of
+// its first value's encoding, a prefix of the key: the rows that share a
+// first value then share a bucket, and the row map itself serves that index
+// (see index.go, "Rows placed by their first column").
 //
 // A stored tuple is written once, when its row first appears, and never
 // again: Scan, Index.Probe and SortedRows hand out that tuple itself, shared by
@@ -47,7 +47,7 @@ type Table struct {
 	// digest is the XOR over rows of rowDigest: the table's term of the
 	// warehouse state digest, kept current by every count change.
 	digest uint64
-	// placed is set while the rows are filed by their first value, and the
+	// placed is set once the rows are filed by their first value, and the
 	// row map serves the index on column 0, which the handle then holds.
 	placed bool
 	// indexes holds the resident join indexes (see index.go), which the
@@ -107,12 +107,16 @@ func (t *Table) CheckDigest() error {
 
 // CheckIndexes compares every resident index of the handle with one built by
 // a scan of its rows: the same keys, and under each the same rows with the
-// same counts. An index the row map serves is probed like any other, so a
-// row filed under the wrong hash shows up as missing.
+// same counts, and as many rows as the table. An index the row map serves
+// is probed like any other, so a row filed under the wrong hash shows up as
+// missing.
 func (t *Table) CheckIndexes() error {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
 	for _, ix := range t.indexes {
+		if n := ix.entries().Len(); n != t.rows.Len() {
+			return fmt.Errorf("storage: index %v files %d rows, the table holds %d", ix.cols, n, t.rows.Len())
+		}
 		want := make(map[string]map[string]int64) // key → row → count
 		t.Scan(func(tup relation.Tuple, count int64) bool {
 			key := string(ix.appendKey(nil, tup))
@@ -176,7 +180,9 @@ func (t *Table) InsertEncoded(key []byte, count int64) {
 	if t.placed { // see slot
 		at = cowmap.HashBytes(key[:relation.FirstLen(key)])
 	}
-	if _, held := t.rows.GetBytes(at, key); !held {
+	// A held row of an indexed table takes the key as a string too: its
+	// indexes file it by the key.
+	if _, held := t.rows.GetBytes(at, key); !held || len(t.indexes) > 0 {
 		t.insertKey(hash, string(key), nil, count)
 		return
 	}
@@ -195,16 +201,6 @@ func (t *Table) slot(hash uint64, key string) uint64 {
 	return hash
 }
 
-// visitFirst calls fn with every row the row map files under hash whose
-// first value encodes to first, until fn returns false. Only placed rows are
-// visited so: first's CRC is hash, and since a value's encoding delimits
-// itself, a row key that begins with first has it as its first value.
-func (t *Table) visitFirst(hash uint64, first []byte, fn func(key string, r storedRow) bool) {
-	t.rows.Visit(hash, func(k string, r storedRow) bool {
-		return len(k) < len(first) || k[:len(first)] != string(first) || fn(k, r)
-	})
-}
-
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
 // A row new to the table stores tup, which is key decoded (decoded here when
 // nil) and becomes read-only; its strings are substrings of the key the
@@ -213,24 +209,24 @@ func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int
 	r, existed := t.rows.Ref(t.slot(hash, key), key)
 	if existed {
 		t.addCopies(hash, r, count)
-		return
+	} else {
+		if tup == nil {
+			tup = mustDecode(key)
+		}
+		*r = storedRow{tup: tup, count: count}
+		t.digest ^= rowDigest(hash, count)
+		t.card += count
 	}
-	if tup == nil {
-		tup = mustDecode(key)
-	}
-	*r = storedRow{tup: tup, count: count}
-	t.digest ^= rowDigest(hash, count)
-	t.card += count
-	t.indexInsert(*r)
+	t.indexPut(key, *r)
 }
 
-// addCopies adds count copies to the held row r, whose key's CRC is hash.
+// addCopies adds count copies to the held row r, whose key's CRC is hash;
+// the caller keeps the indexes current.
 func (t *Table) addCopies(hash uint64, r *storedRow, count int64) {
 	t.digest ^= rowDigest(hash, r.count)
 	r.count += count
 	t.digest ^= rowDigest(hash, r.count)
 	t.card += count
-	t.indexRecount(*r)
 }
 
 func mustDecode(key string) relation.Tuple {
@@ -264,13 +260,13 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 	t.digest ^= rowDigest(hash, have)
 	at := t.slot(hash, key)
 	if have == count {
-		r, _ := t.rows.Delete(at, key)
-		t.indexDelete(r.tup)
+		t.rows.Delete(at, key)
+		t.indexDelete(key)
 	} else {
 		r, _ := t.rows.Ref(at, key)
 		r.count -= count
 		t.digest ^= rowDigest(hash, r.count)
-		t.indexRecount(*r)
+		t.indexPut(key, *r)
 	}
 	t.card -= count
 }
@@ -414,8 +410,8 @@ func approxTupleEqual(a, b relation.Tuple, tol float64) bool {
 // installed, d.Digest(), folded from the hash of each key it computes anyway.
 //
 // ApplyDelta is also where the rows change placement (see Table.settle):
-// before a batch that is not empty, when the handle's index on column 0 is
-// narrow.
+// before a batch that is not empty, when the handle holds its index on
+// column 0.
 func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 	if !t.schema.Equal(d.Schema()) {
 		return 0, fmt.Errorf("storage: delta schema [%s] does not match table schema [%s]", d.Schema(), t.schema)
