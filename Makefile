@@ -179,7 +179,7 @@ bench:
 # (BenchmarkLoadSnapshot, MB/s and allocations per stored row) and LoadBase
 # of SF 0.004 LINEITEM (BenchmarkLoadBase), with allocations.
 bench-smoke:
-	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution|BenchmarkWindowFixedPath,-benchmem)
+	$(call run-benches,.,BenchmarkCompute|BenchmarkIndexedExecution|BenchmarkWindowFixedPath|BenchmarkOpenJournal,-benchmem)
 	$(call run-benches,.,BenchmarkResidentBytes)
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
 	$(call run-benches,./internal/planner,BenchmarkMinWorkScaling,-benchmem)
@@ -203,13 +203,16 @@ bench-smoke:
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (its one flush,
 # syncs/op 1, runs beside its steps, so the difference is mostly encoding and
-# writing its three records, writes/op 3), and the live heap of the
+# writing its three records, writes/op 3), the reopen of a serve-ingest-shaped
+# journal of 1 000 windows (MB/s, with the bytes and objects it allocates),
+# and the live heap of the
 # TPC-D warehouse at the repository benchmark's scale after set-up and after
 # 20 windows, with LINEITEM's bytes per stored row. Five samples each,
 # with allocations; the planner's also report prefixes priced per search, the
 # storage, core and state-digest ones ns/row.
 bench-layers:
 	$(GO) test . -run '^$$' -bench 'BenchmarkResidentBytes' -count 5
+	$(GO) test . -run '^$$' -bench 'BenchmarkOpenJournal' -count 5 -benchmem
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe|Install$$' -count 5 -benchmem

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -106,8 +107,8 @@ func TestFloatBatchFoldsInOneOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var lg journal.Log
-			if _, _, err := journal.ScanFile(image, lg.Feed); err != nil || lg.CommittedCount() != 1 {
+			lg, err := journal.ReadLog(bytes.NewReader(image))
+			if err != nil || lg.CommittedCount() != 1 {
 				t.Fatalf("journal reads as %d committed windows: %v", lg.CommittedCount(), err)
 			}
 			follower := fixture()

@@ -23,6 +23,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"slices"
 )
 
 // Frame and payload guards: a corrupt or adversarial length never causes a
@@ -39,7 +40,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // as opposed to one that is merely incomplete. A stream's reader fetches
 // again on corruption and waits for more bytes on incompleteness: a bit-flip
 // must not be mistaken for "the rest hasn't arrived yet". A file's reader
-// (ScanFile) takes both for the tail a crash tore.
+// (ScanReader) takes both for the tail a crash tore.
 var ErrCorruptFrame = errors.New("journal: corrupt frame")
 
 // ChunkCRC fingerprints a shipped byte range with the journal's CRC64
@@ -135,40 +136,87 @@ func Scan(buf []byte, fn func(typ byte, payload []byte, end int) error) (n int, 
 	return n, nil
 }
 
-// ScanFile is Scan under the policy of a log file's reader: an incomplete
-// frame, a damaged one, and one that fn refuses with ErrCorruptFrame (a type
-// the vocabulary does not have) are all the tail that a crash mid-append
-// leaves, and so is everything behind it. The tail is reported as torn, not
-// as an error; size is where it begins. Any other error of fn — a CRC-valid
-// record that does not decode, a record out of place — is a format error.
-func ScanFile(buf []byte, fn func(typ byte, payload []byte, end int) error) (size int64, torn bool, err error) {
-	n, err := Scan(buf, fn)
-	if errors.Is(err, ErrCorruptFrame) {
-		err = nil
+// maxScanBuffer is the most a log file's reader buffers: a longer file is
+// read through a buffer of this size, refilled as its frames are handed on,
+// and only a single frame larger than it grows it.
+const maxScanBuffer = 1 << 20
+
+// ScanReader walks the frames of in, a log file's bytes from its start,
+// under the policy of a log file's reader: an incomplete frame, a damaged
+// one, and one that fn refuses with ErrCorruptFrame (a type the vocabulary
+// does not have) are all the tail that a crash mid-append leaves, and so is
+// everything behind it. The tail is reported as torn, not as an error; size
+// is where it begins. Any other error of fn — a CRC-valid record that does
+// not decode, a record out of place — is a format error.
+//
+// in is read through one buffer of min(its size + 1, 1 MiB) bytes (the size
+// as ReadAll finds it; 1 MiB when in reports none), so a reader holds no
+// more of a long log than that, and an empty one allocates one byte. fn's
+// end is the offset in in just past the frame, and its payload aliases the
+// buffer: reuse, when not nil, is called before the buffer is refilled over
+// bytes fn was handed, so that a caller that kept payloads copies them then.
+func ScanReader(in io.Reader, fn func(typ byte, payload []byte, end int) error, reuse func()) (size int64, torn bool, err error) {
+	bufSize := maxScanBuffer
+	if n, ok := readerSize(in); ok {
+		bufSize = min(n+1, maxScanBuffer)
 	}
-	return int64(n), n < len(buf), err
+	return scanReader(in, bufSize, fn, reuse)
+}
+
+// scanReader is ScanReader through a buffer of bufSize bytes. A frame that
+// does not fit grows the buffer by doubling as its bytes arrive, so a
+// damaged length costs at most twice the bytes in holds.
+func scanReader(in io.Reader, bufSize int, fn func(typ byte, payload []byte, end int) error, reuse func()) (size int64, torn bool, err error) {
+	buf := make([]byte, 0, bufSize)
+	off, done, eof := 0, 0, false // buf[0] is byte off of in; fn has had buf[:done]
+	for {
+		n, err := Scan(buf[done:], func(typ byte, payload []byte, end int) error {
+			return fn(typ, payload, off+done+end)
+		})
+		done += n
+		switch {
+		case errors.Is(err, ErrCorruptFrame):
+			return int64(off + done), true, nil
+		case err != nil:
+			return int64(off + done), false, err
+		case eof:
+			return int64(off + done), done < len(buf), nil
+		}
+		if done > 0 { // the bytes of whole frames are refilled over
+			if reuse != nil {
+				reuse()
+			}
+			buf = buf[:copy(buf, buf[done:])]
+			off, done = off+done, 0
+		}
+		if len(buf) == cap(buf) { // a frame larger than the buffer
+			buf = slices.Grow(buf, cap(buf))
+		}
+		m, rerr := in.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if rerr == io.EOF {
+			eof = true
+		} else if rerr != nil {
+			return int64(off + done), false, rerr
+		}
+	}
 }
 
 // OpenAppend opens the log file at path, creating it when absent, for
-// appending after its last whole frame. The file is read first, in one
-// sized read (ReadAll), and fn sees its frames as under ScanFile; a torn
-// tail is then cut off, or the torn frame would hide every record appended
-// behind it from the next reader.
+// appending after its last whole frame. The file is scanned first, through
+// one buffer (ScanReader), and fn and reuse see its frames as they do
+// there; a torn tail is then cut off, or the torn frame would hide every
+// record appended behind it from the next reader.
 // A file that held anything is then flushed, with the cut: a process that
 // died may have left records no flush reached, such as the begin record of a
 // window that a recovery is about to complete and report, and a writer
 // appending behind them counts its bytes from a durable start.
-func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (*os.File, error) {
+func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error, reuse func()) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	size, torn, err := ScanFile(buf, fn)
+	size, torn, err := ScanReader(f, fn, reuse)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("reading %s: %w", path, err)
@@ -179,7 +227,7 @@ func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (
 			return nil, fmt.Errorf("journal: cutting the torn tail of %s: %w", path, err)
 		}
 	}
-	if len(buf) > 0 {
+	if size > 0 || torn {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("journal: flushing %s: %w", path, err)
@@ -188,22 +236,28 @@ func OpenAppend(path string, fn func(typ byte, payload []byte, end int) error) (
 	return f, nil
 }
 
-// ReadAll reads in to its end, as io.ReadAll does, but into one buffer
-// sized from what in reports it holds — the Len of a bytes.Reader or
-// bytes.Buffer, the size of a regular file — where io.ReadAll grows its
-// buffer by doubling and so allocates about twice what it reads. A reader
-// that reports nothing is read by io.ReadAll.
-func ReadAll(in io.Reader) ([]byte, error) {
-	size := -1
+// readerSize is what in reports it holds — the Len of a bytes.Reader or
+// bytes.Buffer, the size of a regular file — and whether it reports it.
+func readerSize(in io.Reader) (int, bool) {
 	switch r := in.(type) {
 	case interface{ Len() int }:
-		size = r.Len()
+		return r.Len(), true
 	case interface{ Stat() (os.FileInfo, error) }:
 		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
-			size = int(fi.Size())
+			return int(fi.Size()), true
 		}
 	}
-	if size < 0 {
+	return 0, false
+}
+
+// ReadAll reads in to its end, as io.ReadAll does, but into one buffer
+// sized from what in reports it holds (readerSize), where io.ReadAll grows
+// its buffer by doubling and so allocates about twice what it reads. A
+// reader that reports nothing is read by io.ReadAll. A snapshot is read
+// whole through it (internal/snapshot); a log is scanned (ScanReader).
+func ReadAll(in io.Reader) ([]byte, error) {
+	size, ok := readerSize(in)
+	if !ok {
 		return io.ReadAll(in)
 	}
 	// One byte more than reported, so that the read that finds the end
@@ -354,6 +408,14 @@ func (c *Cursor) Count(field string) int {
 		return 0
 	}
 	return int(n)
+}
+
+// skipRows reads what AppendRows wrote, as Rows does, and keeps none of it.
+func (c *Cursor) skipRows(field string) {
+	for i, n := 0, c.Count(field); i < n && c.err == nil; i++ {
+		c.Bytes(field)
+		c.Varint(field)
+	}
 }
 
 // Rows reads what AppendRows wrote.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,7 +126,7 @@ func TestOpenAppendCutsTheTornTail(t *testing.T) {
 		f, err := OpenAppend(path, func(typ byte, _ []byte, _ int) error {
 			seen = append(seen, typ)
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -140,7 +141,7 @@ func TestOpenAppendCutsTheTornTail(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "absent")
-	f, err := OpenAppend(path, func(byte, []byte, int) error { return errors.New("no frame to see") })
+	f, err := OpenAppend(path, func(byte, []byte, int) error { return errors.New("no frame to see") }, nil)
 	if err != nil {
 		t.Fatalf("opening a log that does not exist yet: %v", err)
 	}
@@ -151,7 +152,7 @@ func TestOpenAppendCutsTheTornTail(t *testing.T) {
 	if err := os.WriteFile(path, before, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAppend(path, func(byte, []byte, int) error { return refuse }); !errors.Is(err, refuse) {
+	if _, err := OpenAppend(path, func(byte, []byte, int) error { return refuse }, nil); !errors.Is(err, refuse) {
 		t.Fatalf("a format error opened the log: %v", err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, before) {
@@ -238,5 +239,33 @@ func TestCursorBoundsAndNames(t *testing.T) {
 	c := NewCursor("test: rec", AppendRows(AppendString(nil, "view"), []RowChange{{"k", -1}}))
 	if view, rows := c.String("view"), c.Rows("row"); view != "view" || len(rows) != 1 || rows[0] != (RowChange{"k", -1}) || c.Done() != nil {
 		t.Fatalf("round trip: %q %v %v", view, rows, c.Done())
+	}
+}
+
+// TestScanReaderGrowsForALargeFrame: a frame larger than the reader's
+// buffer grows it and is handed on whole, between frames that fit, at its
+// offset in the stream; cut short, it is the torn tail.
+func TestScanReaderGrowsForALargeFrame(t *testing.T) {
+	large := bytes.Repeat([]byte("0123456789"), 1000)
+	log := append(append(encodeFrame(7, []byte("one")), encodeFrame(8, large)...), encodeFrame(9, []byte("three"))...)
+	for _, cut := range []int{0, 30} {
+		var payloads [][]byte
+		var ends []int
+		reused := 0
+		size, torn, err := scanReader(bytes.NewReader(log[:len(log)-cut]), 64, func(_ byte, p []byte, end int) error {
+			payloads, ends = append(payloads, bytes.Clone(p)), append(ends, end)
+			return nil
+		}, func() { reused++ })
+		one := len(encodeFrame(7, []byte("one")))
+		whole := []int{one, len(log) - len(encodeFrame(9, []byte("three"))), len(log)}
+		if cut > 0 {
+			whole = whole[:1]
+		}
+		if err != nil || torn != (cut > 0) || size != int64(whole[len(whole)-1]) || !slices.Equal(ends, whole) {
+			t.Fatalf("cut %d: read to %d (torn %v), frames ending at %v, want %v: %v", cut, size, torn, ends, whole, err)
+		}
+		if cut == 0 && (!bytes.Equal(payloads[1], large) || string(payloads[2]) != "three") || reused == 0 {
+			t.Fatalf("cut %d: the large frame came through as %d bytes, the buffer refilled %d times", cut, len(payloads[1]), reused)
+		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // stops; every frame that passes its CRC having been written by a Writer,
 // the records must re-encode to the intact prefix byte for byte; and the
 // accepts left pending must be exactly those that are no operator's and that
-// no committed window names. The same bytes, read as writer calls, drive a
+// no committed window names. The fold a reopen reads through must report
+// what ReadLog does, read through a buffer small enough that frames straddle
+// its refills (checkFold). The same bytes, read as writer calls, drive a
 // Writer whose shippable mark is checked after each (checkShippable).
 func FuzzJournal(f *testing.F) {
 	var seed bytes.Buffer
@@ -41,6 +43,7 @@ func FuzzJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkShippable(t, data[:min(len(data), 200)])
 		lg, err := ReadLog(bytes.NewReader(data))
+		checkFold(t, data, lg, err)
 		if err != nil {
 			return
 		}
@@ -51,7 +54,7 @@ func FuzzJournal(f *testing.F) {
 			if err != nil || n == 0 || typ < TypeAbort || typ > TypeCommit {
 				break
 			}
-			if a, _ := decodeAccept(p); typ == TypeAccept && !a.Own {
+			if a, _ := decodeAccept(p, false); typ == TypeAccept && !a.Own {
 				accepts = append(accepts, a.Seq)
 			}
 			whole += n
@@ -83,6 +86,60 @@ func FuzzJournal(f *testing.F) {
 			t.Fatalf("pending accepts %v; of the stream's %v, no committed window names %v", got, accepts, want)
 		}
 	})
+}
+
+// checkFold reads data through a Fold, as a reopen does — keeping no closed
+// window — and through one that hands every window to OnClose, each through
+// a buffer of a few bytes, and checks both against ReadLog's lg and err: the
+// same error or none, intact size and torn flag; the same committed count,
+// last accept and pending accepts; the same in-flight window, with its batch;
+// and, handed to OnClose, the same closed windows.
+func checkFold(t *testing.T, data []byte, lg Log, err error) {
+	t.Helper()
+	bufSize := 1
+	if len(data) > 0 {
+		bufSize += int(data[0] % 32)
+	}
+	committed := 0
+	for i := range lg.Windows {
+		if lg.Windows[i].Committed() {
+			committed++
+		}
+	}
+	for _, whole := range []bool{false, true} {
+		var fold Fold
+		var closed []WindowLog
+		if whole {
+			fold.OnClose = func(wl *WindowLog) error {
+				closed = append(closed, *wl)
+				return nil
+			}
+		}
+		size, torn, ferr := scanReader(bytes.NewReader(data), bufSize, fold.Feed, fold.Detach)
+		if (ferr == nil) != (err == nil) {
+			t.Fatalf("through a %d-byte buffer (whole %v) the fold reads %v, ReadLog %v", bufSize, whole, ferr, err)
+		}
+		if err != nil {
+			continue
+		}
+		if size != lg.Size || torn != lg.Truncated {
+			t.Fatalf("through a %d-byte buffer the fold reads %d intact bytes, torn %v; ReadLog %d, %v", bufSize, size, torn, lg.Size, lg.Truncated)
+		}
+		if fold.CommittedCount() != committed || fold.LastAccept() != lg.LastAccept() || !reflect.DeepEqual(fold.Pending(), lg.Pending()) {
+			t.Fatalf("through a %d-byte buffer the fold holds %d committed, accept %d last, pending %v; ReadLog %d, %d, %v",
+				bufSize, fold.CommittedCount(), fold.LastAccept(), fold.Pending(), committed, lg.LastAccept(), lg.Pending())
+		}
+		if got, want := fold.InFlight(), lg.InFlight(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("through a %d-byte buffer the fold's window in flight is %+v; ReadLog's %+v", bufSize, got, want)
+		}
+		want := lg.Windows
+		if lg.InFlight() != nil {
+			want = want[:len(want)-1]
+		}
+		if whole && (len(closed) != len(want) || len(want) > 0 && !reflect.DeepEqual(closed, want)) {
+			t.Fatalf("through a %d-byte buffer the fold closes %d windows; ReadLog reads %d closed", bufSize, len(closed), len(want))
+		}
+	}
 }
 
 // shipSink is a sink that records what its Writer marks shippable.

@@ -94,16 +94,16 @@ func reencode(t testing.TB, buf []byte) []byte {
 		switch typ {
 		case TypeAccept:
 			var a AcceptRecord
-			a, err = decodeAccept(p)
+			a, err = decodeAccept(p, true)
 			again = encodeAccept(a)
 		case TypeBegin:
 			var b BeginRecord
-			if b, err = decodeBegin(p); err == nil {
+			if b, err = decodeBegin(p, true); err == nil {
 				again, err = encodeBegin(b)
 			}
 		case TypeCommit:
 			var c CommitRecord
-			c, err = decodeCommit(p)
+			c, err = decodeCommit(p, true)
 			again = encodeCommit(c)
 		case TypeAbort:
 			c := NewCursor("journal: abort", p)
@@ -197,7 +197,7 @@ func TestBatchInBeginIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			var lg Log
-			if _, err := OpenAppend(path, lg.Feed); !errors.Is(err, tc.want) {
+			if _, err := OpenAppend(path, lg.Feed, lg.Detach); !errors.Is(err, tc.want) {
 				t.Fatalf("OpenAppend: %v, want %v", err, tc.want)
 			}
 			if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {

@@ -21,9 +21,14 @@
 //
 // Each record is one CRC64-checked frame of the record log (frame.go, which
 // the replication log reads and writes through too), so a torn tail — the
-// normal artifact of a crash mid-append — is detected and tolerated: ReadLog
-// returns every intact record, sets Truncated and reports where the intact
-// records end.
+// normal artifact of a crash mid-append — is detected and tolerated. A
+// journal file is read as a stream, through one buffer of at most 1 MiB
+// (ScanReader), into a Fold: the state a writer continuing the log needs —
+// the committed count, the last commit record, the last accept, the pending
+// accepts and the in-flight window — and no closed window, so a reopen holds
+// what the log comes to, not the log. The fold stops at the torn tail, sets
+// Truncated and reports where the intact records end. ReadLog is the same
+// read, keeping every window.
 //
 // Durability. The writer hands every record to the file in one Write as it
 // is appended, and syncs after a Begin and an Abort — not after a Commit,
@@ -63,6 +68,7 @@
 package journal
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
@@ -555,9 +561,31 @@ func (wl *WindowLog) Committed() bool { return wl.Commit != nil }
 // Closed reports whether the window finished (committed or aborted).
 func (wl *WindowLog) Closed() bool { return wl.Commit != nil || wl.Abort != nil }
 
-// Log is the parsed content of a journal.
-type Log struct {
-	Windows []WindowLog
+// Fold is a journal read from its start and folded as it is read (Bayou's
+// rule: the state is the log applied in order). It holds what a writer
+// continuing the log needs — how many windows committed, the last commit
+// record, the last accept's sequence number, the accepts pending and the
+// window in flight — and no closed window. Every record is checked as it is
+// read, but a record is kept as its payload and decoded whole only when
+// asked for: the last commit record by Writer, the in-flight window by
+// InFlight, and an accept's rows by Pending and InFlight. OnClose, when set,
+// is handed each window as the log closes it, decoded whole with its batch.
+//
+// Read folds a reader; OpenAppend folds a file it opens, with Feed and
+// Detach. The file reader's two leniencies are here: a torn or corrupt tail
+// — an unknown record type included — is dropped (ScanReader; Truncated is
+// set and Size is where it begins), and an unclosed window followed by a new
+// begin is abandoned, as if it had aborted: a process that died mid-window
+// and was restarted without recovery leaves that, and only the last window
+// can be in flight. A CRC-valid record that fails to decode, a record
+// outside any window, a begin record that names an accept the log does not
+// hold pending, and a begin record from before accepts were records of
+// their own are format errors.
+type Fold struct {
+	// OnClose, when set, is handed every window the log closes — by its
+	// commit or abort record, or by a begin record that abandons it — in log
+	// order, with its batch; its error stops the read.
+	OnClose func(*WindowLog) error
 	// Truncated reports that the journal ended in a torn or corrupt frame
 	// (dropped); the expected artifact of a crash mid-append.
 	Truncated bool
@@ -566,9 +594,99 @@ type Log struct {
 	// (OpenAppend), or the torn frame would hide every later record from the
 	// next reader.
 	Size int64
-	// asm holds the window Feed has open, and the accepts; Windows ends with
-	// a copy of the open window.
-	asm Assembler
+
+	asm       Assembler
+	committed int
+	latest    kept // the last commit record's payload
+}
+
+// Read folds the journal in, from its start (ScanReader).
+func (f *Fold) Read(in io.Reader) error {
+	var err error
+	f.Size, f.Truncated, err = ScanReader(in, f.Feed, f.Detach)
+	return err
+}
+
+// Feed folds the next record of a journal file: ScanReader's callback.
+func (f *Fold) Feed(typ byte, payload []byte, _ int) error {
+	whole := f.OnClose != nil
+	if typ == TypeBegin && f.asm.cur != nil { // the open window is abandoned
+		if whole {
+			if err := f.OnClose(f.asm.open()); err != nil {
+				return err
+			}
+		}
+		f.asm.cur = nil
+	}
+	wl, err := f.asm.feed(typ, payload, whole)
+	if err != nil || wl == nil {
+		return err
+	}
+	if wl.Committed() {
+		f.committed++
+		f.latest = kept{p: payload}
+	}
+	if !whole {
+		return nil
+	}
+	return f.OnClose(wl)
+}
+
+// Detach copies the payloads the fold keeps out of the bytes it was fed:
+// ScanReader's reuse, called before it refills its buffer.
+func (f *Fold) Detach() {
+	f.asm.Detach()
+	f.latest.detach()
+}
+
+// CommittedCount returns how many windows committed.
+func (f *Fold) CommittedCount() int { return f.committed }
+
+// InFlight returns the journal's in-flight window, with its batch: a last
+// window that has neither Commit nor Abort — the signature of a crash. nil
+// when there is none.
+func (f *Fold) InFlight() *WindowLog {
+	if f.asm.cur == nil {
+		return nil
+	}
+	return f.asm.open()
+}
+
+// Pending returns the log's accepts that no committed window installs and
+// that no window was written for, in sequence order — those an in-flight
+// window names among them, which its recovery installs.
+func (f *Fold) Pending() Accepts {
+	pending := make(Accepts, len(f.asm.held))
+	for i, h := range f.asm.held {
+		pending[i] = h.record()
+	}
+	return pending
+}
+
+// LastAccept is the sequence number of the log's last accept record: how
+// many it holds, in a log read from its start.
+func (f *Fold) LastAccept() uint64 { return f.asm.last }
+
+// Writer returns a writer that appends to out behind the log's records: it
+// numbers accepts after the log's last, holds its pending ones, closes its
+// in-flight window, and tells out the log's last commit record until it
+// writes one.
+func (f *Fold) Writer(out io.Writer) *Writer {
+	w := NewWriter(out)
+	w.lastAccept, w.pending = f.asm.last, f.Pending()
+	if f.latest.p != nil {
+		w.latest, _ = decodeCommit(f.latest.p, true) // checked as it was read
+	}
+	if cur := f.asm.cur; cur != nil {
+		w.open, w.inWindow = cur.Begin.Accepts, true
+	}
+	return w
+}
+
+// Log is the parsed content of a journal: its fold, and every window.
+type Log struct {
+	Windows []WindowLog
+	Fold
 }
 
 // InFlight returns the journal's in-flight window: the last window, when
@@ -585,87 +703,22 @@ func (lg *Log) InFlight() *WindowLog {
 	return last
 }
 
-// CommittedCount returns how many windows committed.
-func (lg *Log) CommittedCount() int {
-	n := 0
-	for i := range lg.Windows {
-		if lg.Windows[i].Committed() {
-			n++
-		}
-	}
-	return n
-}
-
-// Pending returns the log's accepts that no committed window installs and
-// that no window was written for, in sequence order — those an in-flight
-// window names among them, which its recovery installs.
-func (lg *Log) Pending() Accepts { return slices.Clone(lg.asm.held) }
-
-// LastAccept is the sequence number of the log's last accept record: how
-// many it holds, in a log read from its start.
-func (lg *Log) LastAccept() uint64 { return lg.asm.last }
-
-// Writer returns a writer that appends to out behind the log's records: it
-// numbers accepts after the log's last, holds its pending ones, closes its
-// in-flight window, and tells out the log's last commit record until it
-// writes one.
-func (lg *Log) Writer(out io.Writer) *Writer {
-	w := NewWriter(out)
-	w.lastAccept, w.pending = lg.asm.last, lg.Pending()
-	if wl := lg.InFlight(); wl != nil {
-		w.open, w.inWindow = wl.Begin.Accepts, true
-	}
-	for i := len(lg.Windows) - 1; i >= 0; i-- {
-		if c := lg.Windows[i].Commit; c != nil {
-			w.latest = *c
-			break
-		}
-	}
-	return w
-}
-
-// ReadLog parses a journal file's bytes, and is where the file reader's two
-// leniencies are: a torn or corrupt tail — an unknown record type included —
-// is dropped (ScanFile; Truncated is set and Size is where it begins), and an
-// unclosed window followed by a new begin is kept, as abandoned (Feed). A
-// CRC-valid record that fails to decode, a record outside any window, a begin
-// record that names an accept the log does not hold pending, and a begin
-// record from before accepts were records of their own are format errors.
-func ReadLog(in io.Reader) (Log, error) {
-	buf, err := ReadAll(in)
-	if err != nil {
-		return Log{}, fmt.Errorf("journal: reading the log: %w", err)
-	}
-	var lg Log
-	lg.Size, lg.Truncated, err = ScanFile(buf, lg.Feed)
-	return lg, err
-}
-
-// Feed folds the next record of a journal file into lg — the callback ReadLog
-// hands ScanFile, and OpenAppend's for a journal about to be appended to. It
-// is the Assembler's grammar but for one rule: a begin record may follow a
-// window that never closed, which stays in Windows without a commit or an
-// abort, as if it had aborted. A process that died mid-window and was
-// restarted without recovery leaves that, and only the last window can be in
+// ReadLog parses a journal file's bytes through the fold a file's reader
+// folds (Fold, whose leniencies and format errors it has), and keeps every
+// window, each with its batch: the closed ones as they close, and the one in
 // flight.
-func (lg *Log) Feed(typ byte, payload []byte, _ int) error {
-	if typ == TypeBegin {
-		lg.asm.cur = nil
+func ReadLog(in io.Reader) (Log, error) {
+	var lg Log
+	lg.OnClose = func(wl *WindowLog) error {
+		lg.Windows = append(lg.Windows, *wl)
+		return nil
 	}
-	wl, err := lg.asm.Feed(typ, payload)
-	switch {
-	case err != nil:
-		return err
-	case typ == TypeAccept:
-	case typ == TypeBegin:
-		lg.Windows = append(lg.Windows, *lg.asm.cur)
-	default:
-		if wl == nil {
-			wl = lg.asm.cur
-		}
-		lg.Windows[len(lg.Windows)-1] = *wl
+	err := lg.Read(in)
+	lg.OnClose = nil
+	if wl := lg.Fold.InFlight(); err == nil && wl != nil {
+		lg.Windows = append(lg.Windows, *wl)
 	}
-	return nil
+	return lg, err
 }
 
 // Accepts is a list of accept records in sequence order.
@@ -673,15 +726,21 @@ type Accepts []AcceptRecord
 
 // Named returns the records r names, every one of which the list must hold.
 func (as Accepts) Named(r Range) (Accepts, error) {
+	return named(as, r, func(a AcceptRecord) uint64 { return a.Seq })
+}
+
+// named returns the items of list, in sequence order, whose sequence
+// numbers r names; list must hold every one.
+func named[T any](list []T, r Range, seq func(T) uint64) ([]T, error) {
 	if r == (Range{}) {
 		return nil, nil
 	}
-	i, _ := slices.BinarySearchFunc(as, r.Lo, func(a AcceptRecord, seq uint64) int { return cmp.Compare(a.Seq, seq) })
+	i, _ := slices.BinarySearchFunc(list, r.Lo, func(a T, s uint64) int { return cmp.Compare(seq(a), s) })
 	n := r.Hi - r.Lo + 1
-	if r.Lo == 0 || r.Hi < r.Lo || uint64(len(as)-i) < n || as[i].Seq != r.Lo || as[i+int(n)-1].Seq != r.Hi {
+	if r.Lo == 0 || r.Hi < r.Lo || uint64(len(list)-i) < n || seq(list[i]) != r.Lo || seq(list[i+int(n)-1]) != r.Hi {
 		return nil, fmt.Errorf("journal: accepts %d to %d are not all held uninstalled", r.Lo, r.Hi)
 	}
-	return as[i : i+int(n) : i+int(n)], nil
+	return list[i : i+int(n) : i+int(n)], nil
 }
 
 // Without returns the list without the records r names; it reuses the list's
@@ -698,17 +757,64 @@ func (as Accepts) Without(r Range) Accepts {
 // grammar (a commit outside any window, a begin inside an open one, a begin
 // naming an accept it does not hold, an accept out of sequence) are errors:
 // on a verified stream they indicate a protocol bug, not line noise.
+//
+// An accept is kept as the payload it was fed, which it aliases, and its
+// rows are decoded only into the batch of a window that names it; so is the
+// open window's begin record: a caller that overwrites bytes it fed calls
+// Detach first.
 type Assembler struct {
 	cur *WindowLog
+	// begin is the payload of the open window's begin record.
+	begin kept
 	// held are the accepts fed that are neither installed nor an operator's,
 	// in sequence order.
-	held Accepts
+	held []heldAccept
 	// own is the operator's accept just fed, which the next record, if it is
-	// its window's begin record, names.
-	own *AcceptRecord
+	// its window's begin record, names; curOwn is the one the open window
+	// names. Seq 0 is none.
+	own, curOwn heldAccept
 	// last is the sequence number of the last accept fed, and begun what it
 	// was when the open window began.
 	last, begun uint64
+}
+
+// kept is a record's payload as it was fed, aliasing the bytes it came in
+// until detach copies it.
+type kept struct {
+	p        []byte
+	detached bool // p is the holder's own copy
+}
+
+func (k *kept) detach() {
+	if k.p != nil && !k.detached {
+		k.p, k.detached = bytes.Clone(k.p), true
+	}
+}
+
+// heldAccept is an accept record as fed: its head decoded, its changes still
+// in its payload.
+type heldAccept struct {
+	head AcceptRecord // no Batch
+	kept
+}
+
+// record decodes the accept, which Feed checked.
+func (h heldAccept) record() AcceptRecord {
+	rec, _ := decodeAccept(h.p, true)
+	return rec
+}
+
+func heldSeq(h heldAccept) uint64 { return h.head.Seq }
+
+// Detach copies every payload the Assembler keeps out of the bytes it was
+// fed.
+func (a *Assembler) Detach() {
+	for i := range a.held {
+		a.held[i].detach()
+	}
+	a.own.detach()
+	a.curOwn.detach()
+	a.begin.detach()
 }
 
 // InFlight reports whether a window is open (a begin has been fed without
@@ -722,17 +828,41 @@ func (a *Assembler) InFlight() bool { return a.cur != nil }
 // record to name when that is fed again.
 func (a *Assembler) Reset() {
 	if b := a.cur; b != nil {
-		a.held = slices.DeleteFunc(a.held, func(acc AcceptRecord) bool { return acc.Seq > a.begun })
+		a.held = slices.DeleteFunc(a.held, func(h heldAccept) bool { return h.head.Seq > a.begun })
 		if a.cur, a.last = nil, a.begun; b.Begin.Own {
-			a.own = &AcceptRecord{Seq: b.Begin.Accepts.Lo, Own: true, Batch: b.Begin.Batch}
+			a.own = a.curOwn
 		}
 	}
 }
 
+// open returns the open window decoded whole, with its batch: the changes of
+// the accepts it names, in their order.
+func (a *Assembler) open() *WindowLog {
+	wl := *a.cur
+	wl.Begin, _ = decodeBegin(a.begin.p, true) // checked as it was fed
+	wl.Begin.Own = a.cur.Begin.Own
+	names := []heldAccept{a.curOwn}
+	if !wl.Begin.Own {
+		names, _ = named(a.held, wl.Begin.Accepts, heldSeq)
+	}
+	for _, h := range names {
+		wl.Begin.Batch = append(wl.Begin.Batch, h.record().Batch...)
+	}
+	return &wl
+}
+
 // Feed consumes one record. When the record closes a window, the assembled
-// WindowLog is returned and the assembler becomes idle. A type the window
-// journal does not have wraps ErrCorruptFrame.
+// WindowLog is returned, with its batch, and the assembler becomes idle. A
+// type the window journal does not have wraps ErrCorruptFrame.
 func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
+	return a.feed(typ, payload, true)
+}
+
+// feed is Feed, which returns the window it closes decoded whole only when
+// whole is set: otherwise its records are checked, and the window carries
+// what the grammar reads — its sequence number, the accepts it names, whether
+// it committed — and no strategy, batch or step.
+func (a *Assembler) feed(typ byte, payload []byte, whole bool) (*WindowLog, error) {
 	switch {
 	case typ == typeBatchBegin:
 		return nil, errBatchBegin
@@ -746,10 +876,10 @@ func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
 		return nil, fmt.Errorf("journal: %s record outside any window", [...]string{TypeAbort: "abort", TypeCommit: "commit"}[typ])
 	}
 	own := a.own
-	a.own = nil
+	a.own = heldAccept{}
 	switch typ {
 	case TypeAccept:
-		rec, err := decodeAccept(payload)
+		rec, err := decodeAccept(payload, false)
 		if err != nil {
 			return nil, err
 		}
@@ -757,53 +887,66 @@ func (a *Assembler) Feed(typ byte, payload []byte) (*WindowLog, error) {
 			return nil, fmt.Errorf("journal: accept %d follows accept %d", rec.Seq, a.last)
 		}
 		a.last = rec.Seq
-		if rec.Own {
-			a.own = &rec
+		if h := (heldAccept{head: rec, kept: kept{p: payload}}); rec.Own {
+			a.own = h
 		} else {
-			a.held = append(a.held, rec)
+			a.held = append(a.held, h)
 		}
 		return nil, nil
 	case TypeBegin:
-		b, err := decodeBegin(payload)
+		b, err := decodeBegin(payload, false)
 		if err != nil {
 			return nil, err
 		}
-		var named Accepts
-		if own != nil && b.Accepts == (Range{own.Seq, own.Seq}) {
-			named, b.Own = Accepts{*own}, true
-		} else if named, err = a.held.Named(b.Accepts); err != nil {
+		a.curOwn = heldAccept{}
+		if own.head.Seq != 0 && b.Accepts == (Range{own.head.Seq, own.head.Seq}) {
+			a.curOwn, b.Own = own, true
+		} else if _, err = named(a.held, b.Accepts, heldSeq); err != nil {
 			return nil, fmt.Errorf("journal: window %d's begin record: %w", b.Seq, err)
 		}
-		for _, acc := range named {
-			b.Batch = append(b.Batch, acc.Batch...)
-		}
-		a.cur, a.begun = &WindowLog{Begin: b}, a.last
+		a.cur, a.begin, a.begun = &WindowLog{Begin: b}, kept{p: payload}, a.last
 		return nil, nil
-	case TypeCommit:
-		c, err := decodeCommit(payload)
-		if err != nil {
-			return nil, err
-		}
-		a.cur.Commit = &c
-		a.held = a.held.Without(a.cur.Begin.Accepts)
-	default:
-		c := NewCursor("journal: abort", payload)
-		ab := AbortRecord{Reason: c.String("reason")}
-		if err := c.Done(); err != nil {
-			return nil, err
-		}
-		a.cur.Abort = &ab
+	}
+	var c CommitRecord
+	var ab AbortRecord
+	var err error
+	if typ == TypeCommit {
+		c, err = decodeCommit(payload, whole)
+	} else {
+		cur := NewCursor("journal: abort", payload)
+		ab = AbortRecord{Reason: cur.String("reason")}
+		err = cur.Done()
+	}
+	if err != nil {
+		return nil, err
 	}
 	wl := a.cur
-	a.cur = nil
+	if whole {
+		wl = a.open()
+	}
+	if typ == TypeCommit {
+		wl.Commit = &c
+		r := wl.Begin.Accepts
+		a.held = slices.DeleteFunc(a.held, func(h heldAccept) bool { return h.head.Seq >= r.Lo && h.head.Seq <= r.Hi })
+	} else {
+		wl.Abort = &ab
+	}
+	a.cur, a.begin, a.curOwn = nil, kept{}, heldAccept{}
 	return wl, nil
 }
 
-func decodeAccept(p []byte) (AcceptRecord, error) {
+// decodeAccept decodes an accept record, with its rows when rows is set;
+// without, it checks that they decode and keeps none.
+func decodeAccept(p []byte, rows bool) (AcceptRecord, error) {
 	c := NewCursor("journal: accept", p)
 	a := AcceptRecord{Seq: c.Uvarint("seq"), UnixNano: c.Varint("time"), Own: c.Byte("flags")&1 != 0}
 	for i, n := 0, c.Count("view count"); i < n && c.err == nil; i++ {
-		a.Batch = append(a.Batch, ViewBatch{View: c.String("view"), Rows: c.Rows("row")})
+		if rows {
+			a.Batch = append(a.Batch, ViewBatch{View: c.String("view"), Rows: c.Rows("row")})
+		} else {
+			c.Bytes("view")
+			c.skipRows("row")
+		}
 	}
 	if a.Seq == 0 {
 		c.Fail("seq", errors.New("accepts are numbered from 1"))
@@ -811,30 +954,53 @@ func decodeAccept(p []byte) (AcceptRecord, error) {
 	return a, c.Done()
 }
 
-func decodeBegin(p []byte) (BeginRecord, error) {
+// decodeBegin decodes a begin record; without whole, it checks that the
+// record decodes and keeps its sequence number, flags and accept range, and
+// no string or strategy.
+func decodeBegin(p []byte, whole bool) (BeginRecord, error) {
 	c := NewCursor("journal: begin", p)
+	str := func(field string) string {
+		if whole {
+			return c.String(field)
+		}
+		c.Bytes(field)
+		return ""
+	}
 	var b BeginRecord
 	b.Seq = int(c.Uvarint("seq"))
-	b.Planner = c.String("planner")
-	b.Mode = c.String("mode")
+	b.Planner = str("planner")
+	b.Mode = str("mode")
 	b.Workers = int(c.Uvarint("workers"))
 	flags := c.Byte("flags")
 	b.SkipEmptyDeltas, b.ProbeWork = flags&1 != 0, flags&2 != 0
 	b.StateDigest = c.Uint64("state digest")
 	b.BatchDigest = c.Uint64("batch digest")
-	for i, n := 0, c.Count("strategy length"); i < n && c.err == nil; i++ {
-		switch kind, view := c.Byte("expr kind"), c.String("expr view"); kind {
+	n := c.Count("strategy length")
+	if whole && n > 0 {
+		b.Strategy = make(strategy.Strategy, 0, min(n, 64))
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var e strategy.Expr
+		switch kind, view := c.Byte("expr kind"), str("expr view"); kind {
 		case 0:
 			nOver := c.Count("comp over count")
-			over := make([]string, 0, min(nOver, 64))
-			for j := 0; j < nOver && c.err == nil; j++ {
-				over = append(over, c.String("comp over"))
+			var over []string
+			if whole {
+				over = make([]string, 0, min(nOver, 64))
 			}
-			b.Strategy = append(b.Strategy, strategy.Comp{View: view, Over: over})
+			for j := 0; j < nOver && c.err == nil; j++ {
+				if o := str("comp over"); whole {
+					over = append(over, o)
+				}
+			}
+			e = strategy.Comp{View: view, Over: over}
 		case 1:
-			b.Strategy = append(b.Strategy, strategy.Inst{View: view})
+			e = strategy.Inst{View: view}
 		default:
 			c.Fail("expr kind", fmt.Errorf("unknown expression kind %d", kind))
+		}
+		if whole && e != nil {
+			b.Strategy = append(b.Strategy, e)
 		}
 	}
 	b.Accepts = Range{Lo: c.Uvarint("accepts from"), Hi: c.Uvarint("accepts to")}
@@ -844,13 +1010,27 @@ func decodeBegin(p []byte) (BeginRecord, error) {
 	return b, c.Done()
 }
 
-func decodeCommit(p []byte) (CommitRecord, error) {
+// decodeCommit decodes a commit record; without whole, it checks that the
+// record decodes and keeps no step.
+func decodeCommit(p []byte, whole bool) (CommitRecord, error) {
 	c := NewCursor("journal: commit", p)
 	rec := CommitRecord{TotalWork: c.Varint("work"), ElapsedNS: int64(c.Uint64("elapsed")), UnixNano: int64(c.Uint64("time")), AcceptUnixNano: int64(c.Uint64("accept time"))}
-	for i, n := 0, c.Count("step count"); i < n && c.err == nil; i++ {
-		s := StepRecord{Key: c.String("step key"), Work: c.Varint("step work"), Terms: int(c.Uvarint("step terms"))}
+	n := c.Count("step count")
+	if whole && n > 0 {
+		rec.Steps = make([]StepRecord, 0, min(n, 64))
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var s StepRecord
+		if whole {
+			s.Key = c.String("step key")
+		} else {
+			c.Bytes("step key")
+		}
+		s.Work, s.Terms = c.Varint("step work"), int(c.Uvarint("step terms"))
 		s.Skipped, s.Digest = c.Byte("step flags")&1 != 0, c.Uint64("step digest")
-		rec.Steps = append(rec.Steps, s)
+		if whole {
+			rec.Steps = append(rec.Steps, s)
+		}
 	}
 	return rec, c.Done()
 }

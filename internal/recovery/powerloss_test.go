@@ -235,7 +235,7 @@ func reopen(t testing.TB, image []byte) reopened {
 		}
 	}
 	if found.InFlight() != nil {
-		res, err := Recover(w, &found, Options{Journal: journal.NewWriter(intact)})
+		res, err := Recover(w, found.InFlight(), Options{Journal: journal.NewWriter(intact)})
 		if err != nil {
 			t.Fatalf("recovering the in-flight window: %v", err)
 		}

@@ -469,16 +469,16 @@ func Replay(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, er
 	return res, nil
 }
 
-// Recover completes the journal's in-flight window — one that begins but
+// Recover completes a journal's in-flight window, wl — one that begins but
 // never commits or aborts, the signature of a crash. w must be the warehouse
 // restored from the pre-window snapshot. Every step is re-executed, and the
 // commit record, with its steps, is appended through opts.Journal (see
 // replay).
-func Recover(w *core.Warehouse, lg *journal.Log, opts Options) (*Result, error) {
-	if lg == nil || lg.InFlight() == nil {
+func Recover(w *core.Warehouse, wl *journal.WindowLog, opts Options) (*Result, error) {
+	if wl == nil || wl.Closed() {
 		return nil, errors.New("recovery: journal has no in-flight window")
 	}
-	res, err := replay(w, lg.InFlight(), opts)
+	res, err := replay(w, wl, opts)
 	if err != nil {
 		return nil, err
 	}

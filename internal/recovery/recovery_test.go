@@ -302,7 +302,7 @@ func TestRecoverCompletesCrashedWindow(t *testing.T) {
 	// Restart: the pre-window state (no staged batch — the journal
 	// re-stages it) as a snapshot would restore it.
 	lg := readLog(t, &buf)
-	res, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(&buf)})
+	res, err := Recover(buildPristine(t), lg.InFlight(), Options{Journal: journal.NewWriter(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestRecoverInFlightRecomputeWindow(t *testing.T) {
 	if lg.InFlight() == nil || lg.InFlight().Begin.Mode != string(exec.ModeRecompute) {
 		t.Fatalf("in-flight recompute window not found: %+v", lg.InFlight())
 	}
-	res, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(&buf)})
+	res, err := Recover(buildPristine(t), lg.InFlight(), Options{Journal: journal.NewWriter(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,13 +406,13 @@ func TestRecoverRejectsWrongSnapshot(t *testing.T) {
 	if _, _, err := wrong.Install("R"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(wrong, &lg, Options{}); err == nil {
+	if _, err := Recover(wrong, lg.InFlight(), Options{}); err == nil {
 		t.Fatal("recovery accepted a warehouse whose state digest mismatches the journal")
 	}
 }
 
 func TestRecoverNothingToDo(t *testing.T) {
-	if _, err := Recover(buildPristine(t), &journal.Log{}, Options{}); err == nil {
+	if _, err := Recover(buildPristine(t), nil, Options{}); err == nil {
 		t.Fatal("recovery of an empty journal succeeded")
 	}
 }

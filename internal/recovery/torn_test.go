@@ -73,7 +73,7 @@ func TestRecoverFromTornJournal(t *testing.T) {
 				t.Fatal("a journal cut before its commit record does not need recovery")
 			}
 			torn.Truncate(intact)
-			rec, err := Recover(buildPristine(t), &lg, Options{Journal: journal.NewWriter(torn)})
+			rec, err := Recover(buildPristine(t), lg.InFlight(), Options{Journal: journal.NewWriter(torn)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -271,6 +271,7 @@ func (f *Follower) drain() (applied int, err error) {
 		done = f.parse + end
 		return nil
 	})
+	f.asm.Detach() // the accepts and begin record it holds keep no fetched chunk alive
 	if err != nil {
 		f.rewind()
 		if !errors.Is(err, ErrFollowerDead) {

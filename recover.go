@@ -73,42 +73,42 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if absent) a file-backed journal in append
-// mode. Existing content is parsed first: Committed reports how many
-// windows it already holds, NeedsRecovery whether it ends mid-window, and
-// Pending which of its accepts no committed window installs. A torn final
-// record — a crash during a journal write, or power lost before the unsynced
-// records reached the disk whole — is treated as not written and cut off, so
-// that what is appended next follows the last intact record. What it read,
-// and the cut, are flushed before it returns, so a window Recover completes
-// is as recoverable as one RunWindowOpts returns. A journal whose
-// begin records carry their change batches, written before accepted changes
-// were records of their own, is refused with that reason.
+// mode. Existing content is read first, as a stream folded record by record
+// (journal.Fold): Committed reports how many windows it already holds,
+// NeedsRecovery whether it ends mid-window, and Pending which of its accepts
+// no committed window installs. The read holds those and the in-flight
+// window, not the file or its closed windows, so a long journal reopens in
+// memory its pending accepts and in-flight window take and one buffer of at
+// most 1 MiB. A torn final record — a crash during a journal write, or power
+// lost before the unsynced records reached the disk whole — is treated as
+// not written and cut off, so that what is appended next follows the last
+// intact record. What it read, and the cut, are flushed before it returns,
+// so a window Recover completes is as recoverable as one RunWindowOpts
+// returns. A journal whose begin records carry their change batches, written
+// before accepted changes were records of their own, is refused with that
+// reason.
 func OpenJournal(path string) (*Journal, error) {
-	var lg journal.Log
-	f, err := journal.OpenAppend(path, lg.Feed)
+	var fold journal.Fold
+	f, err := journal.OpenAppend(path, fold.Feed, fold.Detach)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: opening journal: %w", err)
 	}
-	j := resume(&lg, f)
+	j := resume(&fold, f)
 	j.f, j.path = f, path
 	return j, nil
 }
 
-// resume makes a journal that appends to out behind the records of lg.
-func resume(lg *journal.Log, out io.Writer) *Journal {
-	j := &Journal{w: lg.Writer(out)}
-	j.committed.Store(int64(lg.CommittedCount()))
-	if wl := lg.InFlight(); wl != nil {
-		// A copy: a pointer into lg would keep every window's batch alive.
-		inflight := *wl
-		j.inflight = &inflight
-	}
+// resume makes a journal that appends to out behind the records fold read:
+// it keeps the in-flight window, the one window the fold hands out.
+func resume(fold *journal.Fold, out io.Writer) *Journal {
+	j := &Journal{w: fold.Writer(out), inflight: fold.InFlight()}
+	j.committed.Store(int64(fold.CommittedCount()))
 	return j
 }
 
 // NewJournal wraps any writer as a window journal (no recovery state is
 // read; the journal starts empty). Useful for buffers in tests.
-func NewJournal(out io.Writer) *Journal { return resume(&journal.Log{}, out) }
+func NewJournal(out io.Writer) *Journal { return resume(&journal.Fold{}, out) }
 
 // NeedsRecovery reports whether the journal ends in an in-flight window.
 func (j *Journal) NeedsRecovery() bool { return j.crashed || j.inflight != nil }
@@ -324,7 +324,7 @@ func (w *Warehouse) recover(j *Journal) (WindowReport, error) {
 	}
 	started := time.Now()
 	begin := j.inflight.Begin
-	res, err := recovery.Recover(w.core, &journal.Log{Windows: []journal.WindowLog{*j.inflight}}, recovery.Options{Journal: j.w})
+	res, err := recovery.Recover(w.core, j.inflight, recovery.Options{Journal: j.w})
 	if err != nil {
 		return WindowReport{}, err
 	}
@@ -345,30 +345,32 @@ func (w *Warehouse) recover(j *Journal) (WindowReport, error) {
 // between them. The warehouse must be at the journal's initial state: the
 // deterministic fixture whose digest the first window's begin record pins.
 // The tally counts every window it replays.
+//
+// The file is read twice, as a stream each time (journal.Fold): a first
+// read holds nothing and finds any record that does not decode, so that a
+// corrupt journal changes no state; the second applies each committed
+// window as the read closes it, so no more than one window's batch is held.
 func (w *Warehouse) Restore(j *Journal) error {
 	if j == nil {
 		return errors.New("warehouse: Restore requires a journal")
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var lg journal.Log
 	if j.path != "" {
-		in, err := os.Open(j.path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		if lg, err = journal.ReadLog(in); err != nil {
+		if err := readJournal(j.path, nil); err != nil {
 			return fmt.Errorf("warehouse: reading journal %s: %w", j.path, err)
 		}
-	}
-	for i := range lg.Windows {
-		wl := &lg.Windows[i]
-		if !wl.Committed() {
-			continue // aborted, or the in-flight tail Recover handles below
-		}
-		if _, err := w.applyWindow(wl); err != nil {
-			return fmt.Errorf("warehouse: restoring window %d: %w", wl.Begin.Seq, err)
+		err := readJournal(j.path, func(wl *journal.WindowLog) error {
+			if !wl.Committed() {
+				return nil // aborted or abandoned; the in-flight tail Recover handles below
+			}
+			if _, err := w.applyWindow(wl); err != nil {
+				return fmt.Errorf("warehouse: restoring window %d: %w", wl.Begin.Seq, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if j.NeedsRecovery() {
@@ -376,4 +378,16 @@ func (w *Warehouse) Restore(j *Journal) error {
 		return err
 	}
 	return nil
+}
+
+// readJournal folds the journal file at path, handing onClose each window
+// the read closes (journal.Fold.OnClose).
+func readJournal(path string, onClose func(*journal.WindowLog) error) error {
+	in, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	fold := journal.Fold{OnClose: onClose}
+	return fold.Read(in)
 }

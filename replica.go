@@ -9,6 +9,7 @@ package warehouse
 // can replicate over any byte channel.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -72,9 +73,9 @@ func (w *Warehouse) StateDigest() uint64 {
 // replicated, rather than starting a new one (NewJournal) or re-reading a
 // file (OpenJournal).
 func ResumeJournal(out io.Writer, image []byte) (*Journal, error) {
-	var lg journal.Log
-	if _, _, err := journal.ScanFile(image, lg.Feed); err != nil {
+	var fold journal.Fold
+	if err := fold.Read(bytes.NewReader(image)); err != nil {
 		return nil, fmt.Errorf("warehouse: reading the journal to resume: %w", err)
 	}
-	return resume(&lg, out), nil
+	return resume(&fold, out), nil
 }
