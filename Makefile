@@ -161,7 +161,9 @@ bench:
 # it reports the rows those probes yield beside them. The
 # storage, state-digest and join-probe layer benchmarks (the Q3 probe chain
 # through ORDER's and CUSTOMER's indexes among them) and the install of a
-# staged aggregate change (BenchmarkInstall) run once too, so that
+# staged aggregate change (BenchmarkInstall) and a scan of a 1 000-row
+# table view and of a 1 000-group summary view, with allocations per row
+# (BenchmarkViewScan), run once too, so that
 # they keep compiling and executing between the runs of bench-layers that
 # read them.
 # Prune at m = 10 and 12 runs once as well, under a timeout: a search back to
@@ -184,7 +186,7 @@ bench-smoke:
 	$(call run-benches,./internal/planner,BenchmarkPruneScaling/m=1[02]$$,-benchmem -timeout 30s)
 	$(call run-benches,./internal/planner,BenchmarkMinWorkScaling,-benchmem)
 	$(call run-benches,./internal/storage,.,-benchmem)
-	$(call run-benches,./internal/core,Probe|Install$$|LoadBase,-benchmem)
+	$(call run-benches,./internal/core,Probe|Install$$|LoadBase|ViewScan,-benchmem)
 	$(call run-benches,./internal/recovery,StateDigest|JournaledWindow,-benchmem)
 	$(call run-benches,./internal/serve,ServeQuery,-benchmem)
 	$(call run-benches,./internal/snapshot,LoadSnapshot,-benchmem)
@@ -199,7 +201,9 @@ bench-smoke:
 # key), join
 # build and probe (flat table, resident index, and Q3's chain of two index
 # steps, ns per driver row), the install of a staged aggregate change into a
-# cloned summary table (ns and allocations per changed group), state digest (the fold a
+# cloned summary table (ns and allocations per changed group), a scan of a
+# table view and of a summary view of 1 000 rows (allocations per row),
+# state digest (the fold a
 # window pays beside the scan it replaced), a window journaled to a disk whose
 # flushes take 300 µs beside the same window unjournaled (its one flush,
 # syncs/op 1, runs beside its steps, so the difference is mostly encoding and
@@ -215,7 +219,7 @@ bench-layers:
 	$(GO) test . -run '^$$' -bench 'BenchmarkOpenJournal' -count 5 -benchmem
 	$(GO) test ./internal/planner -run '^$$' -bench 'PruneScaling|MinWorkScaling' -count 5 -benchmem
 	$(GO) test ./internal/storage -run '^$$' -bench . -count 5 -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe|Install$$' -count 5 -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'BuildTable|Probe|Install$$|ViewScan' -count 5 -benchmem
 	$(GO) test ./internal/recovery -run '^$$' -bench 'StateDigest|JournaledWindow' -count 5 -benchmem
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): each of the

@@ -63,24 +63,28 @@ func TestSharedPlannerIsPrune(t *testing.T) {
 // TestBenchOnlyOptionsAreInert: Options.ShareComputation, MemoryBudgetBytes,
 // ParallelTerms and Workers, and planner.PruneShared's options, stay only
 // because the frozen benchmark sets them, and change nothing: PruneShared,
-// called as the benchmark calls it, returns Prune's result. On the Siblings
-// catalog every Comp(Vi, {D}) hashes A's state — the build a window-wide
-// cache once shared and a 1-byte budget once spilled — and a warehouse given
-// every one of them plans the same strategies, does the same work step by
-// step and lands on the same state as one given none, each Comp building the
-// same tables for itself, with every spill and shared counter and the
-// reserved peak at 0.
+// called as the benchmark calls it, returns Prune's result. Windows
+// planned as the benchmark plans them (SharedPlanner) alternate with
+// dual-stage ones, whose every Comp(Vi, {D, A, B}) on the Siblings catalog
+// hashes the same deltas — the builds a window-wide cache once shared and a
+// 1-byte budget once spilled. A warehouse given every one of the options
+// plans the same strategies, does the same work step by step and lands on
+// the same state as one given none, each Comp building the same tables for
+// itself, with every spill and shared counter and the reserved peak at 0.
 func TestBenchOnlyOptionsAreInert(t *testing.T) {
 	inert := warehouse.Options{ShareComputation: true, MemoryBudgetBytes: 1, ParallelTerms: true, Workers: 2}
 	a := check.BuildCatalog(t, check.Siblings, 1, warehouse.Options{})
 	b := check.BuildCatalog(t, check.Siblings, 1, inert)
 	ra, rb := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	opts := warehouse.WindowOptions{Planner: warehouse.SharedPlanner, Mode: warehouse.ModeDAG, Workers: 2}
 	var hashed int
-	for win := 1; win <= 3; win++ {
+	for win := 1; win <= 4; win++ {
 		check.Stage(t, a, ra)
 		check.Stage(t, b, rb)
 		pruneSharedIsPrune(t, b)
+		opts := warehouse.WindowOptions{Planner: warehouse.SharedPlanner, Mode: warehouse.ModeDAG, Workers: 2}
+		if win%2 == 0 {
+			opts.Planner = warehouse.DualStagePlanner
+		}
 		wa, err := a.RunWindowOpts(opts)
 		if err != nil {
 			t.Fatal(err)

@@ -248,15 +248,6 @@ func (q *CQ) AggSpecs() []delta.AggSpec {
 	return out
 }
 
-// AggNames returns the aggregate output column names.
-func (q *CQ) AggNames() []string {
-	out := make([]string, len(q.Aggs))
-	for i, a := range q.Aggs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // BaseViews returns the distinct view names referenced, in first-appearance
 // order. These are the VDAG children of the view this CQ defines.
 func (q *CQ) BaseViews() []string {

@@ -70,9 +70,6 @@ func TestCQAggregate(t *testing.T) {
 	if len(specs) != 2 || specs[0].Kind != delta.AggCount || specs[1].Kind != delta.AggSum {
 		t.Errorf("specs = %v", specs)
 	}
-	if names := cq.AggNames(); names[0] != "n" || names[1] != "total" {
-		t.Errorf("names = %v", names)
-	}
 	if cq.OutputSchema().String() != "a INTEGER, n INTEGER, total INTEGER" {
 		t.Errorf("output = %s", cq.OutputSchema())
 	}

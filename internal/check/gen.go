@@ -27,11 +27,11 @@ const (
 	// earlier view (diamonds and self-joins included), or a SUM/COUNT
 	// summary. Integer columns keep every comparison exact.
 	Random Catalog = ""
-	// Siblings is the fixture of sibling Comps that read one build side:
+	// Siblings is the fixture of sibling Comps that read the same operands:
 	// bases D(k,x), A0(k,y), B(y,z), the summary A = MAX(y) of A0 by k, and
-	// three siblings D ⋈ A ⋈ B. Every Comp(Vi, {D}) joins δD with A's state —
-	// an aggregate store no index serves, so each Comp hashes it — and then
-	// probes B's resident index.
+	// three siblings D ⋈ A ⋈ B. Every Comp(Vi, {D}) joins δD with A's state
+	// and then B's, each through its table's resident index; every
+	// Comp(Vi, {D, A, B}) hashes the same deltas.
 	Siblings Catalog = "siblings"
 	// Narrow is the fixture of a join step that binds more columns than the
 	// index it probes: bases L(k,x), O(k,y), P(k,x), J1 joining L and O on k,

@@ -244,10 +244,8 @@ func Invariants(w *warehouse.Warehouse) error {
 	defer p.Close()
 	c := p.Internal()
 	for _, name := range c.ViewNames() {
-		if tbl := c.MustView(name).Table(); tbl != nil {
-			if err := tbl.CheckIndexes(); err != nil {
-				return fmt.Errorf("view %s: %w", name, err)
-			}
+		if err := c.MustView(name).Table().CheckIndexes(); err != nil {
+			return fmt.Errorf("view %s: %w", name, err)
 		}
 	}
 	return c.VerifyAll()

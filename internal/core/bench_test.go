@@ -260,7 +260,7 @@ GROUP BY l.L_ORDERKEY, o.O_ORDERDATE, o.O_SHIPPRIORITY`)
 			relation.NewFloat(float64(rng.Int63n(100_000)) / 4), relation.NewFloat(float64(rng.Int63n(8)) / 64),
 			relation.NewString("N"), relation.NewDate(9_300 + rng.Int63n(400))}, 1)
 	}
-	terms, err := w.compiledComp(w.views["Q3"], []string{"LINEITEM"})
+	terms, err := w.views["Q3"].compiledComp([]string{"LINEITEM"})
 	if err != nil {
 		b.Fatal(err)
 	}

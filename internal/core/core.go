@@ -43,8 +43,10 @@ type View struct {
 	// clone (nil for base views).
 	orders *viewOrders
 
-	table *storage.Table    // base views and SPJ derived views
-	agg   *storage.AggTable // aggregate derived views
+	// table holds the view's rows, whatever its kind: a summary view's
+	// holds one row per group, which agg's Apply and Build keep current.
+	table *storage.Table
+	agg   *storage.AggTable // a summary view's groups; nil otherwise
 
 	// mu guards lazy initialization/finalization of the pending state, so
 	// that expressions the scheduler (package exec) runs concurrently may
@@ -53,10 +55,11 @@ type View struct {
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
 	// finalized and next are an aggregate's δV once read (DeltaOf): the rows
-	// its install changes, and the clone of its store that install built
-	// them on, which Install then adopts.
+	// its install changes, and the clone of its stores that install built
+	// them on — a view outside the catalog holding only them — which
+	// Install then adopts.
 	finalized *delta.Delta
-	next      *storage.AggTable
+	next      *View
 }
 
 // Name returns the view's name.
@@ -72,86 +75,53 @@ func (v *View) IsBase() bool { return v.def == nil }
 func (v *View) IsAggregate() bool { return v.agg != nil }
 
 // Schema returns the view's output schema.
-func (v *View) Schema() relation.Schema {
-	if v.agg != nil {
-		return v.agg.Schema()
-	}
-	return v.table.Schema()
-}
+func (v *View) Schema() relation.Schema { return v.table.Schema() }
 
 // Cardinality returns |V|: the current number of rows.
-func (v *View) Cardinality() int64 {
-	if v.agg != nil {
-		return v.agg.Cardinality()
-	}
-	return v.table.Cardinality()
-}
+func (v *View) Cardinality() int64 { return v.table.Cardinality() }
 
-// Scan iterates the view's current rows with multiplicities. The tuples of
-// a base or SPJ view are the stored ones (see storage.Table): shared with
-// every epoch that holds the row, and not to be modified.
-func (v *View) Scan(fn func(relation.Tuple, int64) bool) {
-	if v.agg != nil {
-		v.agg.Scan(fn)
-		return
-	}
-	v.table.Scan(fn)
-}
+// Scan iterates the view's current rows with multiplicities. The tuples are
+// the stored ones (see storage.Table): shared with every epoch that holds
+// the row, and not to be modified.
+func (v *View) Scan(fn func(relation.Tuple, int64) bool) { v.table.Scan(fn) }
 
 // Digest returns the order-independent fingerprint of the view's current
 // rows — the XOR over rows of the CRC of each row's encoding and count — in
-// O(1): the stores maintain it as rows change.
-func (v *View) Digest() uint64 {
-	if v.agg != nil {
-		return v.agg.Digest()
-	}
-	return v.table.Digest()
-}
+// O(1): the table maintains it as rows change.
+func (v *View) Digest() uint64 { return v.table.Digest() }
 
 // CheckDigest recomputes the view's digest by a scan of its rows and reports
 // a maintained digest that has drifted from it.
-func (v *View) CheckDigest() error {
-	if v.agg != nil {
-		return v.agg.CheckDigest()
-	}
-	return v.table.CheckDigest()
-}
+func (v *View) CheckDigest() error { return v.table.CheckDigest() }
 
 // SortedRows returns the current rows sorted, for deterministic inspection.
-func (v *View) SortedRows() []storage.CountedTuple {
-	if v.agg != nil {
-		return v.agg.SortedRows()
-	}
-	return v.table.SortedRows()
-}
+func (v *View) SortedRows() []storage.CountedTuple { return v.table.SortedRows() }
 
-// Table exposes the backing counted table of a base or SPJ view (nil for
-// aggregate views). Intended for snapshot/restore machinery; mutating the
-// table directly bypasses the strategy framework.
+// Table exposes the counted table that holds the view's rows — a summary
+// view's too, one row per group. Intended for snapshot/restore machinery;
+// mutating the table directly bypasses the strategy framework, and a
+// summary view's table is written only beside its groups (AggStore).
 func (v *View) Table() *storage.Table { return v.table }
 
 // IndexStats describes the resident join indexes through which delta-driven
-// terms read the view's state, in creation order; nil for an aggregate view,
-// whose group store carries none.
-func (v *View) IndexStats() []storage.IndexStats {
-	if v.table == nil {
-		return nil
-	}
-	return v.table.IndexStats()
-}
+// terms read the view's state, in creation order — a summary view's as well
+// as any other's: its table's.
+func (v *View) IndexStats() []storage.IndexStats { return v.table.IndexStats() }
 
-// AggStore exposes the backing aggregate table of a summary view (nil
-// otherwise). Intended for snapshot/restore machinery.
+// AggStore exposes a summary view's groups — each one's support and
+// accumulators, whose output rows the view's table holds — and is nil for
+// any other view. Intended for snapshot/restore machinery.
 func (v *View) AggStore() *storage.AggTable { return v.agg }
 
-// Replace makes t the view's rows, or agg its groups, whichever kind of
-// store the view keeps: a store built fresh replaces the old one whole, which
-// stays as it was for whoever still holds it. snapshot.Read builds each
-// view's state beside the live one and swaps it in once the whole snapshot
-// has verified; a refresh swaps in its recomputation. The store must have the
-// view's schema, and the view no pending changes.
+// Replace makes t the view's rows and, for a summary view, agg its groups,
+// whose output rows t must hold: stores built fresh replace the old ones
+// whole, which stay as they were for whoever still holds them.
+// snapshot.Read builds each view's state beside the live one and swaps it
+// in once the whole snapshot has verified; a refresh swaps in its
+// recomputation. The table must have the view's schema, and the view no
+// pending changes.
 func (v *View) Replace(t *storage.Table, agg *storage.AggTable) {
-	if (t == nil) != (v.table == nil) || (agg == nil) != (v.agg == nil) {
+	if t == nil || (agg == nil) != (v.agg == nil) {
 		panic(fmt.Sprintf("core: Replace of view %q with a store of the other kind", v.name))
 	}
 	v.table, v.agg = t, agg
@@ -239,11 +209,9 @@ func (w *Warehouse) DefineDerived(name string, def *algebra.CQ) error {
 				name, r.Alias, r.Schema, child.Schema())
 		}
 	}
-	v := &View{name: name, def: def, orders: newViewOrders(def)}
+	v := &View{name: name, def: def, orders: newViewOrders(def), table: storage.NewTable(def.OutputSchema())}
 	if def.IsAggregate() {
-		v.agg = storage.NewAggTable(def.GroupSchema(), def.AggSpecs(), def.AggNames())
-	} else {
-		v.table = storage.NewTable(def.OutputSchema())
+		v.agg = storage.NewAggTable(def.GroupSchema(), def.AggSpecs())
 	}
 	w.define(v)
 	return nil
@@ -371,9 +339,9 @@ func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 
 // DeltaOf returns the view's pending change set as plus/minus tuples. For an
 // aggregate view this finalizes the accumulated group partials: it installs
-// them into a clone of the view's store, which yields δV as the old and new
+// them into clones of the view's stores, which yields δV as the old and new
 // rows of the groups they change (storage.AggTable.Apply), and keeps the
-// clone for Install to adopt. After finalization, further Compute calls on
+// clones for Install to adopt. After finalization, further Compute calls on
 // the view are rejected (a correct strategy never needs them: conditions
 // C5/C8 put every Comp of V before any reader of δV).
 func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
@@ -388,8 +356,8 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 		return pending.d, nil
 	}
 	if v.finalized == nil {
-		next, d := v.agg.Clone(), delta.New(v.agg.Schema())
-		_, _, err := next.Apply(pending.p, d)
+		next, d := v.cloneStores(), delta.New(v.Schema())
+		_, _, err := next.agg.Apply(pending.p, next.table, d)
 		if err = cmp.Or(err, d.Seal()); err != nil {
 			return nil, fmt.Errorf("core: finalizing δ%s: %w", name, err)
 		}
@@ -397,6 +365,10 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	}
 	return v.finalized, nil
 }
+
+// cloneStores returns a view outside the catalog that holds clones of an
+// aggregate view's stores, its table and its groups.
+func (v *View) cloneStores() *View { return &View{table: v.table.Clone(), agg: v.agg.Clone()} }
 
 // pendingLocked returns the view's pending change state, creating it empty
 // on first use: group partials for an aggregate view, a delta otherwise.
@@ -417,9 +389,9 @@ func (v *View) pendingLocked() acc {
 // Install folds the view's pending change into its materialized state and
 // clears the pending state. It returns what it installed: the number of
 // rows, |δV|, and the digest of δV (delta.Delta.Digest). An aggregate view
-// whose δV was read adopts the store DeltaOf built it on; otherwise it folds
-// its group partials in one pass and builds no tuple delta for them (see
-// storage.AggTable.Apply).
+// whose δV was read adopts the stores DeltaOf built it on; otherwise it folds
+// its group partials into its groups and their rows in one pass and builds
+// no tuple delta for them (see storage.AggTable.Apply).
 func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) {
 	v := w.views[name]
 	if v == nil {
@@ -429,9 +401,9 @@ func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) 
 	defer v.mu.Unlock()
 	switch {
 	case v.next != nil:
-		v.agg, rows, digest = v.next, v.finalized.Size(), v.finalized.Digest()
+		v.table, v.agg, rows, digest = v.next.table, v.next.agg, v.finalized.Size(), v.finalized.Digest()
 	case v.agg != nil && v.pendingPartials != nil:
-		rows, digest, err = v.agg.Apply(v.pendingPartials, nil)
+		rows, digest, err = v.agg.Apply(v.pendingPartials, v.table, nil)
 	case v.agg == nil && v.pendingDelta != nil:
 		rows = v.pendingDelta.Size()
 		digest, err = v.table.ApplyDelta(v.pendingDelta)
@@ -457,10 +429,7 @@ func (w *Warehouse) Clone() *Warehouse {
 	out := &Warehouse{views: make(map[string]*View, len(w.list)), opts: w.opts, version: w.version, graph: w.graph}
 	out.list = make([]*View, 0, len(w.list))
 	for _, v := range w.list {
-		nv := &View{name: v.name, def: v.def, orders: v.orders}
-		if v.table != nil {
-			nv.table = v.table.Clone()
-		}
+		nv := &View{name: v.name, def: v.def, orders: v.orders, table: v.table.Clone()}
 		if v.agg != nil {
 			nv.agg = v.agg.Clone()
 		}
@@ -474,7 +443,7 @@ func (w *Warehouse) Clone() *Warehouse {
 			nv.pendingPartials = np
 		}
 		if v.next != nil {
-			nv.finalized, nv.next = v.finalized.Clone(), v.next.Clone()
+			nv.finalized, nv.next = v.finalized.Clone(), v.next.cloneStores()
 		}
 		out.views[v.name] = nv
 		out.list = append(out.list, nv)

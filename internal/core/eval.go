@@ -114,10 +114,10 @@ func (w *Warehouse) ComputeCtx(ctx context.Context, name string, over []string) 
 	if v.IsBase() {
 		return rep, fmt.Errorf("core: Compute on base view %q", name)
 	}
-	if v.agg != nil && v.finalized != nil {
+	if v.finalized != nil {
 		return rep, fmt.Errorf("core: Compute(%s, …) after δ%s was already finalized — incorrect strategy order", name, name)
 	}
-	terms, err := w.compiledComp(v, over)
+	terms, err := v.compiledComp(over)
 	if err != nil {
 		return rep, err
 	}
@@ -183,11 +183,7 @@ func (w *Warehouse) bindStates(cq *algebra.CQ) (operands, error) {
 		if child == nil {
 			return ops, fmt.Errorf("core: unknown referenced view %q", ref.View)
 		}
-		if child.agg != nil {
-			ops.state[i] = child.agg
-		} else {
-			ops.state[i] = child.table
-		}
+		ops.state[i] = child.table
 	}
 	return ops, nil
 }
@@ -223,7 +219,7 @@ func ContextErr(ctx context.Context) error {
 }
 
 // stepSide is what one join step probes in one run: the build table of its
-// operand, or the resident index of the plain table it reads. The index is
+// operand, or the resident index of the state table it reads. The index is
 // resolved — and, if the table does not hold it yet, built — at the step's
 // first probe, so a term whose delta is empty builds nothing and probes
 // nothing.
@@ -238,7 +234,7 @@ type stepSide struct {
 
 // runTerm runs one term along pipeline pl over the operands its delta mask
 // selects: give each step its side — a build table through the run's cache
-// (which owns them), or the plain table whose index serves it — and drive
+// (which owns them), or the state table whose index serves it — and drive
 // the pipeline from the driver's scan into the sink. It returns the term's
 // linear-metric work: the driver's cardinality plus every step operand's,
 // whether a scan, the cache or an index served the step. A panic in the
@@ -275,7 +271,7 @@ func runTerm(ti int, pl *pipeline, ops operands, mask uint64, sink *sink, env *e
 
 // joinStep is one compiled hash-join step: probe the partial row against
 // operand ref — through a build table, or through the resident index of a
-// plain table's state — then apply the filters that just became evaluable.
+// view's state table — then apply the filters that just became evaluable.
 type joinStep struct {
 	ref int // the operand's reference index
 	// keys is the equi-keys whose bound sides make the probe key, in newCol
@@ -288,7 +284,7 @@ type joinStep struct {
 	// row (liveColumns).
 	live  []int
 	preds []algebra.Expr
-	// indexed marks a step that reads a plain table's state through its
+	// indexed marks a step that reads a view's state through its table's
 	// resident index (delta-driven terms only); every other step probes a
 	// build table.
 	indexed bool

@@ -26,7 +26,7 @@ type IndexStep struct {
 // pipeline of its terms, one pipeline per driver.
 func IndexSteps(w *Warehouse, view string, over []string) ([]IndexStep, error) {
 	v := w.views[view]
-	terms, err := w.compiledComp(v, over)
+	terms, err := v.compiledComp(over)
 	if err != nil {
 		return nil, err
 	}

@@ -359,7 +359,7 @@ func TestIndexStepChecksResidualKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for view, want := range map[string]int{"V": 0, "W": 1} {
-		terms, err := w.compiledComp(w.views[view], []string{"D"})
+		terms, err := w.views[view].compiledComp([]string{"D"})
 		if err != nil {
 			t.Fatal(err)
 		}

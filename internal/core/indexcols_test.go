@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/delta"
+	"repro/internal/relation"
 	"repro/internal/tpcd"
 )
 
@@ -53,4 +55,60 @@ func TestCompiledIndexStepsNameOneColumn(t *testing.T) {
 	}
 	slices.Sort(names)
 	t.Logf("%d indexes asked: %v", len(names), names)
+}
+
+// TestSummaryViewStateIsProbedThroughAnIndex: a summary view's rows are a
+// table like any other view's, so a term that joins its state probes that
+// table's resident index. On the deep TPC-D VDAG, Comp(NATION_REVENUE,
+// {NATION}) drives from δNATION and reads Q5, joined on N_NAME — Q5's
+// column 0 — through an index step: it probes, builds no table, and is
+// charged every operand's cardinality, as any Comp is.
+func TestSummaryViewStateIsProbedThroughAnIndex(t *testing.T) {
+	tw, err := tpcd.NewWarehouse(tpcd.Config{SF: 0.001, Seed: 7, DeepVDAG: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tw.W
+	steps, err := core.IndexSteps(w, tpcd.NationRevenue, []string{tpcd.Nation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(steps, func(s core.IndexStep) bool { return s.View == tpcd.Q5 && slices.Equal(s.Cols, []int{0}) }) {
+		t.Fatalf("Comp(%s, {%s}) compiles index steps %v, want one on %s's column 0", tpcd.NationRevenue, tpcd.Nation, steps, tpcd.Q5)
+	}
+	// δNATION deletes the nation of one Q5 row.
+	q5 := w.MustView(tpcd.Q5).SortedRows()
+	if len(q5) == 0 {
+		t.Fatal("Q5 is empty")
+	}
+	nation := w.MustView(tpcd.Nation)
+	d := delta.New(nation.Schema())
+	nation.Scan(func(row relation.Tuple, count int64) bool {
+		if relation.Compare(row[1], q5[0].Tuple[0]) == 0 {
+			d.Add(row, -count)
+		}
+		return true
+	})
+	if err := d.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if d.IsEmpty() {
+		t.Fatalf("no NATION row is named %v", q5[0].Tuple[0])
+	}
+	if err := w.StageDelta(tpcd.Nation, d); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := w.ComputeCtx(nil, tpcd.NationRevenue, []string{tpcd.Nation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.IndexProbes == 0 || rep.CacheMisses != 0 {
+		t.Errorf("index probes %d, build tables %d; want probes and no build", rep.IndexProbes, rep.CacheMisses)
+	}
+	if want := d.Size() + w.MustView(tpcd.Q5).Cardinality(); rep.OperandTuples != want {
+		t.Errorf("work %d, want |δNATION| + |Q5| = %d", rep.OperandTuples, want)
+	}
+	if st := w.MustView(tpcd.Q5).IndexStats(); len(st) != 1 || !slices.Equal(st[0].Cols, []int{0}) || st[0].Probes == 0 {
+		t.Errorf("Q5's indexes: %v, want the one on column 0, probed", st)
+	}
 }

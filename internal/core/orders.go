@@ -23,10 +23,9 @@ import (
 // The next step is the connected operand — one an unapplied equi-join links
 // to the bound prefix — that yields the fewest rows a probe, ties broken by
 // reference index; a cross product comes only when none is connected. A
-// step on a plain table's state whose keys cover the table's column 0 — the
-// key the row map serves, one row a probe on a keyed table — goes before a
-// step that may fan out: one on other columns, or one on a delta or an
-// aggregate's state. On foreign-key joins every step a delta drives then
+// step on a view's state whose keys cover the table's column 0 — the key
+// the row map serves, one row a probe on a keyed table — goes before a step
+// that may fan out: one on other columns, or one on a delta. On foreign-key joins every step a delta drives then
 // looks up a key, and the term's machine work follows |δ|, not the sizes of
 // the tables it joins.
 //
@@ -64,7 +63,7 @@ func newViewOrders(def *algebra.CQ) *viewOrders {
 
 // compiledComp returns the compiled terms of Comp(v, over), compiling them
 // at the Comp's first call. The order of over does not matter.
-func (w *Warehouse) compiledComp(v *View, over []string) ([]compiledTerm, error) {
+func (v *View) compiledComp(over []string) ([]compiledTerm, error) {
 	o := v.orders
 	var mask uint64
 	for _, name := range over {
@@ -87,13 +86,9 @@ func (w *Warehouse) compiledComp(v *View, over []string) ([]compiledTerm, error)
 	if err != nil {
 		return nil, err
 	}
-	plain := make([]bool, len(v.def.Refs))
-	for i, r := range v.def.Refs {
-		plain[i] = w.views[r.View].agg == nil
-	}
 	terms := make([]compiledTerm, len(raw))
 	for i, t := range raw {
-		terms[i] = compileTerm(v.def, t, plain)
+		terms[i] = compileTerm(v.def, t)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -105,14 +100,13 @@ func (w *Warehouse) compiledComp(v *View, over []string) ([]compiledTerm, error)
 }
 
 // compileTerm compiles a delta-driven term's pipelines, one per driver.
-// plain[i] reports that reference i's view is kept as a plain table, whose
-// state a delta-driven step reads through a resident index.
-func compileTerm(cq *algebra.CQ, t maintain.Term, plain []bool) compiledTerm {
+// Every step on a view's state reads it through its table's resident index.
+func compileTerm(cq *algebra.CQ, t maintain.Term) compiledTerm {
 	ct := compiledTerm{deltaRefs: t.DeltaRefs}
 	for _, r := range t.DeltaRefs {
 		ct.deltaMask |= 1 << uint(r)
 	}
-	indexed := func(ref int) bool { return ct.deltaMask&(1<<uint(ref)) == 0 && plain[ref] }
+	indexed := func(ref int) bool { return ct.deltaMask&(1<<uint(ref)) == 0 }
 	rank := func(ref int, keys []equiKey) int64 {
 		if indexed(ref) && coversFirstColumn(cq, ref, keys) {
 			return 0

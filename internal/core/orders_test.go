@@ -38,7 +38,7 @@ func TestJoinOrderLooksUpKeysFirst(t *testing.T) {
 		if err := w.LoadBase("G", g); err != nil {
 			t.Fatal(err)
 		}
-		terms, err := w.compiledComp(w.views["V"], []string{"D"})
+		terms, err := w.views["V"].compiledComp([]string{"D"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestCompiledOrdersAreSharedByClones(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	want, err := w.compiledComp(w.views["J"], []string{"S", "R"})
+	want, err := w.views["J"].compiledComp([]string{"S", "R"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCompiledOrdersAreSharedByClones(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		got, err := c.compiledComp(c.views["J"], []string{"R", "S"})
+		got, err := c.views["J"].compiledComp([]string{"R", "S"})
 		if err != nil {
 			t.Fatal(err)
 		}

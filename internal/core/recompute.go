@@ -35,21 +35,20 @@ func (w *Warehouse) Recompute(name string) ([]storage.CountedTuple, error) {
 // evalFull evaluates a definition from scratch over the current states of
 // its referenced views — the full term (no delta refs: every operand reads
 // state) run through the term engine, outside any window's build cache —
-// into a fresh store, returned as a view outside the catalog that holds only
-// it: a select-project-join's rows go straight into a new table, whose row
-// map merges equal rows, and an aggregate's partials are applied to a new
-// aggregate table.
+// into fresh stores, returned as a view outside the catalog that holds only
+// them: a select-project-join's rows go straight into a new table, whose row
+// map merges equal rows, and an aggregate's partials become the groups of a
+// new aggregate table, built with their output rows (storage.AggBuilder).
 func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
 	ops, err := w.bindStates(cq)
 	if err != nil {
 		return nil, err
 	}
-	fresh, out := &View{}, acc{}
+	fresh, out := &View{table: storage.NewTable(cq.OutputSchema())}, acc{}
 	if cq.IsAggregate() {
-		fresh.agg = storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs(), cq.AggNames())
+		fresh.agg = storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs())
 		out.p = delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())
 	} else {
-		fresh.table = storage.NewTable(cq.OutputSchema())
 		out.t = fresh.table
 	}
 	var rep CompReport
@@ -58,9 +57,15 @@ func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
 		return nil, err
 	}
 	if out.p != nil {
-		if _, _, err := fresh.agg.Apply(out.p, nil); err != nil {
+		b := fresh.agg.Build(fresh.table, out.p.GroupCount())
+		out.p.Scan(func(key string, gp *delta.GroupPartial) bool {
+			err = b.Add([]byte(key), gp.Support, gp.Accums)
+			return err == nil
+		})
+		if err != nil {
 			return nil, err
 		}
+		b.Done()
 	}
 	return fresh, nil
 }

@@ -1,6 +1,7 @@
 // Package cowmap is the copy-on-write hash table under the warehouse's
-// stored state: the rows of a storage.Table, the groups of a
-// storage.AggTable and the value bag of a MIN/MAX delta.Accum.
+// stored state: the rows of a storage.Table (every view's, a summary view's
+// one row per group), the group states a summary view keeps beside its
+// table (storage.AggTable) and the value bag of a MIN/MAX delta.Accum.
 //
 // A Map is a power-of-two directory of buckets, each a short slice of
 // {hash, key, value} entries. Clone is O(1): both handles keep the same
@@ -99,9 +100,10 @@ func updateBytes(crc uint64, p []byte) uint64 {
 	return crc
 }
 
-// Token identifies what a handle may modify in place. Tokens are compared,
-// never dereferenced; a Map that was never cloned has the nil token.
-type Token *token
+// ownerToken identifies what a handle may modify in place. Tokens are
+// compared, never dereferenced; a Map that was never cloned has the nil
+// token.
+type ownerToken *token
 
 // token has a size so that distinct allocations have distinct addresses.
 type token struct{ _ byte }
@@ -113,7 +115,7 @@ type entry[V any] struct {
 }
 
 type bucket[V any] struct {
-	owner   Token
+	owner   ownerToken
 	entries []entry[V]
 }
 
@@ -124,20 +126,14 @@ type bucket[V any] struct {
 // (a, b = b, Map[V]{}).
 type Map[V any] struct {
 	dir      []*bucket[V] // length 0 or a power of two; nil where a bucket is empty
-	dirOwner Token        // dir is this handle's own iff dirOwner == owner
-	owner    Token
+	dirOwner ownerToken   // dir is this handle's own iff dirOwner == owner
+	owner    ownerToken
 	n        int
 	room     int // capacity a bucket starts with when its first entry arrives; set by Grow
 }
 
 // Len returns the number of entries.
 func (m *Map[V]) Len() int { return m.n }
-
-// Owner returns the handle's current token. Values that hold mutable state
-// behind a pointer record it when they are made: such a value may be
-// modified in place only while its token is still the handle's, since Clone
-// leaves every older value shared.
-func (m *Map[V]) Owner() Token { return m.owner }
 
 // Clone returns a second handle on the same entries. Both handles take new
 // tokens: from here on, either one copies what it writes to.

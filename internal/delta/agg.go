@@ -249,9 +249,10 @@ func (a *Accum) CanFold(other *Accum) bool {
 }
 
 // Clone returns an independent copy in O(1): the value bag of a MIN/MAX
-// accumulator is shared copy-on-write.
-func (a *Accum) Clone() *Accum {
-	out := &Accum{spec: a.spec, sumI: a.sumI, sumF: a.sumF}
+// accumulator is shared copy-on-write. The copy is a value, so that a group
+// keeps its accumulators in one array of its own.
+func (a *Accum) Clone() Accum {
+	out := Accum{spec: a.spec, sumI: a.sumI, sumF: a.sumF}
 	if a.mm != nil {
 		out.mm = &minMax{vals: a.mm.vals.Clone(), best: a.mm.best, known: a.mm.known}
 		out.settle()
@@ -377,7 +378,8 @@ func (p *GroupPartials) Merge(other *GroupPartials) {
 		if gp == nil {
 			cl := &GroupPartial{Support: ogp.Support, Accums: make([]*Accum, len(ogp.Accums))}
 			for i, a := range ogp.Accums {
-				cl.Accums[i] = a.Clone()
+				c := a.Clone()
+				cl.Accums[i] = &c
 			}
 			p.groups[key] = cl
 			continue

@@ -4,8 +4,9 @@
 // representation of [GL95]. For aggregate views, the package also provides
 // GroupPartials — per-group partial aggregate changes that are accumulated
 // across the Comp expressions of a strategy and applied to the view's groups
-// by its install, whose old and new output rows are the view's plus/minus
-// tuples (storage.AggTable.Apply).
+// by its install, which writes each changed group's old and new output rows
+// into the view's table; they are the view's plus/minus tuples
+// (storage.AggTable.Apply).
 package delta
 
 import (

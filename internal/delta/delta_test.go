@@ -219,7 +219,7 @@ func TestAccumFoldClone(t *testing.T) {
 	if a.Output(1).Int() != 3 {
 		t.Errorf("Clone aliases vals map")
 	}
-	a.Fold(b) // a now has 3 (x2) and 1
+	a.Fold(&b) // a now has 3 (x2) and 1
 	if a.Output(3).Int() != 1 {
 		t.Errorf("fold min = %v, want 1", a.Output(3))
 	}

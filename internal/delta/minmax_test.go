@@ -59,17 +59,18 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 			return p
 		}
 		row := func(v relation.Value) relation.Tuple { return relation.Tuple{relation.NewString("g"), v} }
-		state := storage.NewAggTable(group, []delta.AggSpec{spec}, []string{"best"})
-		if _, _, err := state.Apply(partial(ext, 2, mid, 1, far, 1), nil); err != nil {
+		state := storage.NewAggTable(group, []delta.AggSpec{spec})
+		rows := storage.NewTable(relation.Schema{group[0], {Name: "best", Kind: relation.KindInt}})
+		if _, _, err := state.Apply(partial(ext, 2, mid, 1, far, 1), rows, nil); err != nil {
 			t.Fatal(err)
 		}
 		had := relation.NewInt(ext)
 
 		step := func(what string, p *delta.GroupPartials, want relation.Value, wantValid bool) {
 			t.Helper()
-			before := state.Digest()
-			next, d := state.Clone(), delta.New(state.Schema())
-			_, _, err := next.Apply(p, d)
+			before := rows.Digest()
+			next, nextRows, d := state.Clone(), rows.Clone(), delta.New(rows.Schema())
+			_, _, err := next.Apply(p, nextRows, d)
 			if (err == nil) != wantValid {
 				t.Fatalf("%v %s: Apply returns %v, want valid=%v", kind, what, err, wantValid)
 			}
@@ -77,12 +78,12 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !wantValid {
-				if !d.IsEmpty() || next.Cardinality() != 1 {
-					t.Fatalf("%v %s: a refused Apply left δ %v and %d groups", kind, what, d.Sorted(), next.Cardinality())
+				if !d.IsEmpty() || nextRows.Cardinality() != 1 {
+					t.Fatalf("%v %s: a refused Apply left δ %v and %d groups", kind, what, d.Sorted(), nextRows.Cardinality())
 				}
 				return
 			}
-			wantD := delta.New(state.Schema())
+			wantD := delta.New(rows.Schema())
 			if !had.IsNull() {
 				wantD.Add(row(had), -1)
 			}
@@ -95,17 +96,17 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 			if d.Size() != wantD.Size() || d.Digest() != wantD.Digest() {
 				t.Fatalf("%v %s: Apply appends δ %v, want %v", kind, what, d.Sorted(), wantD.Sorted())
 			}
-			if state.Digest() != before {
-				t.Fatalf("%v %s: Apply on a clone changed the original's rows to %v", kind, what, state.SortedRows())
+			if rows.Digest() != before {
+				t.Fatalf("%v %s: Apply on a clone changed the original's rows to %v", kind, what, rows.SortedRows())
 			}
-			state, had = next, want
+			state, rows, had = next, nextRows, want
 		}
 		step("delete one of two copies of the extreme", partial(ext, -1), relation.NewInt(ext), true)
 		step("delete its last copy", partial(ext, -1), relation.NewInt(mid), true)
 		step("delete an absent value", partial(ext, -1), relation.Null, false)
 		step("delete the extreme while a better one arrives", partial(mid, -1, ext, 1), relation.NewInt(ext), true)
 		step("delete to empty", partial(ext, -1, far, -1), relation.Null, true)
-		if state.Cardinality() != 0 {
+		if rows.Cardinality() != 0 {
 			t.Fatalf("%v: a group deleted to empty stays", kind)
 		}
 		step("refill", partial(far, 1), relation.NewInt(far), true)
@@ -145,7 +146,8 @@ func TestMinMaxMatchesScan(t *testing.T) {
 					for k, v := range cur.bag {
 						bag[k] = v
 					}
-					live = append(live, pair{cur.a.Clone(), bag})
+					c := cur.a.Clone()
+					live = append(live, pair{&c, bag})
 				case r == 1:
 					c := journal.NewCursor("test: accumulator", cur.a.AppendBinary(nil))
 					back := delta.DecodeAccum(c, spec)

@@ -236,7 +236,7 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 					p.Replace(storage.NewTable(p.Schema()), nil)
 				} else {
 					a := w.MustView("A")
-					a.Replace(nil, a.AggStore().Empty())
+					a.Replace(storage.NewTable(a.Schema()), a.AggStore().Empty())
 				}
 				check(op, "empty", false)
 				must(w.RefreshAll())
@@ -247,19 +247,21 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 				from := live[rng.Intn(len(live))].MustView("A").AggStore()
 				var key string
 				var support int64
-				var accums []*delta.Accum
+				var accums []delta.Accum
 				skip := rng.Intn(len(groups))
-				from.ScanGroups(func(k string, s int64, as []*delta.Accum) bool {
+				from.ScanGroups(func(k string, s int64, as []delta.Accum) bool {
 					key, support, accums = k, s, as
 					skip--
 					return skip >= 0
 				})
 				if accums != nil {
 					owned := make([]*delta.Accum, len(accums))
-					for i, a := range accums {
-						owned[i] = a.Clone()
+					for i := range accums {
+						c := accums[i].Clone()
+						owned[i] = &c
 					}
-					b := w.MustView("A").AggStore().Build(1)
+					a := w.MustView("A")
+					b := a.AggStore().Build(a.Table(), 1)
 					must(b.Add([]byte(key), support+rng.Int63n(2), owned))
 					b.Done()
 					check(op, "restore group", false)

@@ -102,11 +102,11 @@ func whsnap01Fields(w *core.Warehouse) []byte {
 	for _, name := range w.ViewNames() {
 		p = journal.AppendString(p, name)
 		if agg := w.MustView(name).AggStore(); agg != nil {
-			p = binary.AppendUvarint(append(p, kindAgg), uint64(agg.Cardinality()))
-			agg.ScanGroups(func(key string, support int64, accums []*delta.Accum) bool {
+			p = binary.AppendUvarint(append(p, kindAgg), uint64(w.MustView(name).Cardinality()))
+			agg.ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
 				p = binary.AppendVarint(journal.AppendString(p, key), support)
-				for _, a := range accums {
-					p = journal.AppendString(p, string(a.AppendBinary(nil)))
+				for i := range accums {
+					p = journal.AppendString(p, string(accums[i].AppendBinary(nil)))
 				}
 				return true
 			})

@@ -82,11 +82,11 @@ func WriteContext(ctx context.Context, w *core.Warehouse, out io.Writer) error {
 	for _, name := range names {
 		v := w.MustView(name)
 		if agg := v.AggStore(); agg != nil {
-			sw.view(name, kindAgg, agg.Cardinality())
-			agg.ScanGroups(func(key string, support int64, accums []*delta.Accum) bool {
+			sw.view(name, kindAgg, v.Cardinality())
+			agg.ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
 				sw.buf = binary.AppendVarint(journal.AppendString(sw.open(), key), support)
-				for _, a := range accums {
-					sw.buf = a.AppendBinary(sw.buf)
+				for i := range accums {
+					sw.buf = accums[i].AppendBinary(sw.buf)
 				}
 				return sw.entry()
 			})
@@ -205,8 +205,8 @@ func WriteFile(ctx context.Context, w *core.Warehouse, path string) error {
 }
 
 // stagedView is a view's state as Read builds it, beside the live one: a
-// fresh table and the build that fills it, or a fresh aggregate table and
-// its build.
+// fresh table and the build that fills it with rows, or, for a summary view,
+// with the output rows of the groups a fresh aggregate table's build reads.
 type stagedView struct {
 	view   *core.View
 	table  *storage.Table
@@ -324,12 +324,11 @@ func (r *reader) frame(typ byte, payload []byte, _ int) error {
 	}
 	// The count sizes the build, so it is trusted no further than the bytes
 	// present: an entry takes two at the least.
-	sv, hint := stagedView{view: v}, int(min(count, uint64(r.size/2)))
+	sv, hint := stagedView{view: v, table: storage.NewTable(v.Schema())}, int(min(count, uint64(r.size/2)))
 	if agg := v.AggStore(); agg != nil {
 		sv.agg = agg.Empty()
-		sv.groups = sv.agg.Build(hint)
+		sv.groups = sv.agg.Build(sv.table, hint)
 	} else {
-		sv.table = storage.NewTable(v.Schema())
 		sv.rows = sv.table.Build(hint)
 	}
 	r.views = append(r.views, sv)

@@ -87,24 +87,28 @@ func (b *Builder) Done() {
 	})
 }
 
-// AggBuilder is Builder for an aggregate table: it fills one with groups as
-// ScanGroups hands them out — key, support and accumulators — and is the
+// AggBuilder is Builder for a summary view's stores: it fills an aggregate
+// table with groups as ScanGroups hands them out — key, support and
+// accumulators — and the view's table with their output rows, and is the
 // one path by which groups enter an aggregate table but a change batch
-// (Apply). A group's key and decoded group tuple come from a chunk as a
-// row's do, its entry and accumulator list from one array of the build's;
-// the same retention holds.
+// (Apply). A group's key comes from a chunk as a row's does, and its
+// accumulators from one array of the build's; the same retention holds.
 type AggBuilder struct {
-	t *AggTable
+	t    *AggTable
+	rows *Table
 	chunker
 	supports []int64
-	accums   []*delta.Accum // every group's, len(specs) each, in order
+	accums   []delta.Accum // every group's, len(specs) each, in order
 }
 
-// Build starts a bulk build of about n groups into the table.
-func (t *AggTable) Build(n int) *AggBuilder {
+// Build starts a bulk build of about n groups into the table, and of their
+// output rows into rows, the table that holds the groups' rows.
+func (t *AggTable) Build(rows *Table, n int) *AggBuilder {
+	c := newChunker(len(t.groupSchema), n)
+	c.keysOnly = true
 	return &AggBuilder{
-		t: t, chunker: newChunker(len(t.groupSchema), n),
-		supports: make([]int64, 0, n), accums: make([]*delta.Accum, 0, n*len(t.specs)),
+		t: t, rows: rows, chunker: c,
+		supports: make([]int64, 0, n), accums: make([]delta.Accum, 0, n*len(t.specs)),
 	}
 }
 
@@ -132,47 +136,59 @@ func (b *AggBuilder) Add(key []byte, support int64, accums []*delta.Accum) error
 		return err
 	}
 	b.supports = append(b.supports, support)
-	b.accums = append(b.accums, accums...)
+	for _, a := range accums {
+		b.accums = append(b.accums, *a)
+	}
 	return nil
 }
 
-// Done places every group added into the table. The builder is spent.
+// Done places every group added into the table and its output row into the
+// rows table. Into an empty table the groups go all at once
+// (cowmap.Map.Fill), the last of a key's kept, and then their rows through
+// a Builder; into one that holds groups they go one by one, a group already
+// held giving up its row first. The builder is spent.
 func (b *AggBuilder) Done() {
 	b.close()
 	t, k := b.t, len(b.t.specs)
-	entries := make([]groupEntry, len(b.hashes))
-	entry := func(i int) *groupEntry {
-		e := &entries[i]
-		_, e.group = b.row(i)
-		e.owner, e.support, e.accums = t.groups.Owner(), b.supports[i], b.accums[i*k:(i+1)*k:(i+1)*k]
-		return e
+	state := func(i int) groupState {
+		return groupState{support: b.supports[i], accums: b.accums[i*k : (i+1)*k : (i+1)*k]}
 	}
+	var enc []byte
 	if t.groups.Len() > 0 {
-		t.groups.Grow(len(b.hashes))
 		for i, h := range b.hashes {
-			t.put(h, b.key(i), entry(i))
+			key, g := b.key(i), state(i)
+			if old, held := t.groups.Get(h, key); held {
+				enc = old.appendRow(enc[:0], key)
+				b.rows.dropOne(cowmap.HashBytes(enc), enc)
+			}
+			b.rows.InsertEncoded(g.appendRow(enc[:0], key), 1)
+			t.put(h, key, g)
 		}
 		return
 	}
-	t.groups.Fill(b.hashes, b.key, func(i int, slot **groupEntry) {
-		if *slot != nil {
-			t.digest ^= (*slot).digest()
+	t.groups.Fill(b.hashes, b.key, func(i int, g *groupState) { *g = state(i) })
+	rb := b.rows.Build(t.groups.Len())
+	t.groups.Scan(func(_ uint64, key string, g groupState) bool {
+		enc = g.appendRow(enc[:0], key)
+		if err := rb.Add(enc, 1); err != nil {
+			panic(fmt.Sprintf("storage: a group's output row does not fit its table: %v", err))
 		}
-		e := entry(i)
-		e.seal(b.hashes[i])
-		*slot = e
-		t.digest ^= e.digest()
+		return true
 	})
+	rb.Done()
 }
 
 // chunker gathers row encodings and decodes them slabRows at a time; see
 // Builder.
 type chunker struct {
-	width  int
-	open   []byte   // the open chunk's encodings, end to end
-	ends   []int    // where each row's encoding ends in its chunk's string
-	hashes []uint64 // each row's CRC, once its chunk is closed
-	chunks []chunk
+	width int
+	// keysOnly skips the decoding: a group's key is all an aggregate build
+	// keeps of it.
+	keysOnly bool
+	open     []byte   // the open chunk's encodings, end to end
+	ends     []int    // where each row's encoding ends in its chunk's string
+	hashes   []uint64 // each row's CRC, once its chunk is closed
+	chunks   []chunk
 }
 
 // chunk is up to slabRows decoded rows: their keys end to end, and their
@@ -210,28 +226,33 @@ func (c *chunker) close() {
 	if rows == 0 {
 		return
 	}
-	ch := chunk{keys: string(c.open), slab: make([]relation.Value, rows*c.width)}
+	ch := chunk{keys: string(c.open)}
+	if !c.keysOnly {
+		ch.slab = make([]relation.Value, rows*c.width)
+	}
 	c.chunks = append(c.chunks, ch)
 	c.open = c.open[:0]
 	for i := first; i < len(c.ends); i++ {
-		key, tup := c.row(i)
-		relation.DecodeInto(tup, key)
+		key := c.key(i)
+		if !c.keysOnly {
+			_, tup := c.row(i)
+			relation.DecodeInto(tup, key)
+		}
 		c.hashes = append(c.hashes, cowmap.Hash(key))
 	}
 }
 
 // row returns row i's key and tuple, once its chunk is closed.
 func (c *chunker) row(i int) (string, relation.Tuple) {
-	ch, j := &c.chunks[i/slabRows], i%slabRows
-	start := 0
-	if j > 0 {
-		start = c.ends[i-1]
-	}
-	return ch.keys[start:c.ends[i]], ch.slab[j*c.width : (j+1)*c.width : (j+1)*c.width]
+	j := i % slabRows
+	return c.key(i), c.chunks[i/slabRows].slab[j*c.width : (j+1)*c.width : (j+1)*c.width]
 }
 
 // key returns row i's key, once its chunk is closed.
 func (c *chunker) key(i int) string {
-	key, _ := c.row(i)
-	return key
+	start := 0
+	if i%slabRows > 0 {
+		start = c.ends[i-1]
+	}
+	return c.chunks[i/slabRows].keys[start:c.ends[i]]
 }

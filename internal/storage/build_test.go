@@ -77,11 +77,12 @@ func TestBuildRefusesBadRows(t *testing.T) {
 // restoreGroup builds one group into at from a state that another handle
 // may hold: a build takes over the accumulators it is given, so it gets
 // clones.
-func restoreGroup(t *testing.T, at *AggTable, key string, support int64, accums []*delta.Accum) {
+func restoreGroup(t *testing.T, at aggStore, key string, support int64, accums []delta.Accum) {
 	t.Helper()
 	owned := make([]*delta.Accum, len(accums))
-	for i, a := range accums {
-		owned[i] = a.Clone()
+	for i := range accums {
+		c := accums[i].Clone()
+		owned[i] = &c
 	}
 	b := at.Build(1)
 	if err := b.Add([]byte(key), support, owned); err != nil {
@@ -95,29 +96,35 @@ func restoreGroup(t *testing.T, at *AggTable, key string, support int64, accums 
 // whose map it fills, the rest group by group — a group given twice
 // keeping its last state, whether the table was empty or held groups.
 func TestAggBuildEqualsOneByOne(t *testing.T) {
-	state := func(total float64, n int64) []*delta.Accum {
+	state := func(total float64, n int64) (accums []*delta.Accum) {
 		p := delta.NewGroupPartials(groupSchema, sumSpecs)
 		accumulate(p, "x", total, n)
-		var accums []*delta.Accum
 		p.Scan(func(_ string, gp *delta.GroupPartial) bool {
 			accums = gp.Accums
 			return true
 		})
 		return accums
 	}
+	restore := func(at aggStore, key string, support int64, accums []*delta.Accum) {
+		vals := make([]delta.Accum, len(accums))
+		for i, a := range accums {
+			vals[i] = *a
+		}
+		restoreGroup(t, at, key, support, vals)
+	}
 	key := func(g string) string { return relation.Tuple{relation.NewString(g)}.Encode() }
 	for _, held := range []bool{false, true} {
 		built, want := newAgg(), newAgg()
 		if held {
-			restoreGroup(t, built, key("a"), 7, state(7, 7))
-			restoreGroup(t, want, key("a"), 7, state(7, 7))
+			restore(built, key("a"), 7, state(7, 7))
+			restore(want, key("a"), 7, state(7, 7))
 		}
 		b := built.Build(3)
 		for i, g := range []string{"a", "b", "a"} {
 			if err := b.Add([]byte(key(g)), int64(i+1), state(float64(i), int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
-			restoreGroup(t, want, key(g), int64(i+1), state(float64(i), int64(i+1)))
+			restore(want, key(g), int64(i+1), state(float64(i), int64(i+1)))
 		}
 		b.Done()
 		if got, exp := built.SortedRows(), want.SortedRows(); !ApproxEqualRows(got, exp, 0) || built.Digest() != want.Digest() {

@@ -202,9 +202,9 @@ func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 func TestAggTableCloneIsolation(t *testing.T) {
 	gs := relation.Schema{{Name: "g", Kind: relation.KindString}}
 	specs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindInt}}
-	a := NewAggTable(gs, specs, []string{"total"})
+	a := newAggStore(gs, specs, "total")
 
-	apply := func(tbl *AggTable, g string, v, support int64) {
+	apply := func(tbl aggStore, g string, v, support int64) {
 		t.Helper()
 		p := delta.NewGroupPartials(gs, specs)
 		p.Accumulate(relation.Tuple{relation.NewString(g)}, []relation.Value{relation.NewInt(v)}, support)
@@ -238,7 +238,7 @@ func TestAggTableCloneIsolation(t *testing.T) {
 func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	gs := relation.Schema{{Name: "g", Kind: relation.KindString}}
 	specs := []delta.AggSpec{{Kind: delta.AggCount}}
-	a := NewAggTable(gs, specs, []string{"n"})
+	a := newAggStore(gs, specs, "n")
 	p := delta.NewGroupPartials(gs, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g1")}, []relation.Value{relation.Null}, 3)
 	if _, _, err := a.Apply(p, nil); err != nil {
@@ -247,8 +247,8 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	b := a.Clone()
 
 	var key string
-	var accums []*delta.Accum
-	a.ScanGroups(func(gk string, _ int64, as []*delta.Accum) bool {
+	var accums []delta.Accum
+	a.ScanGroups(func(gk string, _ int64, as []delta.Accum) bool {
 		key, accums = gk, as
 		return false
 	})
@@ -257,7 +257,7 @@ func TestAggTableRestoreGroupDetaches(t *testing.T) {
 		t.Fatal("unexpected group counts")
 	}
 	var support int64
-	a.ScanGroups(func(_ string, s int64, _ []*delta.Accum) bool {
+	a.ScanGroups(func(_ string, s int64, _ []delta.Accum) bool {
 		support = s
 		return false
 	})
@@ -323,12 +323,12 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 	sumSpecs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindInt}, {Kind: delta.AggCount}}
 	maxSpecs := []delta.AggSpec{{Kind: delta.AggMax, ValueKind: relation.KindInt}, {Kind: delta.AggMin, ValueKind: relation.KindInt}}
 	tbl := NewTable(testSchema())
-	sums := NewAggTable(gs, sumSpecs, []string{"total", "n"})
-	ext := NewAggTable(nil, maxSpecs, []string{"hi", "lo"})
+	sums := newAggStore(gs, sumSpecs, "total", "n")
+	ext := newAggStore(nil, maxSpecs, "hi", "lo")
 
 	// apply installs one batch: ids[i] gets count copies in the table, and
 	// contributes to its group's sum and to the one MAX/MIN group.
-	apply := func(tbl *Table, sums, ext *AggTable, ids []int64, count int64) {
+	apply := func(tbl *Table, sums, ext aggStore, ids []int64, count int64) {
 		d := delta.New(testSchema())
 		ps := delta.NewGroupPartials(gs, sumSpecs)
 		pe := delta.NewGroupPartials(nil, maxSpecs)
@@ -342,7 +342,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			t.Error(err)
 		}
 		for _, step := range []struct {
-			agg *AggTable
+			agg aggStore
 			p   *delta.GroupPartials
 		}{{sums, ps}, {ext, pe}} {
 			if _, _, err := step.agg.Apply(step.p, delta.New(step.agg.Schema())); err != nil {

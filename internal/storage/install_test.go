@@ -26,13 +26,13 @@ var installSpecs = []delta.AggSpec{
 // installGroups is the tables' one grouping column.
 var installGroups = relation.Schema{{Name: "g", Kind: relation.KindInt}}
 
-// newInstallTable is an empty table grouped on g with installSpecs.
-func newInstallTable() *AggTable {
+// newInstallTable is an empty store grouped on g with installSpecs.
+func newInstallTable() aggStore {
 	names := make([]string, len(installSpecs))
 	for i := range names {
 		names[i] = fmt.Sprint("a", i)
 	}
-	return NewAggTable(installGroups, installSpecs, names)
+	return newAggStore(installGroups, installSpecs, names...)
 }
 
 // installRow accumulates count copies of the row (g, v) into p: every
@@ -56,13 +56,17 @@ func installRow(p *delta.GroupPartials, g, v, count int64) {
 // reports are that delta's Size and Digest, and the old rows with the delta
 // applied are the new ones. A second handle installs the same batch with no
 // delta and ends with the same rows and digest. Every other batch is
-// installed on fresh clones, whose entries are all shared, and the others on
-// the handle that made the entries the batch before changed, so both the
-// copy-on-write and the in-place fold are drawn.
+// installed on fresh clones, whose buckets are all shared, and the others on
+// the handle the batch before wrote. On even seeds the table of output rows
+// holds its join index on column 0, so that its rows are placed by their
+// group, and the index stays equal to a rebuild.
 func TestAggApplyMatchesTwoPass(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cur := newInstallTable()
+		if seed%2 == 0 {
+			cur.JoinIndex([]int{0})
+		}
 		model := make(map[[2]int64]int64) // (group, value) → count
 		nextGroup := int64(0)
 		kinds := make(map[string]int)
@@ -126,8 +130,8 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 			before, ref := aggRows(cur), newInstallTable()
 			if batch%2 == 0 {
 				ref, cur = cur.Clone(), cur.Clone()
-			} else { // a copy that leaves cur the owner of the entries it made
-				cur.ScanGroups(func(key string, support int64, accums []*delta.Accum) bool {
+			} else { // a copy built group by group, which shares no state with cur
+				cur.ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
 					restoreGroup(t, ref, key, support, accums)
 					return true
 				})
@@ -160,6 +164,12 @@ func TestAggApplyMatchesTwoPass(t *testing.T) {
 			if err := cur.CheckDigest(); err != nil {
 				t.Fatal(err)
 			}
+			if err := cur.CheckIndexes(); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			}
+		}
+		if st := cur.IndexStats(); seed%2 == 0 && !st[0].Placed {
+			t.Fatalf("seed %d: the index on the group column does not place the rows", seed)
 		}
 		for _, k := range []string{"deleted", "changed back", "extreme deleted", "changed", "created"} {
 			if kinds[k] == 0 {

@@ -232,7 +232,32 @@ var sumSpecs = []delta.AggSpec{
 	{Kind: delta.AggCount, ValueKind: relation.KindInt},
 }
 
-func newAgg() *AggTable { return NewAggTable(groupSchema, sumSpecs, []string{"total", "n"}) }
+// aggStore is a summary view's stores as a view keeps them: its groups and
+// the table of their output rows, written together.
+type aggStore struct {
+	*AggTable
+	*Table
+}
+
+// newAggStore returns empty stores of a summary view grouped on gs whose
+// aggregates, specs, are named names.
+func newAggStore(gs relation.Schema, specs []delta.AggSpec, names ...string) aggStore {
+	out := gs.Clone()
+	for i, s := range specs {
+		out = append(out, relation.Column{Name: names[i], Kind: s.OutputKind()})
+	}
+	return aggStore{NewAggTable(gs, specs), NewTable(out)}
+}
+
+func (s aggStore) Apply(p *delta.GroupPartials, d *delta.Delta) (int64, uint64, error) {
+	return s.AggTable.Apply(p, s.Table, d)
+}
+
+func (s aggStore) Clone() aggStore { return aggStore{s.AggTable.Clone(), s.Table.Clone()} }
+
+func (s aggStore) Build(n int) *AggBuilder { return s.AggTable.Build(s.Table, n) }
+
+func newAgg() aggStore { return newAggStore(groupSchema, sumSpecs, "total", "n") }
 
 func accumulate(p *delta.GroupPartials, g string, v float64, count int64) {
 	p.Accumulate(relation.Tuple{relation.NewString(g)},
@@ -262,7 +287,7 @@ func TestAggTableApplyAndScan(t *testing.T) {
 
 // applyWithDelta installs p into at and returns the delta Apply appended
 // to, sealed.
-func applyWithDelta(t *testing.T, at *AggTable, p *delta.GroupPartials) *delta.Delta {
+func applyWithDelta(t *testing.T, at aggStore, p *delta.GroupPartials) *delta.Delta {
 	t.Helper()
 	d := delta.New(at.Schema())
 	if _, _, err := at.Apply(p, d); err != nil {
@@ -310,9 +335,9 @@ func TestAggTableApplyAppendsDelta(t *testing.T) {
 	}
 }
 
-// aggRows copies an aggregate table's output rows into a table, to compare
-// by encoded row.
-func aggRows(at *AggTable) *Table {
+// aggRows copies an aggregate's output rows into a table of their own, to
+// compare by encoded row.
+func aggRows(at aggStore) *Table {
 	tbl := NewTable(at.Schema())
 	at.Scan(func(tup relation.Tuple, count int64) bool {
 		tbl.Insert(tup, count)
@@ -391,7 +416,7 @@ func TestAggTableClone(t *testing.T) {
 
 func TestAggTableMinMaxIncremental(t *testing.T) {
 	specs := []delta.AggSpec{{Kind: delta.AggMin, ValueKind: relation.KindInt}, {Kind: delta.AggMax, ValueKind: relation.KindInt}}
-	at := NewAggTable(groupSchema, specs, []string{"lo", "hi"})
+	at := newAggStore(groupSchema, specs, "lo", "hi")
 	add := func(p *delta.GroupPartials, v int64, c int64) {
 		p.Accumulate(relation.Tuple{relation.NewString("g")},
 			[]relation.Value{relation.NewInt(v), relation.NewInt(v)}, c)
@@ -421,7 +446,7 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 
 func TestAggTableDeleteAbsentMinMaxValueRejected(t *testing.T) {
 	specs := []delta.AggSpec{{Kind: delta.AggMin, ValueKind: relation.KindInt}}
-	at := NewAggTable(groupSchema, specs, []string{"lo"})
+	at := newAggStore(groupSchema, specs, "lo")
 	p := delta.NewGroupPartials(groupSchema, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(5)}, 2)
 	if _, _, err := at.Apply(p, nil); err != nil {

@@ -1,6 +1,8 @@
 // Package storage implements the materialized storage layer of the
-// warehouse: counted bag tables for select-project-join views and base
-// views, and group-state tables for aggregate (summary) views.
+// warehouse: a counted bag table holds every view's rows — a base view's,
+// a select-project-join view's and a summary view's, whose table holds one
+// row per group — and a summary view keeps its groups' accumulators beside
+// its table, in an aggregate table.
 //
 // All storage is multiset (bag) semantics with explicit counts, which is the
 // representation the counting algorithm of Griffin & Libkin [GL95] requires
@@ -269,6 +271,30 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 		t.indexPut(key, *r)
 	}
 	t.card -= count
+}
+
+// dropOne removes the row encoded as key, whose CRC is hash and which the
+// table holds once — an aggregate's output row (AggTable.Apply) — and
+// returns the key string the table held for it.
+func (t *Table) dropOne(hash uint64, key []byte) string {
+	at := hash
+	if t.placed { // see slot
+		at = cowmap.HashBytes(key[:relation.FirstLen(key)])
+	}
+	var held string
+	var have int64
+	t.rows.Visit(at, func(k string, r storedRow) bool {
+		if k != string(key) {
+			return true
+		}
+		held, have = k, r.count
+		return false
+	})
+	if have != 1 {
+		panic(fmt.Sprintf("storage: an aggregate's output row %v is held %d times, not once", mustDecode(string(key)), have))
+	}
+	t.deleteKey(hash, held, 1, 1)
+	return held
 }
 
 // countKey returns the count of the row encoded as key, whose CRC is hash.
