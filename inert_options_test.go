@@ -65,9 +65,14 @@ func TestSharedPlannerIsPrune(t *testing.T) {
 // because the frozen benchmark sets them, and change nothing: PruneShared,
 // called as the benchmark calls it, returns Prune's result. Windows
 // planned as the benchmark plans them (SharedPlanner) alternate with
-// dual-stage ones, whose every Comp(Vi, {D, A, B}) on the Siblings catalog
-// hashes the same deltas — the builds a window-wide cache once shared and a
-// 1-byte budget once spilled. A warehouse given every one of the options
+// dual-stage ones. A SharedPlanner window on the Siblings catalog builds
+// nothing: each Comp(Vi, {D}) probes A's and B's resident indexes, A being
+// a summary view whose table is indexed like any other. So the options are
+// shown inert under builds only by the dual-stage windows, whose every
+// Comp(Vi, {D, A, B}) hashes the same deltas — the builds a window-wide
+// cache once shared and a 1-byte budget once spilled — and under the
+// benchmark's planner only on windows that build nothing. A warehouse given
+// every one of the options
 // plans the same strategies, does the same work step by step and lands on
 // the same state as one given none, each Comp building the same tables for
 // itself, with every spill and shared counter and the reserved peak at 0.

@@ -209,12 +209,21 @@ func (w *Warehouse) DefineDerived(name string, def *algebra.CQ) error {
 				name, r.Alias, r.Schema, child.Schema())
 		}
 	}
-	v := &View{name: name, def: def, orders: newViewOrders(def), table: storage.NewTable(def.OutputSchema())}
-	if def.IsAggregate() {
-		v.agg = storage.NewAggTable(def.GroupSchema(), def.AggSpecs())
-	}
+	v := &View{name: name, def: def, orders: newViewOrders(def)}
+	v.table, v.agg = newStores(def)
 	w.define(v)
 	return nil
+}
+
+// newStores returns empty stores of a derived view: the table of its rows
+// and, for a summary view, the groups whose output rows that table holds,
+// placed by the grouping columns.
+func newStores(def *algebra.CQ) (*storage.Table, *storage.AggTable) {
+	if !def.IsAggregate() {
+		return storage.NewTable(def.OutputSchema()), nil
+	}
+	agg := storage.NewAggTable(def.GroupSchema(), def.AggSpecs())
+	return agg.NewRows(def.OutputSchema()), agg
 }
 
 // define adds a checked view to the catalog: a new catalog version, whose

@@ -44,9 +44,9 @@ func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh, out := &View{table: storage.NewTable(cq.OutputSchema())}, acc{}
+	fresh, out := &View{}, acc{}
+	fresh.table, fresh.agg = newStores(cq)
 	if cq.IsAggregate() {
-		fresh.agg = storage.NewAggTable(cq.GroupSchema(), cq.AggSpecs())
 		out.p = delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())
 	} else {
 		out.t = fresh.table

@@ -324,11 +324,13 @@ func (r *reader) frame(typ byte, payload []byte, _ int) error {
 	}
 	// The count sizes the build, so it is trusted no further than the bytes
 	// present: an entry takes two at the least.
-	sv, hint := stagedView{view: v, table: storage.NewTable(v.Schema())}, int(min(count, uint64(r.size/2)))
+	sv, hint := stagedView{view: v}, int(min(count, uint64(r.size/2)))
 	if agg := v.AggStore(); agg != nil {
 		sv.agg = agg.Empty()
+		sv.table = sv.agg.NewRows(v.Schema())
 		sv.groups = sv.agg.Build(sv.table, hint)
 	} else {
+		sv.table = storage.NewTable(v.Schema())
 		sv.rows = sv.table.Build(hint)
 	}
 	r.views = append(r.views, sv)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/cowmap"
@@ -18,7 +17,9 @@ import (
 // group, count 1, its grouping columns followed by one column per aggregate.
 // Apply and AggBuilder write that table beside the groups and keep it
 // holding exactly the groups' output rows, so that scans, join indexes and
-// the digest all come from the table.
+// the digest all come from the table. The table is placed by the grouping
+// columns (NewRows): a changed group's old row and new one share a bucket,
+// filed under the hash its group is filed under here.
 type AggTable struct {
 	groupSchema relation.Schema
 	specs       []delta.AggSpec
@@ -29,18 +30,20 @@ type AggTable struct {
 	groups cowmap.Map[groupState]
 }
 
-// groupState is one group's support and accumulators, one per spec.
+// groupState is one group's support and accumulators, one per spec, and
+// the encoding of its output row, the key string the table holds it under.
 type groupState struct {
 	support int64
 	accums  []delta.Accum
+	row     string
 }
 
 // appendRow appends the encoding of the group's output row to dst: its key
 // (Tuple.Encode of the grouping values), then each aggregate's output.
-func (g *groupState) appendRow(dst []byte, groupKey string) []byte {
+func appendRow[S string | []byte](dst []byte, groupKey S, support int64, accums []delta.Accum) []byte {
 	dst = append(dst, groupKey...)
-	for i := range g.accums {
-		dst = g.accums[i].Output(g.support).AppendEncoded(dst)
+	for i := range accums {
+		dst = accums[i].Output(support).AppendEncoded(dst)
 	}
 	return dst
 }
@@ -54,6 +57,15 @@ func NewAggTable(groupSchema relation.Schema, specs []delta.AggSpec) *AggTable {
 // build a replacement for t in.
 func (t *AggTable) Empty() *AggTable { return NewAggTable(t.groupSchema, t.specs) }
 
+// NewRows returns an empty table of the given schema — the grouping columns
+// then one column per aggregate — to hold the groups' output rows: its rows
+// are placed by the grouping columns (see Table).
+func (t *AggTable) NewRows(schema relation.Schema) *Table {
+	rows := NewTable(schema)
+	rows.placed = len(t.groupSchema)
+	return rows
+}
+
 // GroupSchema returns the schema of the grouping columns.
 func (t *AggTable) GroupSchema() relation.Schema { return t.groupSchema }
 
@@ -61,17 +73,17 @@ func (t *AggTable) GroupSchema() relation.Schema { return t.groupSchema }
 func (t *AggTable) Specs() []delta.AggSpec { return t.specs }
 
 // Apply installs the partials into the groups, and into rows — the table
-// that holds the groups' output rows — each changed group's old row and new
-// one. It returns what it installed: the number of output rows that went or
-// came and their digest (delta.Delta.Digest), with each row's count, -1 for
-// an old row and 1 for a new one. A d that is not nil gets those rows
-// appended (the delta's Seal is the caller's); a nil d builds nothing. It
-// checks every group before it changes any: a group whose support would go
-// negative, or a surviving group one of whose MIN/MAX value counts would,
-// is refused with the table, rows and d unchanged. Then one pass over the
-// groups finds each once, folds its partial once and removes its old row;
-// the new rows go in together through a Builder, so that their keys and
-// tuples come from its chunks, not an allocation each.
+// that holds the groups' output rows (NewRows) — each changed group's old
+// row and new one. It returns what it installed: the number of output rows
+// that went or came and their digest (delta.Delta.Digest), with each row's
+// count, -1 for an old row and 1 for a new one. A d that is not nil gets
+// those rows appended (the delta's Seal is the caller's); a nil d builds
+// nothing. It checks every group before it changes any: a group whose
+// support would go negative, or a surviving group one of whose MIN/MAX value
+// counts would, is refused with the table, rows and d unchanged. Then one
+// pass over the groups finds each once, folds its partial once and swaps its
+// old row for its new one, each new row's key and tuple allocated on its
+// own, so that a row keeps nothing of the others alive.
 func (t *AggTable) Apply(p *delta.GroupPartials, rows *Table, d *delta.Delta) (n int64, digest uint64, err error) {
 	type change struct {
 		hash uint64
@@ -107,13 +119,10 @@ func (t *AggTable) Apply(p *delta.GroupPartials, rows *Table, d *delta.Delta) (n
 		return 0, 0, err
 	}
 	t.groups.Grow(fresh)
-	rows.settle()
-	added := rows.Build(len(changes))
-	// was and now hold a changed group's output row before its fold and
-	// after it.
-	var was, now []byte
+	rows.rows.Grow(fresh)
+	var now []byte // a changed group's output row after its fold
 	for _, c := range changes {
-		g := groupState{support: c.old.support + c.gp.Support}
+		g := groupState{support: c.old.support + c.gp.Support, row: c.old.row}
 		if g.support > 0 {
 			g.accums = make([]delta.Accum, len(c.gp.Accums))
 			for i, a := range c.gp.Accums {
@@ -124,37 +133,32 @@ func (t *AggTable) Apply(p *delta.GroupPartials, rows *Table, d *delta.Delta) (n
 					g.accums[i] = a.Clone()
 				}
 			}
-			now = g.appendRow(now[:0], c.key)
-		}
-		if c.old.support > 0 {
-			was = c.old.appendRow(was[:0], c.key)
-			if g.support > 0 && bytes.Equal(was, now) {
+			now = appendRow(now[:0], c.key, g.support, g.accums)
+			if g.row == string(now) {
 				t.put(c.hash, c.key, g) // the same row: nothing to install
 				continue
 			}
-			hash := cowmap.HashBytes(was)
-			key := rows.dropOne(hash, was)
+		}
+		if c.old.support > 0 {
+			hash := cowmap.Hash(c.old.row)
+			rows.deleteKey(hash, c.old.row, 1, 1)
 			n, digest = n+1, digest^rowDigest(hash, -1)
 			if d != nil {
-				d.AddEncoded(key, -1)
+				d.AddEncoded(c.old.row, -1)
 			}
 		}
-		switch {
-		case g.support > 0:
-			if err := added.Add(now, 1); err != nil {
-				panic(fmt.Sprintf("storage: a group's output row does not fit its table: %v", err))
-			}
-			t.put(c.hash, c.key, g)
-		case c.old.support > 0:
+		if g.support == 0 {
 			t.groups.Delete(c.hash, c.key)
+			continue
 		}
-	}
-	added.Done()
-	for i, hash := range added.hashes {
+		g.row = string(now)
+		hash := cowmap.Hash(g.row)
+		rows.insertKey(hash, g.row, nil, 1)
 		n, digest = n+1, digest^rowDigest(hash, 1)
 		if d != nil {
-			d.AddEncoded(added.key(i), 1)
+			d.AddEncoded(g.row, 1)
 		}
+		t.put(c.hash, c.key, g)
 	}
 	return n, digest, nil
 }

@@ -327,7 +327,7 @@ func wideFirstColumnTable(fan int64) (*Table, *delta.Delta) {
 			panic(err)
 		}
 	}
-	if !t.placed {
+	if t.placed == 0 {
 		panic(fmt.Sprintf("storage: a table of %d rows a key is not placed", fan))
 	}
 	return t, d

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cowmap"
 	"repro/internal/delta"
@@ -66,7 +67,7 @@ func (b *Builder) Add(enc []byte, count int64) error {
 func (b *Builder) Done() {
 	b.close()
 	t := b.t
-	if t.rows.Len() > 0 || t.placed || len(t.indexes) > 0 {
+	if t.rows.Len() > 0 || t.placed > 0 || len(t.indexes) > 0 {
 		t.rows.Grow(len(b.hashes))
 		for i, h := range b.hashes {
 			key, tup := b.row(i)
@@ -91,23 +92,23 @@ func (b *Builder) Done() {
 // table with groups as ScanGroups hands them out — key, support and
 // accumulators — and the view's table with their output rows, and is the
 // one path by which groups enter an aggregate table but a change batch
-// (Apply). A group's key comes from a chunk as a row's does, and its
-// accumulators from one array of the build's; the same retention holds.
+// (Apply). Each group's output row is encoded as it is added and gathered
+// by a Builder of the rows table, whose retention holds: the row's key and
+// tuple come from its chunks. The group's key is a copy of the row key's
+// prefix, and its accumulators come from one array of the build's.
 type AggBuilder struct {
-	t    *AggTable
-	rows *Table
-	chunker
+	t        *AggTable
+	rows     *Builder
+	enc      []byte
 	supports []int64
 	accums   []delta.Accum // every group's, len(specs) each, in order
 }
 
 // Build starts a bulk build of about n groups into the table, and of their
-// output rows into rows, the table that holds the groups' rows.
+// output rows into rows, the table that holds the groups' rows (NewRows).
 func (t *AggTable) Build(rows *Table, n int) *AggBuilder {
-	c := newChunker(len(t.groupSchema), n)
-	c.keysOnly = true
 	return &AggBuilder{
-		t: t, rows: rows, chunker: c,
+		t: t, rows: rows.Build(n),
 		supports: make([]int64, 0, n), accums: make([]delta.Accum, 0, n*len(t.specs)),
 	}
 }
@@ -132,63 +133,51 @@ func (b *AggBuilder) Add(key []byte, support int64, accums []*delta.Accum) error
 			return fmt.Errorf("storage: accumulator %d has negative value counts", i)
 		}
 	}
-	if err := b.add(key); err != nil {
-		return err
-	}
-	b.supports = append(b.supports, support)
+	first := len(b.accums)
 	for _, a := range accums {
 		b.accums = append(b.accums, *a)
 	}
+	// A key of the wrong width makes a row of the wrong width.
+	b.enc = appendRow(b.enc[:0], key, support, b.accums[first:])
+	if err := b.rows.add(b.enc); err != nil {
+		b.accums = b.accums[:first]
+		return err
+	}
+	b.supports = append(b.supports, support)
 	return nil
 }
 
 // Done places every group added into the table and its output row into the
-// rows table. Into an empty table the groups go all at once
-// (cowmap.Map.Fill), the last of a key's kept, and then their rows through
-// a Builder; into one that holds groups they go one by one, a group already
-// held giving up its row first. The builder is spent.
+// rows table, group by group: a group already held or built gives up its
+// row first, so a key given twice keeps its last state. The builder is
+// spent.
 func (b *AggBuilder) Done() {
-	b.close()
-	t, k := b.t, len(b.t.specs)
-	state := func(i int) groupState {
-		return groupState{support: b.supports[i], accums: b.accums[i*k : (i+1)*k : (i+1)*k]}
-	}
-	var enc []byte
-	if t.groups.Len() > 0 {
-		for i, h := range b.hashes {
-			key, g := b.key(i), state(i)
-			if old, held := t.groups.Get(h, key); held {
-				enc = old.appendRow(enc[:0], key)
-				b.rows.dropOne(cowmap.HashBytes(enc), enc)
-			}
-			b.rows.InsertEncoded(g.appendRow(enc[:0], key), 1)
-			t.put(h, key, g)
+	rb := b.rows
+	rb.close()
+	t, rows, k := b.t, rb.t, len(b.t.specs)
+	t.groups.Grow(len(rb.hashes))
+	rows.rows.Grow(len(rb.hashes))
+	for i, hash := range rb.hashes {
+		row, tup := rb.row(i)
+		// The key is a string of its own: a group outlives its first row.
+		key := strings.Clone(row[:prefixLen(row, len(t.groupSchema))])
+		g, _ := t.groups.Ref(cowmap.Hash(key), key)
+		if g.row != "" {
+			rows.deleteKey(cowmap.Hash(g.row), g.row, 1, 1)
 		}
-		return
+		*g = groupState{support: b.supports[i], accums: b.accums[i*k : (i+1)*k : (i+1)*k], row: row}
+		rows.insertKey(hash, row, tup, 1)
 	}
-	t.groups.Fill(b.hashes, b.key, func(i int, g *groupState) { *g = state(i) })
-	rb := b.rows.Build(t.groups.Len())
-	t.groups.Scan(func(_ uint64, key string, g groupState) bool {
-		enc = g.appendRow(enc[:0], key)
-		if err := rb.Add(enc, 1); err != nil {
-			panic(fmt.Sprintf("storage: a group's output row does not fit its table: %v", err))
-		}
-		return true
-	})
-	rb.Done()
 }
 
 // chunker gathers row encodings and decodes them slabRows at a time; see
 // Builder.
 type chunker struct {
-	width int
-	// keysOnly skips the decoding: a group's key is all an aggregate build
-	// keeps of it.
-	keysOnly bool
-	open     []byte   // the open chunk's encodings, end to end
-	ends     []int    // where each row's encoding ends in its chunk's string
-	hashes   []uint64 // each row's CRC, once its chunk is closed
-	chunks   []chunk
+	width  int
+	open   []byte   // the open chunk's encodings, end to end
+	ends   []int    // where each row's encoding ends in its chunk's string
+	hashes []uint64 // each row's CRC, once its chunk is closed
+	chunks []chunk
 }
 
 // chunk is up to slabRows decoded rows: their keys end to end, and their
@@ -226,33 +215,28 @@ func (c *chunker) close() {
 	if rows == 0 {
 		return
 	}
-	ch := chunk{keys: string(c.open)}
-	if !c.keysOnly {
-		ch.slab = make([]relation.Value, rows*c.width)
-	}
+	ch := chunk{keys: string(c.open), slab: make([]relation.Value, rows*c.width)}
 	c.chunks = append(c.chunks, ch)
 	c.open = c.open[:0]
 	for i := first; i < len(c.ends); i++ {
-		key := c.key(i)
-		if !c.keysOnly {
-			_, tup := c.row(i)
-			relation.DecodeInto(tup, key)
-		}
+		key, tup := c.row(i)
+		relation.DecodeInto(tup, key)
 		c.hashes = append(c.hashes, cowmap.Hash(key))
 	}
 }
 
 // row returns row i's key and tuple, once its chunk is closed.
 func (c *chunker) row(i int) (string, relation.Tuple) {
-	j := i % slabRows
-	return c.key(i), c.chunks[i/slabRows].slab[j*c.width : (j+1)*c.width : (j+1)*c.width]
+	ch, j := &c.chunks[i/slabRows], i%slabRows
+	start := 0
+	if j > 0 {
+		start = c.ends[i-1]
+	}
+	return ch.keys[start:c.ends[i]], ch.slab[j*c.width : (j+1)*c.width : (j+1)*c.width]
 }
 
 // key returns row i's key, once its chunk is closed.
 func (c *chunker) key(i int) string {
-	start := 0
-	if i%slabRows > 0 {
-		start = c.ends[i-1]
-	}
-	return c.chunks[i/slabRows].keys[start:c.ends[i]]
+	key, _ := c.row(i)
+	return key
 }

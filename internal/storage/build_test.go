@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -178,5 +180,59 @@ func TestBulkBuildRetention(t *testing.T) {
 	}
 	if float64(held) > 1.05*float64(built) {
 		t.Errorf("the kept rows hold %d bytes, more than the %d bytes the build held", held, built)
+	}
+}
+
+// TestSummaryTableRetention: a summary view's stores stop growing once
+// their bulk build's retention is reached, however many windows change
+// them. The groups are built in bulk (AggBuilder), then 400 windows each
+// change a random 1 % of them through a clone, as an update window does, and
+// the old handle is dropped. By window 200 most groups have changed and
+// every chunk of the build is still held by a row not changed since (the
+// Builder's retention); from there the stores hold their live rows and
+// groups, and little more. Apply allocates each new row on its own, so a
+// row that outlives its window keeps none of that window's other rows
+// alive: were a window's new rows gathered into shared chunks, each row
+// unchanged since would keep its window's chunk, and the stores would grow
+// by a chunk a window.
+func TestSummaryTableRetention(t *testing.T) {
+	const groups = 4000
+	key := func(g int) string { return relation.Tuple{relation.NewString(fmt.Sprintf("group-%05d", g))}.Encode() }
+	base := heapAlloc()
+	s := newAgg()
+	b := s.Build(groups)
+	for g := 0; g < groups; g++ {
+		total, n := delta.NewAccum(sumSpecs[0]), delta.NewAccum(sumSpecs[1])
+		total.Add(relation.NewFloat(1), 1)
+		n.Add(relation.Null, 1)
+		if err := b.Add([]byte(key(g)), 1, []*delta.Accum{total, n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Done()
+	rng := rand.New(rand.NewSource(1))
+	var steady uint64
+	for win := 1; win <= 400; win++ {
+		p := delta.NewGroupPartials(groupSchema, sumSpecs)
+		for i := 0; i < groups/100; i++ {
+			accumulate(p, fmt.Sprintf("group-%05d", rng.Intn(groups)), float64(win), 1)
+		}
+		c := s.Clone()
+		if _, _, err := c.Apply(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		s = c
+		if win == 200 {
+			steady = heapAlloc() - base
+		}
+	}
+	held := heapAlloc() - base
+	runtime.KeepAlive(s)
+	if err := s.CheckDigest(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d groups hold %.2f MB after 200 windows, %.2f MB after 400", groups, float64(steady)/1e6, float64(held)/1e6)
+	if float64(held) > 1.1*float64(steady) {
+		t.Errorf("after 400 windows the stores hold %d bytes, more than 1.1× the %d they held after 200", held, steady)
 	}
 }

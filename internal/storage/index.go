@@ -42,6 +42,8 @@ import (
 // (Table.settle, on the writer path) makes the index's map the row map, in
 // O(1): the rows are placed by their first column from then on, the row map
 // serves the index, and every write to the table is one bucket copy fewer.
+// A summary view's table is placed by its grouping columns when it is made
+// (AggTable.NewRows), and its row map serves the index on those columns.
 
 // Index is one resident join index of a Table handle.
 type Index struct {
@@ -69,7 +71,8 @@ type IndexStats struct {
 	// it passed through.
 	Probes, Upkeep int64
 	// Placed reports that the table's row map serves the index: its rows
-	// are placed by their first column and the index files no rows of its own.
+	// are placed by the index's columns and the index files no rows of its
+	// own.
 	Placed bool
 }
 
@@ -106,13 +109,18 @@ func (ix *Index) stats() IndexStats {
 	}
 }
 
-// onFirstColumn reports whether the index is on column 0 alone.
-func (ix *Index) onFirstColumn() bool { return len(ix.cols) == 1 && ix.cols[0] == 0 }
+// onLeading reports whether the index is on the first n columns, no more.
+// Its columns ascend from 0, so the last is n-1 exactly when they are 0…n-1.
+func (ix *Index) onLeading(n int) bool { return len(ix.cols) == n && ix.cols[n-1] == n-1 }
 
-// served reports whether the table's row map serves the index: it is on
-// column 0, by whose values the table's rows are placed. A table holds at
-// most one index on a column set (JoinIndex hands out the resident one).
-func (ix *Index) served() bool { return ix.t.placed && ix.onFirstColumn() }
+// onFirstColumn reports whether the index is on column 0 alone.
+func (ix *Index) onFirstColumn() bool { return ix.onLeading(1) }
+
+// served reports whether the table's row map serves the index: it is on the
+// leading columns by whose values the table's rows are placed. A table
+// holds at most one index on a column set (JoinIndex hands out the resident
+// one).
+func (ix *Index) served() bool { return ix.t.placed > 0 && ix.onLeading(ix.t.placed) }
 
 // entries returns the map that files the table's rows by the index's key:
 // the index's own, or the row map while that serves it.
@@ -300,7 +308,7 @@ func (t *Table) indexDelete(key string) {
 // (BenchmarkWideFirstColumn).
 func (t *Table) settle() {
 	i := slices.IndexFunc(t.indexes, (*Index).onFirstColumn)
-	if t.placed || i < 0 {
+	if t.placed > 0 || i < 0 {
 		return
 	}
 	// The index is the handle's own (Clone gives every handle a copy), so it
@@ -309,5 +317,5 @@ func (t *Table) settle() {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	t.rows, ix.rows = ix.rows, cowmap.Map[storedRow]{}
-	t.placed = true
+	t.placed = 1
 }

@@ -88,7 +88,7 @@ func TestPlacementDifferential(t *testing.T) {
 				}
 			}
 
-			before, beforeModel, wasPlaced := tbl.Clone(), maps.Clone(model), tbl.placed
+			before, beforeModel, wasPlaced := tbl.Clone(), maps.Clone(model), tbl.placed > 0
 			what := fmt.Sprintf("seed %d batch %d", seed, batch)
 			stop := make(chan struct{})
 			var reader sync.WaitGroup
@@ -126,14 +126,14 @@ func TestPlacementDifferential(t *testing.T) {
 				return true
 			})
 			switch {
-			case tbl.placed && !wasPlaced:
+			case tbl.placed > 0 && !wasPlaced:
 				placements++
 				placedWide = wide(before)
-			case wasPlaced && !tbl.placed:
+			case wasPlaced && tbl.placed == 0:
 				t.Fatalf("%s: the rows were placed by their first column and are no longer", what)
 			}
-			wentWide = wentWide || (tbl.placed && wide(tbl))
-			if twin.placed {
+			wentWide = wentWide || (tbl.placed > 0 && wide(tbl))
+			if twin.placed > 0 {
 				t.Fatalf("%s: the twin, which has no index on [0], placed its rows", what)
 			}
 
@@ -155,7 +155,7 @@ func TestPlacementDifferential(t *testing.T) {
 			if err := probesMatch(before, beforeModel, []int{0}, []int{2}); err != nil {
 				t.Fatalf("%s: the clone from before the batch: %v", what, err)
 			}
-			if before.placed != wasPlaced {
+			if (before.placed > 0) != wasPlaced {
 				t.Fatalf("%s: the batch changed the placement of a clone taken before it", what)
 			}
 		}
@@ -209,7 +209,7 @@ func probesMatch(tbl *Table, model map[string]int64, cols ...[]int) error {
 func TestFirstInstallMovesNoRow(t *testing.T) {
 	allocs := func(first bool) float64 {
 		tbl, d := indexApplyTable([][]int{{0}}, first)
-		if tbl.placed == first {
+		if (tbl.placed > 0) == first {
 			t.Fatalf("first=%v: the table starts placed=%v", first, tbl.placed)
 		}
 		var last *Table
@@ -293,7 +293,7 @@ func TestPlacedFirstValuesThatCollide(t *testing.T) {
 	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.placed {
+	if tbl.placed == 0 {
 		t.Fatal("the rows were not placed by their first column")
 	}
 	checkIndexes(t, "both keys", tbl)
@@ -344,7 +344,7 @@ func TestIndexKeysThatCollide(t *testing.T) {
 	if _, err := tbl.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.placed {
+	if tbl.placed > 0 {
 		t.Fatal("the rows were placed with no index on [0]")
 	}
 	for _, ix := range []*Index{onB, onAB} {

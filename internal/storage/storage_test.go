@@ -246,7 +246,8 @@ func newAggStore(gs relation.Schema, specs []delta.AggSpec, names ...string) agg
 	for i, s := range specs {
 		out = append(out, relation.Column{Name: names[i], Kind: s.OutputKind()})
 	}
-	return aggStore{NewAggTable(gs, specs), NewTable(out)}
+	agg := NewAggTable(gs, specs)
+	return aggStore{agg, agg.NewRows(out)}
 }
 
 func (s aggStore) Apply(p *delta.GroupPartials, d *delta.Delta) (int64, uint64, error) {

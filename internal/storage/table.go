@@ -31,7 +31,9 @@ import (
 // install has found the join index on column 0 resident — under the CRC of
 // its first value's encoding, a prefix of the key: the rows that share a
 // first value then share a bucket, and the row map itself serves that index
-// (see index.go, "Rows placed by their first column").
+// (see index.go, "Rows placed by their first column"). A summary view's
+// table is placed from the start by its grouping columns (AggTable.NewRows),
+// so that a group's old output row and its new one share a bucket.
 //
 // A stored tuple is written once, when its row first appears, and never
 // again: Scan, Index.Probe and SortedRows hand out that tuple itself, shared by
@@ -49,9 +51,10 @@ type Table struct {
 	// digest is the XOR over rows of rowDigest: the table's term of the
 	// warehouse state digest, kept current by every count change.
 	digest uint64
-	// placed is set once the rows are filed by their first value, and the
-	// row map serves the index on column 0, which the handle then holds.
-	placed bool
+	// placed is the number of leading values the rows are filed by, 0
+	// while they are filed by their whole encoding; the row map serves the
+	// index on those columns, if the handle holds it.
+	placed int
 	// indexes holds the resident join indexes (see index.go), which the
 	// writes below keep current and Clone hands on. idxMu guards the slice,
 	// not the indexes: readers of a handle may create an index on it — the
@@ -179,8 +182,8 @@ func (t *Table) InsertEncoded(key []byte, count int64) {
 	}
 	hash := cowmap.HashBytes(key)
 	at := hash
-	if t.placed { // see slot
-		at = cowmap.HashBytes(key[:relation.FirstLen(key)])
+	if t.placed > 0 { // see slot
+		at = cowmap.HashBytes(key[:prefixLen(key, t.placed)])
 	}
 	// A held row of an indexed table takes the key as a string too: its
 	// indexes file it by the key.
@@ -193,14 +196,24 @@ func (t *Table) InsertEncoded(key []byte, count int64) {
 }
 
 // slot returns the hash the row map files the row encoded as key under,
-// given the CRC of the whole key: that CRC, or the CRC of the key's first
-// value while the rows are placed by it. The whole key's CRC stays the
+// given the CRC of the whole key: that CRC, or the CRC of the key's leading
+// values while the rows are placed by them. The whole key's CRC stays the
 // row's digest term either way.
 func (t *Table) slot(hash uint64, key string) uint64 {
-	if t.placed {
-		return cowmap.Hash(key[:relation.FirstLen(key)])
+	if t.placed > 0 {
+		return cowmap.Hash(key[:prefixLen(key, t.placed)])
 	}
 	return hash
+}
+
+// prefixLen returns the length of the encoding of the first n values of the
+// row encoded as key.
+func prefixLen[S string | []byte](key S, n int) int {
+	at := 0
+	for ; n > 0; n-- {
+		at += relation.FirstLen(key[at:])
+	}
+	return at
 }
 
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
@@ -271,30 +284,6 @@ func (t *Table) deleteKey(hash uint64, key string, count, have int64) {
 		t.indexPut(key, *r)
 	}
 	t.card -= count
-}
-
-// dropOne removes the row encoded as key, whose CRC is hash and which the
-// table holds once — an aggregate's output row (AggTable.Apply) — and
-// returns the key string the table held for it.
-func (t *Table) dropOne(hash uint64, key []byte) string {
-	at := hash
-	if t.placed { // see slot
-		at = cowmap.HashBytes(key[:relation.FirstLen(key)])
-	}
-	var held string
-	var have int64
-	t.rows.Visit(at, func(k string, r storedRow) bool {
-		if k != string(key) {
-			return true
-		}
-		held, have = k, r.count
-		return false
-	})
-	if have != 1 {
-		panic(fmt.Sprintf("storage: an aggregate's output row %v is held %d times, not once", mustDecode(string(key)), have))
-	}
-	t.deleteKey(hash, held, 1, 1)
-	return held
 }
 
 // countKey returns the count of the row encoded as key, whose CRC is hash.
@@ -374,7 +363,7 @@ func (t *Table) Equal(o *Table) bool {
 	}
 	equal := true
 	t.rows.Scan(func(hash uint64, key string, r storedRow) bool {
-		if t.placed {
+		if t.placed > 0 {
 			hash = cowmap.Hash(key)
 		}
 		equal = o.countKey(hash, key) == r.count
