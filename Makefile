@@ -143,13 +143,16 @@ fuzz:
 # differential oracle, and the query path's presentation (ORDER BY, LIMIT and
 # OFFSET over drawn rows) against the reference algorithm it replaced, and the
 # sealed delta — drawn Add, AddEncoded, Merge and Seal sequences — against a
-# map of signed counts. Cheap enough for CI.
+# map of signed counts, and a summary table — drawn Apply batches, refused
+# ones too, clones and bulk rebuilds — against a model of (group, value)
+# rows. Cheap enough for CI.
 fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournal -fuzztime 10s
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRead -fuzztime 10s
 	$(GO) test ./internal/sqlparse/ -run '^$$' -fuzz FuzzParseDifferential -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzQueryPresentation -fuzztime 10s
 	$(GO) test ./internal/delta/ -run '^$$' -fuzz FuzzSealedDelta -fuzztime 10s
+	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSummaryTable -fuzztime 10s
 
 bench:
 	$(GO) test . -run '^$$' -bench . -benchtime 1x

@@ -336,6 +336,7 @@ var unreachedBecause = map[string]string{
 	"replicate.Leader.Warehouse":             reasonHarness,
 	"replicate.NewLeaderFrom":                reasonFailover,
 	"serve.Server.Warehouse":                 reasonHarness,
+	"storage.Table.CheckGroups":              reasonHarness,
 	"storage.Table.CheckIndexes":             reasonHarness,
 	"storage.Table.Delete":                   reasonHarness,
 	"storage.Table.Equal":                    reasonHarness,

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -236,7 +237,8 @@ func Diff(want, got State) error {
 }
 
 // Invariants checks what must hold of every epoch a warehouse adopts: each
-// resident join index equals a rebuild from its table's rows, and (VerifyAll)
+// resident join index equals a rebuild from its table's rows, each summary
+// view's rows are the outputs of the groups they carry, and (VerifyAll)
 // each view's running digest equals a scan's and every derived view its
 // recomputation from its children.
 func Invariants(w *warehouse.Warehouse) error {
@@ -244,7 +246,8 @@ func Invariants(w *warehouse.Warehouse) error {
 	defer p.Close()
 	c := p.Internal()
 	for _, name := range c.ViewNames() {
-		if err := c.MustView(name).Table().CheckIndexes(); err != nil {
+		tbl := c.MustView(name).Table()
+		if err := cmp.Or(tbl.CheckIndexes(), tbl.CheckGroups()); err != nil {
 			return fmt.Errorf("view %s: %w", name, err)
 		}
 	}

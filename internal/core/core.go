@@ -43,10 +43,9 @@ type View struct {
 	// clone (nil for base views).
 	orders *viewOrders
 
-	// table holds the view's rows, whatever its kind: a summary view's
-	// holds one row per group, which agg's Apply and Build keep current.
+	// table holds the view's rows, whatever its kind: a summary view's is a
+	// summary table, one row per group, each carrying its group's state.
 	table *storage.Table
-	agg   *storage.AggTable // a summary view's groups; nil otherwise
 
 	// mu guards lazy initialization/finalization of the pending state, so
 	// that expressions the scheduler (package exec) runs concurrently may
@@ -55,11 +54,10 @@ type View struct {
 	pendingDelta    *delta.Delta         // base + SPJ: accumulated changes
 	pendingPartials *delta.GroupPartials // aggregate: accumulated group partials
 	// finalized and next are an aggregate's δV once read (DeltaOf): the rows
-	// its install changes, and the clone of its stores that install built
-	// them on — a view outside the catalog holding only them — which
-	// Install then adopts.
+	// its install changes, and the clone of its table that install built
+	// them on, which Install then adopts.
 	finalized *delta.Delta
-	next      *View
+	next      *storage.Table
 }
 
 // Name returns the view's name.
@@ -72,7 +70,7 @@ func (v *View) Def() *algebra.CQ { return v.def }
 func (v *View) IsBase() bool { return v.def == nil }
 
 // IsAggregate reports whether the view is a summary (grouped) view.
-func (v *View) IsAggregate() bool { return v.agg != nil }
+func (v *View) IsAggregate() bool { return v.def != nil && v.def.IsAggregate() }
 
 // Schema returns the view's output schema.
 func (v *View) Schema() relation.Schema { return v.table.Schema() }
@@ -98,9 +96,9 @@ func (v *View) CheckDigest() error { return v.table.CheckDigest() }
 func (v *View) SortedRows() []storage.CountedTuple { return v.table.SortedRows() }
 
 // Table exposes the counted table that holds the view's rows — a summary
-// view's too, one row per group. Intended for snapshot/restore machinery;
-// mutating the table directly bypasses the strategy framework, and a
-// summary view's table is written only beside its groups (AggStore).
+// view's too, one row per group, each carrying its group's state. Intended
+// for snapshot/restore machinery; mutating the table directly bypasses the
+// strategy framework.
 func (v *View) Table() *storage.Table { return v.table }
 
 // IndexStats describes the resident join indexes through which delta-driven
@@ -108,23 +106,21 @@ func (v *View) Table() *storage.Table { return v.table }
 // as any other's: its table's.
 func (v *View) IndexStats() []storage.IndexStats { return v.table.IndexStats() }
 
-// AggStore exposes a summary view's groups — each one's support and
-// accumulators, whose output rows the view's table holds — and is nil for
-// any other view. Intended for snapshot/restore machinery.
-func (v *View) AggStore() *storage.AggTable { return v.agg }
+// NewTable returns an empty table of the view's kind and schema — a
+// summary table for a summary view — to build a replacement for its rows in.
+func (v *View) NewTable() *storage.Table { return newTable(v.def, v.Schema()) }
 
-// Replace makes t the view's rows and, for a summary view, agg its groups,
-// whose output rows t must hold: stores built fresh replace the old ones
-// whole, which stay as they were for whoever still holds them.
-// snapshot.Read builds each view's state beside the live one and swaps it
-// in once the whole snapshot has verified; a refresh swaps in its
-// recomputation. The table must have the view's schema, and the view no
-// pending changes.
-func (v *View) Replace(t *storage.Table, agg *storage.AggTable) {
-	if t == nil || (agg == nil) != (v.agg == nil) {
-		panic(fmt.Sprintf("core: Replace of view %q with a store of the other kind", v.name))
+// Replace makes t the view's rows: a table built fresh replaces the old one
+// whole, which stays as it was for whoever still holds it. snapshot.Read
+// builds each view's state beside the live one and swaps it in once the
+// whole snapshot has verified; a refresh swaps in its recomputation. The
+// table must be of the view's kind (NewTable) and schema, and the view have
+// no pending changes.
+func (v *View) Replace(t *storage.Table) {
+	if t == nil || t.IsSummary() != v.IsAggregate() {
+		panic(fmt.Sprintf("core: Replace of view %q with a table of the other kind", v.name))
 	}
-	v.table, v.agg = t, agg
+	v.table = t
 }
 
 // HasPending reports whether uninstalled changes exist for the view.
@@ -209,21 +205,17 @@ func (w *Warehouse) DefineDerived(name string, def *algebra.CQ) error {
 				name, r.Alias, r.Schema, child.Schema())
 		}
 	}
-	v := &View{name: name, def: def, orders: newViewOrders(def)}
-	v.table, v.agg = newStores(def)
-	w.define(v)
+	w.define(&View{name: name, def: def, orders: newViewOrders(def), table: newTable(def, def.OutputSchema())})
 	return nil
 }
 
-// newStores returns empty stores of a derived view: the table of its rows
-// and, for a summary view, the groups whose output rows that table holds,
-// placed by the grouping columns.
-func newStores(def *algebra.CQ) (*storage.Table, *storage.AggTable) {
-	if !def.IsAggregate() {
-		return storage.NewTable(def.OutputSchema()), nil
+// newTable returns an empty table of a view defined by def (nil for a base
+// view) with the given output schema: a summary table for a summary view.
+func newTable(def *algebra.CQ, schema relation.Schema) *storage.Table {
+	if def == nil || !def.IsAggregate() {
+		return storage.NewTable(schema)
 	}
-	agg := storage.NewAggTable(def.GroupSchema(), def.AggSpecs())
-	return agg.NewRows(def.OutputSchema()), agg
+	return storage.NewSummaryTable(schema, len(def.GroupBy), def.AggSpecs())
 }
 
 // define adds a checked view to the catalog: a new catalog version, whose
@@ -348,9 +340,9 @@ func (w *Warehouse) StageDelta(name string, d *delta.Delta) error {
 
 // DeltaOf returns the view's pending change set as plus/minus tuples. For an
 // aggregate view this finalizes the accumulated group partials: it installs
-// them into clones of the view's stores, which yields δV as the old and new
-// rows of the groups they change (storage.AggTable.Apply), and keeps the
-// clones for Install to adopt. After finalization, further Compute calls on
+// them into a clone of the view's table, which yields δV as the old and new
+// rows of the groups they change (storage.Table.Apply), and keeps the clone
+// for Install to adopt. After finalization, further Compute calls on
 // the view are rejected (a correct strategy never needs them: conditions
 // C5/C8 put every Comp of V before any reader of δV).
 func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
@@ -361,12 +353,12 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	pending := v.pendingLocked()
-	if v.agg == nil {
+	if pending.p == nil {
 		return pending.d, nil
 	}
 	if v.finalized == nil {
-		next, d := v.cloneStores(), delta.New(v.Schema())
-		_, _, err := next.agg.Apply(pending.p, next.table, d)
+		next, d := v.table.Clone(), delta.New(v.Schema())
+		_, _, err := next.Apply(pending.p, d)
 		if err = cmp.Or(err, d.Seal()); err != nil {
 			return nil, fmt.Errorf("core: finalizing δ%s: %w", name, err)
 		}
@@ -375,17 +367,13 @@ func (w *Warehouse) DeltaOf(name string) (*delta.Delta, error) {
 	return v.finalized, nil
 }
 
-// cloneStores returns a view outside the catalog that holds clones of an
-// aggregate view's stores, its table and its groups.
-func (v *View) cloneStores() *View { return &View{table: v.table.Clone(), agg: v.agg.Clone()} }
-
 // pendingLocked returns the view's pending change state, creating it empty
 // on first use: group partials for an aggregate view, a delta otherwise.
 // Callers hold v.mu.
 func (v *View) pendingLocked() acc {
-	if v.agg != nil {
+	if v.IsAggregate() {
 		if v.pendingPartials == nil {
-			v.pendingPartials = delta.NewGroupPartials(v.agg.GroupSchema(), v.agg.Specs())
+			v.pendingPartials = delta.NewGroupPartials(v.def.GroupSchema(), v.def.AggSpecs())
 		}
 		return acc{p: v.pendingPartials}
 	}
@@ -398,9 +386,9 @@ func (v *View) pendingLocked() acc {
 // Install folds the view's pending change into its materialized state and
 // clears the pending state. It returns what it installed: the number of
 // rows, |δV|, and the digest of δV (delta.Delta.Digest). An aggregate view
-// whose δV was read adopts the stores DeltaOf built it on; otherwise it folds
+// whose δV was read adopts the table DeltaOf built it on; otherwise it folds
 // its group partials into its groups and their rows in one pass and builds
-// no tuple delta for them (see storage.AggTable.Apply).
+// no tuple delta for them (see storage.Table.Apply).
 func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) {
 	v := w.views[name]
 	if v == nil {
@@ -410,10 +398,10 @@ func (w *Warehouse) Install(name string) (rows int64, digest uint64, err error) 
 	defer v.mu.Unlock()
 	switch {
 	case v.next != nil:
-		v.table, v.agg, rows, digest = v.next.table, v.next.agg, v.finalized.Size(), v.finalized.Digest()
-	case v.agg != nil && v.pendingPartials != nil:
-		rows, digest, err = v.agg.Apply(v.pendingPartials, v.table, nil)
-	case v.agg == nil && v.pendingDelta != nil:
+		v.table, rows, digest = v.next, v.finalized.Size(), v.finalized.Digest()
+	case v.pendingPartials != nil:
+		rows, digest, err = v.table.Apply(v.pendingPartials, nil)
+	case v.pendingDelta != nil:
 		rows = v.pendingDelta.Size()
 		digest, err = v.table.ApplyDelta(v.pendingDelta)
 	}
@@ -439,9 +427,6 @@ func (w *Warehouse) Clone() *Warehouse {
 	out.list = make([]*View, 0, len(w.list))
 	for _, v := range w.list {
 		nv := &View{name: v.name, def: v.def, orders: v.orders, table: v.table.Clone()}
-		if v.agg != nil {
-			nv.agg = v.agg.Clone()
-		}
 		if v.pendingDelta != nil {
 			nv.pendingDelta = v.pendingDelta.Clone()
 		}
@@ -452,7 +437,7 @@ func (w *Warehouse) Clone() *Warehouse {
 			nv.pendingPartials = np
 		}
 		if v.next != nil {
-			nv.finalized, nv.next = v.finalized.Clone(), v.next.cloneStores()
+			nv.finalized, nv.next = v.finalized.Clone(), v.next.Clone()
 		}
 		out.views[v.name] = nv
 		out.list = append(out.list, nv)

@@ -81,8 +81,8 @@ func TestInstallAllocationsPerGroup(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fewest = min(fewest, installMallocs(t, w))
 	}
-	if per := float64(fewest) / changed; per > 7 {
-		t.Fatalf("Install of %d changed SUM/COUNT groups allocated %.1f times a group, want at most 7", changed, per)
+	if per := float64(fewest) / changed; per > 6 {
+		t.Fatalf("Install of %d changed SUM/COUNT groups allocated %.1f times a group, want at most 6", changed, per)
 	}
 }
 

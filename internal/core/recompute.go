@@ -35,21 +35,20 @@ func (w *Warehouse) Recompute(name string) ([]storage.CountedTuple, error) {
 // evalFull evaluates a definition from scratch over the current states of
 // its referenced views — the full term (no delta refs: every operand reads
 // state) run through the term engine, outside any window's build cache —
-// into fresh stores, returned as a view outside the catalog that holds only
-// them: a select-project-join's rows go straight into a new table, whose row
-// map merges equal rows, and an aggregate's partials become the groups of a
-// new aggregate table, built with their output rows (storage.AggBuilder).
-func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
+// into a fresh table: a select-project-join's rows go straight into a new
+// table, whose row map merges equal rows, and an aggregate's partials become
+// the groups of a new summary table, each built as its output row
+// (storage.AggBuilder).
+func (w *Warehouse) evalFull(cq *algebra.CQ) (*storage.Table, error) {
 	ops, err := w.bindStates(cq)
 	if err != nil {
 		return nil, err
 	}
-	fresh, out := &View{}, acc{}
-	fresh.table, fresh.agg = newStores(cq)
+	fresh, out := newTable(cq, cq.OutputSchema()), acc{}
 	if cq.IsAggregate() {
 		out.p = delta.NewGroupPartials(cq.GroupSchema(), cq.AggSpecs())
 	} else {
-		out.t = fresh.table
+		out.t = fresh
 	}
 	var rep CompReport
 	term := compiledTerm{orders: []*pipeline{recomputeOrder(cq, ops)}}
@@ -57,7 +56,7 @@ func (w *Warehouse) evalFull(cq *algebra.CQ) (*View, error) {
 		return nil, err
 	}
 	if out.p != nil {
-		b := fresh.agg.Build(fresh.table, out.p.GroupCount())
+		b := fresh.BuildGroups(out.p.GroupCount())
 		out.p.Scan(func(key string, gp *delta.GroupPartial) bool {
 			err = b.Add([]byte(key), gp.Support, gp.Accums)
 			return err == nil
@@ -159,7 +158,7 @@ func (w *Warehouse) RefreshAll() error {
 		if err != nil {
 			return fmt.Errorf("core: refreshing %q: %w", v.name, err)
 		}
-		v.Replace(fresh.table, fresh.agg)
+		v.Replace(fresh)
 	}
 	return nil
 }

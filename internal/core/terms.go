@@ -130,8 +130,8 @@ func (bt *buildTable) keyOf(i int32) []byte {
 }
 
 // buildKey identifies a build table: the physical operand (state table,
-// aggregate store or resolved delta — stable pointers until the operand's
-// view installs) plus the canonical key-column list.
+// a summary view's included, or resolved delta — stable pointers until the
+// operand's view installs) plus the canonical key-column list.
 type buildKey struct {
 	src  source
 	cols string

@@ -357,7 +357,7 @@ func TestFullEvaluationAllocatesPerDistinctRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows = v.table.DistinctCount()
+			rows = v.DistinctCount()
 		})
 		t.Logf("%s: %.0f allocations for %d distinct rows", c.sql, allocs, rows)
 		if rows != c.distinct || allocs > c.bound {

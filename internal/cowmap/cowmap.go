@@ -1,7 +1,7 @@
 // Package cowmap is the copy-on-write hash table under the warehouse's
 // stored state: the rows of a storage.Table (every view's, a summary view's
-// one row per group), the group states a summary view keeps beside its
-// table (storage.AggTable) and the value bag of a MIN/MAX delta.Accum.
+// one row per group, each entry carrying its group's state) and the value
+// bag of a MIN/MAX delta.Accum.
 //
 // A Map is a power-of-two directory of buckets, each a short slice of
 // {hash, key, value} entries. Clone is O(1): both handles keep the same

@@ -310,7 +310,7 @@ func (a *Accum) Output(support int64) relation.Value {
 // GroupPartials accumulates per-group partial aggregate changes produced by
 // the Comp expressions of an aggregate view. Partials from successive Comp
 // expressions of the same strategy are merged, then folded into the view's
-// groups by its install (storage.AggTable.Apply).
+// groups by its install (storage.Table.Apply).
 type GroupPartials struct {
 	groupSchema relation.Schema
 	specs       []AggSpec

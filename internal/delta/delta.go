@@ -6,7 +6,7 @@
 // across the Comp expressions of a strategy and applied to the view's groups
 // by its install, which writes each changed group's old and new output rows
 // into the view's table; they are the view's plus/minus tuples
-// (storage.AggTable.Apply).
+// (storage.Table.Apply).
 package delta
 
 import (

@@ -40,7 +40,7 @@ func wantOutput(t *testing.T, what string, a *delta.Accum, want relation.Value) 
 // right: deleting the current extreme while a duplicate of it remains,
 // deleting its last copy (the next one is found by a scan), deleting down
 // to empty (the group goes) and filling up again — through Add, and through
-// an aggregate table's install, whose delta must be the group's old row out
+// a summary table's install, whose delta must be the group's old row out
 // and its new row in, on a clone that leaves the state it came from as it
 // was.
 func TestMinMaxExtremeDeletes(t *testing.T) {
@@ -59,9 +59,8 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 			return p
 		}
 		row := func(v relation.Value) relation.Tuple { return relation.Tuple{relation.NewString("g"), v} }
-		state := storage.NewAggTable(group, []delta.AggSpec{spec})
-		rows := storage.NewTable(relation.Schema{group[0], {Name: "best", Kind: relation.KindInt}})
-		if _, _, err := state.Apply(partial(ext, 2, mid, 1, far, 1), rows, nil); err != nil {
+		rows := storage.NewSummaryTable(relation.Schema{group[0], {Name: "best", Kind: relation.KindInt}}, 1, []delta.AggSpec{spec})
+		if _, _, err := rows.Apply(partial(ext, 2, mid, 1, far, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 		had := relation.NewInt(ext)
@@ -69,8 +68,8 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 		step := func(what string, p *delta.GroupPartials, want relation.Value, wantValid bool) {
 			t.Helper()
 			before := rows.Digest()
-			next, nextRows, d := state.Clone(), rows.Clone(), delta.New(rows.Schema())
-			_, _, err := next.Apply(p, nextRows, d)
+			nextRows, d := rows.Clone(), delta.New(rows.Schema())
+			_, _, err := nextRows.Apply(p, d)
 			if (err == nil) != wantValid {
 				t.Fatalf("%v %s: Apply returns %v, want valid=%v", kind, what, err, wantValid)
 			}
@@ -99,7 +98,7 @@ func TestMinMaxExtremeDeletes(t *testing.T) {
 			if rows.Digest() != before {
 				t.Fatalf("%v %s: Apply on a clone changed the original's rows to %v", kind, what, rows.SortedRows())
 			}
-			state, rows, had = next, nextRows, want
+			rows, had = nextRows, want
 		}
 		step("delete one of two copies of the extreme", partial(ext, -1), relation.NewInt(ext), true)
 		step("delete its last copy", partial(ext, -1), relation.NewInt(mid), true)

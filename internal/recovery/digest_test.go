@@ -14,7 +14,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/relation"
 	"repro/internal/snapshot"
-	"repro/internal/storage"
 )
 
 var digestSchema = relation.Schema{
@@ -233,10 +232,10 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 			case r < 13:
 				what = "empty and refresh"
 				if p := w.MustView("P"); rng.Intn(2) == 0 {
-					p.Replace(storage.NewTable(p.Schema()), nil)
+					p.Replace(p.NewTable())
 				} else {
 					a := w.MustView("A")
-					a.Replace(storage.NewTable(a.Schema()), a.AggStore().Empty())
+					a.Replace(a.NewTable())
 				}
 				check(op, "empty", false)
 				must(w.RefreshAll())
@@ -244,7 +243,7 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 				what = "restore group"
 				// A group's state taken from another handle replaces, or
 				// adds, the group here; the refresh puts the view right.
-				from := live[rng.Intn(len(live))].MustView("A").AggStore()
+				from := live[rng.Intn(len(live))].MustView("A").Table()
 				var key string
 				var support int64
 				var accums []delta.Accum
@@ -260,8 +259,7 @@ func TestRunningDigestMatchesScan(t *testing.T) {
 						c := accums[i].Clone()
 						owned[i] = &c
 					}
-					a := w.MustView("A")
-					b := a.AggStore().Build(a.Table(), 1)
+					b := w.MustView("A").Table().BuildGroups(1)
 					must(b.Add([]byte(key), support+rng.Int63n(2), owned))
 					b.Done()
 					check(op, "restore group", false)

@@ -101,9 +101,9 @@ func whsnap01Fields(w *core.Warehouse) []byte {
 	p := binary.AppendUvarint(nil, uint64(len(w.ViewNames())))
 	for _, name := range w.ViewNames() {
 		p = journal.AppendString(p, name)
-		if agg := w.MustView(name).AggStore(); agg != nil {
-			p = binary.AppendUvarint(append(p, kindAgg), uint64(w.MustView(name).Cardinality()))
-			agg.ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
+		if v := w.MustView(name); v.IsAggregate() {
+			p = binary.AppendUvarint(append(p, kindAgg), uint64(v.Cardinality()))
+			v.Table().ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
 				p = binary.AppendVarint(journal.AppendString(p, key), support)
 				for i := range accums {
 					p = journal.AppendString(p, string(accums[i].AppendBinary(nil)))

@@ -81,9 +81,9 @@ func WriteContext(ctx context.Context, w *core.Warehouse, out io.Writer) error {
 	sw.end(typeHeader, binary.AppendUvarint(sw.begin(), uint64(len(names))))
 	for _, name := range names {
 		v := w.MustView(name)
-		if agg := v.AggStore(); agg != nil {
+		if v.IsAggregate() {
 			sw.view(name, kindAgg, v.Cardinality())
-			agg.ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
+			v.Table().ScanGroups(func(key string, support int64, accums []delta.Accum) bool {
 				sw.buf = binary.AppendVarint(journal.AppendString(sw.open(), key), support)
 				for i := range accums {
 					sw.buf = accums[i].AppendBinary(sw.buf)
@@ -206,14 +206,14 @@ func WriteFile(ctx context.Context, w *core.Warehouse, path string) error {
 
 // stagedView is a view's state as Read builds it, beside the live one: a
 // fresh table and the build that fills it with rows, or, for a summary view,
-// with the output rows of the groups a fresh aggregate table's build reads.
+// with the groups it reads, each placed as its output row.
 type stagedView struct {
 	view   *core.View
 	table  *storage.Table
 	rows   *storage.Builder
-	agg    *storage.AggTable
 	groups *storage.AggBuilder
-	accums []*delta.Accum // the group being read's, reused
+	specs  []delta.AggSpec // a summary view's aggregates
+	accums []*delta.Accum  // the group being read's, reused
 }
 
 // Read restores a snapshot into w, whose catalog must match the snapshot's
@@ -253,7 +253,7 @@ func Read(w *core.Warehouse, in io.Reader) error {
 		} else {
 			sv.groups.Done()
 		}
-		sv.view.Replace(sv.table, sv.agg)
+		sv.view.Replace(sv.table)
 	}
 	return nil
 }
@@ -319,18 +319,15 @@ func (r *reader) frame(typ byte, payload []byte, _ int) error {
 		return fmt.Errorf("view %q where catalog expects %q (definition order must match)", name, r.names[i])
 	}
 	v := r.w.MustView(name)
-	if agg := v.AggStore() != nil; kind > kindAgg || agg != (kind == kindAgg) {
+	if agg := v.IsAggregate(); kind > kindAgg || agg != (kind == kindAgg) {
 		return fmt.Errorf("view %q is of kind %d in the snapshot, and aggregate=%v in the catalog", name, kind, agg)
 	}
 	// The count sizes the build, so it is trusted no further than the bytes
 	// present: an entry takes two at the least.
-	sv, hint := stagedView{view: v}, int(min(count, uint64(r.size/2)))
-	if agg := v.AggStore(); agg != nil {
-		sv.agg = agg.Empty()
-		sv.table = sv.agg.NewRows(v.Schema())
-		sv.groups = sv.agg.Build(sv.table, hint)
+	sv, hint := stagedView{view: v, table: v.NewTable()}, int(min(count, uint64(r.size/2)))
+	if v.IsAggregate() {
+		sv.groups, sv.specs = sv.table.BuildGroups(hint), v.Def().AggSpecs()
 	} else {
-		sv.table = storage.NewTable(v.Schema())
 		sv.rows = sv.table.Build(hint)
 	}
 	r.views = append(r.views, sv)
@@ -369,7 +366,7 @@ func (sv *stagedView) row(c *journal.Cursor) {
 func (sv *stagedView) group(c *journal.Cursor) {
 	key, support := c.Bytes("group key"), c.Varint("group support")
 	sv.accums = sv.accums[:0]
-	for _, spec := range sv.agg.Specs() {
+	for _, spec := range sv.specs {
 		sv.accums = append(sv.accums, delta.DecodeAccum(c, spec))
 	}
 	if c.Err() == nil {

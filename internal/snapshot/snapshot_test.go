@@ -63,14 +63,8 @@ func snapshotOf(t testing.TB, w *core.Warehouse) []byte {
 	return buf.Bytes()
 }
 
-// emptyStore swaps empty stores of their kinds in for the view's.
-func emptyStore(v *core.View) {
-	if agg := v.AggStore(); agg != nil {
-		v.Replace(storage.NewTable(v.Schema()), agg.Empty())
-	} else {
-		v.Replace(storage.NewTable(v.Schema()), nil)
-	}
-}
+// emptyStore swaps an empty table of its kind in for the view's.
+func emptyStore(v *core.View) { v.Replace(v.NewTable()) }
 
 func TestRoundTrip(t *testing.T) {
 	w := build(t)
@@ -151,16 +145,15 @@ func TestWriteRefusesPending(t *testing.T) {
 // window's result depends on. Every field of core.View and core.Warehouse is
 // in one class below, each with its reason; a field added to either type
 // fails here until the snapshot writes it or it joins a class it belongs in.
-// A summary view's table is not written: Read rebuilds it from the groups,
-// and the rebuilt rows, digest and digest check are the writer's.
+// A summary view's table is written as its groups, which its rows carry:
+// Read rebuilds the rows from them, and the rebuilt rows, digest, digest
+// check and group check are the writer's.
 func TestSnapshotCoversEveryViewField(t *testing.T) {
 	classes := []struct {
 		name, reason string
 		fields       []string
 	}{
-		{"written by the snapshot", "Write streams each view's rows, or a summary view's groups; Read restores them",
-			[]string{"View.agg"}},
-		{"rebuilt from what is written", "a view's rows are its table's: Read fills the table with the rows written, or with the output rows of a summary view's groups",
+		{"written by the snapshot", "Write streams each view's rows, or a summary view's groups, which its rows carry; Read fills a table with the rows written, or with the output rows of the groups",
 			[]string{"View.table"}},
 		{"catalog", "the catalog is code: Read refuses a warehouse whose views, order or kinds do not match",
 			[]string{"View.name", "View.def", "Warehouse.list", "Warehouse.views", "Warehouse.version"}},
@@ -204,6 +197,9 @@ func TestSnapshotCoversEveryViewField(t *testing.T) {
 	}
 	want, got := w.MustView("A"), fresh.MustView("A")
 	if err := got.CheckDigest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Table().CheckGroups(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Digest() != want.Digest() {

@@ -157,7 +157,7 @@ func BenchmarkAggApply(b *testing.B) {
 	const touched = benchRows / 100
 	groupBy := relation.Schema{{Name: "g", Kind: relation.KindInt}}
 	run := func(b *testing.B, specs []delta.AggSpec, names []string, groupOf func(i int64) int64, installed, batch func(i int64) (relation.Value, int64)) {
-		t := newAggStore(groupBy, specs, names...)
+		t := newSummary(groupBy, specs, names...)
 		load := delta.NewGroupPartials(groupBy, specs)
 		inputs := make([]relation.Value, len(specs))
 		fill := func(p *delta.GroupPartials, n int64, row func(i int64) (relation.Value, int64)) {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cowmap"
 	"repro/internal/delta"
@@ -71,7 +70,7 @@ func (b *Builder) Done() {
 		t.rows.Grow(len(b.hashes))
 		for i, h := range b.hashes {
 			key, tup := b.row(i)
-			t.insertKey(h, key, tup, b.counts[i])
+			t.insertKey(h, key, tup, b.counts[i], nil)
 		}
 		return
 	}
@@ -88,29 +87,23 @@ func (b *Builder) Done() {
 	})
 }
 
-// AggBuilder is Builder for a summary view's stores: it fills an aggregate
-// table with groups as ScanGroups hands them out — key, support and
-// accumulators — and the view's table with their output rows, and is the
-// one path by which groups enter an aggregate table but a change batch
-// (Apply). Each group's output row is encoded as it is added and gathered
-// by a Builder of the rows table, whose retention holds: the row's key and
-// tuple come from its chunks. The group's key is a copy of the row key's
-// prefix, and its accumulators come from one array of the build's.
+// AggBuilder is Builder for a summary table: it fills the table with groups
+// as ScanGroups hands them out — key, support and accumulators — each
+// placed as its output row, which carries it, and is the one path by which
+// groups enter a summary table but a change batch (Apply). Each group's
+// output row is encoded as it is added and gathered by a Builder of the
+// table, whose retention holds: the row's key and tuple come from its
+// chunks, and its group and accumulators from one array each of the build's.
 type AggBuilder struct {
-	t        *AggTable
 	rows     *Builder
 	enc      []byte
 	supports []int64
 	accums   []delta.Accum // every group's, len(specs) each, in order
 }
 
-// Build starts a bulk build of about n groups into the table, and of their
-// output rows into rows, the table that holds the groups' rows (NewRows).
-func (t *AggTable) Build(rows *Table, n int) *AggBuilder {
-	return &AggBuilder{
-		t: t, rows: rows.Build(n),
-		supports: make([]int64, 0, n), accums: make([]delta.Accum, 0, n*len(t.specs)),
-	}
+// BuildGroups starts a bulk build of about n groups into the summary table.
+func (t *Table) BuildGroups(n int) *AggBuilder {
+	return &AggBuilder{rows: t.Build(n), supports: make([]int64, 0, n), accums: make([]delta.Accum, 0, n*len(t.specs))}
 }
 
 // Add adds the group whose key encodes as key, with its support and one
@@ -119,15 +112,16 @@ func (t *AggTable) Build(rows *Table, n int) *AggBuilder {
 // is not positive and accumulators that do not match the specs or hold a
 // negative value count; a refused group adds nothing.
 func (b *AggBuilder) Add(key []byte, support int64, accums []*delta.Accum) error {
+	specs := b.rows.t.specs
 	if support <= 0 {
 		return fmt.Errorf("storage: non-positive group support %d", support)
 	}
-	if len(accums) != len(b.t.specs) {
-		return fmt.Errorf("storage: %d accumulators for %d aggregates", len(accums), len(b.t.specs))
+	if len(accums) != len(specs) {
+		return fmt.Errorf("storage: %d accumulators for %d aggregates", len(accums), len(specs))
 	}
 	for i, a := range accums {
-		if a.Spec() != b.t.specs[i] {
-			return fmt.Errorf("storage: accumulator %d has spec %+v, want %+v", i, a.Spec(), b.t.specs[i])
+		if a.Spec() != specs[i] {
+			return fmt.Errorf("storage: accumulator %d has spec %+v, want %+v", i, a.Spec(), specs[i])
 		}
 		if !a.Valid() {
 			return fmt.Errorf("storage: accumulator %d has negative value counts", i)
@@ -147,26 +141,22 @@ func (b *AggBuilder) Add(key []byte, support int64, accums []*delta.Accum) error
 	return nil
 }
 
-// Done places every group added into the table and its output row into the
-// rows table, group by group: a group already held or built gives up its
-// row first, so a key given twice keeps its last state. The builder is
-// spent.
+// Done places every group added into the table as its output row, group by
+// group: a group already held or built gives up its row first, so a key
+// given twice keeps its last state. The builder is spent.
 func (b *AggBuilder) Done() {
 	rb := b.rows
 	rb.close()
-	t, rows, k := b.t, rb.t, len(b.t.specs)
-	t.groups.Grow(len(rb.hashes))
-	rows.rows.Grow(len(rb.hashes))
+	t, k := rb.t, len(rb.t.specs)
+	t.rows.Grow(len(rb.hashes))
+	groups := make([]group, len(rb.hashes))
 	for i, hash := range rb.hashes {
 		row, tup := rb.row(i)
-		// The key is a string of its own: a group outlives its first row.
-		key := strings.Clone(row[:prefixLen(row, len(t.groupSchema))])
-		g, _ := t.groups.Ref(cowmap.Hash(key), key)
-		if g.row != "" {
-			rows.deleteKey(cowmap.Hash(g.row), g.row, 1, 1)
+		if old, r := t.groupRow(row[:prefixLen(row, t.placed)]); r.group != nil {
+			t.deleteKey(cowmap.Hash(old), old, 1, 1)
 		}
-		*g = groupState{support: b.supports[i], accums: b.accums[i*k : (i+1)*k : (i+1)*k], row: row}
-		rows.insertKey(hash, row, tup, 1)
+		groups[i] = group{support: b.supports[i], accums: b.accums[i*k : (i+1)*k : (i+1)*k]}
+		t.insertKey(hash, row, tup, 1, &groups[i])
 	}
 }
 

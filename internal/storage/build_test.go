@@ -79,14 +79,14 @@ func TestBuildRefusesBadRows(t *testing.T) {
 // restoreGroup builds one group into at from a state that another handle
 // may hold: a build takes over the accumulators it is given, so it gets
 // clones.
-func restoreGroup(t *testing.T, at aggStore, key string, support int64, accums []delta.Accum) {
+func restoreGroup(t *testing.T, at *Table, key string, support int64, accums []delta.Accum) {
 	t.Helper()
 	owned := make([]*delta.Accum, len(accums))
 	for i := range accums {
 		c := accums[i].Clone()
 		owned[i] = &c
 	}
-	b := at.Build(1)
+	b := at.BuildGroups(1)
 	if err := b.Add([]byte(key), support, owned); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAggBuildEqualsOneByOne(t *testing.T) {
 		})
 		return accums
 	}
-	restore := func(at aggStore, key string, support int64, accums []*delta.Accum) {
+	restore := func(at *Table, key string, support int64, accums []*delta.Accum) {
 		vals := make([]delta.Accum, len(accums))
 		for i, a := range accums {
 			vals[i] = *a
@@ -121,7 +121,7 @@ func TestAggBuildEqualsOneByOne(t *testing.T) {
 			restore(built, key("a"), 7, state(7, 7))
 			restore(want, key("a"), 7, state(7, 7))
 		}
-		b := built.Build(3)
+		b := built.BuildGroups(3)
 		for i, g := range []string{"a", "b", "a"} {
 			if err := b.Add([]byte(key(g)), int64(i+1), state(float64(i), int64(i+1))); err != nil {
 				t.Fatal(err)
@@ -183,24 +183,24 @@ func TestBulkBuildRetention(t *testing.T) {
 	}
 }
 
-// TestSummaryTableRetention: a summary view's stores stop growing once
-// their bulk build's retention is reached, however many windows change
-// them. The groups are built in bulk (AggBuilder), then 400 windows each
-// change a random 1 % of them through a clone, as an update window does, and
-// the old handle is dropped. By window 200 most groups have changed and
+// TestSummaryTableRetention: a summary table stops growing once its bulk
+// build's retention is reached, however many windows change it. The groups
+// are built in bulk (AggBuilder), then 400 windows each change a random 1 %
+// of them through a clone, as an update window does, and the old handle is
+// dropped. By window 200 most groups have changed and
 // every chunk of the build is still held by a row not changed since (the
-// Builder's retention); from there the stores hold their live rows and
+// Builder's retention); from there the table holds its live rows and
 // groups, and little more. Apply allocates each new row on its own, so a
 // row that outlives its window keeps none of that window's other rows
 // alive: were a window's new rows gathered into shared chunks, each row
-// unchanged since would keep its window's chunk, and the stores would grow
+// unchanged since would keep its window's chunk, and the table would grow
 // by a chunk a window.
 func TestSummaryTableRetention(t *testing.T) {
 	const groups = 4000
 	key := func(g int) string { return relation.Tuple{relation.NewString(fmt.Sprintf("group-%05d", g))}.Encode() }
 	base := heapAlloc()
 	s := newAgg()
-	b := s.Build(groups)
+	b := s.BuildGroups(groups)
 	for g := 0; g < groups; g++ {
 		total, n := delta.NewAccum(sumSpecs[0]), delta.NewAccum(sumSpecs[1])
 		total.Add(relation.NewFloat(1), 1)
@@ -233,6 +233,6 @@ func TestSummaryTableRetention(t *testing.T) {
 	}
 	t.Logf("%d groups hold %.2f MB after 200 windows, %.2f MB after 400", groups, float64(steady)/1e6, float64(held)/1e6)
 	if float64(held) > 1.1*float64(steady) {
-		t.Errorf("after 400 windows the stores hold %d bytes, more than 1.1× the %d they held after 200", held, steady)
+		t.Errorf("after 400 windows the table holds %d bytes, more than 1.1× the %d they held after 200", held, steady)
 	}
 }

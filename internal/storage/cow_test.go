@@ -197,14 +197,14 @@ func TestPinnedTuplesSurviveSuccessor(t *testing.T) {
 }
 
 // TestAggTableCloneIsolation: Apply through either handle of a cloned
-// aggregate table leaves the other untouched, including in-place
+// summary table leaves the other untouched, including in-place
 // accumulator folds.
 func TestAggTableCloneIsolation(t *testing.T) {
 	gs := relation.Schema{{Name: "g", Kind: relation.KindString}}
 	specs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindInt}}
-	a := newAggStore(gs, specs, "total")
+	a := newSummary(gs, specs, "total")
 
-	apply := func(tbl aggStore, g string, v, support int64) {
+	apply := func(tbl *Table, g string, v, support int64) {
 		t.Helper()
 		p := delta.NewGroupPartials(gs, specs)
 		p.Accumulate(relation.Tuple{relation.NewString(g)}, []relation.Value{relation.NewInt(v)}, support)
@@ -238,7 +238,7 @@ func TestAggTableCloneIsolation(t *testing.T) {
 func TestAggTableRestoreGroupDetaches(t *testing.T) {
 	gs := relation.Schema{{Name: "g", Kind: relation.KindString}}
 	specs := []delta.AggSpec{{Kind: delta.AggCount}}
-	a := newAggStore(gs, specs, "n")
+	a := newSummary(gs, specs, "n")
 	p := delta.NewGroupPartials(gs, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g1")}, []relation.Value{relation.Null}, 3)
 	if _, _, err := a.Apply(p, nil); err != nil {
@@ -308,11 +308,12 @@ func (p pinnedView) same(scan func(func(relation.Tuple, int64) bool), sorted fun
 	return ""
 }
 
-// TestPinnedEpochSurvivesWindows: a reader pins an epoch's Table, AggTable
-// and one-group MAX view, and fifty windows then run on successive clones,
-// each writing into the buckets the pinned handles share — inserts (enough
-// of them to double the directory), count changes, deletes, groups and
-// values coming and going — while the reader rescans the pinned handles.
+// TestPinnedEpochSurvivesWindows: a reader pins an epoch's table, a summary
+// table and a one-group MAX summary table with no grouping columns, and
+// fifty windows then run on successive clones, each writing into the
+// buckets the pinned handles share — inserts (enough of them to double the
+// directory), count changes, deletes, groups and values coming and going —
+// while the reader rescans the pinned handles.
 // Their Scan, SortedRows, digest and every tuple scanned earlier stay
 // bit-identical throughout, and so does every probe of the table's two join
 // indexes, one unique and one of fifteen rows a key, whose buckets the
@@ -323,12 +324,12 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 	sumSpecs := []delta.AggSpec{{Kind: delta.AggSum, ValueKind: relation.KindInt}, {Kind: delta.AggCount}}
 	maxSpecs := []delta.AggSpec{{Kind: delta.AggMax, ValueKind: relation.KindInt}, {Kind: delta.AggMin, ValueKind: relation.KindInt}}
 	tbl := NewTable(testSchema())
-	sums := newAggStore(gs, sumSpecs, "total", "n")
-	ext := newAggStore(nil, maxSpecs, "hi", "lo")
+	sums := newSummary(gs, sumSpecs, "total", "n")
+	ext := newSummary(nil, maxSpecs, "hi", "lo")
 
 	// apply installs one batch: ids[i] gets count copies in the table, and
 	// contributes to its group's sum and to the one MAX/MIN group.
-	apply := func(tbl *Table, sums, ext aggStore, ids []int64, count int64) {
+	apply := func(tbl, sums, ext *Table, ids []int64, count int64) {
 		d := delta.New(testSchema())
 		ps := delta.NewGroupPartials(gs, sumSpecs)
 		pe := delta.NewGroupPartials(nil, maxSpecs)
@@ -342,7 +343,7 @@ func TestPinnedEpochSurvivesWindows(t *testing.T) {
 			t.Error(err)
 		}
 		for _, step := range []struct {
-			agg aggStore
+			agg *Table
 			p   *delta.GroupPartials
 		}{{sums, ps}, {ext, pe}} {
 			if _, _, err := step.agg.Apply(step.p, delta.New(step.agg.Schema())); err != nil {

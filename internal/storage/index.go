@@ -42,8 +42,8 @@ import (
 // (Table.settle, on the writer path) makes the index's map the row map, in
 // O(1): the rows are placed by their first column from then on, the row map
 // serves the index, and every write to the table is one bucket copy fewer.
-// A summary view's table is placed by its grouping columns when it is made
-// (AggTable.NewRows), and its row map serves the index on those columns.
+// A summary table is placed by its grouping columns when it is made
+// (NewSummaryTable), and its row map serves the index on those columns.
 
 // Index is one resident join index of a Table handle.
 type Index struct {
@@ -243,7 +243,7 @@ func (t *Table) JoinIndex(cols []int) (ix *Index, scanned int64) {
 	ix.rows.Grow(t.rows.Len())
 	t.rows.Scan(func(_ uint64, key string, r storedRow) bool {
 		slot, _ := ix.rows.Ref(ix.hash(key), key)
-		*slot = r
+		*slot = storedRow{tup: r.tup, count: r.count}
 		return true
 	})
 	t.indexes = append(t.indexes, ix)
@@ -275,10 +275,11 @@ func (t *Table) IndexStats() []IndexStats {
 // first when a row appears or gains copies and deleteKey when some copies
 // stay, with the row as the row map now holds it; deleteKey calls the second
 // when a row's last copy goes. Each index takes the key string the row map
-// holds, so an index entry allocates no key of its own. The index the row
-// map serves has nothing to write, but counts the change as upkeep like the
-// others.
+// holds, so an index entry allocates no key of its own, and not the row's
+// group, which only the row map holds. The index the row map serves has
+// nothing to write, but counts the change as upkeep like the others.
 func (t *Table) indexPut(key string, r storedRow) {
+	r.group = nil
 	for _, ix := range t.indexes {
 		if !ix.served() {
 			slot, _ := ix.rows.Ref(ix.hash(key), key)

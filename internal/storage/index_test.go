@@ -400,10 +400,10 @@ func TestIndexedCloneAndWriteAllocationsIgnoreRowCount(t *testing.T) {
 // it on each row the probe yields — and once a window has installed into the
 // table its rows are placed by L_ORDERKEY and the row map serves that index,
 // so a window's clone plus the 1 % batch (BenchmarkIndexApply's lineitem
-// case) copies the row map's buckets and no index's (≈ 600 B a changed
+// case) copies the row map's buckets and no index's (≈ 670 B a changed
 // row). An index the row map cannot serve, the unique one on (L_ORDERKEY,
 // L_LINENUMBER), files the rows in a map of its own: the second case bounds
-// that map's copy-on-write upkeep (≈ 1 700 B with the row map's; a window
+// that map's copy-on-write upkeep (≈ 2 000 B with the row map's; a window
 // that copied the whole index would add ≈ 8 000).
 func TestLineItemIndexUpkeepBytes(t *testing.T) {
 	for _, c := range []struct {

@@ -27,12 +27,12 @@ var installSpecs = []delta.AggSpec{
 var installGroups = relation.Schema{{Name: "g", Kind: relation.KindInt}}
 
 // newInstallTable is an empty store grouped on g with installSpecs.
-func newInstallTable() aggStore {
+func newInstallTable() *Table {
 	names := make([]string, len(installSpecs))
 	for i := range names {
 		names[i] = fmt.Sprint("a", i)
 	}
-	return newAggStore(installGroups, installSpecs, names...)
+	return newSummary(installGroups, installSpecs, names...)
 }
 
 // installRow accumulates count copies of the row (g, v) into p: every

@@ -123,9 +123,9 @@ func TestScanMatchesScanEncoded(t *testing.T) {
 	}
 }
 
-// TestAggTableScanEncoded: the table of an aggregate's output rows holds
-// each row under its encoding, which Apply wrote from the group key and the
-// outputs without the tuple at hand.
+// TestAggTableScanEncoded: a summary table holds each output row under its
+// encoding, which Apply wrote from the group key and the outputs without
+// the tuple at hand.
 func TestAggTableScanEncoded(t *testing.T) {
 	agg := newAgg()
 	p := delta.NewGroupPartials(groupSchema, sumSpecs)

@@ -232,33 +232,17 @@ var sumSpecs = []delta.AggSpec{
 	{Kind: delta.AggCount, ValueKind: relation.KindInt},
 }
 
-// aggStore is a summary view's stores as a view keeps them: its groups and
-// the table of their output rows, written together.
-type aggStore struct {
-	*AggTable
-	*Table
-}
-
-// newAggStore returns empty stores of a summary view grouped on gs whose
+// newSummary returns an empty summary table grouped on gs whose
 // aggregates, specs, are named names.
-func newAggStore(gs relation.Schema, specs []delta.AggSpec, names ...string) aggStore {
+func newSummary(gs relation.Schema, specs []delta.AggSpec, names ...string) *Table {
 	out := gs.Clone()
 	for i, s := range specs {
 		out = append(out, relation.Column{Name: names[i], Kind: s.OutputKind()})
 	}
-	agg := NewAggTable(gs, specs)
-	return aggStore{agg, agg.NewRows(out)}
+	return NewSummaryTable(out, len(gs), specs)
 }
 
-func (s aggStore) Apply(p *delta.GroupPartials, d *delta.Delta) (int64, uint64, error) {
-	return s.AggTable.Apply(p, s.Table, d)
-}
-
-func (s aggStore) Clone() aggStore { return aggStore{s.AggTable.Clone(), s.Table.Clone()} }
-
-func (s aggStore) Build(n int) *AggBuilder { return s.AggTable.Build(s.Table, n) }
-
-func newAgg() aggStore { return newAggStore(groupSchema, sumSpecs, "total", "n") }
+func newAgg() *Table { return newSummary(groupSchema, sumSpecs, "total", "n") }
 
 func accumulate(p *delta.GroupPartials, g string, v float64, count int64) {
 	p.Accumulate(relation.Tuple{relation.NewString(g)},
@@ -288,7 +272,7 @@ func TestAggTableApplyAndScan(t *testing.T) {
 
 // applyWithDelta installs p into at and returns the delta Apply appended
 // to, sealed.
-func applyWithDelta(t *testing.T, at aggStore, p *delta.GroupPartials) *delta.Delta {
+func applyWithDelta(t *testing.T, at *Table, p *delta.GroupPartials) *delta.Delta {
 	t.Helper()
 	d := delta.New(at.Schema())
 	if _, _, err := at.Apply(p, d); err != nil {
@@ -338,7 +322,7 @@ func TestAggTableApplyAppendsDelta(t *testing.T) {
 
 // aggRows copies an aggregate's output rows into a table of their own, to
 // compare by encoded row.
-func aggRows(at aggStore) *Table {
+func aggRows(at *Table) *Table {
 	tbl := NewTable(at.Schema())
 	at.Scan(func(tup relation.Tuple, count int64) bool {
 		tbl.Insert(tup, count)
@@ -410,14 +394,14 @@ func TestAggTableClone(t *testing.T) {
 	if at.Cardinality() != 1 || cl.Cardinality() != 2 {
 		t.Errorf("clone aliases state: %d %d", at.Cardinality(), cl.Cardinality())
 	}
-	if !cl.GroupSchema().Equal(groupSchema) || len(cl.Specs()) != 2 {
+	if !cl.summary || cl.placed != len(groupSchema) || !cl.Schema()[:cl.placed].Equal(groupSchema) || len(cl.specs) != 2 {
 		t.Errorf("clone metadata wrong")
 	}
 }
 
 func TestAggTableMinMaxIncremental(t *testing.T) {
 	specs := []delta.AggSpec{{Kind: delta.AggMin, ValueKind: relation.KindInt}, {Kind: delta.AggMax, ValueKind: relation.KindInt}}
-	at := newAggStore(groupSchema, specs, "lo", "hi")
+	at := newSummary(groupSchema, specs, "lo", "hi")
 	add := func(p *delta.GroupPartials, v int64, c int64) {
 		p.Accumulate(relation.Tuple{relation.NewString("g")},
 			[]relation.Value{relation.NewInt(v), relation.NewInt(v)}, c)
@@ -447,7 +431,7 @@ func TestAggTableMinMaxIncremental(t *testing.T) {
 
 func TestAggTableDeleteAbsentMinMaxValueRejected(t *testing.T) {
 	specs := []delta.AggSpec{{Kind: delta.AggMin, ValueKind: relation.KindInt}}
-	at := newAggStore(groupSchema, specs, "lo")
+	at := newSummary(groupSchema, specs, "lo")
 	p := delta.NewGroupPartials(groupSchema, specs)
 	p.Accumulate(relation.Tuple{relation.NewString("g")}, []relation.Value{relation.NewInt(5)}, 2)
 	if _, _, err := at.Apply(p, nil); err != nil {

@@ -1,8 +1,8 @@
 // Package storage implements the materialized storage layer of the
 // warehouse: a counted bag table holds every view's rows — a base view's,
 // a select-project-join view's and a summary view's, whose table holds one
-// row per group — and a summary view keeps its groups' accumulators beside
-// its table, in an aggregate table.
+// row per group, each row's entry carrying its group's support and
+// accumulators (summary.go).
 //
 // All storage is multiset (bag) semantics with explicit counts, which is the
 // representation the counting algorithm of Griffin & Libkin [GL95] requires
@@ -31,9 +31,9 @@ import (
 // install has found the join index on column 0 resident — under the CRC of
 // its first value's encoding, a prefix of the key: the rows that share a
 // first value then share a bucket, and the row map itself serves that index
-// (see index.go, "Rows placed by their first column"). A summary view's
-// table is placed from the start by its grouping columns (AggTable.NewRows),
-// so that a group's old output row and its new one share a bucket.
+// (see index.go, "Rows placed by their first column"). A summary table is
+// placed from the start by its grouping columns (NewSummaryTable), so that
+// a group's old output row and its new one share a bucket.
 //
 // A stored tuple is written once, when its row first appears, and never
 // again: Scan, Index.Probe and SortedRows hand out that tuple itself, shared by
@@ -64,12 +64,19 @@ type Table struct {
 	// reads a handle while it is written.
 	idxMu   sync.RWMutex
 	indexes []*Index
+	// summary marks a summary table (summary.go), whose rows carry their
+	// groups and specs are its aggregates.
+	summary bool
+	specs   []delta.AggSpec
 }
 
-// storedRow is one distinct tuple of a table: its decoded form and multiplicity.
+// storedRow is one distinct tuple of a table: its decoded form and
+// multiplicity, and in a summary table's row map its group's state (nil in
+// any other table's, and in every index's own map).
 type storedRow struct {
 	tup   relation.Tuple
 	count int64
+	group *group
 }
 
 // NewTable creates an empty table with the given schema.
@@ -188,7 +195,7 @@ func (t *Table) InsertEncoded(key []byte, count int64) {
 	// A held row of an indexed table takes the key as a string too: its
 	// indexes file it by the key.
 	if _, held := t.rows.GetBytes(at, key); !held || len(t.indexes) > 0 {
-		t.insertKey(hash, string(key), nil, count)
+		t.insertKey(hash, string(key), nil, count, nil)
 		return
 	}
 	r, _ := t.rows.RefBytes(at, key)
@@ -219,8 +226,9 @@ func prefixLen[S string | []byte](key S, n int) int {
 // insertKey adds count copies of the row encoded as key, whose CRC is hash.
 // A row new to the table stores tup, which is key decoded (decoded here when
 // nil) and becomes read-only; its strings are substrings of the key the
-// table holds anyway.
-func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64) {
+// table holds anyway. g is the row's group in a summary table, nil in any
+// other.
+func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int64, g *group) {
 	r, existed := t.rows.Ref(t.slot(hash, key), key)
 	if existed {
 		t.addCopies(hash, r, count)
@@ -228,7 +236,7 @@ func (t *Table) insertKey(hash uint64, key string, tup relation.Tuple, count int
 		if tup == nil {
 			tup = mustDecode(key)
 		}
-		*r = storedRow{tup: tup, count: count}
+		*r = storedRow{tup: tup, count: count, group: g}
 		t.digest ^= rowDigest(hash, count)
 		t.card += count
 	}
@@ -343,7 +351,7 @@ type CountedTuple struct {
 // window actually changes. The resident indexes go with the rows, shared
 // the same way, in O(indexes).
 func (t *Table) Clone() *Table {
-	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest, placed: t.placed}
+	c := &Table{schema: t.schema.Clone(), rows: t.rows.Clone(), card: t.card, digest: t.digest, placed: t.placed, summary: t.summary, specs: t.specs}
 	t.idxMu.Lock() // cloning an index's map writes its token
 	defer t.idxMu.Unlock()
 	if len(t.indexes) > 0 {
@@ -462,7 +470,7 @@ func (t *Table) ApplyDelta(d *delta.Delta) (digest uint64, err error) {
 	// does not hold yet, the tuple the delta's Seal decoded from the key.
 	for _, c := range changes {
 		if c.count > 0 {
-			t.insertKey(c.hash, c.key, c.tup, c.count)
+			t.insertKey(c.hash, c.key, c.tup, c.count, nil)
 		} else {
 			t.deleteKey(c.hash, c.key, -c.count, c.have)
 		}
